@@ -41,113 +41,12 @@ pub fn bench_json_path() -> PathBuf {
     p
 }
 
-/// The git revision the running binary's checkout is at, or `None`
-/// outside a repository (or without git on PATH). Used to stamp
-/// scenarios and to flag stale baselines.
-pub fn current_git_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
-    (!rev.is_empty()).then_some(rev)
-}
-
-/// Scenario names in `BENCH_share.json` whose `recorded_rev` stamp is
-/// missing or differs from `rev` — baselines recorded by an older binary
-/// that may no longer reproduce and should be re-recorded at HEAD.
-pub fn stale_scenarios(rev: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(bench_json_path()) else { return Vec::new() };
-    let Ok(Json::Obj(entries)) = parse(&text) else { return Vec::new() };
-    entries
-        .iter()
-        .filter(|(_, v)| match v {
-            Json::Obj(fields) => !fields
-                .iter()
-                .any(|(k, v)| k == "recorded_rev" && matches!(v, Json::Str(s) if s == rev)),
-            _ => true,
-        })
-        .map(|(k, _)| k.clone())
-        .collect()
-}
-
-/// Whether `SHARE_ALLOW_STALE=1` downgrades the freshness gate from a
-/// hard failure to a warning (escape hatch for local iteration where
-/// re-recording every baseline per commit is too slow).
-pub fn stale_allowed() -> bool {
-    std::env::var("SHARE_ALLOW_STALE").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Fail unless every named scenario exists in `BENCH_share.json` *and*
-/// carries a `recorded_rev` stamp matching HEAD. This is the verify-tier
-/// teeth behind the `stale_scenarios` warning: a baseline recorded by an
-/// older binary (or never recorded at all) is an error, not a footnote.
-///
-/// * Outside a git checkout (`current_git_rev()` is `None`) nothing can be
-///   stamped, so the gate passes trivially.
-/// * With `SHARE_ALLOW_STALE=1` offenders are printed as a warning and the
-///   gate passes.
-/// * Scenarios present in the file but *not* named are ignored — the gate
-///   only polices the baselines its caller depends on.
-pub fn require_fresh(scenarios: &[&str]) -> Result<(), String> {
-    let Some(rev) = current_git_rev() else { return Ok(()) };
-    let stale = stale_scenarios(&rev);
-    let recorded: Vec<String> = match std::fs::read_to_string(bench_json_path()) {
-        Ok(text) => match parse(&text) {
-            Ok(Json::Obj(entries)) => entries.into_iter().map(|(k, _)| k).collect(),
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-    let offending: Vec<&str> = scenarios
-        .iter()
-        .copied()
-        .filter(|name| {
-            !recorded.iter().any(|r| r == name) || stale.iter().any(|s| s == name)
-        })
-        .collect();
-    if offending.is_empty() {
-        return Ok(());
-    }
-    let msg = format!(
-        "{} baseline scenario(s) in {} are missing or were recorded at a different \
-         git rev than HEAD ({rev}): {}",
-        offending.len(),
-        bench_json_path().display(),
-        offending.join(", ")
-    );
-    if stale_allowed() {
-        eprintln!("warning: {msg} (passing: SHARE_ALLOW_STALE=1)");
-        return Ok(());
-    }
-    Err(format!("{msg}\nre-run the bench tiers at HEAD, or set SHARE_ALLOW_STALE=1"))
-}
-
 /// Insert or replace one scenario in `BENCH_share.json`, preserving every
 /// other scenario already recorded. Returns the path written. An unreadable
 /// or unparsable existing file is treated as empty rather than an error, so
 /// a corrupt file self-heals on the next bench run.
-///
-/// Object scenarios are stamped with the recording binary's git revision
-/// (`recorded_rev`), and a warning listing every entry whose stamp no
-/// longer matches HEAD is printed after the write — the guard against
-/// comparing fresh runs to baselines an older binary recorded (PR 8 lost
-/// time to exactly that with `fig5_linkbench_channels`).
 pub fn record_scenario(name: &str, value: Json) -> std::io::Result<PathBuf> {
     let path = bench_json_path();
-    let rev = current_git_rev();
-    let value = match (value, &rev) {
-        (Json::Obj(mut fields), Some(rev)) => {
-            fields.retain(|(k, _)| k != "recorded_rev");
-            fields.push(("recorded_rev".into(), Json::Str(rev.clone())));
-            Json::Obj(fields)
-        }
-        (v, _) => v,
-    };
     let mut entries: Vec<(String, Json)> = match std::fs::read_to_string(&path) {
         Ok(text) => match parse(&text) {
             Ok(Json::Obj(fields)) => fields,
@@ -170,18 +69,6 @@ pub fn record_scenario(name: &str, value: Json) -> std::io::Result<PathBuf> {
     }
     out.push_str("}\n");
     std::fs::write(&path, out)?;
-    if let Some(rev) = rev {
-        let stale = stale_scenarios(&rev);
-        if !stale.is_empty() {
-            eprintln!(
-                "warning: {} baseline scenario(s) in {} were recorded at a different \
-                 git rev than HEAD ({rev}) and may not reproduce: {}",
-                stale.len(),
-                path.display(),
-                stale.join(", ")
-            );
-        }
-    }
     Ok(path)
 }
 
@@ -291,34 +178,6 @@ mod tests {
             assert_eq!(fields.len(), 2);
         } else {
             panic!("top level must be an object");
-        }
-
-        // Rev stamping + the staleness guard (skipped outside a git
-        // checkout, where nothing can be stamped).
-        if let Some(rev) = current_git_rev() {
-            assert_eq!(
-                doc.get("alpha").unwrap().get("recorded_rev"),
-                Some(&Json::Str(rev.clone())),
-                "scenarios must carry the recording binary's git rev"
-            );
-            assert!(
-                stale_scenarios(&rev).is_empty(),
-                "freshly recorded scenarios must not be flagged stale"
-            );
-            let stale = stale_scenarios("0000000000ff");
-            assert_eq!(stale, vec!["alpha".to_string(), "beta".to_string()]);
-
-            // The hard gate: fresh names pass, a missing name fails even
-            // though every *recorded* entry is fresh, and the escape hatch
-            // downgrades the failure to a warning.
-            require_fresh(&["alpha", "beta"]).expect("fresh scenarios must pass");
-            let err = require_fresh(&["alpha", "gamma"])
-                .expect_err("a never-recorded scenario must fail the gate");
-            assert!(err.contains("gamma"), "error must name the offender: {err}");
-            assert!(!err.contains("alpha"), "fresh scenarios must not be blamed: {err}");
-            std::env::set_var("SHARE_ALLOW_STALE", "1");
-            require_fresh(&["gamma"]).expect("SHARE_ALLOW_STALE=1 must downgrade to warning");
-            std::env::remove_var("SHARE_ALLOW_STALE");
         }
 
         std::env::remove_var("SHARE_BENCH_JSON");

@@ -17,10 +17,7 @@ pub mod table;
 pub mod timing;
 pub mod ycsb_driver;
 
-pub use json::{
-    bench_json_path, count, device_json, num, parse, record_scenario, require_fresh, s,
-    stale_allowed, Json,
-};
+pub use json::{bench_json_path, count, device_json, num, parse, record_scenario, s, Json};
 pub use linkbench_driver::{run_linkbench, LinkBenchResult, LinkBenchRun};
 pub use metrics::{
     dump_metrics, dump_monitor, dump_trace, maybe_dump_metrics, maybe_dump_monitor,

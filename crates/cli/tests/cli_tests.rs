@@ -2,8 +2,13 @@
 
 use sharectl::run;
 
+/// A fresh directory of this call's own. Tests run concurrently in one
+/// process, so a directory per process would have one test deleting
+/// another's image and sidecar.
 fn tmpdir() -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("sharectl-test-{}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let d = std::env::temp_dir().join(format!("sharectl-test-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d

@@ -16,6 +16,7 @@
 
 use crate::error::FtlError;
 use crate::types::{Lpn, SharePair};
+use share_telemetry::OpClass;
 
 /// Tag identifying one queued command on its device. Tags are unique for
 /// the device's lifetime (monotonic 32-bit counter).
@@ -68,6 +69,32 @@ impl QueuedCmd {
             QueuedCmd::ShareBatch { .. } => "q_share_batch",
             QueuedCmd::Trim { .. } => "q_trim",
             QueuedCmd::Flush => "q_flush",
+        }
+    }
+
+    /// What telemetry records the command as: op class, first LPN, pages.
+    pub(crate) fn header(&self) -> (OpClass, u64, u64) {
+        let first = |lpn: Option<Lpn>| lpn.map_or(0, |l| l.0);
+        match self {
+            QueuedCmd::Read { lpn } => (OpClass::Read, lpn.0, 1),
+            QueuedCmd::ReadBatch { lpns } => {
+                (OpClass::ReadBatch, first(lpns.first().copied()), lpns.len() as u64)
+            }
+            QueuedCmd::Write { lpn, .. } => (OpClass::Write, lpn.0, 1),
+            QueuedCmd::WriteBatch { pages } => {
+                (OpClass::WriteBatch, first(pages.first().map(|p| p.0)), pages.len() as u64)
+            }
+            QueuedCmd::WriteAtomic { pages } => {
+                (OpClass::WriteAtomic, first(pages.first().map(|p| p.0)), pages.len() as u64)
+            }
+            QueuedCmd::Share { pairs } => {
+                (OpClass::Share, first(pairs.first().map(|p| p.dest)), pairs.len() as u64)
+            }
+            QueuedCmd::ShareBatch { pairs } => {
+                (OpClass::ShareBatch, first(pairs.first().map(|p| p.dest)), pairs.len() as u64)
+            }
+            QueuedCmd::Trim { lpn, len } => (OpClass::Trim, lpn.0, *len),
+            QueuedCmd::Flush => (OpClass::Flush, 0, 0),
         }
     }
 }

@@ -6,6 +6,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The bench tiers below record their scenarios into a scratch file, not the
+# committed BENCH_share.json, and the smoke tiers dump into a scratch
+# directory: a verify run leaves the working tree exactly as it found it
+# (checked at the end). Exact comparison of simulated results against a
+# baseline is `benchmark/run.sh compare`.
+TREE_BEFORE="$(git status --porcelain 2>/dev/null || true)"
+VERIFY_TMP="$(mktemp -d)"
+trap 'rm -rf "$VERIFY_TMP"' EXIT
+export SHARE_BENCH_JSON="$VERIFY_TMP/BENCH_share.json"
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
@@ -65,12 +75,9 @@ echo "== snapshot smoke (instant clone of an aged mini-SQLite DB) =="
 # Metrics smoke tier: run a short YCSB workload with full telemetry, dump
 # both exporter formats (Prometheus text + JSON), re-parse the JSON dump,
 # and assert the telemetry op counters equal the DeviceStats counters —
-# the FTL's two bookkeeping paths must agree exactly. Dumps go to a temp
-# dir so the repo root stays clean.
+# the FTL's two bookkeeping paths must agree exactly.
 echo "== metrics smoke (telemetry vs DeviceStats) =="
-METRICS_TMP="$(mktemp -d)"
-trap 'rm -rf "$METRICS_TMP"' EXIT
-SHARE_METRICS_DIR="$METRICS_TMP" ./target/release/metrics_smoke
+SHARE_METRICS_DIR="$VERIFY_TMP" ./target/release/metrics_smoke
 
 # Trace smoke tier: run a short YCSB workload with span tracing off and
 # on, assert the simulated results are bit-identical either way, export
@@ -80,7 +87,7 @@ SHARE_METRICS_DIR="$METRICS_TMP" ./target/release/metrics_smoke
 # resolvable, all four layers present). The tracing wall-clock overhead
 # is recorded into BENCH_share.json as the trace_smoke scenario.
 echo "== trace smoke (span tracer + Chrome export well-formedness) =="
-SHARE_METRICS_DIR="$METRICS_TMP" ./target/release/trace_smoke
+SHARE_METRICS_DIR="$VERIFY_TMP" ./target/release/trace_smoke
 
 # Health smoke tier: age a 4-channel device with the flight recorder on,
 # record the wear histogram, skew, remaining life and downsampled
@@ -91,11 +98,13 @@ SHARE_METRICS_DIR="$METRICS_TMP" ./target/release/trace_smoke
 echo "== health smoke (wear model + flight recorder + SLO engine) =="
 ./target/release/bench_health
 
-# Baseline freshness gate (must run last, after every tier above has
-# re-recorded its scenario at HEAD): fails if any verify-tier baseline in
-# BENCH_share.json is missing or stamped with a different git revision
-# than HEAD. SHARE_ALLOW_STALE=1 downgrades to a warning.
-echo "== baseline freshness gate (BENCH_share.json recorded_rev) =="
-./target/release/bench_stale_gate
+# A verify run must not dirty the tree (it used to rewrite
+# BENCH_share.json on every run).
+echo "== working tree unchanged =="
+if [ "$(git status --porcelain 2>/dev/null || true)" != "$TREE_BEFORE" ]; then
+  echo "verify: FAILED — the run changed the working tree:" >&2
+  git status --porcelain >&2
+  exit 1
+fi
 
 echo "verify: OK"
