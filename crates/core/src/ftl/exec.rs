@@ -1,0 +1,505 @@
+//! How work enters the FTL: the command frame every host command runs in
+//! (sync methods and `submit` alike), the internal-pass frame for
+//! gc/log_flush/checkpoint/recovery, the submission queue, and the
+//! `BlockDevice` implementation (DESIGN.md §11, §13 "Command frame and
+//! internal-pass frame").
+
+use super::*;
+
+impl Ftl {
+    /// Open an FTL-layer span (no-op when tracing is off).
+    fn begin_span(&self, name: &str, stream: u32, start_ns: u64) -> SpanId {
+        self.tracer.begin(Layer::Ftl, name, Track::Stream(stream), start_ns)
+    }
+
+    /// The internal-pass frame: every pass the FTL runs on its own behalf
+    /// (`gc`, `log_flush`, `checkpoint`, `recovery`) opens its span and
+    /// records its op class here, attributed to `attr` (None: the `ftl`
+    /// stream). `body` returns the pages the pass moved.
+    ///
+    /// Passes are timed on `submission_now()`, never `now_ns()`: inside a
+    /// queued command's deferred window or a background GC window the
+    /// shared clock stands still while the window frontier moves, so clock
+    /// read-outs would make the pass zero-length with NAND children ending
+    /// after it. Outside any window the two are the same number.
+    pub(super) fn internal_pass(
+        &mut self,
+        name: &str,
+        op: OpClass,
+        attr: Option<u32>,
+        lpn: u64,
+        body: impl FnOnce(&mut Self) -> Result<u64, FtlError>,
+    ) -> Result<u64, FtlError> {
+        let t0 = self.nand.submission_now();
+        let span = self.begin_span(name, STREAM_FTL, t0);
+        let r = body(self);
+        let end = self.nand.submission_now();
+        let pages = *r.as_ref().unwrap_or(&0);
+        self.tracer.end(span, end, pages, r.is_ok());
+        self.telemetry.record_as(op, attr, lpn, pages, t0, end, r.is_ok());
+        r
+    }
+
+    /// The command frame: every host command — each synchronous
+    /// `BlockDevice` method and `submit` — enters here. It captures the
+    /// command's stream (internal passes it triggers inherit it), opens its
+    /// span on the stream's track, runs `body` (which borrows the caller's
+    /// payload), and records `op` over the command's interval. `queued`
+    /// runs the body under a deferred NAND window instead of on the shared
+    /// clock and pins the blocks it allocates into; the interval then ends
+    /// at the window's completion time — the latency-under-load the host
+    /// observes, not device service time. Returns the outcome, the end
+    /// time and the pinned blocks.
+    fn frame<T>(
+        &mut self,
+        name: &str,
+        op: Option<OpClass>,
+        lpn: u64,
+        pages: u64,
+        queued: bool,
+        body: impl FnOnce(&mut Self) -> Result<T, FtlError>,
+    ) -> (Result<T, FtlError>, u64, Vec<u32>) {
+        let t0 = self.nand.now_ns();
+        let stream = self.telemetry.current_stream();
+        self.cmd_stream = Some(stream);
+        let span = self.begin_span(name, stream, t0);
+        if queued {
+            self.pool.begin_capture();
+            self.nand.begin_deferred();
+        }
+        let r = body(self);
+        let (end, blocks) = if queued {
+            (self.nand.end_deferred(), self.pool.end_capture())
+        } else {
+            (self.nand.now_ns(), Vec::new())
+        };
+        self.cmd_stream = None;
+        self.tracer.end(span, end, pages, r.is_ok());
+        if let Some(op) = op {
+            self.telemetry.record(op, lpn, pages, t0, end, r.is_ok());
+        }
+        (r, end, blocks)
+    }
+
+    /// A synchronous host command: the command frame on the shared clock.
+    /// Leaving it is the flight recorder's sampling point — epochs seal
+    /// lazily at the first command boundary at or after their clock tick
+    /// (`submit` ticks once its completion is queued).
+    fn command<T>(
+        &mut self,
+        name: &str,
+        op: Option<OpClass>,
+        lpn: u64,
+        pages: u64,
+        body: impl FnOnce(&mut Self) -> Result<T, FtlError>,
+    ) -> Result<T, FtlError> {
+        let (r, _, _) = self.frame(name, op, lpn, pages, false, body);
+        self.epoch_tick();
+        r
+    }
+
+    /// Seal a flight-recorder epoch if the clock has crossed a boundary.
+    /// Pure observation: reads the clock and counters, never advances
+    /// simulated time or touches the medium — a monitored run stays
+    /// bit-identical to an unmonitored one.
+    fn epoch_tick(&mut self) {
+        let now = self.nand.now_ns();
+        if !self.recorder.as_ref().is_some_and(|r| r.due(now)) {
+            return;
+        }
+        let wear = self.wear_stats();
+        let remaining_life = if DEFAULT_ENDURANCE_CYCLES == 0 {
+            0.0
+        } else {
+            (1.0 - wear.mean_erases / DEFAULT_ENDURANCE_CYCLES as f64).clamp(0.0, 1.0)
+        };
+        let (read_hist, write_hist) = self.telemetry.take_epoch_windows();
+        let sample = EpochSample {
+            now_ns: now,
+            stats: self.stats(),
+            wa: self.telemetry.wa_raw(),
+            unit_busy_ns: self.nand.busy_ns().to_vec(),
+            free_blocks: self.pool.free_count() as u64,
+            inflight: self.pending.len() as u64,
+            wear_skew: wear.skew(),
+            remaining_life,
+            read_hist,
+            write_hist,
+        };
+        let outcome = self.recorder.as_mut().expect("checked above").seal(sample);
+        self.tracer.push_unit_epoch(outcome.end_ns, &outcome.unit_busy_ns);
+        // Fired alerts land on the command ring too, so the flight around
+        // an SLO breach is visible in the same event stream as the I/O.
+        for a in &outcome.alerts {
+            self.telemetry.record_as(
+                OpClass::Alert,
+                Some(STREAM_FTL),
+                a.kind.index() as u64,
+                0,
+                outcome.end_ns,
+                outcome.end_ns,
+                a.severity != AlertSeverity::Critical,
+            );
+        }
+    }
+
+    /// Execute a queued command's state transitions (called inside the
+    /// command frame, under its deferred NAND window) through the same
+    /// bodies the synchronous methods run.
+    fn execute_queued(&mut self, cmd: QueuedCmd) -> Result<CmdOutput, FtlError> {
+        fn refs(pages: &[(Lpn, Vec<u8>)]) -> Vec<(Lpn, &[u8])> {
+            pages.iter().map(|(l, d)| (*l, d.as_slice())).collect()
+        }
+        match cmd {
+            QueuedCmd::Read { lpn } => {
+                let mut buf = vec![0u8; self.page_size()];
+                self.read_impl(lpn, &mut buf)?;
+                return Ok(CmdOutput::Page(buf));
+            }
+            QueuedCmd::ReadBatch { lpns } => {
+                let mut bufs = vec![vec![0u8; self.page_size()]; lpns.len()];
+                let mut reqs: Vec<(Lpn, &mut [u8])> = lpns
+                    .iter()
+                    .copied()
+                    .zip(bufs.iter_mut().map(|b| b.as_mut_slice()))
+                    .collect();
+                self.read_batch_impl(&mut reqs)?;
+                return Ok(CmdOutput::Pages(bufs));
+            }
+            QueuedCmd::Write { lpn, data } => self.write_impl(lpn, &data)?,
+            QueuedCmd::WriteBatch { pages } => self.write_batch_impl(&refs(&pages))?,
+            QueuedCmd::WriteAtomic { pages } if !pages.is_empty() => {
+                self.write_atomic_impl(&refs(&pages))?
+            }
+            QueuedCmd::Share { pairs } if !pairs.is_empty() => self.share_impl(&pairs)?,
+            QueuedCmd::ShareBatch { pairs } if !pairs.is_empty() => self.share_batch_impl(&pairs)?,
+            // Empty atomic and SHARE batches are no-ops, as on the sync path.
+            QueuedCmd::WriteAtomic { .. } | QueuedCmd::Share { .. } | QueuedCmd::ShareBatch { .. } => {}
+            QueuedCmd::Trim { lpn, len } => self.trim_impl(lpn, len)?,
+            QueuedCmd::Flush => self.flush_impl()?,
+        }
+        Ok(CmdOutput::None)
+    }
+
+    /// Block the host until `t`, a pending completion time (None: nothing
+    /// is in flight), and reap everything due by then.
+    fn wait_until(&mut self, t: Option<u64>) -> Vec<Completion> {
+        let Some(t) = t else { return Vec::new() };
+        self.nand.clock().advance_to(t);
+        self.take_due(self.nand.now_ns())
+    }
+
+    /// Remove and return every pending command with `complete_ns <= now`,
+    /// oldest completion first, unpinning its blocks.
+    fn take_due(&mut self, now: u64) -> Vec<Completion> {
+        let mut due: Vec<PendingCmd> = Vec::new();
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].complete_ns <= now {
+                due.push(self.pending.remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        due.sort_by_key(|p| (p.complete_ns, p.tag));
+        self.q_reaped += due.len() as u64;
+        due.into_iter()
+            .map(|p| {
+                self.pool.release_inflight(&p.blocks);
+                Completion {
+                    tag: p.tag,
+                    submit_ns: p.submit_ns,
+                    complete_ns: p.complete_ns,
+                    result: p.result,
+                }
+            })
+            .collect()
+    }
+}
+
+impl BlockDevice for Ftl {
+    fn page_size(&self) -> usize {
+        self.cfg.geometry.page_size
+    }
+
+    fn capacity_pages(&self) -> u64 {
+        self.cfg.logical_pages
+    }
+
+    fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<(), FtlError> {
+        self.command("read", Some(OpClass::Read), lpn.0, 1, |f| f.read_impl(lpn, buf))
+    }
+
+    fn write(&mut self, lpn: Lpn, data: &[u8]) -> Result<(), FtlError> {
+        self.command("write", Some(OpClass::Write), lpn.0, 1, |f| f.write_impl(lpn, data))
+    }
+
+    fn flush(&mut self) -> Result<(), FtlError> {
+        self.command("flush", Some(OpClass::Flush), 0, 0, Self::flush_impl)
+    }
+
+    fn trim(&mut self, lpn: Lpn, len: u64) -> Result<(), FtlError> {
+        self.command("trim", Some(OpClass::Trim), lpn.0, len, |f| f.trim_impl(lpn, len))
+    }
+
+    /// The SHARE command (§3.2): remap every `pair.dest` onto the physical
+    /// page of `pair.src`, atomically for the whole batch. The command
+    /// returns after its deltas are durably logged (§4.2.2).
+    fn share(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
+        let Some(first) = pairs.first() else { return Ok(()) };
+        let n = pairs.len() as u64;
+        self.command("share", Some(OpClass::Share), first.dest.0, n, |f| f.share_impl(pairs))
+    }
+
+    /// A large SHARE submission: one host command (one command overhead,
+    /// one `share_commands` tick) whose pairs are committed in
+    /// log-page-sized sub-batches. Each sub-batch is individually atomic;
+    /// a crash can land between sub-batches, exactly as if the host had
+    /// issued them as separate commands — minus the per-command overhead.
+    fn share_batch(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
+        let Some(first) = pairs.first() else { return Ok(()) };
+        let n = pairs.len() as u64;
+        self.command("share_batch", Some(OpClass::ShareBatch), first.dest.0, n, |f| {
+            f.share_batch_impl(pairs)
+        })
+    }
+
+    fn share_batch_limit(&self) -> usize {
+        self.cfg.deltas_per_page()
+    }
+
+    fn supports_snapshot(&self) -> bool {
+        true
+    }
+
+    /// Freeze the current mapping of `len` pages starting at `start` under
+    /// `name`. Pure metadata — zero NAND page programs; the frozen entries
+    /// pin their physical pages against GC reclaim until dropped.
+    fn snapshot_create(&mut self, name: &str, start: Lpn, len: u64) -> Result<u32, FtlError> {
+        self.command("snapshot_create", None, start.0, len, |f| f.snapshot_create_impl(name, start, len))
+    }
+
+    /// Release `name`'s pins. Newly unreferenced pages become ordinary
+    /// garbage, blamed to the dropping stream.
+    fn snapshot_drop(&mut self, name: &str) -> Result<(), FtlError> {
+        self.command("snapshot_drop", None, 0, 0, |f| f.snapshot_drop_impl(name))
+    }
+
+    /// Materialize a writable zero-copy clone of a snapshot window at
+    /// `dst`: clone LPNs share the frozen physical pages; subsequent
+    /// overwrites copy-on-write exactly like SHARE'd pages. Returns the
+    /// number of pages mapped (holes in the snapshot read zeroes).
+    fn snapshot_clone(
+        &mut self,
+        name: &str,
+        src_offset: u64,
+        dst: Lpn,
+        len: u64,
+    ) -> Result<u64, FtlError> {
+        self.command("snapshot_clone", None, dst.0, len, |f| {
+            f.snapshot_clone_impl(name, src_offset, dst, len)
+        })
+    }
+
+    /// Point-in-time read of one page from a snapshot, without touching
+    /// the live mapping.
+    fn snapshot_read(&mut self, name: &str, offset: u64, buf: &mut [u8]) -> Result<(), FtlError> {
+        self.command("snapshot_read", Some(OpClass::Read), offset, 1, |f| {
+            f.snapshot_read_impl(name, offset, buf)
+        })
+    }
+
+    fn snapshot_list(&self) -> Result<Vec<SnapshotInfo>, FtlError> {
+        Ok(self.snaps.list())
+    }
+
+    /// Persist the snapshot table durably by taking a checkpoint now
+    /// (creates are otherwise durable only at the next natural
+    /// checkpoint).
+    fn snapshot_persist(&mut self) -> Result<(), FtlError> {
+        self.command("snapshot_persist", None, 0, 0, |f| {
+            f.nand.charge(f.cfg.command_ns);
+            f.checkpoint()
+        })
+    }
+
+    /// Batched read: mapped pages go to the NAND as one submission, so
+    /// reads on distinct channel-ways overlap in simulated time.
+    fn read_batch(&mut self, reqs: &mut [(Lpn, &mut [u8])]) -> Result<(), FtlError> {
+        let first = reqs.first().map_or(0, |(lpn, _)| lpn.0);
+        let n = reqs.len() as u64;
+        self.command("read_batch", Some(OpClass::ReadBatch), first, n, |f| f.read_batch_impl(reqs))
+    }
+
+    /// Batched write: destinations are striped across channels by the
+    /// block pool and programmed as multi-page submissions, so the
+    /// programs overlap across channel-ways. Ordering and durability
+    /// semantics match the equivalent sequence of single writes.
+    fn write_batch(&mut self, pages: &[(Lpn, &[u8])]) -> Result<(), FtlError> {
+        let first = pages.first().map_or(0, |(lpn, _)| lpn.0);
+        let n = pages.len() as u64;
+        self.command("write_batch", Some(OpClass::WriteBatch), first, n, |f| f.write_batch_impl(pages))
+    }
+
+    /// Atomic multi-page write (§6.1's related-work primitive): all data
+    /// pages are programmed out-of-place first, then every mapping delta
+    /// of the batch is committed in a single atomically-programmed log
+    /// page — the same mechanism that makes SHARE batches atomic.
+    fn write_atomic(&mut self, pages: &[(Lpn, &[u8])]) -> Result<(), FtlError> {
+        let Some(first) = pages.first() else { return Ok(()) };
+        let n = pages.len() as u64;
+        self.command("write_atomic", Some(OpClass::WriteAtomic), first.0 .0, n, |f| {
+            f.write_atomic_impl(pages)
+        })
+    }
+
+    fn write_atomic_limit(&self) -> usize {
+        self.cfg.deltas_per_page()
+    }
+
+    fn supports_queue(&self) -> bool {
+        true
+    }
+
+    fn queue_depth(&self) -> usize {
+        self.cfg.queue_depth
+    }
+
+    fn set_queue_depth(&mut self, depth: usize) {
+        self.cfg.queue_depth = depth.max(1);
+    }
+
+    /// Queued submission: execute the command's state transitions *now*
+    /// (in submission order — the medium and crash images are identical to
+    /// the synchronous path) but dispatch its NAND timing onto a deferred
+    /// window, so commands from independent connections overlap across
+    /// channel-ways. The completion surfaces via `poll`/`reap`/`drain`.
+    fn submit(&mut self, cmd: QueuedCmd) -> Result<CmdTag, FtlError> {
+        if self.pending.len() >= self.cfg.queue_depth {
+            return Err(FtlError::QueueFull { depth: self.cfg.queue_depth });
+        }
+        let tag = CmdTag(self.next_tag);
+        self.next_tag = self.next_tag.wrapping_add(1);
+        let submit_ns = self.nand.now_ns();
+        let (op, lpn, pages) = cmd.header();
+        let (result, complete_ns, blocks) =
+            self.frame(cmd.name(), Some(op), lpn, pages, true, |f| f.execute_queued(cmd));
+        self.q_submitted += 1;
+        self.pending.push(PendingCmd { tag, submit_ns, complete_ns, result, blocks });
+        self.q_max_inflight = self.q_max_inflight.max(self.pending.len() as u64);
+        self.epoch_tick();
+        Ok(tag)
+    }
+
+    fn poll(&mut self) -> Vec<Completion> {
+        self.take_due(self.nand.now_ns())
+    }
+
+    fn reap(&mut self) -> Vec<Completion> {
+        let earliest = self.pending.iter().map(|p| p.complete_ns).min();
+        self.wait_until(earliest)
+    }
+
+    fn drain(&mut self) -> Vec<Completion> {
+        let latest = self.pending.iter().map(|p| p.complete_ns).max();
+        self.wait_until(latest)
+    }
+
+    fn inflight(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn stats(&self) -> DeviceStats {
+        let mut s = self.stats;
+        s.nand = self.nand.stats();
+        s.lane_steals = self.pool.lane_steals();
+        s
+    }
+
+    fn clock(&self) -> &SimClock {
+        self.nand.clock()
+    }
+
+    fn stream_intern(&mut self, label: &str) -> u32 {
+        let id = self.telemetry.intern(label);
+        let idx = id as usize;
+        if self.stream_class.len() <= idx {
+            self.stream_class.resize(idx + 1, CLASS_DEFAULT);
+        }
+        self.stream_class[idx] = self.cfg.placement.classify(label);
+        self.tracer.set_stream_label(id, label);
+        id
+    }
+
+    fn set_stream(&mut self, stream: u32) {
+        self.telemetry.set_stream(stream)
+    }
+
+    fn telemetry_snapshot(&self) -> Option<Snapshot> {
+        let mut snap = self.telemetry.snapshot();
+        let channels = self.cfg.geometry.channels;
+        snap.units = self
+            .nand
+            .busy_ns()
+            .iter()
+            .enumerate()
+            .map(|(unit, &busy_ns)| UnitUtilization {
+                channel: unit as u32 % channels,
+                way: unit as u32 / channels,
+                busy_ns,
+            })
+            .collect();
+        snap.now_ns = self.nand.now_ns();
+        snap.queue = QueueGauges {
+            depth: self.cfg.queue_depth as u64,
+            inflight: self.pending.len() as u64,
+            max_inflight: self.q_max_inflight,
+            submitted: self.q_submitted,
+            reaped: self.q_reaped,
+        };
+        snap.placement = PlacementGauges {
+            enabled: self.cfg.placement.enabled,
+            lane_steals: self.pool.lane_steals(),
+            gc_stall_ns: self.stats.gc_stall_ns,
+            gc_budget_deferrals: self.stats.gc_budget_deferrals,
+            classes: (0..self.pool.classes())
+                .map(|class| PlacementClassGauge {
+                    class: class as u8,
+                    label: PlacementConfig::class_label(class as u8).to_string(),
+                    placed_pages: self.pool.placed_pages(class),
+                    gc_moved_pages: self.pool.gc_moved_pages(class),
+                    open_blocks: self.pool.open_blocks(class),
+                })
+                .collect(),
+        };
+        snap.snapshots = SnapshotGauges {
+            live: self.snaps.count() as u64,
+            frozen_pages: self.snaps.frozen_pages(),
+            pinned_pages: self.snaps.pinned_pages(),
+            creates: self.stats.snapshot_creates,
+            drops: self.stats.snapshot_drops,
+            clones: self.stats.snapshot_clones,
+            clone_pages: self.stats.snapshot_clone_pages,
+            reads: self.stats.snapshot_reads,
+            pinned_relocations: self.stats.snapshot_pinned_relocations,
+        };
+        snap.health = self.health_report().gauges();
+        if let Some(rec) = &self.recorder {
+            snap.alerts = rec.alerts().to_vec();
+        }
+        Some(snap)
+    }
+
+    fn monitor_snapshot(&self) -> Option<FlightSnapshot> {
+        let rec = self.recorder.as_ref()?;
+        let mut snap =
+            rec.snapshot(self.nand.now_ns(), &self.stats(), &self.telemetry.wa_raw());
+        snap.labels = self.telemetry.stream_labels().to_vec();
+        snap.unit_labels = unit_labels(self.cfg.geometry.channels, self.nand.busy_ns().len());
+        Some(snap)
+    }
+
+    fn tracer(&self) -> Tracer {
+        self.tracer.clone()
+    }
+}

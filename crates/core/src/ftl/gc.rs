@@ -1,0 +1,280 @@
+//! Garbage collection: victim selection, the one relocation loop, and the
+//! watermark policy that decides when a command drains synchronously and
+//! when the background pipeline steps (DESIGN.md §12 "Stream-aware GC",
+//! §13).
+
+use super::*;
+
+impl Ftl {
+    /// Pick a GC victim per the configured policy: greedy (fewest valid
+    /// pages), FIFO (oldest sealed block), or cost-benefit (most
+    /// reclaimable space × seal age). Fully valid blocks are never
+    /// picked — erasing them reclaims nothing — and a block already being
+    /// collected incrementally is skipped.
+    fn pick_victim(&self) -> Option<(u32, u32)> {
+        let ppb = self.cfg.geometry.pages_per_block;
+        // Snapshot-pinned pages that are dead in the live map still cost a
+        // copyback when their block is collected, so they count into the
+        // victim's effective valid-page total. Computed once per selection
+        // and only when snapshots exist — with an empty table the selection
+        // is exactly the historical one.
+        let pinned_dead = if self.snaps.is_empty() {
+            Vec::new()
+        } else {
+            self.snaps.pinned_dead_by_block(
+                self.pool.block_count() as usize,
+                |p| self.pool.rel(self.cfg.geometry.block_of(p)),
+                |p| self.map.is_live(p),
+            )
+        };
+        let mut best: Option<(u32, u32, u64)> = None;
+        for rel in 0..self.pool.block_count() {
+            if !self.pool.victim_eligible(rel, &self.nand) {
+                continue;
+            }
+            if self.gc_job.as_ref().is_some_and(|j| j.rel == rel) {
+                continue; // already mid-collection
+            }
+            let mut valid = self.map.valid_pages(self.pool.abs(rel));
+            if !pinned_dead.is_empty() {
+                valid += pinned_dead[rel as usize];
+            }
+            if valid >= ppb {
+                continue; // nothing reclaimable here
+            }
+            let rank = match self.cfg.gc_policy {
+                crate::config::GcPolicy::Greedy => valid as u64,
+                crate::config::GcPolicy::Fifo => self.pool.seal_seq(rel),
+                crate::config::GcPolicy::CostBenefit => {
+                    // Maximize reclaimable × age; invert into the shared
+                    // min-rank comparison. Age starts at 1 so a freshly
+                    // sealed empty block still beats a full one.
+                    let reclaimable = (ppb - valid) as u64;
+                    let age =
+                        self.pool.seal_counter().saturating_sub(self.pool.seal_seq(rel)) + 1;
+                    u64::MAX - reclaimable.saturating_mul(age)
+                }
+            };
+            if best.is_none_or(|(_, _, r)| rank < r) {
+                best = Some((rel, valid, rank));
+                if rank == 0 && self.cfg.gc_policy == crate::config::GcPolicy::Greedy {
+                    break; // cannot do better
+                }
+            }
+        }
+        best.map(|(rel, valid, _)| (rel, valid))
+    }
+
+    /// Repoint every reference to the relocated page `ppn` — live-map LPNs
+    /// and snapshot table entries — at `dest`, logging one delta per
+    /// reference so recovery replays the move. A page held only by
+    /// snapshots skips the live map entirely (it has no referrers there).
+    fn relocate_mappings(&mut self, ppn: Ppn, dest: Ppn) -> Result<(), FtlError> {
+        if self.map.is_live(ppn) {
+            for lpn in self.map.relocate(ppn, dest)? {
+                self.log.append(Delta { lpn, old: ppn, new: dest });
+                self.note_delta(STREAM_FTL, 1);
+            }
+        } else {
+            self.stats.snapshot_pinned_relocations += 1;
+        }
+        if !self.snaps.is_empty() {
+            for (id, offset) in self.snaps.relocate(ppn, dest) {
+                self.log.append(Delta {
+                    lpn: snapshot::snap_delta_lpn(id, offset),
+                    old: ppn,
+                    new: dest,
+                });
+                self.note_delta(STREAM_FTL, 1);
+            }
+        }
+        Ok(())
+    }
+
+    /// Start a collection job on the best victim, if any. The victim
+    /// selection counts as one `gc_events`.
+    fn gc_begin_job(&mut self) -> bool {
+        debug_assert!(self.gc_job.is_none(), "one collection job at a time");
+        let Some((rel, _valid)) = self.pick_victim() else {
+            return false;
+        };
+        self.stats.gc_events += 1;
+        let block = self.pool.abs(rel);
+        // Survivors relocate with the victim's affinity: same lifetime
+        // class (NAND block tag; untagged pre-v3 blocks fall to the
+        // default class) and same channel, so relocated long-lived data
+        // never mixes into short-lived streams' blocks and copyback stays
+        // channel-local.
+        let tag = self.nand.block_tag(block);
+        let classes = self.pool.classes() as u32;
+        let class = if tag == UNTAGGED { CLASS_DEFAULT } else { tag.min(classes - 1) as u8 };
+        let channel = self.cfg.geometry.channel_of_block(block);
+        self.gc_job = Some(GcJob { rel, class, channel, next_idx: 0 });
+        true
+    }
+
+    /// The one relocation loop. Relocate up to `budget` still-live pages of
+    /// the in-progress victim; once every page has been examined, finish
+    /// the job (mapping flush, erase, release). Liveness is checked per
+    /// page at relocation time, so pages the host invalidated while the job
+    /// was parked are skipped. Relocation keeps both live-map referents and
+    /// snapshot-pinned pages (frozen data must survive the erase even when
+    /// nothing in the live map references it anymore). Returns the pages
+    /// relocated this step.
+    fn gc_step(&mut self, budget: usize) -> Result<u64, FtlError> {
+        let GcJob { rel, class, channel, next_idx } =
+            *self.gc_job.as_ref().expect("gc_step without a job");
+        let block = self.pool.abs(rel);
+        let ppb = self.cfg.geometry.pages_per_block;
+        let mut idx = next_idx;
+        let mut live: Vec<Ppn> = Vec::new();
+        while idx < ppb && live.len() < budget {
+            let ppn = self.cfg.geometry.ppn_at(block, idx);
+            if self.map.is_live(ppn) || self.snaps.is_pinned(ppn) {
+                live.push(ppn);
+            }
+            idx += 1;
+        }
+        if !live.is_empty() {
+            // All relocation reads go out as one batched submission (they
+            // come from one block, hence one unit, so this mostly amortizes
+            // the submission; the programs below batch across the GC lane).
+            let page_size = self.cfg.geometry.page_size;
+            let mut bufs = vec![vec![0u8; page_size]; live.len()];
+            let mut reads: Vec<(Ppn, &mut [u8])> =
+                live.iter().zip(bufs.iter_mut()).map(|(&p, b)| (p, b.as_mut_slice())).collect();
+            self.nand.read_batch(&mut reads)?;
+            let mut dests = Vec::with_capacity(live.len());
+            for _ in &live {
+                let dest = self.pool.alloc(&self.nand, WritePoint::Gc { class, channel })?;
+                self.nand.set_block_tag(self.cfg.geometry.block_of(dest), class as u32);
+                dests.push(dest);
+            }
+            let programs: Vec<(Ppn, &[u8])> =
+                dests.iter().zip(&bufs).map(|(&d, b)| (d, b.as_slice())).collect();
+            self.nand.program_batch(&programs)?;
+            for (&ppn, &dest) in live.iter().zip(&dests) {
+                self.relocate_mappings(ppn, dest)?;
+                self.stats.copyback_pages += 1;
+            }
+            // Blame this step's copybacks on the streams whose
+            // invalidations hollowed the victim out, against its current
+            // weights — exact-sum per call, so the wa_ledger invariant
+            // holds even with the rest of the victim in flight.
+            let w = std::mem::take(&mut self.block_blame[rel as usize]);
+            self.settle_blame(BlameKind::Gc, live.len() as u64, &w);
+            self.block_blame[rel as usize] = w;
+        }
+        // Only now is the examined stretch behind us: a step that failed
+        // above leaves the cursor where it was, so nothing live is skipped.
+        self.gc_job.as_mut().expect("job exists").next_idx = idx;
+        if idx == ppb {
+            // The persisted mapping must stop referencing the victim
+            // before the victim's data disappears.
+            self.flush_log()?;
+            self.nand.erase(block)?;
+            self.stats.gc_erases += 1;
+            self.pool.release(rel);
+            self.block_blame[rel as usize].clear();
+            self.gc_job = None;
+        }
+        Ok(live.len() as u64)
+    }
+
+    /// Run one GC step as a `gc` internal pass. `background` opens a
+    /// background timing window: relocations reserve idle channel/way lanes
+    /// from device time and the foreground command is never charged (it
+    /// only feels GC through lane contention). Without it the step runs on
+    /// the caller's timeline — the synchronous drain.
+    fn gc_step_traced(&mut self, budget: usize, background: bool) -> Result<u64, FtlError> {
+        let victim = self.pool.abs(self.gc_job.as_ref().expect("step without a job").rel);
+        let saved = background.then(|| self.nand.begin_background());
+        let r = self.internal_pass("gc", OpClass::Gc, None, victim.0 as u64, |f| {
+            f.in_gc = true;
+            let r = f.gc_step(budget);
+            f.in_gc = false;
+            r
+        });
+        if let Some(saved) = saved {
+            self.nand.end_background(saved);
+        }
+        r
+    }
+
+    /// Collect whole victims on the caller's own timeline until `high`
+    /// blocks are free or nothing is collectible. The submission-time delta
+    /// across the drain is exactly the stall the host observes.
+    fn drain_to(&mut self, high: usize) -> Result<(), FtlError> {
+        let t0 = self.nand.submission_now();
+        while self.pool.free_count() < high {
+            if self.gc_job.is_none() && !self.gc_begin_job() {
+                break;
+            }
+            self.gc_step_traced(usize::MAX, false)?;
+        }
+        self.stats.gc_stall_ns += self.nand.submission_now() - t0;
+        Ok(())
+    }
+
+    pub(super) fn ensure_free(&mut self) -> Result<(), FtlError> {
+        // Every open lane — one user and one GC lane per (class, channel)
+        // — can pull a fresh block from the free list between two GC
+        // checks (a batched submission feeds every user lane; GC feeds one
+        // copyback lane per victim), so the watermarks shift up by the
+        // lanes beyond the baseline single user + single GC pair. At one
+        // channel with placement off this is exactly the configured
+        // low/high pair.
+        // Blocks pinned by unreaped queued commands are ineligible victims,
+        // so the same number of extra free blocks must be banked on top —
+        // otherwise a deep queue can strand GC with nothing collectible.
+        let lanes = self.pool.classes() * self.cfg.geometry.channels as usize;
+        let extra_lanes = 2 * (lanes - 1);
+        let pinned = self.pool.inflight_pinned_blocks();
+        let low = self.cfg.gc_low_water + extra_lanes + pinned;
+        let high = self.cfg.gc_high_water + extra_lanes + pinned;
+        // Synchronous GC drains whole victims as soon as free blocks reach
+        // the low watermark. The pipeline starts collecting at the same
+        // fill levels (similar victim valid counts, similar write
+        // amplification) but in the background: `low` banks
+        // `extra_lanes + pinned` blocks of slack precisely so open lanes
+        // can pull fresh blocks between GC checks, so dipping into that
+        // slack is normal operation, not an emergency, and its *hard
+        // floor* — where it too drains synchronously — is the un-adjusted
+        // `gc_low_water + pinned`, the true point past which allocation is
+        // at risk.
+        let pipeline = self.cfg.gc_pipeline;
+        let floor = if pipeline.enabled { self.cfg.gc_low_water + pinned } else { low };
+        if self.pool.free_count() <= floor {
+            self.drain_to(high)?;
+        } else if pipeline.enabled && self.pool.free_count() <= low + pipeline.soft_headroom {
+            // Above the floor, up to `soft_headroom` blocks over `low`, GC
+            // runs as budgeted background steps — at most `budget_pages`
+            // relocations each, dispatched onto idle lanes — looping
+            // (urgent catch-up) while free is inside the slack band, so
+            // the foreground never waits for whole victims. The iteration
+            // bound (~4 victims' worth of steps) prevents a death spiral
+            // when victims are nearly all-valid; past it, the hard floor
+            // above remains the correctness backstop.
+            let budget = pipeline.budget_pages as usize;
+            let ppb = self.cfg.geometry.pages_per_block as usize;
+            let mut steps_left = (4 * ppb / budget.max(1)).max(1);
+            loop {
+                if self.gc_job.is_none() && !self.gc_begin_job() {
+                    break;
+                }
+                self.gc_step_traced(budget, true)?;
+                if self.gc_job.is_some() {
+                    self.stats.gc_budget_deferrals += 1;
+                }
+                steps_left -= 1;
+                if self.pool.free_count() > low || steps_left == 0 {
+                    break;
+                }
+            }
+        }
+        if self.pool.free_count() == 0 {
+            return Err(FtlError::DeviceFull);
+        }
+        Ok(())
+    }
+}

@@ -1,0 +1,131 @@
+//! The SHARE command (§3.2, §4.2.2): validate a batch, remap every
+//! destination onto its source's physical page, and commit the whole
+//! batch's deltas in one atomically programmed log page.
+
+use super::*;
+
+impl Ftl {
+    /// Validate a SHARE batch and resolve source PPNs (snapshot semantics)
+    /// into the reused `share_src_ppns` scratch buffer. All bookkeeping
+    /// runs on reused scratch vectors (linear scans — SHARE batches are at
+    /// most `deltas_per_page` pairs), so the hot path allocates nothing
+    /// once the buffers have grown to the workload's batch size.
+    fn validate_share(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
+        let limit = self.cfg.deltas_per_page();
+        if pairs.len() > limit {
+            return Err(FtlError::BatchTooLarge { got: pairs.len(), max: limit });
+        }
+        self.share_dests.clear();
+        self.share_srcs.clear();
+        self.share_src_ppns.clear();
+        for p in pairs {
+            self.check_lpn(p.dest)?;
+            self.check_lpn(p.src)?;
+            if p.dest == p.src {
+                return Err(FtlError::InvalidBatch("destination equals source"));
+            }
+            if self.share_dests.contains(&p.dest) {
+                return Err(FtlError::InvalidBatch("duplicate destination LPN"));
+            }
+            self.share_dests.push(p.dest);
+            self.share_srcs.push(p.src);
+            let ppn = self.map.lookup(p.src);
+            if !ppn.is_valid() {
+                return Err(FtlError::SrcUnmapped(p.src));
+            }
+            self.share_src_ppns.push(ppn);
+        }
+        if pairs.iter().any(|p| self.share_srcs.contains(&p.dest)) {
+            return Err(FtlError::InvalidBatch("an LPN is both destination and source"));
+        }
+
+        let src_ppns = std::mem::take(&mut self.share_src_ppns);
+        let r = self.check_share_headroom(pairs.iter().map(|p| p.dest).zip(src_ppns.iter().copied()));
+        self.share_src_ppns = src_ppns;
+        r
+    }
+
+    /// Pre-check the references `refs` — (new referrer, target page) — would
+    /// take, so SHARE and clone stay all-or-nothing at run time too (the
+    /// caller falls back to a plain write): no page's reference count may
+    /// overflow, and under the strict policy the reverse map must have room
+    /// (under ScanOnOverflow a command never fails on capacity). Targets
+    /// dead in the live map — frozen pages a clone resurrects — re-enter as
+    /// primary mappings: they start from zero and need no shared slot.
+    pub(super) fn check_share_headroom(
+        &mut self,
+        refs: impl Iterator<Item = (Lpn, Ppn)> + Clone,
+    ) -> Result<(), FtlError> {
+        self.share_incs.clear();
+        for (_, ppn) in refs.clone() {
+            match self.share_incs.iter_mut().find(|(p, _)| *p == ppn) {
+                Some((_, c)) => *c += 1,
+                None => self.share_incs.push((ppn, 1)),
+            }
+        }
+        for &(ppn, inc) in &self.share_incs {
+            let base = if self.map.is_live(ppn) { self.map.refcount(ppn) as u32 } else { 0 };
+            if base + inc > u16::MAX as u32 {
+                return Err(FtlError::RefOverflow);
+            }
+        }
+        if self.map.policy() == crate::mapping::RevMapPolicy::Strict {
+            let need: usize = refs
+                .filter(|&(_, ppn)| self.map.is_live(ppn))
+                .map(|(lpn, ppn)| self.map.shared_slot_need(lpn, ppn))
+                .sum();
+            if need > self.map.revmap().free() {
+                return Err(FtlError::RevMapFull { capacity: self.map.revmap().capacity() });
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply a validated SHARE batch: remap every destination and commit
+    /// the whole batch's deltas in one atomically-programmed log page.
+    /// `validate_share` must have run (it fills `share_src_ppns`).
+    fn apply_share(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
+        self.stats.shared_pages += pairs.len() as u64;
+        let src_ppns = std::mem::take(&mut self.share_src_ppns);
+        let mut deltas = std::mem::take(&mut self.share_deltas);
+        deltas.clear();
+        let mut res = Ok(());
+        for (p, &src_ppn) in pairs.iter().zip(&src_ppns) {
+            match self.map.map_shared(p.dest, src_ppn) {
+                Ok(old) => {
+                    self.note_invalidation(&old);
+                    deltas.push(Delta { lpn: p.dest, old: old.old_ppn, new: src_ppn });
+                }
+                Err(e) => {
+                    res = Err(e);
+                    break;
+                }
+            }
+        }
+        if res.is_ok() {
+            res = self.commit_log(Some(&deltas));
+        }
+        self.share_src_ppns = src_ppns;
+        self.share_deltas = deltas;
+        res?;
+        self.maybe_checkpoint()
+    }
+
+    pub(super) fn share_impl(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
+        self.validate_share(pairs)?;
+        self.nand.charge(self.cfg.command_ns);
+        self.stats.share_commands += 1;
+        self.apply_share(pairs)
+    }
+
+    pub(super) fn share_batch_impl(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
+        let limit = self.share_batch_limit();
+        self.nand.charge(self.cfg.command_ns);
+        self.stats.share_commands += 1;
+        for chunk in pairs.chunks(limit) {
+            self.validate_share(chunk)?;
+            self.apply_share(chunk)?;
+        }
+        Ok(())
+    }
+}
