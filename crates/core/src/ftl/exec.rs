@@ -174,7 +174,9 @@ impl Ftl {
             QueuedCmd::Share { pairs } if !pairs.is_empty() => self.share_impl(&pairs)?,
             QueuedCmd::ShareBatch { pairs } if !pairs.is_empty() => self.share_batch_impl(&pairs)?,
             // Empty atomic and SHARE batches are no-ops, as on the sync path.
-            QueuedCmd::WriteAtomic { .. } | QueuedCmd::Share { .. } | QueuedCmd::ShareBatch { .. } => {}
+            QueuedCmd::WriteAtomic { .. }
+            | QueuedCmd::Share { .. }
+            | QueuedCmd::ShareBatch { .. } => {}
             QueuedCmd::Trim { lpn, len } => self.trim_impl(lpn, len)?,
             QueuedCmd::Flush => self.flush_impl()?,
         }
@@ -276,7 +278,9 @@ impl BlockDevice for Ftl {
     /// `name`. Pure metadata — zero NAND page programs; the frozen entries
     /// pin their physical pages against GC reclaim until dropped.
     fn snapshot_create(&mut self, name: &str, start: Lpn, len: u64) -> Result<u32, FtlError> {
-        self.command("snapshot_create", None, start.0, len, |f| f.snapshot_create_impl(name, start, len))
+        self.command("snapshot_create", None, start.0, len, |f| {
+            f.snapshot_create_impl(name, start, len)
+        })
     }
 
     /// Release `name`'s pins. Newly unreferenced pages become ordinary
@@ -338,7 +342,9 @@ impl BlockDevice for Ftl {
     fn write_batch(&mut self, pages: &[(Lpn, &[u8])]) -> Result<(), FtlError> {
         let first = pages.first().map_or(0, |(lpn, _)| lpn.0);
         let n = pages.len() as u64;
-        self.command("write_batch", Some(OpClass::WriteBatch), first, n, |f| f.write_batch_impl(pages))
+        self.command("write_batch", Some(OpClass::WriteBatch), first, n, |f| {
+            f.write_batch_impl(pages)
+        })
     }
 
     /// Atomic multi-page write (§6.1's related-work primitive): all data

@@ -40,7 +40,8 @@ impl Ftl {
         }
 
         let src_ppns = std::mem::take(&mut self.share_src_ppns);
-        let r = self.check_share_headroom(pairs.iter().map(|p| p.dest).zip(src_ppns.iter().copied()));
+        let dests = pairs.iter().map(|p| p.dest);
+        let r = self.check_share_headroom(dests.zip(src_ppns.iter().copied()));
         self.share_src_ppns = src_ppns;
         r
     }

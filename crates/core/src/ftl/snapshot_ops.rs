@@ -11,7 +11,12 @@ impl Ftl {
         &self.snaps
     }
 
-    pub(super) fn snapshot_create_impl(&mut self, name: &str, start: Lpn, len: u64) -> Result<u32, FtlError> {
+    pub(super) fn snapshot_create_impl(
+        &mut self,
+        name: &str,
+        start: Lpn,
+        len: u64,
+    ) -> Result<u32, FtlError> {
         if name.is_empty() {
             return Err(FtlError::InvalidBatch("snapshot name must not be empty"));
         }

@@ -27,7 +27,11 @@ fn traced_cfg() -> FtlConfig {
 
 /// Overwrite storm in a permuted order with a flush every 8 writes, issued
 /// by `write`/`flush` so the caller picks the submission path.
-fn storm(ftl: &mut Ftl, mut write: impl FnMut(&mut Ftl, Lpn, Vec<u8>), mut flush: impl FnMut(&mut Ftl)) {
+fn storm(
+    ftl: &mut Ftl,
+    mut write: impl FnMut(&mut Ftl, Lpn, Vec<u8>),
+    mut flush: impl FnMut(&mut Ftl),
+) {
     for round in 0..8u64 {
         for i in 0..PAGES {
             let lpn = (i * 173 + round * 311) % PAGES;
