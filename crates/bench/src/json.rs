@@ -12,20 +12,10 @@ use std::path::PathBuf;
 
 pub use share_core::telemetry::json::{count, num, parse, render_string, s, Json};
 
-/// The NAND-op view of a device-stats delta, for scenario records.
+/// A device-stats delta for scenario records: every counter under its
+/// field name, plus `waf`.
 pub fn device_json(d: &share_core::DeviceStats) -> Json {
-    Json::obj(vec![
-        ("host_reads", count(d.host_reads)),
-        ("host_writes", count(d.host_writes)),
-        ("page_reads", count(d.nand.page_reads)),
-        ("page_programs", count(d.nand.page_programs)),
-        ("block_erases", count(d.nand.block_erases)),
-        ("gc_events", count(d.gc_events)),
-        ("share_commands", count(d.share_commands)),
-        ("shared_pages", count(d.shared_pages)),
-        ("meta_page_writes", count(d.meta_page_writes)),
-        ("lane_steals", count(d.lane_steals)),
-    ])
+    Json::Obj(share_core::telemetry::rows_json(&d.metrics()))
 }
 
 /// Where `BENCH_share.json` lives: the workspace root, overridable with

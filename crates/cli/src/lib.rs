@@ -18,8 +18,8 @@
 
 use share_core::telemetry::EpochObservation;
 use share_core::{
-    AlertSeverity, BlockDevice, Ftl, FtlConfig, Lpn, SharePair, SloConfig, TelemetryConfig,
-    DEFAULT_ENDURANCE_CYCLES,
+    AlertSeverity, BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, SharePair, SloConfig,
+    TelemetryConfig, DEFAULT_ENDURANCE_CYCLES,
 };
 use share_workloads::{parse_trace, AccessPattern, TraceConfig, TraceGen, TraceOp};
 use std::fmt::Write as _;
@@ -158,6 +158,18 @@ fn parse_u64(s: &str, what: &str) -> Result<u64> {
     s.parse().map_err(|_| CliError(format!("bad {what}: {s}")))
 }
 
+/// The one-line traffic summary `replay` and `trace` print for a window.
+fn traffic_summary(d: &DeviceStats) -> String {
+    format!(
+        "host writes {}  reads {}  WAF {:.3}  GC events {}  copybacks {}\n",
+        d.host_writes,
+        d.host_reads,
+        d.waf(),
+        d.gc_events,
+        d.copyback_pages
+    )
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
@@ -282,16 +294,7 @@ pub fn run(args: &[String]) -> Result<String> {
             let d = dev.stats().delta_since(&before);
             let dt = dev.clock().now_ns() - t0;
             writeln!(out, "replayed {} ops in {:.3} simulated s", ops.len(), dt as f64 / 1e9).unwrap();
-            writeln!(
-                out,
-                "host writes {}  reads {}  WAF {:.3}  GC events {}  copybacks {}",
-                d.host_writes,
-                d.host_reads,
-                d.waf(),
-                d.gc_events,
-                d.copyback_pages
-            )
-            .unwrap();
+            out.push_str(&traffic_summary(&d));
             save_device(img, dev)?;
         }
         Some("metrics") => {
@@ -513,12 +516,7 @@ fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
         dt as f64 / 1e9
     )
     .unwrap();
-    writeln!(
-        out,
-        "host writes {}  reads {}  WAF {:.3}  GC events {}  copybacks {}",
-        d.host_writes, d.host_reads, d.waf(), d.gc_events, d.copyback_pages
-    )
-    .unwrap();
+    out.push_str(&traffic_summary(&d));
     let snap = dev.telemetry_snapshot().expect("FTL always exposes telemetry");
     writeln!(out, "\nper-stream write-amplification ledger:").unwrap();
     writeln!(
@@ -733,7 +731,7 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
         health.wear_skew,
         health.free_blocks,
         health.data_blocks,
-        health.waf,
+        health.stats.waf(),
         health.remaining_life * 100.0
     )
     .unwrap();
@@ -816,13 +814,14 @@ fn doctor_cmd(args: &[String], out: &mut String) -> Result<()> {
         writeln!(
             out,
             "  host writes:    {} page(s), lifetime WAF {:.3}",
-            report.host_writes, report.waf
+            report.stats.host_writes,
+            report.stats.waf()
         )
         .unwrap();
         writeln!(
             out,
             "  background:     {} copyback page(s), {} meta page(s)",
-            report.copyback_pages, report.meta_page_writes
+            report.stats.copyback_pages, report.stats.meta_page_writes
         )
         .unwrap();
         writeln!(

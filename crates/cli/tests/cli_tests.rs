@@ -130,6 +130,12 @@ fn metrics_reports_a_replayed_trace_in_both_formats() {
     assert!(prom.contains("share_op_latency_ns_bucket"), "histograms missing: {prom}");
     // Opening the image is itself a recovery: it must show up as an op.
     assert!(prom.contains(r#"share_op_ops_total{op="recovery"} 1"#), "{prom}");
+    // The device counters (Figure 6's inputs) and WAF are in the dump.
+    for line in ["share_host_writes_total 2\n", "share_shared_pages_total 2\n", "share_recoveries_total 1\n"]
+    {
+        assert!(prom.contains(line), "{line:?} missing: {prom}");
+    }
+    assert!(prom.contains("\nshare_page_programs_total ") && prom.contains("\nshare_waf "), "{prom}");
 
     let json = cmd(&[
         "metrics", img, "--trace", trace.to_str().unwrap(), "--format", "json",
@@ -142,6 +148,9 @@ fn metrics_reports_a_replayed_trace_in_both_formats() {
         .and_then(|w| w.get("pages"))
         .and_then(|v| v.as_u64());
     assert_eq!(pages, Some(2), "{json}");
+    let metric = |key| doc.get("metrics").and_then(|m| m.get(key)).and_then(|v| v.as_u64());
+    assert_eq!(metric("host_writes"), Some(2), "{json}");
+    assert_eq!(metric("shared_pages"), Some(2), "{json}");
 
     // Observation only: the replayed writes must not persist in the image.
     let info_after = cmd(&["info", img]).unwrap();

@@ -36,9 +36,8 @@ use crate::types::{Lpn, Ppn, SharePair};
 use crate::config::{PlacementConfig, CLASS_DEFAULT};
 use nand_sim::{FaultHandle, NandArray, SimClock, UNTAGGED};
 use share_telemetry::{
-    apportion, AlertSeverity, BlameKind, Layer, OpClass, PlacementClassGauge, PlacementGauges,
-    QueueGauges, Snapshot, SnapshotGauges, SpanId, Telemetry, Tracer, Track, UnitUtilization,
-    STREAM_FTL,
+    apportion, AlertSeverity, BlameKind, Kind, Layer, Metric, OpClass, QueueGauges, Snapshot,
+    SpanId, Telemetry, Tracer, Track, UnitUtilization, Value, STREAM_FTL,
 };
 use std::collections::HashSet;
 

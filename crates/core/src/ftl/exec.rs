@@ -463,33 +463,46 @@ impl BlockDevice for Ftl {
             submitted: self.q_submitted,
             reaped: self.q_reaped,
         };
-        snap.placement = PlacementGauges {
-            enabled: self.cfg.placement.enabled,
-            lane_steals: self.pool.lane_steals(),
-            gc_stall_ns: self.stats.gc_stall_ns,
-            gc_budget_deferrals: self.stats.gc_budget_deferrals,
-            classes: (0..self.pool.classes())
-                .map(|class| PlacementClassGauge {
-                    class: class as u8,
-                    label: PlacementConfig::class_label(class as u8).to_string(),
-                    placed_pages: self.pool.placed_pages(class),
-                    gc_moved_pages: self.pool.gc_moved_pages(class),
-                    open_blocks: self.pool.open_blocks(class),
-                })
-                .collect(),
-        };
-        snap.snapshots = SnapshotGauges {
-            live: self.snaps.count() as u64,
-            frozen_pages: self.snaps.frozen_pages(),
-            pinned_pages: self.snaps.pinned_pages(),
-            creates: self.stats.snapshot_creates,
-            drops: self.stats.snapshot_drops,
-            clones: self.stats.snapshot_clones,
-            clone_pages: self.stats.snapshot_clone_pages,
-            reads: self.stats.snapshot_reads,
-            pinned_relocations: self.stats.snapshot_pinned_relocations,
-        };
-        snap.health = self.health_report().gauges();
+        // The one place a device snapshot's scalar rows are assembled;
+        // both exporters walk the list as it stands.
+        let mut rows = self.stats().metrics();
+        rows.extend(snap.queue.rows());
+        let gauge = Metric::gauge;
+        rows.push(gauge(
+            "share_placement_enabled",
+            "Whether multi-streamed placement is on.",
+            u64::from(self.cfg.placement.enabled),
+        ));
+        use Kind::{Counter, Gauge};
+        type ClassFamily = (&'static str, &'static str, Kind, fn(&BlockPool, usize) -> u64);
+        let per_class: [ClassFamily; 3] = [
+            ("share_placement_placed_pages_total",
+             "Host pages placed per lifetime class.", Counter, BlockPool::placed_pages),
+            ("share_placement_gc_moved_pages_total",
+             "GC copyback pages relocated per lifetime class.", Counter, BlockPool::gc_moved_pages),
+            ("share_placement_open_blocks",
+             "Currently open write-point blocks per lifetime class.", Gauge, BlockPool::open_blocks),
+        ];
+        for (name, help, kind, read) in per_class {
+            for class in 0..self.pool.classes() {
+                let label = PlacementConfig::class_label(class as u8).to_string();
+                let value = Value::U64(read(&self.pool, class));
+                rows.push(Metric { name, help, kind, label: Some(("class", label)), value });
+            }
+        }
+        rows.push(gauge("share_snapshots_live", "Live device snapshots.", self.snaps.count() as u64));
+        rows.push(gauge(
+            "share_snapshot_frozen_pages",
+            "Frozen logical-page entries across live snapshots.",
+            self.snaps.frozen_pages(),
+        ));
+        rows.push(gauge(
+            "share_snapshot_pinned_pages",
+            "Distinct physical pages pinned against GC reclaim.",
+            self.snaps.pinned_pages(),
+        ));
+        rows.extend(self.health_report().rows());
+        snap.metrics = rows;
         if let Some(rec) = &self.recorder {
             snap.alerts = rec.alerts().to_vec();
         }

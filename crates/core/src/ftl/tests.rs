@@ -2,6 +2,7 @@
 
 use super::*;
 use nand_sim::NandTiming;
+use share_telemetry::Value;
 
 fn tiny() -> Ftl {
     // 1 MiB logical, generous OP so GC has room; zero latency for speed.
@@ -1648,13 +1649,17 @@ fn snapshot_gauges_exported() {
     let mut buf = vec![0u8; f.page_size()];
     f.snapshot_read("g", 0, &mut buf).unwrap();
     let t = f.telemetry_snapshot().unwrap();
-    assert_eq!(t.snapshots.live, 1);
-    assert_eq!(t.snapshots.frozen_pages, 8);
-    assert_eq!(t.snapshots.pinned_pages, 8);
-    assert_eq!(t.snapshots.creates, 1);
-    assert_eq!(t.snapshots.clones, 1);
-    assert_eq!(t.snapshots.clone_pages, 8);
-    assert_eq!(t.snapshots.reads, 1);
+    for (name, want) in [
+        ("share_snapshots_live", 1),
+        ("share_snapshot_frozen_pages", 8),
+        ("share_snapshot_pinned_pages", 8),
+        ("share_snapshot_creates_total", 1),
+        ("share_snapshot_clones_total", 1),
+        ("share_snapshot_clone_pages_total", 8),
+        ("share_snapshot_reads_total", 1),
+    ] {
+        assert_eq!(t.metric(name, None), Some(Value::U64(want)), "{name}");
+    }
     let text = t.to_prometheus();
     assert!(text.contains("share_snapshots_live 1"));
     assert!(text.contains("share_snapshot_clone_pages_total 8"));

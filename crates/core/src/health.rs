@@ -13,8 +13,8 @@
 
 use crate::ftl::WearStats;
 use crate::stats::DeviceStats;
-use share_telemetry::json::{count, num, Json};
-use share_telemetry::HealthGauges;
+use share_telemetry::json::{count, Json};
+use share_telemetry::{rows_json, Metric};
 
 /// Rated program/erase cycles assumed when no override is given. Mid-range
 /// MLC endurance; `sharectl doctor --endurance` overrides it per report.
@@ -49,14 +49,9 @@ pub struct HealthReport {
     pub free_blocks: u64,
     /// Data blocks total.
     pub data_blocks: u64,
-    /// Host pages written over the device's lifetime.
-    pub host_writes: u64,
-    /// Cumulative write-amplification factor (NAND programs / host writes).
-    pub waf: f64,
-    /// GC copyback pages over the device's lifetime.
-    pub copyback_pages: u64,
-    /// Mapping meta pages (delta log + checkpoints) over the lifetime.
-    pub meta_page_writes: u64,
+    /// The device's lifetime counters (host writes, WAF, copyback and meta
+    /// pages are what `sharectl doctor` reads off them).
+    pub stats: DeviceStats,
     /// Remaining-life fraction in `[0, 1]`.
     pub remaining_life: f64,
     /// The rated endurance the estimate assumed.
@@ -84,31 +79,46 @@ impl HealthReport {
             wear_hist: wear_histogram(erase_counts, &wear),
             free_blocks,
             data_blocks: erase_counts.len() as u64,
-            host_writes: stats.host_writes,
-            waf: stats.waf(),
-            copyback_pages: stats.copyback_pages,
-            meta_page_writes: stats.meta_page_writes,
+            stats: *stats,
             remaining_life,
             endurance_cycles,
         }
     }
 
-    /// The exporter-facing gauge subset of this report.
-    pub fn gauges(&self) -> HealthGauges {
-        HealthGauges {
-            wear_min: self.wear.min_erases as u64,
-            wear_max: self.wear.max_erases as u64,
-            wear_mean: self.wear.mean_erases,
-            wear_stddev: self.wear.stddev_erases,
-            wear_skew: self.wear_skew,
-            free_blocks: self.free_blocks,
-            data_blocks: self.data_blocks,
-            remaining_life: self.remaining_life,
-            endurance_cycles: self.endurance_cycles,
-        }
+    /// The wear, headroom and remaining-life readings as exported rows.
+    pub fn rows(&self) -> Vec<Metric> {
+        let (w, int, real) = (&self.wear, Metric::gauge, Metric::ratio);
+        vec![
+            int("share_wear_erases_min", "Fewest erases of any data block.", w.min_erases.into()),
+            int("share_wear_erases_max", "Most erases of any data block.", w.max_erases.into()),
+            real("share_wear_erases_mean", "Mean erases per data block.", w.mean_erases),
+            real(
+                "share_wear_erases_stddev",
+                "Standard deviation of per-block erase counts.",
+                w.stddev_erases,
+            ),
+            real(
+                "share_wear_skew",
+                "Wear-leveling skew (max/mean erases; 1 = even).",
+                self.wear_skew,
+            ),
+            int("share_free_blocks", "Data blocks currently free.", self.free_blocks),
+            int("share_data_blocks", "Data blocks total.", self.data_blocks),
+            real(
+                "share_remaining_life",
+                "SMART-style remaining-life fraction (1 = new).",
+                self.remaining_life,
+            ),
+            int(
+                "share_endurance_cycles",
+                "Rated program/erase cycles the remaining-life estimate assumes.",
+                self.endurance_cycles,
+            ),
+        ]
     }
 
-    /// JSON form used by `sharectl doctor` and bench dumps.
+    /// JSON form used by `sharectl doctor` and bench dumps: the health
+    /// rows, the wear histogram, and every lifetime counter row.
     pub fn to_json(&self) -> Json {
         let hist = Json::Arr(
             self.wear_hist
@@ -122,22 +132,10 @@ impl HealthReport {
                 })
                 .collect(),
         );
-        Json::obj(vec![
-            ("wear_min", count(self.wear.min_erases as u64)),
-            ("wear_max", count(self.wear.max_erases as u64)),
-            ("wear_mean", num(self.wear.mean_erases)),
-            ("wear_stddev", num(self.wear.stddev_erases)),
-            ("wear_skew", num(self.wear_skew)),
-            ("wear_hist", hist),
-            ("free_blocks", count(self.free_blocks)),
-            ("data_blocks", count(self.data_blocks)),
-            ("host_writes", count(self.host_writes)),
-            ("waf", num(self.waf)),
-            ("copyback_pages", count(self.copyback_pages)),
-            ("meta_page_writes", count(self.meta_page_writes)),
-            ("remaining_life", num(self.remaining_life)),
-            ("endurance_cycles", count(self.endurance_cycles)),
-        ])
+        let mut fields = rows_json(&self.rows());
+        fields.push(("wear_hist".to_string(), hist));
+        fields.extend(rows_json(&self.stats.metrics()));
+        Json::Obj(fields)
     }
 }
 
@@ -185,7 +183,7 @@ mod tests {
         assert_eq!(r.wear.max_erases, 40);
         assert!((r.wear.mean_erases - 25.0).abs() < 1e-12);
         assert!((r.wear_skew - 40.0 / 25.0).abs() < 1e-12);
-        assert!((r.waf - 1.3).abs() < 1e-12);
+        assert!((r.stats.waf() - 1.3).abs() < 1e-12);
         assert_eq!(r.data_blocks, 4);
         assert_eq!(r.free_blocks, 2);
         // 25 mean erases of 100 rated cycles → 75% life left.
@@ -223,16 +221,15 @@ mod tests {
         let r = HealthReport::compute(&[1, 2, 3, 100], 1, &DeviceStats::default(), 3000);
         let doc = r.to_json();
         let back = share_telemetry::json::parse(&doc.render()).expect("health json parses");
-        assert_eq!(back.get("wear_max").and_then(Json::as_u64), Some(100));
+        assert_eq!(back.get("wear_erases_max").and_then(Json::as_u64), Some(100));
         assert_eq!(back.get("data_blocks").and_then(Json::as_u64), Some(4));
         let hist = back.get("wear_hist").and_then(Json::as_array).unwrap();
         let total: u64 =
             hist.iter().filter_map(|b| b.get("blocks").and_then(Json::as_u64)).sum();
         assert_eq!(total, 4);
-        // Gauges mirror the report.
-        let g = r.gauges();
-        assert_eq!(g.wear_max, 100);
-        assert_eq!(g.data_blocks, 4);
-        assert_eq!(g.endurance_cycles, 3000);
+        assert_eq!(back.get("endurance_cycles").and_then(Json::as_u64), Some(3000));
+        // The lifetime counters ride along under their field names.
+        assert_eq!(back.get("host_writes").and_then(Json::as_u64), Some(0));
+        assert!(back.get("waf").is_some());
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::stats::DeviceStats;
 use share_telemetry::json::{count, s, Json};
-use share_telemetry::{Alert, EpochObservation, EpochRing, Histogram, SloConfig};
+use share_telemetry::{rows_json, Alert, EpochObservation, EpochRing, Histogram, SloConfig};
 
 /// Hard cap on stored alert events (the ring of epochs is bounded, the
 /// alert log should be too; beyond this only the count survives).
@@ -101,38 +101,29 @@ impl EpochRecord {
                 .collect(),
         );
         let mut fields = vec![
-            ("epoch", count(self.epoch)),
-            ("start_ns", count(self.start_ns)),
-            ("end_ns", count(self.end_ns)),
-            ("host_reads", count(self.stats.host_reads)),
-            ("host_writes", count(self.stats.host_writes)),
-            ("nand_reads", count(self.stats.nand.page_reads)),
-            ("nand_programs", count(self.stats.nand.page_programs)),
-            ("nand_erases", count(self.stats.nand.block_erases)),
-            ("gc_events", count(self.stats.gc_events)),
-            ("copyback_pages", count(self.stats.copyback_pages)),
-            ("gc_stall_ns", count(self.stats.gc_stall_ns)),
-            ("meta_page_writes", count(self.stats.meta_page_writes)),
-            ("free_blocks", count(self.free_blocks)),
-            ("inflight", count(self.inflight)),
-            ("wa", wa),
-            ("unit_busy_ns", units),
+            ("epoch".to_string(), count(self.epoch)),
+            ("start_ns".to_string(), count(self.start_ns)),
+            ("end_ns".to_string(), count(self.end_ns)),
         ];
+        // Every counter's delta over the epoch, keyed by field name.
+        fields.extend(rows_json(&self.stats.metrics()));
+        let mut push = |key: &str, value| fields.push((key.to_string(), value));
+        push("free_blocks", count(self.free_blocks));
+        push("inflight", count(self.inflight));
+        push("wa", wa);
+        push("unit_busy_ns", units);
         if !self.read_hist.is_empty() {
-            fields.push(("read_p50_ns", count(self.read_hist.quantile(0.50))));
-            fields.push(("read_p99_ns", count(self.read_hist.quantile(0.99))));
+            push("read_p50_ns", count(self.read_hist.quantile(0.50)));
+            push("read_p99_ns", count(self.read_hist.quantile(0.99)));
         }
         if !self.write_hist.is_empty() {
-            fields.push(("write_p50_ns", count(self.write_hist.quantile(0.50))));
-            fields.push(("write_p99_ns", count(self.write_hist.quantile(0.99))));
+            push("write_p50_ns", count(self.write_hist.quantile(0.50)));
+            push("write_p99_ns", count(self.write_hist.quantile(0.99)));
         }
         if !self.alerts.is_empty() {
-            fields.push((
-                "alerts",
-                Json::Arr(self.alerts.iter().map(Alert::to_json).collect()),
-            ));
+            push("alerts", Json::Arr(self.alerts.iter().map(Alert::to_json).collect()));
         }
-        Json::obj(fields)
+        Json::Obj(fields)
     }
 }
 
@@ -556,6 +547,7 @@ mod tests {
         let rows = back.get("epochs").and_then(Json::as_array).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("host_writes").and_then(Json::as_u64), Some(3));
+        assert_eq!(rows[0].get("page_programs").and_then(Json::as_u64), Some(0));
         assert_eq!(rows[0].get("write_p99_ns").and_then(Json::as_u64), Some(480));
         assert!(rows[0].get("read_p99_ns").is_none(), "idle read window omitted");
         assert!(rows[0]

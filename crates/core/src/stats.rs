@@ -5,75 +5,79 @@
 //! amplification factor (WAF).
 
 use nand_sim::NandStats;
+use share_telemetry::Metric;
 
-/// Cumulative statistics of one block device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// Host read commands (pages).
-    pub host_reads: u64,
-    /// Host write commands (pages).
-    pub host_writes: u64,
-    /// Bytes read by the host.
-    pub host_read_bytes: u64,
-    /// Bytes written by the host.
-    pub host_write_bytes: u64,
-    /// Flush (fsync) commands.
-    pub flushes: u64,
-    /// TRIMmed pages.
-    pub trims: u64,
-    /// SHARE commands received (a batch counts once).
-    pub share_commands: u64,
-    /// Individual LPN pairs remapped by SHARE.
-    pub shared_pages: u64,
-    /// Snapshots created (`snapshot_create` commands).
-    pub snapshot_creates: u64,
-    /// Snapshots dropped (`snapshot_drop` commands).
-    pub snapshot_drops: u64,
-    /// Clone commands materialized from snapshots (a ranged clone counts
-    /// once).
-    pub snapshot_clones: u64,
-    /// Individual pages remapped into the live map by clones.
-    pub snapshot_clone_pages: u64,
-    /// Point-in-time page reads served from frozen snapshot entries.
-    pub snapshot_reads: u64,
-    /// GC relocations of snapshot-pinned pages that were already dead in
-    /// the live map (pure pin keep-alive copyback; also counted in
-    /// `copyback_pages`).
-    pub snapshot_pinned_relocations: u64,
-    /// Garbage-collection victim selections.
-    pub gc_events: u64,
-    /// Valid pages copied back during GC.
-    pub copyback_pages: u64,
-    /// Blocks erased by GC (excludes meta-area erases).
-    pub gc_erases: u64,
-    /// Simulated time foreground commands spent stalled on synchronous GC
-    /// work inside `ensure_free` (copyback + mapping flush + erase run on
-    /// the command's own timeline). Background-pipelined relocation does
-    /// not accrue here — it only shows up as lane contention.
-    pub gc_stall_ns: u64,
-    /// Times the background GC pipeline exhausted its per-command page
-    /// budget and deferred the rest of the victim to later commands.
-    pub gc_budget_deferrals: u64,
-    /// Mapping meta pages programmed (delta log + checkpoints).
-    pub meta_page_writes: u64,
-    /// Mapping-table checkpoints taken.
-    pub checkpoints: u64,
-    /// Crash recoveries performed by [`crate::Ftl::open`] into this
-    /// device instance (1 for a reopened device, 0 for a fresh format).
-    pub recoveries: u64,
-    /// NAND pages read while recovering (checkpoint scan + delta-log
-    /// replay + block-state rebuild).
-    pub recovery_page_reads: u64,
-    /// NAND pages programmed while recovering (the fresh checkpoint that
-    /// closes recovery). Crash sweeps assert bounds on this.
-    pub recovery_page_writes: u64,
-    /// Free-block pops where a write point's preferred channel had no
-    /// free block and one was stolen from another channel. Non-zero means
-    /// lane parallelism (and on a real device, channel striping) degraded
-    /// under free-space skew.
-    pub lane_steals: u64,
-    /// Raw NAND counters (includes meta and GC traffic).
-    pub nand: NandStats,
+share_telemetry::counter_table! {
+    /// Cumulative statistics of one block device.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DeviceStats {
+        /// Host read commands (pages).
+        pub host_reads: u64,
+        /// Host write commands (pages).
+        pub host_writes: u64,
+        /// Bytes read by the host.
+        pub host_read_bytes: u64,
+        /// Bytes written by the host.
+        pub host_write_bytes: u64,
+        /// Flush (fsync) commands.
+        pub flushes: u64,
+        /// TRIMmed pages.
+        pub trims: u64,
+        /// SHARE commands received (a batch counts once).
+        pub share_commands: u64,
+        /// Individual LPN pairs remapped by SHARE.
+        pub shared_pages: u64,
+        /// Snapshots created (`snapshot_create` commands).
+        pub snapshot_creates: u64,
+        /// Snapshots dropped (`snapshot_drop` commands).
+        pub snapshot_drops: u64,
+        /// Clone commands materialized from snapshots (a ranged clone counts
+        /// once).
+        pub snapshot_clones: u64,
+        /// Individual pages remapped into the live map by clones.
+        pub snapshot_clone_pages: u64,
+        /// Point-in-time page reads served from frozen snapshot entries.
+        pub snapshot_reads: u64,
+        /// GC relocations of snapshot-pinned pages that were already dead in
+        /// the live map (pure pin keep-alive copyback; also counted in
+        /// `copyback_pages`).
+        pub snapshot_pinned_relocations: u64,
+        /// Garbage-collection victim selections.
+        pub gc_events: u64,
+        /// Valid pages copied back during GC.
+        pub copyback_pages: u64,
+        /// Blocks erased by GC (excludes meta-area erases).
+        pub gc_erases: u64,
+        /// Simulated time foreground commands spent stalled on synchronous GC
+        /// work inside `ensure_free` (copyback + mapping flush + erase run on
+        /// the command's own timeline). Background-pipelined relocation does
+        /// not accrue here — it only shows up as lane contention.
+        pub gc_stall_ns: u64,
+        /// Times the background GC pipeline exhausted its per-command page
+        /// budget and deferred the rest of the victim to later commands.
+        pub gc_budget_deferrals: u64,
+        /// Mapping meta pages programmed (delta log + checkpoints).
+        pub meta_page_writes: u64,
+        /// Mapping-table checkpoints taken.
+        pub checkpoints: u64,
+        /// Crash recoveries performed by [`crate::Ftl::open`] into this
+        /// device instance (1 for a reopened device, 0 for a fresh format).
+        pub recoveries: u64,
+        /// NAND pages read while recovering (checkpoint scan + delta-log
+        /// replay + block-state rebuild).
+        pub recovery_page_reads: u64,
+        /// NAND pages programmed while recovering (the fresh checkpoint that
+        /// closes recovery). Crash sweeps assert bounds on this.
+        pub recovery_page_writes: u64,
+        /// Free-block pops where a write point's preferred channel had no
+        /// free block and one was stolen from another channel. Non-zero means
+        /// lane parallelism (and on a real device, channel striping) degraded
+        /// under free-space skew.
+        pub lane_steals: u64,
+        #[nested]
+        /// Raw NAND counters (includes meta and GC traffic).
+        pub nand: NandStats,
+    }
 }
 
 impl DeviceStats {
@@ -86,82 +90,23 @@ impl DeviceStats {
         }
     }
 
-    /// Field-wise difference `self - earlier`, for measurement windows.
-    pub fn delta_since(&self, earlier: &DeviceStats) -> DeviceStats {
-        DeviceStats {
-            host_reads: self.host_reads - earlier.host_reads,
-            host_writes: self.host_writes - earlier.host_writes,
-            host_read_bytes: self.host_read_bytes - earlier.host_read_bytes,
-            host_write_bytes: self.host_write_bytes - earlier.host_write_bytes,
-            flushes: self.flushes - earlier.flushes,
-            trims: self.trims - earlier.trims,
-            share_commands: self.share_commands - earlier.share_commands,
-            shared_pages: self.shared_pages - earlier.shared_pages,
-            snapshot_creates: self.snapshot_creates - earlier.snapshot_creates,
-            snapshot_drops: self.snapshot_drops - earlier.snapshot_drops,
-            snapshot_clones: self.snapshot_clones - earlier.snapshot_clones,
-            snapshot_clone_pages: self.snapshot_clone_pages - earlier.snapshot_clone_pages,
-            snapshot_reads: self.snapshot_reads - earlier.snapshot_reads,
-            snapshot_pinned_relocations: self.snapshot_pinned_relocations
-                - earlier.snapshot_pinned_relocations,
-            gc_events: self.gc_events - earlier.gc_events,
-            copyback_pages: self.copyback_pages - earlier.copyback_pages,
-            gc_erases: self.gc_erases - earlier.gc_erases,
-            gc_stall_ns: self.gc_stall_ns - earlier.gc_stall_ns,
-            gc_budget_deferrals: self.gc_budget_deferrals - earlier.gc_budget_deferrals,
-            meta_page_writes: self.meta_page_writes - earlier.meta_page_writes,
-            checkpoints: self.checkpoints - earlier.checkpoints,
-            recoveries: self.recoveries - earlier.recoveries,
-            recovery_page_reads: self.recovery_page_reads - earlier.recovery_page_reads,
-            recovery_page_writes: self.recovery_page_writes - earlier.recovery_page_writes,
-            lane_steals: self.lane_steals - earlier.lane_steals,
-            nand: self.nand.delta_since(&earlier.nand),
-        }
-    }
-
-    /// Field-wise sum `self += delta`, the inverse of [`delta_since`]:
-    /// `b.accumulate(&a.delta_since(&b))` restores `a` exactly. The flight
-    /// recorder folds evicted epoch deltas into one accumulator with this,
-    /// which is what keeps retained + evicted + partial deltas summing
-    /// exactly to the cumulative counters.
-    ///
-    /// [`delta_since`]: DeviceStats::delta_since
-    pub fn accumulate(&mut self, delta: &DeviceStats) {
-        self.host_reads += delta.host_reads;
-        self.host_writes += delta.host_writes;
-        self.host_read_bytes += delta.host_read_bytes;
-        self.host_write_bytes += delta.host_write_bytes;
-        self.flushes += delta.flushes;
-        self.trims += delta.trims;
-        self.share_commands += delta.share_commands;
-        self.shared_pages += delta.shared_pages;
-        self.snapshot_creates += delta.snapshot_creates;
-        self.snapshot_drops += delta.snapshot_drops;
-        self.snapshot_clones += delta.snapshot_clones;
-        self.snapshot_clone_pages += delta.snapshot_clone_pages;
-        self.snapshot_reads += delta.snapshot_reads;
-        self.snapshot_pinned_relocations += delta.snapshot_pinned_relocations;
-        self.gc_events += delta.gc_events;
-        self.copyback_pages += delta.copyback_pages;
-        self.gc_erases += delta.gc_erases;
-        self.gc_stall_ns += delta.gc_stall_ns;
-        self.gc_budget_deferrals += delta.gc_budget_deferrals;
-        self.meta_page_writes += delta.meta_page_writes;
-        self.checkpoints += delta.checkpoints;
-        self.recoveries += delta.recoveries;
-        self.recovery_page_reads += delta.recovery_page_reads;
-        self.recovery_page_writes += delta.recovery_page_writes;
-        self.lane_steals += delta.lane_steals;
-        self.nand.page_reads += delta.nand.page_reads;
-        self.nand.page_programs += delta.nand.page_programs;
-        self.nand.block_erases += delta.nand.block_erases;
-        self.nand.torn_programs += delta.nand.torn_programs;
+    /// Every exported row of these counters: [`DeviceStats::rows`] plus the
+    /// derived `share_waf`.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut rows = self.rows();
+        rows.push(Metric::ratio(
+            "share_waf",
+            "Write amplification: NAND page programs per host page write.",
+            self.waf(),
+        ));
+        rows
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use share_telemetry::Value;
 
     #[test]
     fn waf_handles_zero_writes() {
@@ -188,56 +133,27 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_covers_every_field() {
-        // Field-completeness guard: with every field (including the nested
-        // NAND counters) populated with a distinct value, subtracting zero
-        // must reproduce the value exactly. A newly added field that
-        // `delta_since` forgets to subtract would come back as its default
-        // here and fail the equality — loudly, at the moment the field is
-        // added rather than in some later measurement window.
+    fn delta_accumulate_and_rows_share_one_field_list() {
+        // `counter_table!` derives all three from the declaration, so the
+        // guard is a round trip plus "there is a row per u64 of the struct".
         let full = DeviceStats {
-            host_reads: 1,
-            host_writes: 2,
-            host_read_bytes: 3,
-            host_write_bytes: 4,
-            flushes: 5,
-            trims: 6,
-            share_commands: 7,
-            shared_pages: 8,
-            snapshot_creates: 24,
-            snapshot_drops: 25,
-            snapshot_clones: 26,
-            snapshot_clone_pages: 27,
-            snapshot_reads: 28,
-            snapshot_pinned_relocations: 29,
-            gc_events: 9,
-            copyback_pages: 10,
-            gc_erases: 11,
-            gc_stall_ns: 22,
-            gc_budget_deferrals: 23,
-            meta_page_writes: 12,
-            checkpoints: 13,
-            recoveries: 14,
-            recovery_page_reads: 15,
-            recovery_page_writes: 16,
-            lane_steals: 21,
-            nand: NandStats {
-                page_reads: 17,
-                page_programs: 18,
-                block_erases: 19,
-                torn_programs: 20,
-            },
+            host_writes: 10,
+            gc_events: 3,
+            lane_steals: 2,
+            nand: NandStats { page_programs: 18, torn_programs: 1, ..Default::default() },
+            ..Default::default()
         };
-        assert_eq!(full.delta_since(&DeviceStats::default()), full);
-        // And the self-delta is all zeros.
-        assert_eq!(full.delta_since(&full), DeviceStats::default());
-        // accumulate is delta_since's exact inverse: the same all-distinct
-        // values round-trip through subtract-then-add, so a field missed
-        // by either side fails here the moment it is added.
-        let base = DeviceStats { host_writes: 1, gc_events: 4, ..Default::default() };
-        let delta = full.delta_since(&base);
+        let base = DeviceStats { host_writes: 4, gc_events: 1, ..Default::default() };
         let mut rebuilt = base;
-        rebuilt.accumulate(&delta);
+        rebuilt.accumulate(&full.delta_since(&base));
         assert_eq!(rebuilt, full);
+        assert_eq!(full.delta_since(&full), DeviceStats::default());
+
+        let rows = full.rows();
+        assert_eq!(rows.len() * 8, std::mem::size_of::<DeviceStats>());
+        let get = |name: &str| rows.iter().find(|m| m.name == name).map(|m| m.value);
+        assert_eq!(get("share_host_writes_total"), Some(Value::U64(10)));
+        assert_eq!(get("share_torn_programs_total"), Some(Value::U64(1)));
+        assert_eq!(full.metrics().last().map(|m| m.name), Some("share_waf"));
     }
 }

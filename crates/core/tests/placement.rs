@@ -3,7 +3,10 @@
 //! GC lane refactor.
 
 use nand_sim::{BlockId, NandTiming};
-use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, CLASS_DEFAULT, CLASS_SHORT};
+use share_core::telemetry::Value;
+use share_core::{
+    BlockDevice, Ftl, FtlConfig, Lpn, PlacementConfig, Snapshot, CLASS_DEFAULT, CLASS_SHORT,
+};
 use std::collections::BTreeSet;
 
 /// GC-heavy deterministic overwrite workload on a 1-channel device.
@@ -137,17 +140,26 @@ fn snapshot_reports_placement_gauges() {
         ftl.write(Lpn(64 + i), &vec![2u8; ps]).unwrap();
     }
     let snap = ftl.telemetry_snapshot().unwrap();
-    assert!(snap.placement.enabled);
-    assert_eq!(snap.placement.classes.len(), 3);
-    assert_eq!(snap.placement.classes[CLASS_SHORT as usize].placed_pages, 10);
-    assert_eq!(snap.placement.classes[CLASS_SHORT as usize].label, "short-lived");
-    assert!(snap.placement.classes[CLASS_SHORT as usize].open_blocks >= 1);
+    let classes = |snap: &Snapshot| {
+        snap.metrics.iter().filter(|m| m.name == "share_placement_open_blocks").count()
+    };
+    assert_eq!(snap.metric("share_placement_enabled", None), Some(Value::U64(1)));
+    assert_eq!(classes(&snap), 3);
+    assert_eq!(PlacementConfig::class_label(CLASS_SHORT), "short-lived");
+    assert_eq!(
+        snap.metric("share_placement_placed_pages_total", Some("short-lived")),
+        Some(Value::U64(10))
+    );
+    assert!(matches!(
+        snap.metric("share_placement_open_blocks", Some("short-lived")),
+        Some(Value::U64(n)) if n >= 1
+    ));
 
     // Placement off: single default class, label routing inert.
     let off = Ftl::new(FtlConfig::for_capacity_with(128 * 4096, 0.5, 4096, 16, NandTiming::zero()));
     let snap = off.telemetry_snapshot().unwrap();
-    assert!(!snap.placement.enabled);
-    assert_eq!(snap.placement.classes.len(), 1);
+    assert_eq!(snap.metric("share_placement_enabled", None), Some(Value::U64(0)));
+    assert_eq!(classes(&snap), 1);
 }
 
 /// A placement-enabled image survives save/load/recovery with its class

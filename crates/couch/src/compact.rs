@@ -35,9 +35,9 @@ impl<D: BlockDevice> CouchStore<D> {
     /// Compact the database, replacing its file. Pending updates are
     /// committed first. Returns traffic/time accounting for the run.
     pub fn compact(&mut self) -> Result<CompactionReport, CouchError> {
-        let span = self.root_span("compaction");
+        let span = self.fs.root_span("compaction");
         let r = self.compact_inner();
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 

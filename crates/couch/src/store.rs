@@ -17,7 +17,6 @@ use crate::format::{
 };
 use crate::CouchError;
 use share_core::BlockDevice;
-use share_telemetry::{Layer, SpanId, Track};
 use share_vfs::{FileId, Vfs};
 use std::collections::{BTreeMap, HashMap};
 
@@ -429,9 +428,9 @@ impl<D: BlockDevice> CouchStore<D> {
         if !self.fs.supports_queue() || keys.len() <= 1 {
             return keys.iter().map(|&k| self.get(k)).collect();
         }
-        let span = self.root_span("group_get");
+        let span = self.fs.root_span("group_get");
         let r = self.get_many_inner(keys);
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
@@ -516,9 +515,9 @@ impl<D: BlockDevice> CouchStore<D> {
             }
             return Ok(());
         }
-        let span = self.root_span("group_save");
+        let span = self.fs.root_span("group_save");
         let r = self.save_many_inner(docs);
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
@@ -616,22 +615,13 @@ impl<D: BlockDevice> CouchStore<D> {
         Ok(())
     }
 
-    /// Open a root span on the engine track (no-op without tracing).
-    pub(crate) fn root_span(&self, name: &'static str) -> SpanId {
-        self.fs.tracer().begin(Layer::Engine, name, Track::Engine, self.fs.device().clock().now_ns())
-    }
-
-    pub(crate) fn end_span(&self, id: SpanId, ok: bool) {
-        self.fs.tracer().end(id, self.fs.device().clock().now_ns(), 0, ok);
-    }
-
     /// Commit: make everything since the last commit durable. In SHARE mode
     /// an update-only batch costs one fsync plus one share command; any
     /// pending tree changes take the wandering-tree path.
     pub fn commit(&mut self) -> Result<(), CouchError> {
-        let span = self.root_span("txn_commit");
+        let span = self.fs.root_span("txn_commit");
         let r = self.commit_inner();
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
@@ -700,9 +690,9 @@ impl<D: BlockDevice> CouchStore<D> {
     /// stays consistent (copy-on-write at the FTL level). Returns the
     /// number of frozen blocks.
     pub fn begin_backup(&mut self, snap: &str) -> Result<u64, CouchError> {
-        let span = self.root_span("begin_backup");
+        let span = self.fs.root_span("begin_backup");
         let r = self.begin_backup_inner(snap);
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
@@ -718,10 +708,10 @@ impl<D: BlockDevice> CouchStore<D> {
     /// file opens like any database — its newest intact header is the
     /// state at `begin_backup` time, regardless of foreground writes since.
     pub fn finish_backup(&mut self, snap: &str, dst: &str) -> Result<(), CouchError> {
-        let span = self.root_span("finish_backup");
+        let span = self.fs.root_span("finish_backup");
         let r = self.fs.vfs_clone(snap, dst).map(|_| ());
         let drop_r = self.fs.vfs_snapshot_drop(snap);
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r?;
         drop_r?;
         Ok(())

@@ -240,6 +240,7 @@ impl CrashWorkload for FtlStreamWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use share_core::telemetry::Value;
 
     #[test]
     fn generated_ops_are_deterministic_and_use_all_streams() {
@@ -285,10 +286,15 @@ mod tests {
             exec(&mut ftl, op).unwrap();
         }
         let snap = ftl.telemetry_snapshot().unwrap();
-        assert!(snap.placement.enabled);
-        let placed: Vec<u64> =
-            snap.placement.classes.iter().map(|c| c.placed_pages).collect();
-        assert!(placed[0] > 0, "heap stream placed nothing in the default class");
-        assert!(placed[1] > 0, "wal stream placed nothing in the short-lived class");
+        assert_eq!(snap.metric("share_placement_enabled", None), Some(Value::U64(1)));
+        let placed = |class| snap.metric("share_placement_placed_pages_total", Some(class));
+        assert!(
+            matches!(placed("default"), Some(Value::U64(n)) if n > 0),
+            "heap stream placed nothing in the default class"
+        );
+        assert!(
+            matches!(placed("short-lived"), Some(Value::U64(n)) if n > 0),
+            "wal stream placed nothing in the short-lived class"
+        );
     }
 }

@@ -26,7 +26,6 @@ use crate::error::EngineError;
 use crate::page::{NodePage, PageDecodeError, NO_PAGE};
 use crate::redo::{CheckpointMeta, RedoBody, RedoLog};
 use share_core::{BlockDevice, DeviceStats, SimpleSsd};
-use share_telemetry::{Layer, SpanId, Track};
 use share_vfs::{FileId, Vfs, VfsOptions};
 
 /// How dirty pages propagate to their home location.
@@ -715,23 +714,14 @@ impl<D: BlockDevice> InnoDb<D> {
 
     // ----- commit & checkpoint ---------------------------------------------
 
-    /// Open a root span on the engine track (no-op without tracing).
-    fn root_span(&self, name: &'static str) -> SpanId {
-        self.fs.tracer().begin(Layer::Engine, name, Track::Engine, self.fs.device().clock().now_ns())
-    }
-
-    fn end_span(&self, id: SpanId, ok: bool) {
-        self.fs.tracer().end(id, self.fs.device().clock().now_ns(), 0, ok);
-    }
-
     /// Commit the current transaction (one MTR): log the boundary, make it
     /// durable (group commit), and checkpoint if the redo budget is spent.
     /// Public so callers composing raw `upsert_kv`/`delete_kv` sequences can
     /// set their own transaction boundaries.
     pub fn commit(&mut self) -> Result<(), EngineError> {
-        let span = self.root_span("txn_commit");
+        let span = self.fs.root_span("txn_commit");
         let r = self.commit_inner();
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
@@ -769,9 +759,9 @@ impl<D: BlockDevice> InnoDb<D> {
             return Ok(());
         }
         self.group_pending = 0;
-        let span = self.root_span("group_commit");
+        let span = self.fs.root_span("group_commit");
         let r = self.group_commit_inner();
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
@@ -788,9 +778,9 @@ impl<D: BlockDevice> InnoDb<D> {
 
     /// Flush every dirty page and truncate the redo log.
     pub fn checkpoint(&mut self) -> Result<(), EngineError> {
-        let span = self.root_span("checkpoint");
+        let span = self.fs.root_span("checkpoint");
         let r = self.checkpoint_inner();
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 

@@ -1,31 +1,21 @@
 //! Operation counters for the NAND array.
 
-/// Cumulative NAND-level operation counters.
-///
-/// These are the medium-side numbers behind the paper's Figure 6: the FTL
-/// adds host-side counters on top, and `copyback` programs during garbage
-/// collection are distinguished by the FTL, not here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NandStats {
-    /// Pages read from the medium.
-    pub page_reads: u64,
-    /// Pages programmed to the medium.
-    pub page_programs: u64,
-    /// Blocks erased.
-    pub block_erases: u64,
-    /// Programs that were torn by an injected power loss.
-    pub torn_programs: u64,
-}
-
-impl NandStats {
-    /// Difference `self - earlier`, for windowed measurements.
-    pub fn delta_since(&self, earlier: &NandStats) -> NandStats {
-        NandStats {
-            page_reads: self.page_reads - earlier.page_reads,
-            page_programs: self.page_programs - earlier.page_programs,
-            block_erases: self.block_erases - earlier.block_erases,
-            torn_programs: self.torn_programs - earlier.torn_programs,
-        }
+share_telemetry::counter_table! {
+    /// Cumulative NAND-level operation counters.
+    ///
+    /// These are the medium-side numbers behind the paper's Figure 6: the FTL
+    /// adds host-side counters on top, and `copyback` programs during garbage
+    /// collection are distinguished by the FTL, not here.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NandStats {
+        /// Pages read from the medium.
+        pub page_reads: u64,
+        /// Pages programmed to the medium.
+        pub page_programs: u64,
+        /// Blocks erased.
+        pub block_erases: u64,
+        /// Programs that were torn by an injected power loss.
+        pub torn_programs: u64,
     }
 }
 

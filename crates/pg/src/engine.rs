@@ -20,7 +20,6 @@
 //! is idempotent and a trailing incomplete transaction is discarded.
 
 use share_core::{crc32c, BlockDevice};
-use share_telemetry::{Layer, SpanId, Track};
 use share_vfs::{FileId, Vfs, VfsError, VfsOptions};
 use std::collections::{HashMap, HashSet};
 
@@ -421,50 +420,11 @@ impl<D: BlockDevice> MiniPg<D> {
         Ok(())
     }
 
-    /// Open a root span on the engine track (no-op without tracing).
-    fn root_span(&self, name: &'static str) -> SpanId {
-        self.fs.tracer().begin(Layer::Engine, name, Track::Engine, self.fs.device().clock().now_ns())
-    }
-
-    fn end_span(&self, id: SpanId, ok: bool) {
-        self.fs.tracer().end(id, self.fs.device().clock().now_ns(), 0, ok);
-    }
-
-    /// Write a page batch, queued when the device supports asynchronous
-    /// submission so device pages overlap across NAND channels;
-    /// [`Self::barrier`] must run before any ordering point.
-    fn write_pages_overlapped(
-        &mut self,
-        file: FileId,
-        batch: &[(u64, &[u8])],
-    ) -> Result<(), VfsError> {
-        if self.fs.supports_queue() && batch.len() > 1 {
-            // A shared queue can be saturated by other connections at
-            // commit time; the retry variant reaps completions and
-            // resubmits instead of failing the commit with `QueueFull`.
-            self.fs.submit_write_pages_retry(file, batch)?;
-        } else {
-            self.fs.write_pages(file, batch)?;
-        }
-        Ok(())
-    }
-
-    /// Reap every in-flight queued write, surfacing the first device
-    /// error. Required before fsync / SHARE ordering points.
-    fn barrier(&mut self) -> Result<(), VfsError> {
-        if self.fs.supports_queue() && self.fs.inflight() > 0 {
-            for c in self.fs.drain_queue() {
-                c.result.map_err(VfsError::Device)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Execute one TPC-B transaction and commit it (WAL fsync).
     pub fn run_txn(&mut self, aid: u64, tid: u64, bid: u64, delta: i64) -> Result<(), VfsError> {
-        let span = self.root_span("txn_commit");
+        let span = self.fs.root_span("txn_commit");
         let r = self.run_txn_inner(aid, tid, bid, delta);
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
@@ -541,9 +501,9 @@ impl<D: BlockDevice> MiniPg<D> {
 
     /// Flush every dirty heap page, bump the generation, reset the WAL.
     pub fn checkpoint(&mut self) -> Result<(), VfsError> {
-        let span = self.root_span("checkpoint");
+        let span = self.fs.root_span("checkpoint");
         let r = self.checkpoint_inner();
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
@@ -573,8 +533,8 @@ impl<D: BlockDevice> MiniPg<D> {
                         writes.push((slot as u64 * dpp + j as u64, chunk));
                     }
                 }
-                self.write_pages_overlapped(self.journal, &writes)?;
-                self.barrier()?;
+                self.fs.write_pages_overlapped(self.journal, &writes)?;
+                self.fs.barrier()?;
                 self.fs.fsync(self.journal)?;
                 let mut pairs = Vec::new();
                 for (slot, &page_no) in batch.iter().enumerate() {
@@ -603,8 +563,8 @@ impl<D: BlockDevice> MiniPg<D> {
                         writes.push((page_no * dpp + j as u64, chunk));
                     }
                 }
-                self.write_pages_overlapped(self.data, &writes)?;
-                self.barrier()?;
+                self.fs.write_pages_overlapped(self.data, &writes)?;
+                self.fs.barrier()?;
                 self.fs.fsync(self.data)?;
             }
             self.stats.pages_flushed += batch.len() as u64;

@@ -12,7 +12,6 @@
 use crate::page::RecordPage;
 use crate::SqliteError;
 use share_core::{crc32c, BlockDevice};
-use share_telemetry::{Layer, SpanId, Track};
 use share_vfs::{FileId, Vfs, VfsOptions};
 use std::collections::{BTreeMap, HashMap};
 
@@ -315,20 +314,11 @@ impl<D: BlockDevice> MiniSqlite<D> {
         }
     }
 
-    /// Open a root span on the engine track (no-op without tracing).
-    fn root_span(&self, name: &'static str) -> SpanId {
-        self.fs.tracer().begin(Layer::Engine, name, Track::Engine, self.fs.device().clock().now_ns())
-    }
-
-    fn end_span(&self, id: SpanId, ok: bool) {
-        self.fs.tracer().end(id, self.fs.device().clock().now_ns(), 0, ok);
-    }
-
     /// Commit the open transaction with the configured protocol.
     pub fn commit(&mut self) -> Result<(), SqliteError> {
-        let span = self.root_span("txn_commit");
+        let span = self.fs.root_span("txn_commit");
         let r = self.commit_inner();
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
@@ -356,36 +346,6 @@ impl<D: BlockDevice> MiniSqlite<D> {
         }
     }
 
-    /// Write a page batch, queued when the device supports asynchronous
-    /// submission (the pages overlap across NAND channels and with later
-    /// submissions); [`Self::barrier`] must run before any ordering point.
-    fn write_pages_overlapped(
-        &mut self,
-        file: FileId,
-        batch: &[(u64, &[u8])],
-    ) -> Result<(), SqliteError> {
-        if self.fs.supports_queue() && batch.len() > 1 {
-            // A shared queue can be saturated by other connections at
-            // commit time; the retry variant reaps completions and
-            // resubmits instead of failing the commit with `QueueFull`.
-            self.fs.submit_write_pages_retry(file, batch)?;
-        } else {
-            self.fs.write_pages(file, batch)?;
-        }
-        Ok(())
-    }
-
-    /// Reap every in-flight queued write, surfacing the first device
-    /// error. Required before fsync / SHARE / read ordering points.
-    fn barrier(&mut self) -> Result<(), SqliteError> {
-        if self.fs.supports_queue() && self.fs.inflight() > 0 {
-            for c in self.fs.drain_queue() {
-                c.result.map_err(share_vfs::VfsError::Device)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Write the current cache images of `pages` to the database file as
     /// one batched device submission.
     fn write_db_pages(&mut self, pages: &[u64]) -> Result<(), SqliteError> {
@@ -393,7 +353,7 @@ impl<D: BlockDevice> MiniSqlite<D> {
             pages.iter().map(|&p| (p, self.encode_page(p))).collect();
         let batch: Vec<(u64, &[u8])> =
             images.iter().map(|(p, img)| (*p, img.as_slice())).collect();
-        self.write_pages_overlapped(self.db, &batch)?;
+        self.fs.write_pages_overlapped(self.db, &batch)?;
         self.stats.db_page_writes += pages.len() as u64;
         Ok(())
     }
@@ -431,16 +391,16 @@ impl<D: BlockDevice> MiniSqlite<D> {
             .collect();
         let batch: Vec<(u64, &[u8])> =
             images.iter().enumerate().map(|(i, img)| (1 + i as u64, img.as_slice())).collect();
-        self.write_pages_overlapped(self.journal, &batch)?;
+        self.fs.write_pages_overlapped(self.journal, &batch)?;
         self.stats.journal_pages += dirty.len() as u64;
         let header = self.journal_header(dirty);
         self.fs.write_page(self.journal, 0, &header)?;
         self.stats.journal_pages += 1;
-        self.barrier()?;
+        self.fs.barrier()?;
         self.fs.fsync(self.journal)?;
         // 2. In-place page writes, batched.
         self.write_db_pages(dirty)?;
-        self.barrier()?;
+        self.fs.barrier()?;
         self.fs.fsync(self.db)?;
         // 3. Invalidate the journal — the commit point.
         let zero = vec![0u8; self.page_bytes()];
@@ -498,7 +458,7 @@ impl<D: BlockDevice> MiniSqlite<D> {
             .enumerate()
             .map(|(i, img)| (self.wal_tail + i as u64, img.as_slice()))
             .collect();
-        self.write_pages_overlapped(self.wal, &batch)?;
+        self.fs.write_pages_overlapped(self.wal, &batch)?;
         for &p in dirty {
             self.wal_index.insert(p, self.wal_tail);
             self.wal_tail += 1;
@@ -511,7 +471,7 @@ impl<D: BlockDevice> MiniSqlite<D> {
         self.fs.write_page(self.wal, self.wal_tail, &img)?;
         self.wal_tail += 1;
         self.stats.wal_frames += 1;
-        self.barrier()?;
+        self.fs.barrier()?;
         self.fs.fsync(self.wal)?;
         if self.wal_tail >= self.cfg.wal_checkpoint_frames {
             self.checkpoint_wal()?;
@@ -521,16 +481,16 @@ impl<D: BlockDevice> MiniSqlite<D> {
 
     /// Copy the latest WAL versions into the database and reset the WAL.
     pub fn checkpoint_wal(&mut self) -> Result<(), SqliteError> {
-        let span = self.root_span("checkpoint");
+        let span = self.fs.root_span("checkpoint");
         let r = self.checkpoint_wal_inner();
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
     fn checkpoint_wal_inner(&mut self) -> Result<(), SqliteError> {
         let pages: Vec<u64> = self.wal_index.keys().copied().collect();
         self.write_db_pages(&pages)?;
-        self.barrier()?;
+        self.fs.barrier()?;
         self.fs.fsync(self.db)?;
         // Reset: zero the first frame so recovery sees an empty log.
         let zero = vec![0u8; self.page_bytes()];
@@ -594,7 +554,7 @@ impl<D: BlockDevice> MiniSqlite<D> {
 
     fn commit_off(&mut self, dirty: &[u64]) -> Result<(), SqliteError> {
         self.write_db_pages(dirty)?;
-        self.barrier()?;
+        self.fs.barrier()?;
         self.fs.fsync(self.db)?;
         Ok(())
     }
@@ -615,8 +575,8 @@ impl<D: BlockDevice> MiniSqlite<D> {
             .enumerate()
             .map(|(i, img)| (staging_base + i as u64, img.as_slice()))
             .collect();
-        self.write_pages_overlapped(self.db, &batch)?;
-        self.barrier()?;
+        self.fs.write_pages_overlapped(self.db, &batch)?;
+        self.fs.barrier()?;
         self.fs.fsync(self.db)?;
         let pairs: Vec<(u64, u64)> =
             dirty.iter().enumerate().map(|(i, &p)| (p, staging_base + i as u64)).collect();
@@ -637,14 +597,14 @@ impl<D: BlockDevice> MiniSqlite<D> {
     /// NAND page programs. WAL contents are checkpointed into the database
     /// first so the frozen file is self-contained.
     pub fn snapshot_db(&mut self, name: &str) -> Result<(), SqliteError> {
-        let span = self.root_span("snapshot_db");
+        let span = self.fs.root_span("snapshot_db");
         let r = self.snapshot_db_inner(name);
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r
     }
 
     fn snapshot_db_inner(&mut self, name: &str) -> Result<(), SqliteError> {
-        self.barrier()?;
+        self.fs.barrier()?;
         if self.cfg.mode == JournalMode::Wal && !self.wal_index.is_empty() {
             self.checkpoint_wal()?;
         }
@@ -662,9 +622,9 @@ impl<D: BlockDevice> MiniSqlite<D> {
     /// Materialize snapshot `name` as a standalone writable database file
     /// `dst` without copying data (copy-on-write at the FTL level).
     pub fn clone_from_snapshot(&mut self, name: &str, dst: &str) -> Result<(), SqliteError> {
-        let span = self.root_span("clone_db");
+        let span = self.fs.root_span("clone_db");
         let r = self.fs.vfs_clone(name, dst).map(|_| ());
-        self.end_span(span, r.is_ok());
+        self.fs.end_span(span, r.is_ok());
         r.map_err(Into::into)
     }
 

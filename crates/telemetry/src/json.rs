@@ -145,10 +145,15 @@ pub fn render_string(sv: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and reads files, so unbounded nesting (a flood of `[`)
+/// would overflow the stack; every document the repo writes nests < 10.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Strict enough to validate what we write and to
 /// re-read recorded files for merging; numbers all become `Json::Num`.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { b: text.as_bytes(), i: 0 };
+    let mut p = Parser { text, b: text.as_bytes(), i: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -159,8 +164,10 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -183,10 +190,20 @@ impl Parser<'_> {
         }
     }
 
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.i));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
+    }
+
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -258,11 +275,12 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. `i` only ever steps over
+                    // whole scalars, so it sits on a boundary; slicing the
+                    // `&str` (not re-validating the byte tail) keeps a long
+                    // string linear.
+                    let c = self.text.get(self.i..).and_then(|rest| rest.chars().next());
+                    let c = c.ok_or_else(|| format!("invalid utf-8 at byte {}", self.i))?;
                     out.push(c);
                     self.i += c.len_utf8();
                 }
@@ -348,6 +366,16 @@ mod tests {
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+        // A flood that used to overflow the stack and abort the process.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

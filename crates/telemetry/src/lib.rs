@@ -21,6 +21,7 @@
 
 pub mod hist;
 pub mod json;
+pub mod metric;
 pub mod percentile;
 pub mod prom;
 pub mod recorder;
@@ -30,6 +31,7 @@ pub mod trace;
 
 pub use hist::{bucket_of, Histogram, HistogramSet};
 pub use json::Json;
+pub use metric::{rows_json, Kind, Metric, Value};
 pub use percentile::{nearest_rank_index, percentile_sorted};
 pub use recorder::EpochRing;
 pub use ring::{CommandEvent, CommandRing};
@@ -452,9 +454,7 @@ impl Telemetry {
             units: Vec::new(),
             now_ns: 0,
             queue: QueueGauges::default(),
-            placement: PlacementGauges::default(),
-            snapshots: SnapshotGauges::default(),
-            health: HealthGauges::default(),
+            metrics: Vec::new(),
             alerts: Vec::new(),
             events: self.ring.events(),
         }
@@ -543,65 +543,30 @@ pub struct QueueGauges {
     pub reaped: u64,
 }
 
-/// One lifetime class's placement gauges in a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlacementClassGauge {
-    /// Lifetime-class index (0 = default/long-lived).
-    pub class: u8,
-    /// Human label ("default", "short-lived", "cold").
-    pub label: String,
-    /// Host pages placed into this class's write points.
-    pub placed_pages: u64,
-    /// GC copyback pages relocated into this class's lanes.
-    pub gc_moved_pages: u64,
-    /// Write-point blocks of this class currently open.
-    pub open_blocks: u64,
-}
-
-/// Multi-stream placement gauges in a [`Snapshot`]. Filled by the device
-/// (the block pool owns the counters); `enabled == false` with one
-/// all-default class row when placement is off, and empty for bare
-/// `Telemetry` snapshots.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlacementGauges {
-    /// Whether multi-streamed placement was configured on.
-    pub enabled: bool,
-    /// Times a write point's preferred channel had no free block and a
-    /// block was stolen from another channel (lost lane parallelism).
-    pub lane_steals: u64,
-    /// Simulated time foreground commands spent stalled on synchronous GC
-    /// (settled at the same sites as the device's copyback counters).
-    pub gc_stall_ns: u64,
-    /// Times the background GC pipeline exhausted its per-command page
-    /// budget and deferred the rest of the victim.
-    pub gc_budget_deferrals: u64,
-    /// Per-lifetime-class placement counters.
-    pub classes: Vec<PlacementClassGauge>,
-}
-
-/// Device-snapshot gauges in a [`Snapshot`]. Filled by a snapshot-capable
-/// device (the FTL owns the table); all zero for bare `Telemetry`
-/// snapshots and devices without the snapshot command family.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotGauges {
-    /// Live (not yet dropped) device snapshots at snapshot time.
-    pub live: u64,
-    /// Frozen logical-page entries across all live snapshots.
-    pub frozen_pages: u64,
-    /// Distinct physical pages pinned against GC reclaim.
-    pub pinned_pages: u64,
-    /// Total snapshots created over the device's lifetime.
-    pub creates: u64,
-    /// Total snapshots dropped.
-    pub drops: u64,
-    /// Total clone commands materialized.
-    pub clones: u64,
-    /// Total pages remapped into the live map by clones.
-    pub clone_pages: u64,
-    /// Total point-in-time page reads served from snapshots.
-    pub reads: u64,
-    /// GC relocations that existed only to keep pinned pages alive.
-    pub pinned_relocations: u64,
+impl QueueGauges {
+    /// The queue's exported rows.
+    pub fn rows(&self) -> Vec<Metric> {
+        let g = Metric::gauge;
+        vec![
+            g("share_queue_depth", "Configured submission-queue depth.", self.depth),
+            g("share_queue_inflight", "Commands submitted but not yet reaped.", self.inflight),
+            g(
+                "share_queue_inflight_max",
+                "High-water mark of in-flight commands.",
+                self.max_inflight,
+            ),
+            Metric::counter(
+                "share_queue_submitted_total",
+                "Queued commands submitted.",
+                self.submitted,
+            ),
+            Metric::counter(
+                "share_queue_reaped_total",
+                "Completions reaped by the host.",
+                self.reaped,
+            ),
+        ]
+    }
 }
 
 /// One NAND unit's utilization in a [`Snapshot`].
@@ -613,33 +578,6 @@ pub struct UnitUtilization {
     pub way: u32,
     /// Cumulative simulated time this unit spent servicing operations.
     pub busy_ns: u64,
-}
-
-/// Device health/wear gauges in a [`Snapshot`]. Filled by the device
-/// from its wear model (the FTL owns the erase counts); all zero for
-/// bare `Telemetry` snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct HealthGauges {
-    /// Fewest erases of any data block.
-    pub wear_min: u64,
-    /// Most erases of any data block.
-    pub wear_max: u64,
-    /// Mean erases per data block.
-    pub wear_mean: f64,
-    /// Population standard deviation of per-block erase counts.
-    pub wear_stddev: f64,
-    /// Wear-leveling skew: max/mean erases (1.0 = perfectly even,
-    /// 0.0 = nothing erased yet).
-    pub wear_skew: f64,
-    /// Data blocks currently free.
-    pub free_blocks: u64,
-    /// Data blocks total.
-    pub data_blocks: u64,
-    /// SMART-style remaining-life fraction in `[0, 1]`:
-    /// `1 - mean_erases / endurance_cycles`.
-    pub remaining_life: f64,
-    /// The rated program/erase endurance the estimate assumes.
-    pub endurance_cycles: u64,
 }
 
 /// A point-in-time copy of a device's telemetry, ready for export.
@@ -662,15 +600,11 @@ pub struct Snapshot {
     /// Submission/completion-queue gauges (filled by the device; all
     /// zero for bare `Telemetry` snapshots and sync-only devices).
     pub queue: QueueGauges,
-    /// Multi-stream placement gauges (filled by the device; default —
-    /// disabled, no classes — for bare `Telemetry` snapshots).
-    pub placement: PlacementGauges,
-    /// Device-snapshot gauges (filled by a snapshot-capable device; all
-    /// zero otherwise).
-    pub snapshots: SnapshotGauges,
-    /// Health/wear gauges (filled by the device's wear model; all zero
-    /// for bare `Telemetry` snapshots).
-    pub health: HealthGauges,
+    /// Every device scalar as one row list: the `DeviceStats`/`NandStats`
+    /// counters, WAF, and the queue, placement, snapshot-table and health
+    /// readings (filled by the device; empty for bare `Telemetry`
+    /// snapshots). Both exporters walk it.
+    pub metrics: Vec<Metric>,
     /// SLO alerts fired so far (filled by the device's flight recorder;
     /// empty when monitoring is off).
     pub alerts: Vec<Alert>,
@@ -692,6 +626,15 @@ impl Snapshot {
     /// Commands observed of `op`.
     pub fn ops_count(&self, op: OpClass) -> u64 {
         self.op(op).counters.ops
+    }
+
+    /// The reading of one [`Snapshot::metrics`] row, by family name and
+    /// label value (`None` for an unlabelled row).
+    pub fn metric(&self, name: &str, label: Option<&str>) -> Option<Value> {
+        self.metrics
+            .iter()
+            .find(|m| m.name == name && m.label.as_ref().map(|(_, v)| v.as_str()) == label)
+            .map(|m| m.value)
     }
 
     /// Render as a JSON document.
@@ -773,60 +716,7 @@ impl Snapshot {
                 })
                 .collect(),
         );
-        let queue = Json::obj(vec![
-            ("depth", count(self.queue.depth)),
-            ("inflight", count(self.queue.inflight)),
-            ("max_inflight", count(self.queue.max_inflight)),
-            ("submitted", count(self.queue.submitted)),
-            ("reaped", count(self.queue.reaped)),
-        ]);
-        let placement_classes = Json::Obj(
-            self.placement
-                .classes
-                .iter()
-                .map(|c| {
-                    (
-                        c.label.clone(),
-                        Json::obj(vec![
-                            ("class", count(c.class as u64)),
-                            ("placed_pages", count(c.placed_pages)),
-                            ("gc_moved_pages", count(c.gc_moved_pages)),
-                            ("open_blocks", count(c.open_blocks)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let placement = Json::obj(vec![
-            ("enabled", Json::Bool(self.placement.enabled)),
-            ("lane_steals", count(self.placement.lane_steals)),
-            ("gc_stall_ns", count(self.placement.gc_stall_ns)),
-            ("gc_budget_deferrals", count(self.placement.gc_budget_deferrals)),
-            ("classes", placement_classes),
-        ]);
-        let health = Json::obj(vec![
-            ("wear_min", count(self.health.wear_min)),
-            ("wear_max", count(self.health.wear_max)),
-            ("wear_mean", Json::Num(self.health.wear_mean)),
-            ("wear_stddev", Json::Num(self.health.wear_stddev)),
-            ("wear_skew", Json::Num(self.health.wear_skew)),
-            ("free_blocks", count(self.health.free_blocks)),
-            ("data_blocks", count(self.health.data_blocks)),
-            ("remaining_life", Json::Num(self.health.remaining_life)),
-            ("endurance_cycles", count(self.health.endurance_cycles)),
-        ]);
         let alerts = Json::Arr(self.alerts.iter().map(Alert::to_json).collect());
-        let snapshots = Json::obj(vec![
-            ("live", count(self.snapshots.live)),
-            ("frozen_pages", count(self.snapshots.frozen_pages)),
-            ("pinned_pages", count(self.snapshots.pinned_pages)),
-            ("creates", count(self.snapshots.creates)),
-            ("drops", count(self.snapshots.drops)),
-            ("clones", count(self.snapshots.clones)),
-            ("clone_pages", count(self.snapshots.clone_pages)),
-            ("reads", count(self.snapshots.reads)),
-            ("pinned_relocations", count(self.snapshots.pinned_relocations)),
-        ]);
         Json::obj(vec![
             ("commands", count(self.commands)),
             ("now_ns", count(self.now_ns)),
@@ -834,10 +724,7 @@ impl Snapshot {
             ("streams", streams),
             ("wa", wa),
             ("units", units),
-            ("queue", queue),
-            ("placement", placement),
-            ("snapshots", snapshots),
-            ("health", health),
+            ("metrics", Json::Obj(rows_json(&self.metrics))),
             ("alerts", alerts),
             ("events", events),
         ])

@@ -1,0 +1,195 @@
+//! The one table every device scalar is exported through (DESIGN.md §9).
+//!
+//! A scalar is declared once — a field of a [`counter_table!`] struct, or
+//! one [`Metric`] row beside the state it reads — and every surface walks
+//! the rows: Prometheus text, metrics JSON, flight-recorder epoch rows,
+//! `sharectl doctor`, bench records. None keeps a key list of its own.
+
+use crate::json::{count, Json};
+
+/// Prometheus type of a row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    Counter,
+    Gauge,
+}
+
+/// A row's reading: counters and most gauges are integral, ratios are not.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    U64(u64),
+    F64(f64),
+}
+
+/// One exported scalar.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// Prometheus family name (`share_…`; counters end in `_total`).
+    pub name: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    pub kind: Kind,
+    /// At most one label; rows of one family differ only in its value and
+    /// are adjacent in a row list.
+    pub label: Option<(&'static str, String)>,
+    pub value: Value,
+}
+
+impl Metric {
+    /// An unlabelled counter row.
+    pub fn counter(name: &'static str, help: &'static str, value: u64) -> Self {
+        Metric { name, help, kind: Kind::Counter, label: None, value: Value::U64(value) }
+    }
+
+    /// An unlabelled integral gauge row.
+    pub fn gauge(name: &'static str, help: &'static str, value: u64) -> Self {
+        Metric { name, help, kind: Kind::Gauge, label: None, value: Value::U64(value) }
+    }
+
+    /// An unlabelled fractional gauge row.
+    pub fn ratio(name: &'static str, help: &'static str, value: f64) -> Self {
+        Metric { name, help, kind: Kind::Gauge, label: None, value: Value::F64(value) }
+    }
+
+    /// The JSON key: the family name without the `share_` namespace and the
+    /// `_total` counter suffix — for a [`counter_table!`] row, the field name.
+    pub fn key(&self) -> &'static str {
+        let bare = self.name.strip_prefix("share_").unwrap_or(self.name);
+        bare.strip_suffix("_total").unwrap_or(bare)
+    }
+}
+
+/// JSON object fields for a row list: one `key: value` per row, a
+/// labelled row keyed `key.<label value>`.
+pub fn rows_json(rows: &[Metric]) -> Vec<(String, Json)> {
+    let field = |m: &Metric| {
+        let key = match &m.label {
+            Some((_, label)) => format!("{}.{label}", m.key()),
+            None => m.key().to_string(),
+        };
+        match m.value {
+            Value::U64(v) => (key, count(v)),
+            Value::F64(v) => (key, Json::Num(v)),
+        }
+    };
+    rows.iter().map(field).collect()
+}
+
+/// Declare a struct of cumulative `u64` counters once. From the one field
+/// list the macro emits the struct, `delta_since` (field-wise
+/// `self - earlier`), `accumulate` (field-wise `self += delta`, its exact
+/// inverse) and `rows` (one `share_<field>_total` counter row per field,
+/// whose help text is the field's doc comment) — so an added field is
+/// subtracted, summed, sealed per epoch and exported with no other edit.
+/// A trailing `#[nested]` field is another counter table, folded in
+/// through its own three methods.
+#[macro_export]
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[doc = $doc:literal])+ pub $field:ident: u64, )*
+            $( #[nested] $(#[doc = $ndoc:literal])+ pub $nested:ident: $nty:ty, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[doc = $doc])+ pub $field: u64, )*
+            $( $(#[doc = $ndoc])+ pub $nested: $nty, )*
+        }
+
+        impl $name {
+            /// Field-wise difference `self - earlier`, for measurement windows.
+            pub fn delta_since(&self, earlier: &Self) -> Self {
+                Self {
+                    $( $field: self.$field - earlier.$field, )*
+                    $( $nested: self.$nested.delta_since(&earlier.$nested), )*
+                }
+            }
+
+            /// Field-wise sum `self += delta`, the exact inverse of
+            /// `delta_since`: the flight recorder folds epoch deltas with it,
+            /// which keeps evicted + retained + partial deltas summing
+            /// exactly to the cumulative counters.
+            pub fn accumulate(&mut self, delta: &Self) {
+                $( self.$field += delta.$field; )*
+                $( self.$nested.accumulate(&delta.$nested); )*
+            }
+
+            /// One `share_<field>_total` counter row per field, in
+            /// declaration order (nested tables last).
+            pub fn rows(&self) -> Vec<$crate::Metric> {
+                #[allow(unused_mut)]
+                let mut rows = vec![ $( $crate::Metric::counter(
+                    concat!("share_", stringify!($field), "_total"),
+                    concat!($($doc),+).trim(),
+                    self.$field,
+                ), )* ];
+                $( rows.extend(self.$nested.rows()); )*
+                rows
+            }
+        }
+    };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    counter_table! {
+        /// Inner table.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Inner {
+            /// Pages programmed.
+            pub programs: u64,
+        }
+    }
+
+    counter_table! {
+        /// Outer table.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Outer {
+            /// Host writes
+            /// (pages).
+            pub writes: u64,
+            /// Reads.
+            pub reads: u64,
+            #[nested]
+            /// Medium side.
+            pub inner: Inner,
+        }
+    }
+
+    #[test]
+    fn table_subtracts_accumulates_and_exports_every_field() {
+        let a = Outer { writes: 10, reads: 7, inner: Inner { programs: 30 } };
+        let b = Outer { writes: 4, reads: 7, inner: Inner { programs: 12 } };
+        let d = a.delta_since(&b);
+        assert_eq!(d, Outer { writes: 6, reads: 0, inner: Inner { programs: 18 } });
+        let mut back = b;
+        back.accumulate(&d);
+        assert_eq!(back, a);
+
+        let rows = a.rows();
+        let names: Vec<_> = rows.iter().map(|m| m.name).collect();
+        assert_eq!(names, ["share_writes_total", "share_reads_total", "share_programs_total"]);
+        assert_eq!(rows[0].help, "Host writes (pages).");
+        assert_eq!(rows[0].key(), "writes");
+        assert_eq!(rows[2].value, Value::U64(30));
+        assert!(rows.iter().all(|m| m.kind == Kind::Counter && m.label.is_none()));
+    }
+
+    #[test]
+    fn rows_json_keys_each_row() {
+        let rows = vec![
+            Metric::counter("share_x_total", "x", 3),
+            Metric { label: Some(("class", "a".into())), ..Metric::gauge("share_open", "o", 1) },
+            Metric { label: Some(("class", "b".into())), ..Metric::gauge("share_open", "o", 2) },
+            Metric::ratio("share_ratio", "r", 0.5),
+        ];
+        let doc = Json::Obj(rows_json(&rows));
+        assert_eq!(doc.get("x").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("open.b").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("ratio").and_then(Json::as_f64), Some(0.5));
+    }
+}

@@ -5,250 +5,156 @@
 //! scraper, while staying a plain deterministic string for tests.
 
 use crate::hist::{bucket_upper_bound, Histogram};
-use crate::{OpCounters, Snapshot};
+use crate::{AlertKind, AlertSeverity, Kind, OpCounters, Snapshot, Value};
+use std::fmt::{Display, Write as _};
+
+/// One open family: its `# HELP` / `# TYPE` header is written, `put`
+/// writes its sample lines.
+struct Family<'a> {
+    out: &'a mut String,
+    name: &'a str,
+}
+
+fn family<'a>(out: &'a mut String, name: &'a str, help: &str, kind: &str) -> Family<'a> {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+    Family { out, name }
+}
+
+impl Family<'_> {
+    fn put(&mut self, labels: &[(&str, &str)], value: &dyn Display) {
+        sample(self.out, self.name, labels, value)
+    }
+}
+
+/// One sample line, `name{key="value",…} value`. The only place a label is
+/// rendered: stream labels are caller-supplied, so `\`, `"` and line feed
+/// are escaped as the exposition format requires.
+fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: &dyn Display) {
+    out.push_str(name);
+    for (i, (key, val)) in labels.iter().enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        out.push_str(key);
+        out.push_str("=\"");
+        for c in val.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    if !labels.is_empty() {
+        out.push('}');
+    }
+    let _ = writeln!(out, " {value}");
+}
+
+/// A family of per-counter-set samples: name, help, and which count it reads.
+type CounterFamily = (&'static str, &'static str, fn(&OpCounters) -> u64);
 
 /// Render a snapshot as Prometheus exposition text.
 pub fn render(snap: &Snapshot) -> String {
-    let mut out = String::new();
+    let mut text = String::new();
+    let out = &mut text;
 
-    out.push_str("# HELP share_commands_total Device commands observed.\n");
-    out.push_str("# TYPE share_commands_total counter\n");
-    out.push_str(&format!("share_commands_total {}\n", snap.commands));
+    family(out, "share_commands_total", "Device commands observed.", "counter")
+        .put(&[], &snap.commands);
 
-    out.push_str("# HELP share_op_ops_total Commands per op class.\n");
-    out.push_str("# TYPE share_op_ops_total counter\n");
-    for o in &snap.ops {
-        out.push_str(&format!("share_op_ops_total{{op=\"{}\"}} {}\n", o.op.name(), o.counters.ops));
-    }
-    out.push_str("# HELP share_op_pages_total Pages touched by successful commands per op class.\n");
-    out.push_str("# TYPE share_op_pages_total counter\n");
-    for o in &snap.ops {
-        out.push_str(&format!(
-            "share_op_pages_total{{op=\"{}\"}} {}\n",
-            o.op.name(),
-            o.counters.pages
-        ));
-    }
-    out.push_str("# HELP share_op_errors_total Failed commands per op class.\n");
-    out.push_str("# TYPE share_op_errors_total counter\n");
-    for o in &snap.ops {
-        out.push_str(&format!(
-            "share_op_errors_total{{op=\"{}\"}} {}\n",
-            o.op.name(),
-            o.counters.errors
-        ));
+    let per_op: [CounterFamily; 3] = [
+        ("share_op_ops_total", "Commands per op class.", |c| c.ops),
+        (
+            "share_op_pages_total",
+            "Pages touched by successful commands per op class.",
+            |c| c.pages,
+        ),
+        ("share_op_errors_total", "Failed commands per op class.", |c| c.errors),
+    ];
+    for (name, help, read) in per_op {
+        let mut f = family(out, name, help, "counter");
+        for o in &snap.ops {
+            f.put(&[("op", o.op.name())], &read(&o.counters));
+        }
     }
 
     if snap.ops.iter().any(|o| !o.hist.is_empty()) {
-        out.push_str("# HELP share_op_latency_ns Simulated command latency per op class.\n");
-        out.push_str("# TYPE share_op_latency_ns histogram\n");
+        let help = "Simulated command latency per op class.";
+        family(out, "share_op_latency_ns", help, "histogram");
         for o in &snap.ops {
             if !o.hist.is_empty() {
-                render_hist(&mut out, o.op.name(), &o.hist);
+                render_hist(out, o.op.name(), &o.hist);
             }
         }
     }
 
-    out.push_str("# HELP share_stream_ops_total Commands per stream and direction.\n");
-    out.push_str("# TYPE share_stream_ops_total counter\n");
-    for st in &snap.streams {
-        for (dir, c) in stream_dirs(st) {
-            out.push_str(&format!(
-                "share_stream_ops_total{{stream=\"{}\",dir=\"{}\"}} {}\n",
-                st.label, dir, c.ops
-            ));
-        }
-    }
-    out.push_str("# HELP share_stream_pages_total Pages per stream and direction.\n");
-    out.push_str("# TYPE share_stream_pages_total counter\n");
-    for st in &snap.streams {
-        for (dir, c) in stream_dirs(st) {
-            out.push_str(&format!(
-                "share_stream_pages_total{{stream=\"{}\",dir=\"{}\"}} {}\n",
-                st.label, dir, c.pages
-            ));
+    let per_stream: [CounterFamily; 2] = [
+        ("share_stream_ops_total", "Commands per stream and direction.", |c| c.ops),
+        ("share_stream_pages_total", "Pages per stream and direction.", |c| c.pages),
+    ];
+    for (name, help, read) in per_stream {
+        let mut f = family(out, name, help, "counter");
+        for st in &snap.streams {
+            for (dir, c) in [("read", &st.reads), ("write", &st.writes), ("other", &st.other)] {
+                f.put(&[("stream", &st.label), ("dir", dir)], &read(c));
+            }
         }
     }
 
-    out.push_str("# HELP share_stream_bg_pages_total Background NAND programs blamed per stream and cause (WA ledger).\n");
-    out.push_str("# TYPE share_stream_bg_pages_total counter\n");
+    let help = "Background NAND programs blamed per stream and cause (WA ledger).";
+    let mut f = family(out, "share_stream_bg_pages_total", help, "counter");
     for w in &snap.wa {
         for (cause, v) in [("gc", w.bg_gc), ("log_flush", w.bg_log), ("checkpoint", w.bg_ckpt)] {
-            out.push_str(&format!(
-                "share_stream_bg_pages_total{{stream=\"{}\",cause=\"{}\"}} {}\n",
-                w.label, cause, v
-            ));
+            f.put(&[("stream", &w.label), ("cause", cause)], &v);
         }
     }
 
-    if snap.queue.depth > 0 {
-        out.push_str("# HELP share_queue_depth Configured submission-queue depth.\n");
-        out.push_str("# TYPE share_queue_depth gauge\n");
-        out.push_str(&format!("share_queue_depth {}\n", snap.queue.depth));
-        out.push_str("# HELP share_queue_inflight Commands submitted but not yet reaped.\n");
-        out.push_str("# TYPE share_queue_inflight gauge\n");
-        out.push_str(&format!("share_queue_inflight {}\n", snap.queue.inflight));
-        out.push_str("# HELP share_queue_inflight_max High-water mark of in-flight commands.\n");
-        out.push_str("# TYPE share_queue_inflight_max gauge\n");
-        out.push_str(&format!("share_queue_inflight_max {}\n", snap.queue.max_inflight));
-        out.push_str("# HELP share_queue_submitted_total Queued commands submitted.\n");
-        out.push_str("# TYPE share_queue_submitted_total counter\n");
-        out.push_str(&format!("share_queue_submitted_total {}\n", snap.queue.submitted));
-        out.push_str("# HELP share_queue_reaped_total Completions reaped by the host.\n");
-        out.push_str("# TYPE share_queue_reaped_total counter\n");
-        out.push_str(&format!("share_queue_reaped_total {}\n", snap.queue.reaped));
-    }
-
-    if !snap.placement.classes.is_empty() {
-        out.push_str("# HELP share_placement_enabled Whether multi-streamed placement is on.\n");
-        out.push_str("# TYPE share_placement_enabled gauge\n");
-        out.push_str(&format!(
-            "share_placement_enabled {}\n",
-            u64::from(snap.placement.enabled)
-        ));
-        out.push_str("# HELP share_lane_steals_total Free-block pops that fell back to a foreign channel.\n");
-        out.push_str("# TYPE share_lane_steals_total counter\n");
-        out.push_str(&format!("share_lane_steals_total {}\n", snap.placement.lane_steals));
-        out.push_str("# HELP share_gc_stall_ns_total Simulated time foreground commands spent stalled on synchronous GC.\n");
-        out.push_str("# TYPE share_gc_stall_ns_total counter\n");
-        out.push_str(&format!("share_gc_stall_ns_total {}\n", snap.placement.gc_stall_ns));
-        out.push_str("# HELP share_gc_budget_deferrals_total Background GC steps that exhausted their per-command page budget.\n");
-        out.push_str("# TYPE share_gc_budget_deferrals_total counter\n");
-        out.push_str(&format!(
-            "share_gc_budget_deferrals_total {}\n",
-            snap.placement.gc_budget_deferrals
-        ));
-        out.push_str("# HELP share_placement_placed_pages_total Host pages placed per lifetime class.\n");
-        out.push_str("# TYPE share_placement_placed_pages_total counter\n");
-        for c in &snap.placement.classes {
-            out.push_str(&format!(
-                "share_placement_placed_pages_total{{class=\"{}\"}} {}\n",
-                c.label, c.placed_pages
-            ));
+    // Every device scalar: one loop over the rows the device declared.
+    let mut current = "";
+    for m in &snap.metrics {
+        if m.name != current {
+            current = m.name;
+            let kind = if m.kind == Kind::Counter { "counter" } else { "gauge" };
+            family(out, m.name, m.help, kind);
         }
-        out.push_str("# HELP share_placement_gc_moved_pages_total GC copyback pages relocated per lifetime class.\n");
-        out.push_str("# TYPE share_placement_gc_moved_pages_total counter\n");
-        for c in &snap.placement.classes {
-            out.push_str(&format!(
-                "share_placement_gc_moved_pages_total{{class=\"{}\"}} {}\n",
-                c.label, c.gc_moved_pages
-            ));
+        let label = m.label.as_ref().map(|(key, val)| (*key, val.as_str()));
+        match &m.value {
+            Value::U64(v) => sample(out, m.name, label.as_slice(), v),
+            Value::F64(v) => sample(out, m.name, label.as_slice(), v),
         }
-        out.push_str("# HELP share_placement_open_blocks Currently open write-point blocks per lifetime class.\n");
-        out.push_str("# TYPE share_placement_open_blocks gauge\n");
-        for c in &snap.placement.classes {
-            out.push_str(&format!(
-                "share_placement_open_blocks{{class=\"{}\"}} {}\n",
-                c.label, c.open_blocks
-            ));
-        }
-    }
-
-    if snap.snapshots.creates > 0 || snap.snapshots.live > 0 {
-        out.push_str("# HELP share_snapshots_live Live device snapshots.\n");
-        out.push_str("# TYPE share_snapshots_live gauge\n");
-        out.push_str(&format!("share_snapshots_live {}\n", snap.snapshots.live));
-        out.push_str("# HELP share_snapshot_frozen_pages Frozen logical-page entries across live snapshots.\n");
-        out.push_str("# TYPE share_snapshot_frozen_pages gauge\n");
-        out.push_str(&format!("share_snapshot_frozen_pages {}\n", snap.snapshots.frozen_pages));
-        out.push_str("# HELP share_snapshot_pinned_pages Distinct physical pages pinned against GC reclaim.\n");
-        out.push_str("# TYPE share_snapshot_pinned_pages gauge\n");
-        out.push_str(&format!("share_snapshot_pinned_pages {}\n", snap.snapshots.pinned_pages));
-        out.push_str("# HELP share_snapshot_creates_total Snapshots created.\n");
-        out.push_str("# TYPE share_snapshot_creates_total counter\n");
-        out.push_str(&format!("share_snapshot_creates_total {}\n", snap.snapshots.creates));
-        out.push_str("# HELP share_snapshot_drops_total Snapshots dropped.\n");
-        out.push_str("# TYPE share_snapshot_drops_total counter\n");
-        out.push_str(&format!("share_snapshot_drops_total {}\n", snap.snapshots.drops));
-        out.push_str("# HELP share_snapshot_clones_total Clone commands materialized from snapshots.\n");
-        out.push_str("# TYPE share_snapshot_clones_total counter\n");
-        out.push_str(&format!("share_snapshot_clones_total {}\n", snap.snapshots.clones));
-        out.push_str("# HELP share_snapshot_clone_pages_total Pages remapped into the live map by clones.\n");
-        out.push_str("# TYPE share_snapshot_clone_pages_total counter\n");
-        out.push_str(&format!("share_snapshot_clone_pages_total {}\n", snap.snapshots.clone_pages));
-        out.push_str("# HELP share_snapshot_reads_total Point-in-time page reads served from snapshots.\n");
-        out.push_str("# TYPE share_snapshot_reads_total counter\n");
-        out.push_str(&format!("share_snapshot_reads_total {}\n", snap.snapshots.reads));
-        out.push_str("# HELP share_snapshot_pinned_relocations_total GC relocations done only to keep pinned pages alive.\n");
-        out.push_str("# TYPE share_snapshot_pinned_relocations_total counter\n");
-        out.push_str(&format!(
-            "share_snapshot_pinned_relocations_total {}\n",
-            snap.snapshots.pinned_relocations
-        ));
-    }
-
-    if snap.health.data_blocks > 0 {
-        out.push_str("# HELP share_wear_erases_min Fewest erases of any data block.\n");
-        out.push_str("# TYPE share_wear_erases_min gauge\n");
-        out.push_str(&format!("share_wear_erases_min {}\n", snap.health.wear_min));
-        out.push_str("# HELP share_wear_erases_max Most erases of any data block.\n");
-        out.push_str("# TYPE share_wear_erases_max gauge\n");
-        out.push_str(&format!("share_wear_erases_max {}\n", snap.health.wear_max));
-        out.push_str("# HELP share_wear_erases_mean Mean erases per data block.\n");
-        out.push_str("# TYPE share_wear_erases_mean gauge\n");
-        out.push_str(&format!("share_wear_erases_mean {}\n", snap.health.wear_mean));
-        out.push_str("# HELP share_wear_erases_stddev Standard deviation of per-block erase counts.\n");
-        out.push_str("# TYPE share_wear_erases_stddev gauge\n");
-        out.push_str(&format!("share_wear_erases_stddev {}\n", snap.health.wear_stddev));
-        out.push_str("# HELP share_wear_skew Wear-leveling skew (max/mean erases; 1 = even).\n");
-        out.push_str("# TYPE share_wear_skew gauge\n");
-        out.push_str(&format!("share_wear_skew {}\n", snap.health.wear_skew));
-        out.push_str("# HELP share_free_blocks Data blocks currently free.\n");
-        out.push_str("# TYPE share_free_blocks gauge\n");
-        out.push_str(&format!("share_free_blocks {}\n", snap.health.free_blocks));
-        out.push_str("# HELP share_data_blocks Data blocks total.\n");
-        out.push_str("# TYPE share_data_blocks gauge\n");
-        out.push_str(&format!("share_data_blocks {}\n", snap.health.data_blocks));
-        out.push_str("# HELP share_remaining_life SMART-style remaining-life fraction (1 = new).\n");
-        out.push_str("# TYPE share_remaining_life gauge\n");
-        out.push_str(&format!("share_remaining_life {}\n", snap.health.remaining_life));
     }
 
     if !snap.alerts.is_empty() {
-        out.push_str("# HELP share_alerts_total SLO alerts fired, by threshold kind and severity.\n");
-        out.push_str("# TYPE share_alerts_total counter\n");
-        for kind in crate::AlertKind::ALL {
-            for severity in [crate::AlertSeverity::Warning, crate::AlertSeverity::Critical] {
-                let n = snap
-                    .alerts
-                    .iter()
-                    .filter(|a| a.kind == kind && a.severity == severity)
-                    .count() as u64;
+        let help = "SLO alerts fired, by threshold kind and severity.";
+        let mut f = family(out, "share_alerts_total", help, "counter");
+        for kind in AlertKind::ALL {
+            for severity in [AlertSeverity::Warning, AlertSeverity::Critical] {
+                let n =
+                    snap.alerts.iter().filter(|a| a.kind == kind && a.severity == severity).count();
                 if n > 0 {
-                    out.push_str(&format!(
-                        "share_alerts_total{{kind=\"{}\",severity=\"{}\"}} {}\n",
-                        kind.name(),
-                        severity.name(),
-                        n
-                    ));
+                    f.put(&[("kind", kind.name()), ("severity", severity.name())], &n);
                 }
             }
         }
     }
 
     if !snap.units.is_empty() {
-        out.push_str("# HELP share_unit_busy_ns_total Simulated busy time per NAND channel/way.\n");
-        out.push_str("# TYPE share_unit_busy_ns_total counter\n");
-        for u in &snap.units {
-            out.push_str(&format!(
-                "share_unit_busy_ns_total{{channel=\"{}\",way=\"{}\"}} {}\n",
-                u.channel, u.way, u.busy_ns
-            ));
+        let ids: Vec<(String, String)> =
+            snap.units.iter().map(|u| (u.channel.to_string(), u.way.to_string())).collect();
+        let help = "Simulated busy time per NAND channel/way.";
+        let mut f = family(out, "share_unit_busy_ns_total", help, "counter");
+        for (u, (ch, way)) in snap.units.iter().zip(&ids) {
+            f.put(&[("channel", ch), ("way", way)], &u.busy_ns);
         }
         if snap.now_ns > 0 {
-            out.push_str("# HELP share_unit_utilization Busy fraction of simulated time per NAND channel/way.\n");
-            out.push_str("# TYPE share_unit_utilization gauge\n");
-            for u in &snap.units {
-                out.push_str(&format!(
-                    "share_unit_utilization{{channel=\"{}\",way=\"{}\"}} {}\n",
-                    u.channel,
-                    u.way,
-                    u.busy_ns as f64 / snap.now_ns as f64
-                ));
+            let help = "Busy fraction of simulated time per NAND channel/way.";
+            let mut f = family(out, "share_unit_utilization", help, "gauge");
+            for (u, (ch, way)) in snap.units.iter().zip(&ids) {
+                f.put(&[("channel", ch), ("way", way)], &(u.busy_ns as f64 / snap.now_ns as f64));
             }
         }
     }
-    out
+    text
 }
 
 /// Why a exposition line could not be read back as a sample.
@@ -297,10 +203,6 @@ pub fn parse_sample_value(line: &str) -> Result<u64, SampleParseError> {
     value.parse().map_err(|_| SampleParseError::BadValue(value.to_string()))
 }
 
-fn stream_dirs(st: &crate::StreamSnapshot) -> [(&'static str, &OpCounters); 3] {
-    [("read", &st.reads), ("write", &st.writes), ("other", &st.other)]
-}
-
 fn render_hist(out: &mut String, op: &str, h: &Histogram) {
     let mut cum = 0u64;
     for (k, &n) in h.buckets.iter().enumerate() {
@@ -308,14 +210,12 @@ fn render_hist(out: &mut String, op: &str, h: &Histogram) {
             continue;
         }
         cum += n;
-        out.push_str(&format!(
-            "share_op_latency_ns_bucket{{op=\"{op}\",le=\"{}\"}} {cum}\n",
-            bucket_upper_bound(k)
-        ));
+        let le = bucket_upper_bound(k).to_string();
+        sample(out, "share_op_latency_ns_bucket", &[("op", op), ("le", &le)], &cum);
     }
-    out.push_str(&format!("share_op_latency_ns_bucket{{op=\"{op}\",le=\"+Inf\"}} {}\n", h.count));
-    out.push_str(&format!("share_op_latency_ns_sum{{op=\"{op}\"}} {}\n", h.sum));
-    out.push_str(&format!("share_op_latency_ns_count{{op=\"{op}\"}} {}\n", h.count));
+    sample(out, "share_op_latency_ns_bucket", &[("op", op), ("le", "+Inf")], &h.count);
+    sample(out, "share_op_latency_ns_sum", &[("op", op)], &h.sum);
+    sample(out, "share_op_latency_ns_count", &[("op", op)], &h.count);
 }
 
 #[cfg(test)]
@@ -379,20 +279,62 @@ mod tests {
     }
 
     #[test]
-    fn renders_queue_gauges_when_queueing_enabled() {
-        use crate::QueueGauges;
-        let t = Telemetry::default();
-        let mut snap = t.snapshot();
-        // Sync-only snapshot: no queue block at all.
+    fn renders_device_rows_once_per_family() {
+        use crate::{Metric, QueueGauges};
+        let mut snap = Telemetry::default().snapshot();
+        // Bare snapshot: no device rows at all.
         assert!(!snap.to_prometheus().contains("share_queue_"));
-        snap.queue =
-            QueueGauges { depth: 16, inflight: 3, max_inflight: 9, submitted: 120, reaped: 117 };
+        snap.metrics =
+            QueueGauges { depth: 16, inflight: 3, max_inflight: 9, submitted: 120, reaped: 117 }
+                .rows();
+        for class in ["default", "cold"] {
+            snap.metrics.push(Metric {
+                label: Some(("class", class.into())),
+                ..Metric::gauge("share_placement_open_blocks", "Open blocks.", 2)
+            });
+        }
+        snap.metrics.push(Metric::ratio("share_wear_skew", "Skew.", 2.0));
+        snap.metrics.push(Metric::ratio("share_remaining_life", "Life.", 0.9985));
         let text = snap.to_prometheus();
         assert!(text.contains("share_queue_depth 16\n"));
         assert!(text.contains("share_queue_inflight 3\n"));
         assert!(text.contains("share_queue_inflight_max 9\n"));
-        assert!(text.contains("share_queue_submitted_total 120\n"));
+        assert!(text.contains(
+            "# TYPE share_queue_submitted_total counter\nshare_queue_submitted_total 120\n"
+        ));
         assert!(text.contains("share_queue_reaped_total 117\n"));
+        assert!(text.contains(
+            "# TYPE share_placement_open_blocks gauge\n\
+             share_placement_open_blocks{class=\"default\"} 2\n\
+             share_placement_open_blocks{class=\"cold\"} 2\n"
+        ));
+        assert_eq!(text.matches("# HELP share_placement_open_blocks ").count(), 1);
+        assert!(text.contains("share_wear_skew 2\n"));
+        assert!(text.contains("share_remaining_life 0.9985\n"));
+    }
+
+    #[test]
+    fn label_values_are_escaped_and_every_sample_reads_back() {
+        use crate::BlameKind;
+        let mut t = Telemetry::default();
+        let weird = t.intern("we\"ird\\\nlabel");
+        t.set_stream(weird);
+        t.record(OpClass::Write, 0, 5, 0, 10, true);
+        t.blame(weird, BlameKind::Gc, 2);
+        let text = t.snapshot().to_prometheus();
+        assert!(
+            text.contains(
+                "share_stream_pages_total{stream=\"we\\\"ird\\\\\\nlabel\",dir=\"write\"} 5\n"
+            ),
+            "{text}"
+        );
+        let mut hits = 0;
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            super::parse_sample_value(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            hits += usize::from(line.contains("ird"));
+        }
+        // Three directions of ops and of pages, three blame causes.
+        assert_eq!(hits, 9);
     }
 
     #[test]
@@ -417,55 +359,24 @@ mod tests {
     }
 
     #[test]
-    fn renders_health_gauges_and_alert_counts_when_present() {
-        use crate::{Alert, AlertKind, AlertSeverity, HealthGauges};
-        let t = Telemetry::default();
-        let mut snap = t.snapshot();
-        // Bare snapshot: neither block appears.
-        let bare = snap.to_prometheus();
-        assert!(!bare.contains("share_wear_") && !bare.contains("share_alerts_total"));
-        snap.health = HealthGauges {
-            wear_min: 2,
-            wear_max: 9,
-            wear_mean: 4.5,
-            wear_stddev: 1.25,
-            wear_skew: 2.0,
-            free_blocks: 17,
-            data_blocks: 64,
-            remaining_life: 0.9985,
-            endurance_cycles: 3000,
+    fn renders_alert_counts_when_present() {
+        use crate::{Alert, AlertKind, AlertSeverity};
+        let mut snap = Telemetry::default().snapshot();
+        assert!(!snap.to_prometheus().contains("share_alerts_total"));
+        let alert = |epoch, kind, severity| Alert {
+            epoch,
+            ns: epoch * 10,
+            kind,
+            severity,
+            value: 1.0,
+            threshold: 4.0,
         };
         snap.alerts = vec![
-            Alert {
-                epoch: 1,
-                ns: 10,
-                kind: AlertKind::FreeBlocks,
-                severity: AlertSeverity::Critical,
-                value: 1.0,
-                threshold: 4.0,
-            },
-            Alert {
-                epoch: 2,
-                ns: 20,
-                kind: AlertKind::FreeBlocks,
-                severity: AlertSeverity::Critical,
-                value: 0.0,
-                threshold: 4.0,
-            },
-            Alert {
-                epoch: 2,
-                ns: 20,
-                kind: AlertKind::GcStall,
-                severity: AlertSeverity::Warning,
-                value: 9.0,
-                threshold: 5.0,
-            },
+            alert(1, AlertKind::FreeBlocks, AlertSeverity::Critical),
+            alert(2, AlertKind::FreeBlocks, AlertSeverity::Critical),
+            alert(2, AlertKind::GcStall, AlertSeverity::Warning),
         ];
         let text = snap.to_prometheus();
-        assert!(text.contains("share_wear_erases_max 9\n"));
-        assert!(text.contains("share_wear_skew 2\n"));
-        assert!(text.contains("share_free_blocks 17\n"));
-        assert!(text.contains("share_remaining_life 0.9985\n"));
         assert!(text.contains("share_alerts_total{kind=\"free_blocks\",severity=\"critical\"} 2\n"));
         assert!(text.contains("share_alerts_total{kind=\"gc_stall\",severity=\"warning\"} 1\n"));
         assert!(!text.contains("severity=\"warning\"} 0"));

@@ -213,14 +213,32 @@ impl<D: BlockDevice> Vfs<D> {
 
     // ----- tracing --------------------------------------------------------
 
-    /// Open a VFS-layer span at the current simulated time. No-op (returns
-    /// `SpanId::NONE`) unless the device was built with tracing enabled.
-    fn span_begin(&self, name: &'static str) -> SpanId {
-        self.tracer.begin(Layer::Vfs, name, Track::Vfs, self.dev.clock().now_ns())
+    /// The VFS frame every traced operation runs in: a VFS-layer span
+    /// around `body` on the simulated clock, closed with `pages` and the
+    /// outcome. The span calls are no-ops unless the device was built with
+    /// tracing enabled.
+    fn traced<T>(
+        &mut self,
+        name: &'static str,
+        pages: u64,
+        body: impl FnOnce(&mut Self) -> Result<T, VfsError>,
+    ) -> Result<T, VfsError> {
+        let span = self.tracer.begin(Layer::Vfs, name, Track::Vfs, self.dev.clock().now_ns());
+        let r = body(self);
+        self.tracer.end(span, self.dev.clock().now_ns(), pages, r.is_ok());
+        r
     }
 
-    fn span_end(&self, id: SpanId, pages: u64, ok: bool) {
-        self.tracer.end(id, self.dev.clock().now_ns(), pages, ok);
+    /// Open a root span on the engine track (no-op without tracing).
+    /// Engines bracket each public operation with this and
+    /// [`Vfs::end_span`].
+    pub fn root_span(&self, name: &'static str) -> SpanId {
+        self.tracer.begin(Layer::Engine, name, Track::Engine, self.dev.clock().now_ns())
+    }
+
+    /// Close a span opened by [`Vfs::root_span`].
+    pub fn end_span(&self, id: SpanId, ok: bool) {
+        self.tracer.end(id, self.dev.clock().now_ns(), 0, ok);
     }
 
     // ----- telemetry streams ----------------------------------------------
@@ -283,46 +301,36 @@ impl<D: BlockDevice> Vfs<D> {
 
     /// Delete a file, TRIMming and releasing its pages.
     pub fn delete(&mut self, name: &str) -> Result<(), VfsError> {
-        let span = self.span_begin("delete");
-        let r = self.delete_inner(name);
-        self.span_end(span, 0, r.is_ok());
-        r
-    }
-
-    fn delete_inner(&mut self, name: &str) -> Result<(), VfsError> {
-        let id = self.names.remove(name).ok_or_else(|| VfsError::NotFound(name.into()))?;
-        let file = self.files.remove(&id).expect("name table out of sync");
-        self.dev.set_stream(self.stream_of(id));
-        self.streams.remove(&id);
-        for e in file.extents {
-            self.dev.trim(Lpn(e.start), e.len)?;
-            self.alloc.release(e);
-        }
-        self.meta_dirty = true;
-        Ok(())
+        self.traced("delete", 0, |fs| {
+            let id = fs.names.remove(name).ok_or_else(|| VfsError::NotFound(name.into()))?;
+            let file = fs.files.remove(&id).expect("name table out of sync");
+            fs.dev.set_stream(fs.stream_of(id));
+            fs.streams.remove(&id);
+            for e in file.extents {
+                fs.dev.trim(Lpn(e.start), e.len)?;
+                fs.alloc.release(e);
+            }
+            fs.meta_dirty = true;
+            Ok(())
+        })
     }
 
     /// Rename a file (used by compaction to swap the new database in).
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), VfsError> {
-        let span = self.span_begin("rename");
-        let r = self.rename_inner(from, to);
-        self.span_end(span, 0, r.is_ok());
-        r
-    }
-
-    fn rename_inner(&mut self, from: &str, to: &str) -> Result<(), VfsError> {
-        if self.names.contains_key(to) {
-            return Err(VfsError::Exists(to.into()));
-        }
-        let id = self.names.remove(from).ok_or_else(|| VfsError::NotFound(from.into()))?;
-        self.names.insert(to.into(), id);
-        self.files.get_mut(&id).expect("name table out of sync").name = to.into();
-        // The stream label follows the new name (compaction swaps a scratch
-        // file in as the live database; its traffic should read as such).
-        let stream = self.dev.stream_intern(to);
-        self.streams.insert(id, stream);
-        self.meta_dirty = true;
-        Ok(())
+        self.traced("rename", 0, |fs| {
+            if fs.names.contains_key(to) {
+                return Err(VfsError::Exists(to.into()));
+            }
+            let id = fs.names.remove(from).ok_or_else(|| VfsError::NotFound(from.into()))?;
+            fs.names.insert(to.into(), id);
+            fs.files.get_mut(&id).expect("name table out of sync").name = to.into();
+            // The stream label follows the new name (compaction swaps a scratch
+            // file in as the live database; its traffic should read as such).
+            let stream = fs.dev.stream_intern(to);
+            fs.streams.insert(id, stream);
+            fs.meta_dirty = true;
+            Ok(())
+        })
     }
 
     fn file(&self, f: FileId) -> Result<&FileInner, VfsError> {
@@ -396,45 +404,35 @@ impl<D: BlockDevice> Vfs<D> {
     /// Write one page at index `page`, growing the file as needed
     /// (`O_DIRECT`-style: page-aligned, no cache).
     pub fn write_page(&mut self, f: FileId, page: u64, data: &[u8]) -> Result<(), VfsError> {
-        let span = self.span_begin("write_page");
-        let r = self.write_page_inner(f, page, data);
-        self.span_end(span, 1, r.is_ok());
-        r
-    }
-
-    fn write_page_inner(&mut self, f: FileId, page: u64, data: &[u8]) -> Result<(), VfsError> {
-        if data.len() != self.dev.page_size() {
-            return Err(VfsError::BadBufferLength { got: data.len(), want: self.dev.page_size() });
-        }
-        if self.file(f)?.allocated_pages() <= page {
-            self.fallocate(f, page + 1)?;
-        }
-        let lpn = self.lpn_of(f, page)?;
-        self.dev.set_stream(self.stream_of(f.0));
-        self.dev.write(lpn, data)?;
-        let file = self.files.get_mut(&f.0).expect("checked above");
-        file.len_pages = file.len_pages.max(page + 1);
-        self.data_dirty = true;
-        Ok(())
+        self.traced("write_page", 1, |fs| {
+            if data.len() != fs.dev.page_size() {
+                return Err(VfsError::BadBufferLength { got: data.len(), want: fs.dev.page_size() });
+            }
+            if fs.file(f)?.allocated_pages() <= page {
+                fs.fallocate(f, page + 1)?;
+            }
+            let lpn = fs.lpn_of(f, page)?;
+            fs.dev.set_stream(fs.stream_of(f.0));
+            fs.dev.write(lpn, data)?;
+            let file = fs.files.get_mut(&f.0).expect("checked above");
+            file.len_pages = file.len_pages.max(page + 1);
+            fs.data_dirty = true;
+            Ok(())
+        })
     }
 
     /// Read one page. Pages past the allocation fail; allocated-but-unwritten
     /// pages read as zeros.
     pub fn read_page(&mut self, f: FileId, page: u64, buf: &mut [u8]) -> Result<(), VfsError> {
-        let span = self.span_begin("read_page");
-        let r = self.read_page_inner(f, page, buf);
-        self.span_end(span, 1, r.is_ok());
-        r
-    }
-
-    fn read_page_inner(&mut self, f: FileId, page: u64, buf: &mut [u8]) -> Result<(), VfsError> {
-        if buf.len() != self.dev.page_size() {
-            return Err(VfsError::BadBufferLength { got: buf.len(), want: self.dev.page_size() });
-        }
-        let lpn = self.lpn_of(f, page)?;
-        self.dev.set_stream(self.stream_of(f.0));
-        self.dev.read(lpn, buf)?;
-        Ok(())
+        self.traced("read_page", 1, |fs| {
+            if buf.len() != fs.dev.page_size() {
+                return Err(VfsError::BadBufferLength { got: buf.len(), want: fs.dev.page_size() });
+            }
+            let lpn = fs.lpn_of(f, page)?;
+            fs.dev.set_stream(fs.stream_of(f.0));
+            fs.dev.read(lpn, buf)?;
+            Ok(())
+        })
     }
 
     /// Write several pages of one file as one batched device submission
@@ -442,37 +440,32 @@ impl<D: BlockDevice> Vfs<D> {
     /// Ordinary-write durability semantics — NOT atomic across power loss;
     /// use [`Vfs::write_pages_atomic`] for that.
     pub fn write_pages(&mut self, f: FileId, pages: &[(u64, &[u8])]) -> Result<(), VfsError> {
-        let span = self.span_begin("write_pages");
-        let r = self.write_pages_inner(f, pages);
-        self.span_end(span, pages.len() as u64, r.is_ok());
-        r
-    }
-
-    fn write_pages_inner(&mut self, f: FileId, pages: &[(u64, &[u8])]) -> Result<(), VfsError> {
-        let ps = self.dev.page_size();
-        let mut max_page = 0;
-        for (p, data) in pages {
-            if data.len() != ps {
-                return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
+        self.traced("write_pages", pages.len() as u64, |fs| {
+            let ps = fs.dev.page_size();
+            let mut max_page = 0;
+            for (p, data) in pages {
+                if data.len() != ps {
+                    return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
+                }
+                max_page = max_page.max(p + 1);
             }
-            max_page = max_page.max(p + 1);
-        }
-        if pages.is_empty() {
-            return Ok(());
-        }
-        if self.files.get(&f.0).map(|x| x.allocated_pages()).unwrap_or(0) < max_page {
-            self.fallocate(f, max_page)?;
-        }
-        let mut batch = Vec::with_capacity(pages.len());
-        for (p, data) in pages {
-            batch.push((self.lpn_of(f, *p)?, *data));
-        }
-        self.dev.set_stream(self.stream_of(f.0));
-        self.dev.write_batch(&batch)?;
-        let file = self.files.get_mut(&f.0).expect("resolved above");
-        file.len_pages = file.len_pages.max(max_page);
-        self.data_dirty = true;
-        Ok(())
+            if pages.is_empty() {
+                return Ok(());
+            }
+            if fs.files.get(&f.0).map(|x| x.allocated_pages()).unwrap_or(0) < max_page {
+                fs.fallocate(f, max_page)?;
+            }
+            let mut batch = Vec::with_capacity(pages.len());
+            for (p, data) in pages {
+                batch.push((fs.lpn_of(f, *p)?, *data));
+            }
+            fs.dev.set_stream(fs.stream_of(f.0));
+            fs.dev.write_batch(&batch)?;
+            let file = fs.files.get_mut(&f.0).expect("resolved above");
+            file.len_pages = file.len_pages.max(max_page);
+            fs.data_dirty = true;
+            Ok(())
+        })
     }
 
     /// Read several pages of one file as one batched device submission.
@@ -481,32 +474,22 @@ impl<D: BlockDevice> Vfs<D> {
         f: FileId,
         reqs: &mut [(u64, &mut [u8])],
     ) -> Result<(), VfsError> {
-        let span = self.span_begin("read_pages");
-        let pages = reqs.len() as u64;
-        let r = self.read_pages_inner(f, reqs);
-        self.span_end(span, pages, r.is_ok());
-        r
-    }
-
-    fn read_pages_inner(
-        &mut self,
-        f: FileId,
-        reqs: &mut [(u64, &mut [u8])],
-    ) -> Result<(), VfsError> {
-        let ps = self.dev.page_size();
-        for (_, buf) in reqs.iter() {
-            if buf.len() != ps {
-                return Err(VfsError::BadBufferLength { got: buf.len(), want: ps });
+        self.traced("read_pages", reqs.len() as u64, |fs| {
+            let ps = fs.dev.page_size();
+            for (_, buf) in reqs.iter() {
+                if buf.len() != ps {
+                    return Err(VfsError::BadBufferLength { got: buf.len(), want: ps });
+                }
             }
-        }
-        let mut batch: Vec<(Lpn, &mut [u8])> = Vec::with_capacity(reqs.len());
-        for (p, buf) in reqs.iter_mut() {
-            let lpn = self.lpn_of(f, *p)?;
-            batch.push((lpn, &mut buf[..]));
-        }
-        self.dev.set_stream(self.stream_of(f.0));
-        self.dev.read_batch(&mut batch)?;
-        Ok(())
+            let mut batch: Vec<(Lpn, &mut [u8])> = Vec::with_capacity(reqs.len());
+            for (p, buf) in reqs.iter_mut() {
+                let lpn = fs.lpn_of(f, *p)?;
+                batch.push((lpn, &mut buf[..]));
+            }
+            fs.dev.set_stream(fs.stream_of(f.0));
+            fs.dev.read_batch(&mut batch)?;
+            Ok(())
+        })
     }
 
     /// Clone `src` into a new file `dst_name` without copying data: the
@@ -515,71 +498,56 @@ impl<D: BlockDevice> Vfs<D> {
     /// copy-on-write at the FTL level — later writes to either file land
     /// on fresh physical pages. Requires a SHARE-capable device.
     pub fn clone_file(&mut self, src_name: &str, dst_name: &str) -> Result<FileId, VfsError> {
-        let span = self.span_begin("clone_file");
-        let r = self.clone_file_inner(src_name, dst_name);
-        self.span_end(span, 0, r.is_ok());
-        r
-    }
-
-    fn clone_file_inner(&mut self, src_name: &str, dst_name: &str) -> Result<FileId, VfsError> {
-        let src =
-            self.lookup(src_name).ok_or_else(|| VfsError::NotFound(src_name.into()))?;
-        let len = self.len_pages(src)?;
-        let dst = self.create(dst_name)?;
-        if len == 0 {
-            return Ok(dst);
-        }
-        self.fallocate(dst, len)?;
-        let pairs: Vec<(u64, u64)> = (0..len).map(|i| (i, i)).collect();
-        match self.ioctl_share_pairs(dst, src, &pairs) {
-            Ok(()) => Ok(dst),
-            Err(e) => {
-                // Roll the half-made clone back before reporting.
-                let _ = self.delete(dst_name);
-                Err(e)
+        self.traced("clone_file", 0, |fs| {
+            let src =
+                fs.lookup(src_name).ok_or_else(|| VfsError::NotFound(src_name.into()))?;
+            let len = fs.len_pages(src)?;
+            let dst = fs.create(dst_name)?;
+            if len == 0 {
+                return Ok(dst);
             }
-        }
+            fs.fallocate(dst, len)?;
+            let pairs: Vec<(u64, u64)> = (0..len).map(|i| (i, i)).collect();
+            match fs.ioctl_share_pairs(dst, src, &pairs) {
+                Ok(()) => Ok(dst),
+                Err(e) => {
+                    // Roll the half-made clone back before reporting.
+                    let _ = fs.delete(dst_name);
+                    Err(e)
+                }
+            }
+        })
     }
 
     /// TRIM a page range of a file (used by recovery truncation: stale
     /// blocks past a recovered tail must not masquerade as fresh data).
     pub fn trim_range(&mut self, f: FileId, from_page: u64, to_page: u64) -> Result<(), VfsError> {
-        let span = self.span_begin("trim_range");
-        let r = self.trim_range_inner(f, from_page, to_page);
-        self.span_end(span, to_page.saturating_sub(from_page), r.is_ok());
-        r
-    }
-
-    fn trim_range_inner(&mut self, f: FileId, from_page: u64, to_page: u64) -> Result<(), VfsError> {
-        self.dev.set_stream(self.stream_of(f.0));
-        for p in from_page..to_page {
-            let lpn = self.lpn_of(f, p)?;
-            self.dev.trim(lpn, 1)?;
-        }
-        Ok(())
+        self.traced("trim_range", to_page.saturating_sub(from_page), |fs| {
+            fs.dev.set_stream(fs.stream_of(f.0));
+            for p in from_page..to_page {
+                let lpn = fs.lpn_of(f, p)?;
+                fs.dev.trim(lpn, 1)?;
+            }
+            Ok(())
+        })
     }
 
     /// fsync: persist metadata if dirty, charge ordered-journal traffic,
     /// then flush the device.
     pub fn fsync(&mut self, f: FileId) -> Result<(), VfsError> {
-        let span = self.span_begin("fsync");
-        let r = self.fsync_inner(f);
-        self.span_end(span, 0, r.is_ok());
-        r
-    }
-
-    fn fsync_inner(&mut self, f: FileId) -> Result<(), VfsError> {
-        if self.meta_dirty {
-            self.write_snapshot()?;
-        }
-        if self.opts.journal_pages_per_commit > 0 && self.data_dirty {
-            self.write_journal_commit()?;
-        }
-        self.data_dirty = false;
-        // The flush is attributed to the file whose durability was asked for.
-        self.dev.set_stream(self.stream_of(f.0));
-        self.dev.flush()?;
-        Ok(())
+        self.traced("fsync", 0, |fs| {
+            if fs.meta_dirty {
+                fs.write_snapshot()?;
+            }
+            if fs.opts.journal_pages_per_commit > 0 && fs.data_dirty {
+                fs.write_journal_commit()?;
+            }
+            fs.data_dirty = false;
+            // The flush is attributed to the file whose durability was asked for.
+            fs.dev.set_stream(fs.stream_of(f.0));
+            fs.dev.flush()?;
+            Ok(())
+        })
     }
 
     // ----- queued I/O ----------------------------------------------------
@@ -718,6 +686,36 @@ impl<D: BlockDevice> Vfs<D> {
         self.dev.drain()
     }
 
+    /// Write a page batch, queued when the device supports asynchronous
+    /// submission so the pages overlap across NAND channels and with later
+    /// submissions; [`Vfs::barrier`] must run before any ordering point.
+    pub fn write_pages_overlapped(
+        &mut self,
+        f: FileId,
+        batch: &[(u64, &[u8])],
+    ) -> Result<(), VfsError> {
+        if self.supports_queue() && batch.len() > 1 {
+            // A shared queue can be saturated by other connections at
+            // commit time; the retry variant reaps completions and
+            // resubmits instead of failing the commit with `QueueFull`.
+            self.submit_write_pages_retry(f, batch)?;
+        } else {
+            self.write_pages(f, batch)?;
+        }
+        Ok(())
+    }
+
+    /// Reap every in-flight queued write, surfacing the first device
+    /// error. Required before fsync / SHARE / read ordering points.
+    pub fn barrier(&mut self) -> Result<(), VfsError> {
+        if self.supports_queue() && self.inflight() > 0 {
+            for c in self.drain_queue() {
+                c.result.map_err(VfsError::Device)?;
+            }
+        }
+        Ok(())
+    }
+
     // ----- SHARE ioctl ---------------------------------------------------
 
     /// Whether the mounted device supports SHARE.
@@ -747,38 +745,29 @@ impl<D: BlockDevice> Vfs<D> {
         f: FileId,
         pages: &[(u64, &[u8])],
     ) -> Result<(), VfsError> {
-        let span = self.span_begin("write_pages_atomic");
-        let r = self.write_pages_atomic_inner(f, pages);
-        self.span_end(span, pages.len() as u64, r.is_ok());
-        r
-    }
-
-    fn write_pages_atomic_inner(
-        &mut self,
-        f: FileId,
-        pages: &[(u64, &[u8])],
-    ) -> Result<(), VfsError> {
-        let ps = self.dev.page_size();
-        let mut max_page = 0;
-        for (p, data) in pages {
-            if data.len() != ps {
-                return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
+        self.traced("write_pages_atomic", pages.len() as u64, |fs| {
+            let ps = fs.dev.page_size();
+            let mut max_page = 0;
+            for (p, data) in pages {
+                if data.len() != ps {
+                    return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
+                }
+                max_page = max_page.max(p + 1);
             }
-            max_page = max_page.max(p + 1);
-        }
-        if self.files.get(&f.0).map(|x| x.allocated_pages()).unwrap_or(0) < max_page {
-            self.fallocate(f, max_page)?;
-        }
-        let mut batch = Vec::with_capacity(pages.len());
-        for (p, data) in pages {
-            batch.push((self.lpn_of(f, *p)?, *data));
-        }
-        self.dev.set_stream(self.stream_of(f.0));
-        self.dev.write_atomic(&batch)?;
-        let file = self.files.get_mut(&f.0).expect("resolved above");
-        file.len_pages = file.len_pages.max(max_page);
-        self.data_dirty = true;
-        Ok(())
+            if fs.files.get(&f.0).map(|x| x.allocated_pages()).unwrap_or(0) < max_page {
+                fs.fallocate(f, max_page)?;
+            }
+            let mut batch = Vec::with_capacity(pages.len());
+            for (p, data) in pages {
+                batch.push((fs.lpn_of(f, *p)?, *data));
+            }
+            fs.dev.set_stream(fs.stream_of(f.0));
+            fs.dev.write_atomic(&batch)?;
+            let file = fs.files.get_mut(&f.0).expect("resolved above");
+            file.len_pages = file.len_pages.max(max_page);
+            fs.data_dirty = true;
+            Ok(())
+        })
     }
 
     /// One atomic SHARE batch: remap `npages` pages of `dst` starting at
@@ -792,30 +781,19 @@ impl<D: BlockDevice> Vfs<D> {
         src_page: u64,
         npages: u64,
     ) -> Result<(), VfsError> {
-        let span = self.span_begin("ioctl_share");
-        let r = self.ioctl_share_inner(dst, dst_page, src, src_page, npages);
-        self.span_end(span, npages, r.is_ok());
-        r
-    }
-
-    fn ioctl_share_inner(
-        &mut self,
-        dst: FileId,
-        dst_page: u64,
-        src: FileId,
-        src_page: u64,
-        npages: u64,
-    ) -> Result<(), VfsError> {
-        let mut pairs = Vec::with_capacity(npages as usize);
-        for i in 0..npages {
-            pairs.push(SharePair::new(self.lpn_of(dst, dst_page + i)?, self.lpn_of(src, src_page + i)?));
-        }
-        // The destination range now logically holds data.
-        self.dev.set_stream(self.stream_of(dst.0));
-        self.dev.share(&pairs)?;
-        let file = self.files.get_mut(&dst.0).expect("resolved above");
-        file.len_pages = file.len_pages.max(dst_page + npages);
-        Ok(())
+        self.traced("ioctl_share", npages, |fs| {
+            let mut pairs = Vec::with_capacity(npages as usize);
+            for i in 0..npages {
+                let (d, s) = (fs.lpn_of(dst, dst_page + i)?, fs.lpn_of(src, src_page + i)?);
+                pairs.push(SharePair::new(d, s));
+            }
+            // The destination range now logically holds data.
+            fs.dev.set_stream(fs.stream_of(dst.0));
+            fs.dev.share(&pairs)?;
+            let file = fs.files.get_mut(&dst.0).expect("resolved above");
+            file.len_pages = file.len_pages.max(dst_page + npages);
+            Ok(())
+        })
     }
 
     /// Arbitrary pairs of (dst page, src page) across two files, chunked
@@ -827,31 +805,21 @@ impl<D: BlockDevice> Vfs<D> {
         src: FileId,
         pairs: &[(u64, u64)],
     ) -> Result<(), VfsError> {
-        let span = self.span_begin("ioctl_share_pairs");
-        let r = self.ioctl_share_pairs_inner(dst, src, pairs);
-        self.span_end(span, pairs.len() as u64, r.is_ok());
-        r
-    }
-
-    fn ioctl_share_pairs_inner(
-        &mut self,
-        dst: FileId,
-        src: FileId,
-        pairs: &[(u64, u64)],
-    ) -> Result<(), VfsError> {
-        let mut max_dst = 0;
-        let mut batch = Vec::with_capacity(pairs.len());
-        for &(d, s) in pairs {
-            batch.push(SharePair::new(self.lpn_of(dst, d)?, self.lpn_of(src, s)?));
-            max_dst = max_dst.max(d + 1);
-        }
-        // One device command; the device commits it in log-page-sized
-        // atomic sub-batches (per-batch atomicity suffices here).
-        self.dev.set_stream(self.stream_of(dst.0));
-        self.dev.share_batch(&batch)?;
-        let file = self.files.get_mut(&dst.0).expect("resolved above");
-        file.len_pages = file.len_pages.max(max_dst);
-        Ok(())
+        self.traced("ioctl_share_pairs", pairs.len() as u64, |fs| {
+            let mut max_dst = 0;
+            let mut batch = Vec::with_capacity(pairs.len());
+            for &(d, s) in pairs {
+                batch.push(SharePair::new(fs.lpn_of(dst, d)?, fs.lpn_of(src, s)?));
+                max_dst = max_dst.max(d + 1);
+            }
+            // One device command; the device commits it in log-page-sized
+            // atomic sub-batches (per-batch atomicity suffices here).
+            fs.dev.set_stream(fs.stream_of(dst.0));
+            fs.dev.share_batch(&batch)?;
+            let file = fs.files.get_mut(&dst.0).expect("resolved above");
+            file.len_pages = file.len_pages.max(max_dst);
+            Ok(())
+        })
     }
 
     // ----- snapshots ------------------------------------------------------
@@ -871,69 +839,59 @@ impl<D: BlockDevice> Vfs<D> {
     /// Freeze the current contents of `file_name` (up to its logical
     /// length) as snapshot `snap`. Zero-copy: no data pages are written.
     pub fn vfs_snapshot(&mut self, file_name: &str, snap: &str) -> Result<(), VfsError> {
-        let span = self.span_begin("vfs_snapshot");
-        let r = self.vfs_snapshot_inner(file_name, snap);
-        self.span_end(span, 0, r.is_ok());
-        r
-    }
-
-    fn vfs_snapshot_inner(&mut self, file_name: &str, snap: &str) -> Result<(), VfsError> {
-        if snap.is_empty() || snap.len() > MAX_NAME {
-            return Err(VfsError::BadName(snap.into()));
-        }
-        let f = self.lookup(file_name).ok_or_else(|| VfsError::NotFound(file_name.into()))?;
-        let (extents, len) = {
-            let file = self.file(f)?;
-            (file.extents.clone(), file.len_pages)
-        };
-        if len == 0 {
-            return Err(VfsError::OutOfBounds { file: f.0, page: 0, allocated: 0 });
-        }
-        self.dev.set_stream(self.stream_of(f.0));
-        let mut created: Vec<String> = Vec::new();
-        let mut remaining = len;
-        let mut failed = None;
-        for e in &extents {
-            if remaining == 0 {
-                break;
+        self.traced("vfs_snapshot", 0, |fs| {
+            if snap.is_empty() || snap.len() > MAX_NAME {
+                return Err(VfsError::BadName(snap.into()));
             }
-            let take = e.len.min(remaining);
-            let part = format!("{snap}.{}", created.len());
-            match self.dev.snapshot_create(&part, Lpn(e.start), take) {
-                Ok(_) => {
-                    created.push(part);
-                    remaining -= take;
-                }
-                Err(e) => {
-                    failed = Some(e);
+            let f = fs.lookup(file_name).ok_or_else(|| VfsError::NotFound(file_name.into()))?;
+            let (extents, len) = {
+                let file = fs.file(f)?;
+                (file.extents.clone(), file.len_pages)
+            };
+            if len == 0 {
+                return Err(VfsError::OutOfBounds { file: f.0, page: 0, allocated: 0 });
+            }
+            fs.dev.set_stream(fs.stream_of(f.0));
+            let mut created: Vec<String> = Vec::new();
+            let mut remaining = len;
+            let mut failed = None;
+            for e in &extents {
+                if remaining == 0 {
                     break;
                 }
+                let take = e.len.min(remaining);
+                let part = format!("{snap}.{}", created.len());
+                match fs.dev.snapshot_create(&part, Lpn(e.start), take) {
+                    Ok(_) => {
+                        created.push(part);
+                        remaining -= take;
+                    }
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
             }
-        }
-        if let Some(e) = failed {
-            // Roll the half-made snapshot back before reporting.
-            for part in created {
-                let _ = self.dev.snapshot_drop(&part);
+            if let Some(e) = failed {
+                // Roll the half-made snapshot back before reporting.
+                for part in created {
+                    let _ = fs.dev.snapshot_drop(&part);
+                }
+                return Err(e.into());
             }
-            return Err(e.into());
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Release snapshot `snap` (all its per-extent parts).
     pub fn vfs_snapshot_drop(&mut self, snap: &str) -> Result<(), VfsError> {
-        let span = self.span_begin("vfs_snapshot_drop");
-        let r = self.vfs_snapshot_drop_inner(snap);
-        self.span_end(span, 0, r.is_ok());
-        r
-    }
-
-    fn vfs_snapshot_drop_inner(&mut self, snap: &str) -> Result<(), VfsError> {
-        let parts = self.snapshot_parts(snap)?;
-        for p in parts {
-            self.dev.snapshot_drop(&p.name)?;
-        }
-        Ok(())
+        self.traced("vfs_snapshot_drop", 0, |fs| {
+            let parts = fs.snapshot_parts(snap)?;
+            for p in parts {
+                fs.dev.snapshot_drop(&p.name)?;
+            }
+            Ok(())
+        })
     }
 
     /// VFS-level snapshots on the device: `(name, frozen_pages)` pairs,
@@ -961,59 +919,44 @@ impl<D: BlockDevice> Vfs<D> {
         page: u64,
         buf: &mut [u8],
     ) -> Result<(), VfsError> {
-        let span = self.span_begin("vfs_snapshot_read");
-        let r = self.vfs_snapshot_read_inner(snap, page, buf);
-        self.span_end(span, 1, r.is_ok());
-        r
-    }
-
-    fn vfs_snapshot_read_inner(
-        &mut self,
-        snap: &str,
-        page: u64,
-        buf: &mut [u8],
-    ) -> Result<(), VfsError> {
-        if buf.len() != self.dev.page_size() {
-            return Err(VfsError::BadBufferLength { got: buf.len(), want: self.dev.page_size() });
-        }
-        let parts = self.snapshot_parts(snap)?;
-        let mut off = page;
-        for p in &parts {
-            if off < p.len {
-                self.dev.snapshot_read(&p.name, off, buf)?;
-                return Ok(());
+        self.traced("vfs_snapshot_read", 1, |fs| {
+            if buf.len() != fs.dev.page_size() {
+                return Err(VfsError::BadBufferLength { got: buf.len(), want: fs.dev.page_size() });
             }
-            off -= p.len;
-        }
-        let total: u64 = parts.iter().map(|p| p.len).sum();
-        Err(VfsError::OutOfBounds { file: 0, page, allocated: total })
+            let parts = fs.snapshot_parts(snap)?;
+            let mut off = page;
+            for p in &parts {
+                if off < p.len {
+                    fs.dev.snapshot_read(&p.name, off, buf)?;
+                    return Ok(());
+                }
+                off -= p.len;
+            }
+            let total: u64 = parts.iter().map(|p| p.len).sum();
+            Err(VfsError::OutOfBounds { file: 0, page, allocated: total })
+        })
     }
 
     /// Materialize snapshot `snap` as a new writable file `dst_name`
     /// without copying data: the clone's pages are remapped onto the
     /// snapshot's frozen physical pages (copy-on-write at the FTL level).
     pub fn vfs_clone(&mut self, snap: &str, dst_name: &str) -> Result<FileId, VfsError> {
-        let span = self.span_begin("vfs_clone");
-        let r = self.vfs_clone_inner(snap, dst_name);
-        self.span_end(span, 0, r.is_ok());
-        r
-    }
-
-    fn vfs_clone_inner(&mut self, snap: &str, dst_name: &str) -> Result<FileId, VfsError> {
-        let parts = self.snapshot_parts(snap)?;
-        let total: u64 = parts.iter().map(|p| p.len).sum();
-        let dst = self.create(dst_name)?;
-        if total == 0 {
-            return Ok(dst);
-        }
-        match self.vfs_clone_pages(&parts, dst, total) {
-            Ok(()) => Ok(dst),
-            Err(e) => {
-                // Roll the half-made clone back before reporting.
-                let _ = self.delete(dst_name);
-                Err(e)
+        self.traced("vfs_clone", 0, |fs| {
+            let parts = fs.snapshot_parts(snap)?;
+            let total: u64 = parts.iter().map(|p| p.len).sum();
+            let dst = fs.create(dst_name)?;
+            if total == 0 {
+                return Ok(dst);
             }
-        }
+            match fs.vfs_clone_pages(&parts, dst, total) {
+                Ok(()) => Ok(dst),
+                Err(e) => {
+                    // Roll the half-made clone back before reporting.
+                    let _ = fs.delete(dst_name);
+                    Err(e)
+                }
+            }
+        })
     }
 
     fn vfs_clone_pages(

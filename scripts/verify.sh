@@ -98,6 +98,15 @@ SHARE_METRICS_DIR="$VERIFY_TMP" ./target/release/trace_smoke
 echo "== health smoke (wear model + flight recorder + SLO engine) =="
 ./target/release/bench_health
 
+# Benchmark tier: `benchmark/` is a workspace of its own that compiles
+# against this tree's public types (`BlockDevice`, `DeviceStats`,
+# `Snapshot`), so neither command above builds it. Build it and run its
+# own tests from its committed lock file; `benchmark/target` is
+# git-ignored, so the tree check below still holds.
+echo "== benchmark package (builds and tests against this tree) =="
+CARGO_TARGET_DIR=benchmark/target cargo test --release --offline --locked \
+  --manifest-path benchmark/Cargo.toml
+
 # A verify run must not dirty the tree (it used to rewrite
 # BENCH_share.json on every run).
 echo "== working tree unchanged =="
