@@ -42,15 +42,6 @@ pub struct RecoveredCheckpoint {
     pub snap: Vec<u8>,
 }
 
-/// Serialize the L2P table into little-endian bytes.
-fn encode_table(l2p: &[Ppn]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(l2p.len() * 4);
-    for p in l2p {
-        bytes.extend_from_slice(&p.0.to_le_bytes());
-    }
-    bytes
-}
-
 fn slot_ppn(cfg: &FtlConfig, slot: u32, page_idx: u32) -> nand_sim::Ppn {
     let start = cfg.ckpt_slot_start(slot);
     let ppb = cfg.geometry.pages_per_block;
@@ -108,45 +99,35 @@ pub fn write_checkpoint(
         (0..cfg.ckpt_slot_blocks()).map(|b| BlockId(cfg.ckpt_slot_start(slot).0 + b)).collect();
     nand.erase_batch(&slot_blocks)?;
 
-    let table = encode_table(l2p);
-    let table_crc = crc32c(&table);
-    let table_pages = table.len().div_ceil(page_size) as u32;
-    let snap_crc = if snap.is_empty() { 0 } else { crc32c(snap) };
+    let table_bytes = l2p.len() * 4;
+    let table_pages = table_bytes.div_ceil(page_size) as u32;
     let snap_pages = snapshot_section_pages(cfg, snap.len());
 
-    // Header page, then the table, then the snapshot section, as one
-    // batched submission. Correctness never depends on their order: only
-    // the commit page (programmed strictly after, as its own submission)
-    // validates the snapshot, and a fault mid-batch stops the batch
-    // before it.
-    let mut pages = Vec::with_capacity(1 + table_pages as usize + snap_pages as usize);
-    let mut header = vec![0u8; page_size];
-    put_u32(&mut header, 0, CKPT_MAGIC);
-    put_u64(&mut header, 4, next_delta_seq);
-    put_u64(&mut header, 12, cfg.logical_pages);
-    put_u32(&mut header, 20, table_crc);
-    put_u64(&mut header, 24, generation);
-    put_u64(&mut header, 32, snap.len() as u64);
-    put_u32(&mut header, 40, snap_crc);
-    pages.push(header);
-    for i in 0..table_pages {
-        let mut page = vec![0u8; page_size];
-        let start = i as usize * page_size;
-        let end = (start + page_size).min(table.len());
-        page[..end - start].copy_from_slice(&table[start..end]);
-        pages.push(page);
+    // Header page, then the table, then the snapshot section: one
+    // zero-padded image, programmed as one batched submission. Correctness
+    // never depends on the pages' order: only the commit page (programmed
+    // strictly after, as its own submission) validates the snapshot, and a
+    // fault mid-batch stops the batch before it.
+    let mut image = vec![0u8; (1 + table_pages + snap_pages) as usize * page_size];
+    let (header, sections) = image.split_at_mut(page_size);
+    let (table, snap_section) = sections.split_at_mut(table_pages as usize * page_size);
+    for (entry, p) in table.chunks_exact_mut(4).zip(l2p) {
+        entry.copy_from_slice(&p.0.to_le_bytes());
     }
-    for i in 0..snap_pages {
-        let mut page = vec![0u8; page_size];
-        let start = i as usize * page_size;
-        let end = (start + page_size).min(snap.len());
-        page[..end - start].copy_from_slice(&snap[start..end]);
-        pages.push(page);
-    }
-    let programs: Vec<(nand_sim::Ppn, &[u8])> = pages
-        .iter()
+    snap_section[..snap.len()].copy_from_slice(snap);
+    let table_crc = crc32c(&table[..table_bytes]);
+    let snap_crc = if snap.is_empty() { 0 } else { crc32c(snap) };
+    put_u32(header, 0, CKPT_MAGIC);
+    put_u64(header, 4, next_delta_seq);
+    put_u64(header, 12, cfg.logical_pages);
+    put_u32(header, 20, table_crc);
+    put_u64(header, 24, generation);
+    put_u64(header, 32, snap.len() as u64);
+    put_u32(header, 40, snap_crc);
+    let programs: Vec<(nand_sim::Ppn, &[u8])> = image
+        .chunks(page_size)
         .enumerate()
-        .map(|(i, p)| (slot_ppn(cfg, slot, i as u32), p.as_slice()))
+        .map(|(i, page)| (slot_ppn(cfg, slot, i as u32), page))
         .collect();
     nand.program_batch(&programs)?;
 

@@ -58,9 +58,11 @@ pub struct DeltaLog {
     ring_start: BlockId,
     ring_blocks: u32,
     pages_per_block: u32,
-    page_size: usize,
     deltas_per_page: usize,
     buffered: Vec<Delta>,
+    /// The one page image every log page is encoded into before it is
+    /// programmed (the NAND copies it, so it is free again on return).
+    page: Vec<u8>,
     /// Next page sequence number to assign.
     next_seq: u64,
     /// Next page slot in the ring (0-based across the whole ring).
@@ -76,9 +78,9 @@ impl DeltaLog {
             ring_start: cfg.log_ring_start(),
             ring_blocks: cfg.log_blocks,
             pages_per_block: cfg.geometry.pages_per_block,
-            page_size: cfg.geometry.page_size,
             deltas_per_page: cfg.deltas_per_page(),
             buffered: Vec::new(),
+            page: vec![0u8; cfg.geometry.page_size],
             next_seq: first_seq,
             cursor: 0,
             pages_written: 0,
@@ -126,22 +128,23 @@ impl DeltaLog {
         nand_sim::Ppn(block.0 * self.pages_per_block + slot % self.pages_per_block)
     }
 
-    fn encode_page(&self, seq: u64, deltas: &[Delta]) -> Vec<u8> {
+    fn encode_page(&mut self, seq: u64, deltas: &[Delta]) {
         debug_assert!(deltas.len() <= self.deltas_per_page);
-        let mut page = vec![0u8; self.page_size];
+        let page = &mut self.page[..];
         let mut off = META_PAGE_HEADER;
         for d in deltas {
-            off = d.encode(&mut page, off);
+            off = d.encode(page, off);
         }
+        page[off..].fill(0);
         // CRC over the whole payload region (zero padding included) so a
         // torn program whose intact prefix happens to contain all deltas is
         // still detected — the torn tail reads 0xFF, not zero.
         let crc = crc32c(&page[META_PAGE_HEADER..]);
-        put_u32(&mut page, 0, DLOG_MAGIC);
-        put_u64(&mut page, 4, seq);
-        put_u32(&mut page, 12, deltas.len() as u32);
-        put_u32(&mut page, 16, crc);
-        page
+        page[..META_PAGE_HEADER].fill(0);
+        put_u32(page, 0, DLOG_MAGIC);
+        put_u64(page, 4, seq);
+        put_u32(page, 12, deltas.len() as u32);
+        put_u32(page, 16, crc);
     }
 
     fn program_page(&mut self, nand: &mut NandArray, deltas: &[Delta]) -> Result<(), FtlError> {
@@ -151,9 +154,9 @@ impl DeltaLog {
             return Err(FtlError::RecoveryCorrupt("delta-log ring overflow".into()));
         }
         let seq = self.next_seq;
-        let page = self.encode_page(seq, deltas);
+        self.encode_page(seq, deltas);
         let ppn = self.ppn_of_slot(self.cursor);
-        nand.program(ppn, &page)?;
+        nand.program(ppn, &self.page)?;
         self.next_seq += 1;
         self.cursor += 1;
         self.pages_written += 1;
@@ -162,12 +165,16 @@ impl DeltaLog {
 
     /// Flush all buffered deltas to the ring (possibly multiple pages).
     pub fn flush(&mut self, nand: &mut NandArray) -> Result<(), FtlError> {
-        while !self.buffered.is_empty() {
-            let take = self.buffered.len().min(self.deltas_per_page);
-            let chunk: Vec<Delta> = self.buffered.drain(..take).collect();
-            self.program_page(nand, &chunk)?;
-        }
-        Ok(())
+        let buffered = std::mem::take(&mut self.buffered);
+        let mut done = 0;
+        let res = buffered.chunks(self.deltas_per_page).try_for_each(|chunk| {
+            // A page that fails to program takes its deltas with it.
+            done += chunk.len();
+            self.program_page(nand, chunk)
+        });
+        self.buffered = buffered;
+        self.buffered.drain(..done);
+        res
     }
 
     /// Persist `batch` atomically in one log page. Earlier buffered deltas
@@ -183,7 +190,10 @@ impl DeltaLog {
         if self.buffered.len() + batch.len() <= self.deltas_per_page {
             let mut page = std::mem::take(&mut self.buffered);
             page.extend_from_slice(batch);
-            return self.program_page(nand, &page);
+            let res = self.program_page(nand, &page);
+            page.clear();
+            self.buffered = page;
+            return res;
         }
         self.flush(nand)?;
         self.program_page(nand, batch)
@@ -204,9 +214,9 @@ impl DeltaLog {
     /// missing or corrupt page (a torn delta flush), which is exactly the
     /// all-or-nothing boundary SHARE atomicity relies on.
     pub fn recover(cfg: &FtlConfig, nand: &mut NandArray, min_seq: u64) -> Vec<DeltaPage> {
-        let log = DeltaLog::new(cfg, 0);
+        let mut log = DeltaLog::new(cfg, 0);
         let mut out = Vec::new();
-        let mut buf = vec![0u8; cfg.geometry.page_size];
+        let mut buf = std::mem::take(&mut log.page);
         let mut expect: Option<u64> = None;
         for slot in 0..log.ring_pages() {
             let ppn = log.ppn_of_slot(slot);

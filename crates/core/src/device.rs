@@ -420,7 +420,11 @@ impl BlockDevice for SimpleSsd {
             }
             return Err(FtlError::Nand(NandError::PowerLoss));
         }
-        self.pages[lpn.0 as usize] = Some(data.to_vec().into_boxed_slice());
+        // In-place medium: an overwrite reuses the page's memory.
+        match &mut self.pages[lpn.0 as usize] {
+            Some(page) => page.copy_from_slice(data),
+            slot => *slot = Some(data.to_vec().into_boxed_slice()),
+        }
         Ok(())
     }
 

@@ -144,6 +144,16 @@ struct GcJob {
     next_idx: u32,
 }
 
+/// Relocation scratch of the one GC loop, owned by the device and reused
+/// by every step (grown once to a block's worth, never shrunk): the step's
+/// live pages, their destinations, and their contents back to back.
+#[derive(Debug, Default)]
+struct GcScratch {
+    live: Vec<Ppn>,
+    dests: Vec<Ppn>,
+    data: Vec<u8>,
+}
+
 /// A flash device exposing the SHARE interface.
 #[derive(Debug)]
 pub struct Ftl {
@@ -181,6 +191,8 @@ pub struct Ftl {
     /// Persists across foreground commands until the victim is fully
     /// relocated, flushed, and erased.
     gc_job: Option<GcJob>,
+    /// Lent to each `gc_step` and taken back, so steps allocate no pages.
+    gc_scratch: GcScratch,
     /// Lifetime class per interned stream id (indexed by stream id;
     /// unclassified streams — including HOST and FTL — are the default
     /// class). Populated by `stream_intern` via `cfg.placement.classify`.
@@ -260,6 +272,7 @@ impl Ftl {
             cmd_stream: None,
             in_gc: false,
             gc_job: None,
+            gc_scratch: GcScratch::default(),
             stream_class: Vec::new(),
             block_blame: vec![Vec::new(); data_blocks],
             log_blame: Vec::new(),
@@ -565,11 +578,11 @@ impl Ftl {
         self.log_blame.iter_mut().for_each(|x| *x = 0);
         let slot = 1 - self.last_ckpt_slot;
         let seq = self.log.next_seq();
-        let l2p = self.map.l2p_raw().to_vec();
         let gen = self.next_ckpt_gen;
         let snap_bytes = self.snaps.encode();
+        let l2p = self.map.l2p_raw();
         let pages =
-            ckpt::write_checkpoint(&self.cfg, &mut self.nand, slot, gen, seq, &l2p, &snap_bytes)?;
+            ckpt::write_checkpoint(&self.cfg, &mut self.nand, slot, gen, seq, l2p, &snap_bytes)?;
         self.log.reset(&mut self.nand)?;
         self.last_ckpt_slot = slot;
         self.next_ckpt_gen = gen + 1;

@@ -71,10 +71,12 @@ impl Ftl {
     /// snapshots skips the live map entirely (it has no referrers there).
     fn relocate_mappings(&mut self, ppn: Ppn, dest: Ppn) -> Result<(), FtlError> {
         if self.map.is_live(ppn) {
-            for lpn in self.map.relocate(ppn, dest)? {
+            let moved = self.map.relocate(ppn, dest)?;
+            for &lpn in moved {
                 self.log.append(Delta { lpn, old: ppn, new: dest });
-                self.note_delta(STREAM_FTL, 1);
             }
+            let moved = moved.len() as u64;
+            self.note_delta(STREAM_FTL, moved);
         } else {
             self.stats.snapshot_pinned_relocations += 1;
         }
@@ -120,14 +122,16 @@ impl Ftl {
     /// was parked are skipped. Relocation keeps both live-map referents and
     /// snapshot-pinned pages (frozen data must survive the erase even when
     /// nothing in the live map references it anymore). Returns the pages
-    /// relocated this step.
-    fn gc_step(&mut self, budget: usize) -> Result<u64, FtlError> {
+    /// relocated this step. `scratch` is the device's relocation scratch,
+    /// lent by the caller for the step.
+    fn gc_step(&mut self, budget: usize, scratch: &mut GcScratch) -> Result<u64, FtlError> {
         let GcJob { rel, class, channel, next_idx } =
             *self.gc_job.as_ref().expect("gc_step without a job");
         let block = self.pool.abs(rel);
         let ppb = self.cfg.geometry.pages_per_block;
         let mut idx = next_idx;
-        let mut live: Vec<Ppn> = Vec::new();
+        let GcScratch { live, dests, data } = scratch;
+        live.clear();
         while idx < ppb && live.len() < budget {
             let ppn = self.cfg.geometry.ppn_at(block, idx);
             if self.map.is_live(ppn) || self.snaps.is_pinned(ppn) {
@@ -140,20 +144,23 @@ impl Ftl {
             // come from one block, hence one unit, so this mostly amortizes
             // the submission; the programs below batch across the GC lane).
             let page_size = self.cfg.geometry.page_size;
-            let mut bufs = vec![vec![0u8; page_size]; live.len()];
+            let need = live.len() * page_size;
+            if data.len() < need {
+                data.resize(need, 0);
+            }
             let mut reads: Vec<(Ppn, &mut [u8])> =
-                live.iter().zip(bufs.iter_mut()).map(|(&p, b)| (p, b.as_mut_slice())).collect();
+                live.iter().copied().zip(data.chunks_mut(page_size)).collect();
             self.nand.read_batch(&mut reads)?;
-            let mut dests = Vec::with_capacity(live.len());
-            for _ in &live {
+            dests.clear();
+            for _ in live.iter() {
                 let dest = self.pool.alloc(&self.nand, WritePoint::Gc { class, channel })?;
                 self.nand.set_block_tag(self.cfg.geometry.block_of(dest), class as u32);
                 dests.push(dest);
             }
             let programs: Vec<(Ppn, &[u8])> =
-                dests.iter().zip(&bufs).map(|(&d, b)| (d, b.as_slice())).collect();
+                dests.iter().copied().zip(data.chunks(page_size)).collect();
             self.nand.program_batch(&programs)?;
-            for (&ppn, &dest) in live.iter().zip(&dests) {
+            for (&ppn, &dest) in live.iter().zip(dests.iter()) {
                 self.relocate_mappings(ppn, dest)?;
                 self.stats.copyback_pages += 1;
             }
@@ -191,7 +198,9 @@ impl Ftl {
         let saved = background.then(|| self.nand.begin_background());
         let r = self.internal_pass("gc", OpClass::Gc, None, victim.0 as u64, |f| {
             f.in_gc = true;
-            let r = f.gc_step(budget);
+            let mut scratch = std::mem::take(&mut f.gc_scratch);
+            let r = f.gc_step(budget, &mut scratch);
+            f.gc_scratch = scratch;
             f.in_gc = false;
             r
         });

@@ -12,8 +12,9 @@
 
 use crate::error::FtlError;
 use crate::types::{Lpn, Ppn};
+use crate::util::FixedState;
 use nand_sim::{BlockId, NandGeometry};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Outcome of unmapping an LPN: the PPN it pointed to, if it is now dead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,9 +46,9 @@ pub enum RevMapPolicy {
 /// paper can cap it at a few hundred entries (§4.2.1).
 #[derive(Debug)]
 pub struct RevMap {
-    entries: HashMap<Ppn, Vec<Lpn>>,
+    entries: HashMap<Ppn, Vec<Lpn>, FixedState>,
     /// Pages whose extra references exceed the table; resolved by scan.
-    overflowed: std::collections::HashSet<Ppn>,
+    overflowed: HashSet<Ppn, FixedState>,
     len: usize,
     capacity: usize,
 }
@@ -55,7 +56,7 @@ pub struct RevMap {
 impl RevMap {
     /// A table holding at most `capacity` extra references.
     pub fn new(capacity: usize) -> Self {
-        Self { entries: HashMap::new(), overflowed: Default::default(), len: 0, capacity }
+        Self { entries: HashMap::default(), overflowed: HashSet::default(), len: 0, capacity }
     }
 
     /// Whether `ppn`'s extra references spilled out of the table.
@@ -146,6 +147,8 @@ pub struct MappingTable {
     revmap: RevMap,
     policy: RevMapPolicy,
     valid_per_block: Vec<u32>,
+    /// The LPNs the last [`Self::relocate`] moved (reused, never shrunk).
+    moved: Vec<Lpn>,
 }
 
 impl MappingTable {
@@ -170,6 +173,7 @@ impl MappingTable {
             revmap: RevMap::new(revmap_capacity),
             policy,
             valid_per_block: vec![0; geometry.blocks as usize],
+            moved: Vec::new(),
         }
     }
 
@@ -223,16 +227,17 @@ impl MappingTable {
     /// falls back to a full L2P scan (the [`RevMapPolicy::ScanOnOverflow`]
     /// cost model: GC pays, commands never fail).
     pub fn referrers(&self, ppn: Ppn) -> Vec<Lpn> {
-        if self.revmap.is_overflowed(ppn) {
-            return self
-                .l2p
-                .iter()
-                .enumerate()
-                .filter(|(_, &p)| p == ppn)
-                .map(|(i, _)| Lpn(i as u64))
-                .collect();
-        }
         let mut out = Vec::new();
+        self.referrers_into(ppn, &mut out);
+        out
+    }
+
+    fn referrers_into(&self, ppn: Ppn, out: &mut Vec<Lpn>) {
+        if self.revmap.is_overflowed(ppn) {
+            let holders = self.l2p.iter().enumerate().filter(|(_, &p)| p == ppn);
+            out.extend(holders.map(|(i, _)| Lpn(i as u64)));
+            return;
+        }
         let p = self.primary[ppn.0 as usize];
         if p.is_valid() && self.l2p[p.0 as usize] == ppn {
             out.push(p);
@@ -241,7 +246,6 @@ impl MappingTable {
             debug_assert_eq!(self.l2p[l.0 as usize], ppn, "stale revmap entry");
             out.push(l);
         }
-        out
     }
 
     fn inc_ref(&mut self, ppn: Ppn) -> Result<(), FtlError> {
@@ -337,9 +341,12 @@ impl MappingTable {
     }
 
     /// Relocate all references of `from` to `to` (GC copyback). `to` must be
-    /// freshly programmed with the same content. Returns the moved LPNs.
-    pub fn relocate(&mut self, from: Ppn, to: Ppn) -> Result<Vec<Lpn>, FtlError> {
-        let lpns = self.referrers(from);
+    /// freshly programmed with the same content. Returns the moved LPNs,
+    /// valid until the next relocation.
+    pub fn relocate(&mut self, from: Ppn, to: Ppn) -> Result<&[Lpn], FtlError> {
+        let mut lpns = std::mem::take(&mut self.moved);
+        lpns.clear();
+        self.referrers_into(from, &mut lpns);
         debug_assert!(!lpns.is_empty(), "relocating dead page {from}");
         let (first, rest) = lpns.split_first().expect("live page has referrers");
         self.map_new_write(*first, to)?;
@@ -347,7 +354,8 @@ impl MappingTable {
             self.map_shared(lpn, to)?;
         }
         debug_assert!(!self.is_live(from), "source still live after relocation");
-        Ok(lpns)
+        self.moved = lpns;
+        Ok(&self.moved)
     }
 
     /// Extra rev-map slots a relocation of `ppn` will need at the

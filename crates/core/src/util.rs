@@ -1,4 +1,5 @@
-//! Small utilities: CRC-32C checksums and little-endian codec helpers.
+//! Small utilities: CRC-32C checksums, little-endian codec helpers and a
+//! fixed-state hasher.
 //!
 //! The FTL persists mapping metadata (delta-log pages, checkpoint pages) to
 //! flash; each such page carries a CRC so recovery can detect torn or
@@ -24,6 +25,43 @@ pub fn crc32c(data: &[u8]) -> u32 {
         crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Hasher with no per-process state, for hash tables keyed by numbers the
+/// device hands out itself (physical page numbers). `RandomState` seeds
+/// every table differently in every process, so where a table's probe
+/// sequences collide — and with that when it grows or rehashes — differs
+/// from run to run; on this hasher the same command sequence allocates the
+/// same way every time. It has no defence against chosen keys: never key
+/// it with values a caller picks.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FixedHasher(u64);
+
+/// `BuildHasher` of [`FixedHasher`].
+pub type FixedState = std::hash::BuildHasherDefault<FixedHasher>;
+
+impl std::hash::Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    /// SplitMix64's finalizer: the table takes its bucket from the low
+    /// bits and its tag from the high ones, so both must mix.
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 }
 
 /// Write a `u32` little-endian at `buf[off..off+4]` and return the next offset.
@@ -76,6 +114,19 @@ mod tests {
         let c1 = crc32c(&data);
         data[50] ^= 0x01;
         assert_ne!(c1, crc32c(&data));
+    }
+
+    #[test]
+    fn fixed_hasher_repeats_and_spreads_consecutive_keys() {
+        use std::hash::BuildHasher;
+        let hash = |ppn: u32| FixedState::default().hash_one(ppn);
+        assert_eq!(hash(7), hash(7), "no per-table or per-process state");
+        // Physical page numbers are handed out consecutively: neither the
+        // bucket bits (low) nor the tag bits (high 7) may repeat in a run.
+        let low: std::collections::HashSet<u64> = (0..1024).map(|p| hash(p) & 1023).collect();
+        let high: std::collections::HashSet<u64> = (0..1024).map(|p| hash(p) >> 57).collect();
+        assert!(low.len() > 512, "{} distinct bucket indexes of 1024", low.len());
+        assert_eq!(high.len(), 128);
     }
 
     #[test]

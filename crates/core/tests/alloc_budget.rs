@@ -1,0 +1,148 @@
+//! Allocation budget of the steady-state write path.
+//!
+//! Under the `BlockDevice` boundary page memory is owned and reused: NAND
+//! page buffers cycle through the array's spare list, GC relocates through
+//! the device's scratch, the delta log encodes into one page (DESIGN.md
+//! "Buffer ownership"). This test holds the device to it: on an aged, 85 %
+//! full `Ftl`, a window of overwrites, SHARE commits and trims that spans
+//! garbage collection, log flushes and a checkpoint may request less than
+//! half a KiB of heap per op — an eighth of one page, where one forgotten
+//! per-program or per-copyback buffer costs 4 KiB.
+//!
+//! The file holds one test on purpose: the counters are process-wide, and
+//! the harness runs the tests of one binary on parallel threads.
+
+use nand_sim::NandTiming;
+use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, SharePair};
+use share_rng::{Rng, StdRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+struct CountingAlloc;
+
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(new_size as u64, Relaxed);
+        // SAFETY: `ptr`/`layout` come from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr`/`layout` come from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const PAGE: usize = 4096;
+const LOGICAL_PAGES: u64 = 4096;
+/// Pages of one SHARE commit: journal writes, one `share`, one `trim`.
+const COMMIT_PAGES: u64 = 4;
+const WINDOW_OPS: u64 = 20_000;
+
+struct Rig {
+    ftl: Ftl,
+    rng: StdRng,
+    page: [u8; PAGE],
+    pairs: Vec<SharePair>,
+    home_pages: u64,
+}
+
+impl Rig {
+    fn overwrite(&mut self, lpn: u64) {
+        self.page.fill(self.rng.random());
+        self.ftl.write(Lpn(lpn), &self.page).unwrap();
+    }
+
+    /// The paper's usage pattern at device level: write journal copies,
+    /// remap them onto their home pages, trim the journal.
+    fn share_commit(&mut self, first_home: u64) {
+        let journal = self.home_pages;
+        self.pairs.clear();
+        for i in 0..COMMIT_PAGES {
+            self.overwrite(journal + i);
+            self.pairs.push(SharePair::new(Lpn(first_home + i), Lpn(journal + i)));
+        }
+        self.ftl.share(&self.pairs).unwrap();
+        self.ftl.trim(Lpn(journal), COMMIT_PAGES).unwrap();
+    }
+
+    fn op(&mut self) {
+        let lpn = self.rng.random_range(0..self.home_pages - COMMIT_PAGES);
+        match self.rng.random_range(0..10u32) {
+            0..=6 => self.overwrite(lpn),
+            7..=8 => self.share_commit(lpn),
+            _ => self.ftl.trim(Lpn(lpn), 1).unwrap(),
+        }
+    }
+}
+
+#[test]
+fn steady_state_write_path_stays_inside_its_allocation_budget() {
+    let cfg = FtlConfig::for_capacity_with(
+        LOGICAL_PAGES * PAGE as u64,
+        0.15,
+        PAGE,
+        64,
+        NandTiming::default(),
+    );
+    let home_pages = LOGICAL_PAGES * 85 / 100;
+    let mut rig = Rig {
+        ftl: Ftl::new(cfg),
+        rng: StdRng::seed_from_u64(7),
+        page: [0; PAGE],
+        pairs: Vec::with_capacity(COMMIT_PAGES as usize),
+        home_pages,
+    };
+    for lpn in 0..home_pages {
+        rig.overwrite(lpn);
+    }
+    // Age: every physical page has been programmed at least once (the spare
+    // list feeds all further programs) and the scratch has seen a full step.
+    for _ in 0..4 * LOGICAL_PAGES {
+        rig.op();
+    }
+    assert!(rig.ftl.stats().gc_events > 0, "aging must reach garbage collection");
+
+    let before = rig.ftl.stats();
+    let bytes_before = ALLOC_BYTES.load(Relaxed);
+    for _ in 0..WINDOW_OPS {
+        rig.op();
+    }
+    let bytes = ALLOC_BYTES.load(Relaxed) - bytes_before;
+    let window = rig.ftl.stats().delta_since(&before);
+
+    // The budget must cover GC, log flushes and a checkpoint, not an idle
+    // device.
+    assert!(window.gc_events >= 10, "window saw {} GC events", window.gc_events);
+    assert!(window.copyback_pages > 0 && window.shared_pages > 0 && window.trims > 0);
+    assert!(window.checkpoints >= 1, "window saw no checkpoint");
+    let kib_per_op = bytes as f64 / 1024.0 / WINDOW_OPS as f64;
+    assert!(
+        kib_per_op < 0.5,
+        "steady state requested {kib_per_op:.3} KiB/op of heap over {WINDOW_OPS} ops \
+         ({} GC events, {} copybacks, {} checkpoints)",
+        window.gc_events,
+        window.copyback_pages,
+        window.checkpoints
+    );
+    rig.ftl.check_invariants();
+}

@@ -14,16 +14,21 @@ const NIL: usize = usize::MAX;
 struct Frame {
     page: NodePage,
     dirty: bool,
+    /// Fetched for a lookup that has not found it yet: that lookup is the
+    /// miss, whichever call makes it.
+    fetched: bool,
     prev: usize,
     next: usize,
 }
 
-/// Pool hit/miss counters.
+/// Pool hit/miss counters. Every [`BufferPool::get_mut`] is one lookup and
+/// counts as exactly one of the two.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Lookups served from the pool.
     pub hits: u64,
-    /// Lookups that required a load.
+    /// Lookups that required a load: the page was absent, or the engine
+    /// had fetched it for this lookup ([`BufferPool::insert_fetched`]).
     pub misses: u64,
     /// Pages evicted.
     pub evictions: u64,
@@ -128,9 +133,14 @@ impl BufferPool {
     pub fn get_mut(&mut self, page_no: u64) -> Option<&mut NodePage> {
         match self.map.get(&page_no).copied() {
             Some(idx) => {
-                self.stats.hits += 1;
                 self.touch(idx);
-                Some(&mut self.frames[idx].as_mut().expect("mapped frame").page)
+                let frame = self.frames[idx].as_mut().expect("mapped frame");
+                if std::mem::take(&mut frame.fetched) {
+                    self.stats.misses += 1;
+                } else {
+                    self.stats.hits += 1;
+                }
+                Some(&mut frame.page)
             }
             None => {
                 self.stats.misses += 1;
@@ -144,14 +154,26 @@ impl BufferPool {
         self.map.get(&page_no).map(|&idx| &self.frames[idx].as_ref().expect("mapped frame").page)
     }
 
-    /// Insert a freshly loaded or created page. Panics if full or already
+    /// Insert a page created in memory. Panics if full or already
     /// resident — callers must make room first.
     pub fn insert(&mut self, page: NodePage, dirty: bool) {
+        self.place(page, dirty, false);
+    }
+
+    /// Insert a clean page the engine has just read from the tablespace.
+    /// The engine checks residency and loads *before* it looks a page up,
+    /// so the lookup never sees the page absent; the first one to find
+    /// this page is the miss that paid for the read.
+    pub fn insert_fetched(&mut self, page: NodePage) {
+        self.place(page, false, true);
+    }
+
+    fn place(&mut self, page: NodePage, dirty: bool, fetched: bool) {
         assert!(self.len() < self.capacity, "pool full: make room before insert");
         assert!(!self.contains(page.page_no), "page {} already resident", page.page_no);
         let idx = self.free.pop().expect("free frame exists when below capacity");
         let page_no = page.page_no;
-        self.frames[idx] = Some(Frame { page, dirty, prev: NIL, next: NIL });
+        self.frames[idx] = Some(Frame { page, dirty, fetched, prev: NIL, next: NIL });
         self.map.insert(page_no, idx);
         self.push_front(idx);
         if dirty {
@@ -285,6 +307,18 @@ mod tests {
         assert_eq!(p.stats().hits, 1);
         assert_eq!(p.stats().misses, 1);
         assert_eq!(p.stats().evictions, 1);
+    }
+
+    #[test]
+    fn first_lookup_of_a_fetched_page_is_the_miss() {
+        let mut p = BufferPool::new(8);
+        p.insert_fetched(page(1));
+        p.insert(page(2), true); // created, not fetched
+        for _ in 0..3 {
+            assert!(p.get_mut(1).is_some());
+        }
+        assert!(p.get_mut(2).is_some());
+        assert_eq!((p.stats().hits, p.stats().misses), (3, 1));
     }
 
     #[test]

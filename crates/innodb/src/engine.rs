@@ -382,7 +382,7 @@ impl<D: BlockDevice> InnoDb<D> {
         }
         for (img, &no) in imgs.iter().zip(&missing) {
             match NodePage::decode(img) {
-                Ok(p) if p.page_no == no => self.pool.insert(p, false),
+                Ok(p) if p.page_no == no => self.pool.insert_fetched(p),
                 Ok(p) => {
                     return Err(EngineError::Corrupt(format!(
                         "page {no} holds image of page {}",
@@ -408,7 +408,7 @@ impl<D: BlockDevice> InnoDb<D> {
         }
         self.make_room()?;
         match self.load_page(page_no)? {
-            LoadOutcome::Loaded(p) => self.pool.insert(p, false),
+            LoadOutcome::Loaded(p) => self.pool.insert_fetched(p),
             LoadOutcome::Empty => {
                 return Err(EngineError::Corrupt(format!("read of never-written page {page_no}")))
             }
@@ -651,7 +651,7 @@ impl<D: BlockDevice> InnoDb<D> {
                 if !self.pool.contains(*page_no) {
                     self.make_room()?;
                     match self.load_page(*page_no)? {
-                        LoadOutcome::Loaded(p) => self.pool.insert(p, false),
+                        LoadOutcome::Loaded(p) => self.pool.insert_fetched(p),
                         LoadOutcome::Empty => {
                             self.pool.insert(NodePage::new(*page_no, *level), false)
                         }

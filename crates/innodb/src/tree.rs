@@ -557,6 +557,31 @@ mod tests {
     }
 
     #[test]
+    fn every_pool_lookup_is_one_hit_or_one_miss_and_a_miss_is_a_fetch() {
+        let mut e = engine(FlushMode::Share);
+        let n = 2_000u64;
+        for id in 0..n {
+            e.upsert_kv(Key::node(id), vec![(id % 251) as u8; 1024]).unwrap();
+            e.commit().unwrap();
+        }
+        e.checkpoint().unwrap();
+        let device_pages_per_page = (e.config().page_bytes / e.fs_mut().page_size()) as u64;
+        let (pool0, reads0) = (e.pool_stats(), e.fs_mut().device().stats().host_reads);
+        let gets = 500u64;
+        for i in 0..gets {
+            let id = (i * 7919) % n;
+            assert_eq!(e.get(&Key::node(id)).unwrap(), Some(vec![(id % 251) as u8; 1024]));
+        }
+        let pool = e.pool_stats();
+        let (hits, misses) = (pool.hits - pool0.hits, pool.misses - pool0.misses);
+        // A point get looks up one page per tree level.
+        assert_eq!(hits + misses, gets * e.height as u64);
+        let fetched = (e.fs_mut().device().stats().host_reads - reads0) / device_pages_per_page;
+        assert_eq!(misses, fetched, "a miss is a lookup the engine read the tablespace for");
+        assert!(misses > 0, "the tree does not fit the 64-page pool");
+    }
+
+    #[test]
     fn oversized_values_rejected() {
         let mut e = engine(FlushMode::DwbOn);
         let too_big = vec![0u8; e.max_value_bytes() + 1];

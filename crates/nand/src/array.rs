@@ -72,6 +72,11 @@ pub struct NandArray {
     clock: SimClock,
     fault: FaultHandle,
     pages: Vec<Option<Box<[u8]>>>,
+    /// Page buffers of erased pages, handed to the next programs: once
+    /// the array has been written through, programming allocates nothing.
+    /// Holds only memory `pages` released, so the footprint stays the
+    /// high-water count of programmed pages. Never persisted.
+    spare: Vec<Box<[u8]>>,
     torn: Vec<bool>,
     /// Next programmable in-block page index, per block.
     next_page: Vec<u32>,
@@ -114,6 +119,7 @@ impl NandArray {
             clock,
             fault: FaultHandle::new(),
             pages: vec![None; total],
+            spare: Vec::new(),
             torn: vec![false; total],
             next_page: vec![0; geometry.blocks as usize],
             erase_counts: vec![0; geometry.blocks as usize],
@@ -374,6 +380,21 @@ impl NandArray {
         (end, Ok(()))
     }
 
+    /// Page memory holding `data[..intact]` followed by the erased
+    /// pattern: a buffer recycled from an erased page when one is spare, a
+    /// fresh allocation otherwise (while the array first fills).
+    fn page_buffer(&mut self, data: &[u8], intact: usize) -> Box<[u8]> {
+        let mut buf = match self.spare.pop() {
+            Some(mut buf) => {
+                buf[..intact].copy_from_slice(&data[..intact]);
+                buf
+            }
+            None => data.to_vec().into_boxed_slice(),
+        };
+        buf[intact..].fill(ERASED_BYTE);
+        buf
+    }
+
     /// One page program, dispatched at `t0`. Enforces erase-before-program
     /// and in-order programming; runs the fault countdown exactly once per
     /// dispatched attempt. Returns the completion time and the outcome.
@@ -404,10 +425,7 @@ impl NandArray {
             self.trace_leaf("program", unit, end, service, 1, false);
             match mode {
                 FaultMode::TornHalf => {
-                    let mut torn = vec![ERASED_BYTE; data.len()];
-                    let cut = data.len() / 2;
-                    torn[..cut].copy_from_slice(&data[..cut]);
-                    self.pages[idx] = Some(torn.into_boxed_slice());
+                    self.pages[idx] = Some(self.page_buffer(data, data.len() / 2));
                     self.torn[idx] = true;
                     self.next_page[block.0 as usize] = in_block + 1;
                     self.stats.page_programs += 1;
@@ -418,7 +436,7 @@ impl NandArray {
                     // a program that never reached the cells.
                 }
                 FaultMode::AfterProgram => {
-                    self.pages[idx] = Some(data.to_vec().into_boxed_slice());
+                    self.pages[idx] = Some(self.page_buffer(data, data.len()));
                     self.next_page[block.0 as usize] = in_block + 1;
                     self.stats.page_programs += 1;
                 }
@@ -426,7 +444,7 @@ impl NandArray {
             return (end, Err(NandError::PowerLoss));
         }
 
-        self.pages[idx] = Some(data.to_vec().into_boxed_slice());
+        self.pages[idx] = Some(self.page_buffer(data, data.len()));
         self.next_page[block.0 as usize] = in_block + 1;
         self.stats.page_programs += 1;
         self.trace_leaf("program", unit, end, service, 1, true);
@@ -449,7 +467,7 @@ impl NandArray {
         let start = self.geometry.first_ppn(block).0 as usize;
         let last = start + self.geometry.pages_per_block as usize;
         for i in start..last {
-            self.pages[i] = None;
+            self.spare.extend(self.pages[i].take());
             self.torn[i] = false;
         }
         self.next_page[block.0 as usize] = 0;
@@ -604,6 +622,7 @@ impl NandArray {
             clock,
             fault: FaultHandle::new(),
             pages,
+            spare: Vec::new(),
             torn,
             next_page,
             erase_counts,

@@ -22,6 +22,14 @@ cargo build --release --offline
 echo "== cargo test -q --offline =="
 cargo test -q --offline
 
+# Allocation-budget tier: the steady-state write/GC path of an aged FTL
+# must stay under 0.5 KiB of heap per op (crates/core/tests/alloc_budget.rs,
+# DESIGN.md "Buffer ownership"). The suite above ran it unoptimised; the
+# benchmark's `alloc_kb_per_op` is measured on release code, so hold that
+# build to the same budget.
+echo "== allocation budget (release) =="
+cargo test -q --release --offline -p share-core --test alloc_budget
+
 # Crash-point smoke sweep: every NAND program boundary (stride 1) of an
 # FTL-level and two engine-level workloads, times three fault modes, must
 # recover cleanly. Any violation prints a reproducible
