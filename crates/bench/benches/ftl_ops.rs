@@ -8,7 +8,7 @@
 
 use nand_sim::NandTiming;
 use share_bench::timing::Group;
-use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, SharePair};
+use share_core::{crc32c, BlockDevice, Ftl, FtlConfig, Lpn, SharePair};
 use std::hint::black_box;
 
 fn small_dev() -> Ftl {
@@ -97,9 +97,28 @@ fn bench_gc_pressure(g: &mut Group) {
     );
 }
 
+/// The checksum every engine page, couch block, redo page, journal record
+/// and meta page goes through: a 4 KiB page body, and the 40 bytes a redo
+/// header checksums (kernel dispatch must not cost small inputs).
+fn bench_crc32c(g: &mut Group) {
+    g.sample_size(30).throughput_elements(1);
+    let page: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
+    g.bench_function("4k", || {
+        black_box(crc32c(black_box(&page)));
+    });
+    g.bench_function("40B", || {
+        black_box(crc32c(black_box(&page[..40])));
+    });
+}
+
 fn main() {
     share_bench::timing::main_with(
         "ftl_ops",
-        &mut [("ftl", &mut bench_write), ("share", &mut bench_share), ("gc", &mut bench_gc_pressure)],
+        &mut [
+            ("ftl", &mut bench_write),
+            ("share", &mut bench_share),
+            ("gc", &mut bench_gc_pressure),
+            ("crc32c", &mut bench_crc32c),
+        ],
     );
 }

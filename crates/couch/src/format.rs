@@ -101,6 +101,9 @@ pub struct DocBlock {
 
 /// Decode and verify a document block.
 pub fn decode_doc_block(b: &[u8]) -> Option<DocBlock> {
+    if b.len() < BLOCK_HEADER {
+        return None;
+    }
     let magic = u32::from_le_bytes(b[0..4].try_into().ok()?);
     let is_head = match magic {
         DOC_MAGIC => true,
@@ -157,6 +160,9 @@ pub fn encode_node(level: u8, entries: &[NodeEntry], block_size: usize) -> Vec<u
 
 /// Decode a tree node block.
 pub fn decode_node(b: &[u8]) -> Option<(u8, Vec<NodeEntry>)> {
+    if b.len() < BLOCK_HEADER {
+        return None;
+    }
     if u32::from_le_bytes(b[0..4].try_into().ok()?) != NODE_MAGIC {
         return None;
     }
@@ -207,6 +213,10 @@ pub struct Header {
     pub stale_blocks: u64,
 }
 
+/// Bytes of a header block that carry fields (magic, crc and the nine
+/// [`Header`] fields); the rest of the block is zero padding.
+const HEADER_FIELDS: usize = 66;
+
 /// Encode a header block.
 pub fn encode_header(h: &Header, block_size: usize) -> Vec<u8> {
     let mut b = vec![0u8; block_size];
@@ -227,6 +237,9 @@ pub fn encode_header(h: &Header, block_size: usize) -> Vec<u8> {
 
 /// Decode and verify a header block.
 pub fn decode_header(b: &[u8]) -> Option<Header> {
+    if b.len() < HEADER_FIELDS {
+        return None;
+    }
     if u32::from_le_bytes(b[0..4].try_into().ok()?) != HDR_MAGIC {
         return None;
     }

@@ -162,16 +162,21 @@ impl NodePage {
 
     /// Decode and verify a page image.
     pub fn decode(buf: &[u8]) -> Result<NodePage, PageDecodeError> {
-        if buf.iter().all(|&b| b == 0) {
-            return Err(PageDecodeError::Empty);
-        }
+        // One pass per fetched page: a never-written image is looked for
+        // only once the checksum has failed. An all-zero image cannot
+        // pass it: its stored field is 0, and CRC-32C of a run of zero
+        // bytes is not 0 for any run shorter than the polynomial's period
+        // (hundreds of megabytes).
+        let reject = |damage: PageDecodeError| {
+            Err(if buf.iter().all(|&b| b == 0) { PageDecodeError::Empty } else { damage })
+        };
         if buf.len() < PAGE_HEADER {
-            return Err(PageDecodeError::Malformed("image smaller than header"));
+            return reject(PageDecodeError::Malformed("image smaller than header"));
         }
         let stored = u32::from_le_bytes(buf[0..4].try_into().unwrap());
         let page_no = u64::from_le_bytes(buf[4..12].try_into().unwrap());
         if crc32c(&buf[4..]) != stored {
-            return Err(PageDecodeError::BadChecksum { page_no_field: page_no });
+            return reject(PageDecodeError::BadChecksum { page_no_field: page_no });
         }
         let lsn = u64::from_le_bytes(buf[12..20].try_into().unwrap());
         let level = u16::from_le_bytes(buf[20..22].try_into().unwrap());

@@ -88,12 +88,16 @@ impl RecordPage {
 
     /// Decode and verify. `Ok(None)` = all-zero (never written) page.
     pub fn decode(b: &[u8]) -> Result<Option<RecordPage>, &'static str> {
-        if b.iter().all(|&x| x == 0) {
-            return Ok(None);
+        // One pass per fetched page: a never-written image is looked for
+        // only once the checksum has failed (an all-zero image stores 0,
+        // which CRC-32C of a page-sized run of zero bytes never is).
+        let reject = |damage| if b.iter().all(|&x| x == 0) { Ok(None) } else { Err(damage) };
+        if b.len() < PAGE_HEADER {
+            return reject("short");
         }
-        let stored = u32::from_le_bytes(b[0..4].try_into().map_err(|_| "short")?);
+        let stored = u32::from_le_bytes(b[0..4].try_into().unwrap());
         if crc32c(&b[4..]) != stored {
-            return Err("checksum mismatch (torn page)");
+            return reject("checksum mismatch (torn page)");
         }
         let page_no = u64::from_le_bytes(b[4..12].try_into().unwrap());
         let count = u16::from_le_bytes(b[12..14].try_into().unwrap()) as usize;
