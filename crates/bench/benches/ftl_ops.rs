@@ -99,7 +99,7 @@ fn bench_gc_pressure(g: &mut Group) {
 
 /// The checksum every engine page, couch block, redo page, journal record
 /// and meta page goes through: a 4 KiB page body, and the 40 bytes a redo
-/// header checksums (kernel dispatch must not cost small inputs).
+/// header checksums (the eight-byte step must not cost small inputs).
 fn bench_crc32c(g: &mut Group) {
     g.sample_size(30).throughput_elements(1);
     let page: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();

@@ -4,9 +4,6 @@
 //! The FTL persists mapping metadata (delta-log pages, checkpoint pages) to
 //! flash; each such page carries a CRC so recovery can detect torn or
 //! partially programmed meta pages.
-//!
-//! This is the only file under `crates/*/src` that may contain `unsafe`
-//! (`tests/unsafe_guard.rs`): the one call into the SSE4.2 checksum kernel.
 
 const POLY: u32 = 0x82F6_3B78;
 
@@ -44,42 +41,11 @@ static TABLES: [[u32; 256]; 8] = {
 /// `data`: the one checksum behind every engine page, couch block, redo
 /// page, VFS journal record, delta-log page and checkpoint.
 ///
-/// Two kernels, both bit-identical to the bytewise definition; which one
-/// runs is decided from the CPU, not by the caller: the SSE4.2 `crc32`
-/// instruction where the processor reports it, slicing-by-8 everywhere else.
+/// Slicing-by-8 (Kounavis & Berry): eight bytes per step, byte tail;
+/// bit-identical to the bytewise definition. One kernel on every CPU, so
+/// what a run costs does not depend on the machine's instruction set
+/// (DESIGN.md §6 says why the `crc32` instruction is not used).
 pub fn crc32c(data: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            // SAFETY: `crc32c_sse42`'s only requirement is that the CPU
-            // executes SSE4.2 instructions, which the detection macro
-            // (CPUID, cached by std) has just confirmed for this process.
-            return unsafe { crc32c_sse42(data) };
-        }
-    }
-    crc32c_portable(data)
-}
-
-/// One stream over the `crc32` instruction: eight bytes per step, byte tail.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-fn crc32c_sse42(data: &[u8]) -> u32 {
-    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut chunks = data.chunks_exact(8);
-    let mut crc = u64::from(!0u32);
-    for chunk in &mut chunks {
-        crc = _mm_crc32_u64(crc, get_u64(chunk, 0));
-    }
-    // The instruction zeroes the upper half of its 64-bit destination.
-    let mut crc = crc as u32;
-    for &b in chunks.remainder() {
-        crc = _mm_crc32_u8(crc, b);
-    }
-    !crc
-}
-
-/// Slicing-by-8 (Kounavis & Berry): eight bytes per step, byte tail.
-fn crc32c_portable(data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     let mut crc = !0u32;
     for chunk in &mut chunks {
@@ -174,7 +140,7 @@ mod tests {
     use super::*;
 
     /// The definition, one byte per dependent step and no table: the
-    /// reference both kernels are swept against.
+    /// reference the kernel is swept against.
     fn crc32c_bytewise(data: &[u8]) -> u32 {
         let mut crc = !0u32;
         for &b in data {
@@ -200,28 +166,23 @@ mod tests {
         ];
         for (data, want) in vectors {
             assert_eq!(crc32c_bytewise(data), want, "reference on {data:02x?}");
-            assert_eq!(crc32c_portable(data), want, "portable on {data:02x?}");
-            assert_eq!(crc32c(data), want, "dispatched on {data:02x?}");
+            assert_eq!(crc32c(data), want, "kernel on {data:02x?}");
         }
     }
 
     #[test]
-    fn both_kernels_equal_the_bytewise_reference() {
+    fn kernel_equals_the_bytewise_reference() {
         use share_rng::Rng;
         // Every length around the 8-byte step and its tail, the checksummed
         // spans of a 4 KiB page (innodb/sqlite `[4..]`, couch `[8..]`) and
-        // of a 16 KiB one, each at every alignment of the first byte. The
-        // portable kernel is called directly: on a machine with SSE4.2 the
-        // dispatcher never picks it.
+        // of a 16 KiB one, each at every alignment of the first byte.
         let big = [4088usize, 4092, 16_352];
         let mut buf = vec![0u8; 16_352 + 8];
         share_rng::StdRng::seed_from_u64(0x0C3C_32C0).fill(&mut buf);
         for len in (0..=130).chain(big) {
             for start in 0..8 {
                 let data = &buf[start..start + len];
-                let want = crc32c_bytewise(data);
-                assert_eq!(crc32c_portable(data), want, "portable, len {len} start {start}");
-                assert_eq!(crc32c(data), want, "dispatched, len {len} start {start}");
+                assert_eq!(crc32c(data), crc32c_bytewise(data), "len {len} start {start}");
             }
         }
     }
