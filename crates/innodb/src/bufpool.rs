@@ -1,9 +1,14 @@
 //! Buffer pool: fixed-capacity page cache with O(1) LRU and a dirty set.
 //!
-//! The pool holds *decoded* [`NodePage`]s. It performs no I/O itself: the
-//! engine loads pages on miss and flushes dirty victims (through the
-//! double-write / SHARE protocol) when the pool needs room, mirroring
-//! InnoDB's flush-list eviction that the paper's Figure 1(a) depicts.
+//! A frame holds a [`NodePage`], which is the page's on-media image: what
+//! the engine read from the tablespace is what lookups search and what a
+//! flush lends to the device. The pool performs no I/O itself: the engine
+//! loads pages on miss and flushes dirty victims (through the double-write
+//! / SHARE protocol) when the pool needs room, mirroring InnoDB's
+//! flush-list eviction that the paper's Figure 1(a) depicts. Frames get
+//! their images as pages arrive (never `capacity` images up front), and
+//! [`BufferPool::evict`] hands the page back so the engine reads the next
+//! one into the same buffer.
 
 use crate::page::NodePage;
 use std::collections::HashMap;
@@ -34,7 +39,7 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
-/// A fixed-capacity LRU cache of decoded pages.
+/// A fixed-capacity LRU cache of page images.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
@@ -152,6 +157,13 @@ impl BufferPool {
     /// Read-only access without LRU bump or hit accounting (flush paths).
     pub fn peek(&self, page_no: u64) -> Option<&NodePage> {
         self.map.get(&page_no).map(|&idx| &self.frames[idx].as_ref().expect("mapped frame").page)
+    }
+
+    /// Flush-path access for sealing a page in place: no LRU bump, no hit
+    /// accounting.
+    pub fn peek_mut(&mut self, page_no: u64) -> Option<&mut NodePage> {
+        let idx = *self.map.get(&page_no)?;
+        Some(&mut self.frames[idx].as_mut().expect("mapped frame").page)
     }
 
     /// Insert a page created in memory. Panics if full or already
@@ -291,7 +303,7 @@ mod tests {
     use super::*;
 
     fn page(no: u64) -> NodePage {
-        NodePage::new(no, 0)
+        NodePage::new(no, 0, 4096)
     }
 
     #[test]

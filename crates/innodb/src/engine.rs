@@ -115,11 +115,6 @@ pub struct EngineStats {
     pub group_commits: u64,
 }
 
-enum LoadOutcome {
-    Loaded(NodePage),
-    Empty,
-}
-
 /// The storage engine.
 pub struct InnoDb<D: BlockDevice> {
     cfg: InnoDbConfig,
@@ -128,6 +123,8 @@ pub struct InnoDb<D: BlockDevice> {
     dwb: FileId,
     log: RedoLog,
     pub(crate) pool: BufferPool,
+    /// Evicted frames: the next fetch reads into one of these buffers.
+    spare: Vec<NodePage>,
     pub(crate) root: u64,
     pub(crate) height: u16,
     next_page_no: u64,
@@ -173,6 +170,7 @@ impl<D: BlockDevice> InnoDb<D> {
             dwb,
             log,
             pool: BufferPool::new(pool_pages),
+            spare: Vec::new(),
             root: NO_PAGE,
             height: 0,
             next_page_no: 0,
@@ -207,6 +205,7 @@ impl<D: BlockDevice> InnoDb<D> {
             dwb,
             log,
             pool: BufferPool::new(pool_pages),
+            spare: Vec::new(),
             root: meta.root,
             height: meta.height,
             next_page_no: meta.next_page_no,
@@ -291,62 +290,66 @@ impl<D: BlockDevice> InnoDb<D> {
         page_no * self.ppd
     }
 
-    fn load_page(&mut self, page_no: u64) -> Result<LoadOutcome, EngineError> {
-        let dps = self.fs.page_size();
-        let mut img = vec![0u8; self.cfg.page_bytes];
-        {
-            let base = self.ts_offset(page_no);
-            let mut reqs: Vec<(u64, &mut [u8])> = img
-                .chunks_mut(dps)
-                .enumerate()
-                .map(|(j, chunk)| (base + j as u64, chunk))
-                .collect();
-            self.fs.read_pages(self.ts, &mut reqs)?;
-        }
-        match NodePage::decode(&img) {
-            Ok(p) => {
-                if p.page_no != page_no {
-                    return Err(EngineError::Corrupt(format!(
-                        "page {page_no} holds image of page {}",
-                        p.page_no
-                    )));
-                }
-                Ok(LoadOutcome::Loaded(p))
-            }
-            Err(PageDecodeError::Empty) => Ok(LoadOutcome::Empty),
+    /// A frame to read into: the last one evicted, or a new image while the
+    /// pool is still filling.
+    fn frame(&mut self) -> NodePage {
+        self.spare.pop().unwrap_or_else(|| NodePage::new(0, 0, self.cfg.page_bytes))
+    }
+
+    /// Check a frame just read from `page_no`'s home location. `None`: the
+    /// page was never written. A frame that is not admitted is kept for
+    /// the next fetch.
+    fn admit(&mut self, mut page: NodePage, page_no: u64) -> Result<Option<NodePage>, EngineError> {
+        let refused = match page.reopen() {
+            Ok(()) if page.page_no == page_no => return Ok(Some(page)),
+            Ok(()) => Err(EngineError::Corrupt(format!(
+                "page {page_no} holds image of page {}",
+                page.page_no
+            ))),
+            Err(PageDecodeError::Empty) => Ok(None),
             Err(PageDecodeError::BadChecksum { .. }) => Err(EngineError::TornPage { page_no }),
             Err(PageDecodeError::Malformed(m)) => {
                 Err(EngineError::Corrupt(format!("page {page_no}: {m}")))
             }
-        }
+        };
+        self.spare.push(page);
+        refused
     }
 
-    fn write_image(&mut self, file: FileId, first_page: u64, img: &[u8]) -> Result<(), EngineError> {
+    /// Read a tablespace page straight into a recycled frame.
+    fn load_page(&mut self, page_no: u64) -> Result<Option<NodePage>, EngineError> {
         let dps = self.fs.page_size();
-        let batch: Vec<(u64, &[u8])> = img
-            .chunks(dps)
+        let base = self.ts_offset(page_no);
+        let mut page = self.frame();
+        let mut reqs: Vec<(u64, &mut [u8])> = page
+            .image_mut()
+            .chunks_mut(dps)
             .enumerate()
-            .map(|(j, chunk)| (first_page + j as u64, chunk))
+            .map(|(j, chunk)| (base + j as u64, chunk))
             .collect();
-        self.fs.write_pages(file, &batch)?;
-        Ok(())
+        self.fs.read_pages(self.ts, &mut reqs)?;
+        self.admit(page, page_no)
     }
 
-    /// Write several engine-page images to `file` as ONE batched device
-    /// submission (device pages of all images overlap across channels).
+    /// Write engine-page images to `file` as ONE batched device submission
+    /// (device pages of all images overlap across channels). Image `slot`
+    /// of page `no` starts at file page `first_page(slot, no)`.
     fn write_images(
-        &mut self,
+        fs: &mut Vfs<D>,
         file: FileId,
-        placed: &[(u64, &Vec<u8>)],
+        images: &[(u64, &[u8])],
+        first_page: impl Fn(u64, u64) -> u64,
     ) -> Result<(), EngineError> {
-        let dps = self.fs.page_size();
-        let mut batch: Vec<(u64, &[u8])> = Vec::with_capacity(placed.len() * self.ppd as usize);
-        for (first_page, img) in placed {
+        let dps = fs.page_size();
+        let mut batch: Vec<(u64, &[u8])> =
+            Vec::with_capacity(images.iter().map(|(_, img)| img.len() / dps).sum());
+        for (slot, (no, img)) in images.iter().enumerate() {
+            let first = first_page(slot as u64, *no);
             for (j, chunk) in img.chunks(dps).enumerate() {
-                batch.push((first_page + j as u64, chunk));
+                batch.push((first + j as u64, chunk));
             }
         }
-        self.fs.write_pages(file, &batch)?;
+        fs.write_pages(file, &batch)?;
         Ok(())
     }
 
@@ -367,35 +370,22 @@ impl<D: BlockDevice> InnoDb<D> {
         }
         self.make_room_for(missing.len())?;
         let dps = self.fs.page_size();
-        let mut imgs: Vec<Vec<u8>> =
-            missing.iter().map(|_| vec![0u8; self.cfg.page_bytes]).collect();
+        let mut frames: Vec<NodePage> = missing.iter().map(|_| self.frame()).collect();
         {
             let mut reqs: Vec<(u64, &mut [u8])> =
                 Vec::with_capacity(missing.len() * self.ppd as usize);
-            for (img, &no) in imgs.iter_mut().zip(&missing) {
+            for (page, &no) in frames.iter_mut().zip(&missing) {
                 let base = self.ts_offset(no);
-                for (j, chunk) in img.chunks_mut(dps).enumerate() {
+                for (j, chunk) in page.image_mut().chunks_mut(dps).enumerate() {
                     reqs.push((base + j as u64, chunk));
                 }
             }
             self.fs.read_pages(self.ts, &mut reqs)?;
         }
-        for (img, &no) in imgs.iter().zip(&missing) {
-            match NodePage::decode(img) {
-                Ok(p) if p.page_no == no => self.pool.insert_fetched(p),
-                Ok(p) => {
-                    return Err(EngineError::Corrupt(format!(
-                        "page {no} holds image of page {}",
-                        p.page_no
-                    )))
-                }
-                Err(PageDecodeError::Empty) => {} // serial path reports if really read
-                Err(PageDecodeError::BadChecksum { .. }) => {
-                    return Err(EngineError::TornPage { page_no: no })
-                }
-                Err(PageDecodeError::Malformed(m)) => {
-                    return Err(EngineError::Corrupt(format!("page {no}: {m}")))
-                }
+        for (page, &no) in frames.into_iter().zip(&missing) {
+            // A never-written page: the serial path reports it if really read.
+            if let Some(page) = self.admit(page, no)? {
+                self.pool.insert_fetched(page);
             }
         }
         Ok(())
@@ -408,8 +398,8 @@ impl<D: BlockDevice> InnoDb<D> {
         }
         self.make_room()?;
         match self.load_page(page_no)? {
-            LoadOutcome::Loaded(p) => self.pool.insert_fetched(p),
-            LoadOutcome::Empty => {
+            Some(p) => self.pool.insert_fetched(p),
+            None => {
                 return Err(EngineError::Corrupt(format!("read of never-written page {page_no}")))
             }
         }
@@ -458,8 +448,8 @@ impl<D: BlockDevice> InnoDb<D> {
                 }
             }
             let (victim2, dirty2) = self.pool.lru_victim().expect("full pool has a victim");
-            if !dirty2 {
-                self.pool.evict(victim2);
+            let evicted = if !dirty2 {
+                self.pool.evict(victim2)
             } else {
                 // The coldest page stayed dirty (pinned by the open MTR, or
                 // unflushable right now): evict the coldest clean page.
@@ -473,9 +463,9 @@ impl<D: BlockDevice> InnoDb<D> {
                         self.pool.peek(victim).map(|p| p.lsn),
                     )));
                 };
-                self.pool.evict(clean);
-            }
-            let _ = (victim, dirty);
+                self.pool.evict(clean)
+            };
+            self.spare.push(evicted);
         }
         Ok(())
     }
@@ -498,31 +488,35 @@ impl<D: BlockDevice> InnoDb<D> {
         self.log.flush()?;
         self.stats.flush_batches += 1;
 
-        let images: Vec<(u64, Vec<u8>)> = batch
+        // Seal every batch page in place, then lend the images to the file
+        // system straight from the pool.
+        for &no in batch {
+            self.pool.peek_mut(no).expect("batch page resident").seal();
+        }
+        let images: Vec<(u64, &[u8])> = batch
             .iter()
-            .map(|&no| (no, self.pool.peek(no).expect("batch page resident").encode(self.cfg.page_bytes)))
+            .map(|&no| (no, self.pool.peek(no).expect("batch page resident").image()))
             .collect();
+        let ppd = self.ppd;
+        let home = |_slot: u64, no: u64| no * ppd;
+        let dwb_slot = |slot: u64, _no: u64| slot * ppd;
 
         match self.cfg.mode {
             FlushMode::DwbOff => {
-                let placed: Vec<(u64, &Vec<u8>)> =
-                    images.iter().map(|(no, img)| (self.ts_offset(*no), img)).collect();
-                self.write_images(self.ts, &placed)?;
+                Self::write_images(&mut self.fs, self.ts, &images, home)?;
                 self.fs.fsync(self.ts)?;
             }
             FlushMode::AtomicWrite => {
                 // One data write per page, atomic per device batch; engine
                 // pages never straddle batches so none can tear.
+                let per_batch = (self.fs.atomic_write_limit() / ppd as usize).max(1);
                 let dps = self.fs.page_size();
-                let limit_pages = ((self.fs.atomic_write_limit() as u64 / self.ppd)
-                    * self.ppd) as usize;
-                let per_batch = (limit_pages / self.ppd as usize).max(1);
                 for chunk in images.chunks(per_batch) {
-                    let mut batch: Vec<(u64, &[u8])> = Vec::with_capacity(chunk.len() * self.ppd as usize);
+                    let mut batch: Vec<(u64, &[u8])> =
+                        Vec::with_capacity(chunk.len() * ppd as usize);
                     for (no, img) in chunk {
-                        for j in 0..self.ppd {
-                            let s = (j as usize) * dps;
-                            batch.push((self.ts_offset(*no) + j, &img[s..s + dps]));
+                        for (j, part) in img.chunks(dps).enumerate() {
+                            batch.push((no * ppd + j as u64, part));
                         }
                     }
                     self.fs.write_pages_atomic(self.ts, &batch)?;
@@ -532,39 +526,27 @@ impl<D: BlockDevice> InnoDb<D> {
                 // The whole DWB pass is one batched submission; the fsync
                 // barrier between it and the home-location pass preserves
                 // the torn-page protection ordering.
-                let dwb_placed: Vec<(u64, &Vec<u8>)> = images
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, (_, img))| (slot as u64 * self.ppd, img))
-                    .collect();
-                self.write_images(self.dwb, &dwb_placed)?;
+                Self::write_images(&mut self.fs, self.dwb, &images, dwb_slot)?;
                 self.stats.dwb_pages_written += images.len() as u64;
                 self.fs.fsync(self.dwb)?;
-                let placed: Vec<(u64, &Vec<u8>)> =
-                    images.iter().map(|(no, img)| (self.ts_offset(*no), img)).collect();
-                self.write_images(self.ts, &placed)?;
+                Self::write_images(&mut self.fs, self.ts, &images, home)?;
                 self.fs.fsync(self.ts)?;
             }
             FlushMode::Share => {
-                let dwb_placed: Vec<(u64, &Vec<u8>)> = images
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, (_, img))| (slot as u64 * self.ppd, img))
-                    .collect();
-                self.write_images(self.dwb, &dwb_placed)?;
+                Self::write_images(&mut self.fs, self.dwb, &images, dwb_slot)?;
                 self.stats.dwb_pages_written += images.len() as u64;
                 self.fs.fsync(self.dwb)?;
                 // Remap home locations onto the just-written DWB copies,
                 // never splitting one engine page across atomic batches.
-                let mut pairs = Vec::with_capacity(images.len() * self.ppd as usize);
+                let mut pairs = Vec::with_capacity(images.len() * ppd as usize);
                 for (slot, (no, _)) in images.iter().enumerate() {
-                    for j in 0..self.ppd {
-                        pairs.push((self.ts_offset(*no) + j, slot as u64 * self.ppd + j));
+                    for j in 0..ppd {
+                        pairs.push((no * ppd + j, slot as u64 * ppd + j));
                     }
                 }
-                let chunk = ((self.fs.share_batch_limit() as u64 / self.ppd) * self.ppd) as usize;
+                let chunk = ((self.fs.share_batch_limit() as u64 / ppd) * ppd) as usize;
                 let mut shared_ok = true;
-                for c in pairs.chunks(chunk.max(self.ppd as usize)) {
+                for c in pairs.chunks(chunk.max(ppd as usize)) {
                     match self.fs.ioctl_share_pairs(self.ts, self.dwb, c) {
                         Ok(()) => {}
                         Err(share_vfs::VfsError::Device(share_core::FtlError::RevMapFull { .. })) => {
@@ -578,17 +560,15 @@ impl<D: BlockDevice> InnoDb<D> {
                     // Reverse-map pressure: fall back to the classic second
                     // write for this batch (the engine keeps running).
                     self.stats.share_fallbacks += 1;
-                    let placed: Vec<(u64, &Vec<u8>)> =
-                        images.iter().map(|(no, img)| (self.ts_offset(*no), img)).collect();
-                    self.write_images(self.ts, &placed)?;
+                    Self::write_images(&mut self.fs, self.ts, &images, home)?;
                     self.fs.fsync(self.ts)?;
                 }
             }
         }
-        for (no, _) in &images {
-            self.pool.mark_clean(*no);
+        for &no in batch {
+            self.pool.mark_clean(no);
         }
-        self.stats.pages_flushed += images.len() as u64;
+        self.stats.pages_flushed += batch.len() as u64;
         Ok(())
     }
 
@@ -651,47 +631,30 @@ impl<D: BlockDevice> InnoDb<D> {
                 if !self.pool.contains(*page_no) {
                     self.make_room()?;
                     match self.load_page(*page_no)? {
-                        LoadOutcome::Loaded(p) => self.pool.insert_fetched(p),
-                        LoadOutcome::Empty => {
-                            self.pool.insert(NodePage::new(*page_no, *level), false)
+                        Some(p) => self.pool.insert_fetched(p),
+                        None => {
+                            let mut blank = self.frame();
+                            blank.reset(*page_no, *level);
+                            self.pool.insert(blank, false)
                         }
                     }
                 }
-                let level = *level;
-                let no = *page_no;
-                self.with_page_raw(no, lsn, move |p| {
-                    *p = NodePage::new(no, level);
-                })
+                self.with_page_raw(*page_no, lsn, |p| p.reset(*page_no, *level))
             }
-            RedoBody::Upsert { page_no, key, value } => {
-                let (key, value) = (*key, value.clone());
-                self.with_page(*page_no, lsn, move |p| {
-                    p.upsert(key, value);
-                })
-            }
-            RedoBody::Remove { page_no, key } => {
-                let key = *key;
-                self.with_page(*page_no, lsn, move |p| {
-                    p.remove(&key);
-                })
-            }
-            RedoBody::AppendEntries { page_no, entries } => {
-                let entries = entries.clone();
-                self.with_page(*page_no, lsn, move |p| {
-                    p.extend_high(entries);
-                })
+            RedoBody::Upsert { page_no, key, value } => self.with_page(*page_no, lsn, |p| {
+                p.upsert(key, value);
+            }),
+            RedoBody::Remove { page_no, key } => self.with_page(*page_no, lsn, |p| {
+                p.remove(key);
+            }),
+            RedoBody::AppendEntries { page_no, run } => {
+                self.with_page(*page_no, lsn, |p| p.extend_high(run))
             }
             RedoBody::TruncateHigh { page_no, pivot } => {
-                let pivot = *pivot;
-                self.with_page(*page_no, lsn, move |p| {
-                    p.drain_high(&pivot);
-                })
+                self.with_page(*page_no, lsn, |p| p.drain_high(pivot))
             }
             RedoBody::SetNextPtr { page_no, next } => {
-                let next = *next;
-                self.with_page(*page_no, lsn, move |p| {
-                    p.next = next;
-                })
+                self.with_page(*page_no, lsn, |p| p.next = *next)
             }
         }
     }
@@ -824,29 +787,26 @@ impl<D: BlockDevice> InnoDb<D> {
     /// newer than the DWB image).
     fn repair_from_dwb(&mut self) -> Result<u64, EngineError> {
         let dps = self.fs.page_size();
+        let ppd = self.ppd;
         let mut repaired = 0;
+        let mut copy = self.frame();
         for slot in 0..self.cfg.flush_batch as u64 {
-            let mut img = vec![0u8; self.cfg.page_bytes];
-            let mut ok = true;
-            for j in 0..self.ppd {
-                let off = (j as usize) * dps;
-                if self.fs.read_page(self.dwb, slot * self.ppd + j, &mut img[off..off + dps]).is_err() {
-                    ok = false;
-                    break;
+            let read = copy.image_mut().chunks_mut(dps).enumerate().all(|(j, chunk)| {
+                self.fs.read_page(self.dwb, slot * ppd + j as u64, chunk).is_ok()
+            });
+            if !read || copy.reopen().is_err() {
+                continue; // unreadable, torn or empty DWB slot: ignore
+            }
+            match self.load_page(copy.page_no) {
+                Ok(Some(home)) => self.spare.push(home),
+                _ => {
+                    let image = [(copy.page_no, copy.image())];
+                    Self::write_images(&mut self.fs, self.ts, &image, |_, no| no * ppd)?;
+                    repaired += 1;
                 }
             }
-            if !ok {
-                continue;
-            }
-            let Ok(copy) = NodePage::decode(&img) else {
-                continue; // torn or empty DWB slot: ignore
-            };
-            let home_ok = matches!(self.load_page(copy.page_no), Ok(LoadOutcome::Loaded(_)));
-            if !home_ok {
-                self.write_image(self.ts, self.ts_offset(copy.page_no), &img)?;
-                repaired += 1;
-            }
         }
+        self.spare.push(copy);
         if repaired > 0 {
             self.fs.fsync(self.ts)?;
         }

@@ -1,12 +1,18 @@
 //! On-disk page format of the clustered index.
 //!
-//! Pages are decoded into [`NodePage`] while resident in the buffer pool
-//! and re-encoded (with a CRC-32C checksum over the whole page) when
-//! flushed. A torn write — the failure mode double-write protects against —
-//! is detected as a checksum mismatch at decode time.
+//! A [`NodePage`] *is* its `page_bytes` image in the on-media layout: the
+//! header, then the records sorted by key and packed end to end, then
+//! zeros. Beside the image it keeps only a directory of record offsets,
+//! rebuilt by one validating walk when the image comes back from the
+//! device. Lookups binary-search the directory into the image, mutations
+//! shift the packed tail in place, and a flush seals the header and a
+//! CRC-32C over the whole page into the same bytes. A torn write — the
+//! failure mode double-write protects against — is detected as a checksum
+//! mismatch when the image is reopened.
 
 use crate::key::Key;
 use share_core::crc32c;
+use std::ops::Range;
 
 /// Bytes of the fixed page header:
 /// `checksum:4 | page_no:8 | lsn:8 | level:2 | count:2 | next:8`.
@@ -17,6 +23,10 @@ pub const ENTRY_OVERHEAD: usize = 26;
 
 /// Sentinel for "no next leaf".
 pub const NO_PAGE: u64 = u64::MAX;
+
+const KEY_BYTES: usize = 24;
+/// Largest image a `u16` offset directory can address.
+const MAX_PAGE_BYTES: usize = 1 << 16;
 
 /// Why a page image failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,8 +39,29 @@ pub enum PageDecodeError {
     Empty,
 }
 
-/// A decoded B+tree node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// End of the packed `key:24 | vlen:2 | value` record that starts at `off`,
+/// if it lies inside `buf`. The redo encoding of an entry is the same bytes
+/// (`RedoBody::AppendEntries`), so the log walks its runs with this too.
+pub(crate) fn record_end(buf: &[u8], off: usize) -> Option<usize> {
+    let vlen = buf.get(off + KEY_BYTES..off + ENTRY_OVERHEAD)?;
+    let end = off + ENTRY_OVERHEAD + u16::from_le_bytes([vlen[0], vlen[1]]) as usize;
+    (end <= buf.len()).then_some(end)
+}
+
+/// Start offsets of the records of a packed run.
+pub(crate) fn record_starts(run: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let mut off = 0;
+    std::iter::from_fn(move || {
+        let start = off;
+        (start < run.len()).then(|| {
+            off = record_end(run, start).expect("a packed run ends on a record boundary");
+            start
+        })
+    })
+}
+
+/// A B+tree node, held as its page image.
+#[derive(Debug, Clone)]
 pub struct NodePage {
     /// Page number within the tablespace.
     pub page_no: u64,
@@ -40,16 +71,41 @@ pub struct NodePage {
     pub level: u16,
     /// Next leaf in key order (leaf chain), or [`NO_PAGE`].
     pub next: u64,
-    /// Sorted entries. Internal nodes store an 8-byte child page number as
-    /// the value; leaves store user payloads.
-    pub entries: Vec<(Key, Vec<u8>)>,
-    bytes_used: usize,
+    /// The page image. The records and the zero tail are always current;
+    /// the header is written by [`Self::seal`]. Internal nodes store an
+    /// 8-byte child page number as the value, leaves store user payloads.
+    img: Vec<u8>,
+    /// Offset of each record, in key order.
+    dir: Vec<u16>,
+    /// End of the last record: the bytes this node occupies.
+    end: usize,
 }
 
 impl NodePage {
-    /// A fresh empty node.
-    pub fn new(page_no: u64, level: u16) -> Self {
-        Self { page_no, lsn: 0, level, next: NO_PAGE, entries: Vec::new(), bytes_used: PAGE_HEADER }
+    /// A fresh empty node with a zeroed `page_bytes` image.
+    pub fn new(page_no: u64, level: u16, page_bytes: usize) -> Self {
+        assert!(
+            (PAGE_HEADER..=MAX_PAGE_BYTES).contains(&page_bytes),
+            "page size {page_bytes} outside {PAGE_HEADER}..={MAX_PAGE_BYTES}"
+        );
+        Self {
+            page_no,
+            lsn: 0,
+            level,
+            next: NO_PAGE,
+            img: vec![0; page_bytes],
+            dir: Vec::new(),
+            end: PAGE_HEADER,
+        }
+    }
+
+    /// Make this frame a fresh empty node (redo `PageInit`), whatever its
+    /// image held, keeping its buffers.
+    pub fn reset(&mut self, page_no: u64, level: u16) {
+        self.img.fill(0);
+        self.dir.clear();
+        self.end = PAGE_HEADER;
+        (self.page_no, self.lsn, self.level, self.next) = (page_no, 0, level, NO_PAGE);
     }
 
     /// Whether this is a leaf.
@@ -57,81 +113,144 @@ impl NodePage {
         self.level == 0
     }
 
-    /// Bytes this node occupies when encoded.
-    pub fn bytes_used(&self) -> usize {
-        self.bytes_used
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.dir.len()
     }
 
-    /// Whether inserting a value of `vlen` bytes would exceed `page_bytes`.
-    pub fn would_overflow(&self, vlen: usize, page_bytes: usize) -> bool {
-        self.bytes_used + ENTRY_OVERHEAD + vlen > page_bytes
+    /// Whether the node holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.dir.is_empty()
+    }
+
+    /// Bytes this node occupies on disk: header plus records.
+    pub fn bytes_used(&self) -> usize {
+        self.end
+    }
+
+    /// Whether inserting a value of `vlen` bytes would exceed the page.
+    pub fn would_overflow(&self, vlen: usize) -> bool {
+        self.end + ENTRY_OVERHEAD + vlen > self.img.len()
+    }
+
+    /// Offset of record `i`; `len()` is the end of the records.
+    fn off(&self, i: usize) -> usize {
+        self.dir.get(i).map_or(self.end, |&o| o as usize)
+    }
+
+    /// The key of the record at `off`, as an array so that comparisons
+    /// compile to fixed-width loads.
+    fn key_bytes(&self, off: u16) -> &[u8; KEY_BYTES] {
+        self.img[off as usize..off as usize + KEY_BYTES].try_into().expect("24-byte key")
+    }
+
+    /// Key of entry `i`.
+    pub fn key_at(&self, i: usize) -> Key {
+        Key(*self.key_bytes(self.dir[i]))
+    }
+
+    /// Value of entry `i`, borrowed from the image.
+    pub fn value_at(&self, i: usize) -> &[u8] {
+        &self.img[self.dir[i] as usize + ENTRY_OVERHEAD..self.off(i + 1)]
+    }
+
+    /// Entries in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (Key, &[u8])> {
+        (0..self.len()).map(|i| (self.key_at(i), self.value_at(i)))
+    }
+
+    /// The packed bytes of entries `range`, as they sit in the image — what
+    /// a split logs and [`Self::extend_high`] takes.
+    pub fn packed(&self, range: Range<usize>) -> &[u8] {
+        &self.img[self.off(range.start)..self.off(range.end)]
     }
 
     /// Binary-search for `key`; `Ok(i)` = exact hit, `Err(i)` = insert slot.
     pub fn find(&self, key: &Key) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+        // Keys order bytewise, i.e. as three big-endian words: comparing
+        // those inline spares a `memcmp` call per probe.
+        let words = |k: &[u8; KEY_BYTES]| {
+            [0, 8, 16].map(|i| u64::from_be_bytes(k[i..i + 8].try_into().expect("8 bytes")))
+        };
+        let target = words(&key.0);
+        self.dir.binary_search_by(|&o| words(self.key_bytes(o)).cmp(&target))
     }
 
     /// Point lookup.
     pub fn get(&self, key: &Key) -> Option<&[u8]> {
-        self.find(key).ok().map(|i| self.entries[i].1.as_slice())
+        self.find(key).ok().map(|i| self.value_at(i))
     }
 
-    /// Insert or replace; returns the previous value if any.
-    pub fn upsert(&mut self, key: Key, value: Vec<u8>) -> Option<Vec<u8>> {
-        match self.find(&key) {
-            Ok(i) => {
-                self.bytes_used = self.bytes_used - self.entries[i].1.len() + value.len();
-                Some(std::mem::replace(&mut self.entries[i].1, value))
-            }
-            Err(i) => {
-                self.bytes_used += ENTRY_OVERHEAD + value.len();
-                self.entries.insert(i, (key, value));
-                None
-            }
+    /// Resize the `old` bytes at `at` to `new`: shift the packed tail, zero
+    /// what it vacates and move the directory entries `from..` along.
+    fn splice(&mut self, at: usize, old: usize, new: usize, from: usize) {
+        if new == old {
+            return; // a same-size replace (every count row) moves nothing
         }
+        let end = self.end + new - old;
+        assert!(end <= self.img.len(), "page {} over-full", self.page_no);
+        self.img.copy_within(at + old..self.end, at + new);
+        if end < self.end {
+            self.img[end..self.end].fill(0);
+        }
+        for o in &mut self.dir[from..] {
+            *o = (*o as usize + new - old) as u16;
+        }
+        self.end = end;
     }
 
-    /// Remove `key`; returns the removed value if present.
-    pub fn remove(&mut self, key: &Key) -> Option<Vec<u8>> {
-        match self.find(key) {
-            Ok(i) => {
-                let (_, v) = self.entries.remove(i);
-                self.bytes_used -= ENTRY_OVERHEAD + v.len();
-                Some(v)
-            }
-            Err(_) => None,
+    /// Insert or replace; whether the key was already present.
+    pub fn upsert(&mut self, key: &Key, value: &[u8]) -> bool {
+        let new = ENTRY_OVERHEAD + value.len();
+        let found = self.find(key);
+        let (Ok(i) | Err(i)) = found;
+        let (at, hit) = (self.off(i), found.is_ok());
+        if hit {
+            self.splice(at, self.off(i + 1) - at, new, i + 1);
+        } else {
+            self.splice(at, 0, new, i);
+            self.dir.insert(i, at as u16);
         }
+        let (head, body) = self.img[at..at + new].split_at_mut(ENTRY_OVERHEAD);
+        head[..KEY_BYTES].copy_from_slice(&key.0);
+        head[KEY_BYTES..].copy_from_slice(&(value.len() as u16).to_le_bytes());
+        body.copy_from_slice(value);
+        hit
     }
 
-    /// Split: remove and return all entries with key >= `pivot`.
-    pub fn drain_high(&mut self, pivot: &Key) -> Vec<(Key, Vec<u8>)> {
-        let at = match self.find(pivot) {
-            Ok(i) | Err(i) => i,
-        };
-        let high: Vec<_> = self.entries.drain(at..).collect();
-        for (_, v) in &high {
-            self.bytes_used -= ENTRY_OVERHEAD + v.len();
-        }
-        high
+    /// Remove `key`; whether it was present.
+    pub fn remove(&mut self, key: &Key) -> bool {
+        let Ok(i) = self.find(key) else { return false };
+        let at = self.off(i);
+        self.splice(at, self.off(i + 1) - at, 0, i + 1);
+        self.dir.remove(i);
+        true
     }
 
-    /// Append pre-sorted entries that all compare greater than existing ones.
-    pub fn extend_high(&mut self, entries: Vec<(Key, Vec<u8>)>) {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        debug_assert!(
-            self.entries.last().is_none_or(|(k, _)| entries.first().is_none_or(|(k2, _)| k < k2))
-        );
-        for (_, v) in &entries {
-            self.bytes_used += ENTRY_OVERHEAD + v.len();
-        }
-        self.entries.extend(entries);
+    /// Split: drop all entries with key >= `pivot`.
+    pub fn drain_high(&mut self, pivot: &Key) {
+        let (Ok(i) | Err(i)) = self.find(pivot);
+        let at = self.off(i);
+        self.img[at..self.end].fill(0);
+        self.dir.truncate(i);
+        self.end = at;
+    }
+
+    /// Append a packed run of pre-sorted entries that all compare greater
+    /// than the existing ones.
+    pub fn extend_high(&mut self, run: &[u8]) {
+        let at = self.end;
+        assert!(at + run.len() <= self.img.len(), "page {} over-full", self.page_no);
+        self.img[at..at + run.len()].copy_from_slice(run);
+        self.dir.extend(record_starts(run).map(|o| (at + o) as u16));
+        self.end = at + run.len();
+        debug_assert!(self.dir.windows(2).all(|w| self.key_bytes(w[0]) < self.key_bytes(w[1])));
     }
 
     /// Interpret an internal-node value as a child page number.
     pub fn child_at(&self, idx: usize) -> u64 {
         debug_assert!(!self.is_leaf());
-        u64::from_le_bytes(self.entries[idx].1.as_slice().try_into().expect("child value is 8 bytes"))
+        u64::from_le_bytes(self.value_at(idx).try_into().expect("child value is 8 bytes"))
     }
 
     /// Encode a child page number as an internal-node value.
@@ -139,66 +258,86 @@ impl NodePage {
         page_no.to_le_bytes().to_vec()
     }
 
-    /// Encode into a `page_bytes` image with checksum.
-    pub fn encode(&self, page_bytes: usize) -> Vec<u8> {
-        debug_assert!(self.bytes_used <= page_bytes, "page over-full at encode");
-        let mut buf = vec![0u8; page_bytes];
-        buf[4..12].copy_from_slice(&self.page_no.to_le_bytes());
-        buf[12..20].copy_from_slice(&self.lsn.to_le_bytes());
-        buf[20..22].copy_from_slice(&self.level.to_le_bytes());
-        buf[22..24].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        buf[24..32].copy_from_slice(&self.next.to_le_bytes());
-        let mut off = PAGE_HEADER;
-        for (k, v) in &self.entries {
-            buf[off..off + 24].copy_from_slice(&k.0);
-            buf[off + 24..off + 26].copy_from_slice(&(v.len() as u16).to_le_bytes());
-            buf[off + 26..off + 26 + v.len()].copy_from_slice(v);
-            off += ENTRY_OVERHEAD + v.len();
-        }
-        let crc = crc32c(&buf[4..]);
-        buf[0..4].copy_from_slice(&crc.to_le_bytes());
-        buf
+    /// Write the header and the checksum into the image and return it: the
+    /// bytes a flush sends to the device.
+    pub fn seal(&mut self) -> &[u8] {
+        let img = &mut self.img;
+        img[4..12].copy_from_slice(&self.page_no.to_le_bytes());
+        img[12..20].copy_from_slice(&self.lsn.to_le_bytes());
+        img[20..22].copy_from_slice(&self.level.to_le_bytes());
+        img[22..24].copy_from_slice(&(self.dir.len() as u16).to_le_bytes());
+        img[24..32].copy_from_slice(&self.next.to_le_bytes());
+        let crc = crc32c(&img[4..]);
+        img[0..4].copy_from_slice(&crc.to_le_bytes());
+        img
     }
 
-    /// Decode and verify a page image.
-    pub fn decode(buf: &[u8]) -> Result<NodePage, PageDecodeError> {
-        // One pass per fetched page: a never-written image is looked for
-        // only once the checksum has failed. An all-zero image cannot
-        // pass it: its stored field is 0, and CRC-32C of a run of zero
-        // bytes is not 0 for any run shorter than the polynomial's period
-        // (hundreds of megabytes).
+    /// The image as of the last [`Self::seal`] (or as fetched).
+    pub fn image(&self) -> &[u8] {
+        &self.img
+    }
+
+    /// The raw frame, for the device to read into. The page is unusable
+    /// until [`Self::reopen`] accepts what was read or [`Self::reset`]
+    /// discards it.
+    pub(crate) fn image_mut(&mut self) -> &mut [u8] {
+        &mut self.img
+    }
+
+    /// Verify the image and rebuild the header fields and the directory
+    /// from it: one checksum pass, one walk over the records.
+    pub(crate) fn reopen(&mut self) -> Result<(), PageDecodeError> {
+        let buf = &self.img[..];
+        // A never-written image is looked for only once the image has been
+        // rejected. An all-zero image cannot pass the checksum: its stored
+        // field is 0, and CRC-32C of a run of zero bytes is not 0 for any
+        // run shorter than the polynomial's period (hundreds of megabytes).
         let reject = |damage: PageDecodeError| {
             Err(if buf.iter().all(|&b| b == 0) { PageDecodeError::Empty } else { damage })
         };
-        if buf.len() < PAGE_HEADER {
-            return reject(PageDecodeError::Malformed("image smaller than header"));
+        if !(PAGE_HEADER..=MAX_PAGE_BYTES).contains(&buf.len()) {
+            return reject(PageDecodeError::Malformed("image size out of range"));
         }
         let stored = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-        let page_no = u64::from_le_bytes(buf[4..12].try_into().unwrap());
+        self.page_no = u64::from_le_bytes(buf[4..12].try_into().unwrap());
         if crc32c(&buf[4..]) != stored {
-            return reject(PageDecodeError::BadChecksum { page_no_field: page_no });
+            return reject(PageDecodeError::BadChecksum { page_no_field: self.page_no });
         }
-        let lsn = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        let level = u16::from_le_bytes(buf[20..22].try_into().unwrap());
+        self.lsn = u64::from_le_bytes(buf[12..20].try_into().unwrap());
+        self.level = u16::from_le_bytes(buf[20..22].try_into().unwrap());
         let count = u16::from_le_bytes(buf[22..24].try_into().unwrap()) as usize;
-        let next = u64::from_le_bytes(buf[24..32].try_into().unwrap());
-        let mut entries = Vec::with_capacity(count);
-        let mut off = PAGE_HEADER;
-        let mut bytes_used = PAGE_HEADER;
-        for _ in 0..count {
-            if off + ENTRY_OVERHEAD > buf.len() {
-                return Err(PageDecodeError::Malformed("entry header past end"));
-            }
-            let key = Key(buf[off..off + 24].try_into().unwrap());
-            let vlen = u16::from_le_bytes(buf[off + 24..off + 26].try_into().unwrap()) as usize;
-            if off + ENTRY_OVERHEAD + vlen > buf.len() {
-                return Err(PageDecodeError::Malformed("value past end"));
-            }
-            entries.push((key, buf[off + 26..off + 26 + vlen].to_vec()));
-            off += ENTRY_OVERHEAD + vlen;
-            bytes_used += ENTRY_OVERHEAD + vlen;
+        self.next = u64::from_le_bytes(buf[24..32].try_into().unwrap());
+        if PAGE_HEADER + count * ENTRY_OVERHEAD > buf.len() {
+            return Err(PageDecodeError::Malformed("entry count past end"));
         }
-        Ok(NodePage { page_no, lsn, level, next, entries, bytes_used })
+        self.dir.clear();
+        let mut off = PAGE_HEADER;
+        for _ in 0..count {
+            let end = record_end(buf, off).ok_or(PageDecodeError::Malformed("entry past end"))?;
+            // A binary search over unsorted keys answers wrongly.
+            if let Some(&prev) = self.dir.last() {
+                let prev = prev as usize;
+                if buf[prev..prev + KEY_BYTES] >= buf[off..off + KEY_BYTES] {
+                    return Err(PageDecodeError::Malformed("keys out of order"));
+                }
+            }
+            self.dir.push(off as u16);
+            off = end;
+        }
+        // Mutations rely on the tail being zero to keep it zero.
+        if buf[off..].iter().any(|&b| b != 0) {
+            return Err(PageDecodeError::Malformed("bytes after the last entry"));
+        }
+        self.end = off;
+        Ok(())
+    }
+
+    /// Decode and verify a copy of a page image.
+    pub fn decode(buf: &[u8]) -> Result<NodePage, PageDecodeError> {
+        let (img, dir) = (buf.to_vec(), Vec::new());
+        let mut page = NodePage { page_no: 0, lsn: 0, level: 0, next: NO_PAGE, img, dir, end: 0 };
+        page.reopen()?;
+        Ok(page)
     }
 }
 
@@ -207,57 +346,72 @@ mod tests {
     use super::*;
 
     fn sample() -> NodePage {
-        let mut p = NodePage::new(7, 0);
+        let mut p = NodePage::new(7, 0, 4096);
         p.lsn = 99;
         p.next = 8;
-        p.upsert(Key::node(2), vec![2; 10]);
-        p.upsert(Key::node(1), vec![1; 5]);
-        p.upsert(Key::node(3), vec![3; 7]);
+        p.upsert(&Key::node(2), &[2; 10]);
+        p.upsert(&Key::node(1), &[1; 5]);
+        p.upsert(&Key::node(3), &[3; 7]);
         p
     }
 
+    fn entries(p: &NodePage) -> Vec<(Key, Vec<u8>)> {
+        p.iter().map(|(k, v)| (k, v.to_vec())).collect()
+    }
+
+    fn recount(p: &NodePage) -> usize {
+        PAGE_HEADER + p.iter().map(|(_, v)| ENTRY_OVERHEAD + v.len()).sum::<usize>()
+    }
+
     #[test]
-    fn encode_decode_round_trips() {
-        let p = sample();
-        let img = p.encode(4096);
+    fn seal_decode_round_trips() {
+        let mut p = sample();
+        let img = p.seal().to_vec();
         assert_eq!(img.len(), 4096);
-        let q = NodePage::decode(&img).unwrap();
-        assert_eq!(p, q);
+        let mut q = NodePage::decode(&img).unwrap();
+        assert_eq!((q.page_no, q.lsn, q.level, q.next), (7, 99, 0, 8));
+        assert_eq!(entries(&q), entries(&p));
+        assert_eq!(q.bytes_used(), p.bytes_used());
+        assert_eq!(q.seal(), &img[..]);
     }
 
     #[test]
     fn entries_stay_sorted_through_upserts() {
         let p = sample();
-        let keys: Vec<&Key> = p.entries.iter().map(|(k, _)| k).collect();
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        let keys: Vec<Key> = p.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, [Key::node(1), Key::node(2), Key::node(3)]);
+        assert_eq!(p.get(&Key::node(2)), Some(&[2u8; 10][..]));
+        assert_eq!(p.get(&Key::node(4)), None);
     }
 
     #[test]
     fn upsert_replaces_and_tracks_bytes() {
-        let mut p = NodePage::new(0, 0);
+        let mut p = NodePage::new(0, 0, 4096);
         assert_eq!(p.bytes_used(), PAGE_HEADER);
-        p.upsert(Key::node(1), vec![0; 10]);
-        let b1 = p.bytes_used();
-        assert_eq!(b1, PAGE_HEADER + ENTRY_OVERHEAD + 10);
-        let old = p.upsert(Key::node(1), vec![0; 4]);
-        assert_eq!(old.unwrap().len(), 10);
-        assert_eq!(p.bytes_used(), PAGE_HEADER + ENTRY_OVERHEAD + 4);
+        assert!(!p.upsert(&Key::node(1), &[0; 10]));
+        assert_eq!(p.bytes_used(), PAGE_HEADER + ENTRY_OVERHEAD + 10);
+        p.upsert(&Key::node(2), &[9; 3]);
+        assert!(p.upsert(&Key::node(1), &[7; 4]));
+        assert_eq!(p.bytes_used(), recount(&p));
+        assert_eq!(entries(&p), [(Key::node(1), vec![7; 4]), (Key::node(2), vec![9; 3])]);
+        // The six bytes the shrink vacated are zero again.
+        assert!(p.image()[p.bytes_used()..].iter().all(|&b| b == 0));
     }
 
     #[test]
-    fn remove_returns_value_and_reclaims_bytes() {
+    fn remove_reclaims_bytes_and_zeroes_the_tail() {
         let mut p = sample();
         let before = p.bytes_used();
-        let v = p.remove(&Key::node(2)).unwrap();
-        assert_eq!(v, vec![2; 10]);
+        assert!(p.remove(&Key::node(2)));
         assert_eq!(p.bytes_used(), before - ENTRY_OVERHEAD - 10);
-        assert!(p.remove(&Key::node(2)).is_none());
+        assert!(!p.remove(&Key::node(2)));
+        assert_eq!(entries(&p), [(Key::node(1), vec![1; 5]), (Key::node(3), vec![3; 7])]);
+        assert!(p.image()[p.bytes_used()..].iter().all(|&b| b == 0));
     }
 
     #[test]
     fn torn_image_fails_checksum() {
-        let p = sample();
-        let mut img = p.encode(4096);
+        let mut img = sample().seal().to_vec();
         // Tear: second half replaced by 0xFF (the NAND torn pattern).
         for b in &mut img[2048..] {
             *b = 0xFF;
@@ -267,45 +421,50 @@ mod tests {
 
     #[test]
     fn zero_image_is_empty_not_corrupt() {
-        assert_eq!(NodePage::decode(&[0u8; 4096]), Err(PageDecodeError::Empty));
+        assert_eq!(NodePage::decode(&[0u8; 4096]).unwrap_err(), PageDecodeError::Empty);
+        assert_eq!(NodePage::decode(&[]).unwrap_err(), PageDecodeError::Empty);
     }
 
     #[test]
-    fn drain_high_splits_at_pivot() {
+    fn drain_high_splits_at_pivot_and_extend_high_takes_the_run() {
         let mut p = sample();
-        let high = p.drain_high(&Key::node(2));
-        assert_eq!(high.len(), 2);
-        assert_eq!(p.entries.len(), 1);
-        assert_eq!(p.entries[0].0, Key::node(1));
-        let recount: usize =
-            PAGE_HEADER + p.entries.iter().map(|(_, v)| ENTRY_OVERHEAD + v.len()).sum::<usize>();
-        assert_eq!(p.bytes_used(), recount);
+        let run = p.packed(1..3).to_vec();
+        assert_eq!(run.len(), 2 * ENTRY_OVERHEAD + 10 + 7);
+        p.drain_high(&Key::node(2));
+        assert_eq!(entries(&p), [(Key::node(1), vec![1; 5])]);
+        assert_eq!(p.bytes_used(), recount(&p));
+        let mut q = NodePage::new(9, 0, 4096);
+        q.upsert(&Key::node(0), &[0]);
+        q.extend_high(&run);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.bytes_used(), recount(&q));
+        assert_eq!(entries(&NodePage::decode(q.seal()).unwrap()), entries(&q));
     }
 
     #[test]
-    fn extend_high_appends_sorted_run() {
-        let mut p = NodePage::new(9, 0);
-        p.upsert(Key::node(1), vec![1]);
-        p.extend_high(vec![(Key::node(5), vec![5]), (Key::node(6), vec![6])]);
-        assert_eq!(p.entries.len(), 3);
-        let img = p.encode(4096);
-        assert_eq!(NodePage::decode(&img).unwrap(), p);
+    fn reset_reuses_a_dirty_frame() {
+        let mut p = sample();
+        p.seal();
+        p.reset(11, 2);
+        assert_eq!((p.page_no, p.lsn, p.level, p.next, p.len()), (11, 0, 2, NO_PAGE, 0));
+        let mut fresh = NodePage::new(11, 2, 4096);
+        assert_eq!(p.seal(), fresh.seal());
     }
 
     #[test]
     fn child_value_round_trip() {
-        let mut p = NodePage::new(1, 1);
-        p.upsert(Key::MIN, NodePage::child_value(42));
+        let mut p = NodePage::new(1, 1, 4096);
+        p.upsert(&Key::MIN, &NodePage::child_value(42));
         assert_eq!(p.child_at(0), 42);
     }
 
     #[test]
     fn would_overflow_respects_page_size() {
-        let mut p = NodePage::new(0, 0);
+        let mut p = NodePage::new(0, 0, 4096);
         let max_v = 4096 - PAGE_HEADER - ENTRY_OVERHEAD;
-        assert!(!p.would_overflow(max_v, 4096));
-        assert!(p.would_overflow(max_v + 1, 4096));
-        p.upsert(Key::node(1), vec![0; 100]);
-        assert!(p.would_overflow(max_v - 100, 4096));
+        assert!(!p.would_overflow(max_v));
+        assert!(p.would_overflow(max_v + 1));
+        p.upsert(&Key::node(1), &[0; 100]);
+        assert!(p.would_overflow(max_v - 100));
     }
 }

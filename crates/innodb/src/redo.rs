@@ -10,6 +10,7 @@
 
 use crate::error::EngineError;
 use crate::key::Key;
+use crate::page::{record_end, record_starts};
 use share_core::{crc32c, BlockDevice, DeviceStats, Lpn, SimpleSsd};
 
 const LOG_MAGIC: u32 = 0x5244_4F4C; // "RDOL"
@@ -29,8 +30,10 @@ pub enum RedoBody {
     /// Remove `key` from `page_no`.
     Remove { page_no: u64, key: Key },
     /// Append pre-sorted entries, all greater than the page's current max
-    /// (split destination; large splits are chunked across records).
-    AppendEntries { page_no: u64, entries: Vec<(Key, Vec<u8>)> },
+    /// (split destination; large splits are chunked across records). `run`
+    /// is the entries packed as they sit in a page image
+    /// ([`crate::NodePage::packed`]), which is also how the log stores them.
+    AppendEntries { page_no: u64, run: Vec<u8> },
     /// Drop all entries with key >= `pivot` (split source).
     TruncateHigh { page_no: u64, pivot: Key },
     /// Set the leaf-chain next pointer.
@@ -42,6 +45,18 @@ pub enum RedoBody {
 }
 
 impl RedoBody {
+    /// Bytes [`Self::encode`] appends.
+    fn encoded_len(&self) -> usize {
+        match self {
+            RedoBody::PageInit { .. } | RedoBody::SetRoot { .. } => 11,
+            RedoBody::Upsert { value, .. } => 35 + value.len(),
+            RedoBody::Remove { .. } | RedoBody::TruncateHigh { .. } => 33,
+            RedoBody::AppendEntries { run, .. } => 11 + run.len(),
+            RedoBody::SetNextPtr { .. } => 17,
+            RedoBody::MtrEnd => 1,
+        }
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             RedoBody::PageInit { page_no, level } => {
@@ -61,15 +76,11 @@ impl RedoBody {
                 out.extend_from_slice(&page_no.to_le_bytes());
                 out.extend_from_slice(&key.0);
             }
-            RedoBody::AppendEntries { page_no, entries } => {
+            RedoBody::AppendEntries { page_no, run } => {
                 out.push(4);
                 out.extend_from_slice(&page_no.to_le_bytes());
-                out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-                for (k, v) in entries {
-                    out.extend_from_slice(&k.0);
-                    out.extend_from_slice(&(v.len() as u16).to_le_bytes());
-                    out.extend_from_slice(v);
-                }
+                out.extend_from_slice(&(record_starts(run).count() as u16).to_le_bytes());
+                out.extend_from_slice(run);
             }
             RedoBody::TruncateHigh { page_no, pivot } => {
                 out.push(5);
@@ -107,17 +118,11 @@ impl RedoBody {
             3 => Some((RedoBody::Remove { page_no: u64_at(1)?, key: key_at(9)? }, 33)),
             4 => {
                 let page_no = u64_at(1)?;
-                let count = u16_at(9)? as usize;
                 let mut off = 11;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = key_at(off)?;
-                    let vlen = u16_at(off + 24)? as usize;
-                    let value = buf.get(off + 26..off + 26 + vlen)?.to_vec();
-                    entries.push((key, value));
-                    off += 26 + vlen;
+                for _ in 0..u16_at(9)? {
+                    off = record_end(buf, off)?;
                 }
-                Some((RedoBody::AppendEntries { page_no, entries }, off))
+                Some((RedoBody::AppendEntries { page_no, run: buf[11..off].to_vec() }, off))
             }
             5 => Some((RedoBody::TruncateHigh { page_no: u64_at(1)?, pivot: key_at(9)? }, 33)),
             6 => Some((RedoBody::SetNextPtr { page_no: u64_at(1)?, next: u64_at(9)? }, 17)),
@@ -173,7 +178,10 @@ pub struct RedoLog {
     page_size: usize,
     /// Next log page slot to write (page 0 is the header).
     cur_page: u64,
+    /// Payload of the log page being filled.
     buf: Vec<u8>,
+    /// The one log-page image every device write is built in.
+    page: Vec<u8>,
     next_lsn: u64,
     flushed_lsn: u64,
     bytes_since_ckpt: u64,
@@ -190,7 +198,8 @@ impl RedoLog {
             dev,
             page_size,
             cur_page: 1,
-            buf: Vec::new(),
+            buf: Vec::with_capacity(page_size - PAGE_HDR),
+            page: vec![0u8; page_size],
             next_lsn: 1,
             flushed_lsn: 0,
             bytes_since_ckpt: 0,
@@ -257,7 +266,8 @@ impl RedoLog {
             dev,
             page_size,
             cur_page,
-            buf: Vec::new(),
+            buf: Vec::with_capacity(page_size - PAGE_HDR),
+            page,
             next_lsn,
             flushed_lsn: next_lsn - 1,
             bytes_since_ckpt: 0,
@@ -294,15 +304,14 @@ impl RedoLog {
 
     /// Append a record (not yet durable).
     pub fn append(&mut self, lsn: u64, body: &RedoBody) -> Result<(), EngineError> {
-        let mut rec = Vec::with_capacity(64);
-        rec.extend_from_slice(&lsn.to_le_bytes());
-        body.encode(&mut rec);
-        assert!(rec.len() <= self.payload_cap(), "record exceeds log page payload");
-        if self.buf.len() + rec.len() > self.payload_cap() {
+        let len = 8 + body.encoded_len();
+        assert!(len <= self.payload_cap(), "record exceeds log page payload");
+        if self.buf.len() + len > self.payload_cap() {
             self.write_page(true)?;
         }
-        self.buf.extend_from_slice(&rec);
-        self.bytes_since_ckpt += rec.len() as u64;
+        self.buf.extend_from_slice(&lsn.to_le_bytes());
+        body.encode(&mut self.buf);
+        self.bytes_since_ckpt += len as u64;
         Ok(())
     }
 
@@ -312,13 +321,14 @@ impl RedoLog {
                 "log device full — checkpoint was not taken in time".into(),
             ));
         }
-        let mut page = vec![0u8; self.page_size];
+        let page = &mut self.page;
+        page.fill(0);
         page[0..4].copy_from_slice(&LOG_MAGIC.to_le_bytes());
         page[8..10].copy_from_slice(&(self.buf.len() as u16).to_le_bytes());
         page[PAGE_HDR..PAGE_HDR + self.buf.len()].copy_from_slice(&self.buf);
         let crc = crc32c(&page[PAGE_HDR..PAGE_HDR + self.buf.len()]);
         page[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.dev.write(Lpn(self.cur_page), &page).map_err(EngineError::Device)?;
+        self.dev.write(Lpn(self.cur_page), page).map_err(EngineError::Device)?;
         if advance {
             self.cur_page += 1;
             self.buf.clear();
@@ -355,7 +365,8 @@ impl RedoLog {
         // Any straggling records must be durable before the header claims
         // the checkpoint LSN.
         self.flush()?;
-        let mut page = vec![0u8; self.page_size];
+        let page = &mut self.page;
+        page.fill(0);
         page[0..4].copy_from_slice(&HDR_MAGIC.to_le_bytes());
         page[8..16].copy_from_slice(&meta.ckpt_lsn.to_le_bytes());
         page[16..24].copy_from_slice(&meta.root.to_le_bytes());
@@ -363,7 +374,7 @@ impl RedoLog {
         page[32..40].copy_from_slice(&meta.next_page_no.to_le_bytes());
         let crc = crc32c(&page[8..48]);
         page[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.dev.write(Lpn(0), &page).map_err(EngineError::Device)?;
+        self.dev.write(Lpn(0), page).map_err(EngineError::Device)?;
         self.dev.flush().map_err(EngineError::Device)?;
         self.cur_page = 1;
         self.buf.clear();
@@ -413,16 +424,22 @@ mod tests {
         RedoBody::Upsert { page_no, key: Key::node(id), value: vec![fill; len] }
     }
 
+    /// A packed run of node entries, built the way a page holds them.
+    fn packed(entries: &[(u64, &[u8])]) -> Vec<u8> {
+        let mut page = crate::NodePage::new(0, 0, 4096);
+        for (id, value) in entries {
+            page.upsert(&Key::node(*id), value);
+        }
+        page.packed(0..page.len()).to_vec()
+    }
+
     #[test]
     fn bodies_encode_decode_round_trip() {
         let bodies = vec![
             RedoBody::PageInit { page_no: 3, level: 2 },
             upsert(1, 9, 0xAB, 40),
             RedoBody::Remove { page_no: 2, key: Key::link(1, 2, 3) },
-            RedoBody::AppendEntries {
-                page_no: 4,
-                entries: vec![(Key::node(1), vec![1; 3]), (Key::node(2), vec![2; 9])],
-            },
+            RedoBody::AppendEntries { page_no: 4, run: packed(&[(1, &[1; 3]), (2, &[2; 9])]) },
             RedoBody::TruncateHigh { page_no: 4, pivot: Key::count(7, 1) },
             RedoBody::SetNextPtr { page_no: 4, next: 5 },
             RedoBody::SetRoot { root: 11, height: 3 },
@@ -434,6 +451,7 @@ mod tests {
             let (d, len) = RedoBody::decode(&buf).unwrap();
             assert_eq!(d, b);
             assert_eq!(len, buf.len());
+            assert_eq!(b.encoded_len(), buf.len());
         }
     }
 

@@ -8,7 +8,7 @@
 use crate::engine::InnoDb;
 use crate::error::EngineError;
 use crate::key::Key;
-use crate::page::{NodePage, ENTRY_OVERHEAD, NO_PAGE};
+use crate::page::{NodePage, NO_PAGE};
 use crate::redo::RedoBody;
 use share_core::BlockDevice;
 
@@ -24,9 +24,9 @@ impl<D: BlockDevice> InnoDb<D> {
         self.config().page_bytes / 4
     }
 
-    fn descend_path(&mut self, key: &Key) -> Result<(u64, Vec<u64>), EngineError> {
+    /// The leaf `key` belongs to, made resident.
+    fn descend(&mut self, key: &Key) -> Result<u64, EngineError> {
         debug_assert!(self.height > 0);
-        let mut path = Vec::with_capacity(self.height as usize);
         let mut no = self.root;
         for _ in 1..self.height {
             self.ensure_resident(no)?;
@@ -37,11 +37,10 @@ impl<D: BlockDevice> InnoDb<D> {
                 Err(0) => 0,
                 Err(i) => i - 1,
             };
-            let child = p.child_at(idx);
-            path.push(no);
-            no = child;
+            no = p.child_at(idx);
         }
-        Ok((no, path))
+        self.ensure_resident(no)?;
+        Ok(no)
     }
 
     /// Batched read-ahead for a round of concurrent operations: descend
@@ -76,14 +75,24 @@ impl<D: BlockDevice> InnoDb<D> {
         self.load_pages_batched(&leaves)
     }
 
+    /// Borrowed point lookup: `f` sees the value where it sits in its pool
+    /// frame (`None` = absent), so a presence test or a fixed-width parse
+    /// copies nothing.
+    pub fn with_value<R>(
+        &mut self,
+        key: &Key,
+        f: impl FnOnce(Option<&[u8]>) -> R,
+    ) -> Result<R, EngineError> {
+        if self.height == 0 {
+            return Ok(f(None));
+        }
+        let leaf = self.descend(key)?;
+        Ok(f(self.pool.get_mut(leaf).expect("resident").get(key)))
+    }
+
     /// Point lookup.
     pub fn get(&mut self, key: &Key) -> Result<Option<Vec<u8>>, EngineError> {
-        if self.height == 0 {
-            return Ok(None);
-        }
-        let (leaf, _) = self.descend_path(key)?;
-        self.ensure_resident(leaf)?;
-        Ok(self.pool.get_mut(leaf).expect("resident").get(key).map(<[u8]>::to_vec))
+        self.with_value(key, |v| v.map(<[u8]>::to_vec))
     }
 
     /// Range scan over `[lo, hi)` via the leaf chain.
@@ -92,57 +101,58 @@ impl<D: BlockDevice> InnoDb<D> {
         if self.height == 0 {
             return Ok(out);
         }
-        let (mut leaf, _) = self.descend_path(lo)?;
+        let mut leaf = self.descend(lo)?;
         loop {
-            self.ensure_resident(leaf)?;
             let p = self.pool.get_mut(leaf).expect("resident");
-            let start = match p.find(lo) {
-                Ok(i) | Err(i) => i,
-            };
+            let (Ok(start) | Err(start)) = p.find(lo);
             let mut done = false;
-            for (k, v) in &p.entries[start..] {
-                if k >= hi {
+            for i in start..p.len() {
+                let k = p.key_at(i);
+                if k >= *hi {
                     done = true;
                     break;
                 }
-                out.push((*k, v.clone()));
+                out.push((k, p.value_at(i).to_vec()));
             }
             let next = p.next;
             if done || next == NO_PAGE {
                 break;
             }
             leaf = next;
+            self.ensure_resident(leaf)?;
         }
         Ok(out)
     }
 
     fn split(&mut self, node_no: u64, level: u16) -> Result<(Key, u64), EngineError> {
         self.ensure_resident(node_no)?;
-        let (pivot, high, old_next) = {
-            let p = self.pool.get_mut(node_no).expect("resident");
-            debug_assert!(p.entries.len() >= 2, "splitting a node with <2 entries");
-            let mid = p.entries.len() / 2;
-            (p.entries[mid].0, p.entries[mid..].to_vec(), p.next)
-        };
         let new_no = self.alloc_page_no()?;
-        self.apply(RedoBody::PageInit { page_no: new_no, level })?;
-        // Chunk the moved entries so each record fits a redo log page.
-        let mut chunk: Vec<(Key, Vec<u8>)> = Vec::new();
-        let mut chunk_bytes = 0usize;
-        for (k, v) in high {
-            let sz = ENTRY_OVERHEAD + v.len();
-            if chunk_bytes + sz > SPLIT_CHUNK_BYTES && !chunk.is_empty() {
-                self.apply(RedoBody::AppendEntries {
-                    page_no: new_no,
-                    entries: std::mem::take(&mut chunk),
-                })?;
-                chunk_bytes = 0;
+        // The moved entries leave as packed runs cut at record boundaries,
+        // chunked so each record fits a redo log page.
+        let (pivot, runs, old_next) = {
+            let p = self.pool.get_mut(node_no).expect("resident");
+            debug_assert!(p.len() >= 2, "splitting a node with <2 entries");
+            let mid = p.len() / 2;
+            let mut runs = Vec::new();
+            let mut start = mid;
+            for i in mid..p.len() {
+                if p.packed(start..i + 1).len() > SPLIT_CHUNK_BYTES && i > start {
+                    runs.push(RedoBody::AppendEntries {
+                        page_no: new_no,
+                        run: p.packed(start..i).to_vec(),
+                    });
+                    start = i;
+                }
             }
-            chunk_bytes += sz;
-            chunk.push((k, v));
-        }
-        if !chunk.is_empty() {
-            self.apply(RedoBody::AppendEntries { page_no: new_no, entries: chunk })?;
+            runs.push(RedoBody::AppendEntries {
+                page_no: new_no,
+                run: p.packed(start..p.len()).to_vec(),
+            });
+            (p.key_at(mid), runs, p.next)
+        };
+        self.apply(RedoBody::PageInit { page_no: new_no, level })?;
+        for run in runs {
+            self.apply(run)?;
         }
         self.apply(RedoBody::SetNextPtr { page_no: new_no, next: old_next })?;
         self.apply(RedoBody::TruncateHigh { page_no: node_no, pivot })?;
@@ -154,9 +164,8 @@ impl<D: BlockDevice> InnoDb<D> {
 
     fn node_would_overflow(&mut self, page_no: u64, vlen: usize) -> Result<bool, EngineError> {
         self.ensure_resident(page_no)?;
-        let page_bytes = self.config().page_bytes;
         let p = self.pool.get_mut(page_no).expect("resident");
-        Ok(p.would_overflow(vlen, page_bytes) && p.entries.len() >= 2)
+        Ok(p.would_overflow(vlen) && p.len() >= 2)
     }
 
     fn insert_rec(
@@ -249,8 +258,7 @@ impl<D: BlockDevice> InnoDb<D> {
         if self.height == 0 {
             return Ok(false);
         }
-        let (leaf, _) = self.descend_path(key)?;
-        self.ensure_resident(leaf)?;
+        let leaf = self.descend(key)?;
         let present = self.pool.get_mut(leaf).expect("resident").get(key).is_some();
         if present {
             self.apply(RedoBody::Remove { page_no: leaf, key: *key })?;
@@ -292,7 +300,7 @@ impl<D: BlockDevice> InnoDb<D> {
 
     /// Insert a link and bump the (id1, type) count row.
     pub fn add_link(&mut self, id1: u64, typ: u32, id2: u64, payload: &[u8]) -> Result<(), EngineError> {
-        let fresh = self.get(&Key::link(id1, typ, id2))?.is_none();
+        let fresh = self.with_value(&Key::link(id1, typ, id2), |v| v.is_none())?;
         self.upsert_kv(Key::link(id1, typ, id2), payload.to_vec())?;
         if fresh {
             let n = self.read_count(id1, typ)? + 1;
@@ -319,10 +327,9 @@ impl<D: BlockDevice> InnoDb<D> {
     }
 
     fn read_count(&mut self, id1: u64, typ: u32) -> Result<u64, EngineError> {
-        Ok(self
-            .get(&Key::count(id1, typ))?
-            .map(|v| u64::from_le_bytes(v.as_slice().try_into().unwrap_or([0; 8])))
-            .unwrap_or(0))
+        self.with_value(&Key::count(id1, typ), |v| {
+            v.map_or(0, |v| u64::from_le_bytes(v.try_into().unwrap_or([0; 8])))
+        })
     }
 
     /// Read the (id1, type) link count.

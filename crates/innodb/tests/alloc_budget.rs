@@ -1,0 +1,156 @@
+//! Allocation budget of the engine's fetch and flush paths.
+//!
+//! A pool frame is the page's on-media image (DESIGN.md "Buffer
+//! ownership"): a fetch reads the device pages straight into the buffer of
+//! the frame just evicted and rebuilds the offset directory in place, and a
+//! flush seals the image where it sits and lends it to the file system.
+//! Neither may request heap per entry or per page image. This test holds a
+//! warmed `FlushMode::Share` engine, whose 64-page pool is a fraction of
+//! its tree, to it:
+//!
+//! * reads: at most 3 allocations per fetched page — the request vectors of
+//!   the engine, the file system and the device; the page decoded into a
+//!   `Vec` per entry asked for 22;
+//! * writes: nothing per flushed page above the device beyond the request
+//!   vectors of its batch — the encoder asked for one page image each.
+//!
+//! The file holds one test on purpose: the counter is process-wide, and the
+//! harness runs the tests of one binary on parallel threads.
+
+use mini_innodb::{standard_log_device, FlushMode, InnoDb, InnoDbConfig, Key};
+use share_core::{BlockDevice, Ftl, FtlConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: `ptr`/`layout` come from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr`/`layout` come from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const ROWS: u64 = 6_000;
+const GETS: u64 = 5_000;
+const UPSERTS: u64 = 2_000;
+/// Engine, file-system and device request vector of one page read.
+const PER_FETCH: u64 = 3;
+/// Request vectors of one SHARE flush batch, engine to NAND, whatever its
+/// page count: the batch and its images, the DWB write, the pair list, two
+/// fsync journal commits, the device's share and delta-log work.
+const PER_FLUSH_BATCH: u64 = 34;
+/// Below the `BlockDevice` boundary a flushed page costs this young device
+/// two: the NAND page buffer of a block never programmed before (the spare
+/// list of `crates/core/tests/alloc_budget.rs` is still empty) and the
+/// reverse map's referrer list of the shared page. Above it, nothing.
+const PER_FLUSHED_PAGE: u64 = 2;
+/// A hash table or a scratch vector growing once in a phase.
+const STRAY: u64 = 16;
+
+/// Pages the engine read from the tablespace: the data device serves no
+/// other reads once the engine is open.
+fn fetched(db: &InnoDb<Ftl>) -> u64 {
+    db.data_device_stats().host_reads
+}
+
+#[test]
+fn fetch_and_flush_stay_inside_their_allocation_budget() {
+    let fcfg = FtlConfig::for_capacity_with(32 << 20, 0.3, 4096, 32, nand_sim::NandTiming::zero());
+    let dev = Ftl::new(fcfg);
+    let log = standard_log_device(dev.clock().clone());
+    let cfg = InnoDbConfig {
+        mode: FlushMode::Share,
+        pool_pages: 64,
+        max_pages: 4096,
+        ckpt_redo_bytes: 1 << 20,
+        ..Default::default()
+    };
+    let mut db = InnoDb::create(dev, log, cfg).unwrap();
+    for id in 0..ROWS {
+        db.upsert_kv(Key::node(id), vec![(id % 251) as u8; 96]).unwrap();
+        db.commit().unwrap();
+    }
+    db.checkpoint().unwrap();
+    assert!(db.page_count() > 4 * 64, "the tree must not fit the 64-page pool");
+    // The walk: consecutive ids are ~40 leaves apart, and it comes back to
+    // within a leaf of an id only after hundreds of other leaves — far more
+    // than 64 frames keep, so every lookup fetches its leaf.
+    let mut id = 0;
+    let mut step = move || {
+        id = (id + 1_237) % ROWS;
+        id
+    };
+    // Warm: fill the pool, so that every fetch from here on reuses a frame.
+    for _ in 0..500 {
+        db.get(&Key::node(step())).unwrap();
+    }
+
+    // ---- reads: every get misses at least once -----------------------------
+    let (allocs0, fetched0) = (ALLOCS.load(Relaxed), fetched(&db));
+    for _ in 0..GETS {
+        let (id, pages0) = (step(), fetched(&db));
+        let got = db.get(&Key::node(id)).unwrap();
+        assert_eq!(got, Some(vec![(id % 251) as u8; 96]));
+        assert!(fetched(&db) > pages0, "get of node {id} was served from the pool");
+    }
+    let (allocs, pages) = (ALLOCS.load(Relaxed) - allocs0, fetched(&db) - fetched0);
+    // One owned value per `get`, plus the one the assertion compares with.
+    let allocs = allocs - 2 * GETS;
+    assert!(
+        allocs <= PER_FETCH * pages + STRAY,
+        "{GETS} gets fetched {pages} pages with {allocs} allocations: {:.2} per fetched page, \
+         budget {PER_FETCH}",
+        allocs as f64 / pages as f64
+    );
+
+    // ---- writes: committed upserts through eviction flushes ----------------
+    let (allocs0, fetched0, stats0) = (ALLOCS.load(Relaxed), fetched(&db), db.stats());
+    for i in 0..UPSERTS {
+        db.upsert_kv(Key::node(step()), vec![i as u8; 96]).unwrap();
+        db.commit().unwrap();
+    }
+    let allocs = ALLOCS.load(Relaxed) - allocs0;
+    let pages = fetched(&db) - fetched0;
+    let (batches, flushed) = {
+        let s = db.stats();
+        (s.flush_batches - stats0.flush_batches, s.pages_flushed - stats0.pages_flushed)
+    };
+    assert!(flushed >= UPSERTS / 2 && batches > 0, "{flushed} pages flushed in {batches} batches");
+    // One value per upsert, made by the caller.
+    let allocs = allocs - UPSERTS;
+    let budget =
+        PER_FETCH * pages + PER_FLUSH_BATCH * batches + PER_FLUSHED_PAGE * flushed + STRAY;
+    assert!(
+        allocs <= budget,
+        "{UPSERTS} upserts ({pages} pages fetched, {flushed} flushed in {batches} batches) made \
+         {allocs} allocations, budget {budget}: {:.2} per flushed page over it",
+        (allocs - budget) as f64 / flushed as f64
+    );
+    assert_eq!(db.stats().share_fallbacks, 0);
+}

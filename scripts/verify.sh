@@ -29,6 +29,10 @@ cargo test -q --offline
 # build to the same budget.
 echo "== allocation budget (release) =="
 cargo test -q --release --offline -p share-core --test alloc_budget
+# The engine half (crates/innodb/tests/alloc_budget.rs): a pool frame is
+# the page image, so a fetch may ask for its three request vectors and a
+# flushed page for nothing above the device.
+cargo test -q --release --offline -p mini-innodb --test alloc_budget
 
 # Crash-point smoke sweep: every NAND program boundary (stride 1) of an
 # FTL-level and two engine-level workloads, times three fault modes, must
