@@ -157,14 +157,12 @@ impl Ftl {
                 return Ok(CmdOutput::Page(buf));
             }
             QueuedCmd::ReadBatch { lpns } => {
-                let mut bufs = vec![vec![0u8; self.page_size()]; lpns.len()];
-                let mut reqs: Vec<(Lpn, &mut [u8])> = lpns
-                    .iter()
-                    .copied()
-                    .zip(bufs.iter_mut().map(|b| b.as_mut_slice()))
-                    .collect();
+                let ps = self.page_size();
+                let mut flat = vec![0u8; lpns.len() * ps];
+                let mut reqs: Vec<(Lpn, &mut [u8])> =
+                    lpns.iter().copied().zip(flat.chunks_exact_mut(ps)).collect();
                 self.read_batch_impl(&mut reqs)?;
-                return Ok(CmdOutput::Pages(bufs));
+                return Ok(CmdOutput::Pages(flat));
             }
             QueuedCmd::Write { lpn, data } => self.write_impl(lpn, &data)?,
             QueuedCmd::WriteBatch { pages } => self.write_batch_impl(&refs(&pages))?,

@@ -1107,7 +1107,7 @@ fn run_pin(mut f: Ftl, ops: &[PinOp], queued: bool) -> (u64, DeviceStats, u64) {
             match done.pop().unwrap().result.unwrap() {
                 CmdOutput::None => {}
                 CmdOutput::Page(p) => fold(&p),
-                CmdOutput::Pages(ps) => ps.iter().for_each(|p| fold(p)),
+                CmdOutput::Pages(flat) => flat.chunks_exact(ps).for_each(&mut fold),
             }
             continue;
         }
@@ -1332,9 +1332,9 @@ fn queued_batches_round_trip() {
     let lpns: Vec<Lpn> = (0..20).map(Lpn).collect();
     f.submit(QueuedCmd::ReadBatch { lpns }).unwrap();
     let done = f.drain();
-    let bufs = done[0].result.clone().unwrap().into_pages().unwrap();
-    assert_eq!(bufs.len(), 20);
-    for (i, b) in bufs.iter().enumerate() {
+    let flat = done[0].result.clone().unwrap().into_pages().unwrap();
+    assert_eq!(flat.len(), 20 * ps);
+    for (i, b) in flat.chunks_exact(ps).enumerate() {
         assert!(b.iter().all(|&x| x == (i % 251) as u8), "lpn {i} diverged");
     }
     f.check_invariants();

@@ -31,13 +31,16 @@ impl std::fmt::Display for CmdTag {
 
 /// A command enqueued on a device submission queue. Owns its payload: the
 /// host buffer is captured at submit time, so the submitting connection
-/// can move on before the command completes.
+/// can move on before the command completes. That capture is the one copy
+/// a queued write costs above the medium (DESIGN.md §8 "Buffer ownership");
+/// lending the buffer instead needs a new submission form, which waits for
+/// the command surface to shrink (ROADMAP item 5).
 #[derive(Debug, Clone)]
 pub enum QueuedCmd {
     /// Read one page; completes with [`CmdOutput::Page`].
     Read { lpn: Lpn },
     /// Read a vector of pages as one submission; completes with
-    /// [`CmdOutput::Pages`] in request order.
+    /// [`CmdOutput::Pages`], one buffer holding the pages in request order.
     ReadBatch { lpns: Vec<Lpn> },
     /// Write one page.
     Write { lpn: Lpn, data: Vec<u8> },
@@ -106,8 +109,11 @@ pub enum CmdOutput {
     None,
     /// One page of read data.
     Page(Vec<u8>),
-    /// Pages of read data, in request order.
-    Pages(Vec<Vec<u8>>),
+    /// Pages of read data: one buffer of `lpns.len() × page_size` bytes, the
+    /// pages back to back in request order (`chunks_exact(page_size)` walks
+    /// them). One allocation per command, which the reaper owns from here on
+    /// — an engine whose record spans the pages can keep it as the record.
+    Pages(Vec<u8>),
 }
 
 impl CmdOutput {
@@ -119,8 +125,8 @@ impl CmdOutput {
         }
     }
 
-    /// The page vector of a [`CmdOutput::Pages`] completion.
-    pub fn into_pages(self) -> Option<Vec<Vec<u8>>> {
+    /// The flat page buffer of a [`CmdOutput::Pages`] completion.
+    pub fn into_pages(self) -> Option<Vec<u8>> {
         match self {
             CmdOutput::Pages(p) => Some(p),
             _ => None,
@@ -169,7 +175,7 @@ mod tests {
     fn output_accessors() {
         assert_eq!(CmdOutput::Page(vec![1]).into_page(), Some(vec![1]));
         assert_eq!(CmdOutput::None.into_page(), None);
-        assert_eq!(CmdOutput::Pages(vec![vec![2]]).into_pages(), Some(vec![vec![2]]));
+        assert_eq!(CmdOutput::Pages(vec![2, 3]).into_pages(), Some(vec![2, 3]));
         assert_eq!(CmdOutput::Page(vec![1]).into_pages(), None);
     }
 

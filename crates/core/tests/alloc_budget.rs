@@ -9,11 +9,16 @@
 //! half a KiB of heap per op — an eighth of one page, where one forgotten
 //! per-program or per-copyback buffer costs 4 KiB.
 //!
+//! Above the boundary a queued `ReadBatch` hands its pages back in one flat
+//! buffer, which the reaper owns: the same test ends by holding a k-page
+//! batch to one page-sized-or-larger allocation and to the bytes a
+//! synchronous `read_batch` of the same pages returns.
+//!
 //! The file holds one test on purpose: the counters are process-wide, and
 //! the harness runs the tests of one binary on parallel threads.
 
 use nand_sim::NandTiming;
-use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, SharePair};
+use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, QueuedCmd, SharePair};
 use share_rng::{Rng, StdRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -21,24 +26,31 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 struct CountingAlloc;
 
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Requests of a page or more: payload buffers, as against request vectors.
+static PAGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    ALLOC_BYTES.fetch_add(size as u64, Relaxed);
+    PAGE_ALLOCS.fetch_add((size >= PAGE) as u64, Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        count(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(new_size as u64, Relaxed);
+        count(new_size);
         // SAFETY: `ptr`/`layout` come from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -145,4 +157,36 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
         window.checkpoints
     );
     rig.ftl.check_invariants();
+    queued_read_batch_is_one_flat_buffer(&mut rig);
+}
+
+/// Mapped, trimmed and never-written pages in one queued `ReadBatch`: the
+/// completion carries `k × PAGE` bytes, page for page what a synchronous
+/// `read_batch` of the same LPNs reads, and the command made one payload
+/// allocation — the buffer the reaper now owns — where a buffer per page made
+/// k.
+fn queued_read_batch_is_one_flat_buffer(rig: &mut Rig) {
+    let (mapped, other, never_written) = (7, rig.home_pages - 1, LOGICAL_PAGES - 1);
+    rig.ftl.trim(Lpn(40), 2).unwrap();
+    rig.ftl.write(Lpn(mapped), &[0x5A; PAGE]).unwrap();
+    rig.ftl.write(Lpn(other), &[0xC3; PAGE]).unwrap();
+    let lpns = [mapped, 40, other, never_written, 41, mapped].map(Lpn).to_vec();
+    let k = lpns.len();
+
+    let mut sync = vec![0xEEu8; k * PAGE];
+    let mut reqs: Vec<(Lpn, &mut [u8])> =
+        lpns.iter().copied().zip(sync.chunks_exact_mut(PAGE)).collect();
+    rig.ftl.read_batch(&mut reqs).unwrap();
+    let fills: Vec<u8> = sync.chunks_exact(PAGE).map(|p| p[PAGE - 1]).collect();
+    assert_eq!(fills, [0x5A, 0, 0xC3, 0, 0, 0x5A], "trimmed and never-written pages read as zeros");
+
+    let before = PAGE_ALLOCS.load(Relaxed);
+    rig.ftl.submit(QueuedCmd::ReadBatch { lpns }).unwrap();
+    let mut done = rig.ftl.drain();
+    let payload_allocs = PAGE_ALLOCS.load(Relaxed) - before;
+    assert_eq!(done.len(), 1);
+    let flat = done.pop().unwrap().result.unwrap().into_pages().unwrap();
+    assert_eq!(flat.len(), k * PAGE);
+    assert!(flat == sync, "queued and synchronous reads of the same pages differ");
+    assert_eq!(payload_allocs, 1, "payload allocations of a {k}-page queued read");
 }

@@ -14,6 +14,9 @@ use crate::store::{CouchMode, CouchStore, NO_ROOT};
 use crate::CouchError;
 use share_core::BlockDevice;
 
+/// Document heads a SHARE compaction reads per batched submission.
+const HEAD_BATCH: usize = 256;
+
 /// What one compaction did (drives the paper's Table 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionReport {
@@ -71,26 +74,31 @@ impl<D: BlockDevice> CouchStore<D> {
             // Read the document header blocks to learn each length —
             // required by the share command, and the reason SHARE-based
             // compaction is not infinitely fast (§5.3.2). Batched so the
-            // reads overlap across channels.
-            let mut head_bufs = vec![vec![0u8; bs]; entries.len()];
-            for (chunk_e, chunk_b) in entries.chunks(256).zip(head_bufs.chunks_mut(256)) {
-                let mut reqs: Vec<(u64, &mut [u8])> = chunk_e
-                    .iter()
-                    .zip(chunk_b.iter_mut())
-                    .map(|(e, b)| (e.ptr, b.as_mut_slice()))
-                    .collect();
-                self.fs.read_pages(self.file, &mut reqs)?;
-            }
+            // reads overlap across channels; every batch lands in the same
+            // buffer and is decoded where it lies.
+            let mut heads = vec![0u8; HEAD_BATCH.min(entries.len()) * bs];
             let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(doc_blocks_moved as usize);
-            for (e, buf) in entries.iter().zip(&head_bufs) {
-                let head = decode_doc_block(buf)
-                    .ok_or_else(|| CouchError::Corrupt(format!("bad doc head at {}", e.ptr)))?;
-                debug_assert_eq!(head.nblocks, e.nblocks);
-                for i in 0..e.nblocks as u64 {
-                    pairs.push((new_tail + i, e.ptr + i));
+            for batch in entries.chunks(HEAD_BATCH) {
+                let heads = &mut heads[..batch.len() * bs];
+                let mut reqs: Vec<(u64, &mut [u8])> =
+                    batch.iter().zip(heads.chunks_exact_mut(bs)).map(|(e, b)| (e.ptr, b)).collect();
+                self.fs.read_pages(self.file, &mut reqs)?;
+                for (e, buf) in batch.iter().zip(heads.chunks_exact(bs)) {
+                    let head = decode_doc_block(buf)
+                        .ok_or_else(|| CouchError::Corrupt(format!("bad doc head at {}", e.ptr)))?;
+                    // A remap of the wrong length moves someone else's blocks.
+                    if !head.is_head || head.nblocks != e.nblocks || head.total_len != e.len {
+                        return Err(CouchError::Corrupt(format!(
+                            "doc head at {} disagrees with the index on the document's size",
+                            e.ptr
+                        )));
+                    }
+                    for i in 0..e.nblocks as u64 {
+                        pairs.push((new_tail + i, e.ptr + i));
+                    }
+                    new_leaf_entries.push(NodeEntry { key: e.key, ptr: new_tail, ..*e });
+                    new_tail += e.nblocks as u64;
                 }
-                new_leaf_entries.push(NodeEntry { key: e.key, ptr: new_tail, ..*e });
-                new_tail += e.nblocks as u64;
             }
             self.fs.ioctl_share_pairs(new_file, self.file, &pairs)?;
         } else {

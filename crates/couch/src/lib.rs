@@ -40,8 +40,9 @@ mod store;
 pub use compact::CompactionReport;
 pub use error::CouchError;
 pub use format::{
-    decode_doc_block, decode_header, decode_node, doc_blocks, doc_payload_per_block, encode_doc,
-    encode_header, encode_node, node_capacity, DocBlock, DocPtr, Header, NodeEntry,
+    decode_doc_block, decode_doc_payload, decode_header, decode_node, doc_blocks,
+    doc_payload_per_block, encode_doc, encode_header, encode_node, node_capacity, DocBlock, DocPtr,
+    Header, NodeEntry,
 };
 pub use store::{CouchConfig, CouchMode, CouchStats, CouchStore, NO_ROOT};
 

@@ -12,7 +12,7 @@
 //!   all; only inserts and deletes fall back to the tree path.
 
 use crate::format::{
-    decode_doc_block, decode_header, decode_node, doc_blocks, encode_doc, encode_header,
+    decode_doc_payload, decode_header, decode_node, doc_blocks, encode_doc, encode_header,
     encode_node, node_capacity, DocPtr, Header, NodeEntry,
 };
 use crate::CouchError;
@@ -124,7 +124,12 @@ pub struct CouchStore<D: BlockDevice> {
     /// batch coalesce here (last writer wins; earlier copies go stale).
     pending_shares: BTreeMap<u64, (DocPtr, DocPtr)>,
     ops_since_commit: usize,
+    /// Decoded tree nodes by block. Nodes are immutable once written; the
+    /// cache owns them and lends them out ([`CouchStore::node`]).
     pub(crate) node_cache: HashMap<u64, (u8, Vec<NodeEntry>)>,
+    /// Every block image this store writes is encoded here and lent to the
+    /// file system; node reads on a cache miss land here too.
+    scratch: Vec<u8>,
     pub(crate) stats: CouchStats,
 }
 
@@ -156,6 +161,7 @@ impl<D: BlockDevice> CouchStore<D> {
             pending_shares: BTreeMap::new(),
             ops_since_commit: 0,
             node_cache: HashMap::new(),
+            scratch: Vec::new(),
             stats: CouchStats::default(),
         };
         store.write_header()?;
@@ -220,6 +226,7 @@ impl<D: BlockDevice> CouchStore<D> {
             pending_shares: BTreeMap::new(),
             ops_since_commit: 0,
             node_cache: HashMap::new(),
+            scratch: Vec::new(),
             stats: CouchStats::default(),
         })
     }
@@ -270,27 +277,28 @@ impl<D: BlockDevice> CouchStore<D> {
 
     // ----- node I/O ---------------------------------------------------------
 
-    pub(crate) fn load_node(&mut self, ptr: u64) -> Result<(u8, Vec<NodeEntry>), CouchError> {
-        if let Some(n) = self.node_cache.get(&ptr) {
-            return Ok(n.clone());
+    /// The tree node at block `ptr`, lent from the cache (read and decoded
+    /// into it on a miss).
+    pub(crate) fn node(&mut self, ptr: u64) -> Result<&(u8, Vec<NodeEntry>), CouchError> {
+        if !self.node_cache.contains_key(&ptr) {
+            self.scratch.resize(self.fs.page_size(), 0);
+            self.fs.read_page(self.file, ptr, &mut self.scratch)?;
+            let node = decode_node(&self.scratch)
+                .ok_or_else(|| CouchError::Corrupt(format!("bad node block at {ptr}")))?;
+            // Immutable once written: cache freely, with a crude size cap.
+            if self.node_cache.len() > 200_000 {
+                self.node_cache.clear();
+            }
+            self.node_cache.insert(ptr, node);
         }
-        let mut buf = vec![0u8; self.fs.page_size()];
-        self.fs.read_page(self.file, ptr, &mut buf)?;
-        let node = decode_node(&buf)
-            .ok_or_else(|| CouchError::Corrupt(format!("bad node block at {ptr}")))?;
-        // Immutable once written: cache freely, with a crude size cap.
-        if self.node_cache.len() > 200_000 {
-            self.node_cache.clear();
-        }
-        self.node_cache.insert(ptr, node.clone());
-        Ok(node)
+        Ok(&self.node_cache[&ptr])
     }
 
     pub(crate) fn append_node(&mut self, level: u8, entries: Vec<NodeEntry>) -> Result<u64, CouchError> {
-        let bs = self.fs.page_size();
-        let img = encode_node(level, &entries, bs);
+        self.scratch.resize(self.fs.page_size(), 0);
+        encode_node(level, &entries, &mut self.scratch);
         let ptr = self.tail;
-        self.fs.write_page(self.file, ptr, &img)?;
+        self.fs.write_page(self.file, ptr, &self.scratch)?;
         self.tail += 1;
         self.stats.node_blocks_appended += 1;
         self.node_cache.insert(ptr, (level, entries));
@@ -310,8 +318,9 @@ impl<D: BlockDevice> CouchStore<D> {
             tail: self.tail + 1,
             stale_blocks: self.stale_blocks,
         };
-        let img = encode_header(&h, self.fs.page_size());
-        self.fs.write_page(self.file, self.tail, &img)?;
+        self.scratch.resize(self.fs.page_size(), 0);
+        encode_header(&h, &mut self.scratch);
+        self.fs.write_page(self.file, self.tail, &self.scratch)?;
         self.tail += 1;
         self.stats.header_blocks_appended += 1;
         Ok(())
@@ -321,18 +330,21 @@ impl<D: BlockDevice> CouchStore<D> {
 
     /// Append a document's blocks at the tail: one batched submission when
     /// blocking, one *queued* command when `queued` (the caller drains the
-    /// file system's queue before any ordering point).
+    /// file system's queue before any ordering point). The images are lent
+    /// from the scratch; a queued command takes its own copy at submission.
     fn append_doc_with(&mut self, key: u64, payload: &[u8], queued: bool) -> Result<DocPtr, CouchError> {
         let bs = self.fs.page_size();
         let rev = self.next_rev;
         self.next_rev += 1;
-        let blocks = encode_doc(key, rev, payload, bs);
-        let ptr = DocPtr { block: self.tail, nblocks: blocks.len() as u16, len: payload.len() as u32 };
-        let batch: Vec<(u64, &[u8])> = blocks
-            .iter()
+        encode_doc(key, rev, payload, bs, &mut self.scratch);
+        let tail = self.tail;
+        let batch: Vec<(u64, &[u8])> = self
+            .scratch
+            .chunks_exact(bs)
             .enumerate()
-            .map(|(i, img)| (self.tail + i as u64, img.as_slice()))
+            .map(|(i, img)| (tail + i as u64, img))
             .collect();
+        let nblocks = batch.len() as u64;
         if queued {
             // Retry through shared-queue saturation: only writes are in
             // flight on the save path, so reaped completions carry no
@@ -341,36 +353,25 @@ impl<D: BlockDevice> CouchStore<D> {
         } else {
             self.fs.write_pages(self.file, &batch)?;
         }
-        self.tail += blocks.len() as u64;
-        self.stats.doc_blocks_appended += blocks.len() as u64;
-        Ok(ptr)
+        self.tail += nblocks;
+        self.stats.doc_blocks_appended += nblocks;
+        Ok(DocPtr { block: tail, nblocks: nblocks as u16, len: payload.len() as u32 })
     }
 
+    /// Read a document's blocks into one buffer, which reassembly turns into
+    /// the document.
     pub(crate) fn read_doc(&mut self, ptr: DocPtr) -> Result<Vec<u8>, CouchError> {
         let bs = self.fs.page_size();
-        let mut bufs = vec![vec![0u8; bs]; ptr.nblocks as usize];
+        let mut blocks = vec![0u8; ptr.nblocks as usize * bs];
         {
-            let mut reqs: Vec<(u64, &mut [u8])> = bufs
-                .iter_mut()
+            let mut reqs: Vec<(u64, &mut [u8])> = blocks
+                .chunks_exact_mut(bs)
                 .enumerate()
-                .map(|(i, b)| (ptr.block + i as u64, b.as_mut_slice()))
+                .map(|(i, b)| (ptr.block + i as u64, b))
                 .collect();
             self.fs.read_pages(self.file, &mut reqs)?;
         }
-        Self::decode_doc_payload(ptr, &bufs)
-    }
-
-    /// Reassemble a document from its read block images.
-    fn decode_doc_payload(ptr: DocPtr, bufs: &[Vec<u8>]) -> Result<Vec<u8>, CouchError> {
-        let mut payload = Vec::with_capacity(ptr.len as usize);
-        for (i, buf) in bufs.iter().enumerate() {
-            let d = decode_doc_block(buf).ok_or_else(|| {
-                CouchError::Corrupt(format!("bad doc block at {}", ptr.block + i as u64))
-            })?;
-            payload.extend_from_slice(&d.chunk);
-        }
-        payload.truncate(ptr.len as usize);
-        Ok(payload)
+        decode_doc_payload(ptr, blocks, bs)
     }
 
     /// Find a leaf entry in the tree rooted at `(root, level)`.
@@ -381,7 +382,7 @@ impl<D: BlockDevice> CouchStore<D> {
         let mut ptr = root;
         let mut level = level;
         loop {
-            let (_, entries) = self.load_node(ptr)?;
+            let (_, entries) = self.node(ptr)?;
             if level == 0 {
                 return Ok(entries.binary_search_by(|e| e.key.cmp(&key)).ok().map(|i| entries[i]));
             }
@@ -441,21 +442,25 @@ impl<D: BlockDevice> CouchStore<D> {
         }
         let mut tags: Vec<(usize, share_core::CmdTag, DocPtr)> = Vec::with_capacity(keys.len());
         let mut completions = Vec::new();
+        let mut pages: Vec<u64> = Vec::new();
         for (i, ptr) in ptrs.iter().enumerate() {
             let Some(p) = ptr else { continue };
-            let pages: Vec<u64> = (0..p.nblocks as u64).map(|j| p.block + j).collect();
+            pages.clear();
+            pages.extend((0..p.nblocks as u64).map(|j| p.block + j));
             let tag = self.fs.submit_read_pages_retry(self.file, &pages, &mut completions)?;
             tags.push((i, tag, *p));
         }
         completions.extend(self.fs.drain_queue());
+        let bs = self.fs.page_size();
         let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
         for c in completions {
             let output = c.result.map_err(share_vfs::VfsError::Device)?;
             let Some(&(i, _, ptr)) = tags.iter().find(|(_, t, _)| *t == c.tag) else { continue };
-            let bufs = output
+            // The completion's buffer becomes the document.
+            let blocks = output
                 .into_pages()
                 .ok_or_else(|| CouchError::Corrupt("queued read carried no pages".into()))?;
-            out[i] = Some(Self::decode_doc_payload(ptr, &bufs)?);
+            out[i] = Some(decode_doc_payload(ptr, blocks, bs)?);
         }
         Ok(out)
     }
@@ -479,7 +484,7 @@ impl<D: BlockDevice> CouchStore<D> {
         }
         let mut stack = vec![(self.seq_root, self.seq_root_level)];
         while let Some((ptr, level)) = stack.pop() {
-            let (_, entries) = self.load_node(ptr)?;
+            let (_, entries) = self.node(ptr)?;
             if level == 0 {
                 for e in entries.iter().filter(|e| e.key > since) {
                     out.push((e.key, e.aux, DocPtr { block: e.ptr, nblocks: e.nblocks, len: e.len }));
@@ -818,7 +823,9 @@ impl<D: BlockDevice> CouchStore<D> {
         updates: &[(u64, Pending)],
         count_docs: bool,
     ) -> Result<Vec<NodeEntry>, CouchError> {
-        let (_, entries) = self.load_node(ptr)?;
+        // The one caller that copies a node: the recursion below appends
+        // nodes through `&mut self` while it walks these entries.
+        let entries = self.node(ptr)?.1.clone();
         self.stale_blocks += 1; // the old node version dies
 
         if level == 0 {
@@ -866,9 +873,9 @@ impl<D: BlockDevice> CouchStore<D> {
         }
         let mut stack = vec![(self.root, self.root_level)];
         while let Some((ptr, level)) = stack.pop() {
-            let (_, entries) = self.load_node(ptr)?;
+            let (_, entries) = self.node(ptr)?;
             if level == 0 {
-                out.extend(entries);
+                out.extend_from_slice(entries);
             } else {
                 // Reverse so the stack pops in ascending key order.
                 for e in entries.iter().rev() {

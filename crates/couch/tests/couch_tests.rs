@@ -1,9 +1,10 @@
 //! Integration tests for the mini-Couchbase store over the SHARE FTL.
 
-use mini_couch::{CouchConfig, CouchMode, CouchStore};
+use mini_couch::{CouchConfig, CouchError, CouchMode, CouchStore, DocPtr};
 use nand_sim::NandTiming;
 use share_core::{Ftl, FtlConfig};
 use share_vfs::{Vfs, VfsOptions};
+use std::collections::BTreeMap;
 
 fn ftl_cfg(mb: u64) -> FtlConfig {
     FtlConfig::for_capacity_with(mb << 20, 0.3, 4096, 32, NandTiming::zero())
@@ -587,4 +588,35 @@ fn online_backup_is_consistent_despite_foreground_writes() {
         }
         live.fs_mut().device_mut().check_invariants();
     }
+}
+
+/// Blocks the store itself wrote, checksums intact, sitting where another
+/// document's belong — the file a stale tail or a remap cut between two
+/// commands leaves. A read must say `Corrupt` rather than splice them in,
+/// and a SHARE compaction must not remap by a head that disagrees with the
+/// index: a remap of the wrong length moves someone else's blocks.
+#[test]
+fn misplaced_doc_blocks_are_corrupt_not_spliced() {
+    let three_blocks = |key: u64| vec![key as u8; 9_000];
+    let mut s = store(CouchMode::Share, 1);
+    s.save(1, &three_blocks(1)).unwrap();
+    s.save(2, &three_blocks(2)).unwrap();
+    s.save(3, &doc(3, 1)).unwrap();
+    let at: BTreeMap<u64, DocPtr> =
+        s.changes_since(0).unwrap().into_iter().map(|(_, key, ptr)| (key, ptr)).collect();
+    assert_eq!((at[&1].nblocks, at[&2].nblocks, at[&3].nblocks), (3, 3, 1));
+    let file = s.fs_mut().lookup("test.couch").unwrap();
+    let copy_block = |s: &mut CouchStore<Ftl>, from: u64, to: u64| {
+        let mut b = vec![0u8; 4096];
+        s.fs_mut().read_page(file, from, &mut b).unwrap();
+        s.fs_mut().write_page(file, to, &b).unwrap();
+    };
+
+    copy_block(&mut s, at[&2].block + 1, at[&1].block + 1);
+    assert!(matches!(s.get(1), Err(CouchError::Corrupt(_))), "serial get spliced");
+    assert!(matches!(s.get_many(&[2, 1]), Err(CouchError::Corrupt(_))), "queued get spliced");
+    assert_eq!(s.get(2).unwrap(), Some(three_blocks(2)));
+
+    copy_block(&mut s, at[&3].block, at[&2].block);
+    assert!(matches!(s.compact(), Err(CouchError::Corrupt(_))), "compaction remapped by a wrong head");
 }

@@ -2,8 +2,8 @@
 //! modes, with interleaved commits and compactions. Deterministic seeded
 //! op-sequence sweeps (see `share_rng::sweep`).
 
-use mini_couch::{CouchConfig, CouchMode, CouchStore};
-use share_core::{Ftl, FtlConfig};
+use mini_couch::{doc_payload_per_block, CouchConfig, CouchMode, CouchStore};
+use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, FtlError, Lpn, SharePair};
 use share_rng::{sweep, Rng, StdRng};
 use share_vfs::{Vfs, VfsOptions};
 use std::collections::BTreeMap;
@@ -37,10 +37,12 @@ fn gen_ops(rng: &mut StdRng, min: usize, max: usize) -> Vec<Op> {
     (0..len).map(|_| gen_op(rng)).collect()
 }
 
+fn ftl() -> Ftl {
+    Ftl::new(FtlConfig::for_capacity_with(96 << 20, 0.3, 4096, 64, nand_sim::NandTiming::zero()))
+}
+
 fn store(mode: CouchMode, batch: usize) -> CouchStore<Ftl> {
-    let fcfg =
-        FtlConfig::for_capacity_with(96 << 20, 0.3, 4096, 64, nand_sim::NandTiming::zero());
-    let fs = Vfs::format(Ftl::new(fcfg), VfsOptions::default()).unwrap();
+    let fs = Vfs::format(ftl(), VfsOptions::default()).unwrap();
     CouchStore::create(
         fs,
         "prop.couch",
@@ -103,4 +105,132 @@ fn original_mode_matches_model() {
 #[test]
 fn share_mode_matches_model() {
     sweep_mode("couch/share_mode_matches_model", CouchMode::Share);
+}
+
+// ----- reassembly ---------------------------------------------------------
+
+/// The FTL with its submission queue hidden: `get_many` and `save_many` take
+/// their serial paths, SHARE still works.
+struct SyncOnly(Ftl);
+
+impl BlockDevice for SyncOnly {
+    fn page_size(&self) -> usize {
+        self.0.page_size()
+    }
+    fn capacity_pages(&self) -> u64 {
+        self.0.capacity_pages()
+    }
+    fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<(), FtlError> {
+        self.0.read(lpn, buf)
+    }
+    fn write(&mut self, lpn: Lpn, data: &[u8]) -> Result<(), FtlError> {
+        self.0.write(lpn, data)
+    }
+    fn flush(&mut self) -> Result<(), FtlError> {
+        self.0.flush()
+    }
+    fn trim(&mut self, lpn: Lpn, len: u64) -> Result<(), FtlError> {
+        self.0.trim(lpn, len)
+    }
+    fn read_batch(&mut self, reqs: &mut [(Lpn, &mut [u8])]) -> Result<(), FtlError> {
+        self.0.read_batch(reqs)
+    }
+    fn write_batch(&mut self, pages: &[(Lpn, &[u8])]) -> Result<(), FtlError> {
+        self.0.write_batch(pages)
+    }
+    fn share(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
+        self.0.share(pairs)
+    }
+    fn share_batch(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
+        self.0.share_batch(pairs)
+    }
+    fn share_batch_limit(&self) -> usize {
+        self.0.share_batch_limit()
+    }
+    fn stats(&self) -> DeviceStats {
+        self.0.stats()
+    }
+    fn clock(&self) -> &nand_sim::SimClock {
+        self.0.clock()
+    }
+}
+
+/// Every committed document reads back as exactly the bytes last saved,
+/// through each read path: `get`, `get_many` (a repeated and a missing key
+/// in the batch) and `get_by_seq`.
+fn assert_reads<D: BlockDevice>(s: &mut CouchStore<D>, model: &BTreeMap<u64, Vec<u8>>, when: &str) {
+    for (key, want) in model {
+        assert_eq!(s.get(*key).unwrap().as_ref(), Some(want), "{when}: get({key})");
+    }
+    let first = *model.keys().next().unwrap();
+    let keys: Vec<u64> = model.keys().copied().chain([first, 1 << 40]).collect();
+    let got = s.get_many(&keys).unwrap();
+    assert_eq!(got.len(), keys.len());
+    for (key, got) in keys.iter().zip(&got) {
+        assert_eq!(got.as_ref(), model.get(key), "{when}: get_many key {key}");
+    }
+    let changes = s.changes_since(0).unwrap();
+    assert_eq!(changes.len(), model.len(), "{when}: by-seq index size");
+    for (seq, key, _) in changes {
+        let (k, doc) = s.get_by_seq(seq).unwrap().expect("listed sequence resolves");
+        assert_eq!((k, &doc), (key, &model[&key]), "{when}: get_by_seq({seq})");
+    }
+}
+
+/// Documents of every length around the block boundaries go in through
+/// `save` and `save_many`, are updated in place (same size: the SHARE remap
+/// in `CouchMode::Share`) and resized, and must come back byte for byte
+/// before and after a compaction and after a reopen.
+fn reassembly_case<D: BlockDevice>(dev: D, mode: CouchMode, rng: &mut StdRng) {
+    let per = doc_payload_per_block(4096);
+    let cfg = CouchConfig { mode, batch_size: 5, node_max_entries: 8, ..Default::default() };
+    let fs = Vfs::format(dev, VfsOptions::default()).unwrap();
+    let mut s = CouchStore::create(fs, "sweep.couch", cfg.clone()).unwrap();
+    let mut lens = vec![0, 1, per - 1, per, per + 1, 2 * per, 16_000];
+    lens.extend((0..5).map(|_| rng.random_range(0..=8 * per)));
+    let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    let mut doc = |len: usize| {
+        let mut v = vec![0u8; len];
+        rng.fill(v.as_mut_slice());
+        v
+    };
+    for (key, &len) in lens.iter().enumerate() {
+        model.insert(key as u64, doc(len));
+    }
+    let (serial, grouped): (Vec<_>, Vec<_>) = model.iter().partition(|(k, _)| *k % 2 == 0);
+    for (key, d) in serial {
+        s.save(*key, d).unwrap();
+    }
+    let batch: Vec<(u64, &[u8])> = grouped.iter().map(|(k, d)| (**k, d.as_slice())).collect();
+    s.save_many(&batch).unwrap();
+    s.commit().unwrap();
+    assert_reads(&mut s, &model, "loaded");
+
+    // Same-size rewrites of two thirds of the documents, a resize of the rest.
+    for (key, d) in model.iter_mut() {
+        *d = doc(if key % 3 == 0 { (d.len() + per / 2) % (8 * per) } else { d.len() });
+    }
+    let batch: Vec<(u64, &[u8])> = model.iter().map(|(k, d)| (*k, d.as_slice())).collect();
+    s.save_many(&batch).unwrap();
+    s.commit().unwrap();
+    assert_eq!(s.stats().share_remaps > 0, mode == CouchMode::Share);
+    assert_reads(&mut s, &model, "updated");
+
+    let report = s.compact().unwrap();
+    assert_eq!(report.docs_moved, model.len() as u64);
+    assert_eq!(report.zero_copy, mode == CouchMode::Share);
+    assert_reads(&mut s, &model, "compacted");
+
+    let mut s = CouchStore::open(s.into_fs(), "sweep.couch", cfg).unwrap();
+    assert_reads(&mut s, &model, "reopened");
+}
+
+#[test]
+fn documents_reassemble_at_every_length_in_both_modes_with_and_without_a_queue() {
+    for (_case, mut rng) in sweep("couch/reassembly", 6) {
+        for mode in [CouchMode::Original, CouchMode::Share] {
+            reassembly_case(ftl(), mode, &mut rng);
+            reassembly_case(SyncOnly(ftl()), mode, &mut rng);
+        }
+    }
 }

@@ -602,7 +602,8 @@ impl<D: BlockDevice> Vfs<D> {
     }
 
     /// Submit a batched read of `pages` of one file; the completion
-    /// carries the page payloads in request order.
+    /// carries the page payloads in request order, back to back in one
+    /// buffer the reaper owns.
     pub fn submit_read_pages(&mut self, f: FileId, pages: &[u64]) -> Result<CmdTag, VfsError> {
         let mut lpns = Vec::with_capacity(pages.len());
         for &p in pages {

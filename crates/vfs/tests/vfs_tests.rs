@@ -343,11 +343,11 @@ fn queued_writes_round_trip_through_the_mount() {
     let rt = fs.submit_read_pages(f, &[0, 3, 7]).unwrap();
     let done = fs.drain_queue();
     assert_eq!(done[0].tag, rt);
-    let bufs = done[0].result.clone().unwrap().into_pages().unwrap();
-    assert_eq!(bufs.len(), 3);
-    assert!(bufs[0].iter().all(|&b| b == 0));
-    assert!(bufs[1].iter().all(|&b| b == 3));
-    assert!(bufs[2].iter().all(|&b| b == 7));
+    let flat = done[0].result.clone().unwrap().into_pages().unwrap();
+    assert_eq!(flat.len(), 3 * ps);
+    for (buf, want) in flat.chunks_exact(ps).zip([0u8, 3, 7]) {
+        assert!(buf.iter().all(|&b| b == want));
+    }
     assert!(fs.poll_queue().is_empty());
 }
 

@@ -3,7 +3,8 @@
 //! flipped must be *rejected*, never decoded and never a panic.
 //!
 //! For the mini-innodb page, whose image is what lookups search, the sweep
-//! is followed by checksum-*valid* hostile images.
+//! is followed by checksum-*valid* hostile images; so is the mini-couch
+//! document, which is reassembled inside the buffer its blocks were read into.
 //!
 //! Five formats: the mini-innodb `NodePage`, the mini-sqlite `RecordPage`
 //! and the mini-couch document, node and header blocks. For each, one image
@@ -12,8 +13,8 @@
 //! entries) plus 1,500 seeded positions anywhere in the image.
 
 use share_repro::couch::{
-    decode_doc_block, decode_header, decode_node, encode_doc, encode_header, encode_node, Header,
-    NodeEntry,
+    decode_doc_block, decode_doc_payload, decode_header, decode_node, doc_payload_per_block,
+    encode_doc, encode_header, encode_node, CouchError, DocPtr, Header, NodeEntry,
 };
 use share_repro::innodb::{Key, NodePage, PageDecodeError, ENTRY_OVERHEAD, PAGE_HEADER};
 use share_repro::sqlite::RecordPage;
@@ -115,7 +116,8 @@ fn truncated_and_bit_flipped_images_are_rejected_without_panic() {
     });
 
     let payload = random_bytes(&mut rng, 3_000);
-    let doc = encode_doc(rng.random(), rng.random(), &payload, PAGE).remove(0);
+    let mut doc = Vec::new();
+    encode_doc(rng.random(), rng.random(), &payload, PAGE, &mut doc);
     sweep("couch doc block", &doc, &mut rng, |b| decode_doc_block(b).is_some());
 
     let entries: Vec<NodeEntry> = (0..40)
@@ -127,9 +129,9 @@ fn truncated_and_bit_flipped_images_are_rejected_without_panic() {
             aux: rng.random(),
         })
         .collect();
-    sweep("couch node block", &encode_node(1, &entries, PAGE), &mut rng, |b| {
-        decode_node(b).is_some()
-    });
+    let mut block = vec![0u8; PAGE];
+    encode_node(1, &entries, &mut block);
+    sweep("couch node block", &block, &mut rng, |b| decode_node(b).is_some());
 
     let header = Header {
         seq: rng.random(),
@@ -142,7 +144,79 @@ fn truncated_and_bit_flipped_images_are_rejected_without_panic() {
         tail: rng.random(),
         stale_blocks: rng.random(),
     };
-    sweep("couch header block", &encode_header(&header, PAGE), &mut rng, |b| {
-        decode_header(b).is_some()
-    });
+    encode_header(&header, &mut block);
+    sweep("couch header block", &block, &mut rng, |b| decode_header(b).is_some());
+}
+
+/// A checksum says a block is *a* document block, not that it is block `i`
+/// of the document the index points at. Every image below is made of blocks
+/// the encoder wrote, checksums intact, put where they do not belong — what
+/// a stale tail or a multi-command remap cut between commands leaves in a
+/// file. Reassembly must answer `Corrupt`, never splice and never panic.
+#[test]
+fn checksum_valid_blocks_of_the_wrong_document_are_not_spliced() {
+    let mut rng = StdRng::seed_from_u64(0xD0C_B10C);
+    let per = doc_payload_per_block(PAGE);
+    let len = 3 * per + 500;
+    let ptr = DocPtr { block: 64, nblocks: 4, len: len as u32 };
+    let image = |key: u64, rev: u64, rng: &mut StdRng| {
+        let payload = random_bytes(rng, len);
+        let mut blocks = Vec::new();
+        encode_doc(key, rev, &payload, PAGE, &mut blocks);
+        (payload, blocks)
+    };
+    let (payload, good) = image(7, 9, &mut rng);
+    let (_, other_doc) = image(8, 9, &mut rng);
+    let (_, older_rev) = image(7, 5, &mut rng);
+    assert_eq!(decode_doc_payload(ptr, good.clone(), PAGE).as_ref(), Ok(&payload));
+
+    let block = |i: usize| i * PAGE..(i + 1) * PAGE;
+    let with_block = |at: usize, from: &[u8], i: usize| {
+        let mut blocks = good.clone();
+        blocks[block(at)].copy_from_slice(&from[block(i)]);
+        blocks
+    };
+    let short = |len: usize, nblocks: u16| {
+        let mut blocks = Vec::new();
+        encode_doc(7, 9, &payload[..len], PAGE, &mut blocks);
+        assert_eq!(blocks.len(), nblocks as usize * PAGE);
+        blocks
+    };
+    // What only a buggy or hostile writer leaves: the chunk length changed
+    // and the block sealed again.
+    let resealed_with_chunk_len = |at: usize, chunk_len: usize| {
+        let mut blocks = good.clone();
+        let b = &mut blocks[block(at)];
+        b[30..32].copy_from_slice(&(chunk_len as u16).to_le_bytes());
+        let crc = share_repro::core::crc32c(&b[8..]);
+        b[4..8].copy_from_slice(&crc.to_le_bytes());
+        blocks
+    };
+    let cases: Vec<(&str, DocPtr, Vec<u8>)> = vec![
+        ("a continuation of another document", ptr, with_block(2, &other_doc, 2)),
+        ("a continuation of an older revision", ptr, with_block(3, &older_rev, 3)),
+        ("a head of an older revision under its own tail", ptr, with_block(0, &older_rev, 0)),
+        ("a head in position 2", ptr, with_block(2, &good, 0)),
+        ("a continuation in position 0", ptr, with_block(0, &good, 1)),
+        ("a buffer one block short", ptr, good[..3 * PAGE].to_vec()),
+        ("a buffer one byte short", ptr, good[..4 * PAGE - 1].to_vec()),
+        ("a buffer one block long", ptr, [&good[..], &good[block(3)]].concat()),
+        ("an empty buffer", ptr, Vec::new()),
+        ("a pointer to no blocks", DocPtr { nblocks: 0, ..ptr }, Vec::new()),
+        (
+            "a document of fewer blocks than the index says",
+            ptr,
+            [short(2 * per, 2), short(2 * per, 2)].concat(),
+        ),
+        ("a document shorter than the index says", ptr, short(len - 1, 4)),
+        ("a document longer than the index says", DocPtr { len: ptr.len - 1, ..ptr }, good.clone()),
+        ("a re-sealed block whose chunk lost a byte", ptr, resealed_with_chunk_len(1, per - 1)),
+        ("a re-sealed block whose chunk is too long", ptr, resealed_with_chunk_len(3, per + 1)),
+    ];
+    for (what, ptr, blocks) in cases {
+        match decode_doc_payload(ptr, blocks, PAGE) {
+            Err(CouchError::Corrupt(_)) => {}
+            other => panic!("couch document with {what}: {:?}", other.map(|d| d.len())),
+        }
+    }
 }
