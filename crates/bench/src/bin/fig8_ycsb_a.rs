@@ -127,73 +127,5 @@ fn main() {
     )
     .expect("record BENCH_share.json");
     println!("\nrecorded fig8_ycsb_a_channels -> {}", path.display());
-
-    // ---- the same channel sweep with pipelined background GC ---------------
-    // Couchbase has no redo-log device, so the pipeline is the only knob
-    // here. This sweep's working set never trips the GC watermarks
-    // (`gc_events` stays 0 in the recorded device stats), so matching the
-    // baseline row-for-row is the expected result — it pins that enabling
-    // the pipeline costs nothing on a workload that never collects. The
-    // GC-bound contrast lives in `bench_gc` and the fig5(d) sweep.
-    // Recorded as a separate scenario; the sweep above stays the baseline.
-    let wall = std::time::Instant::now();
-    let mut rows = Vec::new();
-    let mut runs = Vec::new();
-    let mut pops1 = 0.0;
-    let mut prev_elapsed = f64::NAN;
-    for channels in [1u32, 2, 4, 8] {
-        let r = run_ycsb(&YcsbRun {
-            mode: CouchMode::Share,
-            workload: YcsbWorkload::A,
-            batch_size: 64,
-            records,
-            record_size: 4 * 4056,
-            ops,
-            channels,
-            connections: CONNECTIONS,
-            gc_pipeline: true,
-            ..Default::default()
-        });
-        if channels == 1 {
-            pops1 = r.ops_per_sec;
-        }
-        let saturated = r.elapsed_secs == prev_elapsed;
-        prev_elapsed = r.elapsed_secs;
-        rows.push(vec![
-            channels.to_string(),
-            f(r.ops_per_sec, 0),
-            f(r.elapsed_secs, 2),
-            format!("{}x{}", f(r.ops_per_sec / pops1, 2), if saturated { " (sat)" } else { "" }),
-            format!("{}ms", f(r.device.gc_stall_ns as f64 / 1e6, 1)),
-        ]);
-        runs.push(Json::obj(vec![
-            ("channels", count(channels as u64)),
-            ("connections", count(CONNECTIONS as u64)),
-            ("ops_per_sec", num(r.ops_per_sec)),
-            ("elapsed_secs", num(r.elapsed_secs)),
-            ("saturated", Json::Bool(saturated)),
-            ("device", device_json(&r.device)),
-        ]));
-    }
-    print_table(
-        "Figure 8 (channels, pipelined GC): YCSB-A ops/s vs NAND channels (SHARE, batch 64)",
-        &["channels", "OPS", "sim secs", "vs 1ch", "gc stall"],
-        &rows,
-    );
-    let path = record_scenario(
-        "fig8_ycsb_a_channels_pipelined",
-        Json::obj(vec![
-            ("mode", s("Share")),
-            ("workload", s("A")),
-            ("batch_size", num(64.0)),
-            ("record_size", num(4.0 * 4056.0)),
-            ("gc_pipeline", Json::Bool(true)),
-            ("scale", num(scale_from_env())),
-            ("wall_secs", num(wall.elapsed().as_secs_f64())),
-            ("runs", Json::Arr(runs)),
-        ]),
-    )
-    .expect("record BENCH_share.json");
-    println!("\nrecorded fig8_ycsb_a_channels_pipelined -> {}", path.display());
     println!("Paper shape: speedup 2.23x (batch 1) -> 1.61x (batch 256).");
 }

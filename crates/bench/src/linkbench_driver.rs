@@ -47,9 +47,6 @@ pub struct LinkBenchRun {
     /// Device telemetry collection (counters-only by default; latency
     /// histograms and the command ring never perturb simulated results).
     pub telemetry: TelemetryConfig,
-    /// Incremental background GC on the data device (off = the historical
-    /// synchronous collector).
-    pub gc_pipeline: bool,
     /// Submission lanes of the redo-log device (1 = the historical serial
     /// log device).
     pub log_queues: usize,
@@ -73,7 +70,6 @@ impl Default for LinkBenchRun {
             channels: 1,
             connections: 1,
             telemetry: TelemetryConfig::default(),
-            gc_pipeline: false,
             log_queues: 1,
         }
     }
@@ -139,9 +135,6 @@ pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
     fcfg.revmap_capacity = run.revmap_capacity;
     fcfg.revmap_policy = run.revmap_policy;
     fcfg.gc_policy = run.gc_policy;
-    if run.gc_pipeline {
-        fcfg = fcfg.with_gc_pipeline(true);
-    }
     let dev = Ftl::new(fcfg);
     let log_dev = standard_log_device_with_queues(dev.clock().clone(), run.log_queues);
 

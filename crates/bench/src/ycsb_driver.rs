@@ -36,9 +36,6 @@ pub struct YcsbRun {
     pub connections: usize,
     /// Device telemetry collection (counters-only by default).
     pub telemetry: TelemetryConfig,
-    /// Incremental background GC on the device (off = the historical
-    /// synchronous collector).
-    pub gc_pipeline: bool,
 }
 
 impl Default for YcsbRun {
@@ -54,7 +51,6 @@ impl Default for YcsbRun {
             channels: 1,
             connections: 1,
             telemetry: TelemetryConfig::default(),
-            gc_pipeline: false,
         }
     }
 }
@@ -99,12 +95,9 @@ fn device_for(run: &YcsbRun) -> Ftl {
     // header per committed op, plus load-time index churn and slack.
     let worst_blocks = run.records * (blocks_per_doc + 5) + run.ops * (blocks_per_doc + 15) + 16_384;
     let logical_bytes = worst_blocks * 4096 + (8 << 20);
-    let mut fcfg = FtlConfig::for_capacity_with(logical_bytes, 0.15, 4096, 128, NandTiming::default())
+    let fcfg = FtlConfig::for_capacity_with(logical_bytes, 0.15, 4096, 128, NandTiming::default())
         .with_parallelism(run.channels, 1)
         .with_telemetry(run.telemetry);
-    if run.gc_pipeline {
-        fcfg = fcfg.with_gc_pipeline(true);
-    }
     Ftl::new(fcfg)
 }
 

@@ -924,7 +924,7 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
             "ftl" => workloads.push(Box::new(FtlMixedWorkload::new(seed, 300))),
             "queued" => workloads.push(Box::new(FtlQueuedWorkload::new(seed, 300, 4))),
             "stream" => workloads.push(Box::new(FtlStreamWorkload::new(seed, 300))),
-            "gcpipe" => workloads.push(Box::new(FtlGcPipelineWorkload::new(seed, 600, 2))),
+            "gcpipe" => workloads.push(Box::new(FtlGcPipelineWorkload::new(seed, 600))),
             "snapshot" => workloads.push(Box::new(FtlSnapshotWorkload::new(seed, 300))),
             "sqlite" => workloads.push(Box::new(SqliteShareWorkload::new(seed, 24, 10))),
             "innodb" => workloads.push(Box::new(InnodbShareWorkload::new(seed, 40, 60))),
@@ -934,7 +934,7 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
                 workloads.push(Box::new(InnodbShareWorkload::new(seed, 40, 60)));
                 workloads.push(Box::new(FtlQueuedWorkload::new(seed, 300, 4)));
                 workloads.push(Box::new(FtlStreamWorkload::new(seed, 300)));
-                workloads.push(Box::new(FtlGcPipelineWorkload::new(seed, 600, 2)));
+                workloads.push(Box::new(FtlGcPipelineWorkload::new(seed, 600)));
                 workloads.push(Box::new(FtlSnapshotWorkload::new(seed, 300)));
             }
             other => return Err(CliError(format!("bad --workload: {other}"))),

@@ -124,12 +124,9 @@ pub fn write_checkpoint(
     put_u64(header, 24, generation);
     put_u64(header, 32, snap.len() as u64);
     put_u32(header, 40, snap_crc);
-    let programs: Vec<(nand_sim::Ppn, &[u8])> = image
-        .chunks(page_size)
-        .enumerate()
-        .map(|(i, page)| (slot_ppn(cfg, slot, i as u32), page))
-        .collect();
-    nand.program_batch(&programs)?;
+    nand.program_batch(
+        image.chunks(page_size).enumerate().map(|(i, page)| (slot_ppn(cfg, slot, i as u32), page)),
+    )?;
 
     // Commit page — programmed last; its presence validates the snapshot.
     let mut page = vec![0u8; page_size];

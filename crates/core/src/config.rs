@@ -32,44 +32,6 @@ pub enum GcPolicy {
     CostBenefit,
 }
 
-/// Background GC pipeline settings. Off (the default) the FTL reclaims
-/// space exactly like the historical firmware: `ensure_free` runs whole
-/// victim collections synchronously inside the foreground command that
-/// tripped the low watermark, and the command's completion time absorbs
-/// every copyback. On, GC becomes an incrementally-budgeted background
-/// pipeline: above the hard floor, at most `budget_pages` relocations run
-/// per foreground command in a background timing window that reserves
-/// *idle* channel/way lanes (foreground ops only pay for GC via lane
-/// contention), and the synchronous drain survives solely as a last
-/// resort at the hard floor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcPipelineConfig {
-    /// Enable the background pipeline. Off = bit-identical to the
-    /// historical synchronous GC (state, stats, and timing).
-    pub enabled: bool,
-    /// Max pages relocated per foreground command while above the hard
-    /// floor. Exhausting it defers the rest of the victim to later
-    /// commands (`gc_budget_deferrals` counts these).
-    pub budget_pages: u32,
-    /// Free blocks above the hard floor at which background collection
-    /// starts. Larger headroom starts GC earlier and spreads it thinner.
-    pub soft_headroom: usize,
-}
-
-impl Default for GcPipelineConfig {
-    fn default() -> Self {
-        // Small budget + tight headroom: collection starts only when the
-        // free pool is nearly drained (victims have had maximal time to
-        // accumulate invalidations, so write amplification matches the
-        // legacy burst collector) and each step reserves few lanes (the
-        // foreground tail pays little contention). Large budgets with a
-        // wide soft band collect victims young and hog lanes — measured
-        // 4x worse WA and 5x worse write p99 on a steady-state aged
-        // device (`bench_gc`).
-        Self { enabled: false, budget_pages: 4, soft_headroom: 1 }
-    }
-}
-
 /// Multi-streamed data-placement settings (SHARE paper §5 evaluation
 /// setups separate journal/WAL traffic from data; this models the same
 /// idea as firmware-side lifetime classes).
@@ -153,9 +115,12 @@ pub struct FtlConfig {
     pub gc_policy: GcPolicy,
     /// Number of blocks in the delta-log ring.
     pub log_blocks: u32,
-    /// GC starts when free data blocks drop to this count.
+    /// Hard floor of free data blocks: at it a command drains whole victims
+    /// on its own timeline. Background collection starts one block above
+    /// the slack banked on top of it for open lanes (`Ftl::ensure_free`).
     pub gc_low_water: usize,
-    /// GC stops when free data blocks reach this count.
+    /// A drain stops when free data blocks reach this count (plus the
+    /// same slack).
     pub gc_high_water: usize,
     /// Host-to-device command round-trip latency (share/trim/flush), ns.
     /// Models the ioctl/SATA path the paper batches SHARE pairs to amortize.
@@ -173,8 +138,6 @@ pub struct FtlConfig {
     pub slo: SloConfig,
     /// Multi-streamed data-placement settings (off by default).
     pub placement: PlacementConfig,
-    /// Background GC pipeline settings (off by default).
-    pub gc_pipeline: GcPipelineConfig,
 }
 
 impl FtlConfig {
@@ -213,7 +176,6 @@ impl FtlConfig {
             telemetry: TelemetryConfig::default(),
             slo: SloConfig::default(),
             placement: PlacementConfig::default(),
-            gc_pipeline: GcPipelineConfig::default(),
         };
         let meta = 2 * cfg.ckpt_slot_blocks_for(logical_pages, page_size, pages_per_block) + log_blocks;
         cfg.geometry = NandGeometry::new(page_size, pages_per_block, meta + data_blocks);
@@ -254,20 +216,6 @@ impl FtlConfig {
         self
     }
 
-    /// Enable (or disable) the background GC pipeline with its default
-    /// budget and headroom.
-    pub fn with_gc_pipeline(mut self, enabled: bool) -> Self {
-        self.gc_pipeline.enabled = enabled;
-        self
-    }
-
-    /// Set the background GC per-command page budget and soft headroom
-    /// (implies enabling the pipeline).
-    pub fn with_gc_budget(mut self, budget_pages: u32, soft_headroom: usize) -> Self {
-        self.gc_pipeline = GcPipelineConfig { enabled: true, budget_pages, soft_headroom };
-        self
-    }
-
     /// Panic if the layout is internally inconsistent.
     pub fn validate(&self) {
         assert!(self.logical_pages > 0, "logical capacity must be positive");
@@ -280,9 +228,6 @@ impl FtlConfig {
             "data pool too small for logical capacity plus GC headroom"
         );
         assert!(self.deltas_per_page() >= 1, "page too small for delta records");
-        if self.gc_pipeline.enabled {
-            assert!(self.gc_pipeline.budget_pages >= 1, "GC budget must be at least one page");
-        }
     }
 
     /// Mapping deltas that fit one meta page — the atomic SHARE batch limit.
@@ -385,27 +330,6 @@ mod tests {
         let mut cfg = FtlConfig::for_capacity(16 << 20, 0.2);
         cfg.gc_low_water = 8;
         cfg.gc_high_water = 4;
-        cfg.validate();
-    }
-
-    #[test]
-    fn gc_pipeline_defaults_off_and_builders_enable() {
-        let cfg = FtlConfig::for_capacity(16 << 20, 0.2);
-        assert!(!cfg.gc_pipeline.enabled, "pipeline must be opt-in");
-        let on = cfg.clone().with_gc_pipeline(true);
-        assert!(on.gc_pipeline.enabled);
-        assert_eq!(on.gc_pipeline.budget_pages, GcPipelineConfig::default().budget_pages);
-        let tuned = cfg.with_gc_budget(8, 2);
-        assert!(tuned.gc_pipeline.enabled);
-        assert_eq!(tuned.gc_pipeline.budget_pages, 8);
-        assert_eq!(tuned.gc_pipeline.soft_headroom, 2);
-        tuned.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "GC budget")]
-    fn validate_rejects_zero_gc_budget() {
-        let cfg = FtlConfig::for_capacity(16 << 20, 0.2).with_gc_budget(0, 2);
         cfg.validate();
     }
 

@@ -122,9 +122,8 @@ fn unit_labels(channels: u32, units: usize) -> Vec<String> {
     (0..units as u32).map(|u| format!("ch{}:w{}", u % channels, u / channels)).collect()
 }
 
-/// An in-progress victim collection. A synchronous drain runs a job to
-/// completion in one step; the background pipeline parks it between
-/// budgeted steps.
+/// An in-progress victim collection. Background collection parks it
+/// between budgeted steps; a hard-floor drain runs it to completion in one.
 ///
 /// The job is created when `pick_victim` chooses a block and lives until
 /// every page of it has been examined; each step relocates at most a
@@ -187,9 +186,8 @@ pub struct Ftl {
     cmd_stream: Option<u32>,
     /// True while GC runs: log flushes it triggers stay FTL-attributed.
     in_gc: bool,
-    /// In-progress incremental collection (background GC pipeline only).
-    /// Persists across foreground commands until the victim is fully
-    /// relocated, flushed, and erased.
+    /// In-progress incremental collection. Persists across foreground
+    /// commands until the victim is fully relocated, flushed, and erased.
     gc_job: Option<GcJob>,
     /// Lent to each `gc_step` and taken back, so steps allocate no pages.
     gc_scratch: GcScratch,
@@ -473,13 +471,18 @@ impl Ftl {
         if pages == 0 {
             return;
         }
-        if weights.iter().all(|&w| w == 0) {
-            self.telemetry.blame(STREAM_FTL, kind, pages);
-            return;
-        }
-        for (stream, share) in apportion(pages, weights).into_iter().enumerate() {
-            if share > 0 {
-                self.telemetry.blame(stream as u32, kind, share);
+        let mut owners = weights.iter().enumerate().filter(|&(_, &w)| w > 0);
+        match (owners.next(), owners.next()) {
+            (None, _) => self.telemetry.blame(STREAM_FTL, kind, pages),
+            // One stream owns every page: nothing to apportion, and a GC
+            // step settles this without asking the heap for anything.
+            (Some((stream, _)), None) => self.telemetry.blame(stream as u32, kind, pages),
+            _ => {
+                for (stream, share) in apportion(pages, weights).into_iter().enumerate() {
+                    if share > 0 {
+                        self.telemetry.blame(stream as u32, kind, share);
+                    }
+                }
             }
         }
     }
@@ -630,9 +633,7 @@ impl Ftl {
         if dests.is_empty() {
             return Err(FtlError::DeviceFull);
         }
-        let programs: Vec<(Ppn, &[u8])> =
-            dests.iter().zip(pages).map(|(&d, (_, data))| (d, *data)).collect();
-        self.nand.program_batch(&programs)?;
+        self.nand.program_batch(dests.iter().zip(pages).map(|(&d, (_, data))| (d, *data)))?;
         Ok(dests)
     }
 
@@ -721,7 +722,7 @@ impl Ftl {
             }
         }
         if !mapped.is_empty() {
-            self.nand.read_batch(&mut mapped)?;
+            self.nand.read_batch(mapped)?;
         }
         if zero_xfer > 0 {
             self.nand.charge(zero_xfer);

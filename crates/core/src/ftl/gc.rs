@@ -1,9 +1,21 @@
 //! Garbage collection: victim selection, the one relocation loop, and the
-//! watermark policy that decides when a command drains synchronously and
-//! when the background pipeline steps (DESIGN.md §12 "Stream-aware GC",
-//! §13).
+//! watermark policy: budgeted background steps inside the slack band, a
+//! drain on the caller's timeline at the hard floor (DESIGN.md §12
+//! "Stream-aware GC", §13).
 
 use super::*;
+
+/// Pages one background step relocates. Small, so a step reserves few
+/// lanes and the foreground tail pays little contention; exhausting it
+/// parks the victim for later commands (`gc_budget_deferrals`).
+const GC_BUDGET_PAGES: usize = 4;
+/// Free blocks above `low` at which background collection starts.
+/// Tight, so victims have had maximal time to accumulate invalidations
+/// before they are picked. A large budget with a wide band collects
+/// victims young and hogs lanes: 4x the write amplification and 5x the
+/// write p99 on a steady-state aged device (measured by PR 8; DESIGN.md
+/// §13 "Watermark math").
+const GC_SOFT_HEADROOM: usize = 1;
 
 impl Ftl {
     /// Pick a GC victim per the configured policy: greedy (fewest valid
@@ -148,18 +160,14 @@ impl Ftl {
             if data.len() < need {
                 data.resize(need, 0);
             }
-            let mut reads: Vec<(Ppn, &mut [u8])> =
-                live.iter().copied().zip(data.chunks_mut(page_size)).collect();
-            self.nand.read_batch(&mut reads)?;
+            self.nand.read_batch(live.iter().copied().zip(data.chunks_mut(page_size)))?;
             dests.clear();
             for _ in live.iter() {
                 let dest = self.pool.alloc(&self.nand, WritePoint::Gc { class, channel })?;
                 self.nand.set_block_tag(self.cfg.geometry.block_of(dest), class as u32);
                 dests.push(dest);
             }
-            let programs: Vec<(Ppn, &[u8])> =
-                dests.iter().copied().zip(data.chunks(page_size)).collect();
-            self.nand.program_batch(&programs)?;
+            self.nand.program_batch(dests.iter().copied().zip(data.chunks(page_size)))?;
             for (&ppn, &dest) in live.iter().zip(dests.iter()) {
                 self.relocate_mappings(ppn, dest)?;
                 self.stats.copyback_pages += 1;
@@ -241,37 +249,30 @@ impl Ftl {
         let pinned = self.pool.inflight_pinned_blocks();
         let low = self.cfg.gc_low_water + extra_lanes + pinned;
         let high = self.cfg.gc_high_water + extra_lanes + pinned;
-        // Synchronous GC drains whole victims as soon as free blocks reach
-        // the low watermark. The pipeline starts collecting at the same
-        // fill levels (similar victim valid counts, similar write
-        // amplification) but in the background: `low` banks
-        // `extra_lanes + pinned` blocks of slack precisely so open lanes
-        // can pull fresh blocks between GC checks, so dipping into that
-        // slack is normal operation, not an emergency, and its *hard
-        // floor* — where it too drains synchronously — is the un-adjusted
-        // `gc_low_water + pinned`, the true point past which allocation is
-        // at risk.
-        let pipeline = self.cfg.gc_pipeline;
-        let floor = if pipeline.enabled { self.cfg.gc_low_water + pinned } else { low };
+        // `low` banks `extra_lanes + pinned` blocks of slack precisely so
+        // open lanes can pull fresh blocks between GC checks: dipping into
+        // it is normal operation, and collection there runs as budgeted
+        // background steps — at most `GC_BUDGET_PAGES` relocations each,
+        // dispatched onto idle lanes — so the foreground never waits for
+        // whole victims. The *hard floor* is the un-adjusted
+        // `gc_low_water + pinned`, the point past which allocation is at
+        // risk: only there does the command drain on its own timeline, the
+        // backstop between a full pool and `DeviceFull`.
+        let floor = self.cfg.gc_low_water + pinned;
         if self.pool.free_count() <= floor {
             self.drain_to(high)?;
-        } else if pipeline.enabled && self.pool.free_count() <= low + pipeline.soft_headroom {
-            // Above the floor, up to `soft_headroom` blocks over `low`, GC
-            // runs as budgeted background steps — at most `budget_pages`
-            // relocations each, dispatched onto idle lanes — looping
-            // (urgent catch-up) while free is inside the slack band, so
-            // the foreground never waits for whole victims. The iteration
-            // bound (~4 victims' worth of steps) prevents a death spiral
-            // when victims are nearly all-valid; past it, the hard floor
-            // above remains the correctness backstop.
-            let budget = pipeline.budget_pages as usize;
+        } else if self.pool.free_count() <= low + GC_SOFT_HEADROOM {
+            // Loop (urgent catch-up) while free is inside the slack band.
+            // The iteration bound (~4 victims' worth of steps) prevents a
+            // death spiral when victims are nearly all-valid; past it the
+            // hard floor above takes over.
             let ppb = self.cfg.geometry.pages_per_block as usize;
-            let mut steps_left = (4 * ppb / budget.max(1)).max(1);
+            let mut steps_left = (4 * ppb / GC_BUDGET_PAGES).max(1);
             loop {
                 if self.gc_job.is_none() && !self.gc_begin_job() {
                     break;
                 }
-                self.gc_step_traced(budget, true)?;
+                self.gc_step_traced(GC_BUDGET_PAGES, true)?;
                 if self.gc_job.is_some() {
                     self.stats.gc_budget_deferrals += 1;
                 }

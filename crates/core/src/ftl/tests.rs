@@ -1499,8 +1499,7 @@ fn snapshot_pins_survive_gc_churn() {
 
 #[test]
 fn snapshot_pins_survive_pipelined_gc_churn() {
-    let cfg = FtlConfig::for_capacity_with(1 << 20, 0.5, 4096, 16, NandTiming::zero())
-        .with_gc_budget(4, 2);
+    let cfg = FtlConfig::for_capacity_with(1 << 20, 0.5, 4096, 16, NandTiming::zero());
     let mut f = Ftl::new(cfg);
     let logical = f.capacity_pages();
     for i in 0..32u64 {
@@ -1620,8 +1619,7 @@ fn unused_snapshot_path_is_bit_identical() {
     // Off-path guarantee: a device that never issues a snapshot
     // command keeps the empty-table fast paths — deterministic clock
     // and stats across identical runs, with every snapshot counter
-    // still zero. (The recorded gc_pipeline goldens pin bit-identity
-    // against the pre-snapshot implementation.)
+    // still zero.
     let cfg = FtlConfig::for_capacity_with(1 << 20, 0.5, 4096, 16, NandTiming::default());
     let mut a = Ftl::new(cfg.clone());
     let mut b = Ftl::new(cfg);

@@ -48,13 +48,13 @@ share_telemetry::counter_table! {
         pub copyback_pages: u64,
         /// Blocks erased by GC (excludes meta-area erases).
         pub gc_erases: u64,
-        /// Simulated time foreground commands spent stalled on synchronous GC
-        /// work inside `ensure_free` (copyback + mapping flush + erase run on
-        /// the command's own timeline). Background-pipelined relocation does
-        /// not accrue here — it only shows up as lane contention.
+        /// Simulated time foreground commands spent stalled on hard-floor GC
+        /// drains inside `ensure_free` (copyback + mapping flush + erase run on
+        /// the command's own timeline). Background relocation does not accrue
+        /// here — it only shows up as lane contention.
         pub gc_stall_ns: u64,
-        /// Times the background GC pipeline exhausted its per-command page
-        /// budget and deferred the rest of the victim to later commands.
+        /// Times a background GC step exhausted its page budget and parked
+        /// the rest of the victim for later commands.
         pub gc_budget_deferrals: u64,
         /// Mapping meta pages programmed (delta log + checkpoints).
         pub meta_page_writes: u64,

@@ -26,7 +26,7 @@ fn gc_heavy_cfg() -> FtlConfig {
     FtlConfig::for_capacity_with(PAGES * PAGE as u64, 0.12, PAGE, 32, NandTiming::default())
 }
 
-/// Deterministic GC-heavy storm (mirrors the gc_pipeline golden driver).
+/// Deterministic GC-heavy storm (mirrors the golden driver of `gc_pipeline.rs`).
 fn drive(ftl: &mut Ftl, rounds: u64) {
     for round in 0..rounds {
         for i in 0..PAGES {

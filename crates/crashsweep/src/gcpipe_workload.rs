@@ -1,12 +1,14 @@
-//! Crash sweeping of the *pipelined* (incrementally budgeted) GC path.
+//! Crash sweeping with a half-collected GC victim in flight.
 //!
-//! With `gc_pipeline` enabled the FTL relocates at most `budget_pages`
-//! valid pages per foreground command and parks the half-collected
-//! victim in a persistent job, so copyback programs — and the crash
-//! boundaries around them — interleave with host writes instead of
-//! clustering inside one synchronous drain. This workload re-drives the
-//! [`FtlMixedWorkload`] op mix against a config with a deliberately tiny
-//! budget, so the sweep's program-attempt space includes:
+//! Inside the soft band the FTL relocates a few valid pages per
+//! foreground command and parks the half-collected victim in a job, so
+//! copyback programs — and the crash boundaries around them — interleave
+//! with host writes instead of clustering inside one drain. The
+//! [`FtlMixedWorkload`] op mix on its roomy device never leaves more live
+//! pages in a victim than one step relocates, so this workload drives a
+//! mixed-lifetime overwrite storm against a tight device instead: every
+//! victim carries several steps' worth of live pages, and the sweep's
+//! program-attempt space includes:
 //!
 //! * copyback *submission* boundaries: the fault interrupts the GC
 //!   program itself (TornHalf / DroppedWrite) while the victim block is
@@ -25,50 +27,67 @@
 //!
 //! [`FtlMixedWorkload`]: crate::FtlMixedWorkload
 
-use crate::ftl_workload::run_ftl_case;
+use crate::ftl_workload::FtlOp;
 use crate::{CrashWorkload, FtlMixedWorkload};
-use nand_sim::FaultMode;
+use nand_sim::{FaultMode, NandTiming};
+use share_core::FtlConfig;
+use share_rng::{Rng, StdRng};
 
-/// The mixed workload of [`FtlMixedWorkload`], run with pipelined GC and
-/// a small per-command relocation budget.
+/// Logical pages of the storm: with 16-page blocks and 12 % spare a
+/// victim carries six or seven live pages, more than one step relocates.
+const STORM_PAGES: u64 = 256;
+
+/// A mixed-lifetime overwrite storm on a tight device, run through the
+/// oracle of [`FtlMixedWorkload`].
 #[derive(Debug, Clone)]
 pub struct FtlGcPipelineWorkload {
     inner: FtlMixedWorkload,
-    budget: u32,
 }
 
 impl FtlGcPipelineWorkload {
-    /// Generate `n_ops` ops from `seed`; relocate at most `budget` pages
-    /// per foreground command (small budgets keep victims half-collected
-    /// across many commands, which is the state space this workload adds).
-    pub fn new(seed: u64, n_ops: usize, budget: u32) -> Self {
-        let mut inner = FtlMixedWorkload::new(seed, n_ops);
-        inner.cfg = inner.cfg.clone().with_gc_budget(budget, 2);
-        Self { inner, budget }
+    /// Generate `n_ops` ops from `seed`. Page `lpn` is rewritten every
+    /// `1 + lpn % 4` rounds in an order permuted per round, so every block
+    /// mixes pages whose next overwrite is near with pages whose is far and
+    /// no sealed block goes fully dead; each round ends with a flush, every
+    /// third with a trim.
+    pub fn new(seed: u64, n_ops: usize) -> Self {
+        let cfg =
+            FtlConfig::for_capacity_with(STORM_PAGES * 4096, 0.12, 4096, 16, NandTiming::zero());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ops = Vec::with_capacity(n_ops + STORM_PAGES as usize);
+        let mut round = 0u64;
+        while ops.len() < n_ops {
+            // Odd stride: a permutation of the power-of-two page space.
+            let stride = 2 * rng.random_range(0..STORM_PAGES / 2) + 1;
+            let shift = rng.random_range(0..STORM_PAGES);
+            for i in 0..STORM_PAGES {
+                let lpn = (i * stride + shift) % STORM_PAGES;
+                if round.is_multiple_of(1 + lpn % 4) {
+                    ops.push(FtlOp::Write { lpn, fill: rng.random_range(1..256u32) as u8 });
+                }
+            }
+            if round % 3 == 2 {
+                ops.push(FtlOp::Trim { lpn: shift });
+            }
+            ops.push(FtlOp::Flush);
+            round += 1;
+        }
+        ops.truncate(n_ops);
+        Self { inner: FtlMixedWorkload { seed, ops, cfg } }
     }
 }
 
 impl CrashWorkload for FtlGcPipelineWorkload {
     fn name(&self) -> String {
-        format!(
-            "ftl-gcpipe-s{}-n{}-b{}",
-            self.inner.seed,
-            self.inner.ops.len(),
-            self.budget
-        )
+        format!("ftl-gcpipe-s{}-n{}", self.inner.seed, self.inner.ops.len())
     }
 
     fn crash_points(&self) -> u64 {
-        run_ftl_case(&self.inner.cfg, &self.inner.ops, None, 0)
-            .expect("fault-free run cannot fail")
-            .0
+        self.inner.crash_points()
     }
 
     fn run_case(&self, mode: FaultMode, index: u64) -> Result<(), String> {
-        match run_ftl_case(&self.inner.cfg, &self.inner.ops, Some(mode), index)? {
-            (_, None) => Ok(()),
-            (_, Some(v)) => Err(v),
-        }
+        self.inner.run_case(mode, index)
     }
 }
 
@@ -80,11 +99,11 @@ mod tests {
 
     #[test]
     fn budgeted_steps_actually_leave_relocations_in_flight() {
-        // The whole point of this workload: with a tiny budget the GC job
-        // must stay parked across foreground commands. The deferral
-        // counter settles exactly when a budgeted step ends with pages
-        // still pending, so it proves the in-flight state space is real.
-        let w = FtlGcPipelineWorkload::new(3, 600, 2);
+        // The whole point of this workload: the GC job must stay parked
+        // across foreground commands. The deferral counter settles exactly
+        // when a budgeted step ends with pages still pending, so it proves
+        // the in-flight state space is real.
+        let w = FtlGcPipelineWorkload::new(3, 600);
         let mut ftl = Ftl::new(w.inner.cfg.clone());
         for op in &w.inner.ops {
             exec(&mut ftl, op).expect("fault-free op");
@@ -101,20 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_gc_changes_the_program_schedule() {
-        // Sanity that the config knob is actually live on this path: the
-        // pipelined run must still produce a crash-point space, and the
-        // fault-free end state must equal the legacy run's logical state
-        // (GC scheduling is invisible to hosts).
-        let pipelined = FtlGcPipelineWorkload::new(7, 150, 2);
-        let legacy = FtlMixedWorkload::new(7, 150);
-        assert!(pipelined.crash_points() > 0);
-        assert!(legacy.crash_points() > 0);
-    }
-
-    #[test]
     fn one_case_of_each_mode_passes_the_oracle() {
-        let w = FtlGcPipelineWorkload::new(9, 120, 2);
+        let w = FtlGcPipelineWorkload::new(9, 600);
         let mid = w.crash_points() / 2;
         for mode in FaultMode::ALL {
             w.run_case(mode, mid).unwrap();

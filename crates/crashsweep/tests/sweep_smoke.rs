@@ -47,10 +47,10 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
     // Multi-stream placement: three lifetime classes, several open
     // frontiers at every crash boundary (the PR 7 placement tentpole).
     visited += run_smoke(&FtlStreamWorkload::new(42, 300), 60);
-    // Pipelined GC: tiny relocation budget parks half-collected victims
+    // Parked GC: a storm on a tight device keeps half-collected victims
     // across commands, so crashes land at copyback submission/completion
     // boundaries with relocations (and buffered deltas) in flight.
-    visited += run_smoke(&FtlGcPipelineWorkload::new(42, 600, 2), 60);
+    visited += run_smoke(&FtlGcPipelineWorkload::new(42, 600), 60);
     // Snapshot lifecycle: crash points around RAM-only creates, atomic
     // clone delta flushes, buffered drop tombstones and pinned-page GC
     // (the snapshot/clone subsystem tentpole).
@@ -76,7 +76,7 @@ fn deep_sweep_soak() {
         Box::new(InnodbShareWorkload::new(1019, 48, 150)),
         Box::new(FtlQueuedWorkload::new(1021, 800, 4)),
         Box::new(FtlStreamWorkload::new(1031, 800)),
-        Box::new(FtlGcPipelineWorkload::new(1033, 800, 2)),
+        Box::new(FtlGcPipelineWorkload::new(1033, 800)),
         Box::new(FtlSnapshotWorkload::new(1039, 800)),
     ];
     for w in &workloads {

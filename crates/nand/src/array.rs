@@ -255,18 +255,19 @@ impl NandArray {
 
     /// Open a background-relocation window. Unlike [`Self::begin_deferred`]
     /// this nests inside a foreground window: the current window (if any)
-    /// is saved and a fresh one opens at the *shared clock* — not at the
-    /// foreground command's frontier — so background work dispatched here
-    /// reserves unit lanes starting from real device time without charging
-    /// the foreground command. Contention with foreground operations shows
-    /// up as queueing on the shared per-unit `busy_until` reservations.
+    /// is saved and a fresh one opens at the submission frontier — the
+    /// point in the foreground command that triggered the work, which is
+    /// the shared clock when no window is open — so background work
+    /// reserves unit lanes from there on without charging the foreground
+    /// command. Contention with foreground operations shows up as queueing
+    /// on the shared per-unit `busy_until` reservations.
     ///
     /// Returns an opaque token (the saved frontier) that must be passed
     /// back to [`Self::end_background`].
     pub fn begin_background(&mut self) -> Option<u64> {
-        let saved = self.deferred.take().map(|w| w.frontier);
-        self.deferred = Some(DeferredWindow { frontier: self.clock.now_ns() });
-        saved
+        let frontier = self.submit_t0();
+        let saved = self.deferred.replace(DeferredWindow { frontier });
+        saved.map(|w| w.frontier)
     }
 
     /// Close a background window opened by [`Self::begin_background`],
@@ -489,13 +490,16 @@ impl NandArray {
     /// Read a vector of pages as one submission. All reads are dispatched
     /// at the same submission time, so pages on different channels overlap
     /// in simulated time while same-unit pages queue behind each other.
-    pub fn read_batch(&mut self, reqs: &mut [(Ppn, &mut [u8])]) -> Result<()> {
+    pub fn read_batch<'a>(
+        &mut self,
+        reqs: impl IntoIterator<Item = (Ppn, &'a mut [u8])>,
+    ) -> Result<()> {
         self.check_up()?;
         let t0 = self.submit_t0();
         let mut max_end = t0;
         let mut res = Ok(());
-        for (ppn, buf) in reqs.iter_mut() {
-            let (end, r) = self.read_one(*ppn, buf, t0);
+        for (ppn, buf) in reqs {
+            let (end, r) = self.read_one(ppn, buf, t0);
             max_end = max_end.max(end);
             if r.is_err() {
                 res = r;
@@ -517,19 +521,22 @@ impl NandArray {
     }
 
     /// Program a vector of pages as one submission, dispatched
-    /// channel-parallel. Pages are *attempted strictly in slice order* — the
+    /// channel-parallel. Pages are *attempted strictly in iteration order* — the
     /// fault countdown ticks once per attempt and a fired fault (or any
     /// constraint violation) stops the batch before later pages touch the
     /// cells — so the medium state after a crash is identical to the state a
     /// per-page loop would have left. Only the timing differs: the clock
     /// moves once, to the max completion time across units.
-    pub fn program_batch(&mut self, reqs: &[(Ppn, &[u8])]) -> Result<()> {
+    pub fn program_batch<'a>(
+        &mut self,
+        reqs: impl IntoIterator<Item = (Ppn, &'a [u8])>,
+    ) -> Result<()> {
         self.check_up()?;
         let t0 = self.submit_t0();
         let mut max_end = t0;
         let mut res = Ok(());
         for (ppn, data) in reqs {
-            let (end, r) = self.program_one(*ppn, data, t0);
+            let (end, r) = self.program_one(ppn, data, t0);
             max_end = max_end.max(end);
             if r.is_err() {
                 res = r;
@@ -819,7 +826,7 @@ mod tests {
         let data = page(0xAA, 512);
         // First page of blocks 0..4 — four distinct units, one submission.
         let reqs: Vec<(Ppn, &[u8])> = (0..4).map(|b| (Ppn(b * 4), data.as_slice())).collect();
-        a.program_batch(&reqs).unwrap();
+        a.program_batch(reqs.iter().copied()).unwrap();
         assert_eq!(a.clock().now_ns(), t.program_ns + t.xfer_ns(512));
         assert_eq!(a.stats().page_programs, 4);
     }
@@ -831,7 +838,7 @@ mod tests {
         let data = page(0xBB, 512);
         // Two in-order pages of block 0 — same unit, so they serialize.
         let reqs: Vec<(Ppn, &[u8])> = vec![(Ppn(0), &data), (Ppn(1), &data)];
-        a.program_batch(&reqs).unwrap();
+        a.program_batch(reqs.iter().copied()).unwrap();
         assert_eq!(a.clock().now_ns(), 2 * (t.program_ns + t.xfer_ns(512)));
     }
 
@@ -843,7 +850,7 @@ mod tests {
         // Blocks 0 and 4 share unit 0 (2 queued programs); block 1 is alone.
         let reqs: Vec<(Ppn, &[u8])> =
             vec![(Ppn(0), &data), (Ppn(16), &data), (Ppn(4), &data)];
-        a.program_batch(&reqs).unwrap();
+        a.program_batch(reqs.iter().copied()).unwrap();
         assert_eq!(a.clock().now_ns(), 2 * (t.program_ns + t.xfer_ns(512)));
     }
 
@@ -865,15 +872,15 @@ mod tests {
         let t = a.timing();
         let data = page(0x5A, 512);
         let reqs: Vec<(Ppn, &[u8])> = (0..4).map(|b| (Ppn(b * 4), data.as_slice())).collect();
-        a.program_batch(&reqs).unwrap();
+        a.program_batch(reqs.iter().copied()).unwrap();
         let before = a.clock().now_ns();
         let mut bufs = vec![vec![0u8; 512]; 4];
-        let mut rreqs: Vec<(Ppn, &mut [u8])> = bufs
+        let rreqs: Vec<(Ppn, &mut [u8])> = bufs
             .iter_mut()
             .enumerate()
             .map(|(i, b)| (Ppn(i as u32 * 4), b.as_mut_slice()))
             .collect();
-        a.read_batch(&mut rreqs).unwrap();
+        a.read_batch(rreqs).unwrap();
         assert_eq!(a.clock().now_ns() - before, t.read_ns + t.xfer_ns(512));
         for b in &bufs {
             assert_eq!(b, &data);
@@ -897,7 +904,7 @@ mod tests {
         h.arm_after_programs(2, FaultMode::DroppedWrite);
         let data = page(0x77, 512);
         let reqs: Vec<(Ppn, &[u8])> = (0..4).map(|b| (Ppn(b * 4), data.as_slice())).collect();
-        assert_eq!(a.program_batch(&reqs), Err(NandError::PowerLoss));
+        assert_eq!(a.program_batch(reqs.iter().copied()), Err(NandError::PowerLoss));
         assert!(a.is_down());
         assert_eq!(h.programs_seen(), 2);
         a.power_cycle();
@@ -918,7 +925,7 @@ mod tests {
         let t = a.timing();
         let data = page(0x42, 512);
         let reqs: Vec<(Ppn, &[u8])> = (0..4).map(|i| (Ppn(i), data.as_slice())).collect();
-        a.program_batch(&reqs).unwrap();
+        a.program_batch(reqs.iter().copied()).unwrap();
         assert_eq!(a.clock().now_ns(), 4 * (t.program_ns + t.xfer_ns(512)));
     }
 
@@ -929,7 +936,7 @@ mod tests {
         let data = page(0xEE, 512);
         // Blocks 0 and 4 share unit 0; block 1 is unit 1 — one submission.
         let reqs: Vec<(Ppn, &[u8])> = vec![(Ppn(0), &data), (Ppn(16), &data), (Ppn(4), &data)];
-        a.program_batch(&reqs).unwrap();
+        a.program_batch(reqs.iter().copied()).unwrap();
         let p = t.program_ns + t.xfer_ns(512);
         assert_eq!(a.busy_ns()[0], 2 * p);
         assert_eq!(a.busy_ns()[1], p);
@@ -952,7 +959,7 @@ mod tests {
         let data = page(0x1F, 512);
         // Same-unit queueing: the second program's window starts where the
         // first ends, even though both were submitted at t0 = 0.
-        a.program_batch(&[(Ppn(0), &data), (Ppn(1), &data)]).unwrap();
+        a.program_batch([(Ppn(0), &data[..]), (Ppn(1), &data[..])]).unwrap();
         let spans = tr.spans();
         assert_eq!(spans.len(), 2);
         let p = t.program_ns + t.xfer_ns(512);
@@ -1037,13 +1044,14 @@ mod tests {
         a.begin_deferred();
         a.program(Ppn(0), &data).unwrap();
         a.charge(500);
-        // ...background relocation cuts in on channel 1: its window opens
-        // at the *clock* (0), not the foreground frontier (p + 500).
+        // ...background relocation cuts in on idle channel 1: its window
+        // opens at the foreground frontier (p + 500), the point in the
+        // command that triggered it, not back at the clock (0).
         let saved = a.begin_background();
         assert!(a.deferred_active());
         a.program(Ppn(4), &data).unwrap();
         let bg_end = a.end_background(saved);
-        assert_eq!(bg_end, p, "background starts from device time, not the fg frontier");
+        assert_eq!(bg_end, p + 500 + p, "background starts at the fg frontier");
         // The foreground window is restored with its frontier intact.
         a.program(Ppn(1), &data).unwrap();
         let fg_end = a.end_deferred();

@@ -99,7 +99,7 @@ fn a_batch_stopped_by_a_fault_leaves_later_pages_untouched() {
     let batch: Vec<(Ppn, &[u8])> =
         pages.iter().enumerate().map(|(i, p)| (Ppn(i as u32), p.as_slice())).collect();
     a.fault_handle().arm_after_programs(2, FaultMode::DroppedWrite);
-    assert_eq!(a.program_batch(&batch), Err(NandError::PowerLoss));
+    assert_eq!(a.program_batch(batch.iter().copied()), Err(NandError::PowerLoss));
     a.power_cycle();
 
     assert_eq!(read(&mut a, 0), pages[0]);
@@ -108,7 +108,7 @@ fn a_batch_stopped_by_a_fault_leaves_later_pages_untouched() {
         assert_eq!(read(&mut a, ppn), vec![0xFF; PS]);
     }
     // The pages the batch never reached program normally afterwards.
-    a.program_batch(&batch[1..]).unwrap();
+    a.program_batch(batch[1..].iter().copied()).unwrap();
     for (i, page) in pages.iter().enumerate() {
         assert_eq!(&read(&mut a, i as u32), page);
     }

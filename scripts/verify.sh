@@ -71,15 +71,6 @@ echo "== qd smoke (queue-depth sweep + latency-under-load percentiles) =="
 echo "== aging smoke (multi-streamed placement on/off WA comparison) =="
 ./target/release/bench_aging
 
-# GC pipeline smoke tier: age a 4-channel device to steady-state GC with
-# a mixed-lifetime overwrite storm, synchronous collector vs pipelined
-# background collector, and record foreground write p50/p99 plus
-# gc_stall_ns into BENCH_share.json (gc_pipeline). Fails unless the
-# pipeline cuts the measured-window gc_stall_ns at least 2x and actually
-# parks victims mid-collection (gc_budget_deferrals > 0).
-echo "== gc pipeline smoke (steady-state aged device, stall off/on) =="
-./target/release/bench_gc
-
 # Snapshot smoke tier: clone a 64 MiB aged mini-SQLite database through
 # the device snapshot subsystem and record clone latency, copy-on-write
 # WA and point-in-time read p50/p99 into BENCH_share.json

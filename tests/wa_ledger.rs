@@ -155,8 +155,8 @@ fn wa_ledger_sums_exactly_across_four_engines() {
 
 #[test]
 fn wa_ledger_sums_exactly_with_pipelined_relocation_in_flight() {
-    // With pipelined GC a victim stays half-collected across foreground
-    // commands, so the ledger is sampled *while* relocations are in
+    // A victim stays half-collected across foreground commands, so the
+    // ledger is sampled *while* relocations are in
     // flight: blame is settled per budgeted step, not per victim, and
     // the per-stream rows must still sum to the device counters at every
     // intermediate snapshot — not just after jobs complete.
@@ -164,8 +164,7 @@ fn wa_ledger_sums_exactly_with_pipelined_relocation_in_flight() {
     let pages: u64 = 1024;
     let mut dev = Ftl::new(
         FtlConfig::for_capacity_with(pages * 4096, 0.12, 4096, 32, NandTiming::zero())
-            .with_telemetry(TelemetryConfig::full())
-            .with_gc_budget(2, 2),
+            .with_telemetry(TelemetryConfig::full()),
     );
     let data = dev.stream_intern("data");
     let journal = dev.stream_intern("journal");
