@@ -1,5 +1,5 @@
-//! Aging smoke bench for `scripts/verify.sh` — multi-streamed placement
-//! on vs off under a mixed database-style workload.
+//! Aging bench — multi-streamed placement on vs off under a mixed
+//! database-style workload.
 //!
 //! Four host streams age a 4-channel device: a wide `data` stream that is
 //! written once and lightly rewritten, hot `wal` and `doublewrite`
@@ -7,18 +7,15 @@
 //! `compact` stream that periodically rewrites a settled region. The same
 //! deterministic op sequence runs twice — placement off (everything in
 //! one write point) and placement on (per-lifetime-class lanes) — and the
-//! per-stream write-amplification ledgers of both runs are recorded into
-//! `BENCH_share.json` (`aging_placement` scenario).
-//!
-//! The run fails (non-zero exit) unless:
-//! * both runs actually aged the device (GC ran, short-lived streams got
-//!   GC copyback blamed on them in the unified run);
-//! * isolating the short-lived streams cuts their blamed GC copyback at
-//!   least 2x (the PR 7 placement acceptance bar);
-//! * the recorded scenario re-reads as valid JSON of the expected shape.
+//! per-stream write-amplification ledgers of both runs are reported side
+//! by side. The last line sums the GC copyback blamed on the short-lived
+//! journal streams (`wal` + `doublewrite`) and gives each run's GC event
+//! count: both runs must have aged the device for the comparison to mean
+//! anything. The report is gated byte for byte by
+//! `results/bench_aging.txt`.
 
 use nand_sim::NandTiming;
-use share_bench::{count, device_json, f, num, parse, print_table, record_scenario, Json};
+use share_bench::{f, print_table};
 use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, Snapshot};
 use share_rng::{Rng, StdRng};
 
@@ -120,28 +117,7 @@ fn wa_of<'a>(snap: &'a Snapshot, label: &str) -> &'a share_core::telemetry::WaSt
         .unwrap_or_else(|| panic!("stream {label} missing from WA table"))
 }
 
-fn wa_json(snap: &Snapshot) -> Json {
-    Json::Obj(
-        snap.wa
-            .iter()
-            .map(|w| {
-                let mut fields = vec![
-                    ("fg_pages".to_string(), count(w.fg_pages)),
-                    ("bg_gc".to_string(), count(w.bg_gc)),
-                    ("bg_log".to_string(), count(w.bg_log)),
-                    ("bg_ckpt".to_string(), count(w.bg_ckpt)),
-                ];
-                if let Some(factor) = w.wa_factor() {
-                    fields.push(("wa_factor".to_string(), num(factor)));
-                }
-                (w.label.clone(), Json::Obj(fields))
-            })
-            .collect(),
-    )
-}
-
 fn main() {
-    let wall = std::time::Instant::now();
     let off = run(false);
     let on = run(true);
 
@@ -167,70 +143,12 @@ fn main() {
         &rows,
     );
 
-    let runs = |r: &RunOut, enabled: bool| {
-        Json::obj(vec![
-            ("placement", Json::Bool(enabled)),
-            ("wa", wa_json(&r.snap)),
-            ("device", device_json(&r.device)),
-        ])
-    };
-    let path = record_scenario(
-        "aging_placement",
-        Json::obj(vec![
-            ("logical_pages", count(LOGICAL_PAGES)),
-            ("channels", count(CHANNELS as u64)),
-            ("rounds", count(ROUNDS)),
-            ("wall_secs", num(wall.elapsed().as_secs_f64())),
-            ("off", runs(&off, false)),
-            ("on", runs(&on, true)),
-        ]),
-    )
-    .expect("record BENCH_share.json");
-    println!("\nrecorded aging_placement -> {}", path.display());
-
-    // ---- assertions: the device aged, placement isolates the journals ------
-    if off.device.gc_events == 0 || on.device.gc_events == 0 {
-        eprintln!(
-            "FAIL: aging workload did not trigger GC (off: {}, on: {})",
-            off.device.gc_events, on.device.gc_events
-        );
-        std::process::exit(1);
-    }
-    let short_off = wa_of(&off.snap, "wal").bg_gc + wa_of(&off.snap, "doublewrite").bg_gc;
-    let short_on = wa_of(&on.snap, "wal").bg_gc + wa_of(&on.snap, "doublewrite").bg_gc;
-    if short_off == 0 {
-        eprintln!("FAIL: unified placement blamed no GC copyback on the journal streams");
-        std::process::exit(1);
-    }
-    if short_on * 2 > short_off {
-        eprintln!(
-            "FAIL: placement cut journal-stream GC blame only {short_off} -> {short_on} \
-             pages (need >= 2x)"
-        );
-        std::process::exit(1);
-    }
-    let text = std::fs::read_to_string(&path).expect("re-read BENCH_share.json");
-    let doc = match parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("FAIL: {} is not valid JSON: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let shape_ok = ["off", "on"].iter().all(|k| {
-        doc.get("aging_placement")
-            .and_then(|sc| sc.get(k))
-            .and_then(|r| r.get("wa"))
-            .and_then(|wa| wa.get("wal"))
-            .and_then(|w| w.get("bg_gc"))
-            .is_some()
-    });
-    if !shape_ok {
-        eprintln!("FAIL: aging_placement scenario malformed in {}", path.display());
-        std::process::exit(1);
-    }
-    let ratio = short_off as f64 / short_on.max(1) as f64;
+    let journal_gc = |r: &RunOut| wa_of(&r.snap, "wal").bg_gc + wa_of(&r.snap, "doublewrite").bg_gc;
     println!(
-        "bench_aging: OK (journal GC blame {short_off} -> {short_on} pages, {ratio:.1}x reduction)"
+        "\njournal GC blame {} -> {} pages (gc events: {} unified, {} multi-streamed)",
+        journal_gc(&off),
+        journal_gc(&on),
+        off.device.gc_events,
+        on.device.gc_events
     );
 }

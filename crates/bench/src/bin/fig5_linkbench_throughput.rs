@@ -7,9 +7,8 @@
 
 use mini_innodb::FlushMode;
 use share_bench::{
-    count, device_json, f, maybe_dump_metrics, maybe_dump_monitor, maybe_dump_trace, num,
-    print_table, record_scenario, run_linkbench, s, scale_from_env, scaled, telemetry_from_env,
-    Json, LinkBenchRun,
+    f, maybe_dump_metrics, maybe_dump_monitor, maybe_dump_trace, print_table, run_linkbench,
+    scaled, telemetry_from_env, LinkBenchRun,
 };
 
 fn base() -> LinkBenchRun {
@@ -89,12 +88,10 @@ fn main() {
     // 16 concurrent connections per round: prefetched B+tree reads and a
     // shared group-commit fsync let independent transactions overlap
     // across channels. A run whose elapsed time exactly matches the
-    // previous channel count is flagged `saturated: true` in the JSON
-    // instead of silently emitting an indistinguishable duplicate row.
+    // previous channel count is marked `(sat)` instead of silently
+    // printing an indistinguishable duplicate row.
     const CONNECTIONS: usize = 16;
-    let wall = std::time::Instant::now();
     let mut rows = Vec::new();
-    let mut runs = Vec::new();
     let mut tps1 = 0.0;
     let mut prev_elapsed = f64::NAN;
     for channels in [1u32, 2, 4, 8] {
@@ -115,105 +112,13 @@ fn main() {
             f(r.tps, 1),
             f(r.elapsed_secs, 2),
             format!("{}x{}", f(r.tps / tps1, 2), if saturated { " (sat)" } else { "" }),
+            format!("{}ms", f(r.device.gc_stall_ns as f64 / 1e6, 1)),
         ]);
-        runs.push(Json::obj(vec![
-            ("channels", count(channels as u64)),
-            ("connections", count(CONNECTIONS as u64)),
-            ("tps", num(r.tps)),
-            ("elapsed_secs", num(r.elapsed_secs)),
-            ("saturated", Json::Bool(saturated)),
-            ("device", device_json(&r.device)),
-        ]));
     }
     print_table(
         "Figure 5(c): LinkBench throughput vs NAND channels (DWB-On, 16 KB pages, buffer = DB/30)",
-        &["channels", "tps", "sim secs", "vs 1ch"],
-        &rows,
-    );
-    let path = record_scenario(
-        "fig5_linkbench_channels",
-        Json::obj(vec![
-            ("mode", s("DwbOn")),
-            ("page_bytes", num(16384.0)),
-            ("scale", num(scale_from_env())),
-            ("wall_secs", num(wall.elapsed().as_secs_f64())),
-            ("runs", Json::Arr(runs)),
-        ]),
-    )
-    .expect("record BENCH_share.json");
-    println!("\nrecorded fig5_linkbench_channels -> {}", path.display());
-
-    // ---- (d) the same channel sweep with one redo-log lane per channel -----
-    // Sweep (c) commits through the single-lane log device; here group
-    // commits from independent connections stripe over `channels` log
-    // lanes instead of convoying on one `busy_until`. Recorded as a
-    // separate scenario so sweep (c) stays the comparison baseline.
-    let wall = std::time::Instant::now();
-    let mut rows = Vec::new();
-    let mut runs = Vec::new();
-    let mut lane_tps1 = 0.0;
-    let mut lane_tps8 = 0.0;
-    let mut prev_elapsed = f64::NAN;
-    for channels in [1u32, 2, 4, 8] {
-        let r = run_linkbench(&LinkBenchRun {
-            mode: FlushMode::DwbOn,
-            page_bytes: 16384,
-            channels,
-            connections: CONNECTIONS,
-            log_queues: channels as usize,
-            ..base()
-        });
-        if channels == 1 {
-            lane_tps1 = r.tps;
-        }
-        if channels == 8 {
-            lane_tps8 = r.tps;
-        }
-        let saturated = r.elapsed_secs == prev_elapsed;
-        prev_elapsed = r.elapsed_secs;
-        rows.push(vec![
-            channels.to_string(),
-            f(r.tps, 1),
-            f(r.elapsed_secs, 2),
-            format!("{}x{}", f(r.tps / lane_tps1, 2), if saturated { " (sat)" } else { "" }),
-            format!("{}ms", f(r.device.gc_stall_ns as f64 / 1e6, 1)),
-        ]);
-        runs.push(Json::obj(vec![
-            ("channels", count(channels as u64)),
-            ("connections", count(CONNECTIONS as u64)),
-            ("log_queues", count(channels as u64)),
-            ("tps", num(r.tps)),
-            ("elapsed_secs", num(r.elapsed_secs)),
-            ("saturated", Json::Bool(saturated)),
-            ("device", device_json(&r.device)),
-        ]));
-    }
-    print_table(
-        "Figure 5(d): same sweep, multi-queue redo log (log lanes = channels)",
         &["channels", "tps", "sim secs", "vs 1ch", "gc stall"],
         &rows,
     );
-    let path = record_scenario(
-        "fig5_linkbench_channels_log_lanes",
-        Json::obj(vec![
-            ("mode", s("DwbOn")),
-            ("page_bytes", num(16384.0)),
-            ("scale", num(scale_from_env())),
-            ("wall_secs", num(wall.elapsed().as_secs_f64())),
-            ("runs", Json::Arr(runs)),
-        ]),
-    )
-    .expect("record BENCH_share.json");
-    println!("\nrecorded fig5_linkbench_channels_log_lanes -> {}", path.display());
-    println!("Paper shape: SHARE > 2x DWB-On everywhere; DWB-Off within ~1% of SHARE.");
-
-    let speedup = lane_tps8 / lane_tps1;
-    if speedup < 2.6 {
-        eprintln!(
-            "FAIL: 8-channel, 8-log-lane LinkBench speedup {:.2}x < 2.6x vs 1 channel",
-            speedup
-        );
-        std::process::exit(1);
-    }
-    println!("fig5 log lanes: OK ({:.2}x at 8 channels vs 1)", speedup);
+    println!("\nPaper shape: SHARE > 2x DWB-On everywhere; DWB-Off within ~1% of SHARE.");
 }

@@ -6,9 +6,8 @@
 
 use mini_couch::CouchMode;
 use share_bench::{
-    count, device_json, f, maybe_dump_metrics, maybe_dump_monitor, maybe_dump_trace, mb, num,
-    print_table, record_scenario, run_ycsb, s, scale_from_env, scaled, telemetry_from_env, Json,
-    YcsbRun,
+    f, maybe_dump_metrics, maybe_dump_monitor, maybe_dump_trace, mb, print_table, run_ycsb,
+    scaled, telemetry_from_env, YcsbRun,
 };
 use share_workloads::YcsbWorkload;
 
@@ -67,13 +66,10 @@ fn main() {
     // every round issues its reads through `get_many` and its writes
     // through `save_many`, so queued commands from independent
     // connections overlap across channels. A run whose elapsed time
-    // exactly matches the previous channel count is flagged
-    // `saturated: true` in the JSON instead of silently emitting an
-    // indistinguishable duplicate row.
+    // exactly matches the previous channel count is marked `(sat)`
+    // instead of silently printing an indistinguishable duplicate row.
     const CONNECTIONS: usize = 16;
-    let wall = std::time::Instant::now();
     let mut rows = Vec::new();
-    let mut runs = Vec::new();
     let mut ops1 = 0.0;
     let mut prev_elapsed = f64::NAN;
     for channels in [1u32, 2, 4, 8] {
@@ -99,33 +95,11 @@ fn main() {
             f(r.elapsed_secs, 2),
             format!("{}x{}", f(r.ops_per_sec / ops1, 2), if saturated { " (sat)" } else { "" }),
         ]);
-        runs.push(Json::obj(vec![
-            ("channels", count(channels as u64)),
-            ("connections", count(CONNECTIONS as u64)),
-            ("ops_per_sec", num(r.ops_per_sec)),
-            ("elapsed_secs", num(r.elapsed_secs)),
-            ("saturated", Json::Bool(saturated)),
-            ("device", device_json(&r.device)),
-        ]));
     }
     print_table(
         "Figure 8 (channels): YCSB-A ops/s vs NAND channels (SHARE, batch 64)",
         &["channels", "OPS", "sim secs", "vs 1ch"],
         &rows,
     );
-    let path = record_scenario(
-        "fig8_ycsb_a_channels",
-        Json::obj(vec![
-            ("mode", s("Share")),
-            ("workload", s("A")),
-            ("batch_size", num(64.0)),
-            ("record_size", num(4.0 * 4056.0)),
-            ("scale", num(scale_from_env())),
-            ("wall_secs", num(wall.elapsed().as_secs_f64())),
-            ("runs", Json::Arr(runs)),
-        ]),
-    )
-    .expect("record BENCH_share.json");
-    println!("\nrecorded fig8_ycsb_a_channels -> {}", path.display());
-    println!("Paper shape: speedup 2.23x (batch 1) -> 1.61x (batch 256).");
+    println!("\nPaper shape: speedup 2.23x (batch 1) -> 1.61x (batch 256).");
 }

@@ -34,21 +34,18 @@ fn main() {
         let nand = dev.into_nand();
         let clock = nand.clock().clone();
         let t_sim0 = clock.now_ns();
-        let wall0 = std::time::Instant::now();
         let rec = Ftl::open(cfg, nand).unwrap();
         let sim_ms = (clock.now_ns() - t_sim0) as f64 / 1e6;
-        let wall_ms = wall0.elapsed().as_secs_f64() * 1e3;
         rows.push(vec![
             writes_since_ckpt.to_string(),
             ckpts_before.to_string(),
             f(sim_ms, 1),
-            f(wall_ms, 1),
             rec.capacity_pages().to_string(),
         ]);
     }
     print_table(
         "FTL recovery cost vs. distance from the last checkpoint (256 MB device)",
-        &["writes since ckpt", "ckpts taken", "recovery sim ms", "recovery wall ms", "pages"],
+        &["writes since ckpt", "ckpts taken", "recovery sim ms", "pages"],
         &rows,
     );
     println!("\nExpectation: replay grows with the un-checkpointed delta volume, bounded");

@@ -8,7 +8,6 @@
 //!
 //! Set `SHARE_BENCH_SCALE` (e.g. `0.2`) to shrink run sizes for smoke tests.
 
-pub mod json;
 pub mod linkbench_driver;
 pub mod metrics;
 #[cfg(test)]
@@ -17,11 +16,10 @@ pub mod table;
 pub mod timing;
 pub mod ycsb_driver;
 
-pub use json::{bench_json_path, count, device_json, num, parse, record_scenario, s, Json};
 pub use linkbench_driver::{run_linkbench, LinkBenchResult, LinkBenchRun};
 pub use metrics::{
-    dump_metrics, dump_monitor, dump_trace, maybe_dump_metrics, maybe_dump_monitor,
-    maybe_dump_trace, metrics_enabled, monitor_enabled, telemetry_from_env, trace_enabled,
+    maybe_dump_metrics, maybe_dump_monitor, maybe_dump_trace, metrics_enabled, monitor_enabled,
+    telemetry_from_env, trace_enabled,
 };
 pub use table::{f, mb, print_table, scale_from_env, scaled};
 pub use ycsb_driver::{loaded_store, run_compaction, run_ycsb, YcsbResult, YcsbRun};

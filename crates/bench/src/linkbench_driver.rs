@@ -1,6 +1,6 @@
 //! LinkBench-over-mini-InnoDB experiment driver (Figures 5–6, Table 1).
 
-use mini_innodb::{standard_log_device_with_queues, FlushMode, InnoDb, InnoDbConfig};
+use mini_innodb::{standard_log_device, FlushMode, InnoDb, InnoDbConfig};
 use nand_sim::NandTiming;
 use share_rng::{Rng, StdRng};
 use share_core::{
@@ -47,9 +47,6 @@ pub struct LinkBenchRun {
     /// Device telemetry collection (counters-only by default; latency
     /// histograms and the command ring never perturb simulated results).
     pub telemetry: TelemetryConfig,
-    /// Submission lanes of the redo-log device (1 = the historical serial
-    /// log device).
-    pub log_queues: usize,
 }
 
 impl Default for LinkBenchRun {
@@ -70,7 +67,6 @@ impl Default for LinkBenchRun {
             channels: 1,
             connections: 1,
             telemetry: TelemetryConfig::default(),
-            log_queues: 1,
         }
     }
 }
@@ -136,7 +132,7 @@ pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
     fcfg.revmap_policy = run.revmap_policy;
     fcfg.gc_policy = run.gc_policy;
     let dev = Ftl::new(fcfg);
-    let log_dev = standard_log_device_with_queues(dev.clock().clone(), run.log_queues);
+    let log_dev = standard_log_device(dev.clock().clone());
 
     let ecfg = InnoDbConfig {
         mode: run.mode,

@@ -2,7 +2,7 @@
 //!
 //! Set `SHARE_METRICS=1` to turn on full device telemetry (latency
 //! histograms + command ring) in the benches that support it and dump the
-//! end-of-run snapshot in both exporter formats next to `BENCH_share.json`
+//! end-of-run snapshot in both exporter formats at the workspace root
 //! (`METRICS_<scenario>.prom` / `.json`; directory overridable with
 //! `SHARE_METRICS_DIR`). Telemetry never advances the simulated clock, so
 //! the dumped numbers ride along without perturbing the bench results.
@@ -56,20 +56,20 @@ pub fn telemetry_from_env() -> TelemetryConfig {
     cfg
 }
 
-/// Where metrics dumps go: `SHARE_METRICS_DIR`, else the workspace root
-/// (same place as `BENCH_share.json`).
+/// Where metrics dumps go: `SHARE_METRICS_DIR`, else the workspace root.
 fn metrics_dir() -> PathBuf {
     if let Ok(p) = std::env::var("SHARE_METRICS_DIR") {
         return PathBuf::from(p);
     }
-    let mut p = crate::json::bench_json_path();
-    p.pop();
+    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    p.pop(); // crates/bench -> crates
+    p.pop(); // crates -> workspace root
     p
 }
 
 /// Write `snap` as `METRICS_<scenario>.prom` and `.json`; returns the two
 /// paths written.
-pub fn dump_metrics(scenario: &str, snap: &Snapshot) -> std::io::Result<(PathBuf, PathBuf)> {
+fn dump_metrics(scenario: &str, snap: &Snapshot) -> std::io::Result<(PathBuf, PathBuf)> {
     let dir = metrics_dir();
     std::fs::create_dir_all(&dir)?;
     let prom_path = dir.join(format!("METRICS_{scenario}.prom"));
@@ -84,7 +84,7 @@ pub fn dump_metrics(scenario: &str, snap: &Snapshot) -> std::io::Result<(PathBuf
 /// Write the tracer's span tree as Chrome `trace_event` JSON
 /// (`TRACE_<scenario>.json`); returns the path, or `None` if the tracer
 /// was disabled (no spans to export).
-pub fn dump_trace(scenario: &str, tracer: &Tracer) -> std::io::Result<Option<PathBuf>> {
+fn dump_trace(scenario: &str, tracer: &Tracer) -> std::io::Result<Option<PathBuf>> {
     let Some(json) = tracer.chrome_json() else { return Ok(None) };
     let dir = metrics_dir();
     std::fs::create_dir_all(&dir)?;
@@ -108,7 +108,7 @@ pub fn maybe_dump_trace(scenario: &str, tracer: &Tracer) {
 
 /// Write the flight recorder's epoch time series as
 /// `MONITOR_<scenario>.json`; returns the path written.
-pub fn dump_monitor(scenario: &str, mon: &FlightSnapshot) -> std::io::Result<PathBuf> {
+fn dump_monitor(scenario: &str, mon: &FlightSnapshot) -> std::io::Result<PathBuf> {
     let dir = metrics_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("MONITOR_{scenario}.json"));

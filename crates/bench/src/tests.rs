@@ -4,7 +4,10 @@
 use crate::{run_compaction, run_linkbench, run_ycsb, LinkBenchRun, YcsbRun};
 use mini_couch::CouchMode;
 use mini_innodb::FlushMode;
+use share_core::telemetry::json::{parse, Json};
+use share_core::{OpClass, TelemetryConfig};
 use share_workloads::YcsbWorkload;
+use std::collections::HashSet;
 
 fn tiny_linkbench(mode: FlushMode) -> LinkBenchRun {
     LinkBenchRun { mode, nodes: 1_500, warmup_txns: 200, txns: 800, ..Default::default() }
@@ -55,6 +58,164 @@ fn ycsb_driver_handles_every_workload() {
         if !workload.has_writes() {
             assert_eq!(r.couch.share_remaps, 0);
         }
+    }
+}
+
+#[test]
+fn telemetry_counters_equal_device_stats() {
+    // Load + YCSB-A over the SHARE store exercises writes, batched appends,
+    // share batches, flushes and checkpoints; the workload is error-free,
+    // so the FTL's two bookkeeping paths must agree exactly.
+    let r = run_ycsb(&YcsbRun {
+        telemetry: TelemetryConfig::full(),
+        ..tiny_ycsb(CouchMode::Share, YcsbWorkload::A)
+    });
+    let snap = r.telemetry.as_ref().expect("FTL device must expose telemetry");
+    // The snapshot covers the whole run, so compare against the cumulative
+    // stats, not the measured-window delta.
+    let d = &r.device_total;
+    use OpClass::*;
+    let cases: [(&str, u64, u64); 8] = [
+        ("host_reads", d.host_reads, snap.pages(Read) + snap.pages(ReadBatch)),
+        (
+            "host_writes",
+            d.host_writes,
+            snap.pages(Write) + snap.pages(WriteBatch) + snap.pages(WriteAtomic),
+        ),
+        ("flushes", d.flushes, snap.ops_count(Flush)),
+        ("share_commands", d.share_commands, snap.ops_count(Share) + snap.ops_count(ShareBatch)),
+        ("shared_pages", d.shared_pages, snap.pages(Share) + snap.pages(ShareBatch)),
+        ("gc_events", d.gc_events, snap.ops_count(Gc)),
+        ("copyback_pages", d.copyback_pages, snap.pages(Gc)),
+        ("meta_page_writes", d.meta_page_writes, snap.pages(LogFlush) + snap.pages(Checkpoint)),
+    ];
+    for (name, stat, tele) in cases {
+        assert_eq!(stat, tele, "DeviceStats.{name} disagrees with telemetry");
+    }
+    assert!(d.host_writes > 0 && d.share_commands > 0 && d.meta_page_writes > 0);
+
+    let prom = snap.to_prometheus();
+    for family in [
+        "share_commands_total",
+        "share_op_latency_ns_bucket",
+        r#"share_stream_ops_total{stream="store""#,
+    ] {
+        assert!(prom.contains(family), "Prometheus export missing {family}");
+    }
+
+    // The rendered JSON export re-parses and agrees with the snapshot.
+    let doc = parse(&snap.to_json().render()).expect("JSON export re-parses");
+    let op_field = |op: OpClass, field: &str| {
+        doc.get("ops")
+            .and_then(|ops| ops.get(op.name()))
+            .and_then(|o| o.get(field))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("missing ops.{}.{field} in JSON export", op.name()))
+    };
+    let pages = |op| op_field(op, "pages");
+    assert_eq!(pages(Read) + pages(ReadBatch), d.host_reads);
+    assert_eq!(pages(Write) + pages(WriteBatch) + pages(WriteAtomic), d.host_writes);
+    assert_eq!(op_field(Flush, "ops"), d.flushes);
+    assert_eq!(pages(Share) + pages(ShareBatch), d.shared_pages);
+    assert_eq!(pages(Gc), d.copyback_pages);
+    assert_eq!(doc.get("commands").and_then(Json::as_u64), Some(snap.commands));
+
+    // Histograms and the ring were on: the write path must have samples and
+    // retained events, in memory and in the export.
+    assert!(!snap.op(Write).hist.is_empty(), "no write latency samples");
+    assert!(!snap.events.is_empty(), "command ring retained nothing");
+    assert!(matches!(doc.get("events"), Some(Json::Arr(v)) if !v.is_empty()));
+}
+
+#[test]
+fn tracing_and_monitoring_observe_without_perturbing() {
+    let run = |telemetry| {
+        run_ycsb(&YcsbRun { telemetry, ..tiny_ycsb(CouchMode::Share, YcsbWorkload::A) })
+    };
+    let off = run(TelemetryConfig::default());
+    // Tracing plus the epoch sampler: both are observation-only, so the
+    // run must stay bit-identical to the bare one.
+    let on = run(TelemetryConfig { trace: true, ..TelemetryConfig::monitoring(10_000_000) });
+    assert_eq!(off.elapsed_secs, on.elapsed_secs, "tracing changed the simulated timeline");
+    assert_eq!(off.device_total, on.device_total, "tracing changed device traffic");
+    let mon = on.monitor.as_ref().expect("monitoring was on");
+    assert!(mon.sealed > 0, "no epochs sealed during the traced run");
+    let spans = on.tracer.span_count();
+    assert!(spans > 0, "tracing was on but recorded no spans");
+    assert_eq!(off.tracer.span_count(), 0, "tracing-off run recorded spans");
+
+    // The Chrome trace_event export re-parses and is well formed.
+    let text = on.tracer.chrome_json().expect("tracer was enabled").render();
+    let doc = parse(&text).expect("chrome trace re-parses through telemetry::json");
+    let events = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array");
+
+    let mut named: HashSet<(u64, u64)> = HashSet::new(); // (pid, tid) with thread_name
+    let mut procs: HashSet<u64> = HashSet::new(); // pid with process_name
+    let mut span_ids: HashSet<u64> = HashSet::new();
+    let mut parents: Vec<u64> = Vec::new();
+    let mut last_ts = f64::MIN;
+    let mut x_events = 0usize;
+    let mut unit_epoch_records = 0u64;
+    for ev in events {
+        let ph = ev.get("ph").and_then(Json::as_str).expect("event phase");
+        let pid = ev.get("pid").and_then(Json::as_u64).expect("event pid");
+        match ph {
+            "M" => match ev.get("name").and_then(Json::as_str).expect("meta name") {
+                "process_name" => {
+                    procs.insert(pid);
+                }
+                "thread_name" => {
+                    let tid = ev.get("tid").and_then(Json::as_u64).expect("meta tid");
+                    named.insert((pid, tid));
+                }
+                "unit_epoch_busy_ns" => {
+                    // Flight-recorder utilization series: one column of
+                    // busy-ns deltas per NAND unit, all exactly as long as
+                    // the epoch-end timestamp row.
+                    unit_epoch_records += 1;
+                    let args = ev.get("args").expect("utilization args");
+                    let ends =
+                        args.get("epoch_end_ns").and_then(Json::as_array).expect("epoch_end_ns");
+                    assert!(!ends.is_empty(), "utilization record with no epochs");
+                    let Some(Json::Obj(units)) = args.get("units") else {
+                        panic!("units object missing")
+                    };
+                    assert!(!units.is_empty(), "utilization record with no units");
+                    for (label, col) in units {
+                        let col = col.as_array().expect("unit series array");
+                        assert_eq!(col.len(), ends.len(), "unit {label} series != epoch count");
+                    }
+                }
+                other => panic!("unexpected metadata record {other}"),
+            },
+            "X" => {
+                x_events += 1;
+                let tid = ev.get("tid").and_then(Json::as_u64).expect("X tid");
+                assert!(procs.contains(&pid), "pid {pid} has no process_name metadata");
+                assert!(named.contains(&(pid, tid)), "track {pid}/{tid} has no thread_name");
+                let ts = ev.get("ts").and_then(Json::as_f64).expect("X ts");
+                assert!(ts >= last_ts, "timestamps not monotonic: {ts} after {last_ts}");
+                last_ts = ts;
+                let dur = ev.get("dur").and_then(Json::as_f64).expect("X dur");
+                assert!(dur >= 0.0, "negative duration — unbalanced span");
+                let args = ev.get("args").expect("X args");
+                span_ids.insert(args.get("id").and_then(Json::as_u64).expect("span id"));
+                parents.extend(args.get("parent").and_then(Json::as_u64));
+            }
+            other => panic!("unexpected event phase {other}"),
+        }
+    }
+    assert_eq!(x_events, spans, "exported X events != recorded spans");
+    assert_eq!(unit_epoch_records, 1, "expected exactly one unit_epoch_busy_ns record");
+    for p in &parents {
+        assert!(span_ids.contains(p), "parent span {p} missing from the export");
+    }
+    // The three host layers and the NAND leaves must all be present.
+    for cat in ["engine", "vfs", "ftl", "nand"] {
+        assert!(
+            events.iter().any(|e| e.get("cat").and_then(Json::as_str) == Some(cat)),
+            "no {cat}-layer spans in the export"
+        );
     }
 }
 

@@ -244,6 +244,16 @@ pub trait BlockDevice {
     }
 }
 
+/// Check that the `len` pages from `start` all lie below `capacity`
+/// (overflow included), naming the range's last page if not.
+pub(crate) fn check_range(start: Lpn, len: u64, capacity: u64) -> Result<(), FtlError> {
+    if start.0.checked_add(len).is_some_and(|end| end <= capacity) {
+        return Ok(());
+    }
+    let last = Lpn(start.0.saturating_add(len.saturating_sub(1)));
+    Err(FtlError::LpnOutOfRange { lpn: last, capacity })
+}
+
 /// A conventional SSD without the SHARE extension.
 ///
 /// Models a fast drive with a large SLC cache (the paper's PM853T log
@@ -261,14 +271,6 @@ pub struct SimpleSsd {
     xfer_ns_per_kib: u64,
     fault: FaultHandle,
     stats: DeviceStats,
-    /// Independent write lanes (NVMe-style queue pairs). 1 = the
-    /// historical single-queue serial device: every command advances the
-    /// shared clock. More lanes stripe writes by page (strict per-page
-    /// ordering) onto per-lane `busy_until` reservations; only `flush`
-    /// advances the clock, to strictly after every lane has drained.
-    queues: usize,
-    /// Per-lane completion frontier (only used when `queues > 1`).
-    lane_busy_until: Vec<u64>,
 }
 
 impl SimpleSsd {
@@ -285,37 +287,7 @@ impl SimpleSsd {
             xfer_ns_per_kib: NandTiming::default().xfer_ns_per_kib,
             fault: FaultHandle::new(),
             stats: DeviceStats::default(),
-            queues: 1,
-            lane_busy_until: vec![0],
         }
-    }
-
-    /// Reshape the device into `queues` independent write lanes. One
-    /// queue (the default) is the exact historical serial device —
-    /// bit-identical state and timing. More queues overlap writes to
-    /// distinct pages: a write reserves its page's lane
-    /// (`page % queues`, so rewrites of one page stay strictly ordered)
-    /// without moving the shared clock, and `flush` acts as the
-    /// strictly-after barrier — the clock jumps to the latest lane
-    /// frontier plus the flush cost. Durability semantics are unchanged:
-    /// page content is stored eagerly, so crash images do not depend on
-    /// the queue shape.
-    pub fn with_queues(mut self, queues: usize) -> Self {
-        assert!(queues >= 1, "need at least one queue");
-        self.queues = queues;
-        self.lane_busy_until = vec![0; queues];
-        self
-    }
-
-    /// Number of independent write lanes.
-    pub fn queues(&self) -> usize {
-        self.queues
-    }
-
-    /// Latest completion frontier across all lanes (>= clock when writes
-    /// are still in flight on some lane).
-    fn lanes_drained_at(&self) -> u64 {
-        self.lane_busy_until.iter().copied().max().unwrap_or(0).max(self.clock.now_ns())
     }
 
     /// Power-loss injection handle. Unlike the FTL, a conventional drive
@@ -326,13 +298,9 @@ impl SimpleSsd {
         self.fault.clone()
     }
 
-    /// Bring the device back up after an injected power loss. Whatever
-    /// was still queued on a write lane died with the power: the lane
-    /// reservations clear (stored page content is unaffected — it was
-    /// applied eagerly at submission).
+    /// Bring the device back up after an injected power loss.
     pub fn power_cycle(&mut self) {
         self.fault.clear_down();
-        self.lane_busy_until.iter_mut().for_each(|b| *b = 0);
     }
 
     /// Override the latency model (read, write, flush in ns).
@@ -368,10 +336,6 @@ impl BlockDevice for SimpleSsd {
             return Err(FtlError::Nand(NandError::PowerLoss));
         }
         self.check(lpn, buf.len())?;
-        if self.queues > 1 {
-            // Reads are strictly ordered after every queued write.
-            self.clock.advance_to(self.lanes_drained_at());
-        }
         self.clock.advance(self.read_ns + (buf.len() as u64 * self.xfer_ns_per_kib) / 1024);
         self.stats.host_reads += 1;
         self.stats.host_read_bytes += buf.len() as u64;
@@ -387,17 +351,7 @@ impl BlockDevice for SimpleSsd {
             return Err(FtlError::Nand(NandError::PowerLoss));
         }
         self.check(lpn, data.len())?;
-        let service = self.write_ns + (data.len() as u64 * self.xfer_ns_per_kib) / 1024;
-        if self.queues == 1 {
-            self.clock.advance(service);
-        } else {
-            // Dispatch onto the page's lane: the write occupies the lane
-            // from max(lane frontier, now) without moving the shared
-            // clock; `flush` is the barrier that makes it observable.
-            let lane = (lpn.0 % self.queues as u64) as usize;
-            let start = self.lane_busy_until[lane].max(self.clock.now_ns());
-            self.lane_busy_until[lane] = start + service;
-        }
+        self.clock.advance(self.write_ns + (data.len() as u64 * self.xfer_ns_per_kib) / 1024);
         self.stats.host_writes += 1;
         self.stats.host_write_bytes += data.len() as u64;
         if let Some(mode) = self.fault.on_program() {
@@ -432,22 +386,20 @@ impl BlockDevice for SimpleSsd {
         if self.fault.is_down() {
             return Err(FtlError::Nand(NandError::PowerLoss));
         }
-        if self.queues > 1 {
-            // Strictly-after barrier: a flush completes only once every
-            // lane has drained.
-            self.clock.advance_to(self.lanes_drained_at());
-        }
         self.clock.advance(self.flush_ns);
         self.stats.flushes += 1;
         Ok(())
     }
 
     fn trim(&mut self, lpn: Lpn, len: u64) -> Result<(), FtlError> {
-        for i in 0..len {
-            self.check(lpn.offset(i), self.page_size)?;
-            self.pages[(lpn.0 + i) as usize] = None;
-            self.stats.trims += 1;
+        if self.fault.is_down() {
+            return Err(FtlError::Nand(NandError::PowerLoss));
         }
+        // Validate the whole range before the first side effect, as
+        // `Ftl::trim` does.
+        check_range(lpn, len, self.capacity_pages)?;
+        self.pages[lpn.0 as usize..(lpn.0 + len) as usize].fill(None);
+        self.stats.trims += len;
         Ok(())
     }
 
@@ -531,88 +483,25 @@ mod tests {
     }
 
     #[test]
-    fn multi_queue_overlaps_writes_and_flush_barriers() {
-        // Serial device: N writes + flush cost N*write + flush.
-        let mut serial = dev();
-        let c1 = serial.clock().clone();
-        for lpn in 0..4 {
-            serial.write(Lpn(lpn), &[lpn as u8; 512]).unwrap();
+    fn trim_checks_power_and_the_whole_range_first() {
+        let mut d = dev();
+        d.write(Lpn(15), &[0x33u8; 512]).unwrap();
+        // A range past the capacity (or overflowing) is rejected whole.
+        for (lpn, len) in [(15, 2), (0, 17), (16, 1), (u64::MAX, 2), (1, u64::MAX)] {
+            let err = d.trim(Lpn(lpn), len).unwrap_err();
+            assert!(matches!(err, FtlError::LpnOutOfRange { .. }), "trim({lpn}, {len}): {err:?}");
         }
-        serial.flush().unwrap();
-        let serial_ns = c1.now_ns();
-
-        // Four lanes: the same four writes (distinct pages) overlap fully;
-        // the flush barrier lands at one write's service time + flush.
-        let mut mq = SimpleSsd::new(512, 16, SimClock::new()).with_queues(4);
-        assert_eq!(mq.queues(), 4);
-        let c2 = mq.clock().clone();
-        for lpn in 0..4 {
-            mq.write(Lpn(lpn), &[lpn as u8; 512]).unwrap();
-        }
-        assert_eq!(c2.now_ns(), 0, "writes alone never move the clock");
-        mq.flush().unwrap();
-        let mq_ns = c2.now_ns();
-        assert!(
-            mq_ns < serial_ns,
-            "4 lanes must beat serial: {mq_ns} vs {serial_ns}"
-        );
-        // Exactly one write service + flush (all four lanes ran in parallel).
-        let service = 30_000 + (512 * NandTiming::default().xfer_ns_per_kib) / 1024;
-        assert_eq!(mq_ns, service + 50_000);
-        // Content is identical either way.
-        for lpn in 0..4u64 {
-            let mut buf = [0u8; 512];
-            mq.read(Lpn(lpn), &mut buf).unwrap();
-            assert!(buf.iter().all(|&b| b == lpn as u8));
-        }
-    }
-
-    #[test]
-    fn multi_queue_serializes_rewrites_of_one_page() {
-        // Two writes to the same page share a lane: their service times
-        // stack, and the flush barrier sees the sum — strict per-page
-        // ordering is preserved in the timing model.
-        let mut mq = SimpleSsd::new(512, 16, SimClock::new()).with_queues(4);
-        let c = mq.clock().clone();
-        mq.write(Lpn(0), &[1u8; 512]).unwrap();
-        mq.write(Lpn(0), &[2u8; 512]).unwrap();
-        mq.flush().unwrap();
-        let service = 30_000 + (512 * NandTiming::default().xfer_ns_per_kib) / 1024;
-        assert_eq!(c.now_ns(), 2 * service + 50_000);
-        let mut buf = [0u8; 512];
-        mq.read(Lpn(0), &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 2), "last write wins");
-    }
-
-    #[test]
-    fn single_queue_stays_bit_identical_to_legacy_timing() {
-        // `with_queues(1)` must leave the historical serial path untouched.
-        let mut a = dev();
-        let mut b = SimpleSsd::new(512, 16, SimClock::new()).with_queues(1);
-        for d in [&mut a, &mut b] {
-            d.write(Lpn(0), &[5u8; 512]).unwrap();
-            d.write(Lpn(0), &[6u8; 512]).unwrap();
-            d.flush().unwrap();
-            let mut buf = [0u8; 512];
-            d.read(Lpn(0), &mut buf).unwrap();
-        }
-        assert_eq!(a.clock().now_ns(), b.clock().now_ns());
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn multi_queue_torn_write_semantics_unchanged() {
-        // Fault handling and stored content are independent of the queue
-        // shape: state is applied eagerly at submission.
-        let mut d = SimpleSsd::new(512, 16, SimClock::new()).with_queues(4);
-        d.write(Lpn(0), &[0x11u8; 512]).unwrap();
-        d.fault_handle().arm_after_programs(1, FaultMode::TornHalf);
-        assert!(d.write(Lpn(0), &[0x22u8; 512]).is_err());
+        // A downed device refuses trims like every other command.
+        d.fault_handle().arm_after_programs(1, FaultMode::DroppedWrite);
+        assert!(d.write(Lpn(0), &[0x44u8; 512]).is_err());
+        assert_eq!(d.trim(Lpn(15), 1), Err(FtlError::Nand(NandError::PowerLoss)));
         d.power_cycle();
+        assert_eq!(d.stats().trims, 0);
         let mut buf = [0u8; 512];
-        d.read(Lpn(0), &mut buf).unwrap();
-        assert!(buf[..256].iter().all(|&b| b == 0x22));
-        assert!(buf[256..].iter().all(|&b| b == 0x11));
+        d.read(Lpn(15), &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0x33), "a refused trim must not drop the page");
+        d.trim(Lpn(15), 1).unwrap();
+        assert_eq!(d.stats().trims, 1);
     }
 
     #[test]

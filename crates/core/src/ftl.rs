@@ -415,12 +415,7 @@ impl Ftl {
     /// Check that the `len` pages from `start` all lie inside the logical
     /// capacity (overflow included), naming the range's last page if not.
     fn check_range(&self, start: Lpn, len: u64) -> Result<(), FtlError> {
-        let capacity = self.cfg.logical_pages;
-        if start.0.checked_add(len).is_some_and(|end| end <= capacity) {
-            return Ok(());
-        }
-        let last = Lpn(start.0.saturating_add(len.saturating_sub(1)));
-        Err(FtlError::LpnOutOfRange { lpn: last, capacity })
+        crate::device::check_range(start, len, self.cfg.logical_pages)
     }
 
     /// Stream to attribute an internal pass to: the host command that

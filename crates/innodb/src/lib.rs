@@ -44,10 +44,7 @@ pub use engine::{EngineStats, FlushMode, InnoDb, InnoDbConfig};
 pub use error::EngineError;
 pub use key::{Key, Table};
 pub use page::{NodePage, PageDecodeError, ENTRY_OVERHEAD, NO_PAGE, PAGE_HEADER};
-pub use redo::{
-    standard_log_device, standard_log_device_with_queues, CheckpointMeta, RedoBody, RedoLog,
-    RedoRecord,
-};
+pub use redo::{standard_log_device, CheckpointMeta, RedoBody, RedoLog, RedoRecord};
 
 /// Result alias for engine operations.
 pub type Result<T> = std::result::Result<T, EngineError>;

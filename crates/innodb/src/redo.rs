@@ -400,15 +400,7 @@ impl RedoLog {
 
 /// Helper: a standard log device (64 MiB, 4 KiB pages) on `clock`.
 pub fn standard_log_device(clock: nand_sim::SimClock) -> SimpleSsd {
-    standard_log_device_with_queues(clock, 1)
-}
-
-/// [`standard_log_device`] with `queues` independent write lanes. One
-/// queue is the paper's conventional serial log drive; more lanes let the
-/// multi-page group-commit writes of concurrent connections overlap, with
-/// the flush barrier preserving redo durability ordering.
-pub fn standard_log_device_with_queues(clock: nand_sim::SimClock, queues: usize) -> SimpleSsd {
-    SimpleSsd::new(4096, (64 << 20) / 4096, clock).with_queues(queues)
+    SimpleSsd::new(4096, (64 << 20) / 4096, clock)
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Hand-rolled JSON value type, renderer, and syntax-checking parser.
 //!
 //! The workspace is offline and dependency-free, so this minimal module is
-//! the one JSON implementation for the whole stack: telemetry snapshots
-//! render through it, and `share-bench` re-exports it for
-//! `BENCH_share.json` scenario records. It lives here (the bottom of the
-//! dependency graph) so `share-core` can export snapshots without
-//! depending on the bench crate.
+//! the one JSON implementation for the whole stack: telemetry snapshots,
+//! Chrome traces and flight-recorder dumps render through it, and tests
+//! re-parse them with it. It lives here (the bottom of the dependency
+//! graph) so `share-core` can export snapshots without depending on
+//! anything above it.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -360,12 +360,66 @@ mod tests {
     }
 
     #[test]
+    fn string_escapes_round_trip() {
+        // Every escape class the renderer can emit: quote, backslash, the
+        // named control escapes, other C0 controls (\u-escaped), and
+        // multi-byte UTF-8 (passed through raw).
+        let tricky = "quote:\" back:\\ nl:\n cr:\r tab:\t bell:\u{7} nul:\u{0} smile:😀 é";
+        let text = Json::Str(tricky.into()).render();
+        assert_eq!(parse(&text).unwrap(), Json::Str(tricky.into()));
+        // Escapes the renderer never emits still parse: \/ \b \f and \u.
+        assert_eq!(parse(r#""a\/b\bc\fdA""#).unwrap(), Json::Str("a/b\u{8}c\u{c}dA".into()));
+        // A lone surrogate escape degrades to U+FFFD rather than erroring.
+        assert_eq!(parse(r#""\ud800""#).unwrap(), Json::Str("\u{fffd}".into()));
+    }
+
+    #[test]
+    fn nested_arrays_and_objects_round_trip() {
+        let v = Json::Arr(vec![
+            Json::obj(vec![
+                ("deep", Json::Arr(vec![Json::Arr(vec![num(1.0)]), Json::Obj(Vec::new())])),
+                ("empty_arr", Json::Arr(Vec::new())),
+            ]),
+            Json::Arr(vec![Json::Null, Json::Bool(false)]),
+        ]);
+        let text = v.render();
+        assert_eq!(parse(&text).unwrap(), v);
+        // Whitespace-insensitive on the way back in.
+        let spaced = " [ { \"deep\" : [ [ 1 ] , { } ] , \"empty_arr\" : [ ] } , [ null , false ] ] ";
+        assert_eq!(parse(spaced).unwrap(), v);
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(parse("{").is_err());
         assert!(parse("{\"a\": }").is_err());
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_malformed_structures() {
+        // Unquoted keys, missing colon/comma, bad literals and numbers,
+        // truncated escapes — each must fail rather than mis-parse.
+        for bad in [
+            "",
+            "{a: 1}",
+            "{\"a\" 1}",
+            "{\"a\": 1 \"b\": 2}",
+            "[1 2]",
+            "tru",
+            "nul",
+            "01x",
+            "1.2.3",
+            "--5",
+            "\"bad \\q escape\"",
+            "\"trunc \\u00",
+            "[}",
+            "{]",
+        ] {
+            assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
+        }
     }
 
     #[test]
