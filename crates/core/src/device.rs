@@ -177,10 +177,11 @@ pub trait BlockDevice {
 
     /// Enqueue a tagged command. The device executes its state transitions
     /// immediately (in submission order) but the completion — and the
-    /// simulated-time cost — is observed only when the host reaps it.
+    /// simulated-time cost — is observed only when the host reaps it. What
+    /// the command borrows is free again when `submit` returns.
     /// Returns [`FtlError::QueueFull`] at the configured depth and
     /// [`FtlError::Unsupported`] on sync-only devices.
-    fn submit(&mut self, _cmd: QueuedCmd) -> Result<CmdTag, FtlError> {
+    fn submit(&mut self, _cmd: QueuedCmd<'_>) -> Result<CmdTag, FtlError> {
         Err(FtlError::Unsupported("submit"))
     }
 

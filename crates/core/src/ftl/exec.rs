@@ -146,10 +146,7 @@ impl Ftl {
     /// Execute a queued command's state transitions (called inside the
     /// command frame, under its deferred NAND window) through the same
     /// bodies the synchronous methods run.
-    fn execute_queued(&mut self, cmd: QueuedCmd) -> Result<CmdOutput, FtlError> {
-        fn refs(pages: &[(Lpn, Vec<u8>)]) -> Vec<(Lpn, &[u8])> {
-            pages.iter().map(|(l, d)| (*l, d.as_slice())).collect()
-        }
+    fn execute_queued(&mut self, cmd: QueuedCmd<'_>) -> Result<CmdOutput, FtlError> {
         match cmd {
             QueuedCmd::Read { lpn } => {
                 let mut buf = vec![0u8; self.page_size()];
@@ -165,12 +162,10 @@ impl Ftl {
                 return Ok(CmdOutput::Pages(flat));
             }
             QueuedCmd::Write { lpn, data } => self.write_impl(lpn, &data)?,
-            QueuedCmd::WriteBatch { pages } => self.write_batch_impl(&refs(&pages))?,
-            QueuedCmd::WriteAtomic { pages } if !pages.is_empty() => {
-                self.write_atomic_impl(&refs(&pages))?
-            }
-            QueuedCmd::Share { pairs } if !pairs.is_empty() => self.share_impl(&pairs)?,
-            QueuedCmd::ShareBatch { pairs } if !pairs.is_empty() => self.share_batch_impl(&pairs)?,
+            QueuedCmd::WriteBatch { pages } => self.write_batch_impl(pages)?,
+            QueuedCmd::WriteAtomic { pages } if !pages.is_empty() => self.write_atomic_impl(pages)?,
+            QueuedCmd::Share { pairs } if !pairs.is_empty() => self.share_impl(pairs)?,
+            QueuedCmd::ShareBatch { pairs } if !pairs.is_empty() => self.share_batch_impl(pairs)?,
             // Empty atomic and SHARE batches are no-ops, as on the sync path.
             QueuedCmd::WriteAtomic { .. }
             | QueuedCmd::Share { .. }
@@ -378,7 +373,7 @@ impl BlockDevice for Ftl {
     /// the synchronous path) but dispatch its NAND timing onto a deferred
     /// window, so commands from independent connections overlap across
     /// channel-ways. The completion surfaces via `poll`/`reap`/`drain`.
-    fn submit(&mut self, cmd: QueuedCmd) -> Result<CmdTag, FtlError> {
+    fn submit(&mut self, cmd: QueuedCmd<'_>) -> Result<CmdTag, FtlError> {
         if self.pending.len() >= self.cfg.queue_depth {
             return Err(FtlError::QueueFull { depth: self.cfg.queue_depth });
         }

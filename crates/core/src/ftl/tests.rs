@@ -1005,7 +1005,7 @@ fn queue_full_applies_backpressure() {
 
 /// One host command of the sync==queued pin, in a form both paths can
 /// issue: LPNs and fill bytes, no borrowed payloads.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum PinOp {
     Write(u64, u8),
     WriteBatch(Vec<(u64, u8)>),
@@ -1083,23 +1083,28 @@ fn run_pin(mut f: Ftl, ops: &[PinOp], queued: bool) -> (u64, DeviceStats, u64) {
             hash = (hash ^ b as u64).wrapping_mul(0x1_0000_01b3);
         }
     };
-    let owned = |v: &[(u64, u8)]| -> Vec<(Lpn, Vec<u8>)> {
-        v.iter().map(|&(l, b)| (Lpn(l), vec![b; ps])).collect()
-    };
     for op in ops {
+        // What the vector commands lend, built once for both paths: the
+        // queued form borrows exactly what the blocking call borrows.
+        let (pages, lpns): (Vec<(Lpn, Vec<u8>)>, Vec<Lpn>) = match op {
+            PinOp::WriteBatch(v) | PinOp::WriteAtomic(v) => {
+                (v.iter().map(|&(l, b)| (Lpn(l), vec![b; ps])).collect(), Vec::new())
+            }
+            PinOp::ReadBatch(v) => (Vec::new(), v.iter().map(|&l| Lpn(l)).collect()),
+            _ => (Vec::new(), Vec::new()),
+        };
+        let refs: Vec<(Lpn, &[u8])> = pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
         if queued {
-            let cmd = match op.clone() {
-                PinOp::Write(l, b) => QueuedCmd::Write { lpn: Lpn(l), data: vec![b; ps] },
-                PinOp::WriteBatch(v) => QueuedCmd::WriteBatch { pages: owned(&v) },
-                PinOp::WriteAtomic(v) => QueuedCmd::WriteAtomic { pages: owned(&v) },
+            let cmd = match op {
+                PinOp::Write(l, b) => QueuedCmd::Write { lpn: Lpn(*l), data: vec![*b; ps] },
+                PinOp::WriteBatch(_) => QueuedCmd::WriteBatch { pages: &refs },
+                PinOp::WriteAtomic(_) => QueuedCmd::WriteAtomic { pages: &refs },
                 PinOp::Share(pairs) => QueuedCmd::Share { pairs },
                 PinOp::ShareBatch(pairs) => QueuedCmd::ShareBatch { pairs },
-                PinOp::Trim(l, n) => QueuedCmd::Trim { lpn: Lpn(l), len: n },
+                PinOp::Trim(l, n) => QueuedCmd::Trim { lpn: Lpn(*l), len: *n },
                 PinOp::Flush => QueuedCmd::Flush,
-                PinOp::Read(l) => QueuedCmd::Read { lpn: Lpn(l) },
-                PinOp::ReadBatch(v) => {
-                    QueuedCmd::ReadBatch { lpns: v.into_iter().map(Lpn).collect() }
-                }
+                PinOp::Read(l) => QueuedCmd::Read { lpn: Lpn(*l) },
+                PinOp::ReadBatch(_) => QueuedCmd::ReadBatch { lpns: &lpns },
             };
             f.submit(cmd).unwrap();
             let mut done = f.reap();
@@ -1113,16 +1118,8 @@ fn run_pin(mut f: Ftl, ops: &[PinOp], queued: bool) -> (u64, DeviceStats, u64) {
         }
         match op {
             PinOp::Write(l, b) => f.write(Lpn(*l), &vec![*b; ps]).unwrap(),
-            PinOp::WriteBatch(v) | PinOp::WriteAtomic(v) => {
-                let pages = owned(v);
-                let refs: Vec<(Lpn, &[u8])> =
-                    pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-                if matches!(op, PinOp::WriteBatch(_)) {
-                    f.write_batch(&refs).unwrap()
-                } else {
-                    f.write_atomic(&refs).unwrap()
-                }
-            }
+            PinOp::WriteBatch(_) => f.write_batch(&refs).unwrap(),
+            PinOp::WriteAtomic(_) => f.write_atomic(&refs).unwrap(),
             PinOp::Share(pairs) => f.share(pairs).unwrap(),
             PinOp::ShareBatch(pairs) => f.share_batch(pairs).unwrap(),
             PinOp::Trim(l, n) => f.trim(Lpn(*l), *n).unwrap(),
@@ -1132,11 +1129,11 @@ fn run_pin(mut f: Ftl, ops: &[PinOp], queued: bool) -> (u64, DeviceStats, u64) {
                 f.read(Lpn(*l), &mut buf).unwrap();
                 fold(&buf);
             }
-            PinOp::ReadBatch(v) => {
-                let mut bufs = vec![vec![0u8; ps]; v.len()];
-                let mut reqs: Vec<(Lpn, &mut [u8])> = v
+            PinOp::ReadBatch(_) => {
+                let mut bufs = vec![vec![0u8; ps]; lpns.len()];
+                let mut reqs: Vec<(Lpn, &mut [u8])> = lpns
                     .iter()
-                    .map(|&l| Lpn(l))
+                    .copied()
                     .zip(bufs.iter_mut().map(|b| b.as_mut_slice()))
                     .collect();
                 f.read_batch(&mut reqs).unwrap();
@@ -1322,15 +1319,13 @@ fn queued_batches_round_trip() {
     let mut f = tiny_channels(4);
     let ps = f.page_size();
     let pages: Vec<(Lpn, Vec<u8>)> =
-        (0..16u64).map(|i| (Lpn(i), vec![(i % 251) as u8; ps])).collect();
-    f.submit(QueuedCmd::WriteBatch { pages: pages.clone() }).unwrap();
-    f.submit(QueuedCmd::WriteAtomic {
-        pages: (16..20u64).map(|i| (Lpn(i), vec![(i % 251) as u8; ps])).collect(),
-    })
-    .unwrap();
+        (0..20u64).map(|i| (Lpn(i), vec![(i % 251) as u8; ps])).collect();
+    let refs: Vec<(Lpn, &[u8])> = pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
+    f.submit(QueuedCmd::WriteBatch { pages: &refs[..16] }).unwrap();
+    f.submit(QueuedCmd::WriteAtomic { pages: &refs[16..] }).unwrap();
     assert!(f.drain().iter().all(Completion::is_ok));
     let lpns: Vec<Lpn> = (0..20).map(Lpn).collect();
-    f.submit(QueuedCmd::ReadBatch { lpns }).unwrap();
+    f.submit(QueuedCmd::ReadBatch { lpns: &lpns }).unwrap();
     let done = f.drain();
     let flat = done[0].result.clone().unwrap().into_pages().unwrap();
     assert_eq!(flat.len(), 20 * ps);

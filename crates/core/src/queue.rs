@@ -29,37 +29,41 @@ impl std::fmt::Display for CmdTag {
     }
 }
 
-/// A command enqueued on a device submission queue. Owns its payload: the
-/// host buffer is captured at submit time, so the submitting connection
-/// can move on before the command completes. That capture is the one copy
-/// a queued write costs above the medium (DESIGN.md §8 "Buffer ownership");
-/// lending the buffer instead needs a new submission form, which waits for
-/// the command surface to shrink (ROADMAP item 5).
+/// A command enqueued on a device submission queue. It borrows what the
+/// synchronous twin of each command borrows: the device executes a queued
+/// command's state at submission (module doc), so the caller's pages, LPNs
+/// and pairs only have to live for the `submit` call — the medium holds the
+/// bytes when it returns, and the submitting connection can reuse its
+/// buffers before the command completes. `PendingCmd`/[`Completion`] never
+/// hold the command, only its outcome (DESIGN.md §8 "Buffer ownership").
 #[derive(Debug, Clone)]
-pub enum QueuedCmd {
+pub enum QueuedCmd<'a> {
     /// Read one page; completes with [`CmdOutput::Page`].
     Read { lpn: Lpn },
     /// Read a vector of pages as one submission; completes with
     /// [`CmdOutput::Pages`], one buffer holding the pages in request order.
-    ReadBatch { lpns: Vec<Lpn> },
-    /// Write one page.
+    ReadBatch { lpns: &'a [Lpn] },
+    /// Write one page. The one variant that owns its payload: the benchmark
+    /// package's device transcript builds it from an owned page, and the
+    /// form goes with the other single-page forms when the command surface
+    /// shrinks (ROADMAP item 4). No engine submits it.
     Write { lpn: Lpn, data: Vec<u8> },
     /// Write a vector of pages as one submission (prefix-durable on error,
     /// like the sync `write_batch`).
-    WriteBatch { pages: Vec<(Lpn, Vec<u8>)> },
+    WriteBatch { pages: &'a [(Lpn, &'a [u8])] },
     /// All-or-nothing multi-page write.
-    WriteAtomic { pages: Vec<(Lpn, Vec<u8>)> },
+    WriteAtomic { pages: &'a [(Lpn, &'a [u8])] },
     /// Atomic SHARE batch (one log page).
-    Share { pairs: Vec<SharePair> },
+    Share { pairs: &'a [SharePair] },
     /// Chunked SHARE submission (one command, sub-batch atomicity).
-    ShareBatch { pairs: Vec<SharePair> },
+    ShareBatch { pairs: &'a [SharePair] },
     /// Invalidate `len` pages starting at `lpn`.
     Trim { lpn: Lpn, len: u64 },
     /// Durability barrier for everything already submitted.
     Flush,
 }
 
-impl QueuedCmd {
+impl QueuedCmd<'_> {
     /// Stable name for spans/telemetry.
     pub fn name(&self) -> &'static str {
         match self {
@@ -197,6 +201,6 @@ mod tests {
     fn cmd_names_are_stable() {
         assert_eq!(QueuedCmd::Read { lpn: Lpn(0) }.name(), "q_read");
         assert_eq!(QueuedCmd::Flush.name(), "q_flush");
-        assert_eq!(QueuedCmd::Share { pairs: vec![] }.name(), "q_share");
+        assert_eq!(QueuedCmd::Share { pairs: &[] }.name(), "q_share");
     }
 }

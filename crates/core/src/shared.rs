@@ -155,7 +155,7 @@ impl<D: BlockDevice> BlockDevice for SharedDevice<D> {
         self.lock().set_queue_depth(depth)
     }
 
-    fn submit(&mut self, cmd: QueuedCmd) -> Result<CmdTag, FtlError> {
+    fn submit(&mut self, cmd: QueuedCmd<'_>) -> Result<CmdTag, FtlError> {
         self.lock().submit(cmd)
     }
 

@@ -17,7 +17,10 @@
 //! Above the boundary a queued `ReadBatch` hands its pages back in one flat
 //! buffer, which the reaper owns: the same test ends by holding a k-page
 //! batch to one page-sized-or-larger allocation and to the bytes a
-//! synchronous `read_batch` of the same pages returns.
+//! synchronous `read_batch` of the same pages returns. A queued `WriteBatch`
+//! or `WriteAtomic` lends its pages for the `submit` call, so it may request
+//! no page-sized allocation at all and no more bytes than its synchronous
+//! twin plus the queue's own bookkeeping.
 //!
 //! The file holds one test on purpose: the counters are process-wide, and
 //! the harness runs the tests of one binary on parallel threads.
@@ -176,6 +179,56 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     );
     rig.ftl.check_invariants();
     queued_read_batch_is_one_flat_buffer(&mut rig);
+    queued_writes_lend_their_pages(&mut rig);
+}
+
+/// Heap bytes and page-sized requests made while `body` runs.
+fn heap_of(body: impl FnOnce()) -> (u64, u64) {
+    let (bytes, pages) = (ALLOC_BYTES.load(Relaxed), PAGE_ALLOCS.load(Relaxed));
+    body();
+    (ALLOC_BYTES.load(Relaxed) - bytes, PAGE_ALLOCS.load(Relaxed) - pages)
+}
+
+/// A queued `WriteBatch` / `WriteAtomic` of N mapped pages borrows the
+/// caller's buffers until `submit` returns: no payload-sized allocation, and
+/// no more heap than the synchronous call on the same pages plus what the
+/// queue keeps per command (the `PendingCmd` entry with its pinned-block
+/// list, and the two vectors `drain` builds to hand the completion back:
+/// ~0.8 KiB). One copied page would cost 4 KiB, four times the slack.
+fn queued_writes_lend_their_pages(rig: &mut Rig) {
+    const N: u64 = 8;
+    const QUEUE_SLACK: u64 = 1024;
+    let bufs: Vec<[u8; PAGE]> = (0..N).map(|i| [0xA0 | i as u8; PAGE]).collect();
+    let pages: Vec<(Lpn, &[u8])> =
+        bufs.iter().enumerate().map(|(i, b)| (Lpn(100 + i as u64), &b[..])).collect();
+    let ftl = &mut rig.ftl;
+
+    let (sync_batch, _) = heap_of(|| ftl.write_batch(&pages).unwrap());
+    let (queued_batch, payloads) = heap_of(|| {
+        ftl.submit(QueuedCmd::WriteBatch { pages: &pages }).unwrap();
+        assert!(ftl.drain().iter().all(|c| c.is_ok()));
+    });
+    assert_eq!(payloads, 0, "a queued {N}-page WriteBatch copied a page");
+    assert!(
+        queued_batch <= sync_batch + QUEUE_SLACK,
+        "queued WriteBatch requested {queued_batch} B, write_batch {sync_batch} B"
+    );
+
+    let (sync_atomic, _) = heap_of(|| ftl.write_atomic(&pages).unwrap());
+    let (queued_atomic, payloads) = heap_of(|| {
+        ftl.submit(QueuedCmd::WriteAtomic { pages: &pages }).unwrap();
+        assert!(ftl.drain().iter().all(|c| c.is_ok()));
+    });
+    assert_eq!(payloads, 0, "a queued {N}-page WriteAtomic copied a page");
+    assert!(
+        queued_atomic <= sync_atomic + QUEUE_SLACK,
+        "queued WriteAtomic requested {queued_atomic} B, write_atomic {sync_atomic} B"
+    );
+    println!(
+        "{N}-page writes: write_batch {sync_batch} B, queued {queued_batch} B; \
+         write_atomic {sync_atomic} B, queued {queued_atomic} B"
+    );
+    ftl.check_invariants();
 }
 
 /// Mapped, trimmed and never-written pages in one queued `ReadBatch`: the
@@ -199,7 +252,7 @@ fn queued_read_batch_is_one_flat_buffer(rig: &mut Rig) {
     assert_eq!(fills, [0x5A, 0, 0xC3, 0, 0, 0x5A], "trimmed and never-written pages read as zeros");
 
     let before = PAGE_ALLOCS.load(Relaxed);
-    rig.ftl.submit(QueuedCmd::ReadBatch { lpns }).unwrap();
+    rig.ftl.submit(QueuedCmd::ReadBatch { lpns: &lpns }).unwrap();
     let mut done = rig.ftl.drain();
     let payload_allocs = PAGE_ALLOCS.load(Relaxed) - before;
     assert_eq!(done.len(), 1);

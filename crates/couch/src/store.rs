@@ -331,7 +331,8 @@ impl<D: BlockDevice> CouchStore<D> {
     /// Append a document's blocks at the tail: one batched submission when
     /// blocking, one *queued* command when `queued` (the caller drains the
     /// file system's queue before any ordering point). The images are lent
-    /// from the scratch; a queued command takes its own copy at submission.
+    /// from the scratch either way: the device executes a queued command at
+    /// submission, so the scratch is free for the next document on return.
     fn append_doc_with(&mut self, key: u64, payload: &[u8], queued: bool) -> Result<DocPtr, CouchError> {
         let bs = self.fs.page_size();
         let rev = self.next_rev;

@@ -1,0 +1,170 @@
+//! What a SHARE compaction's simulated time is made of.
+//!
+//! `ycsb_a_couch`'s slowest 0.1 % of operations wait behind a compaction
+//! (EXPERIMENTS.md "The queued write lends"), so the children of the
+//! `compaction` root span are that tail's bill. This test builds the
+//! benchmark's store shape — 2 000 four-block documents on a 4-channel
+//! device — ages it to the driver's compaction threshold, traces one
+//! compaction and groups the root's direct children by name. It asserts the
+//! structure (which calls, how many, all inside the root) and prints the
+//! table; the times are a measurement to read with `--nocapture`, not a pin.
+
+use mini_couch::{doc_blocks, CouchConfig, CouchMode, CouchStore};
+use share_core::{Ftl, FtlConfig};
+use share_telemetry::{Layer, Span, TelemetryConfig};
+use share_vfs::{Vfs, VfsOptions};
+
+const BS: usize = 4096;
+const DOCS: u64 = 2_000;
+const DOC_LEN: usize = 16_000;
+const BATCH: usize = 16;
+/// Heads a SHARE compaction reads per `read_pages` (`compact.rs`).
+const HEAD_BATCH: u64 = 256;
+/// The benchmark driver compacts at this stale ratio.
+const COMPACT_AT: f64 = 0.6;
+
+fn payload(key: u64, version: u8) -> Vec<u8> {
+    let mut v = vec![(key * 31) as u8 ^ version; DOC_LEN];
+    v[..8].copy_from_slice(&key.to_le_bytes());
+    v
+}
+
+#[test]
+fn a_share_compaction_is_head_reads_one_remap_and_an_index_rebuild() {
+    let blocks = doc_blocks(DOC_LEN, BS);
+    assert_eq!(blocks, 4);
+    // The benchmark's device: 3.8x the live data, 15 % over-provisioning.
+    let logical = (DOCS * blocks) as f64 * 3.8;
+    let fcfg = FtlConfig::for_capacity_with(
+        logical as u64 * BS as u64 + (8 << 20),
+        0.15,
+        BS,
+        128,
+        nand_sim::NandTiming::default(),
+    )
+    .with_parallelism(4, 1)
+    .with_telemetry(TelemetryConfig::tracing());
+    let fs = Vfs::format(Ftl::new(fcfg), VfsOptions::default()).unwrap();
+    let cfg = CouchConfig { mode: CouchMode::Share, batch_size: BATCH, ..Default::default() };
+    let mut s = CouchStore::create(fs, "profile.couch", cfg).unwrap();
+    for key in 0..DOCS {
+        s.save(key, &payload(key, 0)).unwrap();
+    }
+    s.commit().unwrap();
+    // Same-size updates in a scattered order, a commit per batch, until the
+    // driver would compact.
+    let mut version = 0u8;
+    'age: loop {
+        version += 1;
+        let docs: Vec<(u64, Vec<u8>)> =
+            (0..DOCS).map(|i| (i * 37) % DOCS).map(|k| (k, payload(k, version))).collect();
+        for group in docs.chunks(BATCH) {
+            let lent: Vec<(u64, &[u8])> = group.iter().map(|(k, d)| (*k, &d[..])).collect();
+            s.save_many(&lent).unwrap();
+            if s.stale_ratio() >= COMPACT_AT {
+                break 'age;
+            }
+        }
+    }
+
+    let tracer = s.fs_mut().tracer().clone();
+    let (first, nodes_before) = (tracer.span_count(), s.stats().node_blocks_appended);
+    let report = s.compact().unwrap();
+    assert!(report.zero_copy);
+    assert_eq!((report.docs_moved, report.doc_blocks_moved), (DOCS, blocks * DOCS));
+    let spans: Vec<Span> = tracer.spans().split_off(first);
+    let root = spans
+        .iter()
+        .find(|sp| sp.layer == Layer::Engine && sp.name == "compaction")
+        .expect("compaction root span");
+    assert_eq!(root.end_ns - root.start_ns, report.elapsed_ns);
+
+    // The root's direct children, grouped by name in order of first call;
+    // under each, the FTL's own passes (a delta-log flush per log page, a
+    // checkpoint when the log ring fills) found through `owner`: the direct
+    // child every later span descends from.
+    #[derive(Default)]
+    struct Row {
+        name: String,
+        calls: u64,
+        pages: u64,
+        ns: u64,
+        log_pages: u64,
+        log_ns: u64,
+        ckpt_ns: u64,
+    }
+    let mut rows: Vec<Row> = Vec::new();
+    let mut owner: Vec<Option<usize>> = vec![None; spans.len()];
+    for (i, c) in spans.iter().enumerate() {
+        let took = c.end_ns - c.start_ns;
+        if c.parent == root.id {
+            assert!(
+                root.start_ns <= c.start_ns && c.end_ns <= root.end_ns,
+                "`{}` [{}, {}] lies outside the compaction [{}, {}]",
+                c.name, c.start_ns, c.end_ns, root.start_ns, root.end_ns
+            );
+            let r = rows.iter().position(|r| r.name == c.name).unwrap_or_else(|| {
+                rows.push(Row { name: c.name.clone(), ..Row::default() });
+                rows.len() - 1
+            });
+            rows[r].calls += 1;
+            rows[r].pages += c.pages;
+            rows[r].ns += took;
+            owner[i] = Some(r);
+            continue;
+        }
+        // Spans are recorded parent first, so the parent's owner is known.
+        let parent = (c.parent as usize).checked_sub(first);
+        let Some(r) = parent.and_then(|p| *owner.get(p)?) else { continue };
+        owner[i] = Some(r);
+        match c.name.as_str() {
+            "log_flush" => {
+                rows[r].log_pages += 1;
+                rows[r].log_ns += took;
+            }
+            "checkpoint" => rows[r].ckpt_ns += took,
+            _ => {}
+        }
+    }
+    let zero = Row::default();
+    let row = |name: &str| rows.iter().find(|r| r.name == name).unwrap_or(&zero);
+
+    // Structure: heads read 256 at a time, every block remapped by one SHARE
+    // ioctl, every rebuilt node of both indexes and then the header written
+    // by its own synchronous single-page write, two fsyncs, the old file
+    // deleted, no document block written.
+    let calls_pages = |name: &str| (row(name).calls, row(name).pages);
+    assert_eq!(calls_pages("read_pages"), (DOCS.div_ceil(HEAD_BATCH), DOCS));
+    assert_eq!(calls_pages("ioctl_share_pairs"), (1, blocks * DOCS));
+    assert_eq!(row("write_page").calls, s.stats().node_blocks_appended - nodes_before + 1);
+    assert_eq!((row("fsync").calls, row("delete").calls, row("rename").calls), (2, 1, 1));
+    assert_eq!(row("write_pages").calls + row("write_pages_atomic").calls, 0, "a document copied");
+    // The children are the whole bill: the engine itself spends no
+    // simulated time between them.
+    assert_eq!(rows.iter().map(|r| r.ns).sum::<u64>(), report.elapsed_ns);
+
+    let ms = |ns: u64| ns as f64 / 1e6;
+    println!("compaction of {DOCS} x {blocks}-block documents: {:.2} sim ms", ms(report.elapsed_ns));
+    println!(
+        "{:<18} {:>5} {:>6} {:>8} {:>6}   {:>16} {:>10}",
+        "child", "calls", "pages", "ms", "share", "log_flush ms (n)", "checkpoint"
+    );
+    for r in &rows {
+        println!(
+            "{:<18} {:>5} {:>6} {:>8.2} {:>5.1}%   {:>10.2} ({:>3}) {:>10.2}",
+            r.name,
+            r.calls,
+            r.pages,
+            ms(r.ns),
+            r.ns as f64 * 100.0 / report.elapsed_ns as f64,
+            ms(r.log_ns),
+            r.log_pages,
+            ms(r.ckpt_ns)
+        );
+    }
+    println!(
+        "per head read: {:.1} us; per rebuilt node write: {:.0} us",
+        row("read_pages").ns as f64 / 1e3 / DOCS as f64,
+        row("write_page").ns as f64 / 1e3 / row("write_page").calls as f64
+    );
+}

@@ -31,6 +31,12 @@ pub enum FtlOp {
     Share { pairs: Vec<(u64, u64)> },
     /// Multi-page atomic write (same delta-page mechanism as SHARE).
     WriteAtomic { pages: Vec<(u64, u8)> },
+    /// Multi-page ordinary write: prefix-durable, not atomic — the oracle
+    /// counts a k-page batch as k single-page steps ([`push_applied`]). The
+    /// seeded generators never emit it (their pinned sequences stay as
+    /// they are); the fixed sequence of `FtlQueuedWorkload::write_batches`
+    /// does.
+    WriteBatch { pages: Vec<(u64, u8)> },
     /// Flush buffered mapping deltas (explicit durability point).
     Flush,
     /// Force a mapping-table checkpoint (explicit durability point).
@@ -53,13 +59,42 @@ pub(crate) fn apply(state: &mut State, op: &FtlOp) {
                 state[dest as usize] = pre[src as usize];
             }
         }
-        FtlOp::WriteAtomic { pages } => {
+        FtlOp::WriteAtomic { pages } | FtlOp::WriteBatch { pages } => {
             for &(lpn, fill) in pages {
                 state[lpn as usize] = Some(fill);
             }
         }
         FtlOp::Flush | FtlOp::Checkpoint => {}
     }
+}
+
+/// Append the model states `op` steps through: one per page of a
+/// `WriteBatch` (any prefix of its pages may be what survives a crash),
+/// one for every other op.
+pub(crate) fn push_applied(states: &mut Vec<State>, op: &FtlOp) {
+    let mut s = states.last().unwrap().clone();
+    if let FtlOp::WriteBatch { pages } = op {
+        for &(lpn, fill) in pages {
+            s[lpn as usize] = Some(fill);
+            states.push(s.clone());
+        }
+        return;
+    }
+    apply(&mut s, op);
+    states.push(s);
+}
+
+/// Page buffers and the request borrowing them, as the sync and queued
+/// multi-page writes both take it.
+pub(crate) fn fill_pages(pages: &[(u64, u8)], ps: usize) -> Vec<Vec<u8>> {
+    pages.iter().map(|&(_, f)| vec![f; ps]).collect()
+}
+
+pub(crate) fn lend_pages<'a>(
+    pages: &[(u64, u8)],
+    bufs: &'a [Vec<u8>],
+) -> Vec<(Lpn, &'a [u8])> {
+    pages.iter().zip(bufs).map(|(&(lpn, _), b)| (Lpn(lpn), b.as_slice())).collect()
 }
 
 /// Whether a *successful* `op` makes everything before it durable.
@@ -85,13 +120,12 @@ pub(crate) fn exec(ftl: &mut Ftl, op: &FtlOp) -> Result<(), FtlError> {
             ftl.share(&batch)
         }
         FtlOp::WriteAtomic { pages } => {
-            let bufs: Vec<Vec<u8>> = pages.iter().map(|&(_, f)| vec![f; ps]).collect();
-            let batch: Vec<(Lpn, &[u8])> = pages
-                .iter()
-                .zip(&bufs)
-                .map(|(&(lpn, _), b)| (Lpn(lpn), b.as_slice()))
-                .collect();
-            ftl.write_atomic(&batch)
+            let bufs = fill_pages(pages, ps);
+            ftl.write_atomic(&lend_pages(pages, &bufs))
+        }
+        FtlOp::WriteBatch { pages } => {
+            let bufs = fill_pages(pages, ps);
+            ftl.write_batch(&lend_pages(pages, &bufs))
         }
         FtlOp::Flush => ftl.flush(),
         FtlOp::Checkpoint => ftl.checkpoint(),
@@ -114,9 +148,7 @@ fn drive(ftl: &mut Ftl, handle: &FaultHandle, ops: &[FtlOp], pages: u64) -> Resu
     for op in ops {
         match exec(ftl, op) {
             Ok(()) => {
-                let mut s = states.last().unwrap().clone();
-                apply(&mut s, op);
-                states.push(s);
+                push_applied(&mut states, op);
                 if is_durability_point(op) {
                     floor = states.len() - 1;
                 }
@@ -134,9 +166,7 @@ fn drive(ftl: &mut Ftl, handle: &FaultHandle, ops: &[FtlOp], pages: u64) -> Resu
                 }
                 // The crashed op's effect may have become durable before
                 // the power loss; admit its post-state as well.
-                let mut s = states.last().unwrap().clone();
-                apply(&mut s, op);
-                states.push(s);
+                push_applied(&mut states, op);
                 crashed = true;
                 break;
             }

@@ -21,7 +21,8 @@
 //! [`FtlMixedWorkload`]: crate::FtlMixedWorkload
 
 use crate::ftl_workload::{
-    apply, is_durability_point, verify_recovered, FtlOp, RunTrace, State,
+    fill_pages, is_durability_point, lend_pages, push_applied, verify_recovered, FtlOp, RunTrace,
+    State, MIXED_PAGES,
 };
 use crate::{CrashWorkload, FtlMixedWorkload};
 use nand_sim::FaultMode;
@@ -41,6 +42,7 @@ pub struct QueuedCaseOutcome {
 /// NVMe-style submission/completion queue with round-based reaping.
 #[derive(Debug, Clone)]
 pub struct FtlQueuedWorkload {
+    name: String,
     inner: FtlMixedWorkload,
     /// Submissions between reaps; keeps several commands in flight so
     /// crashes land while the queue is busy.
@@ -52,7 +54,37 @@ impl FtlQueuedWorkload {
     /// submissions (round > 1 keeps commands in flight across crashes).
     pub fn new(seed: u64, n_ops: usize, round: usize) -> Self {
         assert!(round >= 1, "round must be at least 1");
-        Self { inner: FtlMixedWorkload::new(seed, n_ops), round }
+        let name = format!("ftl-queued-s{seed}-n{n_ops}-r{round}");
+        Self { name, inner: FtlMixedWorkload::new(seed, n_ops), round }
+    }
+
+    /// The queued write every engine sends, which the seeded mix never
+    /// issues: a fixed sequence of `rounds` 2–8-page `WriteBatch` commands
+    /// over the mixed workload's device, each followed by a `Share` of two
+    /// of its pages, a `Trim` of one or a `Flush`, reaped every `round`
+    /// submissions. A batch is prefix-durable, so the oracle steps through
+    /// it page by page.
+    pub fn write_batches(rounds: u64, round: usize) -> Self {
+        assert!(round >= 1, "round must be at least 1");
+        let mut inner = FtlMixedWorkload::new(0, 0);
+        for r in 0..rounds {
+            // Stride 9 is coprime to the page count: a batch's LPNs are
+            // distinct, and so are the two SHARE destinations half the
+            // space away from its first two pages.
+            let at = |j: u64| (r * 13 + j * 9) % MIXED_PAGES;
+            let fill = |j: u64| ((r * 8 + j) % 255 + 1) as u8;
+            let pages = (0..2 + r % 7).map(|j| (at(j), fill(j))).collect();
+            inner.ops.push(FtlOp::WriteBatch { pages });
+            inner.ops.push(match r % 3 {
+                0 => {
+                    let dest = |j: u64| (at(j) + MIXED_PAGES / 2) % MIXED_PAGES;
+                    FtlOp::Share { pairs: vec![(dest(0), at(0)), (dest(1), at(1))] }
+                }
+                1 => FtlOp::Trim { lpn: at(1) },
+                _ => FtlOp::Flush,
+            });
+        }
+        Self { name: format!("ftl-queued-batch-n{rounds}-r{round}"), inner, round }
     }
 
     fn cfg(&self) -> &FtlConfig {
@@ -81,7 +113,18 @@ impl FtlQueuedWorkload {
         let mut since_reap = 0usize;
 
         'ops: for op in &self.inner.ops {
-            let queued = match to_queued(op, ps) {
+            // What the command borrows, owned here across `QueueFull`
+            // retries: the device takes nothing with it past `submit`.
+            let (spec, pairs): (&[(u64, u8)], Vec<SharePair>) = match op {
+                FtlOp::WriteAtomic { pages } | FtlOp::WriteBatch { pages } => (pages, Vec::new()),
+                FtlOp::Share { pairs } => {
+                    (&[], pairs.iter().map(|&(d, s)| SharePair::new(Lpn(d), Lpn(s))).collect())
+                }
+                _ => (&[], Vec::new()),
+            };
+            let bufs = fill_pages(spec, ps);
+            let pages = lend_pages(spec, &bufs);
+            let queued = match to_queued(op, ps, &pairs, &pages) {
                 Some(cmd) => cmd,
                 None => {
                     // Checkpoint: a synchronous ordering point — drain the
@@ -126,7 +169,7 @@ impl FtlQueuedWorkload {
                 match ftl.submit(cmd) {
                     Ok(_tag) => break,
                     Err(FtlError::QueueFull { .. }) => {
-                        cmd = to_queued(op, ps).expect("queued op");
+                        cmd = to_queued(op, ps, &pairs, &pages).expect("queued op");
                         for c in ftl.reap() {
                             if let Err(e) = c.result {
                                 if !handle.is_down() {
@@ -144,9 +187,7 @@ impl FtlQueuedWorkload {
 
             // State executed eagerly at submission: the shadow model
             // advances now, in submission order.
-            let mut s = states.last().unwrap().clone();
-            apply(&mut s, op);
-            states.push(s);
+            push_applied(&mut states, op);
             if handle.is_down() {
                 // The fault fired inside this submission's eager
                 // execution; its effect may or may not have landed.
@@ -194,21 +235,24 @@ impl FtlQueuedWorkload {
     }
 }
 
-/// Map an oracle op onto its queued command; `None` = checkpoint (the one
-/// op with no queued form — it is an explicit synchronous ordering point).
-fn to_queued(op: &FtlOp, ps: usize) -> Option<QueuedCmd> {
+/// Map an oracle op onto its queued command, lending `pairs` and `pages`;
+/// `None` = checkpoint (the one op with no queued form — it is an explicit
+/// synchronous ordering point).
+fn to_queued<'a>(
+    op: &FtlOp,
+    ps: usize,
+    pairs: &'a [SharePair],
+    pages: &'a [(Lpn, &'a [u8])],
+) -> Option<QueuedCmd<'a>> {
     Some(match op {
         FtlOp::Write { lpn, fill } => {
             QueuedCmd::Write { lpn: Lpn(*lpn), data: vec![*fill; ps] }
         }
         FtlOp::Read { lpn } => QueuedCmd::Read { lpn: Lpn(*lpn) },
         FtlOp::Trim { lpn } => QueuedCmd::Trim { lpn: Lpn(*lpn), len: 1 },
-        FtlOp::Share { pairs } => QueuedCmd::Share {
-            pairs: pairs.iter().map(|&(d, s)| SharePair::new(Lpn(d), Lpn(s))).collect(),
-        },
-        FtlOp::WriteAtomic { pages } => QueuedCmd::WriteAtomic {
-            pages: pages.iter().map(|&(l, f)| (Lpn(l), vec![f; ps])).collect(),
-        },
+        FtlOp::Share { .. } => QueuedCmd::Share { pairs },
+        FtlOp::WriteAtomic { .. } => QueuedCmd::WriteAtomic { pages },
+        FtlOp::WriteBatch { .. } => QueuedCmd::WriteBatch { pages },
         FtlOp::Flush => QueuedCmd::Flush,
         FtlOp::Checkpoint => return None,
     })
@@ -216,7 +260,7 @@ fn to_queued(op: &FtlOp, ps: usize) -> Option<QueuedCmd> {
 
 impl CrashWorkload for FtlQueuedWorkload {
     fn name(&self) -> String {
-        format!("ftl-queued-s{}-n{}-r{}", self.inner.seed, self.inner.ops.len(), self.round)
+        self.name.clone()
     }
 
     fn crash_points(&self) -> u64 {
@@ -271,6 +315,34 @@ mod tests {
             with_inflight > 0,
             "no crash fired with commands in flight ({crashes} crashes swept)"
         );
+    }
+
+    #[test]
+    fn write_batches_survive_every_crash_point_as_page_prefixes() {
+        // Exhaustive over a short sequence: a crash inside a queued k-page
+        // batch must leave some prefix of its pages, never a later page
+        // without an earlier one, and never a torn SHARE after it.
+        let w = FtlQueuedWorkload::write_batches(12, 4);
+        let ops = w.inner.ops.iter();
+        let batches: Vec<usize> = ops
+            .filter_map(|op| match op {
+                FtlOp::WriteBatch { pages } => Some(pages.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(batches.len(), 12);
+        assert_eq!((batches.iter().min(), batches.iter().max()), (Some(&2), Some(&8)));
+        let total = w.crash_points();
+        assert!(total >= batches.iter().sum::<usize>() as u64);
+        let mut with_inflight = 0;
+        for mode in FaultMode::ALL {
+            for idx in 1..=total {
+                let (_, violation, out) = w.run_case_detailed(Some(mode), idx).unwrap();
+                assert!(violation.is_none(), "{} index {idx}: {violation:?}", mode.label());
+                with_inflight += u64::from(out.crashed && out.inflight_at_crash > 0);
+            }
+        }
+        assert!(with_inflight > 0, "no crash fired with batches in flight");
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! - `compact` (cold class): SHARE remaps of settled heap pages into a
 //!   cold region, plus occasional checkpoints.
 
-use crate::ftl_workload::{apply, exec, is_durability_point, verify_recovered, FtlOp, RunTrace, State};
+use crate::ftl_workload::{
+    apply, exec, is_durability_point, push_applied, verify_recovered, FtlOp, RunTrace, State,
+};
 use crate::CrashWorkload;
 use nand_sim::{FaultMode, NandTiming};
 use share_core::{BlockDevice, Ftl, FtlConfig, FtlError};
@@ -180,9 +182,7 @@ fn run_stream_case(
         ftl.set_stream(streams[*slot]);
         match exec(&mut ftl, op) {
             Ok(()) => {
-                let mut s = states.last().unwrap().clone();
-                apply(&mut s, op);
-                states.push(s);
+                push_applied(&mut states, op);
                 if is_durability_point(op) {
                     floor = states.len() - 1;
                 }
@@ -198,9 +198,7 @@ fn run_stream_case(
                 if !handle.is_down() {
                     return Err(format!("unexpected non-crash error from {op:?}: {e}"));
                 }
-                let mut s = states.last().unwrap().clone();
-                apply(&mut s, op);
-                states.push(s);
+                push_applied(&mut states, op);
                 crashed = true;
                 break;
             }

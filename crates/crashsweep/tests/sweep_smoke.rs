@@ -44,6 +44,10 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
     // queue with commands in flight at the crash (submission boundaries
     // via TornHalf/DroppedWrite, completion boundaries via AfterProgram).
     visited += run_smoke(&FtlQueuedWorkload::new(42, 300, 4), 120);
+    // The queued write the engines actually send: 2-8-page `WriteBatch`
+    // commands between SHAREs, trims and flushes, each batch checked as a
+    // page-by-page prefix.
+    visited += run_smoke(&FtlQueuedWorkload::write_batches(60, 4), 60);
     // Multi-stream placement: three lifetime classes, several open
     // frontiers at every crash boundary (the PR 7 placement tentpole).
     visited += run_smoke(&FtlStreamWorkload::new(42, 300), 60);
@@ -70,11 +74,12 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
 #[test]
 fn deep_sweep_soak() {
     let Some(cap) = deep_point_cap() else { return };
-    let workloads: [Box<dyn CrashWorkload>; 7] = [
+    let workloads: [Box<dyn CrashWorkload>; 8] = [
         Box::new(FtlMixedWorkload::new(1009, 800)),
         Box::new(SqliteShareWorkload::new(1013, 32, 25)),
         Box::new(InnodbShareWorkload::new(1019, 48, 150)),
         Box::new(FtlQueuedWorkload::new(1021, 800, 4)),
+        Box::new(FtlQueuedWorkload::write_batches(400, 4)),
         Box::new(FtlStreamWorkload::new(1031, 800)),
         Box::new(FtlGcPipelineWorkload::new(1033, 800)),
         Box::new(FtlSnapshotWorkload::new(1039, 800)),

@@ -161,7 +161,7 @@ fn txn_commit_retries_through_a_saturated_shared_queue() {
         pg.run_txn(100 + i * 937, i % 10, 0, 1).unwrap();
     }
     for _ in 0..4 {
-        side.submit(QueuedCmd::ReadBatch { lpns: vec![Lpn(0)] }).unwrap();
+        side.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)] }).unwrap();
     }
     assert_eq!(side.inflight(), 4, "shared queue must be saturated");
     pg.checkpoint().unwrap();

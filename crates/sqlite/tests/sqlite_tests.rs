@@ -246,7 +246,7 @@ fn commit_retries_through_a_saturated_shared_queue() {
     db.commit().unwrap();
     // A second connection fills the shared submission queue to its depth.
     for _ in 0..4 {
-        side.submit(QueuedCmd::ReadBatch { lpns: vec![Lpn(0)] }).unwrap();
+        side.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)] }).unwrap();
     }
     assert_eq!(side.inflight(), 4, "shared queue must be saturated");
     // This commit's journal and database batches must absorb the

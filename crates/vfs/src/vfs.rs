@@ -441,31 +441,55 @@ impl<D: BlockDevice> Vfs<D> {
     /// use [`Vfs::write_pages_atomic`] for that.
     pub fn write_pages(&mut self, f: FileId, pages: &[(u64, &[u8])]) -> Result<(), VfsError> {
         self.traced("write_pages", pages.len() as u64, |fs| {
-            let ps = fs.dev.page_size();
-            let mut max_page = 0;
-            for (p, data) in pages {
-                if data.len() != ps {
-                    return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
-                }
-                max_page = max_page.max(p + 1);
-            }
+            // Nothing to write is nothing to do: no stream selected, no
+            // device command (the queued form differs, see there).
             if pages.is_empty() {
                 return Ok(());
             }
-            if fs.files.get(&f.0).map(|x| x.allocated_pages()).unwrap_or(0) < max_page {
-                fs.fallocate(f, max_page)?;
-            }
-            let mut batch = Vec::with_capacity(pages.len());
-            for (p, data) in pages {
-                batch.push((fs.lpn_of(f, *p)?, *data));
-            }
-            fs.dev.set_stream(fs.stream_of(f.0));
+            let batch = fs.resolve_write(f, pages)?;
             fs.dev.write_batch(&batch)?;
-            let file = fs.files.get_mut(&f.0).expect("resolved above");
-            file.len_pages = file.len_pages.max(max_page);
-            fs.data_dirty = true;
+            fs.wrote_through(f, pages);
             Ok(())
         })
+    }
+
+    /// The one way a lent page batch becomes a device request, shared by the
+    /// blocking, atomic and queued write forms so they cannot drift: check
+    /// every buffer's length, grow the allocation when it is short, resolve
+    /// each page to its LPN and select the file's stream. The request borrows
+    /// the caller's pages (nothing is copied); [`Vfs::wrote_through`] grows the
+    /// file once the device has accepted it.
+    fn resolve_write<'p>(
+        &mut self,
+        f: FileId,
+        pages: &[(u64, &'p [u8])],
+    ) -> Result<Vec<(Lpn, &'p [u8])>, VfsError> {
+        let ps = self.dev.page_size();
+        if let Some((_, data)) = pages.iter().find(|(_, data)| data.len() != ps) {
+            return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
+        }
+        let end = Self::end_page(pages);
+        if self.file(f)?.allocated_pages() < end {
+            self.fallocate(f, end)?;
+        }
+        let mut batch = Vec::with_capacity(pages.len());
+        for (p, data) in pages {
+            batch.push((self.lpn_of(f, *p)?, *data));
+        }
+        self.dev.set_stream(self.stream_of(f.0));
+        Ok(batch)
+    }
+
+    /// The file length a write of `pages` reaches.
+    fn end_page(pages: &[(u64, &[u8])]) -> u64 {
+        pages.iter().map(|(p, _)| p + 1).max().unwrap_or(0)
+    }
+
+    /// Record that the device accepted a write of `pages` to `f`.
+    fn wrote_through(&mut self, f: FileId, pages: &[(u64, &[u8])]) {
+        let file = self.files.get_mut(&f.0).expect("resolved by resolve_write");
+        file.len_pages = file.len_pages.max(Self::end_page(pages));
+        self.data_dirty = true;
     }
 
     /// Read several pages of one file as one batched device submission.
@@ -573,31 +597,32 @@ impl<D: BlockDevice> Vfs<D> {
     /// and the simulated-time cost — surfaces via [`Vfs::poll_queue`],
     /// [`Vfs::reap_queue`] or [`Vfs::drain_queue`]. Ordinary-write
     /// durability semantics, same as [`Vfs::write_pages`].
+    ///
+    /// The command borrows `pages` for the length of the call only: the
+    /// device executes a queued command's state at submission, so nothing
+    /// is copied above the medium and the caller may reuse its buffers as
+    /// soon as this returns. An empty `pages` is still submitted (where
+    /// [`Vfs::write_pages`] returns early): the caller was promised a tag
+    /// to reap.
     pub fn submit_write_pages(
         &mut self,
         f: FileId,
         pages: &[(u64, &[u8])],
     ) -> Result<CmdTag, VfsError> {
-        let ps = self.dev.page_size();
-        let mut max_page = 0;
-        for (p, data) in pages {
-            if data.len() != ps {
-                return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
-            }
-            max_page = max_page.max(p + 1);
-        }
-        if self.files.get(&f.0).map(|x| x.allocated_pages()).unwrap_or(0) < max_page {
-            self.fallocate(f, max_page)?;
-        }
-        let mut batch = Vec::with_capacity(pages.len());
-        for (p, data) in pages {
-            batch.push((self.lpn_of(f, *p)?, data.to_vec()));
-        }
-        self.dev.set_stream(self.stream_of(f.0));
+        let batch = self.resolve_write(f, pages)?;
+        self.submit_resolved(f, pages, &batch)
+    }
+
+    /// Lend `pages`, resolved to `batch`, to the device queue; file metadata
+    /// grows only once the device has taken the command.
+    fn submit_resolved(
+        &mut self,
+        f: FileId,
+        pages: &[(u64, &[u8])],
+        batch: &[(Lpn, &[u8])],
+    ) -> Result<CmdTag, VfsError> {
         let tag = self.dev.submit(QueuedCmd::WriteBatch { pages: batch })?;
-        let file = self.files.get_mut(&f.0).expect("resolved above");
-        file.len_pages = file.len_pages.max(max_page);
-        self.data_dirty = true;
+        self.wrote_through(f, pages);
         Ok(tag)
     }
 
@@ -610,7 +635,7 @@ impl<D: BlockDevice> Vfs<D> {
             lpns.push(self.lpn_of(f, p)?);
         }
         self.dev.set_stream(self.stream_of(f.0));
-        Ok(self.dev.submit(QueuedCmd::ReadBatch { lpns })?)
+        Ok(self.dev.submit(QueuedCmd::ReadBatch { lpns: &lpns })?)
     }
 
     /// [`Vfs::submit_write_pages`] with queue-full back-pressure handling:
@@ -626,8 +651,10 @@ impl<D: BlockDevice> Vfs<D> {
         f: FileId,
         pages: &[(u64, &[u8])],
     ) -> Result<CmdTag, VfsError> {
+        // Resolved once: every retry lends the same request again.
+        let batch = self.resolve_write(f, pages)?;
         loop {
-            match self.submit_write_pages(f, pages) {
+            match self.submit_resolved(f, pages, &batch) {
                 Err(VfsError::Device(share_core::FtlError::QueueFull { depth })) => {
                     let reaped = self.reap_queue();
                     if reaped.is_empty() {
@@ -747,26 +774,9 @@ impl<D: BlockDevice> Vfs<D> {
         pages: &[(u64, &[u8])],
     ) -> Result<(), VfsError> {
         self.traced("write_pages_atomic", pages.len() as u64, |fs| {
-            let ps = fs.dev.page_size();
-            let mut max_page = 0;
-            for (p, data) in pages {
-                if data.len() != ps {
-                    return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
-                }
-                max_page = max_page.max(p + 1);
-            }
-            if fs.files.get(&f.0).map(|x| x.allocated_pages()).unwrap_or(0) < max_page {
-                fs.fallocate(f, max_page)?;
-            }
-            let mut batch = Vec::with_capacity(pages.len());
-            for (p, data) in pages {
-                batch.push((fs.lpn_of(f, *p)?, *data));
-            }
-            fs.dev.set_stream(fs.stream_of(f.0));
+            let batch = fs.resolve_write(f, pages)?;
             fs.dev.write_atomic(&batch)?;
-            let file = fs.files.get_mut(&f.0).expect("resolved above");
-            file.len_pages = file.len_pages.max(max_page);
-            fs.data_dirty = true;
+            fs.wrote_through(f, pages);
             Ok(())
         })
     }

@@ -28,8 +28,9 @@ cargo test -q --release --offline -p share-core --test alloc_budget
 # flushed page for nothing above the device.
 cargo test -q --release --offline -p mini-innodb --test alloc_budget
 # The mini-couch half (crates/couch/tests/alloc_budget.rs): the buffer a
-# document's blocks are read into is the document, a save's only copy is the
-# queued command's, a SHARE compaction reads heads through one buffer.
+# document's blocks are read into is the document, a save copies nothing
+# (the queued command borrows), a SHARE compaction reads heads through one
+# buffer.
 cargo test -q --release --offline -p mini-couch --test alloc_budget
 
 # Crash-point smoke sweep: every NAND program boundary (stride 1) of an
