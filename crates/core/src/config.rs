@@ -32,65 +32,6 @@ pub enum GcPolicy {
     CostBenefit,
 }
 
-/// Multi-streamed data-placement settings (SHARE paper §5 evaluation
-/// setups separate journal/WAL traffic from data; this models the same
-/// idea as firmware-side lifetime classes).
-///
-/// When enabled, interned stream labels are classified by expected data
-/// lifetime and the data pool keeps separate write points per class, so
-/// short-lived journal pages never share a block with long-lived data.
-/// GC also becomes class-aware: survivors relocate into a block of the
-/// victim's class. Disabled (the default) the device behaves exactly like
-/// the historical single-class allocator — bit-identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlacementConfig {
-    /// Separate write points per lifetime class.
-    pub enabled: bool,
-}
-
-/// Lifetime class: default / long-lived data.
-pub const CLASS_DEFAULT: u8 = 0;
-/// Lifetime class: short-lived (journals, WAL, doublewrite buffers) —
-/// overwritten or trimmed quickly, so its blocks die nearly whole.
-pub const CLASS_SHORT: u8 = 1;
-/// Lifetime class: cold / sequentially-rewritten (compaction output).
-pub const CLASS_COLD: u8 = 2;
-
-impl PlacementConfig {
-    /// Number of lifetime classes the data pool partitions into.
-    pub fn classes(&self) -> usize {
-        if self.enabled { 3 } else { 1 }
-    }
-
-    /// Map a stream label to its lifetime class. Labels naming journal-like
-    /// files (`journal`, `wal`, `log`, `doublewrite`) are short-lived;
-    /// compaction output is cold; everything else is default. With
-    /// placement disabled every label is the default class.
-    pub fn classify(&self, label: &str) -> u8 {
-        if !self.enabled {
-            return CLASS_DEFAULT;
-        }
-        let l = label.to_ascii_lowercase();
-        if l.contains("journal") || l.contains("wal") || l.contains("doublewrite") || l.contains("log")
-        {
-            CLASS_SHORT
-        } else if l.contains("compact") {
-            CLASS_COLD
-        } else {
-            CLASS_DEFAULT
-        }
-    }
-
-    /// Human label for a class index (telemetry exports).
-    pub fn class_label(class: u8) -> &'static str {
-        match class {
-            CLASS_SHORT => "short-lived",
-            CLASS_COLD => "cold",
-            _ => "default",
-        }
-    }
-}
-
 /// Bytes of one serialized mapping delta: LPN (8) + old PPN (4) + new PPN (4).
 pub const DELTA_BYTES: usize = 16;
 /// Bytes of the delta-log / checkpoint page header (magic, seq, count, crc).
@@ -136,8 +77,6 @@ pub struct FtlConfig {
     /// SLO thresholds evaluated at flight-recorder epoch boundaries.
     /// Inert unless `telemetry.epoch_ns` turns the recorder on.
     pub slo: SloConfig,
-    /// Multi-streamed data-placement settings (off by default).
-    pub placement: PlacementConfig,
 }
 
 impl FtlConfig {
@@ -175,7 +114,6 @@ impl FtlConfig {
             queue_depth: 32,
             telemetry: TelemetryConfig::default(),
             slo: SloConfig::default(),
-            placement: PlacementConfig::default(),
         };
         let meta = 2 * cfg.ckpt_slot_blocks_for(logical_pages, page_size, pages_per_block) + log_blocks;
         cfg.geometry = NandGeometry::new(page_size, pages_per_block, meta + data_blocks);
@@ -207,12 +145,6 @@ impl FtlConfig {
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         assert!(depth >= 1, "queue depth must be at least 1");
         self.queue_depth = depth;
-        self
-    }
-
-    /// Enable (or disable) multi-streamed data placement.
-    pub fn with_placement(mut self, enabled: bool) -> Self {
-        self.placement = PlacementConfig { enabled };
         self
     }
 
@@ -331,22 +263,6 @@ mod tests {
         cfg.gc_low_water = 8;
         cfg.gc_high_water = 4;
         cfg.validate();
-    }
-
-    #[test]
-    fn classify_maps_labels_to_lifetime_classes() {
-        let on = PlacementConfig { enabled: true };
-        assert_eq!(on.classes(), 3);
-        for label in ["journal", "wal", "pg_wal", "doublewrite", "fs-journal", "redo-log"] {
-            assert_eq!(on.classify(label), CLASS_SHORT, "{label}");
-        }
-        assert_eq!(on.classify("compact"), CLASS_COLD);
-        for label in ["db", "store", "pgdata", "ibdata", "fs-meta"] {
-            assert_eq!(on.classify(label), CLASS_DEFAULT, "{label}");
-        }
-        let off = PlacementConfig::default();
-        assert_eq!(off.classes(), 1);
-        assert_eq!(off.classify("journal"), CLASS_DEFAULT);
     }
 
     #[test]

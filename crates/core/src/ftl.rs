@@ -33,11 +33,10 @@ use crate::queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
 use crate::snapshot::{self, SnapDelta, SnapshotInfo, SnapshotTable};
 use crate::stats::DeviceStats;
 use crate::types::{Lpn, Ppn, SharePair};
-use crate::config::{PlacementConfig, CLASS_DEFAULT};
-use nand_sim::{FaultHandle, NandArray, SimClock, UNTAGGED};
+use nand_sim::{FaultHandle, NandArray, SimClock};
 use share_telemetry::{
-    apportion, AlertSeverity, BlameKind, Kind, Layer, Metric, OpClass, QueueGauges, Snapshot,
-    SpanId, Telemetry, Tracer, Track, UnitUtilization, Value, STREAM_FTL,
+    apportion, AlertSeverity, BlameKind, Layer, Metric, OpClass, QueueGauges, Snapshot, SpanId,
+    Telemetry, Tracer, Track, UnitUtilization, STREAM_FTL,
 };
 use std::collections::HashSet;
 
@@ -134,8 +133,6 @@ fn unit_labels(channels: u32, units: usize) -> Vec<String> {
 struct GcJob {
     /// Victim block, pool-relative.
     rel: u32,
-    /// Victim's lifetime class (survivors stay in it).
-    class: u8,
     /// Victim's channel (survivors stay on it).
     channel: u32,
     /// First in-block page index not yet examined (relocation proceeds
@@ -191,10 +188,6 @@ pub struct Ftl {
     gc_job: Option<GcJob>,
     /// Lent to each `gc_step` and taken back, so steps allocate no pages.
     gc_scratch: GcScratch,
-    /// Lifetime class per interned stream id (indexed by stream id;
-    /// unclassified streams — including HOST and FTL — are the default
-    /// class). Populated by `stream_intern` via `cfg.placement.classify`.
-    stream_class: Vec<u8>,
     /// WA ledger, GC axis: per data-pool block (relative index), how many
     /// pages each stream invalidated there. Settled into the telemetry
     /// blame ledger when the block is collected; cleared on erase.
@@ -241,8 +234,7 @@ impl Ftl {
     fn assemble(cfg: FtlConfig, mut nand: NandArray) -> Self {
         let map = MappingTable::with_policy(cfg.geometry, cfg.logical_pages, cfg.revmap_capacity, cfg.revmap_policy);
         let log = DeltaLog::new(&cfg, 0);
-        let pool = BlockPool::new(cfg.geometry, cfg.data_start(), cfg.data_blocks())
-            .with_classes(cfg.placement.classes());
+        let pool = BlockPool::new(cfg.geometry, cfg.data_start(), cfg.data_blocks());
         let telemetry = Telemetry::new(cfg.telemetry);
         let tracer = if cfg.telemetry.trace { Tracer::enabled() } else { Tracer::disabled() };
         nand.set_tracer(tracer.clone());
@@ -271,7 +263,6 @@ impl Ftl {
             in_gc: false,
             gc_job: None,
             gc_scratch: GcScratch::default(),
-            stream_class: Vec::new(),
             block_blame: vec![Vec::new(); data_blocks],
             log_blame: Vec::new(),
             ckpt_blame: Vec::new(),
@@ -593,22 +584,6 @@ impl Ftl {
         Ok(pages)
     }
 
-    /// Lifetime class of `stream` (default for never-classified streams,
-    /// which includes the built-in HOST and FTL streams).
-    fn class_of_stream(&self, stream: u32) -> u8 {
-        self.stream_class.get(stream as usize).copied().unwrap_or(CLASS_DEFAULT)
-    }
-
-    /// Allocate a user page in the current stream's lifetime-class lane and
-    /// mirror the class onto the NAND block tag (persisted by image v3, so
-    /// recovery and GC can see each block's class without pool state).
-    fn alloc_user(&mut self) -> Result<Ppn, FtlError> {
-        let class = self.class_of_stream(self.telemetry.current_stream());
-        let ppn = self.pool.alloc(&self.nand, WritePoint::User { class })?;
-        self.nand.set_block_tag(self.cfg.geometry.block_of(ppn), class as u32);
-        Ok(ppn)
-    }
-
     /// Allocate and program as many of `pages`' leading entries as the
     /// free pool allows, as ONE batched submission (programs on distinct
     /// channel-ways overlap in simulated time). May program fewer pages
@@ -619,7 +594,7 @@ impl Ftl {
     fn program_user_submission(&mut self, pages: &[(Lpn, &[u8])]) -> Result<Vec<Ppn>, FtlError> {
         let mut dests = Vec::with_capacity(pages.len());
         for _ in 0..pages.len() {
-            match self.alloc_user() {
+            match self.pool.alloc(&self.nand, WritePoint::User) {
                 Ok(p) => dests.push(p),
                 Err(FtlError::DeviceFull) => break,
                 Err(e) => return Err(e),
@@ -670,7 +645,7 @@ impl Ftl {
         self.stats.host_writes += 1;
         self.stats.host_write_bytes += data.len() as u64;
         self.ensure_free()?;
-        let ppn = self.alloc_user()?;
+        let ppn = self.pool.alloc(&self.nand, WritePoint::User)?;
         self.nand.program(ppn, data)?;
         let old = self.map.map_new_write(lpn, ppn)?;
         self.note_invalidation(&old);

@@ -421,11 +421,6 @@ impl BlockDevice for Ftl {
 
     fn stream_intern(&mut self, label: &str) -> u32 {
         let id = self.telemetry.intern(label);
-        let idx = id as usize;
-        if self.stream_class.len() <= idx {
-            self.stream_class.resize(idx + 1, CLASS_DEFAULT);
-        }
-        self.stream_class[idx] = self.cfg.placement.classify(label);
         self.tracer.set_stream_label(id, label);
         id
     }
@@ -461,28 +456,6 @@ impl BlockDevice for Ftl {
         let mut rows = self.stats().metrics();
         rows.extend(snap.queue.rows());
         let gauge = Metric::gauge;
-        rows.push(gauge(
-            "share_placement_enabled",
-            "Whether multi-streamed placement is on.",
-            u64::from(self.cfg.placement.enabled),
-        ));
-        use Kind::{Counter, Gauge};
-        type ClassFamily = (&'static str, &'static str, Kind, fn(&BlockPool, usize) -> u64);
-        let per_class: [ClassFamily; 3] = [
-            ("share_placement_placed_pages_total",
-             "Host pages placed per lifetime class.", Counter, BlockPool::placed_pages),
-            ("share_placement_gc_moved_pages_total",
-             "GC copyback pages relocated per lifetime class.", Counter, BlockPool::gc_moved_pages),
-            ("share_placement_open_blocks",
-             "Currently open write-point blocks per lifetime class.", Gauge, BlockPool::open_blocks),
-        ];
-        for (name, help, kind, read) in per_class {
-            for class in 0..self.pool.classes() {
-                let label = PlacementConfig::class_label(class as u8).to_string();
-                let value = Value::U64(read(&self.pool, class));
-                rows.push(Metric { name, help, kind, label: Some(("class", label)), value });
-            }
-        }
         rows.push(gauge("share_snapshots_live", "Live device snapshots.", self.snaps.count() as u64));
         rows.push(gauge(
             "share_snapshot_frozen_pages",

@@ -1,7 +1,7 @@
 //! Garbage collection: victim selection, the one relocation loop, and the
 //! watermark policy: budgeted background steps inside the slack band, a
 //! drain on the caller's timeline at the hard floor (DESIGN.md §12
-//! "Stream-aware GC", §13).
+//! "Channel-affine copyback", §13).
 
 use super::*;
 
@@ -114,16 +114,10 @@ impl Ftl {
         };
         self.stats.gc_events += 1;
         let block = self.pool.abs(rel);
-        // Survivors relocate with the victim's affinity: same lifetime
-        // class (NAND block tag; untagged pre-v3 blocks fall to the
-        // default class) and same channel, so relocated long-lived data
-        // never mixes into short-lived streams' blocks and copyback stays
+        // Survivors relocate on the victim's channel, so copyback stays
         // channel-local.
-        let tag = self.nand.block_tag(block);
-        let classes = self.pool.classes() as u32;
-        let class = if tag == UNTAGGED { CLASS_DEFAULT } else { tag.min(classes - 1) as u8 };
         let channel = self.cfg.geometry.channel_of_block(block);
-        self.gc_job = Some(GcJob { rel, class, channel, next_idx: 0 });
+        self.gc_job = Some(GcJob { rel, channel, next_idx: 0 });
         true
     }
 
@@ -137,7 +131,7 @@ impl Ftl {
     /// relocated this step. `scratch` is the device's relocation scratch,
     /// lent by the caller for the step.
     fn gc_step(&mut self, budget: usize, scratch: &mut GcScratch) -> Result<u64, FtlError> {
-        let GcJob { rel, class, channel, next_idx } =
+        let GcJob { rel, channel, next_idx } =
             *self.gc_job.as_ref().expect("gc_step without a job");
         let block = self.pool.abs(rel);
         let ppb = self.cfg.geometry.pages_per_block;
@@ -163,9 +157,7 @@ impl Ftl {
             self.nand.read_batch(live.iter().copied().zip(data.chunks_mut(page_size)))?;
             dests.clear();
             for _ in live.iter() {
-                let dest = self.pool.alloc(&self.nand, WritePoint::Gc { class, channel })?;
-                self.nand.set_block_tag(self.cfg.geometry.block_of(dest), class as u32);
-                dests.push(dest);
+                dests.push(self.pool.alloc(&self.nand, WritePoint::Gc { channel })?);
             }
             self.nand.program_batch(dests.iter().copied().zip(data.chunks(page_size)))?;
             for (&ppn, &dest) in live.iter().zip(dests.iter()) {
@@ -234,18 +226,17 @@ impl Ftl {
     }
 
     pub(super) fn ensure_free(&mut self) -> Result<(), FtlError> {
-        // Every open lane — one user and one GC lane per (class, channel)
-        // — can pull a fresh block from the free list between two GC
-        // checks (a batched submission feeds every user lane; GC feeds one
-        // copyback lane per victim), so the watermarks shift up by the
-        // lanes beyond the baseline single user + single GC pair. At one
-        // channel with placement off this is exactly the configured
+        // Every open lane — one user and one GC lane per channel — can
+        // pull a fresh block from the free list between two GC checks (a
+        // batched submission feeds every user lane; GC feeds one copyback
+        // lane per victim), so the watermarks shift up by the lanes beyond
+        // the baseline single user + single GC pair: `2·(channels − 1)`
+        // blocks banked. At one channel this is exactly the configured
         // low/high pair.
         // Blocks pinned by unreaped queued commands are ineligible victims,
         // so the same number of extra free blocks must be banked on top —
         // otherwise a deep queue can strand GC with nothing collectible.
-        let lanes = self.pool.classes() * self.cfg.geometry.channels as usize;
-        let extra_lanes = 2 * (lanes - 1);
+        let extra_lanes = 2 * (self.cfg.geometry.channels as usize - 1);
         let pinned = self.pool.inflight_pinned_blocks();
         let low = self.cfg.gc_low_water + extra_lanes + pinned;
         let high = self.cfg.gc_high_water + extra_lanes + pinned;

@@ -3,23 +3,18 @@
 //! The pool tracks which data blocks are free (erased), which are open as
 //! write points, and which are closed and thus eligible as GC victims.
 //!
-//! Write points are organized as a lane matrix indexed by **lifetime
-//! class** and **channel**. Host writes feed one lane per channel within
-//! their stream's class, rotating round-robin, so consecutive host pages
-//! land on distinct channels and a batched submission can program them in
-//! parallel — while pages of different lifetime classes (short-lived
-//! journal traffic vs long-lived data vs compaction output) never share a
-//! block. GC copyback gets its own lane per (class, channel): survivors
-//! relocate into a block of the victim's class on the victim's channel,
-//! keeping relocated data out of host blocks and letting relocation
-//! storms from victims on different channels proceed in parallel.
+//! Write points are one user lane and one GC lane per **channel**. Host
+//! writes rotate round-robin over the user lanes, so consecutive host
+//! pages land on distinct channels and a batched submission can program
+//! them in parallel. GC copyback gets its own lane per channel: survivors
+//! relocate into a block on the victim's channel, keeping relocated data
+//! out of host blocks and letting relocation storms from victims on
+//! different channels proceed in parallel.
 //!
-//! A single-class pool (placement disabled) with one channel degenerates
-//! to exactly one user lane and one GC lane — the historical layout — and
-//! every allocation decision is bit-identical to it.
+//! With one channel this is exactly one user lane and one GC lane.
 
 use crate::error::FtlError;
-use nand_sim::{BlockId, NandArray, NandGeometry, Ppn, UNTAGGED};
+use nand_sim::{BlockId, NandArray, NandGeometry, Ppn};
 
 /// Lifecycle of a data-pool block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,22 +32,14 @@ pub enum BlockState {
 /// Which write point an allocation feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WritePoint {
-    /// Host data of one lifetime class (0 when placement is disabled).
-    User {
-        /// Lifetime class of the writing stream.
-        class: u8,
-    },
-    /// GC copyback data: survivors of a victim of `class` on `channel`.
+    /// Host data.
+    User,
+    /// GC copyback data: survivors of a victim on `channel`.
     Gc {
-        /// Lifetime class of the victim block.
-        class: u8,
         /// Channel the victim lives on (keeps copyback channel-affine).
         channel: u32,
     },
 }
-
-/// Per-block class marker for "never classified" (fresh or erased).
-const UNCLASSED: u8 = u8::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Open {
@@ -60,11 +47,11 @@ struct Open {
     next: u32,  // next in-block page
 }
 
-/// A write-point lane coordinate: (class, channel) in either matrix.
+/// A write-point lane: a channel's user or GC write point.
 #[derive(Debug, Clone, Copy)]
 enum Lane {
-    User { class: usize, ch: usize },
-    Gc { class: usize, ch: usize },
+    User(usize),
+    Gc(usize),
 }
 
 /// The data-pool allocator.
@@ -73,19 +60,14 @@ pub struct BlockPool {
     geometry: NandGeometry,
     start: u32,
     count: u32,
-    /// Number of lifetime classes (1 = placement disabled).
-    classes: usize,
     state: Vec<BlockState>,
     free: Vec<u32>,
-    /// Host write points, `[class][channel]`; `alloc` rotates each class's
-    /// lanes so consecutive host pages of one class stripe over channels.
-    user: Vec<Vec<Option<Open>>>,
-    user_cursor: Vec<usize>,
-    /// GC copyback write points, `[class][channel]`.
-    gc: Vec<Vec<Option<Open>>>,
-    /// Lifetime class a block was opened under (`UNCLASSED` when free or
-    /// recovered from an untagged image).
-    class_of: Vec<u8>,
+    /// Host write points, one per channel; `alloc` rotates over them so
+    /// consecutive host pages stripe over channels.
+    user: Vec<Option<Open>>,
+    user_cursor: usize,
+    /// GC copyback write points, one per channel.
+    gc: Vec<Option<Open>>,
     /// Monotonic sequence assigned when a block is sealed (FIFO GC order).
     seal_seq: Vec<u64>,
     seal_counter: u64,
@@ -108,28 +90,21 @@ pub struct BlockPool {
     /// Times a lane's preferred channel had no free block and the pop fell
     /// back to another channel, collapsing lane parallelism.
     lane_steals: u64,
-    /// Host pages allocated per class (placement gauge).
-    placed_pages: Vec<u64>,
-    /// GC copyback pages allocated per class (placement gauge).
-    gc_moved_pages: Vec<u64>,
 }
 
 impl BlockPool {
-    /// A pool over data blocks `[start, start + count)`, all erased, with
-    /// a single lifetime class (placement disabled).
+    /// A pool over data blocks `[start, start + count)`, all erased.
     pub fn new(geometry: NandGeometry, start: BlockId, count: u32) -> Self {
         let channels = geometry.channels as usize;
         Self {
             geometry,
             start: start.0,
             count,
-            classes: 1,
             state: vec![BlockState::Free; count as usize],
             free: (0..count).rev().collect(),
-            user: vec![vec![None; channels]],
-            user_cursor: vec![0],
-            gc: vec![vec![None; channels]],
-            class_of: vec![UNCLASSED; count as usize],
+            user: vec![None; channels],
+            user_cursor: 0,
+            gc: vec![None; channels],
             seal_seq: vec![0; count as usize],
             seal_counter: 0,
             alloc_next: vec![0; count as usize],
@@ -137,29 +112,7 @@ impl BlockPool {
             inflight_blocks: 0,
             capture: None,
             lane_steals: 0,
-            placed_pages: vec![0],
-            gc_moved_pages: vec![0],
         }
-    }
-
-    /// Reshape the lane matrix for `classes` lifetime classes. Must be
-    /// called before any allocation (the lanes are rebuilt empty).
-    pub fn with_classes(mut self, classes: usize) -> Self {
-        assert!(classes >= 1, "at least one lifetime class");
-        debug_assert_eq!(self.free.len(), self.count as usize, "reshaping a used pool");
-        let channels = self.geometry.channels as usize;
-        self.classes = classes;
-        self.user = vec![vec![None; channels]; classes];
-        self.user_cursor = vec![0; classes];
-        self.gc = vec![vec![None; channels]; classes];
-        self.placed_pages = vec![0; classes];
-        self.gc_moved_pages = vec![0; classes];
-        self
-    }
-
-    /// Number of lifetime classes the lane matrix is shaped for.
-    pub fn classes(&self) -> usize {
-        self.classes
     }
 
     /// Absolute block id for pool-relative index `rel`.
@@ -189,33 +142,9 @@ impl BlockPool {
         self.state[rel as usize]
     }
 
-    /// Lifetime class block `rel` was opened under, or `None` when the
-    /// block is free or predates classification (untagged image).
-    pub fn block_class(&self, rel: u32) -> Option<u8> {
-        let c = self.class_of[rel as usize];
-        (c != UNCLASSED).then_some(c)
-    }
-
     /// Times a lane had to steal a free block from a foreign channel.
     pub fn lane_steals(&self) -> u64 {
         self.lane_steals
-    }
-
-    /// Host pages allocated into `class` so far.
-    pub fn placed_pages(&self, class: usize) -> u64 {
-        self.placed_pages[class]
-    }
-
-    /// GC copyback pages allocated into `class` so far.
-    pub fn gc_moved_pages(&self, class: usize) -> u64 {
-        self.gc_moved_pages[class]
-    }
-
-    /// Currently-open write-point blocks of `class` (user + GC lanes).
-    pub fn open_blocks(&self, class: usize) -> u64 {
-        let user = self.user[class].iter().flatten().count();
-        let gc = self.gc[class].iter().flatten().count();
-        (user + gc) as u64
     }
 
     /// Pop a free block, preferring `prefer_channel` so the requesting lane
@@ -254,8 +183,8 @@ impl BlockPool {
 
     fn open_mut(&mut self, lane: Lane) -> &mut Option<Open> {
         match lane {
-            Lane::User { class, ch } => &mut self.user[class][ch],
-            Lane::Gc { class, ch } => &mut self.gc[class][ch],
+            Lane::User(ch) => &mut self.user[ch],
+            Lane::Gc(ch) => &mut self.gc[ch],
         }
     }
 
@@ -271,17 +200,12 @@ impl BlockPool {
             }
         }
         if self.open_mut(lane).is_none() {
-            let (class, prefer) = match lane {
-                Lane::User { class, ch } | Lane::Gc { class, ch } => {
-                    (class, Some(ch as u32 % self.geometry.channels))
-                }
-            };
-            let rel = self.pop_free(nand, prefer).ok_or(FtlError::DeviceFull)?;
+            let (Lane::User(ch) | Lane::Gc(ch)) = lane;
+            let rel = self.pop_free(nand, Some(ch as u32)).ok_or(FtlError::DeviceFull)?;
             self.state[rel as usize] = match lane {
-                Lane::User { .. } => BlockState::UserOpen,
-                Lane::Gc { .. } => BlockState::GcOpen,
+                Lane::User(_) => BlockState::UserOpen,
+                Lane::Gc(_) => BlockState::GcOpen,
             };
-            self.class_of[rel as usize] = class as u8;
             *self.open_mut(lane) = Some(Open { block: rel, next: 0 });
         }
         let geometry = self.geometry;
@@ -341,27 +265,18 @@ impl BlockPool {
 
     /// Allocate the next physical page for `wp`, opening a fresh block from
     /// the free list when needed. Host allocations rotate round-robin over
-    /// their class's per-channel lanes; GC allocations go to the victim's
-    /// (class, channel) lane. Class indices beyond the configured matrix
-    /// clamp to the last class (an image written with more classes than
-    /// this mount was configured for must still allocate somewhere). Fails
-    /// with `DeviceFull` when no block is available.
+    /// the per-channel user lanes; GC allocations go to the victim's
+    /// channel's lane. Fails with `DeviceFull` when no block is available.
     pub fn alloc(&mut self, nand: &NandArray, wp: WritePoint) -> Result<Ppn, FtlError> {
         match wp {
-            WritePoint::User { class } => {
-                let class = (class as usize).min(self.classes - 1);
-                let ch = self.user_cursor[class];
-                self.user_cursor[class] = (ch + 1) % self.user[class].len();
-                let ppn = self.alloc_in_lane(nand, Lane::User { class, ch })?;
-                self.placed_pages[class] += 1;
-                Ok(ppn)
+            WritePoint::User => {
+                let ch = self.user_cursor;
+                self.user_cursor = (ch + 1) % self.user.len();
+                self.alloc_in_lane(nand, Lane::User(ch))
             }
-            WritePoint::Gc { class, channel } => {
-                let class = (class as usize).min(self.classes - 1);
-                let ch = (channel as usize).min(self.geometry.channels as usize - 1);
-                let ppn = self.alloc_in_lane(nand, Lane::Gc { class, ch })?;
-                self.gc_moved_pages[class] += 1;
-                Ok(ppn)
+            WritePoint::Gc { channel } => {
+                let ch = (channel as usize).min(self.gc.len() - 1);
+                self.alloc_in_lane(nand, Lane::Gc(ch))
             }
         }
     }
@@ -381,21 +296,17 @@ impl BlockPool {
         debug_assert_eq!(self.state[rel as usize], BlockState::Closed);
         self.state[rel as usize] = BlockState::Free;
         self.alloc_next[rel as usize] = 0;
-        self.class_of[rel as usize] = UNCLASSED;
         self.free.push(rel);
     }
 
     /// Rebuild pool state after recovery from NAND program frontiers:
     /// untouched blocks are free, anything programmed is sealed. (Real MLC
     /// firmware also refuses to append to a block left open across power
-    /// loss.) Sealed blocks recover their lifetime class from the NAND
-    /// block tags (image v3); untagged blocks — v2 images and older —
-    /// stay unclassed, which GC treats as the default class.
+    /// loss.)
     pub fn rebuild_from_nand(&mut self, nand: &NandArray) {
-        let channels = self.geometry.channels as usize;
-        self.user = vec![vec![None; channels]; self.classes];
-        self.user_cursor = vec![0; self.classes];
-        self.gc = vec![vec![None; channels]; self.classes];
+        self.user.fill(None);
+        self.user_cursor = 0;
+        self.gc.fill(None);
         self.free.clear();
         // A crash drops the submission queue; nothing is in flight anymore.
         self.inflight = vec![0; self.count as usize];
@@ -406,18 +317,11 @@ impl BlockPool {
             self.alloc_next[rel as usize] = frontier;
             if frontier == 0 {
                 self.state[rel as usize] = BlockState::Free;
-                self.class_of[rel as usize] = UNCLASSED;
                 self.free.push(rel);
             } else {
                 self.state[rel as usize] = BlockState::Closed;
                 self.seal_counter += 1;
                 self.seal_seq[rel as usize] = self.seal_counter;
-                let tag = nand.block_tag(self.abs(rel));
-                self.class_of[rel as usize] = if tag == UNTAGGED {
-                    UNCLASSED
-                } else {
-                    tag.min(self.classes as u32 - 1) as u8
-                };
             }
         }
     }
@@ -439,8 +343,8 @@ mod tests {
     use super::*;
     use nand_sim::{NandTiming, SimClock};
 
-    const USER: WritePoint = WritePoint::User { class: 0 };
-    const GC0: WritePoint = WritePoint::Gc { class: 0, channel: 0 };
+    const USER: WritePoint = WritePoint::User;
+    const GC0: WritePoint = WritePoint::Gc { channel: 0 };
 
     fn setup() -> (BlockPool, NandArray) {
         let g = NandGeometry::new(512, 4, 10);
@@ -473,39 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn classes_never_share_a_block() {
-        let g = NandGeometry::new(512, 4, 12);
-        let nand = NandArray::with_timing(g, NandTiming::zero(), SimClock::new());
-        let mut pool = BlockPool::new(g, BlockId(0), 12).with_classes(3);
-        let mut block_of_class = vec![Vec::new(); 3];
-        for i in 0..24u32 {
-            let class = (i % 3) as u8;
-            let p = pool.alloc(&nand, WritePoint::User { class }).unwrap();
-            block_of_class[class as usize].push(g.block_of(p));
-        }
-        for a in 0..3 {
-            for b in (a + 1)..3 {
-                for blk in &block_of_class[a] {
-                    assert!(
-                        !block_of_class[b].contains(blk),
-                        "classes {a} and {b} share block {blk:?}"
-                    );
-                }
-            }
-        }
-        // Class marking follows the allocation.
-        let rel = pool.rel(block_of_class[1][0]).unwrap();
-        assert_eq!(pool.block_class(rel), Some(1));
-    }
-
-    #[test]
     fn gc_lanes_are_per_channel() {
         let g = NandGeometry::new(512, 4, 16).with_parallelism(4, 1);
         let nand = NandArray::with_timing(g, NandTiming::zero(), SimClock::new());
         let mut pool = BlockPool::new(g, BlockId(0), 16);
-        let a = pool.alloc(&nand, WritePoint::Gc { class: 0, channel: 0 }).unwrap();
-        let b = pool.alloc(&nand, WritePoint::Gc { class: 0, channel: 1 }).unwrap();
-        let c = pool.alloc(&nand, WritePoint::Gc { class: 0, channel: 0 }).unwrap();
+        let a = pool.alloc(&nand, GC0).unwrap();
+        let b = pool.alloc(&nand, WritePoint::Gc { channel: 1 }).unwrap();
+        let c = pool.alloc(&nand, GC0).unwrap();
         assert_ne!(g.block_of(a), g.block_of(b), "distinct channels, distinct GC blocks");
         assert_eq!(g.block_of(a), g.block_of(c), "same channel continues its open lane");
         assert_eq!(g.channel_of_block(g.block_of(a)), 0);
@@ -520,12 +398,12 @@ mod tests {
         // Blocks 0 and 2 are channel 0; drain them through the channel-0
         // GC lane (2 blocks x 4 pages).
         for _ in 0..8 {
-            pool.alloc(&nand, WritePoint::Gc { class: 0, channel: 0 }).unwrap();
+            pool.alloc(&nand, GC0).unwrap();
         }
         assert_eq!(pool.lane_steals(), 0);
         // The ninth allocation must open a third block for channel 0 —
         // only channel-1 blocks remain, so the lane steals one.
-        let p = pool.alloc(&nand, WritePoint::Gc { class: 0, channel: 0 }).unwrap();
+        let p = pool.alloc(&nand, GC0).unwrap();
         assert_eq!(g.channel_of_block(g.block_of(p)), 1, "stolen block is foreign");
         assert_eq!(pool.lane_steals(), 1, "cross-channel fallback must be counted");
     }
@@ -587,7 +465,6 @@ mod tests {
         pool.release(victim);
         assert_eq!(pool.free_count(), before + 1);
         assert_eq!(pool.state(victim), BlockState::Free);
-        assert_eq!(pool.block_class(victim), None, "release clears the class");
     }
 
     #[test]
@@ -611,29 +488,6 @@ mod tests {
         let rel = pool.rel(nand.geometry().block_of(p)).unwrap();
         assert_eq!(pool.state(rel), BlockState::Closed);
         assert_eq!(pool.free_count(), 7);
-    }
-
-    #[test]
-    fn rebuild_recovers_classes_from_nand_tags() {
-        let g = NandGeometry::new(512, 4, 8);
-        let mut nand = NandArray::with_timing(g, NandTiming::zero(), SimClock::new());
-        let mut pool = BlockPool::new(g, BlockId(0), 8).with_classes(3);
-        let p0 = pool.alloc(&nand, WritePoint::User { class: 2 }).unwrap();
-        let p1 = pool.alloc(&nand, WritePoint::User { class: 1 }).unwrap();
-        nand.program(p0, &[0u8; 512]).unwrap();
-        nand.program(p1, &[0u8; 512]).unwrap();
-        // Mirror what the FTL does after alloc: tag the blocks.
-        for (p, class) in [(p0, 2u32), (p1, 1)] {
-            nand.set_block_tag(g.block_of(p), class);
-        }
-        pool.rebuild_from_nand(&nand);
-        assert_eq!(pool.block_class(pool.rel(g.block_of(p0)).unwrap()), Some(2));
-        assert_eq!(pool.block_class(pool.rel(g.block_of(p1)).unwrap()), Some(1));
-        // An untagged programmed block (v2 image) recovers as unclassed.
-        let mut nand2 = NandArray::with_timing(g, NandTiming::zero(), SimClock::new());
-        nand2.program(g.first_ppn(BlockId(0)), &[0u8; 512]).unwrap();
-        pool.rebuild_from_nand(&nand2);
-        assert_eq!(pool.block_class(0), None);
     }
 
     #[test]
@@ -709,23 +563,6 @@ mod tests {
         assert_eq!(pool.inflight_pinned_blocks(), 1);
         pool.rebuild_from_nand(&nand);
         assert_eq!(pool.inflight_pinned_blocks(), 0);
-    }
-
-    #[test]
-    fn placement_gauges_track_allocations() {
-        let g = NandGeometry::new(512, 4, 12);
-        let nand = NandArray::with_timing(g, NandTiming::zero(), SimClock::new());
-        let mut pool = BlockPool::new(g, BlockId(0), 12).with_classes(2);
-        for _ in 0..3 {
-            pool.alloc(&nand, WritePoint::User { class: 1 }).unwrap();
-        }
-        pool.alloc(&nand, WritePoint::User { class: 0 }).unwrap();
-        pool.alloc(&nand, WritePoint::Gc { class: 1, channel: 0 }).unwrap();
-        assert_eq!(pool.placed_pages(0), 1);
-        assert_eq!(pool.placed_pages(1), 3);
-        assert_eq!(pool.gc_moved_pages(1), 1);
-        assert_eq!(pool.open_blocks(0), 1);
-        assert_eq!(pool.open_blocks(1), 2, "one user lane + one GC lane open");
     }
 
     #[test]

@@ -1,21 +1,19 @@
-//! Multi-stream crash workload for the placement-enabled FTL.
+//! Multi-stream crash workload on a four-channel FTL.
 //!
-//! Three concurrent host streams of different lifetime classes drive a
-//! device with multi-streamed placement turned on, so at any instant the
-//! pool holds several open frontiers (one user lane per class plus GC
-//! lanes). A crash can therefore land on a partially programmed block of
-//! *any* class, and recovery must rebuild every frontier — including the
-//! per-block class tags persisted in the NAND image — before the
-//! prefix-consistency oracle (see [`crate::ftl_workload`]) is checked.
+//! Three concurrent host streams drive the one multi-channel device of
+//! this crate, so at any instant the pool holds several open frontiers
+//! (one user lane per channel plus GC lanes). A crash can therefore land
+//! with several blocks partially programmed, and recovery must rebuild
+//! every frontier before the prefix-consistency oracle (see
+//! [`crate::ftl_workload`]) is checked.
 //!
 //! The streams mimic their database namesakes:
-//! - `heap` (default class): wide random writes, reads, trims and small
-//!   atomic batches over most of the logical space;
-//! - `wal` (short-lived class): a small append window rewritten round
-//!   after round, with frequent flushes — the hot journal traffic the
-//!   placement tentpole isolates;
-//! - `compact` (cold class): SHARE remaps of settled heap pages into a
-//!   cold region, plus occasional checkpoints.
+//! - `heap`: wide random writes, reads, trims and small atomic batches
+//!   over most of the logical space;
+//! - `wal`: a small append window rewritten round after round, with
+//!   frequent flushes — hot journal traffic;
+//! - `compact`: SHARE remaps of settled heap pages into a cold region,
+//!   plus occasional checkpoints.
 
 use crate::ftl_workload::{
     apply, exec, is_durability_point, push_applied, verify_recovered, FtlOp, RunTrace, State,
@@ -25,9 +23,7 @@ use nand_sim::{FaultMode, NandTiming};
 use share_core::{BlockDevice, Ftl, FtlConfig, FtlError};
 use share_rng::{Rng, StdRng};
 
-/// Stream labels, index-aligned with the per-op stream slots. The labels
-/// are what `PlacementConfig::classify` keys on: `wal` lands in the
-/// short-lived class, `compact` in the cold class, `heap` in the default.
+/// Stream labels, index-aligned with the per-op stream slots.
 pub const STREAM_LABELS: [&str; 3] = ["heap", "wal", "compact"];
 
 const HEAP: usize = 0;
@@ -35,7 +31,7 @@ const WAL: usize = 1;
 const COMPACT: usize = 2;
 
 /// Logical pages of the stream workload. Larger than the mixed workload's
-/// space because three user lanes plus their GC lanes need headroom of
+/// space because four user lanes plus their GC lanes need headroom of
 /// free blocks (see `ensure_free`'s lane watermark).
 pub const STREAM_PAGES: u64 = 96;
 
@@ -56,7 +52,7 @@ pub struct FtlStreamWorkload {
 }
 
 impl FtlStreamWorkload {
-    /// Generate `n_ops` ops from `seed` with placement enabled.
+    /// Generate `n_ops` ops from `seed` for a four-channel device.
     pub fn new(seed: u64, n_ops: usize) -> Self {
         let cfg = FtlConfig::for_capacity_with(
             STREAM_PAGES * 4096,
@@ -65,7 +61,7 @@ impl FtlStreamWorkload {
             16,
             NandTiming::zero(),
         )
-        .with_placement(true);
+        .with_parallelism(4, 1);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model: State = vec![None; STREAM_PAGES as usize];
         let mut wal_cursor = 0u64;
@@ -157,7 +153,7 @@ impl FtlStreamWorkload {
     }
 }
 
-/// Run the workload once on a fresh placement-enabled FTL, switching the
+/// Run the workload once on a fresh FTL, switching the
 /// active stream before each op. Mirrors `ftl_workload::run_ftl_case`
 /// except for the stream plumbing.
 fn run_stream_case(
@@ -238,7 +234,8 @@ impl CrashWorkload for FtlStreamWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use share_core::telemetry::Value;
+    use nand_sim::BlockId;
+    use std::collections::BTreeSet;
 
     #[test]
     fn generated_ops_are_deterministic_and_use_all_streams() {
@@ -271,10 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn placement_keeps_multiple_frontiers_open_during_the_run() {
-        // The point of this workload: with placement on, the crash space
-        // spans blocks of several classes. Check the fault-free run ends
-        // with wal and heap traffic placed in different classes.
+    fn channels_keep_multiple_frontiers_open_at_the_end_of_the_run() {
+        // The point of this workload: the crash space spans several
+        // partially programmed data blocks at once. Check the fault-free
+        // run ends with open frontiers on at least two channels.
         let w = FtlStreamWorkload::new(3, 250);
         let mut ftl = Ftl::new(w.cfg.clone());
         let streams: Vec<u32> =
@@ -283,16 +280,16 @@ mod tests {
             ftl.set_stream(streams[*slot]);
             exec(&mut ftl, op).unwrap();
         }
-        let snap = ftl.telemetry_snapshot().unwrap();
-        assert_eq!(snap.metric("share_placement_enabled", None), Some(Value::U64(1)));
-        let placed = |class| snap.metric("share_placement_placed_pages_total", Some(class));
+        let nand = ftl.into_nand();
+        let g = w.cfg.geometry;
+        let partial: Vec<BlockId> = (w.cfg.data_start().0..g.blocks)
+            .map(BlockId)
+            .filter(|&b| (1..g.pages_per_block).contains(&nand.write_frontier(b)))
+            .collect();
+        let channels: BTreeSet<u32> = partial.iter().map(|&b| g.channel_of_block(b)).collect();
         assert!(
-            matches!(placed("default"), Some(Value::U64(n)) if n > 0),
-            "heap stream placed nothing in the default class"
-        );
-        assert!(
-            matches!(placed("short-lived"), Some(Value::U64(n)) if n > 0),
-            "wal stream placed nothing in the short-lived class"
+            channels.len() >= 2,
+            "partially programmed data blocks {partial:?} sit on channels {channels:?}"
         );
     }
 }

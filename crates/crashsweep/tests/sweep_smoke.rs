@@ -48,8 +48,8 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
     // commands between SHAREs, trims and flushes, each batch checked as a
     // page-by-page prefix.
     visited += run_smoke(&FtlQueuedWorkload::write_batches(60, 4), 60);
-    // Multi-stream placement: three lifetime classes, several open
-    // frontiers at every crash boundary (the PR 7 placement tentpole).
+    // Three streams on four channels: several open frontiers at every
+    // crash boundary.
     visited += run_smoke(&FtlStreamWorkload::new(42, 300), 60);
     // Parked GC: a storm on a tight device keeps half-collected victims
     // across commands, so crashes land at copyback submission/completion

@@ -22,11 +22,6 @@ pub enum PageState {
 /// Byte value an erased NAND page reads as.
 const ERASED_BYTE: u8 = 0xFF;
 
-/// Block tag value meaning "no stream class assigned". Freshly created
-/// and freshly erased blocks carry it; image format v2 and older load
-/// every block with it.
-pub const UNTAGGED: u32 = u32::MAX;
-
 /// An open deferred-submission window: while active, operations dispatch
 /// onto their unit lanes starting from `frontier` but the shared clock is
 /// *not* advanced — the caller (a queued-command executor) learns the
@@ -81,10 +76,6 @@ pub struct NandArray {
     /// Next programmable in-block page index, per block.
     next_page: Vec<u32>,
     erase_counts: Vec<u32>,
-    /// Per-block stream-class tag ([`UNTAGGED`] when never tagged or
-    /// erased since). Persisted by image format v3 so recovery can
-    /// re-derive per-stream open-block frontiers.
-    tags: Vec<u32>,
     stats: NandStats,
     /// Per-unit (channel x way) time at which the unit next becomes idle.
     /// On the synchronous path `busy_until[u] <= clock.now()` holds between
@@ -123,7 +114,6 @@ impl NandArray {
             torn: vec![false; total],
             next_page: vec![0; geometry.blocks as usize],
             erase_counts: vec![0; geometry.blocks as usize],
-            tags: vec![UNTAGGED; geometry.blocks as usize],
             stats: NandStats::default(),
             busy_until: vec![0; geometry.units() as usize],
             busy_ns: vec![0; geometry.units() as usize],
@@ -178,18 +168,6 @@ impl NandArray {
     /// Erase count of `block` (wear indicator).
     pub fn erase_count(&self, block: BlockId) -> u32 {
         self.erase_counts[block.0 as usize]
-    }
-
-    /// Stream-class tag of `block` ([`UNTAGGED`] when unset).
-    pub fn block_tag(&self, block: BlockId) -> u32 {
-        self.tags[block.0 as usize]
-    }
-
-    /// Tag `block` with a stream class. Pure bookkeeping: costs no
-    /// simulated time (the tag models per-block metadata the firmware
-    /// keeps in the block's OOB area). Cleared again by erase.
-    pub fn set_block_tag(&mut self, block: BlockId, tag: u32) {
-        self.tags[block.0 as usize] = tag;
     }
 
     /// Current state of a physical page.
@@ -473,7 +451,6 @@ impl NandArray {
         }
         self.next_page[block.0 as usize] = 0;
         self.erase_counts[block.0 as usize] += 1;
-        self.tags[block.0 as usize] = UNTAGGED;
         self.stats.block_erases += 1;
         (end, Ok(()))
     }
@@ -602,7 +579,6 @@ impl NandArray {
         torn: Vec<bool>,
         next_page: Vec<u32>,
         erase_counts: Vec<u32>,
-        tags: Vec<u32>,
         stats: NandStats,
     ) -> std::result::Result<Self, &'static str> {
         let total = geometry.total_pages() as usize;
@@ -611,16 +587,20 @@ impl NandArray {
         }
         if next_page.len() != geometry.blocks as usize
             || erase_counts.len() != geometry.blocks as usize
-            || tags.len() != geometry.blocks as usize
         {
             return Err("block vectors do not match geometry");
         }
-        for (i, p) in pages.iter().enumerate() {
-            if let Some(content) = p {
-                if content.len() != geometry.page_size {
-                    return Err("page content length mismatch");
-                }
-                let _ = i;
+        if pages.iter().flatten().any(|content| content.len() != geometry.page_size) {
+            return Err("page content length mismatch");
+        }
+        // Programming is in order and erase clears a whole block, so a
+        // block's pages are written exactly below its frontier.
+        let ppb = geometry.pages_per_block as usize;
+        for (block, &frontier) in next_page.iter().enumerate() {
+            let frontier = frontier as usize;
+            let written = |i: usize| pages[block * ppb + i].is_some();
+            if frontier > ppb || (0..ppb).any(|i| written(i) != (i < frontier)) {
+                return Err("write frontier disagrees with the block's pages");
             }
         }
         Ok(Self {
@@ -633,7 +613,6 @@ impl NandArray {
             torn,
             next_page,
             erase_counts,
-            tags,
             stats,
             busy_until: vec![0; geometry.units() as usize],
             busy_ns: vec![0; geometry.units() as usize],

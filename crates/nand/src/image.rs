@@ -8,22 +8,34 @@
 //! magic "NSIM" | version u32 | page_size u64 | pages_per_block u32 |
 //! blocks u32 | channels u32 | ways u32 (v2+) | clock_ns u64 |
 //! stats (4 x u64) |
-//! per block: erase_count u32, frontier u32, stream tag u32 (v3+) |
+//! per block: erase_count u32, frontier u32 [, tag u32 (v3 only)] |
 //! per page:  state u8 (0 free, 1 programmed, 2 torn) [+ content]
 //! ```
 //!
-//! Version 1 images (pre-channel) load as a 1-channel, 1-way device.
-//! Version 2 images (pre-placement) load with every block untagged —
-//! i.e. as a single-stream device; the FTL treats untagged blocks as the
-//! default lifetime class on recovery.
+//! Version 4 is what `save_image` writes. Version 1 images (pre-channel)
+//! load as a 1-channel, 1-way device. Version 3 carried one more `u32`
+//! per block, the lifetime class the block was opened under while the FTL
+//! separated write points by class; the loader reads the column and drops
+//! it, so v2, v3 and v4 images of one state load to the same array.
+//!
+//! An image is outside input (`sharectl` opens whatever file it is
+//! given), so the loader trusts no count in the header: vectors grow as
+//! bytes arrive, and a geometry no device here could have is rejected
+//! before anything is sized from it.
 
-use crate::array::{NandArray, PageState, UNTAGGED};
+use crate::array::{NandArray, PageState};
 use crate::clock::SimClock;
 use crate::geometry::{BlockId, NandGeometry, NandTiming, Ppn};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"NSIM";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
+/// Largest page the loader accepts (real NAND pages are 2–64 KiB); bounds
+/// the one buffer that is sized from a header field before its bytes exist.
+const MAX_PAGE_SIZE: u64 = 1 << 20;
+/// Largest channels × ways the loader accepts: a unit owns two words of
+/// timing state and no image byte, so nothing else bounds it.
+const MAX_UNITS: u32 = 1 << 16;
 
 fn put_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -70,7 +82,6 @@ impl NandArray {
         for b in 0..g.blocks {
             put_u32(w, self.erase_count(BlockId(b)))?;
             put_u32(w, self.write_frontier(BlockId(b)))?;
-            put_u32(w, self.block_tag(BlockId(b)))?;
         }
         for p in 0..g.total_pages() {
             let ppn = Ppn(p);
@@ -98,14 +109,20 @@ impl NandArray {
         if !(1..=VERSION).contains(&version) {
             return Err(bad("unsupported NAND image version"));
         }
-        let page_size = get_u64(r)? as usize;
+        let page_size = get_u64(r)?;
         let pages_per_block = get_u32(r)?;
         let blocks = get_u32(r)?;
         let (channels, ways) = if version >= 2 { (get_u32(r)?, get_u32(r)?) } else { (1, 1) };
-        if !page_size.is_power_of_two() || pages_per_block == 0 || blocks == 0 {
-            return Err(bad("corrupt geometry"));
+        if !page_size.is_power_of_two() || page_size > MAX_PAGE_SIZE {
+            return Err(bad("corrupt page size"));
         }
-        if channels == 0 || ways == 0 {
+        let page_size = page_size as usize;
+        // `NandGeometry::total_pages` multiplies in `u32`.
+        let total_pages = match pages_per_block.checked_mul(blocks) {
+            Some(n) if n > 0 => n,
+            _ => return Err(bad("corrupt geometry")),
+        };
+        if !matches!(channels.checked_mul(ways), Some(1..=MAX_UNITS)) {
             return Err(bad("corrupt parallelism"));
         }
         let geometry = NandGeometry::new(page_size, pages_per_block, blocks)
@@ -118,18 +135,22 @@ impl NandArray {
             block_erases: get_u64(r)?,
             torn_programs: get_u64(r)?,
         };
-        let mut erase_counts = Vec::with_capacity(blocks as usize);
-        let mut frontiers = Vec::with_capacity(blocks as usize);
-        let mut tags = Vec::with_capacity(blocks as usize);
+        // No `with_capacity` below: a header can claim 2^32 blocks over a
+        // body of a few bytes, and the read fails long before the vectors
+        // grow to it.
+        let mut erase_counts = Vec::new();
+        let mut frontiers = Vec::new();
         for _ in 0..blocks {
             erase_counts.push(get_u32(r)?);
             frontiers.push(get_u32(r)?);
-            tags.push(if version >= 3 { get_u32(r)? } else { UNTAGGED });
+            if version == 3 {
+                get_u32(r)?; // the retired lifetime-class tag
+            }
         }
-        let mut pages = Vec::with_capacity(geometry.total_pages() as usize);
-        let mut torn = Vec::with_capacity(geometry.total_pages() as usize);
+        let mut pages = Vec::new();
+        let mut torn = Vec::new();
         let mut tag = [0u8; 1];
-        for _ in 0..geometry.total_pages() {
+        for _ in 0..total_pages {
             r.read_exact(&mut tag)?;
             match tag[0] {
                 0 => {
@@ -153,7 +174,6 @@ impl NandArray {
             torn,
             frontiers,
             erase_counts,
-            tags,
             stats,
         )
         .map_err(bad)
@@ -214,24 +234,7 @@ mod tests {
         assert_eq!(loaded.geometry().units(), 8);
     }
 
-    #[test]
-    fn image_v3_round_trips_block_tags() {
-        let mut nand = build();
-        nand.set_block_tag(BlockId(0), 1);
-        nand.set_block_tag(BlockId(2), 0);
-        nand.set_block_tag(BlockId(4), 2);
-        let mut buf = Vec::new();
-        nand.save_image(&mut buf).unwrap();
-        let loaded = NandArray::load_image(&mut buf.as_slice(), NandTiming::default()).unwrap();
-        for b in 0..6 {
-            assert_eq!(loaded.block_tag(BlockId(b)), nand.block_tag(BlockId(b)), "block {b}");
-        }
-        assert_eq!(loaded.block_tag(BlockId(1)), UNTAGGED);
-    }
-
-    /// Hand-encode the version-2 layout (no per-block tag field) and load
-    /// it: a pre-placement image must come up as a single-stream device —
-    /// every block untagged — with all other state intact.
+    /// Hand-encode the version-2 layout and load it with all state intact.
     #[test]
     fn v2_image_loads_as_single_stream() {
         let nand = build();
@@ -267,27 +270,17 @@ mod tests {
         assert_eq!(loaded.geometry(), g);
         assert_eq!(loaded.stats(), s);
         for b in 0..g.blocks {
-            assert_eq!(loaded.block_tag(BlockId(b)), UNTAGGED, "block {b}");
             assert_eq!(loaded.write_frontier(BlockId(b)), nand.write_frontier(BlockId(b)));
         }
         for p in 0..g.total_pages() {
             assert_eq!(loaded.page_state(Ppn(p)), nand.page_state(Ppn(p)), "page {p}");
         }
-        // Re-saving upgrades in place: the round trip through v3 keeps
-        // the untagged marking.
-        let mut buf3 = Vec::new();
-        loaded.save_image(&mut buf3).unwrap();
-        let again = NandArray::load_image(&mut buf3.as_slice(), NandTiming::default()).unwrap();
-        assert_eq!(again.block_tag(BlockId(0)), UNTAGGED);
-    }
-
-    #[test]
-    fn erase_clears_the_block_tag() {
-        let mut nand = build();
-        nand.set_block_tag(BlockId(1), 2);
-        assert_eq!(nand.block_tag(BlockId(1)), 2);
-        nand.erase(BlockId(1)).unwrap();
-        assert_eq!(nand.block_tag(BlockId(1)), UNTAGGED);
+        // Re-saving upgrades in place: v2 and v4 differ in the version
+        // word alone.
+        let mut buf4 = Vec::new();
+        loaded.save_image(&mut buf4).unwrap();
+        assert_eq!(buf4[4..8], VERSION.to_le_bytes());
+        assert_eq!(buf4[8..], buf[8..]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod geometry;
 mod image;
 mod stats;
 
-pub use array::{NandArray, PageState, UNTAGGED};
+pub use array::{NandArray, PageState};
 pub use clock::{SimClock, NS_PER_SEC};
 pub use error::NandError;
 pub use fault::{FaultHandle, FaultMode};

@@ -601,7 +601,7 @@ pub struct Snapshot {
     /// zero for bare `Telemetry` snapshots and sync-only devices).
     pub queue: QueueGauges,
     /// Every device scalar as one row list: the `DeviceStats`/`NandStats`
-    /// counters, WAF, and the queue, placement, snapshot-table and health
+    /// counters, WAF, and the queue, snapshot-table and health
     /// readings (filled by the device; empty for bare `Telemetry`
     /// snapshots). Both exporters walk it.
     pub metrics: Vec<Metric>,

@@ -287,10 +287,10 @@ mod tests {
         snap.metrics =
             QueueGauges { depth: 16, inflight: 3, max_inflight: 9, submitted: 120, reaped: 117 }
                 .rows();
-        for class in ["default", "cold"] {
+        for channel in ["0", "1"] {
             snap.metrics.push(Metric {
-                label: Some(("class", class.into())),
-                ..Metric::gauge("share_placement_open_blocks", "Open blocks.", 2)
+                label: Some(("channel", channel.into())),
+                ..Metric::gauge("share_unit_utilization", "Busy share.", 2)
             });
         }
         snap.metrics.push(Metric::ratio("share_wear_skew", "Skew.", 2.0));
@@ -304,11 +304,11 @@ mod tests {
         ));
         assert!(text.contains("share_queue_reaped_total 117\n"));
         assert!(text.contains(
-            "# TYPE share_placement_open_blocks gauge\n\
-             share_placement_open_blocks{class=\"default\"} 2\n\
-             share_placement_open_blocks{class=\"cold\"} 2\n"
+            "# TYPE share_unit_utilization gauge\n\
+             share_unit_utilization{channel=\"0\"} 2\n\
+             share_unit_utilization{channel=\"1\"} 2\n"
         ));
-        assert_eq!(text.matches("# HELP share_placement_open_blocks ").count(), 1);
+        assert_eq!(text.matches("# HELP share_unit_utilization ").count(), 1);
         assert!(text.contains("share_wear_skew 2\n"));
         assert!(text.contains("share_remaining_life 0.9985\n"));
     }

@@ -44,14 +44,14 @@ echo "== crash-point smoke sweep =="
 
 # Experiment tier: results/<stem>.txt is the one committed record of every
 # binary under crates/bench/src/bin/ (the paper's figures and tables, the
-# ablations and the five device benches), and the simulator is
+# ablations and the four device benches), and the simulator is
 # deterministic, so each binary's full-scale stdout must equal its file
 # byte for byte: fig5 3.21x at 8 channels, fig8 6.81x, table 1 p99, table 2
 # volumes, bench_snapshot's 0 programs are gated exactly, not by threshold.
 # A binary without a file and a file without a binary fail too. After an
 # intended change of simulated behaviour, re-record with
 # `./target/release/<stem> > results/<stem>.txt` and say why in CHANGES.md.
-# The 22 runs are independent and take ~70 s one after the other here.
+# The 21 runs are independent and take ~70 s one after the other here.
 echo "== experiment tables (results/*.txt, exact) =="
 unset SHARE_BENCH_SCALE SHARE_METRICS SHARE_TRACE SHARE_MONITOR
 stale=0
