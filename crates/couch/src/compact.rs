@@ -66,22 +66,23 @@ impl<D: BlockDevice> CouchStore<D> {
         let zero_copy = self.cfg.mode == CouchMode::Share && self.fs.supports_share();
         let mut new_leaf_entries: Vec<NodeEntry> = Vec::with_capacity(entries.len());
         let mut new_tail: u64 = 0;
+        let bs = self.fs.page_size();
+        // Either path's buffer is free by the rebuild, which is staged in it.
+        let (mut heads, mut bufs): (Vec<u8>, Vec<Vec<u8>>) = (Vec::new(), Vec::new());
 
         if zero_copy {
             // Reserve space up front (the paper's fallocate) then remap.
             self.fs.fallocate(new_file, doc_blocks_moved.max(1))?;
-            let bs = self.fs.page_size();
             // Read the document header blocks to learn each length —
             // required by the share command, and the reason SHARE-based
             // compaction is not infinitely fast (§5.3.2). One submission per
-            // 256 heads, which overlap only as far as the heads lie on
-            // different lanes: documents of as many blocks as the device
-            // has channels are striped one block per lane, every head lands
-            // on the same one, and the batch costs a full page read per
-            // head (measured 76 us against 19 if spread, the largest share
-            // of the compaction: `tests/compaction_profile.rs`). Every batch
-            // lands in the same buffer and is decoded where it lies.
-            let mut heads = vec![0u8; HEAD_BATCH.min(entries.len()) * bs];
+            // 256 heads, which overlap as far as the heads lie on different
+            // lanes: each document's submission starts one block later than
+            // the one before (`append_doc_with`), so a batch costs a page read
+            // per lane, not per head (19 us a head on four channels, not 76:
+            // `tests/compaction_profile.rs`). Every batch lands in the same
+            // buffer and is decoded where it lies.
+            heads = vec![0u8; HEAD_BATCH.min(entries.len()).max(1) * bs];
             let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(doc_blocks_moved as usize);
             for batch in entries.chunks(HEAD_BATCH) {
                 let heads = &mut heads[..batch.len() * bs];
@@ -108,7 +109,6 @@ impl<D: BlockDevice> CouchStore<D> {
             self.fs.ioctl_share_pairs(new_file, self.file, &pairs)?;
         } else {
             // Copy every live document, in batched read/write chunks.
-            let bs = self.fs.page_size();
             let mut moves: Vec<(u64, u64)> = Vec::with_capacity(doc_blocks_moved as usize);
             for e in &entries {
                 for i in 0..e.nblocks as u64 {
@@ -117,7 +117,7 @@ impl<D: BlockDevice> CouchStore<D> {
                 new_leaf_entries.push(NodeEntry { key: e.key, ptr: new_tail, ..*e });
                 new_tail += e.nblocks as u64;
             }
-            let mut bufs = vec![vec![0u8; bs]; 128];
+            bufs = vec![vec![0u8; bs]; 128];
             for chunk in moves.chunks(128) {
                 {
                     let mut reqs: Vec<(u64, &mut [u8])> = chunk
@@ -137,8 +137,8 @@ impl<D: BlockDevice> CouchStore<D> {
         }
 
         // Swap state over to the new file, then bulk-build the fresh
-        // indexes (by-id and by-seq) and header through the normal append
-        // path.
+        // indexes (by-id and by-seq) and header, staged and written as one
+        // submission: over every lane, not one program after another.
         let old_name = self.name.clone();
         let doc_count = self.doc_count;
         self.file = new_file;
@@ -150,7 +150,9 @@ impl<D: BlockDevice> CouchStore<D> {
         self.stale_blocks = 0;
         self.doc_count = doc_count;
         self.node_cache.clear();
-        let (root, level) = self.bulk_build_index(&new_leaf_entries)?;
+        let bufs = if zero_copy { std::slice::from_mut(&mut heads) } else { &mut bufs[..] };
+        let mut staged = Staged { bufs, used: 0 };
+        let (root, level) = self.bulk_build_index(&new_leaf_entries, &mut staged)?;
         self.root = root;
         self.root_level = level;
         let mut seq_entries: Vec<NodeEntry> = new_leaf_entries
@@ -158,10 +160,11 @@ impl<D: BlockDevice> CouchStore<D> {
             .map(|e| NodeEntry { key: e.aux, ptr: e.ptr, nblocks: e.nblocks, len: e.len, aux: e.key })
             .collect();
         seq_entries.sort_by_key(|e| e.key);
-        let (sroot, slevel) = self.bulk_build_index(&seq_entries)?;
+        let (sroot, slevel) = self.bulk_build_index(&seq_entries, &mut staged)?;
         self.seq_root = sroot;
         self.seq_root_level = slevel;
-        self.write_header()?;
+        self.stage_block(&mut staged, Self::encode_header_at_tail)?;
+        self.write_staged(&mut staged)?;
         self.fs.fsync(self.file)?;
 
         // Retire the old file and take its name. From here on its traffic
@@ -184,7 +187,11 @@ impl<D: BlockDevice> CouchStore<D> {
     }
 
     /// Bottom-up index build from sorted leaf entries; returns (root, level).
-    fn bulk_build_index(&mut self, leaf_entries: &[NodeEntry]) -> Result<(u64, u8), CouchError> {
+    fn bulk_build_index(
+        &mut self,
+        leaf_entries: &[NodeEntry],
+        staged: &mut Staged,
+    ) -> Result<(u64, u8), CouchError> {
         if leaf_entries.is_empty() {
             return Ok((NO_ROOT, 0));
         }
@@ -194,7 +201,8 @@ impl<D: BlockDevice> CouchStore<D> {
         loop {
             let mut next: Vec<NodeEntry> = Vec::with_capacity(current.len() / fanout + 1);
             for chunk in current.chunks(fanout) {
-                let ptr = self.append_node(level, chunk.to_vec())?;
+                let node = chunk.to_vec();
+                let ptr = self.stage_block(staged, |s, img| s.encode_node_at_tail(level, node, img))?;
                 next.push(NodeEntry { key: chunk[0].key, ptr, nblocks: 0, len: 0, aux: 0 });
             }
             if next.len() == 1 {
@@ -204,4 +212,34 @@ impl<D: BlockDevice> CouchStore<D> {
             level += 1;
         }
     }
+
+    /// Encode one block at the tail into the next free staging page.
+    fn stage_block(
+        &mut self,
+        staged: &mut Staged,
+        encode: impl FnOnce(&mut Self, &mut [u8]) -> u64,
+    ) -> Result<u64, CouchError> {
+        let bs = self.fs.page_size();
+        if staged.used * bs == staged.bufs.iter().map(Vec::len).sum() {
+            self.write_staged(staged)?;
+        }
+        staged.used += 1;
+        let img = staged.bufs.iter_mut().flat_map(|b| b.chunks_exact_mut(bs)).nth(staged.used - 1);
+        Ok(encode(self, img.expect("a stage of at least one page")))
+    }
+
+    /// Write the staged blocks — the last `used` of the file — as one submission.
+    fn write_staged(&mut self, staged: &mut Staged) -> Result<(), CouchError> {
+        let pages = staged.bufs.iter().flat_map(|b| b.chunks_exact(self.fs.page_size()));
+        let first = self.tail - staged.used as u64;
+        let batch: Vec<(u64, &[u8])> = (first..).zip(pages).take(staged.used).collect();
+        staged.used = 0;
+        Ok(self.fs.write_pages(self.file, &batch)?)
+    }
+}
+
+/// Rebuilt blocks encoded into the buffers a compaction owns, `used` of them not yet written.
+struct Staged<'a> {
+    bufs: &'a mut [Vec<u8>],
+    used: usize,
 }

@@ -164,7 +164,7 @@ impl<D: BlockDevice> CouchStore<D> {
             scratch: Vec::new(),
             stats: CouchStats::default(),
         };
-        store.write_header()?;
+        store.write_at_tail(Self::encode_header_at_tail)?;
         store.fs.fsync(store.file)?;
         Ok(store)
     }
@@ -172,11 +172,20 @@ impl<D: BlockDevice> CouchStore<D> {
     /// Open an existing database: scan backward for the last intact header
     /// (uncommitted tail appends are discarded, as couchstore does). A
     /// leftover partial compaction file is deleted and compaction restarts
-    /// from scratch — the paper's §4.3 recovery rule.
+    /// from scratch — the paper's §4.3 recovery rule. One that holds its
+    /// header is no longer partial: everything is in it, and the power cut may
+    /// have found the old file half trimmed, so that compaction is finished.
     pub fn open(mut fs: Vfs<D>, name: &str, cfg: CouchConfig) -> Result<Self, CouchError> {
         let compact_name = format!("{name}.compact");
-        if fs.lookup(&compact_name).is_some() {
-            fs.delete(&compact_name)?;
+        if let Some(compacted) = fs.lookup(&compact_name) {
+            if Self::last_header(&mut fs, compacted)?.is_none() {
+                fs.delete(&compact_name)?;
+            } else {
+                if fs.lookup(name).is_some() {
+                    fs.delete(name)?;
+                }
+                fs.rename(&compact_name, name)?;
+            }
         }
         let file = fs
             .lookup(name)
@@ -187,18 +196,8 @@ impl<D: BlockDevice> CouchStore<D> {
         // header can sit past the recorded length. Unwritten pages read as
         // zeros and fail the header check harmlessly.
         let len = fs.allocated_pages(file)?;
-        let bs = fs.page_size();
-        let mut buf = vec![0u8; bs];
-        let mut found: Option<(u64, Header)> = None;
-        for i in (0..len).rev() {
-            fs.read_page(file, i, &mut buf)?;
-            if let Some(h) = decode_header(&buf) {
-                found = Some((i, h));
-                break;
-            }
-        }
-        let (pos, h) =
-            found.ok_or_else(|| CouchError::Corrupt("no valid header found".to_string()))?;
+        let (pos, h) = Self::last_header(&mut fs, file)?
+            .ok_or_else(|| CouchError::Corrupt("no valid header found".to_string()))?;
         // Truncate everything past the recovered header: future appends
         // overwrite that region, and stale blocks (including stale headers
         // from a discarded generation) must not be mistaken for fresh data
@@ -229,6 +228,18 @@ impl<D: BlockDevice> CouchStore<D> {
             scratch: Vec::new(),
             stats: CouchStats::default(),
         })
+    }
+
+    /// The last intact header in `file`'s allocated region, and its block.
+    fn last_header(fs: &mut Vfs<D>, file: FileId) -> Result<Option<(u64, Header)>, CouchError> {
+        let mut buf = vec![0u8; fs.page_size()];
+        for i in (0..fs.allocated_pages(file)?).rev() {
+            fs.read_page(file, i, &mut buf)?;
+            if let Some(h) = decode_header(&buf) {
+                return Ok(Some((i, h)));
+            }
+        }
+        Ok(None)
     }
 
     /// Engine counters.
@@ -294,18 +305,19 @@ impl<D: BlockDevice> CouchStore<D> {
         Ok(&self.node_cache[&ptr])
     }
 
-    pub(crate) fn append_node(&mut self, level: u8, entries: Vec<NodeEntry>) -> Result<u64, CouchError> {
-        self.scratch.resize(self.fs.page_size(), 0);
-        encode_node(level, &entries, &mut self.scratch);
-        let ptr = self.tail;
-        self.fs.write_page(self.file, ptr, &self.scratch)?;
-        self.tail += 1;
+    /// Encode `entries` into `img` as the node block at the tail, cache and
+    /// count it. Writing `img` there is the caller's: a commit writes node by
+    /// node ([`CouchStore::append_node`]), a compaction one submission.
+    pub(crate) fn encode_node_at_tail(&mut self, level: u8, entries: Vec<NodeEntry>, img: &mut [u8]) -> u64 {
+        encode_node(level, &entries, img);
         self.stats.node_blocks_appended += 1;
-        self.node_cache.insert(ptr, (level, entries));
-        Ok(ptr)
+        self.node_cache.insert(self.tail, (level, entries));
+        self.tail += 1;
+        self.tail - 1
     }
 
-    pub(crate) fn write_header(&mut self) -> Result<(), CouchError> {
+    /// The same for the next header: encoded at the tail and counted, not written.
+    pub(crate) fn encode_header_at_tail(&mut self, img: &mut [u8]) -> u64 {
         self.hdr_seq += 1;
         let h = Header {
             seq: self.hdr_seq,
@@ -318,12 +330,24 @@ impl<D: BlockDevice> CouchStore<D> {
             tail: self.tail + 1,
             stale_blocks: self.stale_blocks,
         };
-        self.scratch.resize(self.fs.page_size(), 0);
-        encode_header(&h, &mut self.scratch);
-        self.fs.write_page(self.file, self.tail, &self.scratch)?;
-        self.tail += 1;
+        encode_header(&h, img);
         self.stats.header_blocks_appended += 1;
-        Ok(())
+        self.tail += 1;
+        self.tail - 1
+    }
+
+    /// Encode one block at the tail into the scratch and write it.
+    fn write_at_tail(&mut self, encode: impl FnOnce(&mut Self, &mut [u8]) -> u64) -> Result<u64, CouchError> {
+        let mut img = std::mem::take(&mut self.scratch);
+        img.resize(self.fs.page_size(), 0);
+        let ptr = encode(self, &mut img);
+        let written = self.fs.write_page(self.file, ptr, &img);
+        self.scratch = img;
+        Ok(written.map(|()| ptr)?)
+    }
+
+    fn append_node(&mut self, level: u8, entries: Vec<NodeEntry>) -> Result<u64, CouchError> {
+        self.write_at_tail(|s, img| s.encode_node_at_tail(level, entries, img))
     }
 
     // ----- document I/O ------------------------------------------------------
@@ -339,13 +363,19 @@ impl<D: BlockDevice> CouchStore<D> {
         self.next_rev += 1;
         encode_doc(key, rev, payload, bs, &mut self.scratch);
         let tail = self.tail;
-        let batch: Vec<(u64, &[u8])> = self
+        let mut batch: Vec<(u64, &[u8])> = self
             .scratch
             .chunks_exact(bs)
             .enumerate()
             .map(|(i, img)| (tail + i as u64, img))
             .collect();
         let nblocks = batch.len() as u64;
+        // Submission order is not file order: the device stripes a batch over
+        // its lanes as submitted, and documents of as many blocks as it has
+        // channels would put every head — all a compaction reads — on one lane.
+        // So each starts a block later than the one before (any part may
+        // survive a power cut, as before: unreferenced until its commit).
+        batch.rotate_left((rev % nblocks) as usize);
         if queued {
             // Retry through shared-queue saturation: only writes are in
             // flight on the save path, so reaped completions carry no
@@ -405,11 +435,15 @@ impl<D: BlockDevice> CouchStore<D> {
     }
 
     /// Current (pointer, seq) of `key`, pending changes included.
+    /// A tree change first (always the newer one), then a same-size update
+    /// awaiting its remap: the newest appended copy, under the tree's sequence.
     fn current_of(&mut self, key: u64) -> Result<Option<(DocPtr, u64)>, CouchError> {
         match self.pending.get(&key).copied() {
             Some(Pending::Put(ptr, seq)) => Ok(Some((ptr, seq))),
             Some(Pending::Delete) => Ok(None),
-            None => self.tree_lookup(key),
+            None => Ok(self.tree_lookup(key)?.map(|(ptr, seq)| {
+                (self.pending_shares.get(&key).map_or(ptr, |&(_, newest)| newest), seq)
+            })),
         }
     }
 
@@ -653,6 +687,16 @@ impl<D: BlockDevice> CouchStore<D> {
                 }
             }
             self.fs.ioctl_share_pairs(self.file, self.file, &pairs)?;
+            // The remap made the appended copies stale: unmap them now, one
+            // command per run (a round's copies are adjacent). No flash is
+            // freed — each page lives on under the old location — but the
+            // second reference goes (the paper's bounded reverse map, §4.2.1)
+            // and the next compaction's delete is left only what is mapped.
+            // `CouchMode::Original` gets no such trim: it would free flash.
+            pairs.sort_unstable_by_key(|&(_, new)| new);
+            for run in pairs.chunk_by(|a, b| a.1 + 1 == b.1) {
+                self.fs.trim_range(self.file, run[0].1, run[run.len() - 1].1 + 1)?;
+            }
         }
 
         if !self.pending.is_empty() || !self.pending_seq.is_empty() {
@@ -669,7 +713,7 @@ impl<D: BlockDevice> CouchStore<D> {
                 self.apply_updates(self.seq_root, self.seq_root_level, &seq_updates, false)?;
             self.seq_root = sroot;
             self.seq_root_level = slevel;
-            self.write_header()?;
+            self.write_at_tail(Self::encode_header_at_tail)?;
             self.fs.fsync(self.file)?;
         }
         self.ops_since_commit = 0;

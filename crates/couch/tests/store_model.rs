@@ -107,6 +107,104 @@ fn share_mode_matches_model() {
     sweep_mode("couch/share_mode_matches_model", CouchMode::Share);
 }
 
+// ----- read-your-writes -----------------------------------------------------
+
+/// One store per mode, driven in lockstep; every read is checked against the
+/// model in both, so the modes agree with it and with each other.
+struct Twins {
+    stores: [CouchStore<Ftl>; 2],
+    model: BTreeMap<u64, Vec<u8>>,
+}
+
+impl Twins {
+    fn save(&mut self, key: u64, doc: Vec<u8>) {
+        for s in &mut self.stores {
+            s.save(key, &doc).unwrap();
+        }
+        self.model.insert(key, doc);
+    }
+
+    fn delete(&mut self, key: u64) {
+        for s in &mut self.stores {
+            s.delete(key).unwrap();
+        }
+        self.model.remove(&key);
+    }
+
+    /// `get` of `key`, then one `get_many` over every key (and a missing one).
+    fn assert_reads(&mut self, key: u64, when: &str) {
+        let keys: Vec<u64> = (0..RYW_KEYS + 1).collect();
+        for (s, mode) in self.stores.iter_mut().zip(MODES) {
+            assert_eq!(s.get(key).unwrap().as_ref(), self.model.get(&key), "{when}: {mode:?} get({key})");
+            for (k, got) in keys.iter().zip(s.get_many(&keys).unwrap()) {
+                assert_eq!(got.as_ref(), self.model.get(k), "{when}: {mode:?} get_many key {k}");
+            }
+        }
+    }
+}
+
+const RYW_KEYS: u64 = 12;
+const MODES: [CouchMode; 2] = [CouchMode::Original, CouchMode::Share];
+
+fn random_doc(rng: &mut StdRng, len: usize) -> Vec<u8> {
+    let mut v = vec![0u8; len];
+    rng.fill(v.as_mut_slice());
+    v
+}
+
+/// SHARE mode used to serve a same-size update from the old location until
+/// its commit (`current_of` did not look at the updates awaiting a remap) while
+/// `CouchMode::Original` served the new copy: a mode divergence above the
+/// file, where SHARE is meant to be invisible. Reads are interleaved with
+/// uncommitted same-size updates (a key updated twice in one batch included),
+/// resizes, deletes and re-inserts; the batch size is never reached, so every
+/// commit and compaction is one the sequence asks for.
+///
+/// The commit-time trim of the remapped copies cannot reach such a read: it
+/// runs after the remap, when nothing is pending any more — which is also why
+/// this fix moves no `ycsb_a_couch` row (the driver commits before it reads).
+#[test]
+fn uncommitted_updates_read_back_in_both_modes() {
+    let per = doc_payload_per_block(4096);
+    let len_of = |key: u64| [10, per, per + 1, 16_000][key as usize % 4];
+    for (case, mut rng) in sweep("couch/read_your_writes", 12) {
+        let mut steps = rng.clone();
+        let mut doc = |key: u64, grow: usize| random_doc(&mut rng, len_of(key) + grow);
+        let stores = MODES.map(|mode| store(mode, 1 << 20));
+        let mut t = Twins { stores, model: BTreeMap::new() };
+        for key in 0..RYW_KEYS {
+            t.save(key, doc(key, 0));
+        }
+        t.stores.iter_mut().for_each(|s| s.commit().unwrap());
+
+        // The pinned sequence: update, read, update the same key again, read,
+        // commit, read.
+        t.save(3, doc(3, 0));
+        t.assert_reads(3, "updated once");
+        t.save(3, doc(3, 0));
+        t.assert_reads(3, "updated twice in one batch");
+        t.stores.iter_mut().for_each(|s| s.commit().unwrap());
+        t.assert_reads(3, "committed");
+
+        for step in 0..60 {
+            let key = steps.random_range(0..RYW_KEYS);
+            let when = format!("case {case} step {step}");
+            match steps.random_range(0..16u32) {
+                0..=8 => t.save(key, doc(key, 0)),
+                9..=10 => t.save(key, doc(key, 1 + key as usize)),
+                11 => t.delete(key),
+                12..=13 => t.stores.iter_mut().for_each(|s| s.commit().unwrap()),
+                14 => t.stores.iter_mut().for_each(|s| s.compact().map(drop).unwrap()),
+                _ => {}
+            }
+            t.assert_reads(key, &when);
+        }
+        let [original, share] = t.stores.each_ref().map(|s| s.stats());
+        assert_eq!((original.share_remaps, original.share_fallbacks), (0, 0));
+        assert!(share.share_remaps >= 10, "the sequence must take the remap path: {share:?}");
+    }
+}
+
 // ----- reassembly ---------------------------------------------------------
 
 /// The FTL with its submission queue hidden: `get_many` and `save_many` take

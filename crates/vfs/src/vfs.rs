@@ -544,13 +544,20 @@ impl<D: BlockDevice> Vfs<D> {
     }
 
     /// TRIM a page range of a file (used by recovery truncation: stale
-    /// blocks past a recovered tail must not masquerade as fresh data).
+    /// blocks past a recovered tail must not masquerade as fresh data, and by
+    /// a SHARE commit for the copies it remapped): one device command per
+    /// extent crossed — a run of LPNs — and none if the range leaves the file.
     pub fn trim_range(&mut self, f: FileId, from_page: u64, to_page: u64) -> Result<(), VfsError> {
         self.traced("trim_range", to_page.saturating_sub(from_page), |fs| {
+            if from_page < to_page {
+                fs.lpn_of(f, to_page - 1)?;
+            }
             fs.dev.set_stream(fs.stream_of(f.0));
-            for p in from_page..to_page {
-                let lpn = fs.lpn_of(f, p)?;
-                fs.dev.trim(lpn, 1)?;
+            let mut p = from_page;
+            while p < to_page {
+                let run = fs.extent_run(f, p)?.min(to_page - p);
+                fs.dev.trim(fs.lpn_of(f, p)?, run)?;
+                p += run;
             }
             Ok(())
         })

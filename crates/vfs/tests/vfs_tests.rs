@@ -2,6 +2,7 @@
 //! conventional SSD), including crash/remount behaviour.
 
 use share_core::{BlockDevice, Ftl, FtlConfig, FtlError, SimpleSsd};
+use share_telemetry::{Layer, TelemetryConfig};
 use share_vfs::{Vfs, VfsError, VfsOptions};
 
 fn ftl_fs() -> Vfs<Ftl> {
@@ -262,6 +263,56 @@ fn out_of_bounds_read_is_detected() {
         fs.read_page(f, allocated, &mut buf),
         Err(VfsError::OutOfBounds { .. })
     ));
+}
+
+/// The device `trim` commands (LPN, pages) the spans from `first` on record.
+fn trim_commands(fs: &Vfs<Ftl>, first: usize) -> Vec<u64> {
+    let spans = fs.tracer().spans().split_off(first);
+    spans.iter().filter(|s| s.layer == Layer::Ftl && s.name == "trim").map(|s| s.pages).collect()
+}
+
+#[test]
+fn trim_range_is_one_device_command_per_run_of_lpns() {
+    let cfg = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 16, nand_sim::NandTiming::zero())
+        .with_telemetry(TelemetryConfig::tracing());
+    let opts = VfsOptions { extent_chunk_pages: 4, ..Default::default() };
+    let mut fs = Vfs::format(Ftl::new(cfg), opts).unwrap();
+    let (f, g) = (fs.create("f").unwrap(), fs.create("g").unwrap());
+    // Interleaved growth: `f` is five 4-page extents with `g`'s in between.
+    for i in 0..20u64 {
+        fs.write_page(f, i, &page(&fs, i as u8 + 1)).unwrap();
+        fs.write_page(g, i, &page(&fs, 100)).unwrap();
+    }
+    assert_ne!(fs.lpn_of(f, 4).unwrap().0, fs.lpn_of(f, 3).unwrap().0 + 1, "extents must not abut");
+
+    // Inside one extent: one command, whatever the length.
+    let first = fs.tracer().span_count();
+    fs.trim_range(f, 1, 4).unwrap();
+    assert_eq!(trim_commands(&fs, first), [3]);
+    // Across extents: a new command at each boundary, the ends partial.
+    let first = fs.tracer().span_count();
+    fs.trim_range(f, 6, 17).unwrap();
+    assert_eq!(trim_commands(&fs, first), [2, 4, 4, 1]);
+    for i in 0..20u64 {
+        let trimmed = (1..4).contains(&i) || (6..17).contains(&i);
+        assert_eq!(read_byte(&mut fs, f, i), if trimmed { 0 } else { i as u8 + 1 }, "page {i}");
+        assert_eq!(read_byte(&mut fs, g, i), 100, "the neighbour's page {i}");
+    }
+
+    // An empty (or inverted) range is no command at all.
+    let (first, trims) = (fs.tracer().span_count(), fs.device().stats().trims);
+    fs.trim_range(f, 5, 5).unwrap();
+    fs.trim_range(f, 9, 2).unwrap();
+    assert_eq!((trim_commands(&fs, first).len(), fs.device().stats().trims), (0, trims));
+
+    // A range that leaves the allocation fails before the first side effect,
+    // however much of it lies inside.
+    let allocated = fs.allocated_pages(f).unwrap();
+    assert_eq!(allocated, 20);
+    let r = fs.trim_range(f, 17, allocated + 1);
+    assert!(matches!(r, Err(VfsError::OutOfBounds { page: 20, .. })), "{r:?}");
+    assert_eq!((trim_commands(&fs, first).len(), fs.device().stats().trims), (0, trims));
+    assert_eq!(read_byte(&mut fs, f, 19), 20);
 }
 
 #[test]
