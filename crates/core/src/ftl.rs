@@ -133,8 +133,6 @@ fn unit_labels(channels: u32, units: usize) -> Vec<String> {
 struct GcJob {
     /// Victim block, pool-relative.
     rel: u32,
-    /// Victim's channel (survivors stay on it).
-    channel: u32,
     /// First in-block page index not yet examined (relocation proceeds
     /// in page order).
     next_idx: u32,
@@ -234,7 +232,8 @@ impl Ftl {
     fn assemble(cfg: FtlConfig, mut nand: NandArray) -> Self {
         let map = MappingTable::with_policy(cfg.geometry, cfg.logical_pages, cfg.revmap_capacity, cfg.revmap_policy);
         let log = DeltaLog::new(&cfg, 0);
-        let pool = BlockPool::new(cfg.geometry, cfg.data_start(), cfg.data_blocks());
+        let pool =
+            BlockPool::new(cfg.geometry, cfg.data_start(), cfg.data_blocks(), cfg.gc_low_water);
         let telemetry = Telemetry::new(cfg.telemetry);
         let tracer = if cfg.telemetry.trace { Tracer::enabled() } else { Tracer::disabled() };
         nand.set_tracer(tracer.clone());

@@ -1,7 +1,7 @@
 //! Garbage collection: victim selection, the one relocation loop, and the
 //! watermark policy: budgeted background steps inside the slack band, a
 //! drain on the caller's timeline at the hard floor (DESIGN.md §12
-//! "Channel-affine copyback", §13).
+//! "Copyback over every channel", §13).
 
 use super::*;
 
@@ -113,11 +113,7 @@ impl Ftl {
             return false;
         };
         self.stats.gc_events += 1;
-        let block = self.pool.abs(rel);
-        // Survivors relocate on the victim's channel, so copyback stays
-        // channel-local.
-        let channel = self.cfg.geometry.channel_of_block(block);
-        self.gc_job = Some(GcJob { rel, channel, next_idx: 0 });
+        self.gc_job = Some(GcJob { rel, next_idx: 0 });
         true
     }
 
@@ -131,7 +127,7 @@ impl Ftl {
     /// relocated this step. `scratch` is the device's relocation scratch,
     /// lent by the caller for the step.
     fn gc_step(&mut self, budget: usize, scratch: &mut GcScratch) -> Result<u64, FtlError> {
-        let GcJob { rel, channel, next_idx } =
+        let GcJob { rel, next_idx } =
             *self.gc_job.as_ref().expect("gc_step without a job");
         let block = self.pool.abs(rel);
         let ppb = self.cfg.geometry.pages_per_block;
@@ -148,7 +144,8 @@ impl Ftl {
         if !live.is_empty() {
             // All relocation reads go out as one batched submission (they
             // come from one block, hence one unit, so this mostly amortizes
-            // the submission; the programs below batch across the GC lane).
+            // the submission); the programs below rotate over the GC lanes,
+            // one per channel, and overlap.
             let page_size = self.cfg.geometry.page_size;
             let need = live.len() * page_size;
             if data.len() < need {
@@ -157,7 +154,7 @@ impl Ftl {
             self.nand.read_batch(live.iter().copied().zip(data.chunks_mut(page_size)))?;
             dests.clear();
             for _ in live.iter() {
-                dests.push(self.pool.alloc(&self.nand, WritePoint::Gc { channel })?);
+                dests.push(self.pool.alloc(&self.nand, WritePoint::Gc)?);
             }
             self.nand.program_batch(dests.iter().copied().zip(data.chunks(page_size)))?;
             for (&ppn, &dest) in live.iter().zip(dests.iter()) {
@@ -228,8 +225,8 @@ impl Ftl {
     pub(super) fn ensure_free(&mut self) -> Result<(), FtlError> {
         // Every open lane — one user and one GC lane per channel — can
         // pull a fresh block from the free list between two GC checks (a
-        // batched submission feeds every user lane; GC feeds one copyback
-        // lane per victim), so the watermarks shift up by the lanes beyond
+        // batched submission feeds every user lane, a relocation step
+        // every GC lane), so the watermarks shift up by the lanes beyond
         // the baseline single user + single GC pair: `2·(channels − 1)`
         // blocks banked. At one channel this is exactly the configured
         // low/high pair.
@@ -238,7 +235,7 @@ impl Ftl {
         // otherwise a deep queue can strand GC with nothing collectible.
         let extra_lanes = 2 * (self.cfg.geometry.channels as usize - 1);
         let pinned = self.pool.inflight_pinned_blocks();
-        let low = self.cfg.gc_low_water + extra_lanes + pinned;
+        let low = self.pool.hard_floor() + extra_lanes;
         let high = self.cfg.gc_high_water + extra_lanes + pinned;
         // `low` banks `extra_lanes + pinned` blocks of slack precisely so
         // open lanes can pull fresh blocks between GC checks: dipping into
@@ -248,9 +245,9 @@ impl Ftl {
         // whole victims. The *hard floor* is the un-adjusted
         // `gc_low_water + pinned`, the point past which allocation is at
         // risk: only there does the command drain on its own timeline, the
-        // backstop between a full pool and `DeviceFull`.
-        let floor = self.cfg.gc_low_water + pinned;
-        if self.pool.free_count() <= floor {
+        // backstop between a full pool and `DeviceFull`, and only there do
+        // relocations fill the open GC lanes before opening a block.
+        if self.pool.free_count() <= self.pool.hard_floor() {
             self.drain_to(high)?;
         } else if self.pool.free_count() <= low + GC_SOFT_HEADROOM {
             // Loop (urgent catch-up) while free is inside the slack band.

@@ -6,10 +6,15 @@
 //! Write points are one user lane and one GC lane per **channel**. Host
 //! writes rotate round-robin over the user lanes, so consecutive host
 //! pages land on distinct channels and a batched submission can program
-//! them in parallel. GC copyback gets its own lane per channel: survivors
-//! relocate into a block on the victim's channel, keeping relocated data
-//! out of host blocks and letting relocation storms from victims on
-//! different channels proceed in parallel.
+//! them in parallel. GC copyback rotates the same way over its own lanes,
+//! so a relocation step programs on every channel instead of queueing on
+//! the victim's unit. At or below the hard floor the rotation skips full GC
+//! lanes while one has room: a drain opens one block, not one per channel.
+//! At any free count, a GC lane that must open a block skips a channel
+//! down to its last free block while another lane can go on: victims free
+//! blocks on their own channel only, and that last block keeps the
+//! channel's user lane from stealing one elsewhere (a *lane steal*, two
+//! lanes on one channel).
 //!
 //! With one channel this is exactly one user lane and one GC lane.
 
@@ -34,11 +39,8 @@ pub enum BlockState {
 pub enum WritePoint {
     /// Host data.
     User,
-    /// GC copyback data: survivors of a victim on `channel`.
-    Gc {
-        /// Channel the victim lives on (keeps copyback channel-affine).
-        channel: u32,
-    },
+    /// GC copyback data: survivors of a victim, on any channel.
+    Gc,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -66,8 +68,11 @@ pub struct BlockPool {
     /// consecutive host pages stripe over channels.
     user: Vec<Option<Open>>,
     user_cursor: usize,
-    /// GC copyback write points, one per channel.
+    /// GC copyback write points, one per channel, rotated over the same way.
     gc: Vec<Option<Open>>,
+    gc_cursor: usize,
+    /// `FtlConfig::gc_low_water`, the base of [`Self::hard_floor`].
+    low_water: usize,
     /// Monotonic sequence assigned when a block is sealed (FIFO GC order).
     seal_seq: Vec<u64>,
     seal_counter: u64,
@@ -93,8 +98,8 @@ pub struct BlockPool {
 }
 
 impl BlockPool {
-    /// A pool over data blocks `[start, start + count)`, all erased.
-    pub fn new(geometry: NandGeometry, start: BlockId, count: u32) -> Self {
+    /// A pool over blocks `[start, start + count)`, all erased, with GC low watermark `low_water`.
+    pub fn new(geometry: NandGeometry, start: BlockId, count: u32, low_water: usize) -> Self {
         let channels = geometry.channels as usize;
         Self {
             geometry,
@@ -105,6 +110,8 @@ impl BlockPool {
             user: vec![None; channels],
             user_cursor: 0,
             gc: vec![None; channels],
+            gc_cursor: 0,
+            low_water,
             seal_seq: vec![0; count as usize],
             seal_counter: 0,
             alloc_next: vec![0; count as usize],
@@ -179,6 +186,12 @@ impl BlockPool {
             .enumerate()
             .min_by_key(|(_, &rel)| nand.erase_count(self.abs(rel)))?;
         Some(self.free.swap_remove(pos))
+    }
+
+    /// Free blocks on channel `ch`.
+    fn free_on(&self, ch: usize) -> usize {
+        let on = |&&rel: &&u32| self.geometry.channel_of_block(self.abs(rel)) as usize == ch;
+        self.free.iter().filter(on).count()
     }
 
     fn open_mut(&mut self, lane: Lane) -> &mut Option<Open> {
@@ -263,10 +276,17 @@ impl BlockPool {
         self.inflight_blocks
     }
 
+    /// The low watermark plus the pinned blocks: at or below it `ensure_free`
+    /// drains and a GC allocation opens no block while a GC lane has room.
+    pub fn hard_floor(&self) -> usize {
+        self.low_water + self.inflight_blocks
+    }
+
     /// Allocate the next physical page for `wp`, opening a fresh block from
-    /// the free list when needed. Host allocations rotate round-robin over
-    /// the per-channel user lanes; GC allocations go to the victim's
-    /// channel's lane. Fails with `DeviceFull` when no block is available.
+    /// the free list when needed; host and GC allocations each rotate
+    /// round-robin over their per-channel lanes (see the module doc for when
+    /// a GC allocation skips a lane). Fails with `DeviceFull` when no block is
+    /// available.
     pub fn alloc(&mut self, nand: &NandArray, wp: WritePoint) -> Result<Ppn, FtlError> {
         match wp {
             WritePoint::User => {
@@ -274,8 +294,20 @@ impl BlockPool {
                 self.user_cursor = (ch + 1) % self.user.len();
                 self.alloc_in_lane(nand, Lane::User(ch))
             }
-            WritePoint::Gc { channel } => {
-                let ch = (channel as usize).min(self.gc.len() - 1);
+            WritePoint::Gc => {
+                let lanes = self.gc.len();
+                let mut ch = self.gc_cursor;
+                let mut rotation = (ch..ch + lanes).map(|l| l % lanes);
+                let ppb = self.geometry.pages_per_block;
+                let room = |l: usize| self.gc[l].is_some_and(|o| o.next < ppb);
+                if self.free.len() <= self.hard_floor() {
+                    ch = rotation.clone().find(|&l| room(l)).unwrap_or(ch);
+                }
+                if !room(ch) {
+                    // Opening a block: leave a channel its last free block.
+                    ch = rotation.find(|&l| room(l) || self.free_on(l) > 1).unwrap_or(ch);
+                }
+                self.gc_cursor = (ch + 1) % lanes;
                 self.alloc_in_lane(nand, Lane::Gc(ch))
             }
         }
@@ -307,6 +339,7 @@ impl BlockPool {
         self.user.fill(None);
         self.user_cursor = 0;
         self.gc.fill(None);
+        self.gc_cursor = 0;
         self.free.clear();
         // A crash drops the submission queue; nothing is in flight anymore.
         self.inflight = vec![0; self.count as usize];
@@ -335,242 +368,5 @@ impl BlockPool {
     /// is a block's age in seals (cost-benefit GC uses it).
     pub fn seal_counter(&self) -> u64 {
         self.seal_counter
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nand_sim::{NandTiming, SimClock};
-
-    const USER: WritePoint = WritePoint::User;
-    const GC0: WritePoint = WritePoint::Gc { channel: 0 };
-
-    fn setup() -> (BlockPool, NandArray) {
-        let g = NandGeometry::new(512, 4, 10);
-        let nand = NandArray::with_timing(g, NandTiming::zero(), SimClock::new());
-        // Data pool: blocks 2..10 (first two "meta").
-        (BlockPool::new(g, BlockId(2), 8), nand)
-    }
-
-    #[test]
-    fn allocations_are_sequential_within_a_block() {
-        let (mut pool, nand) = setup();
-        let p0 = pool.alloc(&nand, USER).unwrap();
-        let p1 = pool.alloc(&nand, USER).unwrap();
-        assert_eq!(p1.0, p0.0 + 1);
-        // Same block until it fills (4 pages).
-        let p2 = pool.alloc(&nand, USER).unwrap();
-        let p3 = pool.alloc(&nand, USER).unwrap();
-        assert_eq!(nand.geometry().block_of(p0), nand.geometry().block_of(p3));
-        let p4 = pool.alloc(&nand, USER).unwrap();
-        assert_ne!(nand.geometry().block_of(p0), nand.geometry().block_of(p4));
-        let _ = (p2, p4);
-    }
-
-    #[test]
-    fn user_and_gc_write_points_use_distinct_blocks() {
-        let (mut pool, nand) = setup();
-        let u = pool.alloc(&nand, USER).unwrap();
-        let g = pool.alloc(&nand, GC0).unwrap();
-        assert_ne!(nand.geometry().block_of(u), nand.geometry().block_of(g));
-    }
-
-    #[test]
-    fn gc_lanes_are_per_channel() {
-        let g = NandGeometry::new(512, 4, 16).with_parallelism(4, 1);
-        let nand = NandArray::with_timing(g, NandTiming::zero(), SimClock::new());
-        let mut pool = BlockPool::new(g, BlockId(0), 16);
-        let a = pool.alloc(&nand, GC0).unwrap();
-        let b = pool.alloc(&nand, WritePoint::Gc { channel: 1 }).unwrap();
-        let c = pool.alloc(&nand, GC0).unwrap();
-        assert_ne!(g.block_of(a), g.block_of(b), "distinct channels, distinct GC blocks");
-        assert_eq!(g.block_of(a), g.block_of(c), "same channel continues its open lane");
-        assert_eq!(g.channel_of_block(g.block_of(a)), 0);
-        assert_eq!(g.channel_of_block(g.block_of(b)), 1);
-    }
-
-    #[test]
-    fn lane_steal_fires_when_preferred_channel_is_dry() {
-        let g = NandGeometry::new(512, 4, 4).with_parallelism(2, 1);
-        let nand = NandArray::with_timing(g, NandTiming::zero(), SimClock::new());
-        let mut pool = BlockPool::new(g, BlockId(0), 4);
-        // Blocks 0 and 2 are channel 0; drain them through the channel-0
-        // GC lane (2 blocks x 4 pages).
-        for _ in 0..8 {
-            pool.alloc(&nand, GC0).unwrap();
-        }
-        assert_eq!(pool.lane_steals(), 0);
-        // The ninth allocation must open a third block for channel 0 —
-        // only channel-1 blocks remain, so the lane steals one.
-        let p = pool.alloc(&nand, GC0).unwrap();
-        assert_eq!(g.channel_of_block(g.block_of(p)), 1, "stolen block is foreign");
-        assert_eq!(pool.lane_steals(), 1, "cross-channel fallback must be counted");
-    }
-
-    #[test]
-    fn exhaustion_yields_device_full() {
-        let (mut pool, nand) = setup();
-        // 8 blocks * 4 pages = 32 allocations, all to the user point.
-        for _ in 0..32 {
-            pool.alloc(&nand, USER).unwrap();
-        }
-        assert_eq!(pool.alloc(&nand, USER), Err(FtlError::DeviceFull));
-        assert_eq!(pool.free_count(), 0);
-    }
-
-    #[test]
-    fn full_blocks_become_victim_eligible() {
-        let (mut pool, mut nand) = setup();
-        for _ in 0..4 {
-            let p = pool.alloc(&nand, USER).unwrap();
-            nand.program(p, &[0u8; 512]).unwrap();
-        }
-        // Block not yet closed: closing happens lazily on the next alloc.
-        pool.alloc(&nand, USER).unwrap();
-        let closed: Vec<u32> = (0..8).filter(|&r| pool.victim_eligible(r, &nand)).collect();
-        assert_eq!(closed.len(), 1);
-    }
-
-    #[test]
-    fn unprogrammed_batch_pages_block_victim_eligibility() {
-        let (mut pool, mut nand) = setup();
-        // Fill a block with allocations but only program three of the four
-        // pages — the last allocation is still in flight.
-        let mut pages = Vec::new();
-        for _ in 0..4 {
-            pages.push(pool.alloc(&nand, USER).unwrap());
-        }
-        for p in &pages[..3] {
-            nand.program(*p, &[0u8; 512]).unwrap();
-        }
-        pool.alloc(&nand, USER).unwrap(); // closes the full block
-        let rel = pool.rel(nand.geometry().block_of(pages[0])).unwrap();
-        assert_eq!(pool.state(rel), BlockState::Closed);
-        assert!(!pool.victim_eligible(rel, &nand), "in-flight page must pin the block");
-        nand.program(pages[3], &[0u8; 512]).unwrap();
-        assert!(pool.victim_eligible(rel, &nand));
-    }
-
-    #[test]
-    fn release_returns_block_to_free_list() {
-        let (mut pool, mut nand) = setup();
-        for _ in 0..5 {
-            let p = pool.alloc(&nand, USER).unwrap();
-            nand.program(p, &[0u8; 512]).unwrap();
-        }
-        let victim = (0..8).find(|&r| pool.victim_eligible(r, &nand)).unwrap();
-        let before = pool.free_count();
-        nand.erase(pool.abs(victim)).unwrap();
-        pool.release(victim);
-        assert_eq!(pool.free_count(), before + 1);
-        assert_eq!(pool.state(victim), BlockState::Free);
-    }
-
-    #[test]
-    fn wear_leveling_prefers_low_erase_count() {
-        let (mut pool, mut nand) = setup();
-        // Wear out block rel=0 (abs 2) heavily.
-        for _ in 0..5 {
-            nand.erase(BlockId(2)).unwrap();
-        }
-        let p = pool.alloc(&nand, USER).unwrap();
-        // Allocation should come from some block other than the worn one.
-        assert_ne!(nand.geometry().block_of(p), BlockId(2));
-    }
-
-    #[test]
-    fn rebuild_from_nand_seals_programmed_blocks() {
-        let (mut pool, mut nand) = setup();
-        let p = pool.alloc(&nand, USER).unwrap();
-        nand.program(p, &[0u8; 512]).unwrap();
-        pool.rebuild_from_nand(&nand);
-        let rel = pool.rel(nand.geometry().block_of(p)).unwrap();
-        assert_eq!(pool.state(rel), BlockState::Closed);
-        assert_eq!(pool.free_count(), 7);
-    }
-
-    #[test]
-    fn user_allocations_stripe_across_channels() {
-        let g = NandGeometry::new(512, 4, 16).with_parallelism(4, 1);
-        let nand = NandArray::with_timing(g, NandTiming::zero(), SimClock::new());
-        let mut pool = BlockPool::new(g, BlockId(0), 16);
-        let ppns: Vec<Ppn> = (0..4).map(|_| pool.alloc(&nand, USER).unwrap()).collect();
-        let mut channels: Vec<u32> =
-            ppns.iter().map(|&p| g.channel_of_block(g.block_of(p))).collect();
-        channels.sort_unstable();
-        channels.dedup();
-        assert_eq!(channels.len(), 4, "4 consecutive host pages span 4 channels");
-        // The fifth allocation wraps back to the first lane's open block.
-        let p4 = pool.alloc(&nand, USER).unwrap();
-        assert_eq!(g.block_of(p4), g.block_of(ppns[0]));
-        assert_eq!(p4.0, ppns[0].0 + 1);
-    }
-
-    #[test]
-    fn captured_blocks_pin_victims_until_released() {
-        let (mut pool, mut nand) = setup();
-        // Fill one block inside a capture window, program every page.
-        pool.begin_capture();
-        let mut pages = Vec::new();
-        for _ in 0..4 {
-            let p = pool.alloc(&nand, USER).unwrap();
-            nand.program(p, &[0u8; 512]).unwrap();
-            pages.push(p);
-        }
-        let captured = pool.end_capture();
-        assert_eq!(captured.len(), 4);
-        pool.alloc(&nand, USER).unwrap(); // closes the full block
-        let rel = pool.rel(nand.geometry().block_of(pages[0])).unwrap();
-        assert_eq!(pool.state(rel), BlockState::Closed);
-        assert_eq!(pool.inflight_pinned_blocks(), 1);
-        assert!(
-            !pool.victim_eligible(rel, &nand),
-            "fully-programmed block must stay pinned while its command is unreaped"
-        );
-        pool.release_inflight(&captured);
-        assert_eq!(pool.inflight_pinned_blocks(), 0);
-        assert!(pool.victim_eligible(rel, &nand));
-    }
-
-    #[test]
-    fn overlapping_command_pins_release_independently() {
-        let (mut pool, mut nand) = setup();
-        pool.begin_capture();
-        let p0 = pool.alloc(&nand, USER).unwrap();
-        nand.program(p0, &[0u8; 512]).unwrap();
-        let first = pool.end_capture();
-        pool.begin_capture();
-        let p1 = pool.alloc(&nand, USER).unwrap();
-        nand.program(p1, &[0u8; 512]).unwrap();
-        let second = pool.end_capture();
-        // Both commands touched the same open block.
-        assert_eq!(first, second);
-        assert_eq!(pool.inflight_pinned_blocks(), 1);
-        pool.release_inflight(&first);
-        assert_eq!(pool.inflight_pinned_blocks(), 1, "second command still pins");
-        pool.release_inflight(&second);
-        assert_eq!(pool.inflight_pinned_blocks(), 0);
-    }
-
-    #[test]
-    fn rebuild_clears_inflight_pins() {
-        let (mut pool, mut nand) = setup();
-        pool.begin_capture();
-        let p = pool.alloc(&nand, USER).unwrap();
-        nand.program(p, &[0u8; 512]).unwrap();
-        let _captured = pool.end_capture();
-        assert_eq!(pool.inflight_pinned_blocks(), 1);
-        pool.rebuild_from_nand(&nand);
-        assert_eq!(pool.inflight_pinned_blocks(), 0);
-    }
-
-    #[test]
-    fn rel_abs_round_trip() {
-        let (pool, _) = setup();
-        assert_eq!(pool.abs(3), BlockId(5));
-        assert_eq!(pool.rel(BlockId(5)), Some(3));
-        assert_eq!(pool.rel(BlockId(1)), None); // meta area
-        assert_eq!(pool.rel(BlockId(10)), None); // beyond pool
     }
 }

@@ -14,6 +14,9 @@
 //! The host-visible outcome is held separately against a shadow map of
 //! the storm: GC may reorder relocations freely, but contents, trim holes,
 //! host counters and the FTL invariant walk cannot depend on it.
+//!
+//! On four channels the file pins timing by arithmetic instead of a
+//! recorded clock: one victim's copyback stripes over every unit.
 
 use nand_sim::NandTiming;
 use share_core::{BlockDevice, Ftl, FtlConfig, Lpn};
@@ -169,4 +172,62 @@ fn one_channel_gc_timing_is_bit_identical_to_single_lane() {
         "(now_ns, page_programs, block_erases, gc_events, copyback_pages) drifted \
          from the recorded single-GC-lane run"
     );
+}
+
+/// Four channels: one victim's survivors stripe over the four GC lanes.
+/// A 4-channel device with 7 % spare is filled, six pages of the first
+/// block are rewritten, and the next command finds the pool below the low
+/// watermark on idle units: its background steps collect that one victim
+/// (ten live pages) back to back. Each 4-page step reads on the victim's
+/// unit and puts one program on each unit, so the window is the victim's
+/// reads plus one program per step, the log page and the erase. With
+/// channel-affine copyback every program queued on the victim's unit
+/// behind the reads: 11.7 ms here against 6.0.
+#[test]
+fn four_channel_copyback_stripes_one_victim_over_every_unit() {
+    use share_core::{Layer, TelemetryConfig, Track};
+    const CHANNELS: usize = 4;
+    let timing = NandTiming::default();
+    let cfg = FtlConfig::for_capacity_with(256 * PAGE as u64, 0.07, PAGE, 16, timing)
+        .with_parallelism(CHANNELS as u32, 1)
+        .with_telemetry(TelemetryConfig::tracing());
+    let mut ftl = Ftl::new(cfg);
+    let page = vec![0x3c; PAGE];
+    // Sequential fill: 16 full blocks, LPN i on user lane i % 4, so the
+    // first block of lane 0 holds LPNs 0, 4, …, 60.
+    let fill: Vec<(Lpn, &[u8])> = (0..256).map(|l| (Lpn(l), page.as_slice())).collect();
+    ftl.write_batch(&fill).unwrap();
+    let rewrite: Vec<(Lpn, &[u8])> = (0..6).map(|i| (Lpn(4 * i), page.as_slice())).collect();
+    ftl.write_batch(&rewrite).unwrap();
+    assert_eq!(ftl.stats().gc_events, 0, "nothing collected before the trigger");
+    ftl.write(Lpn(255), &page).unwrap();
+
+    let stats = ftl.stats();
+    assert_eq!((stats.gc_events, stats.gc_erases, stats.copyback_pages), (1, 1, 10));
+    assert_eq!(stats.gc_stall_ns, 0, "collected by background steps, not a drain");
+    let spans = ftl.tracer().spans();
+    let steps: Vec<_> = spans.iter().filter(|s| s.layer == Layer::Ftl && s.name == "gc").collect();
+    assert_eq!(steps.len(), 3, "ten live pages take three 4-page steps");
+    assert!(steps.iter().all(|s| s.parent == steps[0].parent), "one command ran every step");
+    let mut reads = 0u64;
+    let mut programs = [0u64; CHANNELS];
+    for leaf in spans.iter().filter(|l| steps.iter().any(|s| s.id == l.parent)) {
+        match (leaf.name.as_str(), leaf.track) {
+            ("read", _) => reads += 1,
+            ("program", Track::Unit { channel, .. }) => programs[channel as usize] += 1,
+            _ => {}
+        }
+    }
+    let v = reads;
+    assert_eq!(v, 10);
+    let (min, max) = (programs.iter().min().unwrap(), programs.iter().max().unwrap());
+    assert!(max - min <= 1, "copyback programs per unit {programs:?}");
+
+    let page_xfer = timing.xfer_ns(PAGE);
+    let bound = v * (timing.read_ns + page_xfer)
+        + v.div_ceil(CHANNELS as u64) * (timing.program_ns + page_xfer)
+        + timing.erase_ns
+        + (timing.program_ns + page_xfer);
+    let window = steps.last().unwrap().end_ns - steps[0].start_ns;
+    assert!(window <= bound, "collection window {window} ns exceeds {bound} ns");
 }

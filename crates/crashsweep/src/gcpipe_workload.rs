@@ -18,6 +18,10 @@
 //! * host-write boundaries with a relocation job parked in flight from a
 //!   previous command's budgeted step.
 //!
+//! The storm runs on one channel, then on four, where a relocation step
+//! stripes one victim's survivors over four open GC frontiers; the crash
+//! space is the two runs' spaces end to end.
+//!
 //! The recovery oracle is unchanged — prefix consistency over the host
 //! ops. Relocation must be invisible to it: a crashed GC step loses only
 //! unflushed deltas whose old physical pages are, by construction, still
@@ -37,11 +41,13 @@ use share_rng::{Rng, StdRng};
 /// victim carries six or seven live pages, more than one step relocates.
 const STORM_PAGES: u64 = 256;
 
-/// A mixed-lifetime overwrite storm on a tight device, run through the
-/// oracle of [`FtlMixedWorkload`].
+/// A mixed-lifetime overwrite storm on a tight device, on one channel and
+/// on four, each run through the oracle of [`FtlMixedWorkload`].
 #[derive(Debug, Clone)]
 pub struct FtlGcPipelineWorkload {
-    inner: FtlMixedWorkload,
+    runs: [FtlMixedWorkload; 2],
+    /// Crash points of the one-channel run, which come first.
+    split: u64,
 }
 
 impl FtlGcPipelineWorkload {
@@ -73,21 +79,28 @@ impl FtlGcPipelineWorkload {
             round += 1;
         }
         ops.truncate(n_ops);
-        Self { inner: FtlMixedWorkload { seed, ops, cfg } }
+        let one = FtlMixedWorkload { seed, ops: ops.clone(), cfg: cfg.clone() };
+        let split = one.crash_points();
+        Self { runs: [one, FtlMixedWorkload { seed, ops, cfg: cfg.with_parallelism(4, 1) }], split }
     }
 }
 
 impl CrashWorkload for FtlGcPipelineWorkload {
     fn name(&self) -> String {
-        format!("ftl-gcpipe-s{}-n{}", self.inner.seed, self.inner.ops.len())
+        format!("ftl-gcpipe-s{}-n{}", self.runs[0].seed, self.runs[0].ops.len())
     }
 
     fn crash_points(&self) -> u64 {
-        self.inner.crash_points()
+        self.split + self.runs[1].crash_points()
     }
 
     fn run_case(&self, mode: FaultMode, index: u64) -> Result<(), String> {
-        self.inner.run_case(mode, index)
+        // Crash indices count from 1 in each run.
+        if index <= self.split {
+            self.runs[0].run_case(mode, index)
+        } else {
+            self.runs[1].run_case(mode, index - self.split)
+        }
     }
 }
 
@@ -95,36 +108,66 @@ impl CrashWorkload for FtlGcPipelineWorkload {
 mod tests {
     use super::*;
     use crate::ftl_workload::exec;
-    use share_core::{BlockDevice, Ftl};
+    use share_core::{BlockDevice, Ftl, Layer, TelemetryConfig, Track};
+    use std::collections::BTreeSet;
 
     #[test]
     fn budgeted_steps_actually_leave_relocations_in_flight() {
         // The whole point of this workload: the GC job must stay parked
         // across foreground commands. The deferral counter settles exactly
         // when a budgeted step ends with pages still pending, so it proves
-        // the in-flight state space is real.
+        // the in-flight state space is real — at both channel counts.
         let w = FtlGcPipelineWorkload::new(3, 600);
-        let mut ftl = Ftl::new(w.inner.cfg.clone());
-        for op in &w.inner.ops {
+        for run in &w.runs {
+            let mut ftl = Ftl::new(run.cfg.clone());
+            for op in &run.ops {
+                exec(&mut ftl, op).expect("fault-free op");
+            }
+            let stats = ftl.stats();
+            assert!(stats.gc_events > 0, "workload never triggered GC");
+            assert!(
+                stats.gc_budget_deferrals > 0,
+                "no budgeted GC step ever left a victim half-collected \
+                 ({} GC events, {} copybacks)",
+                stats.gc_events,
+                stats.copyback_pages
+            );
+        }
+    }
+
+    #[test]
+    fn four_channel_steps_spread_one_victim_over_several_gc_frontiers() {
+        let w = FtlGcPipelineWorkload::new(3, 600);
+        let run = &w.runs[1];
+        let mut ftl = Ftl::new(run.cfg.clone().with_telemetry(TelemetryConfig::tracing()));
+        for op in &run.ops {
             exec(&mut ftl, op).expect("fault-free op");
         }
-        let stats = ftl.stats();
-        assert!(stats.gc_events > 0, "workload never triggered GC");
-        assert!(
-            stats.gc_budget_deferrals > 0,
-            "no budgeted GC step ever left a victim half-collected \
-             ({} GC events, {} copybacks)",
-            stats.gc_events,
-            stats.copyback_pages
-        );
+        let spans = ftl.tracer().spans();
+        let striped = spans.iter().filter(|s| s.layer == Layer::Ftl && s.name == "gc").any(|step| {
+            let channels: BTreeSet<u32> = spans
+                .iter()
+                .filter(|l| l.parent == step.id && l.name == "program")
+                .filter_map(|l| match l.track {
+                    Track::Unit { channel, .. } => Some(channel),
+                    _ => None,
+                })
+                .collect();
+            channels.len() == 4
+        });
+        assert!(striped, "no relocation step programmed on all four channels");
     }
 
     #[test]
     fn one_case_of_each_mode_passes_the_oracle() {
+        // Both ends and the middle of the one-channel run and of the
+        // four-channel one.
         let w = FtlGcPipelineWorkload::new(9, 600);
-        let mid = w.crash_points() / 2;
-        for mode in FaultMode::ALL {
-            w.run_case(mode, mid).unwrap();
+        let total = w.crash_points();
+        for index in [1, w.split / 2, w.split, w.split + 1, (w.split + total) / 2, total] {
+            for mode in FaultMode::ALL {
+                w.run_case(mode, index).unwrap();
+            }
         }
     }
 }

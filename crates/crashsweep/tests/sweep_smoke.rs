@@ -53,8 +53,10 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
     visited += run_smoke(&FtlStreamWorkload::new(42, 300), 60);
     // Parked GC: a storm on a tight device keeps half-collected victims
     // across commands, so crashes land at copyback submission/completion
-    // boundaries with relocations (and buffered deltas) in flight.
-    visited += run_smoke(&FtlGcPipelineWorkload::new(42, 600), 60);
+    // boundaries with relocations (and buffered deltas) in flight — on one
+    // channel, then on four, where one victim's survivors sit on several
+    // GC frontiers (the four-channel run holds ~4/5 of the points).
+    visited += run_smoke(&FtlGcPipelineWorkload::new(42, 600), 120);
     // Snapshot lifecycle: crash points around RAM-only creates, atomic
     // clone delta flushes, buffered drop tombstones and pinned-page GC
     // (the snapshot/clone subsystem tentpole).
