@@ -25,11 +25,6 @@ pub enum GcPolicy {
     Greedy,
     /// Oldest sealed block first (simple firmware, baseline for ablation).
     Fifo,
-    /// Maximize reclaimable space × block age: prefers blocks that free
-    /// many pages *and* have sat sealed long enough that their remaining
-    /// valid pages are likely cold, so the same pages are not recopied
-    /// every few victim rounds (the classic cost-benefit heuristic).
-    CostBenefit,
 }
 
 /// Bytes of one serialized mapping delta: LPN (8) + old PPN (4) + new PPN (4).

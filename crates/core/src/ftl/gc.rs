@@ -19,8 +19,7 @@ const GC_SOFT_HEADROOM: usize = 1;
 
 impl Ftl {
     /// Pick a GC victim per the configured policy: greedy (fewest valid
-    /// pages), FIFO (oldest sealed block), or cost-benefit (most
-    /// reclaimable space × seal age). Fully valid blocks are never
+    /// pages) or FIFO (oldest sealed block). Fully valid blocks are never
     /// picked — erasing them reclaims nothing — and a block already being
     /// collected incrementally is skipped.
     fn pick_victim(&self) -> Option<(u32, u32)> {
@@ -57,15 +56,6 @@ impl Ftl {
             let rank = match self.cfg.gc_policy {
                 crate::config::GcPolicy::Greedy => valid as u64,
                 crate::config::GcPolicy::Fifo => self.pool.seal_seq(rel),
-                crate::config::GcPolicy::CostBenefit => {
-                    // Maximize reclaimable × age; invert into the shared
-                    // min-rank comparison. Age starts at 1 so a freshly
-                    // sealed empty block still beats a full one.
-                    let reclaimable = (ppb - valid) as u64;
-                    let age =
-                        self.pool.seal_counter().saturating_sub(self.pool.seal_seq(rel)) + 1;
-                    u64::MAX - reclaimable.saturating_mul(age)
-                }
             };
             if best.is_none_or(|(_, _, r)| rank < r) {
                 best = Some((rel, valid, rank));
@@ -250,13 +240,22 @@ impl Ftl {
         if self.pool.free_count() <= self.pool.hard_floor() {
             self.drain_to(high)?;
         } else if self.pool.free_count() <= low + GC_SOFT_HEADROOM {
-            // Loop (urgent catch-up) while free is inside the slack band.
-            // The iteration bound (~4 victims' worth of steps) prevents a
-            // death spiral when victims are nearly all-valid; past it the
-            // hard floor above takes over.
+            // Catch up by how far free has fallen into the slack band: `d`
+            // is 0 at the soft mark and `extra_lanes` just above the hard
+            // floor, and once `(1 + d)²` steps are done the loop stops while
+            // free is still above the floor (stopping *at* it would hand the
+            // next command a drain). Each step reserves lanes ahead of the
+            // host, so steps beyond what the deficit needs delay the
+            // command's own program (by up to ~100 ms on an aged 4-channel
+            // device). At one channel `low` is the floor and this stop
+            // never fires. The `4·ppb` page bound prevents a death spiral
+            // when victims are nearly all-valid; past it the hard floor
+            // above takes over.
+            let d = low + GC_SOFT_HEADROOM - self.pool.free_count();
+            let paced = (1 + d) * (1 + d);
             let ppb = self.cfg.geometry.pages_per_block as usize;
-            let mut steps_left = (4 * ppb / GC_BUDGET_PAGES).max(1);
-            loop {
+            let max_steps = (4 * ppb / GC_BUDGET_PAGES).max(1);
+            for steps in 1..=max_steps {
                 if self.gc_job.is_none() && !self.gc_begin_job() {
                     break;
                 }
@@ -264,8 +263,8 @@ impl Ftl {
                 if self.gc_job.is_some() {
                     self.stats.gc_budget_deferrals += 1;
                 }
-                steps_left -= 1;
-                if self.pool.free_count() > low || steps_left == 0 {
+                let free = self.pool.free_count();
+                if free > low || (steps >= paced && free > self.pool.hard_floor()) {
                     break;
                 }
             }

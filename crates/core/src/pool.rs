@@ -363,10 +363,4 @@ impl BlockPool {
     pub fn seal_seq(&self, rel: u32) -> u64 {
         self.seal_seq[rel as usize]
     }
-
-    /// Latest seal sequence handed out; `seal_counter() - seal_seq(rel)`
-    /// is a block's age in seals (cost-benefit GC uses it).
-    pub fn seal_counter(&self) -> u64 {
-        self.seal_counter
-    }
 }

@@ -16,7 +16,9 @@
 //! host counters and the FTL invariant walk cannot depend on it.
 //!
 //! On four channels the file pins timing by arithmetic instead of a
-//! recorded clock: one victim's copyback stripes over every unit.
+//! recorded clock: one victim's copyback stripes over every unit, and a
+//! command inside the slack band runs at most `(1 + d)²` background steps,
+//! `d` blocks below the soft mark, unless free sits at the hard floor.
 
 use nand_sim::NandTiming;
 use share_core::{BlockDevice, Ftl, FtlConfig, Lpn};
@@ -230,4 +232,70 @@ fn four_channel_copyback_stripes_one_victim_over_every_unit() {
         + (timing.program_ns + page_xfer);
     let window = steps.last().unwrap().end_ns - steps[0].start_ns;
     assert!(window <= bound, "collection window {window} ns exceeds {bound} ns");
+}
+
+/// Four channels, aged: the writes of the storm above, each observed. A
+/// command that finds free `d` blocks below the soft mark (`low + 1`,
+/// `low` = hard floor + `2·(channels − 1)` lane slack) may run `(1 + d)²`
+/// background `gc` steps; more only while free sits at the hard floor,
+/// where stopping would hand the next command a drain. A step frees at
+/// most one block, so such a command ends at most one block above the
+/// floor.
+#[test]
+fn four_channel_slack_band_catch_up_is_paced_by_the_deficit() {
+    use share_core::telemetry::NO_PARENT;
+    use share_core::{Layer, TelemetryConfig};
+    const CHANNELS: u32 = 4;
+    let cfg = gc_heavy_cfg()
+        .with_parallelism(CHANNELS, 1)
+        .with_telemetry(TelemetryConfig::tracing());
+    let floor = cfg.gc_low_water;
+    let low = floor + 2 * (CHANNELS as usize - 1);
+    let mut ftl = Ftl::new(cfg);
+    let free = |ftl: &Ftl| ftl.health_report().free_blocks as usize;
+    // (free before, free after) per write, in issue order.
+    let mut writes = Vec::new();
+    for round in 0..10u64 {
+        for i in 0..PAGES {
+            let lpn = (i * 173 + round * 311) % PAGES;
+            if round % (1 + lpn % 4) == 0 {
+                let before = free(&ftl);
+                ftl.write(Lpn(lpn), &[fill_of(round, lpn); PAGE]).unwrap();
+                writes.push((before, free(&ftl)));
+            }
+        }
+        ftl.flush().unwrap();
+    }
+    ftl.check_invariants();
+
+    let spans = ftl.tracer().spans();
+    let roots: Vec<u32> = spans
+        .iter()
+        .filter(|s| s.parent == NO_PARENT && s.name == "write")
+        .map(|s| s.id)
+        .collect();
+    assert_eq!(roots.len(), writes.len(), "one root span per write");
+    let mut steps = vec![0usize; spans.len()];
+    for s in spans.iter().filter(|s| s.layer == Layer::Ftl && s.name == "gc") {
+        steps[s.parent as usize] += 1;
+    }
+    // Depths at which the paced stop bound a command above the floor.
+    let mut paced_stops = std::collections::BTreeSet::new();
+    for (n, (&root, &(before, after))) in roots.iter().zip(&writes).enumerate() {
+        if before <= floor || before > low + 1 {
+            continue; // a drain, or no collection at all
+        }
+        let d = low + 1 - before;
+        let paced = (1 + d) * (1 + d);
+        let ran = steps[root as usize];
+        assert!(
+            ran <= paced || after <= floor + 1,
+            "write {n}: {ran} gc steps at d = {d} (bound {paced}) ended with {after} free"
+        );
+        if ran == paced && after > floor + 1 {
+            paced_stops.insert(d);
+        }
+    }
+    assert!(paced_stops.iter().any(|&d| d >= 2), "paced stops only at depths {paced_stops:?}");
+    assert_eq!(ftl.stats().gc_stall_ns, 0, "the paced stop never handed a command a drain");
 }

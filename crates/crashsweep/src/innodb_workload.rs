@@ -29,7 +29,7 @@ fn engine_cfg() -> InnoDbConfig {
         pool_pages: 24, // small pool: constant eviction traffic through SHARE
         flush_batch: 8,
         max_pages: 1024, // tablespace preallocated in full; fits the 2048-page device
-        // A tiny fuzzy-checkpoint threshold: every dozen-odd commits the
+        // A tiny checkpoint threshold: every dozen-odd commits the
         // engine flushes dirty pages through the DWB-via-share path, so
         // the crash-point space densely covers that protocol.
         ckpt_redo_bytes: 2 << 10,

@@ -268,28 +268,36 @@ mod tests {
     }
 
     #[test]
-    fn channels_keep_multiple_frontiers_open_at_the_end_of_the_run() {
+    fn channels_keep_multiple_frontiers_open_during_the_run() {
         // The point of this workload: the crash space spans several
-        // partially programmed data blocks at once. Check the fault-free
-        // run ends with open frontiers on at least two channels.
+        // partially programmed data blocks at once. Check that some crash
+        // boundary of the fault-free run — the op boundary with the most
+        // open frontiers, not just the last one — finds them on at least
+        // two channels.
         let w = FtlStreamWorkload::new(3, 250);
         let mut ftl = Ftl::new(w.cfg.clone());
         let streams: Vec<u32> =
             STREAM_LABELS.iter().map(|l| ftl.stream_intern(l)).collect();
+        let g = w.cfg.geometry;
+        let mut widest: (BTreeSet<u32>, Vec<BlockId>) = Default::default();
         for (slot, op) in &w.ops {
             ftl.set_stream(streams[*slot]);
             exec(&mut ftl, op).unwrap();
+            let partial: Vec<BlockId> = (w.cfg.data_start().0..g.blocks)
+                .map(BlockId)
+                .filter(|&b| (1..g.pages_per_block).contains(&ftl.nand().write_frontier(b)))
+                .collect();
+            let channels: BTreeSet<u32> =
+                partial.iter().map(|&b| g.channel_of_block(b)).collect();
+            if channels.len() > widest.0.len() {
+                widest = (channels, partial);
+            }
         }
-        let nand = ftl.into_nand();
-        let g = w.cfg.geometry;
-        let partial: Vec<BlockId> = (w.cfg.data_start().0..g.blocks)
-            .map(BlockId)
-            .filter(|&b| (1..g.pages_per_block).contains(&nand.write_frontier(b)))
-            .collect();
-        let channels: BTreeSet<u32> = partial.iter().map(|&b| g.channel_of_block(b)).collect();
+        let (channels, partial) = widest;
         assert!(
             channels.len() >= 2,
-            "partially programmed data blocks {partial:?} sit on channels {channels:?}"
+            "at the widest op boundary, partially programmed data blocks {partial:?} sit on \
+             channels {channels:?}"
         );
     }
 }

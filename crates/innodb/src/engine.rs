@@ -65,7 +65,8 @@ pub struct InnoDbConfig {
     pub pool_pages: usize,
     /// Dirty pages flushed per double-write batch.
     pub flush_batch: usize,
-    /// Redo bytes between fuzzy checkpoints.
+    /// Redo bytes between sharp checkpoints (every dirty page is flushed on
+    /// the caller's clock before the checkpoint record is written).
     pub ckpt_redo_bytes: u64,
     /// fsync the redo log at every commit.
     pub fsync_on_commit: bool,
@@ -109,7 +110,7 @@ pub struct EngineStats {
     /// Flush batches that fell back to in-place writes because SHARE was
     /// refused (reverse-map pressure).
     pub share_fallbacks: u64,
-    /// Fuzzy checkpoints taken.
+    /// Sharp checkpoints taken.
     pub checkpoints: u64,
     /// Group-commit windows closed (one shared log fsync each).
     pub group_commits: u64,
