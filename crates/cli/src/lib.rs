@@ -87,7 +87,7 @@ fn usage() -> String {
      \x20 sharectl snapshot <img> ls\n\
      \x20\x20\x20\x20 (device-level snapshots: create freezes a page range with zero\n\
      \x20\x20\x20\x20 NAND programs, clone materializes a writable zero-copy image)\n\
-     \x20 sharectl crashsweep [--workload ftl|queued|queued-batch|stream|gcpipe|snapshot|sqlite|innodb|all] [--trace <file>]\n\
+     \x20 sharectl crashsweep [--workload ftl|queued|queued-batch|stream|gcpipe|snapshot|sqlite|innodb|innodb-cached|all] [--trace <file>]\n\
      \x20\x20\x20\x20 [--seed N] [--stride N] [--mode torn-half|dropped-write|after-program|all]\n\
      \x20\x20\x20\x20 [--index N]   (with a single --mode: replay exactly one crash case)\n"
         .to_string()
@@ -929,10 +929,12 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
             "snapshot" => workloads.push(Box::new(FtlSnapshotWorkload::new(seed, 300))),
             "sqlite" => workloads.push(Box::new(SqliteShareWorkload::new(seed, 24, 10))),
             "innodb" => workloads.push(Box::new(InnodbShareWorkload::new(seed, 40, 60))),
+            "innodb-cached" => workloads.push(Box::new(InnodbShareWorkload::cached(seed, 40, 60))),
             "all" => {
                 workloads.push(Box::new(FtlMixedWorkload::new(seed, 300)));
                 workloads.push(Box::new(SqliteShareWorkload::new(seed, 24, 10)));
                 workloads.push(Box::new(InnodbShareWorkload::new(seed, 40, 60)));
+                workloads.push(Box::new(InnodbShareWorkload::cached(seed, 40, 60)));
                 workloads.push(Box::new(FtlQueuedWorkload::new(seed, 300, 4)));
                 workloads.push(Box::new(FtlQueuedWorkload::write_batches(60, 4)));
                 workloads.push(Box::new(FtlStreamWorkload::new(seed, 300)));

@@ -8,6 +8,17 @@
 //! *data* device only: redo survives the crash, and recovery must combine
 //! the surviving data image, the DWB repair pass, and redo replay.
 //!
+//! Two shapes of the same run:
+//!
+//! * [`InnodbShareWorkload::new`]: a pool far smaller than the tree, so
+//!   eviction flushes all the time and checkpoints find little dirty.
+//! * [`InnodbShareWorkload::cached`]: a pool larger than the database and
+//!   a redo budget of a few commits. Nothing is evicted; the checkpoint
+//!   rule alone flushes, and it records checkpoints while pages are still
+//!   dirty, so recovery replays from a `ckpt_lsn` below the last durable
+//!   LSN. A header that claimed every durable record (the sharp formula
+//!   `flushed_lsn + 1`) loses committed updates here.
+//!
 //! Oracle: after `Ftl::open` + `InnoDb::open`, every node reads the
 //! payload of its last committed version (a returned `update_node` is
 //! durable — `fsync_on_commit` is on), except that the single in-flight
@@ -23,8 +34,8 @@ fn ftl_cfg() -> FtlConfig {
     FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 32, NandTiming::zero())
 }
 
-fn engine_cfg() -> InnoDbConfig {
-    InnoDbConfig {
+fn engine_cfg(cached: bool) -> InnoDbConfig {
+    let base = InnoDbConfig {
         mode: FlushMode::Share,
         pool_pages: 24, // small pool: constant eviction traffic through SHARE
         flush_batch: 8,
@@ -34,7 +45,13 @@ fn engine_cfg() -> InnoDbConfig {
         // the crash-point space densely covers that protocol.
         ckpt_redo_bytes: 2 << 10,
         ..Default::default()
+    };
+    if !cached {
+        return base;
     }
+    // The whole tree stays resident, and the log may hold about four
+    // updates (~250 redo bytes each) beyond its checkpoint.
+    InnoDbConfig { pool_pages: 256, flush_batch: 2, ckpt_redo_bytes: 1 << 10, ..base }
 }
 
 fn payload(id: u64, version: u64) -> Vec<u8> {
@@ -48,14 +65,27 @@ fn payload(id: u64, version: u64) -> Vec<u8> {
 #[derive(Debug, Clone)]
 pub struct InnodbShareWorkload {
     seed: u64,
+    /// Pool larger than the database (see the module docs).
+    cached: bool,
     nodes: u64,
     /// Serial committed updates: `(node id, version)`.
     updates: Vec<(u64, u64)>,
 }
 
 impl InnodbShareWorkload {
-    /// `n_updates` single-node update txns over `nodes` nodes.
+    /// `n_updates` single-node update txns over `nodes` nodes, through a
+    /// pool far smaller than the tree.
     pub fn new(seed: u64, nodes: u64, n_updates: usize) -> Self {
+        Self::build(seed, false, nodes, n_updates)
+    }
+
+    /// The same transactions through a pool larger than the database,
+    /// checkpointed every few commits with pages still dirty.
+    pub fn cached(seed: u64, nodes: u64, n_updates: usize) -> Self {
+        Self::build(seed, true, nodes, n_updates)
+    }
+
+    fn build(seed: u64, cached: bool, nodes: u64, n_updates: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut next_version = vec![1u64; nodes as usize];
         let updates = (0..n_updates)
@@ -66,7 +96,7 @@ impl InnodbShareWorkload {
                 (id, v)
             })
             .collect();
-        Self { seed, nodes, updates }
+        Self { seed, cached, nodes, updates }
     }
 
     /// Build the engine and insert every node at version 0 (fault disarmed).
@@ -74,7 +104,7 @@ impl InnodbShareWorkload {
         let dev = Ftl::new(ftl_cfg());
         let handle = dev.fault_handle();
         let log = standard_log_device(dev.clock().clone());
-        let mut e = InnoDb::create(dev, log, engine_cfg())
+        let mut e = InnoDb::create(dev, log, engine_cfg(self.cached))
             .map_err(|e| format!("setup: create failed: {e}"))?;
         for id in 0..self.nodes {
             e.update_node(id, &payload(id, 0))
@@ -87,7 +117,8 @@ impl InnodbShareWorkload {
 
 impl CrashWorkload for InnodbShareWorkload {
     fn name(&self) -> String {
-        format!("innodb-share-s{}-n{}-u{}", self.seed, self.nodes, self.updates.len())
+        let shape = if self.cached { "cached" } else { "share" };
+        format!("innodb-{shape}-s{}-n{}-u{}", self.seed, self.nodes, self.updates.len())
     }
 
     fn crash_points(&self) -> u64 {
@@ -132,7 +163,7 @@ impl CrashWorkload for InnodbShareWorkload {
         if data.stats().recoveries != 1 {
             return Err("reopened device does not report a recovery".into());
         }
-        let mut e2 = InnoDb::open(data, log, engine_cfg())
+        let mut e2 = InnoDb::open(data, log, engine_cfg(self.cached))
             .map_err(|e| format!("InnoDb::open failed after recovery: {e}"))?;
 
         let count = e2
@@ -173,6 +204,23 @@ mod tests {
         let points = a.crash_points();
         assert_eq!(points, b.crash_points());
         assert!(points > 20, "60 updates over a 24-page pool should flush, got {points}");
+    }
+
+    #[test]
+    fn the_cached_shape_checkpoints_without_evicting() {
+        let w = InnodbShareWorkload::cached(9, 40, 60);
+        let (mut e, _) = w.setup().unwrap();
+        let stats0 = e.stats();
+        for &(id, v) in &w.updates {
+            e.update_node(id, &payload(id, v)).unwrap();
+        }
+        let (s, pool) = (e.stats(), e.pool_stats());
+        assert_eq!(pool.evictions, 0, "the tree must fit the pool");
+        // Checkpoints flush only what is old; most commits find the
+        // budget unspent.
+        let ckpts = s.checkpoints - stats0.checkpoints;
+        assert!(ckpts >= 10, "{ckpts} checkpoints");
+        assert!(s.flush_batches - stats0.flush_batches >= ckpts / 2);
     }
 
     #[test]

@@ -40,6 +40,10 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
     visited += run_smoke(&SqliteShareWorkload::new(7, 24, 10), 45);
     // Engine-level: mini-InnoDB's DWB-via-SHARE flush/checkpoint path.
     visited += run_smoke(&InnodbShareWorkload::new(9, 40, 60), 45);
+    // The same engine with the tree resident: checkpoints recorded while
+    // pages are still dirty, recovery replaying from below the last
+    // durable LSN.
+    visited += run_smoke(&InnodbShareWorkload::cached(9, 40, 60), 15);
     // Queued submission path: the same mixed op mix through the NVMe-style
     // queue with commands in flight at the crash (submission boundaries
     // via TornHalf/DroppedWrite, completion boundaries via AfterProgram).
@@ -76,10 +80,11 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
 #[test]
 fn deep_sweep_soak() {
     let Some(cap) = deep_point_cap() else { return };
-    let workloads: [Box<dyn CrashWorkload>; 8] = [
+    let workloads: [Box<dyn CrashWorkload>; 9] = [
         Box::new(FtlMixedWorkload::new(1009, 800)),
         Box::new(SqliteShareWorkload::new(1013, 32, 25)),
         Box::new(InnodbShareWorkload::new(1019, 48, 150)),
+        Box::new(InnodbShareWorkload::cached(1019, 48, 150)),
         Box::new(FtlQueuedWorkload::new(1021, 800, 4)),
         Box::new(FtlQueuedWorkload::write_batches(400, 4)),
         Box::new(FtlStreamWorkload::new(1031, 800)),

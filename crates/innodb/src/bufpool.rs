@@ -1,4 +1,4 @@
-//! Buffer pool: fixed-capacity page cache with O(1) LRU and a dirty set.
+//! Buffer pool: fixed-capacity page cache with O(1) LRU and a flush list.
 //!
 //! A frame holds a [`NodePage`], which is the page's on-media image: what
 //! the engine read from the tablespace is what lookups search and what a
@@ -9,6 +9,11 @@
 //! their images as pages arrive (never `capacity` images up front), and
 //! [`BufferPool::evict`] hands the page back so the engine reads the next
 //! one into the same buffer.
+//!
+//! Dirty frames are also linked, oldest first, on InnoDB's *flush list*:
+//! in the order of their first change since their last flush. Each one
+//! keeps that change's LSN and the redo position it was logged at, so the
+//! head of the list is where a checkpoint may be recorded.
 
 use crate::page::NodePage;
 use std::collections::HashMap;
@@ -18,12 +23,17 @@ const NIL: usize = usize::MAX;
 #[derive(Debug)]
 struct Frame {
     page: NodePage,
-    dirty: bool,
+    /// First change since the last flush, `(lsn, redo position)`; `None`
+    /// while the page is clean.
+    dirty: Option<(u64, u64)>,
     /// Fetched for a lookup that has not found it yet: that lookup is the
     /// miss, whichever call makes it.
     fetched: bool,
     prev: usize,
     next: usize,
+    /// Flush-list links (meaningful while dirty).
+    older: usize,
+    newer: usize,
 }
 
 /// Pool hit/miss counters. Every [`BufferPool::get_mut`] is one lookup and
@@ -47,6 +57,8 @@ pub struct BufferPool {
     map: HashMap<u64, usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
+    oldest: usize, // flush-list head: the oldest first change
+    newest: usize, // flush-list tail
     free: Vec<usize>,
     dirty: usize,
     stats: PoolStats,
@@ -62,6 +74,8 @@ impl BufferPool {
             map: HashMap::with_capacity(capacity),
             head: NIL,
             tail: NIL,
+            oldest: NIL,
+            newest: NIL,
             free: (0..capacity).rev().collect(),
             dirty: 0,
             stats: PoolStats::default(),
@@ -166,10 +180,10 @@ impl BufferPool {
         Some(&mut self.frames[idx].as_mut().expect("mapped frame").page)
     }
 
-    /// Insert a page created in memory. Panics if full or already
+    /// Insert a clean page created in memory. Panics if full or already
     /// resident — callers must make room first.
-    pub fn insert(&mut self, page: NodePage, dirty: bool) {
-        self.place(page, dirty, false);
+    pub fn insert(&mut self, page: NodePage) {
+        self.place(page, false);
     }
 
     /// Insert a clean page the engine has just read from the tablespace.
@@ -177,48 +191,65 @@ impl BufferPool {
     /// so the lookup never sees the page absent; the first one to find
     /// this page is the miss that paid for the read.
     pub fn insert_fetched(&mut self, page: NodePage) {
-        self.place(page, false, true);
+        self.place(page, true);
     }
 
-    fn place(&mut self, page: NodePage, dirty: bool, fetched: bool) {
+    fn place(&mut self, page: NodePage, fetched: bool) {
         assert!(self.len() < self.capacity, "pool full: make room before insert");
         assert!(!self.contains(page.page_no), "page {} already resident", page.page_no);
         let idx = self.free.pop().expect("free frame exists when below capacity");
         let page_no = page.page_no;
-        self.frames[idx] = Some(Frame { page, dirty, fetched, prev: NIL, next: NIL });
+        self.frames[idx] =
+            Some(Frame { page, dirty: None, fetched, prev: NIL, next: NIL, older: NIL, newer: NIL });
         self.map.insert(page_no, idx);
         self.push_front(idx);
-        if dirty {
-            self.dirty += 1;
-        }
     }
 
-    /// Mark a resident page dirty.
-    pub fn mark_dirty(&mut self, page_no: u64) {
+    /// Mark a resident page dirty by the change logged as `lsn` at redo
+    /// position `pos`. The first change since the page's last flush puts it
+    /// at the tail of the flush list; later ones leave it where it is.
+    pub fn mark_dirty(&mut self, page_no: u64, lsn: u64, pos: u64) {
         let idx = *self.map.get(&page_no).expect("mark_dirty on non-resident page");
         let f = self.frames[idx].as_mut().expect("mapped frame");
-        if !f.dirty {
-            f.dirty = true;
-            self.dirty += 1;
+        if f.dirty.is_some() {
+            return;
         }
+        f.dirty = Some((lsn, pos));
+        f.older = self.newest;
+        f.newer = NIL;
+        match self.newest {
+            NIL => self.oldest = idx,
+            n => self.frames[n].as_mut().expect("flush-list tail").newer = idx,
+        }
+        self.newest = idx;
+        self.dirty += 1;
     }
 
-    /// Mark a resident page clean (after a successful flush).
+    /// Mark a resident page clean (after a successful flush), taking it off
+    /// the flush list.
     pub fn mark_clean(&mut self, page_no: u64) {
         let idx = *self.map.get(&page_no).expect("mark_clean on non-resident page");
         let f = self.frames[idx].as_mut().expect("mapped frame");
-        if f.dirty {
-            f.dirty = false;
-            self.dirty -= 1;
+        if f.dirty.take().is_none() {
+            return;
         }
+        let (older, newer) = (f.older, f.newer);
+        match older {
+            NIL => self.oldest = newer,
+            o => self.frames[o].as_mut().expect("older frame").newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.frames[n].as_mut().expect("newer frame").older = older,
+        }
+        self.dirty -= 1;
     }
 
     /// Whether a resident page is dirty.
     pub fn is_dirty(&self, page_no: u64) -> bool {
         self.map
             .get(&page_no)
-            .map(|&idx| self.frames[idx].as_ref().expect("mapped frame").dirty)
-            .unwrap_or(false)
+            .is_some_and(|&idx| self.frames[idx].as_ref().expect("mapped frame").dirty.is_some())
     }
 
     /// The least-recently-used page and its dirtiness.
@@ -227,7 +258,7 @@ impl BufferPool {
             return None;
         }
         let f = self.frames[self.tail].as_ref().expect("tail frame");
-        Some((f.page.page_no, f.dirty))
+        Some((f.page.page_no, f.dirty.is_some()))
     }
 
     /// Up to `max` dirty page numbers from the cold end of the LRU list —
@@ -237,7 +268,7 @@ impl BufferPool {
         let mut idx = self.tail;
         while idx != NIL && out.len() < max {
             let f = self.frames[idx].as_ref().expect("linked frame");
-            if f.dirty {
+            if f.dirty.is_some() {
                 out.push(f.page.page_no);
             }
             idx = f.prev;
@@ -251,7 +282,7 @@ impl BufferPool {
         let mut idx = self.tail;
         while idx != NIL {
             let f = self.frames[idx].as_ref().expect("linked frame");
-            if !f.dirty {
+            if f.dirty.is_none() {
                 return Some(f.page.page_no);
             }
             idx = f.prev;
@@ -259,25 +290,28 @@ impl BufferPool {
         None
     }
 
-    /// All dirty page numbers (checkpoint flush).
-    pub fn all_dirty(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.dirty);
-        let mut idx = self.tail;
-        while idx != NIL {
-            let f = self.frames[idx].as_ref().expect("linked frame");
-            if f.dirty {
-                out.push(f.page.page_no);
-            }
-            idx = f.prev;
-        }
-        out
+    /// The flush-list head's first change, `(lsn, redo position)`: every
+    /// change logged before it is on the medium. `None` when nothing is
+    /// dirty.
+    pub fn oldest_change(&self) -> Option<(u64, u64)> {
+        self.frames.get(self.oldest)?.as_ref().expect("flush-list head").dirty
+    }
+
+    /// Dirty page numbers in flush-list order, oldest first change first.
+    pub fn flush_list(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut idx = self.oldest;
+        std::iter::from_fn(move || {
+            let f = self.frames.get(idx)?.as_ref().expect("flush-list frame");
+            idx = f.newer;
+            Some(f.page.page_no)
+        })
     }
 
     /// Evict a clean resident page, returning it.
     pub fn evict(&mut self, page_no: u64) -> NodePage {
         let idx = self.map.remove(&page_no).expect("evict of non-resident page");
         assert!(
-            !self.frames[idx].as_ref().expect("mapped frame").dirty,
+            self.frames[idx].as_ref().expect("mapped frame").dirty.is_none(),
             "evicting dirty page {page_no}"
         );
         self.unlink(idx);
@@ -294,6 +328,8 @@ impl BufferPool {
         self.free = (0..self.capacity).rev().collect();
         self.head = NIL;
         self.tail = NIL;
+        self.oldest = NIL;
+        self.newest = NIL;
         self.dirty = 0;
     }
 }
@@ -309,7 +345,7 @@ mod tests {
     #[test]
     fn insert_get_evict_cycle() {
         let mut p = BufferPool::new(8);
-        p.insert(page(1), false);
+        p.insert(page(1));
         assert!(p.contains(1));
         assert!(p.get_mut(1).is_some());
         assert!(p.get_mut(2).is_none());
@@ -325,7 +361,7 @@ mod tests {
     fn first_lookup_of_a_fetched_page_is_the_miss() {
         let mut p = BufferPool::new(8);
         p.insert_fetched(page(1));
-        p.insert(page(2), true); // created, not fetched
+        p.insert(page(2)); // created, not fetched
         for _ in 0..3 {
             assert!(p.get_mut(1).is_some());
         }
@@ -337,7 +373,7 @@ mod tests {
     fn lru_order_tracks_access() {
         let mut p = BufferPool::new(8);
         for i in 0..4 {
-            p.insert(page(i), false);
+            p.insert(page(i));
         }
         assert_eq!(p.lru_victim(), Some((0, false)));
         p.get_mut(0); // 0 becomes MRU
@@ -348,26 +384,27 @@ mod tests {
     fn dirty_tracking_and_cold_collection() {
         let mut p = BufferPool::new(8);
         for i in 0..6 {
-            p.insert(page(i), false);
+            p.insert(page(i));
         }
-        p.mark_dirty(1);
-        p.mark_dirty(3);
-        p.mark_dirty(5);
+        p.mark_dirty(5, 1, 10);
+        p.mark_dirty(1, 2, 20);
+        p.mark_dirty(3, 3, 30);
         assert_eq!(p.dirty_count(), 3);
-        // Cold-first order: 1 then 3 then 5 (insertion order, none touched).
+        // Cold-first LRU order: 1 then 3 then 5 (insertion order, none
+        // touched); the flush list keeps first-change order.
         assert_eq!(p.collect_dirty_cold(2), vec![1, 3]);
-        assert_eq!(p.all_dirty(), vec![1, 3, 5]);
+        assert_eq!(p.flush_list().collect::<Vec<_>>(), vec![5, 1, 3]);
         p.mark_clean(3);
         assert_eq!(p.dirty_count(), 2);
-        assert_eq!(p.all_dirty(), vec![1, 5]);
+        assert_eq!(p.flush_list().collect::<Vec<_>>(), vec![5, 1]);
     }
 
     #[test]
     fn mark_dirty_is_idempotent() {
         let mut p = BufferPool::new(8);
-        p.insert(page(1), false);
-        p.mark_dirty(1);
-        p.mark_dirty(1);
+        p.insert(page(1));
+        p.mark_dirty(1, 1, 10);
+        p.mark_dirty(1, 2, 20);
         assert_eq!(p.dirty_count(), 1);
         p.mark_clean(1);
         p.mark_clean(1);
@@ -379,7 +416,7 @@ mod tests {
     fn insert_beyond_capacity_panics() {
         let mut p = BufferPool::new(8);
         for i in 0..9 {
-            p.insert(page(i), false);
+            p.insert(page(i));
         }
     }
 
@@ -387,7 +424,8 @@ mod tests {
     #[should_panic(expected = "evicting dirty page")]
     fn evicting_dirty_page_panics() {
         let mut p = BufferPool::new(8);
-        p.insert(page(1), true);
+        p.insert(page(1));
+        p.mark_dirty(1, 1, 10);
         p.evict(1);
     }
 
@@ -395,13 +433,16 @@ mod tests {
     fn clear_resets_everything() {
         let mut p = BufferPool::new(8);
         for i in 0..8 {
-            p.insert(page(i), i % 2 == 0);
+            p.insert(page(i));
+            if i % 2 == 0 {
+                p.mark_dirty(i, i + 1, i * 10);
+            }
         }
         p.clear();
         assert_eq!(p.len(), 0);
         assert_eq!(p.dirty_count(), 0);
         for i in 8..16 {
-            p.insert(page(i), false);
+            p.insert(page(i));
         }
         assert_eq!(p.len(), 8);
     }
@@ -410,13 +451,13 @@ mod tests {
     fn full_pool_lru_cycles_correctly() {
         let mut p = BufferPool::new(8);
         for i in 0..8 {
-            p.insert(page(i), false);
+            p.insert(page(i));
         }
         for round in 0..100u64 {
             let (victim, dirty) = p.lru_victim().unwrap();
             assert!(!dirty);
             p.evict(victim);
-            p.insert(page(100 + round), false);
+            p.insert(page(100 + round));
         }
         assert_eq!(p.len(), 8);
     }

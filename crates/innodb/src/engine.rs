@@ -65,8 +65,9 @@ pub struct InnoDbConfig {
     pub pool_pages: usize,
     /// Dirty pages flushed per double-write batch.
     pub flush_batch: usize,
-    /// Redo bytes between sharp checkpoints (every dirty page is flushed on
-    /// the caller's clock before the checkpoint record is written).
+    /// Redo the log may hold beyond its checkpoint. A commit that finds
+    /// the log holding this much flushes the oldest dirty pages until the
+    /// oldest first change left is younger, then records a checkpoint there.
     pub ckpt_redo_bytes: u64,
     /// fsync the redo log at every commit.
     pub fsync_on_commit: bool,
@@ -110,7 +111,7 @@ pub struct EngineStats {
     /// Flush batches that fell back to in-place writes because SHARE was
     /// refused (reverse-map pressure).
     pub share_fallbacks: u64,
-    /// Sharp checkpoints taken.
+    /// Checkpoints recorded.
     pub checkpoints: u64,
     /// Group-commit windows closed (one shared log fsync each).
     pub group_commits: u64,
@@ -611,7 +612,7 @@ impl<D: BlockDevice> InnoDb<D> {
         if p.lsn < lsn {
             f(p);
             p.lsn = lsn;
-            self.pool.mark_dirty(page_no);
+            self.pool.mark_dirty(page_no, lsn, self.log.position());
         }
         Ok(())
     }
@@ -636,7 +637,7 @@ impl<D: BlockDevice> InnoDb<D> {
                         None => {
                             let mut blank = self.frame();
                             blank.reset(*page_no, *level);
-                            self.pool.insert(blank, false)
+                            self.pool.insert(blank)
                         }
                     }
                 }
@@ -671,7 +672,7 @@ impl<D: BlockDevice> InnoDb<D> {
         if p.lsn < lsn {
             f(p);
             p.lsn = lsn;
-            self.pool.mark_dirty(page_no);
+            self.pool.mark_dirty(page_no, lsn, self.log.position());
         }
         Ok(())
     }
@@ -679,7 +680,7 @@ impl<D: BlockDevice> InnoDb<D> {
     // ----- commit & checkpoint ---------------------------------------------
 
     /// Commit the current transaction (one MTR): log the boundary, make it
-    /// durable (group commit), and checkpoint if the redo budget is spent.
+    /// durable, and apply the checkpoint rule.
     /// Public so callers composing raw `upsert_kv`/`delete_kv` sequences can
     /// set their own transaction boundaries.
     pub fn commit(&mut self) -> Result<(), EngineError> {
@@ -702,10 +703,7 @@ impl<D: BlockDevice> InnoDb<D> {
         if self.cfg.fsync_on_commit {
             self.log.flush()?;
         }
-        if self.log.needs_checkpoint(self.cfg.ckpt_redo_bytes) {
-            self.checkpoint()?;
-        }
-        Ok(())
+        self.checkpoint_if_due()
     }
 
     /// Open a group-commit window: transactions committed until the next
@@ -716,7 +714,7 @@ impl<D: BlockDevice> InnoDb<D> {
     }
 
     /// Close the group-commit window: one log flush makes every deferred
-    /// transaction durable, then the usual checkpoint budget check runs.
+    /// transaction durable, then the checkpoint rule runs.
     pub fn group_commit(&mut self) -> Result<(), EngineError> {
         self.in_group = false;
         if self.group_pending == 0 {
@@ -734,42 +732,60 @@ impl<D: BlockDevice> InnoDb<D> {
             self.log.flush()?;
         }
         self.stats.group_commits += 1;
-        if self.log.needs_checkpoint(self.cfg.ckpt_redo_bytes) {
-            self.checkpoint()?;
-        }
-        Ok(())
+        self.checkpoint_if_due()
     }
 
-    /// Flush every dirty page and truncate the redo log.
+    /// The checkpoint rule: once the log holds `ckpt_redo_bytes` beyond its
+    /// checkpoint (or all the ring can hold, on a small log device), flush
+    /// what is older than that and record a checkpoint.
+    fn checkpoint_if_due(&mut self) -> Result<(), EngineError> {
+        let budget = self.cfg.ckpt_redo_bytes.min(self.log.capacity());
+        if self.log.held() < budget {
+            return Ok(());
+        }
+        self.checkpoint_keeping(budget)
+    }
+
+    /// Flush every dirty page and record a checkpoint at the log's tail.
     pub fn checkpoint(&mut self) -> Result<(), EngineError> {
+        self.checkpoint_keeping(0)
+    }
+
+    fn checkpoint_keeping(&mut self, keep: u64) -> Result<(), EngineError> {
         let span = self.fs.root_span("checkpoint");
-        let r = self.checkpoint_inner();
+        let r = self.checkpoint_inner(keep);
         self.fs.end_span(span, r.is_ok());
         r
     }
 
-    fn checkpoint_inner(&mut self) -> Result<(), EngineError> {
-        loop {
-            let dirty: Vec<u64> = self
-                .pool
-                .all_dirty()
-                .into_iter()
-                .filter(|&no| self.flushable(no))
-                .take(self.cfg.flush_batch)
-                .collect();
-            if dirty.is_empty() {
-                break;
+    /// Flush batches of the oldest flushable pages until the oldest first
+    /// change left is less than `keep` redo bytes behind the write
+    /// position, then record the checkpoint at that change: every change
+    /// logged before it is on the medium. With nothing dirty left, the
+    /// checkpoint is the next LSN.
+    fn checkpoint_inner(&mut self, keep: u64) -> Result<(), EngineError> {
+        let mut batch = Vec::new();
+        while self.pool.oldest_change().is_some_and(|(_, pos)| self.log.position() - pos >= keep) {
+            batch.clear();
+            batch.reserve(self.cfg.flush_batch);
+            batch.extend(
+                self.pool.flush_list().filter(|&no| self.flushable(no)).take(self.cfg.flush_batch),
+            );
+            if batch.is_empty() {
+                break; // the rest is pinned by an open mini-transaction
             }
-            self.flush_pages(&dirty)?;
+            self.flush_pages(&batch)?;
         }
+        let (ckpt_lsn, pos) =
+            self.pool.oldest_change().unwrap_or((self.log.end_lsn(), self.log.position()));
         let meta = CheckpointMeta {
-            ckpt_lsn: self.log.flushed_lsn() + 1,
+            ckpt_lsn,
             root: if self.root == NO_PAGE { 0 } else { self.root },
             height: self.height,
             next_page_no: self.next_page_no,
         };
         // A height-0 tree stores root 0 in the header; `open` maps it back.
-        self.log.write_checkpoint(meta)?;
+        self.log.write_checkpoint(meta, pos)?;
         self.stats.checkpoints += 1;
         Ok(())
     }

@@ -172,47 +172,71 @@ pub struct CheckpointMeta {
 }
 
 /// The redo log: byte-packed records on a page-granular log device.
+///
+/// Page 0 is the header; the device's other pages form a ring the log
+/// writes round and round. The header names the *start page*, the one holding the
+/// checkpoint's record: recovery reads from there and stops at the first
+/// page of an older lap, which its LSNs give away. The log never writes its
+/// start page again before a later checkpoint moves it.
+///
+/// A *redo position* counts the ring's bytes from the log's first page:
+/// `page × payload + offset`, growing without wrapping. The distance from
+/// the checkpoint's position to the write position is the redo the log
+/// holds.
 #[derive(Debug)]
 pub struct RedoLog {
     dev: SimpleSsd,
     page_size: usize,
-    /// Next log page slot to write (page 0 is the header).
-    cur_page: u64,
+    /// Ring pages (the device's pages less the header).
+    ring: u64,
+    /// Lap-free index of the page being filled; device page
+    /// `1 + seq % ring`.
+    seq: u64,
+    /// Lap-free index of the start page.
+    start_seq: u64,
+    /// Redo position the checkpoint was recorded at.
+    ckpt_pos: u64,
     /// Payload of the log page being filled.
     buf: Vec<u8>,
     /// The one log-page image every device write is built in.
     page: Vec<u8>,
     next_lsn: u64,
     flushed_lsn: u64,
-    bytes_since_ckpt: u64,
 }
 
 /// Page payload layout: magic(4) crc(4) used(2) pad(6) payload.
 const PAGE_HDR: usize = 16;
+
+/// Ring pages kept free in front of the start page: the redo one
+/// transaction may write between two checkpoint checks.
+const RING_SLACK_PAGES: u64 = 4;
 
 impl RedoLog {
     /// A fresh log on `dev`.
     pub fn format(dev: SimpleSsd) -> Result<Self, EngineError> {
         let page_size = dev.page_size();
         let mut log = Self {
+            ring: dev.capacity_pages() - 1,
             dev,
             page_size,
-            cur_page: 1,
+            seq: 0,
+            start_seq: 0,
+            ckpt_pos: 0,
             buf: Vec::with_capacity(page_size - PAGE_HDR),
             page: vec![0u8; page_size],
             next_lsn: 1,
             flushed_lsn: 0,
-            bytes_since_ckpt: 0,
         };
-        log.write_checkpoint(CheckpointMeta::default())?;
+        log.write_checkpoint(CheckpointMeta::default(), 0)?;
         Ok(log)
     }
 
     /// Reopen after a crash: read the checkpoint header and scan intact
-    /// record pages. Returns the metadata and every record with
-    /// `lsn >= ckpt_lsn`, in order.
+    /// record pages from its start page. Returns the metadata and every
+    /// record with `lsn >= ckpt_lsn`, in order.
     pub fn recover(mut dev: SimpleSsd) -> Result<(Self, CheckpointMeta, Vec<RedoRecord>), EngineError> {
         let page_size = dev.page_size();
+        let ring = dev.capacity_pages() - 1;
         let mut page = vec![0u8; page_size];
         dev.read(Lpn(0), &mut page).map_err(EngineError::Device)?;
         if u32::from_le_bytes(page[0..4].try_into().unwrap()) != HDR_MAGIC {
@@ -228,12 +252,18 @@ impl RedoLog {
             height: u16::from_le_bytes(page[24..26].try_into().unwrap()),
             next_page_no: u64::from_le_bytes(page[32..40].try_into().unwrap()),
         };
+        // Headers written before the ring name no start page: page 1.
+        let start = u64::from_le_bytes(page[40..48].try_into().unwrap()).max(1);
+        if start > ring {
+            return Err(EngineError::RedoCorrupt(format!("log start page {start} beyond the ring")));
+        }
 
+        let start_seq = start - 1;
+        let mut seq = start_seq;
         let mut records = Vec::new();
         let mut last_lsn = 0u64;
-        let mut cur_page = 1u64;
-        'pages: for pno in 1..dev.capacity_pages() {
-            dev.read(Lpn(pno), &mut page).map_err(EngineError::Device)?;
+        'pages: while seq < start_seq + ring {
+            dev.read(Lpn(1 + seq % ring), &mut page).map_err(EngineError::Device)?;
             if u32::from_le_bytes(page[0..4].try_into().unwrap()) != LOG_MAGIC {
                 break;
             }
@@ -247,7 +277,7 @@ impl RedoLog {
             while off < PAGE_HDR + used {
                 let lsn = u64::from_le_bytes(page[off..off + 8].try_into().unwrap());
                 if lsn <= last_lsn {
-                    break 'pages; // stale page from before the checkpoint
+                    break 'pages; // a page of an older lap
                 }
                 let Some((body, len)) = RedoBody::decode(&page[off + 8..PAGE_HDR + used]) else {
                     break 'pages;
@@ -257,7 +287,7 @@ impl RedoLog {
                 off += 8 + len;
             }
             records.extend(page_records);
-            cur_page = pno + 1;
+            seq += 1;
         }
         records.retain(|r| r.lsn >= meta.ckpt_lsn);
 
@@ -265,12 +295,16 @@ impl RedoLog {
         let log = Self {
             dev,
             page_size,
-            cur_page,
+            ring,
+            // A partly filled last page is left as it is; writing goes on
+            // on the next one.
+            seq,
+            start_seq,
+            ckpt_pos: start_seq * (page_size - PAGE_HDR) as u64,
             buf: Vec::with_capacity(page_size - PAGE_HDR),
             page,
             next_lsn,
             flushed_lsn: next_lsn - 1,
-            bytes_since_ckpt: 0,
         };
         Ok((log, meta, records))
     }
@@ -286,20 +320,30 @@ impl RedoLog {
         lsn
     }
 
+    /// The LSN the next appended record will carry.
+    pub(crate) fn end_lsn(&self) -> u64 {
+        self.next_lsn
+    }
+
     /// Highest LSN guaranteed durable.
     pub fn flushed_lsn(&self) -> u64 {
         self.flushed_lsn
     }
 
-    /// Bytes logged since the last checkpoint.
-    pub fn bytes_since_ckpt(&self) -> u64 {
-        self.bytes_since_ckpt
+    /// The write position: the end of the last appended record.
+    pub(crate) fn position(&self) -> u64 {
+        self.seq * self.payload_cap() as u64 + self.buf.len() as u64
     }
 
-    /// Whether the log is close to full and needs a checkpoint.
-    pub fn needs_checkpoint(&self, soft_limit_bytes: u64) -> bool {
-        self.bytes_since_ckpt >= soft_limit_bytes
-            || self.cur_page + 4 >= self.dev.capacity_pages()
+    /// Redo the log holds beyond its checkpoint, in ring bytes.
+    pub(crate) fn held(&self) -> u64 {
+        self.position() - self.ckpt_pos
+    }
+
+    /// The most redo the log may hold beyond its checkpoint: the ring less
+    /// the slack in front of the start page.
+    pub(crate) fn capacity(&self) -> u64 {
+        self.ring.saturating_sub(RING_SLACK_PAGES) * self.payload_cap() as u64
     }
 
     /// Append a record (not yet durable).
@@ -311,12 +355,11 @@ impl RedoLog {
         }
         self.buf.extend_from_slice(&lsn.to_le_bytes());
         body.encode(&mut self.buf);
-        self.bytes_since_ckpt += len as u64;
         Ok(())
     }
 
     fn write_page(&mut self, advance: bool) -> Result<(), EngineError> {
-        if self.cur_page >= self.dev.capacity_pages() {
+        if self.seq >= self.start_seq + self.ring {
             return Err(EngineError::RedoCorrupt(
                 "log device full — checkpoint was not taken in time".into(),
             ));
@@ -328,9 +371,9 @@ impl RedoLog {
         page[PAGE_HDR..PAGE_HDR + self.buf.len()].copy_from_slice(&self.buf);
         let crc = crc32c(&page[PAGE_HDR..PAGE_HDR + self.buf.len()]);
         page[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.dev.write(Lpn(self.cur_page), page).map_err(EngineError::Device)?;
+        self.dev.write(Lpn(1 + self.seq % self.ring), page).map_err(EngineError::Device)?;
         if advance {
-            self.cur_page += 1;
+            self.seq += 1;
             self.buf.clear();
         }
         Ok(())
@@ -360,11 +403,20 @@ impl RedoLog {
         Ok(())
     }
 
-    /// Persist a checkpoint header and logically truncate the log.
-    pub fn write_checkpoint(&mut self, meta: CheckpointMeta) -> Result<(), EngineError> {
+    /// Persist a checkpoint header for the record logged at redo position
+    /// `pos` (`meta.ckpt_lsn`'s, or the write position when nothing older
+    /// is needed). The page holding the byte before `pos` becomes the start
+    /// page; the ring pages the start page leaves behind are trimmed, so
+    /// the device holds only the pages recovery may read.
+    pub fn write_checkpoint(&mut self, meta: CheckpointMeta, pos: u64) -> Result<(), EngineError> {
+        // The start page only moves forward: the freed range below and the
+        // pages recovery reads depend on it.
+        assert!(self.ckpt_pos <= pos && pos <= self.position(), "checkpoint outside the log");
         // Any straggling records must be durable before the header claims
         // the checkpoint LSN.
         self.flush()?;
+        // A log recovered from an empty start page sits at its start.
+        let start_seq = (pos.saturating_sub(1) / self.payload_cap() as u64).max(self.start_seq);
         let page = &mut self.page;
         page.fill(0);
         page[0..4].copy_from_slice(&HDR_MAGIC.to_le_bytes());
@@ -372,13 +424,23 @@ impl RedoLog {
         page[16..24].copy_from_slice(&meta.root.to_le_bytes());
         page[24..26].copy_from_slice(&meta.height.to_le_bytes());
         page[32..40].copy_from_slice(&meta.next_page_no.to_le_bytes());
+        page[40..48].copy_from_slice(&(1 + start_seq % self.ring).to_le_bytes());
         let crc = crc32c(&page[8..48]);
         page[4..8].copy_from_slice(&crc.to_le_bytes());
         self.dev.write(Lpn(0), page).map_err(EngineError::Device)?;
         self.dev.flush().map_err(EngineError::Device)?;
-        self.cur_page = 1;
-        self.buf.clear();
-        self.bytes_since_ckpt = 0;
+        let freed = self.start_seq..start_seq;
+        self.start_seq = start_seq;
+        self.ckpt_pos = pos;
+        // At most one lap is freed, in one or two runs of the ring.
+        let first = 1 + freed.start % self.ring;
+        let len = freed.end - freed.start;
+        let head = len.min(self.ring + 1 - first);
+        for (at, n) in [(first, head), (1, len - head)] {
+            if n > 0 {
+                self.dev.trim(Lpn(at), n).map_err(EngineError::Device)?;
+            }
+        }
         Ok(())
     }
 
@@ -406,7 +468,7 @@ pub fn standard_log_device(clock: nand_sim::SimClock) -> SimpleSsd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nand_sim::SimClock;
+    use nand_sim::{FaultMode, SimClock};
 
     fn fresh() -> RedoLog {
         RedoLog::format(SimpleSsd::new(4096, 1024, SimClock::new())).unwrap()
@@ -482,7 +544,7 @@ mod tests {
         }
         log.flush().unwrap();
         let ckpt = CheckpointMeta { ckpt_lsn: 51, root: 9, height: 2, next_page_no: 33 };
-        log.write_checkpoint(ckpt).unwrap();
+        log.write_checkpoint(ckpt, log.position()).unwrap();
         // New records after the checkpoint.
         let mut expect = Vec::new();
         for i in 0..5u64 {
@@ -505,9 +567,9 @@ mod tests {
             log.append(lsn, &upsert(0, i, 0, 64)).unwrap();
         }
         log.flush().unwrap();
-        log.write_checkpoint(CheckpointMeta { ckpt_lsn: 301, root: 1, height: 1, next_page_no: 2 })
-            .unwrap();
-        // Old pages 1..N still hold stale records with lsn < 301.
+        let meta = CheckpointMeta { ckpt_lsn: 301, root: 1, height: 1, next_page_no: 2 };
+        log.write_checkpoint(meta, log.position()).unwrap();
+        // The start page still holds records with lsn < 301.
         let (_, meta, records) = RedoLog::recover(log.into_device()).unwrap();
         assert_eq!(meta.ckpt_lsn, 301);
         assert!(records.is_empty(), "stale pre-checkpoint records must be filtered");
@@ -561,16 +623,182 @@ mod tests {
     }
 
     #[test]
-    fn needs_checkpoint_by_bytes() {
+    fn held_counts_redo_beyond_the_checkpoint() {
         let mut log = fresh();
-        assert!(!log.needs_checkpoint(1_000));
-        for i in 0..20u64 {
+        assert_eq!(log.held(), 0);
+        let mut logged = Vec::new();
+        log_records(&mut log, 20, &mut logged);
+        // 20 records of 143 bytes: the first page's payload holds 28.
+        assert_eq!(log.held(), 20 * 143);
+        log.write_checkpoint(CheckpointMeta { ckpt_lsn: 11, ..Default::default() }, logged[10].1)
+            .unwrap();
+        assert_eq!(log.held(), 9 * 143);
+        log.write_checkpoint(CheckpointMeta { ckpt_lsn: 21, ..Default::default() }, log.position())
+            .unwrap();
+        assert_eq!(log.held(), 0);
+    }
+
+    /// A log on a 16-page device: a 15-page ring.
+    fn small() -> RedoLog {
+        RedoLog::format(SimpleSsd::new(4096, 16, SimClock::new())).unwrap()
+    }
+
+    /// Append `n` records, noting each with the write position after it
+    /// (what a buffer-pool frame records as its first change).
+    fn log_records(log: &mut RedoLog, n: u64, logged: &mut Vec<(RedoRecord, u64)>) {
+        for i in 0..n {
             let lsn = log.next_lsn();
-            log.append(lsn, &upsert(0, i, 0, 64)).unwrap();
+            let body = upsert(i, lsn, lsn as u8, 100);
+            log.append(lsn, &body).unwrap();
+            logged.push((RedoRecord { lsn, body }, log.position()));
         }
-        assert!(log.needs_checkpoint(1_000));
         log.flush().unwrap();
-        log.write_checkpoint(CheckpointMeta::default()).unwrap();
-        assert!(!log.needs_checkpoint(1_000));
+    }
+
+    /// Rewrite the header's start page, as a header from before the ring
+    /// (which had zeros there) or a damaged one would read.
+    fn set_header_start(log: &mut RedoLog, start: u64) {
+        let mut hdr = vec![0u8; 4096];
+        log.dev.read(Lpn(0), &mut hdr).unwrap();
+        hdr[40..48].copy_from_slice(&start.to_le_bytes());
+        let crc = crc32c(&hdr[8..48]);
+        hdr[4..8].copy_from_slice(&crc.to_le_bytes());
+        log.dev.write(Lpn(0), &hdr).unwrap();
+    }
+
+    #[test]
+    fn a_small_ring_wraps_many_times_and_recovers_after_every_checkpoint() {
+        let mut log = small();
+        let mut logged = Vec::new();
+        let mut pages = 0;
+        for round in 0..120u64 {
+            // ~1.4 pages per round; the checkpoint keeps the last 25
+            // records (~0.9 pages) behind it, as dirty pages would. (A
+            // recovered log numbers its positions afresh, as the pool
+            // it refills does.)
+            let seq = log.seq;
+            log_records(&mut log, 40, &mut logged);
+            pages += log.seq - seq;
+            let (ckpt, pos) = {
+                let (r, pos) = &logged[logged.len() - 25];
+                (r.lsn, *pos)
+            };
+            let meta = CheckpointMeta { ckpt_lsn: ckpt, root: round, height: 1, next_page_no: 7 };
+            log.write_checkpoint(meta, pos).unwrap();
+            assert!(log.held() < log.capacity());
+            let (back, got, records) = RedoLog::recover(log.into_device()).unwrap();
+            assert_eq!(got, meta);
+            let want: Vec<RedoRecord> =
+                logged.iter().map(|(r, _)| r).filter(|r| r.lsn >= ckpt).cloned().collect();
+            assert_eq!(records, want, "round {round}");
+            log = back;
+        }
+        // Pages filled, not counting the part-filled ones each recovery
+        // leaves behind: at least eight laps.
+        assert!(pages >= 8 * log.ring, "only {pages} pages filled");
+    }
+
+    #[test]
+    fn pages_of_an_older_lap_end_the_scan() {
+        let mut log = small();
+        let mut logged = Vec::new();
+        // Nine pages behind a checkpoint at the first record.
+        log_records(&mut log, 250, &mut logged);
+        log.write_checkpoint(CheckpointMeta { ckpt_lsn: 1, ..Default::default() }, logged[0].1)
+            .unwrap();
+        // A checkpoint at the tail whose trim a power cut stops: the header
+        // (the second program, after the part-filled page) lands, and the
+        // pages it freed keep their records.
+        let meta = CheckpointMeta { ckpt_lsn: log.end_lsn(), ..Default::default() };
+        let power = log.dev.fault_handle();
+        power.arm_after_programs(2, FaultMode::AfterProgram);
+        assert!(log.write_checkpoint(meta, log.position()).is_err());
+        power.disarm();
+        log.dev.power_cycle();
+        let (mut log, got, records) = RedoLog::recover(log.into_device()).unwrap();
+        assert_eq!((got, records), (meta, vec![]));
+        // A full lap later, the page after the tail is one of those nine:
+        // intact, and older.
+        logged.clear();
+        for _ in 0..8 {
+            log_records(&mut log, 40, &mut logged);
+            let (r, pos) = &logged[logged.len() - 10];
+            log.write_checkpoint(CheckpointMeta { ckpt_lsn: r.lsn, ..meta }, *pos).unwrap();
+        }
+        let ckpt = logged[logged.len() - 10].0.lsn;
+        let mut next = vec![0u8; 4096];
+        log.dev.read(Lpn(1 + (log.seq + 1) % log.ring), &mut next).unwrap();
+        assert_eq!(u32::from_le_bytes(next[0..4].try_into().unwrap()), LOG_MAGIC);
+        let (_, _, records) = RedoLog::recover(log.into_device()).unwrap();
+        let want: Vec<RedoRecord> =
+            logged.into_iter().map(|(r, _)| r).filter(|r| r.lsn >= ckpt).collect();
+        assert_eq!(records, want);
+    }
+
+    #[test]
+    fn a_header_with_start_page_zero_loads_as_page_one() {
+        let mut log = fresh();
+        let mut logged = Vec::new();
+        log_records(&mut log, 100, &mut logged);
+        set_header_start(&mut log, 0);
+        let (back, meta, records) = RedoLog::recover(log.into_device()).unwrap();
+        assert_eq!(meta, CheckpointMeta::default());
+        assert_eq!(records, logged.into_iter().map(|(r, _)| r).collect::<Vec<_>>());
+        assert_eq!(back.start_seq, 0);
+        // A start page past the ring is refused, not read.
+        let mut log = back;
+        set_header_start(&mut log, 1024);
+        assert!(matches!(RedoLog::recover(log.into_device()), Err(EngineError::RedoCorrupt(_))));
+    }
+
+    #[test]
+    fn a_start_page_with_no_records_recovers_empty_and_checkpoints_in_place() {
+        let mut log = fresh();
+        set_header_start(&mut log, 500);
+        let (mut log, _, records) = RedoLog::recover(log.into_device()).unwrap();
+        assert!(records.is_empty());
+        log.write_checkpoint(CheckpointMeta::default(), log.position()).unwrap();
+        let mut logged = Vec::new();
+        log_records(&mut log, 3, &mut logged);
+        let (_, _, records) = RedoLog::recover(log.into_device()).unwrap();
+        assert_eq!(records, logged.into_iter().map(|(r, _)| r).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn recovery_after_a_clean_shutdown_reads_at_most_two_log_pages() {
+        for partial in [0u64, 1, 7] {
+            let mut log = small();
+            let mut logged = Vec::new();
+            for _ in 0..25 {
+                log_records(&mut log, 40, &mut logged);
+                log.write_checkpoint(CheckpointMeta::default(), log.position()).unwrap();
+            }
+            log_records(&mut log, partial, &mut logged);
+            let meta = CheckpointMeta { ckpt_lsn: log.end_lsn(), ..Default::default() };
+            log.write_checkpoint(meta, log.position()).unwrap();
+            let reads = log.device_stats().host_reads;
+            let (back, _, records) = RedoLog::recover(log.into_device()).unwrap();
+            assert!(records.is_empty());
+            let log_pages = back.device_stats().host_reads - reads - 1; // less the header
+            assert!(log_pages <= 2, "{partial} records after the last page: {log_pages} pages read");
+        }
+    }
+
+    #[test]
+    fn the_log_never_writes_over_its_start_page() {
+        let mut log = small();
+        let mut logged = Vec::new();
+        log_records(&mut log, 20, &mut logged);
+        // Checkpoint at the first record: page 1 stays the start page.
+        log.write_checkpoint(CheckpointMeta { ckpt_lsn: 1, ..Default::default() }, logged[0].1)
+            .unwrap();
+        let full = (0..2_000).find_map(|i| {
+            let lsn = log.next_lsn();
+            log.append(lsn, &upsert(0, i, 0, 100)).err()
+        });
+        assert!(matches!(full, Some(EngineError::RedoCorrupt(_))));
+        assert!(log.held() > log.capacity(), "the engine's budget stops short of a full ring");
+        let (_, _, records) = RedoLog::recover(log.into_device()).unwrap();
+        assert_eq!(records[..20], logged.into_iter().map(|(r, _)| r).collect::<Vec<_>>()[..]);
     }
 }

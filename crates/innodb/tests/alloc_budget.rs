@@ -12,7 +12,9 @@
 //!   the engine, the file system and the device; the page decoded into a
 //!   `Vec` per entry asked for 22;
 //! * writes: nothing per flushed page above the device beyond the request
-//!   vectors of its batch — the encoder asked for one page image each.
+//!   vectors of its batch — the encoder asked for one page image each;
+//! * checkpoints: the same for the oldest pages a checkpoint flushes off
+//!   the flush list — walking the list allocates nothing.
 //!
 //! The file holds one test on purpose: the counter is process-wide, and the
 //! harness runs the tests of one binary on parallel threads.
@@ -59,6 +61,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const ROWS: u64 = 6_000;
 const GETS: u64 = 5_000;
 const UPSERTS: u64 = 2_000;
+const CHECKPOINTS: u64 = 200;
 /// Engine, file-system and device request vector of one page read.
 const PER_FETCH: u64 = 3;
 /// Request vectors of one SHARE flush batch, engine to NAND, whatever its
@@ -151,6 +154,29 @@ fn fetch_and_flush_stay_inside_their_allocation_budget() {
         "{UPSERTS} upserts ({pages} pages fetched, {flushed} flushed in {batches} batches) made \
          {allocs} allocations, budget {budget}: {:.2} per flushed page over it",
         (allocs - budget) as f64 / flushed as f64
+    );
+
+    // ---- checkpoints: a few dirty pages each, flushed oldest first --------
+    let (allocs0, fetched0, stats0) = (ALLOCS.load(Relaxed), fetched(&db), db.stats());
+    for i in 0..CHECKPOINTS {
+        for _ in 0..8 {
+            db.upsert_kv(Key::node(step()), vec![i as u8; 96]).unwrap();
+            db.commit().unwrap();
+        }
+        db.checkpoint().unwrap();
+    }
+    let allocs = ALLOCS.load(Relaxed) - allocs0 - 8 * CHECKPOINTS;
+    let pages = fetched(&db) - fetched0;
+    let s = db.stats();
+    let (batches, flushed) =
+        (s.flush_batches - stats0.flush_batches, s.pages_flushed - stats0.pages_flushed);
+    assert!(s.checkpoints - stats0.checkpoints == CHECKPOINTS && flushed >= CHECKPOINTS);
+    let budget =
+        PER_FETCH * pages + PER_FLUSH_BATCH * batches + PER_FLUSHED_PAGE * flushed + STRAY;
+    assert!(
+        allocs <= budget,
+        "{CHECKPOINTS} checkpoints ({pages} pages fetched, {flushed} flushed in {batches} \
+         batches) made {allocs} allocations, budget {budget}"
     );
     assert_eq!(db.stats().share_fallbacks, 0);
 }
