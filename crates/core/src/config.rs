@@ -52,8 +52,9 @@ pub struct FtlConfig {
     /// Number of blocks in the delta-log ring.
     pub log_blocks: u32,
     /// Hard floor of free data blocks: at it a command drains whole victims
-    /// on its own timeline. Background collection starts one block above
-    /// the slack banked on top of it for open lanes (`Ftl::ensure_free`).
+    /// on its own timeline (`Ftl::ensure_free`). Background collection
+    /// starts one block above the slack banked on top of it for open lanes
+    /// (`Ftl::collect_after`).
     pub gc_low_water: usize,
     /// A drain stops when free data blocks reach this count (plus the
     /// same slack).

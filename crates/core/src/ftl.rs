@@ -136,6 +136,9 @@ struct GcJob {
     /// First in-block page index not yet examined (relocation proceeds
     /// in page order).
     next_idx: u32,
+    /// Valid pages at selection: each page a command allocates inside the
+    /// slack band owes `valid / (ppb − valid)` of this victim's relocations.
+    valid: u32,
 }
 
 /// Relocation scratch of the one GC loop, owned by the device and reused
@@ -186,6 +189,12 @@ pub struct Ftl {
     gc_job: Option<GcJob>,
     /// Lent to each `gc_step` and taken back, so steps allocate no pages.
     gc_scratch: GcScratch,
+    /// Relocations owed by the commands that allocated inside the slack
+    /// band and not yet run (`Ftl::collect_after`).
+    gc_debt: u64,
+    /// `meta_page_writes` at the last debt accrual: the log and checkpoint
+    /// pages programmed since then count into the next command's debt.
+    gc_meta_seen: u64,
     /// WA ledger, GC axis: per data-pool block (relative index), how many
     /// pages each stream invalidated there. Settled into the telemetry
     /// blame ledger when the block is collected; cleared on erase.
@@ -194,6 +203,8 @@ pub struct Ftl {
     log_blame: Vec<u64>,
     /// WA ledger, checkpoint axis: deltas per stream since last checkpoint.
     ckpt_blame: Vec<u64>,
+    /// Per-stream shares of the last settlement, reused by every one.
+    blame_shares: Vec<u64>,
     /// Scratch buffers reused across SHARE commands so the hot path does
     /// not allocate for typical batch sizes (cleared, never shrunk).
     share_dests: Vec<Lpn>,
@@ -262,9 +273,12 @@ impl Ftl {
             in_gc: false,
             gc_job: None,
             gc_scratch: GcScratch::default(),
+            gc_debt: 0,
+            gc_meta_seen: 0,
             block_blame: vec![Vec::new(); data_blocks],
             log_blame: Vec::new(),
             ckpt_blame: Vec::new(),
+            blame_shares: Vec::new(),
             share_dests: Vec::new(),
             share_srcs: Vec::new(),
             share_incs: Vec::new(),
@@ -456,20 +470,20 @@ impl Ftl {
         if pages == 0 {
             return;
         }
-        let mut owners = weights.iter().enumerate().filter(|&(_, &w)| w > 0);
-        match (owners.next(), owners.next()) {
-            (None, _) => self.telemetry.blame(STREAM_FTL, kind, pages),
-            // One stream owns every page: nothing to apportion, and a GC
-            // step settles this without asking the heap for anything.
-            (Some((stream, _)), None) => self.telemetry.blame(stream as u32, kind, pages),
-            _ => {
-                for (stream, share) in apportion(pages, weights).into_iter().enumerate() {
-                    if share > 0 {
-                        self.telemetry.blame(stream as u32, kind, share);
-                    }
-                }
+        if weights.iter().all(|&w| w == 0) {
+            self.telemetry.blame(STREAM_FTL, kind, pages);
+            return;
+        }
+        // The split lands in a buffer the device keeps, so settling asks
+        // the heap for nothing once it has grown to the stream count.
+        let mut shares = std::mem::take(&mut self.blame_shares);
+        apportion(pages, weights, &mut shares);
+        for (stream, &share) in shares.iter().enumerate() {
+            if share > 0 {
+                self.telemetry.blame(stream as u32, kind, share);
             }
         }
+        self.blame_shares = shares;
     }
 
     /// Settle a finished log flush: blame its pages and zero the weights
@@ -607,8 +621,8 @@ impl Ftl {
     }
 
     /// Pages per batched submission: enough depth to keep every unit busy
-    /// (8 per channel-way), and chunked so `ensure_free` gets a say between
-    /// submissions on long batches.
+    /// (8 per channel-way), and chunked so `ensure_free` and
+    /// `collect_after` get a say between submissions on long batches.
     fn submit_chunk_pages(&self) -> usize {
         (self.cfg.geometry.units() as usize * 8).max(1)
     }
@@ -644,11 +658,13 @@ impl Ftl {
         self.stats.host_writes += 1;
         self.stats.host_write_bytes += data.len() as u64;
         self.ensure_free()?;
+        let mark = self.mark();
         let ppn = self.pool.alloc(&self.nand, WritePoint::User)?;
         self.nand.program(ppn, data)?;
         let old = self.map.map_new_write(lpn, ppn)?;
         self.note_invalidation(&old);
-        self.log_delta(Delta { lpn, old: old.old_ppn, new: ppn })
+        self.log_delta(Delta { lpn, old: old.old_ppn, new: ppn })?;
+        self.collect_after(1, mark)
     }
 
     fn trim_impl(&mut self, lpn: Lpn, len: u64) -> Result<(), FtlError> {
@@ -701,7 +717,11 @@ impl Ftl {
 
     /// Place `pages`: allocate, program as batched submissions, and map,
     /// chunk by chunk. Each mapping delta goes to `batch` when the caller
-    /// commits them itself (atomic write), to the delta log otherwise.
+    /// commits them itself (atomic write), to the delta log otherwise; only
+    /// then does each chunk pay its collection, since a step that finishes
+    /// a victim must not erase the only durable copy of a page whose new
+    /// mapping is not yet in the log (the atomic caller collects after its
+    /// commit).
     fn place_and_map(
         &mut self,
         pages: &[(Lpn, &[u8])],
@@ -712,6 +732,7 @@ impl Ftl {
             self.stats.host_writes += chunk.len() as u64;
             self.stats.host_write_bytes += (chunk.len() * want) as u64;
             self.ensure_free()?;
+            let mark = self.mark();
             let mut done = 0;
             while done < chunk.len() {
                 let dests = self.program_user_submission(&chunk[done..])?;
@@ -730,6 +751,9 @@ impl Ftl {
                     // far is mapped, so GC can run safely.
                     self.ensure_free()?;
                 }
+            }
+            if batch.is_none() {
+                self.collect_after(chunk.len(), mark)?;
             }
         }
         Ok(())
@@ -768,10 +792,12 @@ impl Ftl {
             }
         }
         self.nand.charge(self.cfg.command_ns);
+        let mark = self.mark();
         let mut deltas = Vec::with_capacity(pages.len());
         self.place_and_map(pages, Some(&mut deltas))?;
         self.commit_log(Some(&deltas))?;
-        self.maybe_checkpoint()
+        self.maybe_checkpoint()?;
+        self.collect_after(pages.len(), mark)
     }
 }
 

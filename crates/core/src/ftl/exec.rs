@@ -187,28 +187,21 @@ impl Ftl {
     /// Remove and return every pending command with `complete_ns <= now`,
     /// oldest completion first, unpinning its blocks.
     fn take_due(&mut self, now: u64) -> Vec<Completion> {
-        let mut due: Vec<PendingCmd> = Vec::new();
+        let mut due = Vec::new();
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].complete_ns <= now {
-                due.push(self.pending.remove(i));
+                let p = self.pending.remove(i);
+                self.pool.release_inflight(&p.blocks);
+                let PendingCmd { tag, submit_ns, complete_ns, result, .. } = p;
+                due.push(Completion { tag, submit_ns, complete_ns, result });
             } else {
                 i += 1;
             }
         }
-        due.sort_by_key(|p| (p.complete_ns, p.tag));
+        due.sort_by_key(|c| (c.complete_ns, c.tag));
         self.q_reaped += due.len() as u64;
-        due.into_iter()
-            .map(|p| {
-                self.pool.release_inflight(&p.blocks);
-                Completion {
-                    tag: p.tag,
-                    submit_ns: p.submit_ns,
-                    complete_ns: p.complete_ns,
-                    result: p.result,
-                }
-            })
-            .collect()
+        due
     }
 }
 

@@ -17,6 +17,17 @@ const GC_BUDGET_PAGES: usize = 4;
 /// §13 "Watermark math").
 const GC_SOFT_HEADROOM: usize = 1;
 
+/// Where a command's collection is measured from, taken just before its own
+/// program: the submission time its background window opens at, and the
+/// blocks unreaped queued commands pin. The pins its program is about to
+/// take do not raise its own band — at queue depth one that would run a
+/// schedule the blocking call does not.
+#[derive(Clone, Copy)]
+pub(super) struct Mark {
+    at: u64,
+    pinned: usize,
+}
+
 impl Ftl {
     /// Pick a GC victim per the configured policy: greedy (fewest valid
     /// pages) or FIFO (oldest sealed block). Fully valid blocks are never
@@ -99,11 +110,11 @@ impl Ftl {
     /// selection counts as one `gc_events`.
     fn gc_begin_job(&mut self) -> bool {
         debug_assert!(self.gc_job.is_none(), "one collection job at a time");
-        let Some((rel, _valid)) = self.pick_victim() else {
+        let Some((rel, valid)) = self.pick_victim() else {
             return false;
         };
         self.stats.gc_events += 1;
-        self.gc_job = Some(GcJob { rel, next_idx: 0 });
+        self.gc_job = Some(GcJob { rel, next_idx: 0, valid });
         true
     }
 
@@ -117,7 +128,7 @@ impl Ftl {
     /// relocated this step. `scratch` is the device's relocation scratch,
     /// lent by the caller for the step.
     fn gc_step(&mut self, budget: usize, scratch: &mut GcScratch) -> Result<u64, FtlError> {
-        let GcJob { rel, next_idx } =
+        let GcJob { rel, next_idx, .. } =
             *self.gc_job.as_ref().expect("gc_step without a job");
         let block = self.pool.abs(rel);
         let ppb = self.cfg.geometry.pages_per_block;
@@ -176,13 +187,13 @@ impl Ftl {
     }
 
     /// Run one GC step as a `gc` internal pass. `background` opens a
-    /// background timing window: relocations reserve idle channel/way lanes
-    /// from device time and the foreground command is never charged (it
-    /// only feels GC through lane contention). Without it the step runs on
-    /// the caller's timeline — the synchronous drain.
-    fn gc_step_traced(&mut self, budget: usize, background: bool) -> Result<u64, FtlError> {
+    /// background timing window at that submission time: relocations
+    /// reserve idle channel/way lanes from there and the foreground command
+    /// is never charged (it only feels GC through lane contention). Without
+    /// it the step runs on the caller's timeline — the synchronous drain.
+    fn gc_step_traced(&mut self, budget: usize, background: Option<u64>) -> Result<u64, FtlError> {
         let victim = self.pool.abs(self.gc_job.as_ref().expect("step without a job").rel);
-        let saved = background.then(|| self.nand.begin_background());
+        let saved = background.map(|at| self.nand.begin_background(at));
         let r = self.internal_pass("gc", OpClass::Gc, None, victim.0 as u64, |f| {
             f.in_gc = true;
             let mut scratch = std::mem::take(&mut f.gc_scratch);
@@ -206,71 +217,99 @@ impl Ftl {
             if self.gc_job.is_none() && !self.gc_begin_job() {
                 break;
             }
-            self.gc_step_traced(usize::MAX, false)?;
+            self.gc_step_traced(usize::MAX, None)?;
         }
         self.stats.gc_stall_ns += self.nand.submission_now() - t0;
         Ok(())
     }
 
-    pub(super) fn ensure_free(&mut self) -> Result<(), FtlError> {
-        // Every open lane — one user and one GC lane per channel — can
-        // pull a fresh block from the free list between two GC checks (a
-        // batched submission feeds every user lane, a relocation step
-        // every GC lane), so the watermarks shift up by the lanes beyond
-        // the baseline single user + single GC pair: `2·(channels − 1)`
-        // blocks banked. At one channel this is exactly the configured
-        // low/high pair.
-        // Blocks pinned by unreaped queued commands are ineligible victims,
-        // so the same number of extra free blocks must be banked on top —
-        // otherwise a deep queue can strand GC with nothing collectible.
+    /// The slack band's lower edge `low` and the drain's target `high`, with
+    /// `pinned` blocks held by unreaped queued commands: ineligible victims,
+    /// banked on top so a deep queue cannot strand GC. Every open lane — one
+    /// user and one GC lane per channel — can pull a fresh block between two
+    /// GC checks, so both sit `2·(channels − 1)` blocks above the one-channel
+    /// pair; at one channel `low` is the hard floor.
+    fn watermarks(&self, pinned: usize) -> (usize, usize) {
         let extra_lanes = 2 * (self.cfg.geometry.channels as usize - 1);
-        let pinned = self.pool.inflight_pinned_blocks();
-        let low = self.pool.hard_floor() + extra_lanes;
-        let high = self.cfg.gc_high_water + extra_lanes + pinned;
-        // `low` banks `extra_lanes + pinned` blocks of slack precisely so
-        // open lanes can pull fresh blocks between GC checks: dipping into
-        // it is normal operation, and collection there runs as budgeted
-        // background steps — at most `GC_BUDGET_PAGES` relocations each,
-        // dispatched onto idle lanes — so the foreground never waits for
-        // whole victims. The *hard floor* is the un-adjusted
-        // `gc_low_water + pinned`, the point past which allocation is at
-        // risk: only there does the command drain on its own timeline, the
-        // backstop between a full pool and `DeviceFull`, and only there do
-        // relocations fill the open GC lanes before opening a block.
+        let low = self.cfg.gc_low_water + pinned + extra_lanes;
+        (low, self.cfg.gc_high_water + extra_lanes + pinned)
+    }
+
+    /// Before a command allocates: at the hard floor (`gc_low_water` plus
+    /// the pinned blocks), the point past which allocation is at risk, the
+    /// command drains whole victims on its own timeline — the backstop
+    /// between a full pool and `DeviceFull`, and the only place relocations
+    /// fill the open GC lanes before opening a block. Collection above the
+    /// floor runs after the command's own program, in [`Self::collect_after`].
+    pub(super) fn ensure_free(&mut self) -> Result<(), FtlError> {
         if self.pool.free_count() <= self.pool.hard_floor() {
+            let (_, high) = self.watermarks(self.pool.inflight_pinned_blocks());
             self.drain_to(high)?;
-        } else if self.pool.free_count() <= low + GC_SOFT_HEADROOM {
-            // Catch up by how far free has fallen into the slack band: `d`
-            // is 0 at the soft mark and `extra_lanes` just above the hard
-            // floor, and once `(1 + d)²` steps are done the loop stops while
-            // free is still above the floor (stopping *at* it would hand the
-            // next command a drain). Each step reserves lanes ahead of the
-            // host, so steps beyond what the deficit needs delay the
-            // command's own program (by up to ~100 ms on an aged 4-channel
-            // device). At one channel `low` is the floor and this stop
-            // never fires. The `4·ppb` page bound prevents a death spiral
-            // when victims are nearly all-valid; past it the hard floor
-            // above takes over.
-            let d = low + GC_SOFT_HEADROOM - self.pool.free_count();
-            let paced = (1 + d) * (1 + d);
-            let ppb = self.cfg.geometry.pages_per_block as usize;
-            let max_steps = (4 * ppb / GC_BUDGET_PAGES).max(1);
-            for steps in 1..=max_steps {
-                if self.gc_job.is_none() && !self.gc_begin_job() {
-                    break;
-                }
-                self.gc_step_traced(GC_BUDGET_PAGES, true)?;
-                if self.gc_job.is_some() {
-                    self.stats.gc_budget_deferrals += 1;
-                }
-                let free = self.pool.free_count();
-                if free > low || (steps >= paced && free > self.pool.hard_floor()) {
-                    break;
-                }
-            }
         }
         if self.pool.free_count() == 0 {
             return Err(FtlError::DeviceFull);
+        }
+        Ok(())
+    }
+
+    /// The [`Mark`] a command takes just before its own program.
+    pub(super) fn mark(&self) -> Mark {
+        Mark { at: self.nand.submission_now(), pinned: self.pool.inflight_pinned_blocks() }
+    }
+
+    /// After a command's `pages` are programmed and mapped: its share of the
+    /// slack band's collection, as budgeted background steps in a window
+    /// opened at `mark.at`. The command's own program is booked first, so
+    /// relocations on other units run beside it instead of queueing in
+    /// front of it.
+    ///
+    /// Inside the band (free at most `low + GC_SOFT_HEADROOM`) the command
+    /// owes `pages · v / (ppb − v)` relocations against the current victim's
+    /// `v` valid pages — what its allocation costs the pool in steady state
+    /// — where `pages` also counts the log and checkpoint pages programmed
+    /// since the last accrual. Steps run until the debt is paid, at least
+    /// one per command, and go on while free is within `reserve` blocks of
+    /// the hard floor: the next command allocates before its own collection
+    /// runs, a chunk of its pages must not find the floor (a drain), and
+    /// while this command is unreaped its pins raise that floor. Free above
+    /// `low` ends the loop and clears the debt; at one channel (`low` is the
+    /// floor) that is the only stop. The `4·ppb` page bound prevents a death
+    /// spiral when victims are nearly all-valid; past it the hard floor
+    /// takes over.
+    pub(super) fn collect_after(&mut self, pages: usize, mark: Mark) -> Result<(), FtlError> {
+        let meta = self.stats.meta_page_writes;
+        let pages = pages as u64 + (meta - self.gc_meta_seen);
+        self.gc_meta_seen = meta;
+        let (low, _) = self.watermarks(mark.pinned);
+        if self.pool.free_count() > low + GC_SOFT_HEADROOM {
+            self.gc_debt = 0;
+            return Ok(());
+        }
+        if self.gc_job.is_none() && !self.gc_begin_job() {
+            return Ok(());
+        }
+        let ppb = self.cfg.geometry.pages_per_block as usize;
+        let v = self.gc_job.as_ref().expect("begun above").valid as u64;
+        self.gc_debt += pages * v / (ppb as u64 - v);
+        let reserve = 1 + self.submit_chunk_pages().div_ceil(ppb);
+        let max_steps = (4 * ppb / GC_BUDGET_PAGES).max(1);
+        for _ in 0..max_steps {
+            if self.gc_job.is_none() && !self.gc_begin_job() {
+                break;
+            }
+            let moved = self.gc_step_traced(GC_BUDGET_PAGES, Some(mark.at))?;
+            self.gc_debt = self.gc_debt.saturating_sub(moved);
+            if self.gc_job.is_some() {
+                self.stats.gc_budget_deferrals += 1;
+            }
+            let free = self.pool.free_count();
+            if free > low {
+                self.gc_debt = 0;
+                break;
+            }
+            if self.gc_debt == 0 && free > self.pool.hard_floor() + reserve {
+                break;
+            }
         }
         Ok(())
     }

@@ -8,11 +8,13 @@
 //! garbage collection, log flushes and a checkpoint may request less than
 //! half a KiB of heap per op — an eighth of one page, where one forgotten
 //! per-program or per-copyback buffer costs 4 KiB — in fewer than 0.6
-//! requests per op (it makes 0.494: SHARE batches, log flushes, a
+//! requests per op (it makes 0.374: SHARE batches, log flushes, a
 //! checkpoint). The second bound is the one a GC step can break without
 //! moving the first: collection runs as 4-page background steps, about one
 //! per four ops here, so a single request vector built per step adds a
-//! quarter of a request per op and a few dozen bytes.
+//! quarter of a request per op and a few dozen bytes. Two streams write
+//! alternate pages, so every victim's copyback is blamed on both and each
+//! step apportions it — into a buffer the device keeps, never a fresh one.
 //!
 //! Above the boundary a queued `ReadBatch` hands its pages back in one flat
 //! buffer, which the reaper owns: the same test ends by holding a k-page
@@ -86,6 +88,8 @@ struct Rig {
     page: [u8; PAGE],
     pairs: Vec<SharePair>,
     home_pages: u64,
+    /// Streams of the even and the odd pages.
+    streams: [u32; 2],
 }
 
 impl Rig {
@@ -109,6 +113,7 @@ impl Rig {
 
     fn op(&mut self) {
         let lpn = self.rng.random_range(0..self.home_pages - COMMIT_PAGES);
+        self.ftl.set_stream(self.streams[(lpn % 2) as usize]);
         match self.rng.random_range(0..10u32) {
             0..=6 => self.overwrite(lpn),
             7..=8 => self.share_commit(lpn),
@@ -127,12 +132,15 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
         NandTiming::default(),
     );
     let home_pages = LOGICAL_PAGES * 85 / 100;
+    let mut ftl = Ftl::new(cfg);
+    let streams = [ftl.stream_intern("even"), ftl.stream_intern("odd")];
     let mut rig = Rig {
-        ftl: Ftl::new(cfg),
+        ftl,
         rng: StdRng::seed_from_u64(7),
         page: [0; PAGE],
         pairs: Vec::with_capacity(COMMIT_PAGES as usize),
         home_pages,
+        streams,
     };
     for lpn in 0..home_pages {
         rig.overwrite(lpn);
@@ -153,6 +161,7 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     let bytes = ALLOC_BYTES.load(Relaxed) - bytes_before;
     let requests = ALLOC_REQUESTS.load(Relaxed) - requests_before;
     let window = rig.ftl.stats().delta_since(&before);
+    let blamed_gc: Vec<u64> = streams.iter().map(|&s| rig.ftl.telemetry().wa_raw()[s as usize].1[0]).collect();
 
     // The budget must cover GC in parked steps, log flushes and a
     // checkpoint, not an idle device.
@@ -160,6 +169,7 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     assert!(window.gc_budget_deferrals > 0, "no GC step parked its victim");
     assert!(window.copyback_pages > 0 && window.shared_pages > 0 && window.trims > 0);
     assert!(window.checkpoints >= 1, "window saw no checkpoint");
+    assert!(blamed_gc.iter().all(|&p| p > 0), "copyback blamed per stream: {blamed_gc:?}");
     let kib_per_op = bytes as f64 / 1024.0 / WINDOW_OPS as f64;
     assert!(
         kib_per_op < 0.5,
@@ -170,6 +180,7 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
         window.checkpoints
     );
     let requests_per_op = requests as f64 / WINDOW_OPS as f64;
+    println!("steady state: {kib_per_op:.3} KiB/op in {requests_per_op:.3} requests/op");
     assert!(
         requests_per_op < 0.6,
         "steady state made {requests_per_op:.3} heap requests/op over {WINDOW_OPS} ops \

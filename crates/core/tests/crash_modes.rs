@@ -175,3 +175,71 @@ fn back_to_back_checkpoints_recover_to_the_newer_snapshot() {
     assert_eq!(read_fill(&mut rec2, 13), 0x78);
     assert_eq!(read_fill(&mut rec2, 14), 0x79);
 }
+
+/// A `write_atomic` inside the slack band runs its background collection
+/// after its commit, and here that collection finishes the victim holding
+/// the batch's old pages. Crash at every program of the command — the
+/// batch's data pages, its commit page, the step's copybacks and the log
+/// page that retires the victim — in every mode: the batch reads all old or
+/// all new, and the victim's survivors keep their data. Collected before
+/// the commit, the victim is erased while the durable mapping still points
+/// the batch's pages at it.
+#[test]
+fn atomic_write_trailing_collection_crash_is_all_or_nothing() {
+    // One channel, 16-page blocks, 28 data blocks: low == hard floor == 3.
+    let cfg = || FtlConfig::for_capacity_with(256 * 4096, 0.07, 4096, 16, NandTiming::zero());
+    const OLD: u8 = 0xA1;
+    const NEW: u8 = 0xB2;
+    let fill_of = |lpn: u64| (lpn % 200 + 20) as u8;
+    // 16 blocks of sequential data, then 8 pages rewritten in each of
+    // blocks 1..=14: free falls to 5 with no collection, block 0 is intact
+    // and every other closed block holds at least 8 valid pages.
+    let aged = || {
+        let mut ftl = Ftl::new(cfg());
+        for lpn in 0..256 {
+            write_fill(&mut ftl, lpn, if lpn < 12 { OLD } else { fill_of(lpn) });
+        }
+        for block in 1..=14u64 {
+            for i in 0..8 {
+                write_fill(&mut ftl, block * 16 + 2 * i, fill_of(block * 16 + 2 * i));
+            }
+        }
+        ftl.flush().unwrap();
+        assert_eq!((ftl.stats().gc_events, ftl.health_report().free_blocks), (0, 5));
+        ftl
+    };
+    let page = vec![NEW; 4096];
+    let batch: Vec<(Lpn, &[u8])> = (0..12).map(|l| (Lpn(l), page.as_slice())).collect();
+
+    // Fault-free: the batch takes free to the floor's band edge, and its
+    // collection picks block 0 (four survivors) and finishes it.
+    let mut ftl = aged();
+    let before = (ftl.stats(), ftl.fault_handle().programs_seen());
+    ftl.write_atomic(&batch).unwrap();
+    let window = ftl.stats().delta_since(&before.0);
+    assert_eq!((window.gc_events, window.gc_erases, window.copyback_pages), (1, 1, 4));
+    let programs = ftl.fault_handle().programs_seen() - before.1;
+    // 12 data pages, the commit page, 4 copybacks, the victim's log page.
+    assert_eq!(programs, 18, "programs in the command");
+
+    for mode in FaultMode::ALL {
+        for k in 1..=programs {
+            let mut ftl = aged();
+            let handle = ftl.fault_handle();
+            handle.arm_after_programs(k, mode);
+            let crashed = ftl.write_atomic(&batch).is_err();
+            assert!(crashed && handle.is_down(), "{mode:?} at program {k} did not crash");
+            handle.disarm();
+            let mut rec = Ftl::open(cfg(), ftl.into_nand()).expect("recovery must succeed");
+            let got: Vec<u8> = (0..12).map(|l| read_fill(&mut rec, l)).collect();
+            assert!(
+                got.iter().all(|&b| b == OLD) || got.iter().all(|&b| b == NEW),
+                "{mode:?} at program {k}: the batch reads {got:x?}"
+            );
+            for lpn in 12..16 {
+                assert_eq!(read_fill(&mut rec, lpn), fill_of(lpn), "{mode:?} at {k}: lpn {lpn}");
+            }
+            rec.check_invariants();
+        }
+    }
+}

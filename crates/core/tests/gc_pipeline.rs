@@ -17,8 +17,9 @@
 //!
 //! On four channels the file pins timing by arithmetic instead of a
 //! recorded clock: one victim's copyback stripes over every unit, and a
-//! command inside the slack band runs at most `(1 + d)²` background steps,
-//! `d` blocks below the soft mark, unless free sits at the hard floor.
+//! command inside the slack band runs its background steps after its own
+//! program and no more of them than the pages it allocated pay for, unless
+//! free sits near the hard floor.
 
 use nand_sim::NandTiming;
 use share_core::{BlockDevice, Ftl, FtlConfig, Lpn};
@@ -177,14 +178,15 @@ fn one_channel_gc_timing_is_bit_identical_to_single_lane() {
 }
 
 /// Four channels: one victim's survivors stripe over the four GC lanes.
-/// A 4-channel device with 7 % spare is filled, six pages of the first
-/// block are rewritten, and the next command finds the pool below the low
-/// watermark on idle units: its background steps collect that one victim
-/// (ten live pages) back to back. Each 4-page step reads on the victim's
-/// unit and puts one program on each unit, so the window is the victim's
-/// reads plus one program per step, the log page and the erase. With
-/// channel-affine copyback every program queued on the victim's unit
-/// behind the reads: 11.7 ms here against 6.0.
+/// A 4-channel device with 7 % spare is filled, and a command rewriting six
+/// pages of the first block takes the pool below the low watermark on idle
+/// units: after its own program, its background steps collect that one
+/// victim (ten live pages) back to back — six pages at ten live against
+/// six dead owe ten relocations. Each 4-page step reads on the victim's
+/// unit and puts one program on each unit, so from the first relocation
+/// read the window is the victim's reads plus one program per step, the log
+/// page and the erase. With channel-affine copyback every program queued on
+/// the victim's unit behind the reads: 11.7 ms here against 6.0.
 #[test]
 fn four_channel_copyback_stripes_one_victim_over_every_unit() {
     use share_core::{Layer, TelemetryConfig, Track};
@@ -199,10 +201,9 @@ fn four_channel_copyback_stripes_one_victim_over_every_unit() {
     // first block of lane 0 holds LPNs 0, 4, …, 60.
     let fill: Vec<(Lpn, &[u8])> = (0..256).map(|l| (Lpn(l), page.as_slice())).collect();
     ftl.write_batch(&fill).unwrap();
+    assert_eq!(ftl.stats().gc_events, 0, "nothing collected before the trigger");
     let rewrite: Vec<(Lpn, &[u8])> = (0..6).map(|i| (Lpn(4 * i), page.as_slice())).collect();
     ftl.write_batch(&rewrite).unwrap();
-    assert_eq!(ftl.stats().gc_events, 0, "nothing collected before the trigger");
-    ftl.write(Lpn(255), &page).unwrap();
 
     let stats = ftl.stats();
     assert_eq!((stats.gc_events, stats.gc_erases, stats.copyback_pages), (1, 1, 10));
@@ -213,7 +214,9 @@ fn four_channel_copyback_stripes_one_victim_over_every_unit() {
     assert!(steps.iter().all(|s| s.parent == steps[0].parent), "one command ran every step");
     let mut reads = 0u64;
     let mut programs = [0u64; CHANNELS];
+    let mut first_leaf = u64::MAX;
     for leaf in spans.iter().filter(|l| steps.iter().any(|s| s.id == l.parent)) {
+        first_leaf = first_leaf.min(leaf.start_ns);
         match (leaf.name.as_str(), leaf.track) {
             ("read", _) => reads += 1,
             ("program", Track::Unit { channel, .. }) => programs[channel as usize] += 1,
@@ -230,72 +233,149 @@ fn four_channel_copyback_stripes_one_victim_over_every_unit() {
         + v.div_ceil(CHANNELS as u64) * (timing.program_ns + page_xfer)
         + timing.erase_ns
         + (timing.program_ns + page_xfer);
-    let window = steps.last().unwrap().end_ns - steps[0].start_ns;
+    let window = steps.last().unwrap().end_ns - first_leaf;
     assert!(window <= bound, "collection window {window} ns exceeds {bound} ns");
 }
 
 /// Four channels, aged: the writes of the storm above, each observed. A
-/// command that finds free `d` blocks below the soft mark (`low + 1`,
-/// `low` = hard floor + `2·(channels − 1)` lane slack) may run `(1 + d)²`
-/// background `gc` steps; more only while free sits at the hard floor,
-/// where stopping would hand the next command a drain. A step frees at
-/// most one block, so such a command ends at most one block above the
-/// floor.
+/// write inside the slack band runs its background `gc` steps after its own
+/// program, and is paid by what it allocates: one page (plus the log and
+/// checkpoint pages programmed since the write before it) owes `v / (ppb −
+/// v)` relocations against the victim's `v` valid pages at selection. So:
+///
+/// * its own `program` leaf starts at its submission time whenever its
+///   unit was idle then — no relocation is booked in front of it;
+/// * it runs no step past the one that paid its debt, unless free may have
+///   come within `reserve` blocks of the hard floor after one of its steps
+///   (where stopping would hand the next command a drain) or the write
+///   before it ended there (a debt carried over). Free after a step is at
+///   least free at the end less the victims the later steps finished.
+///
+/// The trace does not carry `v`, so each victim's is bounded from above:
+/// the pages its steps relocated plus one per write issued while it was
+/// parked (a write invalidates at most one page).
 #[test]
-fn four_channel_slack_band_catch_up_is_paced_by_the_deficit() {
+fn four_channel_slack_band_steps_run_after_the_program_and_pay_the_allocation() {
     use share_core::telemetry::NO_PARENT;
-    use share_core::{Layer, TelemetryConfig};
+    use share_core::{Layer, TelemetryConfig, Track};
     const CHANNELS: u32 = 4;
     let cfg = gc_heavy_cfg()
         .with_parallelism(CHANNELS, 1)
         .with_telemetry(TelemetryConfig::tracing());
+    let ppb = cfg.geometry.pages_per_block as u64;
+    // The hard floor, and the two blocks of margin above it: one, plus the
+    // blocks one submission chunk (8 pages per unit) can open.
     let floor = cfg.gc_low_water;
-    let low = floor + 2 * (CHANNELS as usize - 1);
+    let reserve = 1 + (8 * CHANNELS as usize).div_ceil(ppb as usize);
     let mut ftl = Ftl::new(cfg);
     let free = |ftl: &Ftl| ftl.health_report().free_blocks as usize;
-    // (free before, free after) per write, in issue order.
+    struct Write {
+        root: u32,
+        free_after: usize,
+        meta_before: u64,
+        meta_after: u64,
+    }
     let mut writes = Vec::new();
     for round in 0..10u64 {
         for i in 0..PAGES {
             let lpn = (i * 173 + round * 311) % PAGES;
             if round % (1 + lpn % 4) == 0 {
-                let before = free(&ftl);
+                let root = ftl.tracer().span_count() as u32;
+                let meta_before = ftl.stats().meta_page_writes;
                 ftl.write(Lpn(lpn), &[fill_of(round, lpn); PAGE]).unwrap();
-                writes.push((before, free(&ftl)));
+                let meta_after = ftl.stats().meta_page_writes;
+                writes.push(Write { root, free_after: free(&ftl), meta_before, meta_after });
             }
         }
         ftl.flush().unwrap();
     }
     ftl.check_invariants();
+    assert_eq!(ftl.stats().gc_stall_ns, 0, "no command was handed a drain");
 
     let spans = ftl.tracer().spans();
-    let roots: Vec<u32> = spans
-        .iter()
-        .filter(|s| s.parent == NO_PARENT && s.name == "write")
-        .map(|s| s.id)
-        .collect();
-    assert_eq!(roots.len(), writes.len(), "one root span per write");
-    let mut steps = vec![0usize; spans.len()];
+    let write_of: BTreeMap<u32, usize> = writes.iter().enumerate().map(|(n, w)| (w.root, n)).collect();
+    // A step that erased its victim finished it.
+    let mut erased = vec![false; spans.len()];
+    for l in spans.iter().filter(|l| l.name == "erase" && l.parent != NO_PARENT) {
+        erased[l.parent as usize] = true;
+    }
+    // Per victim: its first and last write and the pages it relocated; per
+    // write: its steps' relocations, the victim its first step served and
+    // the victims it finished.
+    let mut victims: Vec<(usize, usize, u64)> = Vec::new();
+    let mut per_write: Vec<(Vec<u64>, usize, usize)> =
+        (0..writes.len()).map(|_| (Vec::new(), 0, 0)).collect();
+    let mut new_victim = true;
     for s in spans.iter().filter(|s| s.layer == Layer::Ftl && s.name == "gc") {
-        steps[s.parent as usize] += 1;
-    }
-    // Depths at which the paced stop bound a command above the floor.
-    let mut paced_stops = std::collections::BTreeSet::new();
-    for (n, (&root, &(before, after))) in roots.iter().zip(&writes).enumerate() {
-        if before <= floor || before > low + 1 {
-            continue; // a drain, or no collection at all
+        let (w, moved, erased) = (write_of[&s.parent], s.pages, erased[s.id as usize]);
+        if new_victim {
+            victims.push((w, w, 0));
         }
-        let d = low + 1 - before;
-        let paced = (1 + d) * (1 + d);
-        let ran = steps[root as usize];
+        let job = victims.len() - 1;
+        victims[job].1 = w;
+        victims[job].2 += moved;
+        if per_write[w].0.is_empty() {
+            per_write[w].1 = job;
+        }
+        per_write[w].0.push(moved);
+        per_write[w].2 += erased as usize;
+        new_victim = erased;
+    }
+
+    let mut paid = (0, 0); // writes checked that ran one step, and more
+    for n in 1..writes.len() {
+        let (moved, job, finished) = &per_write[n];
+        let lowest = writes[n].free_after.saturating_sub(*finished);
+        if moved.is_empty() || lowest <= floor + reserve || writes[n - 1].free_after <= floor + reserve
+        {
+            continue;
+        }
+        let (first, last, relocated) = victims[*job];
+        let v = relocated + (last - first) as u64;
+        if v >= ppb {
+            continue;
+        }
+        let pages = 1 + writes[n].meta_after - writes[n - 1].meta_before;
+        let debt = pages * v / (ppb - v);
+        let mut sum = 0;
+        let allowed = moved.iter().position(|&m| {
+            sum += m;
+            sum >= debt
+        });
+        let allowed = allowed.map_or(usize::MAX, |i| i + 1);
         assert!(
-            ran <= paced || after <= floor + 1,
-            "write {n}: {ran} gc steps at d = {d} (bound {paced}) ended with {after} free"
+            moved.len() <= allowed,
+            "write {n}: {} gc steps relocating {moved:?} against a debt of at most {debt} \
+             ({pages} pages, v <= {v}); ended with {} free",
+            moved.len(),
+            writes[n].free_after
         );
-        if ran == paced && after > floor + 1 {
-            paced_stops.insert(d);
+        if moved.len() == 1 { paid.0 += 1 } else { paid.1 += 1 }
+    }
+    assert!(paid.0 > 0 && paid.1 > 0, "writes checked with one step and with more: {paid:?}");
+
+    // Host first: replay the lanes in dispatch order and look at each
+    // write's own program against its unit's reservation at submission.
+    let mut busy = vec![0u64; CHANNELS as usize];
+    let mut idle_with_steps = 0;
+    for s in &spans {
+        if s.layer == Layer::Nand {
+            if let Track::Unit { channel, .. } = s.track {
+                let unit = &mut busy[channel as usize];
+                if s.parent != NO_PARENT && write_of.contains_key(&s.parent) && s.name == "program" {
+                    let root = &spans[s.parent as usize];
+                    if *unit <= root.start_ns {
+                        assert_eq!(
+                            s.start_ns, root.start_ns,
+                            "write {}: its own program waited on an idle unit",
+                            write_of[&s.parent]
+                        );
+                        idle_with_steps += !per_write[write_of[&s.parent]].0.is_empty() as usize;
+                    }
+                }
+                *unit = (*unit).max(s.end_ns);
+            }
         }
     }
-    assert!(paced_stops.iter().any(|&d| d >= 2), "paced stops only at depths {paced_stops:?}");
-    assert_eq!(ftl.stats().gc_stall_ns, 0, "the paced stop never handed a command a drain");
+    assert!(idle_with_steps > 0, "no collecting write found its unit idle");
 }

@@ -233,17 +233,19 @@ impl NandArray {
 
     /// Open a background-relocation window. Unlike [`Self::begin_deferred`]
     /// this nests inside a foreground window: the current window (if any)
-    /// is saved and a fresh one opens at the submission frontier — the
-    /// point in the foreground command that triggered the work, which is
-    /// the shared clock when no window is open — so background work
+    /// is saved and a fresh one opens at `at` — the submission time the
+    /// foreground command captured before its own operations were booked —
+    /// clamped to the current submission frontier, so background work
     /// reserves unit lanes from there on without charging the foreground
-    /// command. Contention with foreground operations shows up as queueing
-    /// on the shared per-unit `busy_until` reservations.
+    /// command. Lanes the command already reserved are queued behind; idle
+    /// ones run the work beside the command's own. Contention with
+    /// foreground operations shows up as queueing on the shared per-unit
+    /// `busy_until` reservations.
     ///
     /// Returns an opaque token (the saved frontier) that must be passed
     /// back to [`Self::end_background`].
-    pub fn begin_background(&mut self) -> Option<u64> {
-        let frontier = self.submit_t0();
+    pub fn begin_background(&mut self, at: u64) -> Option<u64> {
+        let frontier = at.min(self.submit_t0());
         let saved = self.deferred.replace(DeferredWindow { frontier });
         saved.map(|w| w.frontier)
     }
@@ -1023,10 +1025,10 @@ mod tests {
         a.begin_deferred();
         a.program(Ppn(0), &data).unwrap();
         a.charge(500);
-        // ...background relocation cuts in on idle channel 1: its window
-        // opens at the foreground frontier (p + 500), the point in the
-        // command that triggered it, not back at the clock (0).
-        let saved = a.begin_background();
+        // ...background relocation cuts in on idle channel 1: a window asked
+        // for later than the foreground frontier opens at the frontier
+        // (p + 500), not past it.
+        let saved = a.begin_background(u64::MAX);
         assert!(a.deferred_active());
         a.program(Ppn(4), &data).unwrap();
         let bg_end = a.end_background(saved);
@@ -1039,13 +1041,32 @@ mod tests {
     }
 
     #[test]
+    fn background_window_opened_at_submission_runs_beside_the_command() {
+        let mut a = four_channel();
+        let t = a.timing();
+        let p = t.program_ns + t.xfer_ns(512);
+        let data = page(0xB3, 512);
+        // A command submitted at 0 programs on channel 0; the relocation it
+        // pays for, opened at that submission time, runs on idle channel 1
+        // beside it and queues behind it on channel 0.
+        a.program(Ppn(0), &data).unwrap();
+        let saved = a.begin_background(0);
+        a.program(Ppn(4), &data).unwrap();
+        assert_eq!(a.end_background(saved), p, "idle unit: beside the command");
+        let saved = a.begin_background(0);
+        a.program(Ppn(1), &data).unwrap();
+        assert_eq!(a.end_background(saved), 2 * p, "busy unit: behind the command");
+        assert_eq!(a.clock().now_ns(), p, "the command paid for its own program only");
+    }
+
+    #[test]
     fn background_work_queues_foreground_ops_on_a_shared_unit() {
         let mut a = four_channel();
         let t = a.timing();
         let p = t.program_ns + t.xfer_ns(512);
         let data = page(0xB2, 512);
         // Background reserves unit 0 for two pages.
-        let saved = a.begin_background();
+        let saved = a.begin_background(0);
         a.program(Ppn(0), &data).unwrap();
         a.program(Ppn(1), &data).unwrap();
         assert_eq!(a.end_background(saved), 2 * p);
@@ -1056,7 +1077,7 @@ mod tests {
         a.program(Ppn(2), &data).unwrap();
         assert_eq!(a.clock().now_ns(), 3 * p, "fg op waited for the bg reservation");
         let mut b = four_channel();
-        let saved = b.begin_background();
+        let saved = b.begin_background(0);
         b.program(Ppn(0), &data).unwrap();
         b.end_background(saved);
         b.program(Ppn(4), &data).unwrap(); // different channel: no contention

@@ -460,35 +460,34 @@ impl Tracer {
 }
 
 /// Split `total` across `weights` proportionally, exactly (largest-remainder
-/// apportionment): the returned vector sums to `total` whenever the weights
-/// are not all zero. Deterministic — remainder ties break on lower index.
-/// All-zero or empty weights return all zeros (the caller picks a fallback).
-pub fn apportion(total: u64, weights: &[u64]) -> Vec<u64> {
+/// apportionment), into `shares` (cleared, then one entry per weight): the
+/// shares sum to `total` whenever the weights are not all zero.
+/// Deterministic — remainder ties break on lower index. All-zero or empty
+/// weights give all zeros (the caller picks a fallback). The caller owns
+/// `shares`, so a reused buffer makes the split allocation-free.
+pub fn apportion(total: u64, weights: &[u64], shares: &mut Vec<u64>) {
+    shares.clear();
     let sum: u128 = weights.iter().map(|&w| w as u128).sum();
     if sum == 0 {
-        return vec![0; weights.len()];
+        shares.resize(weights.len(), 0);
+        return;
     }
-    let mut shares: Vec<u64> = Vec::with_capacity(weights.len());
-    let mut rems: Vec<(u128, usize)> = Vec::with_capacity(weights.len());
-    let mut assigned: u64 = 0;
-    for (i, &w) in weights.iter().enumerate() {
-        let exact = total as u128 * w as u128;
-        let q = (exact / sum) as u64;
-        shares.push(q);
-        assigned += q;
-        rems.push((exact % sum, i));
+    let rem = |i: usize| (total as u128 * weights[i] as u128) % sum;
+    shares.extend(weights.iter().map(|&w| (total as u128 * w as u128 / sum) as u64));
+    // Hand the leftover units (fewer than there are weights) to the largest
+    // remainders, lowest index first: each pass takes the next index in
+    // that order after the one the previous pass took.
+    let left = total - shares.iter().sum::<u64>();
+    let mut last: Option<(u128, usize)> = None;
+    for _ in 0..left {
+        let below_last = |&i: &usize| last.is_none_or(|(r, j)| rem(i) < r || (rem(i) == r && i > j));
+        let next = (0..weights.len())
+            .filter(below_last)
+            .max_by(|&a, &b| rem(a).cmp(&rem(b)).then(b.cmp(&a)))
+            .expect("fewer leftover units than weights");
+        shares[next] += 1;
+        last = Some((rem(next), next));
     }
-    // Hand the leftover units to the largest remainders, lowest index first.
-    rems.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut left = total - assigned;
-    for &(_, i) in &rems {
-        if left == 0 {
-            break;
-        }
-        shares[i] += 1;
-        left -= 1;
-    }
-    shares
 }
 
 #[cfg(test)]
@@ -632,15 +631,23 @@ mod tests {
 
     #[test]
     fn apportion_is_exact_and_deterministic() {
-        assert_eq!(apportion(10, &[1, 1, 1]), vec![4, 3, 3]);
-        assert_eq!(apportion(7, &[0, 3, 1]), vec![0, 5, 2]);
-        assert_eq!(apportion(0, &[5, 5]), vec![0, 0]);
-        assert_eq!(apportion(5, &[0, 0]), vec![0, 0]);
-        assert_eq!(apportion(3, &[]), Vec::<u64>::new());
+        let split = |total: u64, weights: &[u64]| {
+            let mut shares = vec![99; 7]; // stale contents are cleared
+            apportion(total, weights, &mut shares);
+            shares
+        };
+        assert_eq!(split(10, &[1, 1, 1]), vec![4, 3, 3]);
+        assert_eq!(split(7, &[0, 3, 1]), vec![0, 5, 2]);
+        assert_eq!(split(0, &[5, 5]), vec![0, 0]);
+        assert_eq!(split(5, &[0, 0]), vec![0, 0]);
+        assert_eq!(split(3, &[]), Vec::<u64>::new());
+        // Leftovers go to the largest remainders, ties to the lower index.
+        assert_eq!(split(5, &[1, 2, 2, 1]), vec![1, 2, 1, 1]);
+        assert_eq!(split(3, &[1, 1, 1, 1, 1]), vec![1, 1, 1, 0, 0]);
         // Exactness across a sweep of shapes.
         for total in [1u64, 2, 3, 10, 97, 1000] {
             for weights in [&[1u64, 2, 3][..], &[100, 1], &[7, 7, 7, 7], &[0, 9, 0, 1]] {
-                let shares = apportion(total, weights);
+                let shares = split(total, weights);
                 assert_eq!(shares.iter().sum::<u64>(), total, "{total} over {weights:?}");
             }
         }

@@ -49,7 +49,7 @@ echo "== crash-point smoke sweep =="
 # binary under crates/bench/src/bin/ (the paper's figures and tables, the
 # ablations and the four device benches), and the simulator is
 # deterministic, so each binary's full-scale stdout must equal its file
-# byte for byte: fig5 4.13x at 8 channels, fig8 6.66x, table 1 p99, table 2
+# byte for byte: fig5 4.78x at 8 channels, fig8 6.66x, table 1 p99, table 2
 # volumes, bench_snapshot's 0 programs are gated exactly, not by threshold.
 # A binary without a file and a file without a binary fail too. After an
 # intended change of simulated behaviour, re-record with
