@@ -9,6 +9,19 @@
 //! * The two checkpoint slots alternate full snapshots of the L2P table.
 //! * The delta-log ring holds page-sized groups of mapping deltas
 //!   (`(LPN, old PPN, new PPN)` — the paper's §4.2.2 "Delta" records).
+//!   Its blocks sit on consecutive NAND units, and its slots interleave
+//!   over a stripe of `w` of them (`w` the largest divisor of
+//!   `log_blocks` no larger than the unit count), so the pages of one log
+//!   submission program side by side. Four blocks, `w = 4`:
+//!
+//! ```text
+//! ring block:   L0   L1   L2   L3
+//! page 0:        0    1    2    3     <- slots, in sequence order
+//! page 1:        4    5    6    7
+//! ...
+//! ```
+//!
+//!   At one channel `w = 1` and the slots fill `L0` before `L1`.
 //! * The data pool serves host writes and GC copyback, with
 //!   over-provisioning beyond the exported logical capacity.
 

@@ -53,16 +53,30 @@ pub struct DeltaPage {
 }
 
 /// The delta log: RAM buffer plus on-flash ring cursor.
+///
+/// The ring stripes over its blocks, which sit on consecutive NAND units:
+/// with stripe width `w`, slot `s` lives in stripe `s / (w·ppb)`, at block
+/// `stripe·w + s % w`, page `(s % (w·ppb)) / w`. Consecutive slots land on
+/// `w` different units, so the pages of one commit program side by side;
+/// slot order is still sequence order, so recovery scans slots in order.
+/// At `w = 1` the layout is block-major.
 #[derive(Debug)]
 pub struct DeltaLog {
     ring_start: BlockId,
-    ring_blocks: u32,
     pages_per_block: u32,
     deltas_per_page: usize,
+    /// Stripe width: blocks whose pages interleave (see the type doc).
+    width: u32,
     buffered: Vec<Delta>,
-    /// The one page image every log page is encoded into before it is
-    /// programmed (the NAND copies it, so it is free again on return).
-    page: Vec<u8>,
+    /// The ring's blocks, erased together by [`Self::reset`].
+    blocks: Vec<BlockId>,
+    page_size: usize,
+    /// The page images of the submission being built, back to back (the
+    /// NAND copies them, so they are free again on return): room for a
+    /// stripe of buffered pages and a stripe of atomic ones.
+    pages: Vec<u8>,
+    /// Pages staged in `pages`, bound for the slots from `cursor` on.
+    staged: u32,
     /// Next page sequence number to assign.
     next_seq: u64,
     /// Next page slot in the ring (0-based across the whole ring).
@@ -71,16 +85,45 @@ pub struct DeltaLog {
     pub pages_written: u64,
 }
 
+/// The stripe width of a `log_blocks`-block ring over `units` NAND units:
+/// the largest divisor of `log_blocks` that is at most `units`.
+fn stripe_width(log_blocks: u32, units: u32) -> u32 {
+    (1..=log_blocks.min(units)).rev().find(|w| log_blocks % w == 0).unwrap_or(1)
+}
+
+/// Encode one log page carrying `head` followed by `tail` into `page`.
+fn encode_page(page: &mut [u8], seq: u64, head: &[Delta], tail: &[Delta]) {
+    let mut off = META_PAGE_HEADER;
+    for d in head.iter().chain(tail) {
+        off = d.encode(page, off);
+    }
+    page[off..].fill(0);
+    // CRC over the whole payload region (zero padding included) so a
+    // torn program whose intact prefix happens to contain all deltas is
+    // still detected — the torn tail reads 0xFF, not zero.
+    let crc = crc32c(&page[META_PAGE_HEADER..]);
+    page[..META_PAGE_HEADER].fill(0);
+    put_u32(page, 0, DLOG_MAGIC);
+    put_u64(page, 4, seq);
+    put_u32(page, 12, (head.len() + tail.len()) as u32);
+    put_u32(page, 16, crc);
+}
+
 impl DeltaLog {
     /// A fresh log for `cfg`, starting at sequence `first_seq`.
     pub fn new(cfg: &FtlConfig, first_seq: u64) -> Self {
+        let width = stripe_width(cfg.log_blocks, cfg.geometry.units());
+        let ring_start = cfg.log_ring_start();
         Self {
-            ring_start: cfg.log_ring_start(),
-            ring_blocks: cfg.log_blocks,
+            ring_start,
             pages_per_block: cfg.geometry.pages_per_block,
             deltas_per_page: cfg.deltas_per_page(),
+            width,
             buffered: Vec::new(),
-            page: vec![0u8; cfg.geometry.page_size],
+            blocks: (0..cfg.log_blocks).map(|b| BlockId(ring_start.0 + b)).collect(),
+            page_size: cfg.geometry.page_size,
+            pages: vec![0u8; 2 * width as usize * cfg.geometry.page_size],
+            staged: 0,
             next_seq: first_seq,
             cursor: 0,
             pages_written: 0,
@@ -92,9 +135,15 @@ impl DeltaLog {
         self.buffered.len()
     }
 
+    /// Ring blocks one stripe spans: the pages a commit can program side
+    /// by side, and the pages the buffer holds before it flushes.
+    pub fn stripe_width(&self) -> u32 {
+        self.width
+    }
+
     /// Total page slots in the ring.
     pub fn ring_pages(&self) -> u32 {
-        self.ring_blocks * self.pages_per_block
+        self.blocks.len() as u32 * self.pages_per_block
     }
 
     /// Unprogrammed page slots remaining in the ring.
@@ -112,9 +161,9 @@ impl DeltaLog {
         self.buffered.push(delta);
     }
 
-    /// Whether the RAM buffer has reached one page worth of deltas.
+    /// Whether the RAM buffer holds a page of deltas for every stripe lane.
     pub fn buffer_full(&self) -> bool {
-        self.buffered.len() >= self.deltas_per_page
+        self.buffered.len() >= self.deltas_per_page * self.width as usize
     }
 
     /// Drop buffered deltas without persisting them. Used when a checkpoint
@@ -123,88 +172,129 @@ impl DeltaLog {
         self.buffered.clear();
     }
 
-    fn ppn_of_slot(&self, slot: u32) -> nand_sim::Ppn {
-        let block = BlockId(self.ring_start.0 + slot / self.pages_per_block);
-        nand_sim::Ppn(block.0 * self.pages_per_block + slot % self.pages_per_block)
+    /// The physical page of ring slot `slot` (see the type doc).
+    pub fn ppn_of_slot(&self, slot: u32) -> nand_sim::Ppn {
+        let stripe_pages = self.width * self.pages_per_block;
+        let block = self.ring_start.0 + slot / stripe_pages * self.width + slot % self.width;
+        nand_sim::Ppn(block * self.pages_per_block + slot % stripe_pages / self.width)
     }
 
-    fn encode_page(&mut self, seq: u64, deltas: &[Delta]) {
-        debug_assert!(deltas.len() <= self.deltas_per_page);
-        let page = &mut self.page[..];
-        let mut off = META_PAGE_HEADER;
-        for d in deltas {
-            off = d.encode(page, off);
+    /// Encode `head` followed by `tail` as the next page of the submission
+    /// being built.
+    fn stage(&mut self, head: &[Delta], tail: &[Delta]) {
+        debug_assert!(head.len() + tail.len() <= self.deltas_per_page);
+        let n = self.staged as usize;
+        let seq = self.next_seq + n as u64;
+        self.staged += 1;
+        let size = self.page_size;
+        if self.pages.len() < (n + 1) * size {
+            self.pages.resize((n + 1) * size, 0);
         }
-        page[off..].fill(0);
-        // CRC over the whole payload region (zero padding included) so a
-        // torn program whose intact prefix happens to contain all deltas is
-        // still detected — the torn tail reads 0xFF, not zero.
-        let crc = crc32c(&page[META_PAGE_HEADER..]);
-        page[..META_PAGE_HEADER].fill(0);
-        put_u32(page, 0, DLOG_MAGIC);
-        put_u64(page, 4, seq);
-        put_u32(page, 12, deltas.len() as u32);
-        put_u32(page, 16, crc);
+        encode_page(&mut self.pages[n * size..(n + 1) * size], seq, head, tail);
     }
 
-    fn program_page(&mut self, nand: &mut NandArray, deltas: &[Delta]) -> Result<(), FtlError> {
-        if self.cursor >= self.ring_pages() {
+    /// Program the staged pages as one submission. The NAND attempts them
+    /// strictly in slot order and stops at a failure, so a crash leaves
+    /// exactly the prefix a page-by-page loop would have left. A failed
+    /// submission takes every staged page with it: the device is down.
+    fn submit(&mut self, nand: &mut NandArray) -> Result<(), FtlError> {
+        let n = std::mem::take(&mut self.staged);
+        let res = if n == 0 {
+            Ok(())
+        } else if n > self.pages_remaining() {
             // The FTL checkpoints before the ring fills; hitting this means
             // the caller's checkpoint policy is broken.
-            return Err(FtlError::RecoveryCorrupt("delta-log ring overflow".into()));
-        }
-        let seq = self.next_seq;
-        self.encode_page(seq, deltas);
-        let ppn = self.ppn_of_slot(self.cursor);
-        nand.program(ppn, &self.page)?;
-        self.next_seq += 1;
-        self.cursor += 1;
-        self.pages_written += 1;
+            Err(FtlError::RecoveryCorrupt("delta-log ring overflow".into()))
+        } else {
+            let slots = (self.cursor..self.cursor + n).map(|slot| self.ppn_of_slot(slot));
+            nand.program_batch(slots.zip(self.pages.chunks(self.page_size))).map_err(FtlError::from)
+        };
+        res?;
+        self.next_seq += n as u64;
+        self.cursor += n;
+        self.pages_written += n as u64;
         Ok(())
     }
 
-    /// Flush all buffered deltas to the ring (possibly multiple pages).
+    /// Flush all buffered deltas to the ring (possibly multiple pages) in
+    /// one submission.
     pub fn flush(&mut self, nand: &mut NandArray) -> Result<(), FtlError> {
         let buffered = std::mem::take(&mut self.buffered);
-        let mut done = 0;
-        let res = buffered.chunks(self.deltas_per_page).try_for_each(|chunk| {
-            // A page that fails to program takes its deltas with it.
-            done += chunk.len();
-            self.program_page(nand, chunk)
-        });
+        for chunk in buffered.chunks(self.deltas_per_page) {
+            self.stage(chunk, &[]);
+        }
         self.buffered = buffered;
-        self.buffered.drain(..done);
-        res
+        self.buffered.clear();
+        self.submit(nand)
     }
 
-    /// Persist `batch` atomically in one log page. Earlier buffered deltas
-    /// ride along in the same page when they fit (they need ordering, not
-    /// atomicity — a torn page loses them together with the batch, which
-    /// only rolls back to the pre-command state); otherwise they are
-    /// flushed first. Fails before touching flash if the batch alone
-    /// exceeds one page.
+    /// Persist `batch` atomically in one log page. Fails before touching
+    /// flash if the batch exceeds one page; otherwise
+    /// [`Self::flush_atomic_pages`].
     pub fn flush_atomic_batch(&mut self, nand: &mut NandArray, batch: &[Delta]) -> Result<(), FtlError> {
         if batch.len() > self.deltas_per_page {
             return Err(FtlError::BatchTooLarge { got: batch.len(), max: self.deltas_per_page });
         }
-        if self.buffered.len() + batch.len() <= self.deltas_per_page {
-            let mut page = std::mem::take(&mut self.buffered);
-            page.extend_from_slice(batch);
-            let res = self.program_page(nand, &page);
-            page.clear();
-            self.buffered = page;
-            return res;
-        }
-        self.flush(nand)?;
-        self.program_page(nand, batch)
+        self.flush_atomic_pages(nand, batch)
     }
 
-    /// Erase the ring and restart the cursor (after a checkpoint). The
-    /// buffered deltas are dropped by the caller taking the checkpoint.
-    pub fn reset(&mut self, nand: &mut NandArray) -> Result<(), FtlError> {
-        for b in 0..self.ring_blocks {
-            nand.erase(BlockId(self.ring_start.0 + b))?;
+    /// Buffered deltas that take pages of their own ahead of an atomic
+    /// commit: all of them when the buffer has reached its flush threshold,
+    /// its whole pages otherwise (the partial tail may ride).
+    fn leading(&self) -> usize {
+        match self.buffer_full() {
+            true => self.buffered.len(),
+            false => self.buffered.len() / self.deltas_per_page * self.deltas_per_page,
         }
+    }
+
+    /// Pages the next commit programs: [`Self::flush`] when `atomic` is
+    /// `None`, [`Self::flush_atomic_pages`] of that many deltas otherwise.
+    pub fn commit_pages(&self, atomic: Option<usize>) -> u32 {
+        let per_page = self.deltas_per_page;
+        let Some(n) = atomic else { return self.buffered.len().div_ceil(per_page) as u32 };
+        let leading = self.leading();
+        let tail = self.buffered.len() - leading;
+        let rides = tail + n.min(per_page) <= per_page;
+        (leading.div_ceil(per_page) + n.div_ceil(per_page).max(1) + usize::from(!rides)) as u32
+    }
+
+    /// Persist `deltas` as atomic pages — each `deltas_per_page` run of it
+    /// is one page, programmed all-or-nothing — behind the buffered deltas,
+    /// all in one submission. The buffer's partial tail rides in the first
+    /// atomic page when it fits and the buffer is below its flush threshold
+    /// (it needs ordering, not atomicity — a torn page loses it together
+    /// with the batch, which only rolls back to the pre-command state);
+    /// otherwise the buffered deltas take pages of their own first.
+    pub fn flush_atomic_pages(&mut self, nand: &mut NandArray, deltas: &[Delta]) -> Result<(), FtlError> {
+        let per_page = self.deltas_per_page;
+        let leading = self.leading();
+        let buffered = std::mem::take(&mut self.buffered);
+        for chunk in buffered[..leading].chunks(per_page) {
+            self.stage(chunk, &[]);
+        }
+        let tail = &buffered[leading..];
+        let mut atomic = deltas.chunks(per_page);
+        let first = atomic.next().unwrap_or_default();
+        if tail.len() + first.len() <= per_page {
+            self.stage(tail, first);
+        } else {
+            self.stage(tail, &[]);
+            self.stage(first, &[]);
+        }
+        for chunk in atomic {
+            self.stage(chunk, &[]);
+        }
+        self.buffered = buffered;
+        self.buffered.clear();
+        self.submit(nand)
+    }
+
+    /// Erase the ring in one submission and restart the cursor (after a
+    /// checkpoint). The buffered deltas are dropped by the caller taking
+    /// the checkpoint.
+    pub fn reset(&mut self, nand: &mut NandArray) -> Result<(), FtlError> {
+        nand.erase_batch(&self.blocks)?;
         self.cursor = 0;
         Ok(())
     }
@@ -214,9 +304,9 @@ impl DeltaLog {
     /// missing or corrupt page (a torn delta flush), which is exactly the
     /// all-or-nothing boundary SHARE atomicity relies on.
     pub fn recover(cfg: &FtlConfig, nand: &mut NandArray, min_seq: u64) -> Vec<DeltaPage> {
-        let mut log = DeltaLog::new(cfg, 0);
+        let log = DeltaLog::new(cfg, 0);
         let mut out = Vec::new();
-        let mut buf = std::mem::take(&mut log.page);
+        let mut buf = vec![0u8; cfg.geometry.page_size];
         let mut expect: Option<u64> = None;
         for slot in 0..log.ring_pages() {
             let ppn = log.ppn_of_slot(slot);

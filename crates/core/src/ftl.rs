@@ -45,7 +45,10 @@ mod gc;
 mod share;
 mod snapshot_ops;
 
-/// Checkpoint when fewer than this many log-ring pages remain.
+/// Checkpoint when fewer than this many log-ring pages remain. One log
+/// submission carries at most a stripe of buffered pages plus a stripe of
+/// atomic pages, so this must be at least twice the stripe width
+/// (asserted when a device is assembled).
 const CKPT_MIN_REMAINING_PAGES: u32 = 8;
 
 /// A submitted-but-unreaped queued command. Its state transitions already
@@ -243,6 +246,10 @@ impl Ftl {
     fn assemble(cfg: FtlConfig, mut nand: NandArray) -> Self {
         let map = MappingTable::with_policy(cfg.geometry, cfg.logical_pages, cfg.revmap_capacity, cfg.revmap_policy);
         let log = DeltaLog::new(&cfg, 0);
+        assert!(
+            2 * log.stripe_width() <= CKPT_MIN_REMAINING_PAGES,
+            "a log submission of two stripes must fit the ring's checkpoint margin"
+        );
         let pool =
             BlockPool::new(cfg.geometry, cfg.data_start(), cfg.data_blocks(), cfg.gc_low_water);
         let telemetry = Telemetry::new(cfg.telemetry);
@@ -505,7 +512,8 @@ impl Ftl {
     }
 
     /// Buffer one mapping delta on behalf of the current stream, flushing
-    /// the log when the buffer reaches a page.
+    /// the log when the buffer holds a page for every lane of the ring's
+    /// stripe.
     fn log_delta(&mut self, delta: Delta) -> Result<(), FtlError> {
         self.log.append(delta);
         self.note_delta(self.telemetry.current_stream(), 1);
@@ -516,19 +524,27 @@ impl Ftl {
     }
 
     /// The one log commit, a `log_flush` internal pass: program the
-    /// buffered deltas — with `batch`, followed by (or sharing a page with)
-    /// that batch in one atomically programmed page, which is what makes
-    /// SHARE, atomic writes and clones all-or-nothing — then account the
-    /// meta pages and settle their blame.
+    /// buffered deltas as one submission — with `batch`, followed by (or
+    /// sharing a page with) that batch, each page of it atomically
+    /// programmed, which is what makes SHARE, atomic writes and clones
+    /// all-or-nothing — then account the meta pages and settle their
+    /// blame.
     fn commit_log(&mut self, batch: Option<&[Delta]>) -> Result<(), FtlError> {
         if let Some(batch) = batch {
             self.note_delta(self.telemetry.current_stream(), batch.len() as u64);
+        }
+        if self.log.commit_pages(batch.map(<[Delta]>::len)) > self.log.pages_remaining() {
+            // Relocation deltas join the buffer without a flush check, so
+            // a commit can outgrow the ring's checkpoint margin. Checkpoint
+            // instead: the snapshot holds the whole RAM map, this commit's
+            // remaps included, in one atomic commit record.
+            return self.checkpoint();
         }
         let attr = self.bg_attr();
         let pages = self.internal_pass("log_flush", OpClass::LogFlush, attr, 0, |f| {
             let before = f.log.pages_written;
             match batch {
-                Some(batch) => f.log.flush_atomic_batch(&mut f.nand, batch)?,
+                Some(batch) => f.log.flush_atomic_pages(&mut f.nand, batch)?,
                 None => f.log.flush(&mut f.nand)?,
             }
             Ok(f.log.pages_written - before)

@@ -1,6 +1,7 @@
 //! The SHARE command (§3.2, §4.2.2): validate a batch, remap every
 //! destination onto its source's physical page, and commit the whole
-//! batch's deltas in one atomically programmed log page.
+//! batch's deltas in one atomically programmed log page. A large SHARE
+//! commits a stripe of such pages per log submission.
 
 use super::*;
 
@@ -82,14 +83,13 @@ impl Ftl {
         Ok(())
     }
 
-    /// Apply a validated SHARE batch: remap every destination and commit
-    /// the whole batch's deltas in one atomically-programmed log page.
-    /// `validate_share` must have run (it fills `share_src_ppns`).
-    fn apply_share(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
+    /// Remap every destination of a validated SHARE chunk (`validate_share`
+    /// must have run: it fills `share_src_ppns`), appending one delta per
+    /// pair to `deltas`. A failed remap takes the chunk's deltas back out.
+    fn map_share(&mut self, pairs: &[SharePair], deltas: &mut Vec<Delta>) -> Result<(), FtlError> {
         self.stats.shared_pages += pairs.len() as u64;
+        let mapped = deltas.len();
         let src_ppns = std::mem::take(&mut self.share_src_ppns);
-        let mut deltas = std::mem::take(&mut self.share_deltas);
-        deltas.clear();
         let mut res = Ok(());
         for (p, &src_ppn) in pairs.iter().zip(&src_ppns) {
             match self.map.map_shared(p.dest, src_ppn) {
@@ -98,34 +98,61 @@ impl Ftl {
                     deltas.push(Delta { lpn: p.dest, old: old.old_ppn, new: src_ppn });
                 }
                 Err(e) => {
+                    deltas.truncate(mapped);
                     res = Err(e);
                     break;
                 }
             }
         }
-        if res.is_ok() {
-            res = self.commit_log(Some(&deltas));
-        }
         self.share_src_ppns = src_ppns;
+        res
+    }
+
+    /// Commit the remapped chunks in `deltas` — one atomically programmed
+    /// log page each — in one log submission and checkpoint if due, then
+    /// hand back `res`, the outcome of remapping them. Nothing is committed
+    /// when no chunk was remapped.
+    fn commit_share(&mut self, deltas: Vec<Delta>, res: Result<(), FtlError>) -> Result<(), FtlError> {
+        let committed = if deltas.is_empty() && res.is_err() {
+            Ok(())
+        } else {
+            self.commit_log(Some(&deltas)).and_then(|()| self.maybe_checkpoint())
+        };
         self.share_deltas = deltas;
-        res?;
-        self.maybe_checkpoint()
+        committed.and(res)
     }
 
     pub(super) fn share_impl(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
         self.validate_share(pairs)?;
         self.nand.charge(self.cfg.command_ns);
         self.stats.share_commands += 1;
-        self.apply_share(pairs)
+        let mut deltas = std::mem::take(&mut self.share_deltas);
+        deltas.clear();
+        let res = self.map_share(pairs, &mut deltas);
+        self.commit_share(deltas, res)
     }
 
+    /// Commit a large SHARE a stripe of log pages at a time: validate and
+    /// remap each page-sized chunk of a group in turn, then commit the
+    /// group in one log submission, one atomic page per chunk. A chunk that
+    /// fails validation stops the command after the chunks before it are
+    /// committed, as if each chunk had been its own command.
     pub(super) fn share_batch_impl(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
         let limit = self.share_batch_limit();
+        let group = limit * self.log.stripe_width() as usize;
         self.nand.charge(self.cfg.command_ns);
         self.stats.share_commands += 1;
-        for chunk in pairs.chunks(limit) {
-            self.validate_share(chunk)?;
-            self.apply_share(chunk)?;
+        for group in pairs.chunks(group) {
+            let mut deltas = std::mem::take(&mut self.share_deltas);
+            deltas.clear();
+            let mut res = Ok(());
+            for chunk in group.chunks(limit) {
+                res = self.validate_share(chunk).and_then(|()| self.map_share(chunk, &mut deltas));
+                if res.is_err() {
+                    break;
+                }
+            }
+            self.commit_share(deltas, res)?;
         }
         Ok(())
     }

@@ -24,11 +24,17 @@
 //! no page-sized allocation at all and no more bytes than its synchronous
 //! twin plus the queue's own bookkeeping.
 //!
+//! On four channels a large SHARE commits a stripe of log pages per
+//! submission, encoded into the log's own page images from the device's
+//! delta scratch: the test closes with a window of the same op mix plus
+//! multi-chunk `share_batch` commits under the same two bounds, each
+//! commit counted as one op per journal page it writes.
+//!
 //! The file holds one test on purpose: the counters are process-wide, and
 //! the harness runs the tests of one binary on parallel threads.
 
 use nand_sim::NandTiming;
-use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, QueuedCmd, SharePair};
+use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, QueuedCmd, SharePair};
 use share_rng::{Rng, StdRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -80,6 +86,8 @@ const PAGE: usize = 4096;
 const LOGICAL_PAGES: u64 = 4096;
 /// Pages of one SHARE commit: journal writes, one `share`, one `trim`.
 const COMMIT_PAGES: u64 = 4;
+/// Pages of one multi-chunk SHARE commit: two log pages of pairs.
+const BATCH_PAGES: u64 = 400;
 const WINDOW_OPS: u64 = 20_000;
 
 struct Rig {
@@ -111,6 +119,22 @@ impl Rig {
         self.ftl.trim(Lpn(journal), COMMIT_PAGES).unwrap();
     }
 
+    /// The same pattern at the size of a database checkpoint: one batched
+    /// journal write, one `share_batch` of two log pages of pairs, one trim.
+    fn batch_commit(&mut self, journal: &[u8]) {
+        let first_home = self.rng.random_range(0..self.home_pages - BATCH_PAGES);
+        let first_journal = self.home_pages + COMMIT_PAGES;
+        let writes: Vec<(Lpn, &[u8])> =
+            journal.chunks(PAGE).enumerate().map(|(i, p)| (Lpn(first_journal + i as u64), p)).collect();
+        self.ftl.write_batch(&writes).unwrap();
+        self.pairs.clear();
+        self.pairs.extend(
+            (0..BATCH_PAGES).map(|i| SharePair::new(Lpn(first_home + i), Lpn(first_journal + i))),
+        );
+        self.ftl.share_batch(&self.pairs).unwrap();
+        self.ftl.trim(Lpn(first_journal), BATCH_PAGES).unwrap();
+    }
+
     fn op(&mut self) {
         let lpn = self.rng.random_range(0..self.home_pages - COMMIT_PAGES);
         self.ftl.set_stream(self.streams[(lpn % 2) as usize]);
@@ -131,26 +155,7 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
         64,
         NandTiming::default(),
     );
-    let home_pages = LOGICAL_PAGES * 85 / 100;
-    let mut ftl = Ftl::new(cfg);
-    let streams = [ftl.stream_intern("even"), ftl.stream_intern("odd")];
-    let mut rig = Rig {
-        ftl,
-        rng: StdRng::seed_from_u64(7),
-        page: [0; PAGE],
-        pairs: Vec::with_capacity(COMMIT_PAGES as usize),
-        home_pages,
-        streams,
-    };
-    for lpn in 0..home_pages {
-        rig.overwrite(lpn);
-    }
-    // Age: every physical page has been programmed at least once (the spare
-    // list feeds all further programs) and the scratch has seen a full step.
-    for _ in 0..4 * LOGICAL_PAGES {
-        rig.op();
-    }
-    assert!(rig.ftl.stats().gc_events > 0, "aging must reach garbage collection");
+    let mut rig = Rig::aged(cfg);
 
     let before = rig.ftl.stats();
     let bytes_before = ALLOC_BYTES.load(Relaxed);
@@ -161,7 +166,7 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     let bytes = ALLOC_BYTES.load(Relaxed) - bytes_before;
     let requests = ALLOC_REQUESTS.load(Relaxed) - requests_before;
     let window = rig.ftl.stats().delta_since(&before);
-    let blamed_gc: Vec<u64> = streams.iter().map(|&s| rig.ftl.telemetry().wa_raw()[s as usize].1[0]).collect();
+    let blamed_gc: Vec<u64> = rig.streams.iter().map(|&s| rig.ftl.telemetry().wa_raw()[s as usize].1[0]).collect();
 
     // The budget must cover GC in parked steps, log flushes and a
     // checkpoint, not an idle device.
@@ -170,27 +175,99 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     assert!(window.copyback_pages > 0 && window.shared_pages > 0 && window.trims > 0);
     assert!(window.checkpoints >= 1, "window saw no checkpoint");
     assert!(blamed_gc.iter().all(|&p| p > 0), "copyback blamed per stream: {blamed_gc:?}");
-    let kib_per_op = bytes as f64 / 1024.0 / WINDOW_OPS as f64;
+    assert_within_budget("steady state", bytes, requests, WINDOW_OPS, &window);
+    rig.ftl.check_invariants();
+    queued_read_batch_is_one_flat_buffer(&mut rig);
+    queued_writes_lend_their_pages(&mut rig);
+    multi_chunk_share_batches_stay_inside_the_budget();
+}
+
+impl Rig {
+    /// An 85 % full device under `cfg`, aged until every physical page has
+    /// been programmed at least once (the spare list feeds all further
+    /// programs) and the scratch has seen a full step.
+    fn aged(cfg: FtlConfig) -> Rig {
+        let home_pages = LOGICAL_PAGES * 85 / 100;
+        let mut ftl = Ftl::new(cfg);
+        let streams = [ftl.stream_intern("even"), ftl.stream_intern("odd")];
+        let mut rig = Rig {
+            ftl,
+            rng: StdRng::seed_from_u64(7),
+            page: [0; PAGE],
+            pairs: Vec::with_capacity(BATCH_PAGES as usize),
+            home_pages,
+            streams,
+        };
+        for lpn in 0..home_pages {
+            rig.overwrite(lpn);
+        }
+        for _ in 0..4 * LOGICAL_PAGES {
+            rig.op();
+        }
+        assert!(rig.ftl.stats().gc_events > 0, "aging must reach garbage collection");
+        rig
+    }
+}
+
+/// The two bounds: under half a KiB and 0.6 heap requests per op.
+fn assert_within_budget(what: &str, bytes: u64, requests: u64, ops: u64, window: &DeviceStats) {
+    let kib_per_op = bytes as f64 / 1024.0 / ops as f64;
     assert!(
         kib_per_op < 0.5,
-        "steady state requested {kib_per_op:.3} KiB/op of heap over {WINDOW_OPS} ops \
+        "{what} requested {kib_per_op:.3} KiB/op of heap over {ops} ops \
          ({} GC events, {} copybacks, {} checkpoints)",
         window.gc_events,
         window.copyback_pages,
         window.checkpoints
     );
-    let requests_per_op = requests as f64 / WINDOW_OPS as f64;
-    println!("steady state: {kib_per_op:.3} KiB/op in {requests_per_op:.3} requests/op");
+    let requests_per_op = requests as f64 / ops as f64;
+    println!("{what}: {kib_per_op:.3} KiB/op in {requests_per_op:.3} requests/op");
     assert!(
         requests_per_op < 0.6,
-        "steady state made {requests_per_op:.3} heap requests/op over {WINDOW_OPS} ops \
+        "{what} made {requests_per_op:.3} heap requests/op over {ops} ops \
          ({} copybacks in {} parked steps)",
         window.copyback_pages,
         window.gc_budget_deferrals
     );
+}
+
+/// Four channels, where one log submission carries a stripe of pages: the
+/// op mix with a 400-page `share_batch` commit every hundredth op. Each
+/// commit's two chunks are remapped into the device's delta scratch and
+/// programmed from the log's page images in one submission. A commit
+/// counts as one op per journal page, as one `overwrite` does: its heap is
+/// the reverse map's entries for the pages it shares, as for `share`.
+fn multi_chunk_share_batches_stay_inside_the_budget() {
+    const OPS: u64 = 5_000;
+    const COMMITS: u64 = OPS / 100;
+    let cfg = FtlConfig::for_capacity_with(
+        LOGICAL_PAGES * PAGE as u64,
+        0.15,
+        PAGE,
+        64,
+        NandTiming::default(),
+    )
+    .with_parallelism(4, 1);
+    let mut rig = Rig::aged(cfg);
+    let journal = vec![0x6Cu8; BATCH_PAGES as usize * PAGE];
+    rig.batch_commit(&journal);
+
+    let before = rig.ftl.stats();
+    let (bytes_before, requests_before) = (ALLOC_BYTES.load(Relaxed), ALLOC_REQUESTS.load(Relaxed));
+    for i in 0..OPS {
+        match i % 100 {
+            0 => rig.batch_commit(&journal),
+            _ => rig.op(),
+        }
+    }
+    let bytes = ALLOC_BYTES.load(Relaxed) - bytes_before;
+    let requests = ALLOC_REQUESTS.load(Relaxed) - requests_before;
+    let window = rig.ftl.stats().delta_since(&before);
+    assert!(window.share_commands > COMMITS && window.checkpoints >= 1);
+    assert!(window.shared_pages >= COMMITS * BATCH_PAGES);
+    let ops = OPS - COMMITS + COMMITS * BATCH_PAGES;
+    assert_within_budget("four channels, multi-chunk SHARE", bytes, requests, ops, &window);
     rig.ftl.check_invariants();
-    queued_read_batch_is_one_flat_buffer(&mut rig);
-    queued_writes_lend_their_pages(&mut rig);
 }
 
 /// Heap bytes and page-sized requests made while `body` runs.

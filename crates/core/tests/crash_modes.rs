@@ -243,3 +243,121 @@ fn atomic_write_trailing_collection_crash_is_all_or_nothing() {
         }
     }
 }
+
+/// A multi-page log submission is one `program_batch`, which the NAND
+/// attempts strictly in slot order, and the ring stripes consecutive slots
+/// over four blocks on four channels. On a 512-byte-page device (30 deltas
+/// a page, a flush threshold of 120): five plain writes leave their deltas
+/// buffered, a 70-pair `share_batch` commits them and its three chunks in
+/// one four-page submission (the buffered tail is too long to ride with a
+/// full chunk), and a 45-page trim goes out on the next flush as two
+/// pages. Crash at every one of those eleven programs in every mode:
+/// recovery must show exactly the state after the log pages that landed
+/// intact — a prefix, so no SHARE chunk without the chunks before it, and
+/// each chunk whole or absent.
+#[test]
+fn striped_log_submissions_recover_to_the_landed_prefix() {
+    let cfg = || {
+        FtlConfig::for_capacity_with(1 << 20, 0.3, 512, 16, NandTiming::zero())
+            .with_parallelism(4, 1)
+    };
+    const OLD: u8 = 0x11;
+    const NEW: u8 = 0x22;
+    const PAIRS: u64 = 70;
+    let fill_of = |lpn: u64| (lpn % 200 + 30) as u8;
+    let (plain, sources, dests, trimmed) = (100..105u64, 0..PAIRS - 1, 1000..1000 + PAIRS, 200..245u64);
+    // The last pair shares a page the plain writes just replaced.
+    let src_of = |i: u64| if i == PAIRS - 1 { plain.start } else { i };
+    let pairs: Vec<SharePair> =
+        (0..PAIRS).map(|i| SharePair::new(Lpn(dests.start + i), Lpn(src_of(i)))).collect();
+    let base = || {
+        let mut ftl = Ftl::new(cfg());
+        let page = |b: u8| vec![b; 512];
+        for lpn in sources.clone().chain(trimmed.clone()) {
+            ftl.write(Lpn(lpn), &page(fill_of(lpn))).unwrap();
+        }
+        for lpn in plain.clone() {
+            ftl.write(Lpn(lpn), &page(OLD)).unwrap();
+        }
+        ftl.checkpoint().unwrap(); // the ring restarts empty
+        ftl
+    };
+    let run = |ftl: &mut Ftl| -> Result<(), share_core::FtlError> {
+        for lpn in plain.clone() {
+            ftl.write(Lpn(lpn), &[NEW; 512])?;
+        }
+        ftl.share_batch(&pairs)?;
+        ftl.trim(Lpn(trimmed.start), trimmed.end - trimmed.start)?;
+        ftl.flush()
+    };
+    // The expected content of every LPN involved once the first `landed`
+    // log pages are durable: [tail, chunk 0, chunk 1, chunk 2, trim 0, trim 1].
+    let expect = |landed: usize, lpn: u64| -> u8 {
+        if plain.contains(&lpn) {
+            return if landed >= 1 { NEW } else { OLD };
+        }
+        if dests.contains(&lpn) {
+            let i = lpn - dests.start;
+            let chunk = (i / 30) as usize;
+            if landed < 2 + chunk {
+                return 0;
+            }
+            return if src_of(i) == plain.start { NEW } else { fill_of(src_of(i)) };
+        }
+        if trimmed.contains(&lpn) {
+            let page = ((lpn - trimmed.start) / 30) as usize;
+            return if landed >= 5 + page { 0 } else { fill_of(lpn) };
+        }
+        fill_of(lpn)
+    };
+    let lpns: Vec<u64> = sources.clone().chain(plain.clone()).chain(dests.clone()).chain(trimmed.clone()).collect();
+    let state = |ftl: &mut Ftl| -> Vec<u8> { lpns.iter().map(|&l| read_fill(ftl, l)).collect() };
+    let prefix = |landed: usize| -> Vec<u8> { lpns.iter().map(|&l| expect(landed, l)).collect() };
+
+    // Fault-free: five data programs, then the two log submissions.
+    let mut ftl = base();
+    let handle = ftl.fault_handle();
+    let mut marks = vec![handle.programs_seen()];
+    for lpn in plain.clone() {
+        ftl.write(Lpn(lpn), &[NEW; 512]).unwrap();
+    }
+    marks.push(handle.programs_seen());
+    ftl.share_batch(&pairs).unwrap();
+    marks.push(handle.programs_seen());
+    ftl.trim(Lpn(trimmed.start), trimmed.end - trimmed.start).unwrap();
+    ftl.flush().unwrap();
+    marks.push(handle.programs_seen());
+    let steps: Vec<u64> = marks.windows(2).map(|m| m[1] - m[0]).collect();
+    assert_eq!(steps, [5, 4, 2], "data programs, SHARE submission, trim flush");
+    assert_eq!(ftl.stats().checkpoints, 2, "no checkpoint inside the sequence");
+    let programs = 11u64;
+
+    for mode in FaultMode::ALL {
+        for k in 1..=programs {
+            let mut ftl = base();
+            let handle = ftl.fault_handle();
+            handle.arm_after_programs(k, mode);
+            assert!(run(&mut ftl).is_err() && handle.is_down(), "{mode:?} at {k} did not crash");
+            handle.disarm();
+            let mut rec = reopen_with(cfg(), ftl);
+            // Log pages are programs 6..=11; the crashed one counts only if
+            // it landed whole.
+            let log_before = k.saturating_sub(6) as usize;
+            let landed = log_before + usize::from(k >= 6 && mode == FaultMode::AfterProgram);
+            let got = state(&mut rec);
+            let matched = (0..=6).find(|&p| prefix(p) == got);
+            assert_eq!(
+                matched,
+                Some(landed),
+                "{mode:?} at program {k}: recovered the prefix {matched:?} of {landed} landed log pages"
+            );
+            rec.check_invariants();
+        }
+    }
+    let mut rec = reopen_with(cfg(), ftl);
+    assert!(state(&mut rec) == prefix(6), "the fault-free run recovers every log page");
+}
+
+fn reopen_with(cfg: FtlConfig, ftl: Ftl) -> Ftl {
+    Ftl::open(cfg, ftl.into_nand()).expect("recovery must succeed")
+}

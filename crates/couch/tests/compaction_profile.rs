@@ -8,13 +8,17 @@
 //! compaction and groups the root's direct children by name. It asserts the
 //! structure (which calls, how many, all inside the root) and prints the
 //! table to read with `--nocapture`. Of the times only three bounds are
-//! asserted, each with slack over what PR 24 measured and far under what it
+//! asserted, each with slack over what was measured and far under what it
 //! replaced: a head read per lane, not per head (19.0 us a head; 76.0 when
-//! every head sat on one lane), a delete that logs live blocks only (34 log
-//! pages; 80), the whole compaction (144.32 ms; 321.15).
+//! every head sat on one lane), a delete that logs live blocks only, a
+//! stripe of log pages per submission (8.13 ms; 29.34 when every log page
+//! was programmed alone), the whole compaction (97.52 ms; 144.32, and
+//! 321.15 before the heads were read per lane). The SHARE's log pages go
+//! out a stripe at a time: one `log_flush` pass per stripe-wide group of
+//! page-sized chunks.
 
 use mini_couch::{doc_blocks, CouchConfig, CouchMode, CouchStore};
-use share_core::{Ftl, FtlConfig};
+use share_core::{DeltaLog, Ftl, FtlConfig};
 use share_telemetry::{Layer, Span, TelemetryConfig};
 use share_vfs::{Vfs, VfsOptions};
 
@@ -96,8 +100,9 @@ fn a_share_compaction_is_head_reads_one_remap_and_an_index_rebuild() {
     assert_eq!(root.end_ns - root.start_ns, report.elapsed_ns);
 
     // The root's direct children, grouped by name in order of first call;
-    // under each, the FTL's own passes (a delta-log flush per log page, a
-    // checkpoint when the log ring fills) found through `owner`: the direct
+    // under each, the FTL's own passes (a delta-log flush per log
+    // submission, with the pages it programmed; a checkpoint when the log
+    // ring fills) found through `owner`: the direct
     // child every later span descends from.
     #[derive(Default)]
     struct Row {
@@ -105,6 +110,7 @@ fn a_share_compaction_is_head_reads_one_remap_and_an_index_rebuild() {
         calls: u64,
         pages: u64,
         ns: u64,
+        log_flushes: u64,
         log_pages: u64,
         log_ns: u64,
         ckpt_ns: u64,
@@ -135,7 +141,8 @@ fn a_share_compaction_is_head_reads_one_remap_and_an_index_rebuild() {
         owner[i] = Some(r);
         match c.name.as_str() {
             "log_flush" => {
-                rows[r].log_pages += 1;
+                rows[r].log_flushes += 1;
+                rows[r].log_pages += c.pages;
                 rows[r].log_ns += took;
             }
             "checkpoint" => rows[r].ckpt_ns += took,
@@ -165,28 +172,36 @@ fn a_share_compaction_is_head_reads_one_remap_and_an_index_rebuild() {
     // still mapped — `mapped` pages, not the file's length.
     assert!(s.device_stats().trims - trims > 2 * mapped);
     assert!(row("delete").log_pages <= 40, "{} log pages under the delete", row("delete").log_pages);
+    // The remap's deltas go out a stripe of atomic pages per submission.
+    let stripe = DeltaLog::new(s.fs_mut().device().config(), 0).stripe_width() as u64;
+    let chunks = (blocks * DOCS).div_ceil(s.fs_mut().device().config().deltas_per_page() as u64);
+    assert_eq!(stripe, 4);
+    assert_eq!(row("ioctl_share_pairs").log_flushes, chunks.div_ceil(stripe));
     // The children are the whole bill: the engine itself spends no
     // simulated time between them.
     assert_eq!(rows.iter().map(|r| r.ns).sum::<u64>(), report.elapsed_ns);
     let per_head_ns = row("read_pages").ns / DOCS;
     assert!(per_head_ns <= 25_000, "{per_head_ns} ns per head read: the heads share a lane again");
-    assert!(report.elapsed_ns <= 160_000_000, "{} ns for the compaction", report.elapsed_ns);
+    let delete_ns = row("delete").ns;
+    assert!(delete_ns <= 12_000_000, "{delete_ns} ns for the delete: its log pages went one by one");
+    assert!(report.elapsed_ns <= 110_000_000, "{} ns for the compaction", report.elapsed_ns);
 
     let ms = |ns: u64| ns as f64 / 1e6;
     println!("compaction of {DOCS} x {blocks}-block documents: {:.2} sim ms", ms(report.elapsed_ns));
     println!(
-        "{:<18} {:>5} {:>6} {:>8} {:>6}   {:>16} {:>10}",
-        "child", "calls", "pages", "ms", "share", "log_flush ms (n)", "checkpoint"
+        "{:<18} {:>5} {:>6} {:>8} {:>6}   {:>16} {:>9} {:>10}",
+        "child", "calls", "pages", "ms", "share", "log_flush ms (n)", "log pages", "checkpoint"
     );
     for r in &rows {
         println!(
-            "{:<18} {:>5} {:>6} {:>8.2} {:>5.1}%   {:>10.2} ({:>3}) {:>10.2}",
+            "{:<18} {:>5} {:>6} {:>8.2} {:>5.1}%   {:>10.2} ({:>3}) {:>9} {:>10.2}",
             r.name,
             r.calls,
             r.pages,
             ms(r.ns),
             r.ns as f64 * 100.0 / report.elapsed_ns as f64,
             ms(r.log_ns),
+            r.log_flushes,
             r.log_pages,
             ms(r.ckpt_ns)
         );
