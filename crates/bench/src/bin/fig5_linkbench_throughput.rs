@@ -6,17 +6,13 @@
 //! and DWB-Off lands within ~1 % of SHARE.
 
 use mini_innodb::FlushMode;
-use share_bench::{
-    f, maybe_dump_metrics, maybe_dump_monitor, maybe_dump_trace, print_table, run_linkbench,
-    scaled, telemetry_from_env, LinkBenchRun,
-};
+use share_bench::{f, print_table, run_linkbench, scaled, LinkBenchRun};
 
 fn base() -> LinkBenchRun {
     LinkBenchRun {
         nodes: scaled(20_000, 2_000),
         warmup_txns: scaled(40_000, 500),
         txns: scaled(20_000, 1_000),
-        telemetry: telemetry_from_env(),
         ..Default::default()
     }
 }
@@ -28,17 +24,6 @@ fn main() {
         let mut tps = Vec::new();
         for mode in [FlushMode::DwbOn, FlushMode::Share, FlushMode::DwbOff] {
             let r = run_linkbench(&LinkBenchRun { mode, page_bytes, ..base() });
-            // SHARE_METRICS=1: dump the per-stream/per-op breakdown of the
-            // 4 KiB runs (the paper's Figure 6 view of this experiment).
-            if page_bytes == 4096 {
-                maybe_dump_metrics(&format!("fig5a_{mode:?}"), r.telemetry.as_ref());
-                // SHARE_TRACE=1: the full txn->VFS->FTL->NAND span tree of
-                // the same runs as Chrome trace_event JSON.
-                maybe_dump_trace(&format!("fig5a_{mode:?}"), &r.tracer);
-                // SHARE_MONITOR=1: the flight recorder's per-epoch time
-                // series (counters, WA blame, queue depth, alerts).
-                maybe_dump_monitor(&format!("fig5a_{mode:?}"), r.monitor.as_ref());
-            }
             tps.push(r.tps);
         }
         rows.push(vec![

@@ -5,10 +5,7 @@
 //! smaller gains than workload-F because half the ops are reads.
 
 use mini_couch::CouchMode;
-use share_bench::{
-    f, maybe_dump_metrics, maybe_dump_monitor, maybe_dump_trace, mb, print_table, run_ycsb,
-    scaled, telemetry_from_env, YcsbRun,
-};
+use share_bench::{f, mb, print_table, run_ycsb, scaled, YcsbRun};
 use share_workloads::YcsbWorkload;
 
 fn main() {
@@ -22,7 +19,6 @@ fn main() {
             batch_size: batch,
             records,
             ops,
-            telemetry: telemetry_from_env(),
             ..Default::default()
         });
         let share = run_ycsb(&YcsbRun {
@@ -31,21 +27,8 @@ fn main() {
             batch_size: batch,
             records,
             ops,
-            telemetry: telemetry_from_env(),
             ..Default::default()
         });
-        // SHARE_METRICS=1: dump both modes' per-op/per-stream breakdowns at
-        // the batch-1 point (where the SHARE win is largest).
-        if batch == 1 {
-            maybe_dump_metrics("fig8_batch1_Original", orig.telemetry.as_ref());
-            maybe_dump_metrics("fig8_batch1_Share", share.telemetry.as_ref());
-            // SHARE_TRACE=1: span trees of the same runs as Chrome JSON.
-            maybe_dump_trace("fig8_batch1_Original", &orig.tracer);
-            maybe_dump_trace("fig8_batch1_Share", &share.tracer);
-            // SHARE_MONITOR=1: per-epoch flight-recorder time series.
-            maybe_dump_monitor("fig8_batch1_Original", orig.monitor.as_ref());
-            maybe_dump_monitor("fig8_batch1_Share", share.monitor.as_ref());
-        }
         rows.push(vec![
             batch.to_string(),
             f(orig.ops_per_sec, 0),

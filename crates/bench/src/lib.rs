@@ -9,7 +9,6 @@
 //! Set `SHARE_BENCH_SCALE` (e.g. `0.2`) to shrink run sizes for smoke tests.
 
 pub mod linkbench_driver;
-pub mod metrics;
 #[cfg(test)]
 mod tests;
 pub mod table;
@@ -17,9 +16,5 @@ pub mod timing;
 pub mod ycsb_driver;
 
 pub use linkbench_driver::{run_linkbench, LinkBenchResult, LinkBenchRun};
-pub use metrics::{
-    maybe_dump_metrics, maybe_dump_monitor, maybe_dump_trace, metrics_enabled, monitor_enabled,
-    telemetry_from_env, trace_enabled,
-};
 pub use table::{f, mb, print_table, scale_from_env, scaled};
 pub use ycsb_driver::{loaded_store, run_compaction, run_ycsb, YcsbResult, YcsbRun};

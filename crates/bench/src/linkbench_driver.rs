@@ -97,7 +97,7 @@ pub struct LinkBenchResult {
     /// run's [`TelemetryConfig`] enabled tracing).
     pub tracer: share_core::Tracer,
     /// Flight-recorder epoch time series (present only when the run's
-    /// [`TelemetryConfig`] enabled epoch sampling, e.g. `SHARE_MONITOR=1`).
+    /// [`TelemetryConfig::monitoring`]).
     pub monitor: Option<FlightSnapshot>,
 }
 

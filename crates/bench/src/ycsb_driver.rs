@@ -78,7 +78,7 @@ pub struct YcsbResult {
     /// [`TelemetryConfig`] enabled tracing).
     pub tracer: Tracer,
     /// Flight-recorder epoch time series (present only when the run's
-    /// [`TelemetryConfig`] enabled epoch sampling, e.g. `SHARE_MONITOR=1`).
+    /// [`TelemetryConfig::monitoring`]).
     pub monitor: Option<FlightSnapshot>,
 }
 

@@ -218,12 +218,6 @@ impl FtlConfig {
     pub fn logical_bytes(&self) -> u64 {
         self.logical_pages * self.geometry.page_size as u64
     }
-
-    /// Effective over-provisioning ratio of the data pool.
-    pub fn effective_over_provision(&self) -> f64 {
-        let data_pages = self.data_blocks() as u64 * self.geometry.pages_per_block as u64;
-        data_pages as f64 / self.logical_pages as f64 - 1.0
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +235,8 @@ mod tests {
         assert_eq!(cfg.log_ring_start(), BlockId(2 * slot));
         assert_eq!(cfg.data_start().0, cfg.meta_blocks());
         assert!(cfg.data_blocks() > 0);
-        assert!(cfg.effective_over_provision() > 0.15);
+        let data_pages = cfg.data_blocks() as u64 * cfg.geometry.pages_per_block as u64;
+        assert!(data_pages as f64 > 1.15 * cfg.logical_pages as f64);
     }
 
     #[test]

@@ -344,13 +344,6 @@ impl DeltaLog {
         }
         out
     }
-
-    /// Position the cursor after recovery: continue appending after the
-    /// last intact page.
-    pub fn resume_after(&mut self, pages_found: u32, next_seq: u64) {
-        self.cursor = pages_found;
-        self.next_seq = next_seq;
-    }
 }
 
 #[cfg(test)]

@@ -304,14 +304,6 @@ impl SimpleSsd {
         self.fault.clear_down();
     }
 
-    /// Override the latency model (read, write, flush in ns).
-    pub fn with_latency(mut self, read_ns: u64, write_ns: u64, flush_ns: u64) -> Self {
-        self.read_ns = read_ns;
-        self.write_ns = write_ns;
-        self.flush_ns = flush_ns;
-        self
-    }
-
     fn check(&self, lpn: Lpn, len: usize) -> Result<(), FtlError> {
         if lpn.0 >= self.capacity_pages {
             return Err(FtlError::LpnOutOfRange { lpn, capacity: self.capacity_pages });

@@ -1651,7 +1651,7 @@ fn snapshot_gauges_exported() {
         ("share_snapshot_clone_pages_total", 8),
         ("share_snapshot_reads_total", 1),
     ] {
-        assert_eq!(t.metric(name, None), Some(Value::U64(want)), "{name}");
+        assert_eq!(t.metric(name), Some(Value::U64(want)), "{name}");
     }
     let text = t.to_prometheus();
     assert!(text.contains("share_snapshots_live 1"));

@@ -39,7 +39,6 @@
 //! * [`Ftl`] — the SHARE-capable device (mapping, delta log, GC, recovery)
 //! * [`SimpleSsd`] — a conventional SSD without SHARE (log device, baseline)
 //! * [`BlockDevice`] — the command-set trait engines program against
-//! * [`SharedDevice`] — thread-safe front-end for multi-client drivers
 //! * [`FtlConfig`] — geometry, over-provisioning, reverse-map sizing
 
 mod ckpt;
@@ -53,7 +52,6 @@ mod mapping;
 pub mod monitor;
 mod pool;
 mod queue;
-mod shared;
 pub mod snapshot;
 mod stats;
 mod types;
@@ -70,7 +68,6 @@ pub use mapping::{MappingTable, RevMap, RevMapPolicy, Unmapped};
 pub use monitor::{EpochRecord, EpochSample, FlightRecorder, FlightSnapshot, SealOutcome};
 pub use pool::{BlockPool, BlockState, WritePoint};
 pub use queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
-pub use shared::SharedDevice;
 pub use snapshot::{SnapshotInfo, SnapshotTable};
 pub use stats::DeviceStats;
 pub use types::{Lpn, SharePair};

@@ -64,11 +64,6 @@ impl RevMap {
         self.overflowed.contains(&ppn)
     }
 
-    /// Number of pages currently tracked by scan instead of table slots.
-    pub fn overflowed_count(&self) -> usize {
-        self.overflowed.len()
-    }
-
     fn mark_overflowed(&mut self, ppn: Ppn) {
         // Release any slots it held; scan tracking covers them now.
         if let Some(list) = self.entries.remove(&ppn) {
@@ -358,12 +353,6 @@ impl MappingTable {
         Ok(&self.moved)
     }
 
-    /// Extra rev-map slots a relocation of `ppn` will need at the
-    /// destination (secondary references move with the page).
-    pub fn relocation_revmap_need(&self, ppn: Ppn) -> usize {
-        self.referrers(ppn).len().saturating_sub(1)
-    }
-
     /// Rebuild reverse state (refcounts, primaries, rev-map, valid counts)
     /// from a recovered L2P table.
     ///
@@ -564,7 +553,6 @@ mod tests {
         t.map_new_write(Lpn(1), Ppn(0)).unwrap();
         t.map_shared(Lpn(2), Ppn(0)).unwrap();
         t.map_shared(Lpn(3), Ppn(0)).unwrap();
-        assert_eq!(t.relocation_revmap_need(Ppn(0)), 2);
         let moved = t.relocate(Ppn(0), Ppn(7)).unwrap();
         assert_eq!(moved.len(), 3);
         assert!(!t.is_live(Ppn(0)));

@@ -302,13 +302,6 @@ impl FlightRecorder {
         &self.alerts
     }
 
-    /// Whether any stored alert is critical.
-    pub fn any_critical(&self) -> bool {
-        self.alerts
-            .iter()
-            .any(|a| a.severity == share_telemetry::AlertSeverity::Critical)
-    }
-
     /// A point-in-time copy of the series. `sample`-like read-outs of the
     /// *current* cumulative state close the books: `tail_stats` is the
     /// not-yet-sealed partial epoch, so `evicted + retained + tail` equals
@@ -437,11 +430,6 @@ impl FlightSnapshot {
             ("epochs", epochs),
         ])
     }
-
-    /// Free-block trend: `(end_ns, free_blocks)` per retained epoch.
-    pub fn free_block_series(&self) -> Vec<(u64, u64)> {
-        self.epochs.iter().map(|e| (e.end_ns, e.free_blocks)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -522,12 +510,13 @@ mod tests {
         assert_eq!(bad.alerts.len(), 1);
         assert_eq!(bad.alerts[0].kind, share_telemetry::AlertKind::FreeBlocks);
         assert_eq!(bad.alerts[0].epoch, 1);
-        assert!(r.any_critical());
+        assert_eq!(r.alerts()[0].severity, share_telemetry::AlertSeverity::Critical);
         let snap = r.snapshot(2_000, &sample(2_000, 2, 40).stats, &[(2, [0; 3])]);
         assert_eq!(snap.alerts.len(), 1);
         assert!(snap.epochs[0].alerts.is_empty());
         assert_eq!(snap.epochs[1].alerts.len(), 1);
-        assert_eq!(snap.free_block_series(), vec![(1_000, 50), (2_000, 40)]);
+        let free: Vec<_> = snap.epochs.iter().map(|e| (e.end_ns, e.free_blocks)).collect();
+        assert_eq!(free, vec![(1_000, 50), (2_000, 40)]);
     }
 
     #[test]

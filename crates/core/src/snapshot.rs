@@ -369,7 +369,11 @@ impl SnapshotTable {
         }
         let next_id = r.u32()?;
         let count = r.u32()? as usize;
-        let mut snaps = Vec::with_capacity(count);
+        // Capacities are capped by the bytes left, never taken from a
+        // header alone: a corrupt count can claim 2^64 entries over a body
+        // of a few bytes, and the read fails long before the vectors grow
+        // to it. A record takes at least 30 bytes, a page entry 12.
+        let mut snaps = Vec::with_capacity(count.min(r.remaining() / 30));
         let mut prev_id = None;
         for _ in 0..count {
             let id = r.u32()?;
@@ -382,8 +386,8 @@ impl SnapshotTable {
                 .map_err(|_| FtlError::RecoveryCorrupt("snapshot name".into()))?;
             let start = Lpn(r.u64()?);
             let len = r.u64()?;
-            let mapped = r.u64()? as usize;
-            let mut pages = Vec::with_capacity(mapped);
+            let mapped = r.u64()?;
+            let mut pages = Vec::with_capacity(mapped.min(r.remaining() as u64 / 12) as usize);
             let mut prev_off = None;
             for _ in 0..mapped {
                 let offset = r.u64()?;
@@ -411,6 +415,10 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], FtlError> {
         let end = self
             .pos
@@ -541,6 +549,63 @@ mod tests {
         let mut extra = good.clone();
         extra.push(0);
         assert!(SnapshotTable::decode(&extra).is_err(), "trailing bytes");
+    }
+
+    #[test]
+    fn decode_sizes_nothing_from_an_unchecked_header() {
+        let mut t = SnapshotTable::new();
+        t.create("a", Lpn(0), 8, vec![]).unwrap();
+        let good = t.encode();
+        // The last eight bytes are the record's mapped-page count.
+        let mut huge_mapped = good.clone();
+        let n = huge_mapped.len();
+        huge_mapped[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            SnapshotTable::decode(&huge_mapped),
+            Err(FtlError::RecoveryCorrupt(_))
+        ));
+        // Bytes 8..12 are the record count.
+        let mut huge_count = good;
+        huge_count[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(SnapshotTable::decode(&huge_count), Err(FtlError::RecoveryCorrupt(_))));
+    }
+
+    #[test]
+    fn decode_survives_every_truncation_and_bit_flip() {
+        use share_rng::{Rng, StdRng};
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(0x5AA9_0000 + seed);
+            let mut t = SnapshotTable::new();
+            for i in 0..rng.random_range(1..4u32) {
+                let len = rng.random_range(1..64u64);
+                let mut list = Vec::new();
+                for o in 0..len {
+                    if rng.random_bool(0.3) {
+                        list.push((o, Ppn(rng.random_range(0..1u32 << 20))));
+                    }
+                }
+                t.create(&format!("snap-{i}"), Lpn(rng.random_range(0..1u64 << 30)), len, list)
+                    .unwrap();
+            }
+            let good = t.encode();
+            // Whatever decodes re-encodes to the same bytes: nothing is
+            // dropped or invented on the way through.
+            let check = |bytes: &[u8]| {
+                if let Ok(back) = SnapshotTable::decode(bytes) {
+                    assert_eq!(back.encode(), bytes, "seed {seed}");
+                }
+            };
+            // Empty input is the pre-v4 empty table; every other prefix
+            // is short.
+            for cut in 1..good.len() {
+                assert!(SnapshotTable::decode(&good[..cut]).is_err(), "seed {seed} cut {cut}");
+            }
+            for bit in 0..good.len() * 8 {
+                let mut bad = good.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                check(&bad);
+            }
+        }
     }
 
     #[test]

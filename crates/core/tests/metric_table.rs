@@ -87,10 +87,10 @@ fn every_counter_row_is_exported_by_both_formats() {
         assert!(m.name.starts_with("share_") && m.name.ends_with("_total"), "{}", m.name);
         assert!(prom.contains(&format!("\n{} {v}\n", m.name)), "{} {v} not in prom dump", m.name);
         assert_eq!(metrics.get(m.key()).and_then(Json::as_u64), Some(v), "metrics.{}", m.key());
-        assert_eq!(snap.metric(m.name, None), Some(m.value));
+        assert_eq!(snap.metric(m.name), Some(m.value));
     }
     // WAF rides beside them.
-    assert_eq!(snap.metric("share_waf", None), Some(Value::F64(stats.waf())));
+    assert_eq!(snap.metric("share_waf"), Some(Value::F64(stats.waf())));
     assert_eq!(metrics.get("waf").and_then(Json::as_f64), Some(stats.waf()));
 }
 

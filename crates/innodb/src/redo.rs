@@ -394,15 +394,6 @@ impl RedoLog {
         Ok(())
     }
 
-    /// Ensure records up to `lsn` are durable (the WAL rule, checked before
-    /// any page flush).
-    pub fn ensure_flushed(&mut self, lsn: u64) -> Result<(), EngineError> {
-        if lsn > self.flushed_lsn {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
     /// Persist a checkpoint header for the record logged at redo position
     /// `pos` (`meta.ckpt_lsn`'s, or the write position when nothing older
     /// is needed). The page holding the byte before `pos` becomes the start

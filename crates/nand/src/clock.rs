@@ -3,9 +3,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Nanoseconds per second, for converting simulated time to seconds.
-pub const NS_PER_SEC: u64 = 1_000_000_000;
-
 /// A shared, monotonically increasing simulated clock (nanoseconds).
 ///
 /// All devices attached to the same experiment clone one `SimClock`, so a
@@ -28,12 +25,6 @@ impl SimClock {
     #[inline]
     pub fn now_ns(&self) -> u64 {
         self.ns.load(Ordering::Relaxed)
-    }
-
-    /// Current simulated time in (fractional) seconds.
-    #[inline]
-    pub fn now_secs(&self) -> f64 {
-        self.now_ns() as f64 / NS_PER_SEC as f64
     }
 
     /// Advance the clock by `ns` nanoseconds and return the new time.
@@ -93,12 +84,5 @@ mod tests {
         assert_eq!(c.advance_to(40), 100);
         assert_eq!(c.now_ns(), 100);
         assert_eq!(c.advance_to(250), 250);
-    }
-
-    #[test]
-    fn seconds_conversion() {
-        let c = SimClock::new();
-        c.advance(1_500_000_000);
-        assert!((c.now_secs() - 1.5).abs() < 1e-12);
     }
 }

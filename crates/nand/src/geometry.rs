@@ -109,12 +109,6 @@ impl NandGeometry {
         self.pages_per_block * self.blocks
     }
 
-    /// Total physical capacity in bytes.
-    #[inline]
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_pages() as u64 * self.page_size as u64
-    }
-
     /// The block containing `ppn`.
     #[inline]
     pub fn block_of(&self, ppn: Ppn) -> BlockId {
@@ -189,7 +183,6 @@ mod tests {
     fn geometry_addressing_round_trips() {
         let g = NandGeometry::new(4096, 128, 16);
         assert_eq!(g.total_pages(), 2048);
-        assert_eq!(g.capacity_bytes(), 2048 * 4096);
         let ppn = Ppn(5 * 128 + 17);
         assert_eq!(g.block_of(ppn), BlockId(5));
         assert_eq!(g.page_in_block(ppn), 17);

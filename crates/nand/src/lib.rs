@@ -43,7 +43,7 @@ mod image;
 mod stats;
 
 pub use array::{NandArray, PageState};
-pub use clock::{SimClock, NS_PER_SEC};
+pub use clock::SimClock;
 pub use error::NandError;
 pub use fault::{FaultHandle, FaultMode};
 pub use geometry::{BlockId, NandGeometry, NandTiming, Ppn};

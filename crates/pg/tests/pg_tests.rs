@@ -144,27 +144,30 @@ fn balances_survive_many_random_txns() {
 fn txn_commit_retries_through_a_saturated_shared_queue() {
     // Regression: the WAL/data write path used to propagate `QueueFull`
     // out of `write_pages_overlapped` instead of draining and retrying,
-    // so a concurrent connection keeping the shared queue full failed
-    // this connection's commit. Queue depth 4, preloaded to capacity.
-    use share_core::{BlockDevice, Lpn, QueuedCmd, SharedDevice};
+    // so commands already in flight on the device's one queue failed
+    // this commit. Queue depth 4, preloaded to capacity through the
+    // engine's own mount.
+    use share_core::{BlockDevice, Lpn, QueuedCmd};
     let ftl_cfg = FtlConfig::for_capacity_with(96 << 20, 0.3, 4096, 64, NandTiming::zero())
         .with_queue_depth(4);
-    let dev = SharedDevice::new(Ftl::new(ftl_cfg));
-    let mut side = dev.clone();
-    let mut pg = MiniPg::create(dev, PgConfig { checkpoint_txns: 10_000, ..Default::default() })
-        .unwrap();
+    let mut pg = MiniPg::create(
+        Ftl::new(ftl_cfg),
+        PgConfig { checkpoint_txns: 10_000, ..Default::default() },
+    )
+    .unwrap();
     // Dirty several heap pages (accounts spread across pages), then
-    // saturate the queue from the side connection and checkpoint: the
-    // heap flush is a multi-page queued batch hitting the full queue.
+    // saturate the queue with un-reaped reads and checkpoint: the heap
+    // flush is a multi-page queued batch hitting the full queue.
     pg.run_txn(1, 1, 0, 5).unwrap();
     for i in 0..20u64 {
         pg.run_txn(100 + i * 937, i % 10, 0, 1).unwrap();
     }
+    let dev = pg.fs_mut().device_mut();
     for _ in 0..4 {
-        side.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)] }).unwrap();
+        dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)] }).unwrap();
     }
-    assert_eq!(side.inflight(), 4, "shared queue must be saturated");
+    assert_eq!(dev.inflight(), 4, "queue must be saturated");
     pg.checkpoint().unwrap();
     assert_eq!(pg.account_balance(1), 5);
-    pg.into_device().with(|f| f.check_invariants());
+    pg.into_device().check_invariants();
 }

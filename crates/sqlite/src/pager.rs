@@ -585,7 +585,7 @@ impl<D: BlockDevice> MiniSqlite<D> {
         Ok(())
     }
 
-    // --- snapshots / instant clone ---------------------------------------------
+    // --- snapshots / clones ---------------------------------------------------
 
     /// Whether the underlying device supports device-level snapshots.
     pub fn supports_snapshot(&self) -> bool {
@@ -626,18 +626,6 @@ impl<D: BlockDevice> MiniSqlite<D> {
         let r = self.fs.vfs_clone(name, dst).map(|_| ());
         self.fs.end_span(span, r.is_ok());
         r.map_err(Into::into)
-    }
-
-    /// Instant clone: snapshot the committed database, materialize it as
-    /// file `dst`, release the snapshot. The clone keeps the frozen pages
-    /// alive through its own references.
-    pub fn instant_clone(&mut self, dst: &str) -> Result<(), SqliteError> {
-        let snap = format!("{dst}-src");
-        self.snapshot_db(&snap)?;
-        let r = self.clone_from_snapshot(&snap, dst);
-        let drop_r = self.drop_snapshot(&snap);
-        r?;
-        drop_r
     }
 
     // --- startup scan ---------------------------------------------------------------

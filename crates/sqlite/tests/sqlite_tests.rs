@@ -226,13 +226,14 @@ fn write_costs_order_as_the_paper_predicts() {
 #[test]
 fn commit_retries_through_a_saturated_shared_queue() {
     // Regression: commit used to propagate `QueueFull` out of
-    // `write_pages_overlapped` instead of draining and retrying, so a
-    // second connection keeping the shared queue full failed this
-    // connection's commit. Queue depth 4, preloaded to capacity.
-    use share_core::{BlockDevice, Lpn, QueuedCmd, SharedDevice};
-    let dev = SharedDevice::new(Ftl::new(ftl_cfg().with_queue_depth(4)));
-    let mut side = dev.clone();
-    let mut db = MiniSqlite::create(dev, cfg(JournalMode::Rollback)).unwrap();
+    // `write_pages_overlapped` instead of draining and retrying, so
+    // commands already in flight on the device's one queue failed this
+    // commit. Queue depth 4, preloaded to capacity through the engine's
+    // own mount.
+    use share_core::{BlockDevice, Lpn, QueuedCmd};
+    let mut db =
+        MiniSqlite::create(Ftl::new(ftl_cfg().with_queue_depth(4)), cfg(JournalMode::Rollback))
+            .unwrap();
     // Values near the record-size cap so a handful of keys dirty several
     // pages and the commit takes the queued multi-page path.
     let big = |k: u64, v: u8| {
@@ -244,11 +245,12 @@ fn commit_retries_through_a_saturated_shared_queue() {
         db.put(k, &big(k, 1)).unwrap();
     }
     db.commit().unwrap();
-    // A second connection fills the shared submission queue to its depth.
+    // Fill the submission queue to its depth with un-reaped reads.
+    let dev = db.fs_mut().device_mut();
     for _ in 0..4 {
-        side.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)] }).unwrap();
+        dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)] }).unwrap();
     }
-    assert_eq!(side.inflight(), 4, "shared queue must be saturated");
+    assert_eq!(dev.inflight(), 4, "queue must be saturated");
     // This commit's journal and database batches must absorb the
     // back-pressure (reap + retry), not fail.
     for k in 0..16u64 {
@@ -258,7 +260,7 @@ fn commit_retries_through_a_saturated_shared_queue() {
     for k in 0..16u64 {
         assert_eq!(db.get(k).unwrap().unwrap(), big(k, 2), "key {k}");
     }
-    db.into_device().with(|f| f.check_invariants());
+    db.into_device().check_invariants();
 }
 
 #[test]
@@ -275,7 +277,11 @@ fn instant_clone_is_zero_copy_and_point_in_time() {
     }
     db.commit().unwrap();
     let before = db.device_stats();
-    db.instant_clone("clone.db").unwrap();
+    // Snapshot, materialize, release: the clone keeps the frozen pages
+    // alive through its own references.
+    db.snapshot_db("clone.db-src").unwrap();
+    db.clone_from_snapshot("clone.db-src", "clone.db").unwrap();
+    db.drop_snapshot("clone.db-src").unwrap();
     let spent = db.device_stats().delta_since(&before);
     // Zero-copy: only mapping metadata (log flushes, fs metadata) is
     // written — far fewer programs than the pages logically cloned.

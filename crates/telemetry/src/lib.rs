@@ -178,11 +178,6 @@ impl TelemetryConfig {
     pub fn monitoring(epoch_ns: u64) -> Self {
         Self { epoch_ns, epoch_ring: 4096, ..Self::full() }
     }
-
-    /// Whether the epoch sampler is configured on.
-    pub fn monitors(&self) -> bool {
-        self.epoch_ns > 0
-    }
 }
 
 /// Why a background NAND program happened — the WA ledger's cause axis.
@@ -628,13 +623,9 @@ impl Snapshot {
         self.op(op).counters.ops
     }
 
-    /// The reading of one [`Snapshot::metrics`] row, by family name and
-    /// label value (`None` for an unlabelled row).
-    pub fn metric(&self, name: &str, label: Option<&str>) -> Option<Value> {
-        self.metrics
-            .iter()
-            .find(|m| m.name == name && m.label.as_ref().map(|(_, v)| v.as_str()) == label)
-            .map(|m| m.value)
+    /// The reading of one [`Snapshot::metrics`] row, by family name.
+    pub fn metric(&self, name: &str) -> Option<Value> {
+        self.metrics.iter().find(|m| m.name == name).map(|m| m.value)
     }
 
     /// Render as a JSON document.
@@ -932,8 +923,7 @@ mod tests {
         let cfg = TelemetryConfig::monitoring(5_000_000);
         assert!(cfg.histograms && cfg.trace && cfg.ring_capacity == 256);
         assert_eq!(cfg.epoch_ns, 5_000_000);
-        assert!(cfg.monitors());
-        assert!(!TelemetryConfig::full().monitors());
+        assert_eq!(TelemetryConfig::full().epoch_ns, 0);
     }
 
     #[test]

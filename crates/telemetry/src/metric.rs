@@ -29,26 +29,23 @@ pub struct Metric {
     /// The `# HELP` text.
     pub help: &'static str,
     pub kind: Kind,
-    /// At most one label; rows of one family differ only in its value and
-    /// are adjacent in a row list.
-    pub label: Option<(&'static str, String)>,
     pub value: Value,
 }
 
 impl Metric {
-    /// An unlabelled counter row.
+    /// A counter row.
     pub fn counter(name: &'static str, help: &'static str, value: u64) -> Self {
-        Metric { name, help, kind: Kind::Counter, label: None, value: Value::U64(value) }
+        Metric { name, help, kind: Kind::Counter, value: Value::U64(value) }
     }
 
-    /// An unlabelled integral gauge row.
+    /// An integral gauge row.
     pub fn gauge(name: &'static str, help: &'static str, value: u64) -> Self {
-        Metric { name, help, kind: Kind::Gauge, label: None, value: Value::U64(value) }
+        Metric { name, help, kind: Kind::Gauge, value: Value::U64(value) }
     }
 
-    /// An unlabelled fractional gauge row.
+    /// A fractional gauge row.
     pub fn ratio(name: &'static str, help: &'static str, value: f64) -> Self {
-        Metric { name, help, kind: Kind::Gauge, label: None, value: Value::F64(value) }
+        Metric { name, help, kind: Kind::Gauge, value: Value::F64(value) }
     }
 
     /// The JSON key: the family name without the `share_` namespace and the
@@ -59,14 +56,10 @@ impl Metric {
     }
 }
 
-/// JSON object fields for a row list: one `key: value` per row, a
-/// labelled row keyed `key.<label value>`.
+/// JSON object fields for a row list: one `key: value` per row.
 pub fn rows_json(rows: &[Metric]) -> Vec<(String, Json)> {
     let field = |m: &Metric| {
-        let key = match &m.label {
-            Some((_, label)) => format!("{}.{label}", m.key()),
-            None => m.key().to_string(),
-        };
+        let key = m.key().to_string();
         match m.value {
             Value::U64(v) => (key, count(v)),
             Value::F64(v) => (key, Json::Num(v)),
@@ -176,20 +169,19 @@ mod tests {
         assert_eq!(rows[0].help, "Host writes (pages).");
         assert_eq!(rows[0].key(), "writes");
         assert_eq!(rows[2].value, Value::U64(30));
-        assert!(rows.iter().all(|m| m.kind == Kind::Counter && m.label.is_none()));
+        assert!(rows.iter().all(|m| m.kind == Kind::Counter));
     }
 
     #[test]
     fn rows_json_keys_each_row() {
         let rows = vec![
             Metric::counter("share_x_total", "x", 3),
-            Metric { label: Some(("class", "a".into())), ..Metric::gauge("share_open", "o", 1) },
-            Metric { label: Some(("class", "b".into())), ..Metric::gauge("share_open", "o", 2) },
+            Metric::gauge("share_open", "o", 2),
             Metric::ratio("share_ratio", "r", 0.5),
         ];
         let doc = Json::Obj(rows_json(&rows));
         assert_eq!(doc.get("x").and_then(Json::as_u64), Some(3));
-        assert_eq!(doc.get("open.b").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("open").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.get("ratio").and_then(Json::as_f64), Some(0.5));
     }
 }

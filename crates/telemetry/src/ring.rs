@@ -35,13 +35,12 @@ pub struct CommandRing {
     /// once the ring is full.
     buf: Vec<CommandEvent>,
     head: usize,
-    pushed: u64,
 }
 
 impl CommandRing {
     /// A ring holding at most `cap` events.
     pub fn new(cap: usize) -> Self {
-        Self { cap, buf: Vec::new(), head: 0, pushed: 0 }
+        Self { cap, buf: Vec::new(), head: 0 }
     }
 
     /// Capacity the ring was created with.
@@ -49,17 +48,11 @@ impl CommandRing {
         self.cap
     }
 
-    /// Total events ever pushed, including evicted ones.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
     /// Record one event (no-op when capacity is 0).
     pub fn push(&mut self, ev: CommandEvent) {
         if self.cap == 0 {
             return;
         }
-        self.pushed += 1;
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
@@ -109,7 +102,6 @@ mod tests {
         let mut r = CommandRing::new(0);
         r.push(ev(1));
         assert!(r.is_empty());
-        assert_eq!(r.total_pushed(), 0);
     }
 
     #[test]
@@ -131,7 +123,6 @@ mod tests {
         }
         let seqs: Vec<u64> = r.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
-        assert_eq!(r.total_pushed(), 10);
         assert_eq!(r.len(), 3);
     }
 }

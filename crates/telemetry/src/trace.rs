@@ -168,11 +168,6 @@ impl Tracer {
         }
     }
 
-    /// Number of per-epoch utilization rows recorded so far.
-    pub fn unit_epoch_count(&self) -> usize {
-        self.lock().map(|b| b.unit_epochs.len()).unwrap_or(0)
-    }
-
     /// Mirror a stream label so exports can name per-stream tracks.
     pub fn set_stream_label(&self, id: u32, label: &str) {
         if let Some(mut buf) = self.lock() {
@@ -595,7 +590,6 @@ mod tests {
         t.set_unit_labels(vec!["ch0:w0".into(), "ch1:w0".into()]);
         t.push_unit_epoch(1_000, &[400, 100]);
         t.push_unit_epoch(2_000, &[350, 300]);
-        assert_eq!(t.unit_epoch_count(), 2);
         let doc = t.chrome_json().unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
         let rec = events
@@ -612,7 +606,7 @@ mod tests {
         // Disabled tracer: pushes are no-ops.
         let off = Tracer::disabled();
         off.push_unit_epoch(1, &[1]);
-        assert_eq!(off.unit_epoch_count(), 0);
+        assert!(off.chrome_json().is_none());
     }
 
     #[test]

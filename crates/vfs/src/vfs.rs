@@ -516,33 +516,6 @@ impl<D: BlockDevice> Vfs<D> {
         })
     }
 
-    /// Clone `src` into a new file `dst_name` without copying data: the
-    /// clone's pages are SHARE-remapped onto the source's physical pages
-    /// (the paper's "file copy almost without copying data"). The clone is
-    /// copy-on-write at the FTL level — later writes to either file land
-    /// on fresh physical pages. Requires a SHARE-capable device.
-    pub fn clone_file(&mut self, src_name: &str, dst_name: &str) -> Result<FileId, VfsError> {
-        self.traced("clone_file", 0, |fs| {
-            let src =
-                fs.lookup(src_name).ok_or_else(|| VfsError::NotFound(src_name.into()))?;
-            let len = fs.len_pages(src)?;
-            let dst = fs.create(dst_name)?;
-            if len == 0 {
-                return Ok(dst);
-            }
-            fs.fallocate(dst, len)?;
-            let pairs: Vec<(u64, u64)> = (0..len).map(|i| (i, i)).collect();
-            match fs.ioctl_share_pairs(dst, src, &pairs) {
-                Ok(()) => Ok(dst),
-                Err(e) => {
-                    // Roll the half-made clone back before reporting.
-                    let _ = fs.delete(dst_name);
-                    Err(e)
-                }
-            }
-        })
-    }
-
     /// TRIM a page range of a file (used by recovery truncation: stale
     /// blocks past a recovered tail must not masquerade as fresh data, and by
     /// a SHARE commit for the copies it remapped): one device command per
@@ -598,41 +571,6 @@ impl<D: BlockDevice> Vfs<D> {
         self.dev.queue_depth()
     }
 
-    /// Submit several pages of one file as one queued write command and
-    /// return its tag without waiting. File metadata grows immediately
-    /// (matching the device's eager state execution); the completion —
-    /// and the simulated-time cost — surfaces via [`Vfs::poll_queue`],
-    /// [`Vfs::reap_queue`] or [`Vfs::drain_queue`]. Ordinary-write
-    /// durability semantics, same as [`Vfs::write_pages`].
-    ///
-    /// The command borrows `pages` for the length of the call only: the
-    /// device executes a queued command's state at submission, so nothing
-    /// is copied above the medium and the caller may reuse its buffers as
-    /// soon as this returns. An empty `pages` is still submitted (where
-    /// [`Vfs::write_pages`] returns early): the caller was promised a tag
-    /// to reap.
-    pub fn submit_write_pages(
-        &mut self,
-        f: FileId,
-        pages: &[(u64, &[u8])],
-    ) -> Result<CmdTag, VfsError> {
-        let batch = self.resolve_write(f, pages)?;
-        self.submit_resolved(f, pages, &batch)
-    }
-
-    /// Lend `pages`, resolved to `batch`, to the device queue; file metadata
-    /// grows only once the device has taken the command.
-    fn submit_resolved(
-        &mut self,
-        f: FileId,
-        pages: &[(u64, &[u8])],
-        batch: &[(Lpn, &[u8])],
-    ) -> Result<CmdTag, VfsError> {
-        let tag = self.dev.submit(QueuedCmd::WriteBatch { pages: batch })?;
-        self.wrote_through(f, pages);
-        Ok(tag)
-    }
-
     /// Submit a batched read of `pages` of one file; the completion
     /// carries the page payloads in request order, back to back in one
     /// buffer the reaper owns.
@@ -645,14 +583,28 @@ impl<D: BlockDevice> Vfs<D> {
         Ok(self.dev.submit(QueuedCmd::ReadBatch { lpns: &lpns })?)
     }
 
-    /// [`Vfs::submit_write_pages`] with queue-full back-pressure handling:
-    /// when the device rejects the submission with `QueueFull` (a shared
-    /// queue can be saturated by other connections), reap completions to
-    /// free slots and retry. Completion errors reaped while waiting
-    /// propagate — a failed earlier write must not be silently absorbed by
-    /// the retry loop. Reaped read payloads are dropped, so only use this
-    /// on paths with no outstanding reads of their own; read-heavy callers
-    /// want [`Vfs::submit_read_pages_retry`]'s completion hand-back.
+    /// Submit several pages of one file as one queued write command and
+    /// return its tag without waiting. File metadata grows immediately
+    /// (matching the device's eager state execution); the completion —
+    /// and the simulated-time cost — surfaces via [`Vfs::reap_queue`] or
+    /// [`Vfs::drain_queue`]. Ordinary-write durability semantics, same as
+    /// [`Vfs::write_pages`].
+    ///
+    /// The command borrows `pages` for the length of the call only: the
+    /// device executes a queued command's state at submission, so nothing
+    /// is copied above the medium and the caller may reuse its buffers as
+    /// soon as this returns. An empty `pages` is still submitted (where
+    /// [`Vfs::write_pages`] returns early): the caller was promised a tag
+    /// to reap.
+    ///
+    /// Queue-full back-pressure: when the device rejects the submission
+    /// with `QueueFull` (commands already in flight hold every slot), reap
+    /// completions to free slots and retry. Completion errors reaped while
+    /// waiting propagate — a failed earlier write must not be silently
+    /// absorbed by the retry loop. Reaped read payloads are dropped, so
+    /// only use this on paths with no outstanding reads of their own;
+    /// read-heavy callers want [`Vfs::submit_read_pages_retry`]'s
+    /// completion hand-back.
     pub fn submit_write_pages_retry(
         &mut self,
         f: FileId,
@@ -661,8 +613,14 @@ impl<D: BlockDevice> Vfs<D> {
         // Resolved once: every retry lends the same request again.
         let batch = self.resolve_write(f, pages)?;
         loop {
-            match self.submit_resolved(f, pages, &batch) {
-                Err(VfsError::Device(share_core::FtlError::QueueFull { depth })) => {
+            match self.dev.submit(QueuedCmd::WriteBatch { pages: &batch }) {
+                Ok(tag) => {
+                    // File metadata grows only once the device has taken
+                    // the command.
+                    self.wrote_through(f, pages);
+                    return Ok(tag);
+                }
+                Err(share_core::FtlError::QueueFull { depth }) => {
                     let reaped = self.reap_queue();
                     if reaped.is_empty() {
                         // Nothing in flight to wait for, yet the queue is
@@ -673,7 +631,7 @@ impl<D: BlockDevice> Vfs<D> {
                         c.result.map_err(VfsError::Device)?;
                     }
                 }
-                r => return r,
+                Err(e) => return Err(e.into()),
             }
         }
     }
@@ -703,12 +661,6 @@ impl<D: BlockDevice> Vfs<D> {
         }
     }
 
-    /// Reap completions already due at the current simulated time
-    /// (never advances the clock).
-    pub fn poll_queue(&mut self) -> Vec<Completion> {
-        self.dev.poll()
-    }
-
     /// Wait for at least one outstanding command and reap everything due.
     pub fn reap_queue(&mut self) -> Vec<Completion> {
         self.dev.reap()
@@ -730,7 +682,7 @@ impl<D: BlockDevice> Vfs<D> {
         batch: &[(u64, &[u8])],
     ) -> Result<(), VfsError> {
         if self.supports_queue() && batch.len() > 1 {
-            // A shared queue can be saturated by other connections at
+            // The mount's own un-reaped submissions can fill the queue at
             // commit time; the retry variant reaps completions and
             // resubmits instead of failing the commit with `QueueFull`.
             self.submit_write_pages_retry(f, batch)?;
@@ -761,11 +713,6 @@ impl<D: BlockDevice> Vfs<D> {
     /// Largest atomic SHARE batch of the device.
     pub fn share_batch_limit(&self) -> usize {
         self.dev.share_batch_limit()
-    }
-
-    /// Whether the device supports atomic multi-page writes.
-    pub fn supports_atomic_write(&self) -> bool {
-        self.dev.write_atomic_limit() > 0
     }
 
     /// Largest atomic-write batch of the device (pages).

@@ -208,51 +208,6 @@ fn journal_traffic_is_charged_when_enabled() {
 }
 
 #[test]
-fn clone_file_is_zero_copy_and_cow() {
-    let mut fs = ftl_fs();
-    let src = fs.create("src").unwrap();
-    for i in 0..20u64 {
-        fs.write_page(src, i, &page(&fs, (i % 251) as u8)).unwrap();
-    }
-    fs.fsync(src).unwrap();
-    let writes_before = fs.device().stats().host_writes;
-    let dst = fs.clone_file("src", "dst").unwrap();
-    assert_eq!(fs.device().stats().host_writes, writes_before, "clone must copy nothing");
-    for i in 0..20u64 {
-        assert_eq!(read_byte(&mut fs, dst, i), (i % 251) as u8);
-    }
-    // Copy-on-write: diverge the source, clone unaffected.
-    fs.write_page(src, 3, &page(&fs, 0xEE)).unwrap();
-    assert_eq!(read_byte(&mut fs, dst, 3), 3);
-    assert_eq!(read_byte(&mut fs, src, 3), 0xEE);
-    // And vice versa.
-    fs.write_page(dst, 4, &page(&fs, 0xDD)).unwrap();
-    assert_eq!(read_byte(&mut fs, src, 4), 4);
-}
-
-#[test]
-fn clone_file_requires_share_support() {
-    let dev = SimpleSsd::new(4096, 4096, nand_sim::SimClock::new());
-    let mut fs = Vfs::format(dev, VfsOptions::default()).unwrap();
-    let f = fs.create("src").unwrap();
-    fs.write_page(f, 0, &page(&fs, 1)).unwrap();
-    assert!(matches!(
-        fs.clone_file("src", "dst"),
-        Err(VfsError::Device(FtlError::Unsupported("share")))
-    ));
-    // The failed clone must not leave a half-made file behind.
-    assert!(fs.lookup("dst").is_none());
-}
-
-#[test]
-fn clone_of_empty_file_is_empty() {
-    let mut fs = ftl_fs();
-    fs.create("empty").unwrap();
-    let dst = fs.clone_file("empty", "empty2").unwrap();
-    assert_eq!(fs.len_pages(dst).unwrap(), 0);
-}
-
-#[test]
 fn out_of_bounds_read_is_detected() {
     let mut fs = ftl_fs();
     let f = fs.create("a").unwrap();
@@ -383,7 +338,7 @@ fn queued_writes_round_trip_through_the_mount() {
     let pages: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; ps]).collect();
     let batch: Vec<(u64, &[u8])> =
         pages.iter().enumerate().map(|(i, p)| (i as u64, p.as_slice())).collect();
-    let wt = fs.submit_write_pages(f, &batch).unwrap();
+    let wt = fs.submit_write_pages_retry(f, &batch).unwrap();
     // Metadata grew eagerly; the command is still in flight.
     assert_eq!(fs.len_pages(f).unwrap(), 8);
     assert_eq!(fs.inflight(), 1);
@@ -399,7 +354,7 @@ fn queued_writes_round_trip_through_the_mount() {
     for (buf, want) in flat.chunks_exact(ps).zip([0u8, 3, 7]) {
         assert!(buf.iter().all(|&b| b == want));
     }
-    assert!(fs.poll_queue().is_empty());
+    assert_eq!(fs.inflight(), 0);
 }
 
 #[test]
@@ -411,7 +366,7 @@ fn queued_submission_unsupported_on_simple_ssd() {
     let data = vec![1u8; fs.page_size()];
     let batch: Vec<(u64, &[u8])> = vec![(0, data.as_slice())];
     assert_eq!(
-        fs.submit_write_pages(f, &batch),
+        fs.submit_write_pages_retry(f, &batch),
         Err(VfsError::Device(FtlError::Unsupported("submit")))
     );
 }

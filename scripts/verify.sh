@@ -56,7 +56,7 @@ echo "== crash-point smoke sweep =="
 # `./target/release/<stem> > results/<stem>.txt` and say why in CHANGES.md.
 # The 21 runs are independent and take ~70 s one after the other here.
 echo "== experiment tables (results/*.txt, exact) =="
-unset SHARE_BENCH_SCALE SHARE_METRICS SHARE_TRACE SHARE_MONITOR
+unset SHARE_BENCH_SCALE
 stale=0
 for src in crates/bench/src/bin/*.rs; do
   stem="$(basename "$src" .rs)"

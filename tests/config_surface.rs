@@ -4,9 +4,12 @@
 //! of `FtlConfig` and its `pub fn with_*` builders against the lists below.
 //! Every independently settable value doubles the configurations the tests
 //! and the benchmark must cover, so a new one is a decision, not a diff
-//! line: it shows up here first.
+//! line: it shows up here first. The environment knobs the library reads
+//! are pinned the same way: every `"SHARE_…"` string literal under
+//! `crates/*/src`.
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 const FIELDS: [&str; 13] = [
     "geometry",
@@ -53,5 +56,56 @@ fn ftl_config_fields_and_builders_match_the_recorded_list() {
         "a new device option needs two existing callers that want different values \
          (ROADMAP aim 2) — update this list and say which in CHANGES.md\n\
          fields:   {fields:?}\nbuilders: {builders:?}"
+    );
+}
+
+const KNOBS: [&str; 5] = [
+    "SHARE_BENCH_SAMPLES",
+    "SHARE_BENCH_SCALE",
+    "SHARE_BENCH_WINDOW_MS",
+    "SHARE_CRASH_POINTS",
+    "SHARE_MODEL_CASES",
+];
+
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn environment_knobs_match_the_recorded_list() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ directory") {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            rust_sources(&src, &mut sources);
+        }
+    }
+    assert!(sources.len() > 50, "walked only {} files: wrong directory?", sources.len());
+    let mut knobs = BTreeSet::new();
+    for path in &sources {
+        let text = std::fs::read_to_string(path).unwrap();
+        for (at, _) in text.match_indices("\"SHARE_") {
+            let rest = &text[at + 1..];
+            let is_knob = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+            let end = rest.find(|c: char| !is_knob(c));
+            if let Some(end) = end.filter(|&end| rest[end..].starts_with('"')) {
+                knobs.insert(rest[..end].to_string());
+            }
+        }
+    }
+    let want: BTreeSet<String> = KNOBS.iter().map(|k| k.to_string()).collect();
+    assert!(
+        knobs == want,
+        "an environment knob is an option no test or gate turns on until one does — \
+         update this list and say which caller sets it in CHANGES.md\n\
+         found: {knobs:?}"
     );
 }
