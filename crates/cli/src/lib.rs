@@ -87,7 +87,10 @@ fn usage() -> String {
      \x20 sharectl snapshot <img> ls\n\
      \x20\x20\x20\x20 (device-level snapshots: create freezes a page range with zero\n\
      \x20\x20\x20\x20 NAND programs, clone materializes a writable zero-copy image)\n\
-     \x20 sharectl crashsweep [--workload ftl|queued|queued-batch|stream|gcpipe|snapshot|sqlite|innodb|innodb-cached|all] [--trace <file>]\n\
+     \x20 sharectl crashsweep [--workload ftl|queued|queued-batch|stream|gcpipe|snapshot|all|<engine>|<engine>-<mode>]\n\
+     \x20\x20\x20\x20 [--trace <file>] (engines innodb|couch|pg|sqlite; modes innodb-dwb|innodb-share|\n\
+     \x20\x20\x20\x20 innodb-atomic|innodb-cached|innodb-16k|couch-original|couch-share|pg-on|pg-share|\n\
+     \x20\x20\x20\x20 sqlite-rollback|sqlite-wal|sqlite-share; positive controls innodb-dwb-off|pg-off|sqlite-off)\n\
      \x20\x20\x20\x20 [--seed N] [--stride N] [--mode torn-half|dropped-write|after-program|all]\n\
      \x20\x20\x20\x20 [--index N]   (with a single --mode: replay exactly one crash case)\n"
         .to_string()
@@ -881,9 +884,8 @@ fn doctor_cmd(args: &[String], out: &mut String) -> Result<()> {
 /// With `--index` and a single `--mode` it replays exactly one case.
 fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
     use share_crashsweep::{
-        sweep, CrashWorkload, FtlGcPipelineWorkload, FtlMixedWorkload, FtlQueuedWorkload,
-        FtlSnapshotWorkload, FtlStreamWorkload, FtlTraceWorkload, InnodbShareWorkload,
-        SqliteShareWorkload,
+        engine_workload, sweep, CrashWorkload, FtlGcPipelineWorkload, FtlMixedWorkload,
+        FtlQueuedWorkload, FtlSnapshotWorkload, FtlStreamWorkload, ENGINE_WORKLOADS,
     };
 
     let which = flag_value(args, "--workload").unwrap_or("all");
@@ -918,7 +920,7 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
             })
             .max()
             .unwrap_or(0);
-        workloads.push(Box::new(FtlTraceWorkload::new(&label, &ops, (max_lpn + 1).max(16))));
+        workloads.push(Box::new(FtlMixedWorkload::trace(&label, &ops, (max_lpn + 1).max(16))));
     } else {
         match which {
             "ftl" => workloads.push(Box::new(FtlMixedWorkload::new(seed, 300))),
@@ -927,21 +929,26 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
             "stream" => workloads.push(Box::new(FtlStreamWorkload::new(seed, 300))),
             "gcpipe" => workloads.push(Box::new(FtlGcPipelineWorkload::new(seed, 600))),
             "snapshot" => workloads.push(Box::new(FtlSnapshotWorkload::new(seed, 300))),
-            "sqlite" => workloads.push(Box::new(SqliteShareWorkload::new(seed, 24, 10))),
-            "innodb" => workloads.push(Box::new(InnodbShareWorkload::new(seed, 40, 60))),
-            "innodb-cached" => workloads.push(Box::new(InnodbShareWorkload::cached(seed, 40, 60))),
             "all" => {
                 workloads.push(Box::new(FtlMixedWorkload::new(seed, 300)));
-                workloads.push(Box::new(SqliteShareWorkload::new(seed, 24, 10)));
-                workloads.push(Box::new(InnodbShareWorkload::new(seed, 40, 60)));
-                workloads.push(Box::new(InnodbShareWorkload::cached(seed, 40, 60)));
                 workloads.push(Box::new(FtlQueuedWorkload::new(seed, 300, 4)));
                 workloads.push(Box::new(FtlQueuedWorkload::write_batches(60, 4)));
                 workloads.push(Box::new(FtlStreamWorkload::new(seed, 300)));
                 workloads.push(Box::new(FtlGcPipelineWorkload::new(seed, 600)));
                 workloads.push(Box::new(FtlSnapshotWorkload::new(seed, 300)));
+                workloads.extend(ENGINE_WORKLOADS.iter().filter_map(|w| engine_workload(w, seed)));
             }
-            other => return Err(CliError(format!("bad --workload: {other}"))),
+            name => {
+                // One engine mode (`innodb-share`), a positive control, or
+                // every mode of one engine (`innodb`).
+                let group = format!("{name}-");
+                let modes = ENGINE_WORKLOADS.iter().filter(|w| w.starts_with(&group));
+                let names = std::iter::once(name).chain(modes.copied());
+                workloads.extend(names.filter_map(|w| engine_workload(w, seed)));
+                if workloads.is_empty() {
+                    return Err(CliError(format!("bad --workload: {name}")));
+                }
+            }
         }
     }
 
@@ -983,8 +990,9 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
         violations += report.failures.len();
     }
     if violations > 0 {
+        // The reports carry the triples: an error must not drop them.
         return Err(CliError(format!(
-            "{violations} crash case(s) violated the recovery oracle (triples above)"
+            "{out}{violations} crash case(s) violated the recovery oracle (triples above)"
         )));
     }
     Ok(())

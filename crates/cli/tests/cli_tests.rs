@@ -103,6 +103,32 @@ fn crashsweep_replays_a_single_triple() {
 }
 
 #[test]
+fn crashsweep_runs_engine_modes_and_replays_their_triples() {
+    let out = cmd(&["crashsweep", "--workload", "pg", "--stride", "60"]).unwrap();
+    let both = out.contains("workload=pg-on-s42-k16-t12") && out.contains("workload=pg-share-");
+    assert!(both, "{out}");
+    assert!(out.lines().all(|l| l.ends_with("violations=0")), "{out}");
+    let out = cmd(&[
+        "crashsweep", "--workload", "sqlite-share", "--mode", "torn-half", "--index", "10",
+    ])
+    .unwrap();
+    let triple = "(workload=sqlite-share-s42-k24-t16, mode=torn-half, crash_index=10)";
+    assert!(out.contains(&format!("PASS {triple}")), "{out}");
+    // A positive control is caught, with its triples, and its first
+    // reported triple replays to the same failure.
+    let sweep = ["crashsweep", "--workload", "sqlite-off", "--mode", "torn-half", "--stride", "1"];
+    let e = cmd(&sweep).unwrap_err();
+    assert!(e.contains("violated the recovery oracle"), "{e}");
+    let line = e.lines().find(|l| l.contains("FAIL (")).expect("a reported triple");
+    let (triple, index) = (&line[line.find('(').unwrap()..], line.split("crash_index=").nth(1));
+    let index = index.unwrap().split(')').next().unwrap();
+    let e = cmd(&["crashsweep", "--workload", "sqlite-off", "--mode", "torn-half", "--index", index]);
+    assert!(e.unwrap_err().contains(&format!("FAIL {triple}")), "{line}");
+    let e = cmd(&["crashsweep", "--workload", "couch", "--index", "5", "--mode", "torn-half"]);
+    assert!(e.unwrap_err().contains("single --workload"));
+}
+
+#[test]
 fn crashsweep_sweeps_a_trace_file() {
     let dir = tmpdir();
     let trace = dir.join("share.txt");

@@ -1,8 +1,9 @@
 //! Integration tests for the mini-Couchbase store over the SHARE FTL.
 
 use mini_couch::{CouchConfig, CouchError, CouchMode, CouchStore, DocPtr};
-use nand_sim::NandTiming;
+use nand_sim::{FaultMode, NandTiming};
 use share_core::{BlockDevice, Ftl, FtlConfig};
+use share_crashsweep::{couch_workload::workload, sweep};
 use share_telemetry::{Layer, TelemetryConfig};
 use share_vfs::{Vfs, VfsOptions};
 use std::collections::BTreeMap;
@@ -411,28 +412,26 @@ fn reopen_trims_the_uncommitted_tail_one_command_per_extent() {
 
 // ----- crash points ---------------------------------------------------------
 //
-// The two loops below crash at *every* NAND program of their armed phase
-// (counted on a fault-free run) under all three fault modes, on four-block
-// documents over a four-channel device. There a document's submission starts
-// one block later than the previous one's, a compaction writes its rebuilt
-// index as one submission and a SHARE commit trims the copies it remapped:
-// three sets of crash points the sampled indices these tests used before
-// ([200, 500, 900, 1400] and [50, 200, 400], one-block documents, one channel,
-// `TornHalf` only) never named.
-//
-// The first full run of the compaction loop found what the samples had missed
-// since PR 1: `compact()` deletes the old file — trimming it — before the
-// rename that replaces it is durable, the trims reach the medium with the next
-// full log page, and a power cut after that left the file system's last
-// snapshot naming a trimmed old file beside a complete `.compact` that `open`
-// then deleted ("bad node block"; TornHalf at program 15 of 16 here, where a
-// log page is small enough to fill mid-delete — any store of benchmark size).
-// `open` now finishes a compaction whose new file already holds its header.
+// The couch workloads of `share-crashsweep` crash at *every* NAND program of
+// their group commits and compactions under all three fault modes, on
+// four-block documents over a four-channel device (see its `couch_workload`
+// module): every document reads back whole, at its committed version or the
+// one in flight, and the recovered store compacts and commits again.
+
+#[test]
+fn crash_during_workload_recovers_to_last_commit() {
+    sweep(&workload(CouchMode::Share, 42), &FaultMode::ALL, 1).assert_clean();
+}
+
+#[test]
+fn crash_during_compaction_keeps_old_file_usable() {
+    // The same run without SHARE: every commit and compaction rewrites the
+    // tree and header.
+    sweep(&workload(CouchMode::Original, 42), &FaultMode::ALL, 3).assert_clean();
+}
 
 const CRASH_DOCS: u64 = 12;
 const CRASH_GROUP: usize = 4;
-/// Small pages keep ~1 000 recoveries inside seconds: unoptimised, the tests
-/// spend their time checksumming.
 const CRASH_BS: usize = 1024;
 
 fn crash_cfg() -> FtlConfig {
@@ -448,13 +447,9 @@ fn crash_couch_cfg() -> CouchConfig {
     }
 }
 
-/// A four-block document, every byte of which names its key and version: a
-/// read that splices blocks of two versions equals no `doc4`. Key 5 is a block
-/// shorter at odd versions, so its updates change size and take the tree path
-/// (new nodes, a new header) inside otherwise remap-only commits.
+/// A four-block document, every byte of which names its key and version.
 fn doc4(key: u64, version: u64) -> Vec<u8> {
-    let blocks = if key == 5 && version % 2 == 1 { 3 } else { 4 };
-    let len = blocks * mini_couch::doc_payload_per_block(CRASH_BS) - 100;
+    let len = 4 * mini_couch::doc_payload_per_block(CRASH_BS) - 100;
     let mut v = vec![(key * 16 + version) as u8; len];
     v[..8].copy_from_slice(&key.to_le_bytes());
     v[8..16].copy_from_slice(&version.to_le_bytes());
@@ -463,7 +458,6 @@ fn doc4(key: u64, version: u64) -> Vec<u8> {
 
 /// `CRASH_DOCS` documents at version 1, committed.
 fn crash_store() -> CouchStore<Ftl> {
-    assert_eq!(mini_couch::doc_blocks(doc4(0, 1).len(), CRASH_BS), 4);
     let fs = Vfs::format(Ftl::new(crash_cfg()), VfsOptions::default()).unwrap();
     let mut s = CouchStore::create(fs, "crash.couch", crash_couch_cfg()).unwrap();
     for k in 0..CRASH_DOCS {
@@ -473,119 +467,15 @@ fn crash_store() -> CouchStore<Ftl> {
     s
 }
 
-/// Every document rewritten once per version in `versions`, in scattered
-/// groups of `CRASH_GROUP` through the queued path, a commit per group (the
-/// batch size). Stops at the first error. Returns each document's last
-/// committed version and the last version a save was attempted with.
-fn update_rounds(
-    s: &mut CouchStore<Ftl>,
-    versions: std::ops::RangeInclusive<u64>,
-) -> (Vec<u64>, Vec<u64>) {
-    let first = *versions.start() - 1;
-    let mut committed = vec![first; CRASH_DOCS as usize];
-    let mut attempted = committed.clone();
-    for version in versions {
-        let docs: Vec<(u64, Vec<u8>)> =
-            (0..CRASH_DOCS).map(|i| (i * 5) % CRASH_DOCS).map(|k| (k, doc4(k, version))).collect();
-        for group in docs.chunks(CRASH_GROUP) {
-            let lent: Vec<(u64, &[u8])> = group.iter().map(|(k, d)| (*k, &d[..])).collect();
-            group.iter().for_each(|(k, _)| attempted[*k as usize] = version);
-            if s.save_many(&lent).is_err() {
-                return (committed, attempted);
-            }
-            group.iter().for_each(|(k, _)| committed[*k as usize] = version);
-        }
-    }
-    (committed, attempted)
-}
-
-/// Power-cycle the store's medium and recover the whole stack over it.
-fn recover(mut s: CouchStore<Ftl>) -> CouchStore<Ftl> {
-    s.fs_mut().device_mut().fault_handle().disarm();
-    let nand = s.into_fs().into_device().into_nand();
-    let fs = Vfs::open(Ftl::open(crash_cfg(), nand).unwrap(), VfsOptions::default()).unwrap();
-    CouchStore::open(fs, "crash.couch", crash_couch_cfg()).unwrap()
-}
-
-/// Every document reads back whole, at its committed version or the one in
-/// flight — never older, never a splice — through `get` and `get_many`.
-fn assert_recovered(s: &mut CouchStore<Ftl>, committed: &[u64], attempted: &[u64], when: &str) {
+/// Every document reads `doc4` at its version in `versions`, through `get`
+/// and `get_many`.
+fn assert_docs(s: &mut CouchStore<Ftl>, versions: &[u64], when: &str) {
     let keys: Vec<u64> = (0..CRASH_DOCS).collect();
     let many = s.get_many(&keys).unwrap();
     for (k, many) in keys.iter().zip(many) {
-        let got = s.get(*k).unwrap().unwrap_or_else(|| panic!("{when}: doc {k} is gone"));
-        let version = u64::from_le_bytes(got[8..16].try_into().unwrap());
-        let (c, a) = (committed[*k as usize], attempted[*k as usize]);
-        assert!(version == c || version == a, "{when}: doc {k} reads v{version}, committed v{c}, in flight v{a}");
-        assert!(got == doc4(*k, version), "{when}: doc {k} is not v{version} throughout");
-        assert!(many.as_ref() == Some(&got), "{when}: get_many disagrees with get on doc {k}");
-    }
-}
-
-#[test]
-fn crash_during_workload_recovers_to_last_commit() {
-    // Fault-free: what the armed phase does, and how many programs it is.
-    let mut s = crash_store();
-    let fault = s.fs_mut().device_mut().fault_handle();
-    let (programs, stats, trims) = (fault.programs_seen(), s.stats(), s.device_stats().trims);
-    let (committed, attempted) = update_rounds(&mut s, 2..=3);
-    assert_eq!(committed, attempted);
-    let points = fault.programs_seen() - programs;
-    let remaps = s.stats().share_remaps - stats.share_remaps;
-    assert!(remaps >= 2 * (CRASH_DOCS - 1) && s.stats().share_fallbacks > stats.share_fallbacks);
-    assert_eq!(s.device_stats().trims - trims, 4 * remaps, "every remapped copy trimmed at its commit");
-    assert!(points > 8 * CRASH_DOCS, "two rounds of four-block documents: {points} programs");
-
-    for mode in nand_sim::FaultMode::ALL {
-        for crash_at in 1..=points {
-            let mut s = crash_store();
-            let fault = s.fs_mut().device_mut().fault_handle();
-            fault.arm_after_programs(crash_at, mode);
-            let (committed, attempted) = update_rounds(&mut s, 2..=3);
-            assert_eq!(fault.faults_fired(), 1, "{mode:?} {crash_at}: the phase is {points} programs");
-            let mut s = recover(s);
-            let when = format!("{mode:?} crash at program {crash_at} of {points}");
-            assert_recovered(&mut s, &committed, &attempted, &when);
-            // The recovered store carries on: one more round over whatever the
-            // crash left (remapped and trimmed, remapped only, or neither).
-            let (next, _) = update_rounds(&mut s, 9..=9);
-            assert_recovered(&mut s, &next, &next, &format!("{when}, next round"));
-        }
-    }
-}
-
-#[test]
-fn crash_during_compaction_keeps_old_file_usable() {
-    let aged_store = || {
-        let mut s = crash_store();
-        update_rounds(&mut s, 2..=4);
-        s.commit().unwrap();
-        s
-    };
-    let mut s = aged_store();
-    let fault = s.fs_mut().device_mut().fault_handle();
-    let programs = fault.programs_seen();
-    let report = s.compact().unwrap();
-    assert!(report.zero_copy && report.docs_moved == CRASH_DOCS);
-    let points = fault.programs_seen() - programs;
-    assert!(points >= 8, "index, header, remap log and metadata: {points} programs");
-
-    let v4 = vec![4u64; CRASH_DOCS as usize];
-    for mode in nand_sim::FaultMode::ALL {
-        for crash_at in 1..=points {
-            let mut s = aged_store();
-            let fault = s.fs_mut().device_mut().fault_handle();
-            fault.arm_after_programs(crash_at, mode);
-            let crashed = s.compact().is_err();
-            assert_eq!(fault.faults_fired(), 1, "{mode:?} {crash_at}: a compaction is {points} programs");
-            let mut s = recover(s);
-            let when = format!("{mode:?} crash at program {crash_at} of {points} (compact failed: {crashed})");
-            assert_recovered(&mut s, &v4, &v4, &when);
-            // Whichever file survived compacts (again) and takes updates.
-            assert!(s.compact().unwrap().zero_copy, "{when}");
-            let (next, _) = update_rounds(&mut s, 6..=6);
-            assert_recovered(&mut s, &next, &next, &format!("{when}, next round"));
-        }
+        let want = Some(doc4(*k, versions[*k as usize]));
+        assert_eq!(s.get(*k).unwrap(), want, "{when}: doc {k}");
+        assert_eq!(many, want, "{when}: get_many of doc {k}");
     }
 }
 
@@ -621,9 +511,13 @@ fn a_share_commit_survives_a_crash_on_either_side_of_its_trim() {
         let mut s = CouchStore::open(fs, "crash.couch", crash_couch_cfg()).unwrap();
         let committed: Vec<u64> = (0..CRASH_DOCS).map(|k| if k < CRASH_GROUP as u64 { 2 } else { 1 }).collect();
         let when = format!("trim durable: {trim_durable}");
-        assert_recovered(&mut s, &committed, &committed, &when);
-        let (next, _) = update_rounds(&mut s, 4..=4);
-        assert_recovered(&mut s, &next, &next, &format!("{when}, next round"));
+        assert_docs(&mut s, &committed, &when);
+        // The recovered store carries on: one more round over every document.
+        let docs: Vec<(u64, Vec<u8>)> = (0..CRASH_DOCS).map(|k| (k, doc4(k, 4))).collect();
+        for group in docs.chunks(CRASH_GROUP) {
+            s.save_many(&group.iter().map(|(k, d)| (*k, &d[..])).collect::<Vec<_>>()).unwrap();
+        }
+        assert_docs(&mut s, &[4; CRASH_DOCS as usize], &format!("{when}, next round"));
     }
 }
 

@@ -132,20 +132,30 @@ pub(crate) fn exec(ftl: &mut Ftl, op: &FtlOp) -> Result<(), FtlError> {
     }
 }
 
-/// Drive `ops` against a fresh FTL with the fault handle already armed
-/// (or not, for measurement). Returns the model snapshots after each
-/// applied op, the admissible floor, and whether the run crashed.
+/// The model snapshots after each applied op, the admissible floor, and
+/// whether the run crashed.
 pub(crate) struct RunTrace {
     pub(crate) states: Vec<State>,
     pub(crate) floor: usize,
     pub(crate) crashed: bool,
 }
 
-fn drive(ftl: &mut Ftl, handle: &FaultHandle, ops: &[FtlOp], pages: u64) -> Result<RunTrace, String> {
-    let mut states: Vec<State> = vec![vec![None; pages as usize]];
+/// Drive `ops` against `ftl` with the fault handle already armed (or not,
+/// for measurement), switching to `streams[slot]` before each op that
+/// carries a stream slot.
+fn drive<'a>(
+    ftl: &mut Ftl,
+    handle: &FaultHandle,
+    streams: &[u32],
+    ops: impl IntoIterator<Item = (Option<usize>, &'a FtlOp)>,
+) -> Result<RunTrace, String> {
+    let mut states: Vec<State> = vec![vec![None; ftl.capacity_pages() as usize]];
     let mut floor = 0usize;
     let mut crashed = false;
-    for op in ops {
+    for (slot, op) in ops {
+        if let Some(slot) = slot {
+            ftl.set_stream(streams[slot]);
+        }
         match exec(ftl, op) {
             Ok(()) => {
                 push_applied(&mut states, op);
@@ -280,29 +290,32 @@ pub(crate) fn verify_recovered(rec: &mut Ftl, trace: &RunTrace, cfg: &FtlConfig)
     ))
 }
 
-/// Shared runner for FTL-level workloads.
-pub(crate) fn run_ftl_case(
+/// Run `ops` once on a fresh FTL with `labels` interned as its streams (see
+/// [`drive`]): the program attempts of a fault-free run (`mode` `None`), or
+/// the oracle's verdict on a run crashed at `index`.
+pub(crate) fn run_ftl_case<'a>(
     cfg: &FtlConfig,
-    ops: &[FtlOp],
+    labels: &[&str],
+    ops: impl IntoIterator<Item = (Option<usize>, &'a FtlOp)>,
     mode: Option<FaultMode>,
     index: u64,
-) -> Result<(u64, Option<String>), String> {
+) -> Result<u64, String> {
     let mut ftl = Ftl::new(cfg.clone());
+    let streams: Vec<u32> = labels.iter().map(|label| ftl.stream_intern(label)).collect();
     let handle = ftl.fault_handle();
     let base = handle.programs_seen();
     if let Some(mode) = mode {
         handle.arm_after_programs(index, mode);
     }
-    let trace = drive(&mut ftl, &handle, ops, cfg.logical_pages)?;
+    let trace = drive(&mut ftl, &handle, &streams, ops)?;
     handle.disarm();
     let attempts = handle.programs_seen() - base;
-    if mode.is_none() {
-        return Ok((attempts, None));
+    if mode.is_some() {
+        let mut rec = Ftl::open(cfg.clone(), ftl.into_nand())
+            .map_err(|e| format!("Ftl::open failed after crash: {e}"))?;
+        verify_recovered(&mut rec, &trace, cfg)?;
     }
-    let mut rec = Ftl::open(cfg.clone(), ftl.into_nand())
-        .map_err(|e| format!("Ftl::open failed after crash: {e}"))?;
-    let violation = verify_recovered(&mut rec, &trace, cfg).err();
-    Ok((attempts, violation))
+    Ok(attempts)
 }
 
 /// Mixed write/trim/share/atomic-write workload over a small logical
@@ -312,7 +325,7 @@ pub(crate) fn run_ftl_case(
 /// one on any fault-free prefix.
 #[derive(Debug, Clone)]
 pub struct FtlMixedWorkload {
-    pub(crate) seed: u64,
+    pub(crate) name: String,
     pub(crate) ops: Vec<FtlOp>,
     pub(crate) cfg: FtlConfig,
 }
@@ -339,7 +352,40 @@ impl FtlMixedWorkload {
             apply(&mut model, &op);
             ops.push(op);
         }
-        Self { seed, ops, cfg }
+        Self { name: format!("ftl-mixed-s{seed}-n{n_ops}"), ops, cfg }
+    }
+
+    /// A parsed block trace (`W/R/T/S/F` lines, see `share_workloads::TraceOp`)
+    /// over `logical_pages`. Write fills derive from the op index, so content
+    /// checks stay exact.
+    pub fn trace(label: &str, trace: &[TraceOp], logical_pages: u64) -> Self {
+        let cfg = FtlConfig::for_capacity_with(
+            logical_pages * 4096,
+            0.5,
+            4096,
+            16,
+            NandTiming::zero(),
+        );
+        let ops = trace
+            .iter()
+            .enumerate()
+            .map(|(i, t)| match *t {
+                TraceOp::Write { lpn } => {
+                    FtlOp::Write { lpn, fill: (i % 255 + 1) as u8 }
+                }
+                TraceOp::Read { lpn } => FtlOp::Read { lpn },
+                TraceOp::Trim { lpn, len } => {
+                    // The oracle models single-page trims; clamp ranges.
+                    let _ = len;
+                    FtlOp::Trim { lpn }
+                }
+                TraceOp::Share { dest, src, len } => FtlOp::Share {
+                    pairs: (0..len).map(|k| (dest + k, src + k)).collect(),
+                },
+                TraceOp::Flush => FtlOp::Flush,
+            })
+            .collect();
+        Self { name: format!("ftl-trace-{label}"), ops, cfg }
     }
 
     fn gen_op(rng: &mut StdRng, model: &State) -> FtlOp {
@@ -397,80 +443,17 @@ impl FtlMixedWorkload {
 
 impl CrashWorkload for FtlMixedWorkload {
     fn name(&self) -> String {
-        format!("ftl-mixed-s{}-n{}", self.seed, self.ops.len())
+        self.name.clone()
     }
 
     fn crash_points(&self) -> u64 {
-        run_ftl_case(&self.cfg, &self.ops, None, 0).expect("fault-free run cannot fail").0
+        let ops = self.ops.iter().map(|op| (None, op));
+        run_ftl_case(&self.cfg, &[], ops, None, 0).expect("fault-free run cannot fail")
     }
 
     fn run_case(&self, mode: FaultMode, index: u64) -> Result<(), String> {
-        match run_ftl_case(&self.cfg, &self.ops, Some(mode), index)? {
-            (_, None) => Ok(()),
-            (_, Some(v)) => Err(v),
-        }
-    }
-}
-
-/// A crash workload replaying a block trace (`W/R/T/S/F` lines, see
-/// `share_workloads::TraceOp`) through the same oracle. Write fills are
-/// derived from the op index, so content checks stay exact.
-#[derive(Debug, Clone)]
-pub struct FtlTraceWorkload {
-    label: String,
-    ops: Vec<FtlOp>,
-    cfg: FtlConfig,
-}
-
-impl FtlTraceWorkload {
-    /// Wrap a parsed trace targeting `logical_pages`. Flushes are
-    /// appended every `flush_every` trace ops if the trace has none, so
-    /// arbitrary traces still contain durability points.
-    pub fn new(label: &str, trace: &[TraceOp], logical_pages: u64) -> Self {
-        let cfg = FtlConfig::for_capacity_with(
-            logical_pages * 4096,
-            0.5,
-            4096,
-            16,
-            NandTiming::zero(),
-        );
-        let ops = trace
-            .iter()
-            .enumerate()
-            .map(|(i, t)| match *t {
-                TraceOp::Write { lpn } => {
-                    FtlOp::Write { lpn, fill: (i % 255 + 1) as u8 }
-                }
-                TraceOp::Read { lpn } => FtlOp::Read { lpn },
-                TraceOp::Trim { lpn, len } => {
-                    // The oracle models single-page trims; clamp ranges.
-                    let _ = len;
-                    FtlOp::Trim { lpn }
-                }
-                TraceOp::Share { dest, src, len } => FtlOp::Share {
-                    pairs: (0..len).map(|k| (dest + k, src + k)).collect(),
-                },
-                TraceOp::Flush => FtlOp::Flush,
-            })
-            .collect();
-        Self { label: label.to_string(), ops, cfg }
-    }
-}
-
-impl CrashWorkload for FtlTraceWorkload {
-    fn name(&self) -> String {
-        format!("ftl-trace-{}", self.label)
-    }
-
-    fn crash_points(&self) -> u64 {
-        run_ftl_case(&self.cfg, &self.ops, None, 0).expect("fault-free run cannot fail").0
-    }
-
-    fn run_case(&self, mode: FaultMode, index: u64) -> Result<(), String> {
-        match run_ftl_case(&self.cfg, &self.ops, Some(mode), index)? {
-            (_, None) => Ok(()),
-            (_, Some(v)) => Err(v),
-        }
+        run_ftl_case(&self.cfg, &[], self.ops.iter().map(|op| (None, op)), Some(mode), index)
+            .map(drop)
     }
 }
 
@@ -505,7 +488,7 @@ mod tests {
     fn trace_workload_sweeps_share_lines() {
         let text = "W 0\nW 1\nF\nS 8 0 2\nW 2\nF\n";
         let ops = share_workloads::parse_trace(text);
-        let w = FtlTraceWorkload::new("inline", &ops, 16);
+        let w = FtlMixedWorkload::trace("inline", &ops, 16);
         let total = w.crash_points();
         assert!(total > 4);
         for i in 1..=total {

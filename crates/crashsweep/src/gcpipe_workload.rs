@@ -79,15 +79,16 @@ impl FtlGcPipelineWorkload {
             round += 1;
         }
         ops.truncate(n_ops);
-        let one = FtlMixedWorkload { seed, ops: ops.clone(), cfg: cfg.clone() };
+        let name = format!("ftl-gcpipe-s{seed}-n{n_ops}");
+        let one = FtlMixedWorkload { name: name.clone(), ops: ops.clone(), cfg: cfg.clone() };
         let split = one.crash_points();
-        Self { runs: [one, FtlMixedWorkload { seed, ops, cfg: cfg.with_parallelism(4, 1) }], split }
+        Self { runs: [one, FtlMixedWorkload { name, ops, cfg: cfg.with_parallelism(4, 1) }], split }
     }
 }
 
 impl CrashWorkload for FtlGcPipelineWorkload {
     fn name(&self) -> String {
-        format!("ftl-gcpipe-s{}-n{}", self.runs[0].seed, self.runs[0].ops.len())
+        self.runs[0].name()
     }
 
     fn crash_points(&self) -> u64 {

@@ -23,30 +23,75 @@
 //! `share` batch matches *no* prefix, so batch atomicity falls out of the
 //! same check. On top of that the oracle re-derives refcounts and revmap
 //! occupancy from the recovered L2P and asserts the FTL's own invariant
-//! walk passes, and it bounds the pages recovery itself wrote.
+//! walk passes, and it bounds the pages recovery itself wrote. The engines
+//! share one harness and a per-key oracle at commit granularity
+//! ([`engine_workload`]).
 //!
 //! Every failure carries an exactly reproducible
 //! `(workload, mode, crash_index)` triple; `sharectl crashsweep` accepts
 //! the same triple to replay one case under a debugger.
 
+pub mod couch_workload;
+pub mod engine_workload;
 pub mod ftl_workload;
 pub mod gcpipe_workload;
 pub mod innodb_workload;
+pub mod pg_workload;
 pub mod queued_workload;
 pub mod snapshot_workload;
 pub mod sqlite_workload;
 pub mod stream_workload;
 
-pub use ftl_workload::{FtlMixedWorkload, FtlTraceWorkload};
+pub use engine_workload::{CrashDevice, EngineWorkload, KvEngine};
+pub use ftl_workload::FtlMixedWorkload;
 pub use gcpipe_workload::FtlGcPipelineWorkload;
 pub use queued_workload::{FtlQueuedWorkload, QueuedCaseOutcome};
 pub use snapshot_workload::FtlSnapshotWorkload;
-pub use innodb_workload::InnodbShareWorkload;
-pub use sqlite_workload::SqliteShareWorkload;
 pub use stream_workload::FtlStreamWorkload;
 
+use mini_couch::CouchMode;
+use mini_innodb::FlushMode;
+use mini_pg::FpwMode;
+use mini_sqlite::JournalMode;
 use nand_sim::FaultMode;
+use share_core::{Ftl, SimpleSsd};
 use std::fmt;
+
+/// Every safe mode of every engine once (innodb also cached and with
+/// 16 KiB pages), by the names `sharectl crashsweep --workload` takes.
+pub const ENGINE_WORKLOADS: [&str; 12] = [
+    "innodb-dwb", "innodb-share", "innodb-atomic", "innodb-cached", "innodb-16k", "couch-original",
+    "couch-share", "pg-on", "pg-share", "sqlite-rollback", "sqlite-wal", "sqlite-share",
+];
+
+/// The positive controls: an unsafe mode on a drive that overwrites in
+/// place, which the oracle must catch.
+pub const ENGINE_CONTROLS: [&str; 3] = ["innodb-dwb-off", "pg-off", "sqlite-off"];
+
+/// The engine workload named `name` (one of [`ENGINE_WORKLOADS`] or
+/// [`ENGINE_CONTROLS`]); its [`CrashWorkload::name`] starts with `name`.
+pub fn engine_workload(name: &str, seed: u64) -> Option<Box<dyn CrashWorkload>> {
+    use {couch_workload as couch, innodb_workload as innodb};
+    use {pg_workload as pg, sqlite_workload as sqlite};
+    Some(match name {
+        "innodb-dwb" => Box::new(innodb::workload::<Ftl>(FlushMode::DwbOn, seed)),
+        "innodb-share" => Box::new(innodb::workload::<Ftl>(FlushMode::Share, seed)),
+        "innodb-atomic" => Box::new(innodb::workload::<Ftl>(FlushMode::AtomicWrite, seed)),
+        "innodb-cached" => Box::new(innodb::cached(seed)),
+        "innodb-16k" => Box::new(innodb::large_pages(seed)),
+        "innodb-dwb-off" => Box::new(innodb::workload::<SimpleSsd>(FlushMode::DwbOff, seed)),
+        "couch-original" => Box::new(couch::workload(CouchMode::Original, seed)),
+        "couch-share" => Box::new(couch::workload(CouchMode::Share, seed)),
+        "pg-on" => Box::new(pg::workload::<Ftl>(FpwMode::On, seed)),
+        "pg-share" => Box::new(pg::workload::<Ftl>(FpwMode::Share, seed)),
+        "pg-off" => Box::new(pg::workload::<SimpleSsd>(FpwMode::Off, seed)),
+        "sqlite-rollback" => Box::new(sqlite::workload::<Ftl>(JournalMode::Rollback, seed)),
+        "sqlite-wal" => Box::new(sqlite::workload::<Ftl>(JournalMode::Wal, seed)),
+        "sqlite-share" => Box::new(sqlite::workload::<Ftl>(JournalMode::Share, seed)),
+        "sqlite-off" => Box::new(sqlite::workload::<SimpleSsd>(JournalMode::Off, seed)),
+        _ => return None,
+    })
+}
 
 /// One crash scenario, exactly reproducible from its three coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -249,6 +294,15 @@ mod tests {
         assert!(r.is_clean());
         r.assert_clean();
         assert_eq!(r.cases_run, 5);
+    }
+
+    #[test]
+    fn every_engine_name_builds_the_workload_it_names() {
+        for name in ENGINE_WORKLOADS.iter().chain(&ENGINE_CONTROLS) {
+            let w = engine_workload(name, 3).unwrap_or_else(|| panic!("{name} builds nothing"));
+            assert!(w.name().starts_with(&format!("{name}-s3-")), "{name} builds {}", w.name());
+        }
+        assert!(engine_workload("innodb", 3).is_none());
     }
 
     #[test]

@@ -1,190 +1,87 @@
-//! Crash sweep through mini-SQLite's SHARE journal mode.
-//!
-//! The workload commits a serial sequence of update transactions over a
-//! fixed key set. In SHARE mode a transaction is the paper's §3.3 commit
-//! protocol: stage after-images beyond the database tail, fsync, then one
-//! `share` batch rebinds the home pages — so a returned `commit()` is
-//! durable, and a crashed commit must be all-or-nothing. The oracle:
-//! after `Ftl::open` + `MiniSqlite::open`, the database must equal the
-//! state after exactly `c` committed transactions, where `c` is the count
-//! of successful commits, or `c + 1` only when the crash hit the commit
-//! call itself (its share batch may have landed).
+//! mini-SQLite behind the engine harness: puts and deletes join the open
+//! transaction and a commit runs the mode's protocol — the rollback journal,
+//! the WAL (checkpointed by the maintenance pass) or the paper's §3.3 SHARE
+//! commit, after-images staged beyond the database tail and remapped by one
+//! `share` batch. Each makes a commit all-or-nothing; `JournalMode::Off`
+//! writes in place and is the positive control on a `SimpleSsd`.
 
-use crate::CrashWorkload;
+use crate::engine_workload::{text, value, version_of, CrashDevice, EngineWorkload, KvEngine};
 use mini_sqlite::{JournalMode, MiniSqlite, SqliteConfig};
-use nand_sim::{FaultMode, NandTiming};
-use share_core::{BlockDevice, Ftl, FtlConfig};
-use share_rng::{Rng, StdRng};
+use nand_sim::NandTiming;
+use share_core::FtlConfig;
 
-fn ftl_cfg() -> FtlConfig {
-    FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 32, NandTiming::zero())
+/// mini-SQLite as a [`KvEngine`].
+pub struct Sqlite<D: CrashDevice> {
+    /// The pager under the adapter.
+    pub db: MiniSqlite<D>,
+    cfg: SqliteConfig,
 }
 
-fn sq_cfg() -> SqliteConfig {
-    // Small database + WAL areas so the whole image (plus the pager's
-    // fixed 512-page SHARE staging tail) fits the 2048-page device.
-    SqliteConfig { mode: JournalMode::Share, max_pages: 256, wal_checkpoint_frames: 8 }
-}
+impl<D: CrashDevice> KvEngine for Sqlite<D> {
+    type Dev = D;
+    type Cfg = SqliteConfig;
+    const DELETES: bool = true;
+    const ATOMIC_COMMIT: bool = true;
 
-fn val(key: u64, version: u64) -> Vec<u8> {
-    let mut v = vec![(key ^ version) as u8; 64];
-    v[..8].copy_from_slice(&key.to_le_bytes());
-    v[8..16].copy_from_slice(&version.to_le_bytes());
-    v
-}
-
-/// Serial update transactions against mini-SQLite in SHARE journal mode.
-#[derive(Debug, Clone)]
-pub struct SqliteShareWorkload {
-    seed: u64,
-    keys: u64,
-    /// Per transaction: the keys it updates (all to version = txn index + 1).
-    txns: Vec<Vec<u64>>,
-    /// `versions[n][k]` = version of key `k` after `n` committed txns.
-    versions: Vec<Vec<u64>>,
-}
-
-impl SqliteShareWorkload {
-    /// `n_txns` transactions of 1–3 key updates over `keys` keys.
-    pub fn new(seed: u64, keys: u64, n_txns: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut txns = Vec::with_capacity(n_txns);
-        let mut versions = vec![vec![0u64; keys as usize]];
-        for t in 0..n_txns {
-            let mut ks: Vec<u64> = Vec::new();
-            for _ in 0..rng.random_range(1..4usize) {
-                let k = rng.random_range(0..keys);
-                if !ks.contains(&k) {
-                    ks.push(k);
-                }
-            }
-            let mut next = versions.last().unwrap().clone();
-            for &k in &ks {
-                next[k as usize] = t as u64 + 1;
-            }
-            versions.push(next);
-            txns.push(ks);
-        }
-        Self { seed, keys, txns, versions }
+    fn create(dev: D, cfg: &SqliteConfig) -> Result<Self, String> {
+        Ok(Self { db: MiniSqlite::create(dev, cfg.clone()).map_err(text)?, cfg: cfg.clone() })
     }
-
-    /// Build the database and load the initial keys (fault disarmed).
-    fn setup(&self) -> Result<(MiniSqlite<Ftl>, nand_sim::FaultHandle), String> {
-        let dev = Ftl::new(ftl_cfg());
-        let handle = dev.fault_handle();
-        let mut db = MiniSqlite::create(dev, sq_cfg())
-            .map_err(|e| format!("setup: create failed: {e}"))?;
-        for k in 0..self.keys {
-            db.put(k, &val(k, 0)).map_err(|e| format!("setup: put failed: {e}"))?;
-        }
-        db.commit().map_err(|e| format!("setup: initial commit failed: {e}"))?;
-        Ok((db, handle))
+    fn put(&mut self, key: u64, version: u64) -> Result<(), String> {
+        // 24 records of 200 bytes fill both halves of two pages.
+        self.db.put(key, &value(key, version, 200)).map_err(text)
     }
-
-    fn state_matches(db: &mut MiniSqlite<Ftl>, keys: u64, versions: &[u64]) -> bool {
-        if db.key_count() != keys as usize {
-            return false;
+    fn delete(&mut self, key: u64) -> Result<(), String> {
+        self.db.delete(key).map(drop).map_err(text)
+    }
+    fn commit(&mut self) -> Result<(), String> {
+        self.db.commit().map_err(text)
+    }
+    fn maintenance(&mut self) -> Result<(), String> {
+        match self.cfg.mode {
+            JournalMode::Wal => self.db.checkpoint_wal().map_err(text),
+            _ => Ok(()),
         }
-        for k in 0..keys {
-            match db.get(k) {
-                Ok(Some(v)) if v == val(k, versions[k as usize]) => {}
-                _ => return false,
-            }
-        }
-        true
+    }
+    fn reopen(self) -> Result<Self, String> {
+        let db = MiniSqlite::open(self.db.into_device().recover()?, self.cfg.clone());
+        Ok(Self { db: db.map_err(text)?, cfg: self.cfg })
+    }
+    fn get(&mut self, key: u64) -> Result<Option<u64>, String> {
+        let row = self.db.get(key).map_err(text)?;
+        row.map(|b| version_of(key, &b, |_| 200)).transpose()
+    }
+    fn count(&mut self) -> Result<Option<u64>, String> {
+        Ok(Some(self.db.key_count() as u64))
     }
 }
 
-impl CrashWorkload for SqliteShareWorkload {
-    fn name(&self) -> String {
-        format!("sqlite-share-s{}-k{}-t{}", self.seed, self.keys, self.txns.len())
-    }
-
-    fn crash_points(&self) -> u64 {
-        let (mut db, handle) = self.setup().expect("fault-free setup cannot fail");
-        let base = handle.programs_seen();
-        for (t, ks) in self.txns.iter().enumerate() {
-            for &k in ks {
-                db.put(k, &val(k, t as u64 + 1)).expect("fault-free put cannot fail");
-            }
-            db.commit().expect("fault-free commit cannot fail");
-        }
-        handle.programs_seen() - base
-    }
-
-    fn run_case(&self, mode: FaultMode, index: u64) -> Result<(), String> {
-        let (mut db, handle) = self.setup()?;
-        handle.arm_after_programs(index, mode);
-        let mut committed = 0usize;
-        let mut commit_crashed = false;
-        'txns: for (t, ks) in self.txns.iter().enumerate() {
-            for &k in ks {
-                if db.put(k, &val(k, t as u64 + 1)).is_err() {
-                    if !handle.is_down() {
-                        return Err(format!("txn {t}: put failed without a crash"));
-                    }
-                    break 'txns;
-                }
-            }
-            match db.commit() {
-                Ok(()) => committed = t + 1,
-                Err(_) => {
-                    if !handle.is_down() {
-                        return Err(format!("txn {t}: commit failed without a crash"));
-                    }
-                    commit_crashed = true;
-                    break 'txns;
-                }
-            }
-        }
-        handle.disarm();
-
-        let nand = db.into_device().into_nand();
-        let rec = Ftl::open(ftl_cfg(), nand)
-            .map_err(|e| format!("Ftl::open failed after crash: {e}"))?;
-        if rec.stats().recoveries != 1 {
-            return Err("reopened device does not report a recovery".into());
-        }
-        let mut db2 = MiniSqlite::open(rec, sq_cfg())
-            .map_err(|e| format!("MiniSqlite::open failed after recovery: {e}"))?;
-
-        if Self::state_matches(&mut db2, self.keys, &self.versions[committed]) {
-            return Ok(());
-        }
-        // A crash inside commit may have made that txn durable.
-        if commit_crashed
-            && Self::state_matches(&mut db2, self.keys, &self.versions[committed + 1])
-        {
-            return Ok(());
-        }
-        Err(format!(
-            "recovered database matches neither {committed} committed txns nor \
-             the in-flight one (commit_crashed={commit_crashed})"
-        ))
-    }
+/// 16 commits over 24 keys in `mode`, on a small database and WAL.
+pub fn workload<D: CrashDevice>(mode: JournalMode, seed: u64) -> EngineWorkload<Sqlite<D>> {
+    let dev = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 32, NandTiming::zero());
+    let cfg = SqliteConfig { mode, max_pages: 32, wal_checkpoint_frames: 8 };
+    EngineWorkload::new(&format!("sqlite-{}", mode.label().to_lowercase()), dev, cfg, seed, 24, 16)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CrashWorkload;
+    use nand_sim::FaultMode;
+    use share_core::Ftl;
 
     #[test]
     fn workload_is_deterministic_and_nonempty() {
-        let a = SqliteShareWorkload::new(5, 24, 10);
-        let b = SqliteShareWorkload::new(5, 24, 10);
-        assert_eq!(a.txns, b.txns);
-        assert_eq!(a.versions, b.versions);
-        let points = a.crash_points();
-        assert_eq!(points, b.crash_points());
-        assert!(points > 10, "10 SHARE commits should program > 10 pages, got {points}");
+        let points = workload::<Ftl>(JournalMode::Share, 5).crash_points();
+        assert_eq!(points, workload::<Ftl>(JournalMode::Share, 5).crash_points());
+        assert!(points > 16, "16 SHARE commits should program > 16 pages, got {points}");
     }
 
     #[test]
     fn one_case_of_each_mode_passes_the_oracle() {
-        let w = SqliteShareWorkload::new(2, 16, 6);
+        let w = workload::<Ftl>(JournalMode::Share, 2);
         let mid = w.crash_points() / 2;
         for mode in FaultMode::ALL {
-            w.run_case(mode, mid.max(1)).unwrap();
+            w.run_case(mode, mid).unwrap();
         }
     }
 }

@@ -15,12 +15,10 @@
 //! - `compact`: SHARE remaps of settled heap pages into a cold region,
 //!   plus occasional checkpoints.
 
-use crate::ftl_workload::{
-    apply, exec, is_durability_point, push_applied, verify_recovered, FtlOp, RunTrace, State,
-};
+use crate::ftl_workload::{apply, run_ftl_case, FtlOp, State};
 use crate::CrashWorkload;
 use nand_sim::{FaultMode, NandTiming};
-use share_core::{BlockDevice, Ftl, FtlConfig, FtlError};
+use share_core::FtlConfig;
 use share_rng::{Rng, StdRng};
 
 /// Stream labels, index-aligned with the per-op stream slots.
@@ -153,88 +151,28 @@ impl FtlStreamWorkload {
     }
 }
 
-/// Run the workload once on a fresh FTL, switching the
-/// active stream before each op. Mirrors `ftl_workload::run_ftl_case`
-/// except for the stream plumbing.
-fn run_stream_case(
-    cfg: &FtlConfig,
-    ops: &[(usize, FtlOp)],
-    mode: Option<FaultMode>,
-    index: u64,
-) -> Result<(u64, Option<String>), String> {
-    let mut ftl = Ftl::new(cfg.clone());
-    let streams: Vec<u32> =
-        STREAM_LABELS.iter().map(|label| ftl.stream_intern(label)).collect();
-    let handle = ftl.fault_handle();
-    let base = handle.programs_seen();
-    if let Some(mode) = mode {
-        handle.arm_after_programs(index, mode);
-    }
-
-    let mut states: Vec<State> = vec![vec![None; cfg.logical_pages as usize]];
-    let mut floor = 0usize;
-    let mut crashed = false;
-    for (slot, op) in ops {
-        ftl.set_stream(streams[*slot]);
-        match exec(&mut ftl, op) {
-            Ok(()) => {
-                push_applied(&mut states, op);
-                if is_durability_point(op) {
-                    floor = states.len() - 1;
-                }
-            }
-            Err(FtlError::SrcUnmapped(_))
-            | Err(FtlError::InvalidBatch(_))
-            | Err(FtlError::LpnOutOfRange { .. })
-                if !handle.is_down() =>
-            {
-                // Rejected by validation before any state change.
-            }
-            Err(e) => {
-                if !handle.is_down() {
-                    return Err(format!("unexpected non-crash error from {op:?}: {e}"));
-                }
-                push_applied(&mut states, op);
-                crashed = true;
-                break;
-            }
-        }
-    }
-    handle.disarm();
-    let attempts = handle.programs_seen() - base;
-    if mode.is_none() {
-        return Ok((attempts, None));
-    }
-    let trace = RunTrace { states, floor, crashed };
-    let mut rec = Ftl::open(cfg.clone(), ftl.into_nand())
-        .map_err(|e| format!("Ftl::open failed after crash: {e}"))?;
-    let violation = verify_recovered(&mut rec, &trace, cfg).err();
-    Ok((attempts, violation))
-}
-
 impl CrashWorkload for FtlStreamWorkload {
     fn name(&self) -> String {
         format!("ftl-stream-s{}-n{}", self.seed, self.ops.len())
     }
 
     fn crash_points(&self) -> u64 {
-        run_stream_case(&self.cfg, &self.ops, None, 0)
-            .expect("fault-free run cannot fail")
-            .0
+        let ops = self.ops.iter().map(|(slot, op)| (Some(*slot), op));
+        run_ftl_case(&self.cfg, &STREAM_LABELS, ops, None, 0).expect("fault-free run cannot fail")
     }
 
     fn run_case(&self, mode: FaultMode, index: u64) -> Result<(), String> {
-        match run_stream_case(&self.cfg, &self.ops, Some(mode), index)? {
-            (_, None) => Ok(()),
-            (_, Some(v)) => Err(v),
-        }
+        let ops = self.ops.iter().map(|(slot, op)| (Some(*slot), op));
+        run_ftl_case(&self.cfg, &STREAM_LABELS, ops, Some(mode), index).map(drop)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ftl_workload::exec;
     use nand_sim::BlockId;
+    use share_core::{BlockDevice, Ftl};
     use std::collections::BTreeSet;
 
     #[test]

@@ -1,10 +1,10 @@
-//! Smoke tier of the crash-point sweep (PR 2 acceptance gate).
+//! Smoke tier of the crash-point sweep.
 //!
-//! Strided sweeps over the FTL-level mixed workload and both engine-level
-//! workloads, each crossed with all three fault modes. Together they must
-//! visit at least 200 distinct crash points with zero oracle violations,
-//! in seconds — this file runs inside plain `cargo test` and therefore
-//! inside `scripts/verify.sh`.
+//! Strided sweeps over the FTL-level workloads, each crossed with all three
+//! fault modes, must visit at least 200 distinct crash points with zero
+//! oracle violations, and so must a few points of every engine mode — in
+//! seconds: this file runs inside plain `cargo test` and therefore inside
+//! `scripts/verify.sh`.
 //!
 //! The deep soak tier is the same sweep with stride 1 (exhaustive) and
 //! larger workloads; it is gated on the `SHARE_CRASH_POINTS` environment
@@ -12,9 +12,8 @@
 
 use nand_sim::FaultMode;
 use share_crashsweep::{
-    deep_point_cap, sweep, CrashWorkload, FtlGcPipelineWorkload, FtlMixedWorkload,
-    FtlQueuedWorkload, FtlSnapshotWorkload, FtlStreamWorkload, InnodbShareWorkload,
-    SqliteShareWorkload,
+    deep_point_cap, engine_workload, sweep, CrashWorkload, FtlGcPipelineWorkload,
+    FtlMixedWorkload, FtlQueuedWorkload, FtlSnapshotWorkload, FtlStreamWorkload, ENGINE_WORKLOADS,
 };
 
 /// Stride that visits about `target` points of a `total`-point space.
@@ -36,14 +35,6 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
     let mut visited = 0;
     // FTL-level: mixed writes / trims / shares / atomic batches / checkpoints.
     visited += run_smoke(&FtlMixedWorkload::new(42, 300), 180);
-    // Engine-level: mini-SQLite's SHARE journal commit protocol.
-    visited += run_smoke(&SqliteShareWorkload::new(7, 24, 10), 45);
-    // Engine-level: mini-InnoDB's DWB-via-SHARE flush/checkpoint path.
-    visited += run_smoke(&InnodbShareWorkload::new(9, 40, 60), 45);
-    // The same engine with the tree resident: checkpoints recorded while
-    // pages are still dirty, recovery replaying from below the last
-    // durable LSN.
-    visited += run_smoke(&InnodbShareWorkload::cached(9, 40, 60), 15);
     // Queued submission path: the same mixed op mix through the NVMe-style
     // queue with commands in flight at the crash (submission boundaries
     // via TornHalf/DroppedWrite, completion boundaries via AfterProgram).
@@ -71,6 +62,20 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
     );
 }
 
+/// Every safe mode of every engine (innodb also cached and with 16 KiB pages).
+fn engine_workloads(seed: u64) -> impl Iterator<Item = Box<dyn CrashWorkload>> {
+    ENGINE_WORKLOADS.iter().map(move |name| engine_workload(name, seed).unwrap())
+}
+
+/// Every engine mode through the one engine harness; the engines' own
+/// suites sweep them densely.
+#[test]
+fn smoke_sweep_covers_every_engine_mode() {
+    for w in engine_workloads(7) {
+        run_smoke(w.as_ref(), 8);
+    }
+}
+
 /// Deep soak: exhaustive (stride 1) sweeps, capped per workload by the
 /// `SHARE_CRASH_POINTS` environment variable. Unset → this test is a
 /// no-op so plain `cargo test` stays fast.
@@ -80,17 +85,15 @@ fn smoke_sweep_covers_200_points_across_the_stack() {
 #[test]
 fn deep_sweep_soak() {
     let Some(cap) = deep_point_cap() else { return };
-    let workloads: [Box<dyn CrashWorkload>; 9] = [
+    let mut workloads: Vec<Box<dyn CrashWorkload>> = vec![
         Box::new(FtlMixedWorkload::new(1009, 800)),
-        Box::new(SqliteShareWorkload::new(1013, 32, 25)),
-        Box::new(InnodbShareWorkload::new(1019, 48, 150)),
-        Box::new(InnodbShareWorkload::cached(1019, 48, 150)),
         Box::new(FtlQueuedWorkload::new(1021, 800, 4)),
         Box::new(FtlQueuedWorkload::write_batches(400, 4)),
         Box::new(FtlStreamWorkload::new(1031, 800)),
         Box::new(FtlGcPipelineWorkload::new(1033, 800)),
         Box::new(FtlSnapshotWorkload::new(1039, 800)),
     ];
+    workloads.extend(engine_workloads(1019));
     for w in &workloads {
         let total = w.crash_points();
         let stride = stride_for(total, cap);

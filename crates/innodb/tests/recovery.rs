@@ -5,10 +5,13 @@
 //! database or in the double-write area (DwbOn), or the home location was
 //! remapped atomically (Share) — and committed transactions survive via
 //! redo. DwbOff demonstrates the torn-page hazard the other modes prevent.
+//! The crash sweeps run through the engine harness of `share-crashsweep`.
 
-use mini_innodb::{standard_log_device, EngineError, FlushMode, InnoDb, InnoDbConfig};
+use mini_innodb::{standard_log_device, FlushMode, InnoDb, InnoDbConfig};
 use nand_sim::{FaultMode, NandTiming};
-use share_core::{BlockDevice, Ftl, FtlConfig};
+use share_core::{BlockDevice, Ftl, FtlConfig, SimpleSsd};
+use share_crashsweep::innodb_workload::{cached, large_pages, workload};
+use share_crashsweep::sweep;
 
 fn ftl_cfg() -> FtlConfig {
     FtlConfig::for_capacity_with(24 << 20, 0.3, 4096, 32, NandTiming::zero())
@@ -29,15 +32,6 @@ fn fresh_engine(mode: FlushMode) -> InnoDb<Ftl> {
     let dev = Ftl::new(ftl_cfg());
     let log = standard_log_device(dev.clock().clone());
     InnoDb::create(dev, log, engine_cfg(mode)).unwrap()
-}
-
-/// Crash the engine (power fault on the data device), then run full
-/// device + engine recovery.
-fn crash_and_recover(e: InnoDb<Ftl>, mode: FlushMode) -> Result<InnoDb<Ftl>, EngineError> {
-    let (data, log) = e.into_devices();
-    let nand = data.into_nand();
-    let data = Ftl::open(ftl_cfg(), nand).expect("device-level recovery");
-    InnoDb::open(data, log, engine_cfg(mode))
 }
 
 #[test]
@@ -63,19 +57,23 @@ fn clean_shutdown_reopen_all_modes() {
     }
 }
 
+// Crash at every (strided) program of a run of transactions under all three
+// fault modes: each key reads its last committed version, or the in-flight
+// one, whole.
+
 #[test]
 fn committed_transactions_survive_crash_dwb_on() {
-    committed_transactions_survive_crash(FlushMode::DwbOn);
+    sweep(&workload::<Ftl>(FlushMode::DwbOn, 42), &FaultMode::ALL, 3).assert_clean();
 }
 
 #[test]
 fn committed_transactions_survive_crash_share() {
-    committed_transactions_survive_crash(FlushMode::Share);
+    sweep(&workload::<Ftl>(FlushMode::Share, 42), &FaultMode::ALL, 2).assert_clean();
 }
 
 #[test]
 fn committed_transactions_survive_crash_atomic_write() {
-    committed_transactions_survive_crash(FlushMode::AtomicWrite);
+    sweep(&workload::<Ftl>(FlushMode::AtomicWrite, 42), &FaultMode::ALL, 1).assert_clean();
 }
 
 #[test]
@@ -112,82 +110,7 @@ fn atomic_write_mode_matches_share_write_volume() {
 fn atomic_write_protects_multi_device_page_spans() {
     // 16 KiB engine pages in AtomicWrite mode: the batch is atomic per
     // engine page, so no crash point may leave a torn page.
-    let cfg = InnoDbConfig {
-        pool_pages: 16,
-        page_bytes: 16 * 1024,
-        max_pages: 1024,
-        ..engine_cfg(FlushMode::AtomicWrite)
-    };
-    for crash_at in (60..400u64).step_by(60) {
-        let dev = Ftl::new(ftl_cfg());
-        let log = standard_log_device(dev.clock().clone());
-        let mut e = InnoDb::create(dev, log, cfg.clone()).unwrap();
-        for i in 0..400u64 {
-            e.update_node(i, &[1u8; 1024]).unwrap();
-        }
-        e.checkpoint().unwrap();
-        e.fs_mut().device_mut().fault_handle().arm_after_programs(crash_at, FaultMode::TornHalf);
-        'rounds: for round in 0..50u64 {
-            for i in 0..400u64 {
-                if e.update_node(i, &[(round + 2) as u8; 1024]).is_err() {
-                    break 'rounds;
-                }
-            }
-        }
-        e.fs_mut().device_mut().fault_handle().disarm();
-        let (data, log) = e.into_devices();
-        let data = Ftl::open(ftl_cfg(), data.into_nand()).unwrap();
-        let mut e2 = InnoDb::open(data, log, cfg.clone()).expect("atomic-write recovery");
-        for i in 0..400u64 {
-            let v = e2.get_node(i).unwrap().expect("node present");
-            assert!(v.iter().all(|&b| b == v[0]), "torn content in node {i}");
-        }
-    }
-}
-
-fn committed_transactions_survive_crash(mode: FlushMode) {
-    // Sweep crash points across the run; each committed update must survive.
-    for crash_at in [50u64, 200, 500, 900, 1500, 2500] {
-        let mut e = fresh_engine(mode);
-        e.fs_mut().device_mut().fault_handle().arm_after_programs(crash_at, FaultMode::TornHalf);
-        let mut committed: Vec<(u64, u64)> = Vec::new(); // (id, version)
-        let mut crashed = false;
-        'run: for version in 1..=400u64 {
-            for id in 0..25u64 {
-                match e.update_node(id, &value(id, version)) {
-                    Ok(()) => committed.push((id, version)),
-                    Err(_) => {
-                        crashed = true;
-                        break 'run;
-                    }
-                }
-            }
-        }
-        e.fs_mut().device_mut().fault_handle().disarm();
-        let mut latest = std::collections::HashMap::new();
-        for (id, v) in &committed {
-            latest.insert(*id, *v);
-        }
-        let mut e2 = crash_and_recover(e, mode).expect("recovery must succeed");
-        for (id, v) in latest {
-            let got = e2.get_node(id).unwrap();
-            assert_eq!(
-                got,
-                Some(value(id, v).to_vec()),
-                "mode {mode:?} crash_at {crash_at} (crashed={crashed}): node {id} lost committed version {v}"
-            );
-        }
-        // The whole tree must be structurally sound.
-        let n = e2.count_entries().unwrap();
-        assert!(n <= 25, "phantom rows after recovery: {n}");
-    }
-}
-
-fn value(id: u64, version: u64) -> Vec<u8> {
-    let mut v = vec![0u8; 64];
-    v[..8].copy_from_slice(&id.to_le_bytes());
-    v[8..16].copy_from_slice(&version.to_le_bytes());
-    v
+    sweep(&large_pages(42), &FaultMode::ALL, 4).assert_clean();
 }
 
 #[test]
@@ -222,80 +145,20 @@ fn dwb_repairs_a_torn_home_page() {
 #[test]
 fn dwb_off_crash_can_leave_unrecoverable_torn_page() {
     // The paper's premise: without a DWB (or SHARE), a crash mid in-place
-    // write tears a page that nothing can repair. A page-mapped FTL happens
-    // to mask this for un-synced single-page writes (its mapping reverts),
-    // so the hazard is demonstrated where it historically lives: a
-    // conventional drive that overwrites sectors in place.
-    use share_core::SimpleSsd;
-    let cfg = InnoDbConfig { pool_pages: 16, max_pages: 2048, ..engine_cfg(FlushMode::DwbOff) };
-    let mut saw_torn_page = false;
-    for crash_at in (5..200u64).step_by(3) {
-        let clock = nand_sim::SimClock::new();
-        let dev = SimpleSsd::new(4096, 8192, clock.clone());
-        let log = standard_log_device(clock);
-        let mut e = InnoDb::create(dev, log, cfg.clone()).unwrap();
-        // 512 B rows: the working set spans ~60 leaves, far beyond the
-        // 16-page pool, so every round rewrites pages in place.
-        for i in 0..400u64 {
-            e.update_node(i, &[1u8; 512]).unwrap();
-        }
-        e.checkpoint().unwrap();
-        e.fs_mut().device_mut().fault_handle().arm_after_programs(crash_at, FaultMode::TornHalf);
-        'rounds: for round in 0..50u64 {
-            for i in 0..400u64 {
-                if e.update_node(i, &[(round + 2) as u8; 512]).is_err() {
-                    break 'rounds;
-                }
-            }
-        }
-        e.fs_mut().device_mut().fault_handle().disarm();
-        let (mut data, log) = e.into_devices();
-        data.power_cycle();
-        match InnoDb::open(data, log, cfg.clone()) {
-            Ok(mut e2) => {
-                // Even if open succeeded, reads may hit the torn page.
-                for i in 0..400u64 {
-                    if matches!(e2.get_node(i), Err(EngineError::TornPage { .. })) {
-                        saw_torn_page = true;
-                        break;
-                    }
-                }
-            }
-            Err(EngineError::TornPage { .. }) => saw_torn_page = true,
-            Err(EngineError::Vfs(_)) => {} // crash landed on FS metadata
-            Err(e) => panic!("unexpected recovery error: {e}"),
-        }
-        if saw_torn_page {
-            break;
-        }
-    }
-    assert!(saw_torn_page, "expected at least one unrecoverable torn page in DwbOff mode");
+    // write tears a page that nothing can repair. A page-mapped FTL masks
+    // this (a torn program only reverts its mapping), so the hazard is
+    // demonstrated where it historically lives: a conventional drive that
+    // overwrites sectors in place.
+    let report = sweep(&workload::<SimpleSsd>(FlushMode::DwbOff, 42), &[FaultMode::TornHalf], 1);
+    let torn = report.failures.iter().filter(|f| f.reason.contains("is torn and unrecoverable"));
+    assert!(torn.count() > 0, "expected an unrecoverable torn page in DwbOff mode: {report}");
 }
 
 #[test]
 fn share_mode_never_tears_pages_across_crash_sweep() {
-    for crash_at in [100u64, 300, 700, 1200, 2000, 3000] {
-        let mut e = fresh_engine(FlushMode::Share);
-        for i in 0..100u64 {
-            e.update_node(i, &[9u8; 64]).unwrap();
-        }
-        e.fs_mut().device_mut().fault_handle().arm_after_programs(crash_at, FaultMode::TornHalf);
-        'outer: for round in 0..100u64 {
-            for i in 0..100u64 {
-                if e.update_node(i, &[(round % 251) as u8; 64]).is_err() {
-                    break 'outer;
-                }
-            }
-        }
-        e.fs_mut().device_mut().fault_handle().disarm();
-        let mut e2 = crash_and_recover(e, FlushMode::Share).expect("SHARE recovery");
-        for i in 0..100u64 {
-            // Every node must read *some* intact version — never a torn page.
-            let v = e2.get_node(i).unwrap().expect("node present");
-            assert_eq!(v.len(), 64);
-            assert!(v.iter().all(|&b| b == v[0]), "mixed content in node {i}");
-        }
-    }
+    // The tree resident, checkpoints recorded with pages still dirty: every
+    // node reads an intact committed (or in-flight) version.
+    sweep(&cached(42), &FaultMode::ALL, 3).assert_clean();
 }
 
 #[test]

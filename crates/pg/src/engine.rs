@@ -22,6 +22,41 @@
 use share_core::{crc32c, BlockDevice};
 use share_vfs::{FileId, Vfs, VfsError, VfsOptions};
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+
+/// Errors surfaced by [`MiniPg`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PgError {
+    /// File-system or device failure.
+    Vfs(VfsError),
+    /// The image lacks one of the engine's files.
+    MissingFile(&'static str),
+    /// A heap page failed its `data_checksums` check: torn, and neither a
+    /// full-page image nor SHARE restored it.
+    TornPage { page: u64 },
+}
+
+impl From<VfsError> for PgError {
+    fn from(e: VfsError) -> Self {
+        PgError::Vfs(e)
+    }
+}
+
+impl fmt::Display for PgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PgError::Vfs(e) => write!(f, "{e}"),
+            PgError::MissingFile(name) => write!(f, "no {name} file in the image"),
+            PgError::TornPage { page } => write!(
+                f,
+                "torn heap page {page} detected by data_checksums \
+                 (unrecoverable without full_page_writes or SHARE)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PgError {}
 
 /// Torn-page protection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +189,7 @@ impl<D: BlockDevice> MiniPg<D> {
     }
 
     /// Create and initialize the database (all balances zero).
-    pub fn create(dev: D, cfg: PgConfig) -> Result<Self, VfsError> {
+    pub fn create(dev: D, cfg: PgConfig) -> Result<Self, PgError> {
         assert_eq!(cfg.page_bytes % dev.page_size(), 0);
         let mut fs = Vfs::format(dev, VfsOptions::default())?;
         let data = fs.create("pgdata")?;
@@ -199,12 +234,14 @@ impl<D: BlockDevice> MiniPg<D> {
 
     /// Reopen after a crash: read the control file, lazily reload heap
     /// pages, and replay committed WAL transactions with LSN gating.
-    pub fn open(dev: D, cfg: PgConfig) -> Result<Self, VfsError> {
+    pub fn open(dev: D, cfg: PgConfig) -> Result<Self, PgError> {
         let mut fs = Vfs::open(dev, VfsOptions::default())?;
-        let data = fs.lookup("pgdata").expect("pgdata file");
-        let wal = fs.lookup("pg_wal").expect("pg_wal file");
-        let journal = fs.lookup("pg_journal").expect("pg_journal file");
-        let control = fs.lookup("pg_control").expect("pg_control file");
+        let file =
+            |fs: &Vfs<D>, name: &'static str| fs.lookup(name).ok_or(PgError::MissingFile(name));
+        let data = file(&fs, "pgdata")?;
+        let wal = file(&fs, "pg_wal")?;
+        let journal = file(&fs, "pg_journal")?;
+        let control = file(&fs, "pg_control")?;
         Self::label_streams(&mut fs, data, wal, journal, control);
         let (rows_per_page, accounts_pages, tellers_pages, branches_pages) = Self::layout(&cfg);
         let history_page0 = accounts_pages + tellers_pages + branches_pages;
@@ -279,7 +316,7 @@ impl<D: BlockDevice> MiniPg<D> {
     }
 
     /// Load a heap page into RAM (from the data file on first access).
-    fn load_page(&mut self, page_no: u64) -> Result<(), VfsError> {
+    fn load_page(&mut self, page_no: u64) -> Result<(), PgError> {
         if self.pages.contains_key(&page_no) {
             return Ok(());
         }
@@ -296,12 +333,10 @@ impl<D: BlockDevice> MiniPg<D> {
             self.fs.read_pages(self.data, &mut reqs)?;
         }
         if self.cfg.data_checksums && !Self::checksum_ok(&img) {
-            // A torn heap page. With FPW (or SHARE) the caller never sees
-            // this: recovery restores an intact image first. FPW-Off on a
-            // crash-prone device lands here.
-            panic!(
-                "torn heap page {page_no} detected by data_checksums                  (unrecoverable without full_page_writes or SHARE)"
-            );
+            // A torn heap page. With FPW (or SHARE) recovery restores an
+            // intact image first, as long as the WAL page holding it
+            // survives. FPW-Off on a crash-prone device lands here.
+            return Err(PgError::TornPage { page: page_no });
         }
         self.pages.insert(page_no, img);
         Ok(())
@@ -340,10 +375,10 @@ impl<D: BlockDevice> MiniPg<D> {
     }
 
     /// Read an account balance (test support).
-    pub fn account_balance(&mut self, aid: u64) -> i64 {
+    pub fn account_balance(&mut self, aid: u64) -> Result<i64, PgError> {
         let (page_no, row) = self.page_of_account(aid);
-        self.load_page(page_no).expect("load heap page");
-        Self::row_balance(&self.pages[&page_no], row)
+        self.load_page(page_no)?;
+        Ok(Self::row_balance(&self.pages[&page_no], row))
     }
 
     // ----- WAL records -------------------------------------------------------
@@ -358,7 +393,7 @@ impl<D: BlockDevice> MiniPg<D> {
     }
 
     /// Apply one balance delta, logging an FPI or an update record.
-    fn apply_update(&mut self, page_no: u64, row: usize, delta: i64) -> Result<(), VfsError> {
+    fn apply_update(&mut self, page_no: u64, row: usize, delta: i64) -> Result<(), PgError> {
         self.load_page(page_no)?;
         let lsn = self.next_lsn;
         self.next_lsn += 1;
@@ -391,7 +426,7 @@ impl<D: BlockDevice> MiniPg<D> {
         Ok(())
     }
 
-    fn wal_flush(&mut self) -> Result<(), VfsError> {
+    fn wal_flush(&mut self) -> Result<(), PgError> {
         // Pack pending WAL bytes into 4 KiB WAL pages; the partial tail
         // page is rewritten until it fills (group-commit style).
         let bs = self.fs.page_size();
@@ -421,14 +456,14 @@ impl<D: BlockDevice> MiniPg<D> {
     }
 
     /// Execute one TPC-B transaction and commit it (WAL fsync).
-    pub fn run_txn(&mut self, aid: u64, tid: u64, bid: u64, delta: i64) -> Result<(), VfsError> {
+    pub fn run_txn(&mut self, aid: u64, tid: u64, bid: u64, delta: i64) -> Result<(), PgError> {
         let span = self.fs.root_span("txn_commit");
         let r = self.run_txn_inner(aid, tid, bid, delta);
         self.fs.end_span(span, r.is_ok());
         r
     }
 
-    fn run_txn_inner(&mut self, aid: u64, tid: u64, bid: u64, delta: i64) -> Result<(), VfsError> {
+    fn run_txn_inner(&mut self, aid: u64, tid: u64, bid: u64, delta: i64) -> Result<(), PgError> {
         let (ap, ar) = self.page_of_account(aid);
         let (tp, tr) = self.page_of_teller(tid);
         let (bp, br) = self.page_of_branch(bid);
@@ -461,7 +496,7 @@ impl<D: BlockDevice> MiniPg<D> {
 
     // ----- checkpointing ------------------------------------------------------
 
-    fn write_control(&mut self) -> Result<(), VfsError> {
+    fn write_control(&mut self) -> Result<(), PgError> {
         let bs = self.fs.page_size();
         let mut page = vec![0u8; bs];
         page[0..4].copy_from_slice(&CONTROL_MAGIC.to_le_bytes());
@@ -477,7 +512,7 @@ impl<D: BlockDevice> MiniPg<D> {
         Ok(())
     }
 
-    fn read_control(&mut self) -> Result<(), VfsError> {
+    fn read_control(&mut self) -> Result<(), PgError> {
         let bs = self.fs.page_size();
         let mut page = vec![0u8; bs];
         self.fs.read_page(self.control, 0, &mut page)?;
@@ -500,17 +535,19 @@ impl<D: BlockDevice> MiniPg<D> {
     }
 
     /// Flush every dirty heap page, bump the generation, reset the WAL.
-    pub fn checkpoint(&mut self) -> Result<(), VfsError> {
+    pub fn checkpoint(&mut self) -> Result<(), PgError> {
         let span = self.fs.root_span("checkpoint");
         let r = self.checkpoint_inner();
         self.fs.end_span(span, r.is_ok());
         r
     }
 
-    fn checkpoint_inner(&mut self) -> Result<(), VfsError> {
+    fn checkpoint_inner(&mut self) -> Result<(), PgError> {
         let dpp = (self.cfg.page_bytes / self.fs.page_size()) as u64;
         let bs = self.fs.page_size();
-        let dirty: Vec<u64> = self.dirty.drain().collect();
+        // In page order: what a crash interrupts must not follow hash order.
+        let mut dirty: Vec<u64> = self.dirty.drain().collect();
+        dirty.sort_unstable();
         let use_share = self.cfg.mode == FpwMode::Share && self.fs.supports_share();
         let journal_slots = self.fs.allocated_pages(self.journal)? / dpp;
         let mut batch: Vec<u64> = Vec::new();
@@ -582,7 +619,7 @@ impl<D: BlockDevice> MiniPg<D> {
 
     // ----- recovery --------------------------------------------------------------
 
-    fn replay_wal(&mut self) -> Result<(), VfsError> {
+    fn replay_wal(&mut self) -> Result<(), PgError> {
         // Collect the contiguous run of intact WAL pages of this generation.
         let bs = self.fs.page_size();
         let cap = bs - WAL_PAGE_HDR;
@@ -645,7 +682,7 @@ impl<D: BlockDevice> MiniPg<D> {
         Ok(())
     }
 
-    fn replay_record(&mut self, tag: u8, body: &[u8]) -> Result<u64, VfsError> {
+    fn replay_record(&mut self, tag: u8, body: &[u8]) -> Result<u64, PgError> {
         match tag {
             TAG_FPI => {
                 let page_no = u64::from_le_bytes(body[0..8].try_into().unwrap());

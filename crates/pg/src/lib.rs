@@ -12,9 +12,9 @@
 //! let cfg = PgConfig { mode: FpwMode::Share, ..Default::default() };
 //! let mut pg = MiniPg::create(dev, cfg).unwrap();
 //! pg.run_txn(42, 1, 0, 250).unwrap();
-//! assert_eq!(pg.account_balance(42), 250);
+//! assert_eq!(pg.account_balance(42).unwrap(), 250);
 //! ```
 
 mod engine;
 
-pub use engine::{FpwMode, MiniPg, PgConfig, PgStats};
+pub use engine::{FpwMode, MiniPg, PgConfig, PgError, PgStats};

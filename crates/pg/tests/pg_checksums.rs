@@ -1,46 +1,11 @@
 //! data_checksums: torn heap pages are detected, and only FPW/SHARE can
-//! avoid them.
+//! avoid them. The crash sweeps run through the engine harness of
+//! `share-crashsweep`.
 
-use mini_pg::{FpwMode, MiniPg, PgConfig};
-use nand_sim::{FaultMode, NandTiming, SimClock};
+use mini_pg::{FpwMode, MiniPg, PgConfig, PgError};
+use nand_sim::{FaultMode, NandTiming};
 use share_core::{Ftl, FtlConfig, SimpleSsd};
-use share_workloads::{Pgbench, PgbenchConfig};
-
-fn ftl_cfg() -> FtlConfig {
-    FtlConfig::for_capacity_with(96 << 20, 0.3, 4096, 64, NandTiming::zero())
-}
-
-fn cfg(mode: FpwMode) -> PgConfig {
-    // Frequent checkpoints: in-place heap flushes happen often enough that
-    // a crash sweep lands inside one.
-    PgConfig { mode, checkpoint_txns: 40, ..Default::default() }
-}
-
-/// Crash during the workload, recover, and probe every touched account.
-/// Returns true if a torn heap page was detected.
-fn crash_probe(mode: FpwMode, crash_at: u64) -> bool {
-    let mut pg = MiniPg::create(Ftl::new(ftl_cfg()), cfg(mode)).unwrap();
-    let mut gen = Pgbench::new(&PgbenchConfig { scale: 1, seed: 21 });
-    let mut touched = std::collections::HashSet::new();
-    pg.fs_mut().device_mut().fault_handle().arm_after_programs(crash_at, FaultMode::TornHalf);
-    for _ in 0..2_000 {
-        let t = gen.next_txn();
-        if pg.run_txn(t.aid, t.tid, t.bid, t.delta).is_err() {
-            break;
-        }
-        touched.insert(t.aid);
-    }
-    pg.fs_mut().device_mut().fault_handle().disarm();
-    let nand = pg.into_device().into_nand();
-    let dev = Ftl::open(ftl_cfg(), nand).unwrap();
-    let result = std::panic::catch_unwind(move || {
-        let mut pg2 = MiniPg::open(dev, cfg(mode)).unwrap();
-        for &aid in &touched {
-            pg2.account_balance(aid);
-        }
-    });
-    result.is_err()
-}
+use share_crashsweep::{pg_workload::workload, sweep};
 
 #[test]
 fn fpw_off_crash_can_tear_heap_pages_checksums_catch_it() {
@@ -48,59 +13,36 @@ fn fpw_off_crash_can_tear_heap_pages_checksums_catch_it() {
     // of an in-place checkpoint write tears the page, and FPW-Off has
     // nothing to repair it with — data_checksums at least refuses to serve
     // the damage. Demonstrated on a conventional SSD; the page-mapped FTL
-    // happens to mask most un-synced partial writes (its mapping reverts),
-    // which is itself a finding the DwbOff tests document.
-    let mut torn_detected = false;
-    for crash_at in (20..2_000u64).step_by(23) {
-        let mut pg = MiniPg::create(
-            SimpleSsd::new(4096, (96 << 20) / 4096, SimClock::new()),
-            cfg(FpwMode::Off),
-        )
-        .unwrap();
-        let mut gen = Pgbench::new(&PgbenchConfig { scale: 1, seed: 21 });
-        let mut touched = std::collections::HashSet::new();
-        pg.fs_mut().device_mut().fault_handle().arm_after_programs(crash_at, FaultMode::TornHalf);
-        for _ in 0..2_000 {
-            let t = gen.next_txn();
-            if pg.run_txn(t.aid, t.tid, t.bid, t.delta).is_err() {
-                break;
-            }
-            touched.insert(t.aid);
-        }
-        pg.fs_mut().device_mut().fault_handle().disarm();
-        let mut dev = pg.into_device();
-        dev.power_cycle();
-        let result = std::panic::catch_unwind(move || {
-            let mut pg2 = MiniPg::open(dev, cfg(FpwMode::Off)).unwrap();
-            for &aid in &touched {
-                pg2.account_balance(aid);
-            }
-        });
-        if result.is_err() {
-            torn_detected = true;
-            break;
-        }
-    }
-    assert!(torn_detected, "expected data_checksums to catch a torn heap page in FPW-Off");
+    // masks un-synced partial writes (its mapping reverts).
+    let report = sweep(&workload::<SimpleSsd>(FpwMode::Off, 42), &[FaultMode::TornHalf], 1);
+    let torn = report.failures.iter().filter(|f| f.reason.contains("torn heap page"));
+    assert!(torn.count() > 0, "expected data_checksums to catch a torn heap page: {report}");
 }
 
 #[test]
 fn share_mode_never_trips_data_checksums() {
-    for crash_at in (100..2_000u64).step_by(311) {
-        assert!(
-            !crash_probe(FpwMode::Share, crash_at),
-            "SHARE checkpointing must never leave a torn heap page (crash {crash_at})"
-        );
-    }
+    sweep(&workload::<Ftl>(FpwMode::Share, 42), &[FaultMode::TornHalf], 5).assert_clean();
 }
 
 #[test]
 fn fpw_on_never_trips_data_checksums() {
     // FPIs restore any torn page before the heap is read.
-    for crash_at in (100..2_000u64).step_by(311) {
-        assert!(
-            !crash_probe(FpwMode::On, crash_at),
-            "FPW-On recovery must repair torn heap pages (crash {crash_at})"
-        );
-    }
+    sweep(&workload::<Ftl>(FpwMode::On, 42), &[FaultMode::TornHalf], 5).assert_clean();
+}
+
+#[test]
+fn a_torn_heap_page_is_an_error() {
+    // Tear the second half of account 42's heap page behind the engine's
+    // back, after a checkpoint wrote it: FPW-Off has no image to restore.
+    let cfg = PgConfig { mode: FpwMode::Off, ..Default::default() };
+    let dev = Ftl::new(FtlConfig::for_capacity_with(64 << 20, 0.3, 4096, 64, NandTiming::zero()));
+    let mut pg = MiniPg::create(dev, cfg.clone()).unwrap();
+    pg.run_txn(42, 1, 0, 250).unwrap();
+    pg.checkpoint().unwrap();
+    let fs = pg.fs_mut();
+    let heap = fs.lookup("pgdata").unwrap();
+    fs.write_page(heap, 1, &[0xA5; 4096]).unwrap();
+    fs.fsync(heap).unwrap();
+    let mut pg = MiniPg::open(pg.into_device(), cfg).unwrap();
+    assert_eq!(pg.account_balance(42), Err(PgError::TornPage { page: 0 }));
 }

@@ -1,9 +1,11 @@
 //! Crash-recovery tests for mini-PostgreSQL: LSN-gated WAL replay,
 //! FPI-based torn-page repair, and transaction atomicity across crashes.
+//! The crash sweeps run through the engine harness of `share-crashsweep`.
 
 use mini_pg::{FpwMode, MiniPg, PgConfig};
 use nand_sim::{FaultMode, NandTiming};
 use share_core::{Ftl, FtlConfig};
+use share_crashsweep::{pg_workload::workload, sweep};
 use share_workloads::{Pgbench, PgbenchConfig};
 use std::collections::HashMap;
 
@@ -34,48 +36,24 @@ fn clean_reopen_preserves_balances_all_modes() {
         let dev = pg.into_device();
         let mut pg2 = MiniPg::open(dev, cfg(mode, 100)).unwrap();
         for (&aid, &want) in &expected {
-            assert_eq!(pg2.account_balance(aid), want, "{mode:?} aid {aid}");
+            assert_eq!(pg2.account_balance(aid).unwrap(), want, "{mode:?} aid {aid}");
         }
     }
 }
 
+// Crash at every (strided) program under the faults that drop or complete
+// the in-flight write (torn ones: `pg_checksums.rs`): each account reads its
+// last committed balance, or the in-flight one.
+const NOT_TORN: [FaultMode; 2] = [FaultMode::DroppedWrite, FaultMode::AfterProgram];
+
 #[test]
 fn committed_txns_survive_crash_fpw_on() {
-    committed_txns_survive_crash(FpwMode::On);
+    sweep(&workload::<Ftl>(FpwMode::On, 42), &NOT_TORN, 10).assert_clean();
 }
 
 #[test]
 fn committed_txns_survive_crash_share() {
-    committed_txns_survive_crash(FpwMode::Share);
-}
-
-fn committed_txns_survive_crash(mode: FpwMode) {
-    for crash_at in [150u64, 600, 1500, 4000] {
-        let mut pg = engine(mode, 200);
-        let mut gen = Pgbench::new(&PgbenchConfig { scale: 1, seed: 11 });
-        let mut committed: HashMap<u64, i64> = HashMap::new();
-        pg.fs_mut().device_mut().fault_handle().arm_after_programs(crash_at, FaultMode::TornHalf);
-        for _ in 0..3_000 {
-            let t = gen.next_txn();
-            match pg.run_txn(t.aid, t.tid, t.bid, t.delta) {
-                Ok(()) => {
-                    *committed.entry(t.aid).or_insert(0) += t.delta;
-                }
-                Err(_) => break,
-            }
-        }
-        pg.fs_mut().device_mut().fault_handle().disarm();
-        let nand = pg.into_device().into_nand();
-        let dev = Ftl::open(ftl_cfg(), nand).unwrap();
-        let mut pg2 = MiniPg::open(dev, cfg(mode, 200)).unwrap();
-        for (&aid, &want) in &committed {
-            assert_eq!(
-                pg2.account_balance(aid),
-                want,
-                "{mode:?} crash {crash_at}: balance of {aid} diverged"
-            );
-        }
-    }
+    sweep(&workload::<Ftl>(FpwMode::Share, 42), &NOT_TORN, 10).assert_clean();
 }
 
 #[test]
@@ -108,7 +86,7 @@ fn recovery_replays_only_complete_transactions() {
         for _ in 0..2_000 {
             touched.insert(gen2.next_txn().aid);
         }
-        let total: i64 = touched.iter().map(|&aid| pg2.account_balance(aid)).sum();
+        let total: i64 = touched.iter().map(|&aid| pg2.account_balance(aid).unwrap()).sum();
         assert_eq!(
             total, sum_committed,
             "crash {crash_at}: account sum diverged (partial txn replayed?)"
@@ -132,7 +110,7 @@ fn recovery_works_right_after_a_checkpoint() {
     let dev = Ftl::open(ftl_cfg(), nand).unwrap();
     let mut pg2 = MiniPg::open(dev, cfg(FpwMode::Share, 50)).unwrap();
     for (&aid, &want) in &expected {
-        assert_eq!(pg2.account_balance(aid), want, "aid {aid}");
+        assert_eq!(pg2.account_balance(aid).unwrap(), want, "aid {aid}");
     }
     // The engine keeps working after recovery, including checkpoints.
     for _ in 0..120 {

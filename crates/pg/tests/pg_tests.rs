@@ -16,9 +16,9 @@ fn balances_track_transactions() {
     pg.run_txn(5, 1, 0, 100).unwrap();
     pg.run_txn(5, 2, 0, -30).unwrap();
     pg.run_txn(6, 1, 0, 7).unwrap();
-    assert_eq!(pg.account_balance(5), 70);
-    assert_eq!(pg.account_balance(6), 7);
-    assert_eq!(pg.account_balance(7), 0);
+    assert_eq!(pg.account_balance(5).unwrap(), 70);
+    assert_eq!(pg.account_balance(6).unwrap(), 7);
+    assert_eq!(pg.account_balance(7).unwrap(), 0);
     assert_eq!(pg.stats().txns, 3);
 }
 
@@ -136,7 +136,7 @@ fn balances_survive_many_random_txns() {
         *expected.entry(t.aid).or_insert(0i64) += t.delta;
     }
     for (aid, want) in expected {
-        assert_eq!(pg.account_balance(aid), want, "aid {aid}");
+        assert_eq!(pg.account_balance(aid).unwrap(), want, "aid {aid}");
     }
 }
 
@@ -168,6 +168,6 @@ fn txn_commit_retries_through_a_saturated_shared_queue() {
     }
     assert_eq!(dev.inflight(), 4, "queue must be saturated");
     pg.checkpoint().unwrap();
-    assert_eq!(pg.account_balance(1), 5);
+    assert_eq!(pg.account_balance(1).unwrap(), 5);
     pg.into_device().check_invariants();
 }

@@ -238,10 +238,10 @@ impl<D: BlockDevice> MiniSqlite<D> {
                 return Ok(p);
             }
         }
-        for (&p, pg) in &self.cache {
-            if pg.fits(vlen, page_bytes) {
-                return Ok(p);
-            }
+        // The lowest such page: placement must not follow hash order.
+        let roomy = self.cache.iter().filter(|(_, pg)| pg.fits(vlen, page_bytes));
+        if let Some(p) = roomy.map(|(&p, _)| p).min() {
+            return Ok(p);
         }
         if self.used_pages >= self.cfg.max_pages {
             return Err(SqliteError::DatabaseFull);
@@ -488,7 +488,8 @@ impl<D: BlockDevice> MiniSqlite<D> {
     }
 
     fn checkpoint_wal_inner(&mut self) -> Result<(), SqliteError> {
-        let pages: Vec<u64> = self.wal_index.keys().copied().collect();
+        let mut pages: Vec<u64> = self.wal_index.keys().copied().collect();
+        pages.sort_unstable();
         self.write_db_pages(&pages)?;
         self.fs.barrier()?;
         self.fs.fsync(self.db)?;

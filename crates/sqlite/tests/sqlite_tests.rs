@@ -1,9 +1,11 @@
-//! Tests for the mini-SQLite pager: all four journal modes, crash sweeps,
-//! and the write-cost ordering the paper predicts.
+//! Tests for the mini-SQLite pager: all four journal modes, crash sweeps
+//! (through the engine harness of `share-crashsweep`), and the write-cost
+//! ordering the paper predicts.
 
 use mini_sqlite::{JournalMode, MiniSqlite, SqliteConfig, SqliteError};
 use nand_sim::{FaultMode, NandTiming};
-use share_core::{Ftl, FtlConfig};
+use share_core::{Ftl, FtlConfig, SimpleSsd};
+use share_crashsweep::{sqlite_workload::workload, sweep, CrashWorkload};
 
 fn ftl_cfg() -> FtlConfig {
     FtlConfig::for_capacity_with(24 << 20, 0.3, 4096, 32, NandTiming::zero())
@@ -105,67 +107,34 @@ fn grown_records_relocate_across_pages() {
     assert_eq!(db2.get(7).unwrap(), Some(vec![2u8; 900]));
 }
 
-/// Run a crash campaign: load, then update under an armed fault; recover
-/// and return the recovered pager (None if recovery legitimately found a
-/// torn page, only allowed for `Off`).
-fn crash_cycle(mode: JournalMode, crash_at: u64) -> Option<MiniSqlite<Ftl>> {
-    let mut db = pager(mode);
-    for k in 0..200u64 {
-        db.put(k, &val(k, 1)).unwrap();
-    }
-    db.commit().unwrap();
-    db.fs_mut().device_mut().fault_handle().arm_after_programs(crash_at, FaultMode::TornHalf);
-    'outer: for version in 2..60u64 {
-        for k in 0..200u64 {
-            if db.put(k, &val(k, version)).is_err() {
-                break 'outer;
-            }
-            if k % 20 == 19 && db.commit().is_err() {
-                break 'outer;
-            }
-        }
-    }
-    db.fs_mut().device_mut().fault_handle().disarm();
-    let nand = db.into_device().into_nand();
-    let dev = Ftl::open(ftl_cfg(), nand).unwrap();
-    match MiniSqlite::open(dev, cfg(mode)) {
-        Ok(db2) => Some(db2),
-        Err(SqliteError::TornPage { .. }) if mode == JournalMode::Off => None,
-        Err(e) => panic!("{mode:?} crash {crash_at}: unexpected recovery error {e}"),
+#[test]
+fn crash_recovery_yields_consistent_versions_in_safe_modes() {
+    // Every key reads its last committed version, or the crashed commit's
+    // — all of that commit or none of it.
+    for mode in [JournalMode::Rollback, JournalMode::Wal, JournalMode::Share] {
+        sweep(&workload::<Ftl>(mode, 42), &FaultMode::ALL, 6).assert_clean();
     }
 }
 
 #[test]
-fn crash_recovery_yields_consistent_versions_in_safe_modes() {
-    for mode in [JournalMode::Rollback, JournalMode::Wal, JournalMode::Share] {
-        for crash_at in [120u64, 400, 900, 1700] {
-            let mut db2 = crash_cycle(mode, crash_at).expect("safe modes always recover");
-            for k in 0..200u64 {
-                let v = db2.get(k).unwrap().unwrap_or_else(|| {
-                    panic!("{mode:?} crash {crash_at}: key {k} lost")
-                });
-                assert_eq!(&v[..8], &k.to_le_bytes(), "{mode:?}: key {k} holds foreign data");
-                let ver = u64::from_le_bytes(v[8..16].try_into().unwrap());
-                assert!(ver >= 1, "{mode:?}: impossible version");
-            }
-        }
-    }
+fn journal_off_crash_can_leave_unrecoverable_torn_page() {
+    // Without a journal a commit overwrites its pages in place, and a
+    // conventional drive that overwrites sectors in place keeps the torn
+    // half (a page-mapped FTL only reverts the mapping): the checksum must
+    // catch it.
+    let report = sweep(&workload::<SimpleSsd>(JournalMode::Off, 42), &[FaultMode::TornHalf], 1);
+    let torn = report.failures.iter().filter(|f| f.reason.contains("is torn and unrecoverable"));
+    assert!(torn.count() > 0, "expected an unrecoverable torn page in JournalMode::Off: {report}");
 }
 
 #[test]
 fn rollback_journal_rolls_back_interrupted_commits() {
-    // Find a crash point that lands inside the in-place phase of a commit:
+    // Some crash point lands inside the in-place phase of a commit:
     // recovery must detect the hot journal and roll back.
-    let mut saw_recovered_rollback = false;
-    for crash_at in (50..1500u64).step_by(37) {
-        if let Some(db2) = crash_cycle(JournalMode::Rollback, crash_at) {
-            if db2.stats().recovered_rollbacks > 0 {
-                saw_recovered_rollback = true;
-                break;
-            }
-        }
-    }
-    assert!(saw_recovered_rollback, "expected at least one hot-journal rollback");
+    let w = workload::<Ftl>(JournalMode::Rollback, 42);
+    let rolled_back =
+        |i| w.recovered(FaultMode::TornHalf, i).unwrap().db.stats().recovered_rollbacks;
+    assert!((1..=w.crash_points()).any(|i| rolled_back(i) > 0), "no hot-journal rollback");
 }
 
 #[test]

@@ -36,11 +36,12 @@ cargo test -q --release --offline -p mini-innodb --test alloc_budget
 # buffer.
 cargo test -q --release --offline -p mini-couch --test alloc_budget
 
-# Crash-point smoke sweep: every NAND program boundary (stride 1) of an
-# FTL-level and two engine-level workloads, times three fault modes, must
-# recover cleanly. Any violation prints a reproducible
-# (workload, mode, crash_index) triple and fails this script. The deep
-# soak tier is the same sweep over larger workloads, gated on
+# Crash-point smoke sweep: every NAND program boundary (stride 1) of the
+# six FTL-level workloads and of every safe engine mode (the engine
+# harness's twelve `<engine>-<mode>` workloads, ~4 s of the tier), times
+# three fault modes, must recover cleanly. Any violation prints a
+# reproducible (workload, mode, crash_index) triple and fails this script.
+# The deep soak tier is the same sweep over larger workloads, gated on
 # SHARE_CRASH_POINTS (see ROADMAP.md).
 echo "== crash-point smoke sweep =="
 ./target/release/sharectl crashsweep --workload all --stride 1
