@@ -89,8 +89,9 @@ fn usage() -> String {
      \x20\x20\x20\x20 NAND programs, clone materializes a writable zero-copy image)\n\
      \x20 sharectl crashsweep [--workload ftl|queued|queued-batch|stream|gcpipe|snapshot|all|<engine>|<engine>-<mode>]\n\
      \x20\x20\x20\x20 [--trace <file>] (engines innodb|couch|pg|sqlite; modes innodb-dwb|innodb-share|\n\
-     \x20\x20\x20\x20 innodb-atomic|innodb-cached|innodb-16k|couch-original|couch-share|pg-on|pg-share|\n\
-     \x20\x20\x20\x20 sqlite-rollback|sqlite-wal|sqlite-share; positive controls innodb-dwb-off|pg-off|sqlite-off)\n\
+     \x20\x20\x20\x20 innodb-atomic|innodb-cached|innodb-16k|couch-original|couch-share|couch-share-wide|\n\
+     \x20\x20\x20\x20 pg-on|pg-share|sqlite-rollback|sqlite-wal|sqlite-share; positive controls\n\
+     \x20\x20\x20\x20 innodb-dwb-off|pg-off|sqlite-off)\n\
      \x20\x20\x20\x20 [--seed N] [--stride N] [--mode torn-half|dropped-write|after-program|all]\n\
      \x20\x20\x20\x20 [--index N]   (with a single --mode: replay exactly one crash case)\n"
         .to_string()
@@ -281,19 +282,7 @@ pub fn run(args: &[String]) -> Result<String> {
             let mut dev = load_device(img)?;
             let before = dev.stats();
             let t0 = dev.clock().now_ns();
-            let page = vec![0xCDu8; dev.page_size()];
-            let mut buf = vec![0u8; dev.page_size()];
-            for op in &ops {
-                match *op {
-                    TraceOp::Write { lpn } => dev.write(Lpn(lpn), &page)?,
-                    TraceOp::Read { lpn } => dev.read(Lpn(lpn), &mut buf)?,
-                    TraceOp::Trim { lpn, len } => dev.trim(Lpn(lpn), len)?,
-                    TraceOp::Share { dest, src, len } => {
-                        dev.share(&SharePair::range(Lpn(dest), Lpn(src), len))?
-                    }
-                    TraceOp::Flush => dev.flush()?,
-                }
-            }
+            replay_ops(&mut dev, ops.iter().copied(), |_| None)?;
             let d = dev.stats().delta_since(&before);
             let dt = dev.clock().now_ns() - t0;
             writeln!(out, "replayed {} ops in {:.3} simulated s", ops.len(), dt as f64 / 1e9).unwrap();
@@ -311,19 +300,7 @@ pub fn run(args: &[String]) -> Result<String> {
             let mut dev = load_device_with(img, TelemetryConfig::full(), SloConfig::default())?;
             if let Some(trace_file) = flag_value(args, "--trace") {
                 let text = fs::read_to_string(trace_file)?;
-                let page = vec![0xCDu8; dev.page_size()];
-                let mut buf = vec![0u8; dev.page_size()];
-                for op in &parse_trace(&text) {
-                    match *op {
-                        TraceOp::Write { lpn } => dev.write(Lpn(lpn), &page)?,
-                        TraceOp::Read { lpn } => dev.read(Lpn(lpn), &mut buf)?,
-                        TraceOp::Trim { lpn, len } => dev.trim(Lpn(lpn), len)?,
-                        TraceOp::Share { dest, src, len } => {
-                            dev.share(&SharePair::range(Lpn(dest), Lpn(src), len))?
-                        }
-                        TraceOp::Flush => dev.flush()?,
-                    }
-                }
+                replay_ops(&mut dev, parse_trace(&text), |_| None)?;
             }
             let snap = dev.telemetry_snapshot().expect("FTL always exposes telemetry");
             if format == "json" {
@@ -453,63 +430,11 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
 /// Observation only — nothing is written back to the image.
 fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
-    let workload = flag_value(args, "--workload").unwrap_or("zipfian");
-    let ops = flag_value(args, "--ops").map(|v| parse_u64(v, "ops")).transpose()?.unwrap_or(2_000);
-    let seed = flag_value(args, "--seed").map(|v| parse_u64(v, "seed")).transpose()?.unwrap_or(42);
-    let pattern = match workload {
-        "sequential" => AccessPattern::Sequential,
-        "uniform" => AccessPattern::Uniform,
-        "zipfian" => AccessPattern::Zipfian { theta: 0.99 },
-        "mixed" => AccessPattern::Mixed { seq_fraction: 0.5 },
-        other => {
-            return Err(CliError(format!(
-                "bad --workload: {other} (want sequential|uniform|zipfian|mixed)"
-            )))
-        }
-    };
+    let (workload, gen) = synthetic_args(args)?;
     let mut dev = load_device_with(img, TelemetryConfig::full(), SloConfig::default())?;
-    let logical = dev.config().logical_pages;
-    // Two host streams split by address: the low 3/4 reads as table/data
-    // traffic, the top 1/4 as journal traffic — enough structure for the
-    // blame ledger to attribute GC against distinct foreground streams.
-    let data = dev.stream_intern("data");
-    let journal = dev.stream_intern("journal");
-    let stream_of = |lpn: u64| if lpn * 4 >= logical * 3 { journal } else { data };
-    let gen = TraceGen::new(TraceConfig {
-        pattern,
-        logical_pages: logical,
-        ops,
-        write_fraction: 0.7,
-        trim_every: 97,
-        flush_every: 64,
-        seed,
-    });
     let before = dev.stats();
     let t0 = dev.clock().now_ns();
-    let page = vec![0xCDu8; dev.page_size()];
-    let mut buf = vec![0u8; dev.page_size()];
-    let mut replayed = 0u64;
-    for op in gen {
-        match op {
-            TraceOp::Write { lpn } => {
-                dev.set_stream(stream_of(lpn));
-                dev.write(Lpn(lpn), &page)?
-            }
-            TraceOp::Read { lpn } => {
-                dev.set_stream(stream_of(lpn));
-                dev.read(Lpn(lpn), &mut buf)?
-            }
-            TraceOp::Trim { lpn, len } => {
-                dev.set_stream(stream_of(lpn));
-                dev.trim(Lpn(lpn), len)?
-            }
-            TraceOp::Share { dest, src, len } => {
-                dev.share(&SharePair::range(Lpn(dest), Lpn(src), len))?
-            }
-            TraceOp::Flush => dev.flush()?,
-        }
-        replayed += 1;
-    }
+    let replayed = run_synthetic(&mut dev, gen)?;
     let d = dev.stats().delta_since(&before);
     let dt = dev.clock().now_ns() - t0;
     let spans = dev.tracer().span_count();
@@ -578,6 +503,69 @@ fn parse_pattern(workload: &str) -> Result<AccessPattern> {
     })
 }
 
+/// The synthetic workload `trace` and `monitor` run, from `--workload`
+/// (zipfian), `--ops` (2 000) and `--seed` (42): its name and its
+/// generator, sized to the device by [`run_synthetic`].
+fn synthetic_args(args: &[String]) -> Result<(&str, TraceConfig)> {
+    let workload = flag_value(args, "--workload").unwrap_or("zipfian");
+    let pattern = parse_pattern(workload)?;
+    let ops = flag_value(args, "--ops").map(|v| parse_u64(v, "ops")).transpose()?.unwrap_or(2_000);
+    let seed = flag_value(args, "--seed").map(|v| parse_u64(v, "seed")).transpose()?.unwrap_or(42);
+    let gen = TraceConfig {
+        pattern,
+        logical_pages: 0,
+        ops,
+        write_fraction: 0.7,
+        trim_every: 97,
+        flush_every: 64,
+        seed,
+    };
+    Ok((workload, gen))
+}
+
+/// Replay `gen` over the whole of `dev` on two host streams split by
+/// address: the low 3/4 reads as table/data traffic, the top 1/4 as journal
+/// traffic — enough structure for the blame ledger to attribute GC against
+/// distinct foreground streams. Returns the ops replayed.
+fn run_synthetic(dev: &mut Ftl, gen: TraceConfig) -> Result<u64> {
+    let logical = dev.config().logical_pages;
+    let data = dev.stream_intern("data");
+    let journal = dev.stream_intern("journal");
+    let ops = TraceGen::new(TraceConfig { logical_pages: logical, ..gen });
+    replay_ops(dev, ops, |lpn| Some(if lpn * 4 >= logical * 3 { journal } else { data }))
+}
+
+/// Replay block-trace `ops` against `dev` (writes carry 0xCD), switching to
+/// `stream(lpn)` before each write, read and trim it names one for. Returns
+/// the ops replayed.
+fn replay_ops(
+    dev: &mut Ftl,
+    ops: impl IntoIterator<Item = TraceOp>,
+    stream: impl Fn(u64) -> Option<u32>,
+) -> Result<u64> {
+    let page = vec![0xCDu8; dev.page_size()];
+    let mut buf = vec![0u8; dev.page_size()];
+    let mut replayed = 0;
+    for op in ops {
+        if let TraceOp::Write { lpn } | TraceOp::Read { lpn } | TraceOp::Trim { lpn, .. } = op {
+            if let Some(s) = stream(lpn) {
+                dev.set_stream(s);
+            }
+        }
+        match op {
+            TraceOp::Write { lpn } => dev.write(Lpn(lpn), &page)?,
+            TraceOp::Read { lpn } => dev.read(Lpn(lpn), &mut buf)?,
+            TraceOp::Trim { lpn, len } => dev.trim(Lpn(lpn), len)?,
+            TraceOp::Share { dest, src, len } => {
+                dev.share(&SharePair::range(Lpn(dest), Lpn(src), len))?
+            }
+            TraceOp::Flush => dev.flush()?,
+        }
+        replayed += 1;
+    }
+    Ok(replayed)
+}
+
 /// SLO threshold flags shared by `monitor` (defaults: no thresholds) and
 /// `doctor` (defaults: conservative health floors).
 fn slo_from_flags(args: &[String], defaults: SloConfig) -> Result<SloConfig> {
@@ -609,10 +597,7 @@ fn slo_from_flags(args: &[String], defaults: SloConfig) -> Result<SloConfig> {
 /// epoch boundaries. Observation only — nothing is written back.
 fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
-    let workload = flag_value(args, "--workload").unwrap_or("zipfian");
-    let pattern = parse_pattern(workload)?;
-    let ops = flag_value(args, "--ops").map(|v| parse_u64(v, "ops")).transpose()?.unwrap_or(2_000);
-    let seed = flag_value(args, "--seed").map(|v| parse_u64(v, "seed")).transpose()?.unwrap_or(42);
+    let (workload, gen) = synthetic_args(args)?;
     let epoch_ms =
         flag_value(args, "--epoch-ms").map(|v| parse_u64(v, "epoch-ms")).transpose()?.unwrap_or(10);
     if epoch_ms == 0 {
@@ -629,46 +614,8 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     }
 
     let mut dev = load_device_with(img, telemetry, slo)?;
-    let logical = dev.config().logical_pages;
-    // Same two-stream address split as `trace`: low 3/4 data, top 1/4
-    // journal, so the per-epoch WA rows attribute against real streams.
-    let data = dev.stream_intern("data");
-    let journal = dev.stream_intern("journal");
-    let stream_of = |lpn: u64| if lpn * 4 >= logical * 3 { journal } else { data };
-    let gen = TraceGen::new(TraceConfig {
-        pattern,
-        logical_pages: logical,
-        ops,
-        write_fraction: 0.7,
-        trim_every: 97,
-        flush_every: 64,
-        seed,
-    });
     let t0 = dev.clock().now_ns();
-    let page = vec![0xCDu8; dev.page_size()];
-    let mut buf = vec![0u8; dev.page_size()];
-    let mut replayed = 0u64;
-    for op in gen {
-        match op {
-            TraceOp::Write { lpn } => {
-                dev.set_stream(stream_of(lpn));
-                dev.write(Lpn(lpn), &page)?
-            }
-            TraceOp::Read { lpn } => {
-                dev.set_stream(stream_of(lpn));
-                dev.read(Lpn(lpn), &mut buf)?
-            }
-            TraceOp::Trim { lpn, len } => {
-                dev.set_stream(stream_of(lpn));
-                dev.trim(Lpn(lpn), len)?
-            }
-            TraceOp::Share { dest, src, len } => {
-                dev.share(&SharePair::range(Lpn(dest), Lpn(src), len))?
-            }
-            TraceOp::Flush => dev.flush()?,
-        }
-        replayed += 1;
-    }
+    let replayed = run_synthetic(&mut dev, gen)?;
     let snap = dev.monitor_snapshot().expect("monitoring telemetry is on");
     if format == "json" {
         out.push_str(&snap.to_json().render());
@@ -884,8 +831,8 @@ fn doctor_cmd(args: &[String], out: &mut String) -> Result<()> {
 /// With `--index` and a single `--mode` it replays exactly one case.
 fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
     use share_crashsweep::{
-        engine_workload, sweep, CrashWorkload, FtlGcPipelineWorkload, FtlMixedWorkload,
-        FtlQueuedWorkload, FtlSnapshotWorkload, FtlStreamWorkload, ENGINE_WORKLOADS,
+        engine_workload, ftl_workload, sweep, CrashWorkload, FtlWorkload, ENGINE_WORKLOADS,
+        FTL_OPS, FTL_WORKLOADS,
     };
 
     let which = flag_value(args, "--workload").unwrap_or("all");
@@ -903,52 +850,27 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
     let mut workloads: Vec<Box<dyn CrashWorkload>> = Vec::new();
     if let Some(trace_file) = flag_value(args, "--trace") {
         let text = fs::read_to_string(trace_file)?;
-        let ops = parse_trace(&text);
         let label = Path::new(trace_file)
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "trace".into());
-        let max_lpn = ops
-            .iter()
-            .map(|op| match *op {
-                TraceOp::Write { lpn } | TraceOp::Read { lpn } => lpn,
-                TraceOp::Trim { lpn, len } => lpn + len.saturating_sub(1),
-                TraceOp::Share { dest, src, len } => {
-                    dest.max(src) + len.saturating_sub(1)
-                }
-                TraceOp::Flush => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        workloads.push(Box::new(FtlMixedWorkload::trace(&label, &ops, (max_lpn + 1).max(16))));
+        workloads.push(Box::new(FtlWorkload::trace(&label, &parse_trace(&text))));
+    } else if which == "all" {
+        workloads.extend(FTL_WORKLOADS.iter().filter_map(|w| ftl_workload(w, seed, FTL_OPS)));
+        workloads.extend(ENGINE_WORKLOADS.iter().filter_map(|w| engine_workload(w, seed)));
+    } else if let Some(w) =
+        ftl_workload(which, seed, FTL_OPS).or_else(|| engine_workload(which, seed))
+    {
+        // One FTL workload, one engine mode (`innodb-share`) or a positive
+        // control.
+        workloads.push(w);
     } else {
-        match which {
-            "ftl" => workloads.push(Box::new(FtlMixedWorkload::new(seed, 300))),
-            "queued" => workloads.push(Box::new(FtlQueuedWorkload::new(seed, 300, 4))),
-            "queued-batch" => workloads.push(Box::new(FtlQueuedWorkload::write_batches(60, 4))),
-            "stream" => workloads.push(Box::new(FtlStreamWorkload::new(seed, 300))),
-            "gcpipe" => workloads.push(Box::new(FtlGcPipelineWorkload::new(seed, 600))),
-            "snapshot" => workloads.push(Box::new(FtlSnapshotWorkload::new(seed, 300))),
-            "all" => {
-                workloads.push(Box::new(FtlMixedWorkload::new(seed, 300)));
-                workloads.push(Box::new(FtlQueuedWorkload::new(seed, 300, 4)));
-                workloads.push(Box::new(FtlQueuedWorkload::write_batches(60, 4)));
-                workloads.push(Box::new(FtlStreamWorkload::new(seed, 300)));
-                workloads.push(Box::new(FtlGcPipelineWorkload::new(seed, 600)));
-                workloads.push(Box::new(FtlSnapshotWorkload::new(seed, 300)));
-                workloads.extend(ENGINE_WORKLOADS.iter().filter_map(|w| engine_workload(w, seed)));
-            }
-            name => {
-                // One engine mode (`innodb-share`), a positive control, or
-                // every mode of one engine (`innodb`).
-                let group = format!("{name}-");
-                let modes = ENGINE_WORKLOADS.iter().filter(|w| w.starts_with(&group));
-                let names = std::iter::once(name).chain(modes.copied());
-                workloads.extend(names.filter_map(|w| engine_workload(w, seed)));
-                if workloads.is_empty() {
-                    return Err(CliError(format!("bad --workload: {name}")));
-                }
-            }
+        // Every mode of one engine (`innodb`).
+        let group = format!("{which}-");
+        let modes = ENGINE_WORKLOADS.iter().filter(|w| w.starts_with(&group));
+        workloads.extend(modes.filter_map(|w| engine_workload(w, seed)));
+        if workloads.is_empty() {
+            return Err(CliError(format!("bad --workload: {which}")));
         }
     }
 

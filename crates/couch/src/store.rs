@@ -600,7 +600,8 @@ impl<D: BlockDevice> CouchStore<D> {
 
         if self.cfg.mode == CouchMode::Share {
             // A same-size update of a committed, not-currently-pending doc
-            // can be remapped without touching the tree at all.
+            // can be remapped without touching the tree at all — if its
+            // pairs fit one SHARE log page, the device's unit of atomicity.
             // Note: remapped updates keep the document's old sequence
             // number (neither index moves). couchstore semantics would
             // advance it; the paper's SHARE commit skips the index cascade
@@ -608,7 +609,9 @@ impl<D: BlockDevice> CouchStore<D> {
             // through both trees below.
             if !self.pending.contains_key(&key) {
                 if let Some((old, _seq)) = self.tree_lookup(key)? {
-                    if old.nblocks as u64 == new_blocks && old.len as usize == payload.len() {
+                    let fits = new_blocks <= self.fs.share_batch_limit() as u64;
+                    if fits && old.nblocks as u64 == new_blocks && old.len as usize == payload.len()
+                    {
                         let new_ptr = self.append_doc_with(key, payload, queued)?;
                         // The appended copy's blocks become stale the moment
                         // the remap lands (the tree keeps the old location);
@@ -679,14 +682,23 @@ impl<D: BlockDevice> CouchStore<D> {
         // deltas too (§4.2.2: "The SHARE command returns after logging
         // finishes"). Batches with tree changes fsync below as usual.
         if !self.pending_shares.is_empty() {
+            // The device commits a batch in log-page-sized atomic chunks:
+            // cut the remap only where a document would cross one, never
+            // splitting a document across two log pages.
             let docs = std::mem::take(&mut self.pending_shares);
+            let limit = self.fs.share_batch_limit();
             let mut pairs = Vec::with_capacity(docs.len());
+            let mut cut = 0;
             for (old, new) in docs.values() {
+                if pairs.len() > cut && pairs.len() - cut + old.nblocks as usize > limit {
+                    self.fs.ioctl_share_pairs(self.file, self.file, &pairs[cut..])?;
+                    cut = pairs.len();
+                }
                 for i in 0..old.nblocks as u64 {
                     pairs.push((old.block + i, new.block + i));
                 }
             }
-            self.fs.ioctl_share_pairs(self.file, self.file, &pairs)?;
+            self.fs.ioctl_share_pairs(self.file, self.file, &pairs[cut..])?;
             // The remap made the appended copies stale: unmap them now, one
             // command per run (a round's copies are adjacent). No flash is
             // freed — each page lives on under the old location — but the

@@ -521,6 +521,76 @@ fn a_share_commit_survives_a_crash_on_either_side_of_its_trim() {
     }
 }
 
+/// The device commits a SHARE batch in log-page-sized atomic chunks, so a
+/// commit cuts its remap into another command only where a document would
+/// cross one: a 1 KiB log page holds 62 pairs, fifteen four-block documents
+/// (60 pairs) go in one command and sixteen (64) in two, never splitting a
+/// document. The `couch-share-wide` crash workload sweeps the same rule.
+#[test]
+fn a_share_commit_cuts_its_remap_on_document_boundaries() {
+    let fs = Vfs::format(Ftl::new(crash_cfg()), VfsOptions::default()).unwrap();
+    let cfg = CouchConfig { batch_size: usize::MAX, ..crash_couch_cfg() };
+    let mut s = CouchStore::create(fs, "wide.couch", cfg).unwrap();
+    assert_eq!(s.fs_mut().share_batch_limit(), 62);
+    let commit = |s: &mut CouchStore<Ftl>, docs: u64, version: u64| {
+        let saved: Vec<Vec<u8>> = (0..docs).map(|k| doc4(k, version)).collect();
+        let lent: Vec<(u64, &[u8])> = saved.iter().zip(0..).map(|(d, k)| (k, &d[..])).collect();
+        let before = s.device_stats();
+        s.save_many(&lent).unwrap();
+        s.commit().unwrap();
+        let after = s.device_stats();
+        (after.share_commands - before.share_commands, after.shared_pages - before.shared_pages)
+    };
+    commit(&mut s, 16, 1);
+    assert_eq!(commit(&mut s, 15, 2), (1, 60));
+    assert_eq!(commit(&mut s, 16, 3), (2, 64));
+    for k in 0..16 {
+        assert_eq!(s.get(k).unwrap(), Some(doc4(k, 3)), "doc {k}");
+    }
+}
+
+/// A document wider than one SHARE log page (62 pairs at 1 KiB) takes the
+/// tree path: the device would commit its remap in two atomic chunks, and a
+/// crash between them would leave it half remapped. A crash at every program
+/// of its update leaves it whole, at one version or the other.
+#[test]
+fn a_document_wider_than_a_share_log_page_is_never_remapped() {
+    let wide = |version: u64| vec![version as u8; 70 * mini_couch::doc_payload_per_block(CRASH_BS) - 100];
+    let cfg = CouchConfig { batch_size: usize::MAX, ..crash_couch_cfg() };
+    let committed = || {
+        let fs = Vfs::format(Ftl::new(crash_cfg()), VfsOptions::default()).unwrap();
+        let mut s = CouchStore::create(fs, "wide.couch", cfg.clone()).unwrap();
+        s.save(0, &wide(1)).unwrap();
+        s.commit().unwrap();
+        s
+    };
+    let mut s = committed();
+    let (stats, shares) = (s.stats(), s.device_stats().share_commands);
+    let handle = s.fs_mut().device_mut().fault_handle();
+    let base = handle.programs_seen();
+    s.save(0, &wide(2)).unwrap();
+    s.commit().unwrap();
+    let programs = handle.programs_seen() - base;
+    assert_eq!(s.stats().share_remaps, stats.share_remaps);
+    assert_eq!(s.stats().share_fallbacks, stats.share_fallbacks + 1);
+    assert_eq!(s.device_stats().share_commands, shares);
+    for mode in FaultMode::ALL {
+        for index in 1..=programs {
+            let mut s = committed();
+            let handle = s.fs_mut().device_mut().fault_handle();
+            handle.arm_after_programs(index, mode);
+            let _ = s.save(0, &wide(2)).and_then(|()| s.commit());
+            handle.disarm();
+            assert_eq!(handle.faults_fired(), 1, "({mode:?}, {index}) never fired");
+            let nand = s.into_fs().into_device().into_nand();
+            let fs = Vfs::open(Ftl::open(crash_cfg(), nand).unwrap(), VfsOptions::default()).unwrap();
+            let mut s = CouchStore::open(fs, "wide.couch", cfg.clone()).unwrap();
+            let got = s.get(0).unwrap_or_else(|e| panic!("({mode:?}, {index}): {e}"));
+            assert!(got == Some(wide(1)) || got == Some(wide(2)), "({mode:?}, {index}): torn");
+        }
+    }
+}
+
 #[test]
 fn share_mode_written_volume_is_batch_independent() {
     // Figure 7(b)'s flat SHARE line: written volume per update is constant

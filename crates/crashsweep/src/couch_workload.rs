@@ -6,7 +6,9 @@
 //! the copies it remapped. Key 5 is a block shorter at odd versions, so its
 //! updates take the tree path inside otherwise remap-only commits. A commit
 //! is atomic per document only: SHARE remaps its same-size updates before it
-//! writes the tree changes of the rest.
+//! writes the tree changes of the rest. In [`wide`] a document is 21 blocks,
+//! so three of them overflow one SHARE log page (62 pairs at 1 KiB): the
+//! commit must cut its remap on a document boundary.
 
 use crate::engine_workload::{text, value, version_of, CrashDevice, EngineWorkload, KvEngine};
 use mini_couch::{doc_payload_per_block, CouchConfig, CouchMode, CouchStore};
@@ -14,32 +16,41 @@ use nand_sim::NandTiming;
 use share_core::{Ftl, FtlConfig};
 use share_vfs::{Vfs, VfsOptions};
 
-fn doc_len(key: u64, version: u64) -> usize {
-    let blocks = if key == 5 && version % 2 == 1 { 3 } else { 4 };
-    blocks * doc_payload_per_block(1024) - 100
+/// The store's configuration and how many blocks a document spans.
+#[derive(Clone)]
+pub struct CouchSetup {
+    cfg: CouchConfig,
+    doc_blocks: usize,
+}
+
+impl CouchSetup {
+    fn doc_len(&self, key: u64, version: u64) -> usize {
+        let blocks = self.doc_blocks - usize::from(key == 5 && version % 2 == 1);
+        blocks * doc_payload_per_block(1024) - 100
+    }
 }
 
 /// mini-Couchbase as a [`KvEngine`].
 pub struct Couch<D: CrashDevice> {
     store: CouchStore<D>,
-    cfg: CouchConfig,
+    setup: CouchSetup,
     /// The open transaction's documents.
     docs: Vec<(u64, Vec<u8>)>,
 }
 
 impl<D: CrashDevice> KvEngine for Couch<D> {
     type Dev = D;
-    type Cfg = CouchConfig;
+    type Cfg = CouchSetup;
     const DELETES: bool = true;
     const ATOMIC_COMMIT: bool = false;
 
-    fn create(dev: D, cfg: &CouchConfig) -> Result<Self, String> {
+    fn create(dev: D, setup: &CouchSetup) -> Result<Self, String> {
         let fs = Vfs::format(dev, VfsOptions::default()).map_err(text)?;
-        let store = CouchStore::create(fs, "crash.couch", cfg.clone()).map_err(text)?;
-        Ok(Self { store, cfg: cfg.clone(), docs: Vec::new() })
+        let store = CouchStore::create(fs, "crash.couch", setup.cfg.clone()).map_err(text)?;
+        Ok(Self { store, setup: setup.clone(), docs: Vec::new() })
     }
     fn put(&mut self, key: u64, version: u64) -> Result<(), String> {
-        self.docs.push((key, value(key, version, doc_len(key, version))));
+        self.docs.push((key, value(key, version, self.setup.doc_len(key, version))));
         Ok(())
     }
     fn delete(&mut self, key: u64) -> Result<(), String> {
@@ -55,25 +66,42 @@ impl<D: CrashDevice> KvEngine for Couch<D> {
     }
     fn reopen(self) -> Result<Self, String> {
         let fs = Vfs::open(self.store.into_fs().into_device().recover()?, VfsOptions::default());
-        let store = CouchStore::open(fs.map_err(text)?, "crash.couch", self.cfg.clone());
-        Ok(Self { store: store.map_err(text)?, cfg: self.cfg, docs: Vec::new() })
+        let store = CouchStore::open(fs.map_err(text)?, "crash.couch", self.setup.cfg.clone());
+        Ok(Self { store: store.map_err(text)?, setup: self.setup, docs: Vec::new() })
     }
     fn get(&mut self, key: u64) -> Result<Option<u64>, String> {
         let doc = self.store.get(key).map_err(text)?;
-        doc.map(|d| version_of(key, &d, |v| doc_len(key, v))).transpose()
+        doc.map(|d| version_of(key, &d, |v| self.setup.doc_len(key, v))).transpose()
     }
     fn count(&mut self) -> Result<Option<u64>, String> {
         Ok(Some(self.store.doc_count()))
     }
 }
 
-/// Eight group commits over ten documents in `mode`, then a compaction.
-pub fn workload(mode: CouchMode, seed: u64) -> EngineWorkload<Couch<Ftl>> {
+/// Eight group commits over ten `doc_blocks`-block documents in `mode`, then
+/// a compaction.
+fn shaped(
+    label: &str,
+    mode: CouchMode,
+    doc_blocks: usize,
+    seed: u64,
+) -> EngineWorkload<Couch<Ftl>> {
     let dev = FtlConfig::for_capacity_with(4 << 20, 0.3, 1024, 16, NandTiming::zero());
     let (batch_size, node_max_entries) = (usize::MAX, 4);
     let cfg = CouchConfig { mode, batch_size, node_max_entries, ..Default::default() };
-    let label = format!("couch-{}", mode.label().to_lowercase());
-    EngineWorkload::new(&label, dev.with_parallelism(4, 1), cfg, seed, 10, 8)
+    let setup = CouchSetup { cfg, doc_blocks };
+    EngineWorkload::new(label, dev.with_parallelism(4, 1), setup, seed, 10, 8)
+}
+
+/// Four-block documents in `mode`.
+pub fn workload(mode: CouchMode, seed: u64) -> EngineWorkload<Couch<Ftl>> {
+    shaped(&format!("couch-{}", mode.label().to_lowercase()), mode, 4, seed)
+}
+
+/// SHARE commits of one to four 21-block documents: a commit remapping
+/// three of them holds 63 pairs, one more than a 1 KiB log page.
+pub fn wide(seed: u64) -> EngineWorkload<Couch<Ftl>> {
+    shaped("couch-share-wide", CouchMode::Share, 21, seed)
 }
 
 #[cfg(test)]

@@ -1,21 +1,33 @@
-//! FTL-level crash workloads and the prefix-consistency recovery oracle.
+//! The FTL crash harness: one op set, one shadow model, one drive loop and
+//! one recovery oracle for every FTL-level workload.
 //!
 //! Ops are applied to a shadow model as the run progresses; after a crash
 //! and `Ftl::open`, the recovered logical state must equal the model
 //! after exactly one prefix of the successfully applied ops. The lower
 //! bound of the admissible prefix range is the last op with an explicit
-//! durability guarantee (flush / share / atomic write / checkpoint); the
-//! upper bound includes the crashed op itself, whose delta page may have
-//! been programmed before the power loss (e.g. `AfterProgram` on the log
-//! page). A torn `share` or `write_atomic` batch that applied only some
-//! of its pairs equals *no* prefix and is caught by the same comparison.
+//! durability guarantee (flush / share / atomic write / checkpoint / a
+//! clone that programmed); the upper bound includes the crashed op itself,
+//! whose delta page may have been programmed before the power loss (e.g.
+//! `AfterProgram` on the log page). A torn `share` or `write_atomic` batch
+//! that applied only some of its pairs equals *no* prefix and is caught by
+//! the same comparison.
+//!
+//! The model carries the snapshot table next to the page fills. Table
+//! durability is weaker than page durability — creates are RAM-only until
+//! a checkpoint, drops become durable at the next log flush — so each
+//! recovered snapshot must match the shadow table at *some* applied-op
+//! point (see [`verify_snapshots`]).
+//!
+//! A workload runs its ops synchronously or through the submission queue,
+//! reaping every `round` submissions; an op with no queued form drains the
+//! queue and runs synchronously, as the engines drain before an fsync.
 
 use crate::CrashWorkload;
 use nand_sim::{FaultHandle, FaultMode, NandTiming};
-use share_core::{BlockDevice, Ftl, FtlConfig, FtlError, Lpn, SharePair};
+use share_core::{BlockDevice, Completion, Ftl, FtlConfig, FtlError, Lpn, QueuedCmd, SharePair};
 use share_rng::{Rng, StdRng};
 use share_workloads::TraceOp;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One operation of an FTL-level crash workload.
 #[derive(Debug, Clone)]
@@ -34,37 +46,103 @@ pub enum FtlOp {
     /// Multi-page ordinary write: prefix-durable, not atomic — the oracle
     /// counts a k-page batch as k single-page steps ([`push_applied`]). The
     /// seeded generators never emit it (their pinned sequences stay as
-    /// they are); the fixed sequence of `FtlQueuedWorkload::write_batches`
-    /// does.
+    /// they are); the fixed sequence of `FtlWorkload::write_batches` does.
     WriteBatch { pages: Vec<(u64, u8)> },
     /// Flush buffered mapping deltas (explicit durability point).
     Flush,
-    /// Force a mapping-table checkpoint (explicit durability point).
+    /// Force a mapping-table checkpoint (explicit durability point; it
+    /// persists the snapshot table too).
     Checkpoint,
+    /// Freeze `[start, start+len)` under the slot's name (RAM-only).
+    SnapCreate { slot: u32, start: u64, len: u64 },
+    /// Materialize a window of the slot's snapshot at `dst` (atomic).
+    SnapClone { slot: u32, src_offset: u64, dst: u64, len: u64 },
+    /// Release the slot's snapshot (tombstone buffered, not yet durable).
+    SnapDrop { slot: u32 },
+    /// Point-in-time read (no model effect; exercises frozen lookups).
+    SnapRead { slot: u32, offset: u64 },
 }
 
-/// Shadow logical state: fill byte per LPN, `None` = unmapped.
-pub(crate) type State = Vec<Option<u8>>;
+impl FtlOp {
+    fn is_snapshot(&self) -> bool {
+        matches!(
+            self,
+            FtlOp::SnapCreate { .. }
+                | FtlOp::SnapClone { .. }
+                | FtlOp::SnapDrop { .. }
+                | FtlOp::SnapRead { .. }
+        )
+    }
+
+    /// Whether the op can go through the submission queue: a checkpoint
+    /// and the snapshot ops cannot.
+    fn has_queued_form(&self) -> bool {
+        !matches!(self, FtlOp::Checkpoint) && !self.is_snapshot()
+    }
+}
+
+/// One snapshot's shadow: the frozen range and per-offset fill at create
+/// time (`None` = hole, which the device reads back as zeroes).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SnapShadow {
+    start: u64,
+    pub(crate) content: Vec<Option<u8>>,
+}
+
+/// The device name of snapshot slot `slot`.
+fn slot_name(slot: u32) -> String {
+    format!("s{slot}")
+}
+
+/// Shadow device state: fill byte per LPN (`None` = unmapped) and the
+/// snapshot table by name slot.
+#[derive(Debug, Clone)]
+pub(crate) struct State {
+    pub(crate) pages: Vec<Option<u8>>,
+    pub(crate) snaps: BTreeMap<u32, SnapShadow>,
+}
+
+impl State {
+    pub(crate) fn new(pages: u64) -> Self {
+        Self { pages: vec![None; pages as usize], snaps: BTreeMap::new() }
+    }
+}
 
 pub(crate) fn apply(state: &mut State, op: &FtlOp) {
+    let pages = &mut state.pages;
     match op {
-        FtlOp::Write { lpn, fill } => state[*lpn as usize] = Some(*fill),
-        FtlOp::Read { .. } => {}
-        FtlOp::Trim { lpn } => state[*lpn as usize] = None,
+        FtlOp::Write { lpn, fill } => pages[*lpn as usize] = Some(*fill),
+        FtlOp::Trim { lpn } => pages[*lpn as usize] = None,
         FtlOp::Share { pairs } => {
             // Validated batches never alias a dest as a src, so the
             // pre-batch snapshot semantics reduce to sequential copies.
-            let pre = state.clone();
+            let pre = pages.clone();
             for &(dest, src) in pairs {
-                state[dest as usize] = pre[src as usize];
+                pages[dest as usize] = pre[src as usize];
             }
         }
-        FtlOp::WriteAtomic { pages } | FtlOp::WriteBatch { pages } => {
-            for &(lpn, fill) in pages {
-                state[lpn as usize] = Some(fill);
+        FtlOp::WriteAtomic { pages: batch } | FtlOp::WriteBatch { pages: batch } => {
+            for &(lpn, fill) in batch {
+                pages[lpn as usize] = Some(fill);
             }
         }
-        FtlOp::Flush | FtlOp::Checkpoint => {}
+        FtlOp::SnapCreate { slot, start, len } => {
+            let content = pages[*start as usize..(*start + *len) as usize].to_vec();
+            state.snaps.insert(*slot, SnapShadow { start: *start, content });
+        }
+        FtlOp::SnapClone { slot, src_offset, dst, len } => {
+            // Guarded: on a crash-admitted apply the runtime may have
+            // rejected the op (e.g. the slot raced a drop) before dying.
+            if let Some(shadow) = state.snaps.get(slot) {
+                for i in 0..*len {
+                    pages[(*dst + i) as usize] = shadow.content[(*src_offset + i) as usize];
+                }
+            }
+        }
+        FtlOp::SnapDrop { slot } => {
+            state.snaps.remove(slot);
+        }
+        FtlOp::Read { .. } | FtlOp::SnapRead { .. } | FtlOp::Flush | FtlOp::Checkpoint => {}
     }
 }
 
@@ -75,7 +153,7 @@ pub(crate) fn push_applied(states: &mut Vec<State>, op: &FtlOp) {
     let mut s = states.last().unwrap().clone();
     if let FtlOp::WriteBatch { pages } = op {
         for &(lpn, fill) in pages {
-            s[lpn as usize] = Some(fill);
+            s.pages[lpn as usize] = Some(fill);
             states.push(s.clone());
         }
         return;
@@ -86,39 +164,38 @@ pub(crate) fn push_applied(states: &mut Vec<State>, op: &FtlOp) {
 
 /// Page buffers and the request borrowing them, as the sync and queued
 /// multi-page writes both take it.
-pub(crate) fn fill_pages(pages: &[(u64, u8)], ps: usize) -> Vec<Vec<u8>> {
+fn fill_pages(pages: &[(u64, u8)], ps: usize) -> Vec<Vec<u8>> {
     pages.iter().map(|&(_, f)| vec![f; ps]).collect()
 }
 
-pub(crate) fn lend_pages<'a>(
-    pages: &[(u64, u8)],
-    bufs: &'a [Vec<u8>],
-) -> Vec<(Lpn, &'a [u8])> {
+fn lend_pages<'a>(pages: &[(u64, u8)], bufs: &'a [Vec<u8>]) -> Vec<(Lpn, &'a [u8])> {
     pages.iter().zip(bufs).map(|(&(lpn, _), b)| (Lpn(lpn), b.as_slice())).collect()
 }
 
-/// Whether a *successful* `op` makes everything before it durable.
-pub(crate) fn is_durability_point(op: &FtlOp) -> bool {
-    matches!(
-        op,
-        FtlOp::Share { .. } | FtlOp::WriteAtomic { .. } | FtlOp::Flush | FtlOp::Checkpoint
-    )
+fn share_pairs(pairs: &[(u64, u64)]) -> Vec<SharePair> {
+    pairs.iter().map(|&(d, s)| SharePair::new(Lpn(d), Lpn(s))).collect()
+}
+
+/// Whether a *successful* `op` makes everything before it durable. A
+/// create is RAM-only until a checkpoint and a drop's tombstone sits in the
+/// log buffer until the next flush. A clone is durable only when it
+/// `programmed` a delta page — one whose whole window is holes landing on
+/// already-unmapped pages emits no deltas and programs nothing.
+fn is_durability_point(op: &FtlOp, programmed: bool) -> bool {
+    match op {
+        FtlOp::Share { .. } | FtlOp::WriteAtomic { .. } | FtlOp::Flush | FtlOp::Checkpoint => true,
+        FtlOp::SnapClone { .. } => programmed,
+        _ => false,
+    }
 }
 
 pub(crate) fn exec(ftl: &mut Ftl, op: &FtlOp) -> Result<(), FtlError> {
     let ps = ftl.page_size();
     match op {
         FtlOp::Write { lpn, fill } => ftl.write(Lpn(*lpn), &vec![*fill; ps]),
-        FtlOp::Read { lpn } => {
-            let mut buf = vec![0u8; ps];
-            ftl.read(Lpn(*lpn), &mut buf)
-        }
+        FtlOp::Read { lpn } => ftl.read(Lpn(*lpn), &mut vec![0u8; ps]),
         FtlOp::Trim { lpn } => ftl.trim(Lpn(*lpn), 1),
-        FtlOp::Share { pairs } => {
-            let batch: Vec<SharePair> =
-                pairs.iter().map(|&(d, s)| SharePair::new(Lpn(d), Lpn(s))).collect();
-            ftl.share(&batch)
-        }
+        FtlOp::Share { pairs } => ftl.share(&share_pairs(pairs)),
         FtlOp::WriteAtomic { pages } => {
             let bufs = fill_pages(pages, ps);
             ftl.write_atomic(&lend_pages(pages, &bufs))
@@ -129,60 +206,82 @@ pub(crate) fn exec(ftl: &mut Ftl, op: &FtlOp) -> Result<(), FtlError> {
         }
         FtlOp::Flush => ftl.flush(),
         FtlOp::Checkpoint => ftl.checkpoint(),
+        FtlOp::SnapCreate { slot, start, len } => {
+            ftl.snapshot_create(&slot_name(*slot), Lpn(*start), *len).map(drop)
+        }
+        FtlOp::SnapClone { slot, src_offset, dst, len } => {
+            ftl.snapshot_clone(&slot_name(*slot), *src_offset, Lpn(*dst), *len).map(drop)
+        }
+        FtlOp::SnapDrop { slot } => ftl.snapshot_drop(&slot_name(*slot)),
+        FtlOp::SnapRead { slot, offset } => {
+            ftl.snapshot_read(&slot_name(*slot), *offset, &mut vec![0u8; ps])
+        }
     }
 }
 
-/// The model snapshots after each applied op, the admissible floor, and
-/// whether the run crashed.
+/// Map an op that [has a queued form](FtlOp::has_queued_form) onto its
+/// queued command, lending `pairs` and `pages`.
+fn to_queued<'a>(
+    op: &FtlOp,
+    ps: usize,
+    pairs: &'a [SharePair],
+    pages: &'a [(Lpn, &'a [u8])],
+) -> QueuedCmd<'a> {
+    match op {
+        FtlOp::Write { lpn, fill } => QueuedCmd::Write { lpn: Lpn(*lpn), data: vec![*fill; ps] },
+        FtlOp::Read { lpn } => QueuedCmd::Read { lpn: Lpn(*lpn) },
+        FtlOp::Trim { lpn } => QueuedCmd::Trim { lpn: Lpn(*lpn), len: 1 },
+        FtlOp::Share { .. } => QueuedCmd::Share { pairs },
+        FtlOp::WriteAtomic { .. } => QueuedCmd::WriteAtomic { pages },
+        FtlOp::WriteBatch { .. } => QueuedCmd::WriteBatch { pages },
+        FtlOp::Flush => QueuedCmd::Flush,
+        _ => unreachable!("{op:?} has no queued form"),
+    }
+}
+
+/// Submit `op`, which has a queued form; a full queue reaps (earliest
+/// completion) and retries, mirroring the engine submission loops. Returns
+/// whether it reaped.
+fn submit(ftl: &mut Ftl, handle: &FaultHandle, op: &FtlOp) -> Result<bool, String> {
+    // What the command borrows, owned here across `QueueFull` retries: the
+    // device takes nothing with it past `submit`.
+    let ps = ftl.page_size();
+    let (spec, pairs): (&[(u64, u8)], Vec<SharePair>) = match op {
+        FtlOp::WriteAtomic { pages } | FtlOp::WriteBatch { pages } => (pages, Vec::new()),
+        FtlOp::Share { pairs } => (&[], share_pairs(pairs)),
+        _ => (&[], Vec::new()),
+    };
+    let bufs = fill_pages(spec, ps);
+    let pages = lend_pages(spec, &bufs);
+    let mut reaped = false;
+    loop {
+        match ftl.submit(to_queued(op, ps, &pairs, &pages)) {
+            Ok(_tag) => return Ok(reaped),
+            Err(FtlError::QueueFull { .. }) => {
+                check_reaped(ftl.reap(), handle)?;
+                reaped = true;
+            }
+            Err(e) => return Err(format!("submit rejected {op:?}: {e}")),
+        }
+    }
+}
+
+/// Fail on a completion that failed while the device was up.
+fn check_reaped(done: Vec<Completion>, handle: &FaultHandle) -> Result<(), String> {
+    match done.into_iter().find_map(|c| c.result.err()) {
+        Some(e) if !handle.is_down() => Err(format!("queued command failed un-crashed: {e}")),
+        _ => Ok(()),
+    }
+}
+
+/// The model states after each applied op, the admissible floor, whether
+/// the run crashed, and how many other commands were submitted but not yet
+/// reaped when it did (0 when the crash hit a synchronous op).
 pub(crate) struct RunTrace {
     pub(crate) states: Vec<State>,
     pub(crate) floor: usize,
     pub(crate) crashed: bool,
-}
-
-/// Drive `ops` against `ftl` with the fault handle already armed (or not,
-/// for measurement), switching to `streams[slot]` before each op that
-/// carries a stream slot.
-fn drive<'a>(
-    ftl: &mut Ftl,
-    handle: &FaultHandle,
-    streams: &[u32],
-    ops: impl IntoIterator<Item = (Option<usize>, &'a FtlOp)>,
-) -> Result<RunTrace, String> {
-    let mut states: Vec<State> = vec![vec![None; ftl.capacity_pages() as usize]];
-    let mut floor = 0usize;
-    let mut crashed = false;
-    for (slot, op) in ops {
-        if let Some(slot) = slot {
-            ftl.set_stream(streams[slot]);
-        }
-        match exec(ftl, op) {
-            Ok(()) => {
-                push_applied(&mut states, op);
-                if is_durability_point(op) {
-                    floor = states.len() - 1;
-                }
-            }
-            Err(FtlError::SrcUnmapped(_))
-            | Err(FtlError::InvalidBatch(_))
-            | Err(FtlError::LpnOutOfRange { .. })
-                if !handle.is_down() =>
-            {
-                // Rejected by validation before any state change.
-            }
-            Err(e) => {
-                if !handle.is_down() {
-                    return Err(format!("unexpected non-crash error from {op:?}: {e}"));
-                }
-                // The crashed op's effect may have become durable before
-                // the power loss; admit its post-state as well.
-                push_applied(&mut states, op);
-                crashed = true;
-                break;
-            }
-        }
-    }
-    Ok(RunTrace { states, floor, crashed })
+    pub(crate) inflight_at_crash: usize,
 }
 
 /// The full recovery oracle against a reopened device.
@@ -221,7 +320,7 @@ pub(crate) fn verify_recovered(rec: &mut Ftl, trace: &RunTrace, cfg: &FtlConfig)
 
     // 3. Observed logical state: uniform fill per LPN, zeros if unmapped.
     let pages = cfg.logical_pages;
-    let mut observed: State = Vec::with_capacity(pages as usize);
+    let mut observed = Vec::with_capacity(pages as usize);
     let mut buf = vec![0u8; rec.page_size()];
     for lpn in 0..pages {
         rec.read(Lpn(lpn), &mut buf)
@@ -270,190 +369,341 @@ pub(crate) fn verify_recovered(rec: &mut Ftl, trace: &RunTrace, cfg: &FtlConfig)
     }
 
     // 5. Prefix consistency: one single p in [floor, last] must match.
-    for p in trace.floor..trace.states.len() {
-        if trace.states[p] == observed {
-            return Ok(());
+    if !trace.states[trace.floor..].iter().any(|s| s.pages == observed) {
+        let last = &trace.states.last().unwrap().pages;
+        let diffs: Vec<String> = (0..pages as usize)
+            .filter(|&i| observed[i] != last[i])
+            .take(8)
+            .map(|i| format!("lpn {i}: recovered {:?}, final model {:?}", observed[i], last[i]))
+            .collect();
+        return Err(format!(
+            "recovered state matches no applied-op prefix in [{}, {}] (crashed={}); e.g. {}",
+            trace.floor,
+            trace.states.len() - 1,
+            trace.crashed,
+            diffs.join("; ")
+        ));
+    }
+
+    // 6. Every recovered snapshot as the shadow table held it at some point.
+    verify_snapshots(rec, &trace.states)
+}
+
+/// Snapshot-table oracle: every recovered snapshot must equal some
+/// applied-op point's shadow for its name slot — same frozen range, same
+/// per-offset content read through `snapshot_read` (fills are nonzero, so
+/// a zero byte unambiguously reads a hole). Fabricated, torn, or
+/// content-corrupted snapshots match no point and fail; a device that never
+/// took a snapshot passes without a read.
+fn verify_snapshots(rec: &mut Ftl, states: &[State]) -> Result<(), String> {
+    let infos = rec.snapshot_list().map_err(|e| format!("snapshot_list failed: {e}"))?;
+    let mut buf = vec![0u8; rec.page_size()];
+    for info in infos {
+        let slot: u32 = info
+            .name
+            .strip_prefix('s')
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| format!("recovered snapshot has foreign name {:?}", info.name))?;
+        let mut content: Vec<Option<u8>> = Vec::with_capacity(info.len as usize);
+        for off in 0..info.len {
+            rec.snapshot_read(&info.name, off, &mut buf)
+                .map_err(|e| format!("snapshot_read({}, {off}) failed: {e}", info.name))?;
+            if !buf.iter().all(|&b| b == buf[0]) {
+                return Err(format!(
+                    "snapshot {} offset {off} reads non-uniform content: torn frozen page",
+                    info.name
+                ));
+            }
+            content.push(if buf[0] == 0 { None } else { Some(buf[0]) });
+        }
+        let observed = SnapShadow { start: info.start.0, content };
+        let matched = states.iter().any(|m| m.snaps.get(&slot) == Some(&observed));
+        if !matched {
+            return Err(format!(
+                "recovered snapshot {} (start {}, len {}) matches its shadow at no \
+                 applied-op point: fabricated or corrupted frozen state",
+                info.name, info.start.0, info.len
+            ));
         }
     }
-    let last = trace.states.last().unwrap();
-    let diffs: Vec<String> = (0..pages as usize)
-        .filter(|&i| observed[i] != last[i])
-        .take(8)
-        .map(|i| format!("lpn {i}: recovered {:?}, final model {:?}", observed[i], last[i]))
-        .collect();
-    Err(format!(
-        "recovered state matches no applied-op prefix in [{}, {}] (crashed={}); e.g. {}",
-        trace.floor,
-        trace.states.len() - 1,
-        trace.crashed,
-        diffs.join("; ")
-    ))
+    Ok(())
 }
 
-/// Run `ops` once on a fresh FTL with `labels` interned as its streams (see
-/// [`drive`]): the program attempts of a fault-free run (`mode` `None`), or
-/// the oracle's verdict on a run crashed at `index`.
-pub(crate) fn run_ftl_case<'a>(
-    cfg: &FtlConfig,
-    labels: &[&str],
-    ops: impl IntoIterator<Item = (Option<usize>, &'a FtlOp)>,
-    mode: Option<FaultMode>,
-    index: u64,
-) -> Result<u64, String> {
-    let mut ftl = Ftl::new(cfg.clone());
-    let streams: Vec<u32> = labels.iter().map(|label| ftl.stream_intern(label)).collect();
-    let handle = ftl.fault_handle();
-    let base = handle.programs_seen();
-    if let Some(mode) = mode {
-        handle.arm_after_programs(index, mode);
-    }
-    let trace = drive(&mut ftl, &handle, &streams, ops)?;
-    handle.disarm();
-    let attempts = handle.programs_seen() - base;
-    if mode.is_some() {
-        let mut rec = Ftl::open(cfg.clone(), ftl.into_nand())
-            .map_err(|e| format!("Ftl::open failed after crash: {e}"))?;
-        verify_recovered(&mut rec, &trace, cfg)?;
-    }
-    Ok(attempts)
-}
-
-/// Mixed write/trim/share/atomic-write workload over a small logical
-/// space, generated deterministically from a seed. Share and atomic
-/// batches are pre-validated against the shadow model so every generated
-/// op is accepted, keeping the generated sequence equal to the applied
-/// one on any fault-free prefix.
+/// A deterministic FTL-level crash workload: the ops, the device they run
+/// on, and how they are issued. Every FTL workload of the sweep is one.
 #[derive(Debug, Clone)]
-pub struct FtlMixedWorkload {
+pub struct FtlWorkload {
     pub(crate) name: String,
-    pub(crate) ops: Vec<FtlOp>,
     pub(crate) cfg: FtlConfig,
+    /// Each op with the slot in `labels` of the stream it is issued on.
+    pub(crate) ops: Vec<(Option<usize>, FtlOp)>,
+    /// Stream labels interned on the fresh device.
+    pub(crate) labels: &'static [&'static str],
+    /// Submissions between reaps when the ops go through the queue; `None`
+    /// issues every op synchronously.
+    pub(crate) round: Option<usize>,
 }
 
 /// Logical pages of the mixed workload: small, so GC, sharing and
 /// checkpoints all trigger within a few hundred ops.
 pub const MIXED_PAGES: u64 = 64;
 
-impl FtlMixedWorkload {
-    /// Generate `n_ops` ops from `seed`.
-    pub fn new(seed: u64, n_ops: usize) -> Self {
-        let cfg = FtlConfig::for_capacity_with(
-            MIXED_PAGES * 4096,
-            0.5,
-            4096,
-            16,
-            NandTiming::zero(),
-        );
+/// A zero-latency one-channel device of `pages` 4 KiB logical pages, half
+/// again as many spare, in 16-page blocks.
+pub(crate) fn small_device(pages: u64) -> FtlConfig {
+    FtlConfig::for_capacity_with(pages * 4096, 0.5, 4096, 16, NandTiming::zero())
+}
+
+impl FtlWorkload {
+    /// `ops`, issued synchronously on one stream of a device shaped `cfg`.
+    pub(crate) fn new(name: String, cfg: FtlConfig, ops: Vec<FtlOp>) -> Self {
+        let ops = ops.into_iter().map(|op| (None, op)).collect();
+        Self { name, cfg, ops, labels: &[], round: None }
+    }
+
+    /// Mixed write/trim/share/atomic-write workload over a small logical
+    /// space: `n_ops` ops generated deterministically from `seed`. Share
+    /// and atomic batches are pre-validated against the shadow model so
+    /// every generated op is accepted, keeping the generated sequence equal
+    /// to the applied one on any fault-free prefix.
+    pub fn mixed(seed: u64, n_ops: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut model: State = vec![None; MIXED_PAGES as usize];
+        let mut model = State::new(MIXED_PAGES);
         let mut ops = Vec::with_capacity(n_ops);
         while ops.len() < n_ops {
-            let op = Self::gen_op(&mut rng, &model);
+            let op = gen_mixed(&mut rng, &model);
             apply(&mut model, &op);
             ops.push(op);
         }
-        Self { name: format!("ftl-mixed-s{seed}-n{n_ops}"), ops, cfg }
+        Self::new(format!("ftl-mixed-s{seed}-n{n_ops}"), small_device(MIXED_PAGES), ops)
+    }
+
+    /// The mixed workload replayed through the NVMe-style submission queue,
+    /// reaped once every `round` submissions (round > 1 keeps commands in
+    /// flight across crashes). The queue executes a command's state
+    /// transitions eagerly at submission and defers only its timing, so
+    /// the program sequence is the synchronous one: `TornHalf` and
+    /// `DroppedWrite` crash *at submission* while other commands are in
+    /// flight, `AfterProgram` *at completion*, before the host reaps it.
+    /// Un-reaped completions vanish with the host, and the recovered state
+    /// must still equal one prefix of the *submission* order.
+    pub fn queued(seed: u64, n_ops: usize, round: usize) -> Self {
+        let name = format!("ftl-queued-s{seed}-n{n_ops}-r{round}");
+        Self { name, ..Self::mixed(seed, n_ops).with_round(round) }
+    }
+
+    /// The same ops through the submission queue, reaped every `round`.
+    pub(crate) fn with_round(self, round: usize) -> Self {
+        assert!(round >= 1, "round must be at least 1");
+        Self { round: Some(round), ..self }
     }
 
     /// A parsed block trace (`W/R/T/S/F` lines, see `share_workloads::TraceOp`)
-    /// over `logical_pages`. Write fills derive from the op index, so content
-    /// checks stay exact.
-    pub fn trace(label: &str, trace: &[TraceOp], logical_pages: u64) -> Self {
-        let cfg = FtlConfig::for_capacity_with(
-            logical_pages * 4096,
-            0.5,
-            4096,
-            16,
-            NandTiming::zero(),
-        );
+    /// over the logical pages it addresses (at least 16). Write fills derive
+    /// from the op index, so content checks stay exact.
+    pub fn trace(label: &str, trace: &[TraceOp]) -> Self {
+        let max_lpn = trace
+            .iter()
+            .map(|op| match *op {
+                TraceOp::Write { lpn } | TraceOp::Read { lpn } => lpn,
+                TraceOp::Trim { lpn, len } => lpn + len.saturating_sub(1),
+                TraceOp::Share { dest, src, len } => dest.max(src) + len.saturating_sub(1),
+                TraceOp::Flush => 0,
+            })
+            .max()
+            .unwrap_or(0);
         let ops = trace
             .iter()
             .enumerate()
             .map(|(i, t)| match *t {
-                TraceOp::Write { lpn } => {
-                    FtlOp::Write { lpn, fill: (i % 255 + 1) as u8 }
-                }
+                TraceOp::Write { lpn } => FtlOp::Write { lpn, fill: (i % 255 + 1) as u8 },
                 TraceOp::Read { lpn } => FtlOp::Read { lpn },
-                TraceOp::Trim { lpn, len } => {
-                    // The oracle models single-page trims; clamp ranges.
-                    let _ = len;
-                    FtlOp::Trim { lpn }
-                }
+                // The oracle models single-page trims; clamp ranges.
+                TraceOp::Trim { lpn, .. } => FtlOp::Trim { lpn },
                 TraceOp::Share { dest, src, len } => FtlOp::Share {
                     pairs: (0..len).map(|k| (dest + k, src + k)).collect(),
                 },
                 TraceOp::Flush => FtlOp::Flush,
             })
             .collect();
-        Self { name: format!("ftl-trace-{label}"), ops, cfg }
+        Self::new(format!("ftl-trace-{label}"), small_device((max_lpn + 1).max(16)), ops)
     }
 
-    fn gen_op(rng: &mut StdRng, model: &State) -> FtlOp {
-        let lpn = |rng: &mut StdRng| rng.random_range(0..MIXED_PAGES);
-        let fill = |rng: &mut StdRng| rng.random_range(1..256u32) as u8;
-        let mapped: Vec<u64> = (0..MIXED_PAGES).filter(|&l| model[l as usize].is_some()).collect();
-        match rng.random_range(0..16u32) {
-            0..=6 => FtlOp::Write { lpn: lpn(rng), fill: fill(rng) },
-            7 => FtlOp::Read { lpn: lpn(rng) },
-            8 => FtlOp::Trim { lpn: lpn(rng) },
-            9..=11 => {
-                if mapped.is_empty() {
-                    return FtlOp::Write { lpn: lpn(rng), fill: fill(rng) };
+    /// Drive the ops against `ftl` with the fault handle already armed (or
+    /// not, for measurement) until the first failure, which must be the
+    /// crash or a rejection the workload tolerates: validation of a
+    /// synchronous op, and the snapshot table's limits when the workload
+    /// issues snapshot ops. A queued workload tolerates none.
+    fn drive(&self, ftl: &mut Ftl, handle: &FaultHandle) -> Result<RunTrace, String> {
+        let streams: Vec<u32> = self.labels.iter().map(|label| ftl.stream_intern(label)).collect();
+        let snapshots = self.ops.iter().any(|(_, op)| op.is_snapshot());
+        let tolerated = |e: &FtlError| {
+            use FtlError::*;
+            self.round.is_none()
+                && (matches!(e, SrcUnmapped(_) | InvalidBatch(_) | LpnOutOfRange { .. })
+                    || snapshots
+                        && matches!(
+                            e,
+                            SnapshotNotFound
+                                | SnapshotExists
+                                | SnapshotTableFull
+                                | RefOverflow
+                                | RevMapFull { .. }
+                        ))
+        };
+        let states = vec![State::new(self.cfg.logical_pages)];
+        let mut t = RunTrace { states, floor: 0, crashed: false, inflight_at_crash: 0 };
+        let mut since_reap = 0usize;
+        for (slot, op) in &self.ops {
+            if let Some(slot) = slot {
+                ftl.set_stream(streams[*slot]);
+            }
+            let before = handle.programs_seen();
+            let queued = self.round.filter(|_| op.has_queued_form());
+            if let Some(round) = queued {
+                if submit(ftl, handle, op)? {
+                    since_reap = 0;
                 }
-                // A valid batch: distinct dests, no dest aliasing a src.
-                let want = rng.random_range(1..4usize);
-                let mut pairs: Vec<(u64, u64)> = Vec::new();
-                for _ in 0..want * 3 {
-                    if pairs.len() >= want {
+                // State executed eagerly at submission: the shadow model
+                // advances now, in submission order.
+                push_applied(&mut t.states, op);
+                if handle.is_down() {
+                    // The fault fired inside this submission's eager
+                    // execution; its effect may or may not have landed.
+                    t.inflight_at_crash = ftl.inflight().saturating_sub(1);
+                    t.crashed = true;
+                    break;
+                }
+                since_reap += 1;
+                if since_reap >= round {
+                    check_reaped(ftl.reap(), handle)?;
+                    since_reap = 0;
+                }
+            } else {
+                if self.round.is_some() {
+                    // A synchronous ordering point: drain the queue first.
+                    check_reaped(ftl.drain(), handle)?;
+                    since_reap = 0;
+                }
+                match exec(ftl, op) {
+                    Ok(()) => push_applied(&mut t.states, op),
+                    // Rejected by validation before any state change.
+                    Err(e) if !handle.is_down() && tolerated(&e) => continue,
+                    Err(e) if !handle.is_down() => {
+                        return Err(format!("unexpected non-crash error from {op:?}: {e}"))
+                    }
+                    Err(_) => {
+                        // The crashed op's effect may have become durable
+                        // before the power loss; admit its post-state too.
+                        push_applied(&mut t.states, op);
+                        t.crashed = true;
                         break;
                     }
-                    let src = mapped[rng.random_range(0..mapped.len())];
-                    let dest = lpn(rng);
-                    let clashes = dest == src
-                        || pairs.iter().any(|&(d, s)| d == dest || s == dest || d == src);
-                    if !clashes {
-                        pairs.push((dest, src));
-                    }
-                }
-                if pairs.is_empty() {
-                    FtlOp::Flush
-                } else {
-                    FtlOp::Share { pairs }
                 }
             }
-            12..=13 => {
-                let want = rng.random_range(1..4usize);
-                let mut pages: Vec<(u64, u8)> = Vec::new();
-                for _ in 0..want * 3 {
-                    if pages.len() >= want {
-                        break;
-                    }
-                    let l = lpn(rng);
-                    if !pages.iter().any(|&(d, _)| d == l) {
-                        pages.push((l, fill(rng)));
-                    }
-                }
-                FtlOp::WriteAtomic { pages }
+            if is_durability_point(op, handle.programs_seen() > before) {
+                t.floor = t.states.len() - 1;
             }
-            14 => FtlOp::Flush,
-            _ => FtlOp::Checkpoint,
         }
+        if self.round.is_some() && !t.crashed {
+            check_reaped(ftl.drain(), handle)?;
+        }
+        Ok(t)
+    }
+
+    /// Run the ops once on a fresh device, with a fault armed at the
+    /// `index`-th program after setup or with none: the device as the run
+    /// left it, the run's trace and its program attempts.
+    fn run(&self, fault: Option<(FaultMode, u64)>) -> Result<(Ftl, RunTrace, u64), String> {
+        let mut ftl = Ftl::new(self.cfg.clone());
+        let handle = ftl.fault_handle();
+        let base = handle.programs_seen();
+        if let Some((mode, index)) = fault {
+            handle.arm_after_programs(index, mode);
+        }
+        let trace = self.drive(&mut ftl, &handle)?;
+        handle.disarm();
+        if let Some((_, index)) = fault.filter(|_| handle.faults_fired() != 1) {
+            return Err(format!("the fault armed at program {index} never fired"));
+        }
+        Ok((ftl, trace, handle.programs_seen() - base))
+    }
+
+    /// Crash at the `index`-th program, recover and check the oracle; the
+    /// crashed run's trace.
+    pub(crate) fn crash(&self, mode: FaultMode, index: u64) -> Result<RunTrace, String> {
+        let (ftl, trace, _) = self.run(Some((mode, index)))?;
+        let mut rec = Ftl::open(self.cfg.clone(), ftl.into_nand())
+            .map_err(|e| format!("Ftl::open failed after crash: {e}"))?;
+        verify_recovered(&mut rec, &trace, &self.cfg)?;
+        Ok(trace)
     }
 }
 
-impl CrashWorkload for FtlMixedWorkload {
+fn gen_mixed(rng: &mut StdRng, model: &State) -> FtlOp {
+    let lpn = |rng: &mut StdRng| rng.random_range(0..MIXED_PAGES);
+    let fill = |rng: &mut StdRng| rng.random_range(1..256u32) as u8;
+    let mapped: Vec<u64> =
+        (0..MIXED_PAGES).filter(|&l| model.pages[l as usize].is_some()).collect();
+    match rng.random_range(0..16u32) {
+        0..=6 => FtlOp::Write { lpn: lpn(rng), fill: fill(rng) },
+        7 => FtlOp::Read { lpn: lpn(rng) },
+        8 => FtlOp::Trim { lpn: lpn(rng) },
+        9..=11 => {
+            if mapped.is_empty() {
+                return FtlOp::Write { lpn: lpn(rng), fill: fill(rng) };
+            }
+            // A valid batch: distinct dests, no dest aliasing a src.
+            let want = rng.random_range(1..4usize);
+            let mut pairs: Vec<(u64, u64)> = Vec::new();
+            for _ in 0..want * 3 {
+                if pairs.len() >= want {
+                    break;
+                }
+                let src = mapped[rng.random_range(0..mapped.len())];
+                let dest = lpn(rng);
+                let clashes = dest == src
+                    || pairs.iter().any(|&(d, s)| d == dest || s == dest || d == src);
+                if !clashes {
+                    pairs.push((dest, src));
+                }
+            }
+            if pairs.is_empty() {
+                FtlOp::Flush
+            } else {
+                FtlOp::Share { pairs }
+            }
+        }
+        12..=13 => {
+            let want = rng.random_range(1..4usize);
+            let mut pages: Vec<(u64, u8)> = Vec::new();
+            for _ in 0..want * 3 {
+                if pages.len() >= want {
+                    break;
+                }
+                let l = lpn(rng);
+                if !pages.iter().any(|&(d, _)| d == l) {
+                    pages.push((l, fill(rng)));
+                }
+            }
+            FtlOp::WriteAtomic { pages }
+        }
+        14 => FtlOp::Flush,
+        _ => FtlOp::Checkpoint,
+    }
+}
+
+impl CrashWorkload for FtlWorkload {
     fn name(&self) -> String {
         self.name.clone()
     }
 
     fn crash_points(&self) -> u64 {
-        let ops = self.ops.iter().map(|op| (None, op));
-        run_ftl_case(&self.cfg, &[], ops, None, 0).expect("fault-free run cannot fail")
+        self.run(None).expect("fault-free run cannot fail").2
     }
 
     fn run_case(&self, mode: FaultMode, index: u64) -> Result<(), String> {
-        run_ftl_case(&self.cfg, &[], self.ops.iter().map(|op| (None, op)), Some(mode), index)
-            .map(drop)
+        self.crash(mode, index).map(drop)
     }
 }
 
@@ -463,21 +713,21 @@ mod tests {
 
     #[test]
     fn generated_ops_are_deterministic() {
-        let a = FtlMixedWorkload::new(7, 50);
-        let b = FtlMixedWorkload::new(7, 50);
+        let a = FtlWorkload::mixed(7, 50);
+        let b = FtlWorkload::mixed(7, 50);
         assert_eq!(format!("{:?}", a.ops), format!("{:?}", b.ops));
         assert_eq!(a.crash_points(), b.crash_points());
     }
 
     #[test]
     fn fault_free_run_has_a_nonempty_crash_space() {
-        let w = FtlMixedWorkload::new(1, 60);
+        let w = FtlWorkload::mixed(1, 60);
         assert!(w.crash_points() > 30, "60 mixed ops should program > 30 pages");
     }
 
     #[test]
     fn one_case_of_each_mode_passes_the_oracle() {
-        let w = FtlMixedWorkload::new(3, 80);
+        let w = FtlWorkload::mixed(3, 80);
         let mid = w.crash_points() / 2;
         for mode in FaultMode::ALL {
             w.run_case(mode, mid).unwrap();
@@ -487,12 +737,68 @@ mod tests {
     #[test]
     fn trace_workload_sweeps_share_lines() {
         let text = "W 0\nW 1\nF\nS 8 0 2\nW 2\nF\n";
-        let ops = share_workloads::parse_trace(text);
-        let w = FtlMixedWorkload::trace("inline", &ops, 16);
+        let w = FtlWorkload::trace("inline", &share_workloads::parse_trace(text));
+        assert_eq!(w.cfg.logical_pages, 16);
         let total = w.crash_points();
         assert!(total > 4);
         for i in 1..=total {
             w.run_case(FaultMode::TornHalf, i).unwrap();
         }
+    }
+
+    #[test]
+    fn a_fault_that_never_fires_fails_the_case() {
+        let w = FtlWorkload::mixed(3, 40);
+        let past = w.crash_points() + 1;
+        let e = w.run_case(FaultMode::TornHalf, past).unwrap_err();
+        assert!(e.contains("never fired"), "{e}");
+    }
+
+    /// A fault-free run of `ops`, its trace and the device reopened over it;
+    /// the oracle accepts the pair as it stands.
+    fn reopened(ops: Vec<FtlOp>) -> (FtlWorkload, RunTrace, Ftl) {
+        let w = FtlWorkload::new("control".into(), small_device(16), ops);
+        let (ftl, trace, _) = w.run(None).unwrap();
+        let mut rec = Ftl::open(w.cfg.clone(), ftl.into_nand()).unwrap();
+        verify_recovered(&mut rec, &trace, &w.cfg).unwrap();
+        (w, trace, rec)
+    }
+
+    #[test]
+    fn the_oracle_rejects_a_page_rewritten_after_recovery() {
+        let ops = vec![FtlOp::Write { lpn: 3, fill: 9 }, FtlOp::Flush];
+        let (w, trace, mut rec) = reopened(ops);
+        rec.write(Lpn(3), &vec![10; rec.page_size()]).unwrap();
+        let e = verify_recovered(&mut rec, &trace, &w.cfg).unwrap_err();
+        assert!(e.contains("matches no applied-op prefix") && e.contains("lpn 3"), "{e}");
+    }
+
+    #[test]
+    fn the_oracle_rejects_a_trace_that_admits_only_a_split_share() {
+        let (w, mut trace, mut rec) = reopened(vec![
+            FtlOp::Write { lpn: 0, fill: 1 },
+            FtlOp::Write { lpn: 1, fill: 2 },
+            FtlOp::Share { pairs: vec![(8, 0), (9, 1)] },
+        ]);
+        // The share is a durability point: its post-state is the only
+        // admissible one. Keep only its first pair there.
+        assert_eq!(trace.floor, trace.states.len() - 1);
+        trace.states.last_mut().unwrap().pages[9] = None;
+        let e = verify_recovered(&mut rec, &trace, &w.cfg).unwrap_err();
+        assert!(e.contains("matches no applied-op prefix") && e.contains("lpn 9"), "{e}");
+    }
+
+    #[test]
+    fn the_oracle_rejects_a_snapshot_no_shadow_point_holds() {
+        let (w, trace, mut rec) = reopened(vec![
+            FtlOp::Write { lpn: 0, fill: 1 },
+            FtlOp::SnapCreate { slot: 0, start: 0, len: 2 },
+            FtlOp::Checkpoint,
+        ]);
+        // The same table shape under a name the shadow never had.
+        rec.snapshot_drop("s0").unwrap();
+        rec.snapshot_create("s1", Lpn(0), 2).unwrap();
+        let e = verify_recovered(&mut rec, &trace, &w.cfg).unwrap_err();
+        assert!(e.contains("recovered snapshot s1"), "{e}");
     }
 }

@@ -3,12 +3,12 @@
 //! Inside the soft band the FTL relocates a few valid pages per
 //! foreground command and parks the half-collected victim in a job, so
 //! copyback programs — and the crash boundaries around them — interleave
-//! with host writes instead of clustering inside one drain. The
-//! [`FtlMixedWorkload`] op mix on its roomy device never leaves more live
-//! pages in a victim than one step relocates, so this workload drives a
-//! mixed-lifetime overwrite storm against a tight device instead: every
-//! victim carries several steps' worth of live pages, and the sweep's
-//! program-attempt space includes:
+//! with host writes instead of clustering inside one drain. The mixed op
+//! mix on its roomy device never leaves more live pages in a victim than
+//! one step relocates, so this workload drives a mixed-lifetime overwrite
+//! storm against a tight device instead: every victim carries several
+//! steps' worth of live pages, and the sweep's program-attempt space
+//! includes:
 //!
 //! * copyback *submission* boundaries: the fault interrupts the GC
 //!   program itself (TornHalf / DroppedWrite) while the victim block is
@@ -22,17 +22,15 @@
 //! stripes one victim's survivors over four open GC frontiers; the crash
 //! space is the two runs' spaces end to end.
 //!
-//! The recovery oracle is unchanged — prefix consistency over the host
-//! ops. Relocation must be invisible to it: a crashed GC step loses only
-//! unflushed deltas whose old physical pages are, by construction, still
-//! intact (the victim is erased strictly after `flush_log`), so recovery
-//! lands on the pre-relocation mapping and the host state matches the
-//! same prefix it would have without GC.
-//!
-//! [`FtlMixedWorkload`]: crate::FtlMixedWorkload
+//! Both runs are [`FtlWorkload`]s: the recovery oracle is unchanged —
+//! prefix consistency over the host ops. Relocation must be invisible to
+//! it: a crashed GC step loses only unflushed deltas whose old physical
+//! pages are, by construction, still intact (the victim is erased strictly
+//! after `flush_log`), so recovery lands on the pre-relocation mapping and
+//! the host state matches the same prefix it would have without GC.
 
-use crate::ftl_workload::FtlOp;
-use crate::{CrashWorkload, FtlMixedWorkload};
+use crate::ftl_workload::{FtlOp, FtlWorkload};
+use crate::CrashWorkload;
 use nand_sim::{FaultMode, NandTiming};
 use share_core::FtlConfig;
 use share_rng::{Rng, StdRng};
@@ -42,10 +40,10 @@ use share_rng::{Rng, StdRng};
 const STORM_PAGES: u64 = 256;
 
 /// A mixed-lifetime overwrite storm on a tight device, on one channel and
-/// on four, each run through the oracle of [`FtlMixedWorkload`].
+/// on four.
 #[derive(Debug, Clone)]
 pub struct FtlGcPipelineWorkload {
-    runs: [FtlMixedWorkload; 2],
+    runs: [FtlWorkload; 2],
     /// Crash points of the one-channel run, which come first.
     split: u64,
 }
@@ -80,9 +78,9 @@ impl FtlGcPipelineWorkload {
         }
         ops.truncate(n_ops);
         let name = format!("ftl-gcpipe-s{seed}-n{n_ops}");
-        let one = FtlMixedWorkload { name: name.clone(), ops: ops.clone(), cfg: cfg.clone() };
+        let one = FtlWorkload::new(name.clone(), cfg.clone(), ops.clone());
         let split = one.crash_points();
-        Self { runs: [one, FtlMixedWorkload { name, ops, cfg: cfg.with_parallelism(4, 1) }], split }
+        Self { runs: [one, FtlWorkload::new(name, cfg.with_parallelism(4, 1), ops)], split }
     }
 }
 
@@ -121,7 +119,7 @@ mod tests {
         let w = FtlGcPipelineWorkload::new(3, 600);
         for run in &w.runs {
             let mut ftl = Ftl::new(run.cfg.clone());
-            for op in &run.ops {
+            for (_, op) in &run.ops {
                 exec(&mut ftl, op).expect("fault-free op");
             }
             let stats = ftl.stats();
@@ -141,7 +139,7 @@ mod tests {
         let w = FtlGcPipelineWorkload::new(3, 600);
         let run = &w.runs[1];
         let mut ftl = Ftl::new(run.cfg.clone().with_telemetry(TelemetryConfig::tracing()));
-        for op in &run.ops {
+        for (_, op) in &run.ops {
             exec(&mut ftl, op).expect("fault-free op");
         }
         let spans = ftl.tracer().spans();

@@ -23,9 +23,9 @@
 //! `share` batch matches *no* prefix, so batch atomicity falls out of the
 //! same check. On top of that the oracle re-derives refcounts and revmap
 //! occupancy from the recovered L2P and asserts the FTL's own invariant
-//! walk passes, and it bounds the pages recovery itself wrote. The engines
-//! share one harness and a per-key oracle at commit granularity
-//! ([`engine_workload`]).
+//! walk passes, and it bounds the pages recovery itself wrote. Every FTL
+//! workload runs through one harness ([`ftl_workload`]), the engines through
+//! another, with a per-key oracle at commit granularity ([`engine_workload`]).
 //!
 //! Every failure carries an exactly reproducible
 //! `(workload, mode, crash_index)` triple; `sharectl crashsweep` accepts
@@ -43,11 +43,8 @@ pub mod sqlite_workload;
 pub mod stream_workload;
 
 pub use engine_workload::{CrashDevice, EngineWorkload, KvEngine};
-pub use ftl_workload::FtlMixedWorkload;
+pub use ftl_workload::FtlWorkload;
 pub use gcpipe_workload::FtlGcPipelineWorkload;
-pub use queued_workload::{FtlQueuedWorkload, QueuedCaseOutcome};
-pub use snapshot_workload::FtlSnapshotWorkload;
-pub use stream_workload::FtlStreamWorkload;
 
 use mini_couch::CouchMode;
 use mini_innodb::FlushMode;
@@ -57,11 +54,43 @@ use nand_sim::FaultMode;
 use share_core::{Ftl, SimpleSsd};
 use std::fmt;
 
+/// The FTL-level workloads, by the names `sharectl crashsweep --workload`
+/// takes: mixed writes / trims / shares / atomic batches / checkpoints; the
+/// same mix through the submission queue with commands in flight at the
+/// crash; the 2–8-page queued `WriteBatch` commands the engines send, each
+/// checked as a page-by-page prefix; three streams on four channels, several
+/// open frontiers at every crash boundary; a GC storm that keeps
+/// half-collected victims across commands, on one channel and then four;
+/// the snapshot lifecycle around RAM-only creates, clone delta flushes and
+/// buffered drop tombstones.
+pub const FTL_WORKLOADS: [&str; 6] =
+    ["ftl", "queued", "queued-batch", "stream", "gcpipe", "snapshot"];
+
+/// Host ops of the FTL workloads `sharectl crashsweep` runs.
+pub const FTL_OPS: usize = 300;
+
+/// The FTL workload named `name` (one of [`FTL_WORKLOADS`]) over `n` host
+/// ops from `seed`: the GC storm runs `2n`, the fixed batch sequence `n / 5`
+/// rounds whatever the seed.
+pub fn ftl_workload(name: &str, seed: u64, n: usize) -> Option<Box<dyn CrashWorkload>> {
+    Some(match name {
+        "ftl" => Box::new(FtlWorkload::mixed(seed, n)),
+        "queued" => Box::new(FtlWorkload::queued(seed, n, 4)),
+        "queued-batch" => Box::new(FtlWorkload::write_batches(n as u64 / 5, 4)),
+        "stream" => Box::new(FtlWorkload::stream(seed, n)),
+        "gcpipe" => Box::new(FtlGcPipelineWorkload::new(seed, 2 * n)),
+        "snapshot" => Box::new(FtlWorkload::snapshot(seed, n)),
+        _ => return None,
+    })
+}
+
 /// Every safe mode of every engine once (innodb also cached and with
-/// 16 KiB pages), by the names `sharectl crashsweep --workload` takes.
-pub const ENGINE_WORKLOADS: [&str; 12] = [
+/// 16 KiB pages, couch also with documents wider than a SHARE log page), by
+/// the names `sharectl crashsweep --workload` takes.
+pub const ENGINE_WORKLOADS: [&str; 13] = [
     "innodb-dwb", "innodb-share", "innodb-atomic", "innodb-cached", "innodb-16k", "couch-original",
-    "couch-share", "pg-on", "pg-share", "sqlite-rollback", "sqlite-wal", "sqlite-share",
+    "couch-share", "couch-share-wide", "pg-on", "pg-share", "sqlite-rollback", "sqlite-wal",
+    "sqlite-share",
 ];
 
 /// The positive controls: an unsafe mode on a drive that overwrites in
@@ -82,6 +111,7 @@ pub fn engine_workload(name: &str, seed: u64) -> Option<Box<dyn CrashWorkload>> 
         "innodb-dwb-off" => Box::new(innodb::workload::<SimpleSsd>(FlushMode::DwbOff, seed)),
         "couch-original" => Box::new(couch::workload(CouchMode::Original, seed)),
         "couch-share" => Box::new(couch::workload(CouchMode::Share, seed)),
+        "couch-share-wide" => Box::new(couch::wide(seed)),
         "pg-on" => Box::new(pg::workload::<Ftl>(FpwMode::On, seed)),
         "pg-share" => Box::new(pg::workload::<Ftl>(FpwMode::Share, seed)),
         "pg-off" => Box::new(pg::workload::<SimpleSsd>(FpwMode::Off, seed)),
@@ -294,6 +324,24 @@ mod tests {
         assert!(r.is_clean());
         r.assert_clean();
         assert_eq!(r.cases_run, 5);
+    }
+
+    #[test]
+    fn every_ftl_name_builds_the_workload_it_names() {
+        let names: Vec<String> =
+            FTL_WORKLOADS.iter().map(|n| ftl_workload(n, 42, FTL_OPS).unwrap().name()).collect();
+        assert_eq!(
+            names,
+            [
+                "ftl-mixed-s42-n300",
+                "ftl-queued-s42-n300-r4",
+                "ftl-queued-batch-n60-r4",
+                "ftl-stream-s42-n300",
+                "ftl-gcpipe-s42-n600",
+                "ftl-snapshot-s42-n300",
+            ]
+        );
+        assert!(ftl_workload("innodb-share", 42, FTL_OPS).is_none());
     }
 
     #[test]

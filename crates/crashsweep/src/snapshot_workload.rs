@@ -5,20 +5,11 @@
 //! was never checkpointed (and is legitimately lost), a clone's atomic
 //! delta flush, a drop whose tombstone is still RAM-buffered, a GC pass
 //! relocating pinned-only pages. The logical page state is verified by
-//! the shared prefix-consistency oracle; recovered snapshots are verified
-//! separately because table durability is *weaker* than page durability —
-//! creates are RAM-only until a checkpoint, drops become durable at the
-//! next log flush — so each recovered snapshot must instead match the
-//! shadow table at *some* applied-op point with exactly the frozen range
-//! and content it had there. Fabricated, torn, or content-corrupted
-//! snapshots match no point and fail.
+//! the shared prefix-consistency oracle, which then checks every recovered
+//! snapshot against the shadow table.
 
-use crate::ftl_workload::{verify_recovered, RunTrace, State};
-use crate::CrashWorkload;
-use nand_sim::{FaultHandle, FaultMode, NandTiming};
-use share_core::{BlockDevice, Ftl, FtlConfig, FtlError, Lpn};
+use crate::ftl_workload::{apply, small_device, FtlOp, FtlWorkload, State};
 use share_rng::{Rng, StdRng};
-use std::collections::BTreeMap;
 
 /// Logical pages of the snapshot workload: same tiny space as the mixed
 /// workload so GC, pinned relocation and checkpoints all trigger fast.
@@ -28,322 +19,68 @@ pub const SNAP_PAGES: u64 = 64;
 /// and re-creating a slot reuses the name with fresh frozen content.
 const SNAP_SLOTS: u32 = 4;
 
-fn slot_name(slot: u32) -> String {
-    format!("s{slot}")
-}
-
-/// One operation of the snapshot crash workload.
-#[derive(Debug, Clone)]
-enum SnapOp {
-    /// Write one page of uniform nonzero `fill`.
-    Write { lpn: u64, fill: u8 },
-    /// Trim one page.
-    Trim { lpn: u64 },
-    /// Freeze `[start, start+len)` under the slot's name (RAM-only).
-    Create { slot: u32, start: u64, len: u64 },
-    /// Materialize a window of the slot's snapshot at `dst` (atomic).
-    Clone { slot: u32, src_offset: u64, dst: u64, len: u64 },
-    /// Release the slot's snapshot (tombstone buffered, not yet durable).
-    Drop { slot: u32 },
-    /// Point-in-time read (no model effect; exercises frozen lookups).
-    SnapRead { slot: u32, offset: u64 },
-    /// Flush buffered mapping deltas (explicit durability point).
-    Flush,
-    /// Force a checkpoint, persisting the snapshot table.
-    Checkpoint,
-}
-
-/// One snapshot's shadow: the frozen range and per-offset fill at create
-/// time (`None` = hole, which the device reads back as zeroes).
-#[derive(Debug, Clone, PartialEq)]
-struct SnapShadow {
-    start: u64,
-    content: Vec<Option<u8>>,
-}
-
-type SnapMap = BTreeMap<u32, SnapShadow>;
-
-fn apply(pages: &mut State, snaps: &mut SnapMap, op: &SnapOp) {
-    match op {
-        SnapOp::Write { lpn, fill } => pages[*lpn as usize] = Some(*fill),
-        SnapOp::Trim { lpn } => pages[*lpn as usize] = None,
-        SnapOp::Create { slot, start, len } => {
-            let content = pages[*start as usize..(*start + *len) as usize].to_vec();
-            snaps.insert(*slot, SnapShadow { start: *start, content });
-        }
-        SnapOp::Clone { slot, src_offset, dst, len } => {
-            // Guarded: on a crash-admitted apply the runtime may have
-            // rejected the op (e.g. the slot raced a drop) before dying.
-            if let Some(shadow) = snaps.get(slot) {
-                for i in 0..*len {
-                    pages[(*dst + i) as usize] =
-                        shadow.content[(*src_offset + i) as usize];
-                }
-            }
-        }
-        SnapOp::Drop { slot } => {
-            snaps.remove(slot);
-        }
-        SnapOp::SnapRead { .. } | SnapOp::Flush | SnapOp::Checkpoint => {}
-    }
-}
-
-/// Whether a *successful* `op` makes everything before it durable.
-/// `Create` is deliberately absent (RAM-only until a checkpoint), as is
-/// `Drop` (its tombstone sits in the log buffer until the next flush).
-/// `Clone` is durable only when it actually flushed a delta page — a
-/// clone whose whole window is holes landing on already-unmapped pages
-/// emits no deltas and programs nothing — so `drive` gates it on the
-/// observed program count rather than listing it here.
-fn is_durability_point(op: &SnapOp) -> bool {
-    matches!(op, SnapOp::Flush | SnapOp::Checkpoint)
-}
-
-fn exec(ftl: &mut Ftl, op: &SnapOp) -> Result<(), FtlError> {
-    let ps = ftl.page_size();
-    match op {
-        SnapOp::Write { lpn, fill } => ftl.write(Lpn(*lpn), &vec![*fill; ps]),
-        SnapOp::Trim { lpn } => ftl.trim(Lpn(*lpn), 1),
-        SnapOp::Create { slot, start, len } => {
-            ftl.snapshot_create(&slot_name(*slot), Lpn(*start), *len).map(|_| ())
-        }
-        SnapOp::Clone { slot, src_offset, dst, len } => {
-            ftl.snapshot_clone(&slot_name(*slot), *src_offset, Lpn(*dst), *len).map(|_| ())
-        }
-        SnapOp::Drop { slot } => ftl.snapshot_drop(&slot_name(*slot)),
-        SnapOp::SnapRead { slot, offset } => {
-            let mut buf = vec![0u8; ps];
-            ftl.snapshot_read(&slot_name(*slot), *offset, &mut buf)
-        }
-        SnapOp::Flush => ftl.flush(),
-        SnapOp::Checkpoint => ftl.checkpoint(),
-    }
-}
-
-/// Drive the ops, tracking the page-state trace (for the shared oracle)
-/// and the parallel snapshot-table trace (for the snapshot oracle).
-fn drive(
-    ftl: &mut Ftl,
-    handle: &FaultHandle,
-    ops: &[SnapOp],
-    pages: u64,
-) -> Result<(RunTrace, Vec<SnapMap>), String> {
-    let mut states: Vec<State> = vec![vec![None; pages as usize]];
-    let mut snap_states: Vec<SnapMap> = vec![SnapMap::new()];
-    let mut floor = 0usize;
-    let mut crashed = false;
-    for op in ops {
-        let before = handle.programs_seen();
-        match exec(ftl, op) {
-            Ok(()) => {
-                let mut s = states.last().unwrap().clone();
-                let mut m = snap_states.last().unwrap().clone();
-                apply(&mut s, &mut m, op);
-                states.push(s);
-                snap_states.push(m);
-                let durable = match op {
-                    // A clone's delta flush (or the checkpoint it may
-                    // trigger) drains the whole log buffer atomically —
-                    // but only if it programmed anything at all.
-                    SnapOp::Clone { .. } => handle.programs_seen() > before,
-                    _ => is_durability_point(op),
-                };
-                if durable {
-                    floor = states.len() - 1;
-                }
-            }
-            Err(FtlError::SrcUnmapped(_))
-            | Err(FtlError::InvalidBatch(_))
-            | Err(FtlError::LpnOutOfRange { .. })
-            | Err(FtlError::SnapshotNotFound)
-            | Err(FtlError::SnapshotExists)
-            | Err(FtlError::SnapshotTableFull)
-            | Err(FtlError::RefOverflow)
-            | Err(FtlError::RevMapFull { .. })
-                if !handle.is_down() =>
-            {
-                // Rejected by validation before any state change.
-            }
-            Err(e) => {
-                if !handle.is_down() {
-                    return Err(format!("unexpected non-crash error from {op:?}: {e}"));
-                }
-                // The crashed op's effect may have become durable before
-                // the power loss; admit its post-state as well.
-                let mut s = states.last().unwrap().clone();
-                let mut m = snap_states.last().unwrap().clone();
-                apply(&mut s, &mut m, op);
-                states.push(s);
-                snap_states.push(m);
-                crashed = true;
-                break;
-            }
-        }
-    }
-    Ok((RunTrace { states, floor, crashed }, snap_states))
-}
-
-/// Snapshot-table oracle: every recovered snapshot must equal some
-/// applied-op point's shadow for its name slot — same frozen range, same
-/// per-offset content read through `snapshot_read` (fills are nonzero, so
-/// a zero byte unambiguously reads a hole).
-fn verify_snapshots(rec: &mut Ftl, snap_states: &[SnapMap]) -> Result<(), String> {
-    let infos = rec.snapshot_list().map_err(|e| format!("snapshot_list failed: {e}"))?;
-    let mut buf = vec![0u8; rec.page_size()];
-    for info in infos {
-        let slot: u32 = info
-            .name
-            .strip_prefix('s')
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("recovered snapshot has foreign name {:?}", info.name))?;
-        let mut content: Vec<Option<u8>> = Vec::with_capacity(info.len as usize);
-        for off in 0..info.len {
-            rec.snapshot_read(&info.name, off, &mut buf)
-                .map_err(|e| format!("snapshot_read({}, {off}) failed: {e}", info.name))?;
-            if !buf.iter().all(|&b| b == buf[0]) {
-                return Err(format!(
-                    "snapshot {} offset {off} reads non-uniform content: torn frozen page",
-                    info.name
-                ));
-            }
-            content.push(if buf[0] == 0 { None } else { Some(buf[0]) });
-        }
-        let observed = SnapShadow { start: info.start.0, content };
-        let matched = snap_states.iter().any(|m| m.get(&slot) == Some(&observed));
-        if !matched {
-            return Err(format!(
-                "recovered snapshot {} (start {}, len {}) matches its shadow at no \
-                 applied-op point: fabricated or corrupted frozen state",
-                info.name, info.start.0, info.len
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn run_snapshot_case(
-    cfg: &FtlConfig,
-    ops: &[SnapOp],
-    mode: Option<FaultMode>,
-    index: u64,
-) -> Result<(u64, Option<String>), String> {
-    let mut ftl = Ftl::new(cfg.clone());
-    let handle = ftl.fault_handle();
-    let base = handle.programs_seen();
-    if let Some(mode) = mode {
-        handle.arm_after_programs(index, mode);
-    }
-    let (trace, snap_states) = drive(&mut ftl, &handle, ops, cfg.logical_pages)?;
-    handle.disarm();
-    let attempts = handle.programs_seen() - base;
-    if mode.is_none() {
-        return Ok((attempts, None));
-    }
-    let mut rec = Ftl::open(cfg.clone(), ftl.into_nand())
-        .map_err(|e| format!("Ftl::open failed after crash: {e}"))?;
-    let violation = verify_recovered(&mut rec, &trace, cfg)
-        .and_then(|()| verify_snapshots(&mut rec, &snap_states))
-        .err();
-    Ok((attempts, violation))
-}
-
-/// Snapshot lifecycle workload over a small logical space, generated
-/// deterministically from a seed. Ops are pre-validated against the
-/// shadow model so the fault-free run accepts every one of them.
-#[derive(Debug, Clone)]
-pub struct FtlSnapshotWorkload {
-    seed: u64,
-    ops: Vec<SnapOp>,
-    cfg: FtlConfig,
-}
-
-impl FtlSnapshotWorkload {
-    /// Generate `n_ops` ops from `seed`.
-    pub fn new(seed: u64, n_ops: usize) -> Self {
-        let cfg = FtlConfig::for_capacity_with(
-            SNAP_PAGES * 4096,
-            0.5,
-            4096,
-            16,
-            NandTiming::zero(),
-        );
+impl FtlWorkload {
+    /// Snapshot lifecycle workload over a small logical space: `n_ops` ops
+    /// generated deterministically from `seed`. Ops are pre-validated
+    /// against the shadow model so the fault-free run accepts every one.
+    pub fn snapshot(seed: u64, n_ops: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut pages: State = vec![None; SNAP_PAGES as usize];
-        let mut snaps = SnapMap::new();
+        let mut model = State::new(SNAP_PAGES);
         let mut ops = Vec::with_capacity(n_ops);
         while ops.len() < n_ops {
-            let op = Self::gen_op(&mut rng, &pages, &snaps);
-            apply(&mut pages, &mut snaps, &op);
+            let op = gen_op(&mut rng, &model);
+            apply(&mut model, &op);
             ops.push(op);
         }
-        Self { seed, ops, cfg }
-    }
-
-    fn gen_op(rng: &mut StdRng, _pages: &State, snaps: &SnapMap) -> SnapOp {
-        let lpn = |rng: &mut StdRng| rng.random_range(0..SNAP_PAGES);
-        let fill = |rng: &mut StdRng| rng.random_range(1..256u32) as u8;
-        let live: Vec<u32> = snaps.keys().copied().collect();
-        let pick_live = |rng: &mut StdRng| live[rng.random_range(0..live.len())];
-        match rng.random_range(0..16u32) {
-            0..=5 => SnapOp::Write { lpn: lpn(rng), fill: fill(rng) },
-            6 => SnapOp::Trim { lpn: lpn(rng) },
-            7..=8 => {
-                let free: Vec<u32> =
-                    (0..SNAP_SLOTS).filter(|s| !snaps.contains_key(s)).collect();
-                if free.is_empty() {
-                    return SnapOp::Write { lpn: lpn(rng), fill: fill(rng) };
-                }
-                let slot = free[rng.random_range(0..free.len())];
-                let start = rng.random_range(0..SNAP_PAGES - 1);
-                let len = rng.random_range(1..=(SNAP_PAGES - start).min(16));
-                SnapOp::Create { slot, start, len }
-            }
-            9..=10 => {
-                if live.is_empty() {
-                    return SnapOp::Write { lpn: lpn(rng), fill: fill(rng) };
-                }
-                let slot = pick_live(rng);
-                let snap_len = snaps[&slot].content.len() as u64;
-                let len = rng.random_range(1..=snap_len);
-                let src_offset = rng.random_range(0..=snap_len - len);
-                let dst = rng.random_range(0..=SNAP_PAGES - len);
-                SnapOp::Clone { slot, src_offset, dst, len }
-            }
-            11 => {
-                if live.is_empty() {
-                    return SnapOp::Trim { lpn: lpn(rng) };
-                }
-                SnapOp::Drop { slot: pick_live(rng) }
-            }
-            12..=13 => {
-                if live.is_empty() {
-                    return SnapOp::Write { lpn: lpn(rng), fill: fill(rng) };
-                }
-                let slot = pick_live(rng);
-                let snap_len = snaps[&slot].content.len() as u64;
-                SnapOp::SnapRead { slot, offset: rng.random_range(0..snap_len) }
-            }
-            14 => SnapOp::Flush,
-            _ => SnapOp::Checkpoint,
-        }
+        Self::new(format!("ftl-snapshot-s{seed}-n{n_ops}"), small_device(SNAP_PAGES), ops)
     }
 }
 
-impl CrashWorkload for FtlSnapshotWorkload {
-    fn name(&self) -> String {
-        format!("ftl-snapshot-s{}-n{}", self.seed, self.ops.len())
-    }
-
-    fn crash_points(&self) -> u64 {
-        run_snapshot_case(&self.cfg, &self.ops, None, 0)
-            .expect("fault-free run cannot fail")
-            .0
-    }
-
-    fn run_case(&self, mode: FaultMode, index: u64) -> Result<(), String> {
-        match run_snapshot_case(&self.cfg, &self.ops, Some(mode), index)? {
-            (_, None) => Ok(()),
-            (_, Some(v)) => Err(v),
+fn gen_op(rng: &mut StdRng, model: &State) -> FtlOp {
+    let snaps = &model.snaps;
+    let lpn = |rng: &mut StdRng| rng.random_range(0..SNAP_PAGES);
+    let fill = |rng: &mut StdRng| rng.random_range(1..256u32) as u8;
+    let live: Vec<u32> = snaps.keys().copied().collect();
+    let pick_live = |rng: &mut StdRng| live[rng.random_range(0..live.len())];
+    match rng.random_range(0..16u32) {
+        0..=5 => FtlOp::Write { lpn: lpn(rng), fill: fill(rng) },
+        6 => FtlOp::Trim { lpn: lpn(rng) },
+        7..=8 => {
+            let free: Vec<u32> = (0..SNAP_SLOTS).filter(|s| !snaps.contains_key(s)).collect();
+            if free.is_empty() {
+                return FtlOp::Write { lpn: lpn(rng), fill: fill(rng) };
+            }
+            let slot = free[rng.random_range(0..free.len())];
+            let start = rng.random_range(0..SNAP_PAGES - 1);
+            let len = rng.random_range(1..=(SNAP_PAGES - start).min(16));
+            FtlOp::SnapCreate { slot, start, len }
         }
+        9..=10 => {
+            if live.is_empty() {
+                return FtlOp::Write { lpn: lpn(rng), fill: fill(rng) };
+            }
+            let slot = pick_live(rng);
+            let snap_len = snaps[&slot].content.len() as u64;
+            let len = rng.random_range(1..=snap_len);
+            let src_offset = rng.random_range(0..=snap_len - len);
+            let dst = rng.random_range(0..=SNAP_PAGES - len);
+            FtlOp::SnapClone { slot, src_offset, dst, len }
+        }
+        11 => {
+            if live.is_empty() {
+                return FtlOp::Trim { lpn: lpn(rng) };
+            }
+            FtlOp::SnapDrop { slot: pick_live(rng) }
+        }
+        12..=13 => {
+            if live.is_empty() {
+                return FtlOp::Write { lpn: lpn(rng), fill: fill(rng) };
+            }
+            let slot = pick_live(rng);
+            let snap_len = snaps[&slot].content.len() as u64;
+            FtlOp::SnapRead { slot, offset: rng.random_range(0..snap_len) }
+        }
+        14 => FtlOp::Flush,
+        _ => FtlOp::Checkpoint,
     }
 }

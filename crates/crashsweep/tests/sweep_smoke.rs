@@ -12,8 +12,8 @@
 
 use nand_sim::FaultMode;
 use share_crashsweep::{
-    deep_point_cap, engine_workload, sweep, CrashWorkload, FtlGcPipelineWorkload,
-    FtlMixedWorkload, FtlQueuedWorkload, FtlSnapshotWorkload, FtlStreamWorkload, ENGINE_WORKLOADS,
+    deep_point_cap, engine_workload, ftl_workload, sweep, CrashWorkload, ENGINE_WORKLOADS,
+    FTL_OPS, FTL_WORKLOADS,
 };
 
 /// Stride that visits about `target` points of a `total`-point space.
@@ -32,30 +32,13 @@ fn run_smoke(workload: &dyn CrashWorkload, target_points: u64) -> u64 {
 
 #[test]
 fn smoke_sweep_covers_200_points_across_the_stack() {
+    // Points per FTL workload, in `FTL_WORKLOADS` order: the GC storm's
+    // four-channel run holds ~4/5 of its points.
+    let targets = [180, 120, 60, 60, 120, 60];
     let mut visited = 0;
-    // FTL-level: mixed writes / trims / shares / atomic batches / checkpoints.
-    visited += run_smoke(&FtlMixedWorkload::new(42, 300), 180);
-    // Queued submission path: the same mixed op mix through the NVMe-style
-    // queue with commands in flight at the crash (submission boundaries
-    // via TornHalf/DroppedWrite, completion boundaries via AfterProgram).
-    visited += run_smoke(&FtlQueuedWorkload::new(42, 300, 4), 120);
-    // The queued write the engines actually send: 2-8-page `WriteBatch`
-    // commands between SHAREs, trims and flushes, each batch checked as a
-    // page-by-page prefix.
-    visited += run_smoke(&FtlQueuedWorkload::write_batches(60, 4), 60);
-    // Three streams on four channels: several open frontiers at every
-    // crash boundary.
-    visited += run_smoke(&FtlStreamWorkload::new(42, 300), 60);
-    // Parked GC: a storm on a tight device keeps half-collected victims
-    // across commands, so crashes land at copyback submission/completion
-    // boundaries with relocations (and buffered deltas) in flight — on one
-    // channel, then on four, where one victim's survivors sit on several
-    // GC frontiers (the four-channel run holds ~4/5 of the points).
-    visited += run_smoke(&FtlGcPipelineWorkload::new(42, 600), 120);
-    // Snapshot lifecycle: crash points around RAM-only creates, atomic
-    // clone delta flushes, buffered drop tombstones and pinned-page GC
-    // (the snapshot/clone subsystem tentpole).
-    visited += run_smoke(&FtlSnapshotWorkload::new(42, 300), 60);
+    for (name, target) in FTL_WORKLOADS.iter().zip(targets) {
+        visited += run_smoke(ftl_workload(name, 42, FTL_OPS).unwrap().as_ref(), target);
+    }
     assert!(
         visited >= 200,
         "smoke tier must visit at least 200 distinct crash points, got {visited}"
@@ -85,16 +68,14 @@ fn smoke_sweep_covers_every_engine_mode() {
 #[test]
 fn deep_sweep_soak() {
     let Some(cap) = deep_point_cap() else { return };
-    let mut workloads: Vec<Box<dyn CrashWorkload>> = vec![
-        Box::new(FtlMixedWorkload::new(1009, 800)),
-        Box::new(FtlQueuedWorkload::new(1021, 800, 4)),
-        Box::new(FtlQueuedWorkload::write_batches(400, 4)),
-        Box::new(FtlStreamWorkload::new(1031, 800)),
-        Box::new(FtlGcPipelineWorkload::new(1033, 800)),
-        Box::new(FtlSnapshotWorkload::new(1039, 800)),
-    ];
-    workloads.extend(engine_workloads(1019));
-    for w in &workloads {
+    // (seed, n) per FTL workload, in `FTL_WORKLOADS` order: a seed of its
+    // own for each, 400 rounds of the fixed batch sequence (n / 5), and 800
+    // ops of the GC storm (2n).
+    let sizes = [(1009, 800), (1021, 800), (0, 2000), (1031, 800), (1033, 400), (1039, 800)];
+    let ftl = FTL_WORKLOADS.iter().zip(sizes).map(|(name, (seed, n))| {
+        ftl_workload(name, seed, n).unwrap()
+    });
+    for w in ftl.chain(engine_workloads(1019)) {
         let total = w.crash_points();
         let stride = stride_for(total, cap);
         let report = sweep(w.as_ref(), &FaultMode::ALL, stride);

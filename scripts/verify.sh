@@ -37,8 +37,9 @@ cargo test -q --release --offline -p mini-innodb --test alloc_budget
 cargo test -q --release --offline -p mini-couch --test alloc_budget
 
 # Crash-point smoke sweep: every NAND program boundary (stride 1) of the
-# six FTL-level workloads and of every safe engine mode (the engine
-# harness's twelve `<engine>-<mode>` workloads, ~4 s of the tier), times
+# six FTL-level workloads (one FTL harness) and of every safe engine mode
+# (the engine harness's thirteen `<engine>-<mode>` workloads, ~5 s of the
+# tier, `couch-share-wide` ~1.2 s of it), times
 # three fault modes, must recover cleanly. Any violation prints a
 # reproducible (workload, mode, crash_index) triple and fails this script.
 # The deep soak tier is the same sweep over larger workloads, gated on
