@@ -3,25 +3,32 @@
 //! Physical blocks are partitioned into a **meta area** and a **data pool**:
 //!
 //! ```text
-//! | ckpt slot A | ckpt slot B | delta-log ring | ............ data pool ............ |
+//! | ckpt slot A | ckpt slot B | pad | delta-log ring | ........ data pool ........ |
 //! ```
 //!
-//! * The two checkpoint slots alternate full snapshots of the L2P table.
 //! * The delta-log ring holds page-sized groups of mapping deltas
 //!   (`(LPN, old PPN, new PPN)` — the paper's §4.2.2 "Delta" records).
-//!   Its blocks sit on consecutive NAND units, and its slots interleave
-//!   over a stripe of `w` of them (`w` the largest divisor of
-//!   `log_blocks` no larger than the unit count), so the pages of one log
-//!   submission program side by side. Four blocks, `w = 4`:
+//! * The two checkpoint slots alternate full snapshots of the L2P table.
+//! * The ring and each slot are a [`Stripe`]: blocks on consecutive NAND
+//!   units whose pages interleave over a width of `w` of them (`w` the
+//!   largest divisor of `log_blocks` no larger than the unit count, one
+//!   `w` for the ring and the slots), so the pages of one submission
+//!   program side by side. Four blocks, `w = 4`:
 //!
 //! ```text
-//! ring block:   L0   L1   L2   L3
-//! page 0:        0    1    2    3     <- slots, in sequence order
+//! block:        B0   B1   B2   B3
+//! page 0:        0    1    2    3     <- stripe pages, in order
 //! page 1:        4    5    6    7
 //! ...
 //! ```
 //!
-//!   At one channel `w = 1` and the slots fill `L0` before `L1`.
+//!   A slot is `w·b` blocks, `b` the blocks one checkpoint (header, table,
+//!   snapshot section, commit page) needs, and takes `w` checkpoints, one
+//!   after another, between two erases.
+//! * The pad keeps the ring and every data block on the unit it would use
+//!   with one-block-wide slots (`w = 1`): `ring start ≡ 2b (mod units)`.
+//!   At one channel `w = 1`, there is no pad, and a stripe fills its first
+//!   block before its second.
 //! * The data pool serves host writes and GC copyback, with
 //!   over-provisioning beyond the exported logical capacity.
 
@@ -132,9 +139,13 @@ impl FtlConfig {
 
     /// Spread the NAND over `channels` x `ways` independently-timed units
     /// (blocks interleave across units; see [`NandGeometry::unit_of_block`]).
-    /// Capacity and layout are unchanged — only the timing parallelism.
+    /// The checkpoint slots widen to the new stripe width, and the NAND
+    /// grows by the meta blocks that adds, so the data pool keeps its size
+    /// and every data block its unit phase.
     pub fn with_parallelism(mut self, channels: u32, ways: u32) -> Self {
+        let data_blocks = self.data_blocks();
         self.geometry = self.geometry.with_parallelism(channels, ways);
+        self.geometry.blocks = self.meta_blocks() + data_blocks;
         self
     }
 
@@ -183,25 +194,53 @@ impl FtlConfig {
         div_ceil_u64(table_pages + 2, ppb as u64) as u32
     }
 
-    /// Blocks per checkpoint slot.
-    pub fn ckpt_slot_blocks(&self) -> u32 {
+    /// Stripe width of the ring and the checkpoint slots: the largest
+    /// divisor of `log_blocks` that is at most the unit count.
+    pub fn stripe_width(&self) -> u32 {
+        let (blocks, units) = (self.log_blocks, self.geometry.units());
+        (1..=blocks.min(units)).rev().find(|w| blocks % w == 0).unwrap_or(1)
+    }
+
+    /// Blocks one checkpoint may fill (its page budget). A slot is
+    /// `stripe_width()` lanes of this many blocks.
+    pub fn ckpt_lane_blocks(&self) -> u32 {
         self.ckpt_slot_blocks_for(self.logical_pages, self.geometry.page_size, self.geometry.pages_per_block)
     }
 
-    /// First block of checkpoint slot `slot` (0 or 1).
-    pub fn ckpt_slot_start(&self, slot: u32) -> BlockId {
+    /// Blocks per checkpoint slot.
+    pub fn ckpt_slot_blocks(&self) -> u32 {
+        self.stripe_width() * self.ckpt_lane_blocks()
+    }
+
+    /// Checkpoint slot `slot` (0 or 1).
+    pub fn ckpt_slot(&self, slot: u32) -> Stripe {
         debug_assert!(slot < 2);
-        BlockId(slot * self.ckpt_slot_blocks())
+        let blocks = self.ckpt_slot_blocks();
+        self.stripe(BlockId(slot * blocks), blocks)
     }
 
-    /// First block of the delta-log ring.
+    /// The delta-log ring.
+    pub fn log_ring(&self) -> Stripe {
+        self.stripe(self.log_ring_start(), self.log_blocks)
+    }
+
+    fn stripe(&self, start: BlockId, blocks: u32) -> Stripe {
+        let (width, pages_per_block) = (self.stripe_width(), self.geometry.pages_per_block);
+        Stripe { start, blocks, width, pages_per_block }
+    }
+
+    /// First block of the delta-log ring: after the slots and the pad that
+    /// keeps it on the unit one-block-wide slots would give it.
     pub fn log_ring_start(&self) -> BlockId {
-        BlockId(2 * self.ckpt_slot_blocks())
+        let units = self.geometry.units();
+        let slots = 2 * self.ckpt_slot_blocks();
+        let pad = (units - (slots - 2 * self.ckpt_lane_blocks()) % units) % units;
+        BlockId(slots + pad)
     }
 
-    /// Total meta-area blocks (checkpoints + log ring).
+    /// Total meta-area blocks (checkpoints, pad, log ring).
     pub fn meta_blocks(&self) -> u32 {
-        2 * self.ckpt_slot_blocks() + self.log_blocks
+        self.log_ring_start().0 + self.log_blocks
     }
 
     /// First data-pool block.
@@ -220,6 +259,44 @@ impl FtlConfig {
     }
 }
 
+/// Blocks on consecutive NAND units whose pages interleave: page `i` of
+/// the stripe lies in block `start + i / (w·ppb) · w + i % w`, at page
+/// `i % (w·ppb) / w`. Consecutive pages land on `w` different units, and a
+/// block's pages fill in order; at `w = 1` the layout is block-major.
+#[derive(Debug, Clone, Copy)]
+pub struct Stripe {
+    start: BlockId,
+    /// Blocks in the stripe, a multiple of `width`.
+    blocks: u32,
+    width: u32,
+    pages_per_block: u32,
+}
+
+impl Stripe {
+    /// The physical page of stripe page `i`.
+    pub fn ppn(&self, i: u32) -> nand_sim::Ppn {
+        let stripe_pages = self.width * self.pages_per_block;
+        let block = self.start.0 + i / stripe_pages * self.width + i % self.width;
+        nand_sim::Ppn(block * self.pages_per_block + i % stripe_pages / self.width)
+    }
+
+    /// Blocks whose pages interleave: what one submission programs side
+    /// by side.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// Pages in the stripe.
+    pub fn pages(&self) -> u32 {
+        self.blocks * self.pages_per_block
+    }
+
+    /// The stripe's blocks, for erasing it in one submission.
+    pub fn block_ids(&self) -> Vec<BlockId> {
+        (self.start.0..self.start.0 + self.blocks).map(BlockId).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,8 +307,9 @@ mod tests {
         assert_eq!(cfg.logical_pages, (64 << 20) / 4096);
         let slot = cfg.ckpt_slot_blocks();
         assert!(slot >= 1);
-        assert_eq!(cfg.ckpt_slot_start(0), BlockId(0));
-        assert_eq!(cfg.ckpt_slot_start(1), BlockId(slot));
+        let ppb = cfg.geometry.pages_per_block;
+        assert_eq!(cfg.ckpt_slot(0).ppn(0), nand_sim::Ppn(0));
+        assert_eq!(cfg.ckpt_slot(1).ppn(0), nand_sim::Ppn(slot * ppb));
         assert_eq!(cfg.log_ring_start(), BlockId(2 * slot));
         assert_eq!(cfg.data_start().0, cfg.meta_blocks());
         assert!(cfg.data_blocks() > 0);
@@ -277,5 +355,40 @@ mod tests {
             * cfg.geometry.pages_per_block as u64
             * cfg.geometry.page_size as u64;
         assert!(slot_bytes >= table_bytes + 2 * cfg.geometry.page_size as u64);
+    }
+
+    /// More units widen the slots to the ring's stripe and pad the meta
+    /// area; the data pool keeps its size, and the ring and every data
+    /// block keep the unit one-block-wide slots would give them.
+    #[test]
+    fn parallelism_widens_the_slots_and_keeps_the_data_phase() {
+        let one = FtlConfig::for_capacity(64 << 20, 0.15);
+        let b = one.ckpt_lane_blocks();
+        for (channels, w) in [(1, 1), (2, 2), (3, 2), (4, 4), (8, 4)] {
+            let cfg = one.clone().with_parallelism(channels, 1);
+            assert_eq!(cfg.stripe_width(), w, "{channels} channels");
+            assert_eq!(cfg.ckpt_slot_blocks(), w * b);
+            assert_eq!(cfg.data_blocks(), one.data_blocks(), "{channels} channels");
+            assert_eq!(cfg.log_ring_start().0 % channels, 2 * b % channels);
+            assert_eq!(cfg.data_start().0 % channels, one.data_start().0 % channels);
+            assert!(cfg.log_ring_start().0 - 2 * w * b < channels, "pad under one unit round");
+            // The slots, the pad and the ring do not overlap.
+            let slot_end = cfg.ckpt_slot(1).block_ids().last().unwrap().0;
+            assert!(slot_end < cfg.log_ring_start().0);
+            cfg.validate();
+        }
+        assert_eq!(one.with_parallelism(1, 1).meta_blocks(), 2 * b + 4, "one channel: no pad");
+    }
+
+    #[test]
+    fn a_stripe_interleaves_its_pages_over_its_width() {
+        let cfg = FtlConfig::for_capacity_with(1 << 20, 0.3, 512, 8, NandTiming::zero())
+            .with_parallelism(4, 1);
+        let ring = cfg.log_ring();
+        let start = cfg.log_ring_start().0;
+        let g = cfg.geometry;
+        let at = |i: u32| (g.block_of(ring.ppn(i)).0 - start, g.page_in_block(ring.ppn(i)));
+        assert_eq!([at(0), at(1), at(3), at(4), at(31)], [(0, 0), (1, 0), (3, 0), (0, 1), (3, 7)]);
+        assert_eq!(ring.pages(), 32);
     }
 }

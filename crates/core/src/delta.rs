@@ -8,7 +8,7 @@
 //! into a single log page: flash programs a page all-or-nothing, so after a
 //! crash either every remap of the batch is visible or none is.
 
-use crate::config::{FtlConfig, DELTA_BYTES, META_PAGE_HEADER};
+use crate::config::{FtlConfig, Stripe, DELTA_BYTES, META_PAGE_HEADER};
 use crate::error::FtlError;
 use crate::types::{Lpn, Ppn};
 use crate::util::{crc32c, get_u32, get_u64, put_u32, put_u64};
@@ -54,19 +54,13 @@ pub struct DeltaPage {
 
 /// The delta log: RAM buffer plus on-flash ring cursor.
 ///
-/// The ring stripes over its blocks, which sit on consecutive NAND units:
-/// with stripe width `w`, slot `s` lives in stripe `s / (w·ppb)`, at block
-/// `stripe·w + s % w`, page `(s % (w·ppb)) / w`. Consecutive slots land on
-/// `w` different units, so the pages of one commit program side by side;
-/// slot order is still sequence order, so recovery scans slots in order.
-/// At `w = 1` the layout is block-major.
+/// The ring is a [`Stripe`]: consecutive slots land on `w` different
+/// units, so the pages of one commit program side by side; slot order is
+/// still sequence order, so recovery scans slots in order.
 #[derive(Debug)]
 pub struct DeltaLog {
-    ring_start: BlockId,
-    pages_per_block: u32,
+    ring: Stripe,
     deltas_per_page: usize,
-    /// Stripe width: blocks whose pages interleave (see the type doc).
-    width: u32,
     buffered: Vec<Delta>,
     /// The ring's blocks, erased together by [`Self::reset`].
     blocks: Vec<BlockId>,
@@ -83,12 +77,6 @@ pub struct DeltaLog {
     cursor: u32,
     /// Meta pages programmed over the log's lifetime.
     pub pages_written: u64,
-}
-
-/// The stripe width of a `log_blocks`-block ring over `units` NAND units:
-/// the largest divisor of `log_blocks` that is at most `units`.
-fn stripe_width(log_blocks: u32, units: u32) -> u32 {
-    (1..=log_blocks.min(units)).rev().find(|w| log_blocks % w == 0).unwrap_or(1)
 }
 
 /// Encode one log page carrying `head` followed by `tail` into `page`.
@@ -112,17 +100,14 @@ fn encode_page(page: &mut [u8], seq: u64, head: &[Delta], tail: &[Delta]) {
 impl DeltaLog {
     /// A fresh log for `cfg`, starting at sequence `first_seq`.
     pub fn new(cfg: &FtlConfig, first_seq: u64) -> Self {
-        let width = stripe_width(cfg.log_blocks, cfg.geometry.units());
-        let ring_start = cfg.log_ring_start();
+        let ring = cfg.log_ring();
         Self {
-            ring_start,
-            pages_per_block: cfg.geometry.pages_per_block,
+            ring,
             deltas_per_page: cfg.deltas_per_page(),
-            width,
             buffered: Vec::new(),
-            blocks: (0..cfg.log_blocks).map(|b| BlockId(ring_start.0 + b)).collect(),
+            blocks: ring.block_ids(),
             page_size: cfg.geometry.page_size,
-            pages: vec![0u8; 2 * width as usize * cfg.geometry.page_size],
+            pages: vec![0u8; 2 * ring.width() as usize * cfg.geometry.page_size],
             staged: 0,
             next_seq: first_seq,
             cursor: 0,
@@ -135,15 +120,9 @@ impl DeltaLog {
         self.buffered.len()
     }
 
-    /// Ring blocks one stripe spans: the pages a commit can program side
-    /// by side, and the pages the buffer holds before it flushes.
-    pub fn stripe_width(&self) -> u32 {
-        self.width
-    }
-
     /// Total page slots in the ring.
     pub fn ring_pages(&self) -> u32 {
-        self.blocks.len() as u32 * self.pages_per_block
+        self.ring.pages()
     }
 
     /// Unprogrammed page slots remaining in the ring.
@@ -163,20 +142,13 @@ impl DeltaLog {
 
     /// Whether the RAM buffer holds a page of deltas for every stripe lane.
     pub fn buffer_full(&self) -> bool {
-        self.buffered.len() >= self.deltas_per_page * self.width as usize
+        self.buffered.len() >= self.deltas_per_page * self.ring.width() as usize
     }
 
     /// Drop buffered deltas without persisting them. Used when a checkpoint
     /// snapshots the RAM mapping table, which already reflects them.
     pub fn clear_buffered(&mut self) {
         self.buffered.clear();
-    }
-
-    /// The physical page of ring slot `slot` (see the type doc).
-    pub fn ppn_of_slot(&self, slot: u32) -> nand_sim::Ppn {
-        let stripe_pages = self.width * self.pages_per_block;
-        let block = self.ring_start.0 + slot / stripe_pages * self.width + slot % self.width;
-        nand_sim::Ppn(block * self.pages_per_block + slot % stripe_pages / self.width)
     }
 
     /// Encode `head` followed by `tail` as the next page of the submission
@@ -206,7 +178,7 @@ impl DeltaLog {
             // the caller's checkpoint policy is broken.
             Err(FtlError::RecoveryCorrupt("delta-log ring overflow".into()))
         } else {
-            let slots = (self.cursor..self.cursor + n).map(|slot| self.ppn_of_slot(slot));
+            let slots = (self.cursor..self.cursor + n).map(|slot| self.ring.ppn(slot));
             nand.program_batch(slots.zip(self.pages.chunks(self.page_size))).map_err(FtlError::from)
         };
         res?;
@@ -309,7 +281,7 @@ impl DeltaLog {
         let mut buf = vec![0u8; cfg.geometry.page_size];
         let mut expect: Option<u64> = None;
         for slot in 0..log.ring_pages() {
-            let ppn = log.ppn_of_slot(slot);
+            let ppn = log.ring.ppn(slot);
             if nand.read(ppn, &mut buf).is_err() {
                 break;
             }

@@ -20,7 +20,7 @@
 //! frames, submission queue, the `BlockDevice` impl), [`share`] (the SHARE
 //! command) and [`snapshot_ops`] (snapshot commands).
 
-use crate::ckpt;
+use crate::ckpt::{self, Checkpoints};
 use crate::config::FtlConfig;
 use crate::delta::{Delta, DeltaLog};
 use crate::device::BlockDevice;
@@ -163,9 +163,9 @@ pub struct Ftl {
     log: DeltaLog,
     pool: BlockPool,
     stats: DeviceStats,
-    last_ckpt_slot: u32,
-    /// Generation the next checkpoint will carry (strictly increasing).
-    next_ckpt_gen: u64,
+    /// Checkpoint slots, generations and the page image checkpoints are
+    /// built in.
+    ckpts: Checkpoints,
     /// Per-op-class observability (counters, optional histograms/ring).
     /// Records clock *read-outs* only — never advances simulated time.
     telemetry: Telemetry,
@@ -246,8 +246,9 @@ impl Ftl {
     fn assemble(cfg: FtlConfig, mut nand: NandArray) -> Self {
         let map = MappingTable::with_policy(cfg.geometry, cfg.logical_pages, cfg.revmap_capacity, cfg.revmap_policy);
         let log = DeltaLog::new(&cfg, 0);
+        let ckpts = Checkpoints::new(&cfg);
         assert!(
-            2 * log.stripe_width() <= CKPT_MIN_REMAINING_PAGES,
+            2 * cfg.stripe_width() <= CKPT_MIN_REMAINING_PAGES,
             "a log submission of two stripes must fit the ring's checkpoint margin"
         );
         let pool =
@@ -267,8 +268,7 @@ impl Ftl {
             log,
             pool,
             stats: DeviceStats::default(),
-            last_ckpt_slot: 1,
-            next_ckpt_gen: 0,
+            ckpts,
             telemetry,
             tracer,
             pending: Vec::new(),
@@ -337,8 +337,7 @@ impl Ftl {
                 self.map.raw_set(Lpn(i as u64), ppn);
             }
             self.snaps = SnapshotTable::decode(&c.snap)?;
-            self.last_ckpt_slot = c.slot;
-            self.next_ckpt_gen = c.generation + 1;
+            self.ckpts.resume(&c);
             next_seq = c.next_delta_seq;
         }
         for page in DeltaLog::recover(&self.cfg, &mut self.nand, next_seq) {
@@ -594,16 +593,11 @@ impl Ftl {
         // too (the activity still weighs into this checkpoint's blame).
         self.log.clear_buffered();
         self.log_blame.iter_mut().for_each(|x| *x = 0);
-        let slot = 1 - self.last_ckpt_slot;
         let seq = self.log.next_seq();
-        let gen = self.next_ckpt_gen;
         let snap_bytes = self.snaps.encode();
         let l2p = self.map.l2p_raw();
-        let pages =
-            ckpt::write_checkpoint(&self.cfg, &mut self.nand, slot, gen, seq, l2p, &snap_bytes)?;
+        let pages = self.ckpts.write(&self.cfg, &mut self.nand, seq, l2p, &snap_bytes)?;
         self.log.reset(&mut self.nand)?;
-        self.last_ckpt_slot = slot;
-        self.next_ckpt_gen = gen + 1;
         self.stats.checkpoints += 1;
         self.stats.meta_page_writes += pages;
         let mut w = std::mem::take(&mut self.ckpt_blame);

@@ -139,7 +139,7 @@ impl Ftl {
     /// committed, as if each chunk had been its own command.
     pub(super) fn share_batch_impl(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
         let limit = self.share_batch_limit();
-        let group = limit * self.log.stripe_width() as usize;
+        let group = limit * self.cfg.stripe_width() as usize;
         self.nand.charge(self.cfg.command_ns);
         self.stats.share_commands += 1;
         for group in pairs.chunks(group) {

@@ -58,7 +58,7 @@ mod types;
 mod util;
 
 pub use ckpt::{checkpoint_pages, max_snapshot_bytes, snapshot_section_pages};
-pub use config::{FtlConfig, GcPolicy, DELTA_BYTES, META_PAGE_HEADER};
+pub use config::{FtlConfig, GcPolicy, Stripe, DELTA_BYTES, META_PAGE_HEADER};
 pub use delta::{Delta, DeltaLog, DeltaPage};
 pub use device::{BlockDevice, SimpleSsd};
 pub use error::FtlError;

@@ -30,6 +30,11 @@
 //! multi-chunk `share_batch` commits under the same two bounds, each
 //! commit counted as one op per journal page it writes.
 //!
+//! A checkpoint builds its pages in an image the device keeps: on the aged,
+//! snapshot-free device, one or four channels, one explicit checkpoint may
+//! request less than one page of heap, where a fresh image costs a page per
+//! table page.
+//!
 //! The file holds one test on purpose: the counters are process-wide, and
 //! the harness runs the tests of one binary on parallel threads.
 
@@ -179,7 +184,16 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     rig.ftl.check_invariants();
     queued_read_batch_is_one_flat_buffer(&mut rig);
     queued_writes_lend_their_pages(&mut rig);
+    a_checkpoint_builds_its_pages_in_the_device_image(&mut rig);
     multi_chunk_share_batches_stay_inside_the_budget();
+}
+
+/// One explicit checkpoint: under a page of heap.
+fn a_checkpoint_builds_its_pages_in_the_device_image(rig: &mut Rig) {
+    let checkpoints = rig.ftl.stats().checkpoints;
+    let (bytes, _) = heap_of(|| rig.ftl.checkpoint().unwrap());
+    assert_eq!(rig.ftl.stats().checkpoints, checkpoints + 1);
+    assert!(bytes < PAGE as u64, "one checkpoint requested {bytes} bytes of heap");
 }
 
 impl Rig {
@@ -267,6 +281,7 @@ fn multi_chunk_share_batches_stay_inside_the_budget() {
     assert!(window.shared_pages >= COMMITS * BATCH_PAGES);
     let ops = OPS - COMMITS + COMMITS * BATCH_PAGES;
     assert_within_budget("four channels, multi-chunk SHARE", bytes, requests, ops, &window);
+    a_checkpoint_builds_its_pages_in_the_device_image(&mut rig);
     rig.ftl.check_invariants();
 }
 

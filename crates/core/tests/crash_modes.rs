@@ -361,3 +361,80 @@ fn striped_log_submissions_recover_to_the_landed_prefix() {
 fn reopen_with(cfg: FtlConfig, ftl: Ftl) -> Ftl {
     Ftl::open(cfg, ftl.into_nand()).expect("recovery must succeed")
 }
+
+/// The checkpoint stripes over four lanes, and a slot takes four
+/// checkpoints between erases. Nine rounds — plain writes, a flush, one
+/// more write left buffered, a checkpoint — take generations 1 to 9: slot
+/// 1 at its four positions, slot 0 at its second to fourth, then each slot
+/// erased again. Crash at every program of the run in every mode: the
+/// recovered map is the one at the last flush or checkpoint completed
+/// before the crash, or the one after the crashed flush or checkpoint when
+/// its last page landed.
+#[test]
+fn striped_checkpoint_slots_recover_a_durable_state_at_every_crash() {
+    let cfg = || {
+        FtlConfig::for_capacity_with(256 << 10, 0.3, 512, 8, NandTiming::zero())
+            .with_parallelism(4, 1)
+    };
+    let w = cfg().stripe_width() as u64;
+    assert_eq!(w, 4);
+    enum Op {
+        Write(u64, u8),
+        Flush,
+        Checkpoint,
+    }
+    let mut ops = Vec::new();
+    for round in 0..2 * w + 1 {
+        let fill = round as u8 + 1;
+        ops.extend((0..3).map(|i| Op::Write(round * 7 + i * 50, fill)));
+        ops.push(Op::Flush);
+        ops.push(Op::Write(400 + round, fill));
+        ops.push(Op::Checkpoint);
+    }
+    let durable = |op: &Op| !matches!(op, Op::Write(..));
+    let apply = |ftl: &mut Ftl, op: &Op| match *op {
+        Op::Write(lpn, fill) => ftl.write(Lpn(lpn), &[fill; 512]),
+        Op::Flush => ftl.flush(),
+        Op::Checkpoint => ftl.checkpoint(),
+    };
+    let map = |ftl: &Ftl| -> Vec<_> {
+        (0..ftl.config().logical_pages).map(|l| ftl.mapping_of(Lpn(l))).collect()
+    };
+
+    // Fault-free: the program count each op ends at and the map after it
+    // (`maps[i + 1]` after op `i`).
+    let mut ftl = Ftl::new(cfg());
+    let handle = ftl.fault_handle();
+    let start = handle.programs_seen();
+    let (mut ends, mut maps) = (Vec::new(), vec![map(&ftl)]);
+    for op in &ops {
+        apply(&mut ftl, op).unwrap();
+        ends.push(handle.programs_seen() - start);
+        maps.push(map(&ftl));
+    }
+    assert_eq!(ftl.stats().checkpoints, 2 * w + 2, "format's and one per round");
+    let erases = ftl.nand().stats().block_erases;
+    assert_eq!(erases, (2 * w + 2) * w + 4 * w, "the ring at every checkpoint, each slot twice");
+
+    for mode in FaultMode::ALL {
+        for k in 1..=*ends.last().unwrap() {
+            let crashed = ends.iter().position(|&e| e >= k).unwrap();
+            let mut ftl = Ftl::new(cfg());
+            let handle = ftl.fault_handle();
+            handle.arm_after_programs(k, mode);
+            let failed = ops[..=crashed].iter().any(|op| apply(&mut ftl, op).is_err());
+            assert!(failed && handle.is_down(), "{mode:?} at {k} did not crash");
+            handle.disarm();
+            let rec = reopen_with(cfg(), ftl);
+            let got = map(&rec);
+            let last = (0..crashed).rev().find(|&i| durable(&ops[i]));
+            let landed = durable(&ops[crashed]).then_some(crashed + 1);
+            assert!(
+                maps[last.map_or(0, |i| i + 1)] == got || landed.is_some_and(|s| maps[s] == got),
+                "{mode:?} at program {k} (op {crashed}): the map is neither the one after the last \
+                 durable op ({last:?}) nor the one after the crashed op"
+            );
+            rec.check_invariants();
+        }
+    }
+}

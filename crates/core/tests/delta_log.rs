@@ -29,14 +29,13 @@ fn delta(i: u64) -> Delta {
 #[test]
 fn stripe_width_is_the_largest_divisor_the_units_cover() {
     for (channels, width) in [(1, 1), (2, 2), (4, 4), (8, 4)] {
-        let log = DeltaLog::new(&cfg(channels, NandTiming::zero()), 0);
-        assert_eq!(log.stripe_width(), width, "{channels} channels");
+        assert_eq!(cfg(channels, NandTiming::zero()).stripe_width(), width, "{channels} channels");
     }
     let mut three = cfg(4, NandTiming::zero());
     three.log_blocks = 3;
-    assert_eq!(DeltaLog::new(&three, 0).stripe_width(), 3);
+    assert_eq!(three.stripe_width(), 3);
     three.geometry = three.geometry.with_parallelism(2, 1);
-    assert_eq!(DeltaLog::new(&three, 0).stripe_width(), 1, "2 does not divide 3");
+    assert_eq!(three.stripe_width(), 1, "2 does not divide 3");
 }
 
 #[test]
@@ -46,7 +45,7 @@ fn one_channel_keeps_the_block_major_layout() {
     let (start, ppb) = (cfg.log_ring_start().0, cfg.geometry.pages_per_block);
     for slot in 0..log.ring_pages() {
         let old = (start + slot / ppb) * ppb + slot % ppb;
-        assert_eq!(log.ppn_of_slot(slot).0, old, "slot {slot}");
+        assert_eq!(cfg.log_ring().ppn(slot).0, old, "slot {slot}");
     }
 }
 
@@ -61,12 +60,13 @@ fn every_width_round_trips_the_whole_ring_through_recovery() {
         let cfg = cfg(channels, NandTiming::zero());
         let mut nand = medium(&cfg);
         let mut log = DeltaLog::new(&cfg, 0);
-        let w = log.stripe_width();
+        let w = cfg.stripe_width();
         let ring = cfg.log_ring_start().0..cfg.log_ring_start().0 + cfg.log_blocks;
+        let stripe = cfg.log_ring();
         let mut seen = std::collections::HashSet::new();
         let mut next_in_block = vec![0u32; cfg.log_blocks as usize];
         for slot in 0..log.ring_pages() {
-            let ppn = log.ppn_of_slot(slot);
+            let ppn = stripe.ppn(slot);
             let block = cfg.geometry.block_of(ppn);
             assert!(ring.contains(&block.0), "{channels} ch: slot {slot} outside the ring");
             assert!(seen.insert(ppn.0), "{channels} ch: slot {slot} reuses a page");
@@ -74,7 +74,7 @@ fn every_width_round_trips_the_whole_ring_through_recovery() {
             assert_eq!(cfg.geometry.page_in_block(ppn), next_in_block[b], "slot {slot}");
             next_in_block[b] += 1;
             if slot % w != 0 {
-                let prev = cfg.geometry.unit_of(log.ppn_of_slot(slot - 1));
+                let prev = cfg.geometry.unit_of(stripe.ppn(slot - 1));
                 assert_ne!(cfg.geometry.unit_of(ppn), prev, "{channels} ch: slot {slot}");
             }
         }
@@ -117,7 +117,7 @@ fn a_stripe_of_pages_costs_one_program_time() {
         let cfg = cfg(channels, NandTiming::default());
         let mut nand = medium(&cfg);
         let mut log = DeltaLog::new(&cfg, 0);
-        let w = log.stripe_width() as usize;
+        let w = cfg.stripe_width() as usize;
         let one = cfg.timing.program_ns + cfg.timing.xfer_ns(cfg.geometry.page_size);
         for i in 0..cfg.deltas_per_page() * w - 1 {
             log.append(delta(i as u64));
@@ -157,7 +157,7 @@ fn commit_pages_counts_what_a_commit_programs() {
     for channels in [1, 4] {
         let cfg = cfg(channels, NandTiming::zero());
         let per_page = cfg.deltas_per_page();
-        let w = DeltaLog::new(&cfg, 0).stripe_width() as usize;
+        let w = cfg.stripe_width() as usize;
         let buffers = [0, 1, per_page - 1, per_page, w * per_page - 1, w * per_page, w * per_page + 5];
         let atomics = [None, Some(0), Some(1), Some(per_page), Some(per_page + 1), Some(w * per_page)];
         for buffered in buffers {
@@ -198,7 +198,7 @@ fn maximum_submissions_checkpoint_before_the_ring_overflows() {
     for channels in [1, 2, 4, 8] {
         let cfg = cfg(channels, NandTiming::zero());
         let mut ftl = Ftl::new(cfg.clone());
-        let w = DeltaLog::new(&cfg, 0).stripe_width() as u64;
+        let w = cfg.stripe_width() as u64;
         let per_page = cfg.deltas_per_page() as u64;
         let ring_pages = u64::from(cfg.log_blocks * cfg.geometry.pages_per_block);
         let page = vec![0x5Au8; cfg.geometry.page_size];
@@ -240,6 +240,6 @@ fn maximum_submissions_checkpoint_before_the_ring_overflows() {
 fn a_stripe_wider_than_the_margin_allows_is_refused() {
     let mut wide = cfg(8, NandTiming::zero());
     wide.log_blocks = 8;
-    assert_eq!(DeltaLog::new(&wide, 0).stripe_width(), 8);
+    assert_eq!(wide.stripe_width(), 8);
     let _ = Ftl::new(wide);
 }

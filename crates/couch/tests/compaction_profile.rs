@@ -15,10 +15,13 @@
 //! was programmed alone), the whole compaction (97.52 ms; 144.32, and
 //! 321.15 before the heads were read per lane). The SHARE's log pages go
 //! out a stripe at a time: one `log_flush` pass per stripe-wide group of
-//! page-sized chunks.
+//! page-sized chunks. A fourth bound is exact, computed from the timing
+//! model: the checkpoint the ring's filling trips programs its image a
+//! stripe at a time too (12.16 ms; 31.74 when the whole image went to one
+//! lane).
 
 use mini_couch::{doc_blocks, CouchConfig, CouchMode, CouchStore};
-use share_core::{DeltaLog, Ftl, FtlConfig};
+use share_core::{checkpoint_pages, Ftl, FtlConfig};
 use share_telemetry::{Layer, Span, TelemetryConfig};
 use share_vfs::{Vfs, VfsOptions};
 
@@ -117,6 +120,7 @@ fn a_share_compaction_is_head_reads_one_remap_and_an_index_rebuild() {
     }
     let mut rows: Vec<Row> = Vec::new();
     let mut owner: Vec<Option<usize>> = vec![None; spans.len()];
+    let mut checkpoints: Vec<u64> = Vec::new();
     for (i, c) in spans.iter().enumerate() {
         let took = c.end_ns - c.start_ns;
         if c.parent == root.id {
@@ -145,7 +149,10 @@ fn a_share_compaction_is_head_reads_one_remap_and_an_index_rebuild() {
                 rows[r].log_pages += c.pages;
                 rows[r].log_ns += took;
             }
-            "checkpoint" => rows[r].ckpt_ns += took,
+            "checkpoint" => {
+                rows[r].ckpt_ns += took;
+                checkpoints.push(took);
+            }
             _ => {}
         }
     }
@@ -173,7 +180,7 @@ fn a_share_compaction_is_head_reads_one_remap_and_an_index_rebuild() {
     assert!(s.device_stats().trims - trims > 2 * mapped);
     assert!(row("delete").log_pages <= 40, "{} log pages under the delete", row("delete").log_pages);
     // The remap's deltas go out a stripe of atomic pages per submission.
-    let stripe = DeltaLog::new(s.fs_mut().device().config(), 0).stripe_width() as u64;
+    let stripe = s.fs_mut().device().config().stripe_width() as u64;
     let chunks = (blocks * DOCS).div_ceil(s.fs_mut().device().config().deltas_per_page() as u64);
     assert_eq!(stripe, 4);
     assert_eq!(row("ioctl_share_pairs").log_flushes, chunks.div_ceil(stripe));
@@ -185,6 +192,17 @@ fn a_share_compaction_is_head_reads_one_remap_and_an_index_rebuild() {
     let delete_ns = row("delete").ns;
     assert!(delete_ns <= 12_000_000, "{delete_ns} ns for the delete: its log pages went one by one");
     assert!(report.elapsed_ns <= 110_000_000, "{} ns for the compaction", report.elapsed_ns);
+    // A checkpoint at most erases its slot's lanes side by side, programs
+    // everything but the commit page a stripe at a time, then the commit
+    // page, and erases the ring's lanes side by side.
+    let dev = s.fs_mut().device().config();
+    let (t, n) = (dev.timing, checkpoint_pages(dev) as u64);
+    let program = t.program_ns + t.xfer_ns(BS);
+    let ckpt_bound = t.erase_ns + (n - 1).div_ceil(stripe) * program + program + t.erase_ns;
+    assert!(!checkpoints.is_empty(), "the compaction filled no log ring");
+    for &ns in &checkpoints {
+        assert!(ns <= ckpt_bound, "{ns} ns for a checkpoint over {ckpt_bound}: one lane took it");
+    }
 
     let ms = |ns: u64| ns as f64 / 1e6;
     println!("compaction of {DOCS} x {blocks}-block documents: {:.2} sim ms", ms(report.elapsed_ns));
