@@ -294,3 +294,37 @@ fn concurrent_linkbench_improves_channel_scaling() {
         "concurrent 8ch/1ch ratio {conc_ratio:.2} must beat serial {serial_ratio:.2}"
     );
 }
+
+/// A miniature of the benchmark's `linkbench_share`: SHARE, 4 KiB pages,
+/// 4 channels, 16 connections. The pool is DB/10 (126 frames), not DB/30:
+/// at 4 000 nodes a thirtieth is below the engine's 64-frame floor, and a
+/// quarter of 126 frames leaves a round's prefetch room beside its own
+/// leaves, as a quarter of the benchmark's 253 does.
+fn small_linkbench_share(txns: u64) -> LinkBenchRun {
+    LinkBenchRun {
+        mode: FlushMode::Share,
+        nodes: 4_000,
+        pool_fraction: 0.1,
+        warmup_txns: 16_000,
+        txns,
+        channels: 4,
+        connections: 16,
+        ..Default::default()
+    }
+}
+
+/// A link-list scan reads its leaves inside a batched submission (the
+/// round's prefetch, or the scan's own read-ahead), so the window reads
+/// few engine pages one at a time: 0.029 per op here, 0.098 when the scan
+/// walked the leaf chain with one read per leaf.
+#[test]
+fn linkbench_reads_its_range_scans_in_batches() {
+    // The engine's counters cover the whole run, so the window is the
+    // difference from the same run stopped after its warm-up.
+    let txns = 3_200;
+    let full = run_linkbench(&small_linkbench_share(txns)).engine;
+    let warm = run_linkbench(&small_linkbench_share(0)).engine;
+    let serial = (full.pages_read_serial - warm.pages_read_serial) as f64 / txns as f64;
+    let batched = (full.pages_read_batched - warm.pages_read_batched) as f64 / txns as f64;
+    assert!(serial < 0.045, "{serial:.4} serial page reads per op ({batched:.4} batched)");
+}

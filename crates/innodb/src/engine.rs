@@ -115,6 +115,11 @@ pub struct EngineStats {
     pub checkpoints: u64,
     /// Group-commit windows closed (one shared log fsync each).
     pub group_commits: u64,
+    /// Engine pages read one at a time, on a miss (`ensure_resident`).
+    pub pages_read_serial: u64,
+    /// Engine pages read as part of a batched submission
+    /// (`load_pages_batched`: a round's prefetch or a scan's read-ahead).
+    pub pages_read_batched: u64,
 }
 
 /// The storage engine.
@@ -384,6 +389,7 @@ impl<D: BlockDevice> InnoDb<D> {
             }
             self.fs.read_pages(self.ts, &mut reqs)?;
         }
+        self.stats.pages_read_batched += missing.len() as u64;
         for (page, &no) in frames.into_iter().zip(&missing) {
             // A never-written page: the serial path reports it if really read.
             if let Some(page) = self.admit(page, no)? {
@@ -399,7 +405,9 @@ impl<D: BlockDevice> InnoDb<D> {
             return Ok(());
         }
         self.make_room()?;
-        match self.load_page(page_no)? {
+        let page = self.load_page(page_no)?;
+        self.stats.pages_read_serial += 1;
+        match page {
             Some(p) => self.pool.insert_fetched(p),
             None => {
                 return Err(EngineError::Corrupt(format!("read of never-written page {page_no}")))

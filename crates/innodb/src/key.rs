@@ -65,6 +65,18 @@ impl Key {
     pub fn table_tag(&self) -> u8 {
         self.0[0]
     }
+
+    /// When this key is the lowest key of an (id1, type) link list — what
+    /// [`Key::link_range_start`] builds — the list's exclusive end. A real
+    /// link to id2 = 0 is the same key, so it answers too.
+    pub fn link_list_end(&self) -> Option<Key> {
+        let starts = self.0[0] == Table::Link as u8 && self.0[13..].iter().all(|&b| b == 0);
+        starts.then(|| {
+            let mut end = *self;
+            end.0[13..21].fill(0xFF); // id2 = u64::MAX, as link_range_end
+            end
+        })
+    }
 }
 
 #[cfg(test)]
@@ -88,6 +100,17 @@ mod tests {
         assert!(Key::link(7, 2, u64::MAX) < lo);
         assert!(hi < Key::link(8, 0, 0));
         assert!(hi < Key::link(7, 4, 0));
+    }
+
+    #[test]
+    fn only_a_list_start_names_its_list_end() {
+        assert_eq!(Key::link_range_start(7, 3).link_list_end(), Some(Key::link_range_end(7, 3)));
+        // A link to node 0 is the list's lowest key.
+        assert_eq!(Key::link(7, 3, 0).link_list_end(), Some(Key::link_range_end(7, 3)));
+        assert_eq!(Key::link(7, 3, 1).link_list_end(), None);
+        assert_eq!(Key::node(7).link_list_end(), None);
+        assert_eq!(Key::count(7, 3).link_list_end(), None);
+        assert_eq!(Key::link_range_end(7, 3).link_list_end(), None);
     }
 
     #[test]

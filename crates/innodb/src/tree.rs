@@ -8,7 +8,7 @@
 use crate::engine::InnoDb;
 use crate::error::EngineError;
 use crate::key::Key;
-use crate::page::{NodePage, NO_PAGE};
+use crate::page::NodePage;
 use crate::redo::RedoBody;
 use share_core::BlockDevice;
 
@@ -16,6 +16,15 @@ use share_core::BlockDevice;
 const CHILD_BYTES: usize = 8;
 /// Cap on AppendEntries record payload so records fit a 4 KiB log page.
 const SPLIT_CHUNK_BYTES: usize = 3 * 1024;
+
+/// The child of internal node `p` whose subtree holds `key`: the last one
+/// whose separator is ≤ `key` (the first child's is [`Key::MIN`]).
+fn child_index(p: &NodePage, key: &Key) -> usize {
+    match p.find(key) {
+        Ok(i) => i,
+        Err(i) => i.saturating_sub(1),
+    }
+}
 
 impl<D: BlockDevice> InnoDb<D> {
     /// Largest value the engine accepts (quarter page, like InnoDB's
@@ -32,12 +41,7 @@ impl<D: BlockDevice> InnoDb<D> {
             self.ensure_resident(no)?;
             let p = self.pool.get_mut(no).expect("resident");
             debug_assert!(!p.is_leaf());
-            let idx = match p.find(key) {
-                Ok(i) => i,
-                Err(0) => 0,
-                Err(i) => i - 1,
-            };
-            no = p.child_at(idx);
+            no = p.child_at(child_index(p, key));
         }
         self.ensure_resident(no)?;
         Ok(no)
@@ -46,32 +50,57 @@ impl<D: BlockDevice> InnoDb<D> {
     /// Batched read-ahead for a round of concurrent operations: descend
     /// the tree level by level, loading every non-resident page the keys
     /// touch with ONE batched device read per level so the page reads
-    /// overlap across NAND channels. Purely a cache warmer — correctness
-    /// never depends on what it loads.
+    /// overlap across NAND channels. A key that starts an (id1, type) link
+    /// list ([`Key::link_list_end`]) also puts the later children of its
+    /// parent that the list covers — the parent's separators say which —
+    /// into the round's one leaf batch, while that batch (one leaf per key,
+    /// resident or not, and these) holds at most a quarter of the pool. A
+    /// real link to id2 = 0 is the same key, so its prefetch reads its
+    /// list's leaves under that parent too: a few reads more, never a
+    /// different answer. Purely a cache warmer — correctness never depends
+    /// on what it loads.
     pub fn prefetch_keys(&mut self, keys: &[Key]) -> Result<(), EngineError> {
         if self.height == 0 || keys.is_empty() {
             return Ok(());
         }
         let mut frontier: Vec<(Key, u64)> = keys.iter().map(|&k| (k, self.root)).collect();
-        for _ in 1..self.height {
+        // The lists' leaves after each list's first, as the parents name them.
+        let mut list_leaves = Vec::new();
+        for level in (1..self.height).rev() {
             let pages: Vec<u64> = frontier.iter().map(|&(_, no)| no).collect();
             self.load_pages_batched(&pages)?;
-            let mut next = Vec::with_capacity(frontier.len());
-            for (key, no) in frontier {
+            for (key, no) in frontier.iter_mut() {
                 // Extreme pool pressure may have re-evicted the page; the
                 // serial loader covers that key.
-                self.ensure_resident(no)?;
-                let p = self.pool.get_mut(no).expect("resident");
-                let idx = match p.find(&key) {
-                    Ok(i) => i,
-                    Err(0) => 0,
-                    Err(i) => i - 1,
-                };
-                next.push((key, p.child_at(idx)));
+                self.ensure_resident(*no)?;
+                let parent = *no;
+                let p = self.pool.get_mut(parent).expect("resident");
+                let idx = child_index(p, key);
+                *no = p.child_at(idx);
+                if let (1, Some(end)) = (level, key.link_list_end()) {
+                    let p = self.pool.peek(parent).expect("resident");
+                    list_leaves.extend(
+                        (idx + 1..p.len())
+                            .take_while(|&j| p.key_at(j) < end)
+                            .map(|j| p.child_at(j))
+                            .filter(|&leaf| !self.pool.contains(leaf)),
+                    );
+                }
             }
-            frontier = next;
         }
-        let leaves: Vec<u64> = frontier.iter().map(|&(_, no)| no).collect();
+        // One leaf per key, resident or not, then the lists' later leaves
+        // while the batch holds at most a quarter of the pool: the round's
+        // own leaves stay resident until its operations run.
+        let mut leaves: Vec<u64> = frontier.iter().map(|&(_, no)| no).collect();
+        let limit = self.read_ahead_limit();
+        for no in list_leaves {
+            if leaves.len() >= limit {
+                break;
+            }
+            if !leaves.contains(&no) {
+                leaves.push(no);
+            }
+        }
         self.load_pages_batched(&leaves)
     }
 
@@ -95,33 +124,86 @@ impl<D: BlockDevice> InnoDb<D> {
         self.with_value(key, |v| v.map(<[u8]>::to_vec))
     }
 
-    /// Range scan over `[lo, hi)` via the leaf chain.
+    /// Range scan over `[lo, hi)`, in key order. The walk goes down the
+    /// tree rather than along the leaf chain, because a parent's separators
+    /// say which of its children the range covers: the walk ends at the
+    /// first separator ≥ `hi` without reading that child, and when it needs
+    /// a leaf that is not resident it reads that leaf and the parent's later
+    /// children below `hi` as one batched read of at most a quarter of the
+    /// pool, instead of one read per leaf.
     pub fn scan(&mut self, lo: &Key, hi: &Key) -> Result<Vec<(Key, Vec<u8>)>, EngineError> {
         let mut out = Vec::new();
-        if self.height == 0 {
-            return Ok(out);
+        if self.height > 0 {
+            self.scan_node(self.root, self.height - 1, lo, hi, &mut out)?;
         }
-        let mut leaf = self.descend(lo)?;
-        loop {
-            let p = self.pool.get_mut(leaf).expect("resident");
+        Ok(out)
+    }
+
+    /// Append the rows of `[lo, hi)` under node `no`, at `level`, to `out`.
+    fn scan_node(
+        &mut self,
+        no: u64,
+        level: u16,
+        lo: &Key,
+        hi: &Key,
+        out: &mut Vec<(Key, Vec<u8>)>,
+    ) -> Result<(), EngineError> {
+        self.ensure_resident(no)?;
+        let p = self.pool.get_mut(no).expect("resident");
+        if level == 0 {
             let (Ok(start) | Err(start)) = p.find(lo);
-            let mut done = false;
             for i in start..p.len() {
                 let k = p.key_at(i);
                 if k >= *hi {
-                    done = true;
                     break;
                 }
                 out.push((k, p.value_at(i).to_vec()));
             }
-            let next = p.next;
-            if done || next == NO_PAGE {
-                break;
-            }
-            leaf = next;
-            self.ensure_resident(leaf)?;
+            return Ok(());
         }
-        Ok(out)
+        let mut idx = child_index(p, lo);
+        let mut child = p.child_at(idx);
+        loop {
+            if level == 1 && !self.pool.contains(child) {
+                self.read_ahead(no, idx, hi)?;
+            }
+            self.scan_node(child, level - 1, lo, hi, out)?;
+            idx += 1;
+            // Only a pool a few frames deep can have evicted this node.
+            self.ensure_resident(no)?;
+            let p = self.pool.peek(no).expect("resident");
+            if idx == p.len() || p.key_at(idx) >= *hi {
+                return Ok(());
+            }
+            child = p.child_at(idx);
+        }
+    }
+
+    /// The largest batch a read-ahead builds: a quarter of the pool. That is
+    /// half of what `load_pages_batched` refuses, so a read-ahead never
+    /// turns its batch into a no-op, and what else the round touches keeps
+    /// three quarters of the pool.
+    fn read_ahead_limit(&self) -> usize {
+        self.pool.capacity() / 4
+    }
+
+    /// Read child `idx` of the leaves' parent `parent` together with the
+    /// later children whose separators are below `hi` — the leaves a scan
+    /// ending at `hi` is about to visit — as one batched read of at most
+    /// [`Self::read_ahead_limit`] pages. A lone missing leaf is left to the
+    /// serial loader.
+    fn read_ahead(&mut self, parent: u64, idx: usize, hi: &Key) -> Result<(), EngineError> {
+        let p = self.pool.peek(parent).expect("resident");
+        let leaves: Vec<u64> = (idx..p.len())
+            .take_while(|&j| j == idx || p.key_at(j) < *hi)
+            .map(|j| p.child_at(j))
+            .filter(|&no| !self.pool.contains(no))
+            .take(self.read_ahead_limit())
+            .collect();
+        if leaves.len() > 1 {
+            self.load_pages_batched(&leaves)?;
+        }
+        Ok(())
     }
 
     fn split(&mut self, node_no: u64, level: u16) -> Result<(Key, u64), EngineError> {
@@ -191,12 +273,7 @@ impl<D: BlockDevice> InnoDb<D> {
         let child = {
             self.ensure_resident(node_no)?;
             let p = self.pool.get_mut(node_no).expect("resident");
-            let idx = match p.find(&key) {
-                Ok(i) => i,
-                Err(0) => 0,
-                Err(i) => i - 1,
-            };
-            p.child_at(idx)
+            p.child_at(child_index(p, &key))
         };
         let Some((pk, pn)) = self.insert_rec(child, level - 1, key, value)? else {
             return Ok(None);
@@ -266,7 +343,7 @@ impl<D: BlockDevice> InnoDb<D> {
         Ok(present)
     }
 
-    /// Number of entries reachable through the leaf chain (test helper).
+    /// Number of entries in the tree (test helper).
     pub fn count_entries(&mut self) -> Result<u64, EngineError> {
         Ok(self.scan(&Key::MIN, &Key::MAX)?.len() as u64)
     }
