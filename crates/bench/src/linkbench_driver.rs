@@ -3,14 +3,15 @@
 use mini_innodb::{standard_log_device, FlushMode, InnoDb, InnoDbConfig};
 use nand_sim::NandTiming;
 use share_rng::{Rng, StdRng};
-use share_core::{
-    BlockDevice, DeviceStats, FlightSnapshot, Ftl, FtlConfig, GcPolicy, RevMapPolicy, Snapshot,
-    TelemetryConfig,
-};
+use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, RevMapPolicy};
 use share_workloads::{LatencyRecorder, LinkBench, LinkBenchConfig, LinkOp, LinkOpType};
 
+/// The workload seed and the links per node at load time of every run.
+const SEED: u64 = 42;
+const LINKS_PER_NODE: u64 = 3;
+
 /// Parameters of one LinkBench run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkBenchRun {
     /// InnoDB flush protocol under test.
     pub mode: FlushMode,
@@ -21,20 +22,14 @@ pub struct LinkBenchRun {
     pub pool_fraction: f64,
     /// Social-graph nodes to load.
     pub nodes: u64,
-    /// Links per node at load time.
-    pub links_per_node: u64,
     /// Warm-up transactions (not measured; also ages the SSD).
     pub warmup_txns: u64,
     /// Measured transactions.
     pub txns: u64,
-    /// Workload seed.
-    pub seed: u64,
     /// Reverse-map capacity of the device.
     pub revmap_capacity: usize,
     /// Reverse-map overflow policy.
     pub revmap_policy: RevMapPolicy,
-    /// GC victim policy.
-    pub gc_policy: GcPolicy,
     /// InnoDB neighbor flushing (the paper turned it off).
     pub flush_neighbors: bool,
     /// NAND channels of the data device (1 = the paper's serial device).
@@ -44,9 +39,6 @@ pub struct LinkBenchRun {
     /// transactions: their B+tree pages are prefetched with one batched
     /// read per tree level and their commits share one group fsync.
     pub connections: usize,
-    /// Device telemetry collection (counters-only by default; latency
-    /// histograms and the command ring never perturb simulated results).
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for LinkBenchRun {
@@ -56,17 +48,13 @@ impl Default for LinkBenchRun {
             page_bytes: 4096,
             pool_fraction: 1.0 / 30.0, // 50 MB of a 1.5 GB database
             nodes: 20_000,
-            links_per_node: 3,
             warmup_txns: 40_000,
             txns: 20_000,
-            seed: 42,
             revmap_capacity: 500,
             revmap_policy: RevMapPolicy::default(),
-            gc_policy: GcPolicy::default(),
             flush_neighbors: false,
             channels: 1,
             connections: 1,
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -84,21 +72,10 @@ pub struct LinkBenchResult {
     pub device: DeviceStats,
     /// Database size in engine pages after load.
     pub db_pages: u64,
-    /// Buffer-pool size used (engine pages).
-    pub pool_pages: usize,
     /// Engine counters for the whole run.
     pub engine: mini_innodb::EngineStats,
     /// Final wear summary of the data device.
     pub wear: share_core::WearStats,
-    /// Device telemetry at the end of the run (whole run, not just the
-    /// measured window).
-    pub telemetry: Option<Snapshot>,
-    /// Span tracer of the data device (a disabled no-op handle unless the
-    /// run's [`TelemetryConfig`] enabled tracing).
-    pub tracer: share_core::Tracer,
-    /// Flight-recorder epoch time series (present only when the run's
-    /// [`TelemetryConfig::monitoring`]).
-    pub monitor: Option<FlightSnapshot>,
 }
 
 fn payload(rng: &mut StdRng, n: usize) -> Vec<u8> {
@@ -112,7 +89,7 @@ fn payload(rng: &mut StdRng, n: usize) -> Vec<u8> {
 /// logical space (aged device: GC stays active, as in the paper's setup).
 pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
     // Rough database size estimate: nodes + links + counts, ~70 % page fill.
-    let rows = run.nodes * (1 + 2 * run.links_per_node);
+    let rows = run.nodes * (1 + 2 * LINKS_PER_NODE);
     let row_bytes = 130u64;
     let est_db_bytes = (rows * row_bytes) as f64 / 0.70;
     let est_db_pages = (est_db_bytes / run.page_bytes as f64).ceil() as u64;
@@ -126,11 +103,9 @@ pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
         + 80 * run.page_bytes as u64 // double-write area + slack
         + (6 << 20); // file-system metadata + journal
     let mut fcfg = FtlConfig::for_capacity_with(logical_bytes, 0.18, 4096, 128, NandTiming::default())
-        .with_parallelism(run.channels, 1)
-        .with_telemetry(run.telemetry);
+        .with_parallelism(run.channels, 1);
     fcfg.revmap_capacity = run.revmap_capacity;
     fcfg.revmap_policy = run.revmap_policy;
-    fcfg.gc_policy = run.gc_policy;
     let dev = Ftl::new(fcfg);
     let log_dev = standard_log_device(dev.clock().clone());
 
@@ -148,10 +123,10 @@ pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
     let mut db = InnoDb::create(dev, log_dev, ecfg).expect("create engine");
 
     // ---- load phase -----------------------------------------------------
-    let mut rng = StdRng::seed_from_u64(run.seed ^ 0x10ad);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x10ad);
     for id in 0..run.nodes {
         db.add_node(id, &payload(&mut rng, 96)).expect("load node");
-        for l in 0..run.links_per_node {
+        for l in 0..LINKS_PER_NODE {
             let id2 = rng.random_range(0..run.nodes);
             db.add_link(id, (l % 4) as u32, id2, &payload(&mut rng, 96)).expect("load link");
         }
@@ -164,7 +139,7 @@ pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
         initial_nodes: run.nodes,
         link_types: 4,
         payload_mean: 96,
-        seed: run.seed,
+        seed: SEED,
     });
     let mut latency = LatencyRecorder::new();
     let conns = run.connections.max(1);
@@ -188,9 +163,6 @@ pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
     let elapsed = clock.now_ns() - t0;
     let device = db.data_device_stats().delta_since(&stats0);
     let wear = db.fs_mut().device().wear_stats();
-    let telemetry = db.fs_mut().device().telemetry_snapshot();
-    let monitor = db.fs_mut().device().monitor_snapshot();
-    let tracer = db.fs_mut().tracer().clone();
 
     LinkBenchResult {
         tps: run.txns as f64 / (elapsed as f64 / 1e9),
@@ -198,12 +170,8 @@ pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
         latency,
         device,
         db_pages,
-        pool_pages,
         engine: db.stats(),
         wear,
-        telemetry,
-        tracer,
-        monitor,
     }
 }
 

@@ -1,33 +1,26 @@
 //! Fixed-width text tables for experiment output.
 
-/// Print a titled table with right-aligned numeric-ish columns.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
+/// Render a titled table: the first column left-aligned, the rest right.
+pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            if i == 0 {
-                s.push_str(&format!("{:<w$}", cell, w = widths[i]));
-            } else {
-                s.push_str(&format!("  {:>w$}", cell, w = widths[i]));
-            }
+    let line = |cells: Vec<&str>| {
+        let mut s = format!("{:<w$}", cells[0], w = widths[0]);
+        for (cell, w) in cells[1..].iter().zip(&widths[1..]) {
+            s += &format!("  {cell:>w$}");
         }
-        s
+        s + "\n"
     };
-    let hdr: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    println!("{}", line(&hdr));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+    let mut out = format!("\n=== {title} ===\n{}{rule}\n", line(headers.to_vec()));
     for row in rows {
-        println!("{}", line(row));
+        out += &line(row.iter().map(String::as_str).collect());
     }
+    out
 }
 
 /// Format a float with `digits` decimals.
@@ -40,21 +33,6 @@ pub fn mb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// Experiment scale knob: `SHARE_BENCH_SCALE` (default 1.0) multiplies
-/// record counts / transaction counts so the full suite can be smoke-run.
-pub fn scale_from_env() -> f64 {
-    std::env::var("SHARE_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|s| *s > 0.0)
-        .unwrap_or(1.0)
-}
-
-/// Scale an integer quantity, keeping a sane floor.
-pub fn scaled(base: u64, floor: u64) -> u64 {
-    ((base as f64 * scale_from_env()) as u64).max(floor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,15 +41,15 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f(1.234567, 2), "1.23");
         assert_eq!(mb(1024 * 1024), "1.0");
-        assert_eq!(scaled(100, 10), 100);
     }
 
     #[test]
-    fn print_table_does_not_panic() {
-        print_table(
+    fn render_table_pads_the_first_column_left_and_the_rest_right() {
+        let text = render_table(
             "demo",
             &["mode", "tps"],
             &[vec!["a".into(), "1".into()], vec!["bb".into(), "22".into()]],
         );
+        assert_eq!(text, "\n=== demo ===\nmode  tps\n---------\na       1\nbb     22\n");
     }
 }

@@ -1,6 +1,9 @@
-//! Smoke tests for the experiment drivers at miniature scale, so the
-//! harness itself is covered by `cargo test`.
+//! The results table's declared runs, and smoke tests for the experiment
+//! drivers at miniature scale, so the harness itself is covered by
+//! `cargo test`.
 
+use crate::artifacts::linkbench::{page_run, pool_run};
+use crate::artifacts::{distinct_runs, Artifact, Run, ARTIFACTS};
 use crate::{run_compaction, run_linkbench, run_ycsb, LinkBenchRun, YcsbRun};
 use mini_couch::CouchMode;
 use mini_innodb::FlushMode;
@@ -8,6 +11,58 @@ use share_core::telemetry::json::{parse, Json};
 use share_core::{OpClass, TelemetryConfig};
 use share_workloads::YcsbWorkload;
 use std::collections::HashSet;
+
+fn artifact(stem: &str) -> &'static Artifact {
+    ARTIFACTS.iter().find(|a| a.stem == stem).unwrap_or_else(|| panic!("no artifact {stem}"))
+}
+
+#[test]
+fn every_results_file_is_one_artifact_and_every_artifact_one_file() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .filter_map(|e| e.unwrap().file_name().to_str()?.strip_suffix(".txt").map(String::from))
+        .collect();
+    files.sort();
+    let stems: Vec<&str> = ARTIFACTS.iter().map(|a| a.stem).collect();
+    assert_eq!(files, stems, "results/*.txt and the artifact table (kept sorted) differ");
+}
+
+#[test]
+fn the_tier_requests_75_driver_runs_and_simulates_62() {
+    let all: Vec<&Artifact> = ARTIFACTS.iter().collect();
+    let requested: usize = all.iter().map(|a| (a.runs)().len()).sum();
+    assert_eq!((requested, distinct_runs(&all).len()), (75, 62));
+}
+
+/// Figure 6, the lifespan projection and the §6.1 comparison quote
+/// Figure 5's runs: they declare the same values, so they read the same
+/// simulation instead of a copy that has to be kept in step.
+#[test]
+fn the_artifacts_that_quote_figure_5_read_its_runs() {
+    // Figure 5(a) and (b), the one-connection runs; (c) runs 16.
+    let fig5: Vec<Run> = (artifact("fig5_linkbench_throughput").runs)()
+        .into_iter()
+        .filter(|r| matches!(r, Run::LinkBench(lb) if lb.connections == 1))
+        .collect();
+    assert_eq!(fig5.len(), 18);
+    // Every LinkBench run the three declare, less related's AtomicWrite.
+    let quoted = |stem| -> Vec<Run> {
+        let atomic = FlushMode::AtomicWrite;
+        let not_atomic = |r: &Run| matches!(r, Run::LinkBench(lb) if lb.mode != atomic);
+        (artifact(stem).runs)().into_iter().filter(not_atomic).collect()
+    };
+    let quoting = [("fig6_io_activities", 6), ("lifespan_erases", 2), ("related_atomic_write", 2)];
+    for (stem, n) in quoting {
+        let runs = quoted(stem);
+        assert_eq!(runs.len(), n, "{stem}");
+        assert!(runs.iter().all(|r| fig5.contains(r)), "{stem} simulates a run of its own");
+    }
+    // Figure 5(b)'s DB/30 row is (a)'s 4 KB row.
+    for mode in [FlushMode::DwbOn, FlushMode::Share, FlushMode::DwbOff] {
+        assert_eq!(pool_run(1.0 / 30.0, mode), page_run(4096, mode));
+    }
+}
 
 fn tiny_linkbench(mode: FlushMode) -> LinkBenchRun {
     LinkBenchRun { mode, nodes: 1_500, warmup_txns: 200, txns: 800, ..Default::default() }
@@ -38,7 +93,7 @@ fn ycsb_driver_produces_coherent_results() {
     let orig = run_ycsb(&tiny_ycsb(CouchMode::Original, YcsbWorkload::F));
     let share = run_ycsb(&tiny_ycsb(CouchMode::Share, YcsbWorkload::F));
     assert!(share.ops_per_sec > orig.ops_per_sec);
-    assert!(share.written_bytes < orig.written_bytes);
+    assert!(share.device.host_write_bytes < orig.device.host_write_bytes);
     assert!(share.couch.share_remaps > 0);
     assert_eq!(orig.couch.share_remaps, 0);
 }

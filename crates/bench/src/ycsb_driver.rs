@@ -9,8 +9,11 @@ use share_core::{
 use share_vfs::{Vfs, VfsOptions};
 use share_workloads::{Ycsb, YcsbConfig, YcsbOp, YcsbWorkload};
 
+/// The workload seed of every run.
+const SEED: u64 = 42;
+
 /// Parameters of one YCSB run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YcsbRun {
     /// Couchbase index strategy under test.
     pub mode: CouchMode,
@@ -24,8 +27,6 @@ pub struct YcsbRun {
     pub record_size: usize,
     /// Measured operations.
     pub ops: u64,
-    /// Workload seed.
-    pub seed: u64,
     /// NAND channels of the device (1 = the paper's serial device).
     pub channels: u32,
     /// Concurrent host connections (1 = the original serial driver).
@@ -47,7 +48,6 @@ impl Default for YcsbRun {
             records: 10_000,
             record_size: 4056, // one 4 KiB block including the header
             ops: 10_000,
-            seed: 42,
             channels: 1,
             connections: 1,
             telemetry: TelemetryConfig::default(),
@@ -62,8 +62,6 @@ pub struct YcsbResult {
     pub ops_per_sec: f64,
     /// Simulated seconds of the measured window.
     pub elapsed_secs: f64,
-    /// Host bytes written during the measured window.
-    pub written_bytes: u64,
     /// Device traffic during the measured window.
     pub device: DeviceStats,
     /// Cumulative device traffic for the whole run (load + measure) — the
@@ -113,7 +111,7 @@ pub fn loaded_store(run: &YcsbRun) -> CouchStore<Ftl> {
         ..Default::default()
     };
     let mut store = CouchStore::create(fs, "ycsb.couch", ccfg).expect("create store");
-    let mut rng = StdRng::seed_from_u64(run.seed ^ 0x10ad);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x10ad);
     // Bulk load with a large effective batch (load is not measured).
     for key in 0..run.records {
         store.save(key, &doc_payload(&mut rng, run.record_size)).expect("load doc");
@@ -132,9 +130,9 @@ pub fn run_ycsb(run: &YcsbRun) -> YcsbResult {
         workload: run.workload,
         record_count: run.records,
         record_size: run.record_size,
-        seed: run.seed,
+        seed: SEED,
     });
-    let mut rng = StdRng::seed_from_u64(run.seed ^ 0x0b5e);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x0b5e);
 
     let clock = store.clock();
     let stats0 = store.device_stats();
@@ -155,7 +153,6 @@ pub fn run_ycsb(run: &YcsbRun) -> YcsbResult {
     YcsbResult {
         ops_per_sec: run.ops as f64 / (elapsed as f64 / 1e9),
         elapsed_secs: elapsed as f64 / 1e9,
-        written_bytes: device.host_write_bytes,
         device,
         device_total,
         couch: store.stats(),

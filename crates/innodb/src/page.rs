@@ -133,6 +133,26 @@ impl NodePage {
         self.end + ENTRY_OVERHEAD + vlen > self.img.len()
     }
 
+    /// Where to split this node before `key` goes in with a `vlen`-byte
+    /// value: at half the entries, unless the half that takes the new entry
+    /// would still overflow (long rows beside short ones); then where the
+    /// fuller half, new entry included, is least full.
+    pub fn split_point(&self, key: &Key, vlen: usize) -> usize {
+        debug_assert!(self.len() >= 2, "splitting a node with <2 entries");
+        // The target half gains the new entry and loses the one it replaces.
+        let replaced = self.find(key).map_or(0, |i| self.off(i + 1) - self.off(i));
+        let fuller_end = |m: usize| {
+            let (low, high) = (self.off(m), PAGE_HEADER + self.end - self.off(m));
+            let grow = |half: usize| half - replaced + ENTRY_OVERHEAD + vlen;
+            if *key >= self.key_at(m) { low.max(grow(high)) } else { grow(low).max(high) }
+        };
+        let half = self.len() / 2;
+        if fuller_end(half) <= self.img.len() {
+            return half;
+        }
+        (1..self.len()).min_by_key(|&m| fuller_end(m)).expect("two entries or more")
+    }
+
     /// Offset of record `i`; `len()` is the end of the records.
     fn off(&self, i: usize) -> usize {
         self.dir.get(i).map_or(self.end, |&o| o as usize)
@@ -466,5 +486,29 @@ mod tests {
         assert!(p.would_overflow(max_v + 1));
         p.upsert(&Key::node(1), &[0; 100]);
         assert!(p.would_overflow(max_v - 100));
+    }
+
+    #[test]
+    fn split_point_leaves_room_for_the_row_that_caused_it() {
+        // Twenty 8-byte rows, then three quarter-page rows: full for a
+        // fourth long row after them.
+        let mut p = NodePage::new(0, 0, 4096);
+        for id in 0..23 {
+            p.upsert(&Key::node(id), if id < 20 { &[1; 8][..] } else { &[2; 1024] });
+        }
+        let key = Key::node(23);
+        assert!(p.would_overflow(1024));
+        // Half the entries would leave all three long rows with the new one.
+        let m = p.split_point(&key, 1024);
+        assert!(m > p.len() / 2 && key >= p.key_at(m), "split at {m}");
+        let right = PAGE_HEADER + p.packed(m..p.len()).len() + ENTRY_OVERHEAD + 1024;
+        assert!(right <= 4096, "the right half ends at {right}");
+        // Rows of one size split by count, as they always did.
+        assert_eq!(p.split_point(&Key::node(5), 8), p.len() / 2);
+        let mut q = NodePage::new(0, 0, 4096);
+        for id in 0..100 {
+            q.upsert(&Key::node(id), &[3; 12]);
+        }
+        assert_eq!(q.split_point(&Key::node(100), 12), 50);
     }
 }

@@ -206,15 +206,22 @@ impl<D: BlockDevice> InnoDb<D> {
         Ok(())
     }
 
-    fn split(&mut self, node_no: u64, level: u16) -> Result<(Key, u64), EngineError> {
+    /// Split `node_no` before `key` goes in with a `vlen`-byte value; the
+    /// pivot and the new right sibling.
+    fn split(
+        &mut self,
+        node_no: u64,
+        level: u16,
+        key: &Key,
+        vlen: usize,
+    ) -> Result<(Key, u64), EngineError> {
         self.ensure_resident(node_no)?;
         let new_no = self.alloc_page_no()?;
         // The moved entries leave as packed runs cut at record boundaries,
         // chunked so each record fits a redo log page.
         let (pivot, runs, old_next) = {
             let p = self.pool.get_mut(node_no).expect("resident");
-            debug_assert!(p.len() >= 2, "splitting a node with <2 entries");
-            let mid = p.len() / 2;
+            let mid = p.split_point(key, vlen);
             let mut runs = Vec::new();
             let mut start = mid;
             for i in mid..p.len() {
@@ -261,7 +268,7 @@ impl<D: BlockDevice> InnoDb<D> {
             let mut promoted = None;
             let mut target = node_no;
             if self.node_would_overflow(node_no, value.len())? {
-                let (pivot, new_no) = self.split(node_no, 0)?;
+                let (pivot, new_no) = self.split(node_no, 0, &key, value.len())?;
                 if key >= pivot {
                     target = new_no;
                 }
@@ -281,7 +288,7 @@ impl<D: BlockDevice> InnoDb<D> {
         let mut promoted = None;
         let mut target = node_no;
         if self.node_would_overflow(node_no, CHILD_BYTES)? {
-            let (pivot, new_no) = self.split(node_no, level)?;
+            let (pivot, new_no) = self.split(node_no, level, &pk, CHILD_BYTES)?;
             if pk >= pivot {
                 target = new_no;
             }

@@ -13,7 +13,7 @@
 //! * [`JournalMode::Share`] — after-images staged once, SHARE-remapped into
 //!   place as a single atomic batch: `Off`'s write cost, `Rollback`'s safety
 //!
-//! The `sqlite_modes` binary in `share-bench` compares all four.
+//! `share-bench`'s `sqlite_modes` artifact compares all four.
 //!
 //! ```
 //! use mini_sqlite::{JournalMode, MiniSqlite, SqliteConfig};

@@ -47,36 +47,17 @@ cargo test -q --release --offline -p mini-couch --test alloc_budget
 echo "== crash-point smoke sweep =="
 ./target/release/sharectl crashsweep --workload all --stride 1
 
-# Experiment tier: results/<stem>.txt is the one committed record of every
-# binary under crates/bench/src/bin/ (the paper's figures and tables, the
-# ablations and the four device benches), and the simulator is
-# deterministic, so each binary's full-scale stdout must equal its file
-# byte for byte: fig5 4.78x at 8 channels, fig8 6.66x, table 1 p99, table 2
-# volumes, bench_snapshot's 0 programs are gated exactly, not by threshold.
-# A binary without a file and a file without a binary fail too. After an
-# intended change of simulated behaviour, re-record with
-# `./target/release/<stem> > results/<stem>.txt` and say why in CHANGES.md.
-# The 21 runs are independent and take ~70 s one after the other here.
+# Experiment tier: results/<stem>.txt is the one record of every artifact
+# in crates/bench/src/artifacts/, and the simulator is deterministic, so
+# every number is gated exactly; the one `diff -r` fails on a changed, a
+# missing and an orphan file. After an intended change of simulated
+# behaviour, re-record with `./target/release/results results [stem …]`
+# and say why in CHANGES.md.
 echo "== experiment tables (results/*.txt, exact) =="
-unset SHARE_BENCH_SCALE
-stale=0
-for src in crates/bench/src/bin/*.rs; do
-  stem="$(basename "$src" .rs)"
-  if [ ! -f "results/$stem.txt" ]; then
-    echo "verify: $stem has no results/$stem.txt" >&2
-    stale=1
-  elif ! "./target/release/$stem" | diff "results/$stem.txt" - >&2; then
-    echo "verify: $stem no longer prints results/$stem.txt" >&2
-    stale=1
-  fi
-done
-for txt in results/*.txt; do
-  if [ ! -f "crates/bench/src/bin/$(basename "$txt" .txt).rs" ]; then
-    echo "verify: $txt has no binary under crates/bench/src/bin/" >&2
-    stale=1
-  fi
-done
-if [ "$stale" != 0 ]; then
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+./target/release/results "$tmp"
+if ! diff -r -x README.md results "$tmp" >&2; then
   echo "verify: FAILED — results/ is out of date (see above)" >&2
   exit 1
 fi

@@ -59,9 +59,8 @@ fn ftl_config_fields_and_builders_match_the_recorded_list() {
     );
 }
 
-const KNOBS: [&str; 5] = [
+const KNOBS: [&str; 4] = [
     "SHARE_BENCH_SAMPLES",
-    "SHARE_BENCH_SCALE",
     "SHARE_BENCH_WINDOW_MS",
     "SHARE_CRASH_POINTS",
     "SHARE_MODEL_CASES",
