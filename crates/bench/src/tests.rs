@@ -175,11 +175,12 @@ fn telemetry_counters_equal_device_stats() {
     assert_eq!(pages(Gc), d.copyback_pages);
     assert_eq!(doc.get("commands").and_then(Json::as_u64), Some(snap.commands));
 
-    // Histograms and the ring were on: the write path must have samples and
-    // retained events, in memory and in the export.
+    // Histograms were on: the write path must have samples, in memory and
+    // in the export.
     assert!(!snap.op(Write).hist.is_empty(), "no write latency samples");
-    assert!(!snap.events.is_empty(), "command ring retained nothing");
-    assert!(matches!(doc.get("events"), Some(Json::Arr(v)) if !v.is_empty()));
+    let write_latency =
+        doc.get("ops").and_then(|o| o.get("write")).and_then(|w| w.get("latency_ns"));
+    assert!(write_latency.is_some(), "no write latency in the export");
 }
 
 #[test]
@@ -210,7 +211,6 @@ fn tracing_and_monitoring_observe_without_perturbing() {
     let mut parents: Vec<u64> = Vec::new();
     let mut last_ts = f64::MIN;
     let mut x_events = 0usize;
-    let mut unit_epoch_records = 0u64;
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).expect("event phase");
         let pid = ev.get("pid").and_then(Json::as_u64).expect("event pid");
@@ -222,24 +222,6 @@ fn tracing_and_monitoring_observe_without_perturbing() {
                 "thread_name" => {
                     let tid = ev.get("tid").and_then(Json::as_u64).expect("meta tid");
                     named.insert((pid, tid));
-                }
-                "unit_epoch_busy_ns" => {
-                    // Flight-recorder utilization series: one column of
-                    // busy-ns deltas per NAND unit, all exactly as long as
-                    // the epoch-end timestamp row.
-                    unit_epoch_records += 1;
-                    let args = ev.get("args").expect("utilization args");
-                    let ends =
-                        args.get("epoch_end_ns").and_then(Json::as_array).expect("epoch_end_ns");
-                    assert!(!ends.is_empty(), "utilization record with no epochs");
-                    let Some(Json::Obj(units)) = args.get("units") else {
-                        panic!("units object missing")
-                    };
-                    assert!(!units.is_empty(), "utilization record with no units");
-                    for (label, col) in units {
-                        let col = col.as_array().expect("unit series array");
-                        assert_eq!(col.len(), ends.len(), "unit {label} series != epoch count");
-                    }
                 }
                 other => panic!("unexpected metadata record {other}"),
             },
@@ -261,7 +243,6 @@ fn tracing_and_monitoring_observe_without_perturbing() {
         }
     }
     assert_eq!(x_events, spans, "exported X events != recorded spans");
-    assert_eq!(unit_epoch_records, 1, "expected exactly one unit_epoch_busy_ns record");
     for p in &parents {
         assert!(span_ids.contains(p), "parent span {p} missing from the export");
     }

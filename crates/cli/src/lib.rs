@@ -16,9 +16,10 @@
 //! All logic lives in [`run`], which returns the output text — `main` is a
 //! thin wrapper, so the whole tool is unit-testable.
 
+use share_core::telemetry::json::Json;
 use share_core::telemetry::EpochObservation;
 use share_core::{
-    AlertSeverity, BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, SharePair, SloConfig,
+    Alert, AlertSeverity, BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, SharePair, SloConfig,
     TelemetryConfig, DEFAULT_ENDURANCE_CYCLES,
 };
 use share_workloads::{parse_trace, AccessPattern, TraceConfig, TraceGen, TraceOp};
@@ -111,10 +112,10 @@ fn save_cfg(img: &str, cfg: &FtlConfig) -> Result<()> {
 }
 
 fn load_device(img: &str) -> Result<Ftl> {
-    load_device_with(img, TelemetryConfig::default(), SloConfig::default())
+    load_device_with(img, TelemetryConfig::default())
 }
 
-fn load_device_with(img: &str, telemetry: TelemetryConfig, slo: SloConfig) -> Result<Ftl> {
+fn load_device_with(img: &str, telemetry: TelemetryConfig) -> Result<Ftl> {
     let cfg_text = fs::read_to_string(cfg_path(img))
         .map_err(|_| CliError(format!("missing sidecar {} — not a sharectl image?", cfg_path(img))))?;
     let field = |name: &str| -> Result<u64> {
@@ -144,7 +145,6 @@ fn load_device_with(img: &str, telemetry: TelemetryConfig, slo: SloConfig) -> Re
     cfg.revmap_capacity = revmap_capacity;
     cfg.logical_pages = logical_pages;
     cfg.telemetry = telemetry;
-    cfg.slo = slo;
     Ftl::open(cfg, nand).map_err(Into::into)
 }
 
@@ -160,6 +160,12 @@ fn save_device(img: &str, mut dev: Ftl) -> Result<()> {
 
 fn parse_u64(s: &str, what: &str) -> Result<u64> {
     s.parse().map_err(|_| CliError(format!("bad {what}: {s}")))
+}
+
+/// `s` parsed as a count of `unit`s and scaled to the base unit, refusing
+/// a value whose product does not fit.
+fn parse_scaled(s: &str, what: &str, unit: u64) -> Result<u64> {
+    parse_u64(s, what)?.checked_mul(unit).ok_or_else(|| CliError(format!("{what} too large: {s}")))
 }
 
 /// The one-line traffic summary `replay` and `trace` print for a window.
@@ -184,17 +190,24 @@ pub fn run(args: &[String]) -> Result<String> {
     match args.first().map(String::as_str) {
         Some("create") => {
             let img = args.get(1).ok_or_else(|| CliError(usage()))?;
-            let mb = parse_u64(args.get(2).ok_or_else(|| CliError(usage()))?, "size")?;
+            let size = args.get(2).ok_or_else(|| CliError(usage()))?;
+            let bytes = parse_scaled(size, "size", 1 << 20)?;
             let op = args.get(3).map(|s| parse_u64(s, "op-percent")).transpose()?.unwrap_or(15);
+            if bytes == 0 {
+                return Err(CliError("size must be at least 1 MiB".into()));
+            }
+            if op == 0 {
+                return Err(CliError("op-percent must be at least 1".into()));
+            }
             if Path::new(img).exists() {
                 return Err(CliError(format!("{img} already exists")));
             }
-            let cfg = FtlConfig::for_capacity(mb << 20, op as f64 / 100.0);
+            let cfg = FtlConfig::for_capacity(bytes, op as f64 / 100.0);
             let dev = Ftl::new(cfg);
             writeln!(
                 out,
                 "created {img}: {} MiB logical, {} physical blocks, {}% over-provisioning",
-                mb,
+                bytes >> 20,
                 dev.config().geometry.blocks,
                 op
             )
@@ -295,9 +308,9 @@ pub fn run(args: &[String]) -> Result<String> {
             if format != "prom" && format != "json" {
                 return Err(CliError(format!("bad --format: {format} (want prom|json)")));
             }
-            // Full telemetry (histograms + command ring) for this invocation
+            // Full telemetry (histograms + spans) for this invocation
             // only — the toggle never touches the image or its sidecar.
-            let mut dev = load_device_with(img, TelemetryConfig::full(), SloConfig::default())?;
+            let mut dev = load_device_with(img, TelemetryConfig::full())?;
             if let Some(trace_file) = flag_value(args, "--trace") {
                 let text = fs::read_to_string(trace_file)?;
                 replay_ops(&mut dev, parse_trace(&text), |_| None)?;
@@ -431,7 +444,7 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
 fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
     let (workload, gen) = synthetic_args(args)?;
-    let mut dev = load_device_with(img, TelemetryConfig::full(), SloConfig::default())?;
+    let mut dev = load_device_with(img, TelemetryConfig::full())?;
     let before = dev.stats();
     let t0 = dev.clock().now_ns();
     let replayed = run_synthetic(&mut dev, gen)?;
@@ -571,13 +584,13 @@ fn replay_ops(
 fn slo_from_flags(args: &[String], defaults: SloConfig) -> Result<SloConfig> {
     let mut slo = defaults;
     if let Some(v) = flag_value(args, "--write-p99-us") {
-        slo.write_p99_ceiling_ns = Some(parse_u64(v, "write-p99-us")? * 1_000);
+        slo.write_p99_ceiling_ns = Some(parse_scaled(v, "write-p99-us", 1_000)?);
     }
     if let Some(v) = flag_value(args, "--read-p99-us") {
-        slo.read_p99_ceiling_ns = Some(parse_u64(v, "read-p99-us")? * 1_000);
+        slo.read_p99_ceiling_ns = Some(parse_scaled(v, "read-p99-us", 1_000)?);
     }
     if let Some(v) = flag_value(args, "--gc-stall-ms") {
-        slo.gc_stall_budget_ns = Some(parse_u64(v, "gc-stall-ms")? * 1_000_000);
+        slo.gc_stall_budget_ns = Some(parse_scaled(v, "gc-stall-ms", 1_000_000)?);
     }
     if let Some(v) = flag_value(args, "--free-floor") {
         slo.free_block_floor = Some(parse_u64(v, "free-floor")?);
@@ -593,14 +606,17 @@ fn slo_from_flags(args: &[String], defaults: SloConfig) -> Result<SloConfig> {
 
 /// Longitudinal monitoring: run a synthetic workload with the flight
 /// recorder sealing an epoch every `--epoch-ms` of *simulated* time, then
-/// print one row of counter deltas per epoch plus any SLO alerts fired at
-/// epoch boundaries. Observation only — nothing is written back.
+/// print one row of counter deltas per epoch plus the SLO alerts the flag
+/// thresholds fire over the retained epochs. Observation only — nothing
+/// is written back.
 fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
     let (workload, gen) = synthetic_args(args)?;
-    let epoch_ms =
-        flag_value(args, "--epoch-ms").map(|v| parse_u64(v, "epoch-ms")).transpose()?.unwrap_or(10);
-    if epoch_ms == 0 {
+    let epoch_ns = flag_value(args, "--epoch-ms")
+        .map(|v| parse_scaled(v, "epoch-ms", 1_000_000))
+        .transpose()?
+        .unwrap_or(10_000_000);
+    if epoch_ns == 0 {
         return Err(CliError("--epoch-ms must be at least 1".into()));
     }
     let format = flag_value(args, "--format").unwrap_or("table");
@@ -608,17 +624,20 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
         return Err(CliError(format!("bad --format: {format} (want table|json)")));
     }
     let slo = slo_from_flags(args, SloConfig::default())?;
-    let mut telemetry = TelemetryConfig::monitoring(epoch_ms * 1_000_000);
+    let mut telemetry = TelemetryConfig::monitoring(epoch_ns);
     if let Some(v) = flag_value(args, "--ring") {
         telemetry.epoch_ring = parse_u64(v, "ring")? as usize;
     }
 
-    let mut dev = load_device_with(img, telemetry, slo)?;
+    let mut dev = load_device_with(img, telemetry)?;
     let t0 = dev.clock().now_ns();
     let replayed = run_synthetic(&mut dev, gen)?;
     let snap = dev.monitor_snapshot().expect("monitoring telemetry is on");
+    let alerts = snap.alerts(&slo);
     if format == "json" {
-        out.push_str(&snap.to_json().render());
+        let mut doc = snap.to_json();
+        push_alerts(&mut doc, &alerts);
+        out.push_str(&doc.render());
         out.push('\n');
         return Ok(());
     }
@@ -657,12 +676,12 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
             e.free_blocks,
             q(&e.write_hist),
             q(&e.read_hist),
-            e.alerts.len()
+            alerts.iter().filter(|a| a.epoch == e.epoch).count()
         )
         .unwrap();
     }
-    // Per-unit busy-time shares over the retained window: the same series
-    // the Chrome trace carries as `unit_epoch_busy_ns` metadata.
+    // Per-unit busy-time shares over the retained window, from each
+    // epoch's `unit_busy_ns` row.
     let window_ns: u64 = snap.epochs.iter().map(|e| e.end_ns - e.start_ns).sum();
     if window_ns > 0 && !snap.unit_labels.is_empty() {
         write!(out, "unit busy: ").unwrap();
@@ -685,11 +704,11 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
         health.remaining_life * 100.0
     )
     .unwrap();
-    if snap.alerts.is_empty() {
+    if alerts.is_empty() {
         writeln!(out, "alerts: none").unwrap();
     } else {
-        writeln!(out, "alerts ({}):", snap.alerts.len()).unwrap();
-        for a in &snap.alerts {
+        writeln!(out, "alerts ({}):", alerts.len()).unwrap();
+        for a in &alerts {
             writeln!(
                 out,
                 "  {:>8} epoch {:>4} {}: {:.1} (threshold {:.1})",
@@ -704,6 +723,13 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     }
     // Observation only: nothing is written back to the image.
     Ok(())
+}
+
+/// Append `alerts` to a JSON object document as its `alerts` array.
+fn push_alerts(doc: &mut Json, alerts: &[Alert]) {
+    if let Json::Obj(fields) = doc {
+        fields.push(("alerts".into(), Json::Arr(alerts.iter().map(Alert::to_json).collect())));
+    }
 }
 
 /// Read-only device health report ("SMART for the simulator"): wear
@@ -747,14 +773,7 @@ fn doctor_cmd(args: &[String], out: &mut String) -> Result<()> {
 
     if format == "json" {
         let mut doc = report.to_json();
-        if let share_core::telemetry::json::Json::Obj(fields) = &mut doc {
-            fields.push((
-                "alerts".into(),
-                share_core::telemetry::json::Json::Arr(
-                    alerts.iter().map(share_core::Alert::to_json).collect(),
-                ),
-            ));
-        }
+        push_alerts(&mut doc, &alerts);
         out.push_str(&doc.render());
         out.push('\n');
     } else {

@@ -317,6 +317,10 @@ fn monitor_reports_epoch_series_in_both_formats() {
     let epochs = doc.get("epochs").and_then(|e| e.as_array()).expect("epochs array");
     assert!(!epochs.is_empty(), "no epoch records");
     assert!(epochs[0].get("free_blocks").is_some(), "epoch rows missing gauges");
+    assert!(epochs[0].get("wear_skew").is_some(), "epoch rows missing the wear gauge");
+    assert!(epochs[0].get("remaining_life").is_some(), "epoch rows missing the life gauge");
+    let alerts = doc.get("alerts").and_then(|a| a.as_array()).expect("alerts array");
+    assert!(alerts.is_empty(), "no threshold flag, no alert: {alerts:?}");
 
     // Observation only: the monitored workload must not persist.
     let info_after = cmd(&["info", img]).unwrap();
@@ -328,6 +332,16 @@ fn monitor_reports_epoch_series_in_both_formats() {
     ])
     .unwrap();
     assert!(out.contains("critical"), "breached floor missing from output: {out}");
+    let json = cmd(&[
+        "monitor", img, "--workload", "uniform", "--ops", "1500", "--free-floor", "100000",
+        "--format", "json",
+    ])
+    .unwrap();
+    let doc = share_core::telemetry::json::parse(&json).expect("monitor JSON parses");
+    let alerts = doc.get("alerts").and_then(|a| a.as_array()).expect("alerts array");
+    let epochs = doc.get("epochs").and_then(|e| e.as_array()).expect("epochs array");
+    assert_eq!(alerts.len(), epochs.len(), "every retained epoch breaches the floor");
+    assert_eq!(alerts[0].get("kind").and_then(|k| k.as_str()), Some("free_blocks"));
 
     assert!(cmd(&["monitor", img, "--epoch-ms", "0"]).unwrap_err().contains("epoch-ms"));
     assert!(cmd(&["monitor", img, "--workload", "bogus"]).unwrap_err().contains("bad --workload"));
@@ -375,4 +389,38 @@ fn snapshot_rejects_bad_arguments() {
     assert!(cmd(&["snapshot", img, "clone", "missing", "0"]).unwrap_err().contains("missing"));
     assert!(cmd(&["snapshot", img, "drop", "missing"]).is_err());
     assert!(cmd(&["snapshot", img, "frobnicate"]).unwrap_err().contains("bad snapshot verb"));
+}
+
+#[test]
+fn create_refuses_a_size_or_over_provisioning_it_cannot_build() {
+    let dir = tmpdir();
+    let img = dir.join("refused.nand");
+    let img = img.to_str().unwrap();
+    let e = cmd(&["create", img, "64", "0"]).unwrap_err();
+    assert!(e.contains("op-percent must be at least 1"), "{e}");
+    let e = cmd(&["create", img, "0"]).unwrap_err();
+    assert!(e.contains("size must be at least 1 MiB"), "{e}");
+    // 2^44 MiB is 2^64 bytes, which wraps to 0 in a u64.
+    let e = cmd(&["create", img, "17592186044416"]).unwrap_err();
+    assert!(e.contains("size too large"), "{e}");
+    assert!(!std::path::Path::new(img).exists(), "a refused create writes nothing");
+}
+
+#[test]
+fn threshold_and_epoch_flags_refuse_values_that_overflow() {
+    let dir = tmpdir();
+    let img = dir.join("flags.nand");
+    let img = img.to_str().unwrap();
+    cmd(&["create", img, "16"]).unwrap();
+    // Each flag is a count of µs or ms scaled to ns: u64::MAX of them
+    // does not fit.
+    let max = u64::MAX.to_string();
+    for flag in ["--write-p99-us", "--read-p99-us", "--gc-stall-ms", "--epoch-ms"] {
+        let e = cmd(&["monitor", img, flag, &max]).unwrap_err();
+        assert!(e.contains(&format!("{} too large", &flag[2..])), "monitor {flag}: {e}");
+    }
+    for flag in ["--write-p99-us", "--read-p99-us", "--gc-stall-ms"] {
+        let e = cmd(&["doctor", img, flag, &max]).unwrap_err();
+        assert!(e.contains(&format!("{} too large", &flag[2..])), "doctor {flag}: {e}");
+    }
 }

@@ -35,7 +35,7 @@
 use crate::mapping::RevMapPolicy;
 use crate::util::div_ceil_u64;
 use nand_sim::{BlockId, NandGeometry, NandTiming};
-use share_telemetry::{SloConfig, TelemetryConfig};
+use share_telemetry::TelemetryConfig;
 
 /// Garbage-collection victim-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,12 +87,10 @@ pub struct FtlConfig {
     /// this entirely; `submit` returns `QueueFull` beyond it.
     pub queue_depth: usize,
     /// Telemetry collection settings. Counters are always on; latency
-    /// histograms and the command ring are opt-in. Telemetry only reads
-    /// the simulated clock, so no setting can change simulated results.
+    /// histograms, spans and the flight recorder are opt-in. Telemetry only
+    /// reads the simulated clock, so no setting can change simulated
+    /// results.
     pub telemetry: TelemetryConfig,
-    /// SLO thresholds evaluated at flight-recorder epoch boundaries.
-    /// Inert unless `telemetry.epoch_ns` turns the recorder on.
-    pub slo: SloConfig,
 }
 
 impl FtlConfig {
@@ -129,7 +127,6 @@ impl FtlConfig {
             command_ns: 20_000,
             queue_depth: 32,
             telemetry: TelemetryConfig::default(),
-            slo: SloConfig::default(),
         };
         let meta = 2 * cfg.ckpt_slot_blocks_for(logical_pages, page_size, pages_per_block) + log_blocks;
         cfg.geometry = NandGeometry::new(page_size, pages_per_block, meta + data_blocks);
@@ -152,12 +149,6 @@ impl FtlConfig {
     /// Set the telemetry collection level.
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Set the SLO thresholds the flight recorder evaluates per epoch.
-    pub fn with_slo(mut self, slo: SloConfig) -> Self {
-        self.slo = slo;
         self
     }
 

@@ -27,15 +27,16 @@ use crate::device::BlockDevice;
 use crate::error::FtlError;
 use crate::health::{HealthReport, DEFAULT_ENDURANCE_CYCLES};
 use crate::mapping::MappingTable;
-use crate::monitor::{EpochSample, FlightRecorder, FlightSnapshot};
+use crate::monitor::FlightSnapshot;
 use crate::pool::{BlockPool, WritePoint};
 use crate::queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
+use crate::recorder::{EpochSample, FlightRecorder};
 use crate::snapshot::{self, SnapDelta, SnapshotInfo, SnapshotTable};
 use crate::stats::DeviceStats;
 use crate::types::{Lpn, Ppn, SharePair};
 use nand_sim::{FaultHandle, NandArray, SimClock};
 use share_telemetry::{
-    apportion, AlertSeverity, BlameKind, Layer, Metric, OpClass, QueueGauges, Snapshot, SpanId,
+    apportion, BlameKind, Layer, Metric, OpClass, QueueGauges, Snapshot, SpanId,
     Telemetry, Tracer, Track, UnitUtilization, STREAM_FTL,
 };
 use std::collections::HashSet;
@@ -114,6 +115,17 @@ impl WearStats {
             0.0
         } else {
             self.max_erases as f64 / self.mean_erases
+        }
+    }
+
+    /// SMART-style remaining-life fraction for blocks rated for
+    /// `endurance_cycles` program/erase cycles: `1 - mean / endurance`,
+    /// clamped to `[0, 1]` (0 when the rating is 0).
+    pub(crate) fn remaining_life(&self, endurance_cycles: u64) -> f64 {
+        if endurance_cycles == 0 {
+            0.0
+        } else {
+            (1.0 - self.mean_erases / endurance_cycles as f64).clamp(0.0, 1.0)
         }
     }
 }
@@ -256,9 +268,8 @@ impl Ftl {
         let telemetry = Telemetry::new(cfg.telemetry);
         let tracer = if cfg.telemetry.trace { Tracer::enabled() } else { Tracer::disabled() };
         nand.set_tracer(tracer.clone());
-        tracer.set_unit_labels(unit_labels(cfg.geometry.channels, nand.busy_ns().len()));
         let recorder = (cfg.telemetry.epoch_ns > 0).then(|| {
-            FlightRecorder::new(cfg.telemetry.epoch_ns, cfg.telemetry.epoch_ring, cfg.slo, nand.now_ns())
+            FlightRecorder::new(cfg.telemetry.epoch_ns, cfg.telemetry.epoch_ring, nand.now_ns())
         });
         let data_blocks = cfg.data_blocks() as usize;
         Self {
@@ -305,7 +316,7 @@ impl Ftl {
         nand.power_cycle();
         let mut ftl = Self::assemble(cfg, nand);
         let nand_before = ftl.nand.stats();
-        ftl.internal_pass("recovery", OpClass::Recovery, None, 0, |f| {
+        ftl.internal_pass("recovery", OpClass::Recovery, None, |f| {
             f.replay_image()?;
             f.checkpoint()?;
             // Account what recovery itself cost (checkpoint scan, delta
@@ -540,7 +551,7 @@ impl Ftl {
             return self.checkpoint();
         }
         let attr = self.bg_attr();
-        let pages = self.internal_pass("log_flush", OpClass::LogFlush, attr, 0, |f| {
+        let pages = self.internal_pass("log_flush", OpClass::LogFlush, attr, |f| {
             let before = f.log.pages_written;
             match batch {
                 Some(batch) => f.log.flush_atomic_pages(&mut f.nand, batch)?,
@@ -583,7 +594,7 @@ impl Ftl {
     /// Persist a base mapping snapshot and truncate the delta log.
     pub fn checkpoint(&mut self) -> Result<(), FtlError> {
         let attr = self.bg_attr();
-        self.internal_pass("checkpoint", OpClass::Checkpoint, attr, 0, Self::checkpoint_inner)?;
+        self.internal_pass("checkpoint", OpClass::Checkpoint, attr, Self::checkpoint_inner)?;
         Ok(())
     }
 
@@ -638,7 +649,7 @@ impl Ftl {
     }
 
     /// Telemetry collected by this device (counters always; histograms and
-    /// the command ring per [`FtlConfig::telemetry`]).
+    /// the epoch latency windows per [`FtlConfig::telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }

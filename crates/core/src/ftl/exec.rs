@@ -27,7 +27,6 @@ impl Ftl {
         name: &str,
         op: OpClass,
         attr: Option<u32>,
-        lpn: u64,
         body: impl FnOnce(&mut Self) -> Result<u64, FtlError>,
     ) -> Result<u64, FtlError> {
         let t0 = self.nand.submission_now();
@@ -36,7 +35,7 @@ impl Ftl {
         let end = self.nand.submission_now();
         let pages = *r.as_ref().unwrap_or(&0);
         self.tracer.end(span, end, pages, r.is_ok());
-        self.telemetry.record_as(op, attr, lpn, pages, t0, end, r.is_ok());
+        self.telemetry.record(op, attr, pages, t0, end, r.is_ok());
         r
     }
 
@@ -54,7 +53,6 @@ impl Ftl {
         &mut self,
         name: &str,
         op: Option<OpClass>,
-        lpn: u64,
         pages: u64,
         queued: bool,
         body: impl FnOnce(&mut Self) -> Result<T, FtlError>,
@@ -76,7 +74,7 @@ impl Ftl {
         self.cmd_stream = None;
         self.tracer.end(span, end, pages, r.is_ok());
         if let Some(op) = op {
-            self.telemetry.record(op, lpn, pages, t0, end, r.is_ok());
+            self.telemetry.record(op, None, pages, t0, end, r.is_ok());
         }
         (r, end, blocks)
     }
@@ -89,11 +87,10 @@ impl Ftl {
         &mut self,
         name: &str,
         op: Option<OpClass>,
-        lpn: u64,
         pages: u64,
         body: impl FnOnce(&mut Self) -> Result<T, FtlError>,
     ) -> Result<T, FtlError> {
-        let (r, _, _) = self.frame(name, op, lpn, pages, false, body);
+        let (r, _, _) = self.frame(name, op, pages, false, body);
         self.epoch_tick();
         r
     }
@@ -108,11 +105,6 @@ impl Ftl {
             return;
         }
         let wear = self.wear_stats();
-        let remaining_life = if DEFAULT_ENDURANCE_CYCLES == 0 {
-            0.0
-        } else {
-            (1.0 - wear.mean_erases / DEFAULT_ENDURANCE_CYCLES as f64).clamp(0.0, 1.0)
-        };
         let (read_hist, write_hist) = self.telemetry.take_epoch_windows();
         let sample = EpochSample {
             now_ns: now,
@@ -122,25 +114,11 @@ impl Ftl {
             free_blocks: self.pool.free_count() as u64,
             inflight: self.pending.len() as u64,
             wear_skew: wear.skew(),
-            remaining_life,
+            remaining_life: wear.remaining_life(DEFAULT_ENDURANCE_CYCLES),
             read_hist,
             write_hist,
         };
-        let outcome = self.recorder.as_mut().expect("checked above").seal(sample);
-        self.tracer.push_unit_epoch(outcome.end_ns, &outcome.unit_busy_ns);
-        // Fired alerts land on the command ring too, so the flight around
-        // an SLO breach is visible in the same event stream as the I/O.
-        for a in &outcome.alerts {
-            self.telemetry.record_as(
-                OpClass::Alert,
-                Some(STREAM_FTL),
-                a.kind.index() as u64,
-                0,
-                outcome.end_ns,
-                outcome.end_ns,
-                a.severity != AlertSeverity::Critical,
-            );
-        }
+        self.recorder.as_mut().expect("checked above").seal(sample);
     }
 
     /// Execute a queued command's state transitions (called inside the
@@ -215,28 +193,29 @@ impl BlockDevice for Ftl {
     }
 
     fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<(), FtlError> {
-        self.command("read", Some(OpClass::Read), lpn.0, 1, |f| f.read_impl(lpn, buf))
+        self.command("read", Some(OpClass::Read), 1, |f| f.read_impl(lpn, buf))
     }
 
     fn write(&mut self, lpn: Lpn, data: &[u8]) -> Result<(), FtlError> {
-        self.command("write", Some(OpClass::Write), lpn.0, 1, |f| f.write_impl(lpn, data))
+        self.command("write", Some(OpClass::Write), 1, |f| f.write_impl(lpn, data))
     }
 
     fn flush(&mut self) -> Result<(), FtlError> {
-        self.command("flush", Some(OpClass::Flush), 0, 0, Self::flush_impl)
+        self.command("flush", Some(OpClass::Flush), 0, Self::flush_impl)
     }
 
     fn trim(&mut self, lpn: Lpn, len: u64) -> Result<(), FtlError> {
-        self.command("trim", Some(OpClass::Trim), lpn.0, len, |f| f.trim_impl(lpn, len))
+        self.command("trim", Some(OpClass::Trim), len, |f| f.trim_impl(lpn, len))
     }
 
     /// The SHARE command (§3.2): remap every `pair.dest` onto the physical
     /// page of `pair.src`, atomically for the whole batch. The command
     /// returns after its deltas are durably logged (§4.2.2).
     fn share(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
-        let Some(first) = pairs.first() else { return Ok(()) };
-        let n = pairs.len() as u64;
-        self.command("share", Some(OpClass::Share), first.dest.0, n, |f| f.share_impl(pairs))
+        if pairs.is_empty() {
+            return Ok(());
+        }
+        self.command("share", Some(OpClass::Share), pairs.len() as u64, |f| f.share_impl(pairs))
     }
 
     /// A large SHARE submission: one host command (one command overhead,
@@ -245,9 +224,10 @@ impl BlockDevice for Ftl {
     /// a crash can land between sub-batches, exactly as if the host had
     /// issued them as separate commands — minus the per-command overhead.
     fn share_batch(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
-        let Some(first) = pairs.first() else { return Ok(()) };
-        let n = pairs.len() as u64;
-        self.command("share_batch", Some(OpClass::ShareBatch), first.dest.0, n, |f| {
+        if pairs.is_empty() {
+            return Ok(());
+        }
+        self.command("share_batch", Some(OpClass::ShareBatch), pairs.len() as u64, |f| {
             f.share_batch_impl(pairs)
         })
     }
@@ -264,7 +244,7 @@ impl BlockDevice for Ftl {
     /// `name`. Pure metadata — zero NAND page programs; the frozen entries
     /// pin their physical pages against GC reclaim until dropped.
     fn snapshot_create(&mut self, name: &str, start: Lpn, len: u64) -> Result<u32, FtlError> {
-        self.command("snapshot_create", None, start.0, len, |f| {
+        self.command("snapshot_create", None, len, |f| {
             f.snapshot_create_impl(name, start, len)
         })
     }
@@ -272,7 +252,7 @@ impl BlockDevice for Ftl {
     /// Release `name`'s pins. Newly unreferenced pages become ordinary
     /// garbage, blamed to the dropping stream.
     fn snapshot_drop(&mut self, name: &str) -> Result<(), FtlError> {
-        self.command("snapshot_drop", None, 0, 0, |f| f.snapshot_drop_impl(name))
+        self.command("snapshot_drop", None, 0, |f| f.snapshot_drop_impl(name))
     }
 
     /// Materialize a writable zero-copy clone of a snapshot window at
@@ -286,7 +266,7 @@ impl BlockDevice for Ftl {
         dst: Lpn,
         len: u64,
     ) -> Result<u64, FtlError> {
-        self.command("snapshot_clone", None, dst.0, len, |f| {
+        self.command("snapshot_clone", None, len, |f| {
             f.snapshot_clone_impl(name, src_offset, dst, len)
         })
     }
@@ -294,7 +274,7 @@ impl BlockDevice for Ftl {
     /// Point-in-time read of one page from a snapshot, without touching
     /// the live mapping.
     fn snapshot_read(&mut self, name: &str, offset: u64, buf: &mut [u8]) -> Result<(), FtlError> {
-        self.command("snapshot_read", Some(OpClass::Read), offset, 1, |f| {
+        self.command("snapshot_read", Some(OpClass::Read), 1, |f| {
             f.snapshot_read_impl(name, offset, buf)
         })
     }
@@ -307,7 +287,7 @@ impl BlockDevice for Ftl {
     /// (creates are otherwise durable only at the next natural
     /// checkpoint).
     fn snapshot_persist(&mut self) -> Result<(), FtlError> {
-        self.command("snapshot_persist", None, 0, 0, |f| {
+        self.command("snapshot_persist", None, 0, |f| {
             f.nand.charge(f.cfg.command_ns);
             f.checkpoint()
         })
@@ -316,9 +296,8 @@ impl BlockDevice for Ftl {
     /// Batched read: mapped pages go to the NAND as one submission, so
     /// reads on distinct channel-ways overlap in simulated time.
     fn read_batch(&mut self, reqs: &mut [(Lpn, &mut [u8])]) -> Result<(), FtlError> {
-        let first = reqs.first().map_or(0, |(lpn, _)| lpn.0);
         let n = reqs.len() as u64;
-        self.command("read_batch", Some(OpClass::ReadBatch), first, n, |f| f.read_batch_impl(reqs))
+        self.command("read_batch", Some(OpClass::ReadBatch), n, |f| f.read_batch_impl(reqs))
     }
 
     /// Batched write: destinations are striped across channels by the
@@ -326,11 +305,8 @@ impl BlockDevice for Ftl {
     /// programs overlap across channel-ways. Ordering and durability
     /// semantics match the equivalent sequence of single writes.
     fn write_batch(&mut self, pages: &[(Lpn, &[u8])]) -> Result<(), FtlError> {
-        let first = pages.first().map_or(0, |(lpn, _)| lpn.0);
         let n = pages.len() as u64;
-        self.command("write_batch", Some(OpClass::WriteBatch), first, n, |f| {
-            f.write_batch_impl(pages)
-        })
+        self.command("write_batch", Some(OpClass::WriteBatch), n, |f| f.write_batch_impl(pages))
     }
 
     /// Atomic multi-page write (§6.1's related-work primitive): all data
@@ -338,11 +314,11 @@ impl BlockDevice for Ftl {
     /// of the batch is committed in a single atomically-programmed log
     /// page — the same mechanism that makes SHARE batches atomic.
     fn write_atomic(&mut self, pages: &[(Lpn, &[u8])]) -> Result<(), FtlError> {
-        let Some(first) = pages.first() else { return Ok(()) };
+        if pages.is_empty() {
+            return Ok(());
+        }
         let n = pages.len() as u64;
-        self.command("write_atomic", Some(OpClass::WriteAtomic), first.0 .0, n, |f| {
-            f.write_atomic_impl(pages)
-        })
+        self.command("write_atomic", Some(OpClass::WriteAtomic), n, |f| f.write_atomic_impl(pages))
     }
 
     fn write_atomic_limit(&self) -> usize {
@@ -373,9 +349,9 @@ impl BlockDevice for Ftl {
         let tag = CmdTag(self.next_tag);
         self.next_tag = self.next_tag.wrapping_add(1);
         let submit_ns = self.nand.now_ns();
-        let (op, lpn, pages) = cmd.header();
+        let (op, pages) = cmd.header();
         let (result, complete_ns, blocks) =
-            self.frame(cmd.name(), Some(op), lpn, pages, true, |f| f.execute_queued(cmd));
+            self.frame(cmd.name(), Some(op), pages, true, |f| f.execute_queued(cmd));
         self.q_submitted += 1;
         self.pending.push(PendingCmd { tag, submit_ns, complete_ns, result, blocks });
         self.q_max_inflight = self.q_max_inflight.max(self.pending.len() as u64);
@@ -462,9 +438,6 @@ impl BlockDevice for Ftl {
         ));
         rows.extend(self.health_report().rows());
         snap.metrics = rows;
-        if let Some(rec) = &self.recorder {
-            snap.alerts = rec.alerts().to_vec();
-        }
         Some(snap)
     }
 

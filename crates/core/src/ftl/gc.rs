@@ -192,9 +192,8 @@ impl Ftl {
     /// is never charged (it only feels GC through lane contention). Without
     /// it the step runs on the caller's timeline — the synchronous drain.
     fn gc_step_traced(&mut self, budget: usize, background: Option<u64>) -> Result<u64, FtlError> {
-        let victim = self.pool.abs(self.gc_job.as_ref().expect("step without a job").rel);
         let saved = background.map(|at| self.nand.begin_background(at));
-        let r = self.internal_pass("gc", OpClass::Gc, None, victim.0 as u64, |f| {
+        let r = self.internal_pass("gc", OpClass::Gc, None, |f| {
             f.in_gc = true;
             let mut scratch = std::mem::take(&mut f.gc_scratch);
             let r = f.gc_step(budget, &mut scratch);

@@ -2,7 +2,7 @@
 
 use super::*;
 use nand_sim::NandTiming;
-use share_telemetry::Value;
+use share_telemetry::metric::Value;
 
 fn tiny() -> Ftl {
     // 1 MiB logical, generous OP so GC has room; zero latency for speed.
@@ -750,8 +750,8 @@ fn full_telemetry_leaves_simulated_results_bit_identical() {
     // And the full device actually collected the optional data.
     let snap = full.telemetry().snapshot();
     assert!(!snap.op(share_telemetry::OpClass::Write).hist.is_empty());
-    assert!(!snap.events.is_empty());
-    assert!(plain.telemetry().snapshot().events.is_empty());
+    assert!(full.tracer().span_count() > 0);
+    assert!(plain.telemetry().snapshot().op(share_telemetry::OpClass::Write).hist.is_empty());
 }
 
 #[test]
@@ -822,43 +822,48 @@ fn wa_ledger_sums_exactly_to_background_programs() {
 #[test]
 fn log_flush_inside_host_command_inherits_its_stream() {
     // Satellite regression: a delta-log flush triggered mid-command
-    // (RAM buffer filled during a large write_batch) must surface in
-    // the command ring under the host command's stream, while GC's own
-    // flushes stay on the reserved ftl stream.
+    // (RAM buffer filled during a large write_batch) must be counted under
+    // the host command's stream, while GC's own flushes stay on the
+    // reserved ftl stream.
     let cfg = FtlConfig::for_capacity_with(4 << 20, 0.5, 4096, 16, NandTiming::zero())
         .with_telemetry(share_telemetry::TelemetryConfig::full());
     let mut f = Ftl::new(cfg);
     let dwb = f.stream_intern("doublewrite");
     f.set_stream(dwb);
+    // Internal passes by class, and the `other` commands of one stream.
+    let passes = |f: &Ftl, op| f.telemetry().counters(op).ops;
+    let other = |f: &Ftl, stream: u32| f.telemetry().snapshot().streams[stream as usize].other.ops;
+    let (flushes0, ckpts0, ftl0) =
+        (passes(&f, OpClass::LogFlush), passes(&f, OpClass::Checkpoint), other(&f, STREAM_FTL));
     let ps = f.page_size();
     let n = f.config().deltas_per_page() * 2 + 8; // forces buffered flushes
     let pages: Vec<Vec<u8>> = (0..n).map(|i| vec![(i % 251) as u8; ps]).collect();
     let batch: Vec<(Lpn, &[u8])> =
         pages.iter().enumerate().map(|(i, p)| (Lpn(i as u64), p.as_slice())).collect();
     f.write_batch(&batch).unwrap();
-    let events = f.telemetry().snapshot().events;
-    let flushes: Vec<_> =
-        events.iter().filter(|e| e.op == OpClass::LogFlush).collect();
-    assert!(!flushes.is_empty(), "batch must trigger a mid-command log flush");
-    assert!(
-        flushes.iter().all(|e| e.stream == dwb),
+    let flushes = passes(&f, OpClass::LogFlush) - flushes0;
+    assert!(flushes > 0, "batch must trigger a mid-command log flush");
+    // Every pass the batch triggered is the doublewrite stream's; none is
+    // the ftl stream's.
+    let ckpts = passes(&f, OpClass::Checkpoint) - ckpts0;
+    assert_eq!(
+        (other(&f, dwb), other(&f, STREAM_FTL)),
+        (flushes + ckpts, ftl0),
         "mid-command log flushes must inherit the doublewrite stream"
     );
     // Now push the device into GC under the same stream: GC-triggered
-    // flushes must NOT inherit it.
+    // flushes must NOT inherit it, so the ftl stream counts more than the
+    // GC passes themselves.
+    let (gc0, ftl1) = (passes(&f, OpClass::Gc), other(&f, STREAM_FTL));
     let logical = f.capacity_pages();
     for round in 0..6u64 {
         for i in 0..logical / 2 {
             f.write(Lpn(i), &vec![((i + round) % 251) as u8; ps]).unwrap();
         }
     }
-    assert!(f.stats().gc_events > 0);
-    let events = f.telemetry().snapshot().events;
-    let gc_flush = events
-        .iter()
-        .filter(|e| e.op == OpClass::LogFlush)
-        .any(|e| e.stream == STREAM_FTL);
-    assert!(gc_flush, "GC's log flushes stay on the ftl stream");
+    let gc = passes(&f, OpClass::Gc) - gc0;
+    assert!(gc > 0);
+    assert!(other(&f, STREAM_FTL) - ftl1 > gc, "GC's log flushes stay on the ftl stream");
 }
 
 #[test]

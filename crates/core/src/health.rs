@@ -9,7 +9,8 @@
 //! bucketed wear histogram plus summary moments, free-block headroom,
 //! cumulative write amplification, and a remaining-life estimate in the
 //! spirit of SMART attribute 177 (wear leveling) / 231 (life left):
-//! `1 - mean_erases / endurance_cycles`, clamped to `[0, 1]`.
+//! [`WearStats::remaining_life`], the one formula the flight recorder's
+//! epoch gauge uses too.
 
 use crate::ftl::WearStats;
 use crate::stats::DeviceStats;
@@ -21,7 +22,7 @@ use share_telemetry::{rows_json, Metric};
 pub const DEFAULT_ENDURANCE_CYCLES: u64 = 3_000;
 
 /// Number of equal-width bins in the erase-count histogram.
-pub const WEAR_HIST_BINS: usize = 12;
+const WEAR_HIST_BINS: usize = 12;
 
 /// One bin of the erase-count histogram: blocks whose erase count lies in
 /// `[lo, hi]` (inclusive).
@@ -61,18 +62,13 @@ pub struct HealthReport {
 impl HealthReport {
     /// Build a report from per-block erase counts, pool headroom, and the
     /// cumulative device counters.
-    pub fn compute(
+    pub(crate) fn compute(
         erase_counts: &[u32],
         free_blocks: u64,
         stats: &DeviceStats,
         endurance_cycles: u64,
     ) -> HealthReport {
         let wear = WearStats::from_counts(erase_counts.iter().copied());
-        let remaining_life = if endurance_cycles == 0 {
-            0.0
-        } else {
-            (1.0 - wear.mean_erases / endurance_cycles as f64).clamp(0.0, 1.0)
-        };
         HealthReport {
             wear,
             wear_skew: wear.skew(),
@@ -80,13 +76,13 @@ impl HealthReport {
             free_blocks,
             data_blocks: erase_counts.len() as u64,
             stats: *stats,
-            remaining_life,
+            remaining_life: wear.remaining_life(endurance_cycles),
             endurance_cycles,
         }
     }
 
     /// The wear, headroom and remaining-life readings as exported rows.
-    pub fn rows(&self) -> Vec<Metric> {
+    pub(crate) fn rows(&self) -> Vec<Metric> {
         let (w, int, real) = (&self.wear, Metric::gauge, Metric::ratio);
         vec![
             int("share_wear_erases_min", "Fewest erases of any data block.", w.min_erases.into()),

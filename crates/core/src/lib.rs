@@ -47,11 +47,12 @@ mod delta;
 mod device;
 mod error;
 mod ftl;
-pub mod health;
+mod health;
 mod mapping;
-pub mod monitor;
+mod monitor;
 mod pool;
 mod queue;
+mod recorder;
 pub mod snapshot;
 mod stats;
 mod types;
@@ -63,9 +64,9 @@ pub use delta::{Delta, DeltaLog, DeltaPage};
 pub use device::{BlockDevice, SimpleSsd};
 pub use error::FtlError;
 pub use ftl::{Ftl, WearStats};
-pub use health::{HealthReport, WearBucket, DEFAULT_ENDURANCE_CYCLES, WEAR_HIST_BINS};
+pub use health::{HealthReport, WearBucket, DEFAULT_ENDURANCE_CYCLES};
 pub use mapping::{MappingTable, RevMap, RevMapPolicy, Unmapped};
-pub use monitor::{EpochRecord, EpochSample, FlightRecorder, FlightSnapshot, SealOutcome};
+pub use monitor::{EpochRecord, FlightSnapshot};
 pub use pool::{BlockPool, BlockState, WritePoint};
 pub use queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
 pub use snapshot::{SnapshotInfo, SnapshotTable};
@@ -74,7 +75,7 @@ pub use types::{Lpn, SharePair};
 pub use util::crc32c;
 
 /// Re-exported observability subsystem (see the `share-telemetry` crate):
-/// op-class counters, latency histograms, command ring, exporters.
+/// op-class counters, latency histograms, spans, SLO rules, exporters.
 pub use share_telemetry as telemetry;
 pub use share_telemetry::{
     Alert, AlertKind, AlertSeverity, Layer, OpClass, SloConfig, Snapshot, Span, SpanId, Telemetry,

@@ -1,40 +1,28 @@
-//! Time-series flight recorder: per-epoch deltas of everything the device
-//! already counts.
+//! Time-series flight recorder's series, as readers see it: per-epoch
+//! deltas of everything the device already counts.
 //!
-//! The FTL calls [`FlightRecorder::due`] with the simulated clock at every
-//! command completion; when an epoch boundary has passed it seals one
-//! [`EpochRecord`] holding the *delta* of [`DeviceStats`], the per-stream
-//! WA-ledger blame, per-unit busy time, free-block headroom and the
-//! epoch's latency windows since the previous seal. Records land in a
-//! fixed-capacity [`EpochRing`]; evicted epochs fold into an accumulator
-//! so the standing guarantee holds for the whole run:
+//! The device's [`FlightRecorder`](crate::recorder::FlightRecorder) seals
+//! one [`EpochRecord`] per epoch holding the *delta* of [`DeviceStats`],
+//! the per-stream WA-ledger blame, per-unit busy time, the free-block,
+//! wear-skew and remaining-life gauges, and the epoch's latency windows
+//! since the previous seal. A [`FlightSnapshot`] exports the retained
+//! records plus the folded deltas of the evicted ones and of the partial
+//! epoch, so the standing guarantee holds for the whole run:
 //!
 //! > evicted + retained + current-partial deltas == cumulative counters,
 //! > exactly, at every moment.
 //!
-//! Epochs are clock-driven but sealed lazily at command boundaries: the
-//! sampler never advances the simulated clock (it only reads values the
-//! FTL passes in), so a monitored run is bit-identical to an unmonitored
-//! one — same clock, same on-disk image. A quiet device crossing several
-//! boundary multiples seals a single epoch spanning them rather than a
-//! train of empty records.
-//!
-//! At each seal the configured [`SloConfig`] thresholds are evaluated
-//! against the epoch's observation; fired [`Alert`]s are stored here, put
-//! on the telemetry command ring by the FTL, and exported by `sharectl
-//! monitor`/`doctor`.
+//! The recorder records and never judges: SLO alerts are a reader's
+//! computation over the retained epochs ([`FlightSnapshot::alerts`] with
+//! the reader's own [`SloConfig`]).
 
 use crate::stats::DeviceStats;
-use share_telemetry::json::{count, s, Json};
-use share_telemetry::{rows_json, Alert, EpochObservation, EpochRing, Histogram, SloConfig};
-
-/// Hard cap on stored alert events (the ring of epochs is bounded, the
-/// alert log should be too; beyond this only the count survives).
-const MAX_ALERTS: usize = 4096;
+use share_telemetry::json::{count, num, s, Json};
+use share_telemetry::{rows_json, Alert, EpochObservation, Histogram, SloConfig};
 
 /// Per-stream WA-ledger delta for one epoch: `(foreground write pages,
 /// blamed background pages by BlameKind)`, indexed by stream id.
-pub type WaDelta = (u64, [u64; 3]);
+pub(crate) type WaDelta = (u64, [u64; 3]);
 
 /// One sealed epoch: everything is a delta over `[start_ns, end_ns]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,20 +41,39 @@ pub struct EpochRecord {
     pub free_blocks: u64,
     /// Queued commands in flight at seal time (gauge).
     pub inflight: u64,
+    /// Wear-leveling skew (max/mean erases) at seal time (gauge).
+    pub wear_skew: f64,
+    /// Remaining-life fraction at seal time, at the default endurance
+    /// (gauge).
+    pub remaining_life: f64,
     /// Per-NAND-unit busy-time deltas, indexed like the device's units.
     pub unit_busy_ns: Vec<u64>,
     /// Host-read latency window for this epoch.
     pub read_hist: Histogram,
     /// Host-write latency window for this epoch.
     pub write_hist: Histogram,
-    /// Alerts the SLO engine fired at this epoch's boundary.
-    pub alerts: Vec<Alert>,
 }
 
 impl EpochRecord {
+    /// What the SLO rule reads of this epoch. Latency p99s are `None` for
+    /// an epoch without a sample of that direction.
+    fn observation(&self) -> EpochObservation {
+        let p99 = |h: &Histogram| (!h.is_empty()).then(|| h.quantile(0.99));
+        EpochObservation {
+            epoch: self.epoch,
+            end_ns: self.end_ns,
+            write_p99_ns: p99(&self.write_hist),
+            read_p99_ns: p99(&self.read_hist),
+            gc_stall_delta_ns: self.stats.gc_stall_ns,
+            free_blocks: self.free_blocks,
+            wear_skew: self.wear_skew,
+            remaining_life: self.remaining_life,
+        }
+    }
+
     /// JSON form (one row of `sharectl monitor --format json`). `labels`
     /// names the stream ids, `unit_labels` the NAND units.
-    pub fn to_json(&self, labels: &[String], unit_labels: &[String]) -> Json {
+    fn to_json(&self, labels: &[String], unit_labels: &[String]) -> Json {
         let wa = Json::Obj(
             self.wa
                 .iter()
@@ -110,6 +117,8 @@ impl EpochRecord {
         let mut push = |key: &str, value| fields.push((key.to_string(), value));
         push("free_blocks", count(self.free_blocks));
         push("inflight", count(self.inflight));
+        push("wear_skew", num(self.wear_skew));
+        push("remaining_life", num(self.remaining_life));
         push("wa", wa);
         push("unit_busy_ns", units);
         if !self.read_hist.is_empty() {
@@ -120,227 +129,12 @@ impl EpochRecord {
             push("write_p50_ns", count(self.write_hist.quantile(0.50)));
             push("write_p99_ns", count(self.write_hist.quantile(0.99)));
         }
-        if !self.alerts.is_empty() {
-            push("alerts", Json::Arr(self.alerts.iter().map(Alert::to_json).collect()));
-        }
         Json::Obj(fields)
     }
 }
 
-/// What the FTL samples and hands to [`FlightRecorder::seal`] — all plain
-/// read-outs of state the device already tracks.
-#[derive(Debug, Clone)]
-pub struct EpochSample {
-    /// Simulated clock now.
-    pub now_ns: u64,
-    /// Cumulative device counters now.
-    pub stats: DeviceStats,
-    /// Cumulative per-stream WA ledger now (`Telemetry::wa_raw`).
-    pub wa: Vec<WaDelta>,
-    /// Cumulative per-unit busy time now.
-    pub unit_busy_ns: Vec<u64>,
-    /// Free data blocks (gauge).
-    pub free_blocks: u64,
-    /// Queued commands in flight (gauge).
-    pub inflight: u64,
-    /// Wear skew now (for the SLO engine).
-    pub wear_skew: f64,
-    /// Remaining-life fraction now (for the SLO engine).
-    pub remaining_life: f64,
-    /// This epoch's latency windows (`Telemetry::take_epoch_windows`).
-    pub read_hist: Histogram,
-    pub write_hist: Histogram,
-}
-
-/// What one seal produced, for the FTL to forward (alerts onto the
-/// command ring, the busy row into the tracer's utilization series).
-#[derive(Debug, Clone)]
-pub struct SealOutcome {
-    /// Index of the epoch just sealed.
-    pub epoch: u64,
-    /// Its seal time.
-    pub end_ns: u64,
-    /// Alerts fired at this boundary.
-    pub alerts: Vec<Alert>,
-    /// The epoch's per-unit busy deltas (same row stored in the record).
-    pub unit_busy_ns: Vec<u64>,
-}
-
-/// The sim-clock-driven epoch sampler owned by one device.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    epoch_ns: u64,
-    slo: SloConfig,
-    ring: EpochRing<EpochRecord>,
-    /// First boundary not yet sealed past.
-    next_boundary_ns: u64,
-    /// Epochs sealed so far (index of the next epoch).
-    sealed: u64,
-    /// Read-outs at the previous seal (zeros at creation, so the sum of
-    /// all epoch deltas equals the cumulative counters from zero).
-    base_end_ns: u64,
-    base_stats: DeviceStats,
-    base_wa: Vec<WaDelta>,
-    base_busy: Vec<u64>,
-    /// Deltas of epochs that rolled off the ring, folded together.
-    evicted_stats: DeviceStats,
-    evicted_wa: Vec<WaDelta>,
-    /// Every alert fired, capped at [`MAX_ALERTS`] stored events.
-    alerts: Vec<Alert>,
-    alerts_dropped: u64,
-}
-
-impl FlightRecorder {
-    /// A recorder sealing every `epoch_ns` of simulated time into a ring
-    /// of `ring_cap` records, starting its first epoch at `start_ns`.
-    pub fn new(epoch_ns: u64, ring_cap: usize, slo: SloConfig, start_ns: u64) -> Self {
-        debug_assert!(epoch_ns > 0);
-        FlightRecorder {
-            epoch_ns,
-            slo,
-            ring: EpochRing::new(ring_cap),
-            next_boundary_ns: (start_ns / epoch_ns + 1) * epoch_ns,
-            sealed: 0,
-            base_end_ns: start_ns,
-            base_stats: DeviceStats::default(),
-            base_wa: Vec::new(),
-            base_busy: Vec::new(),
-            evicted_stats: DeviceStats::default(),
-            evicted_wa: Vec::new(),
-            alerts: Vec::new(),
-            alerts_dropped: 0,
-        }
-    }
-
-    /// The configured epoch length.
-    pub fn epoch_ns(&self) -> u64 {
-        self.epoch_ns
-    }
-
-    /// The configured thresholds.
-    pub fn slo(&self) -> SloConfig {
-        self.slo
-    }
-
-    /// Whether the clock has crossed the next epoch boundary (i.e. a
-    /// `seal` is owed). Pure read — never advances anything.
-    pub fn due(&self, now_ns: u64) -> bool {
-        now_ns >= self.next_boundary_ns
-    }
-
-    /// Seal the epoch ending now. The record's deltas cover everything
-    /// since the previous seal; the next boundary is the first multiple of
-    /// `epoch_ns` strictly after `sample.now_ns` (a long-idle device seals
-    /// one spanning epoch, not a train of empty ones).
-    pub fn seal(&mut self, sample: EpochSample) -> SealOutcome {
-        let now = sample.now_ns;
-        let stats_delta = sample.stats.delta_since(&self.base_stats);
-        let wa_delta = diff_wa(&sample.wa, &self.base_wa);
-        let busy_delta: Vec<u64> = sample
-            .unit_busy_ns
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| b - self.base_busy.get(i).copied().unwrap_or(0))
-            .collect();
-
-        let obs = EpochObservation {
-            epoch: self.sealed,
-            end_ns: now,
-            write_p99_ns: (!sample.write_hist.is_empty())
-                .then(|| sample.write_hist.quantile(0.99)),
-            read_p99_ns: (!sample.read_hist.is_empty())
-                .then(|| sample.read_hist.quantile(0.99)),
-            gc_stall_delta_ns: stats_delta.gc_stall_ns,
-            free_blocks: sample.free_blocks,
-            wear_skew: sample.wear_skew,
-            remaining_life: sample.remaining_life,
-        };
-        let fired = self.slo.evaluate(&obs);
-        for &a in &fired {
-            if self.alerts.len() < MAX_ALERTS {
-                self.alerts.push(a);
-            } else {
-                self.alerts_dropped += 1;
-            }
-        }
-
-        let record = EpochRecord {
-            epoch: self.sealed,
-            start_ns: self.base_end_ns,
-            end_ns: now,
-            stats: stats_delta,
-            wa: wa_delta,
-            free_blocks: sample.free_blocks,
-            inflight: sample.inflight,
-            unit_busy_ns: busy_delta.clone(),
-            read_hist: sample.read_hist,
-            write_hist: sample.write_hist,
-            alerts: fired.clone(),
-        };
-        if let Some(evicted) = self.ring.push(record) {
-            self.evicted_stats.accumulate(&evicted.stats);
-            accumulate_wa(&mut self.evicted_wa, &evicted.wa);
-        }
-
-        let outcome = SealOutcome {
-            epoch: self.sealed,
-            end_ns: now,
-            alerts: fired,
-            unit_busy_ns: busy_delta,
-        };
-        self.sealed += 1;
-        self.base_end_ns = now;
-        self.base_stats = sample.stats;
-        self.base_wa = sample.wa;
-        self.base_busy = sample.unit_busy_ns;
-        self.next_boundary_ns = (now / self.epoch_ns + 1) * self.epoch_ns;
-        outcome
-    }
-
-    /// Every alert fired so far (capped; see `alerts_dropped`).
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
-    }
-
-    /// A point-in-time copy of the series. `sample`-like read-outs of the
-    /// *current* cumulative state close the books: `tail_stats` is the
-    /// not-yet-sealed partial epoch, so `evicted + retained + tail` equals
-    /// the cumulative counters exactly.
-    pub fn snapshot(&self, now_ns: u64, stats: &DeviceStats, wa: &[WaDelta]) -> FlightSnapshot {
-        FlightSnapshot {
-            epoch_ns: self.epoch_ns,
-            sealed: self.sealed,
-            dropped: self.ring.evicted(),
-            labels: Vec::new(),
-            unit_labels: Vec::new(),
-            epochs: self.ring.iter().cloned().collect(),
-            evicted_stats: self.evicted_stats,
-            evicted_wa: self.evicted_wa.clone(),
-            tail_start_ns: self.base_end_ns,
-            tail_end_ns: now_ns,
-            tail_stats: stats.delta_since(&self.base_stats),
-            tail_wa: diff_wa(wa, &self.base_wa),
-            alerts: self.alerts.clone(),
-            alerts_dropped: self.alerts_dropped,
-        }
-    }
-}
-
-/// Element-wise `current - base` over per-stream WA rows; streams interned
-/// after the base was taken diff against zero.
-fn diff_wa(current: &[WaDelta], base: &[WaDelta]) -> Vec<WaDelta> {
-    current
-        .iter()
-        .enumerate()
-        .map(|(i, &(fg, bg))| {
-            let (bfg, bbg) = base.get(i).copied().unwrap_or((0, [0; 3]));
-            (fg - bfg, [bg[0] - bbg[0], bg[1] - bbg[1], bg[2] - bbg[2]])
-        })
-        .collect()
-}
-
 /// Element-wise `acc += delta`, growing `acc` as streams appear.
-fn accumulate_wa(acc: &mut Vec<WaDelta>, delta: &[WaDelta]) {
+pub(crate) fn accumulate_wa(acc: &mut Vec<WaDelta>, delta: &[WaDelta]) {
     if acc.len() < delta.len() {
         acc.resize(delta.len(), (0, [0; 3]));
     }
@@ -359,7 +153,7 @@ pub struct FlightSnapshot {
     pub epoch_ns: u64,
     /// Epochs sealed over the run.
     pub sealed: u64,
-    /// Sealed epochs that rolled off the ring.
+    /// Sealed epochs no longer retained.
     pub dropped: u64,
     /// Stream id → label (filled by the device).
     pub labels: Vec<String>,
@@ -379,10 +173,6 @@ pub struct FlightSnapshot {
     pub tail_stats: DeviceStats,
     /// Per-stream WA deltas since the last seal.
     pub tail_wa: Vec<WaDelta>,
-    /// Every alert fired (capped).
-    pub alerts: Vec<Alert>,
-    /// Alerts beyond the cap (count only).
-    pub alerts_dropped: u64,
 }
 
 impl FlightSnapshot {
@@ -408,6 +198,12 @@ impl FlightSnapshot {
         total
     }
 
+    /// The alerts `slo` fires over the retained epochs, oldest epoch
+    /// first and, within an epoch, in [`SloConfig::evaluate`]'s order.
+    pub fn alerts(&self, slo: &SloConfig) -> Vec<Alert> {
+        self.epochs.iter().flat_map(|e| slo.evaluate(&e.observation())).collect()
+    }
+
     /// JSON document: meta fields plus one row per retained epoch.
     pub fn to_json(&self) -> Json {
         let epochs = Json::Arr(
@@ -425,8 +221,6 @@ impl FlightSnapshot {
             ("tail_start_ns", count(self.tail_start_ns)),
             ("tail_end_ns", count(self.tail_end_ns)),
             ("tail_host_writes", count(self.tail_stats.host_writes)),
-            ("alerts", Json::Arr(self.alerts.iter().map(Alert::to_json).collect())),
-            ("alerts_dropped", count(self.alerts_dropped)),
             ("epochs", epochs),
         ])
     }
@@ -435,40 +229,27 @@ impl FlightSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(now: u64, writes: u64, free: u64) -> EpochSample {
-        EpochSample {
-            now_ns: now,
-            stats: DeviceStats { host_writes: writes, ..Default::default() },
-            wa: vec![(writes, [0; 3])],
-            unit_busy_ns: vec![now / 2, now / 4],
-            free_blocks: free,
-            inflight: 0,
-            wear_skew: 1.0,
-            remaining_life: 1.0,
-            read_hist: Histogram::new(),
-            write_hist: Histogram::new(),
-        }
-    }
+    use crate::recorder::tests::sample;
+    use crate::recorder::FlightRecorder;
+    use share_telemetry::{AlertKind, AlertSeverity};
 
     #[test]
     fn seals_deltas_and_spans_idle_gaps() {
-        let mut r = FlightRecorder::new(1_000, 8, SloConfig::default(), 0);
+        let mut r = FlightRecorder::new(1_000, 8, 0);
         assert!(!r.due(999));
         assert!(r.due(1_000));
-        let o1 = r.seal(sample(1_200, 10, 50));
-        assert_eq!(o1.epoch, 0);
-        assert_eq!(o1.unit_busy_ns, vec![600, 300]);
+        r.seal(sample(1_200, 10, 50));
         // Next boundary is the multiple after 1200, i.e. 2000.
         assert!(!r.due(1_999));
         // A long idle gap seals one spanning epoch at the next command.
-        let o2 = r.seal(sample(7_300, 25, 40));
-        assert_eq!(o2.epoch, 1);
+        r.seal(sample(7_300, 25, 40));
         assert!(!r.due(7_999));
         assert!(r.due(8_000));
         let snap = r.snapshot(7_300, &sample(7_300, 25, 40).stats, &[(25, [0; 3])]);
         assert_eq!(snap.sealed, 2);
         assert_eq!(snap.epochs.len(), 2);
+        assert_eq!((snap.epochs[0].epoch, snap.epochs[1].epoch), (0, 1));
+        assert_eq!(snap.epochs[0].unit_busy_ns, vec![600, 300]);
         assert_eq!(snap.epochs[0].stats.host_writes, 10);
         assert_eq!(snap.epochs[1].stats.host_writes, 15);
         assert_eq!(snap.epochs[1].start_ns, 1_200);
@@ -481,7 +262,7 @@ mod tests {
 
     #[test]
     fn eviction_folds_into_accumulator_exactly() {
-        let mut r = FlightRecorder::new(100, 2, SloConfig::default(), 0);
+        let mut r = FlightRecorder::new(100, 2, 0);
         for i in 1..=10u64 {
             r.seal(sample(i * 100, i * 7, 50));
         }
@@ -502,26 +283,42 @@ mod tests {
 
     #[test]
     fn slo_fires_on_seal_and_lands_in_record_and_log() {
-        let slo = SloConfig { free_block_floor: Some(45), ..Default::default() };
-        let mut r = FlightRecorder::new(1_000, 8, slo, 0);
-        let ok = r.seal(sample(1_000, 1, 50));
-        assert!(ok.alerts.is_empty());
-        let bad = r.seal(sample(2_000, 2, 40));
-        assert_eq!(bad.alerts.len(), 1);
-        assert_eq!(bad.alerts[0].kind, share_telemetry::AlertKind::FreeBlocks);
-        assert_eq!(bad.alerts[0].epoch, 1);
-        assert_eq!(r.alerts()[0].severity, share_telemetry::AlertSeverity::Critical);
+        let mut r = FlightRecorder::new(1_000, 8, 0);
+        r.seal(sample(1_000, 1, 50));
+        let mut smp = sample(2_000, 2, 40);
+        smp.write_hist.record(900);
+        smp.wear_skew = 3.0;
+        r.seal(smp);
         let snap = r.snapshot(2_000, &sample(2_000, 2, 40).stats, &[(2, [0; 3])]);
-        assert_eq!(snap.alerts.len(), 1);
-        assert!(snap.epochs[0].alerts.is_empty());
-        assert_eq!(snap.epochs[1].alerts.len(), 1);
         let free: Vec<_> = snap.epochs.iter().map(|e| (e.end_ns, e.free_blocks)).collect();
         assert_eq!(free, vec![(1_000, 50), (2_000, 40)]);
+        // No thresholds, no alerts: the recorder holds no judgment.
+        assert!(snap.alerts(&SloConfig::default()).is_empty());
+        let slo = SloConfig {
+            free_block_floor: Some(45),
+            wear_skew_max: Some(2.0),
+            write_p99_ceiling_ns: Some(800),
+            read_p99_ceiling_ns: Some(1),
+            ..SloConfig::default()
+        };
+        let alerts = snap.alerts(&slo);
+        let got: Vec<_> =
+            alerts.iter().map(|a| (a.epoch, a.ns, a.kind, a.severity, a.value)).collect();
+        // Epoch 1 only, in `evaluate` order; the idle read window fires
+        // nothing.
+        assert_eq!(
+            got,
+            vec![
+                (1, 2_000, AlertKind::WriteP99, AlertSeverity::Warning, 900.0),
+                (1, 2_000, AlertKind::FreeBlocks, AlertSeverity::Critical, 40.0),
+                (1, 2_000, AlertKind::WearSkew, AlertSeverity::Warning, 3.0),
+            ]
+        );
     }
 
     #[test]
     fn snapshot_json_renders_and_parses() {
-        let mut r = FlightRecorder::new(500, 4, SloConfig::default(), 0);
+        let mut r = FlightRecorder::new(500, 4, 0);
         let mut smp = sample(500, 3, 20);
         smp.write_hist.record(120);
         smp.write_hist.record(480);
@@ -539,6 +336,8 @@ mod tests {
         assert_eq!(rows[0].get("page_programs").and_then(Json::as_u64), Some(0));
         assert_eq!(rows[0].get("write_p99_ns").and_then(Json::as_u64), Some(480));
         assert!(rows[0].get("read_p99_ns").is_none(), "idle read window omitted");
+        assert_eq!(rows[0].get("wear_skew").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(rows[0].get("remaining_life").and_then(Json::as_f64), Some(1.0));
         assert!(rows[0]
             .get("unit_busy_ns")
             .and_then(|u| u.get("ch0:w0"))

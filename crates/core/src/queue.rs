@@ -79,29 +79,18 @@ impl QueuedCmd<'_> {
         }
     }
 
-    /// What telemetry records the command as: op class, first LPN, pages.
-    pub(crate) fn header(&self) -> (OpClass, u64, u64) {
-        let first = |lpn: Option<Lpn>| lpn.map_or(0, |l| l.0);
+    /// What telemetry records the command as: op class and pages.
+    pub(crate) fn header(&self) -> (OpClass, u64) {
         match self {
-            QueuedCmd::Read { lpn } => (OpClass::Read, lpn.0, 1),
-            QueuedCmd::ReadBatch { lpns } => {
-                (OpClass::ReadBatch, first(lpns.first().copied()), lpns.len() as u64)
-            }
-            QueuedCmd::Write { lpn, .. } => (OpClass::Write, lpn.0, 1),
-            QueuedCmd::WriteBatch { pages } => {
-                (OpClass::WriteBatch, first(pages.first().map(|p| p.0)), pages.len() as u64)
-            }
-            QueuedCmd::WriteAtomic { pages } => {
-                (OpClass::WriteAtomic, first(pages.first().map(|p| p.0)), pages.len() as u64)
-            }
-            QueuedCmd::Share { pairs } => {
-                (OpClass::Share, first(pairs.first().map(|p| p.dest)), pairs.len() as u64)
-            }
-            QueuedCmd::ShareBatch { pairs } => {
-                (OpClass::ShareBatch, first(pairs.first().map(|p| p.dest)), pairs.len() as u64)
-            }
-            QueuedCmd::Trim { lpn, len } => (OpClass::Trim, lpn.0, *len),
-            QueuedCmd::Flush => (OpClass::Flush, 0, 0),
+            QueuedCmd::Read { .. } => (OpClass::Read, 1),
+            QueuedCmd::ReadBatch { lpns } => (OpClass::ReadBatch, lpns.len() as u64),
+            QueuedCmd::Write { .. } => (OpClass::Write, 1),
+            QueuedCmd::WriteBatch { pages } => (OpClass::WriteBatch, pages.len() as u64),
+            QueuedCmd::WriteAtomic { pages } => (OpClass::WriteAtomic, pages.len() as u64),
+            QueuedCmd::Share { pairs } => (OpClass::Share, pairs.len() as u64),
+            QueuedCmd::ShareBatch { pairs } => (OpClass::ShareBatch, pairs.len() as u64),
+            QueuedCmd::Trim { len, .. } => (OpClass::Trim, *len),
+            QueuedCmd::Flush => (OpClass::Flush, 0),
         }
     }
 }

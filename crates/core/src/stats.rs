@@ -106,7 +106,7 @@ impl DeviceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use share_telemetry::Value;
+    use share_telemetry::metric::Value;
 
     #[test]
     fn waf_handles_zero_writes() {

@@ -256,7 +256,6 @@ fn four_channel_copyback_stripes_one_victim_over_every_unit() {
 /// parked (a write invalidates at most one page).
 #[test]
 fn four_channel_slack_band_steps_run_after_the_program_and_pay_the_allocation() {
-    use share_core::telemetry::NO_PARENT;
     use share_core::{Layer, TelemetryConfig, Track};
     const CHANNELS: u32 = 4;
     let cfg = gc_heavy_cfg()
@@ -296,7 +295,7 @@ fn four_channel_slack_band_steps_run_after_the_program_and_pay_the_allocation() 
     let write_of: BTreeMap<u32, usize> = writes.iter().enumerate().map(|(n, w)| (w.root, n)).collect();
     // A step that erased its victim finished it.
     let mut erased = vec![false; spans.len()];
-    for l in spans.iter().filter(|l| l.name == "erase" && l.parent != NO_PARENT) {
+    for l in spans.iter().filter(|l| l.name == "erase" && l.parent != u32::MAX) {
         erased[l.parent as usize] = true;
     }
     // Per victim: its first and last write and the pages it relocated; per
@@ -362,7 +361,7 @@ fn four_channel_slack_band_steps_run_after_the_program_and_pay_the_allocation() 
         if s.layer == Layer::Nand {
             if let Track::Unit { channel, .. } = s.track {
                 let unit = &mut busy[channel as usize];
-                if s.parent != NO_PARENT && write_of.contains_key(&s.parent) && s.name == "program" {
+                if s.parent != u32::MAX && write_of.contains_key(&s.parent) && s.name == "program" {
                     let root = &spans[s.parent as usize];
                     if *unit <= root.start_ns {
                         assert_eq!(

@@ -10,8 +10,9 @@
 
 use nand_sim::NandTiming;
 use share_core::telemetry::json::{self, Json};
-use share_core::telemetry::{prom, Value};
-use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, QueuedCmd, SharePair, SloConfig, TelemetryConfig};
+use share_core::telemetry::metric::Value;
+use share_core::telemetry::prom;
+use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, QueuedCmd, SharePair, TelemetryConfig};
 use share_rng::Rng;
 
 const PAGES: u64 = 512;
@@ -52,9 +53,7 @@ fn mixed_script(dev: &mut Ftl) {
 
 fn device() -> Ftl {
     let cfg = FtlConfig::for_capacity_with(PAGES * PAGE as u64, 0.12, PAGE, 32, NandTiming::default())
-        .with_telemetry(TelemetryConfig::monitoring(10_000_000))
-        // A floor no device can meet, so the alert family is present too.
-        .with_slo(SloConfig { free_block_floor: Some(u64::MAX), ..SloConfig::default() });
+        .with_telemetry(TelemetryConfig::monitoring(10_000_000));
     let mut dev = Ftl::new(cfg);
     mixed_script(&mut dev);
     dev
@@ -95,8 +94,9 @@ fn every_counter_row_is_exported_by_both_formats() {
 }
 
 /// The families `prom::render` emitted before the metric table that
-/// still exist (the four placement families went with the class lanes).
-const FAMILIES_BEFORE_THE_TABLE: [&str; 36] = [
+/// still exist (the four placement families went with the class lanes,
+/// `share_alerts_total` with the device's own SLO evaluation).
+const FAMILIES_BEFORE_THE_TABLE: [&str; 35] = [
     "share_commands_total",
     "share_op_ops_total",
     "share_op_pages_total",
@@ -130,7 +130,6 @@ const FAMILIES_BEFORE_THE_TABLE: [&str; 36] = [
     "share_free_blocks",
     "share_data_blocks",
     "share_remaining_life",
-    "share_alerts_total",
     "share_unit_busy_ns_total",
     "share_unit_utilization",
 ];

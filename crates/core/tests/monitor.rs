@@ -12,7 +12,7 @@
 
 use nand_sim::NandTiming;
 use share_core::{
-    AlertSeverity, BlockDevice, Ftl, FtlConfig, Lpn, OpClass, SloConfig, TelemetryConfig,
+    AlertKind, AlertSeverity, BlockDevice, Ftl, FtlConfig, Lpn, SloConfig, TelemetryConfig,
 };
 
 const PAGES: u64 = 1024;
@@ -115,29 +115,31 @@ fn epoch_deltas_sum_exactly_to_cumulative_stats() {
 #[test]
 fn slo_breaches_fire_alerts_onto_the_command_ring() {
     // A free-block floor far above what this greedy-GC config ever holds:
-    // every epoch breaches, critically.
-    let slo = SloConfig { free_block_floor: Some(10_000), ..SloConfig::default() };
-    let mut ftl = Ftl::new(
-        gc_heavy_cfg().with_telemetry(TelemetryConfig::monitoring(EPOCH_NS)).with_slo(slo),
-    );
+    // every epoch breaches, critically. The device is configured with no
+    // threshold at all; the reader brings its own.
+    let mut ftl = Ftl::new(gc_heavy_cfg().with_telemetry(TelemetryConfig::monitoring(EPOCH_NS)));
     drive(&mut ftl, 2);
 
-    let snap = ftl.telemetry_snapshot().expect("telemetry on");
-    assert!(!snap.alerts.is_empty(), "no alerts despite a guaranteed breach");
+    let mon = ftl.monitor_snapshot().expect("recorder is on");
+    assert!(mon.alerts(&SloConfig::default()).is_empty(), "no threshold, no alert");
+    let slo = SloConfig { free_block_floor: Some(10_000), ..SloConfig::default() };
+    let alerts = mon.alerts(&slo);
     assert!(
-        snap.alerts.iter().all(|a| a.severity == AlertSeverity::Critical),
+        alerts.iter().all(|a| (a.kind, a.severity, a.threshold)
+            == (AlertKind::FreeBlocks, AlertSeverity::Critical, 10_000.0)),
         "free-block floor breaches are critical"
     );
-    // The same breaches are visible as events on the command ring,
-    // interleaved with the I/O that surrounded them.
-    let alert_events: Vec<_> =
-        snap.events.iter().filter(|e| e.op == OpClass::Alert).collect();
-    assert!(!alert_events.is_empty(), "alerts missing from the command ring");
-    assert!(alert_events.iter().all(|e| !e.ok), "critical alerts must record ok=false");
-    // And the structured log agrees with the recorder's own count.
-    let mon = ftl.monitor_snapshot().unwrap();
-    assert_eq!(mon.alerts.len(), snap.alerts.len());
-    let breached_epochs: Vec<_> =
-        mon.epochs.iter().filter(|e| !e.alerts.is_empty()).collect();
-    assert!(!breached_epochs.is_empty(), "per-epoch records lost their alerts");
+    // Exactly the list the device fired when it evaluated the rule itself
+    // at every seal: (epoch, seal time, free blocks).
+    let got: Vec<(u64, u64, u64)> =
+        alerts.iter().map(|a| (a.epoch, a.ns, a.value as u64)).collect();
+    let recorded = [
+        (0, 50_800_000, 44), (1, 100_576_000, 42), (2, 150_352_000, 40), (3, 200_128_000, 38),
+        (4, 250_720_000, 36), (5, 300_496_000, 35), (6, 350_272_000, 33), (7, 400_048_000, 31),
+        (8, 450_640_000, 29), (9, 500_416_000, 27), (10, 550_192_000, 25), (11, 600_784_000, 23),
+        (12, 650_560_000, 21), (13, 700_336_000, 19), (14, 750_112_000, 17), (15, 800_704_000, 15),
+        (16, 850_480_000, 14), (17, 900_276_000, 12), (18, 950_052_000, 10), (19, 1_000_644_000, 8),
+        (20, 1_050_420_000, 6),
+    ];
+    assert_eq!(got, recorded);
 }

@@ -8,12 +8,18 @@
 //! * per-op-class command counters (always on: three u64 adds per command),
 //! * log2-bucketed latency [`hist::Histogram`]s in simulated `SimClock`
 //!   nanoseconds (off by default; toggled by [`TelemetryConfig`]),
-//! * a bounded [`ring::CommandRing`] of recent commands for post-mortem
-//!   inspection (off by default),
+//! * per-epoch host read/write latency windows for the device's flight
+//!   recorder (on only when its epoch sampler is),
 //! * per-stream traffic attribution (engines tag files with logical stream
 //!   labels; the FTL's own traffic lands on a reserved `ftl` stream),
 //! * exporters: Prometheus-style text ([`Snapshot::to_prometheus`]) and
-//!   JSON ([`Snapshot::to_json`]) built on the in-crate [`json`] module.
+//!   JSON ([`Snapshot::to_json`]) built on the in-crate [`json`] module,
+//! * SLO thresholds ([`slo::SloConfig`]) that readers evaluate over the
+//!   flight recorder's epochs; the device records and never judges.
+//!
+//! Each observation has one home. A command's op, stream, pages and times
+//! are its span in the [`trace::Tracer`]; per-epoch unit busy time is the
+//! flight recorder's epoch record.
 //!
 //! Telemetry only ever *reads* the simulated clock — it never advances it —
 //! so enabling any of it cannot change simulated results: crash-sweep
@@ -24,25 +30,21 @@ pub mod json;
 pub mod metric;
 pub mod percentile;
 pub mod prom;
-pub mod recorder;
-pub mod ring;
 pub mod slo;
 pub mod trace;
 
-pub use hist::{bucket_of, Histogram, HistogramSet};
-pub use json::Json;
-pub use metric::{rows_json, Kind, Metric, Value};
-pub use percentile::{nearest_rank_index, percentile_sorted};
-pub use recorder::EpochRing;
-pub use ring::{CommandEvent, CommandRing};
+pub use hist::{Histogram, HistogramSet};
+pub use metric::{rows_json, Metric};
+pub use percentile::percentile_sorted;
 pub use slo::{Alert, AlertKind, AlertSeverity, EpochObservation, SloConfig};
-pub use trace::{apportion, Layer, Span, SpanId, Track, Tracer, NO_PARENT};
+pub use trace::{apportion, Layer, Span, SpanId, Track, Tracer};
+
+use json::Json;
+use metric::Value;
 
 /// Command classes recorded at the FTL boundary. Host-facing classes map
 /// 1:1 onto `BlockDevice` methods; `Gc`, `LogFlush`, `Checkpoint` and
-/// `Recovery` are the FTL's internal passes. `Alert` events are not
-/// commands at all: the SLO engine records one per fired threshold so
-/// alerts interleave with the commands around them in the ring.
+/// `Recovery` are the FTL's internal passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     Read,
@@ -58,7 +60,6 @@ pub enum OpClass {
     LogFlush,
     Checkpoint,
     Recovery,
-    Alert,
 }
 
 /// Traffic direction of an op class, for per-stream breakdowns.
@@ -71,7 +72,7 @@ pub enum Direction {
 
 impl OpClass {
     /// Every op class, in stable export order.
-    pub const ALL: [OpClass; 14] = [
+    pub const ALL: [OpClass; 13] = [
         OpClass::Read,
         OpClass::Write,
         OpClass::Trim,
@@ -85,7 +86,6 @@ impl OpClass {
         OpClass::LogFlush,
         OpClass::Checkpoint,
         OpClass::Recovery,
-        OpClass::Alert,
     ];
 
     /// Dense index into per-op arrays.
@@ -110,7 +110,6 @@ impl OpClass {
             OpClass::LogFlush => "log_flush",
             OpClass::Checkpoint => "checkpoint",
             OpClass::Recovery => "recovery",
-            OpClass::Alert => "alert",
         }
     }
 
@@ -118,14 +117,7 @@ impl OpClass {
     /// instead of whatever host stream happens to be current.
     #[inline]
     pub fn is_internal(self) -> bool {
-        matches!(
-            self,
-            OpClass::Gc
-                | OpClass::LogFlush
-                | OpClass::Checkpoint
-                | OpClass::Recovery
-                | OpClass::Alert
-        )
+        matches!(self, OpClass::Gc | OpClass::LogFlush | OpClass::Checkpoint | OpClass::Recovery)
     }
 
     /// Direction for per-stream read/write/other attribution.
@@ -148,33 +140,31 @@ impl OpClass {
 pub struct TelemetryConfig {
     /// Record per-op-class latency histograms.
     pub histograms: bool,
-    /// Retain this many recent command events (0 disables the ring).
-    pub ring_capacity: usize,
     /// Record causal spans ([`trace::Tracer`]) through every layer.
     pub trace: bool,
     /// Flight-recorder epoch length in simulated nanoseconds (0 disables
     /// the epoch sampler entirely — the default, and what `full()` keeps,
     /// so monitoring stays strictly opt-in).
     pub epoch_ns: u64,
-    /// How many sealed epoch records the rolling ring retains; older
-    /// epochs fold into the recorder's eviction accumulator.
+    /// How many sealed epoch records the flight recorder retains; older
+    /// epochs fold into its eviction accumulator.
     pub epoch_ring: usize,
 }
 
 impl TelemetryConfig {
-    /// Everything point-in-time on: histograms, a 256-event command ring,
-    /// and tracing. The epoch sampler stays off.
+    /// Everything point-in-time on: histograms and tracing. The epoch
+    /// sampler stays off.
     pub fn full() -> Self {
-        Self { histograms: true, ring_capacity: 256, trace: true, ..Self::default() }
+        Self { histograms: true, trace: true, ..Self::default() }
     }
 
-    /// Counters plus span tracing (no histograms/ring).
+    /// Counters plus span tracing (no histograms).
     pub fn tracing() -> Self {
         Self { trace: true, ..Self::default() }
     }
 
     /// Longitudinal monitoring: everything `full()` enables plus the
-    /// epoch sampler at the given interval with a 4096-epoch ring.
+    /// epoch sampler at the given interval, retaining 4096 epochs.
     pub fn monitoring(epoch_ns: u64) -> Self {
         Self { epoch_ns, epoch_ring: 4096, ..Self::full() }
     }
@@ -231,7 +221,7 @@ impl OpCounters {
 }
 
 /// Reserved stream id for host traffic with no finer attribution.
-pub const STREAM_HOST: u32 = 0;
+const STREAM_HOST: u32 = 0;
 /// Reserved stream id for the FTL's internal traffic (GC, log, checkpoint).
 pub const STREAM_FTL: u32 = 1;
 
@@ -250,7 +240,6 @@ pub struct Telemetry {
     /// Per stream: background pages blamed on it, split by [`BlameKind`].
     blamed_bg: Vec<[u64; 3]>,
     current_stream: u32,
-    ring: CommandRing,
     /// Open per-epoch latency windows (host reads / host writes), drained
     /// by the flight recorder at each epoch boundary via
     /// [`Histogram::reset_returning`]. Only recorded when `epoch_ns > 0`.
@@ -270,7 +259,6 @@ impl Telemetry {
             stream_counters: vec![[OpCounters::default(); 3]; 2],
             blamed_bg: vec![[0; 3]; 2],
             current_stream: STREAM_HOST,
-            ring: CommandRing::new(cfg.ring_capacity),
             win_read: Histogram::new(),
             win_write: Histogram::new(),
         }
@@ -312,21 +300,15 @@ impl Telemetry {
     ///
     /// `start_ns`/`end_ns` are simulated clock read-outs taken around the
     /// command body; telemetry itself never advances the clock.
-    pub fn record(&mut self, op: OpClass, lpn: u64, pages: u64, start_ns: u64, end_ns: u64, ok: bool) {
-        self.record_as(op, None, lpn, pages, start_ns, end_ns, ok);
-    }
-
-    /// Like [`Telemetry::record`], but with an explicit stream attribution.
-    ///
-    /// Used for internal passes that run *inside* a host command (a delta
-    /// log flush triggered mid-`write_batch`): the event inherits the
-    /// parent command's stream instead of the default `ftl` fallback.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_as(
+    /// `stream_override` attributes an internal pass that runs *inside* a
+    /// host command (a delta log flush triggered mid-`write_batch`) to the
+    /// parent command's stream instead of the default `ftl` fallback; `None`
+    /// (or an unknown id) attributes host commands to the current stream
+    /// and internal passes to `ftl`.
+    pub fn record(
         &mut self,
         op: OpClass,
         stream_override: Option<u32>,
-        lpn: u64,
         pages: u64,
         start_ns: u64,
         end_ns: u64,
@@ -349,18 +331,6 @@ impl Telemetry {
                 Direction::Write => self.win_write.record(end_ns.saturating_sub(start_ns)),
                 Direction::Other => {}
             }
-        }
-        if self.cfg.ring_capacity > 0 {
-            self.ring.push(CommandEvent {
-                seq: self.commands,
-                op,
-                stream,
-                lpn,
-                pages,
-                start_ns,
-                end_ns,
-                ok,
-            });
         }
     }
 
@@ -450,8 +420,6 @@ impl Telemetry {
             now_ns: 0,
             queue: QueueGauges::default(),
             metrics: Vec::new(),
-            alerts: Vec::new(),
-            events: self.ring.events(),
         }
     }
 }
@@ -600,11 +568,6 @@ pub struct Snapshot {
     /// readings (filled by the device; empty for bare `Telemetry`
     /// snapshots). Both exporters walk it.
     pub metrics: Vec<Metric>,
-    /// SLO alerts fired so far (filled by the device's flight recorder;
-    /// empty when monitoring is off).
-    pub alerts: Vec<Alert>,
-    /// Retained command events, oldest first.
-    pub events: Vec<CommandEvent>,
 }
 
 impl Snapshot {
@@ -630,7 +593,7 @@ impl Snapshot {
 
     /// Render as a JSON document.
     pub fn to_json(&self) -> Json {
-        use json::{count, s};
+        use json::count;
         let ops = Json::Obj(
             self.ops
                 .iter()
@@ -662,23 +625,6 @@ impl Snapshot {
                 })
                 .collect(),
         );
-        let events = Json::Arr(
-            self.events
-                .iter()
-                .map(|e| {
-                    Json::obj(vec![
-                        ("seq", count(e.seq)),
-                        ("op", s(e.op.name())),
-                        ("stream", count(e.stream as u64)),
-                        ("lpn", count(e.lpn)),
-                        ("pages", count(e.pages)),
-                        ("start_ns", count(e.start_ns)),
-                        ("end_ns", count(e.end_ns)),
-                        ("ok", Json::Bool(e.ok)),
-                    ])
-                })
-                .collect(),
-        );
         let wa = Json::Obj(
             self.wa
                 .iter()
@@ -707,7 +653,6 @@ impl Snapshot {
                 })
                 .collect(),
         );
-        let alerts = Json::Arr(self.alerts.iter().map(Alert::to_json).collect());
         Json::obj(vec![
             ("commands", count(self.commands)),
             ("now_ns", count(self.now_ns)),
@@ -716,8 +661,6 @@ impl Snapshot {
             ("wa", wa),
             ("units", units),
             ("metrics", Json::Obj(rows_json(&self.metrics))),
-            ("alerts", alerts),
-            ("events", events),
         ])
     }
 
@@ -757,33 +700,28 @@ mod tests {
     fn default_config_is_counters_only() {
         let cfg = TelemetryConfig::default();
         assert!(!cfg.histograms);
-        assert_eq!(cfg.ring_capacity, 0);
         let mut t = Telemetry::new(cfg);
-        t.record(OpClass::Write, 5, 3, 100, 200, true);
+        t.record(OpClass::Write, None, 3, 100, 200, true);
         assert!(t.snapshot().op(OpClass::Write).hist.is_empty());
-        assert!(t.snapshot().events.is_empty());
         assert_eq!(t.counters(OpClass::Write), OpCounters { ops: 1, pages: 3, errors: 0 });
     }
 
     #[test]
     fn full_config_records_hist_and_ring() {
         let mut t = Telemetry::new(TelemetryConfig::full());
-        t.record(OpClass::Read, 1, 1, 0, 50, true);
-        t.record(OpClass::Read, 2, 1, 50, 150, true);
+        t.record(OpClass::Read, None, 1, 0, 50, true);
+        t.record(OpClass::Read, None, 1, 50, 150, true);
         let snap = t.snapshot();
         let h = &snap.op(OpClass::Read).hist;
         assert_eq!(h.count, 2);
         assert_eq!(h.min, 50);
         assert_eq!(h.max, 100);
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.events[0].lpn, 1);
-        assert_eq!(snap.events[1].end_ns, 150);
     }
 
     #[test]
     fn errors_counted_without_pages() {
         let mut t = Telemetry::default();
-        t.record(OpClass::Write, 9, 4, 0, 0, false);
+        t.record(OpClass::Write, None, 4, 0, 0, false);
         assert_eq!(t.counters(OpClass::Write), OpCounters { ops: 1, pages: 0, errors: 1 });
     }
 
@@ -794,9 +732,9 @@ mod tests {
         assert_eq!(t.intern("wal"), wal);
         assert_ne!(wal, STREAM_HOST);
         t.set_stream(wal);
-        t.record(OpClass::Write, 0, 2, 0, 0, true);
+        t.record(OpClass::Write, None, 2, 0, 0, true);
         // Internal ops land on the ftl stream even while `wal` is current.
-        t.record(OpClass::Gc, 0, 8, 0, 0, true);
+        t.record(OpClass::Gc, None, 8, 0, 0, true);
         let snap = t.snapshot();
         let by_label = |l: &str| snap.streams.iter().find(|s| s.label == l).unwrap();
         assert_eq!(by_label("wal").writes.pages, 2);
@@ -808,7 +746,7 @@ mod tests {
     fn unknown_stream_falls_back_to_host() {
         let mut t = Telemetry::default();
         t.set_stream(99);
-        t.record(OpClass::Read, 0, 1, 0, 0, true);
+        t.record(OpClass::Read, None, 1, 0, 0, true);
         assert_eq!(t.snapshot().streams[STREAM_HOST as usize].reads.pages, 1);
     }
 
@@ -818,17 +756,15 @@ mod tests {
         let dwb = t.intern("doublewrite");
         t.set_stream(dwb);
         // A log flush inside a host command inherits the host's stream...
-        t.record_as(OpClass::LogFlush, Some(dwb), 0, 3, 0, 10, true);
+        t.record(OpClass::LogFlush, Some(dwb), 3, 0, 10, true);
         // ...but a bare internal record still lands on `ftl`.
-        t.record(OpClass::LogFlush, 0, 2, 10, 20, true);
+        t.record(OpClass::LogFlush, None, 2, 10, 20, true);
         let snap = t.snapshot();
         let by_label = |l: &str| snap.streams.iter().find(|s| s.label == l).unwrap();
         assert_eq!(by_label("doublewrite").other.pages, 3);
         assert_eq!(by_label("ftl").other.pages, 2);
-        assert_eq!(snap.events[0].stream, dwb);
-        assert_eq!(snap.events[1].stream, STREAM_FTL);
         // An out-of-range override behaves like no override.
-        t.record_as(OpClass::Gc, Some(999), 0, 1, 20, 30, true);
+        t.record(OpClass::Gc, Some(999), 1, 20, 30, true);
         assert_eq!(t.snapshot().streams[STREAM_FTL as usize].other.pages, 3);
     }
 
@@ -837,7 +773,7 @@ mod tests {
         let mut t = Telemetry::default();
         let db = t.intern("db");
         t.set_stream(db);
-        t.record(OpClass::Write, 0, 10, 0, 0, true);
+        t.record(OpClass::Write, None, 10, 0, 0, true);
         t.blame(db, BlameKind::Gc, 4);
         t.blame(db, BlameKind::LogFlush, 1);
         t.blame(STREAM_FTL, BlameKind::Checkpoint, 2);
@@ -863,8 +799,8 @@ mod tests {
     fn snapshot_json_is_parseable_and_complete() {
         let mut t = Telemetry::new(TelemetryConfig::full());
         t.intern("db");
-        t.record(OpClass::Write, 3, 1, 10, 30, true);
-        t.record(OpClass::Checkpoint, 0, 5, 30, 90, true);
+        t.record(OpClass::Write, None, 1, 10, 30, true);
+        t.record(OpClass::Checkpoint, None, 5, 30, 90, true);
         let doc = t.snapshot().to_json();
         let back = json::parse(&doc.render()).expect("snapshot json parses");
         assert_eq!(back.get("commands").and_then(Json::as_u64), Some(2));
@@ -890,24 +826,24 @@ mod tests {
     fn epoch_windows_gated_on_epoch_ns() {
         // Off (even with full()): windows stay empty.
         let mut off = Telemetry::new(TelemetryConfig::full());
-        off.record(OpClass::Write, 0, 1, 0, 100, true);
+        off.record(OpClass::Write, None, 1, 0, 100, true);
         let (r, w) = off.take_epoch_windows();
         assert!(r.is_empty() && w.is_empty());
 
         // On: reads and writes land in their direction's window; Other
-        // direction (and alert events) never do.
+        // direction never does.
         let mut t = Telemetry::new(TelemetryConfig::monitoring(1_000));
-        t.record(OpClass::Write, 0, 1, 0, 100, true);
-        t.record(OpClass::WriteAtomic, 0, 2, 100, 250, true);
-        t.record(OpClass::Read, 0, 1, 250, 300, true);
-        t.record(OpClass::Flush, 0, 0, 300, 400, true);
-        t.record(OpClass::Gc, 0, 4, 400, 500, true);
+        t.record(OpClass::Write, None, 1, 0, 100, true);
+        t.record(OpClass::WriteAtomic, None, 2, 100, 250, true);
+        t.record(OpClass::Read, None, 1, 250, 300, true);
+        t.record(OpClass::Flush, None, 0, 300, 400, true);
+        t.record(OpClass::Gc, None, 4, 400, 500, true);
         let (r1, w1) = t.take_epoch_windows();
         assert_eq!((r1.count, w1.count), (1, 2));
         assert_eq!(w1.max, 150);
         // Windows reset: the next epoch starts empty, and merging the
         // per-epoch windows reproduces the uninterrupted histograms.
-        t.record(OpClass::Write, 0, 1, 500, 900, true);
+        t.record(OpClass::Write, None, 1, 500, 900, true);
         let (r2, w2) = t.take_epoch_windows();
         assert!(r2.is_empty());
         let mut merged = w1.clone();
@@ -921,7 +857,7 @@ mod tests {
     #[test]
     fn monitoring_config_builds_on_full() {
         let cfg = TelemetryConfig::monitoring(5_000_000);
-        assert!(cfg.histograms && cfg.trace && cfg.ring_capacity == 256);
+        assert!(cfg.histograms && cfg.trace);
         assert_eq!(cfg.epoch_ns, 5_000_000);
         assert_eq!(TelemetryConfig::full().epoch_ns, 0);
     }
@@ -931,7 +867,7 @@ mod tests {
         let mut t = Telemetry::default();
         let db = t.intern("db");
         t.set_stream(db);
-        t.record(OpClass::Write, 0, 10, 0, 0, true);
+        t.record(OpClass::Write, None, 10, 0, 0, true);
         t.blame(db, BlameKind::Gc, 4);
         let raw = t.wa_raw();
         assert_eq!(raw.len(), t.stream_labels().len());

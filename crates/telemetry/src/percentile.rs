@@ -5,7 +5,7 @@
 /// Zero-based index of the nearest-rank `q`-quantile (`q` in `[0, 1]`) in a
 /// sorted sequence of `len` samples. Returns 0 for an empty sequence.
 #[inline]
-pub fn nearest_rank_index(len: usize, q: f64) -> usize {
+pub(crate) fn nearest_rank_index(len: usize, q: f64) -> usize {
     if len == 0 {
         return 0;
     }

@@ -5,7 +5,8 @@
 //! scraper, while staying a plain deterministic string for tests.
 
 use crate::hist::{bucket_upper_bound, Histogram};
-use crate::{AlertKind, AlertSeverity, Kind, OpCounters, Snapshot, Value};
+use crate::metric::{Kind, Value};
+use crate::{OpCounters, Snapshot};
 use std::fmt::{Display, Write as _};
 
 /// One open family: its `# HELP` / `# TYPE` header is written, `put`
@@ -119,20 +120,6 @@ pub fn render(snap: &Snapshot) -> String {
         }
     }
 
-    if !snap.alerts.is_empty() {
-        let help = "SLO alerts fired, by threshold kind and severity.";
-        let mut f = family(out, "share_alerts_total", help, "counter");
-        for kind in AlertKind::ALL {
-            for severity in [AlertSeverity::Warning, AlertSeverity::Critical] {
-                let n =
-                    snap.alerts.iter().filter(|a| a.kind == kind && a.severity == severity).count();
-                if n > 0 {
-                    f.put(&[("kind", kind.name()), ("severity", severity.name())], &n);
-                }
-            }
-        }
-    }
-
     if !snap.units.is_empty() {
         let ids: Vec<(String, String)> =
             snap.units.iter().map(|u| (u.channel.to_string(), u.way.to_string())).collect();
@@ -222,9 +209,9 @@ mod tests {
         let mut t = Telemetry::new(TelemetryConfig::full());
         let wal = t.intern("wal");
         t.set_stream(wal);
-        t.record(OpClass::Write, 0, 2, 0, 100, true);
-        t.record(OpClass::Write, 2, 2, 100, 500, true);
-        t.record(OpClass::Gc, 0, 16, 500, 900, true);
+        t.record(OpClass::Write, None, 2, 0, 100, true);
+        t.record(OpClass::Write, None, 2, 100, 500, true);
+        t.record(OpClass::Gc, None, 16, 500, 900, true);
         let text = t.snapshot().to_prometheus();
 
         assert!(text.contains("share_commands_total 3\n"));
@@ -303,7 +290,7 @@ mod tests {
         let mut t = Telemetry::default();
         let weird = t.intern("we\"ird\\\nlabel");
         t.set_stream(weird);
-        t.record(OpClass::Write, 0, 5, 0, 10, true);
+        t.record(OpClass::Write, None, 5, 0, 10, true);
         t.blame(weird, BlameKind::Gc, 2);
         let text = t.snapshot().to_prometheus();
         assert!(
@@ -343,33 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn renders_alert_counts_when_present() {
-        use crate::{Alert, AlertKind, AlertSeverity};
-        let mut snap = Telemetry::default().snapshot();
-        assert!(!snap.to_prometheus().contains("share_alerts_total"));
-        let alert = |epoch, kind, severity| Alert {
-            epoch,
-            ns: epoch * 10,
-            kind,
-            severity,
-            value: 1.0,
-            threshold: 4.0,
-        };
-        snap.alerts = vec![
-            alert(1, AlertKind::FreeBlocks, AlertSeverity::Critical),
-            alert(2, AlertKind::FreeBlocks, AlertSeverity::Critical),
-            alert(2, AlertKind::GcStall, AlertSeverity::Warning),
-        ];
-        let text = snap.to_prometheus();
-        assert!(text.contains("share_alerts_total{kind=\"free_blocks\",severity=\"critical\"} 2\n"));
-        assert!(text.contains("share_alerts_total{kind=\"gc_stall\",severity=\"warning\"} 1\n"));
-        assert!(!text.contains("severity=\"warning\"} 0"));
-    }
-
-    #[test]
     fn counters_only_snapshot_has_no_histogram_block() {
         let mut t = Telemetry::default();
-        t.record(OpClass::Read, 0, 1, 0, 10, true);
+        t.record(OpClass::Read, None, 1, 0, 10, true);
         let text = t.snapshot().to_prometheus();
         assert!(!text.contains("share_op_latency_ns"));
         assert!(text.contains("share_op_ops_total{op=\"read\"} 1\n"));

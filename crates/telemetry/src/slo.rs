@@ -4,9 +4,10 @@
 //! recorder samples at every epoch boundary (per-epoch p99, GC stall
 //! budget, free-block headroom, wear-leveling skew, remaining life).
 //! `evaluate` compares one epoch's observation against the thresholds and
-//! returns the [`Alert`]s that fired; the FTL's recorder pushes each one
-//! into the `CommandEvent` ring (as an `OpClass::Alert` event) and keeps
-//! the full-fidelity record for `sharectl doctor` and the exporters.
+//! returns the [`Alert`]s that fired. The device never evaluates it: it
+//! records epochs, and each reader judges them with its own thresholds
+//! (`sharectl monitor` over every retained epoch, `sharectl doctor` over
+//! one health reading, the `bench_health` artifact over its run).
 //!
 //! Severity is fixed per threshold: running out of free blocks or of
 //! endurance is **critical** (the device is about to stop accepting
@@ -51,16 +52,6 @@ pub enum AlertKind {
 }
 
 impl AlertKind {
-    /// Every kind, in declaration order (`index` indexes this array).
-    pub const ALL: [AlertKind; 6] = [
-        AlertKind::WriteP99,
-        AlertKind::ReadP99,
-        AlertKind::GcStall,
-        AlertKind::FreeBlocks,
-        AlertKind::WearSkew,
-        AlertKind::RemainingLife,
-    ];
-
     /// Stable snake_case label used by the exporters.
     pub fn name(self) -> &'static str {
         match self {
@@ -71,12 +62,6 @@ impl AlertKind {
             AlertKind::WearSkew => "wear_skew",
             AlertKind::RemainingLife => "remaining_life",
         }
-    }
-
-    /// Dense index into [`AlertKind::ALL`]. The recorder also stores this
-    /// in the `lpn` field of the ring's alert events.
-    pub fn index(self) -> usize {
-        self as usize
     }
 }
 
@@ -97,7 +82,7 @@ pub struct Alert {
 }
 
 impl Alert {
-    /// JSON form used by snapshot exports and `sharectl doctor`.
+    /// JSON form used by `sharectl monitor` and `sharectl doctor`.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("epoch", count(self.epoch)),
@@ -148,18 +133,8 @@ pub struct SloConfig {
 }
 
 impl SloConfig {
-    /// Whether any threshold is configured at all.
-    pub fn any(&self) -> bool {
-        self.write_p99_ceiling_ns.is_some()
-            || self.read_p99_ceiling_ns.is_some()
-            || self.gc_stall_budget_ns.is_some()
-            || self.free_block_floor.is_some()
-            || self.wear_skew_max.is_some()
-            || self.remaining_life_floor.is_some()
-    }
-
     /// Evaluate one epoch's observation; returns the alerts that fired,
-    /// in [`AlertKind::ALL`] order.
+    /// in [`AlertKind`] declaration order.
     pub fn evaluate(&self, obs: &EpochObservation) -> Vec<Alert> {
         let mut fired = Vec::new();
         let mut push = |kind: AlertKind, severity: AlertSeverity, value: f64, threshold: f64| {
@@ -241,7 +216,6 @@ mod tests {
     #[test]
     fn default_config_never_fires() {
         let slo = SloConfig::default();
-        assert!(!slo.any());
         assert!(slo.evaluate(&quiet_obs()).is_empty());
     }
 
@@ -255,13 +229,20 @@ mod tests {
             wear_skew_max: Some(1.1),
             remaining_life_floor: Some(0.99),
         };
-        assert!(slo.any());
         let mut obs = quiet_obs();
         obs.read_p99_ns = Some(50_000);
         obs.gc_stall_delta_ns = 2;
         let fired = slo.evaluate(&obs);
         assert_eq!(fired.len(), 6, "all six thresholds breach: {fired:?}");
-        for (alert, kind) in fired.iter().zip(AlertKind::ALL) {
+        let kinds = [
+            AlertKind::WriteP99,
+            AlertKind::ReadP99,
+            AlertKind::GcStall,
+            AlertKind::FreeBlocks,
+            AlertKind::WearSkew,
+            AlertKind::RemainingLife,
+        ];
+        for (alert, kind) in fired.iter().zip(kinds) {
             assert_eq!(alert.kind, kind);
             assert_eq!(alert.epoch, 3);
             assert_eq!(alert.ns, 1_000_000);
@@ -308,8 +289,5 @@ mod tests {
         assert_eq!(j.get("kind").and_then(Json::as_str), Some("wear_skew"));
         assert_eq!(j.get("severity").and_then(Json::as_str), Some("warning"));
         assert_eq!(j.get("value").and_then(Json::as_f64), Some(3.5));
-        for kind in AlertKind::ALL {
-            assert_eq!(AlertKind::ALL[kind.index()], kind);
-        }
     }
 }

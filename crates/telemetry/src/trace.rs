@@ -69,14 +69,14 @@ pub enum Track {
 }
 
 /// Sentinel for "no parent" (root span).
-pub const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// One recorded span or leaf event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Dense id (index into the span vector).
     pub id: u32,
-    /// Parent span id, or [`NO_PARENT`] for roots.
+    /// Parent span id, or `u32::MAX` for roots.
     pub parent: u32,
     /// Which layer opened it.
     pub layer: Layer,
@@ -113,13 +113,6 @@ struct TraceBuf {
     stack: Vec<u32>,
     /// Stream id → label, mirrored from the telemetry intern table.
     stream_labels: Vec<String>,
-    /// Unit index → label ("ch0:w0"), set once by the device that owns
-    /// the NAND geometry; names the per-epoch utilization series.
-    unit_labels: Vec<String>,
-    /// Per-epoch unit utilization rows pushed by the flight recorder:
-    /// `(epoch end ns, busy-ns delta per unit)`. Exported as a metadata
-    /// record so channel imbalance is visible over time next to the spans.
-    unit_epochs: Vec<(u64, Vec<u64>)>,
 }
 
 /// Cloneable tracing handle. `None` inside means tracing is disabled and
@@ -149,23 +142,6 @@ impl Tracer {
 
     fn lock(&self) -> Option<std::sync::MutexGuard<'_, TraceBuf>> {
         self.0.as_ref().map(|m| m.lock().unwrap_or_else(|p| p.into_inner()))
-    }
-
-    /// Name the NAND units (index order) for the per-epoch utilization
-    /// series. Idempotent; a no-op on disabled tracers.
-    pub fn set_unit_labels(&self, labels: Vec<String>) {
-        if let Some(mut buf) = self.lock() {
-            buf.unit_labels = labels;
-        }
-    }
-
-    /// Append one epoch's per-unit busy-time deltas (flight recorder).
-    /// `busy` is indexed like the device's unit array; rows accumulate in
-    /// push order and export as Chrome-trace metadata.
-    pub fn push_unit_epoch(&self, end_ns: u64, busy: &[u64]) {
-        if let Some(mut buf) = self.lock() {
-            buf.unit_epochs.push((end_ns, busy.to_vec()));
-        }
     }
 
     /// Mirror a stream label so exports can name per-stream tracks.
@@ -343,39 +319,6 @@ impl Tracer {
                 Some(1 + i as u64),
                 &format!("ch{ch}:w{way}"),
             ));
-        }
-
-        // Flight-recorder utilization series: one metadata record holding
-        // the epoch boundaries and each unit's per-epoch busy-ns deltas.
-        if !buf.unit_epochs.is_empty() {
-            let n_units = buf.unit_epochs.iter().map(|(_, b)| b.len()).max().unwrap_or(0);
-            let ends =
-                Json::Arr(buf.unit_epochs.iter().map(|&(end, _)| count(end)).collect());
-            let series = Json::Obj(
-                (0..n_units)
-                    .map(|u| {
-                        let label = buf
-                            .unit_labels
-                            .get(u)
-                            .filter(|l| !l.is_empty())
-                            .cloned()
-                            .unwrap_or_else(|| format!("u{u}"));
-                        let col = Json::Arr(
-                            buf.unit_epochs
-                                .iter()
-                                .map(|(_, b)| count(b.get(u).copied().unwrap_or(0)))
-                                .collect(),
-                        );
-                        (label, col)
-                    })
-                    .collect(),
-            );
-            events.push(Json::obj(vec![
-                ("name", s("unit_epoch_busy_ns")),
-                ("ph", s("M")),
-                ("pid", count(PID_NAND)),
-                ("args", Json::obj(vec![("epoch_end_ns", ends), ("units", series)])),
-            ]));
         }
 
         // X events sorted by start time (then id) so ts is monotonic.
@@ -582,31 +525,6 @@ mod tests {
             xs[1].get("args").and_then(|a| a.get("parent")).and_then(Json::as_u64),
             Some(0)
         );
-    }
-
-    #[test]
-    fn unit_epoch_series_exports_as_metadata() {
-        let t = Tracer::enabled();
-        t.set_unit_labels(vec!["ch0:w0".into(), "ch1:w0".into()]);
-        t.push_unit_epoch(1_000, &[400, 100]);
-        t.push_unit_epoch(2_000, &[350, 300]);
-        let doc = t.chrome_json().unwrap();
-        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
-        let rec = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("unit_epoch_busy_ns"))
-            .expect("utilization metadata record");
-        assert_eq!(rec.get("ph").and_then(Json::as_str), Some("M"));
-        let args = rec.get("args").unwrap();
-        let ends = args.get("epoch_end_ns").and_then(Json::as_array).unwrap();
-        assert_eq!(ends.len(), 2);
-        assert_eq!(ends[1].as_u64(), Some(2_000));
-        let ch1 = args.get("units").and_then(|u| u.get("ch1:w0")).and_then(Json::as_array).unwrap();
-        assert_eq!(ch1.iter().filter_map(Json::as_u64).collect::<Vec<_>>(), vec![100, 300]);
-        // Disabled tracer: pushes are no-ops.
-        let off = Tracer::disabled();
-        off.push_unit_epoch(1, &[1]);
-        assert!(off.chrome_json().is_none());
     }
 
     #[test]

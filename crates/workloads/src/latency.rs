@@ -154,7 +154,7 @@ mod tests {
         // keeps log2 buckets. Both use the same nearest-rank rule, so each
         // histogram estimate must land in the same log2 bucket as the
         // exact nearest-rank sample.
-        use share_telemetry::bucket_of;
+        use share_telemetry::hist::bucket_of;
         let mut r = LatencyRecorder::new();
         // A skewed, multi-decade distribution (deterministic LCG).
         let mut x = 0x2545_f491_4f6c_dd1du64;

@@ -1,8 +1,9 @@
 //! Guard: the device's configuration surface is a recorded list.
 //!
 //! Reads `crates/core/src/config.rs` as text and compares the `pub` fields
-//! of `FtlConfig` and its `pub fn with_*` builders against the lists below.
-//! Every independently settable value doubles the configurations the tests
+//! of `FtlConfig` and its `pub fn with_*` builders against the lists below,
+//! and the `pub` fields of `TelemetryConfig` (`crates/telemetry/src/lib.rs`)
+//! the same way. Every independently settable value doubles the configurations the tests
 //! and the benchmark must cover, so a new one is a decision, not a diff
 //! line: it shows up here first. The environment knobs the library reads
 //! are pinned the same way: every `"SHARE_…"` string literal under
@@ -11,7 +12,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-const FIELDS: [&str; 13] = [
+const FIELDS: [&str; 12] = [
     "geometry",
     "timing",
     "logical_pages",
@@ -24,10 +25,11 @@ const FIELDS: [&str; 13] = [
     "command_ns",
     "queue_depth",
     "telemetry",
-    "slo",
 ];
 
-const BUILDERS: [&str; 4] = ["with_parallelism", "with_telemetry", "with_slo", "with_queue_depth"];
+const BUILDERS: [&str; 3] = ["with_parallelism", "with_telemetry", "with_queue_depth"];
+
+const TELEMETRY_FIELDS: [&str; 4] = ["histograms", "trace", "epoch_ns", "epoch_ring"];
 
 /// The identifier that follows `prefix` on `line`, if the line starts with it.
 fn ident_after<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
@@ -36,16 +38,26 @@ fn ident_after<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
     Some(&rest[..end])
 }
 
-#[test]
-fn ftl_config_fields_and_builders_match_the_recorded_list() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/config.rs");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+/// The text of `file` (relative to the repository root).
+fn source(file: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The `pub` fields of `pub struct <name> { … }` in `text`, in order.
+fn pub_fields<'a>(text: &'a str, name: &str) -> Vec<&'a str> {
     let body = text
-        .split_once("pub struct FtlConfig {")
+        .split_once(&format!("pub struct {name} {{"))
         .and_then(|(_, rest)| rest.split_once("\n}"))
         .map(|(body, _)| body)
-        .expect("config.rs declares `pub struct FtlConfig { … }`");
-    let fields: Vec<&str> = body.lines().filter_map(|l| ident_after(l, "pub ")).collect();
+        .unwrap_or_else(|| panic!("no `pub struct {name} {{ … }}`"));
+    body.lines().filter_map(|l| ident_after(l, "pub ")).collect()
+}
+
+#[test]
+fn ftl_config_fields_and_builders_match_the_recorded_list() {
+    let text = source("crates/core/src/config.rs");
+    let fields = pub_fields(&text, "FtlConfig");
     let builders: Vec<&str> = text
         .lines()
         .filter_map(|l| ident_after(l, "pub fn "))
@@ -56,6 +68,17 @@ fn ftl_config_fields_and_builders_match_the_recorded_list() {
         "a new device option needs two existing callers that want different values \
          (ROADMAP aim 2) — update this list and say which in CHANGES.md\n\
          fields:   {fields:?}\nbuilders: {builders:?}"
+    );
+}
+
+#[test]
+fn telemetry_config_fields_match_the_recorded_list() {
+    let text = source("crates/telemetry/src/lib.rs");
+    let fields = pub_fields(&text, "TelemetryConfig");
+    assert!(
+        fields == TELEMETRY_FIELDS,
+        "a new telemetry option is a device option too — update this list and say which \
+         caller wants it in CHANGES.md\nfields: {fields:?}"
     );
 }
 

@@ -7,7 +7,7 @@
 //! device-wide counters *exactly* — no rounding residue, no lost pages —
 //! regardless of which engine is driving the device.
 
-use share_repro::core::{BlockDevice, Ftl, FtlConfig, OpClass, Snapshot, TelemetryConfig};
+use share_repro::core::{BlockDevice, Ftl, FtlConfig, Layer, Snapshot, TelemetryConfig, Track};
 use share_repro::couch::{CouchConfig, CouchMode, CouchStore};
 use share_repro::innodb::{standard_log_device, FlushMode, InnoDb, InnoDbConfig};
 use share_repro::nand::NandTiming;
@@ -286,8 +286,8 @@ fn wa_ledger_sums_exactly_with_snapshots_pinning_pages() {
 fn dwb_batch_flush_events_carry_the_doublewrite_stream() {
     // Regression for batched-path attribution: the double-write buffer is
     // flushed with one `write_batch` command, and every sub-op of that
-    // batch must inherit the file's stream — the command ring has to show
-    // the flush as `doublewrite`, not as anonymous host traffic.
+    // batch must inherit the file's stream — the command's span has to sit
+    // on the `doublewrite` track, not on anonymous host traffic's.
     let dev = traced_ftl(24);
     let log = standard_log_device(dev.clock().clone());
     let cfg = InnoDbConfig {
@@ -303,23 +303,28 @@ fn dwb_batch_flush_events_carry_the_doublewrite_stream() {
     db.checkpoint().unwrap();
     assert!(db.stats().dwb_pages_written > 0, "checkpoint must flush through the DWB");
 
-    let snap = db.fs_mut().device().telemetry_snapshot().unwrap();
-    let label = |stream: u32| snap.streams[stream as usize].label.as_str();
-    let dwb_batches: Vec<_> = snap
-        .events
+    let device = db.fs_mut().device();
+    let snap = device.telemetry_snapshot().unwrap();
+    let label = |track: Track| match track {
+        Track::Stream(id) => snap.streams[id as usize].label.as_str(),
+        _ => "",
+    };
+    let commands: Vec<_> =
+        device.tracer().spans().into_iter().filter(|s| s.layer == Layer::Ftl).collect();
+    let dwb_batches: Vec<_> = commands
         .iter()
-        .filter(|e| e.op == OpClass::WriteBatch && label(e.stream) == "doublewrite")
+        .filter(|s| s.name == "write_batch" && label(s.track) == "doublewrite")
         .collect();
     assert!(
         !dwb_batches.is_empty(),
-        "no write_batch command attributed to the doublewrite stream; ring streams: {:?}",
-        snap.events.iter().map(|e| (e.op, label(e.stream))).collect::<Vec<_>>()
+        "no write_batch command attributed to the doublewrite stream; command streams: {:?}",
+        commands.iter().map(|s| (s.name.as_str(), label(s.track))).collect::<Vec<_>>()
     );
     assert!(
-        dwb_batches.iter().any(|e| e.pages > 1),
+        dwb_batches.iter().any(|s| s.pages > 1),
         "DWB flush should batch more than one page"
     );
-    // The per-stream traffic table agrees with the ring.
+    // The per-stream traffic table agrees with the spans.
     let dwb_row = snap.streams.iter().find(|s| s.label == "doublewrite").unwrap();
     assert!(dwb_row.writes.pages >= db.stats().dwb_pages_written);
 }
