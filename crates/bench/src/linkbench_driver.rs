@@ -223,18 +223,31 @@ fn apply_round(
         db.prefetch_keys(&keys).expect("prefetch");
         db.begin_group();
     }
+    // Concurrent semantics: every txn in the round was submitted at t0, so
+    // each op's latency runs from the round start. A read ends at its own
+    // return; a grouped write is acknowledged when the group commit makes
+    // it durable.
     let clock = db.clock();
     let t0 = clock.now_ns();
+    let mut unacked: Vec<&'static str> = Vec::new();
     for (op, id2s) in &ops {
         apply_one(db, op, id2s, rng);
         if let Some(rec) = latency.as_deref_mut() {
-            // Concurrent semantics: every txn in the round was submitted
-            // at t0, so each op's latency runs from the round start.
-            rec.record(op.op.name(), clock.now_ns() - t0);
+            if grouped && op.op.is_write() {
+                unacked.push(op.op.name());
+            } else {
+                rec.record(op.op.name(), clock.now_ns() - t0);
+            }
         }
     }
     if grouped {
         db.group_commit().expect("group commit");
+        if let Some(rec) = latency {
+            let acked = clock.now_ns() - t0;
+            for name in unacked {
+                rec.record(name, acked);
+            }
+        }
     }
 }
 

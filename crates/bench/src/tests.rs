@@ -9,7 +9,7 @@ use mini_couch::CouchMode;
 use mini_innodb::FlushMode;
 use share_core::telemetry::json::{parse, Json};
 use share_core::{OpClass, TelemetryConfig};
-use share_workloads::YcsbWorkload;
+use share_workloads::{LinkOpType, YcsbWorkload};
 use std::collections::HashSet;
 
 fn artifact(stem: &str) -> &'static Artifact {
@@ -82,6 +82,30 @@ fn linkbench_driver_produces_coherent_results() {
     let again = run_linkbench(&tiny_linkbench(FlushMode::DwbOn));
     assert_eq!(again.device.host_writes, dwb.device.host_writes);
     assert_eq!(again.tps, dwb.tps);
+}
+
+/// In a round of concurrent transactions a write is acknowledged by the
+/// round's group commit: every write of the round records the same
+/// latency, which no read of the round exceeds.
+#[test]
+fn a_grouped_write_is_timed_to_its_group_commit() {
+    let run = LinkBenchRun { connections: 16, txns: 16, ..tiny_linkbench(FlushMode::Share) };
+    let latency = run_linkbench(&run).latency;
+    let summaries = |write: bool| {
+        LinkOpType::ALL
+            .into_iter()
+            .filter(move |t| t.is_write() == write)
+            .filter_map(|t| latency.summary(t.name()))
+    };
+    let writes: Vec<_> = summaries(true).collect();
+    assert!(writes.iter().map(|s| s.count).sum::<u64>() >= 2, "{writes:?}");
+    let acked = writes[0].max_ns;
+    for s in &writes {
+        assert_eq!((s.mean_ns, s.max_ns), (acked as f64, acked), "{writes:?}");
+    }
+    for s in summaries(false) {
+        assert!(s.max_ns < acked, "a read outlasted the group commit: {s:?}");
+    }
 }
 
 fn tiny_ycsb(mode: CouchMode, workload: YcsbWorkload) -> YcsbRun {

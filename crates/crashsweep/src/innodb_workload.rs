@@ -128,6 +128,7 @@ mod tests {
         let ckpts = s.checkpoints - stats0.checkpoints;
         assert!(ckpts >= 10, "{ckpts} checkpoints");
         assert!(s.flush_batches - stats0.flush_batches >= ckpts / 2);
+        assert_eq!(s.eviction_flush_batches, stats0.eviction_flush_batches);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Buffer pool: fixed-capacity page cache with O(1) LRU and a flush list.
+//! Buffer pool: fixed-capacity page cache with InnoDB's midpoint LRU and a
+//! flush list.
 //!
 //! A frame holds a [`NodePage`], which is the page's on-media image: what
 //! the engine read from the tablespace is what lookups search and what a
@@ -10,6 +11,16 @@
 //! [`BufferPool::evict`] hands the page back so the engine reads the next
 //! one into the same buffer.
 //!
+//! The LRU list is InnoDB's: its coldest 3/8 form the *old sublist*
+//! (`innodb_old_blocks_pct` = 37). A page read from the tablespace enters
+//! at the old sublist's head, and the lookup it was read for does not
+//! promote it; a later hit moves it to the MRU head. A page created in
+//! memory enters at the MRU head. So a page read once and never again
+//! leaves through the old sublist without pushing hot pages out. The
+//! boundary is an index and a count, moved one frame per insertion or
+//! removal, and [`BufferPool::coldest_first`] lists the old sublist first:
+//! the engine evicts its coldest clean page before it flushes a dirty one.
+//!
 //! Dirty frames are also linked, oldest first, on InnoDB's *flush list*:
 //! in the order of their first change since their last flush. Each one
 //! keeps that change's LSN and the redo position it was logged at, so the
@@ -20,6 +31,10 @@ use std::collections::HashMap;
 
 const NIL: usize = usize::MAX;
 
+/// The old sublist's share of the resident pages, in eighths: 3/8 is
+/// InnoDB's `innodb_old_blocks_pct` = 37 default.
+const OLD_EIGHTHS: usize = 3;
+
 #[derive(Debug)]
 struct Frame {
     page: NodePage,
@@ -29,6 +44,8 @@ struct Frame {
     /// Fetched for a lookup that has not found it yet: that lookup is the
     /// miss, whichever call makes it.
     fetched: bool,
+    /// In the old sublist.
+    old: bool,
     prev: usize,
     next: usize,
     /// Flush-list links (meaningful while dirty).
@@ -49,7 +66,7 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
-/// A fixed-capacity LRU cache of page images.
+/// A fixed-capacity midpoint-LRU cache of page images.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
@@ -57,6 +74,8 @@ pub struct BufferPool {
     map: HashMap<u64, usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
+    mid: usize,  // old-sublist head; NIL while the old sublist is empty
+    old_len: usize,
     oldest: usize, // flush-list head: the oldest first change
     newest: usize, // flush-list tail
     free: Vec<usize>,
@@ -74,6 +93,8 @@ impl BufferPool {
             map: HashMap::with_capacity(capacity),
             head: NIL,
             tail: NIL,
+            mid: NIL,
+            old_len: 0,
             oldest: NIL,
             newest: NIL,
             free: (0..capacity).rev().collect(),
@@ -102,6 +123,12 @@ impl BufferPool {
         self.dirty
     }
 
+    /// Pages in the old sublist: the first `old_len()` of
+    /// [`Self::coldest_first`], ⌊3/8⌋ of the resident pages ± 1.
+    pub fn old_len(&self) -> usize {
+        self.old_len
+    }
+
     /// Hit/miss/eviction counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
@@ -112,84 +139,132 @@ impl BufferPool {
         self.map.contains_key(&page_no)
     }
 
+    fn frame(&self, idx: usize) -> &Frame {
+        self.frames[idx].as_ref().expect("linked frame")
+    }
+
+    fn frame_mut(&mut self, idx: usize) -> &mut Frame {
+        self.frames[idx].as_mut().expect("linked frame")
+    }
+
     fn unlink(&mut self, idx: usize) {
-        let (prev, next) = {
-            let f = self.frames[idx].as_ref().expect("linked frame");
-            (f.prev, f.next)
+        let (prev, next, old) = {
+            let f = self.frame(idx);
+            (f.prev, f.next, f.old)
         };
+        if old {
+            self.old_len -= 1;
+            if self.mid == idx {
+                self.mid = next;
+            }
+        }
         match prev {
             NIL => self.head = next,
-            p => self.frames[p].as_mut().expect("prev frame").next = next,
+            p => self.frame_mut(p).next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => self.frames[n].as_mut().expect("next frame").prev = prev,
+            n => self.frame_mut(n).prev = prev,
         }
     }
 
-    fn push_front(&mut self, idx: usize) {
+    /// Link `idx` in front of `at`, or at the tail when `at` is `NIL`.
+    fn link_before(&mut self, idx: usize, at: usize) {
+        let prev = if at == NIL { self.tail } else { self.frame(at).prev };
         {
-            let f = self.frames[idx].as_mut().expect("frame to link");
-            f.prev = NIL;
-            f.next = self.head;
+            let f = self.frame_mut(idx);
+            f.prev = prev;
+            f.next = at;
         }
-        match self.head {
+        match prev {
+            NIL => self.head = idx,
+            p => self.frame_mut(p).next = idx,
+        }
+        match at {
             NIL => self.tail = idx,
-            h => self.frames[h].as_mut().expect("old head").prev = idx,
-        }
-        self.head = idx;
-    }
-
-    fn touch(&mut self, idx: usize) {
-        if self.head != idx {
-            self.unlink(idx);
-            self.push_front(idx);
+            a => self.frame_mut(a).prev = idx,
         }
     }
 
-    /// Get a page for reading/writing, bumping it to MRU. Counts a hit or
-    /// miss; the caller loads and [`BufferPool::insert`]s on miss.
+    /// Link `idx` at the MRU head, in the young sublist.
+    fn push_young(&mut self, idx: usize) {
+        self.frame_mut(idx).old = false;
+        self.link_before(idx, self.head);
+    }
+
+    /// Link `idx` at the old sublist's head.
+    fn push_old(&mut self, idx: usize) {
+        self.frame_mut(idx).old = true;
+        self.link_before(idx, self.mid);
+        self.mid = idx;
+        self.old_len += 1;
+    }
+
+    /// Move the boundary one frame when the old sublist is more than one
+    /// page off ⌊3/8⌋ of the resident pages. An insertion, removal or
+    /// promotion changes that distance by at most one, so one step keeps it
+    /// within one; the slack lets a fetched page stay at the old head.
+    fn rebalance(&mut self) {
+        let target = self.map.len() * OLD_EIGHTHS / 8;
+        if self.old_len + 1 < target {
+            // The young sublist's tail joins the old sublist.
+            let idx = if self.mid == NIL { self.tail } else { self.frame(self.mid).prev };
+            self.frame_mut(idx).old = true;
+            self.mid = idx;
+            self.old_len += 1;
+        } else if self.old_len > target + 1 {
+            // The old sublist's head becomes young.
+            let idx = self.mid;
+            self.mid = self.frame(idx).next;
+            self.frame_mut(idx).old = false;
+            self.old_len -= 1;
+        }
+    }
+
+    /// Get a page for reading/writing. Counts a hit or a miss; the caller
+    /// loads and [`BufferPool::insert`]s on miss. A hit moves the page to
+    /// the MRU head; the lookup a fetched page was read for does not.
     pub fn get_mut(&mut self, page_no: u64) -> Option<&mut NodePage> {
-        match self.map.get(&page_no).copied() {
-            Some(idx) => {
-                self.touch(idx);
-                let frame = self.frames[idx].as_mut().expect("mapped frame");
-                if std::mem::take(&mut frame.fetched) {
-                    self.stats.misses += 1;
-                } else {
-                    self.stats.hits += 1;
-                }
-                Some(&mut frame.page)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
+        let Some(idx) = self.map.get(&page_no).copied() else {
+            self.stats.misses += 1;
+            return None;
+        };
+        if std::mem::take(&mut self.frame_mut(idx).fetched) {
+            self.stats.misses += 1;
+        } else {
+            self.stats.hits += 1;
+            if self.head != idx {
+                self.unlink(idx);
+                self.push_young(idx);
+                self.rebalance();
             }
         }
+        Some(&mut self.frame_mut(idx).page)
     }
 
     /// Read-only access without LRU bump or hit accounting (flush paths).
     pub fn peek(&self, page_no: u64) -> Option<&NodePage> {
-        self.map.get(&page_no).map(|&idx| &self.frames[idx].as_ref().expect("mapped frame").page)
+        self.map.get(&page_no).map(|&idx| &self.frame(idx).page)
     }
 
     /// Flush-path access for sealing a page in place: no LRU bump, no hit
     /// accounting.
     pub fn peek_mut(&mut self, page_no: u64) -> Option<&mut NodePage> {
         let idx = *self.map.get(&page_no)?;
-        Some(&mut self.frames[idx].as_mut().expect("mapped frame").page)
+        Some(&mut self.frame_mut(idx).page)
     }
 
-    /// Insert a clean page created in memory. Panics if full or already
-    /// resident — callers must make room first.
+    /// Insert a clean page created in memory, at the MRU head. Panics if
+    /// full or already resident — callers must make room first.
     pub fn insert(&mut self, page: NodePage) {
         self.place(page, false);
     }
 
-    /// Insert a clean page the engine has just read from the tablespace.
-    /// The engine checks residency and loads *before* it looks a page up,
-    /// so the lookup never sees the page absent; the first one to find
-    /// this page is the miss that paid for the read.
+    /// Insert a clean page the engine has just read from the tablespace,
+    /// at the old sublist's head. The engine checks residency and loads
+    /// *before* it looks a page up, so the lookup never sees the page
+    /// absent; the first one to find this page is the miss that paid for
+    /// the read, and only a later hit makes the page young.
     pub fn insert_fetched(&mut self, page: NodePage) {
         self.place(page, true);
     }
@@ -199,10 +274,23 @@ impl BufferPool {
         assert!(!self.contains(page.page_no), "page {} already resident", page.page_no);
         let idx = self.free.pop().expect("free frame exists when below capacity");
         let page_no = page.page_no;
-        self.frames[idx] =
-            Some(Frame { page, dirty: None, fetched, prev: NIL, next: NIL, older: NIL, newer: NIL });
+        self.frames[idx] = Some(Frame {
+            page,
+            dirty: None,
+            fetched,
+            old: false,
+            prev: NIL,
+            next: NIL,
+            older: NIL,
+            newer: NIL,
+        });
         self.map.insert(page_no, idx);
-        self.push_front(idx);
+        if fetched {
+            self.push_old(idx);
+        } else {
+            self.push_young(idx);
+        }
+        self.rebalance();
     }
 
     /// Mark a resident page dirty by the change logged as `lsn` at redo
@@ -210,16 +298,17 @@ impl BufferPool {
     /// at the tail of the flush list; later ones leave it where it is.
     pub fn mark_dirty(&mut self, page_no: u64, lsn: u64, pos: u64) {
         let idx = *self.map.get(&page_no).expect("mark_dirty on non-resident page");
-        let f = self.frames[idx].as_mut().expect("mapped frame");
+        let newest = self.newest;
+        let f = self.frame_mut(idx);
         if f.dirty.is_some() {
             return;
         }
         f.dirty = Some((lsn, pos));
-        f.older = self.newest;
+        f.older = newest;
         f.newer = NIL;
-        match self.newest {
+        match newest {
             NIL => self.oldest = idx,
-            n => self.frames[n].as_mut().expect("flush-list tail").newer = idx,
+            n => self.frame_mut(n).newer = idx,
         }
         self.newest = idx;
         self.dirty += 1;
@@ -229,65 +318,36 @@ impl BufferPool {
     /// the flush list.
     pub fn mark_clean(&mut self, page_no: u64) {
         let idx = *self.map.get(&page_no).expect("mark_clean on non-resident page");
-        let f = self.frames[idx].as_mut().expect("mapped frame");
+        let f = self.frame_mut(idx);
         if f.dirty.take().is_none() {
             return;
         }
         let (older, newer) = (f.older, f.newer);
         match older {
             NIL => self.oldest = newer,
-            o => self.frames[o].as_mut().expect("older frame").newer = newer,
+            o => self.frame_mut(o).newer = newer,
         }
         match newer {
             NIL => self.newest = older,
-            n => self.frames[n].as_mut().expect("newer frame").older = older,
+            n => self.frame_mut(n).older = older,
         }
         self.dirty -= 1;
     }
 
     /// Whether a resident page is dirty.
     pub fn is_dirty(&self, page_no: u64) -> bool {
-        self.map
-            .get(&page_no)
-            .is_some_and(|&idx| self.frames[idx].as_ref().expect("mapped frame").dirty.is_some())
+        self.map.get(&page_no).is_some_and(|&idx| self.frame(idx).dirty.is_some())
     }
 
-    /// The least-recently-used page and its dirtiness.
-    pub fn lru_victim(&self) -> Option<(u64, bool)> {
-        if self.tail == NIL {
-            return None;
-        }
-        let f = self.frames[self.tail].as_ref().expect("tail frame");
-        Some((f.page.page_no, f.dirty.is_some()))
-    }
-
-    /// Up to `max` dirty page numbers from the cold end of the LRU list —
-    /// the flush batch InnoDB pushes through the double-write buffer.
-    pub fn collect_dirty_cold(&self, max: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(max);
+    /// Resident pages from the LRU tail to the MRU head, each with whether
+    /// it is dirty. The first [`Self::old_len`] are the old sublist.
+    pub fn coldest_first(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
         let mut idx = self.tail;
-        while idx != NIL && out.len() < max {
-            let f = self.frames[idx].as_ref().expect("linked frame");
-            if f.dirty.is_some() {
-                out.push(f.page.page_no);
-            }
+        std::iter::from_fn(move || {
+            let f = self.frames.get(idx)?.as_ref().expect("linked frame");
             idx = f.prev;
-        }
-        out
-    }
-
-    /// The coldest clean page, if any (fallback eviction when dirty pages
-    /// are pinned by an open mini-transaction).
-    pub fn coldest_clean(&self) -> Option<u64> {
-        let mut idx = self.tail;
-        while idx != NIL {
-            let f = self.frames[idx].as_ref().expect("linked frame");
-            if f.dirty.is_none() {
-                return Some(f.page.page_no);
-            }
-            idx = f.prev;
-        }
-        None
+            Some((f.page.page_no, f.dirty.is_some()))
+        })
     }
 
     /// The flush-list head's first change, `(lsn, redo position)`: every
@@ -310,11 +370,9 @@ impl BufferPool {
     /// Evict a clean resident page, returning it.
     pub fn evict(&mut self, page_no: u64) -> NodePage {
         let idx = self.map.remove(&page_no).expect("evict of non-resident page");
-        assert!(
-            self.frames[idx].as_ref().expect("mapped frame").dirty.is_none(),
-            "evicting dirty page {page_no}"
-        );
+        assert!(self.frame(idx).dirty.is_none(), "evicting dirty page {page_no}");
         self.unlink(idx);
+        self.rebalance();
         let frame = self.frames[idx].take().expect("mapped frame");
         self.free.push(idx);
         self.stats.evictions += 1;
@@ -328,6 +386,8 @@ impl BufferPool {
         self.free = (0..self.capacity).rev().collect();
         self.head = NIL;
         self.tail = NIL;
+        self.mid = NIL;
+        self.old_len = 0;
         self.oldest = NIL;
         self.newest = NIL;
         self.dirty = 0;
@@ -369,34 +429,64 @@ mod tests {
         assert_eq!((p.stats().hits, p.stats().misses), (3, 1));
     }
 
+    fn order(p: &BufferPool) -> Vec<u64> {
+        p.coldest_first().map(|(no, _)| no).collect()
+    }
+
     #[test]
     fn lru_order_tracks_access() {
         let mut p = BufferPool::new(8);
         for i in 0..4 {
             p.insert(page(i));
         }
-        assert_eq!(p.lru_victim(), Some((0, false)));
+        assert_eq!(p.coldest_first().next(), Some((0, false)));
         p.get_mut(0); // 0 becomes MRU
-        assert_eq!(p.lru_victim(), Some((1, false)));
+        assert_eq!(p.coldest_first().next(), Some((1, false)));
+    }
+
+    #[test]
+    fn fetched_pages_enter_the_old_sublist_and_a_second_lookup_promotes() {
+        let mut p = BufferPool::new(16);
+        for i in 0..8 {
+            p.insert(page(i));
+        }
+        // ⌊3/8 · 8⌋ = 3, less the one page of slack: 0 and 1 are old.
+        assert_eq!(p.old_len(), 2);
+        p.insert_fetched(page(100));
+        assert_eq!(order(&p), vec![0, 1, 100, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(p.old_len(), 3);
+        p.get_mut(100); // the miss it was fetched for: stays put
+        assert_eq!(order(&p)[2], 100);
+        p.get_mut(100); // a hit: MRU
+        assert_eq!(order(&p), vec![0, 1, 2, 3, 4, 5, 6, 7, 100]);
+        assert_eq!(p.old_len(), 2);
+        assert_eq!((p.stats().hits, p.stats().misses), (1, 1));
     }
 
     #[test]
     fn dirty_tracking_and_cold_collection() {
         let mut p = BufferPool::new(8);
-        for i in 0..6 {
+        for i in 0..8 {
             p.insert(page(i));
         }
         p.mark_dirty(5, 1, 10);
         p.mark_dirty(1, 2, 20);
-        p.mark_dirty(3, 3, 30);
+        p.mark_dirty(0, 3, 30);
         assert_eq!(p.dirty_count(), 3);
-        // Cold-first LRU order: 1 then 3 then 5 (insertion order, none
-        // touched); the flush list keeps first-change order.
-        assert_eq!(p.collect_dirty_cold(2), vec![1, 3]);
-        assert_eq!(p.flush_list().collect::<Vec<_>>(), vec![5, 1, 3]);
-        p.mark_clean(3);
+        // The old sublist, coldest first, is 0 and 1, both dirty; dirty 5
+        // is young. The flush list keeps first-change order.
+        let old = |p: &BufferPool| p.coldest_first().take(p.old_len()).collect::<Vec<_>>();
+        assert_eq!(old(&p), vec![(0, true), (1, true)]);
+        assert_eq!(p.flush_list().collect::<Vec<_>>(), vec![5, 1, 0]);
+        p.mark_clean(0);
         assert_eq!(p.dirty_count(), 2);
         assert_eq!(p.flush_list().collect::<Vec<_>>(), vec![5, 1]);
+        p.evict(0);
+        assert_eq!(old(&p), vec![(1, true)]);
+        // Promoting the last old page leaves the sublist two short: the
+        // young tail crosses.
+        p.get_mut(1);
+        assert_eq!(old(&p), vec![(2, false)]);
     }
 
     #[test]
@@ -454,7 +544,7 @@ mod tests {
             p.insert(page(i));
         }
         for round in 0..100u64 {
-            let (victim, dirty) = p.lru_victim().unwrap();
+            let (victim, dirty) = p.coldest_first().next().unwrap();
             assert!(!dirty);
             p.evict(victim);
             p.insert(page(100 + round));

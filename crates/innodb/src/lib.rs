@@ -4,7 +4,7 @@
 //! the SHARE paper modifies in MySQL/InnoDB 5.7 (§2.1, §4.3):
 //!
 //! * clustered B+tree over fixed-size checksummed pages (4/8/16 KiB),
-//! * LRU buffer pool with batch eviction,
+//! * buffer pool with InnoDB's midpoint LRU and clean-first batch eviction,
 //! * physiological redo on a **separate log device**, grouped into
 //!   mini-transactions,
 //! * and the **double-write buffer** in three modes: `DwbOn` (default

@@ -703,7 +703,53 @@ mod tests {
             assert_eq!(e.get(&Key::node(i)).unwrap(), Some(vec![(i % 251) as u8; 64]));
         }
         assert!(e.pool_stats().evictions > 0);
-        assert!(e.stats().flush_batches > 0);
+        let s = e.stats();
+        assert!(s.eviction_flush_batches > 0 && s.eviction_flush_batches <= s.flush_batches);
+    }
+
+    #[test]
+    fn checkpoint_batches_are_not_eviction_batches() {
+        let mut e = engine(FlushMode::Share);
+        for i in 0..300u64 {
+            e.upsert_kv(Key::node(i), vec![(i % 251) as u8; 64]).unwrap();
+            e.commit().unwrap();
+            if i % 50 == 49 {
+                e.checkpoint().unwrap();
+            }
+        }
+        assert_eq!(e.pool_stats().evictions, 0, "the tree must fit the pool");
+        let s = e.stats();
+        assert!(s.flush_batches >= 6, "{} batches", s.flush_batches);
+        assert_eq!(s.eviction_flush_batches, 0);
+    }
+
+    #[test]
+    fn a_commit_that_paid_an_eviction_flush_leaves_the_checkpoint_to_the_next() {
+        let fcfg = FtlConfig::for_capacity_with(24 << 20, 0.3, 4096, 32, nand_sim::NandTiming::zero());
+        let dev = Ftl::new(fcfg);
+        let log = standard_log_device(dev.clock().clone());
+        let cfg = InnoDbConfig {
+            mode: FlushMode::Share,
+            pool_pages: 10,
+            max_pages: 4096,
+            flush_batch: 4,
+            ckpt_redo_bytes: 2 << 10,
+            ..Default::default()
+        };
+        let mut e = InnoDb::create(dev, log, cfg).unwrap();
+        let (mut evicting, mut checkpointing) = (0, 0);
+        for i in 0..2_000u64 {
+            let s0 = e.stats();
+            e.upsert_kv(Key::node(i * 7_919 % 2_000), vec![(i % 251) as u8; 64]).unwrap();
+            e.commit().unwrap();
+            let s = e.stats();
+            let evicted = s.eviction_flush_batches > s0.eviction_flush_batches;
+            let checkpointed = s.checkpoints > s0.checkpoints;
+            assert!(!(evicted && checkpointed), "txn {i} paid an eviction flush and a checkpoint");
+            evicting += evicted as u32;
+            checkpointing += checkpointed as u32;
+        }
+        assert!(evicting > 100 && checkpointing > 100, "{evicting} / {checkpointing}");
     }
 
     #[test]

@@ -59,6 +59,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const ROWS: u64 = 6_000;
+/// Rows after the walk's, read twice each to fill the young sublist.
+const HOT: u64 = 2_000;
 const GETS: u64 = 5_000;
 const UPSERTS: u64 = 2_000;
 const CHECKPOINTS: u64 = 200;
@@ -95,15 +97,25 @@ fn fetch_and_flush_stay_inside_their_allocation_budget() {
         ..Default::default()
     };
     let mut db = InnoDb::create(dev, log, cfg).unwrap();
-    for id in 0..ROWS {
+    for id in 0..ROWS + HOT {
         db.upsert_kv(Key::node(id), vec![(id % 251) as u8; 96]).unwrap();
         db.commit().unwrap();
     }
     db.checkpoint().unwrap();
     assert!(db.page_count() > 4 * 64, "the tree must not fit the 64-page pool");
+    // A fetched page enters the pool's old sublist, and only a second
+    // lookup makes it young. Read the hot rows twice each: their leaves
+    // fill the young sublist beside the inner pages, so no leaf the walk
+    // reaches stays resident there.
+    for id in ROWS..ROWS + HOT {
+        for _ in 0..2 {
+            db.get(&Key::node(id)).unwrap();
+        }
+    }
     // The walk: consecutive ids are ~40 leaves apart, and it comes back to
-    // within a leaf of an id only after hundreds of other leaves — far more
-    // than 64 frames keep, so every lookup fetches its leaf.
+    // within a leaf of an id only after dozens of other leaves — far more
+    // than the old sublist's 24 frames keep, so every lookup fetches its
+    // leaf.
     let mut id = 0;
     let mut step = move || {
         id = (id + 1_237) % ROWS;
