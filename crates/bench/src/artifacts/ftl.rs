@@ -374,8 +374,7 @@ fn submit_bp(dev: &mut Ftl, cmd: QueuedCmd) {
 fn run(qd: usize) -> RunOut {
     let cfg = FtlConfig::for_capacity_with(64 << 20, 0.25, PAGE, 128, NandTiming::default())
         .with_parallelism(CHANNELS, 1)
-        .with_queue_depth(qd)
-        .with_telemetry(TelemetryConfig { histograms: true, ..TelemetryConfig::default() });
+        .with_queue_depth(qd);
     let mut dev = Ftl::new(cfg);
     let clock = dev.clock().clone();
     let t0 = clock.now_ns();
@@ -420,7 +419,7 @@ fn run(qd: usize) -> RunOut {
     }
     let t_mixed = clock.now_ns();
 
-    let snap: Snapshot = dev.telemetry_snapshot().expect("histograms enabled");
+    let snap: Snapshot = dev.telemetry_snapshot().expect("an FTL has telemetry");
     let wh = &snap.op(OpClass::Write).hist;
     let rh = &snap.op(OpClass::Read).hist;
     let bytes = TOTAL_PAGES as f64 * PAGE as f64;

@@ -114,11 +114,8 @@ pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
         page_bytes: run.page_bytes,
         pool_pages,
         max_pages,
-        flush_batch: 64,
-        ckpt_redo_bytes: 8 << 20,
-        fsync_on_commit: true,
-        cpu_ns_per_op: 5_000,
         flush_neighbors: run.flush_neighbors,
+        ..InnoDbConfig::default()
     };
     let mut db = InnoDb::create(dev, log_dev, ecfg).expect("create engine");
 

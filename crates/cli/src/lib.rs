@@ -308,9 +308,7 @@ pub fn run(args: &[String]) -> Result<String> {
             if format != "prom" && format != "json" {
                 return Err(CliError(format!("bad --format: {format} (want prom|json)")));
             }
-            // Full telemetry (histograms + spans) for this invocation
-            // only — the toggle never touches the image or its sidecar.
-            let mut dev = load_device_with(img, TelemetryConfig::full())?;
+            let mut dev = load_device(img)?;
             if let Some(trace_file) = flag_value(args, "--trace") {
                 let text = fs::read_to_string(trace_file)?;
                 replay_ops(&mut dev, parse_trace(&text), |_| None)?;
@@ -444,7 +442,7 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
 fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
     let (workload, gen) = synthetic_args(args)?;
-    let mut dev = load_device_with(img, TelemetryConfig::full())?;
+    let mut dev = load_device_with(img, TelemetryConfig::tracing())?;
     let before = dev.stats();
     let t0 = dev.clock().now_ns();
     let replayed = run_synthetic(&mut dev, gen)?;

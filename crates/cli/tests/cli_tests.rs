@@ -150,12 +150,12 @@ fn metrics_reports_a_replayed_trace_in_both_formats() {
 
     let info_before = cmd(&["info", img]).unwrap();
     let prom = cmd(&["metrics", img, "--trace", trace.to_str().unwrap()]).unwrap();
-    assert!(prom.contains("share_commands_total"), "{prom}");
-    assert!(prom.contains(r#"share_op_pages_total{op="write"} 2"#), "{prom}");
-    assert!(prom.contains(r#"share_op_pages_total{op="share"} 2"#), "{prom}");
+    assert!(prom.contains(r#"share_op_latency_ns_count{op="write"} 2"#), "{prom}");
+    assert!(prom.contains(r#"share_op_latency_ns_count{op="share"} 1"#), "{prom}");
     assert!(prom.contains("share_op_latency_ns_bucket"), "histograms missing: {prom}");
+    assert!(prom.contains(r#"share_stream_fg_pages_total{stream="host"} 2"#), "{prom}");
     // Opening the image is itself a recovery: it must show up as an op.
-    assert!(prom.contains(r#"share_op_ops_total{op="recovery"} 1"#), "{prom}");
+    assert!(prom.contains(r#"share_op_latency_ns_count{op="recovery"} 1"#), "{prom}");
     // The device counters (Figure 6's inputs) and WAF are in the dump.
     for line in ["share_host_writes_total 2\n", "share_shared_pages_total 2\n", "share_recoveries_total 1\n"]
     {
@@ -168,12 +168,12 @@ fn metrics_reports_a_replayed_trace_in_both_formats() {
     ])
     .unwrap();
     let doc = share_core::telemetry::json::parse(&json).expect("metrics JSON parses");
-    let pages = doc
-        .get("ops")
+    let writes = doc
+        .get("latency_ns")
         .and_then(|o| o.get("write"))
-        .and_then(|w| w.get("pages"))
+        .and_then(|w| w.get("count"))
         .and_then(|v| v.as_u64());
-    assert_eq!(pages, Some(2), "{json}");
+    assert_eq!(writes, Some(2), "{json}");
     let metric = |key| doc.get("metrics").and_then(|m| m.get(key)).and_then(|v| v.as_u64());
     assert_eq!(metric("host_writes"), Some(2), "{json}");
     assert_eq!(metric("shared_pages"), Some(2), "{json}");
@@ -192,7 +192,7 @@ fn metrics_works_without_a_trace_and_rejects_bad_formats() {
 
     // No trace: the snapshot still reports the open-time recovery.
     let prom = cmd(&["metrics", img]).unwrap();
-    assert!(prom.contains(r#"share_op_ops_total{op="recovery"} 1"#), "{prom}");
+    assert!(prom.contains(r#"share_op_latency_ns_count{op="recovery"} 1"#), "{prom}");
 
     let e = cmd(&["metrics", img, "--format", "xml"]).unwrap_err();
     assert!(e.contains("bad --format"), "{e}");

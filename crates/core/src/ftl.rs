@@ -178,7 +178,7 @@ pub struct Ftl {
     /// Checkpoint slots, generations and the page image checkpoints are
     /// built in.
     ckpts: Checkpoints,
-    /// Per-op-class observability (counters, optional histograms/ring).
+    /// Per-op-class latency histograms and the per-stream WA ledger.
     /// Records clock *read-outs* only — never advances simulated time.
     telemetry: Telemetry,
     /// Causal span tracer (disabled unless `cfg.telemetry.trace`); the
@@ -194,11 +194,6 @@ pub struct Ftl {
     q_submitted: u64,
     q_reaped: u64,
     q_max_inflight: u64,
-    /// Stream of the host command currently executing, for attributing
-    /// internal passes it triggers (None outside any host command).
-    cmd_stream: Option<u32>,
-    /// True while GC runs: log flushes it triggers stay FTL-attributed.
-    in_gc: bool,
     /// In-progress incremental collection. Persists across foreground
     /// commands until the victim is fully relocated, flushed, and erased.
     gc_job: Option<GcJob>,
@@ -287,8 +282,6 @@ impl Ftl {
             q_submitted: 0,
             q_reaped: 0,
             q_max_inflight: 0,
-            cmd_stream: None,
-            in_gc: false,
             gc_job: None,
             gc_scratch: GcScratch::default(),
             gc_debt: 0,
@@ -316,7 +309,7 @@ impl Ftl {
         nand.power_cycle();
         let mut ftl = Self::assemble(cfg, nand);
         let nand_before = ftl.nand.stats();
-        ftl.internal_pass("recovery", OpClass::Recovery, None, |f| {
+        ftl.internal_pass("recovery", OpClass::Recovery, |f| {
             f.replay_image()?;
             f.checkpoint()?;
             // Account what recovery itself cost (checkpoint scan, delta
@@ -345,6 +338,7 @@ impl Ftl {
                 )));
             }
             for (i, &ppn) in c.l2p.iter().enumerate() {
+                self.check_recovered(ppn)?;
                 self.map.raw_set(Lpn(i as u64), ppn);
             }
             self.snaps = SnapshotTable::decode(&c.snap)?;
@@ -358,12 +352,22 @@ impl Ftl {
                 // far beyond the logical capacity).
                 match snapshot::decode_snap_delta(d.lpn) {
                     Some(SnapDelta::Relocate { id, offset }) => {
+                        self.check_recovered(d.new)?;
                         self.snaps.replay_relocate(id, offset, d.new);
                     }
                     Some(SnapDelta::Tombstone { id }) => {
                         self.snaps.remove_by_id(id);
                     }
-                    None => self.map.raw_set(d.lpn, d.new),
+                    None if d.lpn.0 >= self.cfg.logical_pages => {
+                        return Err(FtlError::RecoveryCorrupt(format!(
+                            "delta for {} past the logical capacity",
+                            d.lpn
+                        )));
+                    }
+                    None => {
+                        self.check_recovered(d.new)?;
+                        self.map.raw_set(d.lpn, d.new);
+                    }
                 }
             }
             next_seq = page.seq + 1;
@@ -373,6 +377,19 @@ impl Ftl {
         self.pool.rebuild_from_nand(&self.nand);
         self.log = DeltaLog::new(&self.cfg, next_seq);
         Ok(())
+    }
+
+    /// Check a physical page read off the flash (a checkpoint entry or a
+    /// delta's target) before it indexes the table: unmapped or in the
+    /// data pool. The page it came from passed its CRC, so it is not torn;
+    /// ending the scan there would drop the durable deltas after it without
+    /// a word, so the image is refused instead.
+    fn check_recovered(&self, ppn: Ppn) -> Result<(), FtlError> {
+        if !ppn.is_valid() || self.pool.rel(self.cfg.geometry.block_of(ppn)).is_some() {
+            Ok(())
+        } else {
+            Err(FtlError::RecoveryCorrupt(format!("mapped page {ppn} outside the data pool")))
+        }
     }
 
     /// The configuration this device runs under.
@@ -437,16 +454,6 @@ impl Ftl {
     /// capacity (overflow included), naming the range's last page if not.
     fn check_range(&self, start: Lpn, len: u64) -> Result<(), FtlError> {
         crate::device::check_range(start, len, self.cfg.logical_pages)
-    }
-
-    /// Stream to attribute an internal pass to: the host command that
-    /// triggered it, unless GC is running (GC work stays FTL-attributed).
-    fn bg_attr(&self) -> Option<u32> {
-        if self.in_gc {
-            None
-        } else {
-            self.cmd_stream
-        }
     }
 
     /// Note a mapping delta created on behalf of `stream`: it weighs into
@@ -550,8 +557,7 @@ impl Ftl {
             // remaps included, in one atomic commit record.
             return self.checkpoint();
         }
-        let attr = self.bg_attr();
-        let pages = self.internal_pass("log_flush", OpClass::LogFlush, attr, |f| {
+        let pages = self.internal_pass("log_flush", OpClass::LogFlush, |f| {
             let before = f.log.pages_written;
             match batch {
                 Some(batch) => f.log.flush_atomic_pages(&mut f.nand, batch)?,
@@ -593,8 +599,7 @@ impl Ftl {
 
     /// Persist a base mapping snapshot and truncate the delta log.
     pub fn checkpoint(&mut self) -> Result<(), FtlError> {
-        let attr = self.bg_attr();
-        self.internal_pass("checkpoint", OpClass::Checkpoint, attr, Self::checkpoint_inner)?;
+        self.internal_pass("checkpoint", OpClass::Checkpoint, Self::checkpoint_inner)?;
         Ok(())
     }
 
@@ -648,8 +653,9 @@ impl Ftl {
         (self.cfg.geometry.units() as usize * 8).max(1)
     }
 
-    /// Telemetry collected by this device (counters always; histograms and
-    /// the epoch latency windows per [`FtlConfig::telemetry`]).
+    /// Telemetry collected by this device (latency histograms and the WA
+    /// ledger always; the epoch latency windows per
+    /// [`FtlConfig::telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }

@@ -13,9 +13,9 @@ impl Ftl {
     }
 
     /// The internal-pass frame: every pass the FTL runs on its own behalf
-    /// (`gc`, `log_flush`, `checkpoint`, `recovery`) opens its span and
-    /// records its op class here, attributed to `attr` (None: the `ftl`
-    /// stream). `body` returns the pages the pass moved.
+    /// (`gc`, `log_flush`, `checkpoint`, `recovery`) opens its span on the
+    /// `ftl` track and records its op class here. `body` returns the pages
+    /// the pass moved.
     ///
     /// Passes are timed on `submission_now()`, never `now_ns()`: inside a
     /// queued command's deferred window or a background GC window the
@@ -26,7 +26,6 @@ impl Ftl {
         &mut self,
         name: &str,
         op: OpClass,
-        attr: Option<u32>,
         body: impl FnOnce(&mut Self) -> Result<u64, FtlError>,
     ) -> Result<u64, FtlError> {
         let t0 = self.nand.submission_now();
@@ -35,14 +34,13 @@ impl Ftl {
         let end = self.nand.submission_now();
         let pages = *r.as_ref().unwrap_or(&0);
         self.tracer.end(span, end, pages, r.is_ok());
-        self.telemetry.record(op, attr, pages, t0, end, r.is_ok());
+        self.telemetry.record(op, pages, t0, end, r.is_ok());
         r
     }
 
     /// The command frame: every host command — each synchronous
-    /// `BlockDevice` method and `submit` — enters here. It captures the
-    /// command's stream (internal passes it triggers inherit it), opens its
-    /// span on the stream's track, runs `body` (which borrows the caller's
+    /// `BlockDevice` method and `submit` — enters here. It opens the
+    /// command's span on its stream's track, runs `body` (which borrows the caller's
     /// payload), and records `op` over the command's interval. `queued`
     /// runs the body under a deferred NAND window instead of on the shared
     /// clock and pins the blocks it allocates into; the interval then ends
@@ -58,9 +56,7 @@ impl Ftl {
         body: impl FnOnce(&mut Self) -> Result<T, FtlError>,
     ) -> (Result<T, FtlError>, u64, Vec<u32>) {
         let t0 = self.nand.now_ns();
-        let stream = self.telemetry.current_stream();
-        self.cmd_stream = Some(stream);
-        let span = self.begin_span(name, stream, t0);
+        let span = self.begin_span(name, self.telemetry.current_stream(), t0);
         if queued {
             self.pool.begin_capture();
             self.nand.begin_deferred();
@@ -71,10 +67,9 @@ impl Ftl {
         } else {
             (self.nand.now_ns(), Vec::new())
         };
-        self.cmd_stream = None;
         self.tracer.end(span, end, pages, r.is_ok());
         if let Some(op) = op {
-            self.telemetry.record(op, None, pages, t0, end, r.is_ok());
+            self.telemetry.record(op, pages, t0, end, r.is_ok());
         }
         (r, end, blocks)
     }
@@ -445,7 +440,7 @@ impl BlockDevice for Ftl {
         let rec = self.recorder.as_ref()?;
         let mut snap =
             rec.snapshot(self.nand.now_ns(), &self.stats(), &self.telemetry.wa_raw());
-        snap.labels = self.telemetry.stream_labels().to_vec();
+        snap.labels = self.telemetry.stream_labels().map(str::to_string).collect();
         snap.unit_labels = unit_labels(self.cfg.geometry.channels, self.nand.busy_ns().len());
         Some(snap)
     }

@@ -193,12 +193,10 @@ impl Ftl {
     /// it the step runs on the caller's timeline — the synchronous drain.
     fn gc_step_traced(&mut self, budget: usize, background: Option<u64>) -> Result<u64, FtlError> {
         let saved = background.map(|at| self.nand.begin_background(at));
-        let r = self.internal_pass("gc", OpClass::Gc, None, |f| {
-            f.in_gc = true;
+        let r = self.internal_pass("gc", OpClass::Gc, |f| {
             let mut scratch = std::mem::take(&mut f.gc_scratch);
             let r = f.gc_step(budget, &mut scratch);
             f.gc_scratch = scratch;
-            f.in_gc = false;
             r
         });
         if let Some(saved) = saved {

@@ -713,45 +713,41 @@ fn mixed_workload(f: &mut Ftl) {
 
 #[test]
 fn telemetry_counters_match_device_stats() {
+    // A latency histogram records every command of its class, so its
+    // count is the command count `DeviceStats` keeps; the ledger's
+    // foreground pages are the host's written pages.
     use share_telemetry::OpClass as Op;
     let mut f = tiny();
     mixed_workload(&mut f);
     let s = f.stats();
     let t = f.telemetry().snapshot();
+    let n = |op| t.op(op).hist.count;
     assert!(s.gc_events > 0, "workload must trigger GC");
-    assert_eq!(s.host_reads, t.pages(Op::Read) + t.pages(Op::ReadBatch));
-    assert_eq!(
-        s.host_writes,
-        t.pages(Op::Write) + t.pages(Op::WriteBatch) + t.pages(Op::WriteAtomic)
-    );
-    assert_eq!(s.flushes, t.ops_count(Op::Flush));
-    assert_eq!(s.trims, t.pages(Op::Trim));
-    assert_eq!(s.share_commands, t.ops_count(Op::Share) + t.ops_count(Op::ShareBatch));
-    assert_eq!(s.shared_pages, t.pages(Op::Share) + t.pages(Op::ShareBatch));
-    assert_eq!(s.gc_events, t.ops_count(Op::Gc));
-    assert_eq!(s.copyback_pages, t.pages(Op::Gc));
-    assert_eq!(s.checkpoints, t.ops_count(Op::Checkpoint));
-    assert_eq!(s.meta_page_writes, t.pages(Op::LogFlush) + t.pages(Op::Checkpoint));
+    assert_eq!(s.flushes, n(Op::Flush));
+    assert_eq!(s.share_commands, n(Op::Share) + n(Op::ShareBatch));
+    assert_eq!(s.gc_events, n(Op::Gc));
+    assert_eq!(s.checkpoints, n(Op::Checkpoint));
+    assert_eq!(s.host_writes, t.wa.iter().map(|w| w.fg_pages).sum::<u64>());
 }
 
 #[test]
 fn full_telemetry_leaves_simulated_results_bit_identical() {
-    // Same workload, counters-only vs. everything on: the simulated
-    // clock and every DeviceStats counter must match exactly —
-    // telemetry reads the clock, never advances it.
+    // Same workload, default telemetry vs. everything on: the simulated
+    // clock, every DeviceStats counter and every latency histogram must
+    // match exactly — telemetry reads the clock, never advances it.
     let cfg = FtlConfig::for_capacity_with(1 << 20, 0.5, 4096, 16, NandTiming::default());
     let mut plain = Ftl::new(cfg.clone());
     let mut full =
-        Ftl::new(cfg.with_telemetry(share_telemetry::TelemetryConfig::full()));
+        Ftl::new(cfg.with_telemetry(share_telemetry::TelemetryConfig::monitoring(1_000_000)));
     mixed_workload(&mut plain);
     mixed_workload(&mut full);
     assert_eq!(plain.clock().now_ns(), full.clock().now_ns());
     assert_eq!(plain.stats(), full.stats());
+    assert_eq!(plain.telemetry().snapshot().ops, full.telemetry().snapshot().ops);
     // And the full device actually collected the optional data.
-    let snap = full.telemetry().snapshot();
-    assert!(!snap.op(share_telemetry::OpClass::Write).hist.is_empty());
+    assert!(!full.telemetry().snapshot().op(share_telemetry::OpClass::Write).hist.is_empty());
     assert!(full.tracer().span_count() > 0);
-    assert!(plain.telemetry().snapshot().op(share_telemetry::OpClass::Write).hist.is_empty());
+    assert!(full.monitor_snapshot().is_some_and(|m| !m.epochs.is_empty()));
 }
 
 #[test]
@@ -821,49 +817,40 @@ fn wa_ledger_sums_exactly_to_background_programs() {
 
 #[test]
 fn log_flush_inside_host_command_inherits_its_stream() {
-    // Satellite regression: a delta-log flush triggered mid-command
-    // (RAM buffer filled during a large write_batch) must be counted under
-    // the host command's stream, while GC's own flushes stay on the
-    // reserved ftl stream.
-    let cfg = FtlConfig::for_capacity_with(4 << 20, 0.5, 4096, 16, NandTiming::zero())
-        .with_telemetry(share_telemetry::TelemetryConfig::full());
+    // A delta-log flush triggered mid-command (RAM buffer filled during a
+    // large write_batch) is blamed on the host command's stream, while
+    // GC's relocation deltas stay on the reserved ftl stream.
+    let cfg = FtlConfig::for_capacity_with(4 << 20, 0.5, 4096, 16, NandTiming::zero());
     let mut f = Ftl::new(cfg);
     let dwb = f.stream_intern("doublewrite");
     f.set_stream(dwb);
-    // Internal passes by class, and the `other` commands of one stream.
-    let passes = |f: &Ftl, op| f.telemetry().counters(op).ops;
-    let other = |f: &Ftl, stream: u32| f.telemetry().snapshot().streams[stream as usize].other.ops;
-    let (flushes0, ckpts0, ftl0) =
-        (passes(&f, OpClass::LogFlush), passes(&f, OpClass::Checkpoint), other(&f, STREAM_FTL));
+    let flushes = |f: &Ftl| f.telemetry().snapshot().op(OpClass::LogFlush).hist.count;
+    let bg_log = |f: &Ftl, stream: u32| f.telemetry().wa_raw()[stream as usize].1[1];
+    let (flushes0, ftl0) = (flushes(&f), bg_log(&f, STREAM_FTL));
     let ps = f.page_size();
     let n = f.config().deltas_per_page() * 2 + 8; // forces buffered flushes
     let pages: Vec<Vec<u8>> = (0..n).map(|i| vec![(i % 251) as u8; ps]).collect();
     let batch: Vec<(Lpn, &[u8])> =
         pages.iter().enumerate().map(|(i, p)| (Lpn(i as u64), p.as_slice())).collect();
     f.write_batch(&batch).unwrap();
-    let flushes = passes(&f, OpClass::LogFlush) - flushes0;
-    assert!(flushes > 0, "batch must trigger a mid-command log flush");
-    // Every pass the batch triggered is the doublewrite stream's; none is
-    // the ftl stream's.
-    let ckpts = passes(&f, OpClass::Checkpoint) - ckpts0;
-    assert_eq!(
-        (other(&f, dwb), other(&f, STREAM_FTL)),
-        (flushes + ckpts, ftl0),
-        "mid-command log flushes must inherit the doublewrite stream"
-    );
-    // Now push the device into GC under the same stream: GC-triggered
-    // flushes must NOT inherit it, so the ftl stream counts more than the
-    // GC passes themselves.
-    let (gc0, ftl1) = (passes(&f, OpClass::Gc), other(&f, STREAM_FTL));
+    assert!(flushes(&f) > flushes0, "batch must trigger a mid-command log flush");
+    assert!(bg_log(&f, dwb) > 0, "mid-command log flushes must be blamed on doublewrite");
+    assert_eq!(bg_log(&f, STREAM_FTL), ftl0, "the batch's flushes are not the ftl stream's");
+    assert_eq!(f.telemetry().wa_raw()[dwb as usize].0, n as u64);
+    // Now push the device into GC under the same stream: relocation
+    // deltas are the ftl stream's, so its log blame grows.
+    // Mixed lifetimes in a permuted order, so victims carry live pages.
     let logical = f.capacity_pages();
     for round in 0..6u64 {
-        for i in 0..logical / 2 {
-            f.write(Lpn(i), &vec![((i + round) % 251) as u8; ps]).unwrap();
+        for i in 0..logical {
+            let lpn = (i * 173 + round * 311) % logical;
+            if round % (1 + lpn % 4) == 0 {
+                f.write(Lpn(lpn), &vec![((lpn + round) % 251) as u8; ps]).unwrap();
+            }
         }
     }
-    let gc = passes(&f, OpClass::Gc) - gc0;
-    assert!(gc > 0);
-    assert!(other(&f, STREAM_FTL) - ftl1 > gc, "GC's log flushes stay on the ftl stream");
+    assert!(f.stats().copyback_pages > 0);
+    assert!(bg_log(&f, STREAM_FTL) > ftl0, "GC's relocation deltas stay on the ftl stream");
 }
 
 #[test]
@@ -897,17 +884,18 @@ fn recovery_is_recorded_as_an_op() {
     let rec = Ftl::open(cfg, f.into_nand()).unwrap();
     let t = rec.telemetry().snapshot();
     use share_telemetry::OpClass as Op;
-    assert_eq!(t.ops_count(Op::Recovery), 1);
+    let n = |t: &share_telemetry::Snapshot, op| t.op(op).hist.count;
+    assert_eq!(n(&t, Op::Recovery), 1);
     let s = rec.stats();
-    assert_eq!(t.pages(Op::Recovery), s.recovery_page_reads + s.recovery_page_writes);
+    assert_eq!(s.recoveries, 1);
     // The closing checkpoint is visible both as a Checkpoint op and in
     // DeviceStats.
-    assert_eq!(t.ops_count(Op::Checkpoint), s.checkpoints);
+    assert_eq!(n(&t, Op::Checkpoint), s.checkpoints);
     // A fresh format records its birth checkpoint but no recovery.
     let fresh = tiny();
     let tf = fresh.telemetry().snapshot();
-    assert_eq!(tf.ops_count(Op::Recovery), 0);
-    assert_eq!(tf.ops_count(Op::Checkpoint), 1);
+    assert_eq!(n(&tf, Op::Recovery), 0);
+    assert_eq!(n(&tf, Op::Checkpoint), 1);
 }
 
 #[test]
@@ -923,11 +911,12 @@ fn streams_attribute_host_and_ftl_traffic() {
         f.write(Lpn(i), &pagev(2, &f)).unwrap();
     }
     let t = f.telemetry().snapshot();
-    let by_label = |l: &str| t.streams.iter().find(|s| s.label == l).cloned().unwrap();
-    assert_eq!(by_label("wal").writes.pages, 8);
-    assert_eq!(by_label("host").writes.pages, 2);
+    let by_label = |l: &str| t.wa.iter().find(|w| w.label == l).cloned().unwrap();
+    assert_eq!(by_label("wal").fg_pages, 8);
+    assert_eq!(by_label("host").fg_pages, 2);
     // The birth checkpoint lands on the reserved ftl stream.
-    assert!(by_label("ftl").other.pages > 0);
+    assert_eq!(by_label("ftl").fg_pages, 0);
+    assert!(by_label("ftl").bg_ckpt > 0);
 }
 
 #[test]

@@ -21,7 +21,7 @@ const PAGE: usize = 4096;
 fn traced_cfg() -> FtlConfig {
     FtlConfig::for_capacity_with(PAGES * PAGE as u64, 0.25, PAGE, 16, NandTiming::default())
         .with_parallelism(4, 1)
-        .with_telemetry(TelemetryConfig::full())
+        .with_telemetry(TelemetryConfig::tracing())
         .with_queue_depth(8)
 }
 

@@ -4,9 +4,9 @@
 //! table, and both exporters walk that table: whatever `dev.stats().rows()`
 //! holds must appear, with the same value, as `share_<field>_total` in the
 //! Prometheus text and under `metrics.<field>` in the JSON — the two
-//! strings `sharectl metrics` prints. The families the exporter emitted
-//! before the table existed are pinned by name, and damaged copies of both
-//! dumps go back through the parsers (ROADMAP item 5, exporter text).
+//! strings `sharectl metrics` prints. The full list of families a device
+//! snapshot emits is pinned by name, and damaged copies of both dumps go
+//! back through the parsers (ROADMAP item 5, exporter text).
 
 use nand_sim::NandTiming;
 use share_core::telemetry::json::{self, Json};
@@ -93,35 +93,51 @@ fn every_counter_row_is_exported_by_both_formats() {
     assert_eq!(metrics.get("waf").and_then(Json::as_f64), Some(stats.waf()));
 }
 
-/// The families `prom::render` emitted before the metric table that
-/// still exist (the four placement families went with the class lanes,
-/// `share_alerts_total` with the device's own SLO evaluation).
-const FAMILIES_BEFORE_THE_TABLE: [&str; 35] = [
-    "share_commands_total",
-    "share_op_ops_total",
-    "share_op_pages_total",
-    "share_op_errors_total",
+/// Every family a device snapshot emits, in emission order: the latency
+/// histograms, the stream ledger, the metric table's rows and the per-unit
+/// busy time. A family added or removed anywhere shows up here first.
+const FAMILIES: [&str; 52] = [
     "share_op_latency_ns",
-    "share_stream_ops_total",
-    "share_stream_pages_total",
+    "share_stream_fg_pages_total",
     "share_stream_bg_pages_total",
-    "share_queue_depth",
-    "share_queue_inflight",
-    "share_queue_inflight_max",
-    "share_queue_submitted_total",
-    "share_queue_reaped_total",
-    "share_lane_steals_total",
-    "share_gc_stall_ns_total",
-    "share_gc_budget_deferrals_total",
-    "share_snapshots_live",
-    "share_snapshot_frozen_pages",
-    "share_snapshot_pinned_pages",
+    "share_host_reads_total",
+    "share_host_writes_total",
+    "share_host_read_bytes_total",
+    "share_host_write_bytes_total",
+    "share_flushes_total",
+    "share_trims_total",
+    "share_share_commands_total",
+    "share_shared_pages_total",
     "share_snapshot_creates_total",
     "share_snapshot_drops_total",
     "share_snapshot_clones_total",
     "share_snapshot_clone_pages_total",
     "share_snapshot_reads_total",
     "share_snapshot_pinned_relocations_total",
+    "share_gc_events_total",
+    "share_copyback_pages_total",
+    "share_gc_erases_total",
+    "share_gc_stall_ns_total",
+    "share_gc_budget_deferrals_total",
+    "share_meta_page_writes_total",
+    "share_checkpoints_total",
+    "share_recoveries_total",
+    "share_recovery_page_reads_total",
+    "share_recovery_page_writes_total",
+    "share_lane_steals_total",
+    "share_page_reads_total",
+    "share_page_programs_total",
+    "share_block_erases_total",
+    "share_torn_programs_total",
+    "share_waf",
+    "share_queue_depth",
+    "share_queue_inflight",
+    "share_queue_inflight_max",
+    "share_queue_submitted_total",
+    "share_queue_reaped_total",
+    "share_snapshots_live",
+    "share_snapshot_frozen_pages",
+    "share_snapshot_pinned_pages",
     "share_wear_erases_min",
     "share_wear_erases_max",
     "share_wear_erases_mean",
@@ -130,6 +146,7 @@ const FAMILIES_BEFORE_THE_TABLE: [&str; 35] = [
     "share_free_blocks",
     "share_data_blocks",
     "share_remaining_life",
+    "share_endurance_cycles",
     "share_unit_busy_ns_total",
     "share_unit_utilization",
 ];
@@ -137,8 +154,13 @@ const FAMILIES_BEFORE_THE_TABLE: [&str; 35] = [
 #[test]
 fn families_emitted_before_the_table_are_still_emitted() {
     let prom = device().telemetry_snapshot().unwrap().to_prometheus();
-    for name in FAMILIES_BEFORE_THE_TABLE {
-        assert_eq!(prom.matches(&format!("# HELP {name} ")).count(), 1, "{name}");
+    let help: Vec<&str> = prom
+        .lines()
+        .filter_map(|l| l.strip_prefix("# HELP "))
+        .map(|l| l.split_once(' ').map_or(l, |(name, _)| name))
+        .collect();
+    assert_eq!(help, FAMILIES, "the emitted families changed");
+    for name in FAMILIES {
         assert_eq!(prom.matches(&format!("# TYPE {name} ")).count(), 1, "{name}");
     }
 }

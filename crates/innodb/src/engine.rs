@@ -54,6 +54,10 @@ impl FlushMode {
     }
 }
 
+/// Host CPU charged per user operation and per commit (ns of simulated
+/// time).
+pub(crate) const CPU_NS_PER_OP: u64 = 5_000;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct InnoDbConfig {
@@ -69,12 +73,8 @@ pub struct InnoDbConfig {
     /// the log holding this much flushes the oldest dirty pages until the
     /// oldest first change left is younger, then records a checkpoint there.
     pub ckpt_redo_bytes: u64,
-    /// fsync the redo log at every commit.
-    pub fsync_on_commit: bool,
     /// Tablespace capacity in engine pages.
     pub max_pages: u64,
-    /// Host CPU charged per user operation (ns of simulated time).
-    pub cpu_ns_per_op: u64,
     /// InnoDB's `buffer_flush_neighbors`: when evicting, also flush dirty
     /// pages from the victim's 64-page extent. The paper turned this OFF
     /// "to reduce unnecessary write overhead"; the ablation shows why.
@@ -89,9 +89,7 @@ impl Default for InnoDbConfig {
             pool_pages: 2048,
             flush_batch: 64,
             ckpt_redo_bytes: 8 << 20,
-            fsync_on_commit: true,
             max_pages: 16_384,
-            cpu_ns_per_op: 5_000,
             flush_neighbors: false,
         }
     }
@@ -735,16 +733,14 @@ impl<D: BlockDevice> InnoDb<D> {
     fn commit_inner(&mut self) -> Result<(), EngineError> {
         self.mtr_end()?;
         self.stats.commits += 1;
-        self.fs.device().clock().advance(self.cfg.cpu_ns_per_op);
+        self.fs.device().clock().advance(CPU_NS_PER_OP);
         if self.in_group {
             // Group-commit window: the MtrEnd is logged, durability is
             // deferred to the shared fsync in `group_commit`.
             self.group_pending += 1;
             return Ok(());
         }
-        if self.cfg.fsync_on_commit {
-            self.log.flush()?;
-        }
+        self.log.flush()?;
         self.checkpoint_if_due()
     }
 
@@ -770,9 +766,7 @@ impl<D: BlockDevice> InnoDb<D> {
     }
 
     fn group_commit_inner(&mut self) -> Result<(), EngineError> {
-        if self.cfg.fsync_on_commit {
-            self.log.flush()?;
-        }
+        self.log.flush()?;
         self.stats.group_commits += 1;
         self.checkpoint_if_due()
     }

@@ -5,7 +5,7 @@
 //! insert that would overflow it), so no page ever exceeds its on-disk
 //! size, and the whole user operation forms one mini-transaction.
 
-use crate::engine::InnoDb;
+use crate::engine::{InnoDb, CPU_NS_PER_OP};
 use crate::error::EngineError;
 use crate::key::Key;
 use crate::page::NodePage;
@@ -446,11 +446,7 @@ impl<D: BlockDevice> InnoDb<D> {
     }
 
     fn op_clock(&self) {
-        self.data_clock_advance(self.config().cpu_ns_per_op);
-    }
-
-    fn data_clock_advance(&self, ns: u64) {
-        self.clock().advance(ns);
+        self.clock().advance(CPU_NS_PER_OP);
     }
 }
 

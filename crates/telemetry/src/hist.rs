@@ -156,43 +156,6 @@ impl Histogram {
     }
 }
 
-/// A small set of named histograms (host-side latency classes, e.g. the
-/// LinkBench transaction types). Linear-scan lookup: the sets these
-/// drivers build hold a handful of entries.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramSet {
-    entries: Vec<(String, Histogram)>,
-}
-
-impl HistogramSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample under `label`, creating the histogram on first use.
-    pub fn record(&mut self, label: &str, v: u64) {
-        match self.entries.iter_mut().find(|(l, _)| l == label) {
-            Some((_, h)) => h.record(v),
-            None => {
-                let mut h = Histogram::new();
-                h.record(v);
-                self.entries.push((label.to_string(), h));
-            }
-        }
-    }
-
-    /// Histogram recorded under `label`, if any.
-    pub fn get(&self, label: &str) -> Option<&Histogram> {
-        self.entries.iter().find(|(l, _)| l == label).map(|(_, h)| h)
-    }
-
-    /// All `(label, histogram)` entries, in first-recorded order.
-    pub fn entries(&self) -> &[(String, Histogram)] {
-        &self.entries
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,13 +287,19 @@ mod tests {
 
     #[test]
     fn histogram_set_records_by_label() {
-        let mut set = HistogramSet::new();
-        set.record("read", 10);
-        set.record("read", 20);
-        set.record("write", 5);
-        assert_eq!(set.get("read").unwrap().count, 2);
-        assert_eq!(set.get("write").unwrap().count, 1);
-        assert!(set.get("trim").is_none());
-        assert_eq!(set.entries().len(), 2);
+        // The device keeps one histogram per op class, found by the op's
+        // export label.
+        use crate::{OpClass, Telemetry};
+        let mut t = Telemetry::default();
+        t.record(OpClass::Read, 1, 0, 10, true);
+        t.record(OpClass::Read, 1, 10, 30, true);
+        t.record(OpClass::Write, 1, 30, 35, true);
+        let snap = t.snapshot();
+        let count = |label: &str| snap.ops.iter().find(|o| o.op.name() == label).map(|o| o.hist.count);
+        assert_eq!(count("read"), Some(2));
+        assert_eq!(count("write"), Some(1));
+        assert_eq!(count("trim"), Some(0));
+        assert_eq!(count("no_such_op"), None);
+        assert_eq!(snap.ops.iter().filter(|o| !o.hist.is_empty()).count(), 2);
     }
 }

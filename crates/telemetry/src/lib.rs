@@ -1,23 +1,25 @@
 //! Device-level observability for the SHARE reproduction.
 //!
 //! The paper's evaluation is observational — Figure 6's host-write / GC /
-//! copyback breakdown and Table 1's per-transaction percentiles — so the
-//! FTL needs per-op-class telemetry beyond the raw `DeviceStats` counters.
-//! This crate provides:
+//! copyback breakdown and Table 1's per-transaction percentiles. The
+//! counts are the device's `DeviceStats` rows; this crate keeps what a
+//! counter cannot hold:
 //!
-//! * per-op-class command counters (always on: three u64 adds per command),
-//! * log2-bucketed latency [`hist::Histogram`]s in simulated `SimClock`
-//!   nanoseconds (off by default; toggled by [`TelemetryConfig`]),
+//! * log2-bucketed latency [`hist::Histogram`]s per op class in simulated
+//!   `SimClock` nanoseconds (always on: a bucket add per command),
 //! * per-epoch host read/write latency windows for the device's flight
 //!   recorder (on only when its epoch sampler is),
-//! * per-stream traffic attribution (engines tag files with logical stream
-//!   labels; the FTL's own traffic lands on a reserved `ftl` stream),
+//! * the per-stream write-amplification ledger (engines tag files with
+//!   logical stream labels; each stream's foreground pages and the
+//!   background pages blamed on it, with the FTL's own on a reserved `ftl`
+//!   stream),
 //! * exporters: Prometheus-style text ([`Snapshot::to_prometheus`]) and
 //!   JSON ([`Snapshot::to_json`]) built on the in-crate [`json`] module,
 //! * SLO thresholds ([`slo::SloConfig`]) that readers evaluate over the
 //!   flight recorder's epochs; the device records and never judges.
 //!
-//! Each observation has one home. A command's op, stream, pages and times
+//! Each observation has one home. A command count is a `DeviceStats` row
+//! (or its op's histogram count); a command's op, stream, pages and times
 //! are its span in the [`trace::Tracer`]; per-epoch unit busy time is the
 //! flight recorder's epoch record.
 //!
@@ -33,7 +35,7 @@ pub mod prom;
 pub mod slo;
 pub mod trace;
 
-pub use hist::{Histogram, HistogramSet};
+pub use hist::Histogram;
 pub use metric::{rows_json, Metric};
 pub use percentile::percentile_sorted;
 pub use slo::{Alert, AlertKind, AlertSeverity, EpochObservation, SloConfig};
@@ -62,7 +64,9 @@ pub enum OpClass {
     Recovery,
 }
 
-/// Traffic direction of an op class, for per-stream breakdowns.
+/// Traffic direction of an op class: write-direction commands add
+/// foreground pages to the stream ledger, and reads and writes feed the
+/// flight recorder's epoch windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     Read,
@@ -113,14 +117,7 @@ impl OpClass {
         }
     }
 
-    /// FTL-internal classes are attributed to the reserved `ftl` stream
-    /// instead of whatever host stream happens to be current.
-    #[inline]
-    pub fn is_internal(self) -> bool {
-        matches!(self, OpClass::Gc | OpClass::LogFlush | OpClass::Checkpoint | OpClass::Recovery)
-    }
-
-    /// Direction for per-stream read/write/other attribution.
+    /// The class's traffic direction.
     #[inline]
     pub fn direction(self) -> Direction {
         match self {
@@ -131,20 +128,19 @@ impl OpClass {
     }
 }
 
-/// What to collect beyond the always-on counters.
+/// What to collect beyond the always-on latency histograms and stream
+/// ledger.
 ///
-/// The default keeps everything optional off, so constructing a device with
-/// default telemetry adds only counter arithmetic to the command path and
-/// cannot perturb any measured simulated result.
+/// The default keeps everything optional off: a device with default
+/// telemetry adds a histogram bucket add per command and cannot perturb
+/// any simulated result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
-    /// Record per-op-class latency histograms.
-    pub histograms: bool,
     /// Record causal spans ([`trace::Tracer`]) through every layer.
     pub trace: bool,
     /// Flight-recorder epoch length in simulated nanoseconds (0 disables
-    /// the epoch sampler entirely — the default, and what `full()` keeps,
-    /// so monitoring stays strictly opt-in).
+    /// the epoch sampler entirely — the default, and what `tracing()`
+    /// keeps, so monitoring stays strictly opt-in).
     pub epoch_ns: u64,
     /// How many sealed epoch records the flight recorder retains; older
     /// epochs fold into its eviction accumulator.
@@ -152,21 +148,15 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Everything point-in-time on: histograms and tracing. The epoch
-    /// sampler stays off.
-    pub fn full() -> Self {
-        Self { histograms: true, trace: true, ..Self::default() }
-    }
-
-    /// Counters plus span tracing (no histograms).
+    /// Span tracing on; the epoch sampler stays off.
     pub fn tracing() -> Self {
         Self { trace: true, ..Self::default() }
     }
 
-    /// Longitudinal monitoring: everything `full()` enables plus the
-    /// epoch sampler at the given interval, retaining 4096 epochs.
+    /// Longitudinal monitoring: tracing plus the epoch sampler at the
+    /// given interval, retaining 4096 epochs.
     pub fn monitoring(epoch_ns: u64) -> Self {
-        Self { epoch_ns, epoch_ring: 4096, ..Self::full() }
+        Self { epoch_ns, epoch_ring: 4096, ..Self::tracing() }
     }
 }
 
@@ -182,40 +172,12 @@ pub enum BlameKind {
 }
 
 impl BlameKind {
-    /// Dense index into per-cause arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
     /// Stable export name (Prometheus `cause` label and JSON key).
     pub fn name(self) -> &'static str {
         match self {
             BlameKind::Gc => "gc",
             BlameKind::LogFlush => "log_flush",
             BlameKind::Checkpoint => "checkpoint",
-        }
-    }
-}
-
-/// Per-op-class command counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpCounters {
-    /// Commands observed (successful or not).
-    pub ops: u64,
-    /// Pages touched by successful commands.
-    pub pages: u64,
-    /// Commands that returned an error.
-    pub errors: u64,
-}
-
-impl OpCounters {
-    fn add(&mut self, pages: u64, ok: bool) {
-        self.ops += 1;
-        if ok {
-            self.pages += pages;
-        } else {
-            self.errors += 1;
         }
     }
 }
@@ -231,14 +193,11 @@ const NUM_OPS: usize = OpClass::ALL.len();
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     cfg: TelemetryConfig,
-    commands: u64,
-    counters: [OpCounters; NUM_OPS],
+    /// Per op class, in [`OpClass::ALL`] order.
     hists: Vec<Histogram>,
-    streams: Vec<String>,
-    /// Per stream: counters split by [`Direction`] (read/write/other).
-    stream_counters: Vec<[OpCounters; 3]>,
-    /// Per stream: background pages blamed on it, split by [`BlameKind`].
-    blamed_bg: Vec<[u64; 3]>,
+    /// The per-stream table, in intern order: each stream's label and its
+    /// write-amplification ledger row.
+    streams: Vec<WaStreamSnapshot>,
     current_stream: u32,
     /// Open per-epoch latency windows (host reads / host writes), drained
     /// by the flight recorder at each epoch boundary via
@@ -250,18 +209,17 @@ pub struct Telemetry {
 impl Telemetry {
     /// Fresh telemetry with the reserved `host` and `ftl` streams interned.
     pub fn new(cfg: TelemetryConfig) -> Self {
-        Self {
+        let mut t = Self {
             cfg,
-            commands: 0,
-            counters: [OpCounters::default(); NUM_OPS],
             hists: vec![Histogram::new(); NUM_OPS],
-            streams: vec!["host".to_string(), "ftl".to_string()],
-            stream_counters: vec![[OpCounters::default(); 3]; 2],
-            blamed_bg: vec![[0; 3]; 2],
+            streams: Vec::new(),
             current_stream: STREAM_HOST,
             win_read: Histogram::new(),
             win_write: Histogram::new(),
-        }
+        };
+        t.intern("host");
+        t.intern("ftl");
+        t
     }
 
     /// The active configuration.
@@ -272,12 +230,16 @@ impl Telemetry {
     /// Intern a stream label, returning its id (stable for the device's
     /// lifetime). Re-interning an existing label returns the same id.
     pub fn intern(&mut self, label: &str) -> u32 {
-        if let Some(i) = self.streams.iter().position(|s| s == label) {
+        if let Some(i) = self.streams.iter().position(|s| s.label == label) {
             return i as u32;
         }
-        self.streams.push(label.to_string());
-        self.stream_counters.push([OpCounters::default(); 3]);
-        self.blamed_bg.push([0; 3]);
+        self.streams.push(WaStreamSnapshot {
+            label: label.to_string(),
+            fg_pages: 0,
+            bg_gc: 0,
+            bg_log: 0,
+            bg_ckpt: 0,
+        });
         (self.streams.len() - 1) as u32
     }
 
@@ -296,64 +258,45 @@ impl Telemetry {
         self.current_stream
     }
 
-    /// Record one completed command.
+    /// Record one completed command: its latency lands in `op`'s
+    /// histogram and, while the epoch sampler runs, in the epoch's read or
+    /// write window. A successful write-direction command adds its `pages`
+    /// to the current stream's foreground pages in the WA ledger.
     ///
     /// `start_ns`/`end_ns` are simulated clock read-outs taken around the
     /// command body; telemetry itself never advances the clock.
-    /// `stream_override` attributes an internal pass that runs *inside* a
-    /// host command (a delta log flush triggered mid-`write_batch`) to the
-    /// parent command's stream instead of the default `ftl` fallback; `None`
-    /// (or an unknown id) attributes host commands to the current stream
-    /// and internal passes to `ftl`.
-    pub fn record(
-        &mut self,
-        op: OpClass,
-        stream_override: Option<u32>,
-        pages: u64,
-        start_ns: u64,
-        end_ns: u64,
-        ok: bool,
-    ) {
-        self.commands += 1;
-        self.counters[op.index()].add(pages, ok);
-        let stream = match stream_override {
-            Some(s) if (s as usize) < self.streams.len() => s,
-            _ if op.is_internal() => STREAM_FTL,
-            _ => self.current_stream,
-        };
-        self.stream_counters[stream as usize][op.direction() as usize].add(pages, ok);
-        if self.cfg.histograms {
-            self.hists[op.index()].record(end_ns.saturating_sub(start_ns));
+    pub fn record(&mut self, op: OpClass, pages: u64, start_ns: u64, end_ns: u64, ok: bool) {
+        let ns = end_ns.saturating_sub(start_ns);
+        self.hists[op.index()].record(ns);
+        let dir = op.direction();
+        if ok && dir == Direction::Write {
+            self.streams[self.current_stream as usize].fg_pages += pages;
         }
         if self.cfg.epoch_ns > 0 {
-            match op.direction() {
-                Direction::Read => self.win_read.record(end_ns.saturating_sub(start_ns)),
-                Direction::Write => self.win_write.record(end_ns.saturating_sub(start_ns)),
+            match dir {
+                Direction::Read => self.win_read.record(ns),
+                Direction::Write => self.win_write.record(ns),
                 Direction::Other => {}
             }
         }
     }
 
-    /// Counters for one op class.
-    pub fn counters(&self, op: OpClass) -> OpCounters {
-        self.counters[op.index()]
-    }
-
     /// Blame `pages` background NAND programs of cause `kind` on `stream`
     /// (WA ledger). Unknown stream ids fall back to [`STREAM_FTL`].
     pub fn blame(&mut self, stream: u32, kind: BlameKind, pages: u64) {
-        let idx = if (stream as usize) < self.blamed_bg.len() {
-            stream as usize
-        } else {
-            STREAM_FTL as usize
-        };
-        self.blamed_bg[idx][kind.index()] += pages;
+        let idx = if (stream as usize) < self.streams.len() { stream } else { STREAM_FTL };
+        let row = &mut self.streams[idx as usize];
+        *match kind {
+            BlameKind::Gc => &mut row.bg_gc,
+            BlameKind::LogFlush => &mut row.bg_log,
+            BlameKind::Checkpoint => &mut row.bg_ckpt,
+        } += pages;
     }
 
     /// Total background pages blamed across all streams (ledger side of
     /// the exact-sum invariant).
     pub fn blamed_total(&self) -> u64 {
-        self.blamed_bg.iter().flat_map(|b| b.iter()).sum()
+        self.streams.iter().map(WaStreamSnapshot::bg_total).sum()
     }
 
     /// Raw per-stream WA-ledger state, in intern order: each entry is
@@ -361,16 +304,12 @@ impl Telemetry {
     /// The flight recorder diffs consecutive read-outs to attribute each
     /// epoch's background traffic.
     pub fn wa_raw(&self) -> Vec<(u64, [u64; 3])> {
-        self.streams
-            .iter()
-            .enumerate()
-            .map(|(i, _)| (self.stream_counters[i][Direction::Write as usize].pages, self.blamed_bg[i]))
-            .collect()
+        self.streams.iter().map(|w| (w.fg_pages, [w.bg_gc, w.bg_log, w.bg_ckpt])).collect()
     }
 
     /// Interned stream labels, in intern order.
-    pub fn stream_labels(&self) -> &[String] {
-        &self.streams
+    pub fn stream_labels(&self) -> impl Iterator<Item = &str> {
+        self.streams.iter().map(|w| w.label.as_str())
     }
 
     /// Close the current epoch's latency windows, returning the finished
@@ -384,38 +323,11 @@ impl Telemetry {
     /// A point-in-time copy of everything collected so far.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            commands: self.commands,
             ops: OpClass::ALL
                 .iter()
-                .map(|&op| OpSnapshot {
-                    op,
-                    counters: self.counters[op.index()],
-                    hist: self.hists[op.index()].clone(),
-                })
+                .map(|&op| OpSnapshot { op, hist: self.hists[op.index()].clone() })
                 .collect(),
-            streams: self
-                .streams
-                .iter()
-                .zip(&self.stream_counters)
-                .map(|(label, dirs)| StreamSnapshot {
-                    label: label.clone(),
-                    reads: dirs[Direction::Read as usize],
-                    writes: dirs[Direction::Write as usize],
-                    other: dirs[Direction::Other as usize],
-                })
-                .collect(),
-            wa: self
-                .streams
-                .iter()
-                .enumerate()
-                .map(|(i, label)| WaStreamSnapshot {
-                    label: label.clone(),
-                    fg_pages: self.stream_counters[i][Direction::Write as usize].pages,
-                    bg_gc: self.blamed_bg[i][BlameKind::Gc.index()],
-                    bg_log: self.blamed_bg[i][BlameKind::LogFlush.index()],
-                    bg_ckpt: self.blamed_bg[i][BlameKind::Checkpoint.index()],
-                })
-                .collect(),
+            wa: self.streams.clone(),
             units: Vec::new(),
             now_ns: 0,
             queue: QueueGauges::default(),
@@ -435,23 +347,8 @@ impl Default for Telemetry {
 pub struct OpSnapshot {
     /// The op class.
     pub op: OpClass,
-    /// Its counters.
-    pub counters: OpCounters,
-    /// Its latency histogram (empty unless histograms were enabled).
+    /// Its latency histogram; `hist.count` is the commands recorded.
     pub hist: Histogram,
-}
-
-/// One stream in a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamSnapshot {
-    /// The interned label.
-    pub label: String,
-    /// Read-direction traffic.
-    pub reads: OpCounters,
-    /// Write-direction traffic.
-    pub writes: OpCounters,
-    /// Everything else (trim, flush, share, internal passes).
-    pub other: OpCounters,
 }
 
 /// One stream's write-amplification ledger entry in a [`Snapshot`].
@@ -546,12 +443,8 @@ pub struct UnitUtilization {
 /// A point-in-time copy of a device's telemetry, ready for export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Total commands recorded.
-    pub commands: u64,
-    /// Per-op-class counters and histograms, in [`OpClass::ALL`] order.
+    /// Per-op-class latency histograms, in [`OpClass::ALL`] order.
     pub ops: Vec<OpSnapshot>,
-    /// Per-stream traffic, in intern order (`host`, `ftl`, then engines').
-    pub streams: Vec<StreamSnapshot>,
     /// Per-stream write-amplification ledger, in intern order.
     pub wa: Vec<WaStreamSnapshot>,
     /// Per-NAND-unit busy time (filled in by the device, which owns the
@@ -576,16 +469,6 @@ impl Snapshot {
         &self.ops[op.index()]
     }
 
-    /// Pages touched by successful commands of `op`.
-    pub fn pages(&self, op: OpClass) -> u64 {
-        self.op(op).counters.pages
-    }
-
-    /// Commands observed of `op`.
-    pub fn ops_count(&self, op: OpClass) -> u64 {
-        self.op(op).counters.ops
-    }
-
     /// The reading of one [`Snapshot::metrics`] row, by family name.
     pub fn metric(&self, name: &str) -> Option<Value> {
         self.metrics.iter().find(|m| m.name == name).map(|m| m.value)
@@ -594,36 +477,8 @@ impl Snapshot {
     /// Render as a JSON document.
     pub fn to_json(&self) -> Json {
         use json::count;
-        let ops = Json::Obj(
-            self.ops
-                .iter()
-                .map(|o| {
-                    let mut fields = vec![
-                        ("ops".to_string(), count(o.counters.ops)),
-                        ("pages".to_string(), count(o.counters.pages)),
-                        ("errors".to_string(), count(o.counters.errors)),
-                    ];
-                    if !o.hist.is_empty() {
-                        fields.push(("latency_ns".to_string(), hist_json(&o.hist)));
-                    }
-                    (o.op.name().to_string(), Json::Obj(fields))
-                })
-                .collect(),
-        );
-        let streams = Json::Obj(
-            self.streams
-                .iter()
-                .map(|st| {
-                    (
-                        st.label.clone(),
-                        Json::obj(vec![
-                            ("reads", counters_json(&st.reads)),
-                            ("writes", counters_json(&st.writes)),
-                            ("other", counters_json(&st.other)),
-                        ]),
-                    )
-                })
-                .collect(),
+        let latency = Json::Obj(
+            self.ops.iter().map(|o| (o.op.name().to_string(), hist_json(&o.hist))).collect(),
         );
         let wa = Json::Obj(
             self.wa
@@ -654,10 +509,8 @@ impl Snapshot {
                 .collect(),
         );
         Json::obj(vec![
-            ("commands", count(self.commands)),
             ("now_ns", count(self.now_ns)),
-            ("ops", ops),
-            ("streams", streams),
+            ("latency_ns", latency),
             ("wa", wa),
             ("units", units),
             ("metrics", Json::Obj(rows_json(&self.metrics))),
@@ -668,15 +521,6 @@ impl Snapshot {
     pub fn to_prometheus(&self) -> String {
         prom::render(self)
     }
-}
-
-fn counters_json(c: &OpCounters) -> Json {
-    use json::count;
-    Json::obj(vec![
-        ("ops", count(c.ops)),
-        ("pages", count(c.pages)),
-        ("errors", count(c.errors)),
-    ])
 }
 
 fn hist_json(h: &Histogram) -> Json {
@@ -696,21 +540,29 @@ fn hist_json(h: &Histogram) -> Json {
 mod tests {
     use super::*;
 
+    fn by_label<'a>(snap: &'a Snapshot, label: &str) -> &'a WaStreamSnapshot {
+        snap.wa.iter().find(|w| w.label == label).unwrap()
+    }
+
     #[test]
     fn default_config_is_counters_only() {
+        // The default turns every option off; the histograms and the
+        // ledger record anyway.
         let cfg = TelemetryConfig::default();
-        assert!(!cfg.histograms);
+        assert!(!cfg.trace && cfg.epoch_ns == 0);
         let mut t = Telemetry::new(cfg);
-        t.record(OpClass::Write, None, 3, 100, 200, true);
-        assert!(t.snapshot().op(OpClass::Write).hist.is_empty());
-        assert_eq!(t.counters(OpClass::Write), OpCounters { ops: 1, pages: 3, errors: 0 });
+        t.record(OpClass::Write, 3, 100, 200, true);
+        let snap = t.snapshot();
+        assert_eq!(snap.op(OpClass::Write).hist.count, 1);
+        assert_eq!(snap.op(OpClass::Write).hist.sum, 100);
+        assert_eq!(by_label(&snap, "host").fg_pages, 3);
     }
 
     #[test]
     fn full_config_records_hist_and_ring() {
-        let mut t = Telemetry::new(TelemetryConfig::full());
-        t.record(OpClass::Read, None, 1, 0, 50, true);
-        t.record(OpClass::Read, None, 1, 50, 150, true);
+        let mut t = Telemetry::new(TelemetryConfig::tracing());
+        t.record(OpClass::Read, 1, 0, 50, true);
+        t.record(OpClass::Read, 1, 50, 150, true);
         let snap = t.snapshot();
         let h = &snap.op(OpClass::Read).hist;
         assert_eq!(h.count, 2);
@@ -720,9 +572,13 @@ mod tests {
 
     #[test]
     fn errors_counted_without_pages() {
+        // A failed command lands in its op's histogram and adds no ledger
+        // pages.
         let mut t = Telemetry::default();
-        t.record(OpClass::Write, None, 4, 0, 0, false);
-        assert_eq!(t.counters(OpClass::Write), OpCounters { ops: 1, pages: 0, errors: 1 });
+        t.record(OpClass::Write, 4, 0, 7, false);
+        let snap = t.snapshot();
+        assert_eq!(snap.op(OpClass::Write).hist.count, 1);
+        assert!(snap.wa.iter().all(|w| w.fg_pages == 0));
     }
 
     #[test]
@@ -732,40 +588,40 @@ mod tests {
         assert_eq!(t.intern("wal"), wal);
         assert_ne!(wal, STREAM_HOST);
         t.set_stream(wal);
-        t.record(OpClass::Write, None, 2, 0, 0, true);
-        // Internal ops land on the ftl stream even while `wal` is current.
-        t.record(OpClass::Gc, None, 8, 0, 0, true);
+        t.record(OpClass::Write, 2, 0, 0, true);
+        // Internal passes add no foreground pages, even while `wal` is
+        // current.
+        t.record(OpClass::Gc, 8, 0, 0, true);
         let snap = t.snapshot();
-        let by_label = |l: &str| snap.streams.iter().find(|s| s.label == l).unwrap();
-        assert_eq!(by_label("wal").writes.pages, 2);
-        assert_eq!(by_label("ftl").other.pages, 8);
-        assert_eq!(by_label("host").writes.pages, 0);
+        assert_eq!(by_label(&snap, "wal").fg_pages, 2);
+        assert_eq!(by_label(&snap, "ftl").fg_pages, 0);
+        assert_eq!(by_label(&snap, "host").fg_pages, 0);
     }
 
     #[test]
     fn unknown_stream_falls_back_to_host() {
         let mut t = Telemetry::default();
         t.set_stream(99);
-        t.record(OpClass::Read, None, 1, 0, 0, true);
-        assert_eq!(t.snapshot().streams[STREAM_HOST as usize].reads.pages, 1);
+        t.record(OpClass::WriteBatch, 1, 0, 0, true);
+        assert_eq!(t.snapshot().wa[STREAM_HOST as usize].fg_pages, 1);
     }
 
     #[test]
     fn record_as_overrides_internal_stream_fallback() {
-        let mut t = Telemetry::new(TelemetryConfig::full());
+        let mut t = Telemetry::default();
         let dwb = t.intern("doublewrite");
         t.set_stream(dwb);
-        // A log flush inside a host command inherits the host's stream...
-        t.record(OpClass::LogFlush, Some(dwb), 3, 0, 10, true);
-        // ...but a bare internal record still lands on `ftl`.
-        t.record(OpClass::LogFlush, None, 2, 10, 20, true);
+        // Internal passes inside a `doublewrite` command add no foreground
+        // pages to any stream...
+        for op in [OpClass::LogFlush, OpClass::Checkpoint, OpClass::Gc, OpClass::Recovery] {
+            t.record(op, 3, 0, 10, true);
+        }
+        assert!(t.snapshot().wa.iter().all(|w| w.fg_pages == 0));
+        // ...and blame on an unknown stream id falls back to `ftl`.
+        t.blame(999, BlameKind::LogFlush, 2);
         let snap = t.snapshot();
-        let by_label = |l: &str| snap.streams.iter().find(|s| s.label == l).unwrap();
-        assert_eq!(by_label("doublewrite").other.pages, 3);
-        assert_eq!(by_label("ftl").other.pages, 2);
-        // An out-of-range override behaves like no override.
-        t.record(OpClass::Gc, Some(999), 1, 20, 30, true);
-        assert_eq!(t.snapshot().streams[STREAM_FTL as usize].other.pages, 3);
+        assert_eq!(snap.wa[STREAM_FTL as usize].bg_log, 2);
+        assert_eq!(by_label(&snap, "doublewrite").bg_total(), 0);
     }
 
     #[test]
@@ -773,18 +629,18 @@ mod tests {
         let mut t = Telemetry::default();
         let db = t.intern("db");
         t.set_stream(db);
-        t.record(OpClass::Write, None, 10, 0, 0, true);
+        t.record(OpClass::Write, 10, 0, 0, true);
         t.blame(db, BlameKind::Gc, 4);
         t.blame(db, BlameKind::LogFlush, 1);
         t.blame(STREAM_FTL, BlameKind::Checkpoint, 2);
         t.blame(12_345, BlameKind::Gc, 3); // unknown id → ftl fallback
         assert_eq!(t.blamed_total(), 10);
         let snap = t.snapshot();
-        let w = snap.wa.iter().find(|w| w.label == "db").unwrap();
+        let w = by_label(&snap, "db");
         assert_eq!((w.fg_pages, w.bg_gc, w.bg_log, w.bg_ckpt), (10, 4, 1, 0));
         assert_eq!(w.bg_total(), 5);
         assert_eq!(w.wa_factor(), Some(1.5));
-        let ftl = snap.wa.iter().find(|w| w.label == "ftl").unwrap();
+        let ftl = by_label(&snap, "ftl");
         assert_eq!((ftl.bg_gc, ftl.bg_ckpt), (3, 2));
         assert_eq!(ftl.wa_factor(), None);
         let doc = snap.to_json();
@@ -797,53 +653,48 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_parseable_and_complete() {
-        let mut t = Telemetry::new(TelemetryConfig::full());
+        let mut t = Telemetry::default();
         t.intern("db");
-        t.record(OpClass::Write, None, 1, 10, 30, true);
-        t.record(OpClass::Checkpoint, None, 5, 30, 90, true);
+        t.record(OpClass::Write, 1, 10, 30, true);
+        t.record(OpClass::Checkpoint, 5, 30, 90, true);
         let doc = t.snapshot().to_json();
         let back = json::parse(&doc.render()).expect("snapshot json parses");
-        assert_eq!(back.get("commands").and_then(Json::as_u64), Some(2));
-        let ops = back.get("ops").expect("ops");
-        assert_eq!(
-            ops.get("write").and_then(|w| w.get("pages")).and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            ops.get("checkpoint").and_then(|c| c.get("latency_ns")).and_then(|l| l.get("max")).and_then(Json::as_u64),
-            Some(60)
-        );
+        let latency = back.get("latency_ns").expect("latency_ns");
+        let field = |op: &str, f: &str| latency.get(op).and_then(|o| o.get(f)).and_then(Json::as_u64);
+        assert_eq!(field("write", "count"), Some(1));
+        assert_eq!(field("checkpoint", "max"), Some(60));
+        assert_eq!(field("read", "count"), Some(0));
         // All op classes and the interned stream are present.
-        if let Json::Obj(fields) = ops {
+        if let Json::Obj(fields) = latency {
             assert_eq!(fields.len(), OpClass::ALL.len());
         } else {
-            panic!("ops must be an object");
+            panic!("latency_ns must be an object");
         }
-        assert!(back.get("streams").and_then(|s| s.get("db")).is_some());
+        assert!(back.get("wa").and_then(|s| s.get("db")).is_some());
     }
 
     #[test]
     fn epoch_windows_gated_on_epoch_ns() {
-        // Off (even with full()): windows stay empty.
-        let mut off = Telemetry::new(TelemetryConfig::full());
-        off.record(OpClass::Write, None, 1, 0, 100, true);
+        // Off (even with tracing): windows stay empty.
+        let mut off = Telemetry::new(TelemetryConfig::tracing());
+        off.record(OpClass::Write, 1, 0, 100, true);
         let (r, w) = off.take_epoch_windows();
         assert!(r.is_empty() && w.is_empty());
 
         // On: reads and writes land in their direction's window; Other
         // direction never does.
         let mut t = Telemetry::new(TelemetryConfig::monitoring(1_000));
-        t.record(OpClass::Write, None, 1, 0, 100, true);
-        t.record(OpClass::WriteAtomic, None, 2, 100, 250, true);
-        t.record(OpClass::Read, None, 1, 250, 300, true);
-        t.record(OpClass::Flush, None, 0, 300, 400, true);
-        t.record(OpClass::Gc, None, 4, 400, 500, true);
+        t.record(OpClass::Write, 1, 0, 100, true);
+        t.record(OpClass::WriteAtomic, 2, 100, 250, true);
+        t.record(OpClass::Read, 1, 250, 300, true);
+        t.record(OpClass::Flush, 0, 300, 400, true);
+        t.record(OpClass::Gc, 4, 400, 500, true);
         let (r1, w1) = t.take_epoch_windows();
         assert_eq!((r1.count, w1.count), (1, 2));
         assert_eq!(w1.max, 150);
         // Windows reset: the next epoch starts empty, and merging the
         // per-epoch windows reproduces the uninterrupted histograms.
-        t.record(OpClass::Write, None, 1, 500, 900, true);
+        t.record(OpClass::Write, 1, 500, 900, true);
         let (r2, w2) = t.take_epoch_windows();
         assert!(r2.is_empty());
         let mut merged = w1.clone();
@@ -857,9 +708,9 @@ mod tests {
     #[test]
     fn monitoring_config_builds_on_full() {
         let cfg = TelemetryConfig::monitoring(5_000_000);
-        assert!(cfg.histograms && cfg.trace);
+        assert!(cfg.trace);
         assert_eq!(cfg.epoch_ns, 5_000_000);
-        assert_eq!(TelemetryConfig::full().epoch_ns, 0);
+        assert_eq!(TelemetryConfig::tracing().epoch_ns, 0);
     }
 
     #[test]
@@ -867,11 +718,11 @@ mod tests {
         let mut t = Telemetry::default();
         let db = t.intern("db");
         t.set_stream(db);
-        t.record(OpClass::Write, None, 10, 0, 0, true);
+        t.record(OpClass::Write, 10, 0, 0, true);
         t.blame(db, BlameKind::Gc, 4);
         let raw = t.wa_raw();
-        assert_eq!(raw.len(), t.stream_labels().len());
+        assert_eq!(raw.len(), t.stream_labels().count());
         assert_eq!(raw[db as usize], (10, [4, 0, 0]));
-        assert_eq!(t.stream_labels()[db as usize], "db");
+        assert_eq!(t.stream_labels().nth(db as usize), Some("db"));
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::hist::{bucket_upper_bound, Histogram};
 use crate::metric::{Kind, Value};
-use crate::{OpCounters, Snapshot};
+use crate::Snapshot;
 use std::fmt::{Display, Write as _};
 
 /// One open family: its `# HELP` / `# TYPE` header is written, `put`
@@ -52,32 +52,10 @@ fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: &dyn Dis
     let _ = writeln!(out, " {value}");
 }
 
-/// A family of per-counter-set samples: name, help, and which count it reads.
-type CounterFamily = (&'static str, &'static str, fn(&OpCounters) -> u64);
-
 /// Render a snapshot as Prometheus exposition text.
 pub fn render(snap: &Snapshot) -> String {
     let mut text = String::new();
     let out = &mut text;
-
-    family(out, "share_commands_total", "Device commands observed.", "counter")
-        .put(&[], &snap.commands);
-
-    let per_op: [CounterFamily; 3] = [
-        ("share_op_ops_total", "Commands per op class.", |c| c.ops),
-        (
-            "share_op_pages_total",
-            "Pages touched by successful commands per op class.",
-            |c| c.pages,
-        ),
-        ("share_op_errors_total", "Failed commands per op class.", |c| c.errors),
-    ];
-    for (name, help, read) in per_op {
-        let mut f = family(out, name, help, "counter");
-        for o in &snap.ops {
-            f.put(&[("op", o.op.name())], &read(&o.counters));
-        }
-    }
 
     if snap.ops.iter().any(|o| !o.hist.is_empty()) {
         let help = "Simulated command latency per op class.";
@@ -89,17 +67,10 @@ pub fn render(snap: &Snapshot) -> String {
         }
     }
 
-    let per_stream: [CounterFamily; 2] = [
-        ("share_stream_ops_total", "Commands per stream and direction.", |c| c.ops),
-        ("share_stream_pages_total", "Pages per stream and direction.", |c| c.pages),
-    ];
-    for (name, help, read) in per_stream {
-        let mut f = family(out, name, help, "counter");
-        for st in &snap.streams {
-            for (dir, c) in [("read", &st.reads), ("write", &st.writes), ("other", &st.other)] {
-                f.put(&[("stream", &st.label), ("dir", dir)], &read(c));
-            }
-        }
+    let help = "Foreground pages programmed per stream (WA ledger).";
+    let mut f = family(out, "share_stream_fg_pages_total", help, "counter");
+    for w in &snap.wa {
+        f.put(&[("stream", &w.label)], &w.fg_pages);
     }
 
     let help = "Background NAND programs blamed per stream and cause (WA ledger).";
@@ -202,25 +173,24 @@ fn render_hist(out: &mut String, op: &str, h: &Histogram) {
 
 #[cfg(test)]
 mod tests {
-    use crate::{OpClass, Telemetry, TelemetryConfig};
+    use crate::{OpClass, Telemetry};
 
     #[test]
     fn renders_counters_and_histogram_series() {
-        let mut t = Telemetry::new(TelemetryConfig::full());
+        let mut t = Telemetry::default();
         let wal = t.intern("wal");
         t.set_stream(wal);
-        t.record(OpClass::Write, None, 2, 0, 100, true);
-        t.record(OpClass::Write, None, 2, 100, 500, true);
-        t.record(OpClass::Gc, None, 16, 500, 900, true);
+        t.record(OpClass::Write, 2, 0, 100, true);
+        t.record(OpClass::Write, 2, 100, 500, true);
+        t.record(OpClass::Gc, 16, 500, 900, true);
         let text = t.snapshot().to_prometheus();
 
-        assert!(text.contains("share_commands_total 3\n"));
-        assert!(text.contains("share_op_ops_total{op=\"write\"} 2\n"));
-        assert!(text.contains("share_op_pages_total{op=\"gc\"} 16\n"));
         assert!(text.contains("share_op_latency_ns_bucket{op=\"write\",le=\"+Inf\"} 2\n"));
         assert!(text.contains("share_op_latency_ns_sum{op=\"write\"} 500\n"));
-        assert!(text.contains("share_stream_pages_total{stream=\"wal\",dir=\"write\"} 4\n"));
-        assert!(text.contains("share_stream_pages_total{stream=\"ftl\",dir=\"other\"} 16\n"));
+        assert!(text.contains("share_op_latency_ns_count{op=\"write\"} 2\n"));
+        assert!(text.contains("share_op_latency_ns_count{op=\"gc\"} 1\n"));
+        assert!(text.contains("share_stream_fg_pages_total{stream=\"wal\"} 4\n"));
+        assert!(text.contains("share_stream_fg_pages_total{stream=\"ftl\"} 0\n"));
         // Cumulative bucket counts are non-decreasing.
         let mut last = 0u64;
         for line in text.lines().filter(|l| l.starts_with("share_op_latency_ns_bucket{op=\"write\"")) {
@@ -234,28 +204,28 @@ mod tests {
     fn parse_sample_value_handles_malformed_and_padded_lines() {
         use super::{parse_sample_value, SampleParseError};
         // Well-formed, with and without labels.
-        assert_eq!(parse_sample_value("share_commands_total 3"), Ok(3));
-        assert_eq!(parse_sample_value("share_op_ops_total{op=\"write\"} 17"), Ok(17));
+        assert_eq!(parse_sample_value("share_host_writes_total 3"), Ok(3));
+        assert_eq!(parse_sample_value("share_op_latency_ns_count{op=\"write\"} 17"), Ok(17));
         // Whitespace padding must not panic or mis-parse (the old
         // `rsplit(' ').next().unwrap().parse().unwrap()` path panicked on a
         // trailing space because the last split field was empty).
-        assert_eq!(parse_sample_value("share_commands_total 3 "), Ok(3));
-        assert_eq!(parse_sample_value("  share_commands_total   42\t"), Ok(42));
+        assert_eq!(parse_sample_value("share_host_writes_total 3 "), Ok(3));
+        assert_eq!(parse_sample_value("  share_host_writes_total   42\t"), Ok(42));
         // Comments and blanks are not samples.
         assert_eq!(
-            parse_sample_value("# TYPE share_commands_total counter"),
+            parse_sample_value("# TYPE share_host_writes_total counter"),
             Err(SampleParseError::NotASample)
         );
         assert_eq!(parse_sample_value("   "), Err(SampleParseError::NotASample));
         // A bare name has no value field.
-        assert_eq!(parse_sample_value("share_commands_total"), Err(SampleParseError::MissingValue));
+        assert_eq!(parse_sample_value("share_host_writes_total"), Err(SampleParseError::MissingValue));
         // Garbage values report what they saw instead of panicking.
         assert_eq!(
-            parse_sample_value("share_commands_total NaN"),
+            parse_sample_value("share_host_writes_total NaN"),
             Err(SampleParseError::BadValue("NaN".into()))
         );
         assert_eq!(
-            parse_sample_value("share_commands_total -1"),
+            parse_sample_value("share_host_writes_total -1"),
             Err(SampleParseError::BadValue("-1".into()))
         );
     }
@@ -290,13 +260,11 @@ mod tests {
         let mut t = Telemetry::default();
         let weird = t.intern("we\"ird\\\nlabel");
         t.set_stream(weird);
-        t.record(OpClass::Write, None, 5, 0, 10, true);
+        t.record(OpClass::Write, 5, 0, 10, true);
         t.blame(weird, BlameKind::Gc, 2);
         let text = t.snapshot().to_prometheus();
         assert!(
-            text.contains(
-                "share_stream_pages_total{stream=\"we\\\"ird\\\\\\nlabel\",dir=\"write\"} 5\n"
-            ),
+            text.contains("share_stream_fg_pages_total{stream=\"we\\\"ird\\\\\\nlabel\"} 5\n"),
             "{text}"
         );
         let mut hits = 0;
@@ -304,8 +272,8 @@ mod tests {
             super::parse_sample_value(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
             hits += usize::from(line.contains("ird"));
         }
-        // Three directions of ops and of pages, three blame causes.
-        assert_eq!(hits, 9);
+        // Foreground pages and three blame causes.
+        assert_eq!(hits, 4);
     }
 
     #[test]
@@ -331,10 +299,13 @@ mod tests {
 
     #[test]
     fn counters_only_snapshot_has_no_histogram_block() {
+        // A snapshot that recorded no command has no histogram family; the
+        // first command brings it.
         let mut t = Telemetry::default();
-        t.record(OpClass::Read, None, 1, 0, 10, true);
+        assert!(!t.snapshot().to_prometheus().contains("share_op_latency_ns"));
+        t.record(OpClass::Read, 1, 0, 10, true);
         let text = t.snapshot().to_prometheus();
-        assert!(!text.contains("share_op_latency_ns"));
-        assert!(text.contains("share_op_ops_total{op=\"read\"} 1\n"));
+        assert!(text.contains("share_op_latency_ns_count{op=\"read\"} 1\n"));
+        assert!(!text.contains("{op=\"write\""));
     }
 }

@@ -299,13 +299,13 @@ fn per_file_streams_attribute_device_traffic() {
     }
     fs.fsync(a).unwrap();
     let snap = fs.device().telemetry_snapshot().expect("FTL has telemetry");
-    let by = |l: &str| snap.streams.iter().find(|s| s.label == l).cloned();
-    assert_eq!(by("a.db").unwrap().writes.pages, 4);
-    assert_eq!(by("wal").unwrap().writes.pages, 7);
+    let by = |l: &str| snap.wa.iter().find(|w| w.label == l).cloned();
+    assert_eq!(by("a.db").unwrap().fg_pages, 4);
+    assert_eq!(by("wal").unwrap().fg_pages, 7);
     // The raw file name of the re-labelled file carries no page traffic.
-    assert_eq!(by("b.log").map_or(0, |s| s.writes.pages), 0);
+    assert_eq!(by("b.log").map_or(0, |w| w.fg_pages), 0);
     // Metadata snapshots (format + fsync) land on the fs-meta stream.
-    assert!(by("fs-meta").unwrap().writes.pages > 0);
+    assert!(by("fs-meta").unwrap().fg_pages > 0);
 }
 
 #[test]

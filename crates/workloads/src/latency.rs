@@ -5,11 +5,9 @@
 //!
 //! Percentile math is shared with the device-telemetry histograms
 //! (`share_telemetry::percentile_sorted` is the same nearest-rank rule the
-//! histogram quantile walk uses), and every sample is mirrored into a
-//! [`HistogramSet`] so exact summaries and bucketed estimates can be
-//! cross-checked against each other.
+//! histogram quantile walk uses).
 
-use share_telemetry::{percentile_sorted, HistogramSet};
+use share_telemetry::percentile_sorted;
 use std::collections::BTreeMap;
 
 /// Summary statistics of one operation type.
@@ -42,7 +40,6 @@ impl LatencySummary {
 #[derive(Debug, Default)]
 pub struct LatencyRecorder {
     samples: BTreeMap<&'static str, Vec<u64>>,
-    hists: HistogramSet,
 }
 
 impl LatencyRecorder {
@@ -54,13 +51,6 @@ impl LatencyRecorder {
     /// Record one sample (simulated ns) under `op`.
     pub fn record(&mut self, op: &'static str, ns: u64) {
         self.samples.entry(op).or_default().push(ns);
-        self.hists.record(op, ns);
-    }
-
-    /// log2-bucketed mirror of every recorded sample, in the device
-    /// telemetry's histogram format (for export and cross-checking).
-    pub fn histograms(&self) -> &HistogramSet {
-        &self.hists
     }
 
     /// Total samples across all ops.
@@ -150,20 +140,22 @@ mod tests {
 
     #[test]
     fn exact_percentiles_agree_with_histogram_within_one_bucket() {
-        // The recorder keeps exact samples; its mirrored histogram only
-        // keeps log2 buckets. Both use the same nearest-rank rule, so each
-        // histogram estimate must land in the same log2 bucket as the
-        // exact nearest-rank sample.
+        // The recorder keeps exact samples; a telemetry histogram fed the
+        // same samples only keeps log2 buckets. Both use the same
+        // nearest-rank rule, so each histogram estimate must land in the
+        // same log2 bucket as the exact nearest-rank sample.
         use share_telemetry::hist::bucket_of;
         let mut r = LatencyRecorder::new();
+        let mut h = share_telemetry::Histogram::new();
         // A skewed, multi-decade distribution (deterministic LCG).
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for _ in 0..5000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            r.record("txn", (x >> 33) % 10_000_000 + 1);
+            let v = (x >> 33) % 10_000_000 + 1;
+            r.record("txn", v);
+            h.record(v);
         }
         let s = r.summary("txn").unwrap();
-        let h = r.histograms().get("txn").unwrap();
         assert_eq!(h.count, s.count);
         for (exact, q) in [(s.p25_ns, 0.25), (s.p50_ns, 0.50), (s.p75_ns, 0.75), (s.p99_ns, 0.99)]
         {

@@ -29,7 +29,7 @@ const FIELDS: [&str; 12] = [
 
 const BUILDERS: [&str; 3] = ["with_parallelism", "with_telemetry", "with_queue_depth"];
 
-const TELEMETRY_FIELDS: [&str; 4] = ["histograms", "trace", "epoch_ns", "epoch_ring"];
+const TELEMETRY_FIELDS: [&str; 3] = ["trace", "epoch_ns", "epoch_ring"];
 
 /// The identifier that follows `prefix` on `line`, if the line starts with it.
 fn ident_after<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {

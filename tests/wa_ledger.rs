@@ -18,7 +18,7 @@ use share_repro::vfs::{Vfs, VfsOptions};
 fn traced_ftl(mb: u64) -> Ftl {
     Ftl::new(
         FtlConfig::for_capacity_with(mb << 20, 0.3, 4096, 64, NandTiming::zero())
-            .with_telemetry(TelemetryConfig::full()),
+            .with_telemetry(TelemetryConfig::tracing()),
     )
 }
 
@@ -164,7 +164,7 @@ fn wa_ledger_sums_exactly_with_pipelined_relocation_in_flight() {
     let pages: u64 = 1024;
     let mut dev = Ftl::new(
         FtlConfig::for_capacity_with(pages * 4096, 0.12, 4096, 32, NandTiming::zero())
-            .with_telemetry(TelemetryConfig::full()),
+            .with_telemetry(TelemetryConfig::tracing()),
     );
     let data = dev.stream_intern("data");
     let journal = dev.stream_intern("journal");
@@ -216,7 +216,7 @@ fn wa_ledger_sums_exactly_with_snapshots_pinning_pages() {
     use share_repro::core::{GcPolicy, Lpn};
     let pages: u64 = 1024;
     let mut cfg = FtlConfig::for_capacity_with(pages * 4096, 0.12, 4096, 32, NandTiming::zero())
-        .with_telemetry(TelemetryConfig::full());
+        .with_telemetry(TelemetryConfig::tracing());
     // FIFO victims: blocks whose pages are only snapshot-pinned still
     // rotate through GC, forcing pinned relocations (greedy would park
     // them forever as "fully valid").
@@ -306,7 +306,7 @@ fn dwb_batch_flush_events_carry_the_doublewrite_stream() {
     let device = db.fs_mut().device();
     let snap = device.telemetry_snapshot().unwrap();
     let label = |track: Track| match track {
-        Track::Stream(id) => snap.streams[id as usize].label.as_str(),
+        Track::Stream(id) => snap.wa[id as usize].label.as_str(),
         _ => "",
     };
     let commands: Vec<_> =
@@ -324,7 +324,7 @@ fn dwb_batch_flush_events_carry_the_doublewrite_stream() {
         dwb_batches.iter().any(|s| s.pages > 1),
         "DWB flush should batch more than one page"
     );
-    // The per-stream traffic table agrees with the spans.
-    let dwb_row = snap.streams.iter().find(|s| s.label == "doublewrite").unwrap();
-    assert!(dwb_row.writes.pages >= db.stats().dwb_pages_written);
+    // The per-stream ledger agrees with the spans.
+    let dwb_row = snap.wa.iter().find(|w| w.label == "doublewrite").unwrap();
+    assert!(dwb_row.fg_pages >= db.stats().dwb_pages_written);
 }
