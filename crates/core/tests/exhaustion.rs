@@ -9,9 +9,13 @@
 //! below; copyback rotating over the channels without the floor rule (at
 //! or below the hard floor a full GC lane is skipped for one with room)
 //! died on 8 channels at 7, 15 and 30 % (writes 12, 12 and 265).
+//!
+//! A strict reverse map that fills in the middle of a `share_batch` has a
+//! pinned outcome too: the sub-batches before the one that does not fit
+//! stay committed, that one and the later ones are not applied.
 
 use nand_sim::NandTiming;
-use share_core::{BlockDevice, Ftl, FtlConfig, Lpn};
+use share_core::{BlockDevice, Ftl, FtlConfig, FtlError, Lpn, RevMapPolicy, SharePair};
 use share_rng::{Rng, StdRng};
 
 const PAGES: u64 = 256;
@@ -68,4 +72,59 @@ fn four_channels_never_fill() {
 #[test]
 fn eight_channels_never_fill() {
     never_fills(8);
+}
+
+fn read_fill(ftl: &mut Ftl, lpn: u64) -> u8 {
+    let mut buf = vec![0u8; ftl.page_size()];
+    ftl.read(Lpn(lpn), &mut buf).unwrap();
+    assert!(buf.iter().all(|&b| b == buf[0]), "lpn {lpn} reads non-uniform content");
+    buf[0]
+}
+
+/// `share_batch` of three sub-batches on a strict reverse map with room for
+/// one and a half: the second sub-batch is refused, so the command returns
+/// `RevMapFull`; the first is committed and survives a remount; the second
+/// and third leave their destinations as they were. On one channel every
+/// sub-batch is its own log submission; on four the three share one
+/// submission group, which commits the first and stops at the second.
+#[test]
+fn strict_revmap_full_mid_share_batch_keeps_the_sub_batches_before_it() {
+    for channels in [1, 4] {
+        let cfg = || {
+            let mut c = FtlConfig::for_capacity_with(1 << 20, 0.3, 512, 16, NandTiming::zero())
+                .with_parallelism(channels, 1);
+            let limit = c.deltas_per_page();
+            c.revmap_capacity = limit + limit / 2;
+            c.revmap_policy = RevMapPolicy::Strict;
+            c
+        };
+        let mut ftl = Ftl::new(cfg());
+        let limit = ftl.share_batch_limit() as u64;
+        let n = 3 * limit;
+        // Sources 0..n read i + 1; destinations n..2n read 100 + i until
+        // a SHARE remaps them. Each remap takes one reverse-map slot.
+        for i in 0..n {
+            let src = vec![i as u8 + 1; ftl.page_size()];
+            let dest = vec![100 + i as u8; ftl.page_size()];
+            ftl.write(Lpn(i), &src).unwrap();
+            ftl.write(Lpn(n + i), &dest).unwrap();
+        }
+        ftl.flush().unwrap();
+        let pairs: Vec<SharePair> = (0..n).map(|i| SharePair::new(Lpn(n + i), Lpn(i))).collect();
+
+        let capacity = cfg().revmap_capacity;
+        assert_eq!(ftl.share_batch(&pairs), Err(FtlError::RevMapFull { capacity }));
+        assert_eq!(ftl.revmap_len() as u64, limit, "{channels} ch: only the first sub-batch");
+        ftl.check_invariants();
+
+        let mut rec = Ftl::open(cfg(), ftl.into_nand()).expect("recovery must succeed");
+        rec.check_invariants();
+        assert_eq!(rec.revmap_len() as u64, limit, "{channels} ch: after remount");
+        for i in 0..n {
+            let want = if i < limit { i as u8 + 1 } else { 100 + i as u8 };
+            assert_eq!(read_fill(&mut rec, n + i), want, "{channels} ch: destination {}", n + i);
+            assert_eq!(read_fill(&mut rec, i), i as u8 + 1, "{channels} ch: source {i}");
+        }
+        assert_eq!(rec.mapping_of(Lpn(n)), rec.mapping_of(Lpn(0)), "{channels} ch: shared");
+    }
 }

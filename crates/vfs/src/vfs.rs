@@ -337,7 +337,11 @@ impl<D: BlockDevice> Vfs<D> {
         self.files.get(&f.0).ok_or_else(|| VfsError::NotFound(format!("fd {}", f.0)))
     }
 
-    /// Logical length in pages.
+    /// Logical length in pages: one past the highest page written or
+    /// remapped into the file, or what `truncate` / `vfs_clone` set. A write
+    /// or SHARE past the end grows it in memory only; the durable file table
+    /// records it at the next `fsync` that has metadata to persist (see
+    /// [`Vfs::fsync`]), so a remount may read a shorter length.
     pub fn len_pages(&self, f: FileId) -> Result<u64, VfsError> {
         Ok(self.file(f)?.len_pages)
     }
@@ -538,6 +542,14 @@ impl<D: BlockDevice> Vfs<D> {
 
     /// fsync: persist metadata if dirty, charge ordered-journal traffic,
     /// then flush the device.
+    ///
+    /// `fdatasync` semantics for the file length: the file table is
+    /// rewritten only after a metadata change — create, delete, rename,
+    /// `fallocate` that allocates, `truncate`, `vfs_clone` — and a write or
+    /// SHARE that only moves the length past the end is not one. The data
+    /// it wrote is durable after this call; the longer length is durable
+    /// after the next fsync that persists metadata. No engine reads the
+    /// length: each finds its end in its own pages.
     pub fn fsync(&mut self, f: FileId) -> Result<(), VfsError> {
         self.traced("fsync", 0, |fs| {
             if fs.meta_dirty {

@@ -117,6 +117,52 @@ fn fsync_then_remount_preserves_everything() {
     assert_eq!(fs2.len_pages(f2).unwrap(), 10);
 }
 
+/// `Vfs::fsync` has `fdatasync` semantics for the length: a write past the
+/// end inside the allocation leaves the file table as it was, so a remount
+/// reads the old length (and the written page, which is durable).
+#[test]
+fn fsync_after_a_write_past_the_end_keeps_the_old_length() {
+    let cfg = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 16, nand_sim::NandTiming::zero());
+    let mut fs = Vfs::format(Ftl::new(cfg.clone()), VfsOptions::default()).unwrap();
+    let f = fs.create("a").unwrap();
+    fs.fallocate(f, 8).unwrap();
+    fs.write_page(f, 0, &page(&fs, 1)).unwrap();
+    fs.write_page(f, 1, &page(&fs, 2)).unwrap();
+    fs.fsync(f).unwrap();
+    fs.write_page(f, 5, &page(&fs, 6)).unwrap();
+    assert_eq!(fs.len_pages(f).unwrap(), 6);
+    fs.fsync(f).unwrap();
+    let dev = Ftl::open(cfg, fs.into_device().into_nand()).unwrap();
+    let mut fs2 = Vfs::open(dev, VfsOptions::default()).unwrap();
+    let f2 = fs2.lookup("a").unwrap();
+    assert_eq!(fs2.len_pages(f2).unwrap(), 2);
+    assert_eq!(read_byte(&mut fs2, f2, 5), 6);
+}
+
+/// `fallocate` that allocates and `truncate` are metadata changes: the
+/// fsync after either persists the length the file has in memory.
+#[test]
+fn fsync_after_fallocate_or_truncate_persists_the_length() {
+    let cfg = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 16, nand_sim::NandTiming::zero());
+    let opts = VfsOptions { extent_chunk_pages: 8, ..VfsOptions::default() };
+    let mut fs = Vfs::format(Ftl::new(cfg.clone()), opts.clone()).unwrap();
+    let (a, b) = (fs.create("a").unwrap(), fs.create("b").unwrap());
+    for f in [a, b] {
+        fs.fallocate(f, 8).unwrap();
+        fs.write_page(f, 0, &page(&fs, 1)).unwrap();
+        fs.fsync(f).unwrap();
+        fs.write_page(f, 5, &page(&fs, 6)).unwrap();
+    }
+    fs.fallocate(a, 16).unwrap();
+    fs.fsync(a).unwrap();
+    fs.truncate(b, 4).unwrap();
+    fs.fsync(b).unwrap();
+    let dev = Ftl::open(cfg, fs.into_device().into_nand()).unwrap();
+    let fs2 = Vfs::open(dev, opts).unwrap();
+    assert_eq!(fs2.len_pages(fs2.lookup("a").unwrap()).unwrap(), 6);
+    assert_eq!(fs2.len_pages(fs2.lookup("b").unwrap()).unwrap(), 4);
+}
+
 #[test]
 fn crash_after_fsync_preserves_file_table() {
     let cfg = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 16, nand_sim::NandTiming::zero());
