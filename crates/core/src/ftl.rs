@@ -158,12 +158,10 @@ struct GcJob {
 
 /// Relocation scratch of the one GC loop, owned by the device and reused
 /// by every step (grown once to a block's worth, never shrunk): the step's
-/// live pages, their destinations, and their contents back to back.
+/// live pages, each with its destination.
 #[derive(Debug, Default)]
 struct GcScratch {
-    live: Vec<Ppn>,
-    dests: Vec<Ppn>,
-    data: Vec<u8>,
+    moves: Vec<(Ppn, Ppn)>,
 }
 
 /// A flash device exposing the SHARE interface.

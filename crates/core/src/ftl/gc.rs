@@ -133,32 +133,26 @@ impl Ftl {
         let block = self.pool.abs(rel);
         let ppb = self.cfg.geometry.pages_per_block;
         let mut idx = next_idx;
-        let GcScratch { live, dests, data } = scratch;
-        live.clear();
-        while idx < ppb && live.len() < budget {
+        let GcScratch { moves } = scratch;
+        moves.clear();
+        while idx < ppb && moves.len() < budget {
             let ppn = self.cfg.geometry.ppn_at(block, idx);
             if self.map.is_live(ppn) || self.snaps.is_pinned(ppn) {
-                live.push(ppn);
+                moves.push((ppn, Ppn::INVALID));
             }
             idx += 1;
         }
-        if !live.is_empty() {
-            // All relocation reads go out as one batched submission (they
-            // come from one block, hence one unit, so this mostly amortizes
-            // the submission); the programs below rotate over the GC lanes,
-            // one per channel, and overlap.
-            let page_size = self.cfg.geometry.page_size;
-            let need = live.len() * page_size;
-            if data.len() < need {
-                data.resize(need, 0);
+        if !moves.is_empty() {
+            for (_, dest) in moves.iter_mut() {
+                *dest = self.pool.alloc(&self.nand, WritePoint::Gc)?;
             }
-            self.nand.read_batch(live.iter().copied().zip(data.chunks_mut(page_size)))?;
-            dests.clear();
-            for _ in live.iter() {
-                dests.push(self.pool.alloc(&self.nand, WritePoint::Gc)?);
-            }
-            self.nand.program_batch(dests.iter().copied().zip(data.chunks(page_size)))?;
-            for (&ppn, &dest) in live.iter().zip(dests.iter()) {
+            // One copyback inside the array: the reads go out as one
+            // batched submission (they come from one block, hence one
+            // unit, so this mostly amortizes the submission), then the
+            // programs, which rotate over the GC lanes, one per channel,
+            // and overlap.
+            self.nand.copyback_batch(moves)?;
+            for &(ppn, dest) in moves.iter() {
                 self.relocate_mappings(ppn, dest)?;
                 self.stats.copyback_pages += 1;
             }
@@ -167,7 +161,7 @@ impl Ftl {
             // weights — exact-sum per call, so the wa_ledger invariant
             // holds even with the rest of the victim in flight.
             let w = std::mem::take(&mut self.block_blame[rel as usize]);
-            self.settle_blame(BlameKind::Gc, live.len() as u64, &w);
+            self.settle_blame(BlameKind::Gc, moves.len() as u64, &w);
             self.block_blame[rel as usize] = w;
         }
         // Only now is the examined stretch behind us: a step that failed
@@ -183,7 +177,7 @@ impl Ftl {
             self.block_blame[rel as usize].clear();
             self.gc_job = None;
         }
-        Ok(live.len() as u64)
+        Ok(moves.len() as u64)
     }
 
     /// Run one GC step as a `gc` internal pass. `background` opens a

@@ -14,7 +14,7 @@ use crate::error::FtlError;
 use crate::types::{Lpn, Ppn};
 use crate::util::FixedState;
 use nand_sim::{BlockId, NandGeometry};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Outcome of unmapping an LPN: the PPN it pointed to, if it is now dead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,9 @@ pub enum RevMapPolicy {
     /// Accept the share and mark the physical page *overflowed*: garbage
     /// collection finds its referrers with a full L2P scan instead. Models
     /// the table as a bounded cache — slower GC under heavy sharing, but
-    /// commands never fail.
+    /// commands never fail. The scan costs no simulated time, and the
+    /// simulator keeps its answer per overflowed page instead of
+    /// recomputing it.
     #[default]
     ScanOnOverflow,
 }
@@ -47,8 +49,14 @@ pub enum RevMapPolicy {
 #[derive(Debug)]
 pub struct RevMap {
     entries: HashMap<Ppn, Vec<Lpn>, FixedState>,
-    /// Pages whose extra references exceed the table; resolved by scan.
-    overflowed: HashSet<Ppn, FixedState>,
+    /// Pages whose extra references exceed the table, each with every LPN
+    /// mapped to it in ascending order: the answer of the L2P scan the
+    /// model charges for, kept up to date instead of recomputed. They hold
+    /// no slots.
+    overflowed: HashMap<Ppn, Vec<Lpn>, FixedState>,
+    /// Emptied lists of both maps, handed to the next page that needs one,
+    /// so a steady stream of shares and relocations allocates nothing.
+    spare: Vec<Vec<Lpn>>,
     len: usize,
     capacity: usize,
 }
@@ -56,20 +64,47 @@ pub struct RevMap {
 impl RevMap {
     /// A table holding at most `capacity` extra references.
     pub fn new(capacity: usize) -> Self {
-        Self { entries: HashMap::default(), overflowed: HashSet::default(), len: 0, capacity }
+        Self {
+            entries: HashMap::default(),
+            overflowed: HashMap::default(),
+            spare: Vec::new(),
+            len: 0,
+            capacity,
+        }
     }
 
     /// Whether `ppn`'s extra references spilled out of the table.
     pub fn is_overflowed(&self, ppn: Ppn) -> bool {
-        self.overflowed.contains(&ppn)
+        self.overflowed.contains_key(&ppn)
     }
 
-    fn mark_overflowed(&mut self, ppn: Ppn) {
-        // Release any slots it held; scan tracking covers them now.
-        if let Some(list) = self.entries.remove(&ppn) {
-            self.len -= list.len();
-        }
-        self.overflowed.insert(ppn);
+    /// Move `ppn` to scan tracking: release the slots its extras held and
+    /// keep them, `primary` (if still mapped to it) and `added` as its
+    /// holders.
+    fn mark_overflowed(&mut self, ppn: Ppn, primary: Option<Lpn>, added: Lpn) {
+        let mut holders = match self.entries.remove(&ppn) {
+            Some(list) => {
+                self.len -= list.len();
+                list
+            }
+            None => self.spare.pop().unwrap_or_default(),
+        };
+        holders.extend(primary);
+        holders.push(added);
+        holders.sort_unstable();
+        self.overflowed.insert(ppn, holders);
+    }
+
+    /// Record `lpn` as a new holder of the overflowed page `ppn`.
+    fn add_holder(&mut self, ppn: Ppn, lpn: Lpn) {
+        let holders = self.overflowed.get_mut(&ppn).expect("page is overflowed");
+        let pos = holders.binary_search(&lpn).expect_err("holder listed twice");
+        holders.insert(pos, lpn);
+    }
+
+    fn recycle(&mut self, mut list: Vec<Lpn>) {
+        list.clear();
+        self.spare.push(list);
     }
 
     /// Current number of extra references.
@@ -97,21 +132,30 @@ impl RevMap {
         if self.len >= self.capacity {
             return Err(FtlError::RevMapFull { capacity: self.capacity });
         }
-        let list = self.entries.entry(ppn).or_default();
+        let spare = &mut self.spare;
+        let list = self.entries.entry(ppn).or_insert_with(|| spare.pop().unwrap_or_default());
         debug_assert!(!list.contains(&lpn), "duplicate revmap entry {ppn} -> {lpn}");
         list.push(lpn);
         self.len += 1;
         Ok(())
     }
 
-    /// Remove the extra reference `ppn -> lpn` if present.
+    /// Remove the reference `ppn -> lpn`: from the holders of an
+    /// overflowed page, else from the extras if present.
     pub fn remove(&mut self, ppn: Ppn, lpn: Lpn) {
+        if let Some(holders) = self.overflowed.get_mut(&ppn) {
+            if let Ok(pos) = holders.binary_search(&lpn) {
+                holders.remove(pos);
+            }
+            return;
+        }
         if let Some(list) = self.entries.get_mut(&ppn) {
             if let Some(pos) = list.iter().position(|&l| l == lpn) {
                 list.swap_remove(pos);
                 self.len -= 1;
                 if list.is_empty() {
-                    self.entries.remove(&ppn);
+                    let list = self.entries.remove(&ppn).expect("listed above");
+                    self.recycle(list);
                 }
             }
         }
@@ -126,8 +170,11 @@ impl RevMap {
     pub fn remove_all(&mut self, ppn: Ppn) {
         if let Some(list) = self.entries.remove(&ppn) {
             self.len -= list.len();
+            self.recycle(list);
         }
-        self.overflowed.remove(&ppn);
+        if let Some(holders) = self.overflowed.remove(&ppn) {
+            self.recycle(holders);
+        }
     }
 }
 
@@ -219,8 +266,9 @@ impl MappingTable {
     /// Every LPN currently mapped to `ppn` (primary first if still mapped).
     ///
     /// For pages whose extra references overflowed the bounded table, this
-    /// falls back to a full L2P scan (the [`RevMapPolicy::ScanOnOverflow`]
-    /// cost model: GC pays, commands never fail).
+    /// is what a full L2P scan finds, in ascending LPN order (the
+    /// [`RevMapPolicy::ScanOnOverflow`] cost model: GC pays, commands never
+    /// fail).
     pub fn referrers(&self, ppn: Ppn) -> Vec<Lpn> {
         let mut out = Vec::new();
         self.referrers_into(ppn, &mut out);
@@ -228,9 +276,8 @@ impl MappingTable {
     }
 
     fn referrers_into(&self, ppn: Ppn, out: &mut Vec<Lpn>) {
-        if self.revmap.is_overflowed(ppn) {
-            let holders = self.l2p.iter().enumerate().filter(|(_, &p)| p == ppn);
-            out.extend(holders.map(|(i, _)| Lpn(i as u64)));
+        if let Some(holders) = self.revmap.overflowed.get(&ppn) {
+            out.extend_from_slice(holders);
             return;
         }
         let p = self.primary[ppn.0 as usize];
@@ -276,8 +323,9 @@ impl MappingTable {
             return Unmapped { old_ppn: Ppn::INVALID, died: false };
         }
         self.l2p[lpn.0 as usize] = Ppn::INVALID;
-        // If lpn was an extra (shared) reference, retire its revmap slot.
-        if self.primary[old.0 as usize] != lpn {
+        // If lpn was an extra (shared) reference, retire its revmap slot;
+        // an overflowed page drops it from its holders, primary or not.
+        if self.primary[old.0 as usize] != lpn || self.revmap.is_overflowed(old) {
             self.revmap.remove(old, lpn);
         }
         let died = self.dec_ref(old);
@@ -307,9 +355,13 @@ impl MappingTable {
         let old = self.unmap(lpn);
         self.l2p[lpn.0 as usize] = ppn;
         self.inc_ref(ppn)?;
-        if self.primary[ppn.0 as usize] != lpn && !self.revmap.is_overflowed(ppn) {
+        let primary = self.primary[ppn.0 as usize];
+        if self.revmap.is_overflowed(ppn) {
+            self.revmap.add_holder(ppn, lpn);
+        } else if primary != lpn {
             if overflow || self.revmap.free() == 0 {
-                self.revmap.mark_overflowed(ppn);
+                let mapped = primary.is_valid() && self.l2p[primary.0 as usize] == ppn;
+                self.revmap.mark_overflowed(ppn, mapped.then_some(primary), lpn);
             } else {
                 self.revmap.insert(ppn, lpn).expect("free slot checked");
             }
@@ -398,7 +450,8 @@ impl MappingTable {
         &self.l2p
     }
 
-    /// Verify invariant 1 and 3 exhaustively (test helper; O(physical)).
+    /// Verify the invariants exhaustively (test helper; O(physical)). The
+    /// full L2P scan is the oracle for the holders kept of overflowed pages.
     pub fn check_invariants(&self) {
         let mut counts = vec![0u16; self.refcount.len()];
         for &ppn in &self.l2p {
@@ -423,6 +476,15 @@ impl MappingTable {
                     "{lpn} -> {ppn} not discoverable from reverse side"
                 );
             }
+        }
+        let mut scanned: HashMap<Ppn, Vec<Lpn>, FixedState> = HashMap::default();
+        for (i, &ppn) in self.l2p.iter().enumerate() {
+            if self.revmap.is_overflowed(ppn) {
+                scanned.entry(ppn).or_default().push(Lpn(i as u64));
+            }
+        }
+        for (&ppn, holders) in &self.revmap.overflowed {
+            assert_eq!(scanned.get(&ppn), Some(holders), "{ppn}: kept holders are not the scan");
         }
     }
 }

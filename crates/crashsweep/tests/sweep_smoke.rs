@@ -34,7 +34,7 @@ fn run_smoke(workload: &dyn CrashWorkload, target_points: u64) -> u64 {
 fn smoke_sweep_covers_200_points_across_the_stack() {
     // Points per FTL workload, in `FTL_WORKLOADS` order: the GC storm's
     // four-channel run holds ~4/5 of its points.
-    let targets = [180, 120, 60, 60, 120, 60];
+    let targets = [180, 120, 60, 60, 120, 60, 60];
     let mut visited = 0;
     for (name, target) in FTL_WORKLOADS.iter().zip(targets) {
         visited += run_smoke(ftl_workload(name, 42, FTL_OPS).unwrap().as_ref(), target);
@@ -71,7 +71,15 @@ fn deep_sweep_soak() {
     // (seed, n) per FTL workload, in `FTL_WORKLOADS` order: a seed of its
     // own for each, 400 rounds of the fixed batch sequence (n / 5), and 800
     // ops of the GC storm (2n).
-    let sizes = [(1009, 800), (1021, 800), (0, 2000), (1031, 800), (1033, 400), (1039, 800)];
+    let sizes = [
+        (1009, 800),
+        (1021, 800),
+        (0, 2000),
+        (1031, 800),
+        (1033, 400),
+        (1039, 800),
+        (1049, 800),
+    ];
     let ftl = FTL_WORKLOADS.iter().zip(sizes).map(|(name, (seed, n))| {
         ftl_workload(name, seed, n).unwrap()
     });

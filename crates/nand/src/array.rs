@@ -349,16 +349,24 @@ impl NandArray {
             let e = NandError::BadBufferLength { got: buf.len(), want: self.geometry.page_size };
             return (t0, Err(e));
         }
-        let unit = self.geometry.unit_of(ppn) as usize;
-        let service = self.timing.read_ns + self.timing.xfer_ns(buf.len());
-        let end = self.dispatch(unit, t0, service);
-        self.trace_leaf("read", unit, end, service, 1, true);
-        self.stats.page_reads += 1;
+        let end = self.sense(ppn, t0);
         match &self.pages[ppn.0 as usize] {
             Some(data) => buf.copy_from_slice(data),
             None => buf.fill(ERASED_BYTE),
         }
         (end, Ok(()))
+    }
+
+    /// The array side of a page read of an in-range `ppn`, dispatched at
+    /// `t0`: its unit time, trace leaf and counter. Returns the completion
+    /// time.
+    fn sense(&mut self, ppn: Ppn, t0: u64) -> u64 {
+        let unit = self.geometry.unit_of(ppn) as usize;
+        let service = self.timing.read_ns + self.timing.xfer_ns(self.geometry.page_size);
+        let end = self.dispatch(unit, t0, service);
+        self.trace_leaf("read", unit, end, service, 1, true);
+        self.stats.page_reads += 1;
+        end
     }
 
     /// Page memory holding `data[..intact]` followed by the erased
@@ -516,6 +524,51 @@ impl NandArray {
         let mut res = Ok(());
         for (ppn, data) in reqs {
             let (end, r) = self.program_one(ppn, data, t0);
+            max_end = max_end.max(end);
+            if r.is_err() {
+                res = r;
+                break;
+            }
+        }
+        self.complete_submission(max_end);
+        res
+    }
+
+    /// Copy each `(src, dst)` page inside the array: the reads go out as
+    /// one submission, then the programs as a second, so timing, counters,
+    /// trace leaves and the fault countdown are exactly those of a
+    /// [`Self::read_batch`] of the sources followed by a
+    /// [`Self::program_batch`] of the destinations. Each image is copied
+    /// once, from the source page into the destination's buffer, and never
+    /// passes through the host. An erased source is refused before its
+    /// read: copyback moves only programmed pages.
+    pub fn copyback_batch(&mut self, pairs: &[(Ppn, Ppn)]) -> Result<()> {
+        self.check_up()?;
+        let t0 = self.submit_t0();
+        let mut max_end = t0;
+        let mut res = Ok(());
+        for &(src, _) in pairs {
+            if let Err(e) = self.check_ppn(src) {
+                res = Err(e);
+                break;
+            }
+            if self.pages[src.0 as usize].is_none() {
+                res = Err(NandError::CopybackFromErased(src));
+                break;
+            }
+            max_end = max_end.max(self.sense(src, t0));
+        }
+        self.complete_submission(max_end);
+        res?;
+        let t0 = self.submit_t0();
+        let mut max_end = t0;
+        let mut res = Ok(());
+        for &(src, dst) in pairs {
+            // Lent out for the program and put back: a `dst` equal to `src`
+            // sits below its block's frontier and is refused untouched.
+            let image = self.pages[src.0 as usize].take().expect("sensed above");
+            let (end, r) = self.program_one(dst, &image, t0);
+            self.pages[src.0 as usize] = Some(image);
             max_end = max_end.max(end);
             if r.is_err() {
                 res = r;

@@ -20,6 +20,9 @@ pub enum NandError {
     BadBufferLength { got: usize, want: usize },
     /// A power-loss fault fired; the device is down until `power_cycle`.
     PowerLoss,
+    /// Copyback from a page that holds nothing (an FTL bug: only
+    /// programmed pages are relocated).
+    CopybackFromErased(Ppn),
     /// Block erase attempted while pages are mid-operation (unused hook for
     /// future multi-plane modeling), or erase of an out-of-range block.
     EraseFailed(BlockId),
@@ -42,6 +45,7 @@ impl fmt::Display for NandError {
                 write!(f, "buffer length {got} does not match page size {want}")
             }
             NandError::PowerLoss => write!(f, "power loss: device is down"),
+            NandError::CopybackFromErased(ppn) => write!(f, "copyback from erased page {ppn}"),
             NandError::EraseFailed(b) => write!(f, "erase of {b} failed"),
         }
     }

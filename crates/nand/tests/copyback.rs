@@ -1,0 +1,176 @@
+//! `copyback_batch` against its definition: a `read_batch` of the sources
+//! into host buffers, then a `program_batch` of those buffers to the
+//! destinations, run on a twin array. Page images, counters, unit busy
+//! time, the clock, the window frontier and the trace leaves must agree —
+//! synchronously, inside a deferred window and inside a background window
+//! — and so must the medium after a fault armed at every program of the
+//! batch, in every mode.
+
+use nand_sim::{
+    BlockId, FaultMode, NandArray, NandError, NandGeometry, NandTiming, PageState, Ppn, SimClock,
+};
+use share_telemetry::Tracer;
+
+const PS: usize = 512;
+const PPB: u32 = 4;
+const BLOCKS: u32 = 16;
+
+/// Four channels of two ways; blocks 0 and 1 hold programmed sources, on
+/// two units, and block 2 starts with a torn page.
+fn array() -> (NandArray, Tracer) {
+    let g = NandGeometry::new(PS, PPB, BLOCKS).with_parallelism(4, 2);
+    let mut a = NandArray::with_timing(g, NandTiming::default(), SimClock::new());
+    let tracer = Tracer::enabled();
+    a.set_tracer(tracer.clone());
+    for p in 0..2 * PPB {
+        a.program(Ppn(p), &vec![p as u8 + 1; PS]).unwrap();
+    }
+    // A source torn by a power loss still copies its torn image.
+    a.fault_handle().arm_after_programs(1, FaultMode::TornHalf);
+    let _ = a.program(Ppn(2 * PPB), &vec![0xA7; PS]);
+    a.power_cycle();
+    (a, tracer)
+}
+
+/// Sources from both blocks and the torn page; destinations in blocks 3..7,
+/// in each block's page order, three of them queueing on block 3's unit.
+fn pairs() -> Vec<(Ppn, Ppn)> {
+    let src = [0, 5, 1, 8, 6, 2, 7];
+    let dst = [12, 16, 13, 20, 17, 24, 14];
+    src.iter().zip(dst).map(|(&s, d)| (Ppn(s), Ppn(d))).collect()
+}
+
+fn read_then_program(a: &mut NandArray, pairs: &[(Ppn, Ppn)]) -> Result<(), NandError> {
+    let mut bufs = vec![vec![0u8; PS]; pairs.len()];
+    let reads = pairs.iter().zip(bufs.iter_mut()).map(|(&(s, _), b)| (s, b.as_mut_slice()));
+    a.read_batch(reads)?;
+    a.program_batch(pairs.iter().zip(bufs.iter()).map(|(&(_, d), b)| (d, b.as_slice())))
+}
+
+/// Everything observable about an array, read without touching it.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    states: Vec<PageState>,
+    frontiers: Vec<u32>,
+    stats: nand_sim::NandStats,
+    busy: Vec<u64>,
+    clock: u64,
+    leaves: Vec<(String, u64, u64, bool)>,
+}
+
+fn observe(a: &NandArray, tracer: &Tracer) -> Observed {
+    let g = a.geometry();
+    Observed {
+        states: (0..g.total_pages()).map(|p| a.page_state(Ppn(p))).collect(),
+        frontiers: (0..g.blocks).map(|b| a.write_frontier(BlockId(b))).collect(),
+        stats: a.stats(),
+        busy: a.busy_ns().to_vec(),
+        clock: a.now_ns(),
+        leaves: tracer
+            .spans()
+            .into_iter()
+            .map(|s| (format!("{}@{:?}", s.name, s.track), s.start_ns, s.end_ns, s.ok))
+            .collect(),
+    }
+}
+
+/// Every page's bytes (reads through the timed path, so call it last).
+fn images(a: &mut NandArray) -> Vec<Vec<u8>> {
+    let mut out = vec![vec![0u8; PS]; a.geometry().total_pages() as usize];
+    for (p, buf) in out.iter_mut().enumerate() {
+        a.read(Ppn(p as u32), buf).unwrap();
+    }
+    out
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Window {
+    Sync,
+    Deferred,
+    Background,
+}
+
+/// Run `op` on `a` inside `window`, returning the window's end (the clock
+/// when synchronous) and the outcome.
+fn in_window(
+    a: &mut NandArray,
+    window: Window,
+    op: impl FnOnce(&mut NandArray) -> Result<(), NandError>,
+) -> (u64, Result<(), NandError>) {
+    // The unit lanes are busy into the window's span, so it queues.
+    a.charge(1_000);
+    match window {
+        Window::Sync => {
+            let r = op(a);
+            (a.now_ns(), r)
+        }
+        Window::Deferred => {
+            a.begin_deferred();
+            let r = op(a);
+            (a.end_deferred(), r)
+        }
+        Window::Background => {
+            a.begin_deferred();
+            a.charge(300);
+            let saved = a.begin_background(500);
+            let r = op(a);
+            let end = a.end_background(saved);
+            (end.max(a.end_deferred()), r)
+        }
+    }
+}
+
+#[test]
+fn copyback_matches_read_then_program_in_every_window() {
+    for window in [Window::Sync, Window::Deferred, Window::Background] {
+        let (mut a, ta) = array();
+        let (mut b, tb) = array();
+        let ea = in_window(&mut a, window, |a| a.copyback_batch(&pairs()));
+        let eb = in_window(&mut b, window, |b| read_then_program(b, &pairs()));
+        assert_eq!(ea, eb, "{window:?}: window end and outcome");
+        assert_eq!(ea.1, Ok(()));
+        assert_eq!(observe(&a, &ta), observe(&b, &tb), "{window:?}");
+        assert_eq!(images(&mut a), images(&mut b), "{window:?}: page images");
+        // The torn source copied its torn image.
+        let mut buf = vec![0u8; PS];
+        a.read(Ppn(20), &mut buf).unwrap();
+        assert!(buf[..PS / 2].iter().all(|&x| x == 0xA7));
+        assert!(buf[PS / 2..].iter().all(|&x| x == 0xFF));
+    }
+}
+
+#[test]
+fn a_fault_at_any_program_leaves_the_same_medium() {
+    let n = pairs().len() as u64;
+    for mode in FaultMode::ALL {
+        for k in 1..=n {
+            let (mut a, ta) = array();
+            let (mut b, tb) = array();
+            a.fault_handle().arm_after_programs(k, mode);
+            b.fault_handle().arm_after_programs(k, mode);
+            let ra = a.copyback_batch(&pairs());
+            let rb = read_then_program(&mut b, &pairs());
+            assert_eq!(ra, Err(NandError::PowerLoss), "{mode:?} at {k}");
+            assert_eq!(ra, rb, "{mode:?} at {k}");
+            assert_eq!(a.fault_handle().programs_seen(), b.fault_handle().programs_seen());
+            a.power_cycle();
+            b.power_cycle();
+            assert_eq!(observe(&a, &ta), observe(&b, &tb), "{mode:?} at {k}");
+            assert_eq!(images(&mut a), images(&mut b), "{mode:?} at {k}: page images");
+        }
+    }
+}
+
+#[test]
+fn an_erased_source_is_refused_before_its_read() {
+    let (mut a, tracer) = array();
+    let before = observe(&a, &tracer);
+    // The second source is past block 2's frontier: erased.
+    let pairs = [(Ppn(0), Ppn(12)), (Ppn(9), Ppn(13))];
+    assert_eq!(a.copyback_batch(&pairs), Err(NandError::CopybackFromErased(Ppn(9))));
+    let after = observe(&a, &tracer);
+    assert_eq!(after.stats.page_programs, before.stats.page_programs, "nothing programmed");
+    assert_eq!(after.stats.page_reads, before.stats.page_reads + 1, "reads stop at it");
+    assert_eq!(after.states, before.states);
+    assert!(NandError::CopybackFromErased(Ppn(9)).to_string().contains("erased"));
+}

@@ -37,7 +37,7 @@ cargo test -q --release --offline -p mini-innodb --test alloc_budget
 cargo test -q --release --offline -p mini-couch --test alloc_budget
 
 # Crash-point smoke sweep: every NAND program boundary (stride 1) of the
-# six FTL-level workloads (one FTL harness) and of every safe engine mode
+# seven FTL-level workloads (one FTL harness) and of every safe engine mode
 # (the engine harness's thirteen `<engine>-<mode>` workloads, ~5 s of the
 # tier, `couch-share-wide` ~1.2 s of it), times
 # three fault modes, must recover cleanly. Any violation prints a
