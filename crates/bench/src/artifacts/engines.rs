@@ -1,12 +1,12 @@
-//! The artifacts that set up an engine of their own: the snapshot clone
-//! bench, pgbench's `full_page_writes` and SQLite's journal modes.
+//! The artifacts that set up an engine of their own: the SHARE clone bench,
+//! pgbench's `full_page_writes` and SQLite's journal modes.
 
 use super::Records;
 use crate::{f, mb, render_table};
 use mini_pg::{FpwMode, MiniPg, PgConfig};
 use mini_sqlite::{JournalMode, MiniSqlite, SqliteConfig};
 use nand_sim::NandTiming;
-use share_core::{BlockDevice, Ftl, FtlConfig};
+use share_core::{Ftl, FtlConfig};
 use share_rng::{Rng, StdRng};
 use share_workloads::{Pgbench, PgbenchConfig};
 
@@ -23,26 +23,25 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx]
 }
 
-/// Snapshot/clone bench — instant clone of an aged mini-SQLite database
-/// through the device snapshot subsystem.
+/// Clone bench — a zero-copy clone of an aged mini-SQLite database through
+/// SHARE: `clone_db` remaps the database's written pages into a new file
+/// (the paper's file copy "almost without copying data", §1).
 ///
 /// A 64 MiB database (16384 pages) is populated and aged with overwrite
 /// churn until GC has run, then:
 ///
-/// 1. `snapshot_db` freezes the whole database file. The create must
-///    program **zero** NAND pages — a snapshot is a mapping-table
-///    operation, never a data copy.
-/// 2. `clone_from_snapshot` materializes a writable clone. Reported:
-///    simulated latency and NAND programs (mapping deltas only, far
-///    fewer than the pages cloned — the zero-copy claim).
-/// 3. An overwrite storm on the source breaks the sharing page by page;
+/// 1. `clone_db` makes the clone. Reported: pages cloned, simulated latency
+///    and NAND programs (mapping deltas only, far fewer than the pages
+///    cloned — the zero-copy claim), and the reverse map's occupancy before
+///    and after against its capacity, with its overflow policy.
+/// 2. An overwrite storm on the source breaks the sharing page by page;
 ///    the copy-on-write WA of that window is reported.
-/// 4. Point-in-time reads through the frozen snapshot are sampled for
-///    p50/p99 latency while the live file has long diverged.
+/// 3. Reads of the clone, which the source has long diverged from, are
+///    sampled for p50/p99 latency.
 ///
 /// Sizes are fixed; the report is gated byte for byte by
-/// `results/bench_snapshot.txt`.
-pub(crate) fn bench_snapshot(_: &Records) -> String {
+/// `results/bench_clone.txt`.
+pub(crate) fn bench_clone(_: &Records) -> String {
     // Logical space for the database, its staging area and one clone;
     // 25 % OP and real NAND timing so latencies and GC are meaningful.
     let dev = Ftl::new(
@@ -77,35 +76,25 @@ pub(crate) fn bench_snapshot(_: &Records) -> String {
     }
     assert!(db.device_stats().gc_events > 0, "aging storm never triggered GC — device too large");
 
-    // ---- 1. snapshot create: zero NAND programs ---------------------------
-    let clock = db.fs_mut().device().clock().clone();
-    db.snapshot_db("base").unwrap();
-    let baseline = db.device_stats();
-    // `snapshot_db` barriers the pager first; measure the create itself
-    // (the part after everything is already durable) by re-snapshotting
-    // under a second name on the now-quiescent device.
-    let create_t0 = clock.now_ns();
-    db.fs_mut().vfs_snapshot("main.db", "probe").unwrap();
-    let create_ns = clock.now_ns() - create_t0;
-    let create = db.device_stats().delta_since(&baseline);
-    db.fs_mut().vfs_snapshot_drop("probe").unwrap();
-    let frozen: u64 = db
-        .fs_mut()
-        .vfs_snapshot_list()
-        .unwrap()
-        .iter()
-        .find(|(n, _)| n == "base")
-        .map(|&(_, len)| len)
-        .unwrap();
-
-    // ---- 2. zero-copy clone -----------------------------------------------
+    // ---- 1. zero-copy clone -----------------------------------------------
+    let clock = db.clock();
+    let revmap = |db: &mut MiniSqlite<Ftl>| {
+        let ftl = db.fs_mut().device();
+        format!("{} / {}", ftl.revmap_len(), ftl.config().revmap_capacity)
+    };
+    let revmap_before = revmap(&mut db);
     let before = db.device_stats();
     let t0 = clock.now_ns();
-    db.clone_from_snapshot("base", "clone.db").unwrap();
+    db.clone_db("clone.db").unwrap();
     let clone_ns = clock.now_ns() - t0;
     let clone = db.device_stats().delta_since(&before);
+    let revmap_after = revmap(&mut db);
+    let fs = db.fs_mut();
+    let policy = format!("{:?}", fs.device().config().revmap_policy);
+    let clone_file = fs.lookup("clone.db").unwrap();
+    let cloned = fs.len_pages(clone_file).unwrap();
 
-    // ---- 3. copy-on-write storm on the source -----------------------------
+    // ---- 2. copy-on-write storm on the source -----------------------------
     let before = db.device_stats();
     for i in 0..COW_WRITES {
         let key = rng.random_range(0..KEYS);
@@ -118,33 +107,32 @@ pub(crate) fn bench_snapshot(_: &Records) -> String {
     let cow = db.device_stats().delta_since(&before);
     let cow_wa = cow.nand.page_programs as f64 / cow.host_writes.max(1) as f64;
 
-    // ---- 4. point-in-time read latency ------------------------------------
+    // ---- 3. clone read latency --------------------------------------------
     let mut buf = vec![0u8; PAGE];
     let mut lat: Vec<u64> = Vec::with_capacity(READ_SAMPLES);
     for _ in 0..READ_SAMPLES {
-        let page = rng.random_range(0..frozen);
+        let page = rng.random_range(0..cloned);
         let t0 = clock.now_ns();
-        db.fs_mut().vfs_snapshot_read("base", page, &mut buf).unwrap();
+        db.fs_mut().read_page(clone_file, page, &mut buf).unwrap();
         lat.push(clock.now_ns() - t0);
     }
     lat.sort_unstable();
     let read_p50 = quantile(&lat, 0.50);
     let read_p99 = quantile(&lat, 0.99);
 
-    db.drop_snapshot("base").unwrap();
-
     render_table(
-        "snapshot_clone: instant clone of a 64 MiB aged mini-SQLite DB",
+        "bench_clone: SHARE clone of a 64 MiB aged mini-SQLite DB",
         &["metric", "value"],
         &[
-            vec!["db pages (frozen)".into(), frozen.to_string()],
-            vec!["create NAND programs".into(), create.nand.page_programs.to_string()],
-            vec!["create latency".into(), format!("{} us", f(create_ns as f64 / 1e3, 1))],
-            vec!["clone latency".into(), format!("{} ms", f(clone_ns as f64 / 1e6, 2))],
+            vec!["db pages cloned".into(), cloned.to_string()],
             vec!["clone NAND programs".into(), clone.nand.page_programs.to_string()],
+            vec!["clone latency".into(), format!("{} ms", f(clone_ns as f64 / 1e6, 2))],
+            vec!["reverse map before".into(), revmap_before],
+            vec!["reverse map after".into(), revmap_after],
+            vec!["reverse-map policy".into(), policy],
             vec!["CoW WA (storm window)".into(), f(cow_wa, 3)],
-            vec!["snapshot read p50".into(), format!("{} us", f(read_p50 as f64 / 1e3, 1))],
-            vec!["snapshot read p99".into(), format!("{} us", f(read_p99 as f64 / 1e3, 1))],
+            vec!["clone read p50".into(), format!("{} us", f(read_p50 as f64 / 1e3, 1))],
+            vec!["clone read p99".into(), format!("{} us", f(read_p99 as f64 / 1e3, 1))],
         ],
     )
 }

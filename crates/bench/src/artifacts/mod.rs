@@ -90,9 +90,9 @@ pub static ARTIFACTS: &[Artifact] = &[
     artifact("ablation_gc_policy", Vec::new, ftl::ablation_gc_policy),
     artifact("ablation_revmap", linkbench::revmap_runs, linkbench::revmap),
     artifact("bench_channels", Vec::new, ftl::bench_channels),
+    artifact("bench_clone", Vec::new, engines::bench_clone),
     artifact("bench_health", Vec::new, ftl::bench_health),
     artifact("bench_qd", Vec::new, ftl::bench_qd),
-    artifact("bench_snapshot", Vec::new, engines::bench_snapshot),
     artifact("fig5_linkbench_throughput", linkbench::fig5_runs, linkbench::fig5),
     artifact("fig6_io_activities", linkbench::fig6_runs, linkbench::fig6),
     artifact("fig7_ycsb_f", ycsb::fig7_runs, ycsb::fig7),

@@ -86,10 +86,10 @@ pub struct FtlConfig {
     /// (submitted, not yet reaped) at once. Synchronous commands ignore
     /// this entirely; `submit` returns `QueueFull` beyond it.
     pub queue_depth: usize,
-    /// Telemetry collection settings. Counters are always on; latency
-    /// histograms, spans and the flight recorder are opt-in. Telemetry only
-    /// reads the simulated clock, so no setting can change simulated
-    /// results.
+    /// Telemetry collection settings. Counters and the per-op-class latency
+    /// histograms are always on; spans and the flight recorder are opt-in.
+    /// Telemetry only reads the simulated clock, so no setting can change
+    /// simulated results.
     pub telemetry: TelemetryConfig,
 }
 

@@ -683,22 +683,19 @@ impl<D: BlockDevice> CouchStore<D> {
         // finishes"). Batches with tree changes fsync below as usual.
         if !self.pending_shares.is_empty() {
             // The device commits a batch in log-page-sized atomic chunks:
-            // cut the remap only where a document would cross one, never
-            // splitting a document across two log pages.
+            // a document is the unit the remap is never cut inside.
             let docs = std::mem::take(&mut self.pending_shares);
-            let limit = self.fs.share_batch_limit();
             let mut pairs = Vec::with_capacity(docs.len());
-            let mut cut = 0;
             for (old, new) in docs.values() {
-                if pairs.len() > cut && pairs.len() - cut + old.nblocks as usize > limit {
-                    self.fs.ioctl_share_pairs(self.file, self.file, &pairs[cut..])?;
-                    cut = pairs.len();
-                }
                 for i in 0..old.nblocks as u64 {
                     pairs.push((old.block + i, new.block + i));
                 }
             }
-            self.fs.ioctl_share_pairs(self.file, self.file, &pairs[cut..])?;
+            let ends = docs.values().scan(0, |end, (old, _)| {
+                *end += old.nblocks as usize;
+                Some(*end)
+            });
+            self.fs.ioctl_share_units(self.file, self.file, &pairs, ends)?;
             // The remap made the appended copies stale: unmap them now, one
             // command per run (a round's copies are adjacent). No flash is
             // freed — each page lives on under the old location — but the
@@ -736,54 +733,6 @@ impl<D: BlockDevice> CouchStore<D> {
             }
         }
         Ok(())
-    }
-
-    // ----- online backup ------------------------------------------------------
-
-    /// Whether the underlying device supports device-level snapshots.
-    pub fn supports_snapshot(&self) -> bool {
-        self.fs.supports_snapshot()
-    }
-
-    /// Begin an online backup: commit pending state so the last header is
-    /// durable, then freeze the database file as snapshot `snap` — zero
-    /// NAND page programs, O(mapped pages) of device RAM work. Foreground
-    /// saves and commits continue normally afterwards; the frozen image
-    /// stays consistent (copy-on-write at the FTL level). Returns the
-    /// number of frozen blocks.
-    pub fn begin_backup(&mut self, snap: &str) -> Result<u64, CouchError> {
-        let span = self.fs.root_span("begin_backup");
-        let r = self.begin_backup_inner(snap);
-        self.fs.end_span(span, r.is_ok());
-        r
-    }
-
-    fn begin_backup_inner(&mut self, snap: &str) -> Result<u64, CouchError> {
-        self.commit()?;
-        let name = self.name.clone();
-        self.fs.vfs_snapshot(&name, snap)?;
-        Ok(self.tail)
-    }
-
-    /// Finish an online backup: materialize snapshot `snap` as standalone
-    /// file `dst` (no data copied) and release the snapshot. The backup
-    /// file opens like any database — its newest intact header is the
-    /// state at `begin_backup` time, regardless of foreground writes since.
-    pub fn finish_backup(&mut self, snap: &str, dst: &str) -> Result<(), CouchError> {
-        let span = self.fs.root_span("finish_backup");
-        let r = self.fs.vfs_clone(snap, dst).map(|_| ());
-        let drop_r = self.fs.vfs_snapshot_drop(snap);
-        self.fs.end_span(span, r.is_ok());
-        r?;
-        drop_r?;
-        Ok(())
-    }
-
-    /// One-shot consistent backup of the committed database into `dst`.
-    pub fn backup(&mut self, dst: &str) -> Result<(), CouchError> {
-        let snap = format!("{dst}-src");
-        self.begin_backup(&snap)?;
-        self.finish_backup(&snap, dst)
     }
 
     // ----- wandering-tree update ----------------------------------------------

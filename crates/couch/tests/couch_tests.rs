@@ -689,62 +689,6 @@ fn group_save_overlaps_across_channels() {
     );
 }
 
-#[test]
-fn online_backup_is_consistent_despite_foreground_writes() {
-    for mode in [CouchMode::Original, CouchMode::Share] {
-        let mut s = store(mode, 8);
-        assert!(s.supports_snapshot());
-        for k in 0..120u64 {
-            s.save(k, &doc(k, 1)).unwrap();
-        }
-        s.commit().unwrap();
-        let count_at_backup = s.doc_count();
-        let before = s.device_stats();
-        let frozen = s.begin_backup("nightly").unwrap();
-        assert!(frozen > 0);
-        // Snapshot creation itself writes no data pages (the commit above
-        // already flushed; only the share-snapshot bookkeeping runs).
-        let spent = s.device_stats().delta_since(&before);
-        assert!(
-            spent.nand.page_programs <= spent.meta_page_writes,
-            "{mode:?}: backup copied data pages"
-        );
-        // Foreground keeps writing while the backup is held: updates,
-        // inserts and deletes all land after the freeze point.
-        for k in 0..120u64 {
-            s.save(k, &doc(k, 2)).unwrap();
-        }
-        for k in 200..240u64 {
-            s.save(k, &doc(k, 1)).unwrap();
-        }
-        for k in 0..10u64 {
-            s.delete(k).unwrap();
-        }
-        s.commit().unwrap();
-        s.finish_backup("nightly", "test.bak").unwrap();
-        // The backup opens as a database frozen at begin_backup time.
-        let fs = s.into_fs();
-        let cfg = CouchConfig { mode, batch_size: 8, node_max_entries: 16, ..Default::default() };
-        let mut bak = CouchStore::open(fs, "test.bak", cfg.clone()).unwrap();
-        assert_eq!(bak.doc_count(), count_at_backup, "{mode:?}: backup count diverged");
-        for k in 0..120u64 {
-            assert_eq!(bak.get(k).unwrap(), Some(doc(k, 1)), "{mode:?}: backup key {k}");
-        }
-        assert_eq!(bak.get(200).unwrap(), None, "{mode:?}: post-backup insert leaked in");
-        // The live database still has every post-backup change.
-        let fs = bak.into_fs();
-        let mut live = CouchStore::open(fs, "test.couch", cfg).unwrap();
-        for k in 10..120u64 {
-            assert_eq!(live.get(k).unwrap(), Some(doc(k, 2)), "{mode:?}: live key {k}");
-        }
-        assert_eq!(live.get(0).unwrap(), None, "{mode:?}: delete lost");
-        for k in 200..240u64 {
-            assert_eq!(live.get(k).unwrap(), Some(doc(k, 1)), "{mode:?}: insert lost");
-        }
-        live.fs_mut().device_mut().check_invariants();
-    }
-}
-
 /// Blocks the store itself wrote, checksums intact, sitting where another
 /// document's belong — the file a stale tail or a remap cut between two
 /// commands leaves. A read must say `Corrupt` rather than splice them in,

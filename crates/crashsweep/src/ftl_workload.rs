@@ -460,6 +460,13 @@ pub(crate) fn small_device(pages: u64) -> FtlConfig {
     FtlConfig::for_capacity_with(pages * 4096, 0.5, 4096, 16, NandTiming::zero())
 }
 
+/// The `mixed` and `overflow` device: [`MIXED_PAGES`] zero-latency 4 KiB
+/// pages in four-page blocks with a tenth spare, so GC copies live pages
+/// back within a few hundred ops and a crash can land inside a relocation.
+fn tight_device() -> FtlConfig {
+    FtlConfig::for_capacity_with(MIXED_PAGES * 4096, 0.1, 4096, 4, NandTiming::zero())
+}
+
 impl FtlWorkload {
     /// `ops`, issued synchronously on one stream of a device shaped `cfg`.
     pub(crate) fn new(name: String, cfg: FtlConfig, ops: Vec<FtlOp>) -> Self {
@@ -481,7 +488,7 @@ impl FtlWorkload {
             apply(&mut model, &op);
             ops.push(op);
         }
-        Self::new(format!("ftl-mixed-s{seed}-n{n_ops}"), small_device(MIXED_PAGES), ops)
+        Self::new(format!("ftl-mixed-s{seed}-n{n_ops}"), tight_device(), ops)
     }
 
     /// Sharing past a reverse map of [`OVERFLOW_REVMAP`] entries: a few
@@ -503,10 +510,9 @@ impl FtlWorkload {
         while ops.len() < n_ops {
             ops.push(gen_overflow(&mut rng));
         }
-        // Four-page blocks and a tenth spare: collection starts within the
-        // first hundred overwrites, and its victims still hold cold pages.
-        let mut cfg =
-            FtlConfig::for_capacity_with(MIXED_PAGES * 4096, 0.1, 4096, 4, NandTiming::zero());
+        // Collection starts within the first hundred overwrites, and its
+        // victims still hold cold pages.
+        let mut cfg = tight_device();
         cfg.revmap_capacity = OVERFLOW_REVMAP;
         Self::new(format!("ftl-overflow-s{seed}-n{n_ops}"), cfg, ops)
     }
@@ -806,6 +812,16 @@ mod tests {
         assert!(overflowed > 0, "the shares never overflowed the reverse map");
         assert!(relocated > 0, "GC never relocated an overflowed page");
         ftl.check_invariants();
+    }
+
+    /// The `ftl` and `queued` sweeps crash inside GC relocations: their
+    /// fault-free runs copy live pages back.
+    #[test]
+    fn mixed_and_queued_runs_copy_back() {
+        for w in [FtlWorkload::mixed(42, FTL_OPS), FtlWorkload::queued(42, FTL_OPS, 4)] {
+            let (ftl, _, _) = w.run(None).unwrap();
+            assert!(ftl.stats().copyback_pages > 0, "{}: GC never copied back", w.name);
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ use crate::bufpool::{BufferPool, PoolStats};
 use crate::error::EngineError;
 use crate::page::{NodePage, PageDecodeError, NO_PAGE};
 use crate::redo::{CheckpointMeta, RedoBody, RedoLog};
-use share_core::{BlockDevice, DeviceStats, SimpleSsd};
-use share_vfs::{FileId, Vfs, VfsOptions};
+use share_core::{BlockDevice, DeviceStats, FtlError, SimpleSsd};
+use share_vfs::{FileId, Vfs, VfsError, VfsOptions};
 
 /// How dirty pages propagate to their home location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -586,18 +586,12 @@ impl<D: BlockDevice> InnoDb<D> {
                         pairs.push((no * ppd + j, slot as u64 * ppd + j));
                     }
                 }
-                let chunk = ((self.fs.share_batch_limit() as u64 / ppd) * ppd) as usize;
-                let mut shared_ok = true;
-                for c in pairs.chunks(chunk.max(ppd as usize)) {
-                    match self.fs.ioctl_share_pairs(self.ts, self.dwb, c) {
-                        Ok(()) => {}
-                        Err(share_vfs::VfsError::Device(share_core::FtlError::RevMapFull { .. })) => {
-                            shared_ok = false;
-                            break;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
+                let ends = (1..=images.len()).map(|n| n * ppd as usize);
+                let shared_ok = match self.fs.ioctl_share_units(self.ts, self.dwb, &pairs, ends) {
+                    Ok(()) => true,
+                    Err(VfsError::Device(FtlError::RevMapFull { .. })) => false,
+                    Err(e) => return Err(e.into()),
+                };
                 if !shared_ok {
                     // Reverse-map pressure: fall back to the classic second
                     // write for this batch (the engine keeps running).

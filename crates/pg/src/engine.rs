@@ -580,13 +580,8 @@ impl<D: BlockDevice> MiniPg<D> {
                     }
                 }
                 // Keep each heap page within one atomic batch.
-                let chunk_pairs = ((self.fs.share_batch_limit() as u64 / dpp) * dpp) as usize;
-                let mut tmp: Vec<(u64, u64)> = Vec::new();
-                for c in pairs.chunks(chunk_pairs.max(dpp as usize)) {
-                    tmp.clear();
-                    tmp.extend_from_slice(c);
-                    self.fs.ioctl_share_pairs(self.data, self.journal, &tmp)?;
-                }
+                let ends = (1..=batch.len()).map(|n| n * dpp as usize);
+                self.fs.ioctl_share_units(self.data, self.journal, &pairs, ends)?;
             } else {
                 let mut images: Vec<Vec<u8>> = Vec::with_capacity(batch.len());
                 for &page_no in batch.iter() {

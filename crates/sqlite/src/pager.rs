@@ -248,6 +248,8 @@ impl<D: BlockDevice> MiniSqlite<D> {
         }
         let p = self.used_pages;
         self.used_pages += 1;
+        // Touched while absent, so a rollback drops the page.
+        self.touch(p);
         self.cache.insert(p, RecordPage::new(p));
         Ok(p)
     }
@@ -305,6 +307,9 @@ impl<D: BlockDevice> MiniSqlite<D> {
             }
         }
         self.txn_dirty.clear();
+        // The pages the transaction allocated were never written: give their
+        // numbers back, so `0..used_pages` stays the written pages.
+        self.used_pages = self.cache.keys().max().map_or(0, |&p| p + 1);
         // Rebuild the directory entries touched by the rollback.
         self.directory.clear();
         for (&p, pg) in &self.cache {
@@ -586,47 +591,30 @@ impl<D: BlockDevice> MiniSqlite<D> {
         Ok(())
     }
 
-    // --- snapshots / clones ---------------------------------------------------
+    // --- clones -----------------------------------------------------------------
 
-    /// Whether the underlying device supports device-level snapshots.
-    pub fn supports_snapshot(&self) -> bool {
-        self.fs.supports_snapshot()
-    }
-
-    /// Freeze the committed database image under snapshot `name` — the
-    /// paper-style "instant" operation: O(mapped pages) of RAM work, zero
-    /// NAND page programs. WAL contents are checkpointed into the database
-    /// first so the frozen file is self-contained.
-    pub fn snapshot_db(&mut self, name: &str) -> Result<(), SqliteError> {
-        let span = self.fs.root_span("snapshot_db");
-        let r = self.snapshot_db_inner(name);
+    /// Clone the committed database into a new file `dst` without copying
+    /// data: barrier, checkpoint the WAL (in WAL mode) so the database file
+    /// is self-contained, fsync, then remap its written pages
+    /// (`0..used_pages`) into `dst` with one SHARE ([`Vfs::clone_file`]) and
+    /// fsync the clone. Later commits to either file go out of place, so the
+    /// clone keeps the image of this moment. A failed remap leaves no `dst`.
+    pub fn clone_db(&mut self, dst: &str) -> Result<(), SqliteError> {
+        let span = self.fs.root_span("clone_db");
+        let r = self.clone_db_inner(dst);
         self.fs.end_span(span, r.is_ok());
         r
     }
 
-    fn snapshot_db_inner(&mut self, name: &str) -> Result<(), SqliteError> {
+    fn clone_db_inner(&mut self, dst: &str) -> Result<(), SqliteError> {
         self.fs.barrier()?;
         if self.cfg.mode == JournalMode::Wal && !self.wal_index.is_empty() {
             self.checkpoint_wal()?;
         }
         self.fs.fsync(self.db)?;
-        self.fs.vfs_snapshot("main.db", name)?;
+        let clone = self.fs.clone_file(self.db, self.used_pages, dst)?;
+        self.fs.fsync(clone)?;
         Ok(())
-    }
-
-    /// Release snapshot `name` (clones made from it stay valid).
-    pub fn drop_snapshot(&mut self, name: &str) -> Result<(), SqliteError> {
-        self.fs.vfs_snapshot_drop(name)?;
-        Ok(())
-    }
-
-    /// Materialize snapshot `name` as a standalone writable database file
-    /// `dst` without copying data (copy-on-write at the FTL level).
-    pub fn clone_from_snapshot(&mut self, name: &str, dst: &str) -> Result<(), SqliteError> {
-        let span = self.fs.root_span("clone_db");
-        let r = self.fs.vfs_clone(name, dst).map(|_| ());
-        self.fs.end_span(span, r.is_ok());
-        r.map_err(Into::into)
     }
 
     // --- startup scan ---------------------------------------------------------------

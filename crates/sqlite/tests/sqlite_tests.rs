@@ -234,62 +234,68 @@ fn commit_retries_through_a_saturated_shared_queue() {
 
 #[test]
 fn instant_clone_is_zero_copy_and_point_in_time() {
-    // Small database so the clone's LPN range fits alongside the source.
-    let mut db = MiniSqlite::create(
-        Ftl::new(ftl_cfg()),
-        SqliteConfig { mode: JournalMode::Share, max_pages: 256, ..Default::default() },
-    )
-    .unwrap();
-    assert!(db.supports_snapshot());
-    for k in 0..300u64 {
-        db.put(k, &val(k, 1)).unwrap();
-    }
-    db.commit().unwrap();
-    let before = db.device_stats();
-    // Snapshot, materialize, release: the clone keeps the frozen pages
-    // alive through its own references.
-    db.snapshot_db("clone.db-src").unwrap();
-    db.clone_from_snapshot("clone.db-src", "clone.db").unwrap();
-    db.drop_snapshot("clone.db-src").unwrap();
-    let spent = db.device_stats().delta_since(&before);
-    // Zero-copy: only mapping metadata (log flushes, fs metadata) is
-    // written — far fewer programs than the pages logically cloned.
-    let clone_id = db.fs_mut().lookup("clone.db").unwrap();
-    let cloned_pages = db.fs_mut().len_pages(clone_id).unwrap();
-    assert!(cloned_pages > 0);
-    assert!(
-        spent.nand.page_programs < cloned_pages,
-        "clone copied data: {} programs for {} pages",
-        spent.nand.page_programs,
-        cloned_pages
-    );
-    // Diverge the source after the clone.
-    for k in 0..300u64 {
-        db.put(k, &val(k, 2)).unwrap();
-    }
-    db.commit().unwrap();
-    // The clone still decodes to version-1 records.
-    let fs = db.fs_mut();
-    let clone = fs.lookup("clone.db").unwrap();
-    let ps = fs.page_size();
-    let mut img = vec![0u8; ps];
-    let mut seen = 0u64;
-    // Scan only the data region: in Share mode the staging area past
-    // max_pages holds after-image duplicates of the same records.
-    for p in 0..cloned_pages.min(256) {
-        fs.read_page(clone, p, &mut img).unwrap();
-        if let Ok(Some(pg)) = mini_sqlite::RecordPage::decode(&img) {
-            for (k, v) in &pg.records {
-                if *k < 300 {
-                    assert_eq!(v, &val(*k, 1), "clone key {k} saw post-clone write");
-                    seen += 1;
+    for mode in ALL_MODES {
+        // Small database so the clone's LPN range fits alongside the source.
+        let mut db = MiniSqlite::create(
+            Ftl::new(ftl_cfg()),
+            SqliteConfig { mode, max_pages: 256, ..Default::default() },
+        )
+        .unwrap();
+        for k in 0..300u64 {
+            db.put(k, &val(k, 1)).unwrap();
+        }
+        db.commit().unwrap();
+        // A rolled-back transaction's new pages were never written; the
+        // clone must not name them.
+        for k in 1000..1100u64 {
+            db.put(k, &val(k, 9)).unwrap();
+        }
+        db.rollback();
+        if mode == JournalMode::Wal {
+            // What the clone's own checkpoint would write is not the clone's.
+            db.checkpoint_wal().unwrap();
+        }
+        let before = db.device_stats();
+        // One remap of the written pages: the clone keeps them alive
+        // through its own references.
+        db.clone_db("clone.db").unwrap();
+        let spent = db.device_stats().delta_since(&before);
+        // Zero-copy: only mapping metadata (log flushes, fs metadata) is
+        // written — far fewer programs than the pages logically cloned.
+        let clone_id = db.fs_mut().lookup("clone.db").unwrap();
+        let cloned_pages = db.fs_mut().len_pages(clone_id).unwrap();
+        assert!(cloned_pages > 0);
+        assert!(
+            spent.nand.page_programs < cloned_pages,
+            "{mode:?}: clone copied data: {} programs for {} pages",
+            spent.nand.page_programs,
+            cloned_pages
+        );
+        // Diverge the source after the clone.
+        for k in 0..300u64 {
+            db.put(k, &val(k, 2)).unwrap();
+        }
+        db.commit().unwrap();
+        // The clone still decodes to version-1 records.
+        let fs = db.fs_mut();
+        let ps = fs.page_size();
+        let mut img = vec![0u8; ps];
+        let mut seen = 0u64;
+        for p in 0..cloned_pages {
+            fs.read_page(clone_id, p, &mut img).unwrap();
+            if let Ok(Some(pg)) = mini_sqlite::RecordPage::decode(&img) {
+                for (k, v) in &pg.records {
+                    if *k < 300 {
+                        assert_eq!(v, &val(*k, 1), "{mode:?}: clone key {k} saw post-clone write");
+                        seen += 1;
+                    }
                 }
             }
         }
+        assert_eq!(seen, 300, "{mode:?}: clone is missing records");
+        // Source sees version 2.
+        assert_eq!(db.get(7).unwrap(), Some(val(7, 2)));
     }
-    assert_eq!(seen, 300, "clone is missing records");
-    // Source sees version 2.
-    assert_eq!(db.get(7).unwrap(), Some(val(7, 2)));
 }
 
 #[test]
@@ -304,22 +310,24 @@ fn named_snapshot_outlives_source_churn_all_modes() {
             db.put(k, &val(k, 1)).unwrap();
         }
         db.commit().unwrap();
-        db.snapshot_db("v1").unwrap();
+        db.clone_db("restore.db").unwrap();
         for round in 2..6u64 {
             for k in 0..100u64 {
                 db.put(k, &val(k, round)).unwrap();
             }
             db.commit().unwrap();
         }
-        db.clone_from_snapshot("v1", "restore.db").unwrap();
-        db.drop_snapshot("v1").unwrap();
+        // The live database moved on; the clone still reads v1.
+        for k in 0..100u64 {
+            assert_eq!(db.get(k).unwrap(), Some(val(k, 5)), "{mode:?}: live key {k}");
+        }
         let fs = db.fs_mut();
         let restore = fs.lookup("restore.db").unwrap();
         let pages = fs.len_pages(restore).unwrap();
         let ps = fs.page_size();
         let mut img = vec![0u8; ps];
         let mut seen = 0u64;
-        for p in 0..pages.min(256) {
+        for p in 0..pages {
             fs.read_page(restore, p, &mut img).unwrap();
             if let Ok(Some(pg)) = mini_sqlite::RecordPage::decode(&img) {
                 for (k, v) in &pg.records {

@@ -2,7 +2,7 @@
 
 use crate::alloc::{Extent, ExtentAllocator};
 use crate::error::VfsError;
-use share_core::{crc32c, BlockDevice, CmdTag, Completion, Lpn, QueuedCmd, SharePair, SnapshotInfo};
+use share_core::{crc32c, BlockDevice, CmdTag, Completion, FtlError, Lpn, QueuedCmd, SharePair};
 use share_telemetry::{Layer, SpanId, Track, Tracer};
 
 const META_MAGIC: u32 = 0x4653_4D44; // "FSMD"
@@ -338,7 +338,7 @@ impl<D: BlockDevice> Vfs<D> {
     }
 
     /// Logical length in pages: one past the highest page written or
-    /// remapped into the file, or what `truncate` / `vfs_clone` set. A write
+    /// remapped into the file, or what `truncate` set. A write
     /// or SHARE past the end grows it in memory only; the durable file table
     /// records it at the next `fsync` that has metadata to persist (see
     /// [`Vfs::fsync`]), so a remount may read a shorter length.
@@ -540,12 +540,25 @@ impl<D: BlockDevice> Vfs<D> {
         })
     }
 
+    /// Pages remaining in the extent holding `page` (contiguous LPN run).
+    fn extent_run(&self, f: FileId, page: u64) -> Result<u64, VfsError> {
+        let file = self.file(f)?;
+        let mut remaining = page;
+        for e in &file.extents {
+            if remaining < e.len {
+                return Ok(e.len - remaining);
+            }
+            remaining -= e.len;
+        }
+        Err(VfsError::OutOfBounds { file: f.0, page, allocated: file.allocated_pages() })
+    }
+
     /// fsync: persist metadata if dirty, charge ordered-journal traffic,
     /// then flush the device.
     ///
     /// `fdatasync` semantics for the file length: the file table is
     /// rewritten only after a metadata change — create, delete, rename,
-    /// `fallocate` that allocates, `truncate`, `vfs_clone` — and a write or
+    /// `fallocate` that allocates, `truncate` — and a write or
     /// SHARE that only moves the length past the end is not one. The data
     /// it wrote is durable after this call; the longer length is durable
     /// after the next fsync that persists metadata. No engine reads the
@@ -799,205 +812,62 @@ impl<D: BlockDevice> Vfs<D> {
         })
     }
 
-    // ----- snapshots ------------------------------------------------------
-    //
-    // A VFS snapshot of file `f` under name `snap` is stored as one device
-    // snapshot per file extent, named `snap.0`, `snap.1`, … in extent order.
-    // The composition is re-derived from the device's snapshot table (which
-    // persists across remounts via the FTL checkpoint), so no VFS metadata
-    // format change is needed: part N's range length is the number of file
-    // pages it freezes, and the file's snapshotted length is the sum.
-
-    /// Whether the mounted device supports device-level snapshots.
-    pub fn supports_snapshot(&self) -> bool {
-        self.dev.supports_snapshot()
-    }
-
-    /// Freeze the current contents of `file_name` (up to its logical
-    /// length) as snapshot `snap`. Zero-copy: no data pages are written.
-    pub fn vfs_snapshot(&mut self, file_name: &str, snap: &str) -> Result<(), VfsError> {
-        self.traced("vfs_snapshot", 0, |fs| {
-            if snap.is_empty() || snap.len() > MAX_NAME {
-                return Err(VfsError::BadName(snap.into()));
-            }
-            let f = fs.lookup(file_name).ok_or_else(|| VfsError::NotFound(file_name.into()))?;
-            let (extents, len) = {
-                let file = fs.file(f)?;
-                (file.extents.clone(), file.len_pages)
-            };
-            if len == 0 {
-                return Err(VfsError::OutOfBounds { file: f.0, page: 0, allocated: 0 });
-            }
-            fs.dev.set_stream(fs.stream_of(f.0));
-            let mut created: Vec<String> = Vec::new();
-            let mut remaining = len;
-            let mut failed = None;
-            for e in &extents {
-                if remaining == 0 {
-                    break;
-                }
-                let take = e.len.min(remaining);
-                let part = format!("{snap}.{}", created.len());
-                match fs.dev.snapshot_create(&part, Lpn(e.start), take) {
-                    Ok(_) => {
-                        created.push(part);
-                        remaining -= take;
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = failed {
-                // Roll the half-made snapshot back before reporting.
-                for part in created {
-                    let _ = fs.dev.snapshot_drop(&part);
-                }
-                return Err(e.into());
-            }
-            Ok(())
-        })
-    }
-
-    /// Release snapshot `snap` (all its per-extent parts).
-    pub fn vfs_snapshot_drop(&mut self, snap: &str) -> Result<(), VfsError> {
-        self.traced("vfs_snapshot_drop", 0, |fs| {
-            let parts = fs.snapshot_parts(snap)?;
-            for p in parts {
-                fs.dev.snapshot_drop(&p.name)?;
-            }
-            Ok(())
-        })
-    }
-
-    /// VFS-level snapshots on the device: `(name, frozen_pages)` pairs,
-    /// grouping the per-extent parts back under their base name.
-    pub fn vfs_snapshot_list(&self) -> Result<Vec<(String, u64)>, VfsError> {
-        let mut totals: std::collections::BTreeMap<String, u64> = Default::default();
-        for info in self.dev.snapshot_list()? {
-            let base = match info.name.rfind('.') {
-                Some(dot) if info.name[dot + 1..].parse::<u32>().is_ok() => {
-                    info.name[..dot].to_string()
-                }
-                _ => info.name.clone(),
-            };
-            *totals.entry(base).or_default() += info.len;
-        }
-        Ok(totals.into_iter().collect())
-    }
-
-    /// Point-in-time read of page `page` of snapshot `snap`, bypassing the
-    /// live file (which may have been overwritten, truncated or deleted
-    /// since the snapshot was taken).
-    pub fn vfs_snapshot_read(
+    /// [`Vfs::ioctl_share_pairs`] cut only between atomic units — an engine
+    /// page's pairs, or one document's. `ends` gives, in order, the index in
+    /// `pairs` one past each unit, the last one `pairs.len()`. Each greedy
+    /// run of whole units that fits [`Vfs::share_batch_limit`] goes out as one
+    /// command, so no unit straddles two. A unit wider than the limit fails
+    /// with `BatchTooLarge` before a command carries it; commands already
+    /// sent stay committed, as when a command fails.
+    pub fn ioctl_share_units(
         &mut self,
-        snap: &str,
-        page: u64,
-        buf: &mut [u8],
-    ) -> Result<(), VfsError> {
-        self.traced("vfs_snapshot_read", 1, |fs| {
-            if buf.len() != fs.dev.page_size() {
-                return Err(VfsError::BadBufferLength { got: buf.len(), want: fs.dev.page_size() });
-            }
-            let parts = fs.snapshot_parts(snap)?;
-            let mut off = page;
-            for p in &parts {
-                if off < p.len {
-                    fs.dev.snapshot_read(&p.name, off, buf)?;
-                    return Ok(());
-                }
-                off -= p.len;
-            }
-            let total: u64 = parts.iter().map(|p| p.len).sum();
-            Err(VfsError::OutOfBounds { file: 0, page, allocated: total })
-        })
-    }
-
-    /// Materialize snapshot `snap` as a new writable file `dst_name`
-    /// without copying data: the clone's pages are remapped onto the
-    /// snapshot's frozen physical pages (copy-on-write at the FTL level).
-    pub fn vfs_clone(&mut self, snap: &str, dst_name: &str) -> Result<FileId, VfsError> {
-        self.traced("vfs_clone", 0, |fs| {
-            let parts = fs.snapshot_parts(snap)?;
-            let total: u64 = parts.iter().map(|p| p.len).sum();
-            let dst = fs.create(dst_name)?;
-            if total == 0 {
-                return Ok(dst);
-            }
-            match fs.vfs_clone_pages(&parts, dst, total) {
-                Ok(()) => Ok(dst),
-                Err(e) => {
-                    // Roll the half-made clone back before reporting.
-                    let _ = fs.delete(dst_name);
-                    Err(e)
-                }
-            }
-        })
-    }
-
-    fn vfs_clone_pages(
-        &mut self,
-        parts: &[SnapshotInfo],
         dst: FileId,
-        total: u64,
+        src: FileId,
+        pairs: &[(u64, u64)],
+        ends: impl IntoIterator<Item = usize>,
     ) -> Result<(), VfsError> {
-        self.fallocate(dst, total)?;
-        self.dev.set_stream(self.stream_of(dst.0));
-        // Walk the snapshot parts and the destination extents in lockstep,
-        // issuing one ranged clone per maximal window contiguous in both.
-        let mut g = 0u64;
-        let mut part_idx = 0usize;
-        let mut part_base = 0u64;
-        while g < total {
-            while g - part_base >= parts[part_idx].len {
-                part_base += parts[part_idx].len;
-                part_idx += 1;
+        let limit = self.share_batch_limit();
+        let (mut cut, mut start) = (0, 0);
+        for end in ends {
+            if end - start > limit {
+                return Err(FtlError::BatchTooLarge { got: end - start, max: limit }.into());
             }
-            let part = &parts[part_idx];
-            let off_in_part = g - part_base;
-            let dst_lpn = self.lpn_of(dst, g)?;
-            let run = self.extent_run(dst, g)?;
-            let chunk = run.min(part.len - off_in_part).min(total - g);
-            self.dev.snapshot_clone(&part.name, off_in_part, dst_lpn, chunk)?;
-            g += chunk;
+            if end - cut > limit {
+                self.ioctl_share_pairs(dst, src, &pairs[cut..start])?;
+                cut = start;
+            }
+            start = end;
         }
-        let file = self.files.get_mut(&dst.0).expect("created above");
-        file.len_pages = total;
-        self.meta_dirty = true;
+        if cut < pairs.len() {
+            self.ioctl_share_pairs(dst, src, &pairs[cut..])?;
+        }
         Ok(())
     }
 
-    /// Per-extent device snapshots composing VFS snapshot `snap`, in
-    /// extent order.
-    fn snapshot_parts(&self, snap: &str) -> Result<Vec<SnapshotInfo>, VfsError> {
-        let prefix = format!("{snap}.");
-        let mut parts: Vec<(u32, SnapshotInfo)> = Vec::new();
-        for info in self.dev.snapshot_list()? {
-            if let Some(suffix) = info.name.strip_prefix(&prefix) {
-                if let Ok(n) = suffix.parse::<u32>() {
-                    parts.push((n, info));
-                }
+    /// Clone the first `pages` pages of `src` into a new file `dst_name`
+    /// without copying data — the paper's "file copy almost without copying
+    /// data": create the file, `fallocate` it, and remap every page onto the
+    /// source's physical page with one [`Vfs::ioctl_share_pairs`]. Every page
+    /// must have been written: the device refuses an unmapped source with
+    /// `SrcUnmapped`. Later writes to either file go out of place, so the
+    /// clone keeps what it was given. On error the half-made file is
+    /// deleted; the clone is durable after the caller's `fsync` of it.
+    pub fn clone_file(
+        &mut self,
+        src: FileId,
+        pages: u64,
+        dst_name: &str,
+    ) -> Result<FileId, VfsError> {
+        self.traced("clone_file", pages, |fs| {
+            let dst = fs.create(dst_name)?;
+            let pairs: Vec<(u64, u64)> = (0..pages).map(|p| (p, p)).collect();
+            let r = fs.fallocate(dst, pages).and_then(|()| fs.ioctl_share_pairs(dst, src, &pairs));
+            if let Err(e) = r {
+                let _ = fs.delete(dst_name);
+                return Err(e);
             }
-        }
-        if parts.is_empty() {
-            return Err(VfsError::NotFound(format!("snapshot {snap}")));
-        }
-        parts.sort_by_key(|(n, _)| *n);
-        Ok(parts.into_iter().map(|(_, info)| info).collect())
-    }
-
-    /// Pages remaining in the extent holding `page` (contiguous LPN run).
-    fn extent_run(&self, f: FileId, page: u64) -> Result<u64, VfsError> {
-        let file = self.file(f)?;
-        let mut remaining = page;
-        for e in &file.extents {
-            if remaining < e.len {
-                return Ok(e.len - remaining);
-            }
-            remaining -= e.len;
-        }
-        Err(VfsError::OutOfBounds { file: f.0, page, allocated: file.allocated_pages() })
+            Ok(dst)
+        })
     }
 
     // ----- metadata persistence -------------------------------------------

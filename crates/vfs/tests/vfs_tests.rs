@@ -417,53 +417,84 @@ fn queued_submission_unsupported_on_simple_ssd() {
     );
 }
 
-// ----- device-level snapshots through the VFS -----------------------------
+/// Pairs per `ioctl_share_pairs` command, from the spans after `first`.
+fn share_commands(fs: &Vfs<Ftl>, first: usize) -> Vec<u64> {
+    let spans = fs.tracer().spans().split_off(first);
+    let cmds = spans.iter().filter(|s| s.layer == Layer::Vfs && s.name == "ioctl_share_pairs");
+    cmds.map(|s| s.pages).collect()
+}
 
 #[test]
-fn vfs_snapshot_clone_and_point_in_time_read() {
+fn ioctl_share_units_cuts_only_between_units() {
+    let cfg = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 16, nand_sim::NandTiming::zero())
+        .with_telemetry(TelemetryConfig::tracing());
+    let mut fs = Vfs::format(Ftl::new(cfg), VfsOptions::default()).unwrap();
+    let (a, b) = (fs.create("a").unwrap(), fs.create("b").unwrap());
+    let limit = fs.share_batch_limit();
+    let n = 2 * limit as u64 + 2;
+    fs.fallocate(a, n).unwrap();
+    for i in 0..n {
+        fs.write_page(b, i, &page(&fs, (i % 251) as u8 + 1)).unwrap();
+    }
+    let pairs: Vec<(u64, u64)> = (0..n).map(|i| (i, i)).collect();
+    fn ends(widths: &[usize]) -> impl Iterator<Item = usize> + '_ {
+        widths.iter().scan(0, |end, w| {
+            *end += w;
+            Some(*end)
+        })
+    }
+    // Greedy runs of whole units: two halves fill one command, the 3-pair
+    // unit does not fit beside the next one, the last unit rides along.
+    let widths = [limit / 2, limit - limit / 2, 3, limit - 2, 1];
+    let first = fs.tracer().span_count();
+    fs.ioctl_share_units(a, b, &pairs, ends(&widths)).unwrap();
+    assert_eq!(share_commands(&fs, first), [limit as u64, 3, limit as u64 - 1]);
+    for i in (0..n).step_by(37) {
+        assert_eq!(read_byte(&mut fs, a, i), (i % 251) as u8 + 1, "page {i}");
+    }
+    // A unit wider than the limit fails before any command carries it.
+    let (first, shares) = (fs.tracer().span_count(), fs.device().stats().share_commands);
+    let r = fs.ioctl_share_units(a, b, &pairs, ends(&[5, limit + 1]));
+    assert_eq!(r, Err(VfsError::Device(FtlError::BatchTooLarge { got: limit + 1, max: limit })));
+    assert!(share_commands(&fs, first).is_empty());
+    assert_eq!(fs.device().stats().share_commands, shares);
+}
+
+// ----- zero-copy clones through SHARE ---------------------------------------
+
+#[test]
+fn clone_file_is_zero_copy_and_copy_on_write() {
     let mut fs = ftl_fs();
-    assert!(fs.supports_snapshot());
     let f = fs.create("live.db").unwrap();
     for p in 0..8 {
         fs.write_page(f, p, &page(&fs, 10 + p as u8)).unwrap();
     }
-    fs.vfs_snapshot("live.db", "snap").unwrap();
-    let programs_at_create = fs.device().stats().nand.page_programs;
-    // Diverge the live file after the snapshot.
+    let before = fs.device().stats();
+    let c = fs.clone_file(f, 8, "clone.db").unwrap();
+    let spent = fs.device().stats().delta_since(&before);
+    assert_eq!((spent.host_writes, spent.share_commands, spent.shared_pages), (0, 1, 8));
+    assert_eq!(fs.len_pages(c).unwrap(), 8);
+    // Diverge the live file after the clone: the clone keeps its pages.
     for p in 0..8 {
         fs.write_page(f, p, &page(&fs, 99)).unwrap();
     }
-    // Point-in-time reads see the frozen contents.
-    let mut buf = vec![0u8; fs.page_size()];
-    for p in 0..8u64 {
-        fs.vfs_snapshot_read("snap", p, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 10 + p as u8), "snap page {p} diverged");
-    }
-    // A clone materializes the frozen contents as a writable file.
-    let c = fs.vfs_clone("snap", "clone.db").unwrap();
-    assert_eq!(fs.len_pages(c).unwrap(), 8);
     for p in 0..8 {
-        assert_eq!(read_byte(&mut fs, c, p), 10 + p as u8);
+        assert_eq!(read_byte(&mut fs, c, p), 10 + p as u8, "clone page {p}");
     }
-    // Writing the clone does not disturb snapshot or live file (CoW).
+    // Writing the clone does not disturb the live file.
     fs.write_page(c, 0, &page(&fs, 55)).unwrap();
     assert_eq!(read_byte(&mut fs, c, 0), 55);
     assert_eq!(read_byte(&mut fs, f, 0), 99);
-    fs.vfs_snapshot_read("snap", 0, &mut buf).unwrap();
-    assert!(buf.iter().all(|&b| b == 10));
-    let _ = programs_at_create; // creation cost asserted at the device layer
+    fs.device_mut().check_invariants();
 }
 
 #[test]
-fn vfs_snapshot_spans_multiple_extents() {
-    // Tiny extents force the snapshot into several per-extent parts and the
-    // clone into several ranged windows crossing part boundaries.
+fn clone_file_spans_multiple_extents() {
+    // Tiny extents: the source is several discontiguous LPN runs.
     let cfg = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 16, nand_sim::NandTiming::zero());
     let opts = VfsOptions { extent_chunk_pages: 8, ..VfsOptions::default() };
     let mut fs = Vfs::format(Ftl::new(cfg), opts).unwrap();
     let f = fs.create("seg.db").unwrap();
-    // Interleave growth of a second file so seg.db's extents are
-    // discontiguous in LPN space.
     let other = fs.create("other.db").unwrap();
     for round in 0..4u64 {
         for p in 0..8u64 {
@@ -472,79 +503,68 @@ fn vfs_snapshot_spans_multiple_extents() {
         }
         fs.write_page(other, round, &page(&fs, 7)).unwrap();
     }
-    assert!(fs.allocated_pages(f).unwrap() >= 32);
-    fs.vfs_snapshot("seg.db", "seg-snap").unwrap();
-    let listed = fs.vfs_snapshot_list().unwrap();
-    assert_eq!(listed, vec![("seg-snap".to_string(), 32)]);
-    let c = fs.vfs_clone("seg-snap", "seg-clone.db").unwrap();
+    assert_ne!(fs.lpn_of(f, 8).unwrap().0, fs.lpn_of(f, 7).unwrap().0 + 1, "extents must not abut");
+    let c = fs.clone_file(f, 32, "seg-clone.db").unwrap();
     assert_eq!(fs.len_pages(c).unwrap(), 32);
+    // The clone outlives the source.
+    fs.delete("seg.db").unwrap();
     for p in 0..32 {
         assert_eq!(read_byte(&mut fs, c, p), (p % 251) as u8, "clone page {p}");
     }
-    // Snapshot reads survive deletion of the source file entirely.
-    fs.delete("seg.db").unwrap();
-    let mut buf = vec![0u8; fs.page_size()];
-    for p in 0..32u64 {
-        fs.vfs_snapshot_read("seg-snap", p, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == (p % 251) as u8), "post-delete snap page {p}");
-    }
-    fs.vfs_snapshot_drop("seg-snap").unwrap();
-    assert!(fs.vfs_snapshot_list().unwrap().is_empty());
     fs.device_mut().check_invariants();
 }
 
 #[test]
-fn vfs_snapshot_survives_remount() {
-    let mut fs = ftl_fs();
+fn clone_file_survives_remount() {
+    let cfg = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 16, nand_sim::NandTiming::zero());
+    let mut fs = Vfs::format(Ftl::new(cfg.clone()), VfsOptions::default()).unwrap();
     let f = fs.create("db").unwrap();
     for p in 0..4 {
         fs.write_page(f, p, &page(&fs, 40 + p as u8)).unwrap();
     }
-    fs.vfs_snapshot("db", "keep").unwrap();
+    let c = fs.clone_file(f, 4, "db2").unwrap();
+    fs.fsync(c).unwrap();
+    // The source moves on; the remounted clone still holds what it was given.
+    for p in 0..4 {
+        fs.write_page(f, p, &page(&fs, 77)).unwrap();
+    }
     fs.fsync(f).unwrap();
-    // Remount the file system; the snapshot composition is re-derived from
-    // the device's snapshot table.
-    let dev = fs.into_device();
+    let dev = Ftl::open(cfg, fs.into_device().into_nand()).unwrap();
     let mut fs = Vfs::open(dev, VfsOptions::default()).unwrap();
-    assert_eq!(fs.vfs_snapshot_list().unwrap(), vec![("keep".to_string(), 4)]);
-    let c = fs.vfs_clone("keep", "db2").unwrap();
+    let c = fs.lookup("db2").unwrap();
+    assert_eq!(fs.len_pages(c).unwrap(), 4);
     for p in 0..4 {
         assert_eq!(read_byte(&mut fs, c, p), 40 + p as u8);
     }
 }
 
 #[test]
-fn vfs_snapshot_errors() {
+fn clone_file_of_an_unwritten_page_leaves_no_file() {
     let mut fs = ftl_fs();
-    assert!(matches!(fs.vfs_snapshot("nope", "s"), Err(VfsError::NotFound(_))));
-    fs.create("empty").unwrap();
-    assert!(matches!(fs.vfs_snapshot("empty", "s"), Err(VfsError::OutOfBounds { .. })));
-    assert!(matches!(fs.vfs_clone("missing", "x"), Err(VfsError::NotFound(_))));
-    assert!(matches!(fs.vfs_snapshot_drop("missing"), Err(VfsError::NotFound(_))));
     let f = fs.create("a").unwrap();
-    fs.write_page(f, 0, &page(&fs, 1)).unwrap();
-    fs.vfs_snapshot("a", "s").unwrap();
-    // Duplicate snapshot name is rejected by the device without side effects.
-    assert!(matches!(fs.vfs_snapshot("a", "s"), Err(VfsError::Device(FtlError::SnapshotExists))));
-    // Clone destination name collision rolls back cleanly.
-    assert!(matches!(fs.vfs_clone("s", "a"), Err(VfsError::Exists(_))));
-    let mut buf = vec![0u8; fs.page_size()];
-    assert!(matches!(
-        fs.vfs_snapshot_read("s", 9, &mut buf),
-        Err(VfsError::OutOfBounds { .. })
-    ));
+    fs.fallocate(f, 4).unwrap();
+    for p in [0, 1, 3] {
+        fs.write_page(f, p, &page(&fs, 1)).unwrap();
+    }
+    // Page 2 was never written: the device refuses an unmapped source.
+    let hole = fs.lpn_of(f, 2).unwrap();
+    assert_eq!(fs.clone_file(f, 4, "b"), Err(VfsError::Device(FtlError::SrcUnmapped(hole))));
+    assert_eq!(fs.lookup("b"), None);
+    // A taken name fails before anything else, and leaves the file alone.
+    assert_eq!(fs.clone_file(f, 2, "a"), Err(VfsError::Exists("a".into())));
+    assert_eq!(read_byte(&mut fs, f, 3), 1);
+    // The rolled-back name is free again: a clone of the written prefix works.
+    let c = fs.clone_file(f, 2, "b").unwrap();
+    assert_eq!(read_byte(&mut fs, c, 1), 1);
+    fs.device_mut().check_invariants();
 }
 
 #[test]
-fn vfs_snapshot_unsupported_on_simple_ssd() {
+fn clone_file_unsupported_on_simple_ssd() {
     let dev = SimpleSsd::new(4096, 2048, nand_sim::SimClock::new());
     let mut fs = Vfs::format(dev, VfsOptions::default()).unwrap();
-    assert!(!fs.supports_snapshot());
     let f = fs.create("a").unwrap();
-    let data = vec![1u8; fs.page_size()];
-    fs.write_page(f, 0, &data).unwrap();
-    assert!(matches!(
-        fs.vfs_snapshot("a", "s"),
-        Err(VfsError::Device(FtlError::Unsupported(_)))
-    ));
+    fs.write_page(f, 0, &page(&fs, 1)).unwrap();
+    assert_eq!(fs.clone_file(f, 1, "b"), Err(VfsError::Device(FtlError::Unsupported("share"))));
+    assert_eq!(fs.lookup("b"), None);
 }
