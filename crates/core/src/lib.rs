@@ -72,7 +72,7 @@ pub use queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
 pub use snapshot::{SnapshotInfo, SnapshotTable};
 pub use stats::DeviceStats;
 pub use types::{Lpn, SharePair};
-pub use util::crc32c;
+pub use util::{crc32c, crc32c_append, FixedState};
 
 /// Re-exported observability subsystem (see the `share-telemetry` crate):
 /// op-class counters, latency histograms, spans, SLO rules, exporters.

@@ -120,7 +120,15 @@ fn step(crc: u32, chunk: &[u8]) -> u32 {
 /// (DESIGN.md §6 says why the `crc32` instruction is not used, and why two
 /// lanes and not three).
 pub fn crc32c(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32c_append(0, data)
+}
+
+/// The CRC-32C of `a ‖ data`, given `crc` = [`crc32c`]`(a)`: the same
+/// kernel, started from the state `crc` finalises. A log that checksums a
+/// page it fills record by record extends its CRC by each record instead
+/// of checksumming the page again; `crc32c_append(0, x) == crc32c(x)`.
+pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
     let mut rest = data;
     while rest.len() >= 2 * LANE {
         let (a, tail) = rest.split_at(LANE);
@@ -144,7 +152,8 @@ pub fn crc32c(data: &[u8]) -> u32 {
 }
 
 /// Hasher with no per-process state, for hash tables keyed by numbers the
-/// device hands out itself (physical page numbers). `RandomState` seeds
+/// stack hands out itself (physical page numbers, an engine's page
+/// numbers). It is also cheaper per lookup than SipHash. `RandomState` seeds
 /// every table differently in every process, so where a table's probe
 /// sequences collide — and with that when it grows or rehashes — differs
 /// from run to run; on this hasher the same command sequence allocates the
@@ -268,6 +277,27 @@ mod tests {
                 let data = &buf[start..start + len];
                 assert_eq!(crc32c(data), crc32c_bytewise(data), "len {len} start {start}");
             }
+        }
+    }
+
+    #[test]
+    fn append_extends_the_checksum_of_a_prefix() {
+        use share_rng::Rng;
+        // Totals around one two-lane block and a whole 4 KiB page, split
+        // at and beside the byte step, the byte tail and the lane length,
+        // so the first part ends and the second starts everywhere the
+        // kernel changes loops.
+        let mut buf = vec![0u8; 4096];
+        share_rng::StdRng::seed_from_u64(0xA99E_4D00).fill(&mut buf);
+        for total in [4031, 4032, 4033, 4096] {
+            let data = &buf[..total];
+            for cut in [0, 1, 7, 8, 2015, 2016, 2017] {
+                let (a, b) = data.split_at(cut);
+                assert_eq!(crc32c_append(crc32c(a), b), crc32c(data), "total {total} cut {cut}");
+            }
+        }
+        for len in [0, 1, 7, 8, 9, 2016, 4031, 4032, 4033, 4096] {
+            assert_eq!(crc32c_append(0, &buf[..len]), crc32c(&buf[..len]), "len {len}");
         }
     }
 

@@ -27,6 +27,7 @@
 //! head of the list is where a checkpoint may be recorded.
 
 use crate::page::NodePage;
+use share_core::FixedState;
 use std::collections::HashMap;
 
 const NIL: usize = usize::MAX;
@@ -71,7 +72,7 @@ pub struct PoolStats {
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Option<Frame>>,
-    map: HashMap<u64, usize>,
+    map: HashMap<u64, usize, FixedState>,
     head: usize, // most recently used
     tail: usize, // least recently used
     mid: usize,  // old-sublist head; NIL while the old sublist is empty
@@ -90,7 +91,7 @@ impl BufferPool {
         Self {
             capacity,
             frames: (0..capacity).map(|_| None).collect(),
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(capacity, FixedState::default()),
             head: NIL,
             tail: NIL,
             mid: NIL,

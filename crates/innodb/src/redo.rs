@@ -11,7 +11,7 @@
 use crate::error::EngineError;
 use crate::key::Key;
 use crate::page::{record_end, record_starts};
-use share_core::{crc32c, BlockDevice, DeviceStats, Lpn, SimpleSsd};
+use share_core::{crc32c, crc32c_append, BlockDevice, DeviceStats, Lpn, SimpleSsd};
 
 const LOG_MAGIC: u32 = 0x5244_4F4C; // "RDOL"
 const HDR_MAGIC: u32 = 0x5244_4844; // "RDHD"
@@ -198,6 +198,9 @@ pub struct RedoLog {
     ckpt_pos: u64,
     /// Payload of the log page being filled.
     buf: Vec<u8>,
+    /// `crc32c(&buf)`, extended record by record: a flush stamps it
+    /// instead of checksumming the page it rewrites again.
+    buf_crc: u32,
     /// The one log-page image every device write is built in.
     page: Vec<u8>,
     next_lsn: u64,
@@ -223,6 +226,7 @@ impl RedoLog {
             start_seq: 0,
             ckpt_pos: 0,
             buf: Vec::with_capacity(page_size - PAGE_HDR),
+            buf_crc: 0,
             page: vec![0u8; page_size],
             next_lsn: 1,
             flushed_lsn: 0,
@@ -302,6 +306,7 @@ impl RedoLog {
             start_seq,
             ckpt_pos: start_seq * (page_size - PAGE_HDR) as u64,
             buf: Vec::with_capacity(page_size - PAGE_HDR),
+            buf_crc: 0,
             page,
             next_lsn,
             flushed_lsn: next_lsn - 1,
@@ -330,8 +335,9 @@ impl RedoLog {
         self.flushed_lsn
     }
 
-    /// The write position: the end of the last appended record.
-    pub(crate) fn position(&self) -> u64 {
+    /// The write position: the end of the last appended record (what
+    /// [`Self::write_checkpoint`] takes when nothing older is needed).
+    pub fn position(&self) -> u64 {
         self.seq * self.payload_cap() as u64 + self.buf.len() as u64
     }
 
@@ -353,8 +359,10 @@ impl RedoLog {
         if self.buf.len() + len > self.payload_cap() {
             self.write_page(true)?;
         }
+        let at = self.buf.len();
         self.buf.extend_from_slice(&lsn.to_le_bytes());
         body.encode(&mut self.buf);
+        self.buf_crc = crc32c_append(self.buf_crc, &self.buf[at..]);
         Ok(())
     }
 
@@ -364,17 +372,19 @@ impl RedoLog {
                 "log device full — checkpoint was not taken in time".into(),
             ));
         }
-        let page = &mut self.page;
-        page.fill(0);
+        debug_assert_eq!(self.buf_crc, crc32c(&self.buf), "running redo CRC");
+        let (page, used) = (&mut self.page, self.buf.len());
         page[0..4].copy_from_slice(&LOG_MAGIC.to_le_bytes());
-        page[8..10].copy_from_slice(&(self.buf.len() as u16).to_le_bytes());
-        page[PAGE_HDR..PAGE_HDR + self.buf.len()].copy_from_slice(&self.buf);
-        let crc = crc32c(&page[PAGE_HDR..PAGE_HDR + self.buf.len()]);
-        page[4..8].copy_from_slice(&crc.to_le_bytes());
+        page[4..8].copy_from_slice(&self.buf_crc.to_le_bytes());
+        page[8..10].copy_from_slice(&(used as u16).to_le_bytes());
+        page[10..PAGE_HDR].fill(0);
+        page[PAGE_HDR..PAGE_HDR + used].copy_from_slice(&self.buf);
+        page[PAGE_HDR + used..].fill(0);
         self.dev.write(Lpn(1 + self.seq % self.ring), page).map_err(EngineError::Device)?;
         if advance {
             self.seq += 1;
             self.buf.clear();
+            self.buf_crc = 0;
         }
         Ok(())
     }

@@ -206,3 +206,85 @@ fn share_falls_back_when_revmap_exhausted() {
         assert_eq!(e.get_node(i).unwrap(), Some(vec![9u8; 64]));
     }
 }
+
+/// The redo log stamps each page with a CRC it kept up record by record
+/// instead of checksumming the page at every flush. Drive appends, partial
+/// flushes (a tail page rewritten in place), full-page advances,
+/// checkpoints at the write position and behind it, and reopens that go on
+/// writing; after every step each log page on the device must carry
+/// `crc32c` of its payload, and recovery must replay every record the log
+/// acknowledged since its checkpoint.
+#[test]
+fn redo_pages_carry_the_crc_of_their_payload_through_flushes_checkpoints_and_reopens() {
+    use mini_innodb::{CheckpointMeta, Key, RedoBody, RedoLog, RedoRecord};
+    use nand_sim::SimClock;
+    use share_core::{crc32c, Lpn};
+    use share_rng::{Rng, StdRng};
+
+    const PAGES: u64 = 64;
+    const LOG_MAGIC: u32 = 0x5244_4F4C;
+
+    /// Every record page on the device: its payload's CRC is the stamped
+    /// one. Marks the pages that held records in `seen`.
+    fn check_pages(dev: &mut SimpleSsd, seen: &mut [bool]) {
+        let mut page = vec![0u8; 4096];
+        for lpn in 1..PAGES {
+            dev.read(Lpn(lpn), &mut page).unwrap();
+            if u32::from_le_bytes(page[0..4].try_into().unwrap()) != LOG_MAGIC {
+                continue;
+            }
+            let stamped = u32::from_le_bytes(page[4..8].try_into().unwrap());
+            let used = u16::from_le_bytes(page[8..10].try_into().unwrap()) as usize;
+            assert_eq!(stamped, crc32c(&page[16..16 + used]), "log page {lpn} ({used} bytes)");
+            assert!(page[16 + used..].iter().all(|&b| b == 0), "log page {lpn}: a stale tail");
+            seen[lpn as usize] = true;
+        }
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x2ED0_C2C0);
+    let mut log = RedoLog::format(SimpleSsd::new(4096, PAGES, SimClock::new())).unwrap();
+    // Records since the checkpoint, each with the position before it.
+    // Every round ends durable, so each of these is acknowledged. A
+    // position is that of the log before the record; a reopen renumbers
+    // the ring, so the positions before one are dropped.
+    let mut since: Vec<(Option<u64>, RedoRecord)> = Vec::new();
+    let mut seen = [false; PAGES as usize];
+    for round in 0..400u32 {
+        for _ in 0..rng.random_range(1..12u32) {
+            let lsn = log.next_lsn();
+            let len = rng.random_range(0..900usize);
+            let body = RedoBody::Upsert {
+                page_no: lsn % 97,
+                key: Key::node(lsn),
+                value: vec![lsn as u8; len],
+            };
+            since.push((Some(log.position()), RedoRecord { lsn, body: body.clone() }));
+            log.append(lsn, &body).unwrap();
+        }
+        match round % 7 {
+            // A checkpoint at the write position or at a record behind it.
+            3 | 6 => {
+                let later = &since[since.len() / 2..];
+                let behind = later.iter().find_map(|(pos, r)| Some((pos.as_ref()?, r)));
+                let (pos, ckpt_lsn) = match behind {
+                    Some((&pos, r)) if round % 2 == 1 => (pos, r.lsn),
+                    _ => (log.position(), since.last().unwrap().1.lsn + 1),
+                };
+                let meta = CheckpointMeta { ckpt_lsn, root: 1, height: 1, next_page_no: 2 };
+                log.write_checkpoint(meta, pos).unwrap();
+                since.retain(|(_, r)| r.lsn >= ckpt_lsn);
+            }
+            _ => log.flush().unwrap(),
+        }
+        check_pages(log.device_mut(), &mut seen);
+        // A reopen that goes on writing from the recovered log.
+        if round % 50 == 49 {
+            let (back, _, records) = RedoLog::recover(log.into_device()).unwrap();
+            let want: Vec<_> = since.iter().map(|(_, r)| r.clone()).collect();
+            assert_eq!(records, want, "round {round}: recovery replays every acknowledged record");
+            log = back;
+            since.iter_mut().for_each(|(pos, _)| *pos = None);
+        }
+    }
+    assert!(seen[1..].iter().all(|&s| s), "the log went round its whole ring");
+}

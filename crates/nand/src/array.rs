@@ -22,6 +22,90 @@ pub enum PageState {
 /// Byte value an erased NAND page reads as.
 const ERASED_BYTE: u8 = 0xFF;
 
+/// The slot of an erased page.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The arena page images live in. A slot holds one image and the side
+/// table `refs` counts the pages that hold it: a copyback points its
+/// destination at its source's slot instead of copying the bytes, and an
+/// erase frees a slot once no page holds it. A slot's bytes never change
+/// while a page holds it — every program fills a slot of its own or
+/// shares a finished one — so a shared image reads the same from every
+/// page. Freed slots keep their memory for the next programs: once the
+/// array has been written through, programming allocates nothing, and the
+/// footprint stays the high-water count of distinct images. Never
+/// persisted; an image file stores every page's bytes.
+///
+/// A count in a side table and not an `Arc` per image: an `Arc`'s count is
+/// a locked read-modify-write on the image's cold header at every share
+/// and every release.
+#[derive(Debug)]
+struct Slots {
+    images: Vec<Box<[u8]>>,
+    /// Pages holding each slot; 0 for a free slot.
+    refs: Vec<u32>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl Slots {
+    /// An empty arena whose vectors grow to `pages` slots without moving.
+    fn with_capacity(pages: usize) -> Self {
+        let (images, refs) = (Vec::with_capacity(pages), Vec::with_capacity(pages));
+        Self { images, refs, free: Vec::with_capacity(pages) }
+    }
+
+    /// A slot, held once, holding `data[..intact]` followed by the erased
+    /// pattern: a freed slot when there is one, a new allocation otherwise
+    /// (while the array first fills).
+    fn fill(&mut self, data: &[u8], intact: usize) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.images[slot as usize][..intact].copy_from_slice(&data[..intact]);
+                slot
+            }
+            None => self.adopt(data.to_vec().into_boxed_slice()),
+        };
+        self.images[slot as usize][intact..].fill(ERASED_BYTE);
+        self.refs[slot as usize] = 1;
+        slot
+    }
+
+    /// A new slot, held once, holding `image`.
+    fn adopt(&mut self, image: Box<[u8]>) -> u32 {
+        self.images.push(image);
+        self.refs.push(1);
+        self.images.len() as u32 - 1
+    }
+
+    /// One more page holding `slot`.
+    fn share(&mut self, slot: u32) -> u32 {
+        self.refs[slot as usize] += 1;
+        slot
+    }
+
+    /// One page fewer holding `slot`; the last frees it.
+    fn release(&mut self, slot: u32) {
+        let refs = &mut self.refs[slot as usize];
+        *refs -= 1;
+        if *refs == 0 {
+            self.free.push(slot);
+        }
+    }
+
+    fn image(&self, slot: u32) -> &[u8] {
+        &self.images[slot as usize]
+    }
+}
+
+/// What a program writes: bytes from the host, or (copyback) the image of
+/// a programmed page of the array, which the destination shares.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    Host(&'a [u8]),
+    Page(Ppn),
+}
+
 /// An open deferred-submission window: while active, operations dispatch
 /// onto their unit lanes starting from `frontier` but the shared clock is
 /// *not* advanced — the caller (a queued-command executor) learns the
@@ -38,8 +122,9 @@ struct DeferredWindow {
 
 /// A simulated NAND flash array.
 ///
-/// Content is stored per page (`None` = erased) so upper layers can verify
-/// data integrity end to end, including after injected crashes.
+/// Content is stored per page (in a shared slot; none while erased) so
+/// upper layers can verify data integrity end to end, including after
+/// injected crashes.
 ///
 /// # Timing model
 ///
@@ -66,12 +151,9 @@ pub struct NandArray {
     timing: NandTiming,
     clock: SimClock,
     fault: FaultHandle,
-    pages: Vec<Option<Box<[u8]>>>,
-    /// Page buffers of erased pages, handed to the next programs: once
-    /// the array has been written through, programming allocates nothing.
-    /// Holds only memory `pages` released, so the footprint stays the
-    /// high-water count of programmed pages. Never persisted.
-    spare: Vec<Box<[u8]>>,
+    /// The slot each page's image is in; [`NO_SLOT`] while erased.
+    pages: Vec<u32>,
+    slots: Slots,
     torn: Vec<bool>,
     /// Next programmable in-block page index, per block.
     next_page: Vec<u32>,
@@ -109,8 +191,8 @@ impl NandArray {
             timing,
             clock,
             fault: FaultHandle::new(),
-            pages: vec![None; total],
-            spare: Vec::new(),
+            pages: vec![NO_SLOT; total],
+            slots: Slots::with_capacity(total),
             torn: vec![false; total],
             next_page: vec![0; geometry.blocks as usize],
             erase_counts: vec![0; geometry.blocks as usize],
@@ -175,7 +257,7 @@ impl NandArray {
         let i = ppn.0 as usize;
         if self.torn[i] {
             PageState::Torn
-        } else if self.pages[i].is_some() {
+        } else if self.pages[i] != NO_SLOT {
             PageState::Programmed
         } else {
             PageState::Free
@@ -350,9 +432,9 @@ impl NandArray {
             return (t0, Err(e));
         }
         let end = self.sense(ppn, t0);
-        match &self.pages[ppn.0 as usize] {
-            Some(data) => buf.copy_from_slice(data),
-            None => buf.fill(ERASED_BYTE),
+        match self.pages[ppn.0 as usize] {
+            NO_SLOT => buf.fill(ERASED_BYTE),
+            slot => buf.copy_from_slice(self.slots.image(slot)),
         }
         (end, Ok(()))
     }
@@ -369,34 +451,46 @@ impl NandArray {
         end
     }
 
-    /// Page memory holding `data[..intact]` followed by the erased
-    /// pattern: a buffer recycled from an erased page when one is spare, a
-    /// fresh allocation otherwise (while the array first fills).
-    fn page_buffer(&mut self, data: &[u8], intact: usize) -> Box<[u8]> {
-        let mut buf = match self.spare.pop() {
-            Some(mut buf) => {
-                buf[..intact].copy_from_slice(&data[..intact]);
-                buf
+    /// The slot a program of `data` leaves in its page, holding
+    /// `data[..intact]` followed by the erased pattern. A whole copyback
+    /// shares its source's slot; anything else fills a slot of its own.
+    fn store(&mut self, data: Source<'_>, intact: usize) -> u32 {
+        match data {
+            Source::Host(bytes) => self.slots.fill(bytes, intact),
+            Source::Page(src) => {
+                let slot = self.pages[src.0 as usize];
+                if intact == self.geometry.page_size {
+                    return self.slots.share(slot);
+                }
+                // A torn copy: lent out for the fill and put back.
+                let image = std::mem::take(&mut self.slots.images[slot as usize]);
+                let torn = self.slots.fill(&image, intact);
+                self.slots.images[slot as usize] = image;
+                torn
             }
-            None => data.to_vec().into_boxed_slice(),
-        };
-        buf[intact..].fill(ERASED_BYTE);
-        buf
+        }
     }
 
     /// One page program, dispatched at `t0`. Enforces erase-before-program
     /// and in-order programming; runs the fault countdown exactly once per
     /// dispatched attempt. Returns the completion time and the outcome.
-    fn program_one(&mut self, ppn: Ppn, data: &[u8], t0: u64) -> (u64, Result<()>) {
+    fn program_one(&mut self, ppn: Ppn, data: Source<'_>, t0: u64) -> (u64, Result<()>) {
         if let Err(e) = self.check_ppn(ppn) {
             return (t0, Err(e));
         }
-        if data.len() != self.geometry.page_size {
-            let e = NandError::BadBufferLength { got: data.len(), want: self.geometry.page_size };
-            return (t0, Err(e));
+        let page_size = self.geometry.page_size;
+        if let Source::Host(bytes) = data {
+            if bytes.len() != page_size {
+                let e = NandError::BadBufferLength { got: bytes.len(), want: page_size };
+                return (t0, Err(e));
+            }
         }
         let idx = ppn.0 as usize;
-        if self.pages[idx].is_some() || self.torn[idx] {
+        // A copyback's source counts as lent out while its destination
+        // programs: a destination equal to it passes this check and is
+        // refused by the frontier below, with nothing touched.
+        let lent = matches!(data, Source::Page(src) if src == ppn);
+        if (self.pages[idx] != NO_SLOT && !lent) || self.torn[idx] {
             return (t0, Err(NandError::ProgramOnDirtyPage(ppn)));
         }
         let block = self.geometry.block_of(ppn);
@@ -407,14 +501,14 @@ impl NandArray {
         }
 
         let unit = self.geometry.unit_of(ppn) as usize;
-        let service = self.timing.program_ns + self.timing.xfer_ns(data.len());
+        let service = self.timing.program_ns + self.timing.xfer_ns(page_size);
         let end = self.dispatch(unit, t0, service);
 
         if let Some(mode) = self.fault.on_program() {
             self.trace_leaf("program", unit, end, service, 1, false);
             match mode {
                 FaultMode::TornHalf => {
-                    self.pages[idx] = Some(self.page_buffer(data, data.len() / 2));
+                    self.pages[idx] = self.store(data, page_size / 2);
                     self.torn[idx] = true;
                     self.next_page[block.0 as usize] = in_block + 1;
                     self.stats.page_programs += 1;
@@ -425,7 +519,7 @@ impl NandArray {
                     // a program that never reached the cells.
                 }
                 FaultMode::AfterProgram => {
-                    self.pages[idx] = Some(self.page_buffer(data, data.len()));
+                    self.pages[idx] = self.store(data, page_size);
                     self.next_page[block.0 as usize] = in_block + 1;
                     self.stats.page_programs += 1;
                 }
@@ -433,7 +527,7 @@ impl NandArray {
             return (end, Err(NandError::PowerLoss));
         }
 
-        self.pages[idx] = Some(self.page_buffer(data, data.len()));
+        self.pages[idx] = self.store(data, page_size);
         self.next_page[block.0 as usize] = in_block + 1;
         self.stats.page_programs += 1;
         self.trace_leaf("program", unit, end, service, 1, true);
@@ -456,7 +550,10 @@ impl NandArray {
         let start = self.geometry.first_ppn(block).0 as usize;
         let last = start + self.geometry.pages_per_block as usize;
         for i in start..last {
-            self.spare.extend(self.pages[i].take());
+            let slot = std::mem::replace(&mut self.pages[i], NO_SLOT);
+            if slot != NO_SLOT {
+                self.slots.release(slot);
+            }
             self.torn[i] = false;
         }
         self.next_page[block.0 as usize] = 0;
@@ -502,7 +599,7 @@ impl NandArray {
     pub fn program(&mut self, ppn: Ppn, data: &[u8]) -> Result<()> {
         self.check_up()?;
         let t0 = self.submit_t0();
-        let (end, res) = self.program_one(ppn, data, t0);
+        let (end, res) = self.program_one(ppn, Source::Host(data), t0);
         self.complete_submission(end);
         res
     }
@@ -523,7 +620,7 @@ impl NandArray {
         let mut max_end = t0;
         let mut res = Ok(());
         for (ppn, data) in reqs {
-            let (end, r) = self.program_one(ppn, data, t0);
+            let (end, r) = self.program_one(ppn, Source::Host(data), t0);
             max_end = max_end.max(end);
             if r.is_err() {
                 res = r;
@@ -538,10 +635,11 @@ impl NandArray {
     /// one submission, then the programs as a second, so timing, counters,
     /// trace leaves and the fault countdown are exactly those of a
     /// [`Self::read_batch`] of the sources followed by a
-    /// [`Self::program_batch`] of the destinations. Each image is copied
-    /// once, from the source page into the destination's buffer, and never
-    /// passes through the host. An erased source is refused before its
-    /// read: copyback moves only programmed pages.
+    /// [`Self::program_batch`] of the destinations. No image is copied: a
+    /// destination shares its source's slot (a torn destination gets a
+    /// slot of its own), and nothing passes through the host. An erased
+    /// source is refused before its read: copyback moves only programmed
+    /// pages.
     pub fn copyback_batch(&mut self, pairs: &[(Ppn, Ppn)]) -> Result<()> {
         self.check_up()?;
         let t0 = self.submit_t0();
@@ -552,7 +650,7 @@ impl NandArray {
                 res = Err(e);
                 break;
             }
-            if self.pages[src.0 as usize].is_none() {
+            if self.pages[src.0 as usize] == NO_SLOT {
                 res = Err(NandError::CopybackFromErased(src));
                 break;
             }
@@ -564,11 +662,7 @@ impl NandArray {
         let mut max_end = t0;
         let mut res = Ok(());
         for &(src, dst) in pairs {
-            // Lent out for the program and put back: a `dst` equal to `src`
-            // sits below its block's frontier and is refused untouched.
-            let image = self.pages[src.0 as usize].take().expect("sensed above");
-            let (end, r) = self.program_one(dst, &image, t0);
-            self.pages[src.0 as usize] = Some(image);
+            let (end, r) = self.program_one(dst, Source::Page(src), t0);
             max_end = max_end.max(end);
             if r.is_err() {
                 res = r;
@@ -620,7 +714,10 @@ impl NandArray {
     /// Raw content of a programmed (or torn) page, without timing or
     /// counters — used by image persistence.
     pub(crate) fn raw_page(&self, ppn: Ppn) -> Option<&[u8]> {
-        self.pages[ppn.0 as usize].as_deref()
+        match self.pages[ppn.0 as usize] {
+            NO_SLOT => None,
+            slot => Some(self.slots.image(slot)),
+        }
     }
 
     /// Rebuild an array from persisted parts (image loading). Validates
@@ -658,13 +755,16 @@ impl NandArray {
                 return Err("write frontier disagrees with the block's pages");
             }
         }
+        let mut slots = Slots::with_capacity(total);
+        let pages = pages.into_iter().map(|p| p.map_or(NO_SLOT, |image| slots.adopt(image)));
+        let pages = pages.collect();
         Ok(Self {
             geometry,
             timing,
             clock,
             fault: FaultHandle::new(),
             pages,
-            spare: Vec::new(),
+            slots,
             torn,
             next_page,
             erase_counts,

@@ -1,7 +1,7 @@
 //! Deterministic simulated clock shared by every device in an experiment.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// A shared, monotonically increasing simulated clock (nanoseconds).
 ///
@@ -10,9 +10,14 @@ use std::sync::Arc;
 /// the PM853T log drive in the paper's setup) observes a single timeline.
 /// Operations advance the clock by their modeled service time; host CPU
 /// time is charged explicitly by the drivers.
+///
+/// The clock is a single-thread shared cell, so it is neither `Send` nor
+/// `Sync`: an experiment builds and drives its whole stack on one thread
+/// (experiments run side by side on threads of their own, each with its
+/// own clock), and no submission pays a locked read-modify-write.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    ns: Arc<AtomicU64>,
+    ns: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -24,13 +29,15 @@ impl SimClock {
     /// Current simulated time in nanoseconds.
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.ns.load(Ordering::Relaxed)
+        self.ns.get()
     }
 
     /// Advance the clock by `ns` nanoseconds and return the new time.
     #[inline]
     pub fn advance(&self, ns: u64) -> u64 {
-        self.ns.fetch_add(ns, Ordering::Relaxed) + ns
+        let now = self.ns.get() + ns;
+        self.ns.set(now);
+        now
     }
 
     /// Move the clock forward to `ns` if it is currently earlier; never
@@ -42,12 +49,14 @@ impl SimClock {
     /// channels cost only the slowest one.
     #[inline]
     pub fn advance_to(&self, ns: u64) -> u64 {
-        self.ns.fetch_max(ns, Ordering::Relaxed).max(ns)
+        let now = self.ns.get().max(ns);
+        self.ns.set(now);
+        now
     }
 
     /// Two handles are *linked* if they advance the same underlying clock.
     pub fn is_linked_to(&self, other: &SimClock) -> bool {
-        Arc::ptr_eq(&self.ns, &other.ns)
+        Rc::ptr_eq(&self.ns, &other.ns)
     }
 }
 

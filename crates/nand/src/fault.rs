@@ -8,46 +8,25 @@
 //! [`crate::NandArray::power_cycle`] is called — exactly what a crash test
 //! needs to exercise recovery paths.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// What the injected fault does to the in-flight program.
-///
-/// The discriminants are explicit because the mode crosses the
-/// [`FaultHandle`]'s atomic as an `i64`; [`FaultMode::from_i64`] is the
-/// single decode point, so adding a mode without extending it is a
-/// compile/test error rather than a silent fallback to another mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(i64)]
 pub enum FaultMode {
     /// Half the page gets the new content, the rest stays erased (0xFF).
     #[default]
-    TornHalf = 0,
+    TornHalf,
     /// The program is lost entirely (page remains erased).
-    DroppedWrite = 1,
+    DroppedWrite,
     /// The program completes, *then* power fails (clean crash boundary).
-    AfterProgram = 2,
+    AfterProgram,
 }
 
 impl FaultMode {
     /// Every mode, for exhaustive crash sweeps.
     pub const ALL: [FaultMode; 3] =
         [FaultMode::TornHalf, FaultMode::DroppedWrite, FaultMode::AfterProgram];
-
-    /// The explicit discriminant (what [`FaultHandle`] stores atomically).
-    pub fn as_i64(self) -> i64 {
-        self as i64
-    }
-
-    /// Inverse of [`FaultMode::as_i64`]; `None` for unknown values.
-    pub fn from_i64(v: i64) -> Option<FaultMode> {
-        match v {
-            0 => Some(FaultMode::TornHalf),
-            1 => Some(FaultMode::DroppedWrite),
-            2 => Some(FaultMode::AfterProgram),
-            _ => None,
-        }
-    }
 
     /// Stable lowercase name (CLI arguments, sweep reports).
     pub fn label(self) -> &'static str {
@@ -67,32 +46,36 @@ impl FaultMode {
 #[derive(Debug, Default)]
 struct FaultState {
     /// Programs remaining before the fault fires; negative = disarmed.
-    countdown: AtomicI64,
+    countdown: Cell<i64>,
+    /// What the armed fault does.
+    mode: Cell<FaultMode>,
     /// Device is down after a fault until power-cycled.
-    down: AtomicBool,
+    down: Cell<bool>,
     /// Number of faults fired over the device lifetime.
-    fired: AtomicI64,
+    fired: Cell<u64>,
     /// Program *attempts* observed over the device lifetime (counted even
     /// while disarmed, and even for programs the fault then drops). Crash
     /// sweeps read this to enumerate the crash-point space of a workload.
-    seen: AtomicI64,
+    seen: Cell<u64>,
 }
 
 /// Shared handle controlling power-loss injection on one [`crate::NandArray`].
 ///
 /// Cloning the handle shares state, so a test can keep a handle while the
-/// device is owned by an FTL deep inside an engine stack.
+/// device is owned by an FTL deep inside an engine stack. Like
+/// [`crate::SimClock`] it is a single-thread shared cell, neither `Send`
+/// nor `Sync`: the device's stack lives on one thread, and a program's
+/// countdown takes no locked read-modify-write.
 #[derive(Debug, Clone, Default)]
 pub struct FaultHandle {
-    state: Arc<FaultState>,
-    mode: Arc<AtomicI64>, // FaultMode discriminant (see FaultMode::as_i64)
+    state: Rc<FaultState>,
 }
 
 impl FaultHandle {
     /// A disarmed handle.
     pub fn new() -> Self {
         let h = Self::default();
-        h.state.countdown.store(-1, Ordering::Relaxed);
+        h.state.countdown.set(-1);
         h
     }
 
@@ -100,23 +83,23 @@ impl FaultHandle {
     /// (1 = the very next program).
     pub fn arm_after_programs(&self, n: u64, mode: FaultMode) {
         assert!(n >= 1, "countdown must be at least 1");
-        self.mode.store(mode.as_i64(), Ordering::Relaxed);
-        self.state.countdown.store(n as i64, Ordering::Relaxed);
+        self.state.mode.set(mode);
+        self.state.countdown.set(n as i64);
     }
 
     /// Disarm any pending fault (does not bring a downed device back up).
     pub fn disarm(&self) {
-        self.state.countdown.store(-1, Ordering::Relaxed);
+        self.state.countdown.set(-1);
     }
 
     /// Whether the device is currently down due to a fired fault.
     pub fn is_down(&self) -> bool {
-        self.state.down.load(Ordering::Relaxed)
+        self.state.down.get()
     }
 
     /// How many faults have fired on this device.
     pub fn faults_fired(&self) -> u64 {
-        self.state.fired.load(Ordering::Relaxed) as u64
+        self.state.fired.get()
     }
 
     /// Program attempts observed since this handle's device was created,
@@ -125,33 +108,33 @@ impl FaultHandle {
     /// `NandStats::page_programs` it also counts attempts a
     /// [`FaultMode::DroppedWrite`] fault swallowed.
     pub fn programs_seen(&self) -> u64 {
-        self.state.seen.load(Ordering::Relaxed) as u64
+        self.state.seen.get()
     }
 
     /// Called by the device on each program/write. Returns `Some(mode)`
     /// when the fault fires on this operation. Public so that other device
     /// models (e.g. a conventional SSD) can share the injection mechanism.
     pub fn on_program(&self) -> Option<FaultMode> {
-        self.state.seen.fetch_add(1, Ordering::Relaxed);
-        let prev = self.state.countdown.load(Ordering::Relaxed);
-        if prev < 0 {
-            return None;
-        }
-        let now = self.state.countdown.fetch_sub(1, Ordering::Relaxed) - 1;
-        if now == 0 {
-            self.state.down.store(true, Ordering::Relaxed);
-            self.state.fired.fetch_add(1, Ordering::Relaxed);
-            self.state.countdown.store(-1, Ordering::Relaxed);
-            let raw = self.mode.load(Ordering::Relaxed);
-            Some(FaultMode::from_i64(raw).expect("armed FaultMode discriminant out of range"))
-        } else {
-            None
+        let s = &*self.state;
+        s.seen.set(s.seen.get() + 1);
+        match s.countdown.get() {
+            n if n < 0 => None,
+            1 => {
+                s.down.set(true);
+                s.fired.set(s.fired.get() + 1);
+                s.countdown.set(-1);
+                Some(s.mode.get())
+            }
+            n => {
+                s.countdown.set(n - 1);
+                None
+            }
         }
     }
 
     /// Called by the device on power-cycle.
     pub fn clear_down(&self) {
-        self.state.down.store(false, Ordering::Relaxed);
+        self.state.down.set(false);
     }
 }
 
@@ -181,19 +164,16 @@ mod tests {
     }
 
     #[test]
-    fn mode_discriminants_roundtrip() {
+    fn mode_labels_roundtrip() {
         for mode in FaultMode::ALL {
-            assert_eq!(FaultMode::from_i64(mode.as_i64()), Some(mode));
             assert_eq!(FaultMode::from_label(mode.label()), Some(mode));
         }
-        // Unknown encodings must be rejected, not folded into a real mode.
-        assert_eq!(FaultMode::from_i64(FaultMode::ALL.len() as i64), None);
-        assert_eq!(FaultMode::from_i64(-1), None);
+        // Unknown labels must be rejected, not folded into a real mode.
         assert_eq!(FaultMode::from_label("nonsense"), None);
     }
 
     #[test]
-    fn armed_mode_survives_the_atomic_roundtrip() {
+    fn armed_mode_is_the_mode_that_fires() {
         for mode in FaultMode::ALL {
             let h = FaultHandle::new();
             h.arm_after_programs(1, mode);

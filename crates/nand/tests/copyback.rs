@@ -174,3 +174,52 @@ fn an_erased_source_is_refused_before_its_read() {
     assert_eq!(after.states, before.states);
     assert!(NandError::CopybackFromErased(Ppn(9)).to_string().contains("erased"));
 }
+
+/// A copyback torn by a power loss gets an image of its own: the source's
+/// first half and an erased tail, while the source keeps its whole image
+/// — also after the torn copy's block is erased and its slot reused.
+#[test]
+fn a_torn_copyback_gets_its_own_image_with_an_erased_tail() {
+    let (mut a, _) = array();
+    a.fault_handle().arm_after_programs(2, FaultMode::TornHalf);
+    let pairs = [(Ppn(0), Ppn(12)), (Ppn(5), Ppn(13))];
+    assert_eq!(a.copyback_batch(&pairs), Err(NandError::PowerLoss));
+    a.power_cycle();
+    assert_eq!(a.page_state(Ppn(13)), PageState::Torn);
+    let mut buf = vec![0u8; PS];
+    a.read(Ppn(13), &mut buf).unwrap();
+    assert!(buf[..PS / 2].iter().all(|&x| x == 6), "the source's first half");
+    assert!(buf[PS / 2..].iter().all(|&x| x == 0xFF), "an erased tail");
+    a.read(Ppn(5), &mut buf).unwrap();
+    assert_eq!(buf, vec![6; PS], "the source is whole");
+    a.erase(BlockId(3)).unwrap();
+    a.program(Ppn(12), &vec![0x5A; PS]).unwrap();
+    a.read(Ppn(5), &mut buf).unwrap();
+    assert_eq!(buf, vec![6; PS]);
+    a.read(Ppn(0), &mut buf).unwrap();
+    assert_eq!(buf, vec![1; PS]);
+}
+
+/// A page copied onto itself is below its block's frontier: refused as an
+/// out-of-order program (a torn one as a program on a dirty page) before
+/// its program is booked, with the medium as it was.
+#[test]
+fn a_copyback_onto_its_own_source_is_refused_untouched() {
+    for p in [Ppn(0), Ppn(5), Ppn(2 * PPB)] {
+        let (mut a, tracer) = array();
+        let mut twin = array().0;
+        let before = observe(&a, &tracer);
+        let frontier = a.write_frontier(BlockId(p.0 / PPB));
+        let want = match a.page_state(p) {
+            PageState::Torn => NandError::ProgramOnDirtyPage(p),
+            _ => NandError::OutOfOrderProgram { ppn: p, expected_index: frontier },
+        };
+        assert_eq!(a.copyback_batch(&[(p, p)]), Err(want), "{p:?}");
+        let after = observe(&a, &tracer);
+        assert_eq!(after.states, before.states, "{p:?}");
+        assert_eq!(after.frontiers, before.frontiers);
+        assert_eq!(after.stats.page_programs, before.stats.page_programs);
+        assert_eq!(a.fault_handle().programs_seen(), twin.fault_handle().programs_seen());
+        assert_eq!(images(&mut a), images(&mut twin), "{p:?}: page images");
+    }
+}
