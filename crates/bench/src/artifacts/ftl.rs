@@ -1,13 +1,13 @@
 //! The artifacts that set up a bare FTL of their own: the ablations of
 //! the FTL's design choices, recovery cost, trace replay, and the channel,
-//! queue-depth and health device benches.
+//! queue-depth device benches.
 
 use super::Records;
 use crate::{f, render_table};
 use nand_sim::NandTiming;
 use share_core::{
-    AlertSeverity, BlockDevice, Ftl, FtlConfig, FtlError, GcPolicy, Lpn, OpClass, QueuedCmd,
-    SharePair, SloConfig, Snapshot, TelemetryConfig,
+    BlockDevice, Ftl, FtlConfig, FtlError, GcPolicy, Lpn, OpClass, QueuedCmd, SharePair,
+    Snapshot,
 };
 use share_rng::{Rng, StdRng};
 use share_workloads::{AccessPattern, TraceConfig, TraceGen, TraceOp, Zipfian};
@@ -230,113 +230,6 @@ pub(crate) fn bench_channels(_: &Records) -> String {
 
 const PAGE: usize = 4096;
 const CHANNELS: u32 = 4;
-/// 16 MiB logical at 20 % over-provisioning: small enough to age in
-/// seconds of wall clock, full enough that GC runs from round one.
-const LOGICAL_PAGES: u64 = 4096;
-const ROUNDS: u64 = 6;
-const SEED: u64 = 77;
-/// Epoch length of the sampler (simulated). ~14 s of simulated aging at
-/// realistic NAND timing seals a few hundred epochs.
-const EPOCH_NS: u64 = 50_000_000;
-/// The SLO rule the health bench reads its epochs with: critical at the
-/// last free block or under 5 % life left, a warning above a wear skew
-/// (max/mean erase count) of 2.5. Greedy GC over uniform overwrites
-/// measures ~1.05 on this config once aged; 2.5 leaves room for drift
-/// without letting real imbalance (one hot block soaking all erases)
-/// pass without an alert.
-const HEALTH_SLO: SloConfig = SloConfig {
-    write_p99_ceiling_ns: None,
-    read_p99_ceiling_ns: None,
-    gc_stall_budget_ns: None,
-    free_block_floor: Some(1),
-    wear_skew_max: Some(2.5),
-    remaining_life_floor: Some(0.05),
-};
-
-/// Device-health bench — the flight recorder and wear model watching a
-/// 4-channel device age.
-///
-/// One deterministic run fills the device, then drives uniform overwrite
-/// rounds with the epoch sampler on, so GC churns while the recorder
-/// seals per-epoch deltas; [`HEALTH_SLO`] is then evaluated over every
-/// sealed epoch. The end-of-run health report (wear histogram, skew,
-/// remaining life, sealed epochs, alerts by severity) is printed and
-/// gated byte for byte by `results/bench_health.txt`: greedy GC over
-/// uniform traffic must spread erases evenly (skew near 1) and a healthy
-/// aging run fires no critical alert (free-block floor, remaining-life
-/// floor). One thing the report cannot show is asserted: the sealed
-/// epoch deltas sum exactly to the cumulative device counters (the
-/// recorder's standing exactness guarantee, re-checked here on a workload
-/// the unit tests don't run).
-pub(crate) fn bench_health(_: &Records) -> String {
-    let dev = aged_health_device();
-    let stats = dev.stats();
-    let report = dev.health_report();
-    let mon = dev.monitor_snapshot().expect("recorder on");
-
-    // ---- console view ------------------------------------------------------
-    let rows: Vec<Vec<String>> = report
-        .wear_hist
-        .iter()
-        .map(|b| {
-            vec![format!("{}..{}", b.lo, b.hi), b.blocks.to_string()]
-        })
-        .collect();
-    let title = "Health: erase-count histogram after aging (4 channels)";
-    let mut out = render_table(title, &["erases", "blocks"], &rows);
-    out += &format!(
-        "wear: min {} max {} mean {:.1} skew {:.2}  free {}  life {:.1}%  epochs {}\n",
-        report.wear.min_erases,
-        report.wear.max_erases,
-        report.wear.mean_erases,
-        report.wear_skew,
-        report.free_blocks,
-        report.remaining_life * 100.0,
-        mon.sealed,
-    );
-
-    let alerts = mon.alerts(&HEALTH_SLO);
-    let critical = alerts.iter().filter(|a| a.severity == AlertSeverity::Critical).count();
-    out += &format!("alerts: {} warning, {critical} critical\n", alerts.len() - critical);
-
-    assert_eq!(
-        mon.total_stats(),
-        stats,
-        "epoch deltas do not sum to the cumulative device counters"
-    );
-    out
-}
-
-/// The health bench's device after its run: filled once, then aged by
-/// [`ROUNDS`] rounds of uniform overwrites under the epoch sampler.
-fn aged_health_device() -> Ftl {
-    let cfg = FtlConfig::for_capacity_with(
-        LOGICAL_PAGES * PAGE as u64,
-        0.20,
-        PAGE,
-        64,
-        NandTiming::default(),
-    )
-    .with_parallelism(CHANNELS, 1)
-    .with_telemetry(TelemetryConfig::monitoring(EPOCH_NS));
-    let mut dev = Ftl::new(cfg);
-    let mut rng = StdRng::seed_from_u64(SEED);
-
-    // Fill once, then age with uniform overwrites: every page is equally
-    // hot, so a healthy device wears its blocks evenly.
-    for lpn in 0..LOGICAL_PAGES {
-        dev.write(Lpn(lpn), &vec![(lpn % 251 + 1) as u8; PAGE]).expect("fill write");
-    }
-    for _ in 0..ROUNDS {
-        for _ in 0..LOGICAL_PAGES {
-            let lpn = rng.random_range(0..LOGICAL_PAGES);
-            dev.write(Lpn(lpn), &vec![rng.random_range(1..256u32) as u8; PAGE])
-                .expect("aging write");
-        }
-        dev.flush().expect("round flush");
-    }
-    dev
-}
 
 /// Pages written (and read back) per run.
 const TOTAL_PAGES: u64 = 2048;
@@ -591,29 +484,4 @@ pub(crate) fn trace_replay(_: &Records) -> String {
      uniform: with a single write point, hot-head pages share blocks with a\n\
      cold tail that gets copied over and over — the classic argument for\n\
      hot/cold data separation in FTL design.\n"
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use share_core::{AlertKind, BlockDevice};
-
-    /// The alerts the health bench's rule fires, as recorded when the
-    /// device still judged its own epochs: 19 wear-skew warnings over the
-    /// early epochs, when a few blocks carry every erase, and none critical.
-    #[test]
-    fn health_alerts_match_the_recorded_list() {
-        let mon = aged_health_device().monitor_snapshot().expect("recorder on");
-        assert_eq!((mon.sealed, mon.dropped), (745, 0));
-        let alerts: Vec<_> = mon
-            .alerts(&HEALTH_SLO)
-            .iter()
-            .map(|a| (a.epoch, a.ns, a.kind, a.severity, a.value, a.threshold))
-            .collect();
-        assert_eq!(alerts.len(), 19);
-        let warning =
-            |epoch, ns, value| (epoch, ns, AlertKind::WearSkew, AlertSeverity::Warning, value, 2.5);
-        assert_eq!(alerts[0], warning(79, 4_008_336_000, 29.0));
-        assert_eq!(alerts[18], warning(110, 5_550_684_000, 2.5588235294117645));
-    }
 }

@@ -91,7 +91,6 @@ pub static ARTIFACTS: &[Artifact] = &[
     artifact("ablation_revmap", linkbench::revmap_runs, linkbench::revmap),
     artifact("bench_channels", Vec::new, ftl::bench_channels),
     artifact("bench_clone", Vec::new, engines::bench_clone),
-    artifact("bench_health", Vec::new, ftl::bench_health),
     artifact("bench_qd", Vec::new, ftl::bench_qd),
     artifact("fig5_linkbench_throughput", linkbench::fig5_runs, linkbench::fig5),
     artifact("fig6_io_activities", linkbench::fig6_runs, linkbench::fig6),

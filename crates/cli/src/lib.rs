@@ -16,12 +16,7 @@
 //! All logic lives in [`run`], which returns the output text — `main` is a
 //! thin wrapper, so the whole tool is unit-testable.
 
-use share_core::telemetry::json::Json;
-use share_core::telemetry::EpochObservation;
-use share_core::{
-    Alert, AlertSeverity, BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, SharePair, SloConfig,
-    TelemetryConfig, DEFAULT_ENDURANCE_CYCLES,
-};
+use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, SharePair, TelemetryConfig};
 use share_workloads::{parse_trace, AccessPattern, TraceConfig, TraceGen, TraceOp};
 use std::fmt::Write as _;
 use std::fs;
@@ -73,15 +68,9 @@ fn usage() -> String {
      \x20\x20\x20\x20 observation only, nothing is written back to the image)\n\
      \x20 sharectl monitor <img> [--workload sequential|uniform|zipfian|mixed] [--ops N]\n\
      \x20\x20\x20\x20 [--seed N] [--epoch-ms N] [--ring N] [--format table|json]\n\
-     \x20\x20\x20\x20 [--write-p99-us N] [--read-p99-us N] [--gc-stall-ms N]\n\
-     \x20\x20\x20\x20 [--free-floor N] [--skew-max X] [--life-floor X]\n\
      \x20\x20\x20\x20 (run a workload under the flight recorder: one row of counter\n\
-     \x20\x20\x20\x20 deltas per epoch, SLO alerts at epoch boundaries — observation\n\
-     \x20\x20\x20\x20 only, nothing is written back to the image)\n\
-     \x20 sharectl doctor <img> [--endurance N] [--free-floor N] [--skew-max X]\n\
-     \x20\x20\x20\x20 [--life-floor X] [--format text|json]\n\
-     \x20\x20\x20\x20 (read-only health report: wear histogram, free-block headroom,\n\
-     \x20\x20\x20\x20 lifetime WA, remaining life; exits non-zero on a critical breach)\n\
+     \x20\x20\x20\x20 deltas per epoch — observation only, nothing is written back\n\
+     \x20\x20\x20\x20 to the image)\n\
      \x20 sharectl snapshot <img> create <name> <start-lpn> <len>\n\
      \x20 sharectl snapshot <img> clone  <name> <dst-lpn> [--offset N] [--len N]\n\
      \x20 sharectl snapshot <img> drop   <name>\n\
@@ -331,9 +320,6 @@ pub fn run(args: &[String]) -> Result<String> {
         Some("monitor") => {
             monitor_cmd(args, &mut out)?;
         }
-        Some("doctor") => {
-            doctor_cmd(args, &mut out)?;
-        }
         Some("crashsweep") => {
             crashsweep_cmd(args, &mut out)?;
         }
@@ -496,10 +482,6 @@ fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
     Ok(())
 }
 
-fn parse_f64(s: &str, what: &str) -> Result<f64> {
-    s.parse().map_err(|_| CliError(format!("bad {what}: {s}")))
-}
-
 fn parse_pattern(workload: &str) -> Result<AccessPattern> {
     Ok(match workload {
         "sequential" => AccessPattern::Sequential,
@@ -577,36 +559,10 @@ fn replay_ops(
     Ok(replayed)
 }
 
-/// SLO threshold flags shared by `monitor` (defaults: no thresholds) and
-/// `doctor` (defaults: conservative health floors).
-fn slo_from_flags(args: &[String], defaults: SloConfig) -> Result<SloConfig> {
-    let mut slo = defaults;
-    if let Some(v) = flag_value(args, "--write-p99-us") {
-        slo.write_p99_ceiling_ns = Some(parse_scaled(v, "write-p99-us", 1_000)?);
-    }
-    if let Some(v) = flag_value(args, "--read-p99-us") {
-        slo.read_p99_ceiling_ns = Some(parse_scaled(v, "read-p99-us", 1_000)?);
-    }
-    if let Some(v) = flag_value(args, "--gc-stall-ms") {
-        slo.gc_stall_budget_ns = Some(parse_scaled(v, "gc-stall-ms", 1_000_000)?);
-    }
-    if let Some(v) = flag_value(args, "--free-floor") {
-        slo.free_block_floor = Some(parse_u64(v, "free-floor")?);
-    }
-    if let Some(v) = flag_value(args, "--skew-max") {
-        slo.wear_skew_max = Some(parse_f64(v, "skew-max")?);
-    }
-    if let Some(v) = flag_value(args, "--life-floor") {
-        slo.remaining_life_floor = Some(parse_f64(v, "life-floor")?);
-    }
-    Ok(slo)
-}
-
 /// Longitudinal monitoring: run a synthetic workload with the flight
 /// recorder sealing an epoch every `--epoch-ms` of *simulated* time, then
-/// print one row of counter deltas per epoch plus the SLO alerts the flag
-/// thresholds fire over the retained epochs. Observation only — nothing
-/// is written back.
+/// print one row of counter deltas per epoch and each NAND unit's busy
+/// share. Observation only — nothing is written back.
 fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
     let (workload, gen) = synthetic_args(args)?;
@@ -621,7 +577,6 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     if format != "table" && format != "json" {
         return Err(CliError(format!("bad --format: {format} (want table|json)")));
     }
-    let slo = slo_from_flags(args, SloConfig::default())?;
     let mut telemetry = TelemetryConfig::monitoring(epoch_ns);
     if let Some(v) = flag_value(args, "--ring") {
         telemetry.epoch_ring = parse_u64(v, "ring")? as usize;
@@ -631,11 +586,8 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     let t0 = dev.clock().now_ns();
     let replayed = run_synthetic(&mut dev, gen)?;
     let snap = dev.monitor_snapshot().expect("monitoring telemetry is on");
-    let alerts = snap.alerts(&slo);
     if format == "json" {
-        let mut doc = snap.to_json();
-        push_alerts(&mut doc, &alerts);
-        out.push_str(&doc.render());
+        out.push_str(&snap.to_json().render());
         out.push('\n');
         return Ok(());
     }
@@ -653,8 +605,8 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     .unwrap();
     writeln!(
         out,
-        "{:>5} {:>9} {:>6} {:>6} {:>7} {:>7} {:>9} {:>5} {:>9} {:>9} {:>6}",
-        "epoch", "t(ms)", "wr", "rd", "progs", "cb", "stall(us)", "free", "wp99(us)", "rp99(us)", "alert"
+        "{:>5} {:>9} {:>6} {:>6} {:>7} {:>7} {:>9} {:>5} {:>9} {:>9}",
+        "epoch", "t(ms)", "wr", "rd", "progs", "cb", "stall(us)", "free", "wp99(us)", "rp99(us)"
     )
     .unwrap();
     for e in &snap.epochs {
@@ -663,7 +615,7 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
         };
         writeln!(
             out,
-            "{:>5} {:>9.1} {:>6} {:>6} {:>7} {:>7} {:>9.0} {:>5} {:>9} {:>9} {:>6}",
+            "{:>5} {:>9.1} {:>6} {:>6} {:>7} {:>7} {:>9.0} {:>5} {:>9} {:>9}",
             e.epoch,
             e.end_ns as f64 / 1e6,
             e.stats.host_writes,
@@ -673,8 +625,7 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
             e.stats.gc_stall_ns as f64 / 1e3,
             e.free_blocks,
             q(&e.write_hist),
-            q(&e.read_hist),
-            alerts.iter().filter(|a| a.epoch == e.epoch).count()
+            q(&e.read_hist)
         )
         .unwrap();
     }
@@ -689,156 +640,7 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
         }
         writeln!(out).unwrap();
     }
-    let health = dev.health_report();
-    writeln!(
-        out,
-        "health: wear {}..{} (skew {:.2}), free {}/{} blocks, WAF {:.3}, life {:.1}%",
-        health.wear.min_erases,
-        health.wear.max_erases,
-        health.wear_skew,
-        health.free_blocks,
-        health.data_blocks,
-        health.stats.waf(),
-        health.remaining_life * 100.0
-    )
-    .unwrap();
-    if alerts.is_empty() {
-        writeln!(out, "alerts: none").unwrap();
-    } else {
-        writeln!(out, "alerts ({}):", alerts.len()).unwrap();
-        for a in &alerts {
-            writeln!(
-                out,
-                "  {:>8} epoch {:>4} {}: {:.1} (threshold {:.1})",
-                a.severity.name(),
-                a.epoch,
-                a.kind.name(),
-                a.value,
-                a.threshold
-            )
-            .unwrap();
-        }
-    }
     // Observation only: nothing is written back to the image.
-    Ok(())
-}
-
-/// Append `alerts` to a JSON object document as its `alerts` array.
-fn push_alerts(doc: &mut Json, alerts: &[Alert]) {
-    if let Json::Obj(fields) = doc {
-        fields.push(("alerts".into(), Json::Arr(alerts.iter().map(Alert::to_json).collect())));
-    }
-}
-
-/// Read-only device health report ("SMART for the simulator"): wear
-/// histogram and moments, free-block headroom, lifetime WA, and a
-/// remaining-life estimate, checked against health floors. A critical
-/// breach returns an error so the process exits non-zero.
-fn doctor_cmd(args: &[String], out: &mut String) -> Result<()> {
-    let img = args.get(1).ok_or_else(|| CliError(usage()))?;
-    let endurance = flag_value(args, "--endurance")
-        .map(|v| parse_u64(v, "endurance"))
-        .transpose()?
-        .unwrap_or(DEFAULT_ENDURANCE_CYCLES);
-    let format = flag_value(args, "--format").unwrap_or("text");
-    if format != "text" && format != "json" {
-        return Err(CliError(format!("bad --format: {format} (want text|json)")));
-    }
-    // Health floors: free pool nearly exhausted, badly skewed wear, or
-    // under 5 % life left. Each is overridable per invocation.
-    let defaults = SloConfig {
-        free_block_floor: Some(1),
-        wear_skew_max: Some(8.0),
-        remaining_life_floor: Some(0.05),
-        ..SloConfig::default()
-    };
-    let slo = slo_from_flags(args, defaults)?;
-
-    let dev = load_device(img)?;
-    let report = dev.health_report_with(endurance);
-    let obs = EpochObservation {
-        epoch: 0,
-        end_ns: dev.clock().now_ns(),
-        write_p99_ns: None,
-        read_p99_ns: None,
-        gc_stall_delta_ns: 0,
-        free_blocks: report.free_blocks,
-        wear_skew: report.wear_skew,
-        remaining_life: report.remaining_life,
-    };
-    let alerts = slo.evaluate(&obs);
-    let critical = alerts.iter().filter(|a| a.severity == AlertSeverity::Critical).count();
-
-    if format == "json" {
-        let mut doc = report.to_json();
-        push_alerts(&mut doc, &alerts);
-        out.push_str(&doc.render());
-        out.push('\n');
-    } else {
-        writeln!(out, "device health: {img}").unwrap();
-        writeln!(out, "  data blocks:    {} ({} free)", report.data_blocks, report.free_blocks)
-            .unwrap();
-        writeln!(
-            out,
-            "  host writes:    {} page(s), lifetime WAF {:.3}",
-            report.stats.host_writes,
-            report.stats.waf()
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "  background:     {} copyback page(s), {} meta page(s)",
-            report.stats.copyback_pages, report.stats.meta_page_writes
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "  wear:           {}..{} erases (mean {:.1}, stddev {:.1}, skew {:.2})",
-            report.wear.min_erases,
-            report.wear.max_erases,
-            report.wear.mean_erases,
-            report.wear.stddev_erases,
-            report.wear_skew
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "  remaining life: {:.1}% (assuming {} rated P/E cycles)",
-            report.remaining_life * 100.0,
-            report.endurance_cycles
-        )
-        .unwrap();
-        writeln!(out, "  wear histogram:").unwrap();
-        let peak = report.wear_hist.iter().map(|b| b.blocks).max().unwrap_or(0).max(1);
-        for b in &report.wear_hist {
-            let bar = "#".repeat(((b.blocks * 40).div_ceil(peak)) as usize);
-            writeln!(out, "    [{:>5}..{:>5}] {:<40} {}", b.lo, b.hi, bar, b.blocks).unwrap();
-        }
-        if alerts.is_empty() {
-            writeln!(out, "alerts: none").unwrap();
-        } else {
-            writeln!(out, "alerts ({}):", alerts.len()).unwrap();
-            for a in &alerts {
-                writeln!(
-                    out,
-                    "  {:>8} {}: {:.2} (threshold {:.2})",
-                    a.severity.name(),
-                    a.kind.name(),
-                    a.value,
-                    a.threshold
-                )
-                .unwrap();
-            }
-        }
-    }
-    if critical > 0 {
-        // Returned as the error so the exit status is non-zero; the report
-        // rides along in the message.
-        return Err(CliError(format!("{out}doctor: CRITICAL — {critical} critical alert(s)")));
-    }
-    if format != "json" {
-        writeln!(out, "doctor: OK").unwrap();
-    }
     Ok(())
 }
 

@@ -32,6 +32,7 @@
 //! * The data pool serves host writes and GC copyback, with
 //!   over-provisioning beyond the exported logical capacity.
 
+use crate::ftl::GC_HIGH_WATER;
 use crate::mapping::RevMapPolicy;
 use crate::util::div_ceil_u64;
 use nand_sim::{BlockId, NandGeometry, NandTiming};
@@ -71,17 +72,6 @@ pub struct FtlConfig {
     pub gc_policy: GcPolicy,
     /// Number of blocks in the delta-log ring.
     pub log_blocks: u32,
-    /// Hard floor of free data blocks: at it a command drains whole victims
-    /// on its own timeline (`Ftl::ensure_free`). Background collection
-    /// starts one block above the slack banked on top of it for open lanes
-    /// (`Ftl::collect_after`).
-    pub gc_low_water: usize,
-    /// A drain stops when free data blocks reach this count (plus the
-    /// same slack).
-    pub gc_high_water: usize,
-    /// Host-to-device command round-trip latency (share/trim/flush), ns.
-    /// Models the ioctl/SATA path the paper batches SHARE pairs to amortize.
-    pub command_ns: u64,
     /// Submission-queue depth: how many queued commands may be in flight
     /// (submitted, not yet reaped) at once. Synchronous commands ignore
     /// this entirely; `submit` returns `QueueFull` beyond it.
@@ -122,9 +112,6 @@ impl FtlConfig {
             revmap_policy: RevMapPolicy::default(),
             gc_policy: GcPolicy::default(),
             log_blocks,
-            gc_low_water: 3,
-            gc_high_water: 6,
-            command_ns: 20_000,
             queue_depth: 32,
             telemetry: TelemetryConfig::default(),
         };
@@ -162,12 +149,11 @@ impl FtlConfig {
     /// Panic if the layout is internally inconsistent.
     pub fn validate(&self) {
         assert!(self.logical_pages > 0, "logical capacity must be positive");
-        assert!(self.gc_high_water > self.gc_low_water, "GC watermarks inverted");
         assert!(self.log_blocks >= 2, "need at least two log blocks");
         let data_blocks = self.data_blocks();
         assert!(
             (data_blocks as u64 * self.geometry.pages_per_block as u64)
-                > self.logical_pages + (self.gc_high_water as u64 + 2) * self.geometry.pages_per_block as u64,
+                > self.logical_pages + (GC_HIGH_WATER as u64 + 2) * self.geometry.pages_per_block as u64,
             "data pool too small for logical capacity plus GC headroom"
         );
         assert!(self.deltas_per_page() >= 1, "page too small for delta records");
@@ -327,15 +313,6 @@ mod tests {
         let fat = FtlConfig::for_capacity(32 << 20, 0.30);
         assert!(fat.data_blocks() > lean.data_blocks());
         assert_eq!(lean.logical_pages, fat.logical_pages);
-    }
-
-    #[test]
-    #[should_panic(expected = "GC watermarks")]
-    fn validate_rejects_inverted_watermarks() {
-        let mut cfg = FtlConfig::for_capacity(16 << 20, 0.2);
-        cfg.gc_low_water = 8;
-        cfg.gc_high_water = 4;
-        cfg.validate();
     }
 
     #[test]

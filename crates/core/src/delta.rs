@@ -200,16 +200,6 @@ impl DeltaLog {
         self.submit(nand)
     }
 
-    /// Persist `batch` atomically in one log page. Fails before touching
-    /// flash if the batch exceeds one page; otherwise
-    /// [`Self::flush_atomic_pages`].
-    pub fn flush_atomic_batch(&mut self, nand: &mut NandArray, batch: &[Delta]) -> Result<(), FtlError> {
-        if batch.len() > self.deltas_per_page {
-            return Err(FtlError::BatchTooLarge { got: batch.len(), max: self.deltas_per_page });
-        }
-        self.flush_atomic_pages(nand, batch)
-    }
-
     /// Buffered deltas that take pages of their own ahead of an atomic
     /// commit: all of them when the buffer has reached its flush threshold,
     /// its whole pages otherwise (the partial tail may ride).
@@ -364,25 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batch_is_rejected_without_side_effects() {
-        let (cfg, mut nand) = setup();
-        let mut log = DeltaLog::new(&cfg, 0);
-        let batch: Vec<Delta> = (0..cfg.deltas_per_page() + 1).map(|i| d(i as u64, 0, 1)).collect();
-        assert!(matches!(
-            log.flush_atomic_batch(&mut nand, &batch),
-            Err(FtlError::BatchTooLarge { .. })
-        ));
-        assert_eq!(log.pages_written, 0);
-        assert!(DeltaLog::recover(&cfg, &mut nand, 0).is_empty());
-    }
-
-    #[test]
     fn atomic_batch_shares_a_page_with_small_buffers() {
         let (cfg, mut nand) = setup();
         let mut log = DeltaLog::new(&cfg, 0);
         log.append(d(99, u32::MAX, 1)); // pre-existing buffered delta
         let batch: Vec<Delta> = (0..10).map(|i| d(i, 0, 1)).collect();
-        log.flush_atomic_batch(&mut nand, &batch).unwrap();
+        log.flush_atomic_pages(&mut nand, &batch).unwrap();
         let pages = DeltaLog::recover(&cfg, &mut nand, 0);
         assert_eq!(pages.len(), 1, "buffered deltas ride in the batch page");
         assert_eq!(pages[0].deltas.len(), 11);
@@ -397,7 +374,7 @@ mod tests {
             log.append(d(1000 + i, u32::MAX, i as u32));
         }
         let batch: Vec<Delta> = (0..10).map(|i| d(i, 0, 1)).collect();
-        log.flush_atomic_batch(&mut nand, &batch).unwrap();
+        log.flush_atomic_pages(&mut nand, &batch).unwrap();
         let pages = DeltaLog::recover(&cfg, &mut nand, 0);
         assert_eq!(pages.len(), 2, "oversized combination splits");
         assert_eq!(pages[1].deltas.len(), 10, "batch stays whole in its own page");

@@ -25,7 +25,6 @@ use crate::config::FtlConfig;
 use crate::delta::{Delta, DeltaLog};
 use crate::device::BlockDevice;
 use crate::error::FtlError;
-use crate::health::{HealthReport, DEFAULT_ENDURANCE_CYCLES};
 use crate::mapping::MappingTable;
 use crate::monitor::FlightSnapshot;
 use crate::pool::{BlockPool, WritePoint};
@@ -45,6 +44,12 @@ mod exec;
 mod gc;
 mod share;
 mod snapshot_ops;
+
+pub(crate) use gc::{GC_HIGH_WATER, GC_LOW_WATER};
+
+/// Host-to-device command round-trip latency (share/trim/flush), ns.
+/// Models the ioctl/SATA path the paper batches SHARE pairs to amortize.
+const COMMAND_NS: u64 = 20_000;
 
 /// Checkpoint when fewer than this many log-ring pages remain. One log
 /// submission carries at most a stripe of buffered pages plus a stripe of
@@ -118,15 +123,23 @@ impl WearStats {
         }
     }
 
-    /// SMART-style remaining-life fraction for blocks rated for
-    /// `endurance_cycles` program/erase cycles: `1 - mean / endurance`,
-    /// clamped to `[0, 1]` (0 when the rating is 0).
-    pub(crate) fn remaining_life(&self, endurance_cycles: u64) -> f64 {
-        if endurance_cycles == 0 {
-            0.0
-        } else {
-            (1.0 - self.mean_erases / endurance_cycles as f64).clamp(0.0, 1.0)
-        }
+    /// The pool's wear and headroom readings as exported rows: these
+    /// moments, the skew, and `free_blocks` of `data_blocks`.
+    pub(crate) fn rows(&self, free_blocks: u64, data_blocks: u64) -> Vec<Metric> {
+        let (int, real) = (Metric::gauge, Metric::ratio);
+        vec![
+            int("share_wear_erases_min", "Fewest erases of any data block.", self.min_erases.into()),
+            int("share_wear_erases_max", "Most erases of any data block.", self.max_erases.into()),
+            real("share_wear_erases_mean", "Mean erases per data block.", self.mean_erases),
+            real(
+                "share_wear_erases_stddev",
+                "Standard deviation of per-block erase counts.",
+                self.stddev_erases,
+            ),
+            real("share_wear_skew", "Wear-leveling skew (max/mean erases; 1 = even).", self.skew()),
+            int("share_free_blocks", "Data blocks currently free.", free_blocks),
+            int("share_data_blocks", "Data blocks total.", data_blocks),
+        ]
     }
 }
 
@@ -257,7 +270,7 @@ impl Ftl {
             "a log submission of two stripes must fit the ring's checkpoint margin"
         );
         let pool =
-            BlockPool::new(cfg.geometry, cfg.data_start(), cfg.data_blocks(), cfg.gc_low_water);
+            BlockPool::new(cfg.geometry, cfg.data_start(), cfg.data_blocks(), GC_LOW_WATER);
         let telemetry = Telemetry::new(cfg.telemetry);
         let tracer = if cfg.telemetry.trace { Tracer::enabled() } else { Tracer::disabled() };
         nand.set_tracer(tracer.clone());
@@ -340,6 +353,9 @@ impl Ftl {
                 self.map.raw_set(Lpn(i as u64), ppn);
             }
             self.snaps = SnapshotTable::decode(&c.snap)?;
+            for ppn in self.snaps.frozen_ppns() {
+                self.check_frozen(ppn)?;
+            }
             self.ckpts.resume(&c);
             next_seq = c.next_delta_seq;
         }
@@ -350,7 +366,7 @@ impl Ftl {
                 // far beyond the logical capacity).
                 match snapshot::decode_snap_delta(d.lpn) {
                     Some(SnapDelta::Relocate { id, offset }) => {
-                        self.check_recovered(d.new)?;
+                        self.check_frozen(d.new)?;
                         self.snaps.replay_relocate(id, offset, d.new);
                     }
                     Some(SnapDelta::Tombstone { id }) => {
@@ -387,6 +403,18 @@ impl Ftl {
             Ok(())
         } else {
             Err(FtlError::RecoveryCorrupt(format!("mapped page {ppn} outside the data pool")))
+        }
+    }
+
+    /// Check a snapshot's frozen page read off the flash (a checkpoint's
+    /// snapshot section or a relocation delta) like [`Self::check_recovered`].
+    /// A snapshot holds no holes, so an unmapped page is refused too: GC
+    /// would index the tables with it.
+    fn check_frozen(&self, ppn: Ppn) -> Result<(), FtlError> {
+        if ppn.is_valid() {
+            self.check_recovered(ppn)
+        } else {
+            Err(FtlError::RecoveryCorrupt("unmapped snapshot page".into()))
         }
     }
 
@@ -568,26 +596,6 @@ impl Ftl {
         Ok(())
     }
 
-    /// Device health report under the default rated endurance.
-    pub fn health_report(&self) -> HealthReport {
-        self.health_report_with(DEFAULT_ENDURANCE_CYCLES)
-    }
-
-    /// Device health report assuming `endurance_cycles` rated P/E cycles.
-    /// Read-only: derived entirely from per-block erase counts, pool
-    /// headroom, and the cumulative counters.
-    pub fn health_report_with(&self, endurance_cycles: u64) -> HealthReport {
-        let n = self.pool.block_count();
-        let counts: Vec<u32> =
-            (0..n).map(|rel| self.nand.erase_count(self.pool.abs(rel))).collect();
-        HealthReport::compute(
-            &counts,
-            self.pool.free_count() as u64,
-            &self.stats(),
-            endurance_cycles,
-        )
-    }
-
     fn maybe_checkpoint(&mut self) -> Result<(), FtlError> {
         if self.log.pages_remaining() < CKPT_MIN_REMAINING_PAGES {
             self.checkpoint()?;
@@ -696,7 +704,7 @@ impl Ftl {
         // Validate the whole range before the first side effect: a bad
         // trim leaves mapping, counters and clock untouched.
         self.check_range(lpn, len)?;
-        self.nand.charge(self.cfg.command_ns);
+        self.nand.charge(COMMAND_NS);
         for i in 0..len {
             let l = lpn.offset(i);
             let old = self.map.unmap(l);
@@ -711,7 +719,7 @@ impl Ftl {
 
     fn flush_impl(&mut self) -> Result<(), FtlError> {
         self.stats.flushes += 1;
-        self.nand.charge(self.cfg.command_ns);
+        self.nand.charge(COMMAND_NS);
         self.flush_log()
     }
 
@@ -816,7 +824,7 @@ impl Ftl {
                 return Err(FtlError::InvalidBatch("duplicate LPN in atomic write"));
             }
         }
-        self.nand.charge(self.cfg.command_ns);
+        self.nand.charge(COMMAND_NS);
         let mark = self.mark();
         let mut deltas = Vec::with_capacity(pages.len());
         self.place_and_map(pages, Some(&mut deltas))?;

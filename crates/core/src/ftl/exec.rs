@@ -99,7 +99,6 @@ impl Ftl {
         if !self.recorder.as_ref().is_some_and(|r| r.due(now)) {
             return;
         }
-        let wear = self.wear_stats();
         let (read_hist, write_hist) = self.telemetry.take_epoch_windows();
         let sample = EpochSample {
             now_ns: now,
@@ -108,8 +107,7 @@ impl Ftl {
             unit_busy_ns: self.nand.busy_ns().to_vec(),
             free_blocks: self.pool.free_count() as u64,
             inflight: self.pending.len() as u64,
-            wear_skew: wear.skew(),
-            remaining_life: wear.remaining_life(DEFAULT_ENDURANCE_CYCLES),
+            wear_skew: self.wear_stats().skew(),
             read_hist,
             write_hist,
         };
@@ -283,7 +281,7 @@ impl BlockDevice for Ftl {
     /// checkpoint).
     fn snapshot_persist(&mut self) -> Result<(), FtlError> {
         self.command("snapshot_persist", None, 0, |f| {
-            f.nand.charge(f.cfg.command_ns);
+            f.nand.charge(COMMAND_NS);
             f.checkpoint()
         })
     }
@@ -431,7 +429,8 @@ impl BlockDevice for Ftl {
             "Distinct physical pages pinned against GC reclaim.",
             self.snaps.pinned_pages(),
         ));
-        rows.extend(self.health_report().rows());
+        let data_blocks = self.pool.block_count() as u64;
+        rows.extend(self.wear_stats().rows(self.pool.free_count() as u64, data_blocks));
         snap.metrics = rows;
         Some(snap)
     }

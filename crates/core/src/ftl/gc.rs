@@ -5,6 +5,14 @@
 
 use super::*;
 
+/// Hard floor of free data blocks: at it a command drains whole victims
+/// on its own timeline ([`Ftl::ensure_free`]). Background collection
+/// starts one block above the slack banked on top of it for open lanes
+/// ([`Ftl::collect_after`]).
+pub(crate) const GC_LOW_WATER: usize = 3;
+/// A drain stops when free data blocks reach this count (plus the same
+/// slack).
+pub(crate) const GC_HIGH_WATER: usize = 6;
 /// Pages one background step relocates. Small, so a step reserves few
 /// lanes and the foreground tail pays little contention; exhausting it
 /// parks the victim for later commands (`gc_budget_deferrals`).
@@ -222,11 +230,11 @@ impl Ftl {
     /// pair; at one channel `low` is the hard floor.
     fn watermarks(&self, pinned: usize) -> (usize, usize) {
         let extra_lanes = 2 * (self.cfg.geometry.channels as usize - 1);
-        let low = self.cfg.gc_low_water + pinned + extra_lanes;
-        (low, self.cfg.gc_high_water + extra_lanes + pinned)
+        let low = GC_LOW_WATER + pinned + extra_lanes;
+        (low, GC_HIGH_WATER + extra_lanes + pinned)
     }
 
-    /// Before a command allocates: at the hard floor (`gc_low_water` plus
+    /// Before a command allocates: at the hard floor ([`GC_LOW_WATER`] plus
     /// the pinned blocks), the point past which allocation is at risk, the
     /// command drains whole victims on its own timeline — the backstop
     /// between a full pool and `DeviceFull`, and the only place relocations

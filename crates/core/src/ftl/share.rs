@@ -124,7 +124,7 @@ impl Ftl {
 
     pub(super) fn share_impl(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
         self.validate_share(pairs)?;
-        self.nand.charge(self.cfg.command_ns);
+        self.nand.charge(COMMAND_NS);
         self.stats.share_commands += 1;
         let mut deltas = std::mem::take(&mut self.share_deltas);
         deltas.clear();
@@ -140,7 +140,7 @@ impl Ftl {
     pub(super) fn share_batch_impl(&mut self, pairs: &[SharePair]) -> Result<(), FtlError> {
         let limit = self.share_batch_limit();
         let group = limit * self.cfg.stripe_width() as usize;
-        self.nand.charge(self.cfg.command_ns);
+        self.nand.charge(COMMAND_NS);
         self.stats.share_commands += 1;
         for group in pairs.chunks(group) {
             let mut deltas = std::mem::take(&mut self.share_deltas);

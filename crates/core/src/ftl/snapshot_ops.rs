@@ -24,7 +24,7 @@ impl Ftl {
             return Err(FtlError::InvalidBatch("snapshot range must not be empty"));
         }
         self.check_range(start, len)?;
-        self.nand.charge(self.cfg.command_ns);
+        self.nand.charge(COMMAND_NS);
         // Freeze the current mapping of the range. Pure metadata: no NAND
         // page is read or programmed — the frozen entries simply pin their
         // physical pages against GC reclaim. Durability comes from the next
@@ -48,7 +48,7 @@ impl Ftl {
     }
 
     pub(super) fn snapshot_drop_impl(&mut self, name: &str) -> Result<(), FtlError> {
-        self.nand.charge(self.cfg.command_ns);
+        self.nand.charge(COMMAND_NS);
         let rec = self.snaps.remove(name)?;
         // Pages the drop just unpinned — no longer frozen anywhere and dead
         // in the live map — become reclaimable garbage now, so the dropping
@@ -92,7 +92,7 @@ impl Ftl {
             }
             (0..len).map(|i| rec.page_at(src_offset + i)).collect()
         };
-        self.nand.charge(self.cfg.command_ns);
+        self.nand.charge(COMMAND_NS);
         // Conservative: ignores any refs the clone's own unmaps release.
         self.check_share_headroom(
             window.iter().enumerate().filter_map(|(i, p)| Some((Lpn(dst.0 + i as u64), (*p)?))),

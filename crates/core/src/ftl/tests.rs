@@ -481,6 +481,22 @@ fn wear_stats_from_counts_summarizes() {
 }
 
 #[test]
+fn wear_rows_summarize_the_pool() {
+    let w = WearStats::from_counts([10u32, 20, 30, 40]);
+    let rows = w.rows(2, 4);
+    let row = |name: &str| rows.iter().find(|m| m.name == name).map(|m| m.value);
+    assert_eq!(row("share_wear_erases_min"), Some(Value::U64(10)));
+    assert_eq!(row("share_wear_erases_max"), Some(Value::U64(40)));
+    assert_eq!(row("share_wear_erases_mean"), Some(Value::F64(25.0)));
+    assert_eq!(row("share_wear_skew"), Some(Value::F64(40.0 / 25.0)));
+    assert_eq!(row("share_free_blocks"), Some(Value::U64(2)));
+    assert_eq!(row("share_data_blocks"), Some(Value::U64(4)));
+    assert_eq!(rows.len(), 7);
+    // A pool that has never erased reads zero skew, not NaN.
+    assert_eq!(WearStats::from_counts([0u32, 0]).skew(), 0.0);
+}
+
+#[test]
 fn open_reports_recovery_cost_in_stats() {
     let mut f = tiny();
     for i in 0..40u64 {

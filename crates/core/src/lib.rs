@@ -47,7 +47,6 @@ mod delta;
 mod device;
 mod error;
 mod ftl;
-mod health;
 mod mapping;
 mod monitor;
 mod pool;
@@ -64,7 +63,6 @@ pub use delta::{Delta, DeltaLog, DeltaPage};
 pub use device::{BlockDevice, SimpleSsd};
 pub use error::FtlError;
 pub use ftl::{Ftl, WearStats};
-pub use health::{HealthReport, WearBucket, DEFAULT_ENDURANCE_CYCLES};
 pub use mapping::{MappingTable, RevMap, RevMapPolicy, Unmapped};
 pub use monitor::{EpochRecord, FlightSnapshot};
 pub use pool::{BlockPool, BlockState, WritePoint};
@@ -75,11 +73,10 @@ pub use types::{Lpn, SharePair};
 pub use util::{crc32c, crc32c_append, FixedState};
 
 /// Re-exported observability subsystem (see the `share-telemetry` crate):
-/// op-class counters, latency histograms, spans, SLO rules, exporters.
+/// op-class counters, latency histograms, spans, exporters.
 pub use share_telemetry as telemetry;
 pub use share_telemetry::{
-    Alert, AlertKind, AlertSeverity, Layer, OpClass, SloConfig, Snapshot, Span, SpanId, Telemetry,
-    TelemetryConfig, Track, Tracer,
+    Layer, OpClass, Snapshot, Span, SpanId, Telemetry, TelemetryConfig, Track, Tracer,
 };
 
 /// Result alias for device operations.

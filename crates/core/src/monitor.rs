@@ -3,22 +3,18 @@
 //!
 //! The device's [`FlightRecorder`](crate::recorder::FlightRecorder) seals
 //! one [`EpochRecord`] per epoch holding the *delta* of [`DeviceStats`],
-//! the per-stream WA-ledger blame, per-unit busy time, the free-block,
-//! wear-skew and remaining-life gauges, and the epoch's latency windows
-//! since the previous seal. A [`FlightSnapshot`] exports the retained
+//! the per-stream WA-ledger blame, per-unit busy time, the free-block
+//! and wear-skew gauges, and the epoch's latency windows since the
+//! previous seal. A [`FlightSnapshot`] exports the retained
 //! records plus the folded deltas of the evicted ones and of the partial
 //! epoch, so the standing guarantee holds for the whole run:
 //!
 //! > evicted + retained + current-partial deltas == cumulative counters,
 //! > exactly, at every moment.
-//!
-//! The recorder records and never judges: SLO alerts are a reader's
-//! computation over the retained epochs ([`FlightSnapshot::alerts`] with
-//! the reader's own [`SloConfig`]).
 
 use crate::stats::DeviceStats;
 use share_telemetry::json::{count, num, s, Json};
-use share_telemetry::{rows_json, Alert, EpochObservation, Histogram, SloConfig};
+use share_telemetry::{rows_json, Histogram};
 
 /// Per-stream WA-ledger delta for one epoch: `(foreground write pages,
 /// blamed background pages by BlameKind)`, indexed by stream id.
@@ -43,9 +39,6 @@ pub struct EpochRecord {
     pub inflight: u64,
     /// Wear-leveling skew (max/mean erases) at seal time (gauge).
     pub wear_skew: f64,
-    /// Remaining-life fraction at seal time, at the default endurance
-    /// (gauge).
-    pub remaining_life: f64,
     /// Per-NAND-unit busy-time deltas, indexed like the device's units.
     pub unit_busy_ns: Vec<u64>,
     /// Host-read latency window for this epoch.
@@ -55,22 +48,6 @@ pub struct EpochRecord {
 }
 
 impl EpochRecord {
-    /// What the SLO rule reads of this epoch. Latency p99s are `None` for
-    /// an epoch without a sample of that direction.
-    fn observation(&self) -> EpochObservation {
-        let p99 = |h: &Histogram| (!h.is_empty()).then(|| h.quantile(0.99));
-        EpochObservation {
-            epoch: self.epoch,
-            end_ns: self.end_ns,
-            write_p99_ns: p99(&self.write_hist),
-            read_p99_ns: p99(&self.read_hist),
-            gc_stall_delta_ns: self.stats.gc_stall_ns,
-            free_blocks: self.free_blocks,
-            wear_skew: self.wear_skew,
-            remaining_life: self.remaining_life,
-        }
-    }
-
     /// JSON form (one row of `sharectl monitor --format json`). `labels`
     /// names the stream ids, `unit_labels` the NAND units.
     fn to_json(&self, labels: &[String], unit_labels: &[String]) -> Json {
@@ -118,7 +95,6 @@ impl EpochRecord {
         push("free_blocks", count(self.free_blocks));
         push("inflight", count(self.inflight));
         push("wear_skew", num(self.wear_skew));
-        push("remaining_life", num(self.remaining_life));
         push("wa", wa);
         push("unit_busy_ns", units);
         if !self.read_hist.is_empty() {
@@ -198,12 +174,6 @@ impl FlightSnapshot {
         total
     }
 
-    /// The alerts `slo` fires over the retained epochs, oldest epoch
-    /// first and, within an epoch, in [`SloConfig::evaluate`]'s order.
-    pub fn alerts(&self, slo: &SloConfig) -> Vec<Alert> {
-        self.epochs.iter().flat_map(|e| slo.evaluate(&e.observation())).collect()
-    }
-
     /// JSON document: meta fields plus one row per retained epoch.
     pub fn to_json(&self) -> Json {
         let epochs = Json::Arr(
@@ -231,7 +201,6 @@ mod tests {
     use super::*;
     use crate::recorder::tests::sample;
     use crate::recorder::FlightRecorder;
-    use share_telemetry::{AlertKind, AlertSeverity};
 
     #[test]
     fn seals_deltas_and_spans_idle_gaps() {
@@ -282,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_fires_on_seal_and_lands_in_record_and_log() {
+    fn seal_records_the_gauges_it_is_handed() {
         let mut r = FlightRecorder::new(1_000, 8, 0);
         r.seal(sample(1_000, 1, 50));
         let mut smp = sample(2_000, 2, 40);
@@ -290,30 +259,14 @@ mod tests {
         smp.wear_skew = 3.0;
         r.seal(smp);
         let snap = r.snapshot(2_000, &sample(2_000, 2, 40).stats, &[(2, [0; 3])]);
-        let free: Vec<_> = snap.epochs.iter().map(|e| (e.end_ns, e.free_blocks)).collect();
-        assert_eq!(free, vec![(1_000, 50), (2_000, 40)]);
-        // No thresholds, no alerts: the recorder holds no judgment.
-        assert!(snap.alerts(&SloConfig::default()).is_empty());
-        let slo = SloConfig {
-            free_block_floor: Some(45),
-            wear_skew_max: Some(2.0),
-            write_p99_ceiling_ns: Some(800),
-            read_p99_ceiling_ns: Some(1),
-            ..SloConfig::default()
-        };
-        let alerts = snap.alerts(&slo);
-        let got: Vec<_> =
-            alerts.iter().map(|a| (a.epoch, a.ns, a.kind, a.severity, a.value)).collect();
-        // Epoch 1 only, in `evaluate` order; the idle read window fires
-        // nothing.
-        assert_eq!(
-            got,
-            vec![
-                (1, 2_000, AlertKind::WriteP99, AlertSeverity::Warning, 900.0),
-                (1, 2_000, AlertKind::FreeBlocks, AlertSeverity::Critical, 40.0),
-                (1, 2_000, AlertKind::WearSkew, AlertSeverity::Warning, 3.0),
-            ]
-        );
+        let gauges: Vec<_> =
+            snap.epochs.iter().map(|e| (e.end_ns, e.free_blocks, e.wear_skew)).collect();
+        assert_eq!(gauges, vec![(1_000, 50, 1.0), (2_000, 40, 3.0)]);
+        // Each epoch keeps its own latency window; the idle read window
+        // stays empty.
+        assert!(snap.epochs[0].write_hist.is_empty());
+        assert_eq!(snap.epochs[1].write_hist.quantile(0.99), 900);
+        assert!(snap.epochs[1].read_hist.is_empty());
     }
 
     #[test]
@@ -337,7 +290,6 @@ mod tests {
         assert_eq!(rows[0].get("write_p99_ns").and_then(Json::as_u64), Some(480));
         assert!(rows[0].get("read_p99_ns").is_none(), "idle read window omitted");
         assert_eq!(rows[0].get("wear_skew").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(rows[0].get("remaining_life").and_then(Json::as_f64), Some(1.0));
         assert!(rows[0]
             .get("unit_busy_ns")
             .and_then(|u| u.get("ch0:w0"))

@@ -71,7 +71,7 @@ pub struct BlockPool {
     /// GC copyback write points, one per channel, rotated over the same way.
     gc: Vec<Option<Open>>,
     gc_cursor: usize,
-    /// `FtlConfig::gc_low_water`, the base of [`Self::hard_floor`].
+    /// The FTL's GC low watermark, the base of [`Self::hard_floor`].
     low_water: usize,
     /// Monotonic sequence assigned when a block is sealed (FIFO GC order).
     seal_seq: Vec<u64>,

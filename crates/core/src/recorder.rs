@@ -38,8 +38,6 @@ pub(crate) struct EpochSample {
     pub inflight: u64,
     /// Wear skew now (gauge).
     pub wear_skew: f64,
-    /// Remaining-life fraction now (gauge).
-    pub remaining_life: f64,
     /// This epoch's latency windows (`Telemetry::take_epoch_windows`).
     pub read_hist: Histogram,
     pub write_hist: Histogram,
@@ -109,7 +107,6 @@ impl FlightRecorder {
             free_blocks: sample.free_blocks,
             inflight: sample.inflight,
             wear_skew: sample.wear_skew,
-            remaining_life: sample.remaining_life,
             unit_busy_ns: sample
                 .unit_busy_ns
                 .iter()
@@ -181,7 +178,6 @@ pub(crate) mod tests {
             free_blocks: free,
             inflight: 0,
             wear_skew: 1.0,
-            remaining_life: 1.0,
             read_hist: Histogram::new(),
             write_hist: Histogram::new(),
         }

@@ -182,6 +182,11 @@ impl SnapshotTable {
         self.snaps.iter().find(|s| s.name == name)
     }
 
+    /// The physical page of every frozen entry, snapshot by snapshot.
+    pub(crate) fn frozen_ppns(&self) -> impl Iterator<Item = Ppn> + '_ {
+        self.snaps.iter().flat_map(|s| s.pages.iter().map(|&(_, ppn)| ppn))
+    }
+
     /// Host-visible listing, sorted by id.
     pub fn list(&self) -> Vec<SnapshotInfo> {
         self.snaps.iter().map(|s| s.info()).collect()

@@ -9,6 +9,7 @@
 //! mode-specific expectations for what recovery must show.
 
 use nand_sim::{FaultMode, NandTiming};
+use share_core::telemetry::metric::Value;
 use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, SharePair};
 
 fn cfg() -> FtlConfig {
@@ -205,7 +206,8 @@ fn atomic_write_trailing_collection_crash_is_all_or_nothing() {
             }
         }
         ftl.flush().unwrap();
-        assert_eq!((ftl.stats().gc_events, ftl.health_report().free_blocks), (0, 5));
+        let free = ftl.telemetry_snapshot().unwrap().metric("share_free_blocks");
+        assert_eq!((ftl.stats().gc_events, free), (0, Some(Value::U64(5))));
         ftl
     };
     let page = vec![NEW; 4096];

@@ -256,6 +256,7 @@ fn four_channel_copyback_stripes_one_victim_over_every_unit() {
 /// parked (a write invalidates at most one page).
 #[test]
 fn four_channel_slack_band_steps_run_after_the_program_and_pay_the_allocation() {
+    use share_core::telemetry::metric::Value;
     use share_core::{Layer, TelemetryConfig, Track};
     const CHANNELS: u32 = 4;
     let cfg = gc_heavy_cfg()
@@ -264,10 +265,13 @@ fn four_channel_slack_band_steps_run_after_the_program_and_pay_the_allocation() 
     let ppb = cfg.geometry.pages_per_block as u64;
     // The hard floor, and the two blocks of margin above it: one, plus the
     // blocks one submission chunk (8 pages per unit) can open.
-    let floor = cfg.gc_low_water;
+    let floor = 3; // the FTL's GC low watermark
     let reserve = 1 + (8 * CHANNELS as usize).div_ceil(ppb as usize);
     let mut ftl = Ftl::new(cfg);
-    let free = |ftl: &Ftl| ftl.health_report().free_blocks as usize;
+    let free = |ftl: &Ftl| match ftl.telemetry_snapshot().unwrap().metric("share_free_blocks") {
+        Some(Value::U64(free)) => free as usize,
+        other => panic!("share_free_blocks: {other:?}"),
+    };
     struct Write {
         root: u32,
         free_after: usize,

@@ -2,8 +2,10 @@
 //! damaged or foreign checkpoint must be *passed over*, never decoded on
 //! trust and never a panic.
 //!
-//! Three shapes of outside input. A header whose snapshot length no slot
-//! could hold (the commit page's position is computed from it). Seeded bit
+//! Four shapes of outside input. A header whose snapshot length no slot
+//! could hold (the commit page's position is computed from it). A
+//! checkpoint that passes every CRC but whose snapshot section freezes a
+//! page outside the data pool. Seeded bit
 //! flips and truncations of the header, table and commit pages of a
 //! striped slot's newest checkpoint: recovery gives that checkpoint while
 //! the damage misses every byte it checks, and otherwise an older one or
@@ -11,10 +13,13 @@
 //! four-lane layout.
 
 use nand_sim::{NandArray, NandTiming, PageState, Ppn};
-use share_core::{checkpoint_pages, BlockDevice, Ftl, FtlConfig, Lpn};
+use share_core::{
+    checkpoint_pages, crc32c, BlockDevice, Ftl, FtlConfig, FtlError, Lpn, SnapshotTable,
+};
 use share_rng::{Rng, StdRng};
 
 const CKPT_MAGIC: u32 = 0x434B_5054;
+const COMMIT_MAGIC: u32 = 0x4343_4D54;
 /// Header bytes recovery checks: magic, sequence, count, table CRC,
 /// generation, snapshot length and CRC.
 const HEADER_CHECKED: usize = 44;
@@ -68,6 +73,60 @@ fn a_snapshot_length_no_slot_holds_is_rejected() {
     nand.program(Ppn(0), &header).unwrap();
     let ftl = Ftl::open(cfg, nand).expect("no valid checkpoint: an empty device");
     assert!(mapping(&ftl).iter().all(Option::is_none));
+}
+
+/// A NAND holding one checkpoint, CRC-valid throughout, of an empty device
+/// with one snapshot that freezes the page at `frozen`.
+fn checkpoint_freezing(cfg: &FtlConfig, frozen: Ppn) -> NandArray {
+    let ps = cfg.geometry.page_size;
+    let mut snaps = SnapshotTable::new();
+    snaps.create("s", Lpn(0), 1, vec![(0, frozen)]).unwrap();
+    let snap = snaps.encode();
+    let table = vec![0xFF; cfg.logical_pages as usize * 4]; // every LPN unmapped
+    let (table_crc, snap_crc) = (crc32c(&table), crc32c(&snap));
+    let mut header = vec![0u8; ps];
+    header[0..4].copy_from_slice(&CKPT_MAGIC.to_le_bytes());
+    header[12..20].copy_from_slice(&cfg.logical_pages.to_le_bytes());
+    header[20..24].copy_from_slice(&table_crc.to_le_bytes());
+    header[32..40].copy_from_slice(&(snap.len() as u64).to_le_bytes());
+    header[40..44].copy_from_slice(&snap_crc.to_le_bytes());
+    let mut commit = vec![0u8; ps];
+    commit[0..4].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
+    commit[12..16].copy_from_slice(&table_crc.to_le_bytes());
+    commit[24..28].copy_from_slice(&snap_crc.to_le_bytes());
+    let padded = |bytes: &[u8]| {
+        let mut v = bytes.to_vec();
+        v.resize(bytes.len().div_ceil(ps) * ps, 0);
+        v
+    };
+    let image = [header, padded(&table), padded(&snap), commit].concat();
+    let mut nand = NandArray::with_timing(cfg.geometry, cfg.timing, nand_sim::SimClock::new());
+    let slot = cfg.ckpt_slot(0);
+    for (i, page) in image.chunks(ps).enumerate() {
+        nand.program(slot.ppn(i as u32), page).unwrap();
+    }
+    nand
+}
+
+/// A snapshot section passes its CRC, so the pages it names are checked
+/// like the table's: one past the NAND, one in the meta area and an
+/// unmapped one are refused. The first used to open, and the first GC
+/// victim pick then indexed the reference counts out of bounds.
+#[test]
+fn a_snapshot_page_outside_the_data_pool_is_rejected() {
+    let cfg = cfg(1);
+    let ppb = cfg.geometry.pages_per_block;
+    let in_pool = Ppn(cfg.data_start().0 * ppb);
+    let ftl = Ftl::open(cfg.clone(), checkpoint_freezing(&cfg, in_pool)).unwrap();
+    assert_eq!(ftl.snapshot_list().unwrap().len(), 1, "a data-pool page opens");
+    let past_nand = Ppn(cfg.geometry.blocks * ppb + 5);
+    for frozen in [past_nand, Ppn(ppb), Ppn::INVALID] {
+        match Ftl::open(cfg.clone(), checkpoint_freezing(&cfg, frozen)) {
+            Err(FtlError::RecoveryCorrupt(_)) => {}
+            Err(e) => panic!("{frozen:?}: {e}"),
+            Ok(_) => panic!("{frozen:?}: a snapshot page outside the data pool opened"),
+        }
+    }
 }
 
 /// A four-channel device takes eleven checkpoints, so slot 0's newest sits

@@ -96,7 +96,7 @@ fn every_counter_row_is_exported_by_both_formats() {
 /// Every family a device snapshot emits, in emission order: the latency
 /// histograms, the stream ledger, the metric table's rows and the per-unit
 /// busy time. A family added or removed anywhere shows up here first.
-const FAMILIES: [&str; 52] = [
+const FAMILIES: [&str; 50] = [
     "share_op_latency_ns",
     "share_stream_fg_pages_total",
     "share_stream_bg_pages_total",
@@ -145,8 +145,6 @@ const FAMILIES: [&str; 52] = [
     "share_wear_skew",
     "share_free_blocks",
     "share_data_blocks",
-    "share_remaining_life",
-    "share_endurance_cycles",
     "share_unit_busy_ns_total",
     "share_unit_utilization",
 ];

@@ -51,13 +51,6 @@ pub struct CouchConfig {
     pub batch_size: usize,
     /// Max entries per tree node (drives tree height).
     pub node_max_entries: usize,
-    /// Auto-compaction trigger: "when the ratio of stale data reaches a
-    /// configured threshold, the costly compaction operation is invoked"
-    /// (§2.2). `None` disables (compact explicitly).
-    pub auto_compact_ratio: Option<f64>,
-    /// Do not auto-compact below this file size (avoids thrashing tiny
-    /// databases where headers dominate the stale ratio).
-    pub auto_compact_min_blocks: u64,
 }
 
 impl Default for CouchConfig {
@@ -66,8 +59,6 @@ impl Default for CouchConfig {
             mode: CouchMode::Original,
             batch_size: 1,
             node_max_entries: 100,
-            auto_compact_ratio: None,
-            auto_compact_min_blocks: 1_024,
         }
     }
 }
@@ -727,11 +718,6 @@ impl<D: BlockDevice> CouchStore<D> {
         }
         self.ops_since_commit = 0;
         self.stats.commits += 1;
-        if let Some(threshold) = self.cfg.auto_compact_ratio {
-            if self.tail >= self.cfg.auto_compact_min_blocks && self.stale_ratio() >= threshold {
-                self.compact()?;
-            }
-        }
         Ok(())
     }
 

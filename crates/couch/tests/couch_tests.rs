@@ -299,41 +299,6 @@ fn by_seq_index_survives_compaction_and_reopen() {
 }
 
 #[test]
-fn auto_compaction_triggers_at_the_stale_threshold() {
-    for mode in [CouchMode::Original, CouchMode::Share] {
-        let fs = Vfs::format(Ftl::new(ftl_cfg(48)), VfsOptions::default()).unwrap();
-        let mut s = CouchStore::create(
-            fs,
-            "test.couch",
-            CouchConfig {
-                mode,
-                batch_size: 8,
-                node_max_entries: 16,
-                auto_compact_ratio: Some(0.6),
-                auto_compact_min_blocks: 64,
-            },
-        )
-        .unwrap();
-        for k in 0..100u64 {
-            s.save(k, &doc(k, 1)).unwrap();
-        }
-        // Update churn drives the stale ratio past the threshold several
-        // times; the store must compact itself and stay correct.
-        for round in 2..20u64 {
-            for k in 0..100u64 {
-                s.save(k, &doc(k, round)).unwrap();
-            }
-        }
-        s.commit().unwrap();
-        assert!(s.stats().compactions >= 1, "{mode:?}: expected auto-compactions");
-        assert!(s.stale_ratio() < 0.8, "{mode:?}: ratio {}", s.stale_ratio());
-        for k in 0..100u64 {
-            assert_eq!(s.get(k).unwrap(), Some(doc(k, 19)), "{mode:?} key {k}");
-        }
-    }
-}
-
-#[test]
 fn reopen_after_clean_commit() {
     let mut s = store(CouchMode::Original, 4);
     for k in 0..60u64 {

@@ -91,10 +91,6 @@ pub struct PgConfig {
     pub checkpoint_txns: u64,
     /// pgbench scale factor (100k accounts per unit).
     pub scale: u64,
-    /// PostgreSQL's `data_checksums`: verify a per-page checksum when heap
-    /// pages are loaded, so torn pages are *detected* (FPW or SHARE are
-    /// still what makes them *recoverable*).
-    pub data_checksums: bool,
 }
 
 impl Default for PgConfig {
@@ -104,7 +100,6 @@ impl Default for PgConfig {
             page_bytes: 8192,
             checkpoint_txns: 2_000,
             scale: 1,
-            data_checksums: true,
         }
     }
 }
@@ -332,8 +327,10 @@ impl<D: BlockDevice> MiniPg<D> {
                 .collect();
             self.fs.read_pages(self.data, &mut reqs)?;
         }
-        if self.cfg.data_checksums && !Self::checksum_ok(&img) {
-            // A torn heap page. With FPW (or SHARE) recovery restores an
+        if !Self::checksum_ok(&img) {
+            // A torn heap page, caught by PostgreSQL's `data_checksums`
+            // (always on here: the check is what makes a torn page an
+            // error rather than a wrong balance). With FPW (or SHARE) recovery restores an
             // intact image first, as long as the WAL page holding it
             // survives. FPW-Off on a crash-prone device lands here.
             return Err(PgError::TornPage { page: page_no });

@@ -14,9 +14,7 @@
 //!   background pages blamed on it, with the FTL's own on a reserved `ftl`
 //!   stream),
 //! * exporters: Prometheus-style text ([`Snapshot::to_prometheus`]) and
-//!   JSON ([`Snapshot::to_json`]) built on the in-crate [`json`] module,
-//! * SLO thresholds ([`slo::SloConfig`]) that readers evaluate over the
-//!   flight recorder's epochs; the device records and never judges.
+//!   JSON ([`Snapshot::to_json`]) built on the in-crate [`json`] module.
 //!
 //! Each observation has one home. A command count is a `DeviceStats` row
 //! (or its op's histogram count); a command's op, stream, pages and times
@@ -32,13 +30,11 @@ pub mod json;
 pub mod metric;
 pub mod percentile;
 pub mod prom;
-pub mod slo;
 pub mod trace;
 
 pub use hist::Histogram;
 pub use metric::{rows_json, Metric};
 pub use percentile::percentile_sorted;
-pub use slo::{Alert, AlertKind, AlertSeverity, EpochObservation, SloConfig};
 pub use trace::{apportion, Layer, Span, SpanId, Track, Tracer};
 
 use json::Json;
@@ -457,9 +453,9 @@ pub struct Snapshot {
     /// zero for bare `Telemetry` snapshots and sync-only devices).
     pub queue: QueueGauges,
     /// Every device scalar as one row list: the `DeviceStats`/`NandStats`
-    /// counters, WAF, and the queue, snapshot-table and health
-    /// readings (filled by the device; empty for bare `Telemetry`
-    /// snapshots). Both exporters walk it.
+    /// counters, WAF, and the queue, snapshot-table and wear readings
+    /// (filled by the device; empty for bare `Telemetry` snapshots). Both
+    /// exporters walk it.
     pub metrics: Vec<Metric>,
 }
 

@@ -3,7 +3,7 @@
 //! A scalar is declared once — a field of a [`counter_table!`] struct, or
 //! one [`Metric`] row beside the state it reads — and every surface walks
 //! the rows: Prometheus text, metrics JSON, flight-recorder epoch rows,
-//! `sharectl doctor`, bench records. None keeps a key list of its own.
+//! bench records. None keeps a key list of its own.
 
 use crate::json::{count, Json};
 

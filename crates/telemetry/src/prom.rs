@@ -240,7 +240,7 @@ mod tests {
             QueueGauges { depth: 16, inflight: 3, max_inflight: 9, submitted: 120, reaped: 117 }
                 .rows();
         snap.metrics.push(Metric::ratio("share_wear_skew", "Skew.", 2.0));
-        snap.metrics.push(Metric::ratio("share_remaining_life", "Life.", 0.9985));
+        snap.metrics.push(Metric::ratio("share_wear_erases_mean", "Mean.", 15.8125));
         let text = snap.to_prometheus();
         assert!(text.contains("share_queue_depth 16\n"));
         assert!(text.contains("share_queue_inflight 3\n"));
@@ -251,7 +251,7 @@ mod tests {
         assert!(text.contains("share_queue_reaped_total 117\n"));
         assert_eq!(text.matches("# HELP share_queue_depth ").count(), 1);
         assert!(text.contains("share_wear_skew 2\n"));
-        assert!(text.contains("share_remaining_life 0.9985\n"));
+        assert!(text.contains("share_wear_erases_mean 15.8125\n"));
     }
 
     #[test]

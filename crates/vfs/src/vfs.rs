@@ -7,6 +7,12 @@ use share_telemetry::{Layer, SpanId, Track, Tracer};
 
 const META_MAGIC: u32 = 0x4653_4D44; // "FSMD"
 const MAX_NAME: usize = 64;
+/// Pages per metadata snapshot slot (two slots are reserved).
+const META_SLOT_PAGES: u64 = 8;
+/// Pages in the ordered-mode journal ring.
+const JOURNAL_RING_PAGES: u64 = 16;
+/// LPNs before the first file page: the two metadata slots and the ring.
+const META_PAGES: u64 = 2 * META_SLOT_PAGES + JOURNAL_RING_PAGES;
 
 /// Handle to an open file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,10 +21,6 @@ pub struct FileId(pub u32);
 /// Tunables of a [`Vfs`] instance.
 #[derive(Debug, Clone)]
 pub struct VfsOptions {
-    /// Pages per metadata snapshot slot (two slots are reserved).
-    pub meta_slot_pages: u64,
-    /// Pages in the ordered-mode journal ring.
-    pub journal_ring_pages: u64,
     /// Journal pages charged per fsync that found dirty data (models the
     /// ext4 ordered-mode commit record + descriptor). 0 disables.
     pub journal_pages_per_commit: u64,
@@ -29,8 +31,6 @@ pub struct VfsOptions {
 impl Default for VfsOptions {
     fn default() -> Self {
         Self {
-            meta_slot_pages: 8,
-            journal_ring_pages: 16,
             journal_pages_per_commit: 0,
             extent_chunk_pages: 256,
         }
@@ -96,23 +96,18 @@ pub struct Vfs<D: BlockDevice> {
 }
 
 impl<D: BlockDevice> Vfs<D> {
-    fn meta_pages(opts: &VfsOptions) -> u64 {
-        2 * opts.meta_slot_pages + opts.journal_ring_pages
-    }
-
     /// First LPN available to file data.
     pub fn data_start(&self) -> u64 {
-        Self::meta_pages(&self.opts)
+        META_PAGES
     }
 
     /// Format `dev` with an empty file table.
     pub fn format(dev: D, opts: VfsOptions) -> Result<Self, VfsError> {
-        let data_start = Self::meta_pages(&opts);
         assert!(
-            dev.capacity_pages() > data_start + opts.extent_chunk_pages,
+            dev.capacity_pages() > META_PAGES + opts.extent_chunk_pages,
             "device too small for this metadata layout"
         );
-        let alloc = ExtentAllocator::new(data_start, dev.capacity_pages());
+        let alloc = ExtentAllocator::new(META_PAGES, dev.capacity_pages());
         let tracer = dev.tracer();
         let mut vfs = Self {
             dev,
@@ -139,7 +134,6 @@ impl<D: BlockDevice> Vfs<D> {
 
     /// Mount an existing file system from `dev`.
     pub fn open(dev: D, opts: VfsOptions) -> Result<Self, VfsError> {
-        let data_start = Self::meta_pages(&opts);
         let tracer = dev.tracer();
         let mut vfs = Self {
             dev,
@@ -176,7 +170,7 @@ impl<D: BlockDevice> Vfs<D> {
             vfs.streams.insert(f.id, stream);
             vfs.files.insert(f.id, f);
         }
-        vfs.alloc = ExtentAllocator::rebuild(data_start, vfs.dev.capacity_pages(), used);
+        vfs.alloc = ExtentAllocator::rebuild(META_PAGES, vfs.dev.capacity_pages(), used);
         Ok(vfs)
     }
 
@@ -924,7 +918,7 @@ impl<D: BlockDevice> Vfs<D> {
     fn write_snapshot(&mut self) -> Result<(), VfsError> {
         let payload = self.encode_files();
         let ps = self.dev.page_size();
-        let slot_bytes = (self.opts.meta_slot_pages as usize) * ps;
+        let slot_bytes = (META_SLOT_PAGES as usize) * ps;
         if 32 + payload.len() > slot_bytes {
             return Err(VfsError::MetadataOverflow {
                 need_bytes: 32 + payload.len(),
@@ -933,7 +927,7 @@ impl<D: BlockDevice> Vfs<D> {
         }
         self.generation += 1;
         let slot = self.generation % 2;
-        let base = slot * self.opts.meta_slot_pages;
+        let base = slot * META_SLOT_PAGES;
         let pages = (32 + payload.len()).div_ceil(ps) as u64;
         let mut image = vec![0u8; (pages as usize) * ps];
         image[0..4].copy_from_slice(&META_MAGIC.to_le_bytes());
@@ -958,7 +952,7 @@ impl<D: BlockDevice> Vfs<D> {
     #[allow(clippy::type_complexity)]
     fn read_snapshot(&mut self, slot: u64) -> Result<Option<(u64, Vec<FileInner>)>, VfsError> {
         let ps = self.dev.page_size();
-        let base = slot * self.opts.meta_slot_pages;
+        let base = slot * META_SLOT_PAGES;
         let mut page = vec![0u8; ps];
         self.dev.set_stream(self.fs_meta_stream);
         self.dev.read(Lpn(base), &mut page)?;
@@ -968,7 +962,7 @@ impl<D: BlockDevice> Vfs<D> {
         let generation = u64::from_le_bytes(page[4..12].try_into().unwrap());
         let len = u32::from_le_bytes(page[12..16].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(page[16..20].try_into().unwrap());
-        if 32 + len > (self.opts.meta_slot_pages as usize) * ps {
+        if 32 + len > (META_SLOT_PAGES as usize) * ps {
             return Ok(None);
         }
         let pages = (32 + len).div_ceil(ps) as u64;
@@ -989,11 +983,11 @@ impl<D: BlockDevice> Vfs<D> {
 
     fn write_journal_commit(&mut self) -> Result<(), VfsError> {
         let ps = self.dev.page_size();
-        let ring_base = 2 * self.opts.meta_slot_pages;
+        let ring_base = 2 * META_SLOT_PAGES;
         let page = vec![0xEEu8; ps];
         self.dev.set_stream(self.fs_journal_stream);
         for _ in 0..self.opts.journal_pages_per_commit {
-            let lpn = ring_base + (self.journal_cursor % self.opts.journal_ring_pages);
+            let lpn = ring_base + (self.journal_cursor % JOURNAL_RING_PAGES);
             self.journal_cursor += 1;
             self.dev.write(Lpn(lpn), &page)?;
             self.stats.journal_pages += 1;

@@ -2,7 +2,8 @@
 //!
 //! Reads `crates/core/src/config.rs` as text and compares the `pub` fields
 //! of `FtlConfig` and its `pub fn with_*` builders against the lists below,
-//! and the `pub` fields of `TelemetryConfig` (`crates/telemetry/src/lib.rs`)
+//! and the `pub` fields of `TelemetryConfig` and of the engines' and the
+//! file system's configurations (`VfsOptions`, `PgConfig`, `CouchConfig`)
 //! the same way. Every independently settable value doubles the configurations the tests
 //! and the benchmark must cover, so a new one is a decision, not a diff
 //! line: it shows up here first. The environment knobs the library reads
@@ -12,7 +13,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-const FIELDS: [&str; 12] = [
+const FIELDS: [&str; 9] = [
     "geometry",
     "timing",
     "logical_pages",
@@ -20,9 +21,6 @@ const FIELDS: [&str; 12] = [
     "revmap_policy",
     "gc_policy",
     "log_blocks",
-    "gc_low_water",
-    "gc_high_water",
-    "command_ns",
     "queue_depth",
     "telemetry",
 ];
@@ -80,6 +78,28 @@ fn telemetry_config_fields_match_the_recorded_list() {
         "a new telemetry option is a device option too — update this list and say which \
          caller wants it in CHANGES.md\nfields: {fields:?}"
     );
+}
+
+/// `(file, struct, its pub fields)` for the configurations the engines and
+/// the file system take.
+const ENGINE_CONFIGS: [(&str, &str, &[&str]); 3] = [
+    ("crates/vfs/src/vfs.rs", "VfsOptions", &["journal_pages_per_commit", "extent_chunk_pages"]),
+    ("crates/pg/src/engine.rs", "PgConfig", &["mode", "page_bytes", "checkpoint_txns", "scale"]),
+    ("crates/couch/src/store.rs", "CouchConfig", &["mode", "batch_size", "node_max_entries"]),
+];
+
+#[test]
+fn engine_config_fields_match_the_recorded_list() {
+    for (file, name, want) in ENGINE_CONFIGS {
+        let text = source(file);
+        let fields = pub_fields(&text, name);
+        assert!(
+            fields == want,
+            "a new {name} knob needs two existing callers that want different values \
+             (ROADMAP aim 2) — update this list and say which in CHANGES.md\n\
+             fields: {fields:?}"
+        );
+    }
 }
 
 const KNOBS: [&str; 4] = [
