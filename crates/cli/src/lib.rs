@@ -63,9 +63,9 @@ fn usage() -> String {
      \x20\x20\x20\x20 nothing is written back to the image)\n\
      \x20 sharectl trace  <img> [--workload sequential|uniform|zipfian|mixed]\n\
      \x20\x20\x20\x20 [--ops N] [--seed N] [--out trace.json] [--tree N]\n\
-     \x20\x20\x20\x20 (run a traced workload: per-stream write-amplification table,\n\
-     \x20\x20\x20\x20 optional Chrome trace_event JSON and span-tree dump —\n\
-     \x20\x20\x20\x20 observation only, nothing is written back to the image)\n\
+     \x20\x20\x20\x20 (run a traced workload on a data and a journal stream: optional\n\
+     \x20\x20\x20\x20 Chrome trace_event JSON and span-tree dump — observation only,\n\
+     \x20\x20\x20\x20 nothing is written back to the image)\n\
      \x20 sharectl monitor <img> [--workload sequential|uniform|zipfian|mixed] [--ops N]\n\
      \x20\x20\x20\x20 [--seed N] [--epoch-ms N] [--ring N] [--format table|json]\n\
      \x20\x20\x20\x20 (run a workload under the flight recorder: one row of counter\n\
@@ -108,32 +108,33 @@ fn load_device_with(img: &str, telemetry: TelemetryConfig) -> Result<Ftl> {
     let cfg_text = fs::read_to_string(cfg_path(img))
         .map_err(|_| CliError(format!("missing sidecar {} — not a sharectl image?", cfg_path(img))))?;
     let field = |name: &str| -> Result<u64> {
-        cfg_text
+        let value = cfg_text
             .lines()
             .find_map(|l| l.strip_prefix(&format!("{name}=")))
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| CliError(format!("sidecar missing {name}")))
+            .ok_or_else(|| CliError(format!("sidecar missing {name}")))?;
+        value.parse().map_err(|_| CliError(format!("sidecar {name} is not a count: {value}")))
     };
     let logical_pages = field("logical_pages")?;
-    let log_blocks = field("log_blocks")? as u32;
-    let revmap_capacity = field("revmap_capacity")? as usize;
+    let log_blocks = field("log_blocks")?;
+    let revmap_capacity = field("revmap_capacity")?;
 
     let bytes = fs::read(img)?;
     let nand = nand_sim::NandArray::load_image(&mut bytes.as_slice(), nand_sim::NandTiming::default())
         .map_err(|e| CliError(format!("bad image: {e}")))?;
     let g = nand.geometry();
-    let mut cfg = FtlConfig::for_capacity_with(
-        logical_pages * g.page_size as u64,
-        0.10, // placeholder; the real geometry below overrides the layout
-        g.page_size,
-        g.pages_per_block,
-        nand.timing(),
-    );
+    // The defaults supply the fields the sidecar does not hold; the image's
+    // geometry and timing and the sidecar's fields replace the rest, and are
+    // checked against each other before anything is sized from them (the
+    // reverse map's capacity is a bound only: it sizes nothing).
+    let mut cfg = FtlConfig::for_capacity(1 << 20, 0.10);
     cfg.geometry = g;
-    cfg.log_blocks = log_blocks;
-    cfg.revmap_capacity = revmap_capacity;
+    cfg.timing = nand.timing();
+    cfg.log_blocks = u32::try_from(log_blocks).unwrap_or(u32::MAX);
+    cfg.revmap_capacity = usize::try_from(revmap_capacity).unwrap_or(usize::MAX);
     cfg.logical_pages = logical_pages;
     cfg.telemetry = telemetry;
+    cfg.validate()
+        .map_err(|e| CliError(format!("sidecar {} does not fit the image: {e}", cfg_path(img))))?;
     Ftl::open(cfg, nand).map_err(Into::into)
 }
 
@@ -421,10 +422,9 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
 }
 
 /// Causal span tracing: run a synthetic workload against the image with
-/// tracing enabled, print the per-stream write-amplification ledger
-/// (a Figure-6-style breakdown), and optionally export the span tree as
-/// Chrome `trace_event` JSON (`--out`) or a text tree (`--tree N`).
-/// Observation only — nothing is written back to the image.
+/// tracing enabled, print its traffic summary, and optionally export the
+/// span tree as Chrome `trace_event` JSON (`--out`) or a text tree
+/// (`--tree N`). Observation only — nothing is written back to the image.
 fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
     let (workload, gen) = synthetic_args(args)?;
@@ -442,29 +442,6 @@ fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
     )
     .unwrap();
     out.push_str(&traffic_summary(&d));
-    let snap = dev.telemetry_snapshot().expect("FTL always exposes telemetry");
-    writeln!(out, "\nper-stream write-amplification ledger:").unwrap();
-    writeln!(
-        out,
-        "{:<14} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "stream", "fg_pages", "bg_gc", "bg_log", "bg_ckpt", "WA"
-    )
-    .unwrap();
-    for w in &snap.wa {
-        if w.fg_pages == 0 && w.bg_total() == 0 {
-            continue;
-        }
-        let wa = match w.wa_factor() {
-            Some(f) => format!("{f:.3}"),
-            None => "-".into(),
-        };
-        writeln!(
-            out,
-            "{:<14} {:>10} {:>10} {:>10} {:>10} {:>8}",
-            w.label, w.fg_pages, w.bg_gc, w.bg_log, w.bg_ckpt, wa
-        )
-        .unwrap();
-    }
     if let Some(path) = flag_value(args, "--out") {
         let json = dev.tracer().chrome_json().expect("tracing was enabled");
         fs::write(path, json.render())?;
@@ -518,8 +495,8 @@ fn synthetic_args(args: &[String]) -> Result<(&str, TraceConfig)> {
 
 /// Replay `gen` over the whole of `dev` on two host streams split by
 /// address: the low 3/4 reads as table/data traffic, the top 1/4 as journal
-/// traffic — enough structure for the blame ledger to attribute GC against
-/// distinct foreground streams. Returns the ops replayed.
+/// traffic, so a trace draws the two on their own tracks. Returns the ops
+/// replayed.
 fn run_synthetic(dev: &mut Ftl, gen: TraceConfig) -> Result<u64> {
     let logical = dev.config().logical_pages;
     let data = dev.stream_intern("data");

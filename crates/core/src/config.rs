@@ -117,7 +117,7 @@ impl FtlConfig {
         };
         let meta = 2 * cfg.ckpt_slot_blocks_for(logical_pages, page_size, pages_per_block) + log_blocks;
         cfg.geometry = NandGeometry::new(page_size, pages_per_block, meta + data_blocks);
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         cfg
     }
 
@@ -146,17 +146,32 @@ impl FtlConfig {
         self
     }
 
-    /// Panic if the layout is internally inconsistent.
-    pub fn validate(&self) {
-        assert!(self.logical_pages > 0, "logical capacity must be positive");
-        assert!(self.log_blocks >= 2, "need at least two log blocks");
-        let data_blocks = self.data_blocks();
-        assert!(
-            (data_blocks as u64 * self.geometry.pages_per_block as u64)
-                > self.logical_pages + (GC_HIGH_WATER as u64 + 2) * self.geometry.pages_per_block as u64,
-            "data pool too small for logical capacity plus GC headroom"
-        );
-        assert!(self.deltas_per_page() >= 1, "page too small for delta records");
+    /// Why the layout is inconsistent, if it is. The capacity and the ring
+    /// are bounded by the medium before the layout is computed from them,
+    /// so a config read off a damaged file is refused, never a panic.
+    pub fn validate(&self) -> Result<(), String> {
+        let g = &self.geometry;
+        if self.logical_pages == 0 {
+            return Err("logical capacity must be positive".into());
+        }
+        if self.log_blocks < 2 {
+            return Err("need at least two log blocks".into());
+        }
+        if g.page_size < META_PAGE_HEADER + DELTA_BYTES {
+            return Err("page too small for delta records".into());
+        }
+        if self.logical_pages > g.total_pages() as u64 || self.log_blocks >= g.blocks {
+            return Err(format!(
+                "{} logical pages and {} log blocks do not fit {} blocks of {} pages",
+                self.logical_pages, self.log_blocks, g.blocks, g.pages_per_block
+            ));
+        }
+        let ppb = g.pages_per_block as u64;
+        let pool = (g.blocks as u64).saturating_sub(self.meta_blocks() as u64) * ppb;
+        if pool <= self.logical_pages + (GC_HIGH_WATER as u64 + 2) * ppb {
+            return Err("data pool too small for logical capacity plus GC headroom".into());
+        }
+        Ok(())
     }
 
     /// Mapping deltas that fit one meta page — the atomic SHARE batch limit.
@@ -343,7 +358,7 @@ mod tests {
             // The slots, the pad and the ring do not overlap.
             let slot_end = cfg.ckpt_slot(1).block_ids().last().unwrap().0;
             assert!(slot_end < cfg.log_ring_start().0);
-            cfg.validate();
+            cfg.validate().unwrap();
         }
         assert_eq!(one.with_parallelism(1, 1).meta_blocks(), 2 * b + 4, "one channel: no pad");
     }

@@ -215,15 +215,16 @@ pub trait BlockDevice {
     /// The simulated clock this device advances.
     fn clock(&self) -> &SimClock;
 
-    /// Intern a logical stream label (e.g. `"wal"`, `"heap"`) for
-    /// per-stream telemetry attribution. Devices without telemetry return
-    /// the catch-all id 0.
+    /// Intern a logical stream label (e.g. `"wal"`, `"heap"`): a stream
+    /// names the trace track of the commands issued on it. Devices without
+    /// tracing return the catch-all id 0.
     fn stream_intern(&mut self, _label: &str) -> u32 {
         0
     }
 
-    /// Attribute subsequent commands to the stream returned by
-    /// [`stream_intern`](Self::stream_intern). No-op without telemetry.
+    /// Put the spans of subsequent commands on the track of the stream
+    /// returned by [`stream_intern`](Self::stream_intern). No-op without
+    /// tracing.
     fn set_stream(&mut self, _stream: u32) {}
 
     /// Point-in-time telemetry snapshot, if the device collects any.

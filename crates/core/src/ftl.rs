@@ -14,11 +14,11 @@
 //!   only then erases the victim.
 //!
 //! This file holds the device itself: construction and recovery, the
-//! read/write/trim bodies, the delta-log commit, checkpoints and the WA
-//! blame ledger. The rest of `impl Ftl` lives beside it: [`gc`] (victim
-//! selection, relocation, watermarks), [`exec`] (command and internal-pass
-//! frames, submission queue, the `BlockDevice` impl), [`share`] (the SHARE
-//! command) and [`snapshot_ops`] (snapshot commands).
+//! read/write/trim bodies, the delta-log commit and checkpoints. The rest
+//! of `impl Ftl` lives beside it: [`gc`] (victim selection, relocation,
+//! watermarks), [`exec`] (command and internal-pass frames, submission
+//! queue, the `BlockDevice` impl), [`share`] (the SHARE command) and
+//! [`snapshot_ops`] (snapshot commands).
 
 use crate::ckpt::{self, Checkpoints};
 use crate::config::FtlConfig;
@@ -35,8 +35,8 @@ use crate::stats::DeviceStats;
 use crate::types::{Lpn, Ppn, SharePair};
 use nand_sim::{FaultHandle, NandArray, SimClock};
 use share_telemetry::{
-    apportion, BlameKind, Layer, Metric, OpClass, QueueGauges, Snapshot, SpanId,
-    Telemetry, Tracer, Track, UnitUtilization, STREAM_FTL,
+    Layer, Metric, OpClass, QueueGauges, Snapshot, SpanId, Telemetry, Tracer, Track,
+    UnitUtilization, STREAM_FTL,
 };
 use std::collections::HashSet;
 
@@ -189,12 +189,16 @@ pub struct Ftl {
     /// Checkpoint slots, generations and the page image checkpoints are
     /// built in.
     ckpts: Checkpoints,
-    /// Per-op-class latency histograms and the per-stream WA ledger.
+    /// Per-op-class latency histograms and the epoch latency windows.
     /// Records clock *read-outs* only — never advances simulated time.
     telemetry: Telemetry,
     /// Causal span tracer (disabled unless `cfg.telemetry.trace`); the
-    /// NAND array holds a clone and attaches leaf events to it.
+    /// NAND array holds a clone and attaches leaf events to it. Its table
+    /// holds the stream labels.
     tracer: Tracer,
+    /// The stream whose track the next host command's span sits on
+    /// (`set_stream`; 0, the `host` stream, until a caller sets one).
+    current_stream: u32,
     /// Submitted-but-unreaped queued commands (bounded by
     /// `cfg.queue_depth`).
     pending: Vec<PendingCmd>,
@@ -216,16 +220,6 @@ pub struct Ftl {
     /// `meta_page_writes` at the last debt accrual: the log and checkpoint
     /// pages programmed since then count into the next command's debt.
     gc_meta_seen: u64,
-    /// WA ledger, GC axis: per data-pool block (relative index), how many
-    /// pages each stream invalidated there. Settled into the telemetry
-    /// blame ledger when the block is collected; cleared on erase.
-    block_blame: Vec<Vec<u64>>,
-    /// WA ledger, log axis: buffered (not yet flushed) deltas per stream.
-    log_blame: Vec<u64>,
-    /// WA ledger, checkpoint axis: deltas per stream since last checkpoint.
-    ckpt_blame: Vec<u64>,
-    /// Per-stream shares of the last settlement, reused by every one.
-    blame_shares: Vec<u64>,
     /// Scratch buffers reused across SHARE commands so the hot path does
     /// not allocate for typical batch sizes (cleared, never shrunk).
     share_dests: Vec<Lpn>,
@@ -247,7 +241,7 @@ pub struct Ftl {
 impl Ftl {
     /// A freshly formatted device.
     pub fn new(cfg: FtlConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let nand = NandArray::with_timing(cfg.geometry, cfg.timing, SimClock::new());
         Self::format(cfg, nand)
     }
@@ -277,7 +271,6 @@ impl Ftl {
         let recorder = (cfg.telemetry.epoch_ns > 0).then(|| {
             FlightRecorder::new(cfg.telemetry.epoch_ns, cfg.telemetry.epoch_ring, nand.now_ns())
         });
-        let data_blocks = cfg.data_blocks() as usize;
         Self {
             cfg,
             nand,
@@ -288,6 +281,7 @@ impl Ftl {
             ckpts,
             telemetry,
             tracer,
+            current_stream: 0,
             pending: Vec::new(),
             next_tag: 0,
             q_submitted: 0,
@@ -297,10 +291,6 @@ impl Ftl {
             gc_scratch: GcScratch::default(),
             gc_debt: 0,
             gc_meta_seen: 0,
-            block_blame: vec![Vec::new(); data_blocks],
-            log_blame: Vec::new(),
-            ckpt_blame: Vec::new(),
-            blame_shares: Vec::new(),
             share_dests: Vec::new(),
             share_srcs: Vec::new(),
             share_incs: Vec::new(),
@@ -316,7 +306,7 @@ impl Ftl {
     /// block-state rebuild. Ends by taking a fresh checkpoint so the log
     /// ring restarts clean.
     pub fn open(cfg: FtlConfig, mut nand: NandArray) -> Result<Self, FtlError> {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         nand.power_cycle();
         let mut ftl = Self::assemble(cfg, nand);
         let nand_before = ftl.nand.stats();
@@ -482,69 +472,6 @@ impl Ftl {
         crate::device::check_range(start, len, self.cfg.logical_pages)
     }
 
-    /// Note a mapping delta created on behalf of `stream`: it weighs into
-    /// the blame apportionment of the next log flush and checkpoint.
-    fn note_delta(&mut self, stream: u32, n: u64) {
-        let idx = stream as usize;
-        if self.log_blame.len() <= idx {
-            self.log_blame.resize(idx + 1, 0);
-        }
-        if self.ckpt_blame.len() <= idx {
-            self.ckpt_blame.resize(idx + 1, 0);
-        }
-        self.log_blame[idx] += n;
-        self.ckpt_blame[idx] += n;
-    }
-
-    /// Note that `old`'s physical page died: the stream running the
-    /// current command turned a page in `old`'s block into garbage, so it
-    /// is blamed for a share of that block's eventual GC copyback.
-    fn note_invalidation(&mut self, old: &crate::mapping::Unmapped) {
-        if !old.died {
-            return;
-        }
-        let block = self.cfg.geometry.block_of(old.old_ppn);
-        let Some(rel) = self.pool.rel(block) else { return };
-        let stream = self.telemetry.current_stream() as usize;
-        let blame = &mut self.block_blame[rel as usize];
-        if blame.len() <= stream {
-            blame.resize(stream + 1, 0);
-        }
-        blame[stream] += 1;
-    }
-
-    /// Settle `pages` background programs into the WA ledger, apportioned
-    /// across per-stream `weights` (largest remainder, exact sum). With no
-    /// weights recorded the pages fall to the reserved `ftl` stream.
-    fn settle_blame(&mut self, kind: BlameKind, pages: u64, weights: &[u64]) {
-        if pages == 0 {
-            return;
-        }
-        if weights.iter().all(|&w| w == 0) {
-            self.telemetry.blame(STREAM_FTL, kind, pages);
-            return;
-        }
-        // The split lands in a buffer the device keeps, so settling asks
-        // the heap for nothing once it has grown to the stream count.
-        let mut shares = std::mem::take(&mut self.blame_shares);
-        apportion(pages, weights, &mut shares);
-        for (stream, &share) in shares.iter().enumerate() {
-            if share > 0 {
-                self.telemetry.blame(stream as u32, kind, share);
-            }
-        }
-        self.blame_shares = shares;
-    }
-
-    /// Settle a finished log flush: blame its pages and zero the weights
-    /// (the buffered deltas they tracked are now on flash).
-    fn settle_log_blame(&mut self, pages: u64) {
-        let mut w = std::mem::take(&mut self.log_blame);
-        self.settle_blame(BlameKind::LogFlush, pages, &w);
-        w.iter_mut().for_each(|x| *x = 0);
-        self.log_blame = w;
-    }
-
     /// Flush the buffered deltas (no-op on an empty buffer), then
     /// checkpoint if the log ring is nearly full.
     fn flush_log(&mut self) -> Result<(), FtlError> {
@@ -554,12 +481,10 @@ impl Ftl {
         self.maybe_checkpoint()
     }
 
-    /// Buffer one mapping delta on behalf of the current stream, flushing
-    /// the log when the buffer holds a page for every lane of the ring's
-    /// stripe.
+    /// Buffer one mapping delta, flushing the log when the buffer holds a
+    /// page for every lane of the ring's stripe.
     fn log_delta(&mut self, delta: Delta) -> Result<(), FtlError> {
         self.log.append(delta);
-        self.note_delta(self.telemetry.current_stream(), 1);
         if self.log.buffer_full() {
             self.flush_log()?;
         }
@@ -570,12 +495,8 @@ impl Ftl {
     /// buffered deltas as one submission — with `batch`, followed by (or
     /// sharing a page with) that batch, each page of it atomically
     /// programmed, which is what makes SHARE, atomic writes and clones
-    /// all-or-nothing — then account the meta pages and settle their
-    /// blame.
+    /// all-or-nothing — then account the meta pages.
     fn commit_log(&mut self, batch: Option<&[Delta]>) -> Result<(), FtlError> {
-        if let Some(batch) = batch {
-            self.note_delta(self.telemetry.current_stream(), batch.len() as u64);
-        }
         if self.log.commit_pages(batch.map(<[Delta]>::len)) > self.log.pages_remaining() {
             // Relocation deltas join the buffer without a flush check, so
             // a commit can outgrow the ring's checkpoint margin. Checkpoint
@@ -592,7 +513,6 @@ impl Ftl {
             Ok(f.log.pages_written - before)
         })?;
         self.stats.meta_page_writes += pages;
-        self.settle_log_blame(pages);
         Ok(())
     }
 
@@ -611,10 +531,8 @@ impl Ftl {
 
     fn checkpoint_inner(&mut self) -> Result<u64, FtlError> {
         // RAM-buffered deltas are already reflected in the snapshot; their
-        // log pages will never be written, so the log blame weights reset
-        // too (the activity still weighs into this checkpoint's blame).
+        // log pages will never be written.
         self.log.clear_buffered();
-        self.log_blame.iter_mut().for_each(|x| *x = 0);
         let seq = self.log.next_seq();
         let snap_bytes = self.snaps.encode();
         let l2p = self.map.l2p_raw();
@@ -622,10 +540,6 @@ impl Ftl {
         self.log.reset(&mut self.nand)?;
         self.stats.checkpoints += 1;
         self.stats.meta_page_writes += pages;
-        let mut w = std::mem::take(&mut self.ckpt_blame);
-        self.settle_blame(BlameKind::Checkpoint, pages, &w);
-        w.iter_mut().for_each(|x| *x = 0);
-        self.ckpt_blame = w;
         Ok(pages)
     }
 
@@ -659,9 +573,8 @@ impl Ftl {
         (self.cfg.geometry.units() as usize * 8).max(1)
     }
 
-    /// Telemetry collected by this device (latency histograms and the WA
-    /// ledger always; the epoch latency windows per
-    /// [`FtlConfig::telemetry`]).
+    /// Telemetry collected by this device (latency histograms always; the
+    /// epoch latency windows per [`FtlConfig::telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -695,8 +608,7 @@ impl Ftl {
         let ppn = self.pool.alloc(&self.nand, WritePoint::User)?;
         self.nand.program(ppn, data)?;
         let old = self.map.map_new_write(lpn, ppn)?;
-        self.note_invalidation(&old);
-        self.log_delta(Delta { lpn, old: old.old_ppn, new: ppn })?;
+        self.log_delta(Delta { lpn, old, new: ppn })?;
         self.collect_after(1, mark)
     }
 
@@ -708,10 +620,9 @@ impl Ftl {
         for i in 0..len {
             let l = lpn.offset(i);
             let old = self.map.unmap(l);
-            self.note_invalidation(&old);
             self.stats.trims += 1;
-            if old.old_ppn.is_valid() {
-                self.log_delta(Delta { lpn: l, old: old.old_ppn, new: Ppn::INVALID })?;
+            if old.is_valid() {
+                self.log_delta(Delta { lpn: l, old, new: Ppn::INVALID })?;
             }
         }
         Ok(())
@@ -771,8 +682,7 @@ impl Ftl {
                 let dests = self.program_user_submission(&chunk[done..])?;
                 for ((lpn, _), &ppn) in chunk[done..].iter().zip(&dests) {
                     let old = self.map.map_new_write(*lpn, ppn)?;
-                    self.note_invalidation(&old);
-                    let delta = Delta { lpn: *lpn, old: old.old_ppn, new: ppn };
+                    let delta = Delta { lpn: *lpn, old, new: ppn };
                     match batch.as_deref_mut() {
                         Some(batch) => batch.push(delta),
                         None => self.log_delta(delta)?,

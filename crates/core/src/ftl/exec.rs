@@ -34,7 +34,7 @@ impl Ftl {
         let end = self.nand.submission_now();
         let pages = *r.as_ref().unwrap_or(&0);
         self.tracer.end(span, end, pages, r.is_ok());
-        self.telemetry.record(op, pages, t0, end, r.is_ok());
+        self.telemetry.record(op, t0, end);
         r
     }
 
@@ -56,7 +56,7 @@ impl Ftl {
         body: impl FnOnce(&mut Self) -> Result<T, FtlError>,
     ) -> (Result<T, FtlError>, u64, Vec<u32>) {
         let t0 = self.nand.now_ns();
-        let span = self.begin_span(name, self.telemetry.current_stream(), t0);
+        let span = self.begin_span(name, self.current_stream, t0);
         if queued {
             self.pool.begin_capture();
             self.nand.begin_deferred();
@@ -69,7 +69,7 @@ impl Ftl {
         };
         self.tracer.end(span, end, pages, r.is_ok());
         if let Some(op) = op {
-            self.telemetry.record(op, pages, t0, end, r.is_ok());
+            self.telemetry.record(op, t0, end);
         }
         (r, end, blocks)
     }
@@ -103,7 +103,6 @@ impl Ftl {
         let sample = EpochSample {
             now_ns: now,
             stats: self.stats(),
-            wa: self.telemetry.wa_raw(),
             unit_busy_ns: self.nand.busy_ns().to_vec(),
             free_blocks: self.pool.free_count() as u64,
             inflight: self.pending.len() as u64,
@@ -243,7 +242,7 @@ impl BlockDevice for Ftl {
     }
 
     /// Release `name`'s pins. Newly unreferenced pages become ordinary
-    /// garbage, blamed to the dropping stream.
+    /// garbage.
     fn snapshot_drop(&mut self, name: &str) -> Result<(), FtlError> {
         self.command("snapshot_drop", None, 0, |f| f.snapshot_drop_impl(name))
     }
@@ -381,14 +380,14 @@ impl BlockDevice for Ftl {
         self.nand.clock()
     }
 
+    /// The stream's id in the tracer's table (0 when tracing is off).
     fn stream_intern(&mut self, label: &str) -> u32 {
-        let id = self.telemetry.intern(label);
-        self.tracer.set_stream_label(id, label);
-        id
+        self.tracer.intern(label)
     }
 
+    /// Put the spans of the commands that follow on `stream`'s track.
     fn set_stream(&mut self, stream: u32) {
-        self.telemetry.set_stream(stream)
+        self.current_stream = stream;
     }
 
     fn telemetry_snapshot(&self) -> Option<Snapshot> {
@@ -437,9 +436,7 @@ impl BlockDevice for Ftl {
 
     fn monitor_snapshot(&self) -> Option<FlightSnapshot> {
         let rec = self.recorder.as_ref()?;
-        let mut snap =
-            rec.snapshot(self.nand.now_ns(), &self.stats(), &self.telemetry.wa_raw());
-        snap.labels = self.telemetry.stream_labels().map(str::to_string).collect();
+        let mut snap = rec.snapshot(self.nand.now_ns(), &self.stats());
         snap.unit_labels = unit_labels(self.cfg.geometry.channels, self.nand.busy_ns().len());
         Some(snap)
     }

@@ -96,8 +96,6 @@ impl Ftl {
             for &lpn in moved {
                 self.log.append(Delta { lpn, old: ppn, new: dest });
             }
-            let moved = moved.len() as u64;
-            self.note_delta(STREAM_FTL, moved);
         } else {
             self.stats.snapshot_pinned_relocations += 1;
         }
@@ -108,7 +106,6 @@ impl Ftl {
                     old: ppn,
                     new: dest,
                 });
-                self.note_delta(STREAM_FTL, 1);
             }
         }
         Ok(())
@@ -164,13 +161,6 @@ impl Ftl {
                 self.relocate_mappings(ppn, dest)?;
                 self.stats.copyback_pages += 1;
             }
-            // Blame this step's copybacks on the streams whose
-            // invalidations hollowed the victim out, against its current
-            // weights — exact-sum per call, so the wa_ledger invariant
-            // holds even with the rest of the victim in flight.
-            let w = std::mem::take(&mut self.block_blame[rel as usize]);
-            self.settle_blame(BlameKind::Gc, moves.len() as u64, &w);
-            self.block_blame[rel as usize] = w;
         }
         // Only now is the examined stretch behind us: a step that failed
         // above leaves the cursor where it was, so nothing live is skipped.
@@ -182,7 +172,6 @@ impl Ftl {
             self.nand.erase(block)?;
             self.stats.gc_erases += 1;
             self.pool.release(rel);
-            self.block_blame[rel as usize].clear();
             self.gc_job = None;
         }
         Ok(moves.len() as u64)

@@ -94,8 +94,7 @@ impl Ftl {
         for (p, &src_ppn) in pairs.iter().zip(&src_ppns) {
             match self.map.map_shared(p.dest, src_ppn) {
                 Ok(old) => {
-                    self.note_invalidation(&old);
-                    deltas.push(Delta { lpn: p.dest, old: old.old_ppn, new: src_ppn });
+                    deltas.push(Delta { lpn: p.dest, old, new: src_ppn });
                 }
                 Err(e) => {
                     deltas.truncate(mapped);

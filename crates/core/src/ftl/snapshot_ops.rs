@@ -50,18 +50,6 @@ impl Ftl {
     pub(super) fn snapshot_drop_impl(&mut self, name: &str) -> Result<(), FtlError> {
         self.nand.charge(COMMAND_NS);
         let rec = self.snaps.remove(name)?;
-        // Pages the drop just unpinned — no longer frozen anywhere and dead
-        // in the live map — become reclaimable garbage now, so the dropping
-        // stream takes the blame for their blocks' eventual GC copyback
-        // (mirrors `note_invalidation` at ordinary overwrite/trim death).
-        // One snapshot can freeze the same physical page at several offsets
-        // (SHAREd range), so blame each distinct page once.
-        let mut seen = std::collections::HashSet::new();
-        for &(_, ppn) in &rec.pages {
-            if seen.insert(ppn.0) && !self.snaps.is_pinned(ppn) && !self.map.is_live(ppn) {
-                self.note_invalidation(&crate::mapping::Unmapped { old_ppn: ppn, died: true });
-            }
-        }
         // A tombstone delta makes the drop durable ahead of the next
         // checkpoint: replay discards the snapshot the same way.
         self.stats.snapshot_drops += 1;
@@ -114,16 +102,14 @@ impl Ftl {
                     } else {
                         self.map.map_new_write(lpn, ppn)?
                     };
-                    self.note_invalidation(&old);
-                    deltas.push(Delta { lpn, old: old.old_ppn, new: ppn });
+                    deltas.push(Delta { lpn, old, new: ppn });
                     mapped_pages += 1;
                 }
                 None => {
                     // Hole in the snapshot: the clone reads zeroes there.
                     let old = self.map.unmap(lpn);
-                    self.note_invalidation(&old);
-                    if old.old_ppn.is_valid() {
-                        deltas.push(Delta { lpn, old: old.old_ppn, new: Ppn::INVALID });
+                    if old.is_valid() {
+                        deltas.push(Delta { lpn, old, new: Ppn::INVALID });
                     }
                 }
             }

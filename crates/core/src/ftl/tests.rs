@@ -730,8 +730,7 @@ fn mixed_workload(f: &mut Ftl) {
 #[test]
 fn telemetry_counters_match_device_stats() {
     // A latency histogram records every command of its class, so its
-    // count is the command count `DeviceStats` keeps; the ledger's
-    // foreground pages are the host's written pages.
+    // count is the command count `DeviceStats` keeps.
     use share_telemetry::OpClass as Op;
     let mut f = tiny();
     mixed_workload(&mut f);
@@ -743,7 +742,6 @@ fn telemetry_counters_match_device_stats() {
     assert_eq!(s.share_commands, n(Op::Share) + n(Op::ShareBatch));
     assert_eq!(s.gc_events, n(Op::Gc));
     assert_eq!(s.checkpoints, n(Op::Checkpoint));
-    assert_eq!(s.host_writes, t.wa.iter().map(|w| w.fg_pages).sum::<u64>());
 }
 
 #[test]
@@ -811,62 +809,29 @@ fn trace_spans_nest_ftl_over_nand_and_export() {
 }
 
 #[test]
-fn wa_ledger_sums_exactly_to_background_programs() {
-    let mut f = tiny();
-    let wal = f.stream_intern("wal");
-    f.set_stream(wal);
-    mixed_workload(&mut f);
-    let s = f.stats();
-    assert!(s.gc_events > 0, "workload must trigger GC");
-    let snap = f.telemetry_snapshot().unwrap();
-    let bg_gc: u64 = snap.wa.iter().map(|w| w.bg_gc).sum();
-    let bg_meta: u64 = snap.wa.iter().map(|w| w.bg_log + w.bg_ckpt).sum();
-    assert_eq!(bg_gc, s.copyback_pages, "GC blame must sum to copyback pages");
-    assert_eq!(bg_meta, s.meta_page_writes, "log+ckpt blame must sum to meta pages");
-    assert_eq!(f.telemetry().blamed_total(), s.copyback_pages + s.meta_page_writes);
-    // The busy workload ran under the `wal` stream, so the ledger must
-    // pin background work on it, not just the ftl fallback.
-    let wal_wa = snap.wa.iter().find(|w| w.label == "wal").unwrap();
-    assert!(wal_wa.bg_total() > 0, "foreground stream must carry blame");
-    assert!(wal_wa.wa_factor().unwrap() > 1.0);
-}
-
-#[test]
 fn log_flush_inside_host_command_inherits_its_stream() {
     // A delta-log flush triggered mid-command (RAM buffer filled during a
-    // large write_batch) is blamed on the host command's stream, while
-    // GC's relocation deltas stay on the reserved ftl stream.
-    let cfg = FtlConfig::for_capacity_with(4 << 20, 0.5, 4096, 16, NandTiming::zero());
+    // large write_batch) runs inside the host command: its span is a child
+    // of the command's span on the command's stream track, while the pass
+    // itself is drawn on the reserved ftl track.
+    let cfg = FtlConfig::for_capacity_with(4 << 20, 0.5, 4096, 16, NandTiming::zero())
+        .with_telemetry(share_telemetry::TelemetryConfig::tracing());
     let mut f = Ftl::new(cfg);
     let dwb = f.stream_intern("doublewrite");
     f.set_stream(dwb);
-    let flushes = |f: &Ftl| f.telemetry().snapshot().op(OpClass::LogFlush).hist.count;
-    let bg_log = |f: &Ftl, stream: u32| f.telemetry().wa_raw()[stream as usize].1[1];
-    let (flushes0, ftl0) = (flushes(&f), bg_log(&f, STREAM_FTL));
     let ps = f.page_size();
     let n = f.config().deltas_per_page() * 2 + 8; // forces buffered flushes
     let pages: Vec<Vec<u8>> = (0..n).map(|i| vec![(i % 251) as u8; ps]).collect();
     let batch: Vec<(Lpn, &[u8])> =
         pages.iter().enumerate().map(|(i, p)| (Lpn(i as u64), p.as_slice())).collect();
     f.write_batch(&batch).unwrap();
-    assert!(flushes(&f) > flushes0, "batch must trigger a mid-command log flush");
-    assert!(bg_log(&f, dwb) > 0, "mid-command log flushes must be blamed on doublewrite");
-    assert_eq!(bg_log(&f, STREAM_FTL), ftl0, "the batch's flushes are not the ftl stream's");
-    assert_eq!(f.telemetry().wa_raw()[dwb as usize].0, n as u64);
-    // Now push the device into GC under the same stream: relocation
-    // deltas are the ftl stream's, so its log blame grows.
-    // Mixed lifetimes in a permuted order, so victims carry live pages.
-    let logical = f.capacity_pages();
-    for round in 0..6u64 {
-        for i in 0..logical {
-            let lpn = (i * 173 + round * 311) % logical;
-            if round % (1 + lpn % 4) == 0 {
-                f.write(Lpn(lpn), &vec![((lpn + round) % 251) as u8; ps]).unwrap();
-            }
-        }
-    }
-    assert!(f.stats().copyback_pages > 0);
-    assert!(bg_log(&f, STREAM_FTL) > ftl0, "GC's relocation deltas stay on the ftl stream");
+    let spans = f.tracer().spans();
+    let command = spans.iter().find(|s| s.name == "write_batch").expect("write_batch span");
+    assert_eq!(command.track, Track::Stream(dwb));
+    let flushes: Vec<_> =
+        spans.iter().filter(|s| s.name == "log_flush" && s.parent == command.id).collect();
+    assert!(!flushes.is_empty(), "batch must trigger a mid-command log flush");
+    assert!(flushes.iter().all(|s| s.track == Track::Stream(STREAM_FTL)));
 }
 
 #[test]
@@ -916,7 +881,11 @@ fn recovery_is_recorded_as_an_op() {
 
 #[test]
 fn streams_attribute_host_and_ftl_traffic() {
-    let mut f = tiny();
+    // A command's span sits on the track of the stream set before it; the
+    // internal passes sit on the reserved ftl track whatever the stream.
+    let cfg = FtlConfig::for_capacity_with(1 << 20, 0.5, 4096, 16, NandTiming::zero())
+        .with_telemetry(share_telemetry::TelemetryConfig::tracing());
+    let mut f = Ftl::new(cfg);
     let wal = f.stream_intern("wal");
     f.set_stream(wal);
     for i in 0..8u64 {
@@ -926,13 +895,15 @@ fn streams_attribute_host_and_ftl_traffic() {
     for i in 8..10u64 {
         f.write(Lpn(i), &pagev(2, &f)).unwrap();
     }
-    let t = f.telemetry().snapshot();
-    let by_label = |l: &str| t.wa.iter().find(|w| w.label == l).cloned().unwrap();
-    assert_eq!(by_label("wal").fg_pages, 8);
-    assert_eq!(by_label("host").fg_pages, 2);
-    // The birth checkpoint lands on the reserved ftl stream.
-    assert_eq!(by_label("ftl").fg_pages, 0);
-    assert!(by_label("ftl").bg_ckpt > 0);
+    let spans = f.tracer().spans();
+    let writes_on = |stream: u32| {
+        spans.iter().filter(|s| s.name == "write" && s.track == Track::Stream(stream)).count()
+    };
+    assert_eq!((writes_on(wal), writes_on(0)), (8, 2));
+    // The birth checkpoint lands on the reserved ftl track.
+    let ckpt = spans.iter().find(|s| s.name == "checkpoint").expect("birth checkpoint span");
+    assert_eq!(ckpt.track, Track::Stream(STREAM_FTL));
+    assert_eq!(f.tracer().intern("ftl"), STREAM_FTL);
 }
 
 #[test]
@@ -1669,11 +1640,11 @@ fn snapshot_gauges_exported() {
 }
 
 #[test]
-fn snapshot_wa_ledger_still_sums_exactly() {
-    // The pinned invariant, under snapshot churn: every background
-    // page program is blamed on exactly one stream, and the blamed
-    // totals equal copyback_pages + meta_page_writes. FIFO selection
-    // forces the pinned blocks through GC.
+fn snapshot_clone_and_drop_under_gc_churn_keep_invariants() {
+    // A clone half of which dies, then the drop of its snapshot, under
+    // churn: pinned-only pages are relocated, and the mapping invariants
+    // hold after the drop. FIFO selection forces the pinned blocks
+    // through GC.
     let mut cfg = FtlConfig::for_capacity_with(1 << 20, 0.5, 4096, 16, NandTiming::zero());
     cfg.gc_policy = crate::config::GcPolicy::Fifo;
     let mut f = Ftl::new(cfg);
@@ -1701,15 +1672,5 @@ fn snapshot_wa_ledger_still_sums_exactly() {
     f.flush().unwrap();
     let s = f.stats();
     assert!(s.gc_events > 0 && s.snapshot_pinned_relocations > 0);
-    let t = f.telemetry().snapshot();
-    let bg_gc: u64 = t.wa.iter().map(|w| w.bg_gc).sum();
-    let bg_log: u64 = t.wa.iter().map(|w| w.bg_log).sum();
-    let bg_ckpt: u64 = t.wa.iter().map(|w| w.bg_ckpt).sum();
-    assert_eq!(bg_gc, s.copyback_pages, "GC blame must sum to copyback pages");
-    assert_eq!(
-        bg_log + bg_ckpt,
-        s.meta_page_writes,
-        "log+ckpt blame must sum to meta page writes"
-    );
     f.check_invariants();
 }

@@ -63,7 +63,7 @@ pub use delta::{Delta, DeltaLog, DeltaPage};
 pub use device::{BlockDevice, SimpleSsd};
 pub use error::FtlError;
 pub use ftl::{Ftl, WearStats};
-pub use mapping::{MappingTable, RevMap, RevMapPolicy, Unmapped};
+pub use mapping::{MappingTable, RevMap, RevMapPolicy};
 pub use monitor::{EpochRecord, FlightSnapshot};
 pub use pool::{BlockPool, BlockState, WritePoint};
 pub use queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
@@ -73,7 +73,7 @@ pub use types::{Lpn, SharePair};
 pub use util::{crc32c, crc32c_append, FixedState};
 
 /// Re-exported observability subsystem (see the `share-telemetry` crate):
-/// op-class counters, latency histograms, spans, exporters.
+/// latency histograms, spans and their stream table, exporters.
 pub use share_telemetry as telemetry;
 pub use share_telemetry::{
     Layer, OpClass, Snapshot, Span, SpanId, Telemetry, TelemetryConfig, Track, Tracer,

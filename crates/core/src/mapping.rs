@@ -16,15 +16,6 @@ use crate::util::FixedState;
 use nand_sim::{BlockId, NandGeometry};
 use std::collections::HashMap;
 
-/// Outcome of unmapping an LPN: the PPN it pointed to, if it is now dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Unmapped {
-    /// Previous physical page (INVALID if the LPN was unmapped).
-    pub old_ppn: Ppn,
-    /// True if `old_ppn`'s reference count dropped to zero.
-    pub died: bool,
-}
-
 /// What happens when the bounded reverse map runs out of slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RevMapPolicy {
@@ -302,25 +293,23 @@ impl MappingTable {
         Ok(())
     }
 
-    fn dec_ref(&mut self, ppn: Ppn) -> bool {
+    fn dec_ref(&mut self, ppn: Ppn) {
         let rc = &mut self.refcount[ppn.0 as usize];
         debug_assert!(*rc > 0, "refcount underflow on {ppn}");
         *rc -= 1;
         if *rc == 0 {
             self.valid_per_block[self.geometry.block_of(ppn).0 as usize] -= 1;
             self.revmap.remove_all(ppn);
-            true
-        } else {
-            false
         }
     }
 
-    /// Unmap `lpn` (no-op if already unmapped). Used by writes (before
+    /// Unmap `lpn` (no-op if already unmapped), returning the physical
+    /// page it pointed to (INVALID if none). Used by writes (before
     /// remapping), TRIM and SHARE.
-    pub fn unmap(&mut self, lpn: Lpn) -> Unmapped {
+    pub fn unmap(&mut self, lpn: Lpn) -> Ppn {
         let old = self.l2p[lpn.0 as usize];
         if !old.is_valid() {
-            return Unmapped { old_ppn: Ppn::INVALID, died: false };
+            return old;
         }
         self.l2p[lpn.0 as usize] = Ppn::INVALID;
         // If lpn was an extra (shared) reference, retire its revmap slot;
@@ -328,13 +317,14 @@ impl MappingTable {
         if self.primary[old.0 as usize] != lpn || self.revmap.is_overflowed(old) {
             self.revmap.remove(old, lpn);
         }
-        let died = self.dec_ref(old);
-        Unmapped { old_ppn: old, died }
+        self.dec_ref(old);
+        old
     }
 
     /// Map `lpn` to a freshly programmed `ppn` (a host write or a GC
-    /// copyback destination). Sets the program-time primary owner.
-    pub fn map_new_write(&mut self, lpn: Lpn, ppn: Ppn) -> Result<Unmapped, FtlError> {
+    /// copyback destination). Sets the program-time primary owner. Returns
+    /// the page `lpn` pointed to before, as [`Self::unmap`] does.
+    pub fn map_new_write(&mut self, lpn: Lpn, ppn: Ppn) -> Result<Ppn, FtlError> {
         debug_assert_eq!(self.refcount[ppn.0 as usize], 0, "fresh ppn must be unreferenced");
         let old = self.unmap(lpn);
         self.l2p[lpn.0 as usize] = ppn;
@@ -345,8 +335,9 @@ impl MappingTable {
 
     /// Redirect `lpn` to an *already live* `ppn` (the SHARE remap, and GC
     /// relocation of secondary references). Consumes a rev-map slot when
-    /// `lpn` is not the page's primary owner.
-    pub fn map_shared(&mut self, lpn: Lpn, ppn: Ppn) -> Result<Unmapped, FtlError> {
+    /// `lpn` is not the page's primary owner. Returns the page `lpn`
+    /// pointed to before, as [`Self::unmap`] does.
+    pub fn map_shared(&mut self, lpn: Lpn, ppn: Ppn) -> Result<Ppn, FtlError> {
         debug_assert!(self.refcount[ppn.0 as usize] > 0, "share target must be live");
         let overflow = self.shared_slot_need(lpn, ppn) > self.revmap.free();
         if overflow && self.policy == RevMapPolicy::Strict {
@@ -521,7 +512,7 @@ mod tests {
         let mut t = table();
         t.map_new_write(Lpn(3), Ppn(5)).unwrap();
         let old = t.map_new_write(Lpn(3), Ppn(6)).unwrap();
-        assert_eq!(old, Unmapped { old_ppn: Ppn(5), died: true });
+        assert_eq!(old, Ppn(5));
         assert!(!t.is_live(Ppn(5)));
         assert_eq!(t.valid_pages(BlockId(1)), 1);
         t.check_invariants();
@@ -534,8 +525,8 @@ mod tests {
         t.map_new_write(Lpn(2), Ppn(1)).unwrap();
         // share(dest=2, src=1): Lpn 2 now points at Ppn 0 too.
         let old = t.map_shared(Lpn(2), Ppn(0)).unwrap();
-        assert_eq!(old.old_ppn, Ppn(1));
-        assert!(old.died);
+        assert_eq!(old, Ppn(1));
+        assert!(!t.is_live(Ppn(1)));
         assert_eq!(t.refcount(Ppn(0)), 2);
         assert_eq!(t.revmap().len(), 1);
         assert_eq!(t.referrers(Ppn(0)), vec![Lpn(1), Lpn(2)]);
@@ -642,9 +633,8 @@ mod tests {
     fn trim_then_rewrite_round_trip() {
         let mut t = table();
         t.map_new_write(Lpn(4), Ppn(2)).unwrap();
-        let u = t.unmap(Lpn(4));
-        assert_eq!(u.old_ppn, Ppn(2));
-        assert!(u.died);
+        assert_eq!(t.unmap(Lpn(4)), Ppn(2));
+        assert!(!t.is_live(Ppn(2)));
         assert_eq!(t.lookup(Lpn(4)), Ppn::INVALID);
         t.map_new_write(Lpn(4), Ppn(3)).unwrap();
         assert_eq!(t.lookup(Lpn(4)), Ppn(3));

@@ -2,12 +2,12 @@
 //! deltas of everything the device already counts.
 //!
 //! The device's [`FlightRecorder`](crate::recorder::FlightRecorder) seals
-//! one [`EpochRecord`] per epoch holding the *delta* of [`DeviceStats`],
-//! the per-stream WA-ledger blame, per-unit busy time, the free-block
-//! and wear-skew gauges, and the epoch's latency windows since the
-//! previous seal. A [`FlightSnapshot`] exports the retained
-//! records plus the folded deltas of the evicted ones and of the partial
-//! epoch, so the standing guarantee holds for the whole run:
+//! one [`EpochRecord`] per epoch holding the *delta* of [`DeviceStats`]
+//! and of per-unit busy time, the free-block and wear-skew gauges, and the
+//! epoch's latency windows since the previous seal. A [`FlightSnapshot`]
+//! exports the retained records plus the folded deltas of the evicted ones
+//! and of the partial epoch, so the standing guarantee holds for the whole
+//! run:
 //!
 //! > evicted + retained + current-partial deltas == cumulative counters,
 //! > exactly, at every moment.
@@ -15,10 +15,6 @@
 use crate::stats::DeviceStats;
 use share_telemetry::json::{count, num, s, Json};
 use share_telemetry::{rows_json, Histogram};
-
-/// Per-stream WA-ledger delta for one epoch: `(foreground write pages,
-/// blamed background pages by BlameKind)`, indexed by stream id.
-pub(crate) type WaDelta = (u64, [u64; 3]);
 
 /// One sealed epoch: everything is a delta over `[start_ns, end_ns]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,8 +27,6 @@ pub struct EpochRecord {
     pub end_ns: u64,
     /// Device-counter deltas accumulated during the epoch.
     pub stats: DeviceStats,
-    /// Per-stream WA-ledger deltas, indexed by stream id.
-    pub wa: Vec<WaDelta>,
     /// Free data blocks at seal time (gauge, not a delta).
     pub free_blocks: u64,
     /// Queued commands in flight at seal time (gauge).
@@ -48,31 +42,9 @@ pub struct EpochRecord {
 }
 
 impl EpochRecord {
-    /// JSON form (one row of `sharectl monitor --format json`). `labels`
-    /// names the stream ids, `unit_labels` the NAND units.
-    fn to_json(&self, labels: &[String], unit_labels: &[String]) -> Json {
-        let wa = Json::Obj(
-            self.wa
-                .iter()
-                .enumerate()
-                .filter(|(_, &(fg, bg))| fg != 0 || bg != [0; 3])
-                .map(|(i, &(fg, bg))| {
-                    let label = labels
-                        .get(i)
-                        .cloned()
-                        .unwrap_or_else(|| format!("stream{i}"));
-                    (
-                        label,
-                        Json::obj(vec![
-                            ("fg_pages", count(fg)),
-                            ("bg_gc", count(bg[0])),
-                            ("bg_log", count(bg[1])),
-                            ("bg_ckpt", count(bg[2])),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
+    /// JSON form (one row of `sharectl monitor --format json`).
+    /// `unit_labels` names the NAND units.
+    fn to_json(&self, unit_labels: &[String]) -> Json {
         let units = Json::Obj(
             self.unit_busy_ns
                 .iter()
@@ -95,7 +67,6 @@ impl EpochRecord {
         push("free_blocks", count(self.free_blocks));
         push("inflight", count(self.inflight));
         push("wear_skew", num(self.wear_skew));
-        push("wa", wa);
         push("unit_busy_ns", units);
         if !self.read_hist.is_empty() {
             push("read_p50_ns", count(self.read_hist.quantile(0.50)));
@@ -109,19 +80,6 @@ impl EpochRecord {
     }
 }
 
-/// Element-wise `acc += delta`, growing `acc` as streams appear.
-pub(crate) fn accumulate_wa(acc: &mut Vec<WaDelta>, delta: &[WaDelta]) {
-    if acc.len() < delta.len() {
-        acc.resize(delta.len(), (0, [0; 3]));
-    }
-    for (a, &(fg, bg)) in acc.iter_mut().zip(delta) {
-        a.0 += fg;
-        a.1[0] += bg[0];
-        a.1[1] += bg[1];
-        a.1[2] += bg[2];
-    }
-}
-
 /// A point-in-time export of the flight recorder's series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightSnapshot {
@@ -131,24 +89,18 @@ pub struct FlightSnapshot {
     pub sealed: u64,
     /// Sealed epochs no longer retained.
     pub dropped: u64,
-    /// Stream id → label (filled by the device).
-    pub labels: Vec<String>,
     /// Unit index → label (filled by the device).
     pub unit_labels: Vec<String>,
     /// Retained epochs, oldest first.
     pub epochs: Vec<EpochRecord>,
     /// Folded deltas of the dropped epochs.
     pub evicted_stats: DeviceStats,
-    /// Folded per-stream WA deltas of the dropped epochs.
-    pub evicted_wa: Vec<WaDelta>,
     /// Start of the current partial epoch (last seal time).
     pub tail_start_ns: u64,
     /// Snapshot time.
     pub tail_end_ns: u64,
     /// Deltas accumulated since the last seal (the partial epoch).
     pub tail_stats: DeviceStats,
-    /// Per-stream WA deltas since the last seal.
-    pub tail_wa: Vec<WaDelta>,
 }
 
 impl FlightSnapshot {
@@ -164,29 +116,18 @@ impl FlightSnapshot {
         total
     }
 
-    /// Same exact-sum property for one stream's WA-ledger row.
-    pub fn total_wa(&self) -> Vec<WaDelta> {
-        let mut total = self.evicted_wa.clone();
-        for e in &self.epochs {
-            accumulate_wa(&mut total, &e.wa);
-        }
-        accumulate_wa(&mut total, &self.tail_wa);
-        total
-    }
-
     /// JSON document: meta fields plus one row per retained epoch.
     pub fn to_json(&self) -> Json {
         let epochs = Json::Arr(
             self.epochs
                 .iter()
-                .map(|e| e.to_json(&self.labels, &self.unit_labels))
+                .map(|e| e.to_json(&self.unit_labels))
                 .collect(),
         );
         Json::obj(vec![
             ("epoch_ns", count(self.epoch_ns)),
             ("sealed", count(self.sealed)),
             ("dropped", count(self.dropped)),
-            ("streams", Json::Arr(self.labels.iter().map(|l| s(l)).collect())),
             ("units", Json::Arr(self.unit_labels.iter().map(|l| s(l)).collect())),
             ("tail_start_ns", count(self.tail_start_ns)),
             ("tail_end_ns", count(self.tail_end_ns)),
@@ -214,7 +155,7 @@ mod tests {
         r.seal(sample(7_300, 25, 40));
         assert!(!r.due(7_999));
         assert!(r.due(8_000));
-        let snap = r.snapshot(7_300, &sample(7_300, 25, 40).stats, &[(25, [0; 3])]);
+        let snap = r.snapshot(7_300, &sample(7_300, 25, 40).stats);
         assert_eq!(snap.sealed, 2);
         assert_eq!(snap.epochs.len(), 2);
         assert_eq!((snap.epochs[0].epoch, snap.epochs[1].epoch), (0, 1));
@@ -226,7 +167,6 @@ mod tests {
         assert_eq!(snap.epochs[1].unit_busy_ns, vec![3_650 - 600, 1_825 - 300]);
         assert_eq!(snap.tail_stats, DeviceStats::default());
         assert_eq!(snap.total_stats().host_writes, 25);
-        assert_eq!(snap.total_wa()[0], (25, [0; 3]));
     }
 
     #[test]
@@ -236,16 +176,15 @@ mod tests {
             r.seal(sample(i * 100, i * 7, 50));
         }
         let cum = sample(1_000, 70, 50).stats;
-        let snap = r.snapshot(1_000, &cum, &[(70, [0; 3])]);
+        let snap = r.snapshot(1_000, &cum);
         assert_eq!(snap.sealed, 10);
         assert_eq!(snap.dropped, 8);
         assert_eq!(snap.epochs.len(), 2);
         // Retained + evicted + tail reproduce the cumulative counters.
         assert_eq!(snap.total_stats(), cum);
-        assert_eq!(snap.total_wa(), vec![(70, [0; 3])]);
         // And the partial tail shows up too.
         let cum2 = sample(1_050, 75, 50).stats;
-        let snap2 = r.snapshot(1_050, &cum2, &[(75, [0; 3])]);
+        let snap2 = r.snapshot(1_050, &cum2);
         assert_eq!(snap2.tail_stats.host_writes, 5);
         assert_eq!(snap2.total_stats(), cum2);
     }
@@ -258,7 +197,7 @@ mod tests {
         smp.write_hist.record(900);
         smp.wear_skew = 3.0;
         r.seal(smp);
-        let snap = r.snapshot(2_000, &sample(2_000, 2, 40).stats, &[(2, [0; 3])]);
+        let snap = r.snapshot(2_000, &sample(2_000, 2, 40).stats);
         let gauges: Vec<_> =
             snap.epochs.iter().map(|e| (e.end_ns, e.free_blocks, e.wear_skew)).collect();
         assert_eq!(gauges, vec![(1_000, 50, 1.0), (2_000, 40, 3.0)]);
@@ -276,8 +215,7 @@ mod tests {
         smp.write_hist.record(120);
         smp.write_hist.record(480);
         r.seal(smp);
-        let mut snap = r.snapshot(700, &sample(700, 4, 20).stats, &[(4, [0; 3])]);
-        snap.labels = vec!["host".into()];
+        let mut snap = r.snapshot(700, &sample(700, 4, 20).stats);
         snap.unit_labels = vec!["ch0:w0".into(), "ch1:w0".into()];
         let doc = snap.to_json();
         let back = share_telemetry::json::parse(&doc.render()).expect("parses");
@@ -295,6 +233,5 @@ mod tests {
             .and_then(|u| u.get("ch0:w0"))
             .and_then(Json::as_u64)
             .is_some());
-        assert!(rows[0].get("wa").and_then(|w| w.get("host")).is_some());
     }
 }

@@ -15,7 +15,7 @@
 //! boundary multiples seals a single epoch spanning them rather than a
 //! train of empty records.
 
-use crate::monitor::{accumulate_wa, EpochRecord, FlightSnapshot, WaDelta};
+use crate::monitor::{EpochRecord, FlightSnapshot};
 use crate::stats::DeviceStats;
 use share_telemetry::Histogram;
 use std::collections::VecDeque;
@@ -28,8 +28,6 @@ pub(crate) struct EpochSample {
     pub now_ns: u64,
     /// Cumulative device counters now.
     pub stats: DeviceStats,
-    /// Cumulative per-stream WA ledger now (`Telemetry::wa_raw`).
-    pub wa: Vec<WaDelta>,
     /// Cumulative per-unit busy time now.
     pub unit_busy_ns: Vec<u64>,
     /// Free data blocks (gauge).
@@ -59,11 +57,9 @@ pub(crate) struct FlightRecorder {
     /// all epoch deltas equals the cumulative counters from zero).
     base_end_ns: u64,
     base_stats: DeviceStats,
-    base_wa: Vec<WaDelta>,
     base_busy: Vec<u64>,
     /// Deltas of the epochs no longer retained, folded together.
     evicted_stats: DeviceStats,
-    evicted_wa: Vec<WaDelta>,
 }
 
 impl FlightRecorder {
@@ -79,10 +75,8 @@ impl FlightRecorder {
             sealed: 0,
             base_end_ns: start_ns,
             base_stats: DeviceStats::default(),
-            base_wa: Vec::new(),
             base_busy: Vec::new(),
             evicted_stats: DeviceStats::default(),
-            evicted_wa: Vec::new(),
         }
     }
 
@@ -103,7 +97,6 @@ impl FlightRecorder {
             start_ns: self.base_end_ns,
             end_ns: now,
             stats: sample.stats.delta_since(&self.base_stats),
-            wa: diff_wa(&sample.wa, &self.base_wa),
             free_blocks: sample.free_blocks,
             inflight: sample.inflight,
             wear_skew: sample.wear_skew,
@@ -120,12 +113,10 @@ impl FlightRecorder {
         if self.epochs.len() > self.cap {
             let evicted = self.epochs.pop_front().expect("over capacity");
             self.evicted_stats.accumulate(&evicted.stats);
-            accumulate_wa(&mut self.evicted_wa, &evicted.wa);
         }
         self.sealed += 1;
         self.base_end_ns = now;
         self.base_stats = sample.stats;
-        self.base_wa = sample.wa;
         self.base_busy = sample.unit_busy_ns;
         self.next_boundary_ns = (now / self.epoch_ns + 1) * self.epoch_ns;
     }
@@ -134,35 +125,19 @@ impl FlightRecorder {
     /// *current* cumulative state close the books: `tail_stats` is the
     /// not-yet-sealed partial epoch, so `evicted + retained + tail` equals
     /// the cumulative counters exactly.
-    pub fn snapshot(&self, now_ns: u64, stats: &DeviceStats, wa: &[WaDelta]) -> FlightSnapshot {
+    pub fn snapshot(&self, now_ns: u64, stats: &DeviceStats) -> FlightSnapshot {
         FlightSnapshot {
             epoch_ns: self.epoch_ns,
             sealed: self.sealed,
             dropped: self.sealed - self.epochs.len() as u64,
-            labels: Vec::new(),
             unit_labels: Vec::new(),
             epochs: self.epochs.iter().cloned().collect(),
             evicted_stats: self.evicted_stats,
-            evicted_wa: self.evicted_wa.clone(),
             tail_start_ns: self.base_end_ns,
             tail_end_ns: now_ns,
             tail_stats: stats.delta_since(&self.base_stats),
-            tail_wa: diff_wa(wa, &self.base_wa),
         }
     }
-}
-
-/// Element-wise `current - base` over per-stream WA rows; streams interned
-/// after the base was taken diff against zero.
-fn diff_wa(current: &[WaDelta], base: &[WaDelta]) -> Vec<WaDelta> {
-    current
-        .iter()
-        .enumerate()
-        .map(|(i, &(fg, bg))| {
-            let (bfg, bbg) = base.get(i).copied().unwrap_or((0, [0; 3]));
-            (fg - bfg, [bg[0] - bbg[0], bg[1] - bbg[1], bg[2] - bbg[2]])
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -173,7 +148,6 @@ pub(crate) mod tests {
         EpochSample {
             now_ns: now,
             stats: DeviceStats { host_writes: writes, ..Default::default() },
-            wa: vec![(writes, [0; 3])],
             unit_busy_ns: vec![now / 2, now / 4],
             free_blocks: free,
             inflight: 0,
@@ -189,7 +163,7 @@ pub(crate) mod tests {
         for i in 1..=5u64 {
             r.seal(sample(i * 100, i * 7, 50));
         }
-        let snap = r.snapshot(500, &sample(500, 35, 50).stats, &[(35, [0; 3])]);
+        let snap = r.snapshot(500, &sample(500, 35, 50).stats);
         assert_eq!((snap.sealed, snap.dropped), (5, 2));
         let kept: Vec<_> = snap.epochs.iter().map(|e| e.epoch).collect();
         assert_eq!(kept, vec![2, 3, 4], "oldest evicted in order");
@@ -202,7 +176,7 @@ pub(crate) mod tests {
         for i in 1..=3u64 {
             r.seal(sample(i * 100, i * 7, 50));
         }
-        let snap = r.snapshot(300, &sample(300, 21, 50).stats, &[(21, [0; 3])]);
+        let snap = r.snapshot(300, &sample(300, 21, 50).stats);
         assert_eq!((snap.sealed, snap.dropped, snap.epochs.len()), (3, 3, 0));
         assert_eq!(snap.total_stats().host_writes, 21);
     }

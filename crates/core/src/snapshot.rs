@@ -232,8 +232,7 @@ impl SnapshotTable {
     }
 
     /// Drop the snapshot named `name`, unpinning its entries. Returns the
-    /// record so the caller can settle invalidation blame for pages whose
-    /// last reference just died.
+    /// record, whose id the caller's tombstone delta names.
     pub fn remove(&mut self, name: &str) -> Result<SnapshotRecord, FtlError> {
         let pos = self
             .snaps

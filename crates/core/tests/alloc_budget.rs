@@ -15,9 +15,7 @@
 //! 4-page background steps, about one per four ops here, so a single
 //! request vector built per step adds a quarter of a request per op and a
 //! few dozen bytes, and so does a reverse-map list allocated per shared
-//! page instead of taken from the map's spares. Two streams write
-//! alternate pages, so every victim's copyback is blamed on both and each
-//! step apportions it — into a buffer the device keeps, never a fresh one.
+//! page instead of taken from the map's spares.
 //!
 //! Above the boundary a queued `ReadBatch` hands its pages back in one flat
 //! buffer, which the reaper owns: the same test ends by holding a k-page
@@ -104,8 +102,6 @@ struct Rig {
     page: [u8; PAGE],
     pairs: Vec<SharePair>,
     home_pages: u64,
-    /// Streams of the even and the odd pages.
-    streams: [u32; 2],
 }
 
 impl Rig {
@@ -145,7 +141,6 @@ impl Rig {
 
     fn op(&mut self) {
         let lpn = self.rng.random_range(0..self.home_pages - COMMIT_PAGES);
-        self.ftl.set_stream(self.streams[(lpn % 2) as usize]);
         match self.rng.random_range(0..10u32) {
             0..=6 => self.overwrite(lpn),
             7..=8 => self.share_commit(lpn),
@@ -174,7 +169,6 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     let bytes = ALLOC_BYTES.load(Relaxed) - bytes_before;
     let requests = ALLOC_REQUESTS.load(Relaxed) - requests_before;
     let window = rig.ftl.stats().delta_since(&before);
-    let blamed_gc: Vec<u64> = rig.streams.iter().map(|&s| rig.ftl.telemetry().wa_raw()[s as usize].1[0]).collect();
 
     // The budget must cover GC in parked steps, log flushes and a
     // checkpoint, not an idle device.
@@ -182,7 +176,6 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     assert!(window.gc_budget_deferrals > 0, "no GC step parked its victim");
     assert!(window.copyback_pages > 0 && window.shared_pages > 0 && window.trims > 0);
     assert!(window.checkpoints >= 1, "window saw no checkpoint");
-    assert!(blamed_gc.iter().all(|&p| p > 0), "copyback blamed per stream: {blamed_gc:?}");
     assert_within_budget("steady state", bytes, requests, WINDOW_OPS, &window);
     rig.ftl.check_invariants();
     queued_read_batch_is_one_flat_buffer(&mut rig);
@@ -205,15 +198,13 @@ impl Rig {
     /// programs) and the scratch has seen a full step.
     fn aged(cfg: FtlConfig) -> Rig {
         let home_pages = LOGICAL_PAGES * 85 / 100;
-        let mut ftl = Ftl::new(cfg);
-        let streams = [ftl.stream_intern("even"), ftl.stream_intern("odd")];
+        let ftl = Ftl::new(cfg);
         let mut rig = Rig {
             ftl,
             rng: StdRng::seed_from_u64(7),
             page: [0; PAGE],
             pairs: Vec::with_capacity(BATCH_PAGES as usize),
             home_pages,
-            streams,
         };
         for lpn in 0..home_pages {
             rig.overwrite(lpn);

@@ -94,12 +94,10 @@ fn every_counter_row_is_exported_by_both_formats() {
 }
 
 /// Every family a device snapshot emits, in emission order: the latency
-/// histograms, the stream ledger, the metric table's rows and the per-unit
-/// busy time. A family added or removed anywhere shows up here first.
-const FAMILIES: [&str; 50] = [
+/// histograms, the metric table's rows and the per-unit busy time. A
+/// family added or removed anywhere shows up here first.
+const FAMILIES: [&str; 48] = [
     "share_op_latency_ns",
-    "share_stream_fg_pages_total",
-    "share_stream_bg_pages_total",
     "share_host_reads_total",
     "share_host_writes_total",
     "share_host_read_bytes_total",

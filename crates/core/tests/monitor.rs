@@ -98,10 +98,6 @@ fn epoch_deltas_sum_exactly_to_cumulative_stats() {
     let snap = ftl.monitor_snapshot().unwrap();
     assert!(snap.dropped > 0, "ring never overflowed — eviction path untested");
     assert_eq!(snap.epochs.len(), 6, "ring should be full");
-    // Per-stream WA blame rows obey the same exact sum.
-    let totals = snap.total_wa();
-    let host_fg: u64 = totals.iter().map(|&(fg, _)| fg).sum();
-    assert_eq!(host_fg, ftl.stats().host_writes, "WA foreground rows drifted");
     // Epochs are contiguous: each starts where its predecessor ended.
     for w in snap.epochs.windows(2) {
         assert_eq!(w[0].end_ns, w[1].start_ns, "epoch gap");

@@ -59,8 +59,8 @@ impl<D: BlockDevice> CouchStore<D> {
             self.fs.delete(&compact_name)?;
         }
         let new_file = self.fs.create(&compact_name)?;
-        // Compaction traffic gets its own telemetry stream so a metrics
-        // snapshot separates it from live store I/O.
+        // Compaction traffic gets its own stream so a trace draws it apart
+        // from live store I/O.
         let _ = self.fs.set_stream_label(new_file, "compact");
 
         let zero_copy = self.cfg.mode == CouchMode::Share && self.fs.supports_share();

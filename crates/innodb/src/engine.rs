@@ -177,8 +177,8 @@ impl<D: BlockDevice> InnoDb<D> {
         fs.fallocate(ts, cfg.max_pages * ppd)?;
         let dwb = fs.create("doublewrite")?;
         fs.fallocate(dwb, cfg.flush_batch as u64 * ppd)?;
-        // Telemetry streams: tablespace vs. double-write traffic — the
-        // split behind the paper's Figure 6(a) write reduction.
+        // Trace tracks: tablespace vs. double-write traffic — the split
+        // behind the paper's Figure 6(a) write reduction.
         let _ = fs.set_stream_label(ts, "ibdata");
         let _ = fs.set_stream_label(dwb, "doublewrite");
         fs.fsync(ts)?;

@@ -174,8 +174,9 @@ impl<D: BlockDevice> MiniPg<D> {
         (rows_per_page, accounts_pages, tellers_pages, branches_pages)
     }
 
-    /// Tag the four files with semantic telemetry streams (heap vs. WAL
-    /// vs. full-page journal vs. control) — no-op without telemetry.
+    /// Tag the four files with semantic streams (heap vs. WAL vs.
+    /// full-page journal vs. control), each a trace track — no-op without
+    /// tracing.
     fn label_streams(fs: &mut Vfs<D>, data: FileId, wal: FileId, journal: FileId, control: FileId) {
         let _ = fs.set_stream_label(data, "pgdata");
         let _ = fs.set_stream_label(wal, "pg_wal");

@@ -103,9 +103,9 @@ pub struct MiniSqlite<D: BlockDevice> {
 }
 
 impl<D: BlockDevice> MiniSqlite<D> {
-    /// Tag the three files with semantic telemetry streams so a metrics
-    /// snapshot separates database, rollback-journal and WAL traffic
-    /// (no-op on devices without telemetry).
+    /// Tag the three files with semantic streams so a trace draws
+    /// database, rollback-journal and WAL traffic on their own tracks
+    /// (no-op on devices without tracing).
     fn label_streams(fs: &mut Vfs<D>, db: FileId, journal: FileId, wal: FileId) {
         let _ = fs.set_stream_label(db, "db");
         let _ = fs.set_stream_label(journal, "journal");

@@ -291,9 +291,9 @@ mod tests {
         // export label.
         use crate::{OpClass, Telemetry};
         let mut t = Telemetry::default();
-        t.record(OpClass::Read, 1, 0, 10, true);
-        t.record(OpClass::Read, 1, 10, 30, true);
-        t.record(OpClass::Write, 1, 30, 35, true);
+        t.record(OpClass::Read, 0, 10);
+        t.record(OpClass::Read, 10, 30);
+        t.record(OpClass::Write, 30, 35);
         let snap = t.snapshot();
         let count = |label: &str| snap.ops.iter().find(|o| o.op.name() == label).map(|o| o.hist.count);
         assert_eq!(count("read"), Some(2));

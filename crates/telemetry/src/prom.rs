@@ -28,8 +28,8 @@ impl Family<'_> {
 }
 
 /// One sample line, `name{key="value",…} value`. The only place a label is
-/// rendered: stream labels are caller-supplied, so `\`, `"` and line feed
-/// are escaped as the exposition format requires.
+/// rendered: `\`, `"` and line feed in a value are escaped as the
+/// exposition format requires.
 fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: &dyn Display) {
     out.push_str(name);
     for (i, (key, val)) in labels.iter().enumerate() {
@@ -64,20 +64,6 @@ pub fn render(snap: &Snapshot) -> String {
             if !o.hist.is_empty() {
                 render_hist(out, o.op.name(), &o.hist);
             }
-        }
-    }
-
-    let help = "Foreground pages programmed per stream (WA ledger).";
-    let mut f = family(out, "share_stream_fg_pages_total", help, "counter");
-    for w in &snap.wa {
-        f.put(&[("stream", &w.label)], &w.fg_pages);
-    }
-
-    let help = "Background NAND programs blamed per stream and cause (WA ledger).";
-    let mut f = family(out, "share_stream_bg_pages_total", help, "counter");
-    for w in &snap.wa {
-        for (cause, v) in [("gc", w.bg_gc), ("log_flush", w.bg_log), ("checkpoint", w.bg_ckpt)] {
-            f.put(&[("stream", &w.label), ("cause", cause)], &v);
         }
     }
 
@@ -178,19 +164,15 @@ mod tests {
     #[test]
     fn renders_counters_and_histogram_series() {
         let mut t = Telemetry::default();
-        let wal = t.intern("wal");
-        t.set_stream(wal);
-        t.record(OpClass::Write, 2, 0, 100, true);
-        t.record(OpClass::Write, 2, 100, 500, true);
-        t.record(OpClass::Gc, 16, 500, 900, true);
+        t.record(OpClass::Write, 0, 100);
+        t.record(OpClass::Write, 100, 500);
+        t.record(OpClass::Gc, 500, 900);
         let text = t.snapshot().to_prometheus();
 
         assert!(text.contains("share_op_latency_ns_bucket{op=\"write\",le=\"+Inf\"} 2\n"));
         assert!(text.contains("share_op_latency_ns_sum{op=\"write\"} 500\n"));
         assert!(text.contains("share_op_latency_ns_count{op=\"write\"} 2\n"));
         assert!(text.contains("share_op_latency_ns_count{op=\"gc\"} 1\n"));
-        assert!(text.contains("share_stream_fg_pages_total{stream=\"wal\"} 4\n"));
-        assert!(text.contains("share_stream_fg_pages_total{stream=\"ftl\"} 0\n"));
         // Cumulative bucket counts are non-decreasing.
         let mut last = 0u64;
         for line in text.lines().filter(|l| l.starts_with("share_op_latency_ns_bucket{op=\"write\"")) {
@@ -256,43 +238,27 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped_and_every_sample_reads_back() {
-        use crate::BlameKind;
+        let mut text = String::new();
+        super::sample(&mut text, "share_x_total", &[("k", "we\"ird\\\nlabel")], &5);
+        assert_eq!(text, "share_x_total{k=\"we\\\"ird\\\\\\nlabel\"} 5\n");
         let mut t = Telemetry::default();
-        let weird = t.intern("we\"ird\\\nlabel");
-        t.set_stream(weird);
-        t.record(OpClass::Write, 5, 0, 10, true);
-        t.blame(weird, BlameKind::Gc, 2);
-        let text = t.snapshot().to_prometheus();
-        assert!(
-            text.contains("share_stream_fg_pages_total{stream=\"we\\\"ird\\\\\\nlabel\"} 5\n"),
-            "{text}"
-        );
-        let mut hits = 0;
+        t.record(OpClass::Write, 0, 10);
+        text.push_str(&t.snapshot().to_prometheus());
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             super::parse_sample_value(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
-            hits += usize::from(line.contains("ird"));
         }
-        // Foreground pages and three blame causes.
-        assert_eq!(hits, 4);
     }
 
     #[test]
-    fn renders_wa_ledger_and_unit_utilization() {
-        use crate::{BlameKind, UnitUtilization};
-        let mut t = Telemetry::default();
-        let db = t.intern("db");
-        t.blame(db, BlameKind::Gc, 7);
-        t.blame(db, BlameKind::Checkpoint, 2);
-        let mut snap = t.snapshot();
+    fn renders_unit_utilization() {
+        use crate::UnitUtilization;
+        let mut snap = Telemetry::default().snapshot();
         snap.units = vec![
             UnitUtilization { channel: 0, way: 0, busy_ns: 500 },
             UnitUtilization { channel: 1, way: 0, busy_ns: 250 },
         ];
         snap.now_ns = 1_000;
         let text = snap.to_prometheus();
-        assert!(text.contains("share_stream_bg_pages_total{stream=\"db\",cause=\"gc\"} 7\n"));
-        assert!(text.contains("share_stream_bg_pages_total{stream=\"db\",cause=\"checkpoint\"} 2\n"));
-        assert!(text.contains("share_stream_bg_pages_total{stream=\"db\",cause=\"log_flush\"} 0\n"));
         assert!(text.contains("share_unit_busy_ns_total{channel=\"0\",way=\"0\"} 500\n"));
         assert!(text.contains("share_unit_utilization{channel=\"1\",way=\"0\"} 0.25\n"));
     }
@@ -303,7 +269,7 @@ mod tests {
         // first command brings it.
         let mut t = Telemetry::default();
         assert!(!t.snapshot().to_prometheus().contains("share_op_latency_ns"));
-        t.record(OpClass::Read, 1, 0, 10, true);
+        t.record(OpClass::Read, 0, 10);
         let text = t.snapshot().to_prometheus();
         assert!(text.contains("share_op_latency_ns_count{op=\"read\"} 1\n"));
         assert!(!text.contains("{op=\"write\""));

@@ -57,7 +57,8 @@ pub enum Track {
     Engine,
     /// The `vfs` thread of the host process.
     Vfs,
-    /// A per-stream thread of the host process (FTL command spans).
+    /// A per-stream thread of the host process (FTL command spans), by
+    /// the id [`Tracer::intern`] gave the stream's label.
     Stream(u32),
     /// One NAND unit's thread of the `nand` process.
     Unit {
@@ -70,6 +71,11 @@ pub enum Track {
 
 /// Sentinel for "no parent" (root span).
 pub(crate) const NO_PARENT: u32 = u32::MAX;
+
+/// Reserved stream id of the FTL's internal passes (GC, log flush,
+/// checkpoint, recovery). Id 0 is the reserved `host` stream: the track of
+/// a command no caller labelled.
+pub const STREAM_FTL: u32 = 1;
 
 /// One recorded span or leaf event.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +117,7 @@ struct TraceBuf {
     spans: Vec<Span>,
     /// Open-span stack; the top is the parent of the next span.
     stack: Vec<u32>,
-    /// Stream id → label, mirrored from the telemetry intern table.
+    /// Stream id → label, in intern order: the one stream table.
     stream_labels: Vec<String>,
 }
 
@@ -121,8 +127,8 @@ struct TraceBuf {
 pub struct Tracer(Option<Arc<Mutex<TraceBuf>>>);
 
 impl Tracer {
-    /// An enabled tracer with a fresh buffer (reserved `host`/`ftl`
-    /// stream labels pre-interned, matching the telemetry stream table).
+    /// An enabled tracer with a fresh buffer (the reserved `host` and
+    /// `ftl` stream labels pre-interned as ids 0 and 1).
     pub fn enabled() -> Self {
         Tracer(Some(Arc::new(Mutex::new(TraceBuf {
             stream_labels: vec!["host".to_string(), "ftl".to_string()],
@@ -144,15 +150,17 @@ impl Tracer {
         self.0.as_ref().map(|m| m.lock().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// Mirror a stream label so exports can name per-stream tracks.
-    pub fn set_stream_label(&self, id: u32, label: &str) {
-        if let Some(mut buf) = self.lock() {
-            let idx = id as usize;
-            if buf.stream_labels.len() <= idx {
-                buf.stream_labels.resize(idx + 1, String::new());
-            }
-            buf.stream_labels[idx] = label.to_string();
-        }
+    /// The id of stream `label` (interned on first use, stable for the
+    /// buffer's lifetime), for [`Track::Stream`]. A disabled tracer keeps
+    /// no table and returns 0, the `host` stream.
+    pub fn intern(&self, label: &str) -> u32 {
+        let Some(mut buf) = self.lock() else { return 0 };
+        let labels = &mut buf.stream_labels;
+        let id = labels.iter().position(|l| l == label).unwrap_or_else(|| {
+            labels.push(label.to_string());
+            labels.len() - 1
+        });
+        id as u32
     }
 
     /// Open a span: it becomes the parent of everything recorded until the
@@ -233,11 +241,7 @@ impl Tracer {
     }
 
     fn stream_label(labels: &[String], id: u32) -> String {
-        labels
-            .get(id as usize)
-            .filter(|l| !l.is_empty())
-            .cloned()
-            .unwrap_or_else(|| format!("stream{id}"))
+        labels.get(id as usize).cloned().unwrap_or_else(|| format!("stream{id}"))
     }
 
     /// Export as a Chrome `trace_event` JSON document (`None` when
@@ -397,37 +401,6 @@ impl Tracer {
     }
 }
 
-/// Split `total` across `weights` proportionally, exactly (largest-remainder
-/// apportionment), into `shares` (cleared, then one entry per weight): the
-/// shares sum to `total` whenever the weights are not all zero.
-/// Deterministic — remainder ties break on lower index. All-zero or empty
-/// weights give all zeros (the caller picks a fallback). The caller owns
-/// `shares`, so a reused buffer makes the split allocation-free.
-pub fn apportion(total: u64, weights: &[u64], shares: &mut Vec<u64>) {
-    shares.clear();
-    let sum: u128 = weights.iter().map(|&w| w as u128).sum();
-    if sum == 0 {
-        shares.resize(weights.len(), 0);
-        return;
-    }
-    let rem = |i: usize| (total as u128 * weights[i] as u128) % sum;
-    shares.extend(weights.iter().map(|&w| (total as u128 * w as u128 / sum) as u64));
-    // Hand the leftover units (fewer than there are weights) to the largest
-    // remainders, lowest index first: each pass takes the next index in
-    // that order after the one the previous pass took.
-    let left = total - shares.iter().sum::<u64>();
-    let mut last: Option<(u128, usize)> = None;
-    for _ in 0..left {
-        let below_last = |&i: &usize| last.is_none_or(|(r, j)| rem(i) < r || (rem(i) == r && i > j));
-        let next = (0..weights.len())
-            .filter(below_last)
-            .max_by(|&a, &b| rem(a).cmp(&rem(b)).then(b.cmp(&a)))
-            .expect("fewer leftover units than weights");
-        shares[next] += 1;
-        last = Some((rem(next), next));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,8 +459,8 @@ mod tests {
     #[test]
     fn chrome_export_is_wellformed() {
         let t = Tracer::enabled();
-        t.set_stream_label(2, "db");
-        let root = t.begin(Layer::Ftl, "write", Track::Stream(2), 1_500);
+        let db = t.intern("db");
+        let root = t.begin(Layer::Ftl, "write", Track::Stream(db), 1_500);
         t.leaf(Layer::Nand, "program", Track::Unit { channel: 0, way: 0 }, 2_000, 802_000, 1, true);
         t.end(root, 802_000, 1, true);
         let doc = t.chrome_json().unwrap();
@@ -539,29 +512,5 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("commit [engine engine] 0..10"));
         assert!(lines[1].starts_with("  write [ftl stream:host] 5..9"));
-    }
-
-    #[test]
-    fn apportion_is_exact_and_deterministic() {
-        let split = |total: u64, weights: &[u64]| {
-            let mut shares = vec![99; 7]; // stale contents are cleared
-            apportion(total, weights, &mut shares);
-            shares
-        };
-        assert_eq!(split(10, &[1, 1, 1]), vec![4, 3, 3]);
-        assert_eq!(split(7, &[0, 3, 1]), vec![0, 5, 2]);
-        assert_eq!(split(0, &[5, 5]), vec![0, 0]);
-        assert_eq!(split(5, &[0, 0]), vec![0, 0]);
-        assert_eq!(split(3, &[]), Vec::<u64>::new());
-        // Leftovers go to the largest remainders, ties to the lower index.
-        assert_eq!(split(5, &[1, 2, 2, 1]), vec![1, 2, 1, 1]);
-        assert_eq!(split(3, &[1, 1, 1, 1, 1]), vec![1, 1, 1, 0, 0]);
-        // Exactness across a sweep of shapes.
-        for total in [1u64, 2, 3, 10, 97, 1000] {
-            for weights in [&[1u64, 2, 3][..], &[100, 1], &[7, 7, 7, 7], &[0, 9, 0, 1]] {
-                let shares = split(total, weights);
-                assert_eq!(shares.iter().sum::<u64>(), total, "{total} over {weights:?}");
-            }
-        }
     }
 }

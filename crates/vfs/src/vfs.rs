@@ -238,19 +238,19 @@ impl<D: BlockDevice> Vfs<D> {
     // ----- telemetry streams ----------------------------------------------
 
     fn intern_fs_streams(&mut self) {
-        // No-op (both ids stay 0 = host) on devices without telemetry.
+        // No-op (both ids stay 0 = host) on devices without tracing.
         self.fs_meta_stream = self.dev.stream_intern("fs-meta");
         self.fs_journal_stream = self.dev.stream_intern("fs-journal");
     }
 
-    /// Telemetry stream the file's device traffic is attributed to.
+    /// Stream whose trace track the file's device commands sit on.
     fn stream_of(&self, id: u32) -> u32 {
         self.streams.get(&id).copied().unwrap_or(0)
     }
 
-    /// Re-label a file's telemetry stream (engines tag files semantically —
-    /// "wal", "journal", "doublewrite" — instead of by raw file name, so one
-    /// metrics snapshot yields the paper's Figure-6-style breakdown).
+    /// Re-label a file's stream (engines tag files semantically — "wal",
+    /// "journal", "doublewrite" — instead of by raw file name), so a trace
+    /// draws its commands on a track of that name.
     pub fn set_stream_label(&mut self, f: FileId, label: &str) -> Result<(), VfsError> {
         self.file(f)?;
         let stream = self.dev.stream_intern(label);

@@ -332,29 +332,6 @@ fn truncate_shrinks_logical_length_only() {
 }
 
 #[test]
-fn per_file_streams_attribute_device_traffic() {
-    let mut fs = ftl_fs();
-    let a = fs.create("a.db").unwrap();
-    let b = fs.create("b.log").unwrap();
-    fs.set_stream_label(b, "wal").unwrap();
-    for i in 0..4 {
-        fs.write_page(a, i, &page(&fs, 1)).unwrap();
-    }
-    for i in 0..7 {
-        fs.write_page(b, i, &page(&fs, 2)).unwrap();
-    }
-    fs.fsync(a).unwrap();
-    let snap = fs.device().telemetry_snapshot().expect("FTL has telemetry");
-    let by = |l: &str| snap.wa.iter().find(|w| w.label == l).cloned();
-    assert_eq!(by("a.db").unwrap().fg_pages, 4);
-    assert_eq!(by("wal").unwrap().fg_pages, 7);
-    // The raw file name of the re-labelled file carries no page traffic.
-    assert_eq!(by("b.log").map_or(0, |w| w.fg_pages), 0);
-    // Metadata snapshots (format + fsync) land on the fs-meta stream.
-    assert!(by("fs-meta").unwrap().fg_pages > 0);
-}
-
-#[test]
 fn streams_are_inert_on_plain_devices() {
     // SimpleSsd has no telemetry: interning returns the default stream and
     // everything still works.
