@@ -214,6 +214,9 @@ pub struct Ftl {
     gc_job: Option<GcJob>,
     /// Lent to each `gc_step` and taken back, so steps allocate no pages.
     gc_scratch: GcScratch,
+    /// The pages of the last user-data submission, refilled by each one
+    /// (never shrunk), so writes allocate nothing.
+    user_dests: Vec<Ppn>,
     /// Relocations owed by the commands that allocated inside the slack
     /// band and not yet run (`Ftl::collect_after`).
     gc_debt: u64,
@@ -289,6 +292,7 @@ impl Ftl {
             q_max_inflight: 0,
             gc_job: None,
             gc_scratch: GcScratch::default(),
+            user_dests: Vec::new(),
             gc_debt: 0,
             gc_meta_seen: 0,
             share_dests: Vec::new(),
@@ -548,10 +552,12 @@ impl Ftl {
     /// channel-ways overlap in simulated time). May program fewer pages
     /// than requested when the pool runs dry mid-batch; the caller must
     /// map what was programmed before running GC, so no programmed page
-    /// is ever unmapped while `ensure_free` can pick victims. Errors with
+    /// is ever unmapped while `ensure_free` can pick victims. Leaves the
+    /// pages programmed in `user_dests` and returns how many. Errors with
     /// `DeviceFull` only when nothing at all could be allocated.
-    fn program_user_submission(&mut self, pages: &[(Lpn, &[u8])]) -> Result<Vec<Ppn>, FtlError> {
-        let mut dests = Vec::with_capacity(pages.len());
+    fn program_user_submission(&mut self, pages: &[(Lpn, &[u8])]) -> Result<usize, FtlError> {
+        let dests = &mut self.user_dests;
+        dests.clear();
         for _ in 0..pages.len() {
             match self.pool.alloc(&self.nand, WritePoint::User) {
                 Ok(p) => dests.push(p),
@@ -563,7 +569,7 @@ impl Ftl {
             return Err(FtlError::DeviceFull);
         }
         self.nand.program_batch(dests.iter().zip(pages).map(|(&d, (_, data))| (d, *data)))?;
-        Ok(dests)
+        Ok(dests.len())
     }
 
     /// Pages per batched submission: enough depth to keep every unit busy
@@ -577,39 +583,6 @@ impl Ftl {
     /// epoch latency windows per [`FtlConfig::telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    fn read_impl(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<(), FtlError> {
-        self.check_lpn(lpn)?;
-        if buf.len() != self.page_size() {
-            return Err(FtlError::BadBufferLength { got: buf.len(), want: self.page_size() });
-        }
-        self.stats.host_reads += 1;
-        self.stats.host_read_bytes += buf.len() as u64;
-        let ppn = self.map.lookup(lpn);
-        if ppn.is_valid() {
-            self.nand.read(ppn, buf)?;
-        } else {
-            buf.fill(0);
-            self.nand.charge(self.cfg.timing.xfer_ns(buf.len()));
-        }
-        Ok(())
-    }
-
-    fn write_impl(&mut self, lpn: Lpn, data: &[u8]) -> Result<(), FtlError> {
-        self.check_lpn(lpn)?;
-        if data.len() != self.page_size() {
-            return Err(FtlError::BadBufferLength { got: data.len(), want: self.page_size() });
-        }
-        self.stats.host_writes += 1;
-        self.stats.host_write_bytes += data.len() as u64;
-        self.ensure_free()?;
-        let mark = self.mark();
-        let ppn = self.pool.alloc(&self.nand, WritePoint::User)?;
-        self.nand.program(ppn, data)?;
-        let old = self.map.map_new_write(lpn, ppn)?;
-        self.log_delta(Delta { lpn, old, new: ppn })?;
-        self.collect_after(1, mark)
     }
 
     fn trim_impl(&mut self, lpn: Lpn, len: u64) -> Result<(), FtlError> {
@@ -634,24 +607,33 @@ impl Ftl {
         self.flush_log()
     }
 
+    /// The one read body, behind `read`, `read_batch` and both queued
+    /// reads: the mapped pages go to the NAND as one submission, and each
+    /// unmapped page reads zeroes for its bus transfer time.
     fn read_batch_impl(&mut self, reqs: &mut [(Lpn, &mut [u8])]) -> Result<(), FtlError> {
         self.check_pages(reqs)?;
         let want = self.page_size();
         self.stats.host_reads += reqs.len() as u64;
         self.stats.host_read_bytes += (reqs.len() * want) as u64;
-        let mut mapped: Vec<(Ppn, &mut [u8])> = Vec::with_capacity(reqs.len());
+        let mut mapped = 0;
         let mut zero_xfer = 0u64;
         for (lpn, buf) in reqs.iter_mut() {
-            let ppn = self.map.lookup(*lpn);
-            if ppn.is_valid() {
-                mapped.push((ppn, &mut buf[..]));
+            if self.map.lookup(*lpn).is_valid() {
+                mapped += 1;
             } else {
                 buf.fill(0);
                 zero_xfer += self.cfg.timing.xfer_ns(want);
             }
         }
-        if !mapped.is_empty() {
-            self.nand.read_batch(mapped)?;
+        // Only mapped pages make a NAND submission, which a device that is
+        // down refuses: a read of unmapped pages alone still reads zeroes.
+        if mapped > 0 {
+            let map = &self.map;
+            let reads = reqs.iter_mut().filter_map(|(lpn, buf)| {
+                let ppn = map.lookup(*lpn);
+                ppn.is_valid().then_some((ppn, &mut buf[..]))
+            });
+            self.nand.read_batch(reads)?;
         }
         if zero_xfer > 0 {
             self.nand.charge(zero_xfer);
@@ -679,8 +661,10 @@ impl Ftl {
             let mark = self.mark();
             let mut done = 0;
             while done < chunk.len() {
-                let dests = self.program_user_submission(&chunk[done..])?;
-                for ((lpn, _), &ppn) in chunk[done..].iter().zip(&dests) {
+                let programmed = self.program_user_submission(&chunk[done..])?;
+                for (i, (lpn, _)) in chunk[done..done + programmed].iter().enumerate() {
+                    // Log flushes and checkpoints leave `user_dests` alone.
+                    let ppn = self.user_dests[i];
                     let old = self.map.map_new_write(*lpn, ppn)?;
                     let delta = Delta { lpn: *lpn, old, new: ppn };
                     match batch.as_deref_mut() {
@@ -688,7 +672,7 @@ impl Ftl {
                         None => self.log_delta(delta)?,
                     }
                 }
-                done += dests.len();
+                done += programmed;
                 if done < chunk.len() {
                     // Mid-chunk pool exhaustion: everything programmed so
                     // far is mapped, so GC can run safely.
@@ -714,6 +698,8 @@ impl Ftl {
         Ok(())
     }
 
+    /// The one write body, behind `write`, `write_batch` and both queued
+    /// writes.
     fn write_batch_impl(&mut self, pages: &[(Lpn, &[u8])]) -> Result<(), FtlError> {
         self.check_pages(pages)?;
         self.place_and_map(pages, None)

@@ -120,7 +120,7 @@ impl Ftl {
         match cmd {
             QueuedCmd::Read { lpn } => {
                 let mut buf = vec![0u8; self.page_size()];
-                self.read_impl(lpn, &mut buf)?;
+                self.read_batch_impl(&mut [(lpn, &mut buf[..])])?;
                 return Ok(CmdOutput::Page(buf));
             }
             QueuedCmd::ReadBatch { lpns } => {
@@ -131,7 +131,7 @@ impl Ftl {
                 self.read_batch_impl(&mut reqs)?;
                 return Ok(CmdOutput::Pages(flat));
             }
-            QueuedCmd::Write { lpn, data } => self.write_impl(lpn, &data)?,
+            QueuedCmd::Write { lpn, data } => self.write_batch_impl(&[(lpn, &data[..])])?,
             QueuedCmd::WriteBatch { pages } => self.write_batch_impl(pages)?,
             QueuedCmd::WriteAtomic { pages } if !pages.is_empty() => self.write_atomic_impl(pages)?,
             QueuedCmd::Share { pairs } if !pairs.is_empty() => self.share_impl(pairs)?,
@@ -185,11 +185,11 @@ impl BlockDevice for Ftl {
     }
 
     fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<(), FtlError> {
-        self.command("read", Some(OpClass::Read), 1, |f| f.read_impl(lpn, buf))
+        self.command("read", Some(OpClass::Read), 1, |f| f.read_batch_impl(&mut [(lpn, buf)]))
     }
 
     fn write(&mut self, lpn: Lpn, data: &[u8]) -> Result<(), FtlError> {
-        self.command("write", Some(OpClass::Write), 1, |f| f.write_impl(lpn, data))
+        self.command("write", Some(OpClass::Write), 1, |f| f.write_batch_impl(&[(lpn, data)]))
     }
 
     fn flush(&mut self) -> Result<(), FtlError> {

@@ -1189,6 +1189,66 @@ fn qd1_submit_reap_is_bit_identical_to_sync() {
 }
 
 #[test]
+fn single_page_commands_are_one_element_batches() {
+    // `read` and `write` run the batch bodies on a one-element slice: one
+    // seeded stream through them, and through `read_batch` / `write_batch`
+    // of one page on a twin, must leave the same device — across GC,
+    // copyback and checkpoints, at one channel and at four.
+    use share_rng::{Rng, StdRng};
+    const PAGES: u64 = 256;
+    let aged = |channels: u32| {
+        let cfg =
+            FtlConfig::for_capacity_with(PAGES * 4096, 0.25, 4096, 16, NandTiming::default());
+        let mut f = Ftl::new(cfg.with_parallelism(channels, 1));
+        for i in 0..3 * PAGES {
+            f.write(Lpn(i * 7 % PAGES), &pagev(i as u8, &f)).unwrap();
+        }
+        f
+    };
+    let run = |mut f: Ftl, batch: bool| {
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut page = vec![0u8; f.page_size()];
+        let mut read = Vec::new();
+        for _ in 0..3_000 {
+            let lpn = Lpn(rng.random_range(0..PAGES));
+            match rng.random_range(0..8u32) {
+                0..=3 => {
+                    page.fill(rng.random());
+                    match batch {
+                        false => f.write(lpn, &page),
+                        true => f.write_batch(&[(lpn, &page[..])]),
+                    }
+                    .unwrap();
+                }
+                4..=6 => {
+                    match batch {
+                        false => f.read(lpn, &mut page),
+                        true => f.read_batch(&mut [(lpn, &mut page[..])]),
+                    }
+                    .unwrap();
+                    read.push(page[0]);
+                }
+                _ => f.trim(lpn, 1).unwrap(),
+            }
+        }
+        let mut image = Vec::new();
+        f.nand().save_image(&mut image).unwrap();
+        (f.stats(), f.nand().now_ns(), f.nand().busy_ns().to_vec(), read, image)
+    };
+    for channels in [1u32, 4] {
+        let single = run(aged(channels), false);
+        let batched = run(aged(channels), true);
+        let stats = &single.0;
+        assert!(stats.gc_events > 0 && stats.copyback_pages > 0 && stats.checkpoints >= 2);
+        assert_eq!(single.0, batched.0, "counters at {channels} channels");
+        assert_eq!(single.1, batched.1, "clock at {channels} channels");
+        assert_eq!(single.2, batched.2, "unit busy time at {channels} channels");
+        assert_eq!(single.3, batched.3, "bytes read at {channels} channels");
+        assert!(single.4 == batched.4, "saved images differ at {channels} channels");
+    }
+}
+
+#[test]
 fn queued_commands_overlap_across_channels() {
     // Four single-page writes, submitted before any completes: the
     // block pool stripes them over four channels, so the whole burst

@@ -46,7 +46,7 @@ pub enum QueuedCmd<'a> {
     /// Write one page. The one variant that owns its payload: the benchmark
     /// package's device transcript builds it from an owned page, and the
     /// form goes with the other single-page forms when the command surface
-    /// shrinks (ROADMAP item 12). No engine submits it.
+    /// shrinks (ROADMAP item 14). No engine submits it.
     Write { lpn: Lpn, data: Vec<u8> },
     /// Write a vector of pages as one submission (prefix-durable on error,
     /// like the sync `write_batch`).

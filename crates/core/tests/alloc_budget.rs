@@ -181,6 +181,7 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     queued_read_batch_is_one_flat_buffer(&mut rig);
     queued_writes_lend_their_pages(&mut rig);
     a_checkpoint_builds_its_pages_in_the_device_image(&mut rig);
+    reads_and_writes_request_no_heap(&mut rig);
     multi_chunk_share_batches_stay_inside_the_budget();
 }
 
@@ -284,6 +285,45 @@ fn heap_of(body: impl FnOnce()) -> (u64, u64) {
     let (bytes, pages) = (ALLOC_BYTES.load(Relaxed), PAGE_ALLOCS.load(Relaxed));
     body();
     (ALLOC_BYTES.load(Relaxed) - bytes, PAGE_ALLOCS.load(Relaxed) - pages)
+}
+
+/// `read`, `write`, `read_batch` and `write_batch` run one read body and one
+/// write body, which borrow the caller's pages and the device's scratch. The
+/// first pass of rounds of each grows what the device keeps at a high-water
+/// mark (the destination scratch, the reverse map's spare lists as the
+/// shared pages it overwrites give theirs back); the second, the same rounds
+/// again over the GC steps and log flushes they pay for, may request no heap
+/// at all. A request vector built per command would cost one per call.
+fn reads_and_writes_request_no_heap(rig: &mut Rig) {
+    const N: usize = 8;
+    const ROUNDS: u64 = 64;
+    let data: Vec<[u8; PAGE]> = (0..N).map(|i| [0x90 | i as u8; PAGE]).collect();
+    let mut bufs = vec![[0u8; PAGE]; N];
+    let mut page = [0u8; PAGE];
+    for pass in 0..2 {
+        let before = rig.ftl.stats();
+        for round in 0..ROUNDS {
+            let first = round * N as u64;
+            let pages: Vec<(Lpn, &[u8])> =
+                data.iter().enumerate().map(|(i, d)| (Lpn(first + i as u64), &d[..])).collect();
+            let mut reqs: Vec<(Lpn, &mut [u8])> =
+                bufs.iter_mut().enumerate().map(|(i, b)| (Lpn(first + i as u64), &mut b[..])).collect();
+            let ftl = &mut rig.ftl;
+            let heap = [
+                heap_of(|| ftl.write_batch(&pages).unwrap()).0,
+                heap_of(|| ftl.read_batch(&mut reqs).unwrap()).0,
+                heap_of(|| ftl.write(Lpn(first), &data[1]).unwrap()).0,
+                heap_of(|| ftl.read(Lpn(first + 1), &mut page).unwrap()).0,
+            ];
+            if pass == 1 {
+                assert_eq!(heap, [0; 4], "write_batch, read_batch, write, read in round {round}");
+            }
+            drop(reqs);
+            assert!(bufs.iter().zip(&data).all(|(b, d)| b == d) && page == data[1]);
+        }
+        let window = rig.ftl.stats().delta_since(&before);
+        assert!(window.gc_events > 0 && window.meta_page_writes > 0, "{window:?}");
+    }
 }
 
 /// A queued `WriteBatch` / `WriteAtomic` of N mapped pages borrows the

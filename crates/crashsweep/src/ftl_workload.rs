@@ -435,10 +435,7 @@ fn verify_snapshots(rec: &mut Ftl, states: &[State]) -> Result<(), String> {
 pub struct FtlWorkload {
     pub(crate) name: String,
     pub(crate) cfg: FtlConfig,
-    /// Each op with the slot in `labels` of the stream it is issued on.
-    pub(crate) ops: Vec<(Option<usize>, FtlOp)>,
-    /// Stream labels interned on the fresh device.
-    pub(crate) labels: &'static [&'static str],
+    pub(crate) ops: Vec<FtlOp>,
     /// Submissions between reaps when the ops go through the queue; `None`
     /// issues every op synchronously.
     pub(crate) round: Option<usize>,
@@ -468,10 +465,9 @@ fn tight_device() -> FtlConfig {
 }
 
 impl FtlWorkload {
-    /// `ops`, issued synchronously on one stream of a device shaped `cfg`.
+    /// `ops`, issued synchronously on a device shaped `cfg`.
     pub(crate) fn new(name: String, cfg: FtlConfig, ops: Vec<FtlOp>) -> Self {
-        let ops = ops.into_iter().map(|op| (None, op)).collect();
-        Self { name, cfg, ops, labels: &[], round: None }
+        Self { name, cfg, ops, round: None }
     }
 
     /// Mixed write/trim/share/atomic-write workload over a small logical
@@ -574,8 +570,7 @@ impl FtlWorkload {
     /// synchronous op, and the snapshot table's limits when the workload
     /// issues snapshot ops. A queued workload tolerates none.
     fn drive(&self, ftl: &mut Ftl, handle: &FaultHandle) -> Result<RunTrace, String> {
-        let streams: Vec<u32> = self.labels.iter().map(|label| ftl.stream_intern(label)).collect();
-        let snapshots = self.ops.iter().any(|(_, op)| op.is_snapshot());
+        let snapshots = self.ops.iter().any(FtlOp::is_snapshot);
         let tolerated = |e: &FtlError| {
             use FtlError::*;
             self.round.is_none()
@@ -593,10 +588,7 @@ impl FtlWorkload {
         let states = vec![State::new(self.cfg.logical_pages)];
         let mut t = RunTrace { states, floor: 0, crashed: false, inflight_at_crash: 0 };
         let mut since_reap = 0usize;
-        for (slot, op) in &self.ops {
-            if let Some(slot) = slot {
-                ftl.set_stream(streams[*slot]);
-            }
+        for op in &self.ops {
             let before = handle.programs_seen();
             let queued = self.round.filter(|_| op.has_queued_form());
             if let Some(round) = queued {
@@ -789,7 +781,7 @@ mod tests {
             by_ppn
         };
         let (mut overflowed, mut relocated) = (0, 0);
-        for (_, op) in &w.ops {
+        for op in &w.ops {
             let before = holders(&ftl);
             let slotted = ftl.revmap_len();
             let copybacks = ftl.stats().copyback_pages;

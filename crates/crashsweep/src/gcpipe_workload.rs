@@ -119,7 +119,7 @@ mod tests {
         let w = FtlGcPipelineWorkload::new(3, 600);
         for run in &w.runs {
             let mut ftl = Ftl::new(run.cfg.clone());
-            for (_, op) in &run.ops {
+            for op in &run.ops {
                 exec(&mut ftl, op).expect("fault-free op");
             }
             let stats = ftl.stats();
@@ -139,7 +139,7 @@ mod tests {
         let w = FtlGcPipelineWorkload::new(3, 600);
         let run = &w.runs[1];
         let mut ftl = Ftl::new(run.cfg.clone().with_telemetry(TelemetryConfig::tracing()));
-        for (_, op) in &run.ops {
+        for op in &run.ops {
             exec(&mut ftl, op).expect("fault-free op");
         }
         let spans = ftl.tracer().spans();

@@ -88,7 +88,7 @@ mod tests {
         let batches: Vec<usize> = w
             .ops
             .iter()
-            .filter_map(|(_, op)| match op {
+            .filter_map(|op| match op {
                 FtlOp::WriteBatch { pages } => Some(pages.len()),
                 _ => None,
             })

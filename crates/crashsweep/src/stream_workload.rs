@@ -1,13 +1,13 @@
 //! Multi-stream crash workload on a four-channel FTL.
 //!
-//! Three concurrent host streams drive the one multi-channel device of
+//! Three interleaved host streams drive the one multi-channel device of
 //! this crate, so at any instant the pool holds several open frontiers
 //! (one user lane per channel plus GC lanes). A crash can therefore land
 //! with several blocks partially programmed, and recovery must rebuild
 //! every frontier before the prefix-consistency oracle (see
 //! [`crate::ftl_workload`]) is checked.
 //!
-//! The streams mimic their database namesakes:
+//! Each stream is a generator of ops that mimic its database namesake:
 //! - `heap`: wide random writes, reads, trims and small atomic batches
 //!   over most of the logical space;
 //! - `wal`: a small append window rewritten round after round, with
@@ -17,13 +17,6 @@
 
 use crate::ftl_workload::{apply, small_device, FtlOp, FtlWorkload, State};
 use share_rng::{Rng, StdRng};
-
-/// Stream labels, index-aligned with the per-op stream slots.
-pub const STREAM_LABELS: [&str; 3] = ["heap", "wal", "compact"];
-
-const HEAP: usize = 0;
-const WAL: usize = 1;
-const COMPACT: usize = 2;
 
 /// Logical pages of the stream workload. Larger than the mixed workload's
 /// space because four user lanes plus their GC lanes need headroom of
@@ -37,28 +30,26 @@ const COLD_BASE: u64 = 80;
 const COLD_PAGES: u64 = 16;
 
 impl FtlWorkload {
-    /// `n_ops` ops from `seed` for a four-channel device, each on the
-    /// stream slot it is issued on; the driver switches the device's active
-    /// stream before each op.
+    /// `n_ops` ops from `seed`, drawn from the three streams' generators,
+    /// for a four-channel device.
     pub fn stream(seed: u64, n_ops: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model = State::new(STREAM_PAGES);
         let mut wal_cursor = 0u64;
         let mut ops = Vec::with_capacity(n_ops);
         while ops.len() < n_ops {
-            let (slot, op) = match rng.random_range(0..8u32) {
+            let op = match rng.random_range(0..8u32) {
                 // Heap dominates the op budget, like a data file under a
                 // busy database.
-                0..=3 => (HEAP, gen_heap(&mut rng, &model)),
-                4..=6 => (WAL, gen_wal(&mut rng, &mut wal_cursor)),
-                _ => (COMPACT, gen_compact(&mut rng, &model)),
+                0..=3 => gen_heap(&mut rng, &model),
+                4..=6 => gen_wal(&mut rng, &mut wal_cursor),
+                _ => gen_compact(&mut rng, &model),
             };
             apply(&mut model, &op);
-            ops.push((Some(slot), op));
+            ops.push(op);
         }
         let cfg = small_device(STREAM_PAGES).with_parallelism(4, 1);
-        let name = format!("ftl-stream-s{seed}-n{n_ops}");
-        Self { name, cfg, ops, labels: &STREAM_LABELS, round: None }
+        Self::new(format!("ftl-stream-s{seed}-n{n_ops}"), cfg, ops)
     }
 }
 
@@ -140,7 +131,7 @@ mod tests {
     use crate::ftl_workload::exec;
     use crate::CrashWorkload;
     use nand_sim::{BlockId, FaultMode};
-    use share_core::{BlockDevice, Ftl};
+    use share_core::Ftl;
     use std::collections::BTreeSet;
 
     #[test]
@@ -148,14 +139,14 @@ mod tests {
         let a = FtlWorkload::stream(5, 200);
         let b = FtlWorkload::stream(5, 200);
         assert_eq!(format!("{:?}", a.ops), format!("{:?}", b.ops));
-        for slot in [HEAP, WAL, COMPACT] {
-            assert!(
-                a.ops.iter().any(|&(s, _)| s == Some(slot)),
-                "200 ops should touch stream {} ({})",
-                slot,
-                STREAM_LABELS[slot]
-            );
-        }
+        // Each generator's own ops: heap writes, WAL-range appends, and
+        // the compactor's remaps and checkpoints.
+        let wal = WAL_BASE..WAL_BASE + WAL_PAGES;
+        let ops = &a.ops;
+        assert!(ops.iter().any(|op| matches!(op, FtlOp::Write { lpn, .. } if *lpn < HEAP_PAGES)));
+        assert!(ops.iter().any(|op| matches!(op, FtlOp::Write { lpn, .. } if wal.contains(lpn))));
+        assert!(ops.iter().any(|op| matches!(op, FtlOp::Share { .. })));
+        assert!(ops.iter().any(|op| matches!(op, FtlOp::Checkpoint)));
     }
 
     #[test]
@@ -182,12 +173,9 @@ mod tests {
         // two channels.
         let w = FtlWorkload::stream(3, 250);
         let mut ftl = Ftl::new(w.cfg.clone());
-        let streams: Vec<u32> =
-            STREAM_LABELS.iter().map(|l| ftl.stream_intern(l)).collect();
         let g = w.cfg.geometry;
         let mut widest: (BTreeSet<u32>, Vec<BlockId>) = Default::default();
-        for (slot, op) in &w.ops {
-            ftl.set_stream(streams[slot.unwrap()]);
+        for op in &w.ops {
             exec(&mut ftl, op).unwrap();
             let partial: Vec<BlockId> = (w.cfg.data_start().0..g.blocks)
                 .map(BlockId)

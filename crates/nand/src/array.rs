@@ -133,10 +133,10 @@ struct DeferredWindow {
 /// to its unit at submission time `t0 = clock.now()`: it starts at
 /// `max(t0, busy_until[unit])`, occupies the unit for its service time, and
 /// the shared [`SimClock`] then jumps to the **max** completion time of the
-/// submission (`advance_to`). Single-op submissions therefore cost exactly
-/// their service time (identical to the pre-channel serial model), while a
-/// batch submission overlaps pages that land on different units and queues
-/// pages that share one.
+/// submission (`advance_to`). A single `read`, `program` or `erase` is a
+/// one-element submission and so costs exactly its service time (identical
+/// to the pre-channel serial model), while a batch submission overlaps
+/// pages that land on different units and queues pages that share one.
 ///
 /// Queued command execution opens a *deferred window*
 /// ([`Self::begin_deferred`]): operations still reserve their unit lanes at
@@ -562,28 +562,23 @@ impl NandArray {
         (end, Ok(()))
     }
 
-    /// Read one page into `buf`. Erased pages read as 0xFF.
-    pub fn read(&mut self, ppn: Ppn, buf: &mut [u8]) -> Result<()> {
-        self.check_up()?;
-        let t0 = self.submit_t0();
-        let (end, res) = self.read_one(ppn, buf, t0);
-        self.complete_submission(end);
-        res
-    }
-
-    /// Read a vector of pages as one submission. All reads are dispatched
-    /// at the same submission time, so pages on different channels overlap
-    /// in simulated time while same-unit pages queue behind each other.
-    pub fn read_batch<'a>(
+    /// Run one submission: every item of `items` is dispatched through `op`
+    /// at the same submission time `t0`, in iteration order, and the first
+    /// failure stops it before later items touch the medium. The clock (or
+    /// the open window's frontier) then moves once, to the latest
+    /// completion. `op` returns its item's completion time (`t0` when it
+    /// was refused before reaching its unit) and its outcome.
+    fn submission<I>(
         &mut self,
-        reqs: impl IntoIterator<Item = (Ppn, &'a mut [u8])>,
+        items: impl IntoIterator<Item = I>,
+        mut op: impl FnMut(&mut Self, I, u64) -> (u64, Result<()>),
     ) -> Result<()> {
         self.check_up()?;
         let t0 = self.submit_t0();
         let mut max_end = t0;
         let mut res = Ok(());
-        for (ppn, buf) in reqs {
-            let (end, r) = self.read_one(ppn, buf, t0);
+        for item in items {
+            let (end, r) = op(self, item, t0);
             max_end = max_end.max(end);
             if r.is_err() {
                 res = r;
@@ -594,14 +589,27 @@ impl NandArray {
         res
     }
 
-    /// Program one page. Enforces erase-before-program and in-order
-    /// programming within the block. An armed fault can tear this program.
+    /// Read one page into `buf`, as a one-page [`Self::read_batch`].
+    /// Erased pages read as 0xFF.
+    pub fn read(&mut self, ppn: Ppn, buf: &mut [u8]) -> Result<()> {
+        self.read_batch([(ppn, buf)])
+    }
+
+    /// Read a vector of pages as one submission. All reads are dispatched
+    /// at the same submission time, so pages on different channels overlap
+    /// in simulated time while same-unit pages queue behind each other.
+    pub fn read_batch<'a>(
+        &mut self,
+        reqs: impl IntoIterator<Item = (Ppn, &'a mut [u8])>,
+    ) -> Result<()> {
+        self.submission(reqs, |a, (ppn, buf), t0| a.read_one(ppn, buf, t0))
+    }
+
+    /// Program one page, as a one-page [`Self::program_batch`]. Enforces
+    /// erase-before-program and in-order programming within the block. An
+    /// armed fault can tear this program.
     pub fn program(&mut self, ppn: Ppn, data: &[u8]) -> Result<()> {
-        self.check_up()?;
-        let t0 = self.submit_t0();
-        let (end, res) = self.program_one(ppn, Source::Host(data), t0);
-        self.complete_submission(end);
-        res
+        self.program_batch([(ppn, data)])
     }
 
     /// Program a vector of pages as one submission, dispatched
@@ -615,20 +623,7 @@ impl NandArray {
         &mut self,
         reqs: impl IntoIterator<Item = (Ppn, &'a [u8])>,
     ) -> Result<()> {
-        self.check_up()?;
-        let t0 = self.submit_t0();
-        let mut max_end = t0;
-        let mut res = Ok(());
-        for (ppn, data) in reqs {
-            let (end, r) = self.program_one(ppn, Source::Host(data), t0);
-            max_end = max_end.max(end);
-            if r.is_err() {
-                res = r;
-                break;
-            }
-        }
-        self.complete_submission(max_end);
-        res
+        self.submission(reqs, |a, (ppn, data), t0| a.program_one(ppn, Source::Host(data), t0))
     }
 
     /// Copy each `(src, dst)` page inside the array: the reads go out as
@@ -641,63 +636,27 @@ impl NandArray {
     /// source is refused before its read: copyback moves only programmed
     /// pages.
     pub fn copyback_batch(&mut self, pairs: &[(Ppn, Ppn)]) -> Result<()> {
-        self.check_up()?;
-        let t0 = self.submit_t0();
-        let mut max_end = t0;
-        let mut res = Ok(());
-        for &(src, _) in pairs {
-            if let Err(e) = self.check_ppn(src) {
-                res = Err(e);
-                break;
+        self.submission(pairs, |a, &(src, _), t0| {
+            if let Err(e) = a.check_ppn(src) {
+                return (t0, Err(e));
             }
-            if self.pages[src.0 as usize] == NO_SLOT {
-                res = Err(NandError::CopybackFromErased(src));
-                break;
+            if a.pages[src.0 as usize] == NO_SLOT {
+                return (t0, Err(NandError::CopybackFromErased(src)));
             }
-            max_end = max_end.max(self.sense(src, t0));
-        }
-        self.complete_submission(max_end);
-        res?;
-        let t0 = self.submit_t0();
-        let mut max_end = t0;
-        let mut res = Ok(());
-        for &(src, dst) in pairs {
-            let (end, r) = self.program_one(dst, Source::Page(src), t0);
-            max_end = max_end.max(end);
-            if r.is_err() {
-                res = r;
-                break;
-            }
-        }
-        self.complete_submission(max_end);
-        res
+            (a.sense(src, t0), Ok(()))
+        })?;
+        self.submission(pairs, |a, &(src, dst), t0| a.program_one(dst, Source::Page(src), t0))
     }
 
-    /// Erase a whole block, freeing all its pages.
+    /// Erase a whole block, freeing all its pages, as a one-block
+    /// [`Self::erase_batch`].
     pub fn erase(&mut self, block: BlockId) -> Result<()> {
-        self.check_up()?;
-        let t0 = self.submit_t0();
-        let (end, res) = self.erase_one(block, t0);
-        self.complete_submission(end);
-        res
+        self.erase_batch(&[block])
     }
 
     /// Erase a vector of blocks as one submission, channel-parallel.
     pub fn erase_batch(&mut self, blocks: &[BlockId]) -> Result<()> {
-        self.check_up()?;
-        let t0 = self.submit_t0();
-        let mut max_end = t0;
-        let mut res = Ok(());
-        for &block in blocks {
-            let (end, r) = self.erase_one(block, t0);
-            max_end = max_end.max(end);
-            if r.is_err() {
-                res = r;
-                break;
-            }
-        }
-        self.complete_submission(max_end);
-        res
+        self.submission(blocks, |a, &block, t0| a.erase_one(block, t0))
     }
 
     /// Bring the device back up after a power-loss fault. Contents (torn

@@ -4,7 +4,8 @@
 //! time, the clock, the window frontier and the trace leaves must agree —
 //! synchronously, inside a deferred window and inside a background window
 //! — and so must the medium after a fault armed at every program of the
-//! batch, in every mode.
+//! batch, in every mode. The same twins hold the array's other identity: a
+//! single `read`, `program` or `erase` is a one-element batch of it.
 
 use nand_sim::{
     BlockId, FaultMode, NandArray, NandError, NandGeometry, NandTiming, PageState, Ppn, SimClock,
@@ -221,5 +222,95 @@ fn a_copyback_onto_its_own_source_is_refused_untouched() {
         assert_eq!(after.stats.page_programs, before.stats.page_programs);
         assert_eq!(a.fault_handle().programs_seen(), twin.fault_handle().programs_seen());
         assert_eq!(images(&mut a), images(&mut twin), "{p:?}: page images");
+    }
+}
+
+/// One single-page (or single-block) operation of [`steps`].
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Read(u32),
+    Program(u32, u8),
+    Erase(u32),
+}
+
+/// Programs, reads of programmed, torn and erased pages, an erase and a
+/// reprogram of the erased block, and one refusal of each kind.
+const STEPS: [Step; 12] = [
+    Step::Program(12, 0x31),
+    Step::Read(5),
+    Step::Program(13, 0x32),
+    Step::Read(12),
+    Step::Read(2 * PPB),
+    Step::Read(40),
+    Step::Erase(1),
+    Step::Program(4, 0x33),
+    Step::Program(16, 0x34),
+    Step::Read(BLOCKS * PPB),
+    Step::Program(0, 0x35),
+    Step::Erase(BLOCKS),
+];
+
+/// Run [`STEPS`] through the single-op forms or as one-element batches,
+/// returning each outcome with the first and last byte a read returned.
+fn steps(a: &mut NandArray, batch: bool) -> Vec<(Result<(), NandError>, u8, u8)> {
+    let mut buf = vec![0u8; PS];
+    let mut out = Vec::new();
+    for step in STEPS {
+        buf.fill(0);
+        let r = match (step, batch) {
+            (Step::Read(p), false) => a.read(Ppn(p), &mut buf),
+            (Step::Read(p), true) => a.read_batch([(Ppn(p), &mut buf[..])]),
+            (Step::Program(p, b), false) => a.program(Ppn(p), &[b; PS]),
+            (Step::Program(p, b), true) => a.program_batch([(Ppn(p), &[b; PS][..])]),
+            (Step::Erase(b), false) => a.erase(BlockId(b)),
+            (Step::Erase(b), true) => a.erase_batch(&[BlockId(b)]),
+        };
+        out.push((r, buf[0], buf[PS - 1]));
+    }
+    out
+}
+
+#[test]
+fn a_single_op_is_a_one_element_batch_in_every_window() {
+    for window in [Window::Sync, Window::Deferred, Window::Background] {
+        let (mut a, ta) = array();
+        let (mut b, tb) = array();
+        let mut single = Vec::new();
+        let mut batched = Vec::new();
+        let ea = in_window(&mut a, window, |a| {
+            single = steps(a, false);
+            Ok(())
+        });
+        let eb = in_window(&mut b, window, |b| {
+            batched = steps(b, true);
+            Ok(())
+        });
+        assert_eq!(ea, eb, "{window:?}: window end");
+        assert_eq!(single, batched, "{window:?}: outcomes and bytes read");
+        assert_eq!(single.iter().filter(|s| s.0.is_err()).count(), 3, "{window:?}: refusals");
+        assert_eq!(observe(&a, &ta), observe(&b, &tb), "{window:?}");
+        assert_eq!(images(&mut a), images(&mut b), "{window:?}: page images");
+    }
+}
+
+#[test]
+fn a_fault_at_any_single_program_leaves_what_its_batch_of_one_leaves() {
+    let programs = STEPS.iter().filter(|s| matches!(s, Step::Program(..))).count() as u64;
+    // The last program is refused before it reaches the countdown.
+    for mode in FaultMode::ALL {
+        for k in 1..programs {
+            let (mut a, ta) = array();
+            let (mut b, tb) = array();
+            a.fault_handle().arm_after_programs(k, mode);
+            b.fault_handle().arm_after_programs(k, mode);
+            let single = steps(&mut a, false);
+            assert!(single.contains(&(Err(NandError::PowerLoss), 0, 0)), "{mode:?} at {k}");
+            assert_eq!(single, steps(&mut b, true), "{mode:?} at {k}");
+            assert_eq!(a.fault_handle().programs_seen(), b.fault_handle().programs_seen());
+            a.power_cycle();
+            b.power_cycle();
+            assert_eq!(observe(&a, &ta), observe(&b, &tb), "{mode:?} at {k}");
+            assert_eq!(images(&mut a), images(&mut b), "{mode:?} at {k}: page images");
+        }
     }
 }
