@@ -287,7 +287,7 @@ fn run(qd: usize) -> RunOut {
         submit_bp(&mut dev, QueuedCmd::Read { lpn: Lpn(lpn) });
     }
     for c in dev.drain() {
-        let page = c.result.expect("queued read").into_page().expect("read payload");
+        let page = c.result.expect("queued read").into_pages().expect("read payload");
         assert!(
             page.iter().all(|&b| b == page[0]),
             "torn read-back at queue depth {qd}"

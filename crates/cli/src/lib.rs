@@ -10,7 +10,7 @@
 //! sharectl read   disk.nand 100
 //! sharectl replay disk.nand trace.txt # run a block trace (W/R/T/F lines)
 //! sharectl info   disk.nand
-//! sharectl metrics disk.nand --trace trace.txt  # telemetry snapshot
+//! sharectl metrics disk.nand --trace trace.txt  # telemetry snapshot (JSON)
 //! ```
 //!
 //! All logic lives in [`run`], which returns the output text — `main` is a
@@ -58,9 +58,9 @@ fn usage() -> String {
      \x20 sharectl share  <img> <dest-lpn> <src-lpn> [--len N]\n\
      \x20 sharectl trim   <img> <lpn> [--len N]\n\
      \x20 sharectl replay <img> <trace-file>\n\
-     \x20 sharectl metrics <img> [--trace <file>] [--format prom|json]\n\
-     \x20\x20\x20\x20 (telemetry snapshot; with --trace, replays first — observation only,\n\
-     \x20\x20\x20\x20 nothing is written back to the image)\n\
+     \x20 sharectl metrics <img> [--trace <file>]\n\
+     \x20\x20\x20\x20 (telemetry snapshot as JSON; with --trace, replays first — observation\n\
+     \x20\x20\x20\x20 only, nothing is written back to the image)\n\
      \x20 sharectl trace  <img> [--workload sequential|uniform|zipfian|mixed]\n\
      \x20\x20\x20\x20 [--ops N] [--seed N] [--out trace.json] [--tree N]\n\
      \x20\x20\x20\x20 (run a traced workload on a data and a journal stream: optional\n\
@@ -294,22 +294,20 @@ pub fn run(args: &[String]) -> Result<String> {
         }
         Some("metrics") => {
             let img = args.get(1).ok_or_else(|| CliError(usage()))?;
-            let format = flag_value(args, "--format").unwrap_or("prom");
-            if format != "prom" && format != "json" {
-                return Err(CliError(format!("bad --format: {format} (want prom|json)")));
+            let trace = flag_value(args, "--trace");
+            // One output, so no flag but `--trace`: a `--format` left over
+            // from a script must fail rather than print another format.
+            if args.len() != 2 + 2 * trace.is_some() as usize {
+                return Err(CliError("bad metrics arguments (want <img> [--trace <file>])".into()));
             }
             let mut dev = load_device(img)?;
-            if let Some(trace_file) = flag_value(args, "--trace") {
+            if let Some(trace_file) = trace {
                 let text = fs::read_to_string(trace_file)?;
                 replay_ops(&mut dev, parse_trace(&text), |_| None)?;
             }
             let snap = dev.telemetry_snapshot().expect("FTL always exposes telemetry");
-            if format == "json" {
-                out.push_str(&snap.to_json().render());
-                out.push('\n');
-            } else {
-                out.push_str(&snap.to_prometheus());
-            }
+            out.push_str(&snap.to_json().render());
+            out.push('\n');
             // Observation only: nothing is written back to the image.
         }
         Some("snapshot") => {

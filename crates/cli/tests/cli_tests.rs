@@ -139,7 +139,7 @@ fn crashsweep_sweeps_a_trace_file() {
 }
 
 #[test]
-fn metrics_reports_a_replayed_trace_in_both_formats() {
+fn metrics_reports_a_replayed_trace_as_json() {
     let dir = tmpdir();
     let img = dir.join("metrics.nand");
     let img = img.to_str().unwrap();
@@ -149,33 +149,24 @@ fn metrics_reports_a_replayed_trace_in_both_formats() {
     std::fs::write(&trace, "W 0\nW 1\nF\nS 8 0 2\nR 8\nT 1 1\n").unwrap();
 
     let info_before = cmd(&["info", img]).unwrap();
-    let prom = cmd(&["metrics", img, "--trace", trace.to_str().unwrap()]).unwrap();
-    assert!(prom.contains(r#"share_op_latency_ns_count{op="write"} 2"#), "{prom}");
-    assert!(prom.contains(r#"share_op_latency_ns_count{op="share"} 1"#), "{prom}");
-    assert!(prom.contains("share_op_latency_ns_bucket"), "histograms missing: {prom}");
-    // Opening the image is itself a recovery: it must show up as an op.
-    assert!(prom.contains(r#"share_op_latency_ns_count{op="recovery"} 1"#), "{prom}");
-    // The device counters (Figure 6's inputs) and WAF are in the dump.
-    for line in ["share_host_writes_total 2\n", "share_shared_pages_total 2\n", "share_recoveries_total 1\n"]
-    {
-        assert!(prom.contains(line), "{line:?} missing: {prom}");
-    }
-    assert!(prom.contains("\nshare_page_programs_total ") && prom.contains("\nshare_waf "), "{prom}");
-
-    let json = cmd(&[
-        "metrics", img, "--trace", trace.to_str().unwrap(), "--format", "json",
-    ])
-    .unwrap();
+    let json = cmd(&["metrics", img, "--trace", trace.to_str().unwrap()]).unwrap();
     let doc = share_core::telemetry::json::parse(&json).expect("metrics JSON parses");
-    let writes = doc
-        .get("latency_ns")
-        .and_then(|o| o.get("write"))
-        .and_then(|w| w.get("count"))
-        .and_then(|v| v.as_u64());
-    assert_eq!(writes, Some(2), "{json}");
-    let metric = |key| doc.get("metrics").and_then(|m| m.get(key)).and_then(|v| v.as_u64());
-    assert_eq!(metric("host_writes"), Some(2), "{json}");
-    assert_eq!(metric("shared_pages"), Some(2), "{json}");
+    let op = |name: &str, field: &str| {
+        doc.get("latency_ns").and_then(|o| o.get(name)).and_then(|h| h.get(field)).cloned()
+    };
+    let count = |name| op(name, "count").and_then(|v| v.as_u64());
+    assert_eq!(count("write"), Some(2), "{json}");
+    assert_eq!(count("share"), Some(1), "{json}");
+    let buckets = op("write", "buckets").and_then(|b| b.as_array().map(<[_]>::len));
+    assert!(buckets.is_some_and(|n| n > 0), "histograms missing: {json}");
+    // Opening the image is itself a recovery: it must show up as an op.
+    assert_eq!(count("recovery"), Some(1), "{json}");
+    // The device counters (Figure 6's inputs) and WAF are in the dump.
+    let metric = |key| doc.get("metrics").and_then(|m| m.get(key)).cloned();
+    for (key, want) in [("host_writes", 2), ("shared_pages", 2), ("recoveries", 1)] {
+        assert_eq!(metric(key).and_then(|v| v.as_u64()), Some(want), "{key}: {json}");
+    }
+    assert!(metric("page_programs").is_some() && metric("waf").is_some(), "{json}");
 
     // Observation only: the replayed writes must not persist in the image.
     let info_after = cmd(&["info", img]).unwrap();
@@ -190,11 +181,16 @@ fn metrics_works_without_a_trace_and_rejects_bad_formats() {
     cmd(&["create", img, "16"]).unwrap();
 
     // No trace: the snapshot still reports the open-time recovery.
-    let prom = cmd(&["metrics", img]).unwrap();
-    assert!(prom.contains(r#"share_op_latency_ns_count{op="recovery"} 1"#), "{prom}");
+    let json = cmd(&["metrics", img]).unwrap();
+    let doc = share_core::telemetry::json::parse(&json).expect("metrics JSON parses");
+    let recovery = doc.get("latency_ns").and_then(|o| o.get("recovery"));
+    assert_eq!(recovery.and_then(|h| h.get("count")).and_then(|v| v.as_u64()), Some(1), "{json}");
 
-    let e = cmd(&["metrics", img, "--format", "xml"]).unwrap_err();
-    assert!(e.contains("bad --format"), "{e}");
+    // JSON is the one format: any `--format`, the old `prom` included, is refused.
+    for format in ["xml", "prom", "json"] {
+        let e = cmd(&["metrics", img, "--format", format]).unwrap_err();
+        assert!(e.contains("bad metrics arguments"), "{e}");
+    }
 }
 
 #[test]
@@ -318,11 +314,13 @@ fn snapshot_create_clone_drop_ls_cycle_persists() {
     let out = cmd(&["read", img, "100"]).unwrap();
     assert!(out.contains("5a 5a"), "clone must outlive its snapshot: {out}");
 
-    // Snapshot gauges show up in the metrics exposition while live.
+    // Snapshot gauges show up in the metrics document while live.
     cmd(&["snapshot", img, "create", "again", "0", "4"]).unwrap();
-    let prom = cmd(&["metrics", img]).unwrap();
-    assert!(prom.contains("share_snapshots_live 1"), "{prom}");
-    assert!(prom.contains("share_snapshot_frozen_pages 4"), "{prom}");
+    let json = cmd(&["metrics", img]).unwrap();
+    let doc = share_core::telemetry::json::parse(&json).expect("metrics JSON parses");
+    let metric = |key| doc.get("metrics").and_then(|m| m.get(key)).and_then(|v| v.as_u64());
+    assert_eq!(metric("snapshots_live"), Some(1), "{json}");
+    assert_eq!(metric("snapshot_frozen_pages"), Some(4), "{json}");
 }
 
 #[test]
@@ -378,11 +376,13 @@ fn wear_is_read_through_info_and_metrics() {
     cmd(&["write", img, "0", "--byte", "5a", "--count", "64"]).unwrap();
 
     assert!(cmd(&["info", img]).unwrap().contains("wear (min..max):"));
-    let prom = cmd(&["metrics", img]).unwrap();
-    for row in ["share_wear_erases_max", "share_wear_skew", "share_free_blocks", "share_data_blocks"] {
-        assert!(prom.contains(&format!("\n{row} ")), "{row} missing: {prom}");
+    let json = cmd(&["metrics", img]).unwrap();
+    let doc = share_core::telemetry::json::parse(&json).expect("metrics JSON parses");
+    let metrics = doc.get("metrics").expect("metrics object");
+    for row in ["wear_erases_max", "wear_skew", "free_blocks", "data_blocks"] {
+        assert!(metrics.get(row).is_some(), "{row} missing: {json}");
     }
-    assert!(!prom.contains("share_remaining_life"), "{prom}");
+    assert!(!json.contains("remaining_life"), "{json}");
     assert!(cmd(&["doctor", img]).unwrap_err().contains("usage"));
 }
 

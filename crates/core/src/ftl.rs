@@ -71,6 +71,33 @@ struct PendingCmd {
     blocks: Vec<u32>,
 }
 
+/// The pages one read command fills, walked once to check them, once to
+/// zero the unmapped ones and once to read the mapped ones: a synchronous
+/// read's `(lpn, buffer)` pairs, or a queued read's LPNs over the one flat
+/// buffer its completion hands back ([`FlatRead`]).
+trait ReadTargets {
+    fn pages(&mut self) -> impl Iterator<Item = (Lpn, &mut [u8])>;
+}
+
+impl ReadTargets for [(Lpn, &mut [u8])] {
+    fn pages(&mut self) -> impl Iterator<Item = (Lpn, &mut [u8])> {
+        self.iter_mut().map(|(lpn, buf)| (*lpn, &mut **buf))
+    }
+}
+
+/// A queued read: page `i` of `buf` holds `lpns[i]`.
+struct FlatRead<'a> {
+    lpns: &'a [Lpn],
+    buf: &'a mut [u8],
+    page_size: usize,
+}
+
+impl ReadTargets for FlatRead<'_> {
+    fn pages(&mut self) -> impl Iterator<Item = (Lpn, &mut [u8])> {
+        self.lpns.iter().copied().zip(self.buf.chunks_exact_mut(self.page_size))
+    }
+}
+
 /// Erase-count distribution over the data pool (wear-leveling quality).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearStats {
@@ -126,19 +153,15 @@ impl WearStats {
     /// The pool's wear and headroom readings as exported rows: these
     /// moments, the skew, and `free_blocks` of `data_blocks`.
     pub(crate) fn rows(&self, free_blocks: u64, data_blocks: u64) -> Vec<Metric> {
-        let (int, real) = (Metric::gauge, Metric::ratio);
+        let (int, real) = (Metric::int, Metric::ratio);
         vec![
-            int("share_wear_erases_min", "Fewest erases of any data block.", self.min_erases.into()),
-            int("share_wear_erases_max", "Most erases of any data block.", self.max_erases.into()),
-            real("share_wear_erases_mean", "Mean erases per data block.", self.mean_erases),
-            real(
-                "share_wear_erases_stddev",
-                "Standard deviation of per-block erase counts.",
-                self.stddev_erases,
-            ),
-            real("share_wear_skew", "Wear-leveling skew (max/mean erases; 1 = even).", self.skew()),
-            int("share_free_blocks", "Data blocks currently free.", free_blocks),
-            int("share_data_blocks", "Data blocks total.", data_blocks),
+            int("wear_erases_min", self.min_erases.into()),
+            int("wear_erases_max", self.max_erases.into()),
+            real("wear_erases_mean", self.mean_erases),
+            real("wear_erases_stddev", self.stddev_erases),
+            real("wear_skew", self.skew()),
+            int("free_blocks", free_blocks),
+            int("data_blocks", data_blocks),
         ]
     }
 }
@@ -610,15 +633,15 @@ impl Ftl {
     /// The one read body, behind `read`, `read_batch` and both queued
     /// reads: the mapped pages go to the NAND as one submission, and each
     /// unmapped page reads zeroes for its bus transfer time.
-    fn read_batch_impl(&mut self, reqs: &mut [(Lpn, &mut [u8])]) -> Result<(), FtlError> {
-        self.check_pages(reqs)?;
+    fn read_batch_impl(&mut self, reqs: &mut (impl ReadTargets + ?Sized)) -> Result<(), FtlError> {
+        let n = self.check_pages(reqs.pages().map(|(lpn, buf)| (lpn, buf.len())))?;
         let want = self.page_size();
-        self.stats.host_reads += reqs.len() as u64;
-        self.stats.host_read_bytes += (reqs.len() * want) as u64;
+        self.stats.host_reads += n as u64;
+        self.stats.host_read_bytes += (n * want) as u64;
         let mut mapped = 0;
         let mut zero_xfer = 0u64;
-        for (lpn, buf) in reqs.iter_mut() {
-            if self.map.lookup(*lpn).is_valid() {
+        for (lpn, buf) in reqs.pages() {
+            if self.map.lookup(lpn).is_valid() {
                 mapped += 1;
             } else {
                 buf.fill(0);
@@ -629,9 +652,9 @@ impl Ftl {
         // down refuses: a read of unmapped pages alone still reads zeroes.
         if mapped > 0 {
             let map = &self.map;
-            let reads = reqs.iter_mut().filter_map(|(lpn, buf)| {
-                let ppn = map.lookup(*lpn);
-                ppn.is_valid().then_some((ppn, &mut buf[..]))
+            let reads = reqs.pages().filter_map(|(lpn, buf)| {
+                let ppn = map.lookup(lpn);
+                ppn.is_valid().then_some((ppn, buf))
             });
             self.nand.read_batch(reads)?;
         }
@@ -686,22 +709,25 @@ impl Ftl {
         Ok(())
     }
 
-    /// Range- and length-check a page vector before any side effect.
-    fn check_pages<B: AsRef<[u8]>>(&self, pages: &[(Lpn, B)]) -> Result<(), FtlError> {
+    /// Range- and length-check a page vector, given as `(lpn, buffer
+    /// length)`, before any side effect; returns its page count.
+    fn check_pages(&self, pages: impl Iterator<Item = (Lpn, usize)>) -> Result<usize, FtlError> {
         let want = self.page_size();
-        for (lpn, data) in pages {
-            self.check_lpn(*lpn)?;
-            if data.as_ref().len() != want {
-                return Err(FtlError::BadBufferLength { got: data.as_ref().len(), want });
+        let mut n = 0;
+        for (lpn, got) in pages {
+            self.check_lpn(lpn)?;
+            if got != want {
+                return Err(FtlError::BadBufferLength { got, want });
             }
+            n += 1;
         }
-        Ok(())
+        Ok(n)
     }
 
     /// The one write body, behind `write`, `write_batch` and both queued
     /// writes.
     fn write_batch_impl(&mut self, pages: &[(Lpn, &[u8])]) -> Result<(), FtlError> {
-        self.check_pages(pages)?;
+        self.check_pages(pages.iter().map(|(lpn, data)| (*lpn, data.len())))?;
         self.place_and_map(pages, None)
     }
 

@@ -118,19 +118,9 @@ impl Ftl {
     /// bodies the synchronous methods run.
     fn execute_queued(&mut self, cmd: QueuedCmd<'_>) -> Result<CmdOutput, FtlError> {
         match cmd {
-            QueuedCmd::Read { lpn } => {
-                let mut buf = vec![0u8; self.page_size()];
-                self.read_batch_impl(&mut [(lpn, &mut buf[..])])?;
-                return Ok(CmdOutput::Page(buf));
-            }
-            QueuedCmd::ReadBatch { lpns } => {
-                let ps = self.page_size();
-                let mut flat = vec![0u8; lpns.len() * ps];
-                let mut reqs: Vec<(Lpn, &mut [u8])> =
-                    lpns.iter().copied().zip(flat.chunks_exact_mut(ps)).collect();
-                self.read_batch_impl(&mut reqs)?;
-                return Ok(CmdOutput::Pages(flat));
-            }
+            // A one-page read is a batch of one.
+            QueuedCmd::Read { lpn } => return self.read_queued(std::slice::from_ref(&lpn)),
+            QueuedCmd::ReadBatch { lpns } => return self.read_queued(lpns),
             QueuedCmd::Write { lpn, data } => self.write_batch_impl(&[(lpn, &data[..])])?,
             QueuedCmd::WriteBatch { pages } => self.write_batch_impl(pages)?,
             QueuedCmd::WriteAtomic { pages } if !pages.is_empty() => self.write_atomic_impl(pages)?,
@@ -144,6 +134,15 @@ impl Ftl {
             QueuedCmd::Flush => self.flush_impl()?,
         }
         Ok(CmdOutput::None)
+    }
+
+    /// A queued read: the pages land in one flat buffer, which the
+    /// completion hands to the reaper.
+    fn read_queued(&mut self, lpns: &[Lpn]) -> Result<CmdOutput, FtlError> {
+        let page_size = self.page_size();
+        let mut buf = vec![0u8; lpns.len() * page_size];
+        self.read_batch_impl(&mut FlatRead { lpns, buf: &mut buf, page_size })?;
+        Ok(CmdOutput::Pages(buf))
     }
 
     /// Block the host until `t`, a pending completion time (None: nothing
@@ -185,7 +184,7 @@ impl BlockDevice for Ftl {
     }
 
     fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<(), FtlError> {
-        self.command("read", Some(OpClass::Read), 1, |f| f.read_batch_impl(&mut [(lpn, buf)]))
+        self.command("read", Some(OpClass::Read), 1, |f| f.read_batch_impl(&mut [(lpn, buf)][..]))
     }
 
     fn write(&mut self, lpn: Lpn, data: &[u8]) -> Result<(), FtlError> {
@@ -412,22 +411,15 @@ impl BlockDevice for Ftl {
             submitted: self.q_submitted,
             reaped: self.q_reaped,
         };
-        // The one place a device snapshot's scalar rows are assembled;
-        // both exporters walk the list as it stands.
+        // The one place a device snapshot's scalar rows are assembled; the
+        // JSON export walks the list as it stands.
         let mut rows = self.stats().metrics();
         rows.extend(snap.queue.rows());
-        let gauge = Metric::gauge;
-        rows.push(gauge("share_snapshots_live", "Live device snapshots.", self.snaps.count() as u64));
-        rows.push(gauge(
-            "share_snapshot_frozen_pages",
-            "Frozen logical-page entries across live snapshots.",
-            self.snaps.frozen_pages(),
-        ));
-        rows.push(gauge(
-            "share_snapshot_pinned_pages",
-            "Distinct physical pages pinned against GC reclaim.",
-            self.snaps.pinned_pages(),
-        ));
+        rows.extend([
+            Metric::int("snapshots_live", self.snaps.count() as u64),
+            Metric::int("snapshot_frozen_pages", self.snaps.frozen_pages()),
+            Metric::int("snapshot_pinned_pages", self.snaps.pinned_pages()),
+        ]);
         let data_blocks = self.pool.block_count() as u64;
         rows.extend(self.wear_stats().rows(self.pool.free_count() as u64, data_blocks));
         snap.metrics = rows;

@@ -485,12 +485,12 @@ fn wear_rows_summarize_the_pool() {
     let w = WearStats::from_counts([10u32, 20, 30, 40]);
     let rows = w.rows(2, 4);
     let row = |name: &str| rows.iter().find(|m| m.name == name).map(|m| m.value);
-    assert_eq!(row("share_wear_erases_min"), Some(Value::U64(10)));
-    assert_eq!(row("share_wear_erases_max"), Some(Value::U64(40)));
-    assert_eq!(row("share_wear_erases_mean"), Some(Value::F64(25.0)));
-    assert_eq!(row("share_wear_skew"), Some(Value::F64(40.0 / 25.0)));
-    assert_eq!(row("share_free_blocks"), Some(Value::U64(2)));
-    assert_eq!(row("share_data_blocks"), Some(Value::U64(4)));
+    assert_eq!(row("wear_erases_min"), Some(Value::U64(10)));
+    assert_eq!(row("wear_erases_max"), Some(Value::U64(40)));
+    assert_eq!(row("wear_erases_mean"), Some(Value::F64(25.0)));
+    assert_eq!(row("wear_skew"), Some(Value::F64(40.0 / 25.0)));
+    assert_eq!(row("free_blocks"), Some(Value::U64(2)));
+    assert_eq!(row("data_blocks"), Some(Value::U64(4)));
     assert_eq!(rows.len(), 7);
     // A pool that has never erased reads zero skew, not NaN.
     assert_eq!(WearStats::from_counts([0u32, 0]).skew(), 0.0);
@@ -943,7 +943,7 @@ fn queued_write_then_read_round_trips() {
     let rt = f.submit(QueuedCmd::Read { lpn: Lpn(3) }).unwrap();
     let done = f.drain();
     assert_eq!(done[0].tag, rt);
-    let data = done[0].result.clone().unwrap().into_page().unwrap();
+    let data = done[0].result.clone().unwrap().into_pages().unwrap();
     assert_eq!(data, page);
     f.check_invariants();
 }
@@ -1092,7 +1092,6 @@ fn run_pin(mut f: Ftl, ops: &[PinOp], queued: bool) -> (u64, DeviceStats, u64) {
             assert_eq!(done.len(), 1);
             match done.pop().unwrap().result.unwrap() {
                 CmdOutput::None => {}
-                CmdOutput::Page(p) => fold(&p),
                 CmdOutput::Pages(flat) => flat.chunks_exact(ps).for_each(&mut fold),
             }
             continue;
@@ -1684,19 +1683,20 @@ fn snapshot_gauges_exported() {
     f.snapshot_read("g", 0, &mut buf).unwrap();
     let t = f.telemetry_snapshot().unwrap();
     for (name, want) in [
-        ("share_snapshots_live", 1),
-        ("share_snapshot_frozen_pages", 8),
-        ("share_snapshot_pinned_pages", 8),
-        ("share_snapshot_creates_total", 1),
-        ("share_snapshot_clones_total", 1),
-        ("share_snapshot_clone_pages_total", 8),
-        ("share_snapshot_reads_total", 1),
+        ("snapshots_live", 1),
+        ("snapshot_frozen_pages", 8),
+        ("snapshot_pinned_pages", 8),
+        ("snapshot_creates", 1),
+        ("snapshot_clones", 1),
+        ("snapshot_clone_pages", 8),
+        ("snapshot_reads", 1),
     ] {
         assert_eq!(t.metric(name), Some(Value::U64(want)), "{name}");
     }
-    let text = t.to_prometheus();
-    assert!(text.contains("share_snapshots_live 1"));
-    assert!(text.contains("share_snapshot_clone_pages_total 8"));
+    let doc = share_telemetry::json::parse(&t.to_json().render()).unwrap();
+    let metric = |key| doc.get("metrics").and_then(|m| m.get(key)).and_then(|v| v.as_u64());
+    assert_eq!(metric("snapshots_live"), Some(1));
+    assert_eq!(metric("snapshot_clone_pages"), Some(8));
 }
 
 #[test]

@@ -38,7 +38,8 @@ impl std::fmt::Display for CmdTag {
 /// hold the command, only its outcome (DESIGN.md §8 "Buffer ownership").
 #[derive(Debug, Clone)]
 pub enum QueuedCmd<'a> {
-    /// Read one page; completes with [`CmdOutput::Page`].
+    /// Read one page: a one-page [`QueuedCmd::ReadBatch`], completing with
+    /// [`CmdOutput::Pages`].
     Read { lpn: Lpn },
     /// Read a vector of pages as one submission; completes with
     /// [`CmdOutput::Pages`], one buffer holding the pages in request order.
@@ -100,8 +101,6 @@ impl QueuedCmd<'_> {
 pub enum CmdOutput {
     /// No payload (writes, trim, share, flush).
     None,
-    /// One page of read data.
-    Page(Vec<u8>),
     /// Pages of read data: one buffer of `lpns.len() × page_size` bytes, the
     /// pages back to back in request order (`chunks_exact(page_size)` walks
     /// them). One allocation per command, which the reaper owns from here on
@@ -110,14 +109,6 @@ pub enum CmdOutput {
 }
 
 impl CmdOutput {
-    /// The single page of a [`CmdOutput::Page`] completion.
-    pub fn into_page(self) -> Option<Vec<u8>> {
-        match self {
-            CmdOutput::Page(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// The flat page buffer of a [`CmdOutput::Pages`] completion.
     pub fn into_pages(self) -> Option<Vec<u8>> {
         match self {
@@ -166,10 +157,8 @@ mod tests {
 
     #[test]
     fn output_accessors() {
-        assert_eq!(CmdOutput::Page(vec![1]).into_page(), Some(vec![1]));
-        assert_eq!(CmdOutput::None.into_page(), None);
         assert_eq!(CmdOutput::Pages(vec![2, 3]).into_pages(), Some(vec![2, 3]));
-        assert_eq!(CmdOutput::Page(vec![1]).into_pages(), None);
+        assert_eq!(CmdOutput::None.into_pages(), None);
     }
 
     #[test]

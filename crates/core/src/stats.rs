@@ -91,14 +91,10 @@ impl DeviceStats {
     }
 
     /// Every exported row of these counters: [`DeviceStats::rows`] plus the
-    /// derived `share_waf`.
+    /// derived `waf`.
     pub fn metrics(&self) -> Vec<Metric> {
         let mut rows = self.rows();
-        rows.push(Metric::ratio(
-            "share_waf",
-            "Write amplification: NAND page programs per host page write.",
-            self.waf(),
-        ));
+        rows.push(Metric::ratio("waf", self.waf()));
         rows
     }
 }
@@ -152,8 +148,8 @@ mod tests {
         let rows = full.rows();
         assert_eq!(rows.len() * 8, std::mem::size_of::<DeviceStats>());
         let get = |name: &str| rows.iter().find(|m| m.name == name).map(|m| m.value);
-        assert_eq!(get("share_host_writes_total"), Some(Value::U64(10)));
-        assert_eq!(get("share_torn_programs_total"), Some(Value::U64(1)));
-        assert_eq!(full.metrics().last().map(|m| m.name), Some("share_waf"));
+        assert_eq!(get("host_writes"), Some(Value::U64(10)));
+        assert_eq!(get("torn_programs"), Some(Value::U64(1)));
+        assert_eq!(full.metrics().last().map(|m| m.name), Some("waf"));
     }
 }

@@ -19,8 +19,9 @@
 //!
 //! Above the boundary a queued `ReadBatch` hands its pages back in one flat
 //! buffer, which the reaper owns: the same test ends by holding a k-page
-//! batch to one page-sized-or-larger allocation and to the bytes a
-//! synchronous `read_batch` of the same pages returns. A queued `WriteBatch`
+//! batch to one page-sized-or-larger allocation, its `submit` to that
+//! buffer and the queue's bookkeeping (no request vector), and its pages to
+//! the bytes a synchronous `read_batch` of the same pages returns. A queued `WriteBatch`
 //! or `WriteAtomic` lends its pages for the `submit` call, so it may request
 //! no page-sized allocation at all and no more bytes than its synchronous
 //! twin plus the queue's own bookkeeping.
@@ -388,8 +389,9 @@ fn queued_read_batch_is_one_flat_buffer(rig: &mut Rig) {
     let fills: Vec<u8> = sync.chunks_exact(PAGE).map(|p| p[PAGE - 1]).collect();
     assert_eq!(fills, [0x5A, 0, 0xC3, 0, 0, 0x5A], "trimmed and never-written pages read as zeros");
 
-    let before = PAGE_ALLOCS.load(Relaxed);
+    let (before, requests_before) = (PAGE_ALLOCS.load(Relaxed), ALLOC_REQUESTS.load(Relaxed));
     rig.ftl.submit(QueuedCmd::ReadBatch { lpns: &lpns }).unwrap();
+    let submit_requests = ALLOC_REQUESTS.load(Relaxed) - requests_before;
     let mut done = rig.ftl.drain();
     let payload_allocs = PAGE_ALLOCS.load(Relaxed) - before;
     assert_eq!(done.len(), 1);
@@ -397,4 +399,7 @@ fn queued_read_batch_is_one_flat_buffer(rig: &mut Rig) {
     assert_eq!(flat.len(), k * PAGE);
     assert!(flat == sync, "queued and synchronous reads of the same pages differ");
     assert_eq!(payload_allocs, 1, "payload allocations of a {k}-page queued read");
+    // The flat buffer and the pending-command list, which grows on the rig's
+    // first queued command: no request vector is built to lend the pages.
+    assert_eq!(submit_requests, 2, "heap requests of a {k}-page queued read's submit");
 }

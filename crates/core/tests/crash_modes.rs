@@ -206,7 +206,7 @@ fn atomic_write_trailing_collection_crash_is_all_or_nothing() {
             }
         }
         ftl.flush().unwrap();
-        let free = ftl.telemetry_snapshot().unwrap().metric("share_free_blocks");
+        let free = ftl.telemetry_snapshot().unwrap().metric("free_blocks");
         assert_eq!((ftl.stats().gc_events, free), (0, Some(Value::U64(5))));
         ftl
     };

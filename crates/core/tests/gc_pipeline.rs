@@ -268,9 +268,9 @@ fn four_channel_slack_band_steps_run_after_the_program_and_pay_the_allocation() 
     let floor = 3; // the FTL's GC low watermark
     let reserve = 1 + (8 * CHANNELS as usize).div_ceil(ppb as usize);
     let mut ftl = Ftl::new(cfg);
-    let free = |ftl: &Ftl| match ftl.telemetry_snapshot().unwrap().metric("share_free_blocks") {
+    let free = |ftl: &Ftl| match ftl.telemetry_snapshot().unwrap().metric("free_blocks") {
         Some(Value::U64(free)) => free as usize,
-        other => panic!("share_free_blocks: {other:?}"),
+        other => panic!("free_blocks: {other:?}"),
     };
     struct Write {
         root: u32,

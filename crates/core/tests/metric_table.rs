@@ -1,17 +1,18 @@
 //! A counter that exists is exported.
 //!
 //! Every `DeviceStats`/`NandStats` field is one row of the device's metric
-//! table, and both exporters walk that table: whatever `dev.stats().rows()`
-//! holds must appear, with the same value, as `share_<field>_total` in the
-//! Prometheus text and under `metrics.<field>` in the JSON — the two
-//! strings `sharectl metrics` prints. The full list of families a device
-//! snapshot emits is pinned by name, and damaged copies of both dumps go
-//! back through the parsers (ROADMAP item 5, exporter text).
+//! table, and the JSON export walks that table: whatever
+//! `dev.stats().rows()` holds must appear, with the same value, under
+//! `metrics.<field>` in the document `sharectl metrics` prints. Every key a
+//! device snapshot emits is pinned in order, each latency histogram's
+//! buckets are checked against its count and percentiles, and damaged
+//! copies of the dump go back through the parser (ROADMAP item 5, exporter
+//! text).
 
 use nand_sim::NandTiming;
 use share_core::telemetry::json::{self, Json};
 use share_core::telemetry::metric::Value;
-use share_core::telemetry::prom;
+use share_core::telemetry::OpClass;
 use share_core::{BlockDevice, Ftl, FtlConfig, Lpn, QueuedCmd, SharePair, TelemetryConfig};
 use share_rng::Rng;
 
@@ -60,7 +61,7 @@ fn device() -> Ftl {
 }
 
 #[test]
-fn every_counter_row_is_exported_by_both_formats() {
+fn every_counter_row_is_exported_with_its_value() {
     let dev = device();
     let stats = dev.stats();
     for (what, n) in [
@@ -75,7 +76,6 @@ fn every_counter_row_is_exported_by_both_formats() {
     }
 
     let snap = dev.telemetry_snapshot().unwrap();
-    let prom = snap.to_prometheus();
     let doc = json::parse(&snap.to_json().render()).expect("metrics JSON parses");
     let metrics = doc.get("metrics").expect("metrics object");
 
@@ -83,115 +83,171 @@ fn every_counter_row_is_exported_by_both_formats() {
     assert_eq!(rows.len() * 8, std::mem::size_of_val(&stats), "a row per counter");
     for m in &rows {
         let Value::U64(v) = m.value else { panic!("{} is not integral", m.name) };
-        assert!(m.name.starts_with("share_") && m.name.ends_with("_total"), "{}", m.name);
-        assert!(prom.contains(&format!("\n{} {v}\n", m.name)), "{} {v} not in prom dump", m.name);
-        assert_eq!(metrics.get(m.key()).and_then(Json::as_u64), Some(v), "metrics.{}", m.key());
+        assert_eq!(metrics.get(m.name).and_then(Json::as_u64), Some(v), "metrics.{}", m.name);
         assert_eq!(snap.metric(m.name), Some(m.value));
     }
     // WAF rides beside them.
-    assert_eq!(snap.metric("share_waf"), Some(Value::F64(stats.waf())));
+    assert_eq!(snap.metric("waf"), Some(Value::F64(stats.waf())));
     assert_eq!(metrics.get("waf").and_then(Json::as_f64), Some(stats.waf()));
 }
 
-/// Every family a device snapshot emits, in emission order: the latency
-/// histograms, the metric table's rows and the per-unit busy time. A
-/// family added or removed anywhere shows up here first.
-const FAMILIES: [&str; 48] = [
-    "share_op_latency_ns",
-    "share_host_reads_total",
-    "share_host_writes_total",
-    "share_host_read_bytes_total",
-    "share_host_write_bytes_total",
-    "share_flushes_total",
-    "share_trims_total",
-    "share_share_commands_total",
-    "share_shared_pages_total",
-    "share_snapshot_creates_total",
-    "share_snapshot_drops_total",
-    "share_snapshot_clones_total",
-    "share_snapshot_clone_pages_total",
-    "share_snapshot_reads_total",
-    "share_snapshot_pinned_relocations_total",
-    "share_gc_events_total",
-    "share_copyback_pages_total",
-    "share_gc_erases_total",
-    "share_gc_stall_ns_total",
-    "share_gc_budget_deferrals_total",
-    "share_meta_page_writes_total",
-    "share_checkpoints_total",
-    "share_recoveries_total",
-    "share_recovery_page_reads_total",
-    "share_recovery_page_writes_total",
-    "share_lane_steals_total",
-    "share_page_reads_total",
-    "share_page_programs_total",
-    "share_block_erases_total",
-    "share_torn_programs_total",
-    "share_waf",
-    "share_queue_depth",
-    "share_queue_inflight",
-    "share_queue_inflight_max",
-    "share_queue_submitted_total",
-    "share_queue_reaped_total",
-    "share_snapshots_live",
-    "share_snapshot_frozen_pages",
-    "share_snapshot_pinned_pages",
-    "share_wear_erases_min",
-    "share_wear_erases_max",
-    "share_wear_erases_mean",
-    "share_wear_erases_stddev",
-    "share_wear_skew",
-    "share_free_blocks",
-    "share_data_blocks",
-    "share_unit_busy_ns_total",
-    "share_unit_utilization",
+/// Every key a device snapshot's document emits, in emission order: its
+/// four sections, the fields of each op class's latency histogram, each
+/// NAND unit's field, and the metric table's rows. A key added or removed
+/// anywhere shows up here first.
+const KEYS: [&str; 58] = [
+    "now_ns",
+    "latency_ns",
+    "units",
+    "metrics",
+    "count",
+    "sum",
+    "min",
+    "max",
+    "p50",
+    "p95",
+    "p99",
+    "buckets",
+    "busy_ns",
+    "host_reads",
+    "host_writes",
+    "host_read_bytes",
+    "host_write_bytes",
+    "flushes",
+    "trims",
+    "share_commands",
+    "shared_pages",
+    "snapshot_creates",
+    "snapshot_drops",
+    "snapshot_clones",
+    "snapshot_clone_pages",
+    "snapshot_reads",
+    "snapshot_pinned_relocations",
+    "gc_events",
+    "copyback_pages",
+    "gc_erases",
+    "gc_stall_ns",
+    "gc_budget_deferrals",
+    "meta_page_writes",
+    "checkpoints",
+    "recoveries",
+    "recovery_page_reads",
+    "recovery_page_writes",
+    "lane_steals",
+    "page_reads",
+    "page_programs",
+    "block_erases",
+    "torn_programs",
+    "waf",
+    "queue_depth",
+    "queue_inflight",
+    "queue_inflight_max",
+    "queue_submitted",
+    "queue_reaped",
+    "snapshots_live",
+    "snapshot_frozen_pages",
+    "snapshot_pinned_pages",
+    "wear_erases_min",
+    "wear_erases_max",
+    "wear_erases_mean",
+    "wear_erases_stddev",
+    "wear_skew",
+    "free_blocks",
+    "data_blocks",
 ];
+
+/// The keys of a JSON object, in order.
+fn keys(obj: &Json) -> Vec<&str> {
+    let Json::Obj(fields) = obj else { panic!("not an object: {obj:?}") };
+    fields.iter().map(|(k, _)| k.as_str()).collect()
+}
 
 #[test]
 fn families_emitted_before_the_table_are_still_emitted() {
-    let prom = device().telemetry_snapshot().unwrap().to_prometheus();
-    let help: Vec<&str> = prom
-        .lines()
-        .filter_map(|l| l.strip_prefix("# HELP "))
-        .map(|l| l.split_once(' ').map_or(l, |(name, _)| name))
-        .collect();
-    assert_eq!(help, FAMILIES, "the emitted families changed");
-    for name in FAMILIES {
-        assert_eq!(prom.matches(&format!("# TYPE {name} ")).count(), 1, "{name}");
+    let dev = device();
+    let doc = json::parse(&dev.telemetry_snapshot().unwrap().to_json().render()).unwrap();
+    let section = |name: &str| doc.get(name).unwrap_or_else(|| panic!("no {name}"));
+    let mut emitted = keys(&doc);
+    // Every op class has a histogram, and every histogram the same fields.
+    let latency = section("latency_ns");
+    let ops: Vec<&str> = OpClass::ALL.iter().map(|op| op.name()).collect();
+    assert_eq!(keys(latency), ops);
+    let fields = keys(latency.get("read").unwrap());
+    for op in &ops {
+        assert_eq!(keys(latency.get(op).unwrap()), fields, "{op}");
     }
+    emitted.extend(fields);
+    // Every NAND unit, `ch<c>:w<w>` in unit order, has its busy time.
+    let units = section("units");
+    let geometry = dev.config().geometry;
+    assert_eq!(keys(units).len(), (geometry.channels * geometry.ways) as usize);
+    let unit = keys(units)[0];
+    assert_eq!(unit, "ch0:w0");
+    emitted.extend(keys(units.get(unit).unwrap()));
+    emitted.extend(keys(section("metrics")));
+    assert_eq!(emitted, KEYS, "the emitted keys changed");
+}
+
+/// Each op class's bucket list adds up to its count, and each reported
+/// percentile lies inside one of its buckets: the distribution the summary
+/// percentiles were read from travels with them.
+#[test]
+fn latency_buckets_sum_to_count_and_hold_each_percentile() {
+    let doc = json::parse(&device().telemetry_snapshot().unwrap().to_json().render()).unwrap();
+    let Some(Json::Obj(latency)) = doc.get("latency_ns") else { panic!("no latency_ns") };
+    let field = |h: &Json, f: &str| h.get(f).and_then(Json::as_u64).unwrap();
+    let mut recorded = 0;
+    for (op, h) in latency {
+        let listed = h.get("buckets").and_then(Json::as_array).unwrap();
+        let buckets: Vec<(u64, u64)> = listed
+            .iter()
+            .map(|b| {
+                let pair = b.as_array().unwrap();
+                (pair[0].as_u64().unwrap(), pair[1].as_u64().unwrap())
+            })
+            .collect();
+        assert_eq!(buckets.iter().map(|&(_, n)| n).sum::<u64>(), field(h, "count"), "{op}");
+        assert!(buckets.iter().all(|&(_, n)| n > 0), "{op}: an empty bucket is listed");
+        assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0), "{op}: buckets out of order");
+        if buckets.is_empty() {
+            continue;
+        }
+        recorded += 1;
+        for p in ["p50", "p95", "p99"] {
+            let v = field(h, p);
+            // Bucket `[lo, hi]` of a log2 histogram: `hi = 2^k - 1`,
+            // `lo = 2^(k-1)`; bucket 0 holds only 0.
+            let held = buckets.iter().any(|&(hi, _)| hi.div_ceil(2) <= v && v <= hi);
+            assert!(held, "{op}.{p} = {v} lies in no bucket of {buckets:?}");
+        }
+    }
+    assert!(recorded >= 8, "script recorded only {recorded} op classes");
 }
 
 /// Seeded bit flips, truncations and bracket floods over a real metrics
-/// dump in each format: every case parses or is rejected — none panics,
-/// overflows the stack or loops.
+/// dump: every case parses or is rejected — none panics, overflows the
+/// stack or loops.
 #[test]
 fn damaged_dumps_parse_or_are_rejected() {
-    let snap = device().telemetry_snapshot().unwrap();
-    let dumps = [snap.to_json().render().into_bytes(), snap.to_prometheus().into_bytes()];
-    assert!(json::parse(std::str::from_utf8(&dumps[0]).unwrap()).is_ok());
+    let dump = device().telemetry_snapshot().unwrap().to_json().render().into_bytes();
+    assert!(json::parse(std::str::from_utf8(&dump).unwrap()).is_ok());
     for (case, mut rng) in share_rng::sweep("exporter-hostile-input", 96) {
-        for dump in &dumps {
-            let mut bytes = dump.clone();
-            match case % 3 {
-                0 => {
-                    for _ in 0..rng.random_range(1..8usize) {
-                        let at = rng.random_range(0..bytes.len());
-                        bytes[at] ^= 1 << rng.random_range(0..8u32);
-                    }
-                }
-                1 => bytes.truncate(rng.random_range(0..bytes.len())),
-                _ => {
+        let mut bytes = dump.clone();
+        match case % 3 {
+            0 => {
+                for _ in 0..rng.random_range(1..8usize) {
                     let at = rng.random_range(0..bytes.len());
-                    let open = if rng.random_bool(0.5) { "[" } else { "{\"k\":" };
-                    let flood = open.repeat(rng.random_range(1..100_000usize));
-                    bytes.splice(at..at, flood.bytes());
+                    bytes[at] ^= 1 << rng.random_range(0..8u32);
                 }
             }
-            let text = String::from_utf8_lossy(&bytes);
-            let _ = json::parse(&text);
-            for line in text.lines() {
-                let _ = prom::parse_sample_value(line);
+            1 => bytes.truncate(rng.random_range(0..bytes.len())),
+            _ => {
+                let at = rng.random_range(0..bytes.len());
+                let open = if rng.random_bool(0.5) { "[" } else { "{\"k\":" };
+                let flood = open.repeat(rng.random_range(1..100_000usize));
+                bytes.splice(at..at, flood.bytes());
             }
         }
+        let _ = json::parse(&String::from_utf8_lossy(&bytes));
     }
 }

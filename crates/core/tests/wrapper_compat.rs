@@ -103,7 +103,7 @@ fn a_hand_written_forwarder_carries_owned_and_borrowed_commands() {
     assert_eq!(done.len(), 4);
     done.sort_by_key(|c| c.tag);
     let outputs: Vec<_> = done.into_iter().map(|c| c.result.unwrap()).collect();
-    assert_eq!(outputs[1].clone().into_page(), Some(vec![0x5A; ps]));
+    assert_eq!(outputs[1].clone().into_pages(), Some(vec![0x5A; ps]));
     let flat = outputs[3].clone().into_pages().unwrap();
     assert_eq!(flat, [vec![0x5A; ps], page.clone(), page].concat());
     assert_eq!(dev.submitted, [Class::Write, Class::Read, Class::Write, Class::Read]);

@@ -473,7 +473,7 @@ impl<D: BlockDevice> CouchStore<D> {
             let Some(p) = ptr else { continue };
             pages.clear();
             pages.extend((0..p.nblocks as u64).map(|j| p.block + j));
-            let tag = self.fs.submit_read_pages_retry(self.file, &pages, &mut completions)?;
+            let tag = self.fs.submit_read_pages(self.file, &pages, &mut completions)?;
             tags.push((i, tag, *p));
         }
         completions.extend(self.fs.drain_queue());
@@ -562,17 +562,9 @@ impl<D: BlockDevice> CouchStore<D> {
             self.save_with(*key, payload, true)?;
             self.ops_since_commit += 1;
         }
-        self.drain_appends()?;
+        self.fs.barrier()?;
         if self.ops_since_commit >= self.cfg.batch_size {
             self.commit()?;
-        }
-        Ok(())
-    }
-
-    /// Reap every outstanding queued append, surfacing the first failure.
-    fn drain_appends(&mut self) -> Result<(), CouchError> {
-        for c in self.fs.drain_queue() {
-            c.result.map_err(share_vfs::VfsError::Device)?;
         }
         Ok(())
     }
@@ -665,9 +657,7 @@ impl<D: BlockDevice> CouchStore<D> {
         }
         // Ordering point: queued appends must be on the medium — and their
         // simulated completion observed — before the commit's share/fsync.
-        if self.fs.inflight() > 0 {
-            self.drain_appends()?;
-        }
+        self.fs.barrier()?;
         // No explicit fsync on the SHARE path: the share command itself
         // persists the mapping log, which covers the appended copies' write
         // deltas too (§4.2.2: "The SHARE command returns after logging

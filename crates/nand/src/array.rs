@@ -308,11 +308,6 @@ impl NandArray {
         self.deferred.take().expect("end_deferred without begin_deferred").frontier
     }
 
-    /// Whether a deferred window is currently open.
-    pub fn deferred_active(&self) -> bool {
-        self.deferred.is_some()
-    }
-
     /// Open a background-relocation window. Unlike [`Self::begin_deferred`]
     /// this nests inside a foreground window: the current window (if any)
     /// is saved and a fresh one opens at `at` — the submission time the
@@ -1141,7 +1136,7 @@ mod tests {
         // for later than the foreground frontier opens at the frontier
         // (p + 500), not past it.
         let saved = a.begin_background(u64::MAX);
-        assert!(a.deferred_active());
+        assert_eq!(a.submission_now(), p + 500, "a window is open: its frontier, not the clock");
         a.program(Ppn(4), &data).unwrap();
         let bg_end = a.end_background(saved);
         assert_eq!(bg_end, p + 500 + p, "background starts at the fg frontier");
@@ -1182,8 +1177,10 @@ mod tests {
         a.program(Ppn(0), &data).unwrap();
         a.program(Ppn(1), &data).unwrap();
         assert_eq!(a.end_background(saved), 2 * p);
-        assert!(!a.deferred_active());
         assert_eq!(a.clock().now_ns(), 0);
+        // No window is left open: a charge moves the shared clock.
+        a.charge(1);
+        assert_eq!((a.clock().now_ns(), a.submission_now()), (1, 1));
         // A synchronous foreground program on the same unit queues behind
         // the reservation; on an idle unit it starts immediately.
         a.program(Ppn(2), &data).unwrap();
@@ -1215,7 +1212,7 @@ mod tests {
         let mut a = small();
         a.charge(123);
         assert_eq!(a.clock().now_ns(), 123);
-        assert!(!a.deferred_active());
+        assert_eq!(a.submission_now(), 123, "no window frontier runs ahead of the clock");
     }
 
     #[test]

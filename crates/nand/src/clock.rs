@@ -53,11 +53,6 @@ impl SimClock {
         self.ns.set(now);
         now
     }
-
-    /// Two handles are *linked* if they advance the same underlying clock.
-    pub fn is_linked_to(&self, other: &SimClock) -> bool {
-        Rc::ptr_eq(&self.ns, &other.ns)
-    }
 }
 
 #[cfg(test)]
@@ -81,8 +76,10 @@ mod tests {
         assert_eq!(b.now_ns(), 100);
         b.advance(1);
         assert_eq!(a.now_ns(), 101);
-        assert!(a.is_linked_to(&b));
-        assert!(!a.is_linked_to(&SimClock::new()));
+        // A new clock is a timeline of its own.
+        let c = SimClock::new();
+        c.advance(7);
+        assert_eq!((a.now_ns(), c.now_ns()), (101, 7));
     }
 
     #[test]

@@ -87,15 +87,6 @@ impl Histogram {
         self.count == 0
     }
 
-    /// Mean sample value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
@@ -187,7 +178,6 @@ mod tests {
         assert_eq!(h.sum, 1010);
         assert_eq!(h.min, 3);
         assert_eq!(h.max, 900);
-        assert!((h.mean() - 252.5).abs() < 1e-12);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   `SimClock` nanoseconds (always on: a bucket add per command),
 //! * per-epoch host read/write latency windows for the device's flight
 //!   recorder (on only when its epoch sampler is),
-//! * exporters: Prometheus-style text ([`Snapshot::to_prometheus`]) and
-//!   JSON ([`Snapshot::to_json`]) built on the in-crate [`json`] module.
+//! * one exporter: the JSON document [`Snapshot::to_json`], built on the
+//!   in-crate [`json`] module.
 //!
 //! Each observation has one home. A command count is a `DeviceStats` row
 //! (or its op's histogram count); a command's op, stream, pages and times
@@ -26,7 +26,6 @@ pub mod hist;
 pub mod json;
 pub mod metric;
 pub mod percentile;
-pub mod prom;
 pub mod trace;
 
 pub use hist::Histogram;
@@ -60,7 +59,7 @@ pub enum OpClass {
 /// Traffic direction of an op class: reads and writes feed the flight
 /// recorder's epoch windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     Read,
     Write,
     Other,
@@ -90,7 +89,7 @@ impl OpClass {
         self as usize
     }
 
-    /// Stable export name (used as the Prometheus `op` label and JSON key).
+    /// Stable export name (the JSON key of the op's latency histogram).
     pub fn name(self) -> &'static str {
         match self {
             OpClass::Read => "read",
@@ -111,7 +110,7 @@ impl OpClass {
 
     /// The class's traffic direction.
     #[inline]
-    pub fn direction(self) -> Direction {
+    pub(crate) fn direction(self) -> Direction {
         match self {
             OpClass::Read | OpClass::ReadBatch => Direction::Read,
             OpClass::Write | OpClass::WriteBatch | OpClass::WriteAtomic => Direction::Write,
@@ -175,11 +174,6 @@ impl Telemetry {
             win_read: Histogram::new(),
             win_write: Histogram::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> TelemetryConfig {
-        self.cfg
     }
 
     /// Record one completed command: its latency lands in `op`'s
@@ -258,25 +252,12 @@ pub struct QueueGauges {
 impl QueueGauges {
     /// The queue's exported rows.
     pub fn rows(&self) -> Vec<Metric> {
-        let g = Metric::gauge;
         vec![
-            g("share_queue_depth", "Configured submission-queue depth.", self.depth),
-            g("share_queue_inflight", "Commands submitted but not yet reaped.", self.inflight),
-            g(
-                "share_queue_inflight_max",
-                "High-water mark of in-flight commands.",
-                self.max_inflight,
-            ),
-            Metric::counter(
-                "share_queue_submitted_total",
-                "Queued commands submitted.",
-                self.submitted,
-            ),
-            Metric::counter(
-                "share_queue_reaped_total",
-                "Completions reaped by the host.",
-                self.reaped,
-            ),
+            Metric::int("queue_depth", self.depth),
+            Metric::int("queue_inflight", self.inflight),
+            Metric::int("queue_inflight_max", self.max_inflight),
+            Metric::int("queue_submitted", self.submitted),
+            Metric::int("queue_reaped", self.reaped),
         ]
     }
 }
@@ -308,8 +289,8 @@ pub struct Snapshot {
     pub queue: QueueGauges,
     /// Every device scalar as one row list: the `DeviceStats`/`NandStats`
     /// counters, WAF, and the queue, snapshot-table and wear readings
-    /// (filled by the device; empty for bare `Telemetry` snapshots). Both
-    /// exporters walk it.
+    /// (filled by the device; empty for bare `Telemetry` snapshots). The
+    /// JSON export walks it.
     pub metrics: Vec<Metric>,
 }
 
@@ -319,7 +300,7 @@ impl Snapshot {
         &self.ops[op.index()]
     }
 
-    /// The reading of one [`Snapshot::metrics`] row, by family name.
+    /// The reading of one [`Snapshot::metrics`] row, by name.
     pub fn metric(&self, name: &str) -> Option<Value> {
         self.metrics.iter().find(|m| m.name == name).map(|m| m.value)
     }
@@ -348,15 +329,19 @@ impl Snapshot {
             ("metrics", Json::Obj(rows_json(&self.metrics))),
         ])
     }
-
-    /// Render as Prometheus-style exposition text.
-    pub fn to_prometheus(&self) -> String {
-        prom::render(self)
-    }
 }
 
+/// A histogram's summary and its non-empty buckets, each as
+/// `[inclusive upper bound, samples]` in bucket order.
 fn hist_json(h: &Histogram) -> Json {
     use json::count;
+    let buckets = h
+        .buckets
+        .iter()
+        .enumerate()
+        .filter(|&(_, &n)| n > 0)
+        .map(|(k, &n)| Json::Arr(vec![count(hist::bucket_upper_bound(k)), count(n)]))
+        .collect();
     Json::obj(vec![
         ("count", count(h.count)),
         ("sum", count(h.sum)),
@@ -365,6 +350,7 @@ fn hist_json(h: &Histogram) -> Json {
         ("p50", count(h.quantile(0.50))),
         ("p95", count(h.quantile(0.95))),
         ("p99", count(h.quantile(0.99))),
+        ("buckets", Json::Arr(buckets)),
     ])
 }
 
@@ -433,6 +419,37 @@ mod tests {
         } else {
             panic!("latency_ns must be an object");
         }
+    }
+
+    #[test]
+    fn snapshot_json_carries_units_and_rows() {
+        // A bare snapshot has no device rows and no units; a device's
+        // rows and per-unit busy time come out under their names.
+        let mut snap = Telemetry::default().snapshot();
+        let bare = json::parse(&snap.to_json().render()).unwrap();
+        assert_eq!(bare.get("metrics"), Some(&Json::Obj(Vec::new())));
+        snap.units = vec![
+            UnitUtilization { channel: 0, way: 0, busy_ns: 500 },
+            UnitUtilization { channel: 1, way: 0, busy_ns: 250 },
+        ];
+        snap.now_ns = 1_000;
+        snap.metrics =
+            QueueGauges { depth: 16, inflight: 3, max_inflight: 9, submitted: 120, reaped: 117 }
+                .rows();
+        snap.metrics.push(Metric::ratio("wear_erases_mean", 15.8125));
+        let doc = json::parse(&snap.to_json().render()).unwrap();
+        let unit = |u: &str| doc.get("units").and_then(|us| us.get(u)?.get("busy_ns")?.as_u64());
+        assert_eq!((unit("ch0:w0"), unit("ch1:w0")), (Some(500), Some(250)));
+        assert_eq!(doc.get("now_ns").and_then(Json::as_u64), Some(1_000));
+        let metrics = doc.get("metrics").unwrap();
+        let row = |k: &str| metrics.get(k).and_then(Json::as_u64);
+        assert_eq!(row("queue_depth"), Some(16));
+        assert_eq!(row("queue_inflight"), Some(3));
+        assert_eq!(row("queue_inflight_max"), Some(9));
+        assert_eq!(row("queue_submitted"), Some(120));
+        assert_eq!(row("queue_reaped"), Some(117));
+        assert_eq!(metrics.get("wear_erases_mean").and_then(Json::as_f64), Some(15.8125));
+        assert_eq!(snap.metric("queue_depth"), Some(Value::U64(16)));
     }
 
     #[test]

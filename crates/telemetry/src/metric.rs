@@ -2,17 +2,10 @@
 //!
 //! A scalar is declared once — a field of a [`counter_table!`] struct, or
 //! one [`Metric`] row beside the state it reads — and every surface walks
-//! the rows: Prometheus text, metrics JSON, flight-recorder epoch rows,
-//! bench records. None keeps a key list of its own.
+//! the rows: the metrics JSON, flight-recorder epoch rows, bench records.
+//! None keeps a key list of its own.
 
 use crate::json::{count, Json};
-
-/// Prometheus type of a row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    Counter,
-    Gauge,
-}
 
 /// A row's reading: counters and most gauges are integral, ratios are not.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,42 +17,28 @@ pub enum Value {
 /// One exported scalar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    /// Prometheus family name (`share_…`; counters end in `_total`).
+    /// The row's one name: its JSON key — for a [`counter_table!`] row, the
+    /// field name.
     pub name: &'static str,
-    /// The `# HELP` text.
-    pub help: &'static str,
-    pub kind: Kind,
     pub value: Value,
 }
 
 impl Metric {
-    /// A counter row.
-    pub fn counter(name: &'static str, help: &'static str, value: u64) -> Self {
-        Metric { name, help, kind: Kind::Counter, value: Value::U64(value) }
+    /// An integral row (a counter or a count-valued gauge).
+    pub fn int(name: &'static str, value: u64) -> Self {
+        Metric { name, value: Value::U64(value) }
     }
 
-    /// An integral gauge row.
-    pub fn gauge(name: &'static str, help: &'static str, value: u64) -> Self {
-        Metric { name, help, kind: Kind::Gauge, value: Value::U64(value) }
-    }
-
-    /// A fractional gauge row.
-    pub fn ratio(name: &'static str, help: &'static str, value: f64) -> Self {
-        Metric { name, help, kind: Kind::Gauge, value: Value::F64(value) }
-    }
-
-    /// The JSON key: the family name without the `share_` namespace and the
-    /// `_total` counter suffix — for a [`counter_table!`] row, the field name.
-    pub fn key(&self) -> &'static str {
-        let bare = self.name.strip_prefix("share_").unwrap_or(self.name);
-        bare.strip_suffix("_total").unwrap_or(bare)
+    /// A fractional row.
+    pub fn ratio(name: &'static str, value: f64) -> Self {
+        Metric { name, value: Value::F64(value) }
     }
 }
 
-/// JSON object fields for a row list: one `key: value` per row.
+/// JSON object fields for a row list: one `name: value` per row.
 pub fn rows_json(rows: &[Metric]) -> Vec<(String, Json)> {
     let field = |m: &Metric| {
-        let key = m.key().to_string();
+        let key = m.name.to_string();
         match m.value {
             Value::U64(v) => (key, count(v)),
             Value::F64(v) => (key, Json::Num(v)),
@@ -71,9 +50,9 @@ pub fn rows_json(rows: &[Metric]) -> Vec<(String, Json)> {
 /// Declare a struct of cumulative `u64` counters once. From the one field
 /// list the macro emits the struct, `delta_since` (field-wise
 /// `self - earlier`), `accumulate` (field-wise `self += delta`, its exact
-/// inverse) and `rows` (one `share_<field>_total` counter row per field,
-/// whose help text is the field's doc comment) — so an added field is
-/// subtracted, summed, sealed per epoch and exported with no other edit.
+/// inverse) and `rows` (one row per field, named by the field) — so an
+/// added field is subtracted, summed, sealed per epoch and exported with no
+/// other edit.
 /// A trailing `#[nested]` field is another counter table, folded in
 /// through its own three methods.
 #[macro_export]
@@ -109,15 +88,12 @@ macro_rules! counter_table {
                 $( self.$nested.accumulate(&delta.$nested); )*
             }
 
-            /// One `share_<field>_total` counter row per field, in
-            /// declaration order (nested tables last).
+            /// One row per field, named by the field, in declaration
+            /// order (nested tables last).
             pub fn rows(&self) -> Vec<$crate::Metric> {
                 #[allow(unused_mut)]
-                let mut rows = vec![ $( $crate::Metric::counter(
-                    concat!("share_", stringify!($field), "_total"),
-                    concat!($($doc),+).trim(),
-                    self.$field,
-                ), )* ];
+                let mut rows =
+                    vec![ $( $crate::Metric::int(stringify!($field), self.$field), )* ];
                 $( rows.extend(self.$nested.rows()); )*
                 rows
             }
@@ -165,19 +141,17 @@ mod tests {
 
         let rows = a.rows();
         let names: Vec<_> = rows.iter().map(|m| m.name).collect();
-        assert_eq!(names, ["share_writes_total", "share_reads_total", "share_programs_total"]);
-        assert_eq!(rows[0].help, "Host writes (pages).");
-        assert_eq!(rows[0].key(), "writes");
+        assert_eq!(names, ["writes", "reads", "programs"]);
         assert_eq!(rows[2].value, Value::U64(30));
-        assert!(rows.iter().all(|m| m.kind == Kind::Counter));
+        assert!(rows.iter().all(|m| matches!(m.value, Value::U64(_))));
     }
 
     #[test]
     fn rows_json_keys_each_row() {
         let rows = vec![
-            Metric::counter("share_x_total", "x", 3),
-            Metric::gauge("share_open", "o", 2),
-            Metric::ratio("share_ratio", "r", 0.5),
+            Metric::int("x", 3),
+            Metric::int("open", 2),
+            Metric::ratio("ratio", 0.5),
         ];
         let doc = Json::Obj(rows_json(&rows));
         assert_eq!(doc.get("x").and_then(Json::as_u64), Some(3));

@@ -590,18 +590,6 @@ impl<D: BlockDevice> Vfs<D> {
         self.dev.queue_depth()
     }
 
-    /// Submit a batched read of `pages` of one file; the completion
-    /// carries the page payloads in request order, back to back in one
-    /// buffer the reaper owns.
-    pub fn submit_read_pages(&mut self, f: FileId, pages: &[u64]) -> Result<CmdTag, VfsError> {
-        let mut lpns = Vec::with_capacity(pages.len());
-        for &p in pages {
-            lpns.push(self.lpn_of(f, p)?);
-        }
-        self.dev.set_stream(self.stream_of(f.0));
-        Ok(self.dev.submit(QueuedCmd::ReadBatch { lpns: &lpns })?)
-    }
-
     /// Submit several pages of one file as one queued write command and
     /// return its tag without waiting. File metadata grows immediately
     /// (matching the device's eager state execution); the completion —
@@ -622,8 +610,8 @@ impl<D: BlockDevice> Vfs<D> {
     /// waiting propagate — a failed earlier write must not be silently
     /// absorbed by the retry loop. Reaped read payloads are dropped, so
     /// only use this on paths with no outstanding reads of their own;
-    /// read-heavy callers want [`Vfs::submit_read_pages_retry`]'s
-    /// completion hand-back.
+    /// read-heavy callers want [`Vfs::submit_read_pages`]'s completion
+    /// hand-back.
     pub fn submit_write_pages_retry(
         &mut self,
         f: FileId,
@@ -655,27 +643,38 @@ impl<D: BlockDevice> Vfs<D> {
         }
     }
 
-    /// [`Vfs::submit_read_pages`] with queue-full back-pressure handling:
-    /// on `QueueFull`, reap completions into `reaped` and retry. The
-    /// caller owns the handed-back completions — they may carry payloads
-    /// and per-command results of its own earlier submissions, so they are
-    /// returned unchecked rather than consumed here.
-    pub fn submit_read_pages_retry(
+    /// Submit a batched read of `pages` of one file; the completion
+    /// carries the page payloads in request order, back to back in one
+    /// buffer the reaper owns.
+    ///
+    /// Queue-full back-pressure: on `QueueFull`, reap completions into
+    /// `reaped` and retry. The caller owns the handed-back completions —
+    /// they may carry payloads and per-command results of its own earlier
+    /// submissions, so they are returned unchecked rather than consumed
+    /// here.
+    pub fn submit_read_pages(
         &mut self,
         f: FileId,
         pages: &[u64],
         reaped: &mut Vec<Completion>,
     ) -> Result<CmdTag, VfsError> {
+        // Resolved once: every retry lends the same request again.
+        let mut lpns = Vec::with_capacity(pages.len());
+        for &p in pages {
+            lpns.push(self.lpn_of(f, p)?);
+        }
+        self.dev.set_stream(self.stream_of(f.0));
         loop {
-            match self.submit_read_pages(f, pages) {
-                Err(VfsError::Device(share_core::FtlError::QueueFull { depth })) => {
+            match self.dev.submit(QueuedCmd::ReadBatch { lpns: &lpns }) {
+                Ok(tag) => return Ok(tag),
+                Err(share_core::FtlError::QueueFull { depth }) => {
                     let got = self.reap_queue();
                     if got.is_empty() {
                         return Err(VfsError::Device(share_core::FtlError::QueueFull { depth }));
                     }
                     reaped.extend(got);
                 }
-                r => return r,
+                Err(e) => return Err(e.into()),
             }
         }
     }

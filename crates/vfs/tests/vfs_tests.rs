@@ -369,7 +369,9 @@ fn queued_writes_round_trip_through_the_mount() {
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].tag, wt);
     assert!(done[0].is_ok());
-    let rt = fs.submit_read_pages(f, &[0, 3, 7]).unwrap();
+    let mut reaped = Vec::new();
+    let rt = fs.submit_read_pages(f, &[0, 3, 7], &mut reaped).unwrap();
+    assert!(reaped.is_empty(), "nothing was in flight to reap");
     let done = fs.drain_queue();
     assert_eq!(done[0].tag, rt);
     let flat = done[0].result.clone().unwrap().into_pages().unwrap();

@@ -3,12 +3,13 @@
 //! Reads `crates/core/src/config.rs` as text and compares the `pub` fields
 //! of `FtlConfig` and its `pub fn with_*` builders against the lists below,
 //! and the `pub` fields of `TelemetryConfig` and of the engines' and the
-//! file system's configurations (`VfsOptions`, `PgConfig`, `CouchConfig`)
-//! the same way. Every independently settable value doubles the configurations the tests
-//! and the benchmark must cover, so a new one is a decision, not a diff
-//! line: it shows up here first. The environment knobs the library reads
-//! are pinned the same way: every `"SHARE_…"` string literal under
-//! `crates/*/src`.
+//! file system's configurations (`VfsOptions`, `PgConfig`, `CouchConfig`,
+//! `InnoDbConfig`, `SqliteConfig`) the same way. Every independently
+//! settable value doubles the configurations the tests and the benchmark
+//! must cover, so a new one is a decision, not a diff line: it shows up
+//! here first. The environment knobs the library reads are pinned the same
+//! way: every `"SHARE_…"` string literal under `crates/*/src`; and so are
+//! `sharectl`'s flags: every `"--…"` string literal under `crates/cli/src`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -82,10 +83,24 @@ fn telemetry_config_fields_match_the_recorded_list() {
 
 /// `(file, struct, its pub fields)` for the configurations the engines and
 /// the file system take.
-const ENGINE_CONFIGS: [(&str, &str, &[&str]); 3] = [
+const ENGINE_CONFIGS: [(&str, &str, &[&str]); 5] = [
     ("crates/vfs/src/vfs.rs", "VfsOptions", &["journal_pages_per_commit", "extent_chunk_pages"]),
     ("crates/pg/src/engine.rs", "PgConfig", &["mode", "page_bytes", "checkpoint_txns", "scale"]),
     ("crates/couch/src/store.rs", "CouchConfig", &["mode", "batch_size", "node_max_entries"]),
+    (
+        "crates/innodb/src/engine.rs",
+        "InnoDbConfig",
+        &[
+            "mode",
+            "page_bytes",
+            "pool_pages",
+            "flush_batch",
+            "ckpt_redo_bytes",
+            "max_pages",
+            "flush_neighbors",
+        ],
+    ),
+    ("crates/sqlite/src/pager.rs", "SqliteConfig", &["mode", "max_pages", "wal_checkpoint_frames"]),
 ];
 
 #[test]
@@ -120,6 +135,20 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Every string literal in `text` that starts with `prefix` and continues
+/// with `is_part` characters up to its closing quote.
+fn literals(text: &str, prefix: &str, is_part: impl Fn(char) -> bool) -> Vec<String> {
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices(&format!("\"{prefix}")) {
+        let rest = &text[at + 1..];
+        let end = rest[prefix.len()..].find(|c: char| !is_part(c)).map(|end| end + prefix.len());
+        if let Some(end) = end.filter(|&end| rest[end..].starts_with('"')) {
+            found.push(rest[..end].to_string());
+        }
+    }
+    found
+}
+
 #[test]
 fn environment_knobs_match_the_recorded_list() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -134,14 +163,8 @@ fn environment_knobs_match_the_recorded_list() {
     let mut knobs = BTreeSet::new();
     for path in &sources {
         let text = std::fs::read_to_string(path).unwrap();
-        for (at, _) in text.match_indices("\"SHARE_") {
-            let rest = &text[at + 1..];
-            let is_knob = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
-            let end = rest.find(|c: char| !is_knob(c));
-            if let Some(end) = end.filter(|&end| rest[end..].starts_with('"')) {
-                knobs.insert(rest[..end].to_string());
-            }
-        }
+        let is_knob = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+        knobs.extend(literals(&text, "SHARE_", is_knob));
     }
     let want: BTreeSet<String> = KNOBS.iter().map(|k| k.to_string()).collect();
     assert!(
@@ -149,5 +172,51 @@ fn environment_knobs_match_the_recorded_list() {
         "an environment knob is an option no test or gate turns on until one does — \
          update this list and say which caller sets it in CHANGES.md\n\
          found: {knobs:?}"
+    );
+}
+
+/// Every `"--flag"` literal under `crates/cli/src`, sorted, one entry per
+/// occurrence: a flag that a second subcommand starts to read shows up as
+/// well as a new one. `--format` is `monitor`'s (`table|json`); `metrics`
+/// prints JSON only.
+const CLI_FLAGS: [&str; 21] = [
+    "--byte",
+    "--count",
+    "--epoch-ms",
+    "--format",
+    "--index",
+    "--len",
+    "--len",
+    "--len",
+    "--mode",
+    "--offset",
+    "--ops",
+    "--out",
+    "--ring",
+    "--seed",
+    "--seed",
+    "--stride",
+    "--trace",
+    "--trace",
+    "--tree",
+    "--workload",
+    "--workload",
+];
+
+#[test]
+fn cli_flags_match_the_recorded_list() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates/cli/src"), &mut sources);
+    let mut flags = Vec::new();
+    for path in &sources {
+        let text = std::fs::read_to_string(path).unwrap();
+        flags.extend(literals(&text, "--", |c| c.is_ascii_lowercase() || c == '-'));
+    }
+    flags.sort();
+    assert!(
+        flags == CLI_FLAGS,
+        "a new sharectl flag is an option too — update this list and say which caller wants \
+         it in CHANGES.md\nfound: {flags:?}"
     );
 }
