@@ -175,18 +175,16 @@ fn telemetry_counters_equal_device_stats() {
 }
 
 #[test]
-fn tracing_and_monitoring_observe_without_perturbing() {
+fn tracing_observes_without_perturbing() {
     let run = |telemetry| {
         run_ycsb(&YcsbRun { telemetry, ..tiny_ycsb(CouchMode::Share, YcsbWorkload::A) })
     };
     let off = run(TelemetryConfig::default());
-    // Tracing plus the epoch sampler: both are observation-only, so the
-    // run must stay bit-identical to the bare one.
-    let on = run(TelemetryConfig { trace: true, ..TelemetryConfig::monitoring(10_000_000) });
+    // Tracing is observation-only, so the run must stay bit-identical to
+    // the bare one.
+    let on = run(TelemetryConfig::tracing());
     assert_eq!(off.elapsed_secs, on.elapsed_secs, "tracing changed the simulated timeline");
     assert_eq!(off.device_total, on.device_total, "tracing changed device traffic");
-    let mon = on.monitor.as_ref().expect("monitoring was on");
-    assert!(mon.sealed > 0, "no epochs sealed during the traced run");
     let spans = on.tracer.span_count();
     assert!(spans > 0, "tracing was on but recorded no spans");
     assert_eq!(off.tracer.span_count(), 0, "tracing-off run recorded spans");

@@ -3,9 +3,7 @@
 use mini_couch::{CompactionReport, CouchConfig, CouchMode, CouchStore};
 use nand_sim::NandTiming;
 use share_rng::{Rng, StdRng};
-use share_core::{
-    BlockDevice, DeviceStats, FlightSnapshot, Ftl, FtlConfig, Snapshot, TelemetryConfig, Tracer,
-};
+use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, Snapshot, TelemetryConfig, Tracer};
 use share_vfs::{Vfs, VfsOptions};
 use share_workloads::{Ycsb, YcsbConfig, YcsbOp, YcsbWorkload};
 
@@ -75,9 +73,6 @@ pub struct YcsbResult {
     /// Span tracer of the device (a disabled no-op handle unless the run's
     /// [`TelemetryConfig`] enabled tracing).
     pub tracer: Tracer,
-    /// Flight-recorder epoch time series (present only when the run's
-    /// [`TelemetryConfig::monitoring`]).
-    pub monitor: Option<FlightSnapshot>,
 }
 
 fn doc_payload(rng: &mut StdRng, n: usize) -> Vec<u8> {
@@ -147,7 +142,6 @@ pub fn run_ycsb(run: &YcsbRun) -> YcsbResult {
     let device_total = store.device_stats();
     let device = device_total.delta_since(&stats0);
     let telemetry = store.fs_mut().device().telemetry_snapshot();
-    let monitor = store.fs_mut().device().monitor_snapshot();
     let tracer = store.fs_mut().device().tracer();
 
     YcsbResult {
@@ -158,7 +152,6 @@ pub fn run_ycsb(run: &YcsbRun) -> YcsbResult {
         couch: store.stats(),
         telemetry,
         tracer,
-        monitor,
     }
 }
 

@@ -16,7 +16,10 @@
 //! All logic lives in [`run`], which returns the output text — `main` is a
 //! thin wrapper, so the whole tool is unit-testable.
 
-use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, SharePair, TelemetryConfig};
+use share_core::{
+    BlockDevice, DeviceStats, FlightRecorder, Ftl, FtlConfig, Lpn, SharePair, TelemetryConfig,
+    RETAINED_EPOCHS,
+};
 use share_workloads::{parse_trace, AccessPattern, TraceConfig, TraceGen, TraceOp};
 use std::fmt::Write as _;
 use std::fs;
@@ -67,7 +70,7 @@ fn usage() -> String {
      \x20\x20\x20\x20 Chrome trace_event JSON and span-tree dump — observation only,\n\
      \x20\x20\x20\x20 nothing is written back to the image)\n\
      \x20 sharectl monitor <img> [--workload sequential|uniform|zipfian|mixed] [--ops N]\n\
-     \x20\x20\x20\x20 [--seed N] [--epoch-ms N] [--ring N] [--format table|json]\n\
+     \x20\x20\x20\x20 [--seed N] [--epoch-ms N] [--format table|json]\n\
      \x20\x20\x20\x20 (run a workload under the flight recorder: one row of counter\n\
      \x20\x20\x20\x20 deltas per epoch — observation only, nothing is written back\n\
      \x20\x20\x20\x20 to the image)\n\
@@ -101,10 +104,16 @@ fn save_cfg(img: &str, cfg: &FtlConfig) -> Result<()> {
 }
 
 fn load_device(img: &str) -> Result<Ftl> {
-    load_device_with(img, TelemetryConfig::default())
+    load_device_with(img, TelemetryConfig::default(), |_| {})
 }
 
-fn load_device_with(img: &str, telemetry: TelemetryConfig) -> Result<Ftl> {
+/// Open the device in `img` with `telemetry`; `loaded` sees its NAND array
+/// as loaded, before recovery runs.
+fn load_device_with(
+    img: &str,
+    telemetry: TelemetryConfig,
+    loaded: impl FnOnce(&nand_sim::NandArray),
+) -> Result<Ftl> {
     let cfg_text = fs::read_to_string(cfg_path(img))
         .map_err(|_| CliError(format!("missing sidecar {} — not a sharectl image?", cfg_path(img))))?;
     let field = |name: &str| -> Result<u64> {
@@ -135,6 +144,7 @@ fn load_device_with(img: &str, telemetry: TelemetryConfig) -> Result<Ftl> {
     cfg.telemetry = telemetry;
     cfg.validate()
         .map_err(|e| CliError(format!("sidecar {} does not fit the image: {e}", cfg_path(img))))?;
+    loaded(&nand);
     Ftl::open(cfg, nand).map_err(Into::into)
 }
 
@@ -170,8 +180,26 @@ fn traffic_summary(d: &DeviceStats) -> String {
     )
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// The values of the flags `names` in `args[from..]`, which must hold
+/// nothing but `--flag value` pairs of those flags: an unknown flag, a
+/// stray argument or a flag without its value is refused, not ignored.
+fn flags<'a, const N: usize>(
+    args: &'a [String],
+    from: usize,
+    names: [&str; N],
+) -> Result<[Option<&'a str>; N]> {
+    let bad = |why: String| CliError(format!("bad {} arguments: {why}", args[0]));
+    let mut values = [None; N];
+    let mut rest = args.iter().skip(from);
+    while let Some(arg) = rest.next() {
+        let Some(i) = names.iter().position(|n| n == arg) else {
+            let known = if N == 0 { "none".to_string() } else { names.join(" ") };
+            return Err(bad(format!("unexpected {arg} (flags: {known})")));
+        };
+        let value = rest.next().ok_or_else(|| bad(format!("{arg} needs a value")))?;
+        values[i] = Some(value.as_str());
+    }
+    Ok(values)
 }
 
 /// Execute one command line (without the program name); returns the output.
@@ -183,6 +211,7 @@ pub fn run(args: &[String]) -> Result<String> {
             let size = args.get(2).ok_or_else(|| CliError(usage()))?;
             let bytes = parse_scaled(size, "size", 1 << 20)?;
             let op = args.get(3).map(|s| parse_u64(s, "op-percent")).transpose()?.unwrap_or(15);
+            flags(args, 4, [])?;
             if bytes == 0 {
                 return Err(CliError("size must be at least 1 MiB".into()));
             }
@@ -206,6 +235,7 @@ pub fn run(args: &[String]) -> Result<String> {
         }
         Some("info") => {
             let img = args.get(1).ok_or_else(|| CliError(usage()))?;
+            flags(args, 2, [])?;
             let dev = load_device(img)?;
             let cfg = dev.config();
             let s = dev.stats();
@@ -230,11 +260,12 @@ pub fn run(args: &[String]) -> Result<String> {
         Some("write") => {
             let img = args.get(1).ok_or_else(|| CliError(usage()))?;
             let lpn = parse_u64(args.get(2).ok_or_else(|| CliError(usage()))?, "lpn")?;
-            let byte = flag_value(args, "--byte")
+            let [byte, count] = flags(args, 3, ["--byte", "--count"])?;
+            let byte = byte
                 .map(|v| u8::from_str_radix(v, 16).map_err(|_| CliError(format!("bad byte: {v}"))))
                 .transpose()?
                 .unwrap_or(0xAB);
-            let count = flag_value(args, "--count").map(|v| parse_u64(v, "count")).transpose()?.unwrap_or(1);
+            let count = count.map(|v| parse_u64(v, "count")).transpose()?.unwrap_or(1);
             let mut dev = load_device(img)?;
             let page = vec![byte; dev.page_size()];
             for i in 0..count {
@@ -246,6 +277,7 @@ pub fn run(args: &[String]) -> Result<String> {
         Some("read") => {
             let img = args.get(1).ok_or_else(|| CliError(usage()))?;
             let lpn = parse_u64(args.get(2).ok_or_else(|| CliError(usage()))?, "lpn")?;
+            flags(args, 3, [])?;
             let mut dev = load_device(img)?;
             let mut buf = vec![0u8; dev.page_size()];
             dev.read(Lpn(lpn), &mut buf)?;
@@ -262,7 +294,8 @@ pub fn run(args: &[String]) -> Result<String> {
             let img = args.get(1).ok_or_else(|| CliError(usage()))?;
             let dest = parse_u64(args.get(2).ok_or_else(|| CliError(usage()))?, "dest-lpn")?;
             let src = parse_u64(args.get(3).ok_or_else(|| CliError(usage()))?, "src-lpn")?;
-            let len = flag_value(args, "--len").map(|v| parse_u64(v, "len")).transpose()?.unwrap_or(1);
+            let [len] = flags(args, 4, ["--len"])?;
+            let len = len.map(|v| parse_u64(v, "len")).transpose()?.unwrap_or(1);
             let mut dev = load_device(img)?;
             dev.share(&SharePair::range(Lpn(dest), Lpn(src), len))?;
             writeln!(out, "shared {len} page(s): LPN {dest} <- LPN {src}").unwrap();
@@ -271,7 +304,8 @@ pub fn run(args: &[String]) -> Result<String> {
         Some("trim") => {
             let img = args.get(1).ok_or_else(|| CliError(usage()))?;
             let lpn = parse_u64(args.get(2).ok_or_else(|| CliError(usage()))?, "lpn")?;
-            let len = flag_value(args, "--len").map(|v| parse_u64(v, "len")).transpose()?.unwrap_or(1);
+            let [len] = flags(args, 3, ["--len"])?;
+            let len = len.map(|v| parse_u64(v, "len")).transpose()?.unwrap_or(1);
             let mut dev = load_device(img)?;
             dev.trim(Lpn(lpn), len)?;
             writeln!(out, "trimmed {len} page(s) at LPN {lpn}").unwrap();
@@ -280,12 +314,13 @@ pub fn run(args: &[String]) -> Result<String> {
         Some("replay") => {
             let img = args.get(1).ok_or_else(|| CliError(usage()))?;
             let trace_file = args.get(2).ok_or_else(|| CliError(usage()))?;
+            flags(args, 3, [])?;
             let text = fs::read_to_string(trace_file)?;
             let ops = parse_trace(&text);
             let mut dev = load_device(img)?;
             let before = dev.stats();
             let t0 = dev.clock().now_ns();
-            replay_ops(&mut dev, ops.iter().copied(), |_| None)?;
+            replay_ops(&mut dev, ops.iter().copied(), |_| None, |_| {})?;
             let d = dev.stats().delta_since(&before);
             let dt = dev.clock().now_ns() - t0;
             writeln!(out, "replayed {} ops in {:.3} simulated s", ops.len(), dt as f64 / 1e9).unwrap();
@@ -294,16 +329,11 @@ pub fn run(args: &[String]) -> Result<String> {
         }
         Some("metrics") => {
             let img = args.get(1).ok_or_else(|| CliError(usage()))?;
-            let trace = flag_value(args, "--trace");
-            // One output, so no flag but `--trace`: a `--format` left over
-            // from a script must fail rather than print another format.
-            if args.len() != 2 + 2 * trace.is_some() as usize {
-                return Err(CliError("bad metrics arguments (want <img> [--trace <file>])".into()));
-            }
+            let [trace] = flags(args, 2, ["--trace"])?;
             let mut dev = load_device(img)?;
             if let Some(trace_file) = trace {
                 let text = fs::read_to_string(trace_file)?;
-                replay_ops(&mut dev, parse_trace(&text), |_| None)?;
+                replay_ops(&mut dev, parse_trace(&text), |_| None, |_| {})?;
             }
             let snap = dev.telemetry_snapshot().expect("FTL always exposes telemetry");
             out.push_str(&snap.to_json().render());
@@ -338,6 +368,7 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
             let name = args.get(3).ok_or_else(|| CliError(usage()))?;
             let start = parse_u64(args.get(4).ok_or_else(|| CliError(usage()))?, "start-lpn")?;
             let len = parse_u64(args.get(5).ok_or_else(|| CliError(usage()))?, "len")?;
+            flags(args, 6, [])?;
             let mut dev = load_device(img)?;
             let before = dev.stats();
             let id = dev.snapshot_create(name, Lpn(start), len)?;
@@ -361,8 +392,8 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
         "clone" => {
             let name = args.get(3).ok_or_else(|| CliError(usage()))?;
             let dst = parse_u64(args.get(4).ok_or_else(|| CliError(usage()))?, "dst-lpn")?;
-            let offset =
-                flag_value(args, "--offset").map(|v| parse_u64(v, "offset")).transpose()?.unwrap_or(0);
+            let [offset, len] = flags(args, 5, ["--offset", "--len"])?;
+            let offset = offset.map(|v| parse_u64(v, "offset")).transpose()?.unwrap_or(0);
             let mut dev = load_device(img)?;
             let total = dev
                 .snapshot_list()?
@@ -370,7 +401,7 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
                 .find(|s| &s.name == name)
                 .map(|s| s.len)
                 .ok_or_else(|| CliError(format!("no snapshot named {name}")))?;
-            let len = match flag_value(args, "--len") {
+            let len = match len {
                 Some(v) => parse_u64(v, "len")?,
                 None => total.saturating_sub(offset),
             };
@@ -386,6 +417,7 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
         }
         "drop" => {
             let name = args.get(3).ok_or_else(|| CliError(usage()))?;
+            flags(args, 4, [])?;
             let mut dev = load_device(img)?;
             dev.snapshot_drop(name)?;
             writeln!(out, "dropped snapshot {name}").unwrap();
@@ -393,6 +425,7 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
             save_device(img, dev)?;
         }
         "ls" => {
+            flags(args, 3, [])?;
             let dev = load_device(img)?;
             let list = dev.snapshot_list()?;
             if list.is_empty() {
@@ -425,11 +458,13 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
 /// (`--tree N`). Observation only — nothing is written back to the image.
 fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
-    let (workload, gen) = synthetic_args(args)?;
-    let mut dev = load_device_with(img, TelemetryConfig::tracing())?;
+    let [workload, ops, seed, out_path, tree] =
+        flags(args, 2, ["--workload", "--ops", "--seed", "--out", "--tree"])?;
+    let (workload, gen) = synthetic_args(workload, ops, seed)?;
+    let mut dev = load_device_with(img, TelemetryConfig::tracing(), |_| {})?;
     let before = dev.stats();
     let t0 = dev.clock().now_ns();
-    let replayed = run_synthetic(&mut dev, gen)?;
+    let replayed = run_synthetic(&mut dev, gen, |_| {})?;
     let d = dev.stats().delta_since(&before);
     let dt = dev.clock().now_ns() - t0;
     let spans = dev.tracer().span_count();
@@ -440,13 +475,13 @@ fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
     )
     .unwrap();
     out.push_str(&traffic_summary(&d));
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = out_path {
         let json = dev.tracer().chrome_json().expect("tracing was enabled");
         fs::write(path, json.render())?;
         writeln!(out, "\nchrome trace written to {path} (load in chrome://tracing or Perfetto)")
             .unwrap();
     }
-    if let Some(n) = flag_value(args, "--tree") {
+    if let Some(n) = tree {
         let n = parse_u64(n, "tree")? as usize;
         writeln!(out, "\nspan tree (first {n} lines):").unwrap();
         for line in dev.tracer().text_tree().lines().take(n) {
@@ -471,14 +506,18 @@ fn parse_pattern(workload: &str) -> Result<AccessPattern> {
     })
 }
 
-/// The synthetic workload `trace` and `monitor` run, from `--workload`
-/// (zipfian), `--ops` (2 000) and `--seed` (42): its name and its
-/// generator, sized to the device by [`run_synthetic`].
-fn synthetic_args(args: &[String]) -> Result<(&str, TraceConfig)> {
-    let workload = flag_value(args, "--workload").unwrap_or("zipfian");
+/// The synthetic workload `trace` and `monitor` run, from the values of
+/// `--workload` (zipfian), `--ops` (2 000) and `--seed` (42): its name and
+/// its generator, sized to the device by [`run_synthetic`].
+fn synthetic_args<'a>(
+    workload: Option<&'a str>,
+    ops: Option<&str>,
+    seed: Option<&str>,
+) -> Result<(&'a str, TraceConfig)> {
+    let workload = workload.unwrap_or("zipfian");
     let pattern = parse_pattern(workload)?;
-    let ops = flag_value(args, "--ops").map(|v| parse_u64(v, "ops")).transpose()?.unwrap_or(2_000);
-    let seed = flag_value(args, "--seed").map(|v| parse_u64(v, "seed")).transpose()?.unwrap_or(42);
+    let ops = ops.map(|v| parse_u64(v, "ops")).transpose()?.unwrap_or(2_000);
+    let seed = seed.map(|v| parse_u64(v, "seed")).transpose()?.unwrap_or(42);
     let gen = TraceConfig {
         pattern,
         logical_pages: 0,
@@ -493,23 +532,25 @@ fn synthetic_args(args: &[String]) -> Result<(&str, TraceConfig)> {
 
 /// Replay `gen` over the whole of `dev` on two host streams split by
 /// address: the low 3/4 reads as table/data traffic, the top 1/4 as journal
-/// traffic, so a trace draws the two on their own tracks. Returns the ops
-/// replayed.
-fn run_synthetic(dev: &mut Ftl, gen: TraceConfig) -> Result<u64> {
+/// traffic, so a trace draws the two on their own tracks. `after` runs
+/// after every op. Returns the ops replayed.
+fn run_synthetic(dev: &mut Ftl, gen: TraceConfig, after: impl FnMut(&Ftl)) -> Result<u64> {
     let logical = dev.config().logical_pages;
     let data = dev.stream_intern("data");
     let journal = dev.stream_intern("journal");
     let ops = TraceGen::new(TraceConfig { logical_pages: logical, ..gen });
-    replay_ops(dev, ops, |lpn| Some(if lpn * 4 >= logical * 3 { journal } else { data }))
+    let stream = |lpn| Some(if lpn * 4 >= logical * 3 { journal } else { data });
+    replay_ops(dev, ops, stream, after)
 }
 
 /// Replay block-trace `ops` against `dev` (writes carry 0xCD), switching to
-/// `stream(lpn)` before each write, read and trim it names one for. Returns
-/// the ops replayed.
+/// `stream(lpn)` before each write, read and trim it names one for, and
+/// running `after` once each op returns. Returns the ops replayed.
 fn replay_ops(
     dev: &mut Ftl,
     ops: impl IntoIterator<Item = TraceOp>,
     stream: impl Fn(u64) -> Option<u32>,
+    mut after: impl FnMut(&Ftl),
 ) -> Result<u64> {
     let page = vec![0xCDu8; dev.page_size()];
     let mut buf = vec![0u8; dev.page_size()];
@@ -529,38 +570,42 @@ fn replay_ops(
             }
             TraceOp::Flush => dev.flush()?,
         }
+        after(dev);
         replayed += 1;
     }
     Ok(replayed)
 }
 
-/// Longitudinal monitoring: run a synthetic workload with the flight
-/// recorder sealing an epoch every `--epoch-ms` of *simulated* time, then
-/// print one row of counter deltas per epoch and each NAND unit's busy
-/// share. Observation only — nothing is written back.
+/// Longitudinal monitoring: run a synthetic workload with a flight
+/// recorder ticked after every op, sealing an epoch every `--epoch-ms` of
+/// *simulated* time, then print one row of counter deltas per epoch and
+/// each NAND unit's busy share. Epoch 0 starts at the image's saved clock,
+/// so it holds the device's recovery. Observation only — nothing is
+/// written back.
 fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
-    let (workload, gen) = synthetic_args(args)?;
-    let epoch_ns = flag_value(args, "--epoch-ms")
+    let [workload, ops, seed, epoch_ms, format] =
+        flags(args, 2, ["--workload", "--ops", "--seed", "--epoch-ms", "--format"])?;
+    let (workload, gen) = synthetic_args(workload, ops, seed)?;
+    let epoch_ns = epoch_ms
         .map(|v| parse_scaled(v, "epoch-ms", 1_000_000))
         .transpose()?
         .unwrap_or(10_000_000);
     if epoch_ns == 0 {
         return Err(CliError("--epoch-ms must be at least 1".into()));
     }
-    let format = flag_value(args, "--format").unwrap_or("table");
+    let format = format.unwrap_or("table");
     if format != "table" && format != "json" {
         return Err(CliError(format!("bad --format: {format} (want table|json)")));
     }
-    let mut telemetry = TelemetryConfig::monitoring(epoch_ns);
-    if let Some(v) = flag_value(args, "--ring") {
-        telemetry.epoch_ring = parse_u64(v, "ring")? as usize;
-    }
 
-    let mut dev = load_device_with(img, telemetry)?;
+    let mut start_ns = 0;
+    let mut dev =
+        load_device_with(img, TelemetryConfig::default(), |nand| start_ns = nand.now_ns())?;
+    let mut recorder = FlightRecorder::new(epoch_ns, start_ns);
     let t0 = dev.clock().now_ns();
-    let replayed = run_synthetic(&mut dev, gen)?;
-    let snap = dev.monitor_snapshot().expect("monitoring telemetry is on");
+    let replayed = run_synthetic(&mut dev, gen, |d| recorder.tick(d))?;
+    let snap = recorder.snapshot(&dev);
     if format == "json" {
         out.push_str(&snap.to_json().render());
         out.push('\n');
@@ -571,11 +616,10 @@ fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
     writeln!(
         out,
         "monitored {replayed} {workload} op(s) over {:.3} simulated s: \
-         {} epoch(s) sealed ({} rolled off the {}-epoch ring)",
+         {} epoch(s) sealed ({} rolled off the {RETAINED_EPOCHS} retained)",
         dt as f64 / 1e9,
         snap.sealed,
         snap.dropped,
-        snap.epochs.len().max(1)
     )
     .unwrap();
     writeln!(
@@ -629,11 +673,12 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
         FTL_OPS, FTL_WORKLOADS,
     };
 
-    let which = flag_value(args, "--workload").unwrap_or("all");
-    let seed = flag_value(args, "--seed").map(|v| parse_u64(v, "seed")).transpose()?.unwrap_or(42);
-    let stride =
-        flag_value(args, "--stride").map(|v| parse_u64(v, "stride")).transpose()?.unwrap_or(3);
-    let mode_arg = flag_value(args, "--mode").unwrap_or("all");
+    let [which, seed, stride, mode_arg, trace, index] =
+        flags(args, 1, ["--workload", "--seed", "--stride", "--mode", "--trace", "--index"])?;
+    let which = which.unwrap_or("all");
+    let seed = seed.map(|v| parse_u64(v, "seed")).transpose()?.unwrap_or(42);
+    let stride = stride.map(|v| parse_u64(v, "stride")).transpose()?.unwrap_or(3);
+    let mode_arg = mode_arg.unwrap_or("all");
     let modes: Vec<nand_sim::FaultMode> = if mode_arg == "all" {
         nand_sim::FaultMode::ALL.to_vec()
     } else {
@@ -642,7 +687,7 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
     };
 
     let mut workloads: Vec<Box<dyn CrashWorkload>> = Vec::new();
-    if let Some(trace_file) = flag_value(args, "--trace") {
+    if let Some(trace_file) = trace {
         let text = fs::read_to_string(trace_file)?;
         let label = Path::new(trace_file)
             .file_stem()
@@ -668,7 +713,7 @@ fn crashsweep_cmd(args: &[String], out: &mut String) -> Result<()> {
         }
     }
 
-    if let Some(index) = flag_value(args, "--index") {
+    if let Some(index) = index {
         // Single-case reproduction of a reported triple.
         let index = parse_u64(index, "index")?;
         let [mode] = modes[..] else {

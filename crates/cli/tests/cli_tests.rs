@@ -423,3 +423,122 @@ fn epoch_flag_refuses_a_value_that_overflows() {
     let e = cmd(&["monitor", img, "--epoch-ms", &u64::MAX.to_string()]).unwrap_err();
     assert!(e.contains("epoch-ms too large"), "{e}");
 }
+
+/// Every subcommand refuses a flag it does not read and a flag given
+/// without its value, before it touches the image: a misspelt `--seed`
+/// must not silently run the default seed.
+#[test]
+fn every_subcommand_refuses_a_flag_it_does_not_read() {
+    let dir = tmpdir();
+    let img = dir.join("flags.nand");
+    let img = img.to_str().unwrap();
+    cmd(&["create", img, "16"]).unwrap();
+    cmd(&["write", img, "0", "--count", "4"]).unwrap();
+    cmd(&["snapshot", img, "create", "base", "0", "4"]).unwrap();
+    let info = cmd(&["info", img]).unwrap();
+    let cases: [(&[&str], &str); 20] = [
+        (&["create", "x.nand", "16", "15", "--byte", "aa"], "unexpected --byte"),
+        (&["info", img, "--verbose", "1"], "unexpected --verbose"),
+        (&["write", img, "0", "--bytes", "ff"], "unexpected --bytes"),
+        (&["write", img, "0", "--count"], "--count needs a value"),
+        (&["read", img, "0", "--len", "2"], "unexpected --len"),
+        (&["share", img, "100", "0", "--length", "4"], "unexpected --length"),
+        (&["share", img, "100", "0", "--len"], "--len needs a value"),
+        (&["trim", img, "0", "--count", "2"], "unexpected --count"),
+        (&["trim", img, "0", "--len"], "--len needs a value"),
+        (&["replay", img, "ops.txt", "--seed", "7"], "unexpected --seed"),
+        (&["metrics", img, "--trace"], "--trace needs a value"),
+        (&["trace", img, "--workload", "mixed", "--ops", "50", "--sed", "7"], "unexpected --sed"),
+        (&["trace", img, "--out"], "--out needs a value"),
+        (&["monitor", img, "--ring", "6"], "unexpected --ring"),
+        (&["monitor", img, "--epoch-ms"], "--epoch-ms needs a value"),
+        (&["snapshot", img, "clone", "base", "100", "--size", "4"], "unexpected --size"),
+        (&["snapshot", img, "clone", "base", "100", "--offset"], "--offset needs a value"),
+        (&["snapshot", img, "ls", "--all", "1"], "unexpected --all"),
+        (&["crashsweep", "--workload", "ftl", "--strides", "40"], "unexpected --strides"),
+        (&["crashsweep", "--workload"], "--workload needs a value"),
+    ];
+    for (args, why) in cases {
+        let e = cmd(args).unwrap_err();
+        let sub = format!("bad {} arguments", args[0]);
+        assert!(e.contains(&sub) && e.contains(why), "{args:?}: {e}");
+    }
+    // A stray positional argument is refused the same way.
+    assert!(cmd(&["read", img, "0", "1"]).unwrap_err().contains("unexpected 1"));
+    assert_eq!(cmd(&["info", img]).unwrap(), info, "a refused command changed the image");
+    assert!(!std::path::Path::new("x.nand").exists());
+}
+
+/// Seeded damaged copies of an image and of its sidecar — truncations and
+/// single bit flips — are each refused with an error or read back: no
+/// subcommand that reads an image panics on one.
+#[test]
+fn damaged_images_and_sidecars_are_refused_or_read_never_a_panic() {
+    let dir = tmpdir();
+    let img = dir.join("good.nand");
+    let img = img.to_str().unwrap();
+    cmd(&["create", img, "1"]).unwrap();
+    cmd(&["write", img, "0", "--byte", "5a", "--count", "16"]).unwrap();
+    cmd(&["snapshot", img, "create", "base", "0", "8"]).unwrap();
+    cmd(&["write", img, "4", "--byte", "a5", "--count", "8"]).unwrap();
+    let ops = dir.join("ops.txt");
+    std::fs::write(&ops, "W 1\nR 1\nT 2 1\nF\n").unwrap();
+    let ops = ops.to_str().unwrap();
+    let image = std::fs::read(img).unwrap();
+    let sidecar = std::fs::read(format!("{img}.cfg")).unwrap();
+
+    // xorshift64*: a fixed seed picks the same cuts and flips every run.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = |below: usize| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) % below as u64) as usize
+    };
+    let mut damaged: Vec<(String, Vec<u8>, Vec<u8>)> = Vec::new();
+    for _ in 0..8 {
+        let (cut_img, cut_cfg) = (next(image.len()), next(sidecar.len()));
+        damaged.push((format!("image cut at {cut_img}"), image[..cut_img].to_vec(), sidecar.clone()));
+        damaged.push((format!("sidecar cut at {cut_cfg}"), image.clone(), sidecar[..cut_cfg].to_vec()));
+    }
+    // Flips anywhere, and flips in the 72-byte v4 header (geometry, clock,
+    // counters), which a uniform pick seldom reaches.
+    for span in [image.len(), 72].into_iter().flat_map(|span| [span; 24]) {
+        let bit = next(span * 8);
+        let mut copy = image.clone();
+        copy[bit / 8] ^= 1 << (bit % 8);
+        damaged.push((format!("image bit {bit} flipped"), copy, sidecar.clone()));
+    }
+    for _ in 0..16 {
+        let bit = next(sidecar.len() * 8);
+        let mut copy = sidecar.clone();
+        copy[bit / 8] ^= 1 << (bit % 8);
+        damaged.push((format!("sidecar bit {bit} flipped"), image.clone(), copy));
+    }
+
+    let copy = dir.join("copy.nand");
+    let copy = copy.to_str().unwrap();
+    let commands: [&[&str]; 7] = [
+        &["info", copy],
+        &["read", copy, "3"],
+        &["metrics", copy],
+        &["monitor", copy, "--ops", "40", "--epoch-ms", "1"],
+        &["trace", copy, "--ops", "40"],
+        &["replay", copy, ops],
+        &["snapshot", copy, "ls"],
+    ];
+    let mut read_back = 0;
+    for (what, image, sidecar) in &damaged {
+        for args in commands {
+            // `replay` writes the image back: each command starts from the
+            // damaged copy.
+            std::fs::write(copy, image).unwrap();
+            std::fs::write(format!("{copy}.cfg"), sidecar).unwrap();
+            let outcome = std::panic::catch_unwind(|| cmd(args));
+            let result = outcome.unwrap_or_else(|_| panic!("{what}: {args:?} panicked"));
+            read_back += result.is_ok() as usize;
+        }
+    }
+    // The flips that land in page data leave a loadable image.
+    assert!(read_back > 0, "every damaged copy was refused");
+}

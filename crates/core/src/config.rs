@@ -77,7 +77,7 @@ pub struct FtlConfig {
     /// this entirely; `submit` returns `QueueFull` beyond it.
     pub queue_depth: usize,
     /// Telemetry collection settings. Counters and the per-op-class latency
-    /// histograms are always on; spans and the flight recorder are opt-in.
+    /// histograms are always on; spans are opt-in.
     /// Telemetry only reads the simulated clock, so no setting can change
     /// simulated results.
     pub telemetry: TelemetryConfig,

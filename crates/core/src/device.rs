@@ -232,8 +232,11 @@ pub trait BlockDevice {
         None
     }
 
-    /// Point-in-time flight-recorder snapshot (per-epoch counter-delta
-    /// series), if the device runs one (`telemetry.epoch_ns > 0`).
+    /// A flight-recorder series the device keeps itself. No device in this
+    /// workspace keeps one — [`FlightRecorder`](crate::FlightRecorder)
+    /// samples any device from outside — so every device here returns the
+    /// `None` default. The method stays because wrappers outside the
+    /// workspace forward it to the device they wrap.
     fn monitor_snapshot(&self) -> Option<crate::monitor::FlightSnapshot> {
         None
     }

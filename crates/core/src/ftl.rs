@@ -26,10 +26,8 @@ use crate::delta::{Delta, DeltaLog};
 use crate::device::BlockDevice;
 use crate::error::FtlError;
 use crate::mapping::MappingTable;
-use crate::monitor::FlightSnapshot;
 use crate::pool::{BlockPool, WritePoint};
 use crate::queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
-use crate::recorder::{EpochSample, FlightRecorder};
 use crate::snapshot::{self, SnapDelta, SnapshotInfo, SnapshotTable};
 use crate::stats::DeviceStats;
 use crate::types::{Lpn, Ppn, SharePair};
@@ -166,12 +164,6 @@ impl WearStats {
     }
 }
 
-/// Names for the NAND units in index order (`ch{c}:w{w}`, matching how
-/// `telemetry_snapshot` decomposes a unit index into channel and way).
-fn unit_labels(channels: u32, units: usize) -> Vec<String> {
-    (0..units as u32).map(|u| format!("ch{}:w{}", u % channels, u / channels)).collect()
-}
-
 /// An in-progress victim collection. Background collection parks it
 /// between budgeted steps; a hard-floor drain runs it to completion in one.
 ///
@@ -212,7 +204,7 @@ pub struct Ftl {
     /// Checkpoint slots, generations and the page image checkpoints are
     /// built in.
     ckpts: Checkpoints,
-    /// Per-op-class latency histograms and the epoch latency windows.
+    /// Per-op-class latency histograms.
     /// Records clock *read-outs* only — never advances simulated time.
     telemetry: Telemetry,
     /// Causal span tracer (disabled unless `cfg.telemetry.trace`); the
@@ -258,10 +250,6 @@ pub struct Ftl {
     /// Persisted whole in checkpoints (image v4) and incrementally via
     /// tagged delta-log records.
     snaps: SnapshotTable,
-    /// Time-series flight recorder (None unless `telemetry.epoch_ns > 0`).
-    /// Seals one epoch of counter deltas at the first command boundary at
-    /// or after each epoch tick; only ever *reads* the clock.
-    recorder: Option<FlightRecorder>,
 }
 
 impl Ftl {
@@ -291,12 +279,9 @@ impl Ftl {
         );
         let pool =
             BlockPool::new(cfg.geometry, cfg.data_start(), cfg.data_blocks(), GC_LOW_WATER);
-        let telemetry = Telemetry::new(cfg.telemetry);
+        let telemetry = Telemetry::default();
         let tracer = if cfg.telemetry.trace { Tracer::enabled() } else { Tracer::disabled() };
         nand.set_tracer(tracer.clone());
-        let recorder = (cfg.telemetry.epoch_ns > 0).then(|| {
-            FlightRecorder::new(cfg.telemetry.epoch_ns, cfg.telemetry.epoch_ring, nand.now_ns())
-        });
         Self {
             cfg,
             nand,
@@ -324,7 +309,6 @@ impl Ftl {
             share_src_ppns: Vec::new(),
             share_deltas: Vec::new(),
             snaps: SnapshotTable::new(),
-            recorder,
         }
     }
 
@@ -602,8 +586,8 @@ impl Ftl {
         (self.cfg.geometry.units() as usize * 8).max(1)
     }
 
-    /// Telemetry collected by this device (latency histograms always; the
-    /// epoch latency windows per [`FtlConfig::telemetry`]).
+    /// Telemetry collected by this device: the per-op-class latency
+    /// histograms.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }

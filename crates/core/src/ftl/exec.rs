@@ -75,9 +75,6 @@ impl Ftl {
     }
 
     /// A synchronous host command: the command frame on the shared clock.
-    /// Leaving it is the flight recorder's sampling point — epochs seal
-    /// lazily at the first command boundary at or after their clock tick
-    /// (`submit` ticks once its completion is queued).
     fn command<T>(
         &mut self,
         name: &str,
@@ -85,32 +82,7 @@ impl Ftl {
         pages: u64,
         body: impl FnOnce(&mut Self) -> Result<T, FtlError>,
     ) -> Result<T, FtlError> {
-        let (r, _, _) = self.frame(name, op, pages, false, body);
-        self.epoch_tick();
-        r
-    }
-
-    /// Seal a flight-recorder epoch if the clock has crossed a boundary.
-    /// Pure observation: reads the clock and counters, never advances
-    /// simulated time or touches the medium — a monitored run stays
-    /// bit-identical to an unmonitored one.
-    fn epoch_tick(&mut self) {
-        let now = self.nand.now_ns();
-        if !self.recorder.as_ref().is_some_and(|r| r.due(now)) {
-            return;
-        }
-        let (read_hist, write_hist) = self.telemetry.take_epoch_windows();
-        let sample = EpochSample {
-            now_ns: now,
-            stats: self.stats(),
-            unit_busy_ns: self.nand.busy_ns().to_vec(),
-            free_blocks: self.pool.free_count() as u64,
-            inflight: self.pending.len() as u64,
-            wear_skew: self.wear_stats().skew(),
-            read_hist,
-            write_hist,
-        };
-        self.recorder.as_mut().expect("checked above").seal(sample);
+        self.frame(name, op, pages, false, body).0
     }
 
     /// Execute a queued command's state transitions (called inside the
@@ -346,7 +318,6 @@ impl BlockDevice for Ftl {
         self.q_submitted += 1;
         self.pending.push(PendingCmd { tag, submit_ns, complete_ns, result, blocks });
         self.q_max_inflight = self.q_max_inflight.max(self.pending.len() as u64);
-        self.epoch_tick();
         Ok(tag)
     }
 
@@ -423,13 +394,6 @@ impl BlockDevice for Ftl {
         let data_blocks = self.pool.block_count() as u64;
         rows.extend(self.wear_stats().rows(self.pool.free_count() as u64, data_blocks));
         snap.metrics = rows;
-        Some(snap)
-    }
-
-    fn monitor_snapshot(&self) -> Option<FlightSnapshot> {
-        let rec = self.recorder.as_ref()?;
-        let mut snap = rec.snapshot(self.nand.now_ns(), &self.stats());
-        snap.unit_labels = unit_labels(self.cfg.geometry.channels, self.nand.busy_ns().len());
         Some(snap)
     }
 

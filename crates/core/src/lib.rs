@@ -51,7 +51,6 @@ mod mapping;
 mod monitor;
 mod pool;
 mod queue;
-mod recorder;
 pub mod snapshot;
 mod stats;
 mod types;
@@ -64,7 +63,7 @@ pub use device::{BlockDevice, SimpleSsd};
 pub use error::FtlError;
 pub use ftl::{Ftl, WearStats};
 pub use mapping::{MappingTable, RevMap, RevMapPolicy};
-pub use monitor::{EpochRecord, FlightSnapshot};
+pub use monitor::{EpochRecord, FlightRecorder, FlightSnapshot, RETAINED_EPOCHS};
 pub use pool::{BlockPool, BlockState, WritePoint};
 pub use queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
 pub use snapshot::{SnapshotInfo, SnapshotTable};

@@ -54,7 +54,7 @@ fn mixed_script(dev: &mut Ftl) {
 
 fn device() -> Ftl {
     let cfg = FtlConfig::for_capacity_with(PAGES * PAGE as u64, 0.12, PAGE, 32, NandTiming::default())
-        .with_telemetry(TelemetryConfig::monitoring(10_000_000));
+        .with_telemetry(TelemetryConfig::tracing());
     let mut dev = Ftl::new(cfg);
     mixed_script(&mut dev);
     dev

@@ -105,15 +105,38 @@ impl Histogram {
         }
     }
 
-    /// Take the recorded contents as a fresh histogram, leaving `self`
-    /// empty and ready to record again. The epoch sampler uses this to
-    /// close a latency window at each epoch boundary: the returned
-    /// histogram is the finished epoch, `self` keeps recording the next
-    /// one, and merging every window back together reproduces the
-    /// uninterrupted histogram exactly (same counts, sum, min/max and
-    /// buckets — so the same quantiles).
-    pub fn reset_returning(&mut self) -> Histogram {
-        std::mem::take(self)
+    /// The samples recorded since `base`, an earlier copy of this same
+    /// histogram: counts, sum and buckets are exact differences. The
+    /// extremes are exact when the window set a new one (or `base` is
+    /// empty); otherwise they are the window's outer bucket bounds, held
+    /// inside `self`'s extremes. So a quantile of the difference lands in
+    /// the same log2 bucket as the exact one, and merging consecutive
+    /// differences rebuilds `self` exactly.
+    pub fn delta_since(&self, base: &Histogram) -> Histogram {
+        let mut d = Histogram {
+            count: self.count - base.count,
+            sum: self.sum - base.sum,
+            ..Histogram::default()
+        };
+        if d.count == 0 {
+            return d;
+        }
+        for (k, (now, then)) in self.buckets.iter().zip(&base.buckets).enumerate() {
+            d.buckets[k] = now - then;
+        }
+        let first = d.buckets.iter().position(|&n| n > 0).expect("count > 0");
+        let last = d.buckets.iter().rposition(|&n| n > 0).expect("count > 0");
+        d.min = if base.count == 0 || self.min < base.min {
+            self.min
+        } else {
+            bucket_lower_bound(first).max(self.min)
+        };
+        d.max = if base.count == 0 || self.max > base.max {
+            self.max
+        } else {
+            bucket_upper_bound(last).min(self.max)
+        };
+        d
     }
 
     /// Nearest-rank quantile estimate, `q` in `[0, 1]`.
@@ -236,39 +259,50 @@ mod tests {
     }
 
     #[test]
-    fn reset_returning_takes_contents_and_empties() {
+    fn delta_since_keeps_the_window_in_its_buckets() {
         let mut h = Histogram::new();
         for v in [3u64, 50, 700] {
             h.record(v);
         }
-        let taken = h.reset_returning();
-        assert_eq!((taken.count, taken.sum, taken.min, taken.max), (3, 753, 3, 700));
-        assert!(h.is_empty());
-        assert_eq!(h, Histogram::new());
-        // The emptied histogram records cleanly again (min/max re-seed).
-        h.record(9);
-        assert_eq!((h.count, h.min, h.max), (1, 9, 9));
+        // From empty, the difference is the histogram itself.
+        assert_eq!(h.delta_since(&Histogram::new()), h);
+        assert!(h.delta_since(&h).is_empty());
+        let base = h.clone();
+        for v in [40u64, 600] {
+            h.record(v);
+        }
+        // No new extreme: the window's outer bucket bounds stand in for
+        // its min and max, so its quantiles stay in the samples' buckets.
+        let d = h.delta_since(&base);
+        assert_eq!((d.count, d.sum, d.min, d.max), (2, 640, 32, 700));
+        assert_eq!((bucket_of(d.quantile(0.0)), bucket_of(d.quantile(1.0))), (6, 10));
+        // A new extreme is exact.
+        let base = h.clone();
+        h.record(9_000);
+        let d = h.delta_since(&base);
+        assert_eq!((d.count, d.min, d.max), (1, 8_192, 9_000));
+        assert_eq!(d.quantile(0.5), 9_000);
     }
 
     #[test]
     fn merge_reset_round_trip_preserves_quantiles_exactly() {
-        // Record one stream of samples twice: once uninterrupted, once
-        // split into epoch windows by reset_returning, then merged back.
+        // Record one stream of samples, cut it into windows by
+        // `delta_since` of consecutive copies, and merge the windows back.
         // The round trip must be lossless — identical struct, therefore
-        // identical quantiles at every q. This is the property the flight
-        // recorder's per-epoch latency windows rely on.
+        // identical quantiles at every q. This is the property a sampler
+        // that windows a device's cumulative histograms relies on.
         let samples: Vec<u64> = (1..=500u64).map(|i| (i * 7919) % 100_000).collect();
         let mut continuous = Histogram::new();
-        let mut windowed = Histogram::new();
+        let mut base = Histogram::new();
         let mut merged = Histogram::new();
         for (i, &v) in samples.iter().enumerate() {
             continuous.record(v);
-            windowed.record(v);
             if i % 37 == 36 {
-                merged.merge(&windowed.reset_returning());
+                merged.merge(&continuous.delta_since(&base));
+                base = continuous.clone();
             }
         }
-        merged.merge(&windowed.reset_returning());
+        merged.merge(&continuous.delta_since(&base));
         assert_eq!(merged, continuous);
         for q in [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
             assert_eq!(merged.quantile(q), continuous.quantile(q), "q={q}");

@@ -2,7 +2,7 @@
 //!
 //! The workspace is offline and dependency-free, so this minimal module is
 //! the one JSON implementation for the whole stack: telemetry snapshots,
-//! Chrome traces and flight-recorder dumps render through it, and tests
+//! Chrome traces and `sharectl monitor` documents render through it, and tests
 //! re-parse them with it. It lives here (the bottom of the dependency
 //! graph) so `share-core` can export snapshots without depending on
 //! anything above it.

@@ -7,16 +7,14 @@
 //!
 //! * log2-bucketed latency [`hist::Histogram`]s per op class in simulated
 //!   `SimClock` nanoseconds (always on: a bucket add per command),
-//! * per-epoch host read/write latency windows for the device's flight
-//!   recorder (on only when its epoch sampler is),
 //! * one exporter: the JSON document [`Snapshot::to_json`], built on the
 //!   in-crate [`json`] module.
 //!
 //! Each observation has one home. A command count is a `DeviceStats` row
 //! (or its op's histogram count); a command's op, stream, pages and times
 //! are its span in the [`trace::Tracer`], whose table is the one place a
-//! stream label lives; per-epoch unit busy time is the flight recorder's
-//! epoch record.
+//! stream label lives. A time series of any of it is the reader's to
+//! take: `share_core`'s flight recorder samples the exported readings.
 //!
 //! Telemetry only ever *reads* the simulated clock — it never advances it —
 //! so enabling any of it cannot change simulated results: crash-sweep
@@ -54,15 +52,6 @@ pub enum OpClass {
     LogFlush,
     Checkpoint,
     Recovery,
-}
-
-/// Traffic direction of an op class: reads and writes feed the flight
-/// recorder's epoch windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Direction {
-    Read,
-    Write,
-    Other,
 }
 
 impl OpClass {
@@ -107,16 +96,6 @@ impl OpClass {
             OpClass::Recovery => "recovery",
         }
     }
-
-    /// The class's traffic direction.
-    #[inline]
-    pub(crate) fn direction(self) -> Direction {
-        match self {
-            OpClass::Read | OpClass::ReadBatch => Direction::Read,
-            OpClass::Write | OpClass::WriteBatch | OpClass::WriteAtomic => Direction::Write,
-            _ => Direction::Other,
-        }
-    }
 }
 
 /// What to collect beyond the always-on latency histograms.
@@ -128,25 +107,12 @@ impl OpClass {
 pub struct TelemetryConfig {
     /// Record causal spans ([`trace::Tracer`]) through every layer.
     pub trace: bool,
-    /// Flight-recorder epoch length in simulated nanoseconds (0 disables
-    /// the epoch sampler entirely — the default, and what `tracing()`
-    /// keeps, so monitoring stays strictly opt-in).
-    pub epoch_ns: u64,
-    /// How many sealed epoch records the flight recorder retains; older
-    /// epochs fold into its eviction accumulator.
-    pub epoch_ring: usize,
 }
 
 impl TelemetryConfig {
-    /// Span tracing on; the epoch sampler stays off.
+    /// Span tracing on.
     pub fn tracing() -> Self {
-        Self { trace: true, ..Self::default() }
-    }
-
-    /// Longitudinal monitoring: tracing plus the epoch sampler at the
-    /// given interval, retaining 4096 epochs.
-    pub fn monitoring(epoch_ns: u64) -> Self {
-        Self { epoch_ns, epoch_ring: 4096, ..Self::tracing() }
+        Self { trace: true }
     }
 }
 
@@ -155,51 +121,18 @@ const NUM_OPS: usize = OpClass::ALL.len();
 /// The telemetry state owned by one device (one `Ftl`).
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    cfg: TelemetryConfig,
     /// Per op class, in [`OpClass::ALL`] order.
     hists: Vec<Histogram>,
-    /// Open per-epoch latency windows (host reads / host writes), drained
-    /// by the flight recorder at each epoch boundary via
-    /// [`Histogram::reset_returning`]. Only recorded when `epoch_ns > 0`.
-    win_read: Histogram,
-    win_write: Histogram,
 }
 
 impl Telemetry {
-    /// Fresh telemetry: empty histograms and windows.
-    pub fn new(cfg: TelemetryConfig) -> Self {
-        Self {
-            cfg,
-            hists: vec![Histogram::new(); NUM_OPS],
-            win_read: Histogram::new(),
-            win_write: Histogram::new(),
-        }
-    }
-
     /// Record one completed command: its latency lands in `op`'s
-    /// histogram and, while the epoch sampler runs, in the epoch's read or
-    /// write window.
+    /// histogram.
     ///
     /// `start_ns`/`end_ns` are simulated clock read-outs taken around the
     /// command body; telemetry itself never advances the clock.
     pub fn record(&mut self, op: OpClass, start_ns: u64, end_ns: u64) {
-        let ns = end_ns.saturating_sub(start_ns);
-        self.hists[op.index()].record(ns);
-        if self.cfg.epoch_ns > 0 {
-            match op.direction() {
-                Direction::Read => self.win_read.record(ns),
-                Direction::Write => self.win_write.record(ns),
-                Direction::Other => {}
-            }
-        }
-    }
-
-    /// Close the current epoch's latency windows, returning the finished
-    /// `(reads, writes)` histograms and leaving fresh empty windows
-    /// recording. Merging every window returned over a run reproduces the
-    /// run-wide histograms exactly.
-    pub fn take_epoch_windows(&mut self) -> (Histogram, Histogram) {
-        (self.win_read.reset_returning(), self.win_write.reset_returning())
+        self.hists[op.index()].record(end_ns.saturating_sub(start_ns));
     }
 
     /// A point-in-time copy of everything collected so far.
@@ -218,8 +151,9 @@ impl Telemetry {
 }
 
 impl Default for Telemetry {
+    /// Fresh telemetry: empty histograms.
     fn default() -> Self {
-        Self::new(TelemetryConfig::default())
+        Self { hists: vec![Histogram::new(); NUM_OPS] }
     }
 }
 
@@ -360,10 +294,10 @@ mod tests {
 
     #[test]
     fn default_config_is_counters_only() {
-        // The default turns every option off; the histograms record anyway.
-        let cfg = TelemetryConfig::default();
-        assert!(!cfg.trace && cfg.epoch_ns == 0);
-        let mut t = Telemetry::new(cfg);
+        // The default turns tracing off; the histograms record anyway.
+        assert!(!TelemetryConfig::default().trace);
+        assert!(TelemetryConfig::tracing().trace);
+        let mut t = Telemetry::default();
         t.record(OpClass::Write, 100, 200);
         let snap = t.snapshot();
         assert_eq!(snap.op(OpClass::Write).hist.count, 1);
@@ -372,7 +306,7 @@ mod tests {
 
     #[test]
     fn full_config_records_hist_and_ring() {
-        let mut t = Telemetry::new(TelemetryConfig::tracing());
+        let mut t = Telemetry::default();
         t.record(OpClass::Read, 0, 50);
         t.record(OpClass::Read, 50, 150);
         let snap = t.snapshot();
@@ -450,45 +384,5 @@ mod tests {
         assert_eq!(row("queue_reaped"), Some(117));
         assert_eq!(metrics.get("wear_erases_mean").and_then(Json::as_f64), Some(15.8125));
         assert_eq!(snap.metric("queue_depth"), Some(Value::U64(16)));
-    }
-
-    #[test]
-    fn epoch_windows_gated_on_epoch_ns() {
-        // Off (even with tracing): windows stay empty.
-        let mut off = Telemetry::new(TelemetryConfig::tracing());
-        off.record(OpClass::Write, 0, 100);
-        let (r, w) = off.take_epoch_windows();
-        assert!(r.is_empty() && w.is_empty());
-
-        // On: reads and writes land in their direction's window; Other
-        // direction never does.
-        let mut t = Telemetry::new(TelemetryConfig::monitoring(1_000));
-        t.record(OpClass::Write, 0, 100);
-        t.record(OpClass::WriteAtomic, 100, 250);
-        t.record(OpClass::Read, 250, 300);
-        t.record(OpClass::Flush, 300, 400);
-        t.record(OpClass::Gc, 400, 500);
-        let (r1, w1) = t.take_epoch_windows();
-        assert_eq!((r1.count, w1.count), (1, 2));
-        assert_eq!(w1.max, 150);
-        // Windows reset: the next epoch starts empty, and merging the
-        // per-epoch windows reproduces the uninterrupted histograms.
-        t.record(OpClass::Write, 500, 900);
-        let (r2, w2) = t.take_epoch_windows();
-        assert!(r2.is_empty());
-        let mut merged = w1.clone();
-        merged.merge(&w2);
-        let snap = t.snapshot();
-        let mut runwide = snap.op(OpClass::Write).hist.clone();
-        runwide.merge(&snap.op(OpClass::WriteAtomic).hist);
-        assert_eq!(merged, runwide);
-    }
-
-    #[test]
-    fn monitoring_config_builds_on_full() {
-        let cfg = TelemetryConfig::monitoring(5_000_000);
-        assert!(cfg.trace);
-        assert_eq!(cfg.epoch_ns, 5_000_000);
-        assert_eq!(TelemetryConfig::tracing().epoch_ns, 0);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! A scalar is declared once — a field of a [`counter_table!`] struct, or
 //! one [`Metric`] row beside the state it reads — and every surface walks
-//! the rows: the metrics JSON, flight-recorder epoch rows, bench records.
+//! the rows: the metrics JSON, `sharectl monitor`'s time series, bench
+//! records.
 //! None keeps a key list of its own.
 
 use crate::json::{count, Json};
@@ -51,8 +52,8 @@ pub fn rows_json(rows: &[Metric]) -> Vec<(String, Json)> {
 /// list the macro emits the struct, `delta_since` (field-wise
 /// `self - earlier`), `accumulate` (field-wise `self += delta`, its exact
 /// inverse) and `rows` (one row per field, named by the field) — so an
-/// added field is subtracted, summed, sealed per epoch and exported with no
-/// other edit.
+/// added field is subtracted, summed, windowed by a sampler and exported
+/// with no other edit.
 /// A trailing `#[nested]` field is another counter table, folded in
 /// through its own three methods.
 #[macro_export]
@@ -80,9 +81,9 @@ macro_rules! counter_table {
             }
 
             /// Field-wise sum `self += delta`, the exact inverse of
-            /// `delta_since`: the flight recorder folds epoch deltas with it,
-            /// which keeps evicted + retained + partial deltas summing
-            /// exactly to the cumulative counters.
+            /// `delta_since`: a sampler folds its windows' deltas with it,
+            /// which keeps every window's delta summing exactly to the
+            /// cumulative counters.
             pub fn accumulate(&mut self, delta: &Self) {
                 $( self.$field += delta.$field; )*
                 $( self.$nested.accumulate(&delta.$nested); )*

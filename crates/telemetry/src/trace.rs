@@ -7,7 +7,10 @@
 //! per-channel/way leaf events carrying the *unit-accurate* busy-window
 //! start/end times from its dispatch queue. Parent links come from a span
 //! stack inside the buffer (the simulated drivers are single-threaded per
-//! device, and the buffer is behind a mutex for the shared-device case).
+//! device). The buffer is behind a mutex because a handle outlives its
+//! device and crosses threads: `share_bench`'s `YcsbResult::tracer` is
+//! returned from `artifacts::on_every_core`'s worker threads, so `Tracer`
+//! must be `Send`.
 //!
 //! Tracing is off by default: a [`Tracer::disabled`] handle is a no-op on
 //! every path, and even an enabled tracer only ever *reads* clock values

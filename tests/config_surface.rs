@@ -28,7 +28,7 @@ const FIELDS: [&str; 9] = [
 
 const BUILDERS: [&str; 3] = ["with_parallelism", "with_telemetry", "with_queue_depth"];
 
-const TELEMETRY_FIELDS: [&str; 3] = ["trace", "epoch_ns", "epoch_ring"];
+const TELEMETRY_FIELDS: [&str; 1] = ["trace"];
 
 /// The identifier that follows `prefix` on `line`, if the line starts with it.
 fn ident_after<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
@@ -176,10 +176,14 @@ fn environment_knobs_match_the_recorded_list() {
 }
 
 /// Every `"--flag"` literal under `crates/cli/src`, sorted, one entry per
-/// occurrence: a flag that a second subcommand starts to read shows up as
-/// well as a new one. `--format` is `monitor`'s (`table|json`); `metrics`
-/// prints JSON only.
-const CLI_FLAGS: [&str; 21] = [
+/// occurrence. Each subcommand names the flags it reads once, in its call
+/// to `flags`, and refuses any other: so a flag has one entry per
+/// subcommand that reads it, and a flag that another subcommand starts to
+/// read shows up as well as a new one. `--format` is `monitor`'s
+/// (`table|json`); `metrics` prints JSON only. `--workload`, `--ops` and
+/// `--seed` are read by `trace` and `monitor` (and `crashsweep` reads
+/// `--workload` and `--seed`).
+const CLI_FLAGS: [&str; 23] = [
     "--byte",
     "--count",
     "--epoch-ms",
@@ -191,14 +195,16 @@ const CLI_FLAGS: [&str; 21] = [
     "--mode",
     "--offset",
     "--ops",
+    "--ops",
     "--out",
-    "--ring",
+    "--seed",
     "--seed",
     "--seed",
     "--stride",
     "--trace",
     "--trace",
     "--tree",
+    "--workload",
     "--workload",
     "--workload",
 ];
