@@ -32,8 +32,8 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 ///
 /// 1. `clone_db` makes the clone. Reported: pages cloned, simulated latency
 ///    and NAND programs (mapping deltas only, far fewer than the pages
-///    cloned — the zero-copy claim), and the reverse map's occupancy before
-///    and after against its capacity, with its overflow policy.
+///    cloned — the zero-copy claim), and the reverse map's entries before
+///    and after (the table is the default, unbounded one).
 /// 2. An overwrite storm on the source breaks the sharing page by page;
 ///    the copy-on-write WA of that window is reported.
 /// 3. Reads of the clone, which the source has long diverged from, are
@@ -78,10 +78,7 @@ pub(crate) fn bench_clone(_: &Records) -> String {
 
     // ---- 1. zero-copy clone -----------------------------------------------
     let clock = db.clock();
-    let revmap = |db: &mut MiniSqlite<Ftl>| {
-        let ftl = db.fs_mut().device();
-        format!("{} / {}", ftl.revmap_len(), ftl.config().revmap_capacity)
-    };
+    let revmap = |db: &mut MiniSqlite<Ftl>| db.fs_mut().device().revmap_len().to_string();
     let revmap_before = revmap(&mut db);
     let before = db.device_stats();
     let t0 = clock.now_ns();
@@ -90,7 +87,6 @@ pub(crate) fn bench_clone(_: &Records) -> String {
     let clone = db.device_stats().delta_since(&before);
     let revmap_after = revmap(&mut db);
     let fs = db.fs_mut();
-    let policy = format!("{:?}", fs.device().config().revmap_policy);
     let clone_file = fs.lookup("clone.db").unwrap();
     let cloned = fs.len_pages(clone_file).unwrap();
 
@@ -127,9 +123,8 @@ pub(crate) fn bench_clone(_: &Records) -> String {
             vec!["db pages cloned".into(), cloned.to_string()],
             vec!["clone NAND programs".into(), clone.nand.page_programs.to_string()],
             vec!["clone latency".into(), format!("{} ms", f(clone_ns as f64 / 1e6, 2))],
-            vec!["reverse map before".into(), revmap_before],
-            vec!["reverse map after".into(), revmap_after],
-            vec!["reverse-map policy".into(), policy],
+            vec!["reverse-map entries before".into(), revmap_before],
+            vec!["reverse-map entries after".into(), revmap_after],
             vec!["CoW WA (storm window)".into(), f(cow_wa, 3)],
             vec!["clone read p50".into(), format!("{} us", f(read_p50 as f64 / 1e3, 1))],
             vec!["clone read p99".into(), format!("{} us", f(read_p99 as f64 / 1e3, 1))],

@@ -5,7 +5,6 @@ use super::{channel_rows, Records, Run, CHANNELS};
 use crate::{f, mb, render_table, LinkBenchRun};
 use mini_couch::CouchMode;
 use mini_innodb::FlushMode;
-use share_core::RevMapPolicy;
 use share_workloads::{LatencySummary, LinkOpType};
 
 /// The paper's LinkBench run in `mode`: 20 000 nodes, 40 000 warm-up and
@@ -351,52 +350,38 @@ pub(crate) fn neighbors(rec: &Records) -> String {
 
 const REVMAP_CAPACITIES: [(&str, usize); 4] =
     [("64", 64), ("250 (4KB)", 250), ("500 (8KB)", 500), ("unbounded", usize::MAX)];
-const POLICIES: [RevMapPolicy; 2] = [RevMapPolicy::Strict, RevMapPolicy::ScanOnOverflow];
 
-fn revmap_run(revmap_capacity: usize, revmap_policy: RevMapPolicy) -> LinkBenchRun {
-    LinkBenchRun {
-        revmap_capacity,
-        revmap_policy,
-        warmup_txns: 30_000,
-        txns: 10_000,
-        ..paper(FlushMode::Share)
-    }
+fn revmap_run(revmap_capacity: usize) -> LinkBenchRun {
+    LinkBenchRun { revmap_capacity, warmup_txns: 30_000, txns: 10_000, ..paper(FlushMode::Share) }
 }
 
 pub(crate) fn revmap_runs() -> Vec<Run> {
-    runs(REVMAP_CAPACITIES.into_iter().flat_map(|(_, c)| POLICIES.map(|p| revmap_run(c, p))))
+    runs(REVMAP_CAPACITIES.map(|(_, c)| revmap_run(c)))
 }
 
 /// **Ablation** — sizing the shared-page reverse-mapping table (§4.2.1).
 ///
 /// The prototype kept only 250 (4 KB) or 500 (8 KB) entries of extra
 /// P2L references. This sweep shows what the cap costs under the
-/// LinkBench SHARE workload for both overflow policies:
-///
-/// * `Strict`: the engine falls back to classic double writes when the
-///   table is full (lost savings),
-/// * `ScanOnOverflow`: shares always succeed; GC pays an L2P scan for
-///   overflowed pages.
+/// LinkBench SHARE workload: a full table refuses the share, and the
+/// engine falls back to the classic double write.
 pub(crate) fn revmap(rec: &Records) -> String {
     let mut rows = Vec::new();
     for (label, capacity) in REVMAP_CAPACITIES {
-        for policy in POLICIES {
-            let r = rec.linkbench(revmap_run(capacity, policy));
-            rows.push(vec![
-                label.to_string(),
-                format!("{policy:?}"),
-                f(r.tps, 1),
-                r.engine.share_fallbacks.to_string(),
-                r.device.share_commands.to_string(),
-                r.device.host_writes.to_string(),
-                f(r.device.waf(), 2),
-            ]);
-        }
+        let r = rec.linkbench(revmap_run(capacity));
+        rows.push(vec![
+            label.to_string(),
+            f(r.tps, 1),
+            r.engine.share_fallbacks.to_string(),
+            r.device.share_commands.to_string(),
+            r.device.host_writes.to_string(),
+            f(r.device.waf(), 2),
+        ]);
     }
     render_table(
-        "Ablation: reverse-map capacity x overflow policy (LinkBench, SHARE mode)",
-        &["capacity", "policy", "tps", "fallbacks", "share cmds", "host writes", "WAF"],
+        "Ablation: reverse-map capacity (LinkBench, SHARE mode)",
+        &["capacity", "tps", "fallbacks", "share cmds", "host writes", "WAF"],
         &rows,
-    ) + "\nExpectation: tiny Strict tables forfeit SHARE's savings via fallbacks;\n\
-     ScanOnOverflow holds throughput at any capacity (GC scan cost is amortized).\n"
+    ) + "\nExpectation: a table that fills refuses shares, and every fallback writes\n\
+     its pages twice; only a table that never fills keeps all of SHARE's savings.\n"
 }

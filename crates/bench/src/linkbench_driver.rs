@@ -3,7 +3,7 @@
 use mini_innodb::{standard_log_device, FlushMode, InnoDb, InnoDbConfig};
 use nand_sim::NandTiming;
 use share_rng::{Rng, StdRng};
-use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, RevMapPolicy};
+use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig};
 use share_workloads::{LatencyRecorder, LinkBench, LinkBenchConfig, LinkOp, LinkOpType};
 
 /// The workload seed and the links per node at load time of every run.
@@ -26,10 +26,8 @@ pub struct LinkBenchRun {
     pub warmup_txns: u64,
     /// Measured transactions.
     pub txns: u64,
-    /// Reverse-map capacity of the device.
+    /// Reverse-map capacity of the device (`usize::MAX`: unbounded).
     pub revmap_capacity: usize,
-    /// Reverse-map overflow policy.
-    pub revmap_policy: RevMapPolicy,
     /// InnoDB neighbor flushing (the paper turned it off).
     pub flush_neighbors: bool,
     /// NAND channels of the data device (1 = the paper's serial device).
@@ -50,8 +48,7 @@ impl Default for LinkBenchRun {
             nodes: 20_000,
             warmup_txns: 40_000,
             txns: 20_000,
-            revmap_capacity: 500,
-            revmap_policy: RevMapPolicy::default(),
+            revmap_capacity: usize::MAX,
             flush_neighbors: false,
             channels: 1,
             connections: 1,
@@ -105,7 +102,6 @@ pub fn run_linkbench(run: &LinkBenchRun) -> LinkBenchResult {
     let mut fcfg = FtlConfig::for_capacity_with(logical_bytes, 0.18, 4096, 128, NandTiming::default())
         .with_parallelism(run.channels, 1);
     fcfg.revmap_capacity = run.revmap_capacity;
-    fcfg.revmap_policy = run.revmap_policy;
     let dev = Ftl::new(fcfg);
     let log_dev = standard_log_device(dev.clock().clone());
 

@@ -30,10 +30,10 @@ fn every_results_file_is_one_artifact_and_every_artifact_one_file() {
 }
 
 #[test]
-fn the_tier_requests_75_driver_runs_and_simulates_62() {
+fn the_tier_requests_71_driver_runs_and_simulates_58() {
     let all: Vec<&Artifact> = ARTIFACTS.iter().collect();
     let requested: usize = all.iter().map(|a| (a.runs)().len()).sum();
-    assert_eq!((requested, distinct_runs(&all).len()), (75, 62));
+    assert_eq!((requested, distinct_runs(&all).len()), (71, 58));
 }
 
 /// Figure 6, the lifespan projection and the §6.1 comparison quote

@@ -80,7 +80,7 @@ fn usage() -> String {
      \x20 sharectl snapshot <img> ls\n\
      \x20\x20\x20\x20 (device-level snapshots: create freezes a page range with zero\n\
      \x20\x20\x20\x20 NAND programs, clone materializes a writable zero-copy image)\n\
-     \x20 sharectl crashsweep [--workload ftl|queued|queued-batch|stream|gcpipe|snapshot|overflow|all|<engine>|<engine>-<mode>]\n\
+     \x20 sharectl crashsweep [--workload ftl|queued|queued-batch|stream|gcpipe|snapshot|relocate|all|<engine>|<engine>-<mode>]\n\
      \x20\x20\x20\x20 [--trace <file>] (engines innodb|couch|pg|sqlite; modes innodb-dwb|innodb-share|\n\
      \x20\x20\x20\x20 innodb-atomic|innodb-cached|innodb-16k|couch-original|couch-share|couch-share-wide|\n\
      \x20\x20\x20\x20 pg-on|pg-share|sqlite-rollback|sqlite-wal|sqlite-share; positive controls\n\

@@ -280,6 +280,33 @@ fn a_damaged_sidecar_is_refused_not_a_panic() {
 }
 
 #[test]
+fn a_sidecar_naming_a_smaller_reverse_map_than_the_image_holds_opens_and_refuses_shares() {
+    // Four shared references, then a sidecar that names room for two:
+    // recovery grows the table to hold what the image maps, the image
+    // reads back, and a share that needs one more slot is an error.
+    let dir = tmpdir();
+    let img = dir.join("grown.nand");
+    let img = img.to_str().unwrap();
+    cmd(&["create", img, "16"]).unwrap();
+    cmd(&["write", img, "0", "--byte", "5a", "--count", "4"]).unwrap();
+    cmd(&["share", img, "100", "0", "--len", "4"]).unwrap();
+    let sidecar = format!("{img}.cfg");
+    let text = std::fs::read_to_string(&sidecar).unwrap();
+    let capacity = text.lines().find(|l| l.starts_with("revmap_capacity=")).unwrap();
+    std::fs::write(&sidecar, text.replace(capacity, "revmap_capacity=2")).unwrap();
+
+    assert!(cmd(&["info", img]).unwrap().contains("logical capacity"));
+    for lpn in ["0", "103"] {
+        let out = cmd(&["read", img, lpn]).unwrap();
+        assert!(out.contains("5a 5a"), "LPN {lpn}: {out}");
+    }
+    let trace = dir.join("share.txt");
+    std::fs::write(&trace, "S 200 0\n").unwrap();
+    let e = cmd(&["replay", img, trace.to_str().unwrap()]).unwrap_err();
+    assert!(e.contains("reverse-mapping table full"), "{e}");
+}
+
+#[test]
 fn snapshot_create_clone_drop_ls_cycle_persists() {
     let dir = tmpdir();
     let img = dir.join("snap.nand");

@@ -33,7 +33,6 @@
 //!   over-provisioning beyond the exported logical capacity.
 
 use crate::ftl::GC_HIGH_WATER;
-use crate::mapping::RevMapPolicy;
 use crate::util::div_ceil_u64;
 use nand_sim::{BlockId, NandGeometry, NandTiming};
 use share_telemetry::TelemetryConfig;
@@ -63,11 +62,10 @@ pub struct FtlConfig {
     /// Exported logical capacity in pages.
     pub logical_pages: u64,
     /// Capacity of the shared-page reverse-mapping table. The OpenSSD
-    /// prototype used 250 (4 KB) or 500 (8 KB) entries (§4.2.1).
-    /// `usize::MAX` models an unbounded table (for ablation).
+    /// prototype used 250 (4 KB) or 500 (8 KB) entries (§4.2.1); a share
+    /// that finds the table full is refused (`RevMapFull`). The default,
+    /// `usize::MAX`, models an unbounded table.
     pub revmap_capacity: usize,
-    /// What happens when the reverse map runs out of slots.
-    pub revmap_policy: RevMapPolicy,
     /// GC victim-selection policy.
     pub gc_policy: GcPolicy,
     /// Number of blocks in the delta-log ring.
@@ -108,8 +106,7 @@ impl FtlConfig {
             geometry: NandGeometry::new(page_size, pages_per_block, 1),
             timing,
             logical_pages,
-            revmap_capacity: 500,
-            revmap_policy: RevMapPolicy::default(),
+            revmap_capacity: usize::MAX,
             gc_policy: GcPolicy::default(),
             log_blocks,
             queue_depth: 32,

@@ -270,7 +270,7 @@ impl Ftl {
     /// Wire a device up around `nand` with empty translation state: what
     /// `format` checkpoints as is and `open` fills in from the flash image.
     fn assemble(cfg: FtlConfig, mut nand: NandArray) -> Self {
-        let map = MappingTable::with_policy(cfg.geometry, cfg.logical_pages, cfg.revmap_capacity, cfg.revmap_policy);
+        let map = MappingTable::new(cfg.geometry, cfg.logical_pages, cfg.revmap_capacity);
         let log = DeltaLog::new(&cfg, 0);
         let ckpts = Checkpoints::new(&cfg);
         assert!(

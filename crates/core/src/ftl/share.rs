@@ -50,10 +50,11 @@ impl Ftl {
     /// Pre-check the references `refs` — (new referrer, target page) — would
     /// take, so SHARE and clone stay all-or-nothing at run time too (the
     /// caller falls back to a plain write): no page's reference count may
-    /// overflow, and under the strict policy the reverse map must have room
-    /// (under ScanOnOverflow a command never fails on capacity). Targets
-    /// dead in the live map — frozen pages a clone resurrects — re-enter as
-    /// primary mappings: they start from zero and need no shared slot.
+    /// overflow, and the reverse map must have room. The slots are counted
+    /// only when the table has fewer free than there are references (never
+    /// on an unbounded one). Targets dead in the live map — frozen pages a
+    /// clone resurrects — re-enter as primary mappings: they start from
+    /// zero and need no shared slot.
     pub(super) fn check_share_headroom(
         &mut self,
         refs: impl Iterator<Item = (Lpn, Ppn)> + Clone,
@@ -71,12 +72,14 @@ impl Ftl {
                 return Err(FtlError::RefOverflow);
             }
         }
-        if self.map.policy() == crate::mapping::RevMapPolicy::Strict {
+        let free = self.map.revmap().free();
+        let count: u32 = self.share_incs.iter().map(|&(_, inc)| inc).sum();
+        if free < count as usize {
             let need: usize = refs
                 .filter(|&(_, ppn)| self.map.is_live(ppn))
                 .map(|(lpn, ppn)| self.map.shared_slot_need(lpn, ppn))
                 .sum();
-            if need > self.map.revmap().free() {
+            if need > free {
                 return Err(FtlError::RevMapFull { capacity: self.map.revmap().capacity() });
             }
         }

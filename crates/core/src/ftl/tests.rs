@@ -187,7 +187,6 @@ fn revmap_full_rejects_whole_batch() {
     let cfg = {
         let mut c = FtlConfig::for_capacity_with(1 << 20, 0.5, 4096, 16, NandTiming::zero());
         c.revmap_capacity = 2;
-        c.revmap_policy = crate::mapping::RevMapPolicy::Strict;
         c
     };
     let mut f = Ftl::new(cfg);

@@ -62,7 +62,7 @@ pub use delta::{Delta, DeltaLog, DeltaPage};
 pub use device::{BlockDevice, SimpleSsd};
 pub use error::FtlError;
 pub use ftl::{Ftl, WearStats};
-pub use mapping::{MappingTable, RevMap, RevMapPolicy};
+pub use mapping::{MappingTable, RevMap};
 pub use monitor::{EpochRecord, FlightRecorder, FlightSnapshot, RETAINED_EPOCHS};
 pub use pool::{BlockPool, BlockState, WritePoint};
 pub use queue::{CmdOutput, CmdTag, Completion, QueuedCmd};

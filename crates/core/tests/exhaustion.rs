@@ -10,12 +10,12 @@
 //! or below the hard floor a full GC lane is skipped for one with room)
 //! died on 8 channels at 7, 15 and 30 % (writes 12, 12 and 265).
 //!
-//! A strict reverse map that fills in the middle of a `share_batch` has a
+//! A bounded reverse map that fills in the middle of a `share_batch` has a
 //! pinned outcome too: the sub-batches before the one that does not fit
 //! stay committed, that one and the later ones are not applied.
 
 use nand_sim::NandTiming;
-use share_core::{BlockDevice, Ftl, FtlConfig, FtlError, Lpn, RevMapPolicy, SharePair};
+use share_core::{BlockDevice, Ftl, FtlConfig, FtlError, Lpn, SharePair};
 use share_rng::{Rng, StdRng};
 
 const PAGES: u64 = 256;
@@ -81,7 +81,7 @@ fn read_fill(ftl: &mut Ftl, lpn: u64) -> u8 {
     buf[0]
 }
 
-/// `share_batch` of three sub-batches on a strict reverse map with room for
+/// `share_batch` of three sub-batches on a bounded reverse map with room for
 /// one and a half: the second sub-batch is refused, so the command returns
 /// `RevMapFull`; the first is committed and survives a remount; the second
 /// and third leave their destinations as they were. On one channel every
@@ -95,7 +95,6 @@ fn strict_revmap_full_mid_share_batch_keeps_the_sub_batches_before_it() {
                 .with_parallelism(channels, 1);
             let limit = c.deltas_per_page();
             c.revmap_capacity = limit + limit / 2;
-            c.revmap_policy = RevMapPolicy::Strict;
             c
         };
         let mut ftl = Ftl::new(cfg());

@@ -1,16 +1,15 @@
 //! Model test of the reverse side of `MappingTable`: seeded sequences of
 //! `map_new_write` / `map_shared` / `unmap` / `relocate` /
 //! `rebuild_reverse` (see `share_rng::sweep`) on tables of 0–4 rev-map
-//! slots, under both overflow policies, against a model built from sets.
+//! slots and on unbounded ones, against a model built from sets.
 //!
-//! After every op each live page's `referrers` must be exactly the L2P
-//! scan's LPNs — in the scan's ascending order for an overflowed page,
-//! whose holders the table keeps instead of scanning — and the refcounts,
-//! `revmap().len()`, `free()` and every `is_overflowed` must be the
-//! model's.
+//! After every op each live page's `referrers` must be the L2P scan's LPNs
+//! as a set, with the primary first while it is still mapped to the page;
+//! a share is refused exactly when the model has no slot for it; and the
+//! refcounts, `revmap().len()` and `free()` must be the model's.
 
 use nand_sim::{NandGeometry, Ppn};
-use share_core::{FtlError, Lpn, MappingTable, RevMapPolicy};
+use share_core::{FtlError, Lpn, MappingTable};
 use share_rng::{sweep, Rng, StdRng};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,26 +20,22 @@ fn geometry() -> NandGeometry {
     NandGeometry::new(512, 4, 16)
 }
 
-/// The reverse state in sets: who primarily owns each page, its slotted
-/// extras, and which pages overflowed to scan tracking.
+/// The reverse state in sets: who primarily owns each page and its
+/// slotted extras.
 struct Model {
     l2p: Vec<Option<Ppn>>,
     primary: BTreeMap<Ppn, Lpn>,
     extras: BTreeMap<Ppn, BTreeSet<Lpn>>,
-    overflowed: BTreeSet<Ppn>,
     capacity: usize,
-    policy: RevMapPolicy,
 }
 
 impl Model {
-    fn new(capacity: usize, policy: RevMapPolicy) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             l2p: vec![None; LOGICAL as usize],
             primary: BTreeMap::new(),
             extras: BTreeMap::new(),
-            overflowed: BTreeSet::new(),
             capacity,
-            policy,
         }
     }
 
@@ -80,7 +75,6 @@ impl Model {
         }
         if self.refcount(old) == 0 {
             self.extras.remove(&old);
-            self.overflowed.remove(&old);
         }
     }
 
@@ -90,30 +84,20 @@ impl Model {
         self.primary.insert(ppn, lpn);
     }
 
-    /// The SHARE remap: a secondary reference takes a slot; with none left
-    /// `Strict` refuses and `ScanOnOverflow` moves the page to scan
-    /// tracking, releasing its slots.
+    /// The SHARE remap: a secondary reference takes a slot, and with none
+    /// left the share is refused. A remap that drops a secondary reference
+    /// elsewhere hands its slot over.
     fn share(&mut self, lpn: Lpn, ppn: Ppn) -> Result<(), FtlError> {
-        let need = if self.overflowed.contains(&ppn) {
-            0
-        } else {
-            let old = self.l2p[lpn.0 as usize];
-            let frees = old.is_some_and(|o| !self.is_primary(o, lpn));
-            usize::from(!self.is_primary(ppn, lpn)).saturating_sub(usize::from(frees))
-        };
-        let overflow = need > self.free();
-        if overflow && self.policy == RevMapPolicy::Strict {
+        let old = self.l2p[lpn.0 as usize];
+        let frees = old.is_some_and(|o| !self.is_primary(o, lpn));
+        let need = usize::from(!self.is_primary(ppn, lpn)).saturating_sub(usize::from(frees));
+        if need > self.free() {
             return Err(FtlError::RevMapFull { capacity: self.capacity });
         }
         self.unmap(lpn);
         self.l2p[lpn.0 as usize] = Some(ppn);
-        if !self.overflowed.contains(&ppn) && !self.is_primary(ppn, lpn) {
-            if overflow || self.free() == 0 {
-                self.extras.remove(&ppn);
-                self.overflowed.insert(ppn);
-            } else {
-                self.extras.entry(ppn).or_default().insert(lpn);
-            }
+        if !self.is_primary(ppn, lpn) {
+            self.extras.entry(ppn).or_default().insert(lpn);
         }
         Ok(())
     }
@@ -123,7 +107,6 @@ impl Model {
     fn rebuild(&mut self) {
         self.primary.clear();
         self.extras.clear();
-        self.overflowed.clear();
         for (i, ppn) in self.l2p.iter().enumerate() {
             let Some(ppn) = *ppn else { continue };
             if self.primary.contains_key(&ppn) {
@@ -139,21 +122,18 @@ impl Model {
 fn check(t: &MappingTable, m: &Model, case: usize, step: usize) {
     let at = format!("case {case} step {step}");
     for ppn in m.live() {
-        let scan = m.scan(ppn);
         let got = t.referrers(ppn);
-        if m.overflowed.contains(&ppn) {
-            assert_eq!(got, scan, "{at}: holders of overflowed {ppn}");
-        } else {
-            let mut sorted = got.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, scan, "{at}: referrers of {ppn}");
+        let mut sorted = got.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, m.scan(ppn), "{at}: referrers of {ppn}");
+        let primary = m.primary[&ppn];
+        if m.l2p[primary.0 as usize] == Some(ppn) {
+            assert_eq!(got[0], primary, "{at}: the mapped primary of {ppn} comes first");
         }
     }
     for p in 0..geometry().total_pages() {
         let ppn = Ppn(p);
         assert_eq!(t.refcount(ppn) as usize, m.refcount(ppn), "{at}: refcount of {ppn}");
-        let ovf = m.overflowed.contains(&ppn);
-        assert_eq!(t.revmap().is_overflowed(ppn), ovf, "{at}: overflow mark of {ppn}");
     }
     assert_eq!(t.revmap().len(), m.len(), "{at}: rev-map length");
     assert_eq!(t.revmap().free(), m.free(), "{at}: rev-map free slots");
@@ -163,14 +143,20 @@ fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> Option<T> {
     (!items.is_empty()).then(|| items[rng.random_range(0..items.len())])
 }
 
-/// Runs one case; returns how many overflowed pages it relocated.
-fn run_case(case: usize, rng: &mut StdRng) -> usize {
-    let mut relocated_overflowed = 0;
-    let slots = rng.random_range(0..5usize);
-    let policy =
-        if rng.random_bool(0.5) { RevMapPolicy::ScanOnOverflow } else { RevMapPolicy::Strict };
-    let mut t = MappingTable::with_policy(geometry(), LOGICAL, slots, policy);
-    let mut m = Model::new(slots, policy);
+/// What a case exercised: shares a full table refused, and relocations
+/// of pages held by more than one LPN.
+#[derive(Default)]
+struct Seen {
+    refused: usize,
+    relocated_shared: usize,
+}
+
+/// Runs one case on a table of 0–4 slots or, one case in five, an
+/// unbounded one.
+fn run_case(case: usize, rng: &mut StdRng, seen: &mut Seen) {
+    let slots = if rng.random_range(0..5u32) == 0 { usize::MAX } else { rng.random_range(0..5) };
+    let mut t = MappingTable::new(geometry(), LOGICAL, slots);
+    let mut m = Model::new(slots);
     let pages = geometry().total_pages();
     for step in 0..OPS {
         let live: Vec<Ppn> = m.live().into_iter().collect();
@@ -183,10 +169,11 @@ fn run_case(case: usize, rng: &mut StdRng) -> usize {
                 t.map_new_write(lpn, ppn).unwrap();
                 m.new_write(lpn, ppn);
             }
-            // Shares onto a few pages, so small tables overflow.
+            // Shares onto a few pages, so small tables fill.
             6..=12 => {
                 let Some(ppn) = pick(rng, &live[..live.len().min(3)]) else { continue };
                 let want = m.share(lpn, ppn);
+                seen.refused += usize::from(want.is_err());
                 assert_eq!(t.map_shared(lpn, ppn).map(|_| ()), want, "case {case} step {step}");
             }
             13..=15 => {
@@ -196,10 +183,11 @@ fn run_case(case: usize, rng: &mut StdRng) -> usize {
             16..=18 => {
                 let Some(from) = pick(rng, &live) else { continue };
                 let to = pick(rng, &dead).expect("more pages than LPNs");
-                // The table's order is the model's scan for an overflowed
-                // page (checked last step); otherwise primary first.
+                // Relocation moves the referrers in the table's order; a
+                // full table still has room, as each moved extra hands its
+                // slot over.
                 let order = t.referrers(from);
-                relocated_overflowed += usize::from(m.overflowed.contains(&from));
+                seen.relocated_shared += usize::from(order.len() > 1);
                 let moved = t.relocate(from, to).unwrap().to_vec();
                 assert_eq!(moved, order, "case {case} step {step}: relocation order");
                 m.new_write(order[0], to);
@@ -215,16 +203,16 @@ fn run_case(case: usize, rng: &mut StdRng) -> usize {
         check(&t, &m, case, step);
     }
     t.check_invariants();
-    relocated_overflowed
 }
 
 /// The reverse side answers exactly as the model and the L2P scan do after
-/// every op, on every table size and under both policies.
+/// every op, on bounded and unbounded tables.
 #[test]
 fn reverse_map_matches_the_model_and_the_scan() {
-    let mut relocated_overflowed = 0;
+    let mut seen = Seen::default();
     for (case, mut rng) in sweep("mapping/revmap_model", 64) {
-        relocated_overflowed += run_case(case, &mut rng);
+        run_case(case, &mut rng, &mut seen);
     }
-    assert!(relocated_overflowed > 0, "the sweep never relocated an overflowed page");
+    assert!(seen.refused > 0, "no share was ever refused by a full table");
+    assert!(seen.relocated_shared > 0, "the sweep never relocated a shared page");
 }

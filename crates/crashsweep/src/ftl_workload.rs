@@ -445,11 +445,8 @@ pub struct FtlWorkload {
 /// checkpoints all trigger within a few hundred ops.
 pub const MIXED_PAGES: u64 = 64;
 
-/// Reverse-map entries of the `overflow` workload's device.
-pub const OVERFLOW_REVMAP: usize = 2;
-
-/// Cold LPNs of the `overflow` workload: written once, then only shared.
-const OVERFLOW_COLD: u64 = 8;
+/// Cold LPNs of the `relocate` workload: written once, then only shared.
+const RELOCATE_COLD: u64 = 8;
 
 /// A zero-latency one-channel device of `pages` 4 KiB logical pages, half
 /// again as many spare, in 16-page blocks.
@@ -457,7 +454,7 @@ pub(crate) fn small_device(pages: u64) -> FtlConfig {
     FtlConfig::for_capacity_with(pages * 4096, 0.5, 4096, 16, NandTiming::zero())
 }
 
-/// The `mixed` and `overflow` device: [`MIXED_PAGES`] zero-latency 4 KiB
+/// The `mixed` and `relocate` device: [`MIXED_PAGES`] zero-latency 4 KiB
 /// pages in four-page blocks with a tenth spare, so GC copies live pages
 /// back within a few hundred ops and a crash can land inside a relocation.
 fn tight_device() -> FtlConfig {
@@ -487,30 +484,27 @@ impl FtlWorkload {
         Self::new(format!("ftl-mixed-s{seed}-n{n_ops}"), tight_device(), ops)
     }
 
-    /// Sharing past a reverse map of [`OVERFLOW_REVMAP`] entries: a few
-    /// cold pages, written once, are shared onto the hot pages that
-    /// overwrites keep churning, so the cold pages overflow the table and
-    /// GC relocates them by the holders the map keeps outside its slots —
-    /// and a crash can land inside such a relocation.
-    pub fn overflow(seed: u64, n_ops: usize) -> Self {
+    /// A few cold pages, written once, are shared onto the hot pages that
+    /// overwrites keep churning, so GC relocates cold pages together with
+    /// every LPN that shares them — and a crash can land inside such a
+    /// relocation.
+    pub fn relocate(seed: u64, n_ops: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         // Every page written once, each cold page followed by seven hot
         // ones: once the overwrites hollow out the blocks of that first
         // pass, their cold pages are what collecting them relocates.
-        let first = (0..OVERFLOW_COLD).flat_map(|c| {
-            let hot = (0..7).map(move |j| OVERFLOW_COLD + 7 * c + j);
+        let first = (0..RELOCATE_COLD).flat_map(|c| {
+            let hot = (0..7).map(move |j| RELOCATE_COLD + 7 * c + j);
             std::iter::once(c).chain(hot)
         });
         let mut ops: Vec<FtlOp> =
             first.map(|lpn| FtlOp::Write { lpn, fill: lpn as u8 + 1 }).collect();
         while ops.len() < n_ops {
-            ops.push(gen_overflow(&mut rng));
+            ops.push(gen_relocate(&mut rng));
         }
         // Collection starts within the first hundred overwrites, and its
         // victims still hold cold pages.
-        let mut cfg = tight_device();
-        cfg.revmap_capacity = OVERFLOW_REVMAP;
-        Self::new(format!("ftl-overflow-s{seed}-n{n_ops}"), cfg, ops)
+        Self::new(format!("ftl-relocate-s{seed}-n{n_ops}"), tight_device(), ops)
     }
 
     /// The mixed workload replayed through the NVMe-style submission queue,
@@ -671,13 +665,13 @@ impl FtlWorkload {
     }
 }
 
-/// The `overflow` workload's next op after its first writes: an overwrite
+/// The `relocate` workload's next op after its first writes: an overwrite
 /// of a hot page, a share of a cold page onto a hot one, or a flush.
-fn gen_overflow(rng: &mut StdRng) -> FtlOp {
-    let hot = rng.random_range(OVERFLOW_COLD..MIXED_PAGES);
+fn gen_relocate(rng: &mut StdRng) -> FtlOp {
+    let hot = rng.random_range(RELOCATE_COLD..MIXED_PAGES);
     match rng.random_range(0..8u32) {
         0..=3 => FtlOp::Write { lpn: hot, fill: rng.random_range(1..256u32) as u8 },
-        4..=6 => FtlOp::Share { pairs: vec![(hot, rng.random_range(0..OVERFLOW_COLD))] },
+        4..=6 => FtlOp::Share { pairs: vec![(hot, rng.random_range(0..RELOCATE_COLD))] },
         _ => FtlOp::Flush,
     }
 }
@@ -763,13 +757,12 @@ mod tests {
         assert_eq!(a.crash_points(), b.crash_points());
     }
 
-    /// The `overflow` workload's fault-free run shares past its reverse
-    /// map, and GC relocates a page only its overflow holders can name:
-    /// more extra LPNs than the map's occupied slots, all moved to one
-    /// freshly programmed page by an op that copied back.
+    /// The `relocate` workload's fault-free run accepts every op, and GC
+    /// relocates shared pages: every LPN of a page held by several, moved
+    /// to one freshly programmed page by an op that copied back.
     #[test]
-    fn overflow_run_relocates_overflowed_pages() {
-        let w = FtlWorkload::overflow(42, FTL_OPS);
+    fn relocate_run_moves_every_holder_of_shared_pages() {
+        let w = FtlWorkload::relocate(42, FTL_OPS);
         let mut ftl = Ftl::new(w.cfg.clone());
         let holders = |ftl: &Ftl| {
             let mut by_ppn: HashMap<Ppn, Vec<u64>> = HashMap::new();
@@ -780,29 +773,25 @@ mod tests {
             }
             by_ppn
         };
-        let (mut overflowed, mut relocated) = (0, 0);
+        let mut relocated = 0;
         for op in &w.ops {
             let before = holders(&ftl);
-            let slotted = ftl.revmap_len();
             let copybacks = ftl.stats().copyback_pages;
             exec(&mut ftl, op).unwrap();
             let after = holders(&ftl);
-            let extras: usize = after.values().map(|l| l.len() - 1).sum();
-            overflowed += usize::from(extras > ftl.revmap_len());
             if ftl.stats().copyback_pages == copybacks {
                 continue;
             }
             relocated += before
                 .iter()
-                .filter(|(ppn, lpns)| lpns.len() - 1 > slotted && !after.contains_key(ppn))
+                .filter(|(ppn, lpns)| lpns.len() > 1 && !after.contains_key(ppn))
                 .filter(|(_, lpns)| {
                     let dest = ftl.mapping_of(Lpn(lpns[0]));
                     dest.is_some_and(|d| !before.contains_key(&d) && after[&d] == **lpns)
                 })
                 .count();
         }
-        assert!(overflowed > 0, "the shares never overflowed the reverse map");
-        assert!(relocated > 0, "GC never relocated an overflowed page");
+        assert!(relocated > 0, "GC never relocated a shared page");
         ftl.check_invariants();
     }
 

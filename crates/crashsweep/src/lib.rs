@@ -62,10 +62,10 @@ use std::fmt;
 /// open frontiers at every crash boundary; a GC storm that keeps
 /// half-collected victims across commands, on one channel and then four;
 /// the snapshot lifecycle around RAM-only creates, clone delta flushes and
-/// buffered drop tombstones; the mixed ops on a 2-entry reverse map, whose
-/// shares overflow it, so GC relocates overflowed pages.
+/// buffered drop tombstones; cold pages shared onto churning hot ones, so
+/// GC relocates shared pages.
 pub const FTL_WORKLOADS: [&str; 7] =
-    ["ftl", "queued", "queued-batch", "stream", "gcpipe", "snapshot", "overflow"];
+    ["ftl", "queued", "queued-batch", "stream", "gcpipe", "snapshot", "relocate"];
 
 /// Host ops of the FTL workloads `sharectl crashsweep` runs.
 pub const FTL_OPS: usize = 300;
@@ -81,7 +81,7 @@ pub fn ftl_workload(name: &str, seed: u64, n: usize) -> Option<Box<dyn CrashWork
         "stream" => Box::new(FtlWorkload::stream(seed, n)),
         "gcpipe" => Box::new(FtlGcPipelineWorkload::new(seed, 2 * n)),
         "snapshot" => Box::new(FtlWorkload::snapshot(seed, n)),
-        "overflow" => Box::new(FtlWorkload::overflow(seed, n)),
+        "relocate" => Box::new(FtlWorkload::relocate(seed, n)),
         _ => return None,
     })
 }
@@ -341,7 +341,7 @@ mod tests {
                 "ftl-stream-s42-n300",
                 "ftl-gcpipe-s42-n600",
                 "ftl-snapshot-s42-n300",
-                "ftl-overflow-s42-n300",
+                "ftl-relocate-s42-n300",
             ]
         );
         assert!(ftl_workload("innodb-share", 42, FTL_OPS).is_none());

@@ -190,7 +190,6 @@ fn share_falls_back_when_revmap_exhausted() {
     // A pathologically small reverse map forces the fallback path.
     let mut fcfg = ftl_cfg();
     fcfg.revmap_capacity = 4;
-    fcfg.revmap_policy = share_core::RevMapPolicy::Strict;
     let dev = Ftl::new(fcfg);
     let log = standard_log_device(dev.clock().clone());
     let mut e = InnoDb::create(dev, log, engine_cfg(FlushMode::Share)).unwrap();

@@ -14,12 +14,11 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-const FIELDS: [&str; 9] = [
+const FIELDS: [&str; 8] = [
     "geometry",
     "timing",
     "logical_pages",
     "revmap_capacity",
-    "revmap_policy",
     "gc_policy",
     "log_blocks",
     "queue_depth",
