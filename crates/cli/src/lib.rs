@@ -66,9 +66,9 @@ fn usage() -> String {
      \x20\x20\x20\x20 only, nothing is written back to the image)\n\
      \x20 sharectl trace  <img> [--workload sequential|uniform|zipfian|mixed]\n\
      \x20\x20\x20\x20 [--ops N] [--seed N] [--out trace.json] [--tree N]\n\
-     \x20\x20\x20\x20 (run a traced workload on a data and a journal stream: optional\n\
-     \x20\x20\x20\x20 Chrome trace_event JSON and span-tree dump — observation only,\n\
-     \x20\x20\x20\x20 nothing is written back to the image)\n\
+     \x20\x20\x20\x20 (run a traced workload: optional Chrome trace_event JSON and\n\
+     \x20\x20\x20\x20 span-tree dump — observation only, nothing is written back to\n\
+     \x20\x20\x20\x20 the image)\n\
      \x20 sharectl monitor <img> [--workload sequential|uniform|zipfian|mixed] [--ops N]\n\
      \x20\x20\x20\x20 [--seed N] [--epoch-ms N] [--format table|json]\n\
      \x20\x20\x20\x20 (run a workload under the flight recorder: one row of counter\n\
@@ -320,7 +320,7 @@ pub fn run(args: &[String]) -> Result<String> {
             let mut dev = load_device(img)?;
             let before = dev.stats();
             let t0 = dev.clock().now_ns();
-            replay_ops(&mut dev, ops.iter().copied(), |_| None, |_| {})?;
+            replay_ops(&mut dev, ops.iter().copied(), |_| {})?;
             let d = dev.stats().delta_since(&before);
             let dt = dev.clock().now_ns() - t0;
             writeln!(out, "replayed {} ops in {:.3} simulated s", ops.len(), dt as f64 / 1e9).unwrap();
@@ -333,7 +333,7 @@ pub fn run(args: &[String]) -> Result<String> {
             let mut dev = load_device(img)?;
             if let Some(trace_file) = trace {
                 let text = fs::read_to_string(trace_file)?;
-                replay_ops(&mut dev, parse_trace(&text), |_| None, |_| {})?;
+                replay_ops(&mut dev, parse_trace(&text), |_| {})?;
             }
             let snap = dev.telemetry_snapshot().expect("FTL always exposes telemetry");
             out.push_str(&snap.to_json().render());
@@ -530,37 +530,24 @@ fn synthetic_args<'a>(
     Ok((workload, gen))
 }
 
-/// Replay `gen` over the whole of `dev` on two host streams split by
-/// address: the low 3/4 reads as table/data traffic, the top 1/4 as journal
-/// traffic, so a trace draws the two on their own tracks. `after` runs
-/// after every op. Returns the ops replayed.
+/// Replay `gen` over the whole of `dev`, running `after` after every op.
+/// Returns the ops replayed.
 fn run_synthetic(dev: &mut Ftl, gen: TraceConfig, after: impl FnMut(&Ftl)) -> Result<u64> {
-    let logical = dev.config().logical_pages;
-    let data = dev.stream_intern("data");
-    let journal = dev.stream_intern("journal");
-    let ops = TraceGen::new(TraceConfig { logical_pages: logical, ..gen });
-    let stream = |lpn| Some(if lpn * 4 >= logical * 3 { journal } else { data });
-    replay_ops(dev, ops, stream, after)
+    let logical_pages = dev.config().logical_pages;
+    replay_ops(dev, TraceGen::new(TraceConfig { logical_pages, ..gen }), after)
 }
 
-/// Replay block-trace `ops` against `dev` (writes carry 0xCD), switching to
-/// `stream(lpn)` before each write, read and trim it names one for, and
-/// running `after` once each op returns. Returns the ops replayed.
+/// Replay block-trace `ops` against `dev` (writes carry 0xCD), running
+/// `after` once each op returns. Returns the ops replayed.
 fn replay_ops(
     dev: &mut Ftl,
     ops: impl IntoIterator<Item = TraceOp>,
-    stream: impl Fn(u64) -> Option<u32>,
     mut after: impl FnMut(&Ftl),
 ) -> Result<u64> {
     let page = vec![0xCDu8; dev.page_size()];
     let mut buf = vec![0u8; dev.page_size()];
     let mut replayed = 0;
     for op in ops {
-        if let TraceOp::Write { lpn } | TraceOp::Read { lpn } | TraceOp::Trim { lpn, .. } = op {
-            if let Some(s) = stream(lpn) {
-                dev.set_stream(s);
-            }
-        }
         match op {
             TraceOp::Write { lpn } => dev.write(Lpn(lpn), &page)?,
             TraceOp::Read { lpn } => dev.read(Lpn(lpn), &mut buf)?,

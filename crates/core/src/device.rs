@@ -215,16 +215,16 @@ pub trait BlockDevice {
     /// The simulated clock this device advances.
     fn clock(&self) -> &SimClock;
 
-    /// Intern a logical stream label (e.g. `"wal"`, `"heap"`): a stream
-    /// names the trace track of the commands issued on it. Devices without
-    /// tracing return the catch-all id 0.
+    /// Inert: every label is stream 0. No device overrides it and nothing
+    /// in the workspace calls it; it stays only because the benchmark's
+    /// `TimedDevice` forwarder (`benchmark/src/timed.rs`) still does, and
+    /// goes with that forwarder.
     fn stream_intern(&mut self, _label: &str) -> u32 {
         0
     }
 
-    /// Put the spans of subsequent commands on the track of the stream
-    /// returned by [`stream_intern`](Self::stream_intern). No-op without
-    /// tracing.
+    /// Inert, as [`stream_intern`](Self::stream_intern): kept only for the
+    /// benchmark's forwarder, and goes with it.
     fn set_stream(&mut self, _stream: u32) {}
 
     /// Point-in-time telemetry snapshot, if the device collects any.

@@ -33,8 +33,8 @@ use crate::stats::DeviceStats;
 use crate::types::{Lpn, Ppn, SharePair};
 use nand_sim::{FaultHandle, NandArray, SimClock};
 use share_telemetry::{
-    Layer, Metric, OpClass, QueueGauges, Snapshot, SpanId, Telemetry, Tracer, Track,
-    UnitUtilization, STREAM_FTL,
+    Layer, Metric, OpClass, QueueGauges, Snapshot, Telemetry, Tracer, Track,
+    UnitUtilization,
 };
 use std::collections::HashSet;
 
@@ -208,12 +208,8 @@ pub struct Ftl {
     /// Records clock *read-outs* only — never advances simulated time.
     telemetry: Telemetry,
     /// Causal span tracer (disabled unless `cfg.telemetry.trace`); the
-    /// NAND array holds a clone and attaches leaf events to it. Its table
-    /// holds the stream labels.
+    /// NAND array holds a clone and attaches leaf events to it.
     tracer: Tracer,
-    /// The stream whose track the next host command's span sits on
-    /// (`set_stream`; 0, the `host` stream, until a caller sets one).
-    current_stream: u32,
     /// Submitted-but-unreaped queued commands (bounded by
     /// `cfg.queue_depth`).
     pending: Vec<PendingCmd>,
@@ -292,7 +288,6 @@ impl Ftl {
             ckpts,
             telemetry,
             tracer,
-            current_stream: 0,
             pending: Vec::new(),
             next_tag: 0,
             q_submitted: 0,

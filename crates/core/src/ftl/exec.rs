@@ -7,14 +7,9 @@
 use super::*;
 
 impl Ftl {
-    /// Open an FTL-layer span (no-op when tracing is off).
-    fn begin_span(&self, name: &str, stream: u32, start_ns: u64) -> SpanId {
-        self.tracer.begin(Layer::Ftl, name, Track::Stream(stream), start_ns)
-    }
-
     /// The internal-pass frame: every pass the FTL runs on its own behalf
     /// (`gc`, `log_flush`, `checkpoint`, `recovery`) opens its span on the
-    /// `ftl` track and records its op class here. `body` returns the pages
+    /// internal track and records its op class here. `body` returns the pages
     /// the pass moved.
     ///
     /// Passes are timed on `submission_now()`, never `now_ns()`: inside a
@@ -29,7 +24,7 @@ impl Ftl {
         body: impl FnOnce(&mut Self) -> Result<u64, FtlError>,
     ) -> Result<u64, FtlError> {
         let t0 = self.nand.submission_now();
-        let span = self.begin_span(name, STREAM_FTL, t0);
+        let span = self.tracer.begin(Layer::Ftl, name, Track::Internal, t0);
         let r = body(self);
         let end = self.nand.submission_now();
         let pages = *r.as_ref().unwrap_or(&0);
@@ -40,7 +35,7 @@ impl Ftl {
 
     /// The command frame: every host command — each synchronous
     /// `BlockDevice` method and `submit` — enters here. It opens the
-    /// command's span on its stream's track, runs `body` (which borrows the caller's
+    /// command's span on the command track, runs `body` (which borrows the caller's
     /// payload), and records `op` over the command's interval. `queued`
     /// runs the body under a deferred NAND window instead of on the shared
     /// clock and pins the blocks it allocates into; the interval then ends
@@ -56,7 +51,7 @@ impl Ftl {
         body: impl FnOnce(&mut Self) -> Result<T, FtlError>,
     ) -> (Result<T, FtlError>, u64, Vec<u32>) {
         let t0 = self.nand.now_ns();
-        let span = self.begin_span(name, self.current_stream, t0);
+        let span = self.tracer.begin(Layer::Ftl, name, Track::Command, t0);
         if queued {
             self.pool.begin_capture();
             self.nand.begin_deferred();
@@ -348,16 +343,6 @@ impl BlockDevice for Ftl {
 
     fn clock(&self) -> &SimClock {
         self.nand.clock()
-    }
-
-    /// The stream's id in the tracer's table (0 when tracing is off).
-    fn stream_intern(&mut self, label: &str) -> u32 {
-        self.tracer.intern(label)
-    }
-
-    /// Put the spans of the commands that follow on `stream`'s track.
-    fn set_stream(&mut self, stream: u32) {
-        self.current_stream = stream;
     }
 
     fn telemetry_snapshot(&self) -> Option<Snapshot> {

@@ -784,38 +784,34 @@ fn trace_spans_nest_ftl_over_nand_and_export() {
     let cfg = FtlConfig::for_capacity_with(1 << 20, 0.5, 4096, 16, NandTiming::default())
         .with_telemetry(share_telemetry::TelemetryConfig::tracing());
     let mut f = Ftl::new(cfg);
-    let wal = f.stream_intern("wal");
-    f.set_stream(wal);
     f.write(Lpn(3), &pagev(7, &f)).unwrap();
     let spans = f.tracer().spans();
     let write = spans
         .iter()
         .find(|s| s.name == "write" && s.layer == Layer::Ftl)
         .expect("ftl write span");
-    assert_eq!(write.track, Track::Stream(wal));
+    assert_eq!(write.track, Track::Command);
     let program = spans
         .iter()
         .find(|s| s.name == "program" && s.layer == Layer::Nand && s.parent == write.id)
         .expect("NAND program leaf hangs off the FTL command span");
     assert!(write.start_ns <= program.start_ns && program.end_ns <= write.end_ns);
-    // The export names the interned stream's track and re-parses.
+    // The export names the command track and re-parses.
     let doc = f.tracer().chrome_json().expect("enabled tracer exports");
     let text = doc.render();
-    assert!(text.contains("stream:wal"));
+    assert!(text.contains("ftl:command"));
     share_telemetry::json::parse(&text).expect("chrome trace re-parses");
 }
 
 #[test]
-fn log_flush_inside_host_command_inherits_its_stream() {
+fn log_flush_inside_host_command_is_its_child_on_the_internal_track() {
     // A delta-log flush triggered mid-command (RAM buffer filled during a
     // large write_batch) runs inside the host command: its span is a child
-    // of the command's span on the command's stream track, while the pass
-    // itself is drawn on the reserved ftl track.
+    // of the command's span on the command track, while the pass itself is
+    // drawn on the internal track.
     let cfg = FtlConfig::for_capacity_with(4 << 20, 0.5, 4096, 16, NandTiming::zero())
         .with_telemetry(share_telemetry::TelemetryConfig::tracing());
     let mut f = Ftl::new(cfg);
-    let dwb = f.stream_intern("doublewrite");
-    f.set_stream(dwb);
     let ps = f.page_size();
     let n = f.config().deltas_per_page() * 2 + 8; // forces buffered flushes
     let pages: Vec<Vec<u8>> = (0..n).map(|i| vec![(i % 251) as u8; ps]).collect();
@@ -824,11 +820,11 @@ fn log_flush_inside_host_command_inherits_its_stream() {
     f.write_batch(&batch).unwrap();
     let spans = f.tracer().spans();
     let command = spans.iter().find(|s| s.name == "write_batch").expect("write_batch span");
-    assert_eq!(command.track, Track::Stream(dwb));
+    assert_eq!(command.track, Track::Command);
     let flushes: Vec<_> =
         spans.iter().filter(|s| s.name == "log_flush" && s.parent == command.id).collect();
     assert!(!flushes.is_empty(), "batch must trigger a mid-command log flush");
-    assert!(flushes.iter().all(|s| s.track == Track::Stream(STREAM_FTL)));
+    assert!(flushes.iter().all(|s| s.track == Track::Internal));
 }
 
 #[test]
@@ -877,30 +873,27 @@ fn recovery_is_recorded_as_an_op() {
 }
 
 #[test]
-fn streams_attribute_host_and_ftl_traffic() {
-    // A command's span sits on the track of the stream set before it; the
-    // internal passes sit on the reserved ftl track whatever the stream.
+fn host_commands_and_internal_passes_sit_on_two_tracks() {
+    // Every host command's span sits on the command track; every internal
+    // pass (here the birth checkpoint and the flush's) on the internal one.
     let cfg = FtlConfig::for_capacity_with(1 << 20, 0.5, 4096, 16, NandTiming::zero())
         .with_telemetry(share_telemetry::TelemetryConfig::tracing());
     let mut f = Ftl::new(cfg);
-    let wal = f.stream_intern("wal");
-    f.set_stream(wal);
-    for i in 0..8u64 {
+    for i in 0..10u64 {
         f.write(Lpn(i), &pagev(1, &f)).unwrap();
     }
-    f.set_stream(0);
-    for i in 8..10u64 {
-        f.write(Lpn(i), &pagev(2, &f)).unwrap();
-    }
+    f.flush().unwrap();
     let spans = f.tracer().spans();
-    let writes_on = |stream: u32| {
-        spans.iter().filter(|s| s.name == "write" && s.track == Track::Stream(stream)).count()
+    let ftl: Vec<_> = spans.iter().filter(|s| s.layer == Layer::Ftl).collect();
+    let on = |track: Track| {
+        let mut names: Vec<&str> =
+            ftl.iter().filter(|s| s.track == track).map(|s| s.name.as_str()).collect();
+        names.dedup();
+        names
     };
-    assert_eq!((writes_on(wal), writes_on(0)), (8, 2));
-    // The birth checkpoint lands on the reserved ftl track.
-    let ckpt = spans.iter().find(|s| s.name == "checkpoint").expect("birth checkpoint span");
-    assert_eq!(ckpt.track, Track::Stream(STREAM_FTL));
-    assert_eq!(f.tracer().intern("ftl"), STREAM_FTL);
+    assert_eq!(on(Track::Command), ["write", "flush"]);
+    assert!(on(Track::Internal).contains(&"checkpoint"), "{:?}", on(Track::Internal));
+    assert!(ftl.iter().all(|s| matches!(s.track, Track::Command | Track::Internal)));
 }
 
 #[test]

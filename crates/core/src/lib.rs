@@ -72,7 +72,7 @@ pub use types::{Lpn, SharePair};
 pub use util::{crc32c, crc32c_append, FixedState};
 
 /// Re-exported observability subsystem (see the `share-telemetry` crate):
-/// latency histograms, spans and their stream table, exporters.
+/// latency histograms, spans, exporters.
 pub use share_telemetry as telemetry;
 pub use share_telemetry::{
     Layer, OpClass, Snapshot, Span, SpanId, Telemetry, TelemetryConfig, Track, Tracer,

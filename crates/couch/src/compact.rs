@@ -59,9 +59,6 @@ impl<D: BlockDevice> CouchStore<D> {
             self.fs.delete(&compact_name)?;
         }
         let new_file = self.fs.create(&compact_name)?;
-        // Compaction traffic gets its own stream so a trace draws it apart
-        // from live store I/O.
-        let _ = self.fs.set_stream_label(new_file, "compact");
 
         let zero_copy = self.cfg.mode == CouchMode::Share && self.fs.supports_share();
         let mut new_leaf_entries: Vec<NodeEntry> = Vec::with_capacity(entries.len());
@@ -167,11 +164,9 @@ impl<D: BlockDevice> CouchStore<D> {
         self.write_staged(&mut staged)?;
         self.fs.fsync(self.file)?;
 
-        // Retire the old file and take its name. From here on its traffic
-        // is live store I/O again, not compaction.
+        // Retire the old file and take its name.
         self.fs.delete(&old_name)?;
         self.fs.rename(&compact_name, &old_name)?;
-        let _ = self.fs.set_stream_label(self.file, "store");
         self.fs.fsync(self.file)?;
         self.stats.compactions += 1;
 

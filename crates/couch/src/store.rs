@@ -131,7 +131,6 @@ impl<D: BlockDevice> CouchStore<D> {
         assert!(cfg.node_max_entries >= 4);
         assert!(cfg.node_max_entries <= node_capacity(fs.page_size()));
         let file = fs.create(name)?;
-        let _ = fs.set_stream_label(file, "store");
         let mut store = Self {
             fs,
             file,
@@ -181,7 +180,6 @@ impl<D: BlockDevice> CouchStore<D> {
         let file = fs
             .lookup(name)
             .ok_or_else(|| CouchError::Corrupt(format!("no database file {name}")))?;
-        let _ = fs.set_stream_label(file, "store");
         // Scan the whole *allocated* region: appends within an already
         // allocated extent do not persist a new file length, so the last
         // header can sit past the recorded length. Unwritten pages read as

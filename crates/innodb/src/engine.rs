@@ -177,10 +177,6 @@ impl<D: BlockDevice> InnoDb<D> {
         fs.fallocate(ts, cfg.max_pages * ppd)?;
         let dwb = fs.create("doublewrite")?;
         fs.fallocate(dwb, cfg.flush_batch as u64 * ppd)?;
-        // Trace tracks: tablespace vs. double-write traffic — the split
-        // behind the paper's Figure 6(a) write reduction.
-        let _ = fs.set_stream_label(ts, "ibdata");
-        let _ = fs.set_stream_label(dwb, "doublewrite");
         fs.fsync(ts)?;
         let log = RedoLog::format(log_dev)?;
         let pool_pages = cfg.pool_pages;
@@ -211,13 +207,11 @@ impl<D: BlockDevice> InnoDb<D> {
     pub fn open(data_dev: D, log_dev: SimpleSsd, cfg: InnoDbConfig) -> Result<Self, EngineError> {
         let ppd = (cfg.page_bytes / data_dev.page_size()) as u64;
         let opts = VfsOptions { journal_pages_per_commit: 2, ..Default::default() };
-        let mut fs = Vfs::open(data_dev, opts)?;
+        let fs = Vfs::open(data_dev, opts)?;
         let ts = fs.lookup("ibdata").ok_or_else(|| EngineError::Corrupt("no tablespace".into()))?;
         let dwb = fs
             .lookup("doublewrite")
             .ok_or_else(|| EngineError::Corrupt("no double-write area".into()))?;
-        let _ = fs.set_stream_label(ts, "ibdata");
-        let _ = fs.set_stream_label(dwb, "doublewrite");
         let (log, meta, records) = RedoLog::recover(log_dev)?;
         let pool_pages = cfg.pool_pages;
         let mut eng = Self {

@@ -174,16 +174,6 @@ impl<D: BlockDevice> MiniPg<D> {
         (rows_per_page, accounts_pages, tellers_pages, branches_pages)
     }
 
-    /// Tag the four files with semantic streams (heap vs. WAL vs.
-    /// full-page journal vs. control), each a trace track — no-op without
-    /// tracing.
-    fn label_streams(fs: &mut Vfs<D>, data: FileId, wal: FileId, journal: FileId, control: FileId) {
-        let _ = fs.set_stream_label(data, "pgdata");
-        let _ = fs.set_stream_label(wal, "pg_wal");
-        let _ = fs.set_stream_label(journal, "pg_journal");
-        let _ = fs.set_stream_label(control, "pg_control");
-    }
-
     /// Create and initialize the database (all balances zero).
     pub fn create(dev: D, cfg: PgConfig) -> Result<Self, PgError> {
         assert_eq!(cfg.page_bytes % dev.page_size(), 0);
@@ -199,7 +189,6 @@ impl<D: BlockDevice> MiniPg<D> {
         fs.fallocate(wal, 4 << 10)?; // 16 MiB of 4 KiB WAL pages
         fs.fallocate(journal, 64 * dpp)?;
         fs.fallocate(control, 1)?;
-        Self::label_streams(&mut fs, data, wal, journal, control);
         fs.fsync(data)?;
         let mut pg = Self {
             cfg,
@@ -231,14 +220,13 @@ impl<D: BlockDevice> MiniPg<D> {
     /// Reopen after a crash: read the control file, lazily reload heap
     /// pages, and replay committed WAL transactions with LSN gating.
     pub fn open(dev: D, cfg: PgConfig) -> Result<Self, PgError> {
-        let mut fs = Vfs::open(dev, VfsOptions::default())?;
+        let fs = Vfs::open(dev, VfsOptions::default())?;
         let file =
             |fs: &Vfs<D>, name: &'static str| fs.lookup(name).ok_or(PgError::MissingFile(name));
         let data = file(&fs, "pgdata")?;
         let wal = file(&fs, "pg_wal")?;
         let journal = file(&fs, "pg_journal")?;
         let control = file(&fs, "pg_control")?;
-        Self::label_streams(&mut fs, data, wal, journal, control);
         let (rows_per_page, accounts_pages, tellers_pages, branches_pages) = Self::layout(&cfg);
         let history_page0 = accounts_pages + tellers_pages + branches_pages;
         let mut pg = Self {

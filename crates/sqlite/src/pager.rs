@@ -103,15 +103,6 @@ pub struct MiniSqlite<D: BlockDevice> {
 }
 
 impl<D: BlockDevice> MiniSqlite<D> {
-    /// Tag the three files with semantic streams so a trace draws
-    /// database, rollback-journal and WAL traffic on their own tracks
-    /// (no-op on devices without tracing).
-    fn label_streams(fs: &mut Vfs<D>, db: FileId, journal: FileId, wal: FileId) {
-        let _ = fs.set_stream_label(db, "db");
-        let _ = fs.set_stream_label(journal, "journal");
-        let _ = fs.set_stream_label(wal, "wal");
-    }
-
     /// Create a fresh database on `dev`.
     pub fn create(dev: D, cfg: SqliteConfig) -> Result<Self, SqliteError> {
         let mut fs = Vfs::format(dev, VfsOptions::default())?;
@@ -122,7 +113,6 @@ impl<D: BlockDevice> MiniSqlite<D> {
         fs.fallocate(journal, 520)?;
         let wal = fs.create("main.db-wal")?;
         fs.fallocate(wal, cfg.wal_checkpoint_frames + 520)?;
-        Self::label_streams(&mut fs, db, journal, wal);
         fs.fsync(db)?;
         Ok(Self {
             fs,
@@ -146,11 +136,10 @@ impl<D: BlockDevice> MiniSqlite<D> {
     /// (Rollback mode), replay committed WAL frames (Wal mode), then
     /// rebuild the key directory by scanning the database pages.
     pub fn open(dev: D, cfg: SqliteConfig) -> Result<Self, SqliteError> {
-        let mut fs = Vfs::open(dev, VfsOptions::default())?;
+        let fs = Vfs::open(dev, VfsOptions::default())?;
         let db = fs.lookup("main.db").ok_or(SqliteError::NotADatabase)?;
         let journal = fs.lookup("main.db-journal").ok_or(SqliteError::NotADatabase)?;
         let wal = fs.lookup("main.db-wal").ok_or(SqliteError::NotADatabase)?;
-        Self::label_streams(&mut fs, db, journal, wal);
         let mut pager = Self {
             fs,
             cfg,

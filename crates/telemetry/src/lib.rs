@@ -11,10 +11,10 @@
 //!   in-crate [`json`] module.
 //!
 //! Each observation has one home. A command count is a `DeviceStats` row
-//! (or its op's histogram count); a command's op, stream, pages and times
-//! are its span in the [`trace::Tracer`], whose table is the one place a
-//! stream label lives. A time series of any of it is the reader's to
-//! take: `share_core`'s flight recorder samples the exported readings.
+//! (or its op's histogram count); a command's op, pages and times are its
+//! span in the [`trace::Tracer`]. A time series of any of it is the
+//! reader's to take: `share_core`'s flight recorder samples the exported
+//! readings.
 //!
 //! Telemetry only ever *reads* the simulated clock — it never advances it —
 //! so enabling any of it cannot change simulated results: crash-sweep
@@ -29,7 +29,7 @@ pub mod trace;
 pub use hist::Histogram;
 pub use metric::{rows_json, Metric};
 pub use percentile::percentile_sorted;
-pub use trace::{Layer, Span, SpanId, Track, Tracer, STREAM_FTL};
+pub use trace::{Layer, Span, SpanId, Track, Tracer};
 
 use json::Json;
 use metric::Value;
@@ -314,25 +314,6 @@ mod tests {
         assert_eq!(h.count, 2);
         assert_eq!(h.min, 50);
         assert_eq!(h.max, 100);
-    }
-
-    #[test]
-    fn streams_intern_and_attribute() {
-        // The tracer's table is the one stream table: `host` and `ftl` are
-        // reserved, a label keeps its id, and a span on a stream's track
-        // is named by its label.
-        let t = Tracer::enabled();
-        assert_eq!((t.intern("host"), t.intern("ftl")), (0, STREAM_FTL));
-        let wal = t.intern("wal");
-        assert_eq!(wal, 2);
-        assert_eq!(t.intern("wal"), wal);
-        assert_eq!(t.intern("db"), 3);
-        let span = t.begin(Layer::Ftl, "write", Track::Stream(wal), 0);
-        t.end(span, 10, 1, true);
-        assert!(t.text_tree().starts_with("write [ftl stream:wal] 0..10"));
-        // A disabled tracer keeps no table: every label is the host's.
-        let off = Tracer::disabled();
-        assert_eq!((off.intern("wal"), off.intern("ftl")), (0, 0));
     }
 
     #[test]

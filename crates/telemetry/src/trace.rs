@@ -19,8 +19,9 @@
 //!
 //! Export formats:
 //! * [`Tracer::chrome_json`] — Chrome `trace_event` JSON (`X` duration
-//!   events on per-stream tracks of a `host` process and `ch:way` tracks
-//!   of a `nand` process, with `M` metadata naming every pid/tid),
+//!   events on the `engine`, `vfs` and two FTL tracks of a `host` process
+//!   and `ch:way` tracks of a `nand` process, with `M` metadata naming
+//!   every pid/tid),
 //!   loadable in `chrome://tracing` or Perfetto.
 //! * [`Tracer::text_tree`] — a compact indented tree for tests and quick
 //!   terminal inspection.
@@ -60,9 +61,12 @@ pub enum Track {
     Engine,
     /// The `vfs` thread of the host process.
     Vfs,
-    /// A per-stream thread of the host process (FTL command spans), by
-    /// the id [`Tracer::intern`] gave the stream's label.
-    Stream(u32),
+    /// The `ftl:command` thread of the host process: the span of every
+    /// host command the FTL runs.
+    Command,
+    /// The `ftl:internal` thread of the host process: the FTL's own passes
+    /// (GC, log flush, checkpoint, recovery).
+    Internal,
     /// One NAND unit's thread of the `nand` process.
     Unit {
         /// Channel index.
@@ -72,13 +76,24 @@ pub enum Track {
     },
 }
 
+/// The host process's tracks, in tid order from 1.
+const HOST_TRACKS: [Track; 4] = [Track::Engine, Track::Vfs, Track::Command, Track::Internal];
+
+impl Track {
+    /// Export name (Chrome thread name, text-tree tag).
+    fn label(self) -> String {
+        match self {
+            Track::Engine => "engine".into(),
+            Track::Vfs => "vfs".into(),
+            Track::Command => "ftl:command".into(),
+            Track::Internal => "ftl:internal".into(),
+            Track::Unit { channel, way } => format!("ch{channel}:w{way}"),
+        }
+    }
+}
+
 /// Sentinel for "no parent" (root span).
 pub(crate) const NO_PARENT: u32 = u32::MAX;
-
-/// Reserved stream id of the FTL's internal passes (GC, log flush,
-/// checkpoint, recovery). Id 0 is the reserved `host` stream: the track of
-/// a command no caller labelled.
-pub const STREAM_FTL: u32 = 1;
 
 /// One recorded span or leaf event.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,8 +135,6 @@ struct TraceBuf {
     spans: Vec<Span>,
     /// Open-span stack; the top is the parent of the next span.
     stack: Vec<u32>,
-    /// Stream id → label, in intern order: the one stream table.
-    stream_labels: Vec<String>,
 }
 
 /// Cloneable tracing handle. `None` inside means tracing is disabled and
@@ -130,13 +143,9 @@ struct TraceBuf {
 pub struct Tracer(Option<Arc<Mutex<TraceBuf>>>);
 
 impl Tracer {
-    /// An enabled tracer with a fresh buffer (the reserved `host` and
-    /// `ftl` stream labels pre-interned as ids 0 and 1).
+    /// An enabled tracer with a fresh buffer.
     pub fn enabled() -> Self {
-        Tracer(Some(Arc::new(Mutex::new(TraceBuf {
-            stream_labels: vec!["host".to_string(), "ftl".to_string()],
-            ..TraceBuf::default()
-        }))))
+        Tracer(Some(Arc::default()))
     }
 
     /// The no-op tracer.
@@ -151,19 +160,6 @@ impl Tracer {
 
     fn lock(&self) -> Option<std::sync::MutexGuard<'_, TraceBuf>> {
         self.0.as_ref().map(|m| m.lock().unwrap_or_else(|p| p.into_inner()))
-    }
-
-    /// The id of stream `label` (interned on first use, stable for the
-    /// buffer's lifetime), for [`Track::Stream`]. A disabled tracer keeps
-    /// no table and returns 0, the `host` stream.
-    pub fn intern(&self, label: &str) -> u32 {
-        let Some(mut buf) = self.lock() else { return 0 };
-        let labels = &mut buf.stream_labels;
-        let id = labels.iter().position(|l| l == label).unwrap_or_else(|| {
-            labels.push(label.to_string());
-            labels.len() - 1
-        });
-        id as u32
     }
 
     /// Open a span: it becomes the parent of everything recorded until the
@@ -243,10 +239,6 @@ impl Tracer {
         self.lock().map(|b| b.spans.len()).unwrap_or(0)
     }
 
-    fn stream_label(labels: &[String], id: u32) -> String {
-        labels.get(id as usize).cloned().unwrap_or_else(|| format!("stream{id}"))
-    }
-
     /// Export as a Chrome `trace_event` JSON document (`None` when
     /// disabled). Times are exported as fractional microseconds so the
     /// nanosecond sim clock loses nothing.
@@ -254,38 +246,29 @@ impl Tracer {
         let buf = self.lock()?;
         const PID_HOST: u64 = 1;
         const PID_NAND: u64 = 2;
-        // tid layout inside the host process: 1 = engine, 2 = vfs,
-        // 3 + stream id = that stream's track. Inside the nand process:
-        // 1 + dense index of each (channel, way) pair seen, sorted.
+        // tid layout inside the host process: the fixed tracks in
+        // `HOST_TRACKS` order from 1. Inside the nand process: 1 + dense
+        // index of each (channel, way) pair seen, sorted.
         let mut units: Vec<(u32, u32)> = Vec::new();
-        let mut streams_seen: Vec<u32> = Vec::new();
         for sp in &buf.spans {
-            match sp.track {
-                Track::Unit { channel, way } => {
-                    if !units.contains(&(channel, way)) {
-                        units.push((channel, way));
-                    }
+            if let Track::Unit { channel, way } = sp.track {
+                if !units.contains(&(channel, way)) {
+                    units.push((channel, way));
                 }
-                Track::Stream(id) => {
-                    if !streams_seen.contains(&id) {
-                        streams_seen.push(id);
-                    }
-                }
-                _ => {}
             }
         }
         units.sort_unstable();
-        streams_seen.sort_unstable();
 
         let tid_of = |track: Track| -> (u64, u64) {
             match track {
-                Track::Engine => (PID_HOST, 1),
-                Track::Vfs => (PID_HOST, 2),
-                Track::Stream(id) => (PID_HOST, 3 + id as u64),
                 Track::Unit { channel, way } => {
                     let idx =
                         units.iter().position(|&u| u == (channel, way)).unwrap_or(0) as u64;
                     (PID_NAND, 1 + idx)
+                }
+                host => {
+                    let idx = HOST_TRACKS.iter().position(|&t| t == host);
+                    (PID_HOST, 1 + idx.expect("every other track is a host track") as u64)
                 }
             }
         };
@@ -308,16 +291,8 @@ impl Tracer {
         };
         events.push(meta("process_name", PID_HOST, None, "host"));
         events.push(meta("process_name", PID_NAND, None, "nand"));
-        events.push(meta("thread_name", PID_HOST, Some(1), "engine"));
-        events.push(meta("thread_name", PID_HOST, Some(2), "vfs"));
-        for &id in &streams_seen {
-            let label = Self::stream_label(&buf.stream_labels, id);
-            events.push(meta(
-                "thread_name",
-                PID_HOST,
-                Some(3 + id as u64),
-                &format!("stream:{label}"),
-            ));
+        for (tid, track) in (1..).zip(HOST_TRACKS) {
+            events.push(meta("thread_name", PID_HOST, Some(tid), &track.label()));
         }
         for (i, &(ch, way)) in units.iter().enumerate() {
             events.push(meta(
@@ -378,19 +353,11 @@ impl Tracer {
             for _ in 0..depth {
                 out.push_str("  ");
             }
-            let track = match sp.track {
-                Track::Engine => "engine".to_string(),
-                Track::Vfs => "vfs".to_string(),
-                Track::Stream(sid) => {
-                    format!("stream:{}", Self::stream_label(&buf.stream_labels, sid))
-                }
-                Track::Unit { channel, way } => format!("ch{channel}:w{way}"),
-            };
             out.push_str(&format!(
                 "{} [{} {}] {}..{} pages={}{}\n",
                 sp.name,
                 sp.layer.name(),
-                track,
+                sp.track.label(),
                 sp.start_ns,
                 sp.end_ns,
                 sp.pages,
@@ -426,7 +393,7 @@ mod tests {
         let t = Tracer::enabled();
         let root = t.begin(Layer::Engine, "commit", Track::Engine, 0);
         let vfs = t.begin(Layer::Vfs, "write_pages", Track::Vfs, 10);
-        let ftl = t.begin(Layer::Ftl, "write_batch", Track::Stream(2), 20);
+        let ftl = t.begin(Layer::Ftl, "write_batch", Track::Command, 20);
         t.leaf(Layer::Nand, "program", Track::Unit { channel: 1, way: 0 }, 30, 40, 1, true);
         t.end(ftl, 50, 4, true);
         t.end(vfs, 60, 4, true);
@@ -448,12 +415,12 @@ mod tests {
     #[test]
     fn end_unwinds_abandoned_children() {
         let t = Tracer::enabled();
-        let root = t.begin(Layer::Ftl, "write", Track::Stream(0), 0);
+        let root = t.begin(Layer::Ftl, "write", Track::Command, 0);
         let _orphan = t.begin(Layer::Nand, "program", Track::Unit { channel: 0, way: 0 }, 1);
         // The orphan is never ended (error path); ending the root must
         // still pop it so the next root has no bogus parent.
         t.end(root, 10, 1, false);
-        let after = t.begin(Layer::Ftl, "read", Track::Stream(0), 20);
+        let after = t.begin(Layer::Ftl, "read", Track::Command, 20);
         t.end(after, 30, 1, true);
         assert_eq!(t.spans()[2].parent, NO_PARENT);
         assert!(!t.spans()[0].ok);
@@ -462,8 +429,7 @@ mod tests {
     #[test]
     fn chrome_export_is_wellformed() {
         let t = Tracer::enabled();
-        let db = t.intern("db");
-        let root = t.begin(Layer::Ftl, "write", Track::Stream(db), 1_500);
+        let root = t.begin(Layer::Ftl, "write", Track::Command, 1_500);
         t.leaf(Layer::Nand, "program", Track::Unit { channel: 0, way: 0 }, 2_000, 802_000, 1, true);
         t.end(root, 802_000, 1, true);
         let doc = t.chrome_json().unwrap();
@@ -473,8 +439,8 @@ mod tests {
             Some(Json::Arr(evs)) => evs,
             other => panic!("traceEvents must be an array, got {other:?}"),
         };
-        // Metadata names both processes, the fixed host threads, the used
-        // stream track, and the used unit track.
+        // Metadata names both processes, the four fixed host threads (used
+        // or not) and the used unit track.
         let metas: Vec<&Json> = events
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
@@ -483,10 +449,10 @@ mod tests {
             .iter()
             .filter_map(|m| m.get("args").and_then(|a| a.get("name")).and_then(Json::as_str))
             .collect();
-        assert!(names.contains(&"host"));
-        assert!(names.contains(&"nand"));
-        assert!(names.contains(&"stream:db"));
-        assert!(names.contains(&"ch0:w0"));
+        assert_eq!(
+            names,
+            ["host", "nand", "engine", "vfs", "ftl:command", "ftl:internal", "ch0:w0"]
+        );
         // X events: monotonic ts, non-negative dur, fractional-µs precision.
         let xs: Vec<&Json> = events
             .iter()
@@ -507,13 +473,13 @@ mod tests {
     fn text_tree_indents_children() {
         let t = Tracer::enabled();
         let root = t.begin(Layer::Engine, "commit", Track::Engine, 0);
-        let child = t.begin(Layer::Ftl, "write", Track::Stream(0), 5);
+        let child = t.begin(Layer::Ftl, "write", Track::Command, 5);
         t.end(child, 9, 1, true);
         t.end(root, 10, 1, true);
         let tree = t.text_tree();
         let lines: Vec<&str> = tree.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("commit [engine engine] 0..10"));
-        assert!(lines[1].starts_with("  write [ftl stream:host] 5..9"));
+        assert!(lines[1].starts_with("  write [ftl ftl:command] 5..9"));
     }
 }

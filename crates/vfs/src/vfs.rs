@@ -7,6 +7,11 @@ use share_telemetry::{Layer, SpanId, Track, Tracer};
 
 const META_MAGIC: u32 = 0x4653_4D44; // "FSMD"
 const MAX_NAME: usize = 64;
+/// Bytes of a file-table record with an empty name and no extents: id,
+/// name length, length in pages, extent count.
+const FILE_RECORD_MIN: usize = 4 + 1 + 8 + 4;
+/// Bytes of one extent in the file table: start and length.
+const EXTENT_RECORD: usize = 16;
 /// Pages per metadata snapshot slot (two slots are reserved).
 const META_SLOT_PAGES: u64 = 8;
 /// Pages in the ordered-mode journal ring.
@@ -86,11 +91,6 @@ pub struct Vfs<D: BlockDevice> {
     data_dirty: bool,
     journal_cursor: u64,
     stats: VfsStats,
-    /// Telemetry stream per file id (runtime-only, never persisted: stream
-    /// ids are an artifact of this device instance's intern table).
-    streams: std::collections::HashMap<u32, u32>,
-    fs_meta_stream: u32,
-    fs_journal_stream: u32,
     /// Span tracer shared with the device (no-op unless tracing is on).
     tracer: Tracer,
 }
@@ -121,12 +121,8 @@ impl<D: BlockDevice> Vfs<D> {
             data_dirty: false,
             journal_cursor: 0,
             stats: VfsStats::default(),
-            streams: Default::default(),
-            fs_meta_stream: 0,
-            fs_journal_stream: 0,
             tracer,
         };
-        vfs.intern_fs_streams();
         vfs.write_snapshot()?;
         vfs.dev.flush()?;
         Ok(vfs)
@@ -147,12 +143,8 @@ impl<D: BlockDevice> Vfs<D> {
             data_dirty: false,
             journal_cursor: 0,
             stats: VfsStats::default(),
-            streams: Default::default(),
-            fs_meta_stream: 0,
-            fs_journal_stream: 0,
             tracer,
         };
-        vfs.intern_fs_streams();
         let best = [0u64, 1]
             .into_iter()
             .filter_map(|slot| vfs.read_snapshot(slot).ok().flatten())
@@ -166,8 +158,6 @@ impl<D: BlockDevice> Vfs<D> {
             used.extend(f.extents.iter().copied());
             vfs.next_id = vfs.next_id.max(f.id + 1);
             vfs.names.insert(f.name.clone(), f.id);
-            let stream = vfs.dev.stream_intern(&f.name);
-            vfs.streams.insert(f.id, stream);
             vfs.files.insert(f.id, f);
         }
         vfs.alloc = ExtentAllocator::rebuild(META_PAGES, vfs.dev.capacity_pages(), used);
@@ -235,36 +225,20 @@ impl<D: BlockDevice> Vfs<D> {
         self.tracer.end(id, self.dev.clock().now_ns(), 0, ok);
     }
 
-    // ----- telemetry streams ----------------------------------------------
-
-    fn intern_fs_streams(&mut self) {
-        // No-op (both ids stay 0 = host) on devices without tracing.
-        self.fs_meta_stream = self.dev.stream_intern("fs-meta");
-        self.fs_journal_stream = self.dev.stream_intern("fs-journal");
-    }
-
-    /// Stream whose trace track the file's device commands sit on.
-    fn stream_of(&self, id: u32) -> u32 {
-        self.streams.get(&id).copied().unwrap_or(0)
-    }
-
-    /// Re-label a file's stream (engines tag files semantically — "wal",
-    /// "journal", "doublewrite" — instead of by raw file name), so a trace
-    /// draws its commands on a track of that name.
-    pub fn set_stream_label(&mut self, f: FileId, label: &str) -> Result<(), VfsError> {
-        self.file(f)?;
-        let stream = self.dev.stream_intern(label);
-        self.streams.insert(f.0, stream);
-        Ok(())
-    }
-
     // ----- file table -------------------------------------------------
 
-    /// Create an empty file.
-    pub fn create(&mut self, name: &str) -> Result<FileId, VfsError> {
+    /// Refuse a name the file table cannot store: empty, or longer than
+    /// `MAX_NAME` bytes (the table records a name's length in one byte).
+    fn check_name(name: &str) -> Result<(), VfsError> {
         if name.is_empty() || name.len() > MAX_NAME {
             return Err(VfsError::BadName(name.into()));
         }
+        Ok(())
+    }
+
+    /// Create an empty file.
+    pub fn create(&mut self, name: &str) -> Result<FileId, VfsError> {
+        Self::check_name(name)?;
         if self.names.contains_key(name) {
             return Err(VfsError::Exists(name.into()));
         }
@@ -275,8 +249,6 @@ impl<D: BlockDevice> Vfs<D> {
             FileInner { id, name: name.into(), len_pages: 0, extents: Vec::new() },
         );
         self.names.insert(name.into(), id);
-        let stream = self.dev.stream_intern(name);
-        self.streams.insert(id, stream);
         self.meta_dirty = true;
         Ok(FileId(id))
     }
@@ -298,8 +270,6 @@ impl<D: BlockDevice> Vfs<D> {
         self.traced("delete", 0, |fs| {
             let id = fs.names.remove(name).ok_or_else(|| VfsError::NotFound(name.into()))?;
             let file = fs.files.remove(&id).expect("name table out of sync");
-            fs.dev.set_stream(fs.stream_of(id));
-            fs.streams.remove(&id);
             for e in file.extents {
                 fs.dev.trim(Lpn(e.start), e.len)?;
                 fs.alloc.release(e);
@@ -312,16 +282,13 @@ impl<D: BlockDevice> Vfs<D> {
     /// Rename a file (used by compaction to swap the new database in).
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), VfsError> {
         self.traced("rename", 0, |fs| {
+            Self::check_name(to)?;
             if fs.names.contains_key(to) {
                 return Err(VfsError::Exists(to.into()));
             }
             let id = fs.names.remove(from).ok_or_else(|| VfsError::NotFound(from.into()))?;
             fs.names.insert(to.into(), id);
             fs.files.get_mut(&id).expect("name table out of sync").name = to.into();
-            // The stream label follows the new name (compaction swaps a scratch
-            // file in as the live database; its traffic should read as such).
-            let stream = fs.dev.stream_intern(to);
-            fs.streams.insert(id, stream);
             fs.meta_dirty = true;
             Ok(())
         })
@@ -410,7 +377,6 @@ impl<D: BlockDevice> Vfs<D> {
                 fs.fallocate(f, page + 1)?;
             }
             let lpn = fs.lpn_of(f, page)?;
-            fs.dev.set_stream(fs.stream_of(f.0));
             fs.dev.write(lpn, data)?;
             let file = fs.files.get_mut(&f.0).expect("checked above");
             file.len_pages = file.len_pages.max(page + 1);
@@ -427,7 +393,6 @@ impl<D: BlockDevice> Vfs<D> {
                 return Err(VfsError::BadBufferLength { got: buf.len(), want: fs.dev.page_size() });
             }
             let lpn = fs.lpn_of(f, page)?;
-            fs.dev.set_stream(fs.stream_of(f.0));
             fs.dev.read(lpn, buf)?;
             Ok(())
         })
@@ -439,8 +404,8 @@ impl<D: BlockDevice> Vfs<D> {
     /// use [`Vfs::write_pages_atomic`] for that.
     pub fn write_pages(&mut self, f: FileId, pages: &[(u64, &[u8])]) -> Result<(), VfsError> {
         self.traced("write_pages", pages.len() as u64, |fs| {
-            // Nothing to write is nothing to do: no stream selected, no
-            // device command (the queued form differs, see there).
+            // Nothing to write is nothing to do: no device command (the
+            // queued form differs, see there).
             if pages.is_empty() {
                 return Ok(());
             }
@@ -453,10 +418,10 @@ impl<D: BlockDevice> Vfs<D> {
 
     /// The one way a lent page batch becomes a device request, shared by the
     /// blocking, atomic and queued write forms so they cannot drift: check
-    /// every buffer's length, grow the allocation when it is short, resolve
-    /// each page to its LPN and select the file's stream. The request borrows
-    /// the caller's pages (nothing is copied); [`Vfs::wrote_through`] grows the
-    /// file once the device has accepted it.
+    /// every buffer's length, grow the allocation when it is short and resolve
+    /// each page to its LPN. The request borrows the caller's pages (nothing
+    /// is copied); [`Vfs::wrote_through`] grows the file once the device has
+    /// accepted it.
     fn resolve_write<'p>(
         &mut self,
         f: FileId,
@@ -474,7 +439,6 @@ impl<D: BlockDevice> Vfs<D> {
         for (p, data) in pages {
             batch.push((self.lpn_of(f, *p)?, *data));
         }
-        self.dev.set_stream(self.stream_of(f.0));
         Ok(batch)
     }
 
@@ -508,7 +472,6 @@ impl<D: BlockDevice> Vfs<D> {
                 let lpn = fs.lpn_of(f, *p)?;
                 batch.push((lpn, &mut buf[..]));
             }
-            fs.dev.set_stream(fs.stream_of(f.0));
             fs.dev.read_batch(&mut batch)?;
             Ok(())
         })
@@ -523,7 +486,6 @@ impl<D: BlockDevice> Vfs<D> {
             if from_page < to_page {
                 fs.lpn_of(f, to_page - 1)?;
             }
-            fs.dev.set_stream(fs.stream_of(f.0));
             let mut p = from_page;
             while p < to_page {
                 let run = fs.extent_run(f, p)?.min(to_page - p);
@@ -548,7 +510,8 @@ impl<D: BlockDevice> Vfs<D> {
     }
 
     /// fsync: persist metadata if dirty, charge ordered-journal traffic,
-    /// then flush the device.
+    /// then flush the device. The flush makes the whole mount durable, not
+    /// only the file named.
     ///
     /// `fdatasync` semantics for the file length: the file table is
     /// rewritten only after a metadata change — create, delete, rename,
@@ -557,7 +520,7 @@ impl<D: BlockDevice> Vfs<D> {
     /// it wrote is durable after this call; the longer length is durable
     /// after the next fsync that persists metadata. No engine reads the
     /// length: each finds its end in its own pages.
-    pub fn fsync(&mut self, f: FileId) -> Result<(), VfsError> {
+    pub fn fsync(&mut self, _f: FileId) -> Result<(), VfsError> {
         self.traced("fsync", 0, |fs| {
             if fs.meta_dirty {
                 fs.write_snapshot()?;
@@ -566,8 +529,6 @@ impl<D: BlockDevice> Vfs<D> {
                 fs.write_journal_commit()?;
             }
             fs.data_dirty = false;
-            // The flush is attributed to the file whose durability was asked for.
-            fs.dev.set_stream(fs.stream_of(f.0));
             fs.dev.flush()?;
             Ok(())
         })
@@ -663,7 +624,6 @@ impl<D: BlockDevice> Vfs<D> {
         for &p in pages {
             lpns.push(self.lpn_of(f, p)?);
         }
-        self.dev.set_stream(self.stream_of(f.0));
         loop {
             match self.dev.submit(QueuedCmd::ReadBatch { lpns: &lpns }) {
                 Ok(tag) => return Ok(tag),
@@ -771,7 +731,6 @@ impl<D: BlockDevice> Vfs<D> {
                 pairs.push(SharePair::new(d, s));
             }
             // The destination range now logically holds data.
-            fs.dev.set_stream(fs.stream_of(dst.0));
             fs.dev.share(&pairs)?;
             let file = fs.files.get_mut(&dst.0).expect("resolved above");
             file.len_pages = file.len_pages.max(dst_page + npages);
@@ -797,7 +756,6 @@ impl<D: BlockDevice> Vfs<D> {
             }
             // One device command; the device commits it in log-page-sized
             // atomic sub-batches (per-batch atomicity suffices here).
-            fs.dev.set_stream(fs.stream_of(dst.0));
             fs.dev.share_batch(&batch)?;
             let file = fs.files.get_mut(&dst.0).expect("resolved above");
             file.len_pages = file.len_pages.max(max_dst);
@@ -893,8 +851,15 @@ impl<D: BlockDevice> Vfs<D> {
             *off += n;
             Ok(s)
         };
+        // Counts come from the medium: a CRC-valid table may still claim more
+        // records than its payload holds, so no count sizes an allocation
+        // before the bytes it claims are known to be there.
+        let fits = |off: usize, n: u32, record: usize| n as usize <= (payload.len() - off) / record;
         let count = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap());
         let next_id = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap());
+        if !fits(off, count, FILE_RECORD_MIN) {
+            return Err(corrupt("file count exceeds the table"));
+        }
         let mut files = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let id = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap());
@@ -903,6 +868,9 @@ impl<D: BlockDevice> Vfs<D> {
                 .map_err(|_| corrupt("bad name"))?;
             let len_pages = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
             let n_ext = u32::from_le_bytes(take(&mut off, 4)?.try_into().unwrap());
+            if !fits(off, n_ext, EXTENT_RECORD) {
+                return Err(corrupt("extent count exceeds the table"));
+            }
             let mut extents = Vec::with_capacity(n_ext as usize);
             for _ in 0..n_ext {
                 let start = u64::from_le_bytes(take(&mut off, 8)?.try_into().unwrap());
@@ -940,7 +908,6 @@ impl<D: BlockDevice> Vfs<D> {
                 (Lpn(base + p), &image[s..s + ps])
             })
             .collect();
-        self.dev.set_stream(self.fs_meta_stream);
         self.dev.write_batch(&batch)?;
         self.meta_dirty = false;
         self.stats.snapshots += 1;
@@ -953,7 +920,6 @@ impl<D: BlockDevice> Vfs<D> {
         let ps = self.dev.page_size();
         let base = slot * META_SLOT_PAGES;
         let mut page = vec![0u8; ps];
-        self.dev.set_stream(self.fs_meta_stream);
         self.dev.read(Lpn(base), &mut page)?;
         if u32::from_le_bytes(page[0..4].try_into().unwrap()) != META_MAGIC {
             return Ok(None);
@@ -984,7 +950,6 @@ impl<D: BlockDevice> Vfs<D> {
         let ps = self.dev.page_size();
         let ring_base = 2 * META_SLOT_PAGES;
         let page = vec![0xEEu8; ps];
-        self.dev.set_stream(self.fs_journal_stream);
         for _ in 0..self.opts.journal_pages_per_commit {
             let lpn = ring_base + (self.journal_cursor % JOURNAL_RING_PAGES);
             self.journal_cursor += 1;

@@ -81,6 +81,26 @@ fn rename_moves_the_name_only() {
 }
 
 #[test]
+fn rename_refuses_a_name_create_refuses() {
+    // The file table stores a name's length in one byte: a long name taken
+    // here would be written truncated and misparse at the next mount.
+    let cfg = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 16, nand_sim::NandTiming::zero());
+    let mut fs = Vfs::format(Ftl::new(cfg.clone()), VfsOptions::default()).unwrap();
+    let f = fs.create("old").unwrap();
+    fs.write_page(f, 0, &page(&fs, 9)).unwrap();
+    for bad in [String::new(), "n".repeat(65), "n".repeat(300)] {
+        assert_eq!(fs.create(&bad), Err(VfsError::BadName(bad.clone())));
+        assert_eq!(fs.rename("old", &bad), Err(VfsError::BadName(bad.clone())));
+    }
+    fs.rename("old", &"n".repeat(64)).unwrap();
+    fs.fsync(f).unwrap();
+    let dev = Ftl::open(cfg, fs.into_device().into_nand()).unwrap();
+    let mut fs = Vfs::open(dev, VfsOptions::default()).unwrap();
+    assert_eq!(fs.list(), ["n".repeat(64)]);
+    assert_eq!(read_byte(&mut fs, f, 0), 9);
+}
+
+#[test]
 fn files_grow_across_multiple_extents() {
     let cfg = FtlConfig::for_capacity_with(8 << 20, 0.3, 4096, 16, nand_sim::NandTiming::zero());
     let opts = VfsOptions { extent_chunk_pages: 4, ..Default::default() };
@@ -329,19 +349,6 @@ fn truncate_shrinks_logical_length_only() {
     assert_eq!(fs.allocated_pages(f).unwrap(), allocated);
     // Content past the logical length is still readable (allocation kept).
     assert_eq!(read_byte(&mut fs, f, 5), 5);
-}
-
-#[test]
-fn streams_are_inert_on_plain_devices() {
-    // SimpleSsd has no telemetry: interning returns the default stream and
-    // everything still works.
-    let dev = SimpleSsd::new(4096, 4096, nand_sim::SimClock::new());
-    let mut fs = Vfs::format(dev, VfsOptions::default()).unwrap();
-    let f = fs.create("a").unwrap();
-    fs.set_stream_label(f, "anything").unwrap();
-    fs.write_page(f, 0, &page(&fs, 9)).unwrap();
-    assert!(fs.device().telemetry_snapshot().is_none());
-    assert_eq!(read_byte(&mut fs, f, 0), 9);
 }
 
 #[test]
