@@ -143,6 +143,9 @@ pub struct InnoDb<D: BlockDevice> {
     pub(crate) pool: BufferPool,
     /// Evicted frames: the next fetch reads into one of these buffers.
     spare: Vec<NodePage>,
+    /// The rows [`Self::get_link_list`] returns, refilled in place by each
+    /// call; slots past the last list's length keep their buffers.
+    pub(crate) link_rows: Vec<(u64, Vec<u8>)>,
     pub(crate) root: u64,
     pub(crate) height: u16,
     next_page_no: u64,
@@ -188,6 +191,7 @@ impl<D: BlockDevice> InnoDb<D> {
             log,
             pool: BufferPool::new(pool_pages),
             spare: Vec::new(),
+            link_rows: Vec::new(),
             root: NO_PAGE,
             height: 0,
             next_page_no: 0,
@@ -222,6 +226,7 @@ impl<D: BlockDevice> InnoDb<D> {
             log,
             pool: BufferPool::new(pool_pages),
             spare: Vec::new(),
+            link_rows: Vec::new(),
             root: meta.root,
             height: meta.height,
             next_page_no: meta.next_page_no,

@@ -124,29 +124,42 @@ impl<D: BlockDevice> InnoDb<D> {
         self.with_value(key, |v| v.map(<[u8]>::to_vec))
     }
 
-    /// Range scan over `[lo, hi)`, in key order. The walk goes down the
-    /// tree rather than along the leaf chain, because a parent's separators
-    /// say which of its children the range covers: the walk ends at the
-    /// first separator ≥ `hi` without reading that child, and when it needs
-    /// a leaf that is not resident it reads that leaf and the parent's later
-    /// children below `hi` as one batched read of at most a quarter of the
-    /// pool, instead of one read per leaf.
+    /// Range scan over `[lo, hi)`, in key order, as owned rows.
     pub fn scan(&mut self, lo: &Key, hi: &Key) -> Result<Vec<(Key, Vec<u8>)>, EngineError> {
         let mut out = Vec::new();
-        if self.height > 0 {
-            self.scan_node(self.root, self.height - 1, lo, hi, &mut out)?;
-        }
+        self.scan_with(lo, hi, &mut |k, v| out.push((k, v.to_vec())))?;
         Ok(out)
     }
 
-    /// Append the rows of `[lo, hi)` under node `no`, at `level`, to `out`.
+    /// Borrowed range scan over `[lo, hi)`: `f` sees each row in key order
+    /// where it sits in its pool frame, so a caller that counts or refills
+    /// its own buffers copies nothing it does not keep. The walk goes down
+    /// the tree rather than along the leaf chain, because a parent's
+    /// separators say which of its children the range covers: the walk ends
+    /// at the first separator ≥ `hi` without reading that child, and when it
+    /// needs a leaf that is not resident it reads that leaf and the parent's
+    /// later children below `hi` as one batched read of at most a quarter of
+    /// the pool, instead of one read per leaf.
+    fn scan_with(
+        &mut self,
+        lo: &Key,
+        hi: &Key,
+        f: &mut impl FnMut(Key, &[u8]),
+    ) -> Result<(), EngineError> {
+        if self.height > 0 {
+            self.scan_node(self.root, self.height - 1, lo, hi, f)?;
+        }
+        Ok(())
+    }
+
+    /// Hand the rows of `[lo, hi)` under node `no`, at `level`, to `f`.
     fn scan_node(
         &mut self,
         no: u64,
         level: u16,
         lo: &Key,
         hi: &Key,
-        out: &mut Vec<(Key, Vec<u8>)>,
+        f: &mut impl FnMut(Key, &[u8]),
     ) -> Result<(), EngineError> {
         self.ensure_resident(no)?;
         let p = self.pool.get_mut(no).expect("resident");
@@ -157,7 +170,7 @@ impl<D: BlockDevice> InnoDb<D> {
                 if k >= *hi {
                     break;
                 }
-                out.push((k, p.value_at(i).to_vec()));
+                f(k, p.value_at(i));
             }
             return Ok(());
         }
@@ -167,7 +180,7 @@ impl<D: BlockDevice> InnoDb<D> {
             if level == 1 && !self.pool.contains(child) {
                 self.read_ahead(no, idx, hi)?;
             }
-            self.scan_node(child, level - 1, lo, hi, out)?;
+            self.scan_node(child, level - 1, lo, hi, f)?;
             idx += 1;
             // Only a pool a few frames deep can have evicted this node.
             self.ensure_resident(no)?;
@@ -352,7 +365,9 @@ impl<D: BlockDevice> InnoDb<D> {
 
     /// Number of entries in the tree (test helper).
     pub fn count_entries(&mut self) -> Result<u64, EngineError> {
-        Ok(self.scan(&Key::MIN, &Key::MAX)?.len() as u64)
+        let mut n = 0;
+        self.scan_with(&Key::MIN, &Key::MAX, &mut |_, _| n += 1)?;
+        Ok(n)
     }
 
     // ----- LinkBench table API ------------------------------------------------
@@ -422,16 +437,33 @@ impl<D: BlockDevice> InnoDb<D> {
         self.read_count(id1, typ)
     }
 
-    /// Range scan of a node's links of one type.
-    pub fn get_link_list(&mut self, id1: u64, typ: u32) -> Result<Vec<(u64, Vec<u8>)>, EngineError> {
+    /// Range scan of a node's links of one type, as (id2, payload) rows in
+    /// id2 order. The rows sit in the engine's link-row buffer and are
+    /// refilled in place by the next call: a row's id2 and bytes overwrite a
+    /// slot kept from an earlier list, so only a list longer, or a payload
+    /// larger, than any the slot held before requests heap.
+    pub fn get_link_list(&mut self, id1: u64, typ: u32) -> Result<&[(u64, Vec<u8>)], EngineError> {
         self.op_clock();
         let lo = Key::link_range_start(id1, typ);
         let hi = Key::link_range_end(id1, typ);
-        let rows = self.scan(&lo, &hi)?;
-        Ok(rows
-            .into_iter()
-            .map(|(k, v)| (u64::from_be_bytes(k.0[13..21].try_into().expect("id2 field")), v))
-            .collect())
+        let mut rows = std::mem::take(&mut self.link_rows);
+        let mut n = 0;
+        let walked = self.scan_with(&lo, &hi, &mut |k, v| {
+            let id2 = u64::from_be_bytes(k.0[13..21].try_into().expect("id2 field"));
+            match rows.get_mut(n) {
+                Some((slot_id2, slot)) => {
+                    *slot_id2 = id2;
+                    slot.clear();
+                    slot.extend_from_slice(v);
+                }
+                None => rows.push((id2, v.to_vec())),
+            }
+            n += 1;
+        });
+        // Put the buffer back before an error returns.
+        self.link_rows = rows;
+        walked?;
+        Ok(&self.link_rows[..n])
     }
 
     /// Point reads of specific links.

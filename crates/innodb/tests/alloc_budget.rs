@@ -14,7 +14,11 @@
 //! * writes: nothing per flushed page above the device beyond the request
 //!   vectors of its batch — the encoder asked for one page image each;
 //! * checkpoints: the same for the oldest pages a checkpoint flushes off
-//!   the flush list — walking the list allocates nothing.
+//!   the flush list — walking the list allocates nothing;
+//! * link lists: `get_link_list` refills the rows of the engine's link-row
+//!   buffer in place, so once the buffer has held the longest list and the
+//!   largest payload of each slot, a list read from resident leaves requests
+//!   nothing — the owned rows asked for about one allocation per row.
 //!
 //! The file holds one test on purpose: the counter is process-wide, and the
 //! harness runs the tests of one binary on parallel threads.
@@ -64,6 +68,9 @@ const HOT: u64 = 2_000;
 const GETS: u64 = 5_000;
 const UPSERTS: u64 = 2_000;
 const CHECKPOINTS: u64 = 200;
+/// Link lists of 4 to 40 rows, and the `get_link_list` calls made on them.
+const LISTS: u64 = 24;
+const LIST_READS: u64 = 3_000;
 /// Engine, file-system and device request vector of one page read.
 const PER_FETCH: u64 = 3;
 /// Request vectors of one SHARE flush batch, engine to NAND, whatever its
@@ -77,6 +84,16 @@ const PER_FLUSH_BATCH: u64 = 34;
 const PER_FLUSHED_PAGE: u64 = 2;
 /// A hash table or a scratch vector growing once in a phase.
 const STRAY: u64 = 16;
+
+/// Rows of link list `id1`: 4 to 40.
+fn list_len(id1: u64) -> u64 {
+    4 + id1 * 7 % 37
+}
+
+/// Payload of link (`id1`, `id2`): 8 to 120 bytes of one value.
+fn link_payload(id1: u64, id2: u64) -> (usize, u8) {
+    (8 + ((id1 * 31 + id2 * 17) % 113) as usize, (id1 + id2) as u8)
+}
 
 /// Pages the engine read from the tablespace: the data device serves no
 /// other reads once the engine is open.
@@ -189,6 +206,41 @@ fn fetch_and_flush_stay_inside_their_allocation_budget() {
         allocs <= budget,
         "{CHECKPOINTS} checkpoints ({pages} pages fetched, {flushed} flushed in {batches} \
          batches) made {allocs} allocations, budget {budget}"
+    );
+
+    // ---- link lists: rows refilled in place, none allocated per row -------
+    for id1 in 0..LISTS {
+        for id2 in 0..list_len(id1) {
+            let (len, byte) = link_payload(id1, id2);
+            db.add_link(id1, 0, id2, &vec![byte; len]).unwrap();
+        }
+    }
+    // Warm: every list read twice, so the buffer has held each slot's
+    // longest payload and the lists' leaves are young in the pool.
+    for _ in 0..2 {
+        for id1 in 0..LISTS {
+            db.get_link_list(id1, 0).unwrap();
+        }
+    }
+    let (allocs0, fetched0) = (ALLOCS.load(Relaxed), fetched(&db));
+    for i in 0..LIST_READS {
+        let id1 = i * 5 % LISTS;
+        let rows = db.get_link_list(id1, 0).unwrap();
+        assert_eq!(rows.len() as u64, list_len(id1), "list {id1}");
+        for (at, (id2, v)) in rows.iter().enumerate() {
+            let (len, byte) = link_payload(id1, *id2);
+            assert!(
+                *id2 == at as u64 && v.len() == len && v.iter().all(|&b| b == byte),
+                "row {at} of list {id1}"
+            );
+        }
+    }
+    let (allocs, pages) = (ALLOCS.load(Relaxed) - allocs0, fetched(&db) - fetched0);
+    assert!(
+        allocs <= PER_FETCH * pages + STRAY,
+        "{LIST_READS} link-list reads ({pages} pages fetched) made {allocs} allocations: {:.2} \
+         per read",
+        allocs as f64 / LIST_READS as f64
     );
     assert_eq!(db.stats().share_fallbacks, 0);
 }

@@ -178,7 +178,7 @@ fn a_prefetched_list_reads_no_leaf_serially() {
         reads(&mut db, |db| db.prefetch_keys(&[Key::link_range_start(id1, 0)]).unwrap());
     // One batched read per level: the root, the parent, then the list's leaves.
     assert_eq!((serial, batched), (0, 2 + k), "prefetch of list {id1} ({k} leaves)");
-    let (rows, serial, batched) = reads(&mut db, |db| db.get_link_list(id1, 0).unwrap());
+    let (rows, serial, batched) = reads(&mut db, |db| db.get_link_list(id1, 0).unwrap().to_vec());
     assert_eq!(rows, want(&model, id1, 0));
     assert_eq!((serial, batched), (0, 0), "list {id1} after its prefetch");
 }
@@ -188,7 +188,7 @@ fn an_unprefetched_list_reads_its_leaves_in_one_batch() {
     let (mut db, model, shape) = shaped(256);
     let (id1, groups) = find_list(&shape, |g| g.len() == 1 && g[0].len() >= 3);
     let k = groups[0].len() as u64;
-    let (rows, serial, batched) = reads(&mut db, |db| db.get_link_list(id1, 0).unwrap());
+    let (rows, serial, batched) = reads(&mut db, |db| db.get_link_list(id1, 0).unwrap().to_vec());
     assert_eq!(rows, want(&model, id1, 0));
     // The root and the parent on the way down, then the k leaves together:
     // the chain walk read them one by one.
@@ -209,7 +209,8 @@ fn a_list_ending_at_its_parents_last_child_reads_no_leaf_past_it() {
                 db.prefetch_keys(&[Key::link_range_start(id1, 0)]).unwrap();
             }
         });
-        let (rows, serial, batched) = reads(&mut db, |db| db.get_link_list(id1, 0).unwrap());
+        let (rows, serial, batched) =
+            reads(&mut db, |db| db.get_link_list(id1, 0).unwrap().to_vec());
         assert_eq!(rows, want(&model, id1, 0));
         // The root, the parent and the list's k leaves: not the next parent,
         // not the first leaf under it (the chain walk read that leaf to find
@@ -223,7 +224,7 @@ fn a_list_crossing_a_parent_boundary_reads_each_parents_leaves_in_one_batch() {
     let (mut db, model, shape) = shaped(256);
     let (id1, groups) = find_list(&shape, |g| g.len() == 2 && g.iter().all(|g| g.len() >= 2));
     let (k1, k2) = (groups[0].len() as u64, groups[1].len() as u64);
-    let (rows, serial, batched) = reads(&mut db, |db| db.get_link_list(id1, 0).unwrap());
+    let (rows, serial, batched) = reads(&mut db, |db| db.get_link_list(id1, 0).unwrap().to_vec());
     assert_eq!(rows, want(&model, id1, 0));
     // The root, then per parent: the parent alone and its leaves together.
     assert_eq!((serial, batched), (3, k1 + k2), "list {id1} over {k1} + {k2} leaves");
@@ -233,7 +234,7 @@ fn a_list_crossing_a_parent_boundary_reads_each_parents_leaves_in_one_batch() {
     let ((), serial, batched) =
         reads(&mut db, |db| db.prefetch_keys(&[Key::link_range_start(id1, 0)]).unwrap());
     assert_eq!((serial, batched), (0, 2 + k1));
-    let (rows, serial, batched) = reads(&mut db, |db| db.get_link_list(id1, 0).unwrap());
+    let (rows, serial, batched) = reads(&mut db, |db| db.get_link_list(id1, 0).unwrap().to_vec());
     assert_eq!(rows, want(&model, id1, 0));
     assert_eq!((serial, batched), (1, k2));
 }

@@ -88,13 +88,19 @@ impl ExtentAllocator {
         }
     }
 
-    /// Rebuild the free list from the set of allocated extents (recovery).
-    pub fn rebuild(start: u64, end: u64, mut used: Vec<Extent>) -> Self {
+    /// Rebuild the free list from the set of allocated extents (recovery):
+    /// the free runs are the gaps between them. The extents come from the
+    /// medium, so this is where the free list's invariant is established:
+    /// `None` if an extent's end overflows, one lies outside
+    /// `[start, end)` or two overlap.
+    pub fn rebuild(start: u64, end: u64, mut used: Vec<Extent>) -> Option<Self> {
         used.sort_by_key(|e| e.start);
         let mut alloc = Self { free: Vec::new() };
         let mut cursor = start;
         for e in used {
-            debug_assert!(e.start >= cursor, "overlapping allocated extents");
+            if e.start < cursor || e.start.checked_add(e.len)? > end {
+                return None;
+            }
             if e.start > cursor {
                 alloc.free.push(Extent { start: cursor, len: e.start - cursor });
             }
@@ -103,7 +109,7 @@ impl ExtentAllocator {
         if end > cursor {
             alloc.free.push(Extent { start: cursor, len: end - cursor });
         }
-        alloc
+        Some(alloc)
     }
 }
 
@@ -164,7 +170,7 @@ mod tests {
     #[test]
     fn rebuild_reconstructs_gaps() {
         let used = vec![Extent { start: 5, len: 5 }, Extent { start: 20, len: 10 }];
-        let a = ExtentAllocator::rebuild(0, 40, used);
+        let a = ExtentAllocator::rebuild(0, 40, used).unwrap();
         assert_eq!(a.free_pages(), 40 - 15);
         assert_eq!(
             a.free,

@@ -160,7 +160,10 @@ impl<D: BlockDevice> Vfs<D> {
             vfs.names.insert(f.name.clone(), f.id);
             vfs.files.insert(f.id, f);
         }
-        vfs.alloc = ExtentAllocator::rebuild(META_PAGES, vfs.dev.capacity_pages(), used);
+        let capacity = vfs.dev.capacity_pages();
+        vfs.alloc = ExtentAllocator::rebuild(META_PAGES, capacity, used).ok_or_else(|| {
+            VfsError::MetadataCorrupt("file extents overlap or leave the data area".into())
+        })?;
         Ok(vfs)
     }
 

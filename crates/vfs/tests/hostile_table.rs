@@ -9,7 +9,11 @@
 //! raise the file count or the last file's extent count past what the
 //! payload holds, up to `u32::MAX`. A reader that sizes a vector from such
 //! a count *aborts* the test binary ("memory allocation of … bytes
-//! failed") instead of failing a test.
+//! failed") instead of failing a test. The rest keep every count right but
+//! place an extent where no file can own it: over another file's pages,
+//! over the metadata area or past the device, or so far up that its end
+//! overflows. Such a table must be refused too, not mounted with two files
+//! sharing pages.
 
 use nand_sim::NandTiming;
 use share_core::{crc32c, BlockDevice, Ftl, FtlConfig, Lpn};
@@ -115,5 +119,35 @@ fn an_extent_count_past_the_payload_is_refused() {
         let mut payload = good.clone();
         payload[at..at + 4].copy_from_slice(&n_ext.to_le_bytes());
         assert_refused(&payload, &format!("extent count {n_ext}"));
+    }
+}
+
+/// `b.log`'s one extent replaced by `extent`, every count left right.
+fn with_b_extent(extent: (u64, u64)) -> Vec<u8> {
+    let ext = [extent];
+    table(&[(1, "a.db", 3, &EXTENTS[..1]), (2, "b.log", 10, &ext)])
+}
+
+#[test]
+fn overlapping_extents_are_refused() {
+    // `a.db` owns pages 40..48.
+    for extent in [(40, 8), (44, 4), (36, 8), (47, 20), (30, 40)] {
+        assert_refused(&with_b_extent(extent), &format!("extent {extent:?} over a.db's"));
+    }
+}
+
+#[test]
+fn an_extent_outside_the_data_area_is_refused() {
+    // The metadata slots and the journal ring sit below the first file
+    // page; the device holds 8 MiB of 4 KiB pages.
+    for extent in [(0, 4), (8, 1), (30, 4), (2_000, 1 << 20), (1 << 40, 1)] {
+        assert_refused(&with_b_extent(extent), &format!("extent {extent:?}"));
+    }
+}
+
+#[test]
+fn an_extent_whose_end_overflows_is_refused() {
+    for extent in [(u64::MAX, 1), (u64::MAX - 3, 8), (100, u64::MAX)] {
+        assert_refused(&with_b_extent(extent), &format!("extent {extent:?}"));
     }
 }

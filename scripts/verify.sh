@@ -28,7 +28,9 @@ echo "== allocation budget (release) =="
 cargo test -q --release --offline -p share-core --test alloc_budget
 # The engine half (crates/innodb/tests/alloc_budget.rs): a pool frame is
 # the page image, so a fetch may ask for its three request vectors and a
-# flushed page for nothing above the device.
+# flushed page for nothing above the device; its link-list phase holds
+# `get_link_list` on resident lists to no request per row (the rows are
+# refilled in place).
 cargo test -q --release --offline -p mini-innodb --test alloc_budget
 # The mini-couch half (crates/couch/tests/alloc_budget.rs): the buffer a
 # document's blocks are read into is the document, a save copies nothing
