@@ -86,8 +86,10 @@ impl Ftl {
     fn execute_queued(&mut self, cmd: QueuedCmd<'_>) -> Result<CmdOutput, FtlError> {
         match cmd {
             // A one-page read is a batch of one.
-            QueuedCmd::Read { lpn } => return self.read_queued(std::slice::from_ref(&lpn)),
-            QueuedCmd::ReadBatch { lpns } => return self.read_queued(lpns),
+            QueuedCmd::Read { lpn } => {
+                return self.read_queued(std::slice::from_ref(&lpn), Vec::new())
+            }
+            QueuedCmd::ReadBatch { lpns, buf } => return self.read_queued(lpns, buf),
             QueuedCmd::Write { lpn, data } => self.write_batch_impl(&[(lpn, &data[..])])?,
             QueuedCmd::WriteBatch { pages } => self.write_batch_impl(pages)?,
             QueuedCmd::WriteAtomic { pages } if !pages.is_empty() => self.write_atomic_impl(pages)?,
@@ -103,11 +105,14 @@ impl Ftl {
         Ok(CmdOutput::None)
     }
 
-    /// A queued read: the pages land in one flat buffer, which the
-    /// completion hands to the reaper.
-    fn read_queued(&mut self, lpns: &[Lpn]) -> Result<CmdOutput, FtlError> {
+    /// A queued read: the pages land in the submitter's buffer, cut or
+    /// grown to exactly the request, which the completion hands back to the
+    /// reaper. Its old bytes need no clearing: `read_batch_impl` reads every
+    /// mapped page over its slice and zero-fills every hole, and a read that
+    /// fails drops the buffer with the error.
+    fn read_queued(&mut self, lpns: &[Lpn], mut buf: Vec<u8>) -> Result<CmdOutput, FtlError> {
         let page_size = self.page_size();
-        let mut buf = vec![0u8; lpns.len() * page_size];
+        buf.resize(lpns.len() * page_size, 0);
         self.read_batch_impl(&mut FlatRead { lpns, buf: &mut buf, page_size })?;
         Ok(CmdOutput::Pages(buf))
     }
@@ -121,21 +126,26 @@ impl Ftl {
     }
 
     /// Remove and return every pending command with `complete_ns <= now`,
-    /// oldest completion first, unpinning its blocks.
+    /// oldest completion first, unpinning its blocks and handing their list
+    /// back to the pool for the next queued command's capture.
     fn take_due(&mut self, now: u64) -> Vec<Completion> {
-        let mut due = Vec::new();
+        // Sized once: the vector is the caller's, one request per reap.
+        let n = self.pending.iter().filter(|p| p.complete_ns <= now).count();
+        let mut due = Vec::with_capacity(n);
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].complete_ns <= now {
-                let p = self.pending.remove(i);
-                self.pool.release_inflight(&p.blocks);
-                let PendingCmd { tag, submit_ns, complete_ns, result, .. } = p;
+                let PendingCmd { tag, submit_ns, complete_ns, result, blocks } =
+                    self.pending.remove(i);
+                self.pool.release_inflight(&blocks);
+                self.pool.recycle_capture(blocks);
                 due.push(Completion { tag, submit_ns, complete_ns, result });
             } else {
                 i += 1;
             }
         }
-        due.sort_by_key(|c| (c.complete_ns, c.tag));
+        // Tags are unique, so the order is total and an in-place sort keeps it.
+        due.sort_unstable_by_key(|c| (c.complete_ns, c.tag));
         self.q_reaped += due.len() as u64;
         due
     }

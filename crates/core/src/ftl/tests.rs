@@ -1061,7 +1061,7 @@ fn run_pin(mut f: Ftl, ops: &[PinOp], queued: bool) -> (u64, DeviceStats, u64) {
                 PinOp::Trim(l, n) => QueuedCmd::Trim { lpn: Lpn(*l), len: *n },
                 PinOp::Flush => QueuedCmd::Flush,
                 PinOp::Read(l) => QueuedCmd::Read { lpn: Lpn(*l) },
-                PinOp::ReadBatch(_) => QueuedCmd::ReadBatch { lpns: &lpns },
+                PinOp::ReadBatch(_) => QueuedCmd::ReadBatch { lpns: &lpns, buf: Vec::new() },
             };
             f.submit(cmd).unwrap();
             let mut done = f.reap();
@@ -1341,7 +1341,7 @@ fn queued_batches_round_trip() {
     f.submit(QueuedCmd::WriteAtomic { pages: &refs[16..] }).unwrap();
     assert!(f.drain().iter().all(Completion::is_ok));
     let lpns: Vec<Lpn> = (0..20).map(Lpn).collect();
-    f.submit(QueuedCmd::ReadBatch { lpns: &lpns }).unwrap();
+    f.submit(QueuedCmd::ReadBatch { lpns: &lpns, buf: Vec::new() }).unwrap();
     let done = f.drain();
     let flat = done[0].result.clone().unwrap().into_pages().unwrap();
     assert_eq!(flat.len(), 20 * ps);

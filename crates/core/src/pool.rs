@@ -92,6 +92,9 @@ pub struct BlockPool {
     /// While capturing (between `begin_capture` / `end_capture`), every
     /// allocation's block is recorded here and pinned in `inflight`.
     capture: Option<Vec<u32>>,
+    /// Emptied capture lists of reaped commands, which the next captures
+    /// reuse: at most one per command that was ever in flight at once.
+    spare_captures: Vec<Vec<u32>>,
     /// Times a lane's preferred channel had no free block and the pop fell
     /// back to another channel, collapsing lane parallelism.
     lane_steals: u64,
@@ -118,6 +121,7 @@ impl BlockPool {
             inflight: vec![0; count as usize],
             inflight_blocks: 0,
             capture: None,
+            spare_captures: Vec::new(),
             lane_steals: 0,
         }
     }
@@ -247,13 +251,22 @@ impl BlockPool {
     /// [`Self::release_inflight`]. Used by queued command execution.
     pub fn begin_capture(&mut self) {
         debug_assert!(self.capture.is_none(), "capture windows do not nest");
-        self.capture = Some(Vec::new());
+        self.capture = Some(self.spare_captures.pop().unwrap_or_default());
     }
 
     /// Stop recording and return the captured block list (to be released
     /// when the command is reaped).
     pub fn end_capture(&mut self) -> Vec<u32> {
         self.capture.take().expect("end_capture without begin_capture")
+    }
+
+    /// Take back a captured list once [`Self::release_inflight`] has unpinned
+    /// it: a later [`Self::begin_capture`] records into its capacity.
+    pub fn recycle_capture(&mut self, mut blocks: Vec<u32>) {
+        if blocks.capacity() > 0 {
+            blocks.clear();
+            self.spare_captures.push(blocks);
+        }
     }
 
     /// Unpin blocks captured for a queued command once the host reaps its

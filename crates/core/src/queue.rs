@@ -35,15 +35,21 @@ impl std::fmt::Display for CmdTag {
 /// and pairs only have to live for the `submit` call — the medium holds the
 /// bytes when it returns, and the submitting connection can reuse its
 /// buffers before the command completes. `PendingCmd`/[`Completion`] never
-/// hold the command, only its outcome (DESIGN.md §8 "Buffer ownership").
+/// hold the command, only its outcome; the one buffer that crosses the
+/// boundary by value is a [`QueuedCmd::ReadBatch`]'s destination, which the
+/// completion hands back (DESIGN.md §8 "Buffer ownership").
 #[derive(Debug, Clone)]
 pub enum QueuedCmd<'a> {
-    /// Read one page: a one-page [`QueuedCmd::ReadBatch`], completing with
-    /// [`CmdOutput::Pages`].
+    /// Read one page: a one-page [`QueuedCmd::ReadBatch`] into a fresh
+    /// buffer, completing with [`CmdOutput::Pages`].
     Read { lpn: Lpn },
-    /// Read a vector of pages as one submission; completes with
-    /// [`CmdOutput::Pages`], one buffer holding the pages in request order.
-    ReadBatch { lpns: &'a [Lpn] },
+    /// Read a vector of pages as one submission into `buf`, which the
+    /// submitter moves in: the device sizes it to exactly `lpns.len() ×
+    /// page_size`, reads or zero-fills every page of it — nothing it held
+    /// before shows — and hands it back as the completion's
+    /// [`CmdOutput::Pages`]. A buffer with that capacity costs no heap; an
+    /// empty `Vec` is one allocation. A refused submission drops it.
+    ReadBatch { lpns: &'a [Lpn], buf: Vec<u8> },
     /// Write one page. The one variant that owns its payload: the benchmark
     /// package's device transcript builds it from an owned page, and the
     /// form goes with the other single-page forms when the command surface
@@ -84,7 +90,7 @@ impl QueuedCmd<'_> {
     pub(crate) fn header(&self) -> (OpClass, u64) {
         match self {
             QueuedCmd::Read { .. } => (OpClass::Read, 1),
-            QueuedCmd::ReadBatch { lpns } => (OpClass::ReadBatch, lpns.len() as u64),
+            QueuedCmd::ReadBatch { lpns, .. } => (OpClass::ReadBatch, lpns.len() as u64),
             QueuedCmd::Write { .. } => (OpClass::Write, 1),
             QueuedCmd::WriteBatch { pages } => (OpClass::WriteBatch, pages.len() as u64),
             QueuedCmd::WriteAtomic { pages } => (OpClass::WriteAtomic, pages.len() as u64),
@@ -101,10 +107,12 @@ impl QueuedCmd<'_> {
 pub enum CmdOutput {
     /// No payload (writes, trim, share, flush).
     None,
-    /// Pages of read data: one buffer of `lpns.len() × page_size` bytes, the
+    /// Pages of read data: the read's buffer — a `ReadBatch`'s own `buf`,
+    /// a fresh one for a `Read` — of `lpns.len() × page_size` bytes, the
     /// pages back to back in request order (`chunks_exact(page_size)` walks
-    /// them). One allocation per command, which the reaper owns from here on
-    /// — an engine whose record spans the pages can keep it as the record.
+    /// them). The reaper owns it from here on: an engine whose record spans
+    /// the pages can keep it as the record, and lend it to its next
+    /// `ReadBatch` once the record is done with.
     Pages(Vec<u8>),
 }
 

@@ -8,7 +8,7 @@ pub use nand_sim::Ppn;
 ///
 /// The FTL maps each LPN to a physical page ([`Ppn`]) through the L2P
 /// table; the SHARE command rewrites that mapping explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Lpn(pub u64);
 
 impl Lpn {

@@ -17,14 +17,17 @@
 //! few dozen bytes, and so does a reverse-map list allocated per shared
 //! page instead of taken from the map's spares.
 //!
-//! Above the boundary a queued `ReadBatch` hands its pages back in one flat
-//! buffer, which the reaper owns: the same test ends by holding a k-page
-//! batch to one page-sized-or-larger allocation, its `submit` to that
-//! buffer and the queue's bookkeeping (no request vector), and its pages to
-//! the bytes a synchronous `read_batch` of the same pages returns. A queued `WriteBatch`
+//! Above the boundary a queued `ReadBatch` reads into the buffer its
+//! submitter lends it and hands its pages back in it, which the reaper owns:
+//! the same test ends by holding a k-page batch lent an empty buffer to one
+//! page-sized-or-larger allocation, its `submit` to that buffer and the
+//! queue's bookkeeping (no request vector), and its pages to the bytes a
+//! synchronous `read_batch` of the same pages returns. A queued `WriteBatch`
 //! or `WriteAtomic` lends its pages for the `submit` call, so it may request
 //! no page-sized allocation at all and no more bytes than its synchronous
-//! twin plus the queue's own bookkeeping.
+//! twin plus the queue's own bookkeeping. Warm, neither submission requests
+//! any heap: a read lent a buffer of the capacity it needs, and a write whose
+//! pinned-block list an earlier reaped command gave back.
 //!
 //! On four channels a large SHARE commits a stripe of log pages per
 //! submission, encoded into the log's own page images from the device's
@@ -181,6 +184,7 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     rig.ftl.check_invariants();
     queued_read_batch_is_one_flat_buffer(&mut rig);
     queued_writes_lend_their_pages(&mut rig);
+    warm_queued_submits_request_no_heap(&mut rig);
     a_checkpoint_builds_its_pages_in_the_device_image(&mut rig);
     reads_and_writes_request_no_heap(&mut rig);
     multi_chunk_share_batches_stay_inside_the_budget();
@@ -331,8 +335,9 @@ fn reads_and_writes_request_no_heap(rig: &mut Rig) {
 /// caller's buffers until `submit` returns: no payload-sized allocation, and
 /// no more heap than the synchronous call on the same pages plus what the
 /// queue keeps per command (the `PendingCmd` entry with its pinned-block
-/// list, and the two vectors `drain` builds to hand the completion back:
-/// ~0.8 KiB). One copied page would cost 4 KiB, four times the slack.
+/// list until a reaped command gives one back, and the vector `drain`
+/// builds to hand the completion back). One copied page would cost 4 KiB,
+/// four times the slack.
 fn queued_writes_lend_their_pages(rig: &mut Rig) {
     const N: u64 = 8;
     const QUEUE_SLACK: u64 = 1024;
@@ -369,6 +374,37 @@ fn queued_writes_lend_their_pages(rig: &mut Rig) {
     ftl.check_invariants();
 }
 
+/// A warm queued command's `submit` requests no heap at all: a `ReadBatch`
+/// lent the buffer the last one handed back reads into it, and a
+/// `WriteBatch` pins its blocks in the list the last reaped write gave back.
+/// The completion vector `drain` returns is the `BlockDevice` trait's, and
+/// the reaper's.
+fn warm_queued_submits_request_no_heap(rig: &mut Rig) {
+    const N: u64 = 8;
+    let bufs: Vec<[u8; PAGE]> = (0..N).map(|i| [0xB0 | i as u8; PAGE]).collect();
+    let pages: Vec<(Lpn, &[u8])> =
+        bufs.iter().enumerate().map(|(i, b)| (Lpn(200 + i as u64), &b[..])).collect();
+    let lpns: Vec<Lpn> = pages.iter().map(|&(lpn, _)| lpn).collect();
+    let ftl = &mut rig.ftl;
+    let mut lent = Vec::new();
+    for round in 0..3 {
+        let (write, _) = heap_of(|| {
+            ftl.submit(QueuedCmd::WriteBatch { pages: &pages }).unwrap();
+        });
+        assert!(ftl.drain().iter().all(|c| c.is_ok()));
+        let buf = std::mem::take(&mut lent);
+        let (read, _) = heap_of(|| {
+            ftl.submit(QueuedCmd::ReadBatch { lpns: &lpns, buf }).unwrap();
+        });
+        lent = ftl.drain().pop().unwrap().result.unwrap().into_pages().unwrap();
+        assert!(lent.chunks_exact(PAGE).zip(&bufs).all(|(got, want)| got == want));
+        if round > 0 {
+            assert_eq!((write, read), (0, 0), "warm queued WriteBatch, ReadBatch submits");
+        }
+    }
+    ftl.check_invariants();
+}
+
 /// Mapped, trimmed and never-written pages in one queued `ReadBatch`: the
 /// completion carries `k × PAGE` bytes, page for page what a synchronous
 /// `read_batch` of the same LPNs reads, and the command made one payload
@@ -390,7 +426,7 @@ fn queued_read_batch_is_one_flat_buffer(rig: &mut Rig) {
     assert_eq!(fills, [0x5A, 0, 0xC3, 0, 0, 0x5A], "trimmed and never-written pages read as zeros");
 
     let (before, requests_before) = (PAGE_ALLOCS.load(Relaxed), ALLOC_REQUESTS.load(Relaxed));
-    rig.ftl.submit(QueuedCmd::ReadBatch { lpns: &lpns }).unwrap();
+    rig.ftl.submit(QueuedCmd::ReadBatch { lpns: &lpns, buf: Vec::new() }).unwrap();
     let submit_requests = ALLOC_REQUESTS.load(Relaxed) - requests_before;
     let mut done = rig.ftl.drain();
     let payload_allocs = PAGE_ALLOCS.load(Relaxed) - before;

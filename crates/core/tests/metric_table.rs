@@ -37,7 +37,7 @@ fn mixed_script(dev: &mut Ftl) {
     let mut buf = vec![0u8; PAGE];
     dev.snapshot_read("base", 3, &mut buf).unwrap();
     dev.read(Lpn(310), &mut buf).unwrap();
-    dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(1), Lpn(2)] }).unwrap();
+    dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(1), Lpn(2)], buf: Vec::new() }).unwrap();
     dev.drain();
     // Mixed overwrite lifetimes, so GC victims still carry live pages.
     for round in 0..8u64 {

@@ -1,6 +1,8 @@
 //! What a borrowed queued command promises: the device captures a command's
 //! state at submission, so the caller's buffers are its own again the moment
 //! `submit` returns, and a submission the queue refuses has touched nothing.
+//! A queued read is lent its destination by value and hands it back holding
+//! the pages, and only them, whatever the buffer held before.
 
 use nand_sim::NandTiming;
 use share_core::{BlockDevice, Ftl, FtlConfig, FtlError, Lpn, QueuedCmd};
@@ -86,5 +88,40 @@ fn queue_full_at_depth_one_touches_nothing_and_clears_on_reap() {
     f.submit(QueuedCmd::WriteBatch { pages: &second }).unwrap();
     assert!(f.reap().iter().all(|c| c.is_ok()));
     assert_eq!((read(&mut f, 0), read(&mut f, 1), read(&mut f, 2)), (old, new.clone(), new));
+    f.check_invariants();
+}
+
+/// A `ReadBatch` lent a buffer of any length, full of old bytes, hands it
+/// back exactly `n` pages long, page for page what the synchronous
+/// `read_batch` reads: the mapped pages' bytes and zeros for trimmed and
+/// never-written ones, nothing of what the buffer held.
+#[test]
+fn a_lent_read_buffer_comes_back_holding_exactly_the_pages() {
+    let mut f = device(8);
+    let ps = f.page_size();
+    for lpn in 0..8u64 {
+        f.write(Lpn(lpn), &vec![0x30 + lpn as u8; ps]).unwrap();
+    }
+    f.trim(Lpn(2), 2).unwrap();
+    // Mapped 0, 1 and 5 (0 twice); trimmed 2 and 3; never written 40 and 63.
+    let lpns = [0, 2, 40, 5, 3, 63, 1, 0].map(Lpn);
+    let n = lpns.len();
+    let mut want = vec![0x55u8; n * ps];
+    let mut reqs: Vec<(Lpn, &mut [u8])> =
+        lpns.iter().copied().zip(want.chunks_exact_mut(ps)).collect();
+    f.read_batch(&mut reqs).unwrap();
+    let fills: Vec<u8> = want.chunks_exact(ps).map(|p| p[ps / 2]).collect();
+    assert_eq!(fills, [0x30, 0, 0, 0x35, 0, 0, 0x31, 0x30], "holes read as zeros");
+
+    // Longer than the request by three pages and a bit, shorter, empty.
+    for len in [(n + 3) * ps + 17, 2 * ps + 1, 0] {
+        let lent = vec![0xAAu8; len];
+        f.submit(QueuedCmd::ReadBatch { lpns: &lpns, buf: lent }).unwrap();
+        let mut done = f.drain();
+        assert_eq!(done.len(), 1);
+        let got = done.pop().unwrap().result.unwrap().into_pages().unwrap();
+        assert_eq!(got.len(), n * ps, "a {len}-byte buffer came back the wrong length");
+        assert!(got == want, "a {len}-byte buffer of 0xAA read other bytes than read_batch");
+    }
     f.check_invariants();
 }

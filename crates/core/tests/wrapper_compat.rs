@@ -97,7 +97,7 @@ fn a_hand_written_forwarder_carries_owned_and_borrowed_commands() {
     let page = vec![0xC3u8; ps];
     let pages = [(Lpn(6), &page[..]), (Lpn(7), &page[..])];
     dev.submit(QueuedCmd::WriteBatch { pages: &pages }).unwrap();
-    dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(5), Lpn(6), Lpn(7)] }).unwrap();
+    dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(5), Lpn(6), Lpn(7)], buf: Vec::new() }).unwrap();
 
     let mut done = dev.drain();
     assert_eq!(done.len(), 4);

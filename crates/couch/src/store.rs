@@ -16,12 +16,19 @@ use crate::format::{
     encode_node, node_capacity, DocPtr, Header, NodeEntry,
 };
 use crate::CouchError;
-use share_core::BlockDevice;
-use share_vfs::{FileId, Vfs};
+use share_core::{BlockDevice, CmdTag, Completion, InlineVec};
+use share_vfs::{FileId, Vfs, VfsError};
 use std::collections::{BTreeMap, HashMap};
 
 /// Sentinel for "no root".
 pub const NO_ROOT: u64 = u64::MAX;
+
+/// Blocks of a document whose write request sits on the stack.
+const INLINE_DOC_BLOCKS: usize = 16;
+
+/// Document buffers [`CouchStore::get_many`] keeps for its next reads: one
+/// per connection of a round.
+const SPARE_DOCS: usize = 16;
 
 /// Index-maintenance strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +98,41 @@ enum Pending {
     Delete,
 }
 
+/// What [`CouchStore::get_many`] keeps between calls, so that a warm call
+/// requests no heap per document: the result it returns, refilled in place,
+/// the document buffers of the results before it, lent to the next reads,
+/// and its request vectors.
+#[derive(Default)]
+struct ManyReads {
+    /// The last call's documents, one slot per key.
+    docs: Vec<Option<Vec<u8>>>,
+    /// Emptied document buffers, at most [`SPARE_DOCS`].
+    spare: Vec<Vec<u8>>,
+    /// Each key's current pointer.
+    ptrs: Vec<Option<DocPtr>>,
+    /// Each submitted read: its key's slot, its tag and the pointer read.
+    tags: Vec<(usize, CmdTag, DocPtr)>,
+    /// One document's blocks.
+    pages: Vec<u64>,
+    /// Completions reaped while the queue was full.
+    reaped: Vec<Completion>,
+}
+
+impl ManyReads {
+    /// Start a call: the last call's documents go onto the spare stack and
+    /// every vector is emptied, so no slot can keep an earlier document.
+    fn reset(&mut self) {
+        for doc in self.docs.drain(..).flatten() {
+            if self.spare.len() < SPARE_DOCS {
+                self.spare.push(doc);
+            }
+        }
+        self.ptrs.clear();
+        self.tags.clear();
+        self.reaped.clear();
+    }
+}
+
 /// The document store over a [`Vfs`].
 pub struct CouchStore<D: BlockDevice> {
     pub(crate) fs: Vfs<D>,
@@ -110,10 +152,14 @@ pub struct CouchStore<D: BlockDevice> {
     pending: BTreeMap<u64, Pending>,
     /// By-seq index changes awaiting commit (key = sequence number).
     pending_seq: BTreeMap<u64, Pending>,
-    /// Same-size updates awaiting a SHARE remap at commit: key -> (old
-    /// location, newest appended copy). Re-updates of a key within one
-    /// batch coalesce here (last writer wins; earlier copies go stale).
-    pending_shares: BTreeMap<u64, (DocPtr, DocPtr)>,
+    /// Same-size updates awaiting a SHARE remap at commit, in key order:
+    /// (key, old location, newest appended copy). Re-updates of a key within
+    /// one batch coalesce here (last writer wins; earlier copies go stale).
+    /// A sorted vector, not a map, so each batch refills the capacity the
+    /// commit before it emptied.
+    pending_shares: Vec<(u64, DocPtr, DocPtr)>,
+    /// A commit's remap pairs, (old block, new block), refilled by each.
+    share_pairs: Vec<(u64, u64)>,
     ops_since_commit: usize,
     /// Decoded tree nodes by block. Nodes are immutable once written; the
     /// cache owns them and lends them out ([`CouchStore::node`]).
@@ -121,6 +167,7 @@ pub struct CouchStore<D: BlockDevice> {
     /// Every block image this store writes is encoded here and lent to the
     /// file system; node reads on a cache miss land here too.
     scratch: Vec<u8>,
+    many: ManyReads,
     pub(crate) stats: CouchStats,
 }
 
@@ -148,10 +195,12 @@ impl<D: BlockDevice> CouchStore<D> {
             next_rev: 1,
             pending: BTreeMap::new(),
             pending_seq: BTreeMap::new(),
-            pending_shares: BTreeMap::new(),
+            pending_shares: Vec::new(),
+            share_pairs: Vec::new(),
             ops_since_commit: 0,
             node_cache: HashMap::new(),
             scratch: Vec::new(),
+            many: ManyReads::default(),
             stats: CouchStats::default(),
         };
         store.write_at_tail(Self::encode_header_at_tail)?;
@@ -211,10 +260,12 @@ impl<D: BlockDevice> CouchStore<D> {
             next_rev: h.seq + 1,
             pending: BTreeMap::new(),
             pending_seq: BTreeMap::new(),
-            pending_shares: BTreeMap::new(),
+            pending_shares: Vec::new(),
+            share_pairs: Vec::new(),
             ops_since_commit: 0,
             node_cache: HashMap::new(),
             scratch: Vec::new(),
+            many: ManyReads::default(),
             stats: CouchStats::default(),
         })
     }
@@ -352,29 +403,27 @@ impl<D: BlockDevice> CouchStore<D> {
         self.next_rev += 1;
         encode_doc(key, rev, payload, bs, &mut self.scratch);
         let tail = self.tail;
-        let mut batch: Vec<(u64, &[u8])> = self
-            .scratch
-            .chunks_exact(bs)
-            .enumerate()
-            .map(|(i, img)| (tail + i as u64, img))
-            .collect();
-        let nblocks = batch.len() as u64;
+        let nblocks = self.scratch.len() / bs;
         // Submission order is not file order: the device stripes a batch over
         // its lanes as submitted, and documents of as many blocks as it has
         // channels would put every head — all a compaction reads — on one lane.
         // So each starts a block later than the one before (any part may
         // survive a power cut, as before: unreferenced until its commit).
-        batch.rotate_left((rev % nblocks) as usize);
+        let first = (rev % nblocks as u64) as usize;
+        let mut batch = InlineVec::<(u64, &[u8]), INLINE_DOC_BLOCKS>::with_capacity(nblocks);
+        for i in (first..nblocks).chain(0..first) {
+            batch.push((tail + i as u64, &self.scratch[i * bs..(i + 1) * bs]));
+        }
         if queued {
             // Retry through shared-queue saturation: only writes are in
             // flight on the save path, so reaped completions carry no
             // payloads this store still needs.
-            self.fs.submit_write_pages_retry(self.file, &batch)?;
+            self.fs.submit_write_pages_retry(self.file, batch.as_slice())?;
         } else {
-            self.fs.write_pages(self.file, &batch)?;
+            self.fs.write_pages(self.file, batch.as_slice())?;
         }
-        self.tail += nblocks;
-        self.stats.doc_blocks_appended += nblocks;
+        self.tail += nblocks as u64;
+        self.stats.doc_blocks_appended += nblocks as u64;
         Ok(DocPtr { block: tail, nblocks: nblocks as u16, len: payload.len() as u32 })
     }
 
@@ -431,9 +480,15 @@ impl<D: BlockDevice> CouchStore<D> {
             Some(Pending::Put(ptr, seq)) => Ok(Some((ptr, seq))),
             Some(Pending::Delete) => Ok(None),
             None => Ok(self.tree_lookup(key)?.map(|(ptr, seq)| {
-                (self.pending_shares.get(&key).map_or(ptr, |&(_, newest)| newest), seq)
+                (self.pending_share(key).map_or(ptr, |i| self.pending_shares[i].2), seq)
             })),
         }
+    }
+
+    /// Where `key` sits in `pending_shares`: `Ok` its index, `Err` where it
+    /// would go.
+    fn pending_share(&self, key: u64) -> Result<usize, usize> {
+        self.pending_shares.binary_search_by_key(&key, |&(k, _, _)| k)
     }
 
     /// Point read.
@@ -449,44 +504,59 @@ impl<D: BlockDevice> CouchStore<D> {
     /// reads are cached), then every document's blocks go to the device as
     /// an independent queued read. Falls back to serial gets on devices
     /// without queued submission.
-    pub fn get_many(&mut self, keys: &[u64]) -> Result<Vec<Option<Vec<u8>>>, CouchError> {
-        if !self.fs.supports_queue() || keys.len() <= 1 {
-            return keys.iter().map(|&k| self.get(k)).collect();
-        }
-        let span = self.fs.root_span("group_get");
-        let r = self.get_many_inner(keys);
-        self.fs.end_span(span, r.is_ok());
-        r
+    ///
+    /// The documents, one slot per key (`None`: no such key), sit in the
+    /// store and are refilled by the next call, whose reads land in the
+    /// buffers this call's documents leave: a warm call of at most
+    /// [`SPARE_DOCS`] documents no larger than the last ones requests no
+    /// document-sized heap.
+    pub fn get_many(&mut self, keys: &[u64]) -> Result<&[Option<Vec<u8>>], CouchError> {
+        let mut many = std::mem::take(&mut self.many);
+        many.reset();
+        let r = if !self.fs.supports_queue() || keys.len() <= 1 {
+            keys.iter().try_for_each(|&k| {
+                many.docs.push(self.get(k)?);
+                Ok(())
+            })
+        } else {
+            let span = self.fs.root_span("group_get");
+            let r = self.get_many_inner(keys, &mut many);
+            self.fs.end_span(span, r.is_ok());
+            r
+        };
+        // Put the buffers back before an error returns.
+        self.many = many;
+        r?;
+        Ok(&self.many.docs)
     }
 
-    fn get_many_inner(&mut self, keys: &[u64]) -> Result<Vec<Option<Vec<u8>>>, CouchError> {
-        let mut ptrs = Vec::with_capacity(keys.len());
+    fn get_many_inner(&mut self, keys: &[u64], many: &mut ManyReads) -> Result<(), CouchError> {
         for &k in keys {
-            ptrs.push(self.current_of(k)?.map(|(p, _)| p));
+            many.ptrs.push(self.current_of(k)?.map(|(p, _)| p));
         }
-        let mut tags: Vec<(usize, share_core::CmdTag, DocPtr)> = Vec::with_capacity(keys.len());
-        let mut completions = Vec::new();
-        let mut pages: Vec<u64> = Vec::new();
-        for (i, ptr) in ptrs.iter().enumerate() {
-            let Some(p) = ptr else { continue };
-            pages.clear();
-            pages.extend((0..p.nblocks as u64).map(|j| p.block + j));
-            let tag = self.fs.submit_read_pages(self.file, &pages, &mut completions)?;
-            tags.push((i, tag, *p));
+        many.docs.resize(keys.len(), None);
+        for (i, ptr) in many.ptrs.iter().enumerate() {
+            let Some(p) = *ptr else { continue };
+            many.pages.clear();
+            many.pages.extend((0..p.nblocks as u64).map(|j| p.block + j));
+            let buf = many.spare.pop().unwrap_or_default();
+            let tag = self.fs.submit_read_pages(self.file, &many.pages, buf, &mut many.reaped)?;
+            many.tags.push((i, tag, p));
         }
-        completions.extend(self.fs.drain_queue());
+        let drained = self.fs.drain_queue();
         let bs = self.fs.page_size();
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        for c in completions {
-            let output = c.result.map_err(share_vfs::VfsError::Device)?;
-            let Some(&(i, _, ptr)) = tags.iter().find(|(_, t, _)| *t == c.tag) else { continue };
+        for c in many.reaped.drain(..).chain(drained) {
+            let output = c.result.map_err(VfsError::Device)?;
+            let Some(&(i, _, ptr)) = many.tags.iter().find(|(_, t, _)| *t == c.tag) else {
+                continue;
+            };
             // The completion's buffer becomes the document.
             let blocks = output
                 .into_pages()
                 .ok_or_else(|| CouchError::Corrupt("queued read carried no pages".into()))?;
-            out[i] = Some(decode_doc_payload(ptr, blocks, bs)?);
+            many.docs[i] = Some(decode_doc_payload(ptr, blocks, bs)?);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Read a document by its sequence number (committed state only).
@@ -570,7 +640,7 @@ impl<D: BlockDevice> CouchStore<D> {
     /// Reap at least one outstanding queued append (backpressure relief).
     fn drain_some(&mut self) -> Result<(), CouchError> {
         for c in self.fs.reap_queue() {
-            c.result.map_err(share_vfs::VfsError::Device)?;
+            c.result.map_err(VfsError::Device)?;
         }
         Ok(())
     }
@@ -598,7 +668,10 @@ impl<D: BlockDevice> CouchStore<D> {
                         // the remap lands (the tree keeps the old location);
                         // a superseded earlier copy in this batch is stale
                         // garbage either way.
-                        self.pending_shares.insert(key, (old, new_ptr));
+                        match self.pending_share(key) {
+                            Ok(i) => self.pending_shares[i] = (key, old, new_ptr),
+                            Err(i) => self.pending_shares.insert(i, (key, old, new_ptr)),
+                        }
                         self.stale_blocks += new_blocks;
                         self.stats.share_remaps += 1;
                         return Ok(());
@@ -661,30 +734,11 @@ impl<D: BlockDevice> CouchStore<D> {
         // deltas too (§4.2.2: "The SHARE command returns after logging
         // finishes"). Batches with tree changes fsync below as usual.
         if !self.pending_shares.is_empty() {
-            // The device commits a batch in log-page-sized atomic chunks:
-            // a document is the unit the remap is never cut inside.
-            let docs = std::mem::take(&mut self.pending_shares);
-            let mut pairs = Vec::with_capacity(docs.len());
-            for (old, new) in docs.values() {
-                for i in 0..old.nblocks as u64 {
-                    pairs.push((old.block + i, new.block + i));
-                }
-            }
-            let ends = docs.values().scan(0, |end, (old, _)| {
-                *end += old.nblocks as usize;
-                Some(*end)
-            });
-            self.fs.ioctl_share_units(self.file, self.file, &pairs, ends)?;
-            // The remap made the appended copies stale: unmap them now, one
-            // command per run (a round's copies are adjacent). No flash is
-            // freed — each page lives on under the old location — but the
-            // second reference goes (the paper's bounded reverse map, §4.2.1)
-            // and the next compaction's delete is left only what is mapped.
-            // `CouchMode::Original` gets no such trim: it would free flash.
-            pairs.sort_unstable_by_key(|&(_, new)| new);
-            for run in pairs.chunk_by(|a, b| a.1 + 1 == b.1) {
-                self.fs.trim_range(self.file, run[0].1, run[run.len() - 1].1 + 1)?;
-            }
+            let mut pairs = std::mem::take(&mut self.share_pairs);
+            let remapped = self.remap_pending_shares(&mut pairs);
+            self.pending_shares.clear();
+            self.share_pairs = pairs;
+            remapped?;
         }
 
         if !self.pending.is_empty() || !self.pending_seq.is_empty() {
@@ -706,6 +760,35 @@ impl<D: BlockDevice> CouchStore<D> {
         }
         self.ops_since_commit = 0;
         self.stats.commits += 1;
+        Ok(())
+    }
+
+    /// The SHARE half of a commit: remap every pending same-size update's
+    /// old blocks onto its newest copy, building the pairs in `pairs`.
+    fn remap_pending_shares(&mut self, pairs: &mut Vec<(u64, u64)>) -> Result<(), CouchError> {
+        // The device commits a batch in log-page-sized atomic chunks:
+        // a document is the unit the remap is never cut inside.
+        pairs.clear();
+        for (_, old, new) in &self.pending_shares {
+            for i in 0..old.nblocks as u64 {
+                pairs.push((old.block + i, new.block + i));
+            }
+        }
+        let ends = self.pending_shares.iter().scan(0, |end, (_, old, _)| {
+            *end += old.nblocks as usize;
+            Some(*end)
+        });
+        self.fs.ioctl_share_units(self.file, self.file, pairs, ends)?;
+        // The remap made the appended copies stale: unmap them now, one
+        // command per run (a round's copies are adjacent). No flash is
+        // freed — each page lives on under the old location — but the
+        // second reference goes (the paper's bounded reverse map, §4.2.1)
+        // and the next compaction's delete is left only what is mapped.
+        // `CouchMode::Original` gets no such trim: it would free flash.
+        pairs.sort_unstable_by_key(|&(_, new)| new);
+        for run in pairs.chunk_by(|a, b| a.1 + 1 == b.1) {
+            self.fs.trim_range(self.file, run[0].1, run[run.len() - 1].1 + 1)?;
+        }
         Ok(())
     }
 

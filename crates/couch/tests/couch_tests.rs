@@ -436,7 +436,7 @@ fn crash_store() -> CouchStore<Ftl> {
 /// and `get_many`.
 fn assert_docs(s: &mut CouchStore<Ftl>, versions: &[u64], when: &str) {
     let keys: Vec<u64> = (0..CRASH_DOCS).collect();
-    let many = s.get_many(&keys).unwrap();
+    let many = s.get_many(&keys).unwrap().to_vec();
     for (k, many) in keys.iter().zip(many) {
         let want = Some(doc4(*k, versions[*k as usize]));
         assert_eq!(s.get(*k).unwrap(), want, "{when}: doc {k}");

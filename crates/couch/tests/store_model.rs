@@ -264,7 +264,7 @@ fn assert_reads<D: BlockDevice>(s: &mut CouchStore<D>, model: &BTreeMap<u64, Vec
     let keys: Vec<u64> = model.keys().copied().chain([first, 1 << 40]).collect();
     let got = s.get_many(&keys).unwrap();
     assert_eq!(got.len(), keys.len());
-    for (key, got) in keys.iter().zip(&got) {
+    for (key, got) in keys.iter().zip(got) {
         assert_eq!(got.as_ref(), model.get(key), "{when}: get_many key {key}");
     }
     let changes = s.changes_since(0).unwrap();
@@ -330,5 +330,59 @@ fn documents_reassemble_at_every_length_in_both_modes_with_and_without_a_queue()
             reassembly_case(ftl(), mode, &mut rng);
             reassembly_case(SyncOnly(ftl()), mode, &mut rng);
         }
+    }
+}
+
+// ----- get_many's refilled slots --------------------------------------------
+
+/// `get_many` refills one result vector, and its reads land in buffers that
+/// an earlier call's documents gave back. Three consecutive calls of 16, 3
+/// and 16 keys, with documents of one to six blocks, so a lent buffer is
+/// longer or shorter than the read, a missing key, a repeated key, and keys
+/// deleted or resized between calls: every slot of every call equals the
+/// model, so no slot keeps an earlier call's document and no read shows a
+/// lent buffer's old bytes.
+fn refilled_slots_case<D: BlockDevice>(dev: D, mode: CouchMode) {
+    let per = doc_payload_per_block(4096);
+    let cfg = CouchConfig { mode, batch_size: 4, node_max_entries: 8 };
+    let fs = Vfs::format(dev, VfsOptions::default()).unwrap();
+    let mut s = CouchStore::create(fs, "slots.couch", cfg).unwrap();
+    let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    for key in 0..24u64 {
+        let d = vec![0x5A ^ key as u8; 1 + (key as usize * 997) % (6 * per)];
+        s.save(key, &d).unwrap();
+        model.insert(key, d);
+    }
+    s.commit().unwrap();
+    let check = |s: &mut CouchStore<D>, model: &BTreeMap<u64, Vec<u8>>, keys: &[u64]| {
+        let got = s.get_many(keys).unwrap();
+        assert_eq!(got.len(), keys.len(), "{mode:?}: slots for {keys:?}");
+        for (i, (key, got)) in keys.iter().zip(got).enumerate() {
+            assert_eq!(got.as_ref(), model.get(key), "{mode:?}: slot {i}, key {key} of {keys:?}");
+        }
+    };
+    let first: Vec<u64> = (0..14).chain([1_000, 3]).collect();
+    check(&mut s, &model, &first);
+    // Deleted and not yet committed: the pending delete answers.
+    s.delete(5).unwrap();
+    model.remove(&5);
+    check(&mut s, &model, &[5, 20, 20]);
+    // A slot that held a document now names a deleted key, a resized one or
+    // a missing one.
+    s.delete(0).unwrap();
+    model.remove(&0);
+    let shorter = vec![0xC3; 3];
+    s.save(1, &shorter).unwrap();
+    model.insert(1, shorter);
+    s.commit().unwrap();
+    let third: Vec<u64> = [0, 1, 2_000, 5, 4, 4].into_iter().chain(14..24).collect();
+    check(&mut s, &model, &third);
+}
+
+#[test]
+fn get_many_slots_hold_only_their_own_call() {
+    for mode in [CouchMode::Original, CouchMode::Share] {
+        refilled_slots_case(ftl(), mode);
+        refilled_slots_case(SyncOnly(ftl()), mode);
     }
 }

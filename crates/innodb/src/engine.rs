@@ -25,6 +25,7 @@ use crate::bufpool::{BufferPool, PoolStats};
 use crate::error::EngineError;
 use crate::page::{NodePage, PageDecodeError, NO_PAGE};
 use crate::redo::{CheckpointMeta, RedoBody, RedoLog};
+use crate::tree::PrefetchScratch;
 use share_core::{BlockDevice, DeviceStats, FtlError, SimpleSsd};
 use share_vfs::{FileId, Vfs, VfsError, VfsOptions};
 
@@ -146,6 +147,8 @@ pub struct InnoDb<D: BlockDevice> {
     /// The rows [`Self::get_link_list`] returns, refilled in place by each
     /// call; slots past the last list's length keep their buffers.
     pub(crate) link_rows: Vec<(u64, Vec<u8>)>,
+    /// The vectors of a [`Self::prefetch_keys`] round, emptied by each.
+    pub(crate) prefetch: PrefetchScratch,
     pub(crate) root: u64,
     pub(crate) height: u16,
     next_page_no: u64,
@@ -192,6 +195,7 @@ impl<D: BlockDevice> InnoDb<D> {
             pool: BufferPool::new(pool_pages),
             spare: Vec::new(),
             link_rows: Vec::new(),
+            prefetch: PrefetchScratch::default(),
             root: NO_PAGE,
             height: 0,
             next_page_no: 0,
@@ -227,6 +231,7 @@ impl<D: BlockDevice> InnoDb<D> {
             pool: BufferPool::new(pool_pages),
             spare: Vec::new(),
             link_rows: Vec::new(),
+            prefetch: PrefetchScratch::default(),
             root: meta.root,
             height: meta.height,
             next_page_no: meta.next_page_no,

@@ -26,6 +26,18 @@ fn child_index(p: &NodePage, key: &Key) -> usize {
     }
 }
 
+/// The vectors of one [`InnoDb::prefetch_keys`] round. The engine keeps
+/// them, so a round refills their capacity instead of asking for its own.
+#[derive(Default)]
+pub(crate) struct PrefetchScratch {
+    /// Each key with the page its descent has reached.
+    frontier: Vec<(Key, u64)>,
+    /// The lists' leaves after each list's first, as the parents name them.
+    list_leaves: Vec<u64>,
+    /// One level's pages, then the round's leaf batch.
+    pages: Vec<u64>,
+}
+
 impl<D: BlockDevice> InnoDb<D> {
     /// Largest value the engine accepts (quarter page, like InnoDB's
     /// in-page record limit).
@@ -63,12 +75,26 @@ impl<D: BlockDevice> InnoDb<D> {
         if self.height == 0 || keys.is_empty() {
             return Ok(());
         }
-        let mut frontier: Vec<(Key, u64)> = keys.iter().map(|&k| (k, self.root)).collect();
-        // The lists' leaves after each list's first, as the parents name them.
-        let mut list_leaves = Vec::new();
+        let mut scratch = std::mem::take(&mut self.prefetch);
+        let r = self.prefetch_with(keys, &mut scratch);
+        // Put the vectors back before an error returns.
+        self.prefetch = scratch;
+        r
+    }
+
+    fn prefetch_with(
+        &mut self,
+        keys: &[Key],
+        scratch: &mut PrefetchScratch,
+    ) -> Result<(), EngineError> {
+        let PrefetchScratch { frontier, list_leaves, pages } = scratch;
+        frontier.clear();
+        frontier.extend(keys.iter().map(|&k| (k, self.root)));
+        list_leaves.clear();
         for level in (1..self.height).rev() {
-            let pages: Vec<u64> = frontier.iter().map(|&(_, no)| no).collect();
-            self.load_pages_batched(&pages)?;
+            pages.clear();
+            pages.extend(frontier.iter().map(|&(_, no)| no));
+            self.load_pages_batched(pages)?;
             for (key, no) in frontier.iter_mut() {
                 // Extreme pool pressure may have re-evicted the page; the
                 // serial loader covers that key.
@@ -91,17 +117,18 @@ impl<D: BlockDevice> InnoDb<D> {
         // One leaf per key, resident or not, then the lists' later leaves
         // while the batch holds at most a quarter of the pool: the round's
         // own leaves stay resident until its operations run.
-        let mut leaves: Vec<u64> = frontier.iter().map(|&(_, no)| no).collect();
+        pages.clear();
+        pages.extend(frontier.iter().map(|&(_, no)| no));
         let limit = self.read_ahead_limit();
-        for no in list_leaves {
-            if leaves.len() >= limit {
+        for &no in list_leaves.iter() {
+            if pages.len() >= limit {
                 break;
             }
-            if !leaves.contains(&no) {
-                leaves.push(no);
+            if !pages.contains(&no) {
+                pages.push(no);
             }
         }
-        self.load_pages_batched(&leaves)
+        self.load_pages_batched(pages)
     }
 
     /// Borrowed point lookup: `f` sees the value where it sits in its pool

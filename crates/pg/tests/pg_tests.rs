@@ -164,7 +164,7 @@ fn txn_commit_retries_through_a_saturated_shared_queue() {
     }
     let dev = pg.fs_mut().device_mut();
     for _ in 0..4 {
-        dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)] }).unwrap();
+        dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)], buf: Vec::new() }).unwrap();
     }
     assert_eq!(dev.inflight(), 4, "queue must be saturated");
     pg.checkpoint().unwrap();

@@ -217,7 +217,7 @@ fn commit_retries_through_a_saturated_shared_queue() {
     // Fill the submission queue to its depth with un-reaped reads.
     let dev = db.fs_mut().device_mut();
     for _ in 0..4 {
-        dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)] }).unwrap();
+        dev.submit(QueuedCmd::ReadBatch { lpns: &[Lpn(0)], buf: Vec::new() }).unwrap();
     }
     assert_eq!(dev.inflight(), 4, "queue must be saturated");
     // This commit's journal and database batches must absorb the

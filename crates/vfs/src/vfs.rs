@@ -2,7 +2,9 @@
 
 use crate::alloc::{Extent, ExtentAllocator};
 use crate::error::VfsError;
-use share_core::{crc32c, BlockDevice, CmdTag, Completion, FtlError, Lpn, QueuedCmd, SharePair};
+use share_core::{
+    crc32c, BlockDevice, CmdTag, Completion, FtlError, InlineVec, Lpn, QueuedCmd, SharePair,
+};
 use share_telemetry::{Layer, SpanId, Track, Tracer};
 
 const META_MAGIC: u32 = 0x4653_4D44; // "FSMD"
@@ -18,6 +20,9 @@ const META_SLOT_PAGES: u64 = 8;
 const JOURNAL_RING_PAGES: u64 = 16;
 /// LPNs before the first file page: the two metadata slots and the ring.
 const META_PAGES: u64 = 2 * META_SLOT_PAGES + JOURNAL_RING_PAGES;
+/// Pages a device request holds in place (a four-block document's, or an
+/// engine page's): larger requests put their vector on the heap.
+const INLINE_PAGES: usize = 16;
 
 /// Handle to an open file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,6 +96,9 @@ pub struct Vfs<D: BlockDevice> {
     data_dirty: bool,
     journal_cursor: u64,
     stats: VfsStats,
+    /// The device request of [`Vfs::ioctl_share_pairs`], refilled by each
+    /// call.
+    share_pairs: Vec<SharePair>,
     /// Span tracer shared with the device (no-op unless tracing is on).
     tracer: Tracer,
 }
@@ -121,6 +129,7 @@ impl<D: BlockDevice> Vfs<D> {
             data_dirty: false,
             journal_cursor: 0,
             stats: VfsStats::default(),
+            share_pairs: Vec::new(),
             tracer,
         };
         vfs.write_snapshot()?;
@@ -143,6 +152,7 @@ impl<D: BlockDevice> Vfs<D> {
             data_dirty: false,
             journal_cursor: 0,
             stats: VfsStats::default(),
+            share_pairs: Vec::new(),
             tracer,
         };
         let best = [0u64, 1]
@@ -326,22 +336,21 @@ impl<D: BlockDevice> Vfs<D> {
             return Ok(());
         }
         let mut need = pages - allocated;
-        let mut grabbed = Vec::new();
+        let file = self.files.get_mut(&f.0).expect("checked above");
+        let first_new = file.extents.len();
         while need > 0 {
             let ask = need.max(chunk).min(self.alloc.largest_free());
             if ask == 0 {
                 // Roll back partial allocation before reporting failure.
-                for e in grabbed {
+                for e in file.extents.drain(first_new..) {
                     self.alloc.release(e);
                 }
                 return Err(VfsError::NoSpace { requested_pages: need });
             }
             let e = self.alloc.alloc(ask)?;
             need = need.saturating_sub(e.len);
-            grabbed.push(e);
+            file.extents.push(e);
         }
-        let file = self.files.get_mut(&f.0).expect("checked above");
-        file.extents.extend(grabbed);
         self.meta_dirty = true;
         Ok(())
     }
@@ -413,7 +422,7 @@ impl<D: BlockDevice> Vfs<D> {
                 return Ok(());
             }
             let batch = fs.resolve_write(f, pages)?;
-            fs.dev.write_batch(&batch)?;
+            fs.dev.write_batch(batch.as_slice())?;
             fs.wrote_through(f, pages);
             Ok(())
         })
@@ -423,13 +432,13 @@ impl<D: BlockDevice> Vfs<D> {
     /// blocking, atomic and queued write forms so they cannot drift: check
     /// every buffer's length, grow the allocation when it is short and resolve
     /// each page to its LPN. The request borrows the caller's pages (nothing
-    /// is copied); [`Vfs::wrote_through`] grows the file once the device has
-    /// accepted it.
+    /// is copied) and sits on the stack up to [`INLINE_PAGES`] pages;
+    /// [`Vfs::wrote_through`] grows the file once the device has accepted it.
     fn resolve_write<'p>(
         &mut self,
         f: FileId,
         pages: &[(u64, &'p [u8])],
-    ) -> Result<Vec<(Lpn, &'p [u8])>, VfsError> {
+    ) -> Result<InlineVec<(Lpn, &'p [u8]), INLINE_PAGES>, VfsError> {
         let ps = self.dev.page_size();
         if let Some((_, data)) = pages.iter().find(|(_, data)| data.len() != ps) {
             return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
@@ -438,7 +447,7 @@ impl<D: BlockDevice> Vfs<D> {
         if self.file(f)?.allocated_pages() < end {
             self.fallocate(f, end)?;
         }
-        let mut batch = Vec::with_capacity(pages.len());
+        let mut batch = InlineVec::with_capacity(pages.len());
         for (p, data) in pages {
             batch.push((self.lpn_of(f, *p)?, *data));
         }
@@ -584,7 +593,7 @@ impl<D: BlockDevice> Vfs<D> {
         // Resolved once: every retry lends the same request again.
         let batch = self.resolve_write(f, pages)?;
         loop {
-            match self.dev.submit(QueuedCmd::WriteBatch { pages: &batch }) {
+            match self.dev.submit(QueuedCmd::WriteBatch { pages: batch.as_slice() }) {
                 Ok(tag) => {
                     // File metadata grows only once the device has taken
                     // the command.
@@ -607,28 +616,34 @@ impl<D: BlockDevice> Vfs<D> {
         }
     }
 
-    /// Submit a batched read of `pages` of one file; the completion
-    /// carries the page payloads in request order, back to back in one
-    /// buffer the reaper owns.
+    /// Submit a batched read of `pages` of one file into `buf`, which the
+    /// device sizes to the request (its old length and bytes do not
+    /// matter); the completion hands it back carrying the page payloads in
+    /// request order, back to back. A buffer of that capacity costs the
+    /// read no heap.
     ///
     /// Queue-full back-pressure: on `QueueFull`, reap completions into
     /// `reaped` and retry. The caller owns the handed-back completions —
     /// they may carry payloads and per-command results of its own earlier
     /// submissions, so they are returned unchecked rather than consumed
-    /// here.
+    /// here. A refused submission drops `buf`: the retry reads into a fresh
+    /// buffer.
     pub fn submit_read_pages(
         &mut self,
         f: FileId,
         pages: &[u64],
+        buf: Vec<u8>,
         reaped: &mut Vec<Completion>,
     ) -> Result<CmdTag, VfsError> {
         // Resolved once: every retry lends the same request again.
-        let mut lpns = Vec::with_capacity(pages.len());
+        let mut lpns = InlineVec::<Lpn, INLINE_PAGES>::with_capacity(pages.len());
         for &p in pages {
             lpns.push(self.lpn_of(f, p)?);
         }
+        let mut buf = Some(buf);
         loop {
-            match self.dev.submit(QueuedCmd::ReadBatch { lpns: &lpns }) {
+            let buf = buf.take().unwrap_or_default();
+            match self.dev.submit(QueuedCmd::ReadBatch { lpns: lpns.as_slice(), buf }) {
                 Ok(tag) => return Ok(tag),
                 Err(share_core::FtlError::QueueFull { depth }) => {
                     let got = self.reap_queue();
@@ -710,7 +725,7 @@ impl<D: BlockDevice> Vfs<D> {
     ) -> Result<(), VfsError> {
         self.traced("write_pages_atomic", pages.len() as u64, |fs| {
             let batch = fs.resolve_write(f, pages)?;
-            fs.dev.write_atomic(&batch)?;
+            fs.dev.write_atomic(batch.as_slice())?;
             fs.wrote_through(f, pages);
             Ok(())
         })
@@ -752,14 +767,17 @@ impl<D: BlockDevice> Vfs<D> {
     ) -> Result<(), VfsError> {
         self.traced("ioctl_share_pairs", pairs.len() as u64, |fs| {
             let mut max_dst = 0;
-            let mut batch = Vec::with_capacity(pairs.len());
+            let mut batch = std::mem::take(&mut fs.share_pairs);
+            batch.clear();
             for &(d, s) in pairs {
                 batch.push(SharePair::new(fs.lpn_of(dst, d)?, fs.lpn_of(src, s)?));
                 max_dst = max_dst.max(d + 1);
             }
             // One device command; the device commits it in log-page-sized
             // atomic sub-batches (per-batch atomicity suffices here).
-            fs.dev.share_batch(&batch)?;
+            let shared = fs.dev.share_batch(&batch);
+            fs.share_pairs = batch;
+            shared?;
             let file = fs.files.get_mut(&dst.0).expect("resolved above");
             file.len_pages = file.len_pages.max(max_dst);
             Ok(())

@@ -377,7 +377,7 @@ fn queued_writes_round_trip_through_the_mount() {
     assert_eq!(done[0].tag, wt);
     assert!(done[0].is_ok());
     let mut reaped = Vec::new();
-    let rt = fs.submit_read_pages(f, &[0, 3, 7], &mut reaped).unwrap();
+    let rt = fs.submit_read_pages(f, &[0, 3, 7], Vec::new(), &mut reaped).unwrap();
     assert!(reaped.is_empty(), "nothing was in flight to reap");
     let done = fs.drain_queue();
     assert_eq!(done[0].tag, rt);

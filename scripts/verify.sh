@@ -33,9 +33,11 @@ cargo test -q --release --offline -p share-core --test alloc_budget
 # refilled in place).
 cargo test -q --release --offline -p mini-innodb --test alloc_budget
 # The mini-couch half (crates/couch/tests/alloc_budget.rs): the buffer a
-# document's blocks are read into is the document, a save copies nothing
-# (the queued command borrows), a SHARE compaction reads heads through one
-# buffer.
+# document's blocks are read into is the document, and a warm `get_many`
+# reads into the buffers its last result gave back (no document-sized
+# request, one request per call); a save copies nothing (the queued command
+# borrows) and a warm `save_many` makes one request per call; a SHARE
+# compaction reads heads through one buffer.
 cargo test -q --release --offline -p mini-couch --test alloc_budget
 
 # Crash-point smoke sweep: every NAND program boundary (stride 1) of the
