@@ -69,7 +69,7 @@ pub use queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
 pub use snapshot::{SnapshotInfo, SnapshotTable};
 pub use stats::DeviceStats;
 pub use types::{Lpn, SharePair};
-pub use util::{crc32c, crc32c_append, FixedState, InlineVec};
+pub use util::{crc32c, crc32c_append, recycle_vec, FixedState};
 
 /// Re-exported observability subsystem (see the `share-telemetry` crate):
 /// latency histograms, spans, exporters.

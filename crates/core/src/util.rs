@@ -221,64 +221,26 @@ pub fn div_ceil_u64(a: u64, b: u64) -> u64 {
     a.div_ceil(b)
 }
 
-/// A request vector that holds up to `N` items in place and spills to the
-/// heap past that. A command's request (its LPNs, or its pages with the
-/// buffers they borrow) is built per call, and its items borrow for that
-/// call only, so no vector can be kept to refill; a small one built here
-/// costs no heap. One built for more than `N` items asks for all its room at
-/// once.
-#[derive(Debug, Clone)]
-pub struct InlineVec<T, const N: usize> {
-    inline: [T; N],
-    len: usize,
-    spill: Vec<T>,
-}
-
-impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
-    /// Room for `n` items: in place when `n <= N`, else on the heap.
-    pub fn with_capacity(n: usize) -> Self {
-        let spill = if n > N { Vec::with_capacity(n) } else { Vec::new() };
-        Self { inline: [T::default(); N], len: 0, spill }
+/// Empty `v` and hand its allocation back as a vector of `U`, an item type
+/// of the same size and alignment — in practice the same type with a new
+/// lifetime. A request vector whose items borrow (the pages of one call, the
+/// frames of one fetch) can then be kept between calls in its `'static`
+/// form: each call recycles it into one that borrows for the call, fills and
+/// submits it, and recycles it back. No item survives a recycle, so nothing
+/// borrowed outlives its call, and std collects an emptied `IntoIter` into
+/// the allocation it came from (`crates/core/tests/alloc_budget.rs` fails if
+/// a toolchain stops doing so).
+pub fn recycle_vec<T, U>(mut v: Vec<T>) -> Vec<U> {
+    const {
+        assert!(size_of::<T>() == size_of::<U>() && align_of::<T>() == align_of::<U>());
     }
-
-    /// Append `item`; the `N + 1`-th moves the items to the heap.
-    pub fn push(&mut self, item: T) {
-        if self.len < N {
-            self.inline[self.len] = item;
-        } else {
-            if self.len == N {
-                self.spill.extend_from_slice(&self.inline);
-            }
-            self.spill.push(item);
-        }
-        self.len += 1;
-    }
-
-    /// The items, in push order.
-    pub fn as_slice(&self) -> &[T] {
-        if self.len <= N {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
-    }
+    v.clear();
+    v.into_iter().filter_map(|_| None).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inline_vec_keeps_order_in_place_and_past_its_spill() {
-        for n in [0, 1, 3, 4, 5, 9] {
-            for hint in [0, n] {
-                let mut v = InlineVec::<u64, 4>::with_capacity(hint);
-                (0..n as u64).for_each(|i| v.push(i * 10));
-                let want: Vec<u64> = (0..n as u64).map(|i| i * 10).collect();
-                assert_eq!(v.as_slice(), &want[..], "{n} items, capacity {hint}");
-            }
-        }
-    }
 
     /// The definition, one byte per dependent step and no table: the
     /// reference the kernel is swept against.

@@ -40,11 +40,19 @@
 //! request less than one page of heap, where a fresh image costs a page per
 //! table page.
 //!
+//! Above the device, the engines and the file system keep the request
+//! vectors whose items borrow a call's pages in their `'static` form and
+//! recycle them for each call (`share_core::recycle_vec`). That rests on std
+//! collecting an emptied vector's `IntoIter` into the allocation it came
+//! from: the test opens by holding a thousand refills of borrowed page
+//! requests to no heap request at all, so a toolchain that stops reusing the
+//! allocation fails here rather than in a benchmark.
+//!
 //! The file holds one test on purpose: the counters are process-wide, and
 //! the harness runs the tests of one binary on parallel threads.
 
 use nand_sim::NandTiming;
-use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, QueuedCmd, SharePair};
+use share_core::{recycle_vec, BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, QueuedCmd, SharePair};
 use share_rng::{Rng, StdRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -155,6 +163,7 @@ impl Rig {
 
 #[test]
 fn steady_state_write_path_stays_inside_its_allocation_budget() {
+    recycled_request_vectors_keep_their_allocation();
     let cfg = FtlConfig::for_capacity_with(
         LOGICAL_PAGES * PAGE as u64,
         0.15,
@@ -188,6 +197,33 @@ fn steady_state_write_path_stays_inside_its_allocation_budget() {
     a_checkpoint_builds_its_pages_in_the_device_image(&mut rig);
     reads_and_writes_request_no_heap(&mut rig);
     multi_chunk_share_batches_stay_inside_the_budget();
+}
+
+/// A kept request vector refilled with borrowed pages — a read request and a
+/// write request of 32 pages each, a thousand times — requests no heap once
+/// it has held 32 items: each recycle hands the allocation on.
+fn recycled_request_vectors_keep_their_allocation() {
+    const PAGES: usize = 32;
+    let mut bufs = vec![[0u8; PAGE]; PAGES];
+    let mut kept_reads: Vec<(Lpn, &'static mut [u8])> = Vec::with_capacity(PAGES);
+    let mut kept_writes: Vec<(u64, &'static [u8])> = Vec::with_capacity(PAGES);
+    let requests = ALLOC_REQUESTS.load(Relaxed);
+    for round in 0..1_000u64 {
+        let mut reads: Vec<(Lpn, &mut [u8])> = recycle_vec(std::mem::take(&mut kept_reads));
+        reads.extend(bufs.iter_mut().enumerate().map(|(i, b)| (Lpn(round + i as u64), &mut b[..])));
+        for (lpn, buf) in reads.iter_mut() {
+            buf[0] = lpn.0 as u8;
+        }
+        kept_reads = recycle_vec(reads);
+        let mut writes: Vec<(u64, &[u8])> = recycle_vec(std::mem::take(&mut kept_writes));
+        writes.extend(bufs.iter().enumerate().map(|(i, b)| (i as u64, &b[..])));
+        assert!(writes.iter().all(|&(i, buf)| buf[0] == (round + i) as u8));
+        kept_writes = recycle_vec(writes);
+    }
+    let requests = ALLOC_REQUESTS.load(Relaxed) - requests;
+    assert_eq!(requests, 0, "1 000 refills of {PAGES}-page requests asked for heap {requests}×");
+    assert!(kept_reads.is_empty() && kept_reads.capacity() >= PAGES);
+    assert!(kept_writes.is_empty() && kept_writes.capacity() >= PAGES);
 }
 
 /// One explicit checkpoint: under a page of heap.

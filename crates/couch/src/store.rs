@@ -16,15 +16,12 @@ use crate::format::{
     encode_node, node_capacity, DocPtr, Header, NodeEntry,
 };
 use crate::CouchError;
-use share_core::{BlockDevice, CmdTag, Completion, InlineVec};
+use share_core::{recycle_vec, BlockDevice, CmdTag, Completion};
 use share_vfs::{FileId, Vfs, VfsError};
 use std::collections::{BTreeMap, HashMap};
 
 /// Sentinel for "no root".
 pub const NO_ROOT: u64 = u64::MAX;
-
-/// Blocks of a document whose write request sits on the stack.
-const INLINE_DOC_BLOCKS: usize = 16;
 
 /// Document buffers [`CouchStore::get_many`] keeps for its next reads: one
 /// per connection of a round.
@@ -167,6 +164,9 @@ pub struct CouchStore<D: BlockDevice> {
     /// Every block image this store writes is encoded here and lent to the
     /// file system; node reads on a cache miss land here too.
     scratch: Vec<u8>,
+    /// A document's write request, lending the scratch's blocks; kept empty
+    /// between documents ([`recycle_vec`]).
+    doc_writes: Vec<(u64, &'static [u8])>,
     many: ManyReads,
     pub(crate) stats: CouchStats,
 }
@@ -200,6 +200,7 @@ impl<D: BlockDevice> CouchStore<D> {
             ops_since_commit: 0,
             node_cache: HashMap::new(),
             scratch: Vec::new(),
+            doc_writes: Vec::new(),
             many: ManyReads::default(),
             stats: CouchStats::default(),
         };
@@ -265,6 +266,7 @@ impl<D: BlockDevice> CouchStore<D> {
             ops_since_commit: 0,
             node_cache: HashMap::new(),
             scratch: Vec::new(),
+            doc_writes: Vec::new(),
             many: ManyReads::default(),
             stats: CouchStats::default(),
         })
@@ -410,18 +412,20 @@ impl<D: BlockDevice> CouchStore<D> {
         // So each starts a block later than the one before (any part may
         // survive a power cut, as before: unreferenced until its commit).
         let first = (rev % nblocks as u64) as usize;
-        let mut batch = InlineVec::<(u64, &[u8]), INLINE_DOC_BLOCKS>::with_capacity(nblocks);
+        let mut batch: Vec<(u64, &[u8])> = recycle_vec(std::mem::take(&mut self.doc_writes));
         for i in (first..nblocks).chain(0..first) {
             batch.push((tail + i as u64, &self.scratch[i * bs..(i + 1) * bs]));
         }
-        if queued {
+        let written = if queued {
             // Retry through shared-queue saturation: only writes are in
             // flight on the save path, so reaped completions carry no
             // payloads this store still needs.
-            self.fs.submit_write_pages_retry(self.file, batch.as_slice())?;
+            self.fs.submit_write_pages_retry(self.file, &batch).map(drop)
         } else {
-            self.fs.write_pages(self.file, batch.as_slice())?;
-        }
+            self.fs.write_pages(self.file, &batch)
+        };
+        self.doc_writes = recycle_vec(batch);
+        written?;
         self.tail += nblocks as u64;
         self.stats.doc_blocks_appended += nblocks as u64;
         Ok(DocPtr { block: tail, nblocks: nblocks as u16, len: payload.len() as u32 })

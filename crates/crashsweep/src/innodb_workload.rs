@@ -52,7 +52,7 @@ impl<D: CrashDevice> KvEngine for Innodb<D> {
     }
     fn get(&mut self, key: u64) -> Result<Option<u64>, String> {
         let row = self.db.get_node(key).map_err(text)?;
-        row.map(|b| version_of(key, &b, |_| self.cfg.page_bytes / 8)).transpose()
+        row.map(|b| version_of(key, b, |_| self.cfg.page_bytes / 8)).transpose()
     }
     fn count(&mut self) -> Result<Option<u64>, String> {
         self.db.count_entries().map(Some).map_err(text)

@@ -26,7 +26,7 @@ use crate::error::EngineError;
 use crate::page::{NodePage, PageDecodeError, NO_PAGE};
 use crate::redo::{CheckpointMeta, RedoBody, RedoLog};
 use crate::tree::PrefetchScratch;
-use share_core::{BlockDevice, DeviceStats, FtlError, SimpleSsd};
+use share_core::{recycle_vec, BlockDevice, DeviceStats, FtlError, SimpleSsd};
 use share_vfs::{FileId, Vfs, VfsError, VfsOptions};
 
 /// How dirty pages propagate to their home location.
@@ -134,6 +134,33 @@ pub struct EngineStats {
 /// 1.40 that `atomic_write_mode_matches_share_write_volume` holds.
 const EVICTION_FLUSH_QUARTERS: usize = 3;
 
+/// The request vectors of the fetch, read-ahead and flush paths. The engine
+/// keeps them, so a warm miss or flush refills their capacity instead of
+/// asking for its own. A vector whose items borrow frames is kept empty in
+/// its `'static` form and recycled into one that borrows for the call
+/// ([`recycle_vec`]).
+#[derive(Default)]
+pub(crate) struct IoScratch {
+    /// The pages a batched load reads: not resident, sorted, deduplicated.
+    missing: Vec<u64>,
+    /// The frames a batched load reads them into.
+    frames: Vec<NodePage>,
+    /// One request per device page of the frames a load reads into.
+    reads: Vec<(u64, &'static mut [u8])>,
+    /// The leaves a scan's read-ahead batches.
+    pub(crate) leaves: Vec<u64>,
+    /// An eviction or checkpoint flush's pages.
+    flush: Vec<u64>,
+    /// The extent neighbours an eviction flush pulls in.
+    neighbours: Vec<u64>,
+    /// A flush batch's sealed images, lent from the pool.
+    images: Vec<(u64, &'static [u8])>,
+    /// One request per device page of the images a write lends.
+    writes: Vec<(u64, &'static [u8])>,
+    /// A SHARE flush batch's (home page, double-write page) pairs.
+    pairs: Vec<(u64, u64)>,
+}
+
 /// The storage engine.
 pub struct InnoDb<D: BlockDevice> {
     cfg: InnoDbConfig,
@@ -149,6 +176,8 @@ pub struct InnoDb<D: BlockDevice> {
     pub(crate) link_rows: Vec<(u64, Vec<u8>)>,
     /// The vectors of a [`Self::prefetch_keys`] round, emptied by each.
     pub(crate) prefetch: PrefetchScratch,
+    /// The request vectors of the fetch and flush paths.
+    pub(crate) io: IoScratch,
     pub(crate) root: u64,
     pub(crate) height: u16,
     next_page_no: u64,
@@ -196,6 +225,7 @@ impl<D: BlockDevice> InnoDb<D> {
             spare: Vec::new(),
             link_rows: Vec::new(),
             prefetch: PrefetchScratch::default(),
+            io: IoScratch::default(),
             root: NO_PAGE,
             height: 0,
             next_page_no: 0,
@@ -232,6 +262,7 @@ impl<D: BlockDevice> InnoDb<D> {
             spare: Vec::new(),
             link_rows: Vec::new(),
             prefetch: PrefetchScratch::default(),
+            io: IoScratch::default(),
             root: meta.root,
             height: meta.height,
             next_page_no: meta.next_page_no,
@@ -348,36 +379,38 @@ impl<D: BlockDevice> InnoDb<D> {
         let dps = self.fs.page_size();
         let base = self.ts_offset(page_no);
         let mut page = self.frame();
-        let mut reqs: Vec<(u64, &mut [u8])> = page
-            .image_mut()
-            .chunks_mut(dps)
-            .enumerate()
-            .map(|(j, chunk)| (base + j as u64, chunk))
-            .collect();
-        self.fs.read_pages(self.ts, &mut reqs)?;
+        let mut reqs: Vec<(u64, &mut [u8])> = recycle_vec(std::mem::take(&mut self.io.reads));
+        reqs.extend(
+            page.image_mut().chunks_mut(dps).enumerate().map(|(j, chunk)| (base + j as u64, chunk)),
+        );
+        let read = self.fs.read_pages(self.ts, &mut reqs);
+        self.io.reads = recycle_vec(reqs);
+        read?;
         self.admit(page, page_no)
     }
 
     /// Write engine-page images to `file` as ONE batched device submission
     /// (device pages of all images overlap across channels). Image `slot`
     /// of page `no` starts at file page `first_page(slot, no)`.
+    /// The request is built in `kept`, which the call leaves empty.
     fn write_images(
         fs: &mut Vfs<D>,
         file: FileId,
         images: &[(u64, &[u8])],
         first_page: impl Fn(u64, u64) -> u64,
+        kept: &mut Vec<(u64, &'static [u8])>,
     ) -> Result<(), EngineError> {
         let dps = fs.page_size();
-        let mut batch: Vec<(u64, &[u8])> =
-            Vec::with_capacity(images.iter().map(|(_, img)| img.len() / dps).sum());
+        let mut batch: Vec<(u64, &[u8])> = recycle_vec(std::mem::take(kept));
         for (slot, (no, img)) in images.iter().enumerate() {
             let first = first_page(slot as u64, *no);
             for (j, chunk) in img.chunks(dps).enumerate() {
                 batch.push((first + j as u64, chunk));
             }
         }
-        fs.write_pages(file, &batch)?;
-        Ok(())
+        let written = fs.write_pages(file, &batch);
+        *kept = recycle_vec(batch);
+        Ok(written?)
     }
 
     /// Load several tablespace pages with ONE batched device read so the
@@ -385,37 +418,44 @@ impl<D: BlockDevice> InnoDb<D> {
     /// pages are skipped; when the batch would swamp the pool the call is
     /// a no-op and the serial [`Self::ensure_resident`] path takes over.
     pub(crate) fn load_pages_batched(&mut self, page_nos: &[u64]) -> Result<(), EngineError> {
-        let mut missing: Vec<u64> =
-            page_nos.iter().copied().filter(|&no| !self.pool.contains(no)).collect();
+        let mut missing = std::mem::take(&mut self.io.missing);
+        missing.clear();
+        missing.extend(page_nos.iter().copied().filter(|&no| !self.pool.contains(no)));
         missing.sort_unstable();
         missing.dedup();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        if missing.len() * 2 >= self.pool.capacity() {
-            return Ok(());
-        }
+        let loaded = if missing.is_empty() || missing.len() * 2 >= self.pool.capacity() {
+            Ok(())
+        } else {
+            self.load_missing(&missing)
+        };
+        self.io.missing = missing;
+        loaded
+    }
+
+    /// Read `missing`, non-resident tablespace pages, with one batched read.
+    fn load_missing(&mut self, missing: &[u64]) -> Result<(), EngineError> {
         self.make_room_for(missing.len())?;
         let dps = self.fs.page_size();
-        let mut frames: Vec<NodePage> = missing.iter().map(|_| self.frame()).collect();
-        {
-            let mut reqs: Vec<(u64, &mut [u8])> =
-                Vec::with_capacity(missing.len() * self.ppd as usize);
-            for (page, &no) in frames.iter_mut().zip(&missing) {
-                let base = self.ts_offset(no);
-                for (j, chunk) in page.image_mut().chunks_mut(dps).enumerate() {
-                    reqs.push((base + j as u64, chunk));
-                }
+        let mut frames = std::mem::take(&mut self.io.frames);
+        frames.extend(missing.iter().map(|_| self.frame()));
+        let mut reqs: Vec<(u64, &mut [u8])> = recycle_vec(std::mem::take(&mut self.io.reads));
+        for (page, &no) in frames.iter_mut().zip(missing) {
+            let base = self.ts_offset(no);
+            for (j, chunk) in page.image_mut().chunks_mut(dps).enumerate() {
+                reqs.push((base + j as u64, chunk));
             }
-            self.fs.read_pages(self.ts, &mut reqs)?;
         }
+        let read = self.fs.read_pages(self.ts, &mut reqs);
+        self.io.reads = recycle_vec(reqs);
+        read?;
         self.stats.pages_read_batched += missing.len() as u64;
-        for (page, &no) in frames.into_iter().zip(&missing) {
+        for (page, &no) in frames.drain(..).zip(missing) {
             // A never-written page: the serial path reports it if really read.
             if let Some(page) = self.admit(page, no)? {
                 self.pool.insert_fetched(page);
             }
         }
+        self.io.frames = frames;
         Ok(())
     }
 
@@ -481,18 +521,21 @@ impl<D: BlockDevice> InnoDb<D> {
     fn flush_old_sublist(&mut self) -> Result<(), EngineError> {
         let limit = (self.cfg.flush_batch * EVICTION_FLUSH_QUARTERS / 4).max(1);
         let old = self.pool.old_len();
-        let mut batch: Vec<u64> = self
-            .pool
-            .coldest_first()
-            .take(old)
-            .filter(|&(no, dirty)| dirty && self.flushable(no))
-            .map(|(no, _)| no)
-            .take(limit)
-            .collect();
+        let mut batch = std::mem::take(&mut self.io.flush);
+        batch.clear();
+        batch.extend(
+            self.pool
+                .coldest_first()
+                .take(old)
+                .filter(|&(no, dirty)| dirty && self.flushable(no))
+                .map(|(no, _)| no)
+                .take(limit),
+        );
         if self.cfg.flush_neighbors {
             // Pull in dirty pages from each batch page's 64-page extent
             // (InnoDB's neighbor flushing).
-            let mut extra = Vec::new();
+            let mut extra = std::mem::take(&mut self.io.neighbours);
+            extra.clear();
             for &no in &batch {
                 let base = no & !63;
                 for n in base..base + 64 {
@@ -506,13 +549,15 @@ impl<D: BlockDevice> InnoDb<D> {
                     }
                 }
             }
-            batch.extend(extra);
+            batch.extend_from_slice(&extra);
+            self.io.neighbours = extra;
         }
         for chunk in batch.chunks(self.cfg.flush_batch) {
             self.flush_pages(chunk)?;
             self.stats.eviction_flush_batches += 1;
         }
         self.evict_flushed |= !batch.is_empty();
+        self.io.flush = batch;
         Ok(())
     }
 
@@ -539,17 +584,18 @@ impl<D: BlockDevice> InnoDb<D> {
         for &no in batch {
             self.pool.peek_mut(no).expect("batch page resident").seal();
         }
-        let images: Vec<(u64, &[u8])> = batch
-            .iter()
-            .map(|&no| (no, self.pool.peek(no).expect("batch page resident").image()))
-            .collect();
+        let mut images: Vec<(u64, &[u8])> = recycle_vec(std::mem::take(&mut self.io.images));
+        images.extend(
+            batch.iter().map(|&no| (no, self.pool.peek(no).expect("batch page resident").image())),
+        );
+        let writes = &mut self.io.writes;
         let ppd = self.ppd;
         let home = |_slot: u64, no: u64| no * ppd;
         let dwb_slot = |slot: u64, _no: u64| slot * ppd;
 
         match self.cfg.mode {
             FlushMode::DwbOff => {
-                Self::write_images(&mut self.fs, self.ts, &images, home)?;
+                Self::write_images(&mut self.fs, self.ts, &images, home, writes)?;
                 self.fs.fsync(self.ts)?;
             }
             FlushMode::AtomicWrite => {
@@ -558,40 +604,42 @@ impl<D: BlockDevice> InnoDb<D> {
                 let per_batch = (self.fs.atomic_write_limit() / ppd as usize).max(1);
                 let dps = self.fs.page_size();
                 for chunk in images.chunks(per_batch) {
-                    let mut batch: Vec<(u64, &[u8])> =
-                        Vec::with_capacity(chunk.len() * ppd as usize);
+                    let mut batch: Vec<(u64, &[u8])> = recycle_vec(std::mem::take(writes));
                     for (no, img) in chunk {
                         for (j, part) in img.chunks(dps).enumerate() {
                             batch.push((no * ppd + j as u64, part));
                         }
                     }
-                    self.fs.write_pages_atomic(self.ts, &batch)?;
+                    let written = self.fs.write_pages_atomic(self.ts, &batch);
+                    *writes = recycle_vec(batch);
+                    written?;
                 }
             }
             FlushMode::DwbOn => {
                 // The whole DWB pass is one batched submission; the fsync
                 // barrier between it and the home-location pass preserves
                 // the torn-page protection ordering.
-                Self::write_images(&mut self.fs, self.dwb, &images, dwb_slot)?;
+                Self::write_images(&mut self.fs, self.dwb, &images, dwb_slot, writes)?;
                 self.stats.dwb_pages_written += images.len() as u64;
                 self.fs.fsync(self.dwb)?;
-                Self::write_images(&mut self.fs, self.ts, &images, home)?;
+                Self::write_images(&mut self.fs, self.ts, &images, home, writes)?;
                 self.fs.fsync(self.ts)?;
             }
             FlushMode::Share => {
-                Self::write_images(&mut self.fs, self.dwb, &images, dwb_slot)?;
+                Self::write_images(&mut self.fs, self.dwb, &images, dwb_slot, writes)?;
                 self.stats.dwb_pages_written += images.len() as u64;
                 self.fs.fsync(self.dwb)?;
                 // Remap home locations onto the just-written DWB copies,
                 // never splitting one engine page across atomic batches.
-                let mut pairs = Vec::with_capacity(images.len() * ppd as usize);
+                let pairs = &mut self.io.pairs;
+                pairs.clear();
                 for (slot, (no, _)) in images.iter().enumerate() {
                     for j in 0..ppd {
                         pairs.push((no * ppd + j, slot as u64 * ppd + j));
                     }
                 }
                 let ends = (1..=images.len()).map(|n| n * ppd as usize);
-                let shared_ok = match self.fs.ioctl_share_units(self.ts, self.dwb, &pairs, ends) {
+                let shared_ok = match self.fs.ioctl_share_units(self.ts, self.dwb, pairs, ends) {
                     Ok(()) => true,
                     Err(VfsError::Device(FtlError::RevMapFull { .. })) => false,
                     Err(e) => return Err(e.into()),
@@ -600,11 +648,12 @@ impl<D: BlockDevice> InnoDb<D> {
                     // Reverse-map pressure: fall back to the classic second
                     // write for this batch (the engine keeps running).
                     self.stats.share_fallbacks += 1;
-                    Self::write_images(&mut self.fs, self.ts, &images, home)?;
+                    Self::write_images(&mut self.fs, self.ts, &images, home, writes)?;
                     self.fs.fsync(self.ts)?;
                 }
             }
         }
+        self.io.images = recycle_vec(images);
         for &no in batch {
             self.pool.mark_clean(no);
         }
@@ -803,7 +852,7 @@ impl<D: BlockDevice> InnoDb<D> {
     /// logged before it is on the medium. With nothing dirty left, the
     /// checkpoint is the next LSN.
     fn checkpoint_inner(&mut self, keep: u64) -> Result<(), EngineError> {
-        let mut batch = Vec::new();
+        let mut batch = std::mem::take(&mut self.io.flush);
         while self.pool.oldest_change().is_some_and(|(_, pos)| self.log.position() - pos >= keep) {
             batch.clear();
             batch.reserve(self.cfg.flush_batch);
@@ -815,6 +864,7 @@ impl<D: BlockDevice> InnoDb<D> {
             }
             self.flush_pages(&batch)?;
         }
+        self.io.flush = batch;
         let (ckpt_lsn, pos) =
             self.pool.oldest_change().unwrap_or((self.log.end_lsn(), self.log.position()));
         let meta = CheckpointMeta {
@@ -857,7 +907,8 @@ impl<D: BlockDevice> InnoDb<D> {
                 Ok(Some(home)) => self.spare.push(home),
                 _ => {
                     let image = [(copy.page_no, copy.image())];
-                    Self::write_images(&mut self.fs, self.ts, &image, |_, no| no * ppd)?;
+                    let writes = &mut self.io.writes;
+                    Self::write_images(&mut self.fs, self.ts, &image, |_, no| no * ppd, writes)?;
                     repaired += 1;
                 }
             }

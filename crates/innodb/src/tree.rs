@@ -139,11 +139,16 @@ impl<D: BlockDevice> InnoDb<D> {
         key: &Key,
         f: impl FnOnce(Option<&[u8]>) -> R,
     ) -> Result<R, EngineError> {
+        Ok(f(self.value(key)?))
+    }
+
+    /// The value of `key` where it sits in its pool frame (`None` = absent).
+    fn value(&mut self, key: &Key) -> Result<Option<&[u8]>, EngineError> {
         if self.height == 0 {
-            return Ok(f(None));
+            return Ok(None);
         }
         let leaf = self.descend(key)?;
-        Ok(f(self.pool.get_mut(leaf).expect("resident").get(key)))
+        Ok(self.pool.get_mut(leaf).expect("resident").get(key))
     }
 
     /// Point lookup.
@@ -233,17 +238,19 @@ impl<D: BlockDevice> InnoDb<D> {
     /// [`Self::read_ahead_limit`] pages. A lone missing leaf is left to the
     /// serial loader.
     fn read_ahead(&mut self, parent: u64, idx: usize, hi: &Key) -> Result<(), EngineError> {
+        let mut leaves = std::mem::take(&mut self.io.leaves);
+        leaves.clear();
         let p = self.pool.peek(parent).expect("resident");
-        let leaves: Vec<u64> = (idx..p.len())
-            .take_while(|&j| j == idx || p.key_at(j) < *hi)
-            .map(|j| p.child_at(j))
-            .filter(|&no| !self.pool.contains(no))
-            .take(self.read_ahead_limit())
-            .collect();
-        if leaves.len() > 1 {
-            self.load_pages_batched(&leaves)?;
-        }
-        Ok(())
+        leaves.extend(
+            (idx..p.len())
+                .take_while(|&j| j == idx || p.key_at(j) < *hi)
+                .map(|j| p.child_at(j))
+                .filter(|&no| !self.pool.contains(no))
+                .take(self.read_ahead_limit()),
+        );
+        let loaded = if leaves.len() > 1 { self.load_pages_batched(&leaves) } else { Ok(()) };
+        self.io.leaves = leaves;
+        loaded
     }
 
     /// Split `node_no` before `key` goes in with a `vlen`-byte value; the
@@ -399,10 +406,11 @@ impl<D: BlockDevice> InnoDb<D> {
 
     // ----- LinkBench table API ------------------------------------------------
 
-    /// Read a node row.
-    pub fn get_node(&mut self, id: u64) -> Result<Option<Vec<u8>>, EngineError> {
+    /// Read a node row: its bytes where they sit in their pool frame,
+    /// borrowed until the engine's next call, so a read copies nothing.
+    pub fn get_node(&mut self, id: u64) -> Result<Option<&[u8]>, EngineError> {
         self.op_clock();
-        self.get(&Key::node(id))
+        self.value(&Key::node(id))
     }
 
     /// Insert a node row.
@@ -631,7 +639,7 @@ mod tests {
                 }
             }
             for id in 0..32u64 {
-                assert_eq!(e.get_node(id).unwrap(), Some(b"payload".to_vec()));
+                assert_eq!(e.get_node(id).unwrap().map(<[u8]>::to_vec), Some(b"payload".to_vec()));
             }
             (e.stats(), e.log_device_stats())
         };
@@ -668,7 +676,11 @@ mod tests {
         };
         let mut e = InnoDb::open(data, log, cfg).unwrap();
         for id in 0..16u64 {
-            assert_eq!(e.get_node(id).unwrap(), Some(b"grouped".to_vec()), "node {id} lost");
+            assert_eq!(
+                e.get_node(id).unwrap().map(<[u8]>::to_vec),
+                Some(b"grouped".to_vec()),
+                "node {id} lost"
+            );
         }
     }
 

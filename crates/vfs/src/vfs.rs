@@ -3,7 +3,7 @@
 use crate::alloc::{Extent, ExtentAllocator};
 use crate::error::VfsError;
 use share_core::{
-    crc32c, BlockDevice, CmdTag, Completion, FtlError, InlineVec, Lpn, QueuedCmd, SharePair,
+    crc32c, recycle_vec, BlockDevice, CmdTag, Completion, FtlError, Lpn, QueuedCmd, SharePair,
 };
 use share_telemetry::{Layer, SpanId, Track, Tracer};
 
@@ -20,9 +20,6 @@ const META_SLOT_PAGES: u64 = 8;
 const JOURNAL_RING_PAGES: u64 = 16;
 /// LPNs before the first file page: the two metadata slots and the ring.
 const META_PAGES: u64 = 2 * META_SLOT_PAGES + JOURNAL_RING_PAGES;
-/// Pages a device request holds in place (a four-block document's, or an
-/// engine page's): larger requests put their vector on the heap.
-const INLINE_PAGES: usize = 16;
 
 /// Handle to an open file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,6 +96,15 @@ pub struct Vfs<D: BlockDevice> {
     /// The device request of [`Vfs::ioctl_share_pairs`], refilled by each
     /// call.
     share_pairs: Vec<SharePair>,
+    /// The device request of a page write — blocking, atomic or queued —
+    /// kept empty between calls ([`recycle_vec`]).
+    write_batch: Vec<(Lpn, &'static [u8])>,
+    /// The device request of [`Vfs::read_pages`], kept the same way.
+    read_batch: Vec<(Lpn, &'static mut [u8])>,
+    /// The LPNs of a [`Vfs::submit_read_pages`] command.
+    read_lpns: Vec<Lpn>,
+    /// The page every journal commit writes, `0xEE` throughout.
+    journal_page: Vec<u8>,
     /// Span tracer shared with the device (no-op unless tracing is on).
     tracer: Tracer,
 }
@@ -130,6 +136,10 @@ impl<D: BlockDevice> Vfs<D> {
             journal_cursor: 0,
             stats: VfsStats::default(),
             share_pairs: Vec::new(),
+            write_batch: Vec::new(),
+            read_batch: Vec::new(),
+            read_lpns: Vec::new(),
+            journal_page: Vec::new(),
             tracer,
         };
         vfs.write_snapshot()?;
@@ -153,6 +163,10 @@ impl<D: BlockDevice> Vfs<D> {
             journal_cursor: 0,
             stats: VfsStats::default(),
             share_pairs: Vec::new(),
+            write_batch: Vec::new(),
+            read_batch: Vec::new(),
+            read_lpns: Vec::new(),
+            journal_page: Vec::new(),
             tracer,
         };
         let best = [0u64, 1]
@@ -422,7 +436,9 @@ impl<D: BlockDevice> Vfs<D> {
                 return Ok(());
             }
             let batch = fs.resolve_write(f, pages)?;
-            fs.dev.write_batch(batch.as_slice())?;
+            let written = fs.dev.write_batch(&batch);
+            fs.write_batch = recycle_vec(batch);
+            written?;
             fs.wrote_through(f, pages);
             Ok(())
         })
@@ -432,13 +448,14 @@ impl<D: BlockDevice> Vfs<D> {
     /// blocking, atomic and queued write forms so they cannot drift: check
     /// every buffer's length, grow the allocation when it is short and resolve
     /// each page to its LPN. The request borrows the caller's pages (nothing
-    /// is copied) and sits on the stack up to [`INLINE_PAGES`] pages;
+    /// is copied) and is the mount's kept vector, which the caller gives back
+    /// to `write_batch` once the device has the command;
     /// [`Vfs::wrote_through`] grows the file once the device has accepted it.
     fn resolve_write<'p>(
         &mut self,
         f: FileId,
         pages: &[(u64, &'p [u8])],
-    ) -> Result<InlineVec<(Lpn, &'p [u8]), INLINE_PAGES>, VfsError> {
+    ) -> Result<Vec<(Lpn, &'p [u8])>, VfsError> {
         let ps = self.dev.page_size();
         if let Some((_, data)) = pages.iter().find(|(_, data)| data.len() != ps) {
             return Err(VfsError::BadBufferLength { got: data.len(), want: ps });
@@ -447,7 +464,7 @@ impl<D: BlockDevice> Vfs<D> {
         if self.file(f)?.allocated_pages() < end {
             self.fallocate(f, end)?;
         }
-        let mut batch = InlineVec::with_capacity(pages.len());
+        let mut batch = recycle_vec(std::mem::take(&mut self.write_batch));
         for (p, data) in pages {
             batch.push((self.lpn_of(f, *p)?, *data));
         }
@@ -479,12 +496,14 @@ impl<D: BlockDevice> Vfs<D> {
                     return Err(VfsError::BadBufferLength { got: buf.len(), want: ps });
                 }
             }
-            let mut batch: Vec<(Lpn, &mut [u8])> = Vec::with_capacity(reqs.len());
+            let mut batch: Vec<(Lpn, &mut [u8])> = recycle_vec(std::mem::take(&mut fs.read_batch));
             for (p, buf) in reqs.iter_mut() {
                 let lpn = fs.lpn_of(f, *p)?;
                 batch.push((lpn, &mut buf[..]));
             }
-            fs.dev.read_batch(&mut batch)?;
+            let read = fs.dev.read_batch(&mut batch);
+            fs.read_batch = recycle_vec(batch);
+            read?;
             Ok(())
         })
     }
@@ -592,28 +611,30 @@ impl<D: BlockDevice> Vfs<D> {
     ) -> Result<CmdTag, VfsError> {
         // Resolved once: every retry lends the same request again.
         let batch = self.resolve_write(f, pages)?;
-        loop {
-            match self.dev.submit(QueuedCmd::WriteBatch { pages: batch.as_slice() }) {
+        let submitted = loop {
+            match self.dev.submit(QueuedCmd::WriteBatch { pages: &batch }) {
                 Ok(tag) => {
                     // File metadata grows only once the device has taken
                     // the command.
                     self.wrote_through(f, pages);
-                    return Ok(tag);
+                    break Ok(tag);
                 }
                 Err(share_core::FtlError::QueueFull { depth }) => {
                     let reaped = self.reap_queue();
                     if reaped.is_empty() {
                         // Nothing in flight to wait for, yet the queue is
                         // full: retrying cannot make progress.
-                        return Err(VfsError::Device(share_core::FtlError::QueueFull { depth }));
+                        break Err(VfsError::Device(share_core::FtlError::QueueFull { depth }));
                     }
-                    for c in reaped {
-                        c.result.map_err(VfsError::Device)?;
+                    if let Some(e) = reaped.into_iter().find_map(|c| c.result.err()) {
+                        break Err(VfsError::Device(e));
                     }
                 }
-                Err(e) => return Err(e.into()),
+                Err(e) => break Err(e.into()),
             }
-        }
+        };
+        self.write_batch = recycle_vec(batch);
+        submitted
     }
 
     /// Submit a batched read of `pages` of one file into `buf`, which the
@@ -636,25 +657,28 @@ impl<D: BlockDevice> Vfs<D> {
         reaped: &mut Vec<Completion>,
     ) -> Result<CmdTag, VfsError> {
         // Resolved once: every retry lends the same request again.
-        let mut lpns = InlineVec::<Lpn, INLINE_PAGES>::with_capacity(pages.len());
+        let mut lpns = std::mem::take(&mut self.read_lpns);
+        lpns.clear();
         for &p in pages {
             lpns.push(self.lpn_of(f, p)?);
         }
         let mut buf = Some(buf);
-        loop {
+        let submitted = loop {
             let buf = buf.take().unwrap_or_default();
-            match self.dev.submit(QueuedCmd::ReadBatch { lpns: lpns.as_slice(), buf }) {
-                Ok(tag) => return Ok(tag),
+            match self.dev.submit(QueuedCmd::ReadBatch { lpns: &lpns, buf }) {
+                Ok(tag) => break Ok(tag),
                 Err(share_core::FtlError::QueueFull { depth }) => {
                     let got = self.reap_queue();
                     if got.is_empty() {
-                        return Err(VfsError::Device(share_core::FtlError::QueueFull { depth }));
+                        break Err(VfsError::Device(share_core::FtlError::QueueFull { depth }));
                     }
                     reaped.extend(got);
                 }
-                Err(e) => return Err(e.into()),
+                Err(e) => break Err(e.into()),
             }
-        }
+        };
+        self.read_lpns = lpns;
+        submitted
     }
 
     /// Wait for at least one outstanding command and reap everything due.
@@ -725,7 +749,9 @@ impl<D: BlockDevice> Vfs<D> {
     ) -> Result<(), VfsError> {
         self.traced("write_pages_atomic", pages.len() as u64, |fs| {
             let batch = fs.resolve_write(f, pages)?;
-            fs.dev.write_atomic(batch.as_slice())?;
+            let written = fs.dev.write_atomic(&batch);
+            fs.write_batch = recycle_vec(batch);
+            written?;
             fs.wrote_through(f, pages);
             Ok(())
         })
@@ -970,11 +996,11 @@ impl<D: BlockDevice> Vfs<D> {
     fn write_journal_commit(&mut self) -> Result<(), VfsError> {
         let ps = self.dev.page_size();
         let ring_base = 2 * META_SLOT_PAGES;
-        let page = vec![0xEEu8; ps];
+        self.journal_page.resize(ps, 0xEE);
         for _ in 0..self.opts.journal_pages_per_commit {
             let lpn = ring_base + (self.journal_cursor % JOURNAL_RING_PAGES);
             self.journal_cursor += 1;
-            self.dev.write(Lpn(lpn), &page)?;
+            self.dev.write(Lpn(lpn), &self.journal_page)?;
             self.stats.journal_pages += 1;
         }
         self.stats.journal_commits += 1;

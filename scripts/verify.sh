@@ -27,10 +27,11 @@ cargo test -q --offline
 echo "== allocation budget (release) =="
 cargo test -q --release --offline -p share-core --test alloc_budget
 # The engine half (crates/innodb/tests/alloc_budget.rs): a pool frame is
-# the page image, so a fetch may ask for its three request vectors and a
-# flushed page for nothing above the device; its link-list phase holds
-# `get_link_list` on resident lists to no request per row (the rows are
-# refilled in place).
+# the page image and the request vectors are kept, so a warm fetch, a
+# `prefetch_keys` round and a scan's read-ahead ask for nothing, and a
+# flushed page or flush batch for nothing above the device; its link-list
+# phase holds `get_link_list` on resident lists to no request per row (the
+# rows are refilled in place).
 cargo test -q --release --offline -p mini-innodb --test alloc_budget
 # The mini-couch half (crates/couch/tests/alloc_budget.rs): the buffer a
 # document's blocks are read into is the document, and a warm `get_many`
