@@ -16,10 +16,7 @@
 //! All logic lives in [`run`], which returns the output text — `main` is a
 //! thin wrapper, so the whole tool is unit-testable.
 
-use share_core::{
-    BlockDevice, DeviceStats, FlightRecorder, Ftl, FtlConfig, Lpn, SharePair, TelemetryConfig,
-    RETAINED_EPOCHS,
-};
+use share_core::{BlockDevice, DeviceStats, Ftl, FtlConfig, Lpn, SharePair, TelemetryConfig};
 use share_workloads::{parse_trace, AccessPattern, TraceConfig, TraceGen, TraceOp};
 use std::fmt::Write as _;
 use std::fs;
@@ -69,11 +66,6 @@ fn usage() -> String {
      \x20\x20\x20\x20 (run a traced workload: optional Chrome trace_event JSON and\n\
      \x20\x20\x20\x20 span-tree dump — observation only, nothing is written back to\n\
      \x20\x20\x20\x20 the image)\n\
-     \x20 sharectl monitor <img> [--workload sequential|uniform|zipfian|mixed] [--ops N]\n\
-     \x20\x20\x20\x20 [--seed N] [--epoch-ms N] [--format table|json]\n\
-     \x20\x20\x20\x20 (run a workload under the flight recorder: one row of counter\n\
-     \x20\x20\x20\x20 deltas per epoch — observation only, nothing is written back\n\
-     \x20\x20\x20\x20 to the image)\n\
      \x20 sharectl snapshot <img> create <name> <start-lpn> <len>\n\
      \x20 sharectl snapshot <img> clone  <name> <dst-lpn> [--offset N] [--len N]\n\
      \x20 sharectl snapshot <img> drop   <name>\n\
@@ -104,16 +96,11 @@ fn save_cfg(img: &str, cfg: &FtlConfig) -> Result<()> {
 }
 
 fn load_device(img: &str) -> Result<Ftl> {
-    load_device_with(img, TelemetryConfig::default(), |_| {})
+    load_device_with(img, TelemetryConfig::default())
 }
 
-/// Open the device in `img` with `telemetry`; `loaded` sees its NAND array
-/// as loaded, before recovery runs.
-fn load_device_with(
-    img: &str,
-    telemetry: TelemetryConfig,
-    loaded: impl FnOnce(&nand_sim::NandArray),
-) -> Result<Ftl> {
+/// Open the device in `img` with `telemetry`.
+fn load_device_with(img: &str, telemetry: TelemetryConfig) -> Result<Ftl> {
     let cfg_text = fs::read_to_string(cfg_path(img))
         .map_err(|_| CliError(format!("missing sidecar {} — not a sharectl image?", cfg_path(img))))?;
     let field = |name: &str| -> Result<u64> {
@@ -144,7 +131,6 @@ fn load_device_with(
     cfg.telemetry = telemetry;
     cfg.validate()
         .map_err(|e| CliError(format!("sidecar {} does not fit the image: {e}", cfg_path(img))))?;
-    loaded(&nand);
     Ftl::open(cfg, nand).map_err(Into::into)
 }
 
@@ -320,7 +306,7 @@ pub fn run(args: &[String]) -> Result<String> {
             let mut dev = load_device(img)?;
             let before = dev.stats();
             let t0 = dev.clock().now_ns();
-            replay_ops(&mut dev, ops.iter().copied(), |_| {})?;
+            replay_ops(&mut dev, ops.iter().copied())?;
             let d = dev.stats().delta_since(&before);
             let dt = dev.clock().now_ns() - t0;
             writeln!(out, "replayed {} ops in {:.3} simulated s", ops.len(), dt as f64 / 1e9).unwrap();
@@ -333,7 +319,7 @@ pub fn run(args: &[String]) -> Result<String> {
             let mut dev = load_device(img)?;
             if let Some(trace_file) = trace {
                 let text = fs::read_to_string(trace_file)?;
-                replay_ops(&mut dev, parse_trace(&text), |_| {})?;
+                replay_ops(&mut dev, parse_trace(&text))?;
             }
             let snap = dev.telemetry_snapshot().expect("FTL always exposes telemetry");
             out.push_str(&snap.to_json().render());
@@ -345,9 +331,6 @@ pub fn run(args: &[String]) -> Result<String> {
         }
         Some("trace") => {
             trace_cmd(args, &mut out)?;
-        }
-        Some("monitor") => {
-            monitor_cmd(args, &mut out)?;
         }
         Some("crashsweep") => {
             crashsweep_cmd(args, &mut out)?;
@@ -452,7 +435,8 @@ fn snapshot_cmd(args: &[String], out: &mut String) -> Result<()> {
     Ok(())
 }
 
-/// Causal span tracing: run a synthetic workload against the image with
+/// Causal span tracing: run a synthetic workload (`--workload` zipfian,
+/// `--ops` 2 000 and `--seed` 42 unless given) against the image with
 /// tracing enabled, print its traffic summary, and optionally export the
 /// span tree as Chrome `trace_event` JSON (`--out`) or a text tree
 /// (`--tree N`). Observation only — nothing is written back to the image.
@@ -460,11 +444,23 @@ fn trace_cmd(args: &[String], out: &mut String) -> Result<()> {
     let img = args.get(1).ok_or_else(|| CliError(usage()))?;
     let [workload, ops, seed, out_path, tree] =
         flags(args, 2, ["--workload", "--ops", "--seed", "--out", "--tree"])?;
-    let (workload, gen) = synthetic_args(workload, ops, seed)?;
-    let mut dev = load_device_with(img, TelemetryConfig::tracing(), |_| {})?;
+    let workload = workload.unwrap_or("zipfian");
+    let pattern = parse_pattern(workload)?;
+    let ops = ops.map(|v| parse_u64(v, "ops")).transpose()?.unwrap_or(2_000);
+    let seed = seed.map(|v| parse_u64(v, "seed")).transpose()?.unwrap_or(42);
+    let mut dev = load_device_with(img, TelemetryConfig::tracing())?;
+    let gen = TraceConfig {
+        pattern,
+        logical_pages: dev.config().logical_pages,
+        ops,
+        write_fraction: 0.7,
+        trim_every: 97,
+        flush_every: 64,
+        seed,
+    };
     let before = dev.stats();
     let t0 = dev.clock().now_ns();
-    let replayed = run_synthetic(&mut dev, gen, |_| {})?;
+    let replayed = replay_ops(&mut dev, TraceGen::new(gen))?;
     let d = dev.stats().delta_since(&before);
     let dt = dev.clock().now_ns() - t0;
     let spans = dev.tracer().span_count();
@@ -506,44 +502,9 @@ fn parse_pattern(workload: &str) -> Result<AccessPattern> {
     })
 }
 
-/// The synthetic workload `trace` and `monitor` run, from the values of
-/// `--workload` (zipfian), `--ops` (2 000) and `--seed` (42): its name and
-/// its generator, sized to the device by [`run_synthetic`].
-fn synthetic_args<'a>(
-    workload: Option<&'a str>,
-    ops: Option<&str>,
-    seed: Option<&str>,
-) -> Result<(&'a str, TraceConfig)> {
-    let workload = workload.unwrap_or("zipfian");
-    let pattern = parse_pattern(workload)?;
-    let ops = ops.map(|v| parse_u64(v, "ops")).transpose()?.unwrap_or(2_000);
-    let seed = seed.map(|v| parse_u64(v, "seed")).transpose()?.unwrap_or(42);
-    let gen = TraceConfig {
-        pattern,
-        logical_pages: 0,
-        ops,
-        write_fraction: 0.7,
-        trim_every: 97,
-        flush_every: 64,
-        seed,
-    };
-    Ok((workload, gen))
-}
-
-/// Replay `gen` over the whole of `dev`, running `after` after every op.
-/// Returns the ops replayed.
-fn run_synthetic(dev: &mut Ftl, gen: TraceConfig, after: impl FnMut(&Ftl)) -> Result<u64> {
-    let logical_pages = dev.config().logical_pages;
-    replay_ops(dev, TraceGen::new(TraceConfig { logical_pages, ..gen }), after)
-}
-
-/// Replay block-trace `ops` against `dev` (writes carry 0xCD), running
-/// `after` once each op returns. Returns the ops replayed.
-fn replay_ops(
-    dev: &mut Ftl,
-    ops: impl IntoIterator<Item = TraceOp>,
-    mut after: impl FnMut(&Ftl),
-) -> Result<u64> {
+/// Replay block-trace `ops` against `dev` (writes carry 0xCD). Returns the
+/// ops replayed.
+fn replay_ops(dev: &mut Ftl, ops: impl IntoIterator<Item = TraceOp>) -> Result<u64> {
     let page = vec![0xCDu8; dev.page_size()];
     let mut buf = vec![0u8; dev.page_size()];
     let mut replayed = 0;
@@ -557,97 +518,9 @@ fn replay_ops(
             }
             TraceOp::Flush => dev.flush()?,
         }
-        after(dev);
         replayed += 1;
     }
     Ok(replayed)
-}
-
-/// Longitudinal monitoring: run a synthetic workload with a flight
-/// recorder ticked after every op, sealing an epoch every `--epoch-ms` of
-/// *simulated* time, then print one row of counter deltas per epoch and
-/// each NAND unit's busy share. Epoch 0 starts at the image's saved clock,
-/// so it holds the device's recovery. Observation only — nothing is
-/// written back.
-fn monitor_cmd(args: &[String], out: &mut String) -> Result<()> {
-    let img = args.get(1).ok_or_else(|| CliError(usage()))?;
-    let [workload, ops, seed, epoch_ms, format] =
-        flags(args, 2, ["--workload", "--ops", "--seed", "--epoch-ms", "--format"])?;
-    let (workload, gen) = synthetic_args(workload, ops, seed)?;
-    let epoch_ns = epoch_ms
-        .map(|v| parse_scaled(v, "epoch-ms", 1_000_000))
-        .transpose()?
-        .unwrap_or(10_000_000);
-    if epoch_ns == 0 {
-        return Err(CliError("--epoch-ms must be at least 1".into()));
-    }
-    let format = format.unwrap_or("table");
-    if format != "table" && format != "json" {
-        return Err(CliError(format!("bad --format: {format} (want table|json)")));
-    }
-
-    let mut start_ns = 0;
-    let mut dev =
-        load_device_with(img, TelemetryConfig::default(), |nand| start_ns = nand.now_ns())?;
-    let mut recorder = FlightRecorder::new(epoch_ns, start_ns);
-    let t0 = dev.clock().now_ns();
-    let replayed = run_synthetic(&mut dev, gen, |d| recorder.tick(d))?;
-    let snap = recorder.snapshot(&dev);
-    if format == "json" {
-        out.push_str(&snap.to_json().render());
-        out.push('\n');
-        return Ok(());
-    }
-
-    let dt = dev.clock().now_ns() - t0;
-    writeln!(
-        out,
-        "monitored {replayed} {workload} op(s) over {:.3} simulated s: \
-         {} epoch(s) sealed ({} rolled off the {RETAINED_EPOCHS} retained)",
-        dt as f64 / 1e9,
-        snap.sealed,
-        snap.dropped,
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{:>5} {:>9} {:>6} {:>6} {:>7} {:>7} {:>9} {:>5} {:>9} {:>9}",
-        "epoch", "t(ms)", "wr", "rd", "progs", "cb", "stall(us)", "free", "wp99(us)", "rp99(us)"
-    )
-    .unwrap();
-    for e in &snap.epochs {
-        let q = |h: &share_core::telemetry::Histogram| {
-            if h.is_empty() { "-".to_string() } else { format!("{:.0}", h.quantile(0.99) as f64 / 1e3) }
-        };
-        writeln!(
-            out,
-            "{:>5} {:>9.1} {:>6} {:>6} {:>7} {:>7} {:>9.0} {:>5} {:>9} {:>9}",
-            e.epoch,
-            e.end_ns as f64 / 1e6,
-            e.stats.host_writes,
-            e.stats.host_reads,
-            e.stats.nand.page_programs,
-            e.stats.copyback_pages,
-            e.stats.gc_stall_ns as f64 / 1e3,
-            e.free_blocks,
-            q(&e.write_hist),
-            q(&e.read_hist)
-        )
-        .unwrap();
-    }
-    // Per-unit busy-time shares over the retained window, from each
-    // epoch's `unit_busy_ns` row.
-    let window_ns: u64 = snap.epochs.iter().map(|e| e.end_ns - e.start_ns).sum();
-    if window_ns > 0 && !snap.unit_labels.is_empty() {
-        write!(out, "unit busy: ").unwrap();
-        for (i, label) in snap.unit_labels.iter().enumerate() {
-            let busy: u64 = snap.epochs.iter().filter_map(|e| e.unit_busy_ns.get(i)).sum();
-            write!(out, "{label} {:.0}%  ", busy as f64 * 100.0 / window_ns as f64).unwrap();
-        }
-        writeln!(out).unwrap();
-    }
-    // Observation only: nothing is written back to the image.
-    Ok(())
 }
 
 /// Power-loss recovery sweep (see `crates/crashsweep`). Builds fresh

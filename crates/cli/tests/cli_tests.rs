@@ -365,46 +365,6 @@ fn snapshot_create_clone_drop_ls_cycle_persists() {
     assert_eq!(metric("snapshot_frozen_pages"), Some(4), "{json}");
 }
 
-#[test]
-fn monitor_reports_epoch_series_in_both_formats() {
-    let dir = tmpdir();
-    let img = dir.join("monitored.nand");
-    let img = img.to_str().unwrap();
-    cmd(&["create", img, "16"]).unwrap();
-
-    let info_before = cmd(&["info", img]).unwrap();
-    let out = cmd(&[
-        "monitor", img, "--workload", "zipfian", "--ops", "3000", "--seed", "7",
-        "--epoch-ms", "5",
-    ])
-    .unwrap();
-    assert!(out.contains("epoch(s) sealed"), "{out}");
-    assert!(out.contains("wp99(us)"), "epoch table header missing: {out}");
-    assert!(out.contains("unit busy: ch0:w0"), "per-unit utilization missing: {out}");
-
-    // JSON form re-parses through the repo's own parser and carries the
-    // per-epoch series.
-    let json = cmd(&[
-        "monitor", img, "--workload", "zipfian", "--ops", "3000", "--seed", "7",
-        "--epoch-ms", "5", "--format", "json",
-    ])
-    .unwrap();
-    let doc = share_core::telemetry::json::parse(&json).expect("monitor JSON parses");
-    let sealed = doc.get("sealed").and_then(|v| v.as_u64()).expect("sealed count");
-    assert!(sealed > 10, "only {sealed} epochs sealed");
-    let epochs = doc.get("epochs").and_then(|e| e.as_array()).expect("epochs array");
-    assert!(!epochs.is_empty(), "no epoch records");
-    assert!(epochs[0].get("free_blocks").is_some(), "epoch rows missing gauges");
-    assert!(epochs[0].get("wear_skew").is_some(), "epoch rows missing the wear gauge");
-
-    // Observation only: the monitored workload must not persist.
-    let info_after = cmd(&["info", img]).unwrap();
-    assert_eq!(info_before, info_after, "monitor must not save the image");
-
-    assert!(cmd(&["monitor", img, "--epoch-ms", "0"]).unwrap_err().contains("epoch-ms"));
-    assert!(cmd(&["monitor", img, "--workload", "bogus"]).unwrap_err().contains("bad --workload"));
-}
-
 /// Wear is a reading, not a verdict: `info` prints the erase range and
 /// `metrics` exports every wear and headroom row with no life estimate.
 #[test]
@@ -455,17 +415,6 @@ fn create_refuses_a_size_or_over_provisioning_it_cannot_build() {
     assert!(!std::path::Path::new(img).exists(), "a refused create writes nothing");
 }
 
-#[test]
-fn epoch_flag_refuses_a_value_that_overflows() {
-    let dir = tmpdir();
-    let img = dir.join("flags.nand");
-    let img = img.to_str().unwrap();
-    cmd(&["create", img, "16"]).unwrap();
-    // A count of ms scaled to ns: u64::MAX of them does not fit.
-    let e = cmd(&["monitor", img, "--epoch-ms", &u64::MAX.to_string()]).unwrap_err();
-    assert!(e.contains("epoch-ms too large"), "{e}");
-}
-
 /// Every subcommand refuses a flag it does not read and a flag given
 /// without its value, before it touches the image: a misspelt `--seed`
 /// must not silently run the default seed.
@@ -478,7 +427,7 @@ fn every_subcommand_refuses_a_flag_it_does_not_read() {
     cmd(&["write", img, "0", "--count", "4"]).unwrap();
     cmd(&["snapshot", img, "create", "base", "0", "4"]).unwrap();
     let info = cmd(&["info", img]).unwrap();
-    let cases: [(&[&str], &str); 20] = [
+    let cases: [(&[&str], &str); 18] = [
         (&["create", "x.nand", "16", "15", "--byte", "aa"], "unexpected --byte"),
         (&["info", img, "--verbose", "1"], "unexpected --verbose"),
         (&["write", img, "0", "--bytes", "ff"], "unexpected --bytes"),
@@ -492,8 +441,6 @@ fn every_subcommand_refuses_a_flag_it_does_not_read() {
         (&["metrics", img, "--trace"], "--trace needs a value"),
         (&["trace", img, "--workload", "mixed", "--ops", "50", "--sed", "7"], "unexpected --sed"),
         (&["trace", img, "--out"], "--out needs a value"),
-        (&["monitor", img, "--ring", "6"], "unexpected --ring"),
-        (&["monitor", img, "--epoch-ms"], "--epoch-ms needs a value"),
         (&["snapshot", img, "clone", "base", "100", "--size", "4"], "unexpected --size"),
         (&["snapshot", img, "clone", "base", "100", "--offset"], "--offset needs a value"),
         (&["snapshot", img, "ls", "--all", "1"], "unexpected --all"),
@@ -560,11 +507,10 @@ fn damaged_images_and_sidecars_are_refused_or_read_never_a_panic() {
 
     let copy = dir.join("copy.nand");
     let copy = copy.to_str().unwrap();
-    let commands: [&[&str]; 7] = [
+    let commands: [&[&str]; 6] = [
         &["info", copy],
         &["read", copy, "3"],
         &["metrics", copy],
-        &["monitor", copy, "--ops", "40", "--epoch-ms", "1"],
         &["trace", copy, "--ops", "40"],
         &["replay", copy, ops],
         &["snapshot", copy, "ls"],

@@ -14,6 +14,9 @@ use crate::stats::DeviceStats;
 use crate::types::{Lpn, SharePair};
 use nand_sim::{FaultHandle, FaultMode, NandError, NandTiming, SimClock};
 
+/// Inert and uninhabited, as `monitor_snapshot` is: goes with the benchmark's forwarder.
+pub enum FlightSnapshot {}
+
 /// A page-granular block device on the simulated timeline.
 pub trait BlockDevice {
     /// Page size in bytes (the I/O and mapping unit).
@@ -232,12 +235,10 @@ pub trait BlockDevice {
         None
     }
 
-    /// A flight-recorder series the device keeps itself. No device in this
-    /// workspace keeps one — [`FlightRecorder`](crate::FlightRecorder)
-    /// samples any device from outside — so every device here returns the
-    /// `None` default. The method stays because wrappers outside the
-    /// workspace forward it to the device they wrap.
-    fn monitor_snapshot(&self) -> Option<crate::monitor::FlightSnapshot> {
+    /// Inert, as [`stream_intern`](Self::stream_intern): no device returns
+    /// a [`FlightSnapshot`], so this is always `None`. Kept only for the
+    /// benchmark's forwarder, and goes with it.
+    fn monitor_snapshot(&self) -> Option<FlightSnapshot> {
         None
     }
 

@@ -48,7 +48,6 @@ mod device;
 mod error;
 mod ftl;
 mod mapping;
-mod monitor;
 mod pool;
 mod queue;
 pub mod snapshot;
@@ -59,11 +58,10 @@ mod util;
 pub use ckpt::{checkpoint_pages, max_snapshot_bytes, snapshot_section_pages};
 pub use config::{FtlConfig, GcPolicy, Stripe, DELTA_BYTES, META_PAGE_HEADER};
 pub use delta::{Delta, DeltaLog, DeltaPage};
-pub use device::{BlockDevice, SimpleSsd};
+pub use device::{BlockDevice, FlightSnapshot, SimpleSsd};
 pub use error::FtlError;
 pub use ftl::{Ftl, WearStats};
 pub use mapping::{MappingTable, RevMap};
-pub use monitor::{EpochRecord, FlightRecorder, FlightSnapshot, RETAINED_EPOCHS};
 pub use pool::{BlockPool, BlockState, WritePoint};
 pub use queue::{CmdOutput, CmdTag, Completion, QueuedCmd};
 pub use snapshot::{SnapshotInfo, SnapshotTable};

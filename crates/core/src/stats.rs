@@ -129,9 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn delta_accumulate_and_rows_share_one_field_list() {
-        // `counter_table!` derives all three from the declaration, so the
-        // guard is a round trip plus "there is a row per u64 of the struct".
+    fn delta_and_rows_share_one_field_list() {
+        // `counter_table!` derives both from the declaration, so the guard
+        // is a subtraction plus "there is a row per u64 of the struct".
         let full = DeviceStats {
             host_writes: 10,
             gc_events: 3,
@@ -140,9 +140,10 @@ mod tests {
             ..Default::default()
         };
         let base = DeviceStats { host_writes: 4, gc_events: 1, ..Default::default() };
-        let mut rebuilt = base;
-        rebuilt.accumulate(&full.delta_since(&base));
-        assert_eq!(rebuilt, full);
+        let d = full.delta_since(&base);
+        assert_eq!((d.host_writes, d.gc_events, d.lane_steals), (6, 2, 2));
+        assert_eq!(d.nand, full.nand);
+        assert_eq!(full.delta_since(&DeviceStats::default()), full);
         assert_eq!(full.delta_since(&full), DeviceStats::default());
 
         let rows = full.rows();

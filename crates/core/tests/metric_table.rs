@@ -7,7 +7,8 @@
 //! device snapshot emits is pinned in order, each latency histogram's
 //! buckets are checked against its count and percentiles, and damaged
 //! copies of the dump go back through the parser (ROADMAP item 5, exporter
-//! text).
+//! text). Reading the exports after every command changes nothing
+//! simulated.
 
 use nand_sim::NandTiming;
 use share_core::telemetry::json::{self, Json};
@@ -250,4 +251,62 @@ fn damaged_dumps_parse_or_are_rejected() {
         }
         let _ = json::parse(&String::from_utf8_lossy(&bytes));
     }
+}
+
+/// Pages of the GC-heavy storm below: 12 % over-provisioning on realistic
+/// timing, so GC copyback, log flushes and checkpoints all run in it.
+const STORM_PAGES: u64 = 1024;
+
+fn storm_cfg() -> FtlConfig {
+    FtlConfig::for_capacity_with(STORM_PAGES * PAGE as u64, 0.12, PAGE, 32, NandTiming::default())
+}
+
+/// Deterministic GC-heavy storm (mirrors the golden driver of
+/// `gc_pipeline.rs`), running `observe` after every command.
+fn drive(ftl: &mut Ftl, rounds: u64, mut observe: impl FnMut(&Ftl)) {
+    for round in 0..rounds {
+        for i in 0..STORM_PAGES {
+            let lpn = (i * 173 + round * 311) % STORM_PAGES;
+            if round % (1 + lpn % 4) == 0 {
+                ftl.write(Lpn(lpn), &[((round * 67 + lpn * 31) % 255 + 1) as u8; PAGE]).unwrap();
+                observe(ftl);
+            }
+        }
+        if round % 3 == 2 {
+            ftl.trim(Lpn((round * 7) % STORM_PAGES), 2).unwrap();
+            observe(ftl);
+        }
+        ftl.flush().unwrap();
+        observe(ftl);
+    }
+}
+
+fn image_bytes(ftl: Ftl) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    ftl.into_nand().save_image(&mut bytes).expect("image serializes");
+    bytes
+}
+
+/// Reading a device's exports — `stats()`, `clock()` and
+/// `telemetry_snapshot()` after every command of a GC-heavy run — changes
+/// nothing simulated: the clock, the counters and the serialized flash
+/// image match an unobserved twin's bit for bit.
+#[test]
+fn observed_run_is_bit_identical_to_unobserved() {
+    let mut plain = Ftl::new(storm_cfg());
+    let mut observed = Ftl::new(storm_cfg());
+    drive(&mut plain, 6, |_| {});
+    let mut reads = 0u64;
+    drive(&mut observed, 6, |d| {
+        std::hint::black_box((d.stats(), d.clock().now_ns(), d.telemetry_snapshot()));
+        reads += 1;
+    });
+    assert!(reads > 1_000, "only {reads} observations");
+    assert!(observed.monitor_snapshot().is_none(), "the device keeps no series of its own");
+
+    assert_eq!(plain.clock().now_ns(), observed.clock().now_ns(), "clock drifted");
+    assert_eq!(plain.stats(), observed.stats(), "counters drifted");
+    plain.check_invariants();
+    observed.check_invariants();
+    assert_eq!(image_bytes(plain), image_bytes(observed), "flash image drifted");
 }

@@ -87,58 +87,6 @@ impl Histogram {
         self.count == 0
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.sum += other.sum;
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-
-    /// The samples recorded since `base`, an earlier copy of this same
-    /// histogram: counts, sum and buckets are exact differences. The
-    /// extremes are exact when the window set a new one (or `base` is
-    /// empty); otherwise they are the window's outer bucket bounds, held
-    /// inside `self`'s extremes. So a quantile of the difference lands in
-    /// the same log2 bucket as the exact one, and merging consecutive
-    /// differences rebuilds `self` exactly.
-    pub fn delta_since(&self, base: &Histogram) -> Histogram {
-        let mut d = Histogram {
-            count: self.count - base.count,
-            sum: self.sum - base.sum,
-            ..Histogram::default()
-        };
-        if d.count == 0 {
-            return d;
-        }
-        for (k, (now, then)) in self.buckets.iter().zip(&base.buckets).enumerate() {
-            d.buckets[k] = now - then;
-        }
-        let first = d.buckets.iter().position(|&n| n > 0).expect("count > 0");
-        let last = d.buckets.iter().rposition(|&n| n > 0).expect("count > 0");
-        d.min = if base.count == 0 || self.min < base.min {
-            self.min
-        } else {
-            bucket_lower_bound(first).max(self.min)
-        };
-        d.max = if base.count == 0 || self.max > base.max {
-            self.max
-        } else {
-            bucket_upper_bound(last).min(self.max)
-        };
-        d
-    }
-
     /// Nearest-rank quantile estimate, `q` in `[0, 1]`.
     ///
     /// The rank is resolved to a bucket by walking the cumulative counts
@@ -233,80 +181,6 @@ mod tests {
         assert_eq!(h.quantile(0.0), 42);
         assert_eq!(h.quantile(0.5), 42);
         assert_eq!(h.quantile(1.0), 42);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in [1u64, 10, 100] {
-            a.record(v);
-        }
-        for v in [5u64, 1000] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count, 5);
-        assert_eq!(a.sum, 1116);
-        assert_eq!(a.min, 1);
-        assert_eq!(a.max, 1000);
-        let empty = Histogram::new();
-        let mut c = Histogram::new();
-        c.merge(&empty);
-        assert!(c.is_empty());
-        c.merge(&a);
-        assert_eq!(c, a);
-    }
-
-    #[test]
-    fn delta_since_keeps_the_window_in_its_buckets() {
-        let mut h = Histogram::new();
-        for v in [3u64, 50, 700] {
-            h.record(v);
-        }
-        // From empty, the difference is the histogram itself.
-        assert_eq!(h.delta_since(&Histogram::new()), h);
-        assert!(h.delta_since(&h).is_empty());
-        let base = h.clone();
-        for v in [40u64, 600] {
-            h.record(v);
-        }
-        // No new extreme: the window's outer bucket bounds stand in for
-        // its min and max, so its quantiles stay in the samples' buckets.
-        let d = h.delta_since(&base);
-        assert_eq!((d.count, d.sum, d.min, d.max), (2, 640, 32, 700));
-        assert_eq!((bucket_of(d.quantile(0.0)), bucket_of(d.quantile(1.0))), (6, 10));
-        // A new extreme is exact.
-        let base = h.clone();
-        h.record(9_000);
-        let d = h.delta_since(&base);
-        assert_eq!((d.count, d.min, d.max), (1, 8_192, 9_000));
-        assert_eq!(d.quantile(0.5), 9_000);
-    }
-
-    #[test]
-    fn merge_reset_round_trip_preserves_quantiles_exactly() {
-        // Record one stream of samples, cut it into windows by
-        // `delta_since` of consecutive copies, and merge the windows back.
-        // The round trip must be lossless — identical struct, therefore
-        // identical quantiles at every q. This is the property a sampler
-        // that windows a device's cumulative histograms relies on.
-        let samples: Vec<u64> = (1..=500u64).map(|i| (i * 7919) % 100_000).collect();
-        let mut continuous = Histogram::new();
-        let mut base = Histogram::new();
-        let mut merged = Histogram::new();
-        for (i, &v) in samples.iter().enumerate() {
-            continuous.record(v);
-            if i % 37 == 36 {
-                merged.merge(&continuous.delta_since(&base));
-                base = continuous.clone();
-            }
-        }
-        merged.merge(&continuous.delta_since(&base));
-        assert_eq!(merged, continuous);
-        for q in [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
-            assert_eq!(merged.quantile(q), continuous.quantile(q), "q={q}");
-        }
     }
 
     #[test]

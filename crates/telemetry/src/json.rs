@@ -1,11 +1,10 @@
 //! Hand-rolled JSON value type, renderer, and syntax-checking parser.
 //!
 //! The workspace is offline and dependency-free, so this minimal module is
-//! the one JSON implementation for the whole stack: telemetry snapshots,
-//! Chrome traces and `sharectl monitor` documents render through it, and tests
-//! re-parse them with it. It lives here (the bottom of the dependency
-//! graph) so `share-core` can export snapshots without depending on
-//! anything above it.
+//! the one JSON implementation for the whole stack: telemetry snapshots
+//! and Chrome traces render through it, and tests re-parse them with it.
+//! It lives here (the bottom of the dependency graph) so `share-core` can
+//! export snapshots without depending on anything above it.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

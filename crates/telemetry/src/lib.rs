@@ -12,9 +12,8 @@
 //!
 //! Each observation has one home. A command count is a `DeviceStats` row
 //! (or its op's histogram count); a command's op, pages and times are its
-//! span in the [`trace::Tracer`]. A time series of any of it is the
-//! reader's to take: `share_core`'s flight recorder samples the exported
-//! readings.
+//! span in the [`trace::Tracer`]. A window of any of it is the reader's to
+//! take: read the cumulative rows at its two ends and subtract.
 //!
 //! Telemetry only ever *reads* the simulated clock — it never advances it —
 //! so enabling any of it cannot change simulated results: crash-sweep

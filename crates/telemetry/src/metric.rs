@@ -2,9 +2,8 @@
 //!
 //! A scalar is declared once — a field of a [`counter_table!`] struct, or
 //! one [`Metric`] row beside the state it reads — and every surface walks
-//! the rows: the metrics JSON, `sharectl monitor`'s time series, bench
-//! records.
-//! None keeps a key list of its own.
+//! the rows: the metrics JSON and bench records. None keeps a key list of
+//! its own.
 
 use crate::json::{count, Json};
 
@@ -50,12 +49,10 @@ pub fn rows_json(rows: &[Metric]) -> Vec<(String, Json)> {
 
 /// Declare a struct of cumulative `u64` counters once. From the one field
 /// list the macro emits the struct, `delta_since` (field-wise
-/// `self - earlier`), `accumulate` (field-wise `self += delta`, its exact
-/// inverse) and `rows` (one row per field, named by the field) — so an
-/// added field is subtracted, summed, windowed by a sampler and exported
-/// with no other edit.
+/// `self - earlier`) and `rows` (one row per field, named by the field) —
+/// so an added field is subtracted and exported with no other edit.
 /// A trailing `#[nested]` field is another counter table, folded in
-/// through its own three methods.
+/// through its own two methods.
 #[macro_export]
 macro_rules! counter_table {
     (
@@ -78,15 +75,6 @@ macro_rules! counter_table {
                     $( $field: self.$field - earlier.$field, )*
                     $( $nested: self.$nested.delta_since(&earlier.$nested), )*
                 }
-            }
-
-            /// Field-wise sum `self += delta`, the exact inverse of
-            /// `delta_since`: a sampler folds its windows' deltas with it,
-            /// which keeps every window's delta summing exactly to the
-            /// cumulative counters.
-            pub fn accumulate(&mut self, delta: &Self) {
-                $( self.$field += delta.$field; )*
-                $( self.$nested.accumulate(&delta.$nested); )*
             }
 
             /// One row per field, named by the field, in declaration
@@ -131,14 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn table_subtracts_accumulates_and_exports_every_field() {
+    fn table_subtracts_and_exports_every_field() {
         let a = Outer { writes: 10, reads: 7, inner: Inner { programs: 30 } };
         let b = Outer { writes: 4, reads: 7, inner: Inner { programs: 12 } };
         let d = a.delta_since(&b);
         assert_eq!(d, Outer { writes: 6, reads: 0, inner: Inner { programs: 18 } });
-        let mut back = b;
-        back.accumulate(&d);
-        assert_eq!(back, a);
+        assert_eq!(a.delta_since(&Outer::default()), a);
 
         let rows = a.rows();
         let names: Vec<_> = rows.iter().map(|m| m.name).collect();

@@ -178,15 +178,12 @@ fn environment_knobs_match_the_recorded_list() {
 /// occurrence. Each subcommand names the flags it reads once, in its call
 /// to `flags`, and refuses any other: so a flag has one entry per
 /// subcommand that reads it, and a flag that another subcommand starts to
-/// read shows up as well as a new one. `--format` is `monitor`'s
-/// (`table|json`); `metrics` prints JSON only. `--workload`, `--ops` and
-/// `--seed` are read by `trace` and `monitor` (and `crashsweep` reads
-/// `--workload` and `--seed`).
-const CLI_FLAGS: [&str; 23] = [
+/// read shows up as well as a new one. `--workload` and `--seed` are read
+/// by `trace` and `crashsweep`, `--ops` by `trace` alone; `metrics` prints
+/// JSON only.
+const CLI_FLAGS: [&str; 18] = [
     "--byte",
     "--count",
-    "--epoch-ms",
-    "--format",
     "--index",
     "--len",
     "--len",
@@ -194,16 +191,13 @@ const CLI_FLAGS: [&str; 23] = [
     "--mode",
     "--offset",
     "--ops",
-    "--ops",
     "--out",
-    "--seed",
     "--seed",
     "--seed",
     "--stride",
     "--trace",
     "--trace",
     "--tree",
-    "--workload",
     "--workload",
     "--workload",
 ];
